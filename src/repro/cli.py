@@ -6,9 +6,8 @@ info
     Topology statistics and analytical saturation for a network.
 sweep
     One latency/load sweep with ASCII plots (a terminal Fig. 9 panel).
-run / point
-    A single simulation point, printed as a row (``run`` is the primary
-    name; ``point`` is the historical alias).
+run
+    A single simulation point, printed as a row.
 scenarios
     Discover the named workload scenarios (``list``) or inspect one
     (``show <name>``).
@@ -218,17 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=5)
     sp.add_argument("--csv", default="", help="write rows to this CSV")
 
-    for cmd, help_ in (("run", "one simulation point"),
-                       ("point", "one simulation point (alias of run)")):
-        sp = sub.add_parser(cmd, help=help_)
-        add_net_args(sp)
-        add_engine_args(sp, replicates=True, shard=True)
-        add_workload_args(sp)
-        add_obs_args(sp)
-        sp.add_argument("--rate", type=float, default=None,
-                        help="messages/node/cycle (required unless "
-                             "--workload is given, where it is a rate "
-                             "multiplier defaulting to 1.0)")
+    sp = sub.add_parser("run", help="one simulation point")
+    add_net_args(sp)
+    add_engine_args(sp, replicates=True, shard=True)
+    add_workload_args(sp)
+    add_obs_args(sp)
+    sp.add_argument("--rate", type=float, default=None,
+                    help="messages/node/cycle (required unless "
+                         "--workload is given, where it is a rate "
+                         "multiplier defaulting to 1.0)")
 
     sp = sub.add_parser("scenarios",
                         help="discover named workload scenarios")
@@ -634,7 +631,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_info(args)
     if cmd == "sweep":
         return _cmd_sweep(args)
-    if cmd in ("run", "point"):
+    if cmd == "run":
         return _cmd_point(args)
     if cmd == "scenarios":
         return _cmd_scenarios(args)

@@ -241,8 +241,7 @@ class ArraySampler:
 def make_sampler(backend: "SimBackend", mix: "TrafficMix"):
     """The native sampler for ``backend``: array-state reductions for
     an attached array engine, object-graph walks otherwise."""
-    if getattr(backend, "name", "") == "array" \
-            and not getattr(backend, "_fallback", True):
+    if getattr(backend, "name", "") == "array":
         return ArraySampler(backend, mix)
     return ObjectSampler(backend.net, mix)
 

@@ -96,7 +96,7 @@ class PhaseProfiler:
                          "collect")
 
         name = getattr(backend, "name", "")
-        if name == "array" and not getattr(backend, "_fallback", True):
+        if name == "array":
             sec.setdefault("step", 0.0)
             sec.setdefault("fold", 0.0)
             self._wrap_timed(backend, "step", "step")

@@ -3,13 +3,13 @@
 Earlier revisions of this module kept numpy *mirrors* of the object
 graph and funnelled every grant back through ``commit_move``.  That
 caps the speedup at the cost of phase B -- per-move Python work that
-dominates once phase A is vectorised.  This engine inverts the
-ownership instead:
+dominates once phase A is cheap.  This engine inverts the ownership
+instead:
 
 * The flat arrays below are the **primary state**.  Buffer contents,
   wormhole switching tables, VC allocation, round-robin pointers and
-  credit/occupancy status all live here; phase B commits are masked
-  scatters over the same arrays.
+  credit/occupancy status all live here; phase B commits write the
+  same arrays in place.
 * The ``Network``/``Router``/``FlitBuffer`` object graph becomes a
   lazily-materialised **inspection view**.  While the engine is
   attached (``net.state_owner is engine``), object state is stale;
@@ -37,38 +37,38 @@ flat port*2+vc slots ``pvb``/``pvb2`` the request needs.  Per port:
 ``rr`` (round-robin pointer, stored unwrapped; ``(j - rr) & (F-1)``
 with ``F`` a power of two >= the feeder count preserves the reference
 scan ranking), ``owner`` (VC allocation) and ``down`` (downstream
-buffer per VC; ejection VCs point at a sink sentinel row that is reset
-every cycle, the unused slot at an always-full anchor row).
+buffer per VC; ejection VCs point at a sink sentinel row that is never
+full, the unused slot at an always-full anchor row).
 
 Cycle structure
 ---------------
 1. **Fold**: staged injections (adapters append to ``FlitBuffer.sink``
    instead of touching deques) enter the arrays, so a flit injected at
    cycle *t* arbitrates at cycle *t*, exactly like a reference push.
-2. **Phase A** (~a dozen numpy ops): eligibility =
-   ``header ? free&credited VC exists : downstream credit``, then one
-   sort over ``(port, rr-priority, index)`` keys picks the reference
-   round-robin winner per port, in ascending flat-port order -- the
-   reference commit order.
-3. **Phase B**: masked gather/scatter pops, switching-table updates
-   and pushes for *all* winners at once.  The only per-move Python is
-   the residue that genuinely needs objects: tail deliveries (collector
-   callbacks, in ascending port order so float accumulation order is
-   preserved), dateline VC-class upgrades, and route refreshes for
-   newly-exposed header flits (batched through ``route_head``).
+2. **Phase A**: eligibility =
+   ``header ? free&credited VC exists : downstream credit`` against
+   start-of-cycle state, then the reference round-robin winner per
+   port.
+3. **Phase B**: winners pop, update the switching tables and push, in
+   ascending flat-port order -- the reference commit order.  Whatever
+   needs Python objects is not done here: the cycle appends it to four
+   event lists (``_ck_outw`` winners, ``_ck_outdl`` dateline-crossing
+   flit words, ``_ck_outdel`` packed ``(aid, port)`` tail deliveries,
+   ``_ck_outrf`` rows whose new front is an unrouted header) and
+   counts them in ``_ck_counts``.
+4. **Replay** (:meth:`ArrayBackend._replay`): side-deque refills,
+   dateline VC-class upgrades, deliveries (collector callbacks, in
+   ascending port order so float accumulation order is preserved) and
+   route refreshes (batched through ``route_head``), in that order.
 
-Below :attr:`ArrayBackend.SCALAR_MAX` flits in flight the same cycle
-runs scalar-wise over the identical arrays (``_scalar_cycle``) --
-numpy whole-array dispatch is a loss when three buffers are occupied.
-Both paths mutate the same state, so switching is free: no resync, no
-hysteresis, engaged at every network size.
-
-Where a C compiler is available, ``repro.sim.ckernel`` compiles the
-whole cycle (phase A + phase B) to a shared library operating on the
-very same arrays; ``step`` then calls it instead of either numpy path
-and Python replays only the returned event lists (deliveries, dateline
-upgrades, route refreshes) in reference order.  The numpy paths stay
-behind ``REPRO_ARRAY_CKERNEL=0`` as the behavioural oracle.
+Phases A and B have two implementations over the same arrays and the
+same event lists.  Where a C compiler is available, ``repro.sim
+.ckernel`` compiles them to a shared library and ``step`` makes one
+call per cycle.  ``_scalar_cycle`` / ``_commit_scalar`` -- the loop the
+C file was ported from -- is the behavioural oracle behind
+``REPRO_ARRAY_CKERNEL=0`` and the engine on a host with no compiler
+(``ckernel`` warns when that happens; a saturated run is then ~3x
+slower, still ahead of the ``reference`` backend).
 
 Equivalence notes (the subtle ones; ``tests/differential.py`` guards
 all of them):
@@ -78,28 +78,21 @@ all of them):
   elsewhere (torus XY-turn), that header's cached request is
   re-refreshed -- the reference loop would recompute it next scan.
 * Reference ``commit_move`` can deliver one tail twice (absorb clone
-  *and* ejection); the residue checks both flags independently.
+  *and* ejection); the cycle emits both events independently.
 * A latched-but-empty buffer receiving a body flit must *not* be
   route-refreshed (its front is not a header); refreshes are gated on
   ``want == -1``.
 * Collector values are fed as Python ints (``int()`` casts at the
   delivery boundary), so ``RunSummary`` never leaks numpy scalars.
 
-Escape hatch
-------------
-``REPRO_ARRAY_FALLBACK=1`` (or any port with ``vcs != 2``) keeps the
-engine in object mode: no adoption, ``step`` delegates to
-``Network.step``.  ``REPRO_ARRAY_CKERNEL=0`` disables the compiled
-cycle kernel (numpy paths only).  ``REPRO_ARRAY_JIT=1`` swaps the
-sort-based pick for a numba kernel when numba is importable, and
-silently no-ops when not.
+Every port must multiplex exactly two VCs (all shipped routers do);
+attaching to anything else raises and names the object-graph backends.
 """
 
 from __future__ import annotations
 
-import os
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -127,37 +120,6 @@ def _pow2_at_least(x: int) -> int:
     return 1 << max(0, (x - 1).bit_length())
 
 
-def _load_jit_pick():  # pragma: no cover - requires numba
-    """Compile the per-port min-priority pick with numba, or return
-    ``None`` (missing/failing numba leaves the numpy path in charge)."""
-    try:
-        import numba
-    except Exception:
-        return None
-    try:
-        @numba.njit(cache=False)
-        def pick(ep, prio, bestpr, bestat):
-            n = ep.shape[0]
-            for i in range(n):
-                p = ep[i]
-                pr = prio[i]
-                if bestpr[p] > pr:
-                    bestpr[p] = pr
-                    bestat[p] = i
-            k = 0
-            for p in range(bestpr.shape[0]):
-                if bestpr[p] < 64:
-                    bestat[k] = bestat[p]
-                    bestpr[p] = 64
-                    k += 1
-            return k
-        pick(np.zeros(1, np.int64), np.zeros(1, np.int64),
-             np.full(2, 64, np.int64), np.zeros(2, np.int64))
-        return pick
-    except Exception:
-        return None
-
-
 class ArrayBackend(SimBackend):
     """Array-resident simulation engine (backend name ``"array"``).
 
@@ -170,18 +132,15 @@ class ArrayBackend(SimBackend):
 
     name = "array"
 
-    #: At or below this many flits in flight the cycle runs the scalar
-    #: path over the same arrays (whole-array numpy dispatch costs more
-    #: than it saves on a nearly-empty network).
-    SCALAR_MAX = 40
-
     def __init__(self, net):
         super().__init__(net)
-        self._fallback = (
-            os.environ.get("REPRO_ARRAY_FALLBACK") == "1"
-            or any(p.vcs != 2 for p in net.iter_ports()))
-        if self._fallback:
-            return
+        for port in net.iter_ports():
+            if port.vcs != 2:
+                raise ValueError(
+                    f"the array engine packs exactly 2 VCs per port; port "
+                    f"{port.name!r} of node {port.router.node} has "
+                    f"vcs={port.vcs}.  Run this network with --backend "
+                    f"reference or --backend active")
         if net.state_owner is not None:
             raise ValueError(
                 f"network {net.name!r} is already attached to an array "
@@ -291,11 +250,6 @@ class ArrayBackend(SimBackend):
         maxnf = max(self._nf_py, default=1)
         F = max(8, _pow2_at_least(maxnf))
         self._Fm1 = F - 1
-        self._LF = F.bit_length() - 1
-        self._ESH = B2.bit_length()
-        self._LFESH = self._LF + self._ESH
-        self._EMASK = (1 << self._ESH) - 1
-        self._arange = np.arange(B2, dtype=np.int64)
 
         # dynamic state arrays
         z = lambda: np.zeros(B2, np.int64)          # noqa: E731
@@ -337,30 +291,24 @@ class ArrayBackend(SimBackend):
             and getattr(ad, "collector", None) is not None for ad in a)
         self._acoll = [getattr(ad, "collector", None) for ad in a]
 
-        self._jit_pick = None
-        if os.environ.get("REPRO_ARRAY_JIT") == "1":  # pragma: no cover
-            self._jit_pick = _load_jit_pick()
-            if self._jit_pick is not None:
-                self._jit_bestpr = np.full(P, 64, np.int64)
-                self._jit_bestat = np.zeros(P, np.int64)
+        # event lists of the last executed cycle, written by whichever
+        # tier ran it and consumed by _replay (and the shard worker).
+        # counts[0..4] = moved/dateline/deliveries/refreshes/ejections;
+        # counts[5..6] = C-kernel work counters for the profiler
+        # (buffers scanned, eligible candidates); counts[7] spare
+        self._ck_outw = np.zeros(max(P, 1), np.int64)
+        self._ck_outdl = np.zeros(max(P, 1), np.int64)
+        self._ck_outdel = np.zeros(max(2 * P, 1), np.int64)
+        self._ck_outrf = np.zeros(max(2 * P, 1), np.int64)
+        self._ck_counts = np.zeros(8, np.int64)
 
         # compiled cycle kernel (ckernel.py): phase A + phase B over the
-        # same arrays, Python replays the event lists.  When it loads,
-        # it replaces both numpy paths; either numpy path remains the
-        # behavioural oracle (REPRO_ARRAY_CKERNEL=0).
+        # same arrays; None leaves _scalar_cycle in charge
         self._ck = load_cycle_kernel()
         if self._ck is not None:
             self._ck_bestpr = np.full(P, 1 << 30, np.int64)
             self._ck_bestb = np.zeros(P, np.int64)
             self._ck_bestvc = np.zeros(P, np.int64)
-            self._ck_outw = np.zeros(max(P, 1), np.int64)
-            self._ck_outdl = np.zeros(max(P, 1), np.int64)
-            self._ck_outdel = np.zeros(max(2 * P, 1), np.int64)
-            self._ck_outrf = np.zeros(max(2 * P, 1), np.int64)
-            # counts[0..4] = moved/dateline/deliveries/refreshes/
-            # ejections; counts[5..6] = profiler work counters
-            # (buffers scanned, eligible candidates); counts[7] spare
-            self._ck_counts = np.zeros(8, np.int64)
             ptr = lambda a: a.ctypes.data          # noqa: E731
             self._ck_args = (
                 self._B, P, self._PV, self._SB, self._Fm1,
@@ -681,166 +629,12 @@ class ArrayBackend(SimBackend):
             cb(node, self._pkts[aid], now)
 
     # ------------------------------------------------------------------
-    # the cycle: vector path
+    # the cycle: scalar oracle (the loop _cycle_kernel.c is a port of)
     # ------------------------------------------------------------------
-    def _vector_cycle(self, now: int) -> int:
-        want = self._want
-        hdrf = self._hdrf
-        ne = self._ne
-        fullb = self._fullb
-        down = self._down
-        owner = self._owner
-        pvb = self._pvb
-        front = self._front
-        qlen = self._qlen
-        rhead = self._rhead
-        rflat = self._rflat
-        rbase = self._rbase
-        rmask = self._rmask
-
-        # -- phase A: eligibility ---------------------------------------
-        fullpv = fullb[down]
-        avail = (owner == -1) & ~fullpv
-        h1 = avail[pvb]
-        elig = np.where(hdrf, h1 | avail[self._pvb2], ~fullpv[pvb]) & ne
-        ei = np.flatnonzero(elig)
-        if ei.size == 0:
-            return 0
-
-        # -- phase A: round-robin pick, one winner per port -------------
-        jof = self._jof
-        rr = self._rr
-        ep = want[ei]
-        prio = (jof[ei] - rr[ep]) & self._Fm1
-        if self._jit_pick is not None:          # pragma: no cover - numba
-            # the compaction loop emits winners in ascending port order
-            # already -- the reference commit order; do not re-sort
-            k = self._jit_pick(ep, prio, self._jit_bestpr,
-                               self._jit_bestat)
-            wi = self._jit_bestat[:k].copy()
-            bwin = ei[wi]
-            pg = ep[wi]
-        else:
-            key = ((((ep << self._LF) | prio) << self._ESH)
-                   | self._arange[:ei.size])
-            key.sort()
-            kp = key >> self._LFESH
-            if key.size > 1:
-                mask = np.empty(kp.size, bool)
-                mask[0] = True
-                np.not_equal(kp[1:], kp[:-1], out=mask[1:])
-                key = key[mask]
-                kp = kp[mask]
-            bwin = ei[key & self._EMASK]
-            pg = kp
-        rr[pg] = jof[bwin] + 1
-
-        # -- phase B: gathers against start-of-cycle state --------------
-        fw = front[bwin]
-        tailw = (fw & TAIL) != 0
-        headw = (fw & FIDMASK) == 0
-        hdrfw = hdrf[bwin]
-        h1w = h1[bwin]
-        dlvw = self._dlv[bwin]
-        vcw = np.where(hdrfw & ~h1w, 1, self._vcreq[bwin])
-        pvw = pg * 2 + vcw
-
-        # pops
-        ql = qlen[bwin] - 1
-        qlen[bwin] = ql
-        nz = ql > 0
-        ne[bwin] = nz
-        fullb[bwin] = False
-        rh = rhead[bwin] + 1
-        rhead[bwin] = rh
-        front[bwin] = rflat[rbase[bwin] + (rh & rmask[bwin])]
-        if self._sideset:
-            hits = self._sideset.intersection(bwin.tolist())
-            for b in hits:
-                self._refill(b)
-                if qlen[b] > 0:
-                    front[b] = rflat[self._rbase_py[b]
-                                     + (int(rhead[b])
-                                        & self._rmask_py[b])]
-
-        # switching tables
-        cur = owner[pvw]
-        owner[pvw] = np.where(headw & ~tailw, bwin,
-                              np.where(tailw & (cur == bwin), -1, cur))
-        want[bwin[tailw]] = -1
-        hdrf[bwin] = False
-        self._vcreq[bwin] = vcw
-        pvb[bwin] = pvw
-        self._fs[pg] += 1
-
-        # pushes (ejections land on the sink sentinel row)
-        dstb = down[pvw]
-        eje = dstb == self._SB
-        ql2 = qlen[dstb]
-        rflat[rbase[dstb] + ((rhead[dstb] + ql2) & rmask[dstb])] = fw
-        wasempty = ql2 == 0
-        ql2 += 1
-        qlen[dstb] = ql2
-        fullb[dstb] = ql2 >= self._qcap[dstb]
-        ne[dstb] = True
-        front[dstb[wasempty]] = fw[wasempty]
-        SB = self._SB
-        qlen[SB] = 0
-        ne[SB] = False
-        fullb[SB] = False
-        nej = int(eje.sum())
-        if nej:
-            self._inflight -= nej
-            fs2 = self.net.fault_state
-            if fs2 is not None:
-                fs2.ejected_flits += nej
-
-        # -- residue 1: dateline VC-class upgrades ----------------------
-        refresh: List[int] = []
-        dli = np.flatnonzero(self._isdl[pg])
-        if dli.size:
-            hdr_of = self._hdr_of
-            for w in dli.tolist():
-                aid = int(fw[w]) >> FSHIFT
-                self._pkts[aid].vclass = 1
-                hb = hdr_of.get(aid, -1)
-                if (hb >= 0 and hdrf[hb] and ne[hb]
-                        and (int(front[hb]) >> FSHIFT) == aid):
-                    refresh.append(hb)
-
-        # -- residue 2: tail deliveries, in ascending port order --------
-        deli = np.flatnonzero(tailw & (dlvw | eje))
-        if deli.size:
-            fwl = fw[deli].tolist()
-            pgl = pg[deli].tolist()
-            dl = dlvw[deli].tolist()
-            el = eje[deli].tolist()
-            pnode = self._pnode
-            for i in range(len(fwl)):
-                aid = fwl[i] >> FSHIFT
-                node = pnode[pgl[i]]
-                if dl[i]:
-                    self._deliver(node, aid, now)
-                if el[i]:
-                    self._deliver(node, aid, now)
-
-        # -- residue 3: route refreshes for newly-exposed headers -------
-        r1 = bwin[tailw & nz]
-        if r1.size:
-            refresh.extend(r1.tolist())
-        cand = dstb[wasempty & ~eje]
-        if cand.size:
-            cand = cand[want[cand] == -1]
-            if cand.size:
-                refresh.extend(cand.tolist())
-        if refresh:
-            self._refresh_many(refresh)
-        return bwin.size
-
-    # ------------------------------------------------------------------
-    # the cycle: scalar path (same arrays, few flits in flight)
-    # ------------------------------------------------------------------
-    def _scalar_cycle(self, now: int) -> int:
+    def _scalar_cycle(self) -> int:
+        """Phase A + phase B in Python over the arrays; fills the event
+        lists and ``_ck_counts[0..4]`` exactly as the C kernel does and
+        returns the number of flits moved."""
         ne = self._ne
         hdrf = self._hdrf
         want = self._want
@@ -876,24 +670,26 @@ class ArrayBackend(SimBackend):
             cur = best.get(p)
             if cur is None or pr < cur[0]:
                 best[p] = (pr, b, vc)
-        if not best:
-            return 0
-        refresh: List[int] = []
-        dlp: List[tuple] = []
-        for p in sorted(best):
+        win: List[int] = []
+        dl: List[int] = []
+        dele: List[int] = []
+        rf: List[int] = []
+        nej = 0
+        for p in sorted(best):      # ascending flat-port commit order
             _, b, vc = best[p]
-            self._commit_scalar(b, p, vc, now, refresh, dlp)
-        front = self._front
-        for aid, hb in dlp:
-            if (hb >= 0 and hdrf[hb] and ne[hb]
-                    and (int(front[hb]) >> FSHIFT) == aid):
-                refresh.append(hb)
-        if refresh:
-            self._refresh_many(refresh)
-        return len(best)
+            win.append(b)
+            nej += self._commit_scalar(b, p, vc, dl, dele, rf)
+        self._ck_outw[:len(win)] = win
+        self._ck_outdl[:len(dl)] = dl
+        self._ck_outdel[:len(dele)] = dele
+        self._ck_outrf[:len(rf)] = rf
+        self._ck_counts[:5] = (len(win), len(dl), len(dele), len(rf), nej)
+        return len(win)
 
-    def _commit_scalar(self, b: int, p: int, vc: int, now: int,
-                       refresh: List[int], dlp: List[tuple]) -> None:
+    def _commit_scalar(self, b: int, p: int, vc: int, dl: List[int],
+                       dele: List[int], rf: List[int]) -> int:
+        """Commit buffer ``b``'s front flit through port ``p``; appends
+        the move's events and returns 1 if the flit was ejected."""
         front = self._front
         qlen = self._qlen
         f = int(front[b])
@@ -901,15 +697,13 @@ class ArrayBackend(SimBackend):
         tail = bool(f & TAIL)
         headf = (f & FIDMASK) == 0
         pv = 2 * p + vc
-        # pop
+        # pop (a side deque behind the ring is refilled by _replay)
         ql = int(qlen[b]) - 1
         qlen[b] = ql
         rh = int(self._rhead[b]) + 1
         self._rhead[b] = rh
         self._ne[b] = ql > 0
         self._fullb[b] = False
-        if b in self._sideset:
-            self._refill(b)
         if ql > 0:
             front[b] = self._rflat[self._rbase_py[b]
                                    + (rh & self._rmask_py[b])]
@@ -927,21 +721,17 @@ class ArrayBackend(SimBackend):
         self._fs[p] += 1
         self._rr[p] = int(self._jof[b]) + 1
         # deliver-clone, then eject or dateline+push (reference order)
-        node = self._pnode[p]
         if tail and bool(self._dlv[b]):
-            self._deliver(node, aid, now)
+            dele.append((aid << 16) | p)
+        ejected = 0
         dst = int(self._down[pv])
         if dst == self._SB:
             if tail:
-                self._deliver(node, aid, now)
-            self._inflight -= 1
-            fs = self.net.fault_state
-            if fs is not None:
-                fs.ejected_flits += 1
+                dele.append((aid << 16) | p)
+            ejected = 1
         else:
             if self._isdl_py[p]:
-                self._pkts[aid].vclass = 1
-                dlp.append((aid, self._hdr_of.get(aid, -1)))
+                dl.append(f)
             dql = int(qlen[dst])
             self._rflat[self._rbase_py[dst]
                         + ((int(self._rhead[dst]) + dql)
@@ -953,17 +743,15 @@ class ArrayBackend(SimBackend):
                 self._ne[dst] = True
                 front[dst] = f
                 if int(self._want[dst]) < 0:
-                    refresh.append(dst)
+                    rf.append(dst)
         if tail and ql > 0:
-            refresh.append(b)
+            rf.append(b)
+        return ejected
 
     # ------------------------------------------------------------------
-    # the cycle: compiled kernel path
+    # event replay: everything a committed cycle owes the Python objects
     # ------------------------------------------------------------------
-    def _ckernel_cycle(self, now: int) -> int:
-        moved = int(self._ck(*self._ck_args))
-        if not moved:
-            return 0
+    def _replay(self, now: int, moved: int) -> None:
         c = self._ck_counts
         ndl, ndel, nrf, nej = int(c[1]), int(c[2]), int(c[3]), int(c[4])
         if nej:
@@ -1001,37 +789,32 @@ class ArrayBackend(SimBackend):
             refresh.extend(self._ck_outrf[:nrf].tolist())
         if refresh:
             self._refresh_many(refresh)
-        return moved
 
     # ------------------------------------------------------------------
     # SimBackend interface
     # ------------------------------------------------------------------
     def step(self, now: Optional[int] = None) -> int:
         net = self.net
-        if self._fallback:
-            return net.step(now)
         if now is None or now < net.cycle:
             now = net.cycle
         if self._staged:
             self._fold()
-        inflight = self._inflight
-        if not inflight:
+        if not self._inflight:
+            # no cycle ran: the event lists must not keep the last one's
+            self._ck_counts[:] = 0
             net.cycle = now + 1
             return 0
         if self._ck is not None:
-            moved = self._ckernel_cycle(now)
-        elif inflight <= self.SCALAR_MAX:
-            moved = self._scalar_cycle(now)
+            moved = int(self._ck(*self._ck_args))
         else:
-            moved = self._vector_cycle(now)
+            moved = self._scalar_cycle()
         if moved:
+            self._replay(now, moved)
             net.flits_moved += moved
         net.cycle = now + 1
         return moved
 
     def total_flits(self) -> int:
-        if self._fallback:
-            return self.net.total_flits()
         n = self._inflight
         for _, pkt, fidx in self._staged:
             n += pkt.size if fidx < 0 else 1
@@ -1049,13 +832,9 @@ class ArrayBackend(SimBackend):
             # generate; step() stays the array/kernel engine
             SimBackend.run_mix(self, mix, cycles, probes)
             return
-        if self._fallback:
-            net = self.net
-            busy: Callable[[], bool] = lambda: net.total_flits() > 0
-        else:
-            busy = lambda: (self._inflight > 0       # noqa: E731
-                            or bool(self._staged))
-        self._run_mix_fastforward(mix, cycles, probes, busy)
+        self._run_mix_fastforward(
+            mix, cycles, probes,
+            lambda: self._inflight > 0 or bool(self._staged))
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph
@@ -1064,7 +843,7 @@ class ArrayBackend(SimBackend):
         """Rebuild the object graph (buffer deques, switching tables,
         port state, router flit counts) from the arrays.  Read-only on
         array state; the arrays stay authoritative."""
-        if self._fallback or self.net.state_owner is not self:
+        if self.net.state_owner is not self:
             return
         if self._staged:
             self._fold()
@@ -1138,7 +917,7 @@ class ArrayBackend(SimBackend):
 
     def detach(self) -> None:
         """Materialise the object view and hand state ownership back."""
-        if self._fallback or self.net.state_owner is not self:
+        if self.net.state_owner is not self:
             return
         self.materialize()
         for buf in self._bufs:
@@ -1149,8 +928,6 @@ class ArrayBackend(SimBackend):
         """Escape hatch for external object-graph edits: call
         :meth:`materialize`, mutate the objects, then ``resync()`` to
         re-adopt them as the array state."""
-        if self._fallback:
-            return
         staged = self._staged
         if staged:
             # injections staged after the materialise belong in the
@@ -1182,14 +959,10 @@ class ArrayBackend(SimBackend):
         """Apply fault events to array-resident state: land the kill +
         purge on the materialised object graph, mirror every dead port
         into the credit rows (both VC slots point at the always-full
-        anchor column, so no compute path -- scalar, vector or the C
-        kernel -- can ever grant it a move), then re-adopt.  Re-adoption
-        also re-routes every cached header through the fault-aware
-        dispatcher, matching the reference backend's per-cycle
-        re-evaluation."""
-        if self._fallback:
-            fs.apply(self.net, events)
-            return
+        anchor column, so neither cycle implementation can ever grant
+        it a move), then re-adopt.  Re-adoption also re-routes every
+        cached header through the fault-aware dispatcher, matching the
+        reference backend's per-cycle re-evaluation."""
         self.materialize()
         fs.apply(self.net, events)
         down = self._down
@@ -1217,6 +990,5 @@ class ArrayBackend(SimBackend):
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "fallback" if self._fallback else (
-            f"owner inflight={self._inflight}")
-        return f"<ArrayBackend net={self.net.name!r} {mode}>"
+        return (f"<ArrayBackend net={self.net.name!r} "
+                f"inflight={self._inflight}>")

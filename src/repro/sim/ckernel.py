@@ -10,11 +10,13 @@ replayable event lists.
 
 The kernel is compiled on first use with whatever ``cc`` the host has
 (``$CC`` overrides), cached under the system temp directory keyed by a
-hash of the source, and loaded via :mod:`ctypes`.  Every failure mode --
-no compiler, sandboxed temp dir, bad toolchain -- degrades silently to
-``None`` and the engine keeps its pure-numpy paths.  Set
-``REPRO_ARRAY_CKERNEL=0`` to force the numpy paths (the differential
-suite uses this to lockstep both implementations).
+hash of the source, and loaded via :mod:`ctypes`.  Any failure -- no
+compiler, sandboxed temp dir, bad toolchain -- returns ``None``, which
+leaves the engine on its scalar oracle (``ArrayBackend._scalar_cycle``,
+~3x slower at saturation), and says so once per process in a
+``RuntimeWarning`` that carries the exception and the compiler's
+stderr.  ``REPRO_ARRAY_CKERNEL=0`` asks for the oracle and is silent
+(the differential suite uses it to lockstep both implementations).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import hashlib
 import os
 import subprocess
 import tempfile
+import warnings
 from typing import Optional
 
 __all__ = ["load_cycle_kernel"]
@@ -78,6 +81,14 @@ def load_cycle_kernel():
     if _cached is None and not _failed:
         try:
             _cached = _compile_and_load()
-        except Exception:
+        except Exception as exc:
+            # boundary that must keep running: any toolchain/loader
+            # failure leaves a working (slower) engine, reported once
             _failed = True
+            msg = (f"C cycle kernel unavailable ({exc!r}); --backend array "
+                   f"now runs its scalar oracle, ~3x slower at saturation")
+            stderr = getattr(exc, "stderr", None)   # a failed compile
+            if stderr:
+                msg += "\n" + stderr.decode(errors="replace").strip()
+            warnings.warn(msg, RuntimeWarning, stacklevel=2)
     return _cached

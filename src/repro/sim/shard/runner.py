@@ -64,11 +64,6 @@ def _validate(session) -> None:
             "the flat array state, which object-graph backends do not "
             "have.  Use --workers to parallelise across replicates "
             "instead.")
-    if getattr(session.backend, "_fallback", False):
-        raise ValueError(
-            "--shard-workers: the array backend fell back to the "
-            "reference engine (REPRO_ARRAY_FALLBACK, or an unsupported "
-            "VC count); sharding needs the flat-array state")
     if config.spec.faults:
         raise ValueError(
             "--shard-workers does not compose with fault injection yet "

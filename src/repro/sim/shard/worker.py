@@ -7,8 +7,8 @@ animates its own contiguous arc of it:
 * the traffic mix is pruned to the shard's nodes (per-node RNG streams
   make the draw sequence independent of other nodes);
 * route refreshes are filtered to owned buffer rows, so non-owned rows
-  stay inert -- the unmodified cycle kernels (C, vector) then simply
-  never move remote flits;
+  stay inert -- the unmodified cycle (C kernel or scalar oracle) then
+  simply never moves remote flits;
 * flits granted through a *cut* port land in a remote row, are
   harvested after the step into halo records (``repro.sim.shard
   .records``), and applied by the owning shard at the start of the next
@@ -37,13 +37,10 @@ serial dependence (phase A reads start-of-cycle occupancy).
 
 from __future__ import annotations
 
-from types import MethodType
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.noc.packet import RELAY, UNICAST, CollectiveOp, Packet
-from repro.sim.array_backend import FIDMASK, FSHIFT, TAIL
+from repro.sim.array_backend import FSHIFT
 from repro.sim.shard.records import (GID_SHIFT, REC_PKT, REC_PUSH,
                                      REC_VCLASS, decode_pkt, encode_pkt)
 
@@ -91,172 +88,11 @@ class ShardRecorder:
         self.relay_segments += 1
 
 
-def _sharded_vector_cycle(self, now: int) -> int:
-    """Verbatim :meth:`ArrayBackend._vector_cycle` plus one capture:
-    every dateline-crossing flit word is appended to
-    ``self._shard_dlcap`` (the numpy-path analogue of the C kernel's
-    ``_ck_outdl`` list), which the worker turns into ``REC_VCLASS``
-    broadcasts.  Any behavioural edit here is a bug; keep in sync."""
-    want = self._want
-    hdrf = self._hdrf
-    ne = self._ne
-    fullb = self._fullb
-    down = self._down
-    owner = self._owner
-    pvb = self._pvb
-    front = self._front
-    qlen = self._qlen
-    rhead = self._rhead
-    rflat = self._rflat
-    rbase = self._rbase
-    rmask = self._rmask
-
-    # -- phase A: eligibility ---------------------------------------
-    fullpv = fullb[down]
-    avail = (owner == -1) & ~fullpv
-    h1 = avail[pvb]
-    elig = np.where(hdrf, h1 | avail[self._pvb2], ~fullpv[pvb]) & ne
-    ei = np.flatnonzero(elig)
-    if ei.size == 0:
-        return 0
-
-    # -- phase A: round-robin pick, one winner per port -------------
-    jof = self._jof
-    rr = self._rr
-    ep = want[ei]
-    prio = (jof[ei] - rr[ep]) & self._Fm1
-    if self._jit_pick is not None:          # pragma: no cover - numba
-        k = self._jit_pick(ep, prio, self._jit_bestpr,
-                           self._jit_bestat)
-        wi = self._jit_bestat[:k].copy()
-        bwin = ei[wi]
-        pg = ep[wi]
-    else:
-        key = ((((ep << self._LF) | prio) << self._ESH)
-               | self._arange[:ei.size])
-        key.sort()
-        kp = key >> self._LFESH
-        if key.size > 1:
-            mask = np.empty(kp.size, bool)
-            mask[0] = True
-            np.not_equal(kp[1:], kp[:-1], out=mask[1:])
-            key = key[mask]
-            kp = kp[mask]
-        bwin = ei[key & self._EMASK]
-        pg = kp
-    rr[pg] = jof[bwin] + 1
-
-    # -- phase B: gathers against start-of-cycle state --------------
-    fw = front[bwin]
-    tailw = (fw & TAIL) != 0
-    headw = (fw & FIDMASK) == 0
-    hdrfw = hdrf[bwin]
-    h1w = h1[bwin]
-    dlvw = self._dlv[bwin]
-    vcw = np.where(hdrfw & ~h1w, 1, self._vcreq[bwin])
-    pvw = pg * 2 + vcw
-
-    # pops
-    ql = qlen[bwin] - 1
-    qlen[bwin] = ql
-    nz = ql > 0
-    ne[bwin] = nz
-    fullb[bwin] = False
-    rh = rhead[bwin] + 1
-    rhead[bwin] = rh
-    front[bwin] = rflat[rbase[bwin] + (rh & rmask[bwin])]
-    if self._sideset:
-        hits = self._sideset.intersection(bwin.tolist())
-        for b in hits:
-            self._refill(b)
-            if qlen[b] > 0:
-                front[b] = rflat[self._rbase_py[b]
-                                 + (int(rhead[b])
-                                    & self._rmask_py[b])]
-
-    # switching tables
-    cur = owner[pvw]
-    owner[pvw] = np.where(headw & ~tailw, bwin,
-                          np.where(tailw & (cur == bwin), -1, cur))
-    want[bwin[tailw]] = -1
-    hdrf[bwin] = False
-    self._vcreq[bwin] = vcw
-    pvb[bwin] = pvw
-    self._fs[pg] += 1
-
-    # pushes (ejections land on the sink sentinel row)
-    dstb = down[pvw]
-    eje = dstb == self._SB
-    ql2 = qlen[dstb]
-    rflat[rbase[dstb] + ((rhead[dstb] + ql2) & rmask[dstb])] = fw
-    wasempty = ql2 == 0
-    ql2 += 1
-    qlen[dstb] = ql2
-    fullb[dstb] = ql2 >= self._qcap[dstb]
-    ne[dstb] = True
-    front[dstb[wasempty]] = fw[wasempty]
-    SB = self._SB
-    qlen[SB] = 0
-    ne[SB] = False
-    fullb[SB] = False
-    nej = int(eje.sum())
-    if nej:
-        self._inflight -= nej
-        fs2 = self.net.fault_state
-        if fs2 is not None:
-            fs2.ejected_flits += nej
-
-    # -- residue 1: dateline VC-class upgrades ----------------------
-    refresh: List[int] = []
-    dli = np.flatnonzero(self._isdl[pg])
-    if dli.size:
-        hdr_of = self._hdr_of
-        dlcap = self._shard_dlcap
-        for w in dli.tolist():
-            fword = int(fw[w])
-            dlcap.append(fword)
-            aid = fword >> FSHIFT
-            self._pkts[aid].vclass = 1
-            hb = hdr_of.get(aid, -1)
-            if (hb >= 0 and hdrf[hb] and ne[hb]
-                    and (int(front[hb]) >> FSHIFT) == aid):
-                refresh.append(hb)
-
-    # -- residue 2: tail deliveries, in ascending port order --------
-    deli = np.flatnonzero(tailw & (dlvw | eje))
-    if deli.size:
-        fwl = fw[deli].tolist()
-        pgl = pg[deli].tolist()
-        dl = dlvw[deli].tolist()
-        el = eje[deli].tolist()
-        pnode = self._pnode
-        for i in range(len(fwl)):
-            aid = fwl[i] >> FSHIFT
-            node = pnode[pgl[i]]
-            if dl[i]:
-                self._deliver(node, aid, now)
-            if el[i]:
-                self._deliver(node, aid, now)
-
-    # -- residue 3: route refreshes for newly-exposed headers -------
-    r1 = bwin[tailw & nz]
-    if r1.size:
-        refresh.extend(r1.tolist())
-    cand = dstb[wasempty & ~eje]
-    if cand.size:
-        cand = cand[want[cand] == -1]
-        if cand.size:
-            refresh.extend(cand.tolist())
-    if refresh:
-        self._refresh_many(refresh)
-    return bwin.size
-
-
 class ShardWorker:
     """Drives one shard of a sharded run over its own session.
 
     ``session`` must be freshly built (cycle 0) with the array backend
-    attached and no faults/fallback; ``plan`` is the shared
+    attached and no faults; ``plan`` is the shared
     :class:`~repro.sim.shard.partition.ShardPlan`; ``probes`` is the
     cycle->callback dict mirroring the serial run's (fired one wall
     cycle late, after the halo apply, which restores exact post-step
@@ -382,12 +218,6 @@ class ShardWorker:
 
         be._deliver = deliver
 
-        # force the capturing vector path (never scalar) and mirror the
-        # C kernel's dateline out-list for the numpy path
-        be.SCALAR_MAX = -1
-        be._shard_dlcap = []
-        be._vector_cycle = MethodType(_sharded_vector_cycle, be)
-
     # ------------------------------------------------------------------
     # gid helpers
     # ------------------------------------------------------------------
@@ -429,9 +259,6 @@ class ShardWorker:
         self._ghost_credits(t)
         self.mix.generate(t)
         be = self.be
-        if be._ck is not None:
-            be._ck_counts[:] = 0         # the idle short-circuit in
-        del be._shard_dlcap[:]           # step() leaves stale outputs
         be.step(t)
         out = self._harvest()
         self.transport.send(
@@ -489,15 +316,11 @@ class ShardWorker:
             be._inflight -= 1
             sent_rows.add(row)
         # dateline upgrades of shipped packets -> broadcast
-        if be._ck is not None:
-            ndl = int(be._ck_counts[1])
-            dl_words = be._ck_outdl[:ndl].tolist() if ndl else ()
-        else:
-            dl_words = be._shard_dlcap
-        if dl_words:
+        ndl = int(be._ck_counts[1])
+        if ndl:
             seen: Set[int] = set()
             vgids: List[int] = []
-            for word in dl_words:
+            for word in be._ck_outdl[:ndl].tolist():
                 g = self._gid_of.get(word >> FSHIFT)
                 if g is not None and g not in seen:
                     seen.add(g)

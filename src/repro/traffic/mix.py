@@ -6,7 +6,7 @@ Two construction modes drive one network through the adapters' uniform
 * **Single-class (the paper's workload)** -- ``TrafficMix(net, rate,
   msg_len, beta)``: every cycle, every node's arrival process decides
   whether a message is created (independent Bernoulli(rate) per node by
-  default; :mod:`repro.workloads.arrivals` adds bursty and trace-replay
+  default; :mod:`repro.traffic.arrival` adds bursty and trace-replay
   models); on arrival the message becomes a broadcast with probability
   ``beta`` and a pattern-chosen unicast otherwise.  Message length is
   ``msg_len`` flits for both outcomes (the paper's M).  This path keeps

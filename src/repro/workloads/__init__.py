@@ -35,10 +35,6 @@ Modules
     outstanding-request windows, request/reply transactions and
     barrier-synchronised phases, fed per-cycle completion callbacks by
     every backend.
-:mod:`repro.workloads.arrivals`
-    Deprecated re-export shim: the temporal models live in
-    :mod:`repro.traffic.arrival` (the shared ``ArrivalModel``
-    protocol module).
 :mod:`repro.workloads.trace`
     The JSONL trace formats (v1 arrival times; v2 full injection
     records), :class:`~repro.workloads.trace.TraceRecorder` and
@@ -49,10 +45,10 @@ Modules
     named workloads.
 """
 
+from repro.traffic.arrival import BurstyInjector, TraceInjector
 from repro.workloads import appmodels as _appmodels  # noqa: F401 (registers)
 from repro.workloads.appmodels import (allreduce_classes,
                                        cache_coherence_classes)
-from repro.workloads.arrivals import BurstyInjector, TraceInjector
 from repro.workloads.closedloop import (ClosedLoopClass, ClosedLoopSource,
                                         ClosedLoopWorkload)
 from repro.workloads.registry import (ARRIVAL, PATTERN, WORKLOAD,

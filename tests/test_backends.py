@@ -154,11 +154,10 @@ class TestArrayBackend:
 
     def test_engaged_at_every_size(self):
         """No minimum-size floor: even an 8-node network runs on the
-        arrays (the census only picks scalar vs vector execution)."""
+        arrays."""
         for kind in NETWORK_KINDS:
             net, _ = build_network(kind, 8)
             be = ArrayBackend(net)
-            assert not be._fallback, kind
             assert net.state_owner is be, kind
             be.detach()
 
@@ -239,33 +238,11 @@ class TestArrayBackend:
         be.drain()
         assert net.deliveries == 1
 
-    def test_scalar_and_vector_paths_agree(self, monkeypatch):
-        """Forcing one execution path or the other must not change a
-        single bit of the run summary.  The C kernel bypasses the
-        census dispatch, so it is disabled here -- this case pins the
-        scalar-vs-vector numpy paths specifically."""
-        monkeypatch.setenv("REPRO_ARRAY_CKERNEL", "0")
-        spec = WorkloadSpec(kind="torus", n=16, msg_len=8, beta=0.0,
-                            rate=0.1, cycles=500, warmup=100, seed=9)
-        sums = []
-        saved = ArrayBackend.SCALAR_MAX
-        try:
-            for scalar_max in (0, ArrayBackend.SCALAR_MAX, 10 ** 9):
-                ArrayBackend.SCALAR_MAX = scalar_max
-                session = SimulationSession(
-                    RunConfig(spec=spec, backend="array"))
-                assert session.backend._ck is None
-                sums.append(session.run())
-                session.backend.detach()
-        finally:
-            ArrayBackend.SCALAR_MAX = saved
-        assert sums[0] == sums[1] == sums[2]
-
     def test_compiled_kernel_matches_numpy_paths(self, monkeypatch):
         """The compiled cycle kernel is an implementation detail: with
         it on (default where a C compiler exists) and off, the summary
         is bit-identical.  Skips nothing -- when compilation is
-        unavailable both runs use the numpy engine and still agree."""
+        unavailable both runs use the scalar oracle and still agree."""
         spec = WorkloadSpec(kind="quarc", n=16, msg_len=8, beta=0.1,
                             rate=0.08, cycles=600, warmup=100, seed=21)
         sums = {}
@@ -279,29 +256,94 @@ class TestArrayBackend:
             session.backend.detach()
         assert sums["0"] == sums["1"]
 
-    def test_fallback_mode_is_reference_semantics(self, monkeypatch):
-        """REPRO_ARRAY_FALLBACK=1 keeps the engine in object mode: no
-        adoption, identical results, and the flag round-trips."""
-        monkeypatch.setenv("REPRO_ARRAY_FALLBACK", "1")
-        spec = WorkloadSpec(kind="spidergon", n=8, msg_len=4, beta=0.1,
-                            rate=0.05, cycles=800, warmup=150, seed=13)
-        session = SimulationSession(RunConfig(spec=spec, backend="array"))
-        assert session.backend._fallback
-        assert session.net.state_owner is None
-        fb = session.run()
-        session.backend.detach()
-        monkeypatch.delenv("REPRO_ARRAY_FALLBACK")
-        session = SimulationSession(RunConfig(spec=spec, backend="array"))
-        assert not session.backend._fallback
-        assert fb == session.run()
-        session.backend.detach()
-
     def test_clock_clamps_like_reference(self):
         net, _ = build_network("quarc", 8)
         ArrayBackend(net).step(10)
         assert net.cycle == 11
         net.step(2)
         assert net.cycle == 12
+
+    def test_port_without_two_vcs_is_rejected_by_name(self):
+        """The arrays pack exactly two VCs per port; anything else must
+        refuse to attach (not quietly run some other engine) and say
+        which port and which backends can run it."""
+        net, _ = build_network("spidergon", 8)
+        port = net.iter_ports()[3]
+        port.vcs = 3
+        with pytest.raises(ValueError) as err:
+            ArrayBackend(net)
+        msg = str(err.value)
+        assert repr(port.name) in msg and "vcs=3" in msg
+        assert "--backend reference" in msg
+        assert net.state_owner is None
+
+    def test_failed_kernel_compile_warns_once_and_still_agrees(
+            self, monkeypatch):
+        """A broken toolchain leaves the scalar oracle in charge: one
+        RuntimeWarning per process carrying the compiler's stderr, and
+        the run is still byte-identical to the reference."""
+        import subprocess
+        import warnings
+
+        from repro.sim import ckernel
+
+        def broken():
+            raise subprocess.CalledProcessError(
+                1, ["cc"], stderr=b"cc: fatal error: no toolchain here")
+
+        monkeypatch.delenv("REPRO_ARRAY_CKERNEL", raising=False)
+        monkeypatch.setattr(ckernel, "_compile_and_load", broken)
+        monkeypatch.setattr(ckernel, "_cached", None)
+        monkeypatch.setattr(ckernel, "_failed", False)
+        spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.1,
+                            rate=0.05, cycles=500, warmup=100, seed=5)
+        with pytest.warns(RuntimeWarning, match="no toolchain here") as rec:
+            session = SimulationSession(RunConfig(spec=spec,
+                                                  backend="array"))
+        assert len(rec) == 1 and "scalar oracle" in str(rec[0].message)
+        assert session.backend._ck is None
+        got = session.run()
+        session.backend.detach()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the second load is silent
+            assert ckernel.load_cycle_kernel() is None
+        assert got == _summaries(spec, ["reference"])[0]
+
+    @pytest.mark.parametrize("ckernel_env", ["1", "0"])
+    def test_idle_step_leaves_no_events(self, ckernel_env, monkeypatch):
+        """The idle short-circuit runs no cycle, so the event lists the
+        shard worker harvests must read empty after it -- not hold the
+        previous cycle's deliveries and dateline crossings."""
+        monkeypatch.setenv("REPRO_ARRAY_CKERNEL", ckernel_env)
+        net, _ = build_network("torus", 16)
+        be = ArrayBackend(net)
+        net.adapters[0].send(Packet(0, 5, 1, UNICAST, created=0), 0)
+        be.drain()
+        assert net.deliveries == 1
+        assert be._ck_counts[2] > 0     # the last busy cycle delivered
+        assert be.step() == 0
+        assert not be._ck_counts[:5].any()
+
+
+class TestEnvironmentToggles:
+    def test_every_toggle_the_source_reads_is_documented(self):
+        """The ``REPRO_*`` names under ``src/repro`` are exactly the
+        rows of the "Environment toggles" table in the sim README, so a
+        toggle can neither appear undocumented nor outlive its code."""
+        import pathlib
+        import re
+
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        in_source = set()
+        for path in root.rglob("*.py"):
+            in_source.update(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
+        readme = (root / "sim" / "README.md").read_text()
+        section = readme.split("## Environment toggles", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)", section,
+                                    re.MULTILINE))
+        assert documented == in_source
 
 
 class TestGeometricInjector:

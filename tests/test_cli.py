@@ -18,7 +18,7 @@ class TestParser:
     def test_point_requires_rate(self, capsys):
         """--rate stays mandatory for single-class runs; only --workload
         (which defaults the multiplier to 1.0) makes it optional."""
-        assert main(["point"]) == 2
+        assert main(["run"]) == 2
         assert "--rate is required" in capsys.readouterr().err
 
 
@@ -35,7 +35,7 @@ class TestCommands:
         assert "avg hops" in capsys.readouterr().out
 
     def test_point(self, capsys):
-        rc = main(["point", "--kind", "quarc", "-n", "8", "-M", "4",
+        rc = main(["run", "--kind", "quarc", "-n", "8", "-M", "4",
                    "--rate", "0.01", "--cycles", "1500",
                    "--warmup", "300"])
         assert rc == 0

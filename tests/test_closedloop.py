@@ -378,9 +378,3 @@ class TestClosedLoopEquivalence:
         for env in ("1", "0"):
             monkeypatch.setenv("REPRO_ARRAY_CKERNEL", env)
             assert run_one(spec, backend="array") == baseline
-
-    def test_array_fallback_matches(self, monkeypatch):
-        spec = closed_spec(ALLREDUCE_CLOSED, cycles=1200, warmup=300)
-        baseline = run_one(spec, backend="reference")
-        monkeypatch.setenv("REPRO_ARRAY_FALLBACK", "1")
-        assert run_one(spec, backend="array") == baseline

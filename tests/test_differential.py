@@ -162,26 +162,6 @@ class TestFallbackRoundTrips:
         return WorkloadSpec(kind="torus", n=16, msg_len=6, beta=0.05,
                             rate=0.08, cycles=600, warmup=100, seed=17)
 
-    def test_fallback_env_round_trip(self, monkeypatch):
-        """array(fallback on) == array(fallback off) == reference,
-        toggled across three fresh sessions of the same spec."""
-        from repro.sim.session import RunConfig, SimulationSession
-        spec = self._spec()
-        sums = []
-        for env in ("1", None, "1"):
-            if env is None:
-                monkeypatch.delenv("REPRO_ARRAY_FALLBACK", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_ARRAY_FALLBACK", env)
-            session = SimulationSession(
-                RunConfig(spec=spec, backend="array"))
-            sums.append(session.run())
-            session.backend.detach()
-        monkeypatch.delenv("REPRO_ARRAY_FALLBACK", raising=False)
-        ref = SimulationSession(RunConfig(spec=spec, backend="reference"))
-        sums.append(ref.run())
-        assert sums[0] == sums[1] == sums[2] == sums[3]
-
     def test_mid_run_detach_object_steps_resync(self):
         """Leave the arrays mid-run, advance the object graph directly,
         re-adopt, finish -- against an uninterrupted reference run."""

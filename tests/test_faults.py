@@ -123,19 +123,12 @@ class TestConservationAndEquivalence:
                 f"{backend} diverges from reference on faulted {kind}")
 
     def test_array_compute_paths_agree_under_faults(self, monkeypatch):
-        """C kernel on / off and the object-graph fallback are all
-        byte-identical on a faulted run."""
+        """C kernel on / off are byte-identical on a faulted run."""
         sums = {}
-        for label, env in (("ck_on", {"REPRO_ARRAY_CKERNEL": "1"}),
-                           ("ck_off", {"REPRO_ARRAY_CKERNEL": "0"}),
-                           ("fallback", {"REPRO_ARRAY_FALLBACK": "1"})):
-            monkeypatch.delenv("REPRO_ARRAY_CKERNEL", raising=False)
-            monkeypatch.delenv("REPRO_ARRAY_FALLBACK", raising=False)
-            for key, val in env.items():
-                monkeypatch.setenv(key, val)
-            sums[label] = run_faulted("torus", "array")
-        monkeypatch.delenv("REPRO_ARRAY_FALLBACK", raising=False)
-        assert sums["ck_on"] == sums["ck_off"] == sums["fallback"]
+        for env in ("1", "0"):
+            monkeypatch.setenv("REPRO_ARRAY_CKERNEL", env)
+            sums[env] = run_faulted("torus", "array")
+        assert sums["1"] == sums["0"]
 
     def test_determinism(self):
         """Same seed + plan: byte-identical summaries on repeat runs,

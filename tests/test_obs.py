@@ -71,17 +71,6 @@ class TestProbeEquivalence:
         _, arr = _probed_run(SPEC, "array", obs)
         assert dumps_stream(arr) == dumps_stream(ref)
 
-    def test_streams_identical_in_fallback_mode(self, monkeypatch):
-        """Fallback mode keeps the array backend on the object graph;
-        the sampler dispatch must follow it there."""
-        obs = ObsSpec(probes=ALL_PROBES)
-        _, ref = _probed_run(SPEC, "reference", obs)
-        monkeypatch.setenv("REPRO_ARRAY_FALLBACK", "1")
-        session, arr = _probed_run(SPEC, "array", obs)
-        from repro.obs.probes import ObjectSampler
-        assert isinstance(session.probe_set.sampler, ObjectSampler)
-        assert dumps_stream(arr) == dumps_stream(ref)
-
     def test_saturated_streams_identical(self):
         """Near saturation every probe reads busy state (occupied
         buffers, latched/blocked lanes) on every backend."""

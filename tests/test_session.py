@@ -139,11 +139,11 @@ class TestCliBackend:
             ["sweep", "--backend", "active", "--workers", "3"])
         assert args.backend == "active" and args.workers == 3
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["point", "--rate", "0.01",
+            build_parser().parse_args(["run", "--rate", "0.01",
                                        "--backend", "warp"])
 
     def test_point_with_active_backend(self, capsys):
-        rc = main(["point", "--kind", "quarc", "-n", "8", "-M", "4",
+        rc = main(["run", "--kind", "quarc", "-n", "8", "-M", "4",
                    "--rate", "0.01", "--cycles", "1500",
                    "--warmup", "300", "--backend", "active"])
         assert rc == 0
@@ -161,7 +161,7 @@ class TestCliBackend:
             assert "quarc" in fh.read()
 
     def test_backend_choice_is_output_invariant(self, capsys):
-        argv = ["point", "--kind", "spidergon", "-n", "8", "-M", "4",
+        argv = ["run", "--kind", "spidergon", "-n", "8", "-M", "4",
                 "--rate", "0.02", "--cycles", "1500", "--warmup", "300"]
         assert main(argv) == 0
         ref_out = capsys.readouterr().out
