@@ -34,6 +34,11 @@ Two entry points:
   JSON report (baseline committed as ``BENCH_sim_speed.json`` at the
   repo root) and fails if a speedup floor is not met.
 
+Every ``<backend>_s`` is the wall time of ``session.run()`` alone; the
+row carries the session-construction time next to it as
+``<backend>_build_s`` (``serial_build_s`` / ``sharded_build_s`` in the
+``large_n`` band).  Build times are reported, never gated.
+
 With ``--replicates R > 1`` every (workload, backend) cell is timed at
 R seeds spawned from the workload's seed (`repro.sim.replication.
 ReplicationPlan`), and the reported times/speedups are **means over
@@ -144,18 +149,21 @@ def _smoke_spec(spec: WorkloadSpec) -> WorkloadSpec:
 
 
 def _timed_run(spec: WorkloadSpec, backend: str, repeats: int,
-               shard_workers: int = 1) -> Tuple[float, RunSummary]:
-    """Best-of-``repeats`` wall time for one full session run."""
-    best = float("inf")
+               shard_workers: int = 1) -> Tuple[float, RunSummary, float]:
+    """Best-of-``repeats`` wall time for one full session run, and
+    (reported next to it, never gated) for constructing the session."""
+    best = best_build = float("inf")
     summary = None
     for _ in range(repeats):
+        t0 = time.perf_counter()
         session = SimulationSession(RunConfig(
             spec=spec, backend=backend, shard_workers=shard_workers))
-        t0 = time.perf_counter()
+        t1 = time.perf_counter()
         summary = session.run()
-        best = min(best, time.perf_counter() - t0)
+        best = min(best, time.perf_counter() - t1)
+        best_build = min(best_build, t1 - t0)
         session.backend.detach()
-    return best, summary
+    return best, summary, best_build
 
 
 def compare_backends(spec: WorkloadSpec, repeats: int = 2,
@@ -179,10 +187,12 @@ def compare_backends(spec: WorkloadSpec, repeats: int = 2,
         specs = [spec]
     times: Dict[str, List[float]] = {}
     summaries: Dict[str, List[RunSummary]] = {}
+    builds: Dict[str, float] = {}     # session construction: report only
     for name in names:
         timed = [_timed_run(s, name, repeats) for s in specs]
-        times[name] = [t for t, _ in timed]
-        summaries[name] = [summary for _, summary in timed]
+        times[name] = [t for t, _, _ in timed]
+        summaries[name] = [summary for _, summary, _ in timed]
+        builds[name] = aggregate_values([b for _, _, b in timed])["mean"]
     ref_times = times["reference"]
     ref_runs = summaries["reference"]
     identical = all(summaries[name][i] == ref_runs[i]
@@ -195,6 +205,7 @@ def compare_backends(spec: WorkloadSpec, repeats: int = 2,
         "replicates": len(specs),
         "reference_s": round(ref_agg["mean"], 4),
         "reference_s_sd": round(ref_agg["stddev"], 4),
+        "reference_build_s": round(builds["reference"], 4),
         "reference_cycles_per_s": round(spec.cycles / ref_agg["mean"]),
         "identical_summaries": identical,
         "flits_moved": ref_runs[0].flits_moved,
@@ -208,6 +219,7 @@ def compare_backends(spec: WorkloadSpec, repeats: int = 2,
             [r / t for r, t in zip(ref_times, times[name])])
         result[f"{name}_s"] = round(t_agg["mean"], 4)
         result[f"{name}_s_sd"] = round(t_agg["stddev"], 4)
+        result[f"{name}_build_s"] = round(builds[name], 4)
         result[f"speedup_{name}"] = round(s_agg["mean"], 2)
         result[f"speedup_{name}_sd"] = round(s_agg["stddev"], 2)
     return result
@@ -234,8 +246,8 @@ def compare_sharded(spec: WorkloadSpec, shards: int = SHARD_WORKERS,
     sharded = [_timed_run(s, "array", repeats, shard_workers=shards)
                for s in specs]
     identical = all(a[1] == b[1] for a, b in zip(serial, sharded))
-    st = [t for t, _ in serial]
-    ht = [t for t, _ in sharded]
+    st = [t for t, _, _ in serial]
+    ht = [t for t, _, _ in sharded]
     st_agg = aggregate_values(st)
     ht_agg = aggregate_values(ht)
     sp_agg = aggregate_values([a / b for a, b in zip(st, ht)])
@@ -246,8 +258,12 @@ def compare_sharded(spec: WorkloadSpec, shards: int = SHARD_WORKERS,
         "cpu_gate": (os.cpu_count() or 1) >= shards,
         "serial_s": round(st_agg["mean"], 4),
         "serial_s_sd": round(st_agg["stddev"], 4),
+        "serial_build_s": round(
+            aggregate_values([b for _, _, b in serial])["mean"], 4),
         "sharded_s": round(ht_agg["mean"], 4),
         "sharded_s_sd": round(ht_agg["stddev"], 4),
+        "sharded_build_s": round(
+            aggregate_values([b for _, _, b in sharded])["mean"], 4),
         "speedup_shard": round(sp_agg["mean"], 2),
         "speedup_shard_sd": round(sp_agg["stddev"], 2),
         "identical_summaries": identical,
@@ -441,6 +457,7 @@ def main(argv=None) -> int:
               f"±{result['speedup_active_sd']:.2f}  "
               f"array {result['speedup_array']:5.2f}x "
               f"±{result['speedup_array_sd']:.2f}  "
+              f"array build {result['array_build_s']:.3f}s  "
               f"identical={result['identical_summaries']}")
         if not result["identical_summaries"]:
             failures.append(f"{name}: summaries differ between backends")

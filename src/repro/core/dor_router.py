@@ -31,6 +31,9 @@ __all__ = ["MeshRouter", "TorusRouter", "DORAdapter"]
 # ingress roles
 D_E_IN, D_W_IN, D_N_IN, D_S_IN, D_LOCAL = 0, 1, 2, 3, 4
 
+#: ``out_ports`` slots (creation order in ``MeshRouter.__init__``)
+_E, _W, _S, _N, _EJECT = 0, 1, 2, 3, 4
+
 LOCAL_QUEUE_DEPTH = 1 << 20
 
 
@@ -122,11 +125,31 @@ class MeshRouter(Router):
         dy = self._y_steps(dr)
         return (self.s_out if dy > 0 else self.n_out), False
 
+    def _step_columns(self, frm: int, to, size: int):
+        """:meth:`_x_steps` / :meth:`_y_steps` over a numpy column of
+        destination coordinates ``to``."""
+        return to - frm
+
     def route_table(self, buf: "FlitBuffer"):
         """XY routing reads only (ingress role, destination), so every
         buffer is tabulable for every traffic class -- the software
-        broadcast is plain serialised unicasts on the wire."""
-        return self._probe_route_table(buf)
+        broadcast is plain serialised unicasts on the wire.
+        :meth:`route_head` over all destinations at once, as a function
+        of ``(role, dx, dy)``."""
+        import numpy as np      # the array engine's dependency, not ours
+        topo = self.topo
+        dr, dc = np.divmod(np.arange(self.n), topo.cols)
+        dx = self._step_columns(self.col, dc, topo.cols)
+        dy = self._step_columns(self.row, dr, topo.rows)
+        slot = np.where(dx > 0, _E, np.where(dx < 0, _W,
+                                             np.where(dy > 0, _S, _N)))
+        slot[self.node] = _EJECT
+        if buf.role in (D_E_IN, D_W_IN, D_LOCAL):
+            vreset = dx == 0            # the dimension turn
+            vreset[self.node] = False
+        else:
+            vreset = np.zeros(self.n, bool)
+        return slot, np.zeros(self.n, bool), vreset
 
 
 class TorusRouter(MeshRouter):
@@ -145,6 +168,11 @@ class TorusRouter(MeshRouter):
 
     def _y_steps(self, dr: int) -> int:
         return TorusTopology._ring_steps(self.row, dr, self.topo.rows)
+
+    def _step_columns(self, frm: int, to, size: int):
+        import numpy as np
+        fwd = (to - frm) % size     # ties break positive, as _ring_steps
+        return np.where(fwd <= size - fwd, fwd, fwd - size)
 
 
 class DORAdapter(Adapter):

@@ -52,6 +52,14 @@ __all__ = ["QuarcRouter",
 CW_IN, CCW_IN, XR_IN, XL_IN = 0, 1, 2, 3
 LOC_R, LOC_L, LOC_XR, LOC_XL = 4, 5, 6, 7
 
+#: ``out_ports`` slots (creation order in ``QuarcRouter.__init__``: the
+#: four links cw/ccw/xr/xl, then the four ejections in ingress-role
+#: order).  The whole unicast routing function is these two lines: the
+#: link each ingress role forwards on, and ejection ``_EJECT_SLOT +
+#: role`` when the address matches.
+_FORWARD_SLOT = (0, 1, 0, 1, 0, 1, 2, 3)
+_EJECT_SLOT = 4
+
 #: Local queues are PE-side memory, modelled deep; switch lanes are small.
 LOCAL_QUEUE_DEPTH = 1 << 20
 
@@ -197,10 +205,16 @@ class QuarcRouter(Router):
         # multicast bitstring), so only the fixed-output local queues
         # are tabulable for every traffic class.
         if buf.role >= LOC_R:
-            return self._probe_route_table(buf)
+            return self.unicast_route_table(buf)
         return None
 
     def unicast_route_table(self, buf: "FlitBuffer"):
         # Unicasts never clone: eject-or-forward is a pure function of
         # the destination for every ingress.
-        return self._probe_route_table(buf)
+        import numpy as np      # the array engine's dependency, not ours
+        role = buf.role
+        slot = np.full(self.n, _FORWARD_SLOT[role], np.int64)
+        if role < LOC_R:
+            slot[self.node] = _EJECT_SLOT + role
+        never = np.zeros(self.n, bool)
+        return slot, never, never

@@ -36,6 +36,9 @@ __all__ = ["SpidergonRouter",
 # ingress roles (FlitBuffer.role)
 S_CW_IN, S_CCW_IN, S_X_IN, S_LOCAL, S_REPL = 0, 1, 2, 3, 4
 
+#: ``out_ports`` slots (creation order in ``SpidergonRouter.__init__``)
+_CW, _CCW, _X, _EJECT = 0, 1, 2, 3
+
 LOCAL_QUEUE_DEPTH = 1 << 20
 
 
@@ -132,5 +135,22 @@ class SpidergonRouter(Router):
     def route_table(self, buf: "FlitBuffer"):
         """Across-first routing reads only (ingress role, destination);
         relay segments route exactly like unicasts, so the table holds
-        for every traffic class."""
-        return self._probe_route_table(buf)
+        for every traffic class.  :meth:`route_head` over all
+        destinations at once, as a function of ``(role, k)``."""
+        import numpy as np      # the array engine's dependency, not ours
+        me = self.node
+        n = self.n
+        role = buf.role
+        if role == S_CW_IN:
+            slot = np.full(n, _CW, np.int64)
+        elif role == S_CCW_IN:
+            slot = np.full(n, _CCW, np.int64)
+        else:
+            k = (np.arange(n) - me) % n
+            slot = np.where(2 * k <= n, _CW, _CCW)
+            if role == S_LOCAL:
+                slot[4 * np.minimum(k, n - k) > n] = _X
+        if role <= S_X_IN:
+            slot[me] = _EJECT
+        never = np.zeros(n, bool)
+        return slot, never, never

@@ -118,30 +118,35 @@ class Router:
         return fs.route(self, buf, pkt)
 
     def route_table(self, buf: FlitBuffer):
-        """Destination-indexed routing rows for array engines, or ``None``.
+        """Destination-indexed routing columns for array engines, or
+        ``None``.
 
         When this buffer's routing decision is a pure function of the
-        packet's destination (for *every* traffic class), return a list
-        of ``(port, clone_to_local, vclass_reset)`` rows indexed by
-        destination node; an array engine then resolves header requests
-        by table lookup and never calls :meth:`route_head` on the hot
-        path.  The default ``None`` means "not tabulable" and keeps the
-        per-header ``route_head`` path in charge.
+        packet's destination (for *every* traffic class), return three
+        numpy columns indexed by destination node, computed
+        arithmetically (no :meth:`route_head` calls): ``slot`` (integer
+        index into ``self.out_ports``), ``deliver`` (bool, the
+        clone-to-local flag) and ``vclass_reset`` (bool, routing rewinds
+        the packet's VC class).  An array engine then resolves header
+        requests by table lookup and never calls :meth:`route_head` on
+        the hot path.  The default ``None`` means "not tabulable" and
+        keeps the per-header ``route_head`` path in charge.
         """
         return None
 
     def unicast_route_table(self, buf: FlitBuffer):
-        """Like :meth:`route_table`, but the rows need only hold for
+        """Like :meth:`route_table`, but the columns need only hold for
         unicast packets (engines gate the lookup on the traffic class).
         Default: whatever :meth:`route_table` offers."""
         return self.route_table(buf)
 
     def _probe_route_table(self, buf: FlitBuffer):
-        """Tabulate :meth:`route_head` by probing every destination with
-        a throwaway unicast packet -- reusing the real routing function
-        means a table can never drift from the scalar semantics.  The
-        ``vclass_reset`` column records whether routing rewound the
-        probe's VC class (the mesh/torus dimension-turn reset)."""
+        """The scalar oracle :meth:`route_table` is tested against:
+        tabulate :meth:`route_head` by probing every destination with a
+        throwaway unicast packet, as ``(port, clone_to_local,
+        vclass_reset)`` rows.  The ``vclass_reset`` column records
+        whether routing rewound the probe's VC class (the mesh/torus
+        dimension-turn reset)."""
         pkt = Packet(self.node, 0, 1, 0)
         rows = []
         for dst in range(self.n):

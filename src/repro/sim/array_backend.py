@@ -115,9 +115,32 @@ FIDMASK = TAIL - 1
 #: Ring slices above this size spill into a side deque instead.
 _RING_CAP = 4096
 
+#: Packed-field capacities, checked once when a session is built.  A
+#: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``,
+#: ``_commit_scalar``, read back by ``_replay``), so the flat port count
+#: must fit 16 bits -- tighter than the 20 bits a route-table entry
+#: gives the port.  A packet's last flit id must fit below ``TAIL``.
+MAX_PORTS = 1 << 16
+MAX_PACKET_FLITS = TAIL
+
 
 def _pow2_at_least(x: int) -> int:
     return 1 << max(0, (x - 1).bit_length())
+
+
+def _check_limit(field: str, count: int, limit: int) -> None:
+    if count > limit:
+        raise ValueError(
+            f"the array engine cannot pack {field} = {count}: the field "
+            f"holds at most {limit}.  Run this configuration with "
+            f"--backend reference or --backend active")
+
+
+def check_packet_flits(sizes: Dict[str, int]) -> None:
+    """Raise unless every declared packet size (``{field name: flits}``)
+    fits the flit-index field of the packed flit word."""
+    for field, size in sizes.items():
+        _check_limit(f"{field} (flits per packet)", size, MAX_PACKET_FLITS)
 
 
 class ArrayBackend(SimBackend):
@@ -157,6 +180,8 @@ class ArrayBackend(SimBackend):
         ports: List["OutPort"] = net.iter_ports()
         B = len(bufs)
         P = len(ports)
+        _check_limit("output ports (the delivery-event port field)", P,
+                     MAX_PORTS)
         self._bufs = bufs
         self._ports = ports
         self._B = B
@@ -210,7 +235,7 @@ class ArrayBackend(SimBackend):
 
         # destination-indexed route tables: where the router declares
         # routing a pure function of (buffer, dst), header refresh is a
-        # list lookup and never touches the object graph.  Entries pack
+        # table lookup and never touches the object graph.  Entries pack
         # ``(jof << 24) | (port << 4) | (vclass_reset << 1) | deliver``;
         # ``_rtab_all`` False means the rows hold for unicast only (the
         # Quarc ingress clone decision reads the traffic class), and the
@@ -221,27 +246,45 @@ class ArrayBackend(SimBackend):
                         for a, d in zip(self._pol_any, self._isdl_py)]
         self._pv2_of = [2 * pi + 1 if a else self._PV
                         for pi, a in enumerate(self._pol_any)]
-        self._rtab: List[Optional[List[int]]] = [None] * B
+        # The routers answer with numpy columns over all destinations
+        # (slot in router.out_ports, deliver, vclass_reset), computed
+        # arithmetically -- no route_head call here.  All rows live in
+        # one C-contiguous int64 table (row b for buffer b; the rows of
+        # untabulable buffers are never touched); ``_rtab[b]`` is a
+        # memoryview of its row, so a lookup yields a Python int like
+        # the list it replaces (an ndarray row would yield numpy scalars
+        # and slow every shift and mask in _route_front).
+        self._rtab: List[Optional[memoryview]] = [None] * B
         self._rtab_all = [False] * B
-        probed: Dict[tuple, tuple] = {}   # (router, role) -> (rows, univ)
+        table = None
+        router = None
         for b, buf in enumerate(bufs):
-            key = (id(buf.router), buf.role)
-            hit = probed.get(key)
-            if hit is None:
-                rows = buf.router.route_table(buf)
-                univ = rows is not None
-                if rows is None:
-                    rows = buf.router.unicast_route_table(buf)
-                hit = probed[key] = (rows, univ)
-            rows, univ = hit
-            if rows is None:
+            if buf.router is not router:    # buffers are node-major
+                router = buf.router
+                pids = [self._pid[p] for p in router.out_ports]
+                by_role = {}    # role -> (slot, flags, univ) | None
+            if buf.role not in by_role:
+                cols = router.route_table(buf)
+                univ = cols is not None
+                if cols is None:
+                    cols = router.unicast_route_table(buf)
+                if cols is not None:
+                    slot, deliver, vreset = cols
+                    cols = (slot, (vreset.astype(np.int64) << 1) | deliver,
+                            univ)
+                by_role[buf.role] = cols
+            if by_role[buf.role] is None:
                 continue
+            slot, flags, univ = by_role[buf.role]
+            if table is None:
+                table = np.empty((B, len(slot)), np.int64)
             jp = self._jpos[b]
-            pid = self._pid
-            self._rtab[b] = [
-                (jp.get(pid[port], 0) << 24) | (pid[port] << 4)
-                | (2 if vreset else 0) | (1 if deliver else 0)
-                for port, deliver, vreset in rows]
+            # per out_ports slot: the (jof, port) half of the entry
+            code = np.array([(jp.get(pi, 0) << 24) | (pi << 4)
+                             for pi in pids], np.int64)
+            row = table[b]
+            np.bitwise_or(code[slot], flags, out=row)
+            self._rtab[b] = memoryview(row)
             self._rtab_all[b] = univ
 
         # round-robin priority field: F a power of two >= max feeders

@@ -198,6 +198,9 @@ class SimulationSession:
         for rule, message in _AXIS_RULES:
             if rule(config, self):
                 raise ValueError(message)
+        if config.backend == "array":
+            from repro.sim.array_backend import check_packet_flits
+            check_packet_flits(self._packet_sizes())
         self._backlog_mid = 0
         # fault model (opt-in; spec.faults empty leaves the network's
         # fault seam at None, i.e. zero overhead and untouched routing)
@@ -276,6 +279,20 @@ class SimulationSession:
         if obs.profile:
             from repro.obs.profiler import PhaseProfiler
             self.profiler = PhaseProfiler(self).attach()
+
+    def _packet_sizes(self) -> Dict[str, int]:
+        """Every packet size this session can inject, keyed by the field
+        that declares it."""
+        mix = self.mix
+        if not mix.classes:
+            return {"msg_len": getattr(mix, "replay_max_len", None)
+                    or self.config.spec.msg_len}
+        sizes = {f"class {c.name!r} msg_len": c.msg_len
+                 for c in mix.classes}
+        if self._closedloop is not None:
+            for cl in self._closedloop.wl.closed:
+                sizes[f"class {cl.name!r} req_len"] = cl.req_len
+        return sizes
 
     def _probe_backlog(self, now: int) -> None:
         self._backlog_mid = self.net.total_flits()

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["Channel", "Topology"]
 
@@ -53,7 +54,9 @@ class Topology:
         return sum(1 for ch in self.channels() if ch.src == node)
 
     def to_networkx(self) -> "nx.DiGraph":
-        """Directed graph of the physical channels (test oracle)."""
+        """Directed graph of the physical channels (test oracle).  The
+        one user of networkx, a test-only dependency: imported here."""
+        import networkx as nx
         g = nx.DiGraph()
         g.add_nodes_from(range(self.n))
         for ch in self.channels():

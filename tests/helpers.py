@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.noc.network import Network
 from repro.noc.packet import UNICAST, Packet
 
-__all__ = ["drain", "send_one", "run_cycles"]
+__all__ = ["drain", "send_one", "run_cycles", "probed_route_tables"]
 
 
 def drain(net: Network, max_cycles: int = 200_000) -> int:
@@ -29,3 +29,32 @@ def send_one(net: Network, src: int, dst: int, size: int,
 def run_cycles(net: Network, cycles: int) -> None:
     for _ in range(cycles):
         net.step()
+
+
+def probed_route_tables(be):
+    """Oracle for ``ArrayBackend._rtab`` / ``_rtab_all``: the row-packing
+    loop the engine ran before its tables were built arithmetically --
+    ``route_head`` probed once per (router, role, dst) through
+    ``Router._probe_route_table``, every row packed in Python.  Mirrors
+    the routers' tabulability contract: a Quarc network-ingress role is
+    tabulable for unicasts only, every other shipped buffer for all
+    traffic."""
+    from repro.core.quarc_router import LOC_R, QuarcRouter
+
+    rtab = [None] * be._B
+    rtab_all = [False] * be._B
+    probed = {}
+    for b, buf in enumerate(be._bufs):
+        key = (id(buf.router), buf.role)
+        rows = probed.get(key)
+        if rows is None:
+            rows = probed[key] = buf.router._probe_route_table(buf)
+        jp = be._jpos[b]
+        pid = be._pid
+        rtab[b] = [
+            (jp.get(pid[port], 0) << 24) | (pid[port] << 4)
+            | (2 if vreset else 0) | (1 if deliver else 0)
+            for port, deliver, vreset in rows]
+        rtab_all[b] = not (isinstance(buf.router, QuarcRouter)
+                           and buf.role < LOC_R)
+    return rtab, rtab_all
