@@ -7,9 +7,9 @@ per-class breakdown separates the broadcast-class latency (invalidate /
 barrier) from the unicast-class latency (line fill / chunk) -- the
 comparison the paper's cache-sync argument rests on.
 
-The benchmark also gates correctness: every registered backend
-(``active``, ``array``) must stay **summary-identical** to
-``reference`` on every (noc, workload) cell, per-class fields included.
+The benchmark also gates correctness: every registered backend must
+stay **summary-identical** to ``reference`` on every (noc, workload)
+cell, per-class fields included.
 
 Entry points::
 

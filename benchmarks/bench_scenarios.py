@@ -6,9 +6,9 @@ beta).  This benchmark drives the :mod:`repro.workloads` scenario grid
 both architectures and
 
 * emits the comparison table + CSV (``results/bench_scenarios.csv``);
-* verifies every optimized backend (``active``, ``array``) stays
-  **summary-identical** to ``reference`` on every cell (neither the
-  injector seam nor the batched kernel may perturb a single scenario);
+* verifies the ``array`` backend stays **summary-identical** to
+  ``reference`` on every cell (neither the injector seam nor the
+  compiled kernel may perturb a single scenario);
 * asserts basic sanity: every cell delivers traffic, and the hotspot
   pattern degrades (or at best matches) uniform latency on both NoCs.
 

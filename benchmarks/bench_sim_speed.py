@@ -1,17 +1,17 @@
-"""Engine throughput: reference vs active-set vs array backend.
+"""Engine throughput: reference vs array backend.
 
 Not a paper artefact -- this tracks the reproduction's own performance so
 regressions in the hot path (ports.arbitrate / router.commit_move / the
-active-set bookkeeping / the array cycle kernel) are caught, and guards
-the optimized backends' contracts:
+idle fast-forward loop / the array cycle kernel) are caught, and guards
+the array backend's contracts:
 
 * **identical `RunSummary`** on every workload, for every backend;
-* ``active``: >= 3x faster than ``reference`` at idle-heavy low load
-  (its fast-forward regime);
+* ``array``: >= 3x faster than ``reference`` at idle-heavy low load
+  (the fast-forward regime);
 * ``array``: >= 5x faster than ``reference`` in the near-saturation
   band on **every** large topology (quarc, spidergon, torus, mesh) --
-  the region the paper's latency/load figures live in, where
-  ``active`` degenerates to parity.  The ratio assumes the compiled
+  the region the paper's latency/load figures live in.  The ratio
+  assumes the compiled
   cycle kernel (``repro.sim.ckernel``); on a host without a compiler
   the engine runs its scalar oracle, measured at 1.1-1.7x over
   ``reference`` here (quarc64 1.5 s vs 2.4 s, torus64 1.7 s vs 1.9 s),
@@ -73,8 +73,8 @@ from repro.sim.stats import aggregate_values
 from repro.traffic.workload import WorkloadSpec
 
 #: (name, spec, band) -- ``band`` selects which floor applies:
-#: "low" carries the active-backend fast-forward floor, "sat" carries
-#: the array-backend floor (gated per topology: all four large
+#: "low" carries the idle fast-forward floor, "sat" carries the
+#: saturation floor (gated per topology: all four large
 #: networks must clear it), "mid" is tracked only.  Where an analytic
 #: model exists (quarc, spidergon) the saturation rates sit at ~0.9x
 #: the analytic saturation point (`repro.analysis.saturation_rate`);
@@ -127,9 +127,9 @@ LARGE_N_WORKLOADS: List[Tuple[str, WorkloadSpec]] = [
 
 #: Acceptance floors (full mode); the smoke run uses lenient floors
 #: because CI machines are noisy and the horizons are cut 5x.
-ACTIVE_LOW_LOAD_FLOOR_FULL = 3.0
-ACTIVE_LOW_LOAD_FLOOR_SMOKE = 1.5
-#: The array floor holds on **every** "sat" workload -- all four large
+ARRAY_LOW_LOAD_FLOOR_FULL = 3.0
+ARRAY_LOW_LOAD_FLOOR_SMOKE = 1.5
+#: The saturation floor holds on **every** "sat" workload -- all four large
 #: topologies, not just the friendliest one.  5x assumes the compiled
 #: cycle kernel engages (the engine runs its scalar oracle, with a
 #: warning, only when the host has no C compiler, which CI does).
@@ -295,12 +295,6 @@ def test_speed_reference_quarc16(benchmark):
     assert s.net.total_flits() >= 0     # smoke: network still consistent
 
 
-def test_speed_active_quarc16(benchmark):
-    s = _session_chunk("active", "quarc", 16)
-    benchmark(_run_chunk, s)
-    assert s.net.total_flits() >= 0
-
-
 def test_speed_array_quarc16(benchmark):
     s = _session_chunk("array", "quarc", 16)
     benchmark(_run_chunk, s)
@@ -313,27 +307,10 @@ def test_speed_reference_quarc64_low_load(benchmark):
     assert s.net.total_flits() >= 0
 
 
-def test_speed_active_quarc64_low_load(benchmark):
-    s = _session_chunk("active", "quarc", 64, rate=0.0002)
-    benchmark(_run_chunk, s, 2000)
-    assert s.net.total_flits() >= 0
-
-
 def test_speed_array_quarc64_saturated(benchmark):
     s = _session_chunk("array", "quarc", 64, rate=0.0138)
     benchmark(_run_chunk, s, 500)
     assert s.net.total_flits() >= 0
-
-
-def test_low_load_speedup_and_equivalence():
-    """The active-backend contract: identical stats, clearly faster at
-    idle-heavy load.  The pytest floor is looser than the script's
-    (wall-clock under pytest/CI is noisy); the 3x acceptance floor is
-    enforced by the full script run (``python bench_sim_speed.py``)."""
-    name, spec, _ = WORKLOADS[0]
-    result = compare_backends(spec, repeats=2)
-    assert result["identical_summaries"], name
-    assert result["speedup_active"] >= 2.0, result
 
 
 def test_saturation_speedup_and_equivalence():
@@ -394,8 +371,8 @@ def main(argv=None) -> int:
     repeats = args.repeats if args.repeats else (1 if args.smoke else 3)
     replicates = (args.replicates if args.replicates
                   else (2 if args.smoke else 3))
-    active_floor = (ACTIVE_LOW_LOAD_FLOOR_SMOKE if args.smoke
-                    else ACTIVE_LOW_LOAD_FLOOR_FULL)
+    low_floor = (ARRAY_LOW_LOAD_FLOOR_SMOKE if args.smoke
+                 else ARRAY_LOW_LOAD_FLOOR_FULL)
     array_floor = (ARRAY_SAT_FLOOR_SMOKE if args.smoke
                    else ARRAY_SAT_FLOOR_FULL)
     shard_floor = (SHARD_SAT_FLOOR_SMOKE if args.smoke
@@ -412,7 +389,7 @@ def main(argv=None) -> int:
                   f"`python benchmarks/bench_sim_speed.py --json ...`)",
                   file=sys.stderr)
             return 2
-        active_floor = baseline["speedup_floor_low_load_active"]
+        low_floor = baseline["speedup_floor_low_load_array"]
         array_floor = baseline["speedup_floor_saturation_array"]
         # older baselines predate the large_n band; keep the built-in
         shard_floor = baseline.get("speedup_floor_large_n_shard",
@@ -421,14 +398,14 @@ def main(argv=None) -> int:
             # the baseline records full-mode floors; smoke horizons are
             # 5x shorter and CI machines noisy, so apply the same
             # leniency ratio the built-in smoke floors encode
-            active_floor = round(active_floor * ACTIVE_LOW_LOAD_FLOOR_SMOKE
-                                 / ACTIVE_LOW_LOAD_FLOOR_FULL, 2)
+            low_floor = round(low_floor * ARRAY_LOW_LOAD_FLOOR_SMOKE
+                              / ARRAY_LOW_LOAD_FLOOR_FULL, 2)
             array_floor = round(array_floor * ARRAY_SAT_FLOOR_SMOKE
                                 / ARRAY_SAT_FLOOR_FULL, 2)
             shard_floor = round(shard_floor * SHARD_SAT_FLOOR_SMOKE
                                 / SHARD_SAT_FLOOR_FULL, 2)
         print(f"[baseline] {args.baseline}: gating at "
-              f"active >= {active_floor}x (low load), "
+              f"array >= {low_floor}x (low load), "
               f"array >= {array_floor}x (saturation), "
               f"sharded >= {shard_floor}x (large_n, cpu-gated)")
     report = {
@@ -437,7 +414,7 @@ def main(argv=None) -> int:
         "backends": sorted(BACKENDS),
         "replicates": replicates,
         "shard_workers": SHARD_WORKERS,
-        "speedup_floor_low_load_active": active_floor,
+        "speedup_floor_low_load_array": low_floor,
         "speedup_floor_saturation_array": array_floor,
         "speedup_floor_large_n_shard": shard_floor,
         "workloads": {},
@@ -453,18 +430,16 @@ def main(argv=None) -> int:
         report["workloads"][name] = result
         print(f"{name:24s} ref {result['reference_s']:7.3f}s "
               f"±{result['reference_s_sd']:.3f}  "
-              f"active {result['speedup_active']:5.2f}x "
-              f"±{result['speedup_active_sd']:.2f}  "
               f"array {result['speedup_array']:5.2f}x "
               f"±{result['speedup_array_sd']:.2f}  "
               f"array build {result['array_build_s']:.3f}s  "
               f"identical={result['identical_summaries']}")
         if not result["identical_summaries"]:
             failures.append(f"{name}: summaries differ between backends")
-        if band == "low" and result["speedup_active"] < active_floor:
+        if band == "low" and result["speedup_array"] < low_floor:
             failures.append(
-                f"{name}: active speedup {result['speedup_active']}x "
-                f"below {active_floor}x low-load floor")
+                f"{name}: array speedup {result['speedup_array']}x "
+                f"below {low_floor}x low-load floor")
         if band == "sat":
             sat_speedups[name] = result["speedup_array"]
             if not result["saturated"]:
@@ -514,15 +489,15 @@ def main(argv=None) -> int:
     if not args.smoke:
         # Ratchet: a full-mode report records the floors a *future*
         # --baseline gate will read as 70% of what this run actually
-        # measured (weakest low-load active speedup / weakest
-        # saturation-band array speedup), never below the built-in
+        # measured (weakest low-load / weakest saturation-band array
+        # speedup), never below the built-in
         # constants -- so committing a faster baseline tightens the CI
         # gate automatically instead of freezing it at the constants.
-        low_active = min(
-            report["workloads"][name]["speedup_active"]
+        low_array = min(
+            report["workloads"][name]["speedup_array"]
             for name, _, band in WORKLOADS if band == "low")
-        report["speedup_floor_low_load_active"] = max(
-            ACTIVE_LOW_LOAD_FLOOR_FULL, round(0.7 * low_active, 2))
+        report["speedup_floor_low_load_array"] = max(
+            ARRAY_LOW_LOAD_FLOOR_FULL, round(0.7 * low_array, 2))
         report["speedup_floor_saturation_array"] = max(
             ARRAY_SAT_FLOOR_FULL,
             round(0.7 * report["worst_saturation_speedup_array"], 2))

@@ -23,7 +23,7 @@ N, M, BETA = 16, 16, 0.05
 
 def main(cycles: int = 8_000, warmup: int = 2_000, points: int = 5,
          pattern: str = "uniform", arrival: str = "bernoulli",
-         backend: str = "active") -> None:
+         backend: str = "array") -> None:
     rates = [round(r * 0.004, 4) for r in range(1, points + 1)]
     print(f"sweeping N={N} M={M} beta={BETA:g} at rates {rates} "
           f"(pattern={pattern}, arrival={arrival})")

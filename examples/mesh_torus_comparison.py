@@ -30,7 +30,7 @@ RATE = 0.008
 
 def main(cycles: int = 8_000, warmup: int = 2_000,
          pattern: str = "uniform", arrival: str = "bernoulli",
-         backend: str = "active") -> None:
+         backend: str = "array") -> None:
     print(f"N={N}, M={M}, beta={BETA:g}, rate={RATE} msg/node/cycle "
           f"(pattern={pattern}, arrival={arrival})\n")
     hdr = (f"{'NoC':<10} {'avg hops':>8} {'unicast lat':>11} "

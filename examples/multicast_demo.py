@@ -36,11 +36,11 @@ def main() -> None:
               f"  (route {' -> '.join(map(str, topo.path(SRC, t)))})")
 
     # run it (drained through the optimized simulation backend -- same
-    # engine the session layer selects with backend="active")
+    # engine the session layer selects with backend="array")
     collector = LatencyCollector()
     net, _ = build_network("quarc", N, collector=collector)
     op = net.adapters[SRC].send_multicast(TARGETS, SIZE, now=0)
-    make_backend("active", net).drain()
+    make_backend("array", net).drain()
 
     print(f"\ncompleted in {op.completion_latency} cycles; deliveries:")
     for node in sorted(op.deliveries):

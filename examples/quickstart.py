@@ -35,9 +35,9 @@ def main(cycles: int = 4_000, warmup: int = 1_000) -> None:
         net.adapters[src].send(pkt, now=0)
     op = net.adapters[7].send_broadcast(size=6, now=0)
 
-    # drain through a simulation backend (the "active" engine skips the
-    # provably-dead work while producing identical results)
-    drained = make_backend("active", net).drain()
+    # drain through a simulation backend (the "array" engine runs the
+    # cycle in a compiled kernel while producing identical results)
+    drained = make_backend("array", net).drain()
     print(f"network drained in {drained} cycles\n")
 
     print("unicast deliveries (latency = hops + M - 1 at zero load):")
@@ -58,7 +58,7 @@ def main(cycles: int = 4_000, warmup: int = 1_000) -> None:
                         pattern="hotspot:node=0,p=0.25",
                         arrival="bursty:on=0.3,len=6")
     summary = SimulationSession(
-        RunConfig(spec=spec, backend="active")).run()
+        RunConfig(spec=spec, backend="array")).run()
     print(f"scenario run [{spec.label()}]:")
     print(f"  {summary.delivered_msgs} messages delivered, "
           f"mean unicast latency {summary.unicast_mean:.1f} cycles, "

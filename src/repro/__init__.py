@@ -32,8 +32,7 @@ from repro.core.quadrant import QuadrantCalculator
 from repro.noc.network import Network
 from repro.noc.packet import (BROADCAST, MULTICAST, RELAY, UNICAST,
                               CollectiveOp, Packet)
-from repro.sim.backend import (BACKENDS, ActiveSetBackend,
-                               ReferenceBackend, SimBackend)
+from repro.sim.backend import BACKENDS, ReferenceBackend, SimBackend
 from repro.sim.engine import Simulator
 from repro.sim.session import RunConfig, SimulationSession
 from repro.topologies import (MeshTopology, QuarcTopology,
@@ -59,7 +58,6 @@ __all__ = [
     "Simulator",
     "SimBackend",
     "ReferenceBackend",
-    "ActiveSetBackend",
     "BACKENDS",
     "RunConfig",
     "SimulationSession",

@@ -25,7 +25,7 @@ Workload scenarios: ``run``, ``sweep`` and ``trace record`` accept
 multi-class specs, e.g.::
 
     repro run --rate 0.01 --pattern hotspot:node=0,p=0.3 \\
-              --arrival bursty:on=0.25,len=8 --backend active
+              --arrival bursty:on=0.25,len=8 --backend array
     repro run --workload cache_coherence:storms=true --backend array
     repro sweep --workload allreduce:chunk=8 --points 4
     repro scenarios list
@@ -130,9 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--backend", choices=sorted(BACKENDS),
                         default="reference",
                         help="simulation engine, identical results: "
-                             "active = active-set fast path (idle-heavy "
-                             "loads), array = array-resident engine with "
-                             "compiled cycle kernel (fastest, all loads)")
+                             "reference = the per-cycle oracle, array = "
+                             "array-resident engine with compiled cycle "
+                             "kernel (fastest, all loads)")
         if workers:
             sp.add_argument("--workers", type=_positive_int, default=1,
                             help="parallel processes sharding the "

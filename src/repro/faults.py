@@ -26,8 +26,8 @@ interconnect must survive link and router failures.  This module adds a
 
 * :class:`FaultState` -- the per-network live state every backend
   consults: dead nodes/ports, the live-graph distance table, the doomed
-  packet set, and the conservation counters.  All three backends
-  (reference, active set, array + C kernel) share this object through
+  packet set, and the conservation counters.  Both backends
+  (reference, array + C kernel) share this object through
   two seams -- ``OutPort.dead`` (a dead port never grants; the array
   engine mirrors it by pointing the port's credit rows at its
   always-full anchor column) and ``Router.route`` (the fault-aware
@@ -394,9 +394,6 @@ class FaultState:
                 r = b.router
                 if r is not None:
                     r.flits -= removed
-                if not q:
-                    for port in b.fed:
-                        port.live_feeders -= 1
             if b.cur_pkt is not None and b.cur_pkt.pid in doomed_now:
                 port = b.cur_out
                 if port is not None and port.owner[b.cur_vc] is b:

@@ -60,9 +60,7 @@ class FlitBuffer:
         self.label = label
         self.router = router
         #: Output ports this buffer feeds (inverse of ``OutPort.feeders``).
-        #: Maintained by ``OutPort.add_feeder``; empty<->nonempty
-        #: transitions update each port's ``live_feeders`` count so
-        #: backends can skip arbitrating ports with no flits to offer.
+        #: Maintained by ``OutPort.add_feeder``.
         self.fed: list = []
         #: small-int port-role tag set by the owning router; lets
         #: ``route_head`` dispatch on the ingress direction without dict
@@ -115,20 +113,10 @@ class FlitBuffer:
             raise OverflowError(
                 f"flit pushed into full buffer {self.label!r} "
                 f"(capacity {self.capacity})")
-        was_empty = not q
-        if was_empty:
-            for p in self.fed:
-                p.live_feeders += 1
         q.append((packet, flit_index))
         r = self.router
         if r is not None:
-            f = r.flits
-            r.flits = f + 1
-            net = r.net
-            if net is not None and not f and net.wake_set is not None:
-                # 0 -> 1 transition: the router just became active
-                # (active-set backend hook; None costs one test).
-                net.wake_set.add(r)
+            r.flits += 1
 
     def push_packet(self, packet: "Packet") -> None:
         """Append all flits of ``packet`` (indices ``0..size-1``) in one
@@ -156,9 +144,6 @@ class FlitBuffer:
 
     def pop(self) -> Tuple["Packet", int]:
         item = self.q.popleft()
-        if not self.q:
-            for p in self.fed:
-                p.live_feeders -= 1
         r = self.router
         if r is not None:
             r.flits -= 1

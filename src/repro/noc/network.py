@@ -12,7 +12,7 @@ the two-phase semantics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.noc.ports import Move
 from repro.noc.router import Router, commit_move
@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.packet import Packet
     from repro.sim.engine import Simulator
 
-__all__ = ["Network", "Adapter"]
+__all__ = ["Network", "Adapter", "flit_key"]
 
 
 class Adapter:
@@ -48,6 +48,19 @@ class Adapter:
 
     def receive_tail(self, pkt: "Packet", now: int) -> None:
         raise NotImplementedError
+
+
+def flit_key(pkt: "Packet", fidx: int):
+    """A flit's identity in :meth:`Network.state_snapshot`: stable
+    across sessions (no object identities, no global packet ids).
+
+    ``pkt.vclass`` is deliberately absent.  Its dimension-turn reset
+    (mesh/torus ``route_head``) is applied lazily by the reference loop
+    (at the next arbitration scan) but may be applied eagerly by caching
+    backends -- both before any read, so the transient attribute
+    difference is unobservable.  A genuine VC divergence still shows up
+    as flits in different VC lanes."""
+    return (pkt.src, pkt.dst, pkt.size, pkt.traffic, pkt.created, fidx)
 
 
 class Network:
@@ -76,12 +89,6 @@ class Network:
         self.deliveries = 0
         self._moves: List[Move] = []
         self.on_tail: Optional[Callable[[int, "Packet", int], None]] = None
-        #: Router-activation sink.  ``None`` by default (zero overhead on
-        #: the reference path); an :class:`repro.sim.backend.ActiveSetBackend`
-        #: installs a set here and :meth:`FlitBuffer.push` adds any router
-        #: whose flit count transitions 0 -> 1, so the backend only ever
-        #: visits routers that can possibly move a flit.
-        self.wake_set: Optional[Set[Router]] = None
         #: Fault seam: the installed :class:`repro.faults.FaultState`,
         #: or ``None``.  When set, :meth:`deliver` splits tails into
         #: delivered vs dropped, and routing dispatches through the
@@ -230,16 +237,6 @@ class Network:
         owner = self.state_owner
         if owner is not None:
             owner.materialize()
-        # Note: ``pkt.vclass`` is deliberately absent.  Its dimension-turn
-        # reset (mesh/torus ``route_head``) is applied lazily by the
-        # reference loop (at the next arbitration scan) but may be applied
-        # eagerly by caching backends -- both before any read, so the
-        # transient attribute difference is unobservable.  A genuine VC
-        # divergence still shows up here as flits in different VC lanes.
-        def flit_key(pkt: "Packet", fidx: int):
-            return (pkt.src, pkt.dst, pkt.size, pkt.traffic, pkt.created,
-                    fidx)
-
         bufs = {}
         for b in self.iter_buffers():
             bufs[b.label] = {
@@ -256,7 +253,6 @@ class Network:
                     "owner": [o.label if o is not None else None
                               for o in p.owner],
                     "flits_sent": p.flits_sent,
-                    "live_feeders": p.live_feeders,
                 }
         return {
             "cycle": self.cycle,

@@ -49,7 +49,7 @@ class OutPort:
 
     __slots__ = ("name", "router", "feeders", "down", "owner", "rr",
                  "is_dateline", "vcs", "vc_policy", "flits_sent",
-                 "live_feeders", "dead")
+                 "dead")
 
     def __init__(self, name: str, router: "Router", vcs: int = 2,
                  is_dateline: bool = False, vc_policy: str = "dateline"):
@@ -75,11 +75,6 @@ class OutPort:
         #: pointing the port's credit rows at their always-full anchor
         #: column, so the same flits stall in every backend.
         self.dead = False
-        #: Number of currently non-empty feeder buffers.  Maintained by
-        #: :class:`~repro.noc.buffers.FlitBuffer` on empty<->nonempty
-        #: transitions; when zero, :meth:`arbitrate` provably returns
-        #: ``None``, so fast backends skip the call entirely.
-        self.live_feeders = 0
 
     @property
     def is_ejection(self) -> bool:
@@ -96,8 +91,6 @@ class OutPort:
     def add_feeder(self, buf: "FlitBuffer") -> None:
         self.feeders.append(buf)
         buf.fed.append(self)
-        if buf.q:        # feeder registered after flits already queued
-            self.live_feeders += 1
 
     # ------------------------------------------------------------------
     # per-cycle arbitration (phase A -- reads only, no mutation)

@@ -7,7 +7,7 @@ keys -- the canonical byte form):
   {...}, "probes": [{"name", "window"}, ...]}``.  The ``run`` block
   carries the workload identity (topology, N, M, beta, rate, horizon,
   seed, scenario specs) -- deliberately *not* the backend name, so the
-  streams of all three backends are byte-identical (the acceptance
+  streams of both backends are byte-identical (the acceptance
   surface of the probe-equivalence tests).
 * Every further line, one **sample**: ``{"t": cycle, "probe": name,
   "window": covered_cycles, "data": int | [int, ...] | {str: int}}``,

@@ -23,11 +23,11 @@ Probe catalogue
 ============  =====================================================
 
 Determinism contract: every sampled quantity is defined on the shared
-cycle semantics (end-of-cycle state / monotonic counters), so all
-three backends produce **identical** sample streams for the same
+cycle semantics (end-of-cycle state / monotonic counters), so both
+backends produce **identical** sample streams for the same
 config.  Two sampler implementations exist behind one interface:
 :class:`ObjectSampler` walks ``iter_buffers``/``iter_ports`` (the
-reference/active backends' object graph), while :class:`ArraySampler`
+reference backend's object graph), while :class:`ArraySampler`
 reduces the array engine's flat state natively (vectorised
 ``np.add.reduceat`` over the buffer-occupancy array; no object
 materialisation on the hot path).  The array sampler folds staged
@@ -106,8 +106,8 @@ def parse_probe(text: str) -> ProbeSpec:
 # samplers
 # ----------------------------------------------------------------------
 class ObjectSampler:
-    """Reads telemetry from the object graph (reference/active
-    backends): buffer deques, port counters, network counters."""
+    """Reads telemetry from the object graph (reference backend):
+    buffer deques, port counters, network counters."""
 
     def __init__(self, net: "Network", mix: "TrafficMix"):
         self.net = net

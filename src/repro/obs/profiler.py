@@ -8,9 +8,9 @@ are unaffected -- and reports a wall-time split:
 ========== ==========================================================
 inject     traffic generation/injection (``TrafficMix.generate`` /
            ``inject`` / ``precompute_arrivals``)
-phase_a    arbitration scan (reference/active backends)
-phase_b    move commits (reference/active backends; includes the
-           collector callbacks it triggers)
+phase_a    arbitration scan (reference backend)
+phase_b    move commits (reference backend; includes the collector
+           callbacks it triggers)
 collect    latency-collector delivery callbacks (also counted inside
            the phase that triggered them)
 fold       staged-injection fold into the arrays (array backend)
@@ -19,8 +19,8 @@ step       whole-cycle step time (array backend; its Python *replay*
            residue is ``step - kernel - fold``)
 ========== ==========================================================
 
-For the reference/active backends the profiled step is a timed replica
-of the production loop (the equality test pins profiled == unprofiled
+For the reference backend the profiled step is a timed replica of the
+production loop (the equality test pins profiled == unprofiled
 summaries); the array backend is timed at its own seams (``step``,
 ``_fold``, the kernel call) because its phases are fused.  The C
 kernel additionally exports per-call work counters (buffers scanned,
@@ -110,8 +110,6 @@ class PhaseProfiler:
                 self._undo.append(
                     lambda be=backend, fn=proxy._fn:
                     setattr(be, "_ck", fn))
-        elif name == "active":
-            self._install_active_step(backend)
         else:
             self._install_reference_step(backend)
 
@@ -171,53 +169,6 @@ class PhaseProfiler:
             moved = len(moves)
             net.flits_moved += moved
             net.cycle = now + 1
-            return moved
-
-        backend.step = step
-        self._undo.append(lambda: delattr(backend, "step"))
-
-    def _install_active_step(self, backend) -> None:
-        """Timed replica of ``ActiveSetBackend.step`` with the same
-        phase split."""
-        from repro.noc.router import commit_move
-        net = backend.net
-        sec = self.seconds
-        sec.setdefault("phase_a", 0.0)
-        sec.setdefault("phase_b", 0.0)
-
-        def step(now=None):
-            if now is None or now < net.cycle:
-                now = net.cycle
-            t0 = perf_counter()
-            backend._merge_wake()
-            active = backend._active
-            if not active:
-                net.cycle = now + 1
-                sec["phase_a"] += perf_counter() - t0
-                return 0
-            moves = backend._moves
-            moves.clear()
-            append = moves.append
-            idle = 0
-            for r in active:
-                if r.flits:
-                    for port in r.out_ports:
-                        if port.live_feeders:
-                            mv = port.arbitrate()
-                            if mv is not None:
-                                append(mv)
-                else:
-                    idle += 1
-            t1 = perf_counter()
-            for mv in moves:
-                commit_move(mv, now, net)
-            sec["phase_b"] += perf_counter() - t1
-            sec["phase_a"] += t1 - t0
-            moved = len(moves)
-            net.flits_moved += moved
-            net.cycle = now + 1
-            if idle:
-                backend._prune()
             return moved
 
         backend.step = step

@@ -13,8 +13,8 @@ paper used for its flit-level simulator).  It provides:
 * :mod:`repro.sim.records` -- light-weight record types for latency
   samples and simulation summaries.
 * :mod:`repro.sim.backend` -- pluggable cycle-execution engines: the
-  reference semantics and the active-set fast path (see README.md in
-  this directory).
+  reference semantics and the array engine (see README.md in this
+  directory).
 * :mod:`repro.sim.session` -- :class:`RunConfig` / ``SimulationSession``,
   the single entry point experiments, benchmarks and the CLI run through.
   (Not imported here: it builds on :mod:`repro.core`, which itself
@@ -34,7 +34,6 @@ instrumentation go through the kernel.
 
 from repro.sim.backend import (
     BACKENDS,
-    ActiveSetBackend,
     ReferenceBackend,
     SimBackend,
     make_backend,
@@ -50,7 +49,6 @@ from repro.sim.stats import (
 )
 
 __all__ = [
-    "ActiveSetBackend",
     "BACKENDS",
     "ReferenceBackend",
     "SimBackend",

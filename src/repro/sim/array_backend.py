@@ -86,16 +86,17 @@ all of them):
   delivery boundary), so ``RunSummary`` never leaks numpy scalars.
 
 Every port must multiplex exactly two VCs (all shipped routers do);
-attaching to anything else raises and names the object-graph backends.
+attaching to anything else raises and names the reference backend.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.noc.network import flit_key
 from repro.noc.packet import UNICAST
 from repro.sim.backend import Probes, SimBackend
 from repro.sim.ckernel import load_cycle_kernel
@@ -133,7 +134,7 @@ def _check_limit(field: str, count: int, limit: int) -> None:
         raise ValueError(
             f"the array engine cannot pack {field} = {count}: the field "
             f"holds at most {limit}.  Run this configuration with "
-            f"--backend reference or --backend active")
+            f"--backend reference")
 
 
 def check_packet_flits(sizes: Dict[str, int]) -> None:
@@ -163,7 +164,7 @@ class ArrayBackend(SimBackend):
                     f"the array engine packs exactly 2 VCs per port; port "
                     f"{port.name!r} of node {port.router.node} has "
                     f"vcs={port.vcs}.  Run this network with --backend "
-                    f"reference or --backend active")
+                    f"reference")
         if net.state_owner is not None:
             raise ValueError(
                 f"network {net.name!r} is already attached to an array "
@@ -956,7 +957,33 @@ class ArrayBackend(SimBackend):
             nf = self._nf_py[pi]
             port.rr = int(self._rr[pi]) % nf if nf else 0
             port.flits_sent = int(self._fs[pi])
-            port.live_feeders = sum(1 for fb in port.feeders if fb.q)
+
+    def state_digest(self) -> Tuple[list, list]:
+        """What :meth:`materialize` would put in every buffer and port
+        (buffer / port order), at O(1) each and without building it: a
+        buffer row is (queue length, front ``flit_key``, ``cur_out``
+        name, ``cur_vc``, ``cur_deliver``), a port row (``rr``, owner
+        labels, ``flits_sent``) -- the lockstep harness's per-cycle
+        comparison (``tests/differential.py``)."""
+        if self._staged:
+            self._fold()
+        qlen, front, want, hdrf, vcreq, dlv, owner, rr, fs = (
+            a.tolist() for a in (self._qlen, self._front, self._want,
+                                 self._hdrf, self._vcreq, self._dlv,
+                                 self._owner, self._rr, self._fs))
+        bufs = []
+        for b in range(self._B):
+            v = front[b]
+            key = (flit_key(self._pkts[v >> FSHIFT], v & FIDMASK)
+                   if qlen[b] else None)
+            latch = ((self._ports[want[b]].name, vcreq[b], bool(dlv[b]))
+                     if want[b] >= 0 and not hdrf[b] else (None, 0, False))
+            bufs.append((qlen[b], key, *latch))
+        ports = [(rr[pi] % nf if nf else 0,
+                  [self._bufs[o].label if o >= 0 else None
+                   for o in owner[2 * pi:2 * pi + 2]], fs[pi])
+                 for pi, nf in enumerate(self._nf_py)]
+        return bufs, ports
 
     def detach(self) -> None:
         """Materialise the object view and hand state ownership back."""

@@ -2,40 +2,27 @@
 and *how fast* it executes.
 
 A :class:`SimBackend` drives one :class:`~repro.noc.network.Network`
-through simulated cycles.  Three implementations ship today (the third,
-:class:`~repro.sim.array_backend.ArrayBackend`, lives in its own module
-and registers itself when numpy is importable):
+through simulated cycles.  Two implementations ship (the second lives
+in its own module and registers itself when numpy is importable):
 
 * :class:`ReferenceBackend` -- the correctness oracle.  It delegates to
   ``Network.step`` (the original, unmodified per-cycle semantics: poll
   every router, arbitrate, commit) so its behaviour is the seed
   simulator's behaviour by construction.
-* :class:`ActiveSetBackend` -- an optimized engine producing *identical*
-  results.  It maintains an **active set** of routers (only routers that
-  hold flits or just received an injection are visited), reuses a
-  preallocated move buffer, and **fast-forwards idle gaps**: when the
-  network is empty it precomputes the traffic process in blocks and jumps
-  the clock straight to the next arrival instead of spinning empty
-  cycles.
 * :class:`~repro.sim.array_backend.ArrayBackend` -- the array-resident
-  state engine: it adopts ownership of the network's state into flat
-  numpy arrays (the object graph becomes a lazily-materialised view)
-  and runs both arbitration and commit over those arrays -- in a
-  compiled C cycle kernel where a compiler is available, in
-  vectorised/scalar numpy otherwise.  Targets the near-saturation band
-  where the active set covers the whole network and per-move Python is
-  the cost; see ``array_backend.py`` for the ownership contract.
+  state engine producing *identical* results: it adopts ownership of
+  the network's state into flat numpy arrays (the object graph becomes
+  a lazily-materialised view) and runs both arbitration and commit over
+  those arrays -- in a compiled C cycle kernel where a compiler is
+  available, in the scalar Python loop the kernel was ported from
+  otherwise.  It also **fast-forwards idle gaps**
+  (:meth:`SimBackend._run_mix_fastforward`): when the network is empty
+  it precomputes the traffic process in blocks and jumps the clock
+  straight to the next arrival instead of spinning empty cycles.  See
+  ``array_backend.py`` for the ownership contract.
 
-Why the results are bit-identical
----------------------------------
-* Phase A (arbitration) reads only start-of-cycle state and mutates only
-  each port's private round-robin pointer, so *which* routers are polled
-  does not matter -- polling an idle router is a no-op, and the reference
-  loop already skips ``flits == 0`` routers.
-* The commit loop is shared verbatim (:func:`repro.noc.router.commit_move`)
-  and the active set is kept **sorted by node id**, so moves commit in
-  exactly the reference order and every collector callback fires in the
-  same sequence (floating-point accumulation order included).
+Why fast-forwarding is bit-identical
+------------------------------------
 * Idle cycles are provably no-ops: with zero flits in flight, ``step``
   only advances the clock.  Fast-forwarding assigns the same final clock
   without executing the no-ops.
@@ -44,25 +31,17 @@ Why the results are bit-identical
   drawn lazily or in blocks, and the per-node class/destination streams
   are only consumed at actual arrivals (see
   :meth:`repro.traffic.mix.TrafficMix.precompute_arrivals`).
-
-Activation tracking costs the reference path one extra integer test in
-:meth:`repro.noc.buffers.FlitBuffer.push`; the ``Network.wake_set`` sink
-is ``None`` unless an active-set backend installs it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Type
-
-from repro.noc.ports import Move
-from repro.noc.router import Router, commit_move
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Type
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
     from repro.traffic.mix import TrafficMix
 
-__all__ = ["SimBackend", "ReferenceBackend", "ActiveSetBackend",
-           "BACKENDS", "make_backend"]
+__all__ = ["SimBackend", "ReferenceBackend", "BACKENDS", "make_backend"]
 
 #: ``probes`` maps a cycle number to a callback invoked *after* that
 #: cycle's step (the experiment drivers use one mid-run backlog probe).
@@ -73,8 +52,8 @@ class SimBackend:
     """Drives one network through simulated cycles.
 
     Subclasses implement :meth:`step`; the bundled run loops are generic
-    but may be overridden for speed (the active-set backend replaces
-    :meth:`run_mix` with a block-precomputing fast-forward loop).
+    but may be overridden for speed (the array backend routes
+    :meth:`run_mix` to the block-precomputing fast-forward loop).
     """
 
     name = "abstract"
@@ -132,8 +111,6 @@ class SimBackend:
         ``busy()`` is the backend's "a step could move a flit" test; it
         may overestimate (costing only a per-cycle step) but must never
         underestimate, because a cycle skipped here is never executed.
-        Both optimized backends drive this one loop, so their
-        fast-forward semantics cannot drift apart.
         """
         if getattr(mix, "reactive", False):
             # deep guard: reactive sources consult delivery feedback
@@ -199,9 +176,7 @@ class SimBackend:
         :meth:`~repro.faults.FaultState.apply`; backends whose state
         lives elsewhere (the array engine) override this to wrap the
         application in a materialize/resync pair and mirror the dead
-        ports into their own structures.  The active-set backend needs
-        no override: the purge only ever removes flits, and stale
-        active-list entries are pruned by the next step.
+        ports into their own structures.
         """
         fs.apply(self.net, events)
 
@@ -243,121 +218,8 @@ class ReferenceBackend(SimBackend):
         return self.net.step(now)
 
 
-def _by_node(r: Router) -> int:
-    return r.node
-
-
-class ActiveSetBackend(SimBackend):
-    """Optimized engine: active-router set + idle fast-forward.
-
-    Invariant: every router with ``flits > 0`` is in ``_member`` or in
-    ``net.wake_set`` (the push hook fires on every 0 -> 1 transition and
-    routers are only pruned when observed empty).  The active list is
-    kept sorted by node id so arbitration/commit order -- and therefore
-    every statistic -- matches the reference backend exactly.
-    """
-
-    name = "active"
-
-    def __init__(self, net: "Network"):
-        super().__init__(net)
-        if net.wake_set is None:
-            net.wake_set = set()
-        self._moves: List[Move] = []
-        self._active: List[Router] = [r for r in net.routers if r.flits]
-        self._member: Set[Router] = set(self._active)
-
-    def detach(self) -> None:
-        self.net.wake_set = None
-
-    # ------------------------------------------------------------------
-    def _merge_wake(self) -> None:
-        wake = self.net.wake_set
-        if wake:
-            member = self._member
-            fresh = [r for r in wake if r not in member]
-            wake.clear()
-            if fresh:
-                member.update(fresh)
-                self._active.extend(fresh)
-                self._active.sort(key=_by_node)
-
-    def _prune(self) -> None:
-        """Drop routers that are empty *now* (post-commit: a router idle
-        in phase A may have been refilled by a commit this cycle)."""
-        member = self._member
-        keep: List[Router] = []
-        for r in self._active:
-            if r.flits:
-                keep.append(r)
-            else:
-                member.discard(r)
-        self._active = keep
-
-    # ------------------------------------------------------------------
-    def step(self, now: Optional[int] = None) -> int:
-        net = self.net
-        if now is None or now < net.cycle:
-            now = net.cycle
-        self._merge_wake()
-        active = self._active
-        if not active:
-            net.cycle = now + 1
-            return 0
-        moves = self._moves
-        moves.clear()
-        append = moves.append
-        idle = 0
-        for r in active:
-            if r.flits:
-                # inlined Router.collect, with the port-activity filter:
-                # a port with zero non-empty feeders cannot grant a move
-                for port in r.out_ports:
-                    if port.live_feeders:
-                        mv = port.arbitrate()
-                        if mv is not None:
-                            append(mv)
-            else:
-                idle += 1
-        for mv in moves:
-            commit_move(mv, now, net)
-        moved = len(moves)
-        net.flits_moved += moved
-        net.cycle = now + 1
-        if idle:
-            self._prune()
-        return moved
-
-    def in_flight(self) -> int:
-        self._merge_wake()
-        return sum(r.flits for r in self._active)
-
-    # ------------------------------------------------------------------
-    def run_mix(self, mix: "TrafficMix", cycles: int,
-                probes: Optional[Probes] = None) -> None:
-        """Block-precompute arrivals and fast-forward idle gaps.
-
-        Arrival draws happen in tight per-node loops (one block at a
-        time); cycles where the network is empty and no arrival or probe
-        is due are skipped by assigning the clock directly -- they are
-        no-ops in the reference loop.  A cycle is provably empty when
-        the active set is empty and no wake is pending.
-        """
-        if getattr(mix, "reactive", False):
-            # reactive sources need every cycle generated in sequence;
-            # the active-set step() still prunes idle routers, so the
-            # backend keeps its per-step advantage without fast-forward
-            SimBackend.run_mix(self, mix, cycles, probes)
-            return
-        net = self.net
-        self._run_mix_fastforward(
-            mix, cycles, probes,
-            lambda: bool(self._active) or bool(net.wake_set))
-
-
 BACKENDS: Dict[str, Type[SimBackend]] = {
     ReferenceBackend.name: ReferenceBackend,
-    ActiveSetBackend.name: ActiveSetBackend,
 }
 
 # The batched numpy kernel registers itself when numpy is importable;
@@ -373,8 +235,7 @@ else:
 
 
 def make_backend(name: str, net: "Network") -> SimBackend:
-    """Instantiate backend ``name`` ("reference" | "active" | "array")
-    for ``net``."""
+    """Instantiate backend ``name`` ("reference" | "array") for ``net``."""
     try:
         cls = BACKENDS[name]
     except KeyError:

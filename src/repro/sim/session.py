@@ -19,7 +19,7 @@ kernels) plugs into: a new engine only has to implement the
 >>> from repro.traffic.workload import WorkloadSpec
 >>> spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.0,
 ...                     rate=0.01, cycles=600, warmup=100, seed=3)
->>> summary = SimulationSession(RunConfig(spec=spec, backend="active")).run()
+>>> summary = SimulationSession(RunConfig(spec=spec, backend="array")).run()
 >>> summary.noc
 'quarc'
 """

@@ -1,8 +1,8 @@
 """The arrival-model protocol and its built-in temporal models.
 
 One protocol, one module: every per-node injection process implements
-:class:`ArrivalModel`, the block contract that all three simulation
-backends (reference / active / array) drive.
+:class:`ArrivalModel`, the block contract that both simulation
+backends (reference / array) drive.
 
 The contract has two capability tiers:
 
@@ -16,11 +16,11 @@ The contract has two capability tiers:
     the RNG stream) exactly where the equivalent ``fires()`` calls
     would.
 
-  That equivalence is what lets the ``active`` backend precompute
-  traffic in blocks and fast-forward idle gaps -- and the array engine
-  batch its staging -- while staying byte-identical to the reference
-  loop: drivers may switch freely between per-cycle and block
-  consumption without changing a single draw.
+  That equivalence is what lets the ``array`` backend precompute
+  traffic in blocks, fast-forward idle gaps and batch its staging
+  while staying byte-identical to the reference loop: drivers may
+  switch freely between per-cycle and block consumption without
+  changing a single draw.
 
 * **Reactive** (``reactive = True``) -- the process depends on network
   state (e.g. a closed-loop source that stalls while its in-flight
@@ -62,7 +62,7 @@ NEVER = _NEVER = 1 << 62
 
 #: Inter-arrival gaps are geometric; a gap draw costs one uniform draw,
 #: so the process consumes one RNG value per *arrival*, not per cycle --
-#: which is what lets the active-set backend fast-forward idle spans in
+#: which is what lets the array backend fast-forward idle spans in
 #: O(arrivals) instead of O(cycles).
 _LOG = math.log
 _LOG1P = math.log1p
@@ -188,7 +188,7 @@ class BurstyInjector(ArrivalModel):
 
     RNG discipline: one draw per state toggle (the dwell length) plus
     one draw per ON cycle (the arrival coin).  OFF dwells consume
-    nothing, so :meth:`arrivals_in` skips them in O(1) and the active
+    nothing, so :meth:`arrivals_in` skips them in O(1) and the array
     backend's idle fast-forward keeps its O(arrivals)-ish cost profile.
     """
 

@@ -21,8 +21,8 @@ Two construction modes drive one network through the adapters' uniform
   streams untouched.
 
 Both modes honour the ``fires()``/``arrivals_in()`` block contract, so
-every :class:`~repro.sim.backend.SimBackend` (reference / active /
-array) produces identical results on either.  A third, derived mode --
+every :class:`~repro.sim.backend.SimBackend` (reference / array)
+produces identical results on either.  A third, derived mode --
 **trace replay** -- engages automatically when the arrival model carries
 a ``repro-trace/v2`` event payload (destination, class, size and
 broadcast flag per event): injection then replays the recorded messages

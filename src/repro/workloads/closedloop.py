@@ -25,7 +25,7 @@ Three pieces cooperate:
 :class:`ClosedLoopEngine`
     The runtime: it owns the injection-feedback seam.  Installed as the
     network's ``on_tail`` callback it observes every tail delivery at
-    cycle granularity -- all three backends surface deliveries this way,
+    cycle granularity -- both backends surface deliveries this way,
     the array engine's C kernel included -- and (a) schedules directory
     replies for delivered requests, (b) returns window credits on
     completions, and (c) advances barrier-synchronised phases.  Its
@@ -59,7 +59,7 @@ Determinism: every backend drives reactive mixes cycle by cycle
 (generation at ``t`` sees exactly the deliveries of cycles ``< t``),
 delivery order within a cycle is identical across backends, and the
 engine's reply queue preserves arrival order -- so closed-loop runs are
-byte-identical across reference/active/array, C kernel on or off,
+byte-identical across reference/array, C kernel on or off,
 exactly like open-loop runs.
 """
 

@@ -8,12 +8,12 @@ latency mean.  This harness closes that gap:
 * :func:`run_summaries` -- run one config through several backends and
   return the summaries (the assertion side).
 * :func:`find_divergence` -- drive two backends **in lockstep**, one
-  cycle at a time, comparing full network state snapshots
-  (:meth:`~repro.noc.network.Network.state_snapshot`: every buffer's
-  flit queue and switching table, every port's round-robin pointer, VC
-  owner table and flit counter) after every cycle; returns a
-  :class:`Divergence` naming the first cycle where the two engines
-  disagree, with a per-key state diff (the debugging side).
+  cycle at a time, comparing network state after every cycle; returns
+  a :class:`Divergence` naming the first cycle where the full state
+  snapshots (:meth:`~repro.noc.network.Network.state_snapshot`: every
+  buffer's flit queue and switching table, every port's round-robin
+  pointer, VC owner table and flit counter) disagree, with a per-key
+  state diff (the debugging side).
 * :func:`random_configs` -- a deterministic stream of randomized
   (topology, size, pattern, arrival, rate, msg_len, beta, seed)
   configurations for fuzzing (``tests/test_differential.py``).
@@ -34,10 +34,13 @@ Note the lockstep driver injects traffic cycle-by-cycle through
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.noc.network import flit_key
 from repro.sim.backend import BACKENDS
 from repro.sim.records import RunSummary
 from repro.sim.session import RunConfig, SimulationSession
@@ -122,19 +125,48 @@ def _diff_state(a: Dict[str, object], b: Dict[str, object],
     return out
 
 
+#: Cycles between :func:`find_divergence`'s full-snapshot checkpoints.
+_SNAPSHOT_EVERY = 128
+
+
+def _digest(net) -> list:
+    """Every field of ``net.state_snapshot()`` with each flit queue cut
+    to (length, front flit): differing digests mean differing snapshots.
+    An array-owned network is read from the flat arrays
+    (``ArrayBackend.state_digest``), never materialised."""
+    be = net.state_owner
+    if be is None:
+        bufs = [(len(b.q), flit_key(*b.q[0]) if b.q else None,
+                 b.cur_out.name if b.cur_out is not None else None,
+                 b.cur_vc, b.cur_deliver) for b in net.iter_buffers()]
+        ports = [(p.rr, [o.label if o is not None else None
+                         for o in p.owner], p.flits_sent)
+                 for p in net.iter_ports()]
+    else:
+        bufs, ports = be.state_digest()
+    return [net.cycle, net.flits_moved, net.deliveries, bufs, ports]
+
+
 def find_divergence(config: RunConfig, backend_a: str, backend_b: str,
                     cycles: Optional[int] = None,
-                    drain_limit: int = 100_000,
-                    inject=None) -> Optional[Divergence]:
+                    drain_limit: int = 100_000, inject=None,
+                    _full_from: float = math.inf) -> Optional[Divergence]:
     """Run two backends cycle-by-cycle and return the first divergence.
 
     Both sessions receive identical injections (same seeds, same
-    per-cycle ``generate`` calls); after each step the full
-    ``state_snapshot`` of both networks is compared.  Returns ``None``
-    when no divergence shows up within ``cycles`` (default: the
-    config's horizon) plus a bounded drain -- so bugs that only
-    manifest once traffic stops (stale caches touched by the emptying
-    network) are still localised.
+    per-cycle ``generate`` calls).  Returns ``None`` when no divergence
+    shows up within ``cycles`` (default: the config's horizon) plus a
+    bounded drain -- so bugs that only manifest once traffic stops
+    (stale caches touched by the emptying network) are still localised
+    -- and raises when the drain exceeds ``drain_limit``: two engines
+    that wedge identically are stuck, not equivalent.
+
+    Each cycle's state is compared by digest, every
+    ``_SNAPSHOT_EVERY``-th and the last by full snapshot.  A mismatch
+    repeats the run with snapshots every cycle after the last agreeing
+    checkpoint (``_full_from``), so the reported cycle and diff are
+    those of an every-cycle snapshot comparison (and raises if that
+    repeat finds none: the digest reader is wrong, not the engines).
 
     ``inject(session, t)``, when given, runs right after the mix's own
     ``generate`` each cycle on both sessions -- the hook the targeted
@@ -144,44 +176,49 @@ def find_divergence(config: RunConfig, backend_a: str, backend_b: str,
     """
     sessions = [SimulationSession(config.with_backend(name))
                 for name in (backend_a, backend_b)]
+    nets = [s.net for s in sessions]
     horizon = cycles if cycles is not None else config.spec.cycles
+    good = -1       # last cycle whose full snapshots agreed
     try:
-        def compare(t: int) -> Optional[Divergence]:
-            snaps = [s.net.state_snapshot() for s in sessions]
-            diffs = _diff_state(snaps[0], snaps[1])
-            if diffs:
-                return Divergence(backend_a, backend_b, t, diffs,
-                                  faults=config.spec.faults)
-            return None
-
-        for t in range(horizon):
-            for s in sessions:
-                # mirror SimulationSession.run(): fault events for
-                # cycle t land after step(t-1), before generate(t)
-                events = s._fault_cycles.get(t)
-                if events is not None:
-                    s.backend.apply_faults(s._fs, events)
-                s.mix.generate(t)
-                if inject is not None:
-                    inject(s, t)
-                s.backend.step(t)
-            div = compare(t)
-            if div is not None:
-                return div
-        t = horizon
-        while any(s.net.total_flits() for s in sessions):
+        for t in itertools.count():
+            running = t < horizon or any(n.total_flits() for n in nets)
+            if t and (not running or t > _full_from
+                      or t % _SNAPSHOT_EVERY == 0):
+                diffs = _diff_state(*(n.state_snapshot() for n in nets))
+                if diffs:
+                    break
+                good = t - 1
+            elif t and _digest(nets[0]) != _digest(nets[1]):
+                break
+            if not running:
+                if _full_from < math.inf:
+                    raise AssertionError(
+                        "digests differed but no snapshot does: _digest / "
+                        "ArrayBackend.state_digest misread the state")
+                return None
             if t > horizon + drain_limit:
-                break           # stuck networks: summaries will say so
+                raise RuntimeError(
+                    f"lockstep failed to drain within {drain_limit} cycles; "
+                    f"{nets[0].total_flits()} flits stuck (possible deadlock)")
             for s in sessions:
+                if t < horizon:
+                    # mirror SimulationSession.run(): fault events for
+                    # cycle t land after step(t-1), before generate(t)
+                    events = s._fault_cycles.get(t)
+                    if events is not None:
+                        s.backend.apply_faults(s._fs, events)
+                    s.mix.generate(t)
+                    if inject is not None:
+                        inject(s, t)
                 s.backend.step(t)
-            div = compare(t)
-            if div is not None:
-                return div
-            t += 1
     finally:
         for s in sessions:
             s.backend.detach()
-    return None
+    if t > _full_from:      # cycle t - 1 was compared snapshot by snapshot
+        return Divergence(backend_a, backend_b, t - 1, diffs,
+                          faults=config.spec.faults)
+    return find_divergence(config, backend_a, backend_b, cycles,
+                           drain_limit, inject, _full_from=good + 1)
 
 
 # ----------------------------------------------------------------------

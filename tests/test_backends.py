@@ -1,7 +1,7 @@
-"""Backend equivalence and active-set correctness.
+"""Backend equivalence and array-engine correctness.
 
 The central contract: for any seed and :class:`RunConfig`, the
-``active`` backend must produce a :class:`RunSummary` *identical* (full
+``array`` backend must produce a :class:`RunSummary` *identical* (full
 dataclass equality, floats included) to the ``reference`` backend --
 deliveries, latency means, CIs, flits moved, saturation flags, drain
 cycles.  The reference backend is ``Network.step`` itself, so this
@@ -14,8 +14,7 @@ import pytest
 
 from repro.core.api import NETWORK_KINDS, build_network
 from repro.noc.packet import UNICAST, Packet
-from repro.sim.backend import (BACKENDS, ActiveSetBackend, ArrayBackend,
-                               make_backend)
+from repro.sim.backend import BACKENDS, ArrayBackend, make_backend
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.generators import BernoulliInjector
 from repro.traffic.mix import TrafficMix
@@ -43,8 +42,8 @@ class TestBackendEquivalence:
         assert all(s == sums[0] for s in sums[1:]), ALL_BACKENDS
 
     def test_identical_under_load(self):
-        """Near saturation the active set covers the whole network (and
-        the array kernel arbitrates every port every cycle)."""
+        """Near saturation the array kernel arbitrates every port every
+        cycle."""
         spec = WorkloadSpec(kind="spidergon", n=8, msg_len=16, beta=0.0,
                             rate=0.5, cycles=1500, warmup=300, seed=3)
         sums = _summaries(spec)
@@ -86,51 +85,9 @@ class TestBackendEquivalence:
             make_backend("warp", net)
         spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.0,
                             rate=0.01, cycles=200, warmup=50)
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            RunConfig(spec=spec, backend="warp")
-
-
-class TestActiveSet:
-    def test_wake_on_injection_and_prune_on_drain(self):
-        net, _ = build_network("quarc", 8)
-        be = ActiveSetBackend(net)
-        assert be._active == [] and net.wake_set == set()
-        net.adapters[2].send(Packet(2, 6, 3, UNICAST, created=0), 0)
-        assert net.routers[2] in net.wake_set
-        be.drain()
-        be.step()                      # one extra visit prunes the idle set
-        assert be._active == []
-        assert be.in_flight() == 0
-        assert net.deliveries == 1
-
-    def test_mixed_direct_steps_stay_consistent(self):
-        """net.step() (reference path) interleaved with backend.step():
-        the wake hook keeps the active set correct either way."""
-        net, _ = build_network("spidergon", 8)
-        be = ActiveSetBackend(net)
-        net.adapters[0].send(Packet(0, 4, 4, UNICAST, created=0), 0)
-        net.step()                     # direct reference-style step
-        be.drain()
-        assert net.deliveries == 1
-        assert be.in_flight() == 0
-
-    def test_detach_removes_hook(self):
-        net, _ = build_network("quarc", 8)
-        be = ActiveSetBackend(net)
-        be.detach()
-        assert net.wake_set is None
-        net.adapters[0].send(Packet(0, 3, 2, UNICAST, created=0), 0)
-        assert net.drain() > 0         # reference path unaffected
-
-    def test_live_feeder_counts_consistent_after_run(self):
-        spec = WorkloadSpec(kind="torus", n=16, msg_len=8, beta=0.0,
-                            rate=0.05, cycles=800, warmup=100, seed=7)
-        session = SimulationSession(RunConfig(spec=spec, backend="active"))
-        session.run()
-        for r in session.net.routers:
-            for port in r.out_ports:
-                expected = sum(1 for b in port.feeders if b.q)
-                assert port.live_feeders == expected, port
+        for name in ("warp", "active"):     # no alias for the deleted tier
+            with pytest.raises(ValueError, match="unknown simulation"):
+                RunConfig(spec=spec, backend=name)
 
 
 class TestArrayBackend:
@@ -192,12 +149,15 @@ class TestArrayBackend:
 
     def test_materialized_view_matches_arrays(self):
         """After a saturated run, the lazily-materialised object graph
-        must agree with the arrays on every piece of state."""
+        must agree with the arrays on every piece of state -- and so
+        must ``state_digest``, the lockstep harness's O(1) reading."""
+        from differential import _digest
         spec = WorkloadSpec(kind="quarc", n=16, msg_len=8, beta=0.0,
                             rate=0.1, cycles=600, warmup=100, seed=7)
         session = SimulationSession(RunConfig(spec=spec, backend="array"))
         session.run()
         be = session.backend
+        from_arrays = _digest(session.net)
         be.materialize()
         for b, buf in enumerate(be._bufs):
             assert int(be._qlen[b]) == len(buf.q), buf
@@ -216,12 +176,13 @@ class TestArrayBackend:
                 o = int(be._owner[2 * pi + vc])
                 assert port.owner[vc] is (
                     be._bufs[o] if o >= 0 else None), port
-            assert port.live_feeders == sum(
-                1 for fb in port.feeders if fb.q), port
         for r in session.net.routers:
             assert r.flits == sum(len(bb.q) for bb in r.in_bufs), r
             total += r.flits
-        assert total == be._inflight
+        assert total == be._inflight > 0
+        be.detach()             # the objects own the state from here
+        assert _digest(session.net) == from_arrays
+        assert any(row[2] for row in from_arrays[3])    # latches seen
 
     def test_resync_escape_hatch(self):
         """Documented contract: materialize(), mutate the object graph,
@@ -405,11 +366,3 @@ class TestMonotonicTime:
         cycles = net.drain()
         assert cycles >= 0
         assert net.total_flits() == 0
-
-    def test_active_backend_clamps_too(self):
-        net, _ = build_network("quarc", 8)
-        be = ActiveSetBackend(net)
-        be.step(10)
-        assert net.cycle == 11
-        be.step(2)
-        assert net.cycle == 12

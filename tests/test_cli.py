@@ -77,13 +77,13 @@ class TestScenarioCommands:
         assert "unicast_lat" in capsys.readouterr().out
 
     def test_run_backend_invariant_under_scenarios(self, capsys):
-        """The ISSUE acceptance command: active == reference output."""
+        """The ISSUE acceptance command: array == reference output."""
         argv = (["run", "--kind", "quarc"] + self.RUN
                 + ["--pattern", "hotspot:p=0.3",
                    "--arrival", "bursty:on=0.25,len=8"])
         assert main(argv + ["--backend", "reference"]) == 0
         ref_out = capsys.readouterr().out
-        assert main(argv + ["--backend", "active"]) == 0
+        assert main(argv + ["--backend", "array"]) == 0
         assert capsys.readouterr().out == ref_out
 
     def test_scenarios_list(self, capsys):
@@ -119,7 +119,7 @@ class TestScenarioCommands:
         path = str(tmp_path / "run.jsonl")
         rc = main(["trace", "record", "--kind", "quarc"] + self.RUN
                   + ["--arrival", "bursty:on=0.3,len=6", "--out", path,
-                     "--backend", "active"])
+                     "--backend", "array"])
         assert rc == 0
         record_out = capsys.readouterr().out
         assert "[trace]" in record_out
@@ -157,7 +157,7 @@ class TestWorkloadCommands:
     def test_run_workload_defaults_rate_and_prints_classes(self, capsys):
         rc = main(["run", "--kind", "quarc"] + self.RUN
                   + ["--workload", "cache_coherence:storms=true",
-                     "--backend", "active"])
+                     "--backend", "array"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "per-class breakdown" in out

@@ -6,7 +6,7 @@ byte-identical; this module covers the closed half: reactive sources
 that stall on their in-flight window, the directory request/reply round
 trip, barrier-synchronised phases, the completion-time accounting in
 ``summary.extra["classes"]`` -- and the contract that every backend
-(reference / active / array, C kernel on and off) produces identical
+(reference / array, C kernel on and off) produces identical
 bytes for all of it.
 """
 
@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro.core.collector import aggregate_class_blocks
+from repro.sim.backend import BACKENDS
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.generators import DirectoryPattern
 from repro.traffic.mix import TrafficClass, TrafficMix
@@ -23,7 +24,7 @@ from repro.workloads import resolve_workload
 from repro.workloads.closedloop import (ClosedLoopClass, ClosedLoopSource,
                                         ClosedLoopWorkload)
 
-ALL_BACKENDS = ("reference", "active", "array")
+ALL_BACKENDS = sorted(BACKENDS)
 
 COHERENCE_CLOSED = "cache_coherence:storms=true,window=4"
 ALLREDUCE_CLOSED = "allreduce:window=3,quota=8,gap=32"
@@ -297,9 +298,8 @@ class TestAxisValidation:
 
     def test_reactive_mix_cannot_fast_forward(self):
         from repro.core.api import build_network
-        from repro.sim.backend import ActiveSetBackend
         net, _ = build_network("quarc", 8)
-        backend = ActiveSetBackend(net)
+        backend = BACKENDS["array"](net)
         mix = TrafficMix(
             net, classes=[TrafficClass("c", rate=0.2, msg_len=2,
                                        arrival="closedloop:window=2")])

@@ -19,12 +19,13 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultPlan, FaultState
+from repro.sim.backend import BACKENDS
 from repro.sim.records import RunSummary
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.workload import WorkloadSpec
 
 TOPOLOGIES = ("quarc", "spidergon", "mesh", "torus")
-ALL_BACKENDS = ("reference", "active", "array")
+ALL_BACKENDS = sorted(BACKENDS)
 
 #: one mid-run multi-clause plan per topology family -- a link wave
 #: and a router death, both landing after warmup so the fault-free
@@ -112,13 +113,13 @@ class TestConservationAndEquivalence:
     @pytest.mark.parametrize("kind", TOPOLOGIES)
     def test_flit_conservation_and_backend_equality(self, kind):
         """After a faulted run, every injected flit is ejected, purged
-        or still in flight -- exactly -- and all three backends agree
+        or still in flight -- exactly -- and all backends agree
         on the entire summary, faults block included."""
         runs = {b: run_faulted(kind, b) for b in ALL_BACKENDS}
         ref = runs["reference"]
         assert conservation_gap(ref) == 0, ref.extra["faults"]
         assert ref.delivered_msgs > 0, "collapse, not degradation"
-        for backend in ALL_BACKENDS[1:]:
+        for backend in ALL_BACKENDS:
             assert runs[backend] == ref, (
                 f"{backend} diverges from reference on faulted {kind}")
 
@@ -227,7 +228,7 @@ class TestProbesUnderFaults:
         assert all("dead_lanes" in s["data"] for s in stalls)
         occ = [s for s in ref if s["probe"] == "occupancy"]
         assert any(-1 in s["data"] for s in occ)   # dead router marker
-        for backend in ALL_BACKENDS[1:]:
+        for backend in ALL_BACKENDS:
             assert streams[backend] == streams["reference"]
 
 

@@ -109,7 +109,7 @@ class TestMulticlassMix:
 
     def test_precompute_matches_generate(self):
         """Block precomputation and per-cycle generation must consume
-        identical RNG and order the same tokens -- the active backend's
+        identical RNG and order the same tokens -- the array backend's
         fast-forward contract, multi-class edition."""
         classes = [TrafficClass("u", 0.04, 2),
                    TrafficClass("b", 0.02, 3, cast="broadcast",
@@ -363,7 +363,7 @@ class TestTraceV2:
     def test_multiclass_replay_is_seed_independent(self, tmp_path):
         spec = _spec(n=16, cycles=1500, warmup=300,
                      workload="cache_coherence:storms=true")
-        session = SimulationSession(RunConfig(spec=spec, backend="active"))
+        session = SimulationSession(RunConfig(spec=spec, backend="array"))
         rec = TraceRecorder.attach(session.mix)
         original = session.run()
         session.backend.detach()

@@ -3,7 +3,7 @@
 The two load-bearing contracts:
 
 * **Probe-stream equivalence** -- with probes enabled, all backends
-  (reference, active, array with the C kernel on, off, and in fallback
+  (reference, array with the C kernel on, off, and in fallback
   mode) emit *byte-identical* ``repro-metrics/v1`` streams for the
   same config.
 * **Zero perturbation** -- enabling any observability feature (probes,
@@ -144,8 +144,8 @@ class TestZeroPerturbation:
         assert report["replay_s"] >= 0.0
 
     def test_heartbeat_does_not_perturb_summary(self, capsys):
-        _, off = _probed_run(SPEC, "active", None)
-        _, on = _probed_run(SPEC, "active",
+        _, off = _probed_run(SPEC, "array", None)
+        _, on = _probed_run(SPEC, "array",
                             ObsSpec(progress=True, heartbeat=100))
         assert on == off
         assert "[run]" in capsys.readouterr().err
@@ -222,7 +222,7 @@ class TestLatencyHistogram:
         """The histogram n must equal the measured sample counts of the
         run summary (same warmup filtering)."""
         obs = ObsSpec(latency_hist=True)
-        _, s = _probed_run(SPEC, "active", obs)
+        _, s = _probed_run(SPEC, "array", obs)
         hist = s.extra["latency_hist"]
         assert hist["unicast"]["n"] == s.unicast_samples
         assert hist["collective"]["n"] == s.bcast_samples
@@ -244,7 +244,7 @@ class TestMetricsStream:
     def _summary(self):
         obs = ObsSpec(probes=(ProbeSpec("inflight", window=200),
                               ProbeSpec("rates", window=400)))
-        return _probed_run(SPEC, "active", obs)[1]
+        return _probed_run(SPEC, "array", obs)[1]
 
     def test_roundtrip_and_validate(self, tmp_path):
         s = self._summary()
@@ -285,7 +285,7 @@ class TestMetricsStream:
             validate_stream([good[0], good[2], good[1]])
 
     def test_unprobed_summary_refuses_export(self):
-        _, s = _probed_run(SPEC, "active", None)
+        _, s = _probed_run(SPEC, "array", None)
         with pytest.raises(ValueError, match="no probe data"):
             dumps_stream(s)
 
@@ -335,7 +335,7 @@ class TestProgress:
         from repro.sim.replication import ExecutionEngine
         spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.0,
                             rate=0.01, cycles=300, warmup=100, seed=1)
-        configs = [RunConfig(spec=spec.with_rate(r), backend="active")
+        configs = [RunConfig(spec=spec.with_rate(r), backend="array")
                    for r in (0.005, 0.01, 0.02)]
         ticks = []
         engine = ExecutionEngine(
@@ -358,7 +358,7 @@ class TestProgress:
         from repro.experiments.sweep import sweep_rates
         obs = ObsSpec(probes=(ProbeSpec("inflight", window=64),))
         ticks = []
-        out = sweep_rates(SPEC, [0.01, 0.02], backend="active",
+        out = sweep_rates(SPEC, [0.01, 0.02], backend="array",
                           obs=obs,
                           progress=lambda d, t: ticks.append((d, t)))
         assert len(out) == 2
@@ -435,6 +435,6 @@ class TestObsCli:
         from repro.cli import main
         rc = main(["sweep", "-n", "8", "-M", "4", "--beta", "0.0",
                    "--points", "2", "--cycles", "800", "--warmup", "200",
-                   "--backend", "active", "--probe", "inflight"])
+                   "--backend", "array", "--probe", "inflight"])
         assert rc == 0
         assert "sat_onset" in capsys.readouterr().out

@@ -21,7 +21,7 @@ from repro.traffic.workload import WorkloadSpec
 
 SPEC = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.1,
                     rate=0.02, cycles=1200, warmup=300, seed=3)
-CONFIG = RunConfig(spec=SPEC, backend="active")
+CONFIG = RunConfig(spec=SPEC, backend="array")
 
 
 def dumps(rs: ReplicatedSummary) -> str:
@@ -58,7 +58,7 @@ class TestReplicationPlan:
         assert [c.spec.seed for c in configs] == \
             ReplicationPlan(SPEC.seed, 3).seeds()
         for c in configs:
-            assert c.backend == "active"
+            assert c.backend == "array"
             assert c.spec.with_rate(SPEC.rate).kind == SPEC.kind
             assert (c.spec.rate, c.spec.cycles) == (SPEC.rate, SPEC.cycles)
 
@@ -86,7 +86,7 @@ class TestSeedStreamIndependence:
 
     def test_replicates_actually_vary(self):
         rs = run_replicated(CONFIG, replicates=4)
-        root = run_point(SPEC, backend="active")
+        root = run_point(SPEC, backend="array")
         assert all(r.seed != SPEC.seed for r in rs.runs)
         assert any(r != root for r in rs.runs)
         assert rs.metric("unicast_mean").stddev > 0.0

@@ -129,8 +129,8 @@ def test_msg_len_past_flit_index_field_rejected_for_array(monkeypatch):
     monkeypatch.setattr(array_backend, "MAX_PACKET_FLITS", 8)
     with pytest.raises(ValueError, match=r"msg_len.*16.*8"):
         SimulationSession(RunConfig(spec=_spec(), backend="array"))
-    # the field is the array engine's: other backends take the spec
-    SimulationSession(RunConfig(spec=_spec(), backend="active"))
+    # the field is the array engine's: the reference backend takes the spec
+    SimulationSession(RunConfig(spec=_spec(), backend="reference"))
     SimulationSession(RunConfig(spec=_spec(msg_len=8), backend="array"))
 
 

@@ -19,12 +19,12 @@ class TestRunConfig:
     def test_defaults_and_with_backend(self):
         cfg = RunConfig(spec=SPEC)
         assert cfg.backend == "reference"
-        assert cfg.with_backend("active").backend == "active"
-        assert cfg.with_backend("active").spec is SPEC
+        assert cfg.with_backend("array").backend == "array"
+        assert cfg.with_backend("array").spec is SPEC
 
     def test_run_config_helper(self):
-        cfg = run_config(SPEC, backend="active", bcast_mode="relay")
-        assert (cfg.backend, cfg.bcast_mode) == ("active", "relay")
+        cfg = run_config(SPEC, backend="array", bcast_mode="relay")
+        assert (cfg.backend, cfg.bcast_mode) == ("array", "relay")
 
     def test_invalid_backend(self):
         with pytest.raises(ValueError):
@@ -37,14 +37,14 @@ class TestSimulationSession:
             run_point(SPEC)
 
     def test_wires_collector_and_backend(self):
-        session = SimulationSession(RunConfig(spec=SPEC, backend="active"))
-        assert session.backend.name == "active"
+        session = SimulationSession(RunConfig(spec=SPEC, backend="array"))
+        assert session.backend.name == "array"
         assert session.collector.warmup == SPEC.warmup
         assert session.net.name == "quarc"
         assert session.topo.n == SPEC.n
 
     def test_drain_after_run(self):
-        session = SimulationSession(RunConfig(spec=SPEC, backend="active"))
+        session = SimulationSession(RunConfig(spec=SPEC, backend="array"))
         summary = session.run()
         session.drain()
         drained = session.summary()
@@ -67,11 +67,11 @@ class TestParallelSweep:
         parallel = sweep_rates(spec, self.RATES, workers=2)
         assert serial == parallel
 
-    def test_workers_with_active_backend(self):
+    def test_workers_with_array_backend(self):
         spec = WorkloadSpec(kind="spidergon", n=8, msg_len=4, beta=0.0,
                             rate=0.0, cycles=1200, warmup=300, seed=4)
-        serial = sweep_rates(spec, self.RATES, backend="active")
-        parallel = sweep_rates(spec, self.RATES, backend="active",
+        serial = sweep_rates(spec, self.RATES, backend="array")
+        parallel = sweep_rates(spec, self.RATES, backend="array",
                                workers=2)
         assert serial == parallel
 
@@ -89,8 +89,8 @@ class TestBackendAcrossDrivers:
     def test_compare_networks_backend_equivalence(self):
         kw = dict(rates=[0.01], cycles=1200, warmup=300, seed=9)
         ref = compare_networks(8, 4, 0.0, **kw)
-        act = compare_networks(8, 4, 0.0, backend="active", **kw)
-        assert ref == act
+        arr = compare_networks(8, 4, 0.0, backend="array", **kw)
+        assert ref == arr
 
     def test_compare_networks_accepts_scenarios(self):
         res = compare_networks(8, 4, 0.0, rates=[0.02], cycles=1200,
@@ -128,33 +128,33 @@ class TestScenarioGrid:
     def test_backend_equivalence_across_grid(self):
         ref = sweep_scenarios(self.BASE, patterns=self.PATTERNS,
                               arrivals=self.ARRIVALS)
-        act = sweep_scenarios(self.BASE, patterns=self.PATTERNS,
-                              arrivals=self.ARRIVALS, backend="active")
-        assert ref == act
+        arr = sweep_scenarios(self.BASE, patterns=self.PATTERNS,
+                              arrivals=self.ARRIVALS, backend="array")
+        assert ref == arr
 
 
 class TestCliBackend:
     def test_parser_accepts_backend_and_workers(self):
         args = build_parser().parse_args(
-            ["sweep", "--backend", "active", "--workers", "3"])
-        assert args.backend == "active" and args.workers == 3
+            ["sweep", "--backend", "array", "--workers", "3"])
+        assert args.backend == "array" and args.workers == 3
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--rate", "0.01",
                                        "--backend", "warp"])
 
-    def test_point_with_active_backend(self, capsys):
+    def test_point_with_array_backend(self, capsys):
         rc = main(["run", "--kind", "quarc", "-n", "8", "-M", "4",
                    "--rate", "0.01", "--cycles", "1500",
-                   "--warmup", "300", "--backend", "active"])
+                   "--warmup", "300", "--backend", "array"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "quarc" in out and "unicast_lat" in out
 
-    def test_sweep_with_active_backend_and_workers(self, capsys, tmp_path):
+    def test_sweep_with_array_backend_and_workers(self, capsys, tmp_path):
         csv_path = str(tmp_path / "sweep.csv")
         rc = main(["sweep", "-n", "8", "-M", "4", "--beta", "0.0",
                    "--points", "2", "--cycles", "1200", "--warmup", "300",
-                   "--backend", "active", "--workers", "2",
+                   "--backend", "array", "--workers", "2",
                    "--csv", csv_path])
         assert rc == 0
         with open(csv_path) as fh:
@@ -165,6 +165,6 @@ class TestCliBackend:
                 "--rate", "0.02", "--cycles", "1500", "--warmup", "300"]
         assert main(argv) == 0
         ref_out = capsys.readouterr().out
-        assert main(argv + ["--backend", "active"]) == 0
-        act_out = capsys.readouterr().out
-        assert ref_out == act_out
+        assert main(argv + ["--backend", "array"]) == 0
+        arr_out = capsys.readouterr().out
+        assert ref_out == arr_out
