@@ -33,7 +33,6 @@ from repro.noc.network import Network
 from repro.noc.packet import (BROADCAST, MULTICAST, RELAY, UNICAST,
                               CollectiveOp, Packet)
 from repro.sim.backend import BACKENDS, ReferenceBackend, SimBackend
-from repro.sim.engine import Simulator
 from repro.sim.session import RunConfig, SimulationSession
 from repro.topologies import (MeshTopology, QuarcTopology,
                               SpidergonTopology, TorusTopology)
@@ -55,7 +54,6 @@ __all__ = [
     "MULTICAST",
     "BROADCAST",
     "RELAY",
-    "Simulator",
     "SimBackend",
     "ReferenceBackend",
     "BACKENDS",

@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(p50/p95/p99/max per class)")
             sp.add_argument("--profile", action="store_true",
                             help="wall-time phase profile (inject / "
-                                 "phase A / phase B / collect; C kernel "
-                                 "vs Python replay on the array engine)")
+                                 "step / collect; plus fold, C kernel "
+                                 "and Python replay on the array engine)")
             sp.add_argument("--metrics-out", default="",
                             metavar="PATH",
                             help="write the probe stream as "
@@ -299,9 +299,9 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _render_point_obs(session, summary, args) -> int:
+def _render_point_obs(session, summary, args) -> None:
     """Print the observability addenda of a probed/profiled point and
-    write the metrics stream; returns a process exit code."""
+    write the metrics stream."""
     from repro.experiments.ascii_plot import ascii_heatmap, ascii_sparkline
     from repro.obs.hist import render_histogram
 
@@ -337,17 +337,12 @@ def _render_point_obs(session, summary, args) -> int:
     if args.metrics_out:
         from repro.obs.metrics import write_csv as write_metrics_csv
         from repro.obs.metrics import validate_file, write_jsonl
-        if probe_set is None:
-            print("error: --metrics-out requires at least one --probe",
-                  file=sys.stderr)
-            return 2
         if args.metrics_out.endswith(".csv"):
             path = write_metrics_csv(summary, args.metrics_out)
         else:
             path = write_jsonl(summary, args.metrics_out)
             validate_file(path)
         print(f"[metrics] {path}")
-    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -470,11 +465,6 @@ def _cmd_point(args) -> int:
                   file=sys.stderr)
             return 2
         return _run_replicated_point(spec, args)
-    if obs is None and args.shard_workers == 1:
-        s = run_point(spec, backend=args.backend)
-        print(format_table([s.row()]))
-        _print_class_table(s)
-        return 0
     from repro.sim.session import RunConfig, SimulationSession
     session = SimulationSession(
         RunConfig(spec=spec, backend=args.backend, obs=obs,
@@ -482,9 +472,9 @@ def _cmd_point(args) -> int:
     s = session.run()
     print(format_table([s.row()]))
     _print_class_table(s)
-    if obs is None:
-        return 0
-    return _render_point_obs(session, s, args)
+    if obs is not None:
+        _render_point_obs(session, s, args)
+    return 0
 
 
 def _run_replicated_point(spec: WorkloadSpec, args) -> int:

@@ -4,7 +4,7 @@
 >>> net, topo = build_network("quarc", 16)
 >>> net.adapters[0].send_broadcast(size=8, now=0)   # doctest: +ELLIPSIS
 <repro.noc.packet.CollectiveOp object at ...>
->>> net.run(64)
+>>> _ = net.drain()
 >>> net.total_flits()
 0
 """

@@ -12,10 +12,10 @@ The paper's five-step channelised transfer (Sec. 2.7):
 
 All control signals are active-low, as the ``_N`` suffix denotes.  A data
 beat transfers on every cycle where both ready signals are low.  The
-model is cycle-driven on the DES kernel: each cycle the destination
-updates its status, then the source drives, then the wire samples --
-mirroring how the paper's write controller consumes ``sof_in``/``eof_in``
-and ``ch_to_store`` (Sec. 2.3.1).
+model is cycle-driven: each cycle the destination updates its status,
+then the source drives, then the wire samples -- mirroring how the
+paper's write controller consumes ``sof_in``/``eof_in`` and
+``ch_to_store`` (Sec. 2.3.1).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Tuple
-
-from repro.sim.engine import Simulator
 
 __all__ = ["Frame", "LocalLinkWire", "LocalLinkSource",
            "LocalLinkDestination", "run_link"]
@@ -207,15 +205,13 @@ def run_link(frames: List[Frame], cycles: int = 1000,
     cycles (models a consumer), letting tests exercise the back-pressure
     path where ``CH_STATUS_N`` deasserts.
     """
-    sim = Simulator()
     wire = LocalLinkWire()
     src = LocalLinkSource(wire)
     dst = LocalLinkDestination(wire, capacity_frames)
     for f in frames:
         src.submit(f)
 
-    def cycle() -> None:
-        now = int(sim.now)
+    for now in range(cycles + 1):
         dst.update_status(now)
         src.drive(now)
         dst.update_status(now)          # dst_rdy_n reacts to src_rdy_n
@@ -224,7 +220,4 @@ def run_link(frames: List[Frame], cycles: int = 1000,
         if drain_channel_every and now and now % drain_channel_every == 0:
             for ch in (0, 1):
                 dst.pop_frame(ch)
-
-    sim.every(1, cycle, start=0)
-    sim.run_until(cycles)
     return dst, wire

@@ -20,7 +20,6 @@ from repro.noc.router import Router, commit_move
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.buffers import FlitBuffer
     from repro.noc.packet import Packet
-    from repro.sim.engine import Simulator
 
 __all__ = ["Network", "Adapter", "flit_key"]
 
@@ -115,9 +114,10 @@ class Network:
     def step(self, now: Optional[int] = None) -> int:
         """Advance one cycle; returns the number of flits moved.
 
-        ``now`` may come from an external clock (e.g. :meth:`attach`); the
-        simulation clock is kept monotonic by clamping a lagging ``now`` to
-        ``self.cycle``, so mixing ``drain()`` / ``run()`` with a DES-driven
+        ``now`` may come from the caller's own clock (every
+        ``SimBackend`` loop passes its cycle counter); the simulation
+        clock is kept monotonic by clamping a lagging ``now`` to
+        ``self.cycle``, so mixing ``drain()`` with an externally clocked
         step can never rewind time (which would corrupt latency stamps and
         ``drain``'s cycle accounting).
         """
@@ -137,26 +137,6 @@ class Network:
         self.flits_moved += moved
         self.cycle = now + 1
         return moved
-
-    def run(self, cycles: int,
-            per_cycle: Optional[Callable[[int], None]] = None) -> None:
-        """Run ``cycles`` steps; ``per_cycle(t)`` (e.g. traffic generation)
-        runs before each step."""
-        step = self.step
-        t0 = self.cycle
-        if per_cycle is None:
-            for t in range(t0, t0 + cycles):
-                step(t)
-        else:
-            for t in range(t0, t0 + cycles):
-                per_cycle(t)
-                step(t)
-
-    def attach(self, sim: "Simulator") -> None:
-        """Drive this network from a DES kernel: one recurring step event
-        per cycle (used where an experiment mixes event-driven components,
-        e.g. the LocalLink co-simulation tests)."""
-        sim.every(1, lambda: self.step(int(sim.now)), start=sim.now + 1)
 
     # ------------------------------------------------------------------
     # delivery

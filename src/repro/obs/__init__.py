@@ -12,8 +12,8 @@ backend:
 * :mod:`repro.obs.hist` -- HDR-style log-bucket latency histograms
   feeding p50/p95/p99/max into ``RunSummary.extra["latency_hist"]``.
 * :mod:`repro.obs.profiler` -- wall-time phase profiling (inject /
-  phase A / phase B / collect, C kernel vs Python replay) with work
-  counters exported from the compiled cycle kernel.
+  step / collect, plus fold / C kernel / Python replay on the array
+  engine) with work counters exported from the compiled cycle kernel.
 * :mod:`repro.obs.metrics` -- the ``repro-metrics/v1`` JSONL stream,
   CSV export and the schema validator CI runs.
 * :mod:`repro.obs.progress` -- live heartbeat/ETA channels for long

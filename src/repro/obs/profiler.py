@@ -8,24 +8,22 @@ are unaffected -- and reports a wall-time split:
 ========== ==========================================================
 inject     traffic generation/injection (``TrafficMix.generate`` /
            ``inject`` / ``precompute_arrivals``)
-phase_a    arbitration scan (reference backend)
-phase_b    move commits (reference backend; includes the collector
-           callbacks it triggers)
 collect    latency-collector delivery callbacks (also counted inside
-           the phase that triggered them)
+           the step that triggered them)
+step       whole-cycle ``backend.step`` time (every backend; on the
+           array backend its Python *replay* residue is
+           ``step - kernel - fold``)
 fold       staged-injection fold into the arrays (array backend)
 kernel     compiled C cycle kernel (array backend)
-step       whole-cycle step time (array backend; its Python *replay*
-           residue is ``step - kernel - fold``)
 ========== ==========================================================
 
-For the reference backend the profiled step is a timed replica of the
-production loop (the equality test pins profiled == unprofiled
-summaries); the array backend is timed at its own seams (``step``,
-``_fold``, the kernel call) because its phases are fused.  The C
-kernel additionally exports per-call work counters (buffers scanned,
-eligible candidates, flits moved) through ``counts[5..6]`` of its
-counters array, which the kernel proxy accumulates here.
+Every wrapper times the method the unprofiled run calls -- there is no
+profiler-side copy of any loop, so the profile cannot measure a cycle
+other than the one that runs.  The array backend is additionally timed
+at ``_fold`` and the kernel call.  The C kernel exports per-call work
+counters (buffers scanned, eligible candidates, flits moved) through
+``counts[5..6]`` of its counters array, which the kernel proxy
+accumulates here.
 
 Profile results never enter ``RunSummary.extra``: wall times differ
 per backend and per host, and ``extra`` must stay byte-identical
@@ -85,8 +83,6 @@ class PhaseProfiler:
         session = self.session
         backend = session.backend
         sec = self.seconds
-        for cat in ("inject", "collect"):
-            sec.setdefault(cat, 0.0)
 
         self._wrap_timed(session.mix, "generate", "inject")
         self._wrap_timed(session.mix, "inject", "inject")
@@ -95,11 +91,8 @@ class PhaseProfiler:
         self._wrap_timed(session.collector, "on_collective_complete",
                          "collect")
 
-        name = getattr(backend, "name", "")
-        if name == "array":
-            sec.setdefault("step", 0.0)
-            sec.setdefault("fold", 0.0)
-            self._wrap_timed(backend, "step", "step")
+        self._wrap_timed(backend, "step", "step")
+        if getattr(backend, "name", "") == "array":
             self._wrap_timed(backend, "_fold", "fold")
             if backend._ck is not None:
                 sec.setdefault("kernel", 0.0)
@@ -110,8 +103,6 @@ class PhaseProfiler:
                 self._undo.append(
                     lambda be=backend, fn=proxy._fn:
                     setattr(be, "_ck", fn))
-        else:
-            self._install_reference_step(backend)
 
         self._cycle0 = session.net.cycle
         self._t_run = perf_counter()
@@ -143,37 +134,6 @@ class PhaseProfiler:
         setattr(obj, attr, timed)
         self._undo.append(lambda: delattr(obj, attr))
 
-    def _install_reference_step(self, backend) -> None:
-        """Timed replica of ``Network.step`` (the reference loop) with
-        the arbitration scan and the commit loop clocked separately."""
-        from repro.noc.router import commit_move
-        net = backend.net
-        sec = self.seconds
-        sec.setdefault("phase_a", 0.0)
-        sec.setdefault("phase_b", 0.0)
-
-        def step(now=None):
-            if now is None or now < net.cycle:
-                now = net.cycle
-            t0 = perf_counter()
-            moves = net._moves
-            moves.clear()
-            for r in net.routers:
-                if r.flits:
-                    r.collect(moves)
-            t1 = perf_counter()
-            for mv in moves:
-                commit_move(mv, now, net)
-            sec["phase_b"] += perf_counter() - t1
-            sec["phase_a"] += t1 - t0
-            moved = len(moves)
-            net.flits_moved += moved
-            net.cycle = now + 1
-            return moved
-
-        backend.step = step
-        self._undo.append(lambda: delattr(backend, "step"))
-
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, object]:
         """The profile as a JSON-ready dict (seconds per category,
@@ -186,7 +146,7 @@ class PhaseProfiler:
                              if self.run_seconds > 0 else 0.0),
             "categories": dict(sorted(self.seconds.items())),
         }
-        if "step" in self.seconds:
+        if "fold" in self.seconds:      # array only: step's Python residue
             replay = (self.seconds["step"]
                       - self.seconds.get("kernel", 0.0)
                       - self.seconds.get("fold", 0.0))

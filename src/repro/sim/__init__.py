@@ -1,10 +1,8 @@
-"""Discrete-event / cycle simulation kernel.
+"""Cycle simulation kernel.
 
 This subpackage is the reproduction's substitute for OMNeT++ (which the
 paper used for its flit-level simulator).  It provides:
 
-* :mod:`repro.sim.engine` -- a classic event-heap discrete-event simulator
-  (:class:`~repro.sim.engine.Simulator`) with one-shot and recurring events.
 * :mod:`repro.sim.rng` -- deterministic, named random-number streams so
   that every experiment is exactly reproducible from a single seed.
 * :mod:`repro.sim.stats` -- online statistics (Welford mean/variance),
@@ -26,10 +24,10 @@ paper used for its flit-level simulator).  It provides:
   imported here, for the same layering reason -- import it as
   ``repro.sim.replication``.)
 
-The flit-level NoC models in :mod:`repro.noc` register a single recurring
-"network step" activity with the engine, so the hot per-cycle loop stays in
-optimised plain-Python code while scheduling, stop conditions and
-instrumentation go through the kernel.
+The simulation is cycle-driven, on one clock (``Network.cycle``): the
+backend's ``run_mix`` loop calls ``step`` once per cycle, and probes
+and fault events are callbacks keyed by cycle number (README.md, "Who
+drives a cycle").
 """
 
 from repro.sim.backend import (
@@ -38,7 +36,6 @@ from repro.sim.backend import (
     SimBackend,
     make_backend,
 )
-from repro.sim.engine import Event, Simulator
 from repro.sim.records import LatencySample, RunSummary
 from repro.sim.rng import RngStreams
 from repro.sim.stats import (
@@ -53,8 +50,6 @@ __all__ = [
     "ReferenceBackend",
     "SimBackend",
     "make_backend",
-    "Event",
-    "Simulator",
     "RngStreams",
     "OnlineStats",
     "Histogram",

@@ -864,11 +864,19 @@ class ArrayBackend(SimBackend):
             n += pkt.size if fidx < 0 else 1
         return n
 
-    def in_flight(self) -> int:
-        return self.total_flits()
+    #: Cycles of traffic precomputed per block in :meth:`run_mix`.
+    CHUNK = 2048
 
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
+        """The fast-forwarding ``run_mix``: block-precompute arrivals
+        and jump the clock across provably-empty gaps.
+
+        ``self._inflight or self._staged`` is the "a step could move a
+        flit" test; it may overestimate (costing only a per-cycle step)
+        but must never underestimate, because a cycle skipped here is
+        never executed.
+        """
         if getattr(mix, "reactive", False):
             # closed-loop mixes need per-cycle generation so delivery
             # feedback (surfaced by _deliver at cycle granularity, C
@@ -876,9 +884,53 @@ class ArrayBackend(SimBackend):
             # generate; step() stays the array/kernel engine
             SimBackend.run_mix(self, mix, cycles, probes)
             return
-        self._run_mix_fastforward(
-            mix, cycles, probes,
-            lambda: self._inflight > 0 or bool(self._staged))
+        net = self.net
+        probes = probes or {}
+        step = self.step
+        inject = mix.inject
+        t = net.cycle
+        end = t + cycles
+        while t < end:
+            c1 = min(t + self.CHUNK, end)
+            by_cycle = mix.precompute_arrivals(t, c1)
+            pending = sorted(set(by_cycle).union(
+                p for p in probes if t <= p < c1))
+            pi = 0
+            while t < c1:
+                if self._inflight or self._staged:
+                    # network busy: run cycle by cycle (reference order)
+                    nodes = by_cycle.get(t)
+                    if nodes is not None:
+                        for i in nodes:
+                            inject(i, t)
+                    step(t)
+                    cb = probes.get(t)
+                    if cb is not None:
+                        cb(t)
+                    t += 1
+                    continue
+                # network empty: jump to the next arrival/probe cycle
+                while pi < len(pending) and pending[pi] < t:
+                    pi += 1
+                if pi == len(pending):
+                    net.cycle = t = c1
+                    break
+                nxt = pending[pi]
+                if nxt > t:
+                    net.cycle = t = nxt
+                    continue
+                nodes = by_cycle.get(t)
+                if nodes is not None:
+                    for i in nodes:
+                        inject(i, t)
+                    step(t)
+                else:
+                    net.cycle = t + 1     # probe-only cycle, still empty
+                cb = probes.get(t)
+                if cb is not None:
+                    cb(t)
+                t += 1
+                pi += 1
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph
@@ -1042,22 +1094,6 @@ class ArrayBackend(SimBackend):
                 down[2 * pi] = self._XB
                 down[2 * pi + 1] = self._XB
         self.resync()
-
-    # ------------------------------------------------------------------
-    # payload columns (trace taps / analysis)
-    # ------------------------------------------------------------------
-    def payload_columns(self) -> Dict[str, np.ndarray]:
-        """Flit payload columns for all packets seen so far, aid-indexed:
-        destination, size, inject cycle, traffic kind, and the current
-        ``vclass`` (the one mutable per-packet field, gathered from the
-        objects)."""
-        return {
-            "dst": np.array(self._pdst, np.int64),
-            "size": np.array(self._psize, np.int64),
-            "born": np.array(self._pborn, np.int64),
-            "traffic": np.array(self._ptraf, np.int64),
-            "vclass": np.array([p.vclass for p in self._pkts], np.int64),
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ArrayBackend net={self.net.name!r} "

@@ -15,11 +15,11 @@ in its own module and registers itself when numpy is importable):
   a lazily-materialised view) and runs both arbitration and commit over
   those arrays -- in a compiled C cycle kernel where a compiler is
   available, in the scalar Python loop the kernel was ported from
-  otherwise.  It also **fast-forwards idle gaps**
-  (:meth:`SimBackend._run_mix_fastforward`): when the network is empty
-  it precomputes the traffic process in blocks and jumps the clock
-  straight to the next arrival instead of spinning empty cycles.  See
-  ``array_backend.py`` for the ownership contract.
+  otherwise.  It also **fast-forwards idle gaps** (its own
+  ``run_mix``): when the network is empty it precomputes the traffic
+  process in blocks and jumps the clock straight to the next arrival
+  instead of spinning empty cycles.  See ``array_backend.py`` for the
+  ownership contract.
 
 Why fast-forwarding is bit-identical
 ------------------------------------
@@ -51,9 +51,9 @@ Probes = Dict[int, Callable[[int], None]]
 class SimBackend:
     """Drives one network through simulated cycles.
 
-    Subclasses implement :meth:`step`; the bundled run loops are generic
-    but may be overridden for speed (the array backend routes
-    :meth:`run_mix` to the block-precomputing fast-forward loop).
+    Subclasses implement :meth:`step`; :meth:`run_mix` is the generic
+    per-cycle loop and may be overridden for speed (the array backend's
+    is the block-precomputing fast-forward loop).
     """
 
     name = "abstract"
@@ -67,19 +67,6 @@ class SimBackend:
         raise NotImplementedError
 
     # -- bulk loops -----------------------------------------------------
-    def run(self, cycles: int,
-            per_cycle: Optional[Callable[[int], None]] = None) -> None:
-        """Run ``cycles`` steps; ``per_cycle(t)`` runs before each step."""
-        step = self.step
-        t0 = self.net.cycle
-        if per_cycle is None:
-            for t in range(t0, t0 + cycles):
-                step(t)
-        else:
-            for t in range(t0, t0 + cycles):
-                per_cycle(t)
-                step(t)
-
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
         """Drive ``mix`` + network for ``cycles`` cycles from ``net.cycle``."""
@@ -98,77 +85,6 @@ class SimBackend:
             if cb is not None:
                 cb(t)
 
-    #: Cycles of traffic precomputed per block in
-    #: :meth:`_run_mix_fastforward` (subclasses may tune it).
-    CHUNK = 2048
-
-    def _run_mix_fastforward(self, mix: "TrafficMix", cycles: int,
-                             probes: Optional[Probes],
-                             busy: Callable[[], bool]) -> None:
-        """Shared fast-forwarding ``run_mix`` body: block-precompute
-        arrivals and jump the clock across provably-empty gaps.
-
-        ``busy()`` is the backend's "a step could move a flit" test; it
-        may overestimate (costing only a per-cycle step) but must never
-        underestimate, because a cycle skipped here is never executed.
-        """
-        if getattr(mix, "reactive", False):
-            # deep guard: reactive sources consult delivery feedback
-            # every cycle, so block precomputation would silently
-            # diverge from the reference loop -- the optimized run_mix
-            # overrides are expected to route reactive mixes to the
-            # per-cycle SimBackend.run_mix before reaching here
-            raise RuntimeError(
-                "reactive (closed-loop) mixes cannot be fast-forwarded; "
-                "use the per-cycle SimBackend.run_mix path")
-        net = self.net
-        probes = probes or {}
-        step = self.step
-        inject = mix.inject
-        t = net.cycle
-        end = t + cycles
-        while t < end:
-            c1 = min(t + self.CHUNK, end)
-            by_cycle = mix.precompute_arrivals(t, c1)
-            pending = sorted(set(by_cycle).union(
-                p for p in probes if t <= p < c1))
-            pi = 0
-            while t < c1:
-                if busy():
-                    # network busy: run cycle by cycle (reference order)
-                    nodes = by_cycle.get(t)
-                    if nodes is not None:
-                        for i in nodes:
-                            inject(i, t)
-                    step(t)
-                    cb = probes.get(t)
-                    if cb is not None:
-                        cb(t)
-                    t += 1
-                    continue
-                # network empty: jump to the next arrival/probe cycle
-                while pi < len(pending) and pending[pi] < t:
-                    pi += 1
-                if pi == len(pending):
-                    net.cycle = t = c1
-                    break
-                nxt = pending[pi]
-                if nxt > t:
-                    net.cycle = t = nxt
-                    continue
-                nodes = by_cycle.get(t)
-                if nodes is not None:
-                    for i in nodes:
-                        inject(i, t)
-                    step(t)
-                else:
-                    net.cycle = t + 1     # probe-only cycle, still empty
-                cb = probes.get(t)
-                if cb is not None:
-                    cb(t)
-                t += 1
-                pi += 1
-
     def apply_faults(self, fs, events: List[dict]) -> None:
         """Apply due fault events (:mod:`repro.faults`) to the network.
 
@@ -182,16 +98,10 @@ class SimBackend:
 
     def drain(self, max_cycles: int = 1_000_000) -> int:
         """Run without new traffic until the network empties; returns
-        cycles taken (same liveness contract as ``Network.drain``)."""
-        net = self.net
-        start = net.cycle
-        while self.in_flight():
-            if net.cycle - start > max_cycles:
-                raise RuntimeError(
-                    f"network failed to drain within {max_cycles} cycles; "
-                    f"{self.in_flight()} flits stuck (possible deadlock)")
-            self.step()
-        return net.cycle - start
+        cycles taken.  ``Network.drain`` is the one drain loop: its
+        ``step`` / ``total_flits`` reach an array engine through
+        ``net.state_owner``."""
+        return self.net.drain(max_cycles)
 
     # -- introspection --------------------------------------------------
     def in_flight(self) -> int:

@@ -10,13 +10,17 @@ replayable event lists.
 
 The kernel is compiled on first use with whatever ``cc`` the host has
 (``$CC`` overrides), cached under the system temp directory keyed by a
-hash of the source, and loaded via :mod:`ctypes`.  Any failure -- no
-compiler, sandboxed temp dir, bad toolchain -- returns ``None``, which
-leaves the engine on its scalar oracle (``ArrayBackend._scalar_cycle``,
-~3x slower at saturation), and says so once per process in a
-``RuntimeWarning`` that carries the exception and the compiler's
-stderr.  ``REPRO_ARRAY_CKERNEL=0`` asks for the oracle and is silent
-(the differential suite uses it to lockstep both implementations).
+hash of the source, and loaded via :mod:`ctypes` -- but only from a
+cache directory and library this user owns and nobody else can write
+(the temp directory is shared: whoever created the path first would
+otherwise run code in this process).  Any failure -- no compiler,
+sandboxed temp dir, bad toolchain, a cache entry that fails that check
+-- returns ``None``, which leaves the engine on its scalar oracle
+(``ArrayBackend._scalar_cycle``, ~3x slower at saturation), and says so
+once per process in a ``RuntimeWarning`` that carries the exception and
+the compiler's stderr.  ``REPRO_ARRAY_CKERNEL=0`` asks for the oracle
+and is silent (the differential suite uses it to lockstep both
+implementations).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
 import warnings
@@ -41,12 +46,29 @@ _cached: Optional[ctypes.CFUNCTYPE] = None
 _failed = False
 
 
+def _check_private(path: str, is_kind) -> None:
+    """Raise unless ``path`` is a real directory / regular file
+    (``is_kind`` on its ``lstat`` mode, so never a symlink) owned by
+    this user with no group/other write bit.  Skipped where the
+    platform has no ``os.getuid``."""
+    if not hasattr(os, "getuid"):
+        return
+    st = os.lstat(path)
+    if (not is_kind(st.st_mode) or st.st_uid != os.getuid()
+            or st.st_mode & (stat.S_IWGRP | stat.S_IWOTH)):
+        raise PermissionError(
+            f"refusing to load the cycle kernel through {path}: it must "
+            f"be owned by uid {os.getuid()} and writable by nobody else "
+            f"(found uid {st.st_uid}, mode {stat.filemode(st.st_mode)})")
+
+
 def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
     with open(_SRC_PATH, "rb") as fh:
         src = fh.read()
     tag = hashlib.sha256(src).hexdigest()[:16]
     libdir = os.path.join(tempfile.gettempdir(), "repro-ckernel")
-    os.makedirs(libdir, exist_ok=True)
+    os.makedirs(libdir, mode=0o700, exist_ok=True)
+    _check_private(libdir, stat.S_ISDIR)
     lib = os.path.join(libdir, f"cycle-{tag}.so")
     if not os.path.exists(lib):
         cc = os.environ.get("CC", "cc")
@@ -62,6 +84,7 @@ def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
+    _check_private(lib, stat.S_ISREG)
     dll = ctypes.CDLL(lib)
     fn = dll.repro_cycle
     fn.restype = ctypes.c_longlong

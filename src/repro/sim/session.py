@@ -34,7 +34,7 @@ from repro.sim.backend import BACKENDS, SimBackend, make_backend
 from repro.sim.records import RunSummary
 from repro.traffic.workload import WorkloadSpec
 
-__all__ = ["RunConfig", "SimulationSession", "run_config"]
+__all__ = ["RunConfig", "SimulationSession"]
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,6 @@ class RunConfig:
         return replace(self, backend=backend)
 
 
-def run_config(spec: WorkloadSpec, backend: str = "reference",
-               **kwargs) -> RunConfig:
-    """Convenience constructor mirroring the old ``run_point`` keywords."""
-    return RunConfig(spec=spec, backend=backend, **kwargs)
-
-
 def _closedloop_trace(cfg: RunConfig, s: "SimulationSession") -> bool:
     return (s._closedloop is not None
             and cfg.spec.arrival.split(":", 1)[0].strip() == "trace")
@@ -91,8 +85,9 @@ def _closedloop_trace(cfg: RunConfig, s: "SimulationSession") -> bool:
 #: workload semantics x execution axes lives here, checked once at
 #: session construction with an actionable message -- not as scattered
 #: mid-run failures.  Each rule is ``(predicate(config, session),
-#: message)``; predicates run after the mix (and any closed-loop
-#: engine) is wired but before faults/observability installation.
+#: message)``, the message a ``str.format`` template over ``cfg``;
+#: predicates run after the mix (and any closed-loop engine) is wired
+#: but before faults/observability installation.
 _AXIS_RULES = (
     (_closedloop_trace,
      "closed-loop workloads cannot replay a trace (arrival='trace:...'):"
@@ -115,6 +110,27 @@ _AXIS_RULES = (
      " them delivery callbacks, which only closed-loop workloads wire"
      " up; use e.g. workload='cache_coherence:window=4' instead of a"
      " bare closedloop arrival spec"),
+    # sharded runs (``repro.sim.shard``); the one shard rejection not
+    # decidable here, a ``net.on_tail`` hook, stays in its runner
+    (lambda cfg, s: cfg.shard_workers > 1 and cfg.backend != "array",
+     "--shard-workers requires the array backend (got {cfg.backend!r}):"
+     " a single run is sharded by splitting the flat array state, which"
+     " object-graph backends do not have.  Use --workers to parallelise"
+     " across replicates instead."),
+    (lambda cfg, s: cfg.shard_workers > 1 and bool(cfg.spec.faults),
+     "--shard-workers does not compose with fault injection yet (mid-run"
+     " fault events are not shard-coordinated); drop --faults or"
+     " --shard-workers"),
+    (lambda cfg, s: cfg.shard_workers > 1 and cfg.obs is not None
+     and cfg.obs.progress,
+     "--shard-workers does not support progress heartbeats (each shard"
+     " only sees its own arc); drop --progress"),
+    (lambda cfg, s: cfg.shard_workers > 1
+     and getattr(s.mix, "_replay", None) is not None,
+     "--shard-workers cannot replay v2 traces (trace injection is not"
+     " spatially decomposed)"),
+    (lambda cfg, s: cfg.shard_workers > cfg.spec.n,
+     "shard_workers={cfg.shard_workers} exceeds n={cfg.spec.n}"),
 )
 
 
@@ -197,7 +213,7 @@ class SimulationSession:
                 arrival=resolve_arrival(spec.arrival))
         for rule, message in _AXIS_RULES:
             if rule(config, self):
-                raise ValueError(message)
+                raise ValueError(message.format(cfg=config))
         if config.backend == "array":
             from repro.sim.array_backend import check_packet_flits
             check_packet_flits(self._packet_sizes())
@@ -235,6 +251,20 @@ class SimulationSession:
         if self.config.shard_workers > 1:
             from repro.sim.shard.runner import run_sharded
             return run_sharded(self)
+        probes = self._probe_schedule()
+        try:
+            self.backend.run_mix(self.mix, self.config.spec.cycles, probes)
+        finally:
+            if self.profiler is not None:
+                self.profiler.finish()
+            if self._heartbeat is not None:
+                self._heartbeat.finish()
+        return self.summary()
+
+    def _probe_schedule(self) -> Dict[int, Callable[[int], None]]:
+        """The run's ``{cycle: callback}`` dict, shared by the serial
+        loop and every shard worker so their probe order cannot differ;
+        also installs the configured telemetry."""
         spec = self.config.spec
         mid = spec.warmup + (spec.cycles - spec.warmup) // 2
         # fault events for cycle T land as a probe after step(T-1) --
@@ -248,17 +278,9 @@ class SimulationSession:
                 probes[t - 1] = (lambda now, _evs=evs:
                                  self.backend.apply_faults(self._fs, _evs))
         _merge_probes(probes, {mid: self._probe_backlog})
-        obs = self.config.obs
-        if obs:
+        if self.config.obs:
             self._install_obs(probes, spec.cycles)
-        try:
-            self.backend.run_mix(self.mix, spec.cycles, probes)
-        finally:
-            if self.profiler is not None:
-                self.profiler.finish()
-            if self._heartbeat is not None:
-                self._heartbeat.finish()
-        return self.summary()
+        return probes
 
     def _install_obs(self, probes: Dict[int, Callable[[int], None]],
                      cycles: int) -> None:

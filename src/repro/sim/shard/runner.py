@@ -56,49 +56,16 @@ def run_sharded(session):
 
 
 def _validate(session) -> None:
-    config = session.config
-    if config.backend != "array":
-        raise ValueError(
-            f"--shard-workers requires the array backend (got "
-            f"{config.backend!r}): a single run is sharded by splitting "
-            "the flat array state, which object-graph backends do not "
-            "have.  Use --workers to parallelise across replicates "
-            "instead.")
-    if config.spec.faults:
-        raise ValueError(
-            "--shard-workers does not compose with fault injection yet "
-            "(mid-run fault events are not shard-coordinated); drop "
-            "--faults or --shard-workers")
-    if config.obs is not None and config.obs.progress:
-        raise ValueError(
-            "--shard-workers does not support progress heartbeats "
-            "(each shard only sees its own arc); drop --progress")
-    if getattr(session.mix, "_replay", None) is not None:
-        raise ValueError(
-            "--shard-workers cannot replay v2 traces (trace injection "
-            "is not spatially decomposed)")
-    if config.shard_workers > config.spec.n:
-        raise ValueError(
-            f"shard_workers={config.shard_workers} exceeds "
-            f"n={config.spec.n}")
+    # every other shard rejection is decided at session construction
+    # (``session._AXIS_RULES``); a hook can be installed after it
     if session.net.on_tail is not None:
         raise ValueError(
             "--shard-workers does not compose with net.on_tail hooks")
 
 
 def _make_worker(session, plan, w: int, transport) -> ShardWorker:
-    """Mirror :meth:`SimulationSession.run`'s probe-dict construction
-    (no fault probes -- validated empty) and wrap the session in a
-    :class:`ShardWorker`."""
-    from repro.sim.session import _merge_probes
-
-    spec = session.config.spec
-    mid = spec.warmup + (spec.cycles - spec.warmup) // 2
-    probes: Dict[int, object] = {}
-    _merge_probes(probes, {mid: session._probe_backlog})
-    if session.config.obs:
-        session._install_obs(probes, spec.cycles)
-    return ShardWorker(session, plan, w, transport, probes)
+    return ShardWorker(session, plan, w, transport,
+                       session._probe_schedule())
 
 
 def _replica_session(config):

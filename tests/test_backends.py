@@ -8,6 +8,7 @@ cycles.  The reference backend is ``Network.step`` itself, so this
 pins the optimized engine to the seed semantics.
 """
 
+import os
 import random
 
 import pytest
@@ -238,13 +239,35 @@ class TestArrayBackend:
         assert "--backend reference" in msg
         assert net.state_owner is None
 
+    @staticmethod
+    def _warns_once_and_still_agrees(match, in_message):
+        """Attaching warns exactly once (``match``, ``in_message``),
+        the scalar oracle runs, a second load is silent and the summary
+        equals ``reference``."""
+        import warnings
+
+        from repro.sim import ckernel
+
+        spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.1,
+                            rate=0.05, cycles=500, warmup=100, seed=5)
+        with pytest.warns(RuntimeWarning, match=match) as rec:
+            session = SimulationSession(RunConfig(spec=spec,
+                                                  backend="array"))
+        assert len(rec) == 1 and in_message in str(rec[0].message)
+        assert session.backend._ck is None
+        got = session.run()
+        session.backend.detach()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the second load is silent
+            assert ckernel.load_cycle_kernel() is None
+        assert got == _summaries(spec, ["reference"])[0]
+
     def test_failed_kernel_compile_warns_once_and_still_agrees(
             self, monkeypatch):
         """A broken toolchain leaves the scalar oracle in charge: one
         RuntimeWarning per process carrying the compiler's stderr, and
         the run is still byte-identical to the reference."""
         import subprocess
-        import warnings
 
         from repro.sim import ckernel
 
@@ -256,19 +279,38 @@ class TestArrayBackend:
         monkeypatch.setattr(ckernel, "_compile_and_load", broken)
         monkeypatch.setattr(ckernel, "_cached", None)
         monkeypatch.setattr(ckernel, "_failed", False)
-        spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.1,
-                            rate=0.05, cycles=500, warmup=100, seed=5)
-        with pytest.warns(RuntimeWarning, match="no toolchain here") as rec:
-            session = SimulationSession(RunConfig(spec=spec,
-                                                  backend="array"))
-        assert len(rec) == 1 and "scalar oracle" in str(rec[0].message)
-        assert session.backend._ck is None
-        got = session.run()
-        session.backend.detach()
+        self._warns_once_and_still_agrees("no toolchain here",
+                                          "scalar oracle")
+
+    @pytest.mark.skipif(not hasattr(os, "getuid"),
+                        reason="no POSIX ownership to check")
+    def test_kernel_cache_others_can_write_is_not_loaded(
+            self, monkeypatch, tmp_path):
+        """The cache lives under the shared temp dir: a directory (or
+        library) someone else could have written must be refused -- one
+        warning naming the path, the scalar oracle, same results."""
+        import stat
+        import tempfile
+        import warnings
+
+        from repro.sim import ckernel
+
+        monkeypatch.delenv("REPRO_ARRAY_CKERNEL", raising=False)
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        monkeypatch.setattr(ckernel, "_cached", None)
+        monkeypatch.setattr(ckernel, "_failed", False)
+        libdir = tmp_path / "repro-ckernel"
         with warnings.catch_warnings():
-            warnings.simplefilter("error")      # the second load is silent
-            assert ckernel.load_cycle_kernel() is None
-        assert got == _summaries(spec, ["reference"])[0]
+            warnings.simplefilter("ignore")
+            if ckernel.load_cycle_kernel() is None:
+                pytest.skip("compiled cycle kernel unavailable")
+        # a fresh cache is private and passes its own check
+        assert stat.S_IMODE(libdir.stat().st_mode) == 0o700
+
+        libdir.chmod(0o777)
+        monkeypatch.setattr(ckernel, "_cached", None)
+        self._warns_once_and_still_agrees("refusing to load", str(libdir))
 
     @pytest.mark.parametrize("ckernel_env", ["1", "0"])
     def test_idle_step_leaves_no_events(self, ckernel_env, monkeypatch):
@@ -345,7 +387,8 @@ class TestGeometricInjector:
 class TestMonotonicTime:
     def test_lagging_now_is_clamped(self):
         """Regression: an external clock running behind ``net.cycle``
-        (e.g. attach(sim) after a drain) must not rewind time."""
+        (e.g. a caller's own counter after a drain) must not rewind
+        time."""
         net, _ = build_network("quarc", 8)
         net.step(10)                   # external fast-forward: fine
         assert net.cycle == 11
@@ -355,13 +398,12 @@ class TestMonotonicTime:
         assert net.cycle == 13
 
     def test_drain_after_external_clock_is_nonnegative(self):
-        from repro.sim.engine import Simulator
         net, _ = build_network("quarc", 8)
         net.adapters[0].send(Packet(0, 4, 4, UNICAST, created=0), 0)
-        net.run(5)                     # local clock at 5
-        sim = Simulator()              # DES clock starts at 0 (behind!)
-        net.attach(sim)
-        sim.run_until(3)               # would have rewound net.cycle
+        for _ in range(5):
+            net.step()                 # local clock at 5
+        for t in (1, 2, 3):            # external clock starts behind!
+            net.step(t)                # would have rewound net.cycle
         assert net.cycle >= 5
         cycles = net.drain()
         assert cycles >= 0

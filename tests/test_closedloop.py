@@ -304,8 +304,6 @@ class TestAxisValidation:
             net, classes=[TrafficClass("c", rate=0.2, msg_len=2,
                                        arrival="closedloop:window=2")])
         assert mix.reactive
-        with pytest.raises(RuntimeError, match="fast-forward"):
-            backend._run_mix_fastforward(mix, 100, None, lambda: True)
         with pytest.raises(RuntimeError, match="precompute"):
             mix.precompute_arrivals(0, 100)
         with pytest.raises(RuntimeError, match="engine"):

@@ -176,23 +176,6 @@ class TestNetworkApi:
         with pytest.raises(ValueError):
             build_network("hypercube", 16)
 
-    def test_run_with_per_cycle_hook(self):
-        net, _ = build_network("quarc", 8)
-        seen = []
-        net.run(5, per_cycle=seen.append)
-        assert seen == [0, 1, 2, 3, 4]
-        assert net.cycle == 5
-
-    def test_attach_to_engine(self):
-        from repro.sim.engine import Simulator
-        net, _ = build_network("quarc", 8)
-        pkt = Packet(0, 2, 2, UNICAST)
-        net.adapters[0].send(pkt, 0)
-        sim = Simulator()
-        net.attach(sim)
-        sim.run_until(50)
-        assert net.total_flits() == 0
-
     def test_drain_reports_deadlock_suspicion(self):
         """drain() must raise (not loop) if flits cannot move."""
         net, _ = build_network("quarc", 8)

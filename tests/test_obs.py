@@ -131,6 +131,25 @@ class TestZeroPerturbation:
         # finish() must have restored class-level methods (no lingering
         # instance-attribute shadows timing a dead profiler)
         assert "step" not in vars(session.net)
+        assert "step" not in vars(session.backend)
+
+    def test_reference_profile_times_the_real_step(self, monkeypatch):
+        """The profiler wraps ``backend.step``; it must not run a
+        private copy of the loop that bypasses ``Network.step``."""
+        from repro.noc.network import Network
+        calls = []
+        real = Network.step
+
+        def counted(net, now=None):
+            calls.append(now)
+            return real(net, now)
+
+        monkeypatch.setattr(Network, "step", counted)
+        session, _ = _probed_run(SPEC, "reference", ObsSpec(profile=True))
+        assert len(calls) == SPEC.cycles
+        report = session.profiler.report()
+        assert set(report["categories"]) == {"collect", "inject", "step"}
+        assert "replay_s" not in report     # array-only: step - kernel - fold
 
     def test_array_profile_reports_kernel_counters(self):
         session, _ = _probed_run(SPEC, "array", ObsSpec(profile=True))

@@ -7,7 +7,7 @@ from repro.cli import build_parser, main
 from repro.experiments.latency import run_point
 from repro.experiments.sweep import (compare_networks, sweep_rates,
                                      sweep_scenarios)
-from repro.sim.session import RunConfig, SimulationSession, run_config
+from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.workload import WorkloadSpec
 
 
@@ -23,7 +23,7 @@ class TestRunConfig:
         assert cfg.with_backend("array").spec is SPEC
 
     def test_run_config_helper(self):
-        cfg = run_config(SPEC, backend="array", bcast_mode="relay")
+        cfg = RunConfig(spec=SPEC, backend="array", bcast_mode="relay")
         assert (cfg.backend, cfg.bcast_mode) == ("array", "relay")
 
     def test_invalid_backend(self):

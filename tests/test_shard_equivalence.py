@@ -128,33 +128,29 @@ class TestShardIdentity:
 class TestShardScope:
     def test_requires_array_backend(self):
         spec = spec_for("quarc")
-        session = SimulationSession(
-            RunConfig(spec=spec, backend="reference", shard_workers=2))
         with pytest.raises(ValueError, match="array backend"):
-            session.run()
+            SimulationSession(
+                RunConfig(spec=spec, backend="reference", shard_workers=2))
 
     def test_rejects_faults(self):
         spec = spec_for("quarc",
                         faults="links:down=2@cycle=300")
-        session = SimulationSession(
-            RunConfig(spec=spec, backend="array", shard_workers=2))
         with pytest.raises(ValueError, match="fault injection"):
-            session.run()
+            SimulationSession(
+                RunConfig(spec=spec, backend="array", shard_workers=2))
 
     def test_rejects_oversharding(self):
         spec = spec_for("quarc", n=16)
-        session = SimulationSession(
-            RunConfig(spec=spec, backend="array", shard_workers=32))
         with pytest.raises(ValueError, match="exceeds"):
-            session.run()
+            SimulationSession(
+                RunConfig(spec=spec, backend="array", shard_workers=32))
 
     def test_rejects_progress(self):
         spec = spec_for("quarc")
-        session = SimulationSession(
-            RunConfig(spec=spec, backend="array", shard_workers=2,
-                      obs=ObsSpec(progress=True)))
         with pytest.raises(ValueError, match="progress"):
-            session.run()
+            SimulationSession(
+                RunConfig(spec=spec, backend="array", shard_workers=2,
+                          obs=ObsSpec(progress=True)))
 
 
 # ----------------------------------------------------------------------
