@@ -78,10 +78,9 @@ class FlitBuffer:
         #: (one attribute test per push); when an
         #: :class:`~repro.sim.array_backend.ArrayBackend` owns the
         #: simulation state, it installs its staging list here and every
-        #: :meth:`push` / :meth:`push_packet` appends ``(buffer, packet,
-        #: flit_index)`` (``-1`` = whole packet) instead of touching the
-        #: object deque -- the flits enter the flat arrays at the next
-        #: step's fold, never this object graph.
+        #: :meth:`push_packet` appends ``(buffer, packet)`` instead of
+        #: touching the object deque -- the flits enter the flat arrays
+        #: at the next cycle's fold, never this object graph.
         self.sink: Optional[list] = None
 
     # -- occupancy ------------------------------------------------------
@@ -106,8 +105,11 @@ class FlitBuffer:
         checked ``full`` first (credit discipline); a raise here means a
         flow-control bug, not a recoverable condition."""
         if self.sink is not None:
-            self.sink.append((self, packet, flit_index))
-            return
+            raise RuntimeError(
+                f"single flit pushed into {self.label!r} while an array "
+                f"engine owns the state: it stages whole packets "
+                f"(push_packet); edit flits through its materialize() / "
+                f"resync() pair")
         q = self.q
         if len(q) >= self.capacity:
             raise OverflowError(
@@ -134,7 +136,7 @@ class FlitBuffer:
                 # this one counter anchors the conservation invariant
                 fs.injected_flits += packet.size
         if self.sink is not None:
-            self.sink.append((self, packet, -1))
+            self.sink.append((self, packet))
             return
         for fidx in range(packet.size):
             self.push(packet, fidx)

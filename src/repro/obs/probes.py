@@ -4,8 +4,8 @@ A *probe* samples one telemetry quantity at the end of every window of
 ``window`` cycles (sample cycles ``t0+w-1, t0+2w-1, ...`` plus the
 final cycle of the horizon), riding the existing ``Probes`` callback
 seam of :meth:`repro.sim.backend.SimBackend.run_mix` -- which the
-fast-forward loops already honour, so sampling costs O(samples), not
-O(cycles), and an idle-gap jump still lands on every boundary.
+array engine's windowed loop honours too (a window ends at every probe
+cycle), so sampling costs O(samples), not O(cycles).
 
 Probe catalogue
 ---------------
@@ -187,8 +187,7 @@ class ArraySampler:
         self._np = np
 
     def prepare(self) -> None:
-        if self.backend._staged:
-            self.backend._fold()
+        self.backend._flush()
 
     def occupancy(self) -> List[int]:
         be = self.backend

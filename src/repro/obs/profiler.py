@@ -10,20 +10,24 @@ inject     traffic generation/injection (``TrafficMix.generate`` /
            ``inject`` / ``precompute_arrivals``)
 collect    latency-collector delivery callbacks (also counted inside
            the step that triggered them)
-step       whole-cycle ``backend.step`` time (every backend; on the
-           array backend its Python *replay* residue is
-           ``step - kernel - fold``)
-fold       staged-injection fold into the arrays (array backend)
-kernel     compiled C cycle kernel (array backend)
+step       cycle execution: ``backend.step`` on ``reference``,
+           ``ArrayBackend._advance`` on ``array`` (every cycle runs
+           inside it, whether a window of ``run_mix`` or one ``step``;
+           its Python *replay* residue is ``step - kernel - fold``)
+fold       turning staged injections into arrival rows
+           (``ArrayBackend._stage``; the fold proper runs in the cycle)
+kernel     the cycle body: the compiled ``repro_run`` or, on the
+           scalar tier, ``_scalar_run``
 ========== ==========================================================
 
 Every wrapper times the method the unprofiled run calls -- there is no
 profiler-side copy of any loop, so the profile cannot measure a cycle
-other than the one that runs.  The array backend is additionally timed
-at ``_fold`` and the kernel call.  The C kernel exports per-call work
-counters (buffers scanned, eligible candidates, flits moved) through
-``counts[5..6]`` of its counters array, which the kernel proxy
-accumulates here.
+other than the one that runs.  The array report also says which tier
+ran (``tier``: ``ckernel`` with the kernel's source hash, or ``scalar``)
+and carries the cycle body's own work counters, read from the engine's
+state struct: entries (``calls``), cycles executed inside them,
+buffers scanned, eligible candidates, flits moved, and why batches
+ended (``stops``).
 
 Profile results never enter ``RunSummary.extra``: wall times differ
 per backend and per host, and ``extra`` must stay byte-identical
@@ -33,7 +37,7 @@ across backends.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.session import SimulationSession
@@ -41,28 +45,15 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["PhaseProfiler"]
 
 
-class _KernelProxy:
-    """Times the compiled-kernel call and accumulates its counters."""
-
-    def __init__(self, fn, counts, seconds: Dict[str, float]):
-        self._fn = fn
-        self._counts = counts
-        self._seconds = seconds
-        self.calls = 0
-        self.scanned = 0
-        self.candidates = 0
-        self.moved = 0
-
-    def __call__(self, *args):
-        t0 = perf_counter()
-        result = self._fn(*args)
-        self._seconds["kernel"] += perf_counter() - t0
-        c = self._counts
-        self.calls += 1
-        self.moved += int(c[0])
-        self.scanned += int(c[5])
-        self.candidates += int(c[6])
-        return result
+def _kernel_counters(backend) -> Dict[str, object]:
+    """The cycle body's cumulative work counters, from the state
+    struct."""
+    from repro.sim.array_backend import STOPS
+    st = backend._st
+    return {"calls": st.calls, "cycles": st.cycles,
+            "buffers_scanned": st.scanned, "candidates": st.cands,
+            "flits_moved": st.flits,
+            "stops": dict(zip(STOPS, st.stops))}
 
 
 class PhaseProfiler:
@@ -73,7 +64,7 @@ class PhaseProfiler:
         self.seconds: Dict[str, float] = {}
         self.run_seconds = 0.0
         self.cycles = 0
-        self._kernel: Optional[_KernelProxy] = None
+        self._kc0: Dict[str, object] = {}     # counters at attach
         self._t_run = 0.0
         self._cycle0 = 0
         self._undo: List = []
@@ -91,18 +82,14 @@ class PhaseProfiler:
         self._wrap_timed(session.collector, "on_collective_complete",
                          "collect")
 
-        self._wrap_timed(backend, "step", "step")
         if getattr(backend, "name", "") == "array":
-            self._wrap_timed(backend, "_fold", "fold")
-            if backend._ck is not None:
-                sec.setdefault("kernel", 0.0)
-                proxy = _KernelProxy(backend._ck, backend._ck_counts,
-                                     sec)
-                self._kernel = proxy
-                backend._ck = proxy
-                self._undo.append(
-                    lambda be=backend, fn=proxy._fn:
-                    setattr(be, "_ck", fn))
+            self._wrap_timed(backend, "_advance", "step")
+            self._wrap_timed(backend, "_stage", "fold")
+            self._wrap_timed(backend, "_scalar_run" if backend._ck is None
+                             else "_ck", "kernel")
+            self._kc0 = _kernel_counters(backend)
+        else:
+            self._wrap_timed(backend, "step", "step")
 
         self._cycle0 = session.net.cycle
         self._t_run = perf_counter()
@@ -118,11 +105,13 @@ class PhaseProfiler:
 
     # ------------------------------------------------------------------
     def _wrap_timed(self, obj, attr: str, category: str) -> None:
-        """Shadow bound method ``obj.attr`` with a timing wrapper (an
-        instance attribute, removed again by :meth:`finish`)."""
+        """Shadow ``obj.attr`` with a timing wrapper (an instance
+        attribute; :meth:`finish` removes it, or puts back the instance
+        attribute it shadowed)."""
         fn = getattr(obj, attr)
         sec = self.seconds
         sec.setdefault(category, 0.0)
+        had = attr in vars(obj)
 
         def timed(*args, **kwargs):
             t0 = perf_counter()
@@ -132,7 +121,8 @@ class PhaseProfiler:
                 sec[category] += perf_counter() - t0
 
         setattr(obj, attr, timed)
-        self._undo.append(lambda: delattr(obj, attr))
+        self._undo.append(lambda: setattr(obj, attr, fn) if had
+                          else delattr(obj, attr))
 
     # ------------------------------------------------------------------
     def report(self) -> Dict[str, object]:
@@ -151,14 +141,19 @@ class PhaseProfiler:
                       - self.seconds.get("kernel", 0.0)
                       - self.seconds.get("fold", 0.0))
             out["replay_s"] = max(replay, 0.0)
-        proxy = self._kernel
-        if proxy is not None:
+        if self._kc0:
+            from repro.sim.ckernel import source_hash
+            backend = self.session.backend
+            ck = backend._ck is not None
+            out["tier"] = "ckernel" if ck else "scalar"
+            if ck:
+                out["kernel"] = source_hash()
+            kc = _kernel_counters(backend)
+            base = self._kc0
             out["kernel_counters"] = {
-                "calls": proxy.calls,
-                "buffers_scanned": proxy.scanned,
-                "candidates": proxy.candidates,
-                "flits_moved": proxy.moved,
-            }
+                k: ({r: n - base[k][r] for r, n in v.items()}
+                    if k == "stops" else v - base[k])
+                for k, v in kc.items()}
         return out
 
     def render(self) -> str:
@@ -180,4 +175,9 @@ class PhaseProfiler:
                          f"{kc['buffers_scanned']} buffers scanned, "
                          f"{kc['candidates']} candidates, "
                          f"{kc['flits_moved']} flits moved")
+            stops = ", ".join(f"{n} {why}"
+                              for why, n in kc["stops"].items())
+            lines.append(f"  tier {rep['tier']} {rep.get('kernel', '')}: "
+                         f"{kc['cycles']} cycles executed; batches "
+                         f"ended by {stops}")
         return "\n".join(lines)

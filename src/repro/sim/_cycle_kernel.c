@@ -1,20 +1,57 @@
-/* One simulation cycle over the array-resident state (phase A pick +
- * phase B commit), compiled on demand by repro.sim.ckernel.
+/* The array engine's cycle, compiled on demand by repro.sim.ckernel:
+ * repro_run() executes cycles [now, horizon) over the array-resident
+ * state until Python is needed, and returns the next cycle to execute.
+ * ArrayBackend._scalar_run is the same loop in Python over the same
+ * arrays -- the oracle this file is kept line-for-line equal to.
  *
- * This is a line-for-line port of ArrayBackend._scalar_cycle /
- * _commit_scalar: eligibility and the round-robin pick read only
- * start-of-cycle state, then winners commit in ascending flat-port
- * order (the reference collection order).  Everything that needs
- * Python objects -- tail deliveries, dateline vclass upgrades, route
- * refreshes, side-deque refills -- is *not* done here; the kernel
- * appends the corresponding events to the out* buffers and the Python
- * wrapper replays them in the documented residue order.
+ * State.  One repro_state struct, assembled once per attach
+ * (ArrayBackend._build_static) and mirrored field for field by
+ * ckernel.State; repro_state_size() lets the loader refuse a drifted
+ * layout.  Pointers are caller-owned numpy buffers: per-buffer and
+ * per-port columns at fixed addresses, the per-packet columns, the
+ * arrival rows and the event buffer re-pointed by Python whenever it
+ * grows them (only ever between two calls).  bestpr must arrive filled
+ * with BIG; every slot consumed is re-armed.
  *
- * Array contract (all caller-owned, fixed addresses while attached):
- * int64 state/geometry arrays and uint8 flag arrays exactly as laid
- * out in array_backend.py.  bestpr must arrive filled with BIG; the
- * kernel re-arms every slot it consumes, so the scratch stays valid
- * across calls without a per-cycle reset.
+ * One cycle.
+ *   fold     arrival rows (cycle, buffer, aid) due at `now` join their
+ *            buffer's pending-packet FIFO (phead/ptail/pnext, pfid =
+ *            next flit of the head packet); flit words
+ *            (aid << 20) | tail | fid are generated while the ring
+ *            slice has room, qlen counts every flit either way.
+ *   idle     nothing in flight: the clock jumps to the next arrival
+ *            row or the horizon.
+ *   phase A  eligibility + round-robin pick against start-of-cycle
+ *            state, ascending buffer, strict '<' (lowest buffer wins a
+ *            priority tie).
+ *   phase B  winners commit in ascending flat-port order: pop (topping
+ *            the ring up from the pending FIFO), switching tables,
+ *            deliver-clone, then eject or dateline + push.
+ *   refresh  dateline crossings upgrade the packet's vclass (and
+ *            re-refresh its blocked, already-routed header), then every
+ *            newly exposed header is routed from the packed table:
+ *            row b, entry (jof << 24) | (port << 4) | (vreset << 1) |
+ *            deliver, gated by rtflag[b] (0 none, 1 unicast only,
+ *            2 every class).
+ *
+ * Stop rule.  What needs Python objects becomes an event; the batch
+ * ends at the end of the cycle that emitted
+ *   - a ROUTE event: a header the table cannot answer (no row, a
+ *     collective on a unicast-only row, anything under `nofast`).  The
+ *     fold emits these too and then stops *before* phase A, `now`
+ *     unchanged: Python routes the header and re-enters the same cycle;
+ *   - a DELIVERY of a tail that cannot wait: any non-unicast, or every
+ *     tail under `alltails`.  Other deliveries ride along and are
+ *     replayed after the batch in emission order = (cycle, port);
+ * or before a cycle that could overflow the event buffer (a cycle emits
+ * at most EV_PER_PORT events a port), or at the horizon.
+ *
+ * Events are int64 pairs: ev[2i] = (cycle << 2) | kind, ev[2i + 1] =
+ *   EV_DELIVERY (aid << 16) | port     EV_ROUTE    buffer row
+ *   EV_DATELINE flit word              EV_WINNER   buffer row
+ * the last two only under `trace` (tests, divergence hunts).  outdl /
+ * ndl keep the dateline flit words of the last executed cycle for the
+ * shard worker.
  */
 
 #include <stdint.h>
@@ -23,132 +60,323 @@
 #define TAILBIT ((int64_t)1 << 19)
 #define FIDMASK (TAILBIT - 1)
 #define BIG ((int64_t)1 << 30)
+#define UNICAST 0
+#define EV_PER_PORT 7
 
-int64_t repro_cycle(
-    int64_t B, int64_t P, int64_t PV, int64_t SB, int64_t Fm1,
-    int64_t *qlen, int64_t *front, int64_t *rhead,
-    int64_t *want, int64_t *vcreq, int64_t *jof,
-    int64_t *pvb, int64_t *pvb2,
-    uint8_t *dlv, uint8_t *hdrf, uint8_t *ne, uint8_t *fullb,
-    int64_t *owner, int64_t *rr, int64_t *fs,
-    const int64_t *down, const int64_t *rbase, const int64_t *rmask,
-    const int64_t *qcap, const uint8_t *isdl,
-    int64_t *rflat,
-    int64_t *bestpr, int64_t *bestb, int64_t *bestvc,
-    int64_t *outw, int64_t *outdl, int64_t *outdel, int64_t *outrf,
-    int64_t *counts)
+enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS };
+enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER };
+
+typedef struct {
+    /* geometry, fixed while attached */
+    int64_t B, P, PV, SB, Fm1, rstride;
+    /* control, written by Python before each entry */
+    int64_t now, horizon, nofast, alltails, trace;
+    /* run state */
+    int64_t inflight, apos, an, nev, evcap;
+    /* outputs of the last entry / last executed cycle */
+    int64_t stop, moved, ejected, ndl;
+    /* cumulative work counters (the phase profiler's) */
+    int64_t calls, cycles, scanned, cands, flits, stops[4];
+    /* per buffer */
+    int64_t *qlen, *front, *rhead, *want, *vcreq, *jof, *pvb, *pvb2;
+    int64_t *phead, *ptail, *pfid, *ppend;
+    uint8_t *dlv, *hdrf, *ne, *fullb;
+    const uint8_t *rtflag, *isdl;
+    /* per port (owner/down per port*2+vc) */
+    int64_t *owner, *rr, *fs;
+    const int64_t *down, *rbase, *rmask, *qcap, *vcmode, *pv2of, *rtab;
+    int64_t *rflat;
+    /* per-cycle scratch */
+    int64_t *bestpr, *bestb, *bestvc, *outdl, *outrf;
+    /* per packet (aid), growable */
+    int64_t *pdst, *ptraf, *psize, *pvcl, *phdr, *pnext;
+    /* arrival rows [apos, an), growable */
+    int64_t *acyc, *abuf, *aaid;
+    /* event buffer, evcap pairs, growable */
+    int64_t *ev;
+} repro_state;
+
+int64_t repro_state_size(void) { return (int64_t)sizeof(repro_state); }
+
+static void emit(repro_state *s, int64_t kind, int64_t cyc, int64_t word)
 {
-    int64_t b, p;
-    int64_t moved = 0, ndl = 0, ndel = 0, nrf = 0, nej = 0;
-    int64_t nscan = 0, ncand = 0;
+    s->ev[2 * s->nev] = (cyc << 2) | kind;
+    s->ev[2 * s->nev + 1] = word;
+    s->nev++;
+}
 
-    /* phase A: eligibility + per-port round-robin pick.  Ascending b
-     * with a strict '<' keeps the reference tie-break (lowest flat
-     * buffer index at equal priority). */
-    for (b = 0; b < B; b++) {
-        int64_t vc, pr;
-        if (!ne[b])
-            continue;
-        nscan++;
-        if (hdrf[b]) {
-            int64_t pv = pvb[b];
-            if (owner[pv] == -1 && !fullb[down[pv]]) {
-                vc = vcreq[b];
+/* Generate flit words of b's pending packets while its ring has room. */
+static void top_up(repro_state *s, int64_t b)
+{
+    int64_t mask = s->rmask[b], base = s->rbase[b];
+    int64_t inring = s->qlen[b] - s->ppend[b];
+    int64_t wr = s->rhead[b] + inring;
+    int64_t aid = s->phead[b], fid = s->pfid[b];
+    while (aid >= 0 && inring <= mask) {
+        int64_t last = s->psize[aid] - 1;
+        s->rflat[base + (wr & mask)] =
+            (aid << FSHIFT) | (fid == last ? TAILBIT : 0) | fid;
+        wr++;
+        inring++;
+        s->ppend[b]--;
+        if (fid == last) {
+            aid = s->pnext[aid];
+            fid = 0;
+        } else {
+            fid++;
+        }
+    }
+    s->phead[b] = aid;
+    s->pfid[b] = fid;
+    if (aid < 0)
+        s->ptail[b] = -1;
+}
+
+/* Route the header at the front of b from the table; 1 (and a ROUTE
+ * event) when only Python can answer. */
+static int refresh(repro_state *s, int64_t b, int64_t cyc)
+{
+    int64_t aid = s->front[b] >> FSHIFT;
+    int64_t ent, p, vc;
+    int flag = s->rtflag[b];
+    if (s->nofast || !flag || (flag == 1 && s->ptraf[aid] != UNICAST)) {
+        emit(s, EV_ROUTE, cyc, b);
+        return 1;
+    }
+    ent = s->rtab[b * s->rstride + s->pdst[aid]];
+    p = (ent >> 4) & 0xFFFFF;
+    if (ent & 2)
+        s->pvcl[aid] = 0;
+    vc = s->vcmode[p];
+    if (vc == 2)
+        vc = s->pvcl[aid] < 2 ? s->pvcl[aid] : 1;
+    s->phdr[aid] = b;
+    s->want[b] = p;
+    s->jof[b] = ent >> 24;
+    s->vcreq[b] = vc;
+    s->dlv[b] = ent & 1;
+    s->hdrf[b] = 1;
+    s->pvb[b] = 2 * p + vc;
+    s->pvb2[b] = s->pv2of[p];
+    return 0;
+}
+
+int64_t repro_run(repro_state *s)
+{
+    const int64_t B = s->B, P = s->P, PV = s->PV, SB = s->SB;
+    const int64_t Fm1 = s->Fm1, horizon = s->horizon;
+    int64_t *qlen = s->qlen, *front = s->front, *rhead = s->rhead;
+    int64_t *want = s->want, *vcreq = s->vcreq, *jof = s->jof;
+    int64_t *pvb = s->pvb, *pvb2 = s->pvb2, *owner = s->owner;
+    int64_t *rr = s->rr, *rflat = s->rflat;
+    int64_t *bestpr = s->bestpr, *bestb = s->bestb, *bestvc = s->bestvc;
+    uint8_t *dlv = s->dlv, *hdrf = s->hdrf, *ne = s->ne, *fullb = s->fullb;
+    const int64_t *down = s->down, *rbase = s->rbase, *rmask = s->rmask;
+    const int64_t *qcap = s->qcap;
+    int64_t now = s->now, stop = STOP_HORIZON;
+    int64_t b, p, i;
+
+    s->calls++;
+    s->moved = 0;
+    s->ejected = 0;
+    while (now < horizon) {
+        int64_t nroute = 0, nrf = 0, tailstop = 0;
+        int64_t moved = 0, nscan = 0, ncand = 0;
+
+        /* fold: arrival rows due now join their buffer's pending FIFO */
+        while (s->apos < s->an && s->acyc[s->apos] <= now) {
+            int64_t aid, size, ql0;
+            if (s->nev >= s->evcap) {
+                stop = STOP_EVENTS;
+                goto out;
+            }
+            b = s->abuf[s->apos];
+            aid = s->aaid[s->apos];
+            s->apos++;
+            size = s->psize[aid];
+            if (qlen[b] + size > qcap[b]) {     /* a flow-control bug: */
+                s->apos--;          /* Python re-folds the row to raise */
+                s->now = now;
+                return -1;
+            }
+            s->pnext[aid] = -1;
+            if (s->ptail[b] >= 0) {
+                s->pnext[s->ptail[b]] = aid;
             } else {
-                int64_t pv2 = pvb2[b];
-                if (pv2 < PV && owner[pv2] == -1 && !fullb[down[pv2]])
-                    vc = 1;
-                else
-                    continue;
+                s->phead[b] = aid;
+                s->pfid[b] = 0;
             }
-            p = want[b];
-        } else {
-            p = want[b];
-            if (p < 0 || fullb[down[pvb[b]]])
-                continue;
-            vc = vcreq[b];
+            s->ptail[b] = aid;
+            ql0 = qlen[b];
+            qlen[b] = ql0 + size;
+            s->ppend[b] += size;
+            s->inflight += size;
+            ne[b] = 1;
+            if (ql0 + size >= qcap[b])
+                fullb[b] = 1;
+            top_up(s, b);
+            if (ql0 == 0) {
+                front[b] = rflat[rbase[b] + (rhead[b] & rmask[b])];
+                if (want[b] < 0)
+                    nroute += refresh(s, b, now);
+            }
         }
-        pr = (jof[b] - rr[p]) & Fm1;
-        ncand++;
-        if (pr < bestpr[p]) {
-            bestpr[p] = pr;
-            bestb[p] = b;
-            bestvc[p] = vc;
+        if (nroute) {           /* Python routes, then re-enters `now` */
+            stop = STOP_ROUTE;
+            break;
         }
-    }
-
-    /* phase B: commit winners in ascending flat-port order */
-    for (p = 0; p < P; p++) {
-        int64_t f, aid, pv, ql, rh, dst, vc;
-        int tail, headf;
-        if (bestpr[p] >= BIG)
+        if (!s->inflight) {     /* idle: jump to the next arrival */
+            now = horizon;
+            if (s->apos < s->an && s->acyc[s->apos] < horizon)
+                now = s->acyc[s->apos];
             continue;
-        bestpr[p] = BIG;            /* re-arm the scratch slot */
-        b = bestb[p];
-        vc = bestvc[p];
-        f = front[b];
-        aid = f >> FSHIFT;
-        tail = (f & TAILBIT) != 0;
-        headf = (f & FIDMASK) == 0;
-        pv = 2 * p + vc;
-        /* pop */
-        ql = qlen[b] - 1;
-        qlen[b] = ql;
-        rh = rhead[b] + 1;
-        rhead[b] = rh;
-        ne[b] = ql > 0;
-        fullb[b] = 0;
-        if (ql > 0)
-            front[b] = rflat[rbase[b] + (rh & rmask[b])];
-        /* switching tables */
-        if (headf && !tail)
-            owner[pv] = b;
-        else if (tail && owner[pv] == b)
-            owner[pv] = -1;
-        if (tail)
-            want[b] = -1;
-        hdrf[b] = 0;
-        vcreq[b] = vc;
-        pvb[b] = pv;
-        fs[p] += 1;
-        rr[p] = jof[b] + 1;
-        outw[moved++] = b;
-        /* deliver-clone, then eject or dateline+push (reference order;
-         * the Python wrapper replays outdel entries in sequence) */
-        if (tail && dlv[b])
-            outdel[ndel++] = (aid << 16) | p;
-        dst = down[pv];
-        if (dst == SB) {
-            if (tail)
-                outdel[ndel++] = (aid << 16) | p;
-            nej++;
-        } else {
-            int64_t dql;
-            if (isdl[p])
-                outdl[ndl++] = f;
-            dql = qlen[dst];
-            rflat[rbase[dst] + ((rhead[dst] + dql) & rmask[dst])] = f;
-            qlen[dst] = dql + 1;
-            if (dql + 1 >= qcap[dst])
-                fullb[dst] = 1;
-            if (dql == 0) {
-                ne[dst] = 1;
-                front[dst] = f;
-                if (want[dst] < 0)
-                    outrf[nrf++] = dst;
+        }
+        if (s->evcap - s->nev < EV_PER_PORT * P) {
+            stop = STOP_EVENTS;
+            break;
+        }
+        s->ndl = 0;
+
+        /* phase A: eligibility + per-port round-robin pick */
+        for (b = 0; b < B; b++) {
+            int64_t vc, pr;
+            if (!ne[b])
+                continue;
+            nscan++;
+            if (hdrf[b]) {
+                int64_t pv = pvb[b];
+                if (owner[pv] == -1 && !fullb[down[pv]]) {
+                    vc = vcreq[b];
+                } else {
+                    int64_t pv2 = pvb2[b];
+                    if (pv2 < PV && owner[pv2] == -1 && !fullb[down[pv2]])
+                        vc = 1;
+                    else
+                        continue;
+                }
+                p = want[b];
+            } else {
+                p = want[b];
+                if (p < 0 || fullb[down[pvb[b]]])
+                    continue;
+                vc = vcreq[b];
+            }
+            pr = (jof[b] - rr[p]) & Fm1;
+            ncand++;
+            if (pr < bestpr[p]) {
+                bestpr[p] = pr;
+                bestb[p] = b;
+                bestvc[p] = vc;
             }
         }
-        if (tail && ql > 0)
-            outrf[nrf++] = b;
+
+        /* phase B: commit winners in ascending flat-port order */
+        for (p = 0; p < P; p++) {
+            int64_t f, aid, pv, ql, rh, dst, vc;
+            int tail, headf;
+            if (bestpr[p] >= BIG)
+                continue;
+            bestpr[p] = BIG;            /* re-arm the scratch slot */
+            b = bestb[p];
+            vc = bestvc[p];
+            f = front[b];
+            aid = f >> FSHIFT;
+            tail = (f & TAILBIT) != 0;
+            headf = (f & FIDMASK) == 0;
+            pv = 2 * p + vc;
+            /* pop; a pending packet's next flit takes the freed slot */
+            ql = qlen[b] - 1;
+            qlen[b] = ql;
+            rh = rhead[b] + 1;
+            rhead[b] = rh;
+            ne[b] = ql > 0;
+            fullb[b] = 0;
+            if (s->phead[b] >= 0)
+                top_up(s, b);
+            if (ql > 0)
+                front[b] = rflat[rbase[b] + (rh & rmask[b])];
+            /* switching tables */
+            if (headf && !tail)
+                owner[pv] = b;
+            else if (tail && owner[pv] == b)
+                owner[pv] = -1;
+            if (tail)
+                want[b] = -1;
+            hdrf[b] = 0;
+            vcreq[b] = vc;
+            pvb[b] = pv;
+            s->fs[p] += 1;
+            rr[p] = jof[b] + 1;
+            moved++;
+            if (s->trace)
+                emit(s, EV_WINNER, now, b);
+            /* deliver-clone, then eject or dateline+push (reference
+             * order) */
+            if (tail && dlv[b]) {
+                emit(s, EV_DELIVERY, now, (aid << 16) | p);
+                tailstop |= s->alltails || s->ptraf[aid] != UNICAST;
+            }
+            dst = down[pv];
+            if (dst == SB) {
+                if (tail) {
+                    emit(s, EV_DELIVERY, now, (aid << 16) | p);
+                    tailstop |= s->alltails || s->ptraf[aid] != UNICAST;
+                }
+                s->ejected++;
+                s->inflight--;
+            } else {
+                int64_t dql;
+                if (s->isdl[p]) {
+                    s->outdl[s->ndl++] = f;
+                    if (s->trace)
+                        emit(s, EV_DATELINE, now, f);
+                }
+                dql = qlen[dst];
+                rflat[rbase[dst] + ((rhead[dst] + dql) & rmask[dst])] = f;
+                qlen[dst] = dql + 1;
+                if (dql + 1 >= qcap[dst])
+                    fullb[dst] = 1;
+                if (dql == 0) {
+                    ne[dst] = 1;
+                    front[dst] = f;
+                    if (want[dst] < 0)
+                        s->outrf[nrf++] = dst;
+                }
+            }
+            if (tail && ql > 0)
+                s->outrf[nrf++] = b;
+        }
+
+        /* refresh: dateline upgrades first, then the exposed headers */
+        for (i = 0; i < s->ndl; i++) {
+            int64_t aid = s->outdl[i] >> FSHIFT;
+            int64_t hb = s->phdr[aid];
+            s->pvcl[aid] = 1;
+            if (hb >= 0 && hdrf[hb] && ne[hb]
+                    && (front[hb] >> FSHIFT) == aid)
+                nroute += refresh(s, hb, now);
+        }
+        for (i = 0; i < nrf; i++)
+            nroute += refresh(s, s->outrf[i], now);
+
+        s->moved += moved;
+        s->flits += moved;
+        s->scanned += nscan;
+        s->cands += ncand;
+        s->cycles++;
+        now++;
+        if (nroute) {
+            stop = STOP_ROUTE;
+            break;
+        }
+        if (tailstop) {
+            stop = STOP_DELIVERY;
+            break;
+        }
     }
-    counts[0] = moved;
-    counts[1] = ndl;
-    counts[2] = ndel;
-    counts[3] = nrf;
-    counts[4] = nej;
-    /* work counters for the phase profiler: non-empty buffers scanned
-     * and eligible candidates found this cycle (counts[7] reserved) */
-    counts[5] = nscan;
-    counts[6] = ncand;
-    return moved;
+out:
+    s->now = now;
+    s->stop = stop;
+    s->stops[stop]++;
+    return now;
 }

@@ -21,69 +21,73 @@ instead:
 State layout
 ------------
 Flits are packed into one ``int64``: ``(aid << 20) | tail_bit | fid``
-where ``aid`` indexes the engine's packet columns (destination, size,
-inject cycle, class id, traffic kind -- plus the ``Packet`` object
-itself for the non-unicast delivery paths).  Each buffer owns a
-power-of-two ring slice of one flat flit array; unbounded source
-queues overflow into a per-buffer side deque so a broadcast storm
-cannot force a giant allocation.
-
-Per buffer (flat ``(node, creation)`` order, two sentinel rows): the
-queue length / front flit / full / nonempty occupancy status, and the
-front flit's *request*: ``want`` (flat output port, ``-1`` = none),
-``vcreq``, ``dlv`` (clone-to-local), ``hdrf`` (front is an unrouted
-header), ``jof`` (feeder position at that port) and the precomputed
-flat port*2+vc slots ``pvb``/``pvb2`` the request needs.  Per port:
-``rr`` (round-robin pointer, stored unwrapped; ``(j - rr) & (F-1)``
-with ``F`` a power of two >= the feeder count preserves the reference
-scan ranking), ``owner`` (VC allocation) and ``down`` (downstream
-buffer per VC; ejection VCs point at a sink sentinel row that is never
-full, the unused slot at an always-full anchor row).
+where ``aid`` indexes the packet columns -- growable ``int64`` arrays
+for what a cycle reads (``_pdst``, ``_ptraf``, ``_psize``, ``_pvcl``:
+the dateline class, owned here while attached and synced with
+``Packet.vclass`` only at the Python-route boundary and in
+``materialize``; ``_phdr``: the row holding the packet's routed
+header), lists for what only deliveries read.  Each buffer owns a
+power-of-two ring slice of one flat flit array; an injected packet
+joins its source queue's **pending-packet FIFO** (``_phead`` /
+``_ptail``, linked through ``_pnext``; ``_pfid`` = next flit of the
+head packet) and its flit words are generated as the ring has room
+(``_qlen`` counts every flit, ``_ppend`` those still in packet form).
+Per buffer, in flat ``(node, creation)`` order plus two sentinel rows:
+occupancy status and the front flit's *request* (``want`` port,
+``vcreq``, ``dlv``, ``hdrf`` = unrouted header, ``jof``, the
+port*2+vc slots ``pvb``/``pvb2``).  Per port: ``rr`` (stored
+unwrapped; ``(j - rr) & (F-1)`` keeps the reference scan ranking),
+``owner`` and ``down`` (ejection VCs point at a never-full sink row,
+unused slots at an always-full anchor row).  The scalars live in one
+``ckernel.State`` record -- the struct the C kernel is handed.
 
 Cycle structure
 ---------------
-1. **Fold**: staged injections (adapters append to ``FlitBuffer.sink``
-   instead of touching deques) enter the arrays, so a flit injected at
-   cycle *t* arbitrates at cycle *t*, exactly like a reference push.
-2. **Phase A**: eligibility =
-   ``header ? free&credited VC exists : downstream credit`` against
-   start-of-cycle state, then the reference round-robin winner per
-   port.
-3. **Phase B**: winners pop, update the switching tables and push, in
-   ascending flat-port order -- the reference commit order.  Whatever
-   needs Python objects is not done here: the cycle appends it to four
-   event lists (``_ck_outw`` winners, ``_ck_outdl`` dateline-crossing
-   flit words, ``_ck_outdel`` packed ``(aid, port)`` tail deliveries,
-   ``_ck_outrf`` rows whose new front is an unrouted header) and
-   counts them in ``_ck_counts``.
-4. **Replay** (:meth:`ArrayBackend._replay`): side-deque refills,
-   dateline VC-class upgrades, deliveries (collector callbacks, in
-   ascending port order so float accumulation order is preserved) and
-   route refreshes (batched through ``route_head``), in that order.
+One cycle is fold (arrival rows that are due join their buffer's
+pending FIFO; with nothing in flight the clock jumps to the next row)
+-> phase A (eligibility against start-of-cycle state, the reference
+round-robin winner per port) -> phase B (winners commit in ascending
+flat-port order, the reference commit order) -> refresh (dateline
+class upgrades, then every newly exposed header routed from the packed
+route table).  The cycle, the rule for when a run of cycles must stop
+for Python and the layout of the events it hands back are specified
+once, in the header of ``_cycle_kernel.c``; two implementations run it
+over the same arrays: that file (compiled by ``repro.sim.ckernel``; a
+batch is one ``repro_run(&state)`` call) and ``_scalar_run``, the loop
+it is a port of -- the oracle behind ``REPRO_ARRAY_CKERNEL=0`` and the
+engine on a host with no compiler (20-30x slower at saturation;
+``ckernel`` warns).
 
-Phases A and B have two implementations over the same arrays and the
-same event lists.  Where a C compiler is available, ``repro.sim
-.ckernel`` compiles them to a shared library and ``step`` makes one
-call per cycle.  ``_scalar_cycle`` / ``_commit_scalar`` -- the loop the
-C file was ported from -- is the behavioural oracle behind
-``REPRO_ARRAY_CKERNEL=0`` and the engine on a host with no compiler
-(``ckernel`` warns when that happens; a saturated run is then ~3x
-slower, still ahead of the ``reference`` backend).
+:meth:`ArrayBackend._advance` executes cycles ``[now, horizon)`` in
+batches: a batch runs until Python is needed, :meth:`_replay` applies
+its events, the next batch starts.  Adapters append ``(buffer,
+packet)`` to ``FlitBuffer.sink``; :meth:`_stage` turns that list into
+arrival rows ``(cycle, buffer, aid)``, stamped by ``run_mix`` -- which
+injects a whole window ahead -- or else due at the cycle about to run,
+so a packet injected at cycle *t* arbitrates at *t*, like a reference
+push.  Events carry their cycle: a tail that reached a PE
+(``EV_DELIVERY``), a header only the router can route (``EV_ROUTE``:
+no table row, a collective on a unicast-only row, anything under a
+fault state).  A cycle that emitted a ROUTE event, or a delivery that
+cannot wait (a non-unicast tail; any tail when ``net.on_tail`` / a
+fault state is set), ends its batch; plain unicast deliveries come back
+batched and replay in emission order = (cycle, ascending port), the
+reference's float-accumulation order.  A packet staged by a delivery
+at cycle *t* (relay regeneration) folds at *t + 1* ahead of the
+pre-drawn arrivals of *t + 1*, as the reference pushes it.
 
-Equivalence notes (the subtle ones; ``tests/differential.py`` guards
-all of them):
+Equivalence notes (``tests/differential.py`` guards all of them):
 
 * A packet crossing a dateline link upgrades ``vclass`` for *every*
-  flit; if the packet also has a blocked, already-routed header
-  elsewhere (torus XY-turn), that header's cached request is
-  re-refreshed -- the reference loop would recompute it next scan.
+  flit; if it also has a blocked, already-routed header elsewhere
+  (torus XY-turn), that header's cached request is re-refreshed -- the
+  reference loop would recompute it next scan.
 * Reference ``commit_move`` can deliver one tail twice (absorb clone
   *and* ejection); the cycle emits both events independently.
 * A latched-but-empty buffer receiving a body flit must *not* be
-  route-refreshed (its front is not a header); refreshes are gated on
-  ``want == -1``.
-* Collector values are fed as Python ints (``int()`` casts at the
-  delivery boundary), so ``RunSummary`` never leaks numpy scalars.
+  route-refreshed; refreshes are gated on ``want == -1``.
+* A cycle's Python routes run after its deliveries (a fault-aware
+  route may doom the packet whose clone was just delivered).
 
 Every port must multiplex exactly two VCs (all shipped routers do);
 attaching to anything else raises and names the reference backend.
@@ -91,15 +95,16 @@ attaching to anything else raises and names the reference backend.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+import ctypes
+from itertools import accumulate
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.noc.network import flit_key
 from repro.noc.packet import UNICAST
 from repro.sim.backend import Probes, SimBackend
-from repro.sim.ckernel import load_cycle_kernel
+from repro.sim.ckernel import State, load_cycle_kernel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.buffers import FlitBuffer
@@ -113,12 +118,22 @@ FSHIFT = 20
 TAIL = 1 << 19
 FIDMASK = TAIL - 1
 
-#: Ring slices above this size spill into a side deque instead.
+#: Largest ring slice; a deeper (source) queue keeps the rest of its
+#: flits in packet form in the pending FIFO.
 _RING_CAP = 4096
+
+#: Why a batch ended (``State.stop``; the names are the ``--profile``
+#: report's ``stops`` keys) and the event kinds, as in _cycle_kernel.c.
+STOPS = ("horizon", "python_route", "delivery", "events_full")
+STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS = range(4)
+EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER = range(4)
+#: Most events one cycle can emit per port: a winner and a dateline
+#: word (trace only), two deliveries, three routes.
+EV_PER_PORT = 7
 
 #: Packed-field capacities, checked once when a session is built.  A
 #: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``,
-#: ``_commit_scalar``, read back by ``_replay``), so the flat port count
+#: ``_scalar_cycle``, read back by ``_replay``), so the flat port count
 #: must fit 16 bits -- tighter than the 20 bits a route-table entry
 #: gives the port.  A packet's last flit id must fit below ``TAIL``.
 MAX_PORTS = 1 << 16
@@ -200,16 +215,11 @@ class ArrayBackend(SimBackend):
         # flit rings: one flat array, power-of-two slice per buffer
         caps = [b.capacity for b in bufs] + [1, 1]
         sizes = [min(_pow2_at_least(c), _RING_CAP) for c in caps]
-        bases: List[int] = []
-        off = 0
-        for s in sizes:
-            bases.append(off)
-            off += s
-        self._rflat = np.zeros(off, np.int64)
+        bases = [0, *accumulate(sizes)]
+        self._rflat = np.zeros(bases.pop(), np.int64)
         self._rbase = np.array(bases, np.int64)
         self._rmask = np.array([s - 1 for s in sizes], np.int64)
         self._cap_py = caps
-        self._rsize_py = sizes
         self._rbase_py = bases
         self._rmask_py = [s - 1 for s in sizes]
         qcap = np.array(caps, np.int64)
@@ -219,7 +229,6 @@ class ArrayBackend(SimBackend):
 
         # ports
         self._pnode = [p.router.node for p in ports]
-        self._pol_any = [p.vc_policy == "any" for p in ports]
         self._isdl_py = [p.is_dateline for p in ports]
         self._isdl = np.array(self._isdl_py, bool)
         self._nf_py = [len(p.feeders) for p in ports]
@@ -229,6 +238,10 @@ class ArrayBackend(SimBackend):
                 d = port.down[vc]
                 down[2 * pi + vc] = self._SB if d is None else self._bid[d]
         self._down = down
+        # a port pushes straight into its downstream ring, so only
+        # source queues (fed by adapters) may be deeper than their slice
+        _check_limit("a port-fed buffer's capacity (its ring slice)",
+                     int(qcap[down[down < B]].max(initial=0)), _RING_CAP)
         self._jpos: List[Dict[int, int]] = [dict() for _ in range(B)]
         for pi, port in enumerate(ports):
             for j, fb in enumerate(port.feeders):
@@ -236,27 +249,27 @@ class ArrayBackend(SimBackend):
 
         # destination-indexed route tables: where the router declares
         # routing a pure function of (buffer, dst), header refresh is a
-        # table lookup and never touches the object graph.  Entries pack
-        # ``(jof << 24) | (port << 4) | (vclass_reset << 1) | deliver``;
-        # ``_rtab_all`` False means the rows hold for unicast only (the
-        # Quarc ingress clone decision reads the traffic class), and the
-        # lookup is gated accordingly.  VC selection stays runtime (it
-        # reads the packet's dateline class): ``_vcmode`` is 0/1 for the
-        # fixed any-policy/dateline cases, 2 for class-dependent ports.
-        self._vcmode = [0 if a else (1 if d else 2)
-                        for a, d in zip(self._pol_any, self._isdl_py)]
-        self._pv2_of = [2 * pi + 1 if a else self._PV
-                        for pi, a in enumerate(self._pol_any)]
-        # The routers answer with numpy columns over all destinations
-        # (slot in router.out_ports, deliver, vclass_reset), computed
-        # arithmetically -- no route_head call here.  All rows live in
-        # one C-contiguous int64 table (row b for buffer b; the rows of
-        # untabulable buffers are never touched); ``_rtab[b]`` is a
-        # memoryview of its row, so a lookup yields a Python int like
-        # the list it replaces (an ndarray row would yield numpy scalars
-        # and slow every shift and mask in _route_front).
-        self._rtab: List[Optional[memoryview]] = [None] * B
-        self._rtab_all = [False] * B
+        # table lookup inside the cycle.  The routers answer with numpy
+        # columns over all destinations (slot in router.out_ports,
+        # deliver, vclass_reset), computed arithmetically -- no
+        # route_head call here; row b of one C-contiguous int64 table
+        # packs them as ``(jof << 24) | (port << 4) | (vclass_reset <<
+        # 1) | deliver`` (rows of untabulable buffers are never read).
+        # ``_rtflag[b]`` is 2 where row b holds for every traffic
+        # class, 1 for unicast only (the Quarc ingress clone decision
+        # reads the traffic class), 0 for no row.  VC selection stays
+        # runtime (it reads the packet's dateline class): ``_vcmode``
+        # is 0/1 for the fixed any-policy/dateline cases, 2 for
+        # class-dependent ports.  The C tier indexes the table by base
+        # + stride; the scalar tier through ``_rtmv``, a memoryview, so
+        # a lookup yields a Python int (an ndarray would hand numpy
+        # scalars to every following shift and mask).
+        pol_any = [p.vc_policy == "any" for p in ports]
+        self._vcmode = np.array([0 if a else (1 if d else 2) for a, d in
+                                 zip(pol_any, self._isdl_py)], np.int64)
+        self._pv2of = np.array([2 * pi + 1 if a else self._PV
+                                for pi, a in enumerate(pol_any)], np.int64)
+        self._rtflag = np.zeros(B2, np.uint8)
         table = None
         router = None
         for b, buf in enumerate(bufs):
@@ -283,51 +296,43 @@ class ArrayBackend(SimBackend):
             # per out_ports slot: the (jof, port) half of the entry
             code = np.array([(jp.get(pi, 0) << 24) | (pi << 4)
                              for pi in pids], np.int64)
-            row = table[b]
-            np.bitwise_or(code[slot], flags, out=row)
-            self._rtab[b] = memoryview(row)
-            self._rtab_all[b] = univ
+            np.bitwise_or(code[slot], flags, out=table[b])
+            self._rtflag[b] = 2 if univ else 1
+        self._rtab = np.zeros((1, 1), np.int64) if table is None else table
+        self._rtmv = memoryview(self._rtab)
 
         # round-robin priority field: F a power of two >= max feeders
         # keeps ``(j - rr) & (F-1)`` order-isomorphic to the reference
         # scan from ``rr`` even with ``rr`` stored unwrapped (in [0, nf])
-        maxnf = max(self._nf_py, default=1)
-        F = max(8, _pow2_at_least(maxnf))
-        self._Fm1 = F - 1
+        self._Fm1 = max(8, _pow2_at_least(max(self._nf_py, default=1))) - 1
 
-        # dynamic state arrays
-        z = lambda: np.zeros(B2, np.int64)          # noqa: E731
-        zb = lambda: np.zeros(B2, bool)             # noqa: E731
-        self._qlen = z()
-        self._front = z()
-        self._rhead = z()
-        self._want = z()
-        self._vcreq = z()
-        self._jof = z()
-        self._pvb = z()
-        self._pvb2 = z()
-        self._dlv = zb()
-        self._hdrf = zb()
-        self._ne = zb()
-        self._fullb = zb()
-        self._owner = np.zeros(self._PV + 1, np.int64)
-        self._rr = np.zeros(P, np.int64)
-        self._fs = np.zeros(P, np.int64)
-
-        # packet columns (aid-indexed) + staging
+        # dynamic state: per buffer, per port(*2+vc); the packet columns
+        # (aid-indexed: int64 arrays for what a cycle reads, lists for
+        # what only deliveries read), arrival rows and event buffer
+        # start small and grow geometrically
+        z = lambda n=B2: np.zeros(n, np.int64)      # noqa: E731
+        for name in ("qlen front rhead want vcreq jof pvb pvb2 phead "
+                     "ptail pfid ppend").split():
+            setattr(self, "_" + name, z())
+        for name in ("_dlv", "_hdrf", "_ne", "_fullb"):
+            setattr(self, name, np.zeros(B2, bool))
+        self._owner = z(self._PV + 1)
+        self._rr = z(P)
+        self._fs = z(P)
         self._pkts: List = []
-        self._aid_of: Dict[int, int] = {}
-        self._ptraf: List[int] = []
         self._pcls: List[Optional[str]] = []
         self._pborn: List[int] = []
-        self._pdst: List[int] = []
-        self._psize: List[int] = []
+        for name in ("pdst ptraf psize pvcl phdr pnext acyc abuf "
+                     "aaid").split():
+            setattr(self, "_" + name, z(1024))
+        evcap = max(256, 2 * EV_PER_PORT * P)
+        self._ev = z(2 * evcap)
+        #: what the adapters pushed since the last fold: ``(buffer,
+        #: packet)`` in push order; ``_staged_at`` stamps the leading
+        #: entries with their cycle (run_mix injects a window ahead),
+        #: the rest are due at the next cycle to run
         self._staged: List = []
-        self._side: Dict[int, deque] = {}
-        self._sideset: Set[int] = set()
-        self._hdr_of: Dict[int, int] = {}
-        self._tmpl: Dict[int, np.ndarray] = {}
-        self._inflight = 0
+        self._staged_at: List[int] = []
 
         a = net.adapters
         self._uni_short = all(
@@ -335,88 +340,80 @@ class ArrayBackend(SimBackend):
             and getattr(ad, "collector", None) is not None for ad in a)
         self._acoll = [getattr(ad, "collector", None) for ad in a]
 
-        # event lists of the last executed cycle, written by whichever
-        # tier ran it and consumed by _replay (and the shard worker).
-        # counts[0..4] = moved/dateline/deliveries/refreshes/ejections;
-        # counts[5..6] = C-kernel work counters for the profiler
-        # (buffers scanned, eligible candidates); counts[7] spare
-        self._ck_outw = np.zeros(max(P, 1), np.int64)
-        self._ck_outdl = np.zeros(max(P, 1), np.int64)
-        self._ck_outdel = np.zeros(max(2 * P, 1), np.int64)
-        self._ck_outrf = np.zeros(max(2 * P, 1), np.int64)
-        self._ck_counts = np.zeros(8, np.int64)
+        # per-cycle scratch: the round-robin pick; the dateline flit
+        # words (``_outdl[:_st.ndl]``, read by the shard worker) and
+        # rows to refresh of the last executed cycle
+        self._bestpr = np.full(max(P, 1), 1 << 30, np.int64)
+        for name, n in (("_bestb", P), ("_bestvc", P), ("_outdl", P),
+                        ("_outrf", 2 * P)):
+            setattr(self, name, z(max(n, 1)))
 
-        # compiled cycle kernel (ckernel.py): phase A + phase B over the
-        # same arrays; None leaves _scalar_cycle in charge
+        # the scalars of both tiers, and what repro_run() is handed
+        st = self._st = State(B=B, P=P, PV=self._PV, SB=self._SB,
+                              Fm1=self._Fm1, rstride=self._rtab.shape[1],
+                              evcap=evcap)
+        for name in State.POINTERS:
+            setattr(st, name, getattr(self, "_" + name).ctypes.data)
+        self._stp = ctypes.addressof(st)
+        # compiled cycle kernel (ckernel.py); None leaves _scalar_run
+        # in charge
         self._ck = load_cycle_kernel()
-        if self._ck is not None:
-            self._ck_bestpr = np.full(P, 1 << 30, np.int64)
-            self._ck_bestb = np.zeros(P, np.int64)
-            self._ck_bestvc = np.zeros(P, np.int64)
-            ptr = lambda a: a.ctypes.data          # noqa: E731
-            self._ck_args = (
-                self._B, P, self._PV, self._SB, self._Fm1,
-                ptr(self._qlen), ptr(self._front), ptr(self._rhead),
-                ptr(self._want), ptr(self._vcreq), ptr(self._jof),
-                ptr(self._pvb), ptr(self._pvb2),
-                ptr(self._dlv), ptr(self._hdrf), ptr(self._ne),
-                ptr(self._fullb),
-                ptr(self._owner), ptr(self._rr), ptr(self._fs),
-                ptr(self._down), ptr(self._rbase), ptr(self._rmask),
-                ptr(self._qcap), ptr(self._isdl),
-                ptr(self._rflat),
-                ptr(self._ck_bestpr), ptr(self._ck_bestb),
-                ptr(self._ck_bestvc),
-                ptr(self._ck_outw), ptr(self._ck_outdl),
-                ptr(self._ck_outdel), ptr(self._ck_outrf),
-                ptr(self._ck_counts))
+
+    def _grow(self, names: Tuple[str, ...], need: int, keep: int) -> None:
+        """Reallocate the int64 columns ``names`` to at least ``need``
+        entries (doubling), keeping the first ``keep``, and re-point
+        the state struct at them."""
+        size = max(need, 2 * len(getattr(self, names[0])))
+        for name in names:
+            new = np.zeros(size, np.int64)
+            new[:keep] = getattr(self, name)[:keep]
+            setattr(self, name, new)
+            setattr(self._st, name[1:], new.ctypes.data)
+
+    @property
+    def _inflight(self) -> int:
+        return self._st.inflight
+
+    @_inflight.setter
+    def _inflight(self, n: int) -> None:
+        self._st.inflight = n
 
     # ------------------------------------------------------------------
     # adoption: object graph -> arrays
     # ------------------------------------------------------------------
-    def _intern(self, pkt) -> int:
-        aid = self._aid_of.get(pkt.pid)
-        if aid is None:
-            aid = len(self._pkts)
-            self._aid_of[pkt.pid] = aid
-            self._pkts.append(pkt)
-            self._ptraf.append(pkt.traffic)
-            self._pcls.append(pkt.cls)
-            self._pborn.append(pkt.created)
-            self._pdst.append(pkt.dst)
-            self._psize.append(pkt.size)
-        return aid
+    def _intern(self, pkts) -> int:
+        """Append ``pkts`` to the packet columns; returns the first new
+        aid.  Aids are never reused or reset while attached."""
+        a0 = len(self._pkts)
+        a1 = a0 + len(pkts)
+        if a1 > len(self._pdst):
+            self._grow(("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr",
+                        "_pnext"), a1, a0)
+        self._pkts.extend(pkts)
+        self._pcls.extend([p.cls for p in pkts])
+        self._pborn.extend([p.created for p in pkts])
+        self._pdst[a0:a1] = [p.dst for p in pkts]
+        self._ptraf[a0:a1] = [p.traffic for p in pkts]
+        self._psize[a0:a1] = [p.size for p in pkts]
+        self._pvcl[a0:a1] = [p.vclass for p in pkts]
+        self._phdr[a0:a1] = -1
+        return a0
 
     def _adopt(self) -> None:
         """(Re)build all dynamic array state from the object graph and
         take ownership of the network."""
-        self._qlen[:] = 0
-        self._front[:] = 0
-        self._rhead[:] = 0
-        self._want[:] = -1
-        self._vcreq[:] = 0
-        self._jof[:] = 0
+        for arr in (self._qlen, self._front, self._rhead, self._vcreq,
+                    self._jof, self._pfid, self._ppend):
+            arr[:] = 0
+        for arr in (self._want, self._phead, self._ptail, self._phdr):
+            arr[:] = -1
         self._pvb[:] = self._PV
         self._pvb2[:] = self._PV
-        self._dlv[:] = False
-        self._hdrf[:] = False
-        self._ne[:] = False
-        self._fullb[:] = False
+        for arr in (self._dlv, self._hdrf, self._ne, self._fullb):
+            arr[:] = False
         self._fullb[self._XB] = True
         self._owner[:] = -1
         self._owner[self._PV] = -2
-        self._side = {}
-        self._sideset = set()
-        self._hdr_of = {}
-        self._aid_of = {}
-        self._pkts = []
-        self._ptraf = []
-        self._pcls = []
-        self._pborn = []
-        self._pdst = []
-        self._psize = []
-        self._staged.clear()
-        self._inflight = 0
         for pi, port in enumerate(self._ports):
             self._rr[pi] = port.rr
             self._fs[pi] = port.flits_sent
@@ -424,35 +421,43 @@ class ArrayBackend(SimBackend):
                 own = port.owner[vc]
                 self._owner[2 * pi + vc] = (
                     self._bid[own] if own is not None else -1)
+        resident = {}
+        for buf in self._bufs:
+            for pkt, _ in buf.q:
+                resident.setdefault(pkt.pid, pkt)
+        a0 = self._intern(list(resident.values()))
+        aid_of = {pid: a0 + i for i, pid in enumerate(resident)}
         headers: List[int] = []
         rflat = self._rflat
-        for b in range(self._B):
-            buf = self._bufs[b]
+        inflight = 0
+        for b, buf in enumerate(self._bufs):
             n = len(buf.q)
             if n:
                 base = self._rbase_py[b]
-                rsize = self._rsize_py[b]
-                side = None
-                first = -1
+                rsize = self._rmask_py[b] + 1
                 for i, (pkt, fidx) in enumerate(buf.q):
-                    aid = self._intern(pkt)
-                    v = (aid << FSHIFT) | fidx
-                    if fidx == pkt.size - 1:
-                        v |= TAIL
-                    if i == 0:
-                        first = v
+                    aid = aid_of[pkt.pid]
                     if i < rsize:
+                        v = (aid << FSHIFT) | fidx
+                        if fidx == pkt.size - 1:
+                            v |= TAIL
                         rflat[base + i] = v
-                    else:
-                        if side is None:
-                            side = self._side[b] = deque()
-                            self._sideset.add(b)
-                        side.append(v)
+                    elif i == rsize or fidx == 0:
+                        # past the ring a queue holds whole packets
+                        # (only its first may be cut): pending FIFO
+                        if i == rsize:
+                            self._phead[b] = aid
+                            self._pfid[b] = fidx
+                        else:
+                            self._pnext[self._ptail[b]] = aid
+                        self._ptail[b] = aid
+                        self._pnext[aid] = -1
                 self._qlen[b] = n
+                self._ppend[b] = max(n - rsize, 0)
                 self._ne[b] = True
                 self._fullb[b] = n >= self._cap_py[b]
-                self._front[b] = first
-                self._inflight += n
+                self._front[b] = rflat[base]
+                inflight += n
             if buf.cur_out is not None:
                 p = self._pid[buf.cur_out]
                 self._want[b] = p
@@ -462,194 +467,116 @@ class ArrayBackend(SimBackend):
                 self._pvb[b] = 2 * p + buf.cur_vc
             elif n:
                 headers.append(b)
+        self._st.inflight = inflight
         for b in headers:
-            self._refresh_one(b)
+            if not self._table_refresh(b):
+                self._route_one(b)
         for buf in self._bufs:
             buf.sink = self._staged
         self.net.state_owner = self
 
     # ------------------------------------------------------------------
-    # staged-injection fold (runs at the start of every step)
+    # staging: what the adapters pushed -> arrival rows
     # ------------------------------------------------------------------
-    def _fold(self) -> None:
-        staged = self._staged
-        qlen = self._qlen
-        front = self._front
-        rhead = self._rhead
-        rflat = self._rflat
-        ne = self._ne
-        fullb = self._fullb
-        want = self._want
-        aid_of = self._aid_of
-        pkts = self._pkts
-        newly: List[int] = []
-        for buf, pkt, fidx in staged:
-            b = self._bid[buf]
-            pid = pkt.pid
-            aid = aid_of.get(pid)
-            if aid is None:
-                aid = len(pkts)
-                aid_of[pid] = aid
-                pkts.append(pkt)
-                self._ptraf.append(pkt.traffic)
-                self._pcls.append(pkt.cls)
-                self._pborn.append(pkt.created)
-                self._pdst.append(pkt.dst)
-                self._psize.append(pkt.size)
-            if fidx < 0:
-                k = pkt.size
-                tm = self._tmpl.get(k)
-                if tm is None:
-                    tm = np.arange(k, dtype=np.int64)
-                    tm[k - 1] |= TAIL
-                    self._tmpl[k] = tm
-                vals = tm + (aid << FSHIFT)
-                v0 = int(vals[0])
-            else:
-                k = 1
-                v0 = (aid << FSHIFT) | fidx
-                if fidx == pkt.size - 1:
-                    v0 |= TAIL
-            ql0 = int(qlen[b])
-            cap = self._cap_py[b]
-            if ql0 + k > cap:
-                raise OverflowError(
-                    f"flit pushed into full buffer {buf.label!r} "
-                    f"(capacity {cap})")
-            rsize = self._rsize_py[b]
-            side = self._side.get(b)
-            ringcnt = ql0 - (len(side) if side is not None else 0)
-            base = self._rbase_py[b]
-            maskb = rsize - 1
-            rh = int(rhead[b])
-            if side is None and ringcnt + k <= rsize:
-                start = (rh + ringcnt) & maskb
-                if k == 1:
-                    rflat[base + start] = v0
-                elif start + k <= rsize:
-                    rflat[base + start:base + start + k] = vals
-                else:
-                    h = rsize - start
-                    rflat[base + start:base + rsize] = vals[:h]
-                    rflat[base:base + k - h] = vals[h:]
-            else:
-                # order preservation: once a side deque exists, every new
-                # flit appends to it; the ring is refilled only from the
-                # deque's head (at pop time)
-                if side is None:
-                    side = self._side[b] = deque()
-                    self._sideset.add(b)
-                    room = rsize - ringcnt
-                else:
-                    room = 0
-                seq = (v0,) if k == 1 else vals.tolist()
-                i = 0
-                while i < room and i < k:
-                    rflat[base + ((rh + ringcnt + i) & maskb)] = seq[i]
-                    i += 1
-                for j in range(i, k):
-                    side.append(seq[j])
-            q1 = ql0 + k
-            qlen[b] = q1
-            ne[b] = True
-            if q1 >= cap:
-                fullb[b] = True
-            self._inflight += k
-            if ql0 == 0:
-                front[b] = v0
-                if int(want[b]) < 0:
-                    newly.append(b)
+    def _stage(self, now: int) -> None:
+        """Turn the staged pushes into arrival rows; an entry without a
+        stamp is due at ``now``.  Rows still waiting are all due at
+        ``now`` or later, so on equal cycles the new ones go first: a
+        packet regenerated by a delivery at ``now - 1`` precedes the
+        pre-drawn arrivals of ``now``."""
+        staged, at = self._staged, self._staged_at
+        n = len(staged)
+        at.extend([now] * (n - len(at)))
+        bufs, pkts = zip(*staged)
+        a0 = self._intern(pkts)
+        bid = self._bid
+        rows = (at, [bid[b] for b in bufs], range(a0, a0 + n))
+        st = self._st
+        pos, an = st.apos, st.an
+        cols = ("_acyc", "_abuf", "_aaid")
+        if pos < an:
+            rows = [np.concatenate((new, getattr(self, name)[pos:an]))
+                    for new, name in zip(rows, cols)]
+            order = rows[0].argsort(kind="stable")
+            rows = [r[order] for r in rows]
+            n = len(order)
+        if n > len(self._acyc):
+            self._grow(cols, n, 0)
+        for name, row in zip(cols, rows):
+            getattr(self, name)[:n] = row
+        st.apos = 0
+        st.an = n
         staged.clear()
-        for b in newly:
-            self._refresh_one(b)
+        at.clear()
+
+    def _flush(self) -> None:
+        """Fold what is staged as of the cycle about to run, without
+        running it: the inspection entry points and the probe sampler
+        see a packet a delivery just regenerated, as an object push
+        would show it."""
+        if self._staged:
+            now = self.net.cycle
+            self._stage(now)
+            stop = STOP_EVENTS
+            while stop == STOP_EVENTS:
+                events: List[int] = []
+                stop = self._fold_due(now, events)
+                self._replay(events)
 
     # ------------------------------------------------------------------
-    # route caching (the only hot-path Python that touches objects)
+    # header refresh
     # ------------------------------------------------------------------
-    def _route_front(self, b: int):
-        """Route the header at the front of buffer ``b``; returns the
-        cached request tuple ``(port, jof, vc, deliver, pvb2)``."""
+    def _table_refresh(self, b: int) -> bool:
+        """Route the header at the front of row ``b`` from the route
+        table; False when only Python can answer.  Tables are built
+        fault-free, so any installed fault state disables the lookup:
+        every header then routes through ``Router.route``, which applies
+        the reroute/drop policy identically to the reference backend."""
         aid = int(self._front[b]) >> FSHIFT
-        tab = self._rtab[b]
-        # route tables are probed fault-free at build time, so any
-        # installed fault state disables the lookup: every header then
-        # routes through the Router.route dispatcher below, which is
-        # what applies the reroute/drop policy identically to the
-        # reference backend
-        if (tab is not None and self.net.fault_state is None
-                and (self._rtab_all[b]
-                     or self._ptraf[aid] == UNICAST)):
-            ent = tab[self._pdst[aid]]
-            p = (ent >> 4) & 0xFFFFF
-            if ent & 2:
-                self._pkts[aid].vclass = 0
-            vc = self._vcmode[p]
-            if vc == 2:
-                v = self._pkts[aid].vclass
-                vc = v if v < 2 else 1
-            self._hdr_of[aid] = b
-            return (p, ent >> 24, vc, ent & 1, self._pv2_of[p])
+        flag = self._rtflag[b]
+        if (not flag or self.net.fault_state is not None
+                or (flag == 1 and self._ptraf[aid] != UNICAST)):
+            return False
+        ent = self._rtmv[b, self._pdst[aid]]
+        p = (ent >> 4) & 0xFFFFF
+        if ent & 2:
+            self._pvcl[aid] = 0
+        vc = int(self._vcmode[p])
+        if vc == 2:
+            vc = min(int(self._pvcl[aid]), 1)
+        self._set_request(b, aid, p, ent >> 24, vc, ent & 1,
+                          self._pv2of[p])
+        return True
+
+    def _route_one(self, b: int) -> None:
+        """Route the header at the front of row ``b`` through its
+        router: the only path that touches objects, and what a ROUTE
+        event asks for."""
+        aid = int(self._front[b]) >> FSHIFT
         pkt = self._pkts[aid]
         buf = self._bufs[b]
+        pkt.vclass = int(self._pvcl[aid])
         port, deliver = buf.router.route(buf, pkt)
+        self._pvcl[aid] = pkt.vclass
         p = self._pid[port]
-        if self._pol_any[p]:
-            vc = 0
-            pv2 = 2 * p + 1
-        else:
-            vc = 1 if self._isdl_py[p] else (
-                pkt.vclass if pkt.vclass < 2 else 1)
-            pv2 = self._PV
-        self._hdr_of[aid] = b
+        vc = int(self._vcmode[p])
+        if vc == 2:
+            vc = min(pkt.vclass, 1)
         # .get: a fault-stuck head may want a port this lane is not
         # wired to (it then never matches that port's feeder scan, which
         # is exactly the reference backend's never-granted behaviour)
-        return (p, self._jpos[b].get(p, 0), vc, 1 if deliver else 0, pv2)
+        self._set_request(b, aid, p, self._jpos[b].get(p, 0), vc,
+                          bool(deliver), self._pv2of[p])
 
-    def _refresh_one(self, b: int) -> None:
-        p, j, vc, dl, pv2 = self._route_front(b)
+    def _set_request(self, b, aid, p, j, vc, dl, pv2) -> None:
+        self._phdr[aid] = b
         self._want[b] = p
         self._jof[b] = j
         self._vcreq[b] = vc
-        self._dlv[b] = bool(dl)
+        self._dlv[b] = dl
         self._hdrf[b] = True
         self._pvb[b] = 2 * p + vc
         self._pvb2[b] = pv2
-
-    def _refresh_many(self, blist: List[int]) -> None:
-        if len(blist) < 6:
-            for b in blist:
-                self._refresh_one(int(b))
-            return
-        rows = [self._route_front(int(b)) for b in blist]
-        bi = np.array(blist, np.int64)
-        arr = np.array(rows, np.int64)
-        p = arr[:, 0]
-        self._want[bi] = p
-        self._jof[bi] = arr[:, 1]
-        self._vcreq[bi] = arr[:, 2]
-        self._dlv[bi] = arr[:, 3] != 0
-        self._hdrf[bi] = True
-        self._pvb[bi] = 2 * p + arr[:, 2]
-        self._pvb2[bi] = arr[:, 4]
-
-    # ------------------------------------------------------------------
-    # side-deque refill (unbounded source queues past the ring size)
-    # ------------------------------------------------------------------
-    def _refill(self, b: int) -> None:
-        side = self._side[b]
-        rsize = self._rsize_py[b]
-        ringcnt = int(self._qlen[b]) - len(side)
-        base = self._rbase_py[b]
-        maskb = rsize - 1
-        rh = int(self._rhead[b])
-        rflat = self._rflat
-        while side and ringcnt < rsize:
-            rflat[base + ((rh + ringcnt) & maskb)] = side.popleft()
-            ringcnt += 1
-        if not side:
-            del self._side[b]
-            self._sideset.discard(b)
 
     # ------------------------------------------------------------------
     # delivery residue
@@ -663,7 +590,7 @@ class ArrayBackend(SimBackend):
                 fs.on_tail_dropped(pkt, node, now)
                 return
         net.deliveries += 1
-        if self._ptraf[aid] == UNICAST and self._uni_short:
+        if self._uni_short and self._ptraf[aid] == UNICAST:
             self._acoll[node].on_unicast_cols(
                 self._pborn[aid], self._pcls[aid], now)
         else:
@@ -675,24 +602,127 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     # the cycle: scalar oracle (the loop _cycle_kernel.c is a port of)
     # ------------------------------------------------------------------
-    def _scalar_cycle(self) -> int:
-        """Phase A + phase B in Python over the arrays; fills the event
-        lists and ``_ck_counts[0..4]`` exactly as the C kernel does and
-        returns the number of flits moved."""
-        ne = self._ne
-        hdrf = self._hdrf
-        want = self._want
-        owner = self._owner
-        fullb = self._fullb
-        down = self._down
-        pvb = self._pvb
-        pvb2 = self._pvb2
-        vcreq = self._vcreq
-        rr = self._rr
-        jof = self._jof
-        PV = self._PV
+    def _scalar_run(self) -> List[int]:
+        """``repro_run`` in Python: execute cycles from ``_st.now``
+        until Python is needed or ``_st.horizon``; returns the batch's
+        events and leaves ``now`` / ``stop`` / the counters in ``_st``."""
+        st = self._st
+        now, horizon = st.now, st.horizon
+        events: List[int] = []
+        stop = STOP_HORIZON
+        st.calls += 1
+        st.moved = st.ejected = 0
+        while now < horizon:
+            stop = self._fold_due(now, events)
+            if stop:
+                break
+            if not st.inflight:     # idle: jump to the next arrival
+                now = horizon
+                if st.apos < st.an:
+                    now = min(int(self._acyc[st.apos]), horizon)
+                continue
+            if 2 * st.evcap - len(events) < 2 * EV_PER_PORT * self._P:
+                stop = STOP_EVENTS
+                break
+            stop = self._scalar_cycle(now, events)
+            now += 1
+            if stop:
+                break
+        st.now = now
+        st.stop = stop
+        st.stops[stop] += 1
+        return events
+
+    def _top_up(self, b: int) -> None:
+        """Generate flit words of ``b``'s pending packets while its
+        ring has room."""
+        mask = self._rmask_py[b]
+        base = self._rbase_py[b]
+        room = mask + 1 - int(self._qlen[b]) + int(self._ppend[b])
+        wr = int(self._rhead[b]) + mask + 1 - room
+        aid = int(self._phead[b])
+        fid = int(self._pfid[b])
+        made = 0
+        while aid >= 0 and made < room:
+            last = int(self._psize[aid]) - 1
+            self._rflat[base + ((wr + made) & mask)] = (
+                (aid << FSHIFT) | (TAIL if fid == last else 0) | fid)
+            made += 1
+            if fid == last:
+                aid = int(self._pnext[aid])
+                fid = 0
+            else:
+                fid += 1
+        self._ppend[b] -= made
+        self._phead[b] = aid
+        self._pfid[b] = fid
+        if aid < 0:
+            self._ptail[b] = -1
+
+    def _fold_due(self, now: int, events: List[int]) -> int:
+        """Fold the arrival rows due at ``now`` into their buffers'
+        pending FIFOs; returns ``STOP_ROUTE`` if a newly exposed header
+        needs Python, ``STOP_EVENTS`` if ``events`` filled up first."""
+        st = self._st
+        pos, an = st.apos, st.an
+        acyc = self._acyc
+        qlen = self._qlen
+        ptail = self._ptail
+        stop = added = 0
+        while pos < an and acyc[pos] <= now:
+            if len(events) >= 2 * st.evcap:
+                stop = STOP_EVENTS
+                break
+            b = int(self._abuf[pos])
+            aid = int(self._aaid[pos])
+            pos += 1
+            size = int(self._psize[aid])
+            self._pnext[aid] = -1
+            if ptail[b] >= 0:
+                self._pnext[ptail[b]] = aid
+            else:
+                self._phead[b] = aid
+                self._pfid[b] = 0
+            ptail[b] = aid
+            ql0 = int(qlen[b])
+            if ql0 + size > self._cap_py[b]:
+                raise OverflowError(
+                    f"flit pushed into full buffer "
+                    f"{self._bufs[b].label!r} (capacity {self._cap_py[b]})")
+            qlen[b] = ql0 + size
+            self._ppend[b] += size
+            added += size
+            self._ne[b] = True
+            if ql0 + size >= self._cap_py[b]:
+                self._fullb[b] = True
+            self._top_up(b)
+            if ql0 == 0:
+                self._front[b] = self._rflat[
+                    self._rbase_py[b]
+                    + (int(self._rhead[b]) & self._rmask_py[b])]
+                if self._want[b] < 0 and not self._table_refresh(b):
+                    events += ((now << 2) | EV_ROUTE, b)
+                    stop = STOP_ROUTE
+        st.apos = pos
+        st.inflight += added
+        return stop
+
+    def _scalar_cycle(self, now: int, events: List[int]) -> int:
+        """Phase A, phase B and the in-cycle refresh of one cycle over
+        the arrays; appends its events and returns the stop reason
+        (0 = none)."""
+        st = self._st
+        ne, hdrf, want, owner = self._ne, self._hdrf, self._want, self._owner
+        fullb, down, pvb, pvb2 = (self._fullb, self._down, self._pvb,
+                                  self._pvb2)
+        vcreq, rr, jof, qlen = self._vcreq, self._rr, self._jof, self._qlen
+        front, rflat = self._front, self._rflat
+        rbase, rmask = self._rbase_py, self._rmask_py
+        PV, SB = self._PV, self._SB
         best: Dict[int, tuple] = {}
-        for b in np.flatnonzero(ne[:self._SB]).tolist():
+        scan = np.flatnonzero(ne[:SB]).tolist()
+        ncand = 0
+        for b in scan:
             if hdrf[b]:
                 pv = int(pvb[b])
                 if owner[pv] == -1 and not fullb[down[pv]]:
@@ -711,157 +741,175 @@ class ArrayBackend(SimBackend):
                 vc = int(vcreq[b])
             p = int(want[b])
             pr = (int(jof[b]) - int(rr[p])) & self._Fm1
+            ncand += 1
             cur = best.get(p)
             if cur is None or pr < cur[0]:
                 best[p] = (pr, b, vc)
-        win: List[int] = []
+        # phase B: commit winners in ascending flat-port order
+        key = now << 2
+        trace, alltails = st.trace, st.alltails
         dl: List[int] = []
-        dele: List[int] = []
         rf: List[int] = []
-        nej = 0
-        for p in sorted(best):      # ascending flat-port commit order
+        nej = tailstop = 0
+        for p in sorted(best):
             _, b, vc = best[p]
-            win.append(b)
-            nej += self._commit_scalar(b, p, vc, dl, dele, rf)
-        self._ck_outw[:len(win)] = win
-        self._ck_outdl[:len(dl)] = dl
-        self._ck_outdel[:len(dele)] = dele
-        self._ck_outrf[:len(rf)] = rf
-        self._ck_counts[:5] = (len(win), len(dl), len(dele), len(rf), nej)
-        return len(win)
-
-    def _commit_scalar(self, b: int, p: int, vc: int, dl: List[int],
-                       dele: List[int], rf: List[int]) -> int:
-        """Commit buffer ``b``'s front flit through port ``p``; appends
-        the move's events and returns 1 if the flit was ejected."""
-        front = self._front
-        qlen = self._qlen
-        f = int(front[b])
-        aid = f >> FSHIFT
-        tail = bool(f & TAIL)
-        headf = (f & FIDMASK) == 0
-        pv = 2 * p + vc
-        # pop (a side deque behind the ring is refilled by _replay)
-        ql = int(qlen[b]) - 1
-        qlen[b] = ql
-        rh = int(self._rhead[b]) + 1
-        self._rhead[b] = rh
-        self._ne[b] = ql > 0
-        self._fullb[b] = False
-        if ql > 0:
-            front[b] = self._rflat[self._rbase_py[b]
-                                   + (rh & self._rmask_py[b])]
-        # switching tables
-        owner = self._owner
-        if headf and not tail:
-            owner[pv] = b
-        elif tail and owner[pv] == b:
-            owner[pv] = -1
-        if tail:
-            self._want[b] = -1
-        self._hdrf[b] = False
-        self._vcreq[b] = vc
-        self._pvb[b] = pv
-        self._fs[p] += 1
-        self._rr[p] = int(self._jof[b]) + 1
-        # deliver-clone, then eject or dateline+push (reference order)
-        if tail and bool(self._dlv[b]):
-            dele.append((aid << 16) | p)
-        ejected = 0
-        dst = int(self._down[pv])
-        if dst == self._SB:
+            f = int(front[b])
+            aid = f >> FSHIFT
+            tail = bool(f & TAIL)
+            pv = 2 * p + vc
+            # pop; a pending packet's next flit takes the freed slot
+            ql = int(qlen[b]) - 1
+            qlen[b] = ql
+            rh = int(self._rhead[b]) + 1
+            self._rhead[b] = rh
+            ne[b] = ql > 0
+            fullb[b] = False
+            if self._phead[b] >= 0:
+                self._top_up(b)
+            if ql > 0:
+                front[b] = rflat[rbase[b] + (rh & rmask[b])]
+            # switching tables
+            if not f & FIDMASK and not tail:
+                owner[pv] = b
+            elif tail and owner[pv] == b:
+                owner[pv] = -1
             if tail:
-                dele.append((aid << 16) | p)
-            ejected = 1
-        else:
-            if self._isdl_py[p]:
-                dl.append(f)
-            dql = int(qlen[dst])
-            self._rflat[self._rbase_py[dst]
-                        + ((int(self._rhead[dst]) + dql)
-                           & self._rmask_py[dst])] = f
-            qlen[dst] = dql + 1
-            if dql + 1 >= self._cap_py[dst]:
-                self._fullb[dst] = True
-            if dql == 0:
-                self._ne[dst] = True
-                front[dst] = f
-                if int(self._want[dst]) < 0:
-                    rf.append(dst)
-        if tail and ql > 0:
-            rf.append(b)
-        return ejected
+                want[b] = -1
+            hdrf[b] = False
+            vcreq[b] = vc
+            pvb[b] = pv
+            self._fs[p] += 1
+            rr[p] = int(jof[b]) + 1
+            if trace:
+                events += (key | EV_WINNER, b)
+            # deliver-clone, then eject or dateline+push (reference
+            # order)
+            stops = tail and (alltails or self._ptraf[aid] != UNICAST)
+            if tail and self._dlv[b]:
+                events += (key | EV_DELIVERY, (aid << 16) | p)
+                tailstop |= stops
+            dst = int(down[pv])
+            if dst == SB:
+                if tail:
+                    events += (key | EV_DELIVERY, (aid << 16) | p)
+                    tailstop |= stops
+                nej += 1
+            else:
+                if self._isdl_py[p]:
+                    dl.append(f)
+                    if trace:
+                        events += (key | EV_DATELINE, f)
+                dql = int(qlen[dst])
+                rflat[rbase[dst]
+                      + ((int(self._rhead[dst]) + dql) & rmask[dst])] = f
+                qlen[dst] = dql + 1
+                if dql + 1 >= self._cap_py[dst]:
+                    fullb[dst] = True
+                if dql == 0:
+                    ne[dst] = True
+                    front[dst] = f
+                    if want[dst] < 0:
+                        rf.append(dst)
+            if tail and ql > 0:
+                rf.append(b)
+        # refresh: dateline upgrades first, then the exposed headers
+        nroute = 0
+        for f in dl:
+            aid = f >> FSHIFT
+            self._pvcl[aid] = 1
+            hb = int(self._phdr[aid])
+            if (hb >= 0 and hdrf[hb] and ne[hb]
+                    and (int(front[hb]) >> FSHIFT) == aid
+                    and not self._table_refresh(hb)):
+                events += (key | EV_ROUTE, hb)
+                nroute += 1
+        for b in rf:
+            if not self._table_refresh(b):
+                events += (key | EV_ROUTE, b)
+                nroute += 1
+        self._outdl[:len(dl)] = dl
+        st.ndl = len(dl)
+        st.moved += len(best)
+        st.flits += len(best)
+        st.ejected += nej
+        st.inflight -= nej
+        st.scanned += len(scan)
+        st.cands += ncand
+        st.cycles += 1
+        if nroute:
+            return STOP_ROUTE
+        return STOP_DELIVERY if tailstop else 0
 
     # ------------------------------------------------------------------
-    # event replay: everything a committed cycle owes the Python objects
+    # event replay: everything a batch of cycles owes the Python objects
     # ------------------------------------------------------------------
-    def _replay(self, now: int, moved: int) -> None:
-        c = self._ck_counts
-        ndl, ndel, nrf, nej = int(c[1]), int(c[2]), int(c[3]), int(c[4])
-        if nej:
-            self._inflight -= nej
-            fs = self.net.fault_state
-            if fs is not None:
-                fs.ejected_flits += nej
-        if self._sideset:
-            hits = self._sideset.intersection(
-                self._ck_outw[:moved].tolist())
-            for b in hits:
-                self._refill(b)
-                if self._qlen[b] > 0:
-                    self._front[b] = self._rflat[
-                        self._rbase_py[b]
-                        + (int(self._rhead[b]) & self._rmask_py[b])]
-        refresh: List[int] = []
-        if ndl:
-            hdrf = self._hdrf
-            ne = self._ne
-            front = self._front
-            hdr_of = self._hdr_of
-            for f in self._ck_outdl[:ndl].tolist():
-                aid = f >> FSHIFT
-                self._pkts[aid].vclass = 1
-                hb = hdr_of.get(aid, -1)
-                if (hb >= 0 and hdrf[hb] and ne[hb]
-                        and (int(front[hb]) >> FSHIFT) == aid):
-                    refresh.append(hb)
-        if ndel:
-            pnode = self._pnode
-            for ev in self._ck_outdel[:ndel].tolist():
-                self._deliver(pnode[ev & 0xFFFF], ev >> 16, now)
-        if nrf:
-            refresh.extend(self._ck_outrf[:nrf].tolist())
-        if refresh:
-            self._refresh_many(refresh)
+    def _replay(self, events) -> None:
+        """Apply a batch's events in emission order: deliveries
+        (collector callbacks, (cycle, ascending port) so float
+        accumulation order is the reference's) and, after its cycle's
+        deliveries, each header only the router can route."""
+        pnode = self._pnode
+        it = iter(events)
+        for key, word in zip(it, it):
+            kind = key & 3
+            if kind == EV_DELIVERY:
+                self._deliver(pnode[word & 0xFFFF], word >> 16, key >> 2)
+            elif kind == EV_ROUTE:
+                self._route_one(word)
 
     # ------------------------------------------------------------------
     # SimBackend interface
     # ------------------------------------------------------------------
+    def _advance(self, now: int, horizon: int) -> int:
+        """Execute cycles ``[now, horizon)``: batches of the cycle body
+        (C kernel or scalar oracle), each followed by the replay of its
+        events.  The one place a cycle is executed from."""
+        net = self.net
+        st = self._st
+        if self._staged:
+            self._stage(now)
+        fs = net.fault_state
+        st.nofast = fs is not None
+        st.alltails = not (self._uni_short and fs is None
+                           and net.on_tail is None)
+        st.horizon = horizon
+        st.ndl = 0      # no cycle may run: the shard worker reads this
+        while now < horizon:
+            st.now = now
+            if self._ck is not None:
+                if self._ck(self._stp) < 0:     # the fold overflowed
+                    self._fold_due(st.now, [])  # ... and says where
+                events = self._ev[:2 * st.nev].tolist() if st.nev else ()
+                st.nev = 0
+            else:
+                events = self._scalar_run()
+            now = st.now
+            net.flits_moved += st.moved
+            if fs is not None:
+                fs.ejected_flits += st.ejected
+            if events:
+                self._replay(events)
+            if st.stop == STOP_EVENTS:
+                self._grow(("_ev",), 0, 0)
+                st.evcap = len(self._ev) // 2
+            if self._staged and now < horizon:
+                self._stage(now)    # regenerated by a delivery: due next
+        net.cycle = horizon
+        return horizon
+
     def step(self, now: Optional[int] = None) -> int:
         net = self.net
         if now is None or now < net.cycle:
             now = net.cycle
-        if self._staged:
-            self._fold()
-        if not self._inflight:
-            # no cycle ran: the event lists must not keep the last one's
-            self._ck_counts[:] = 0
-            net.cycle = now + 1
-            return 0
-        if self._ck is not None:
-            moved = int(self._ck(*self._ck_args))
-        else:
-            moved = self._scalar_cycle()
-        if moved:
-            self._replay(now, moved)
-            net.flits_moved += moved
-        net.cycle = now + 1
-        return moved
+        before = net.flits_moved
+        self._advance(now, now + 1)
+        return net.flits_moved - before
 
     def total_flits(self) -> int:
-        n = self._inflight
-        for _, pkt, fidx in self._staged:
-            n += pkt.size if fidx < 0 else 1
+        st = self._st
+        n = st.inflight + sum(pkt.size for _, pkt in self._staged)
+        if st.apos < st.an:
+            n += int(self._psize[self._aaid[st.apos:st.an]].sum())
         return n
 
     #: Cycles of traffic precomputed per block in :meth:`run_mix`.
@@ -869,104 +917,87 @@ class ArrayBackend(SimBackend):
 
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
-        """The fast-forwarding ``run_mix``: block-precompute arrivals
-        and jump the clock across provably-empty gaps.
+        """The windowed ``run_mix``: block-precompute arrivals, inject a
+        whole window ``[t, w1)`` ahead -- each staged packet stamped
+        with its cycle -- and :meth:`_advance` through it; ``w1`` ends
+        the block or follows the next probe cycle, whichever is first.
 
-        ``self._inflight or self._staged`` is the "a step could move a
-        flit" test; it may overestimate (costing only a per-cycle step)
-        but must never underestimate, because a cycle skipped here is
-        never executed.
+        Injecting ahead is exact: every class / destination stream is
+        per node and drawn in arrival order either way, the generation
+        counters are only read at probe cycles and at the end, and
+        fault events are probes too.  Idle gaps cost nothing: with
+        nothing in flight the cycle body jumps to the next arrival.
         """
         if getattr(mix, "reactive", False):
             # closed-loop mixes need per-cycle generation so delivery
-            # feedback (surfaced by _deliver at cycle granularity, C
-            # kernel included) reaches the sources before the next
-            # generate; step() stays the array/kernel engine
+            # feedback reaches the sources before the next generate;
+            # step() stays the array/kernel engine, at horizon 1
             SimBackend.run_mix(self, mix, cycles, probes)
             return
-        net = self.net
         probes = probes or {}
-        step = self.step
         inject = mix.inject
-        t = net.cycle
+        staged, at = self._staged, self._staged_at
+        t = self.net.cycle
         end = t + cycles
+        due = sorted(p for p in probes if t <= p < end)
+        due.append(end)
+        pi = 0
         while t < end:
             c1 = min(t + self.CHUNK, end)
             by_cycle = mix.precompute_arrivals(t, c1)
-            pending = sorted(set(by_cycle).union(
-                p for p in probes if t <= p < c1))
-            pi = 0
+            arrivals = sorted(by_cycle)
+            ai = 0
             while t < c1:
-                if self._inflight or self._staged:
-                    # network busy: run cycle by cycle (reference order)
-                    nodes = by_cycle.get(t)
-                    if nodes is not None:
-                        for i in nodes:
-                            inject(i, t)
-                    step(t)
-                    cb = probes.get(t)
-                    if cb is not None:
-                        cb(t)
-                    t += 1
-                    continue
-                # network empty: jump to the next arrival/probe cycle
-                while pi < len(pending) and pending[pi] < t:
+                w1 = min(c1, due[pi] + 1)
+                at.extend([t] * (len(staged) - len(at)))
+                while ai < len(arrivals) and arrivals[ai] < w1:
+                    c = arrivals[ai]
+                    ai += 1
+                    for tok in by_cycle[c]:
+                        inject(tok, c)
+                    at.extend([c] * (len(staged) - len(at)))
+                t = self._advance(t, w1)
+                if due[pi] == t - 1:
+                    probes[due[pi]](t - 1)
                     pi += 1
-                if pi == len(pending):
-                    net.cycle = t = c1
-                    break
-                nxt = pending[pi]
-                if nxt > t:
-                    net.cycle = t = nxt
-                    continue
-                nodes = by_cycle.get(t)
-                if nodes is not None:
-                    for i in nodes:
-                        inject(i, t)
-                    step(t)
-                else:
-                    net.cycle = t + 1     # probe-only cycle, still empty
-                cb = probes.get(t)
-                if cb is not None:
-                    cb(t)
-                t += 1
-                pi += 1
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph
     # ------------------------------------------------------------------
     def materialize(self) -> None:
         """Rebuild the object graph (buffer deques, switching tables,
-        port state, router flit counts) from the arrays.  Read-only on
-        array state; the arrays stay authoritative."""
+        port state, router flit counts, ``Packet.vclass``) from the
+        arrays.  Read-only on array state; the arrays stay
+        authoritative."""
         if self.net.state_owner is not self:
             return
-        if self._staged:
-            self._fold()
-        pkts = self._pkts
-        qlen = self._qlen
-        want = self._want
-        hdrf = self._hdrf
-        rflat = self._rflat
-        for b in range(self._B):
-            buf = self._bufs[b]
+        self._flush()
+        pkts, rflat = self._pkts, self._rflat
+        for b, buf in enumerate(self._bufs):
             q = buf.q
             q.clear()
-            n = int(qlen[b])
+            n = int(self._qlen[b])
             if n:
-                side = self._side.get(b)
-                ringcnt = n - (len(side) if side is not None else 0)
                 base = self._rbase_py[b]
                 maskb = self._rmask_py[b]
                 rh = int(self._rhead[b])
-                for i in range(ringcnt):
+                last = -1
+                for i in range(n - int(self._ppend[b])):
                     v = int(rflat[base + ((rh + i) & maskb)])
-                    q.append((pkts[v >> FSHIFT], v & FIDMASK))
-                if side is not None:
-                    for v in side:
-                        q.append((pkts[v >> FSHIFT], v & FIDMASK))
-            w = int(want[b])
-            if w >= 0 and not hdrf[b]:
+                    aid = v >> FSHIFT
+                    if aid != last:
+                        last = aid
+                        pkts[aid].vclass = int(self._pvcl[aid])
+                    q.append((pkts[aid], v & FIDMASK))
+                aid = int(self._phead[b])
+                fid = int(self._pfid[b])
+                while aid >= 0:     # the flits still in packet form
+                    pkt = pkts[aid]
+                    q.extend((pkt, i) for i in range(fid, pkt.size))
+                    aid = int(self._pnext[aid])
+                    fid = 0
+            w = int(self._want[b])
+            if w >= 0 and not self._hdrf[b]:
                 buf.cur_out = self._ports[w]
                 buf.cur_vc = int(self._vcreq[b])
                 buf.cur_deliver = bool(self._dlv[b])
@@ -1017,8 +1048,7 @@ class ArrayBackend(SimBackend):
         name, ``cur_vc``, ``cur_deliver``), a port row (``rr``, owner
         labels, ``flits_sent``) -- the lockstep harness's per-cycle
         comparison (``tests/differential.py``)."""
-        if self._staged:
-            self._fold()
+        self._flush()
         qlen, front, want, hdrf, vcreq, dlv, owner, rr, fs = (
             a.tolist() for a in (self._qlen, self._front, self._want,
                                  self._hdrf, self._vcreq, self._dlv,
@@ -1049,29 +1079,8 @@ class ArrayBackend(SimBackend):
     def resync(self) -> None:
         """Escape hatch for external object-graph edits: call
         :meth:`materialize`, mutate the objects, then ``resync()`` to
-        re-adopt them as the array state."""
-        staged = self._staged
-        if staged:
-            # injections staged after the materialise belong in the
-            # object graph too before it is re-packed; mask the fault
-            # state while replaying -- these flits were already counted
-            # as injected when the adapter staged them
-            net = self.net
-            fs, net.fault_state = net.fault_state, None
-            try:
-                pending = list(staged)
-                staged.clear()
-                for buf, pkt, fidx in pending:
-                    sink, buf.sink = buf.sink, None
-                    try:
-                        if fidx < 0:
-                            buf.push_packet(pkt)
-                        else:
-                            buf.push(pkt, fidx)
-                    finally:
-                        buf.sink = sink
-            finally:
-                net.fault_state = fs
+        re-adopt them as the array state.  (Packets injected in between
+        simply stay staged: they fold behind the re-packed queues.)"""
         self._adopt()
 
     # ------------------------------------------------------------------

@@ -15,22 +15,19 @@ in its own module and registers itself when numpy is importable):
   a lazily-materialised view) and runs both arbitration and commit over
   those arrays -- in a compiled C cycle kernel where a compiler is
   available, in the scalar Python loop the kernel was ported from
-  otherwise.  It also **fast-forwards idle gaps** (its own
-  ``run_mix``): when the network is empty it precomputes the traffic
-  process in blocks and jumps the clock straight to the next arrival
-  instead of spinning empty cycles.  See ``array_backend.py`` for the
-  ownership contract.
+  otherwise.  Its own ``run_mix`` drives **windows, not cycles**: it
+  precomputes the traffic process in blocks, injects a window ahead
+  and lets the cycle body run until Python is needed, idle gaps
+  skipped.  See ``array_backend.py`` for the ownership contract.
 
-Why fast-forwarding is bit-identical
-------------------------------------
+Why running ahead is bit-identical
+----------------------------------
 * Idle cycles are provably no-ops: with zero flits in flight, ``step``
-  only advances the clock.  Fast-forwarding assigns the same final clock
-  without executing the no-ops.
-* Traffic fast-forwarding replays the same RNG draws: each node's arrival
-  stream is drawn once per generating cycle (in cycle order) whether
-  drawn lazily or in blocks, and the per-node class/destination streams
-  are only consumed at actual arrivals (see
-  :meth:`repro.traffic.mix.TrafficMix.precompute_arrivals`).
+  only advances the clock, so jumping it assigns the same final clock.
+* Block-drawn traffic replays the same RNG draws: each node's arrival
+  stream is drawn in cycle order either way, and the per-node class /
+  destination streams are only consumed at arrivals, in arrival order
+  (:meth:`repro.traffic.mix.TrafficMix.precompute_arrivals`).
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ class SimBackend:
 
     Subclasses implement :meth:`step`; :meth:`run_mix` is the generic
     per-cycle loop and may be overridden for speed (the array backend's
-    is the block-precomputing fast-forward loop).
+    drives block-precomputed windows).
     """
 
     name = "abstract"

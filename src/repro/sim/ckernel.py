@@ -1,12 +1,15 @@
-"""Lazy gcc+ctypes loader for the C cycle kernel.
+"""Lazy gcc+ctypes loader for the C cycle kernel, and its state struct.
 
-The array engine's hot loop is ~100 numpy dispatches per cycle; at the
-paper's network sizes the dispatch overhead, not the arithmetic, is the
-floor.  ``_cycle_kernel.c`` ports the already-validated scalar cycle
-(phase A pick + ascending-port phase B commit) to C over the very same
-flat arrays, leaving every Python-object effect (deliveries, dateline
-vclass upgrades, route refreshes, side-deque refills) to the caller as
-replayable event lists.
+``_cycle_kernel.c`` is the array engine's cycle in C behind one entry,
+``repro_run(state *)``: it executes cycles until Python is needed and
+hands back what happened as events that carry their cycle (the file's
+header has the contract).  A cycle is a few us of C and a ctypes call
+costs as much again, hence one pointer and a horizon rather than one
+call per cycle.  :class:`State` mirrors the C ``repro_state`` field for
+field -- both tiers of the engine keep their scalars in it -- and a
+kernel whose ``repro_state_size()`` disagrees with
+``ctypes.sizeof(State)`` is refused: a layout drift degrades to the
+scalar tier with the warning below instead of corrupting memory.
 
 The kernel is compiled on first use with whatever ``cc`` the host has
 (``$CC`` overrides), cached under the system temp directory keyed by a
@@ -16,7 +19,7 @@ cache directory and library this user owns and nobody else can write
 otherwise run code in this process).  Any failure -- no compiler,
 sandboxed temp dir, bad toolchain, a cache entry that fails that check
 -- returns ``None``, which leaves the engine on its scalar oracle
-(``ArrayBackend._scalar_cycle``, ~3x slower at saturation), and says so
+(``ArrayBackend._scalar_run``, 20-30x slower at saturation), and says so
 once per process in a ``RuntimeWarning`` that carries the exception and
 the compiler's stderr.  ``REPRO_ARRAY_CKERNEL=0`` asks for the oracle
 and is silent (the differential suite uses it to lockstep both
@@ -34,13 +37,32 @@ import tempfile
 import warnings
 from typing import Optional
 
-__all__ = ["load_cycle_kernel"]
+__all__ = ["State", "load_cycle_kernel", "source_hash"]
 
 _SRC_PATH = os.path.join(os.path.dirname(__file__), "_cycle_kernel.c")
 
-#: 5 geometry scalars, then 29 array pointers, in the exact order of
-#: the C signature.  Pointers are passed as raw addresses (c_void_p).
-_ARGTYPES = [ctypes.c_longlong] * 5 + [ctypes.c_void_p] * 29
+
+
+class State(ctypes.Structure):
+    """``repro_state`` of ``_cycle_kernel.c``, in its field order; a
+    pointer field ``x`` holds the address of the engine's ``_x`` array."""
+
+    POINTERS = (
+        "qlen front rhead want vcreq jof pvb pvb2 phead ptail pfid ppend "
+        "dlv hdrf ne fullb rtflag isdl owner rr fs "
+        "down rbase rmask qcap vcmode pv2of rtab rflat "
+        "bestpr bestb bestvc outdl outrf "
+        "pdst ptraf psize pvcl phdr pnext acyc abuf aaid ev").split()
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in (
+            "B P PV SB Fm1 rstride "                # geometry
+            "now horizon nofast alltails trace "    # control
+            "inflight apos an nev evcap "           # run state
+            "stop moved ejected ndl "               # outputs
+            "calls cycles scanned cands flits").split()]    # counters
+        + [("stops", ctypes.c_int64 * 4)]
+        + [(name, ctypes.c_void_p) for name in POINTERS])
+
 
 _cached: Optional[ctypes.CFUNCTYPE] = None
 _failed = False
@@ -62,10 +84,15 @@ def _check_private(path: str, is_kind) -> None:
             f"(found uid {st.st_uid}, mode {stat.filemode(st.st_mode)})")
 
 
-def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
+def source_hash() -> str:
+    """The 16 hex digits that key the kernel cache (and name the kernel
+    in ``--profile`` reports)."""
     with open(_SRC_PATH, "rb") as fh:
-        src = fh.read()
-    tag = hashlib.sha256(src).hexdigest()[:16]
+        return hashlib.sha256(fh.read()).hexdigest()[:16]
+
+
+def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
+    tag = source_hash()
     libdir = os.path.join(tempfile.gettempdir(), "repro-ckernel")
     os.makedirs(libdir, mode=0o700, exist_ok=True)
     _check_private(libdir, stat.S_ISDIR)
@@ -86,9 +113,16 @@ def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
                 os.unlink(tmp)
     _check_private(lib, stat.S_ISREG)
     dll = ctypes.CDLL(lib)
-    fn = dll.repro_cycle
-    fn.restype = ctypes.c_longlong
-    fn.argtypes = _ARGTYPES
+    dll.repro_state_size.restype = ctypes.c_int64
+    dll.repro_state_size.argtypes = []
+    size = dll.repro_state_size()
+    if size != ctypes.sizeof(State):
+        raise RuntimeError(
+            f"repro_state is {size} bytes in {lib} but ckernel.State is "
+            f"{ctypes.sizeof(State)}: the two layouts have drifted apart")
+    fn = dll.repro_run
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_void_p]
     return fn
 
 
@@ -109,7 +143,7 @@ def load_cycle_kernel():
             # failure leaves a working (slower) engine, reported once
             _failed = True
             msg = (f"C cycle kernel unavailable ({exc!r}); --backend array "
-                   f"now runs its scalar oracle, ~3x slower at saturation")
+                   f"now runs its scalar oracle, 20-30x slower at saturation")
             stderr = getattr(exc, "stderr", None)   # a failed compile
             if stderr:
                 msg += "\n" + stderr.decode(errors="replace").strip()

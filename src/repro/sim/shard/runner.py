@@ -284,14 +284,15 @@ class _MergedProfiler:
     def __init__(self, reports: List[dict]):
         base = reports[0]
         cats: Dict[str, float] = {}
-        kcs: Dict[str, int] = {}
+        kcs: Dict[str, object] = {}
         run_s = 0.0
         for rep in reports:
             run_s = max(run_s, rep["run_s"])
             for cat, s in rep["categories"].items():
                 cats[cat] = cats.get(cat, 0.0) + s
-            for key, v in rep.get("kernel_counters", {}).items():
-                kcs[key] = kcs.get(key, 0) + v
+            kc = rep.get("kernel_counters")
+            if kc:      # element-wise, the nested ``stops`` included
+                kcs = _merge_probe_data(kcs, kc) if kcs else kc
         self._report = {
             "backend": base["backend"],
             "cycles": base["cycles"],
@@ -307,6 +308,8 @@ class _MergedProfiler:
             self._report["replay_s"] = max(replay, 0.0)
         if kcs:
             self._report["kernel_counters"] = kcs
+            self._report.update((k, base[k]) for k in ("tier", "kernel")
+                                if k in base)
 
     def report(self) -> dict:
         return self._report

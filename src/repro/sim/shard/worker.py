@@ -6,9 +6,11 @@ animates its own contiguous arc of it:
 
 * the traffic mix is pruned to the shard's nodes (per-node RNG streams
   make the draw sequence independent of other nodes);
-* route refreshes are filtered to owned buffer rows, so non-owned rows
-  stay inert -- the unmodified cycle (C kernel or scalar oracle) then
-  simply never moves remote flits;
+* route refreshes are filtered to owned buffer rows (non-owned rows
+  lose their route-table flag, so their headers surface as ROUTE events
+  the ``_route_one`` filter drops), so non-owned rows stay inert --
+  the unmodified cycle (C kernel or scalar oracle) then simply never
+  moves remote flits;
 * flits granted through a *cut* port land in a remote row, are
   harvested after the step into halo records (``repro.sim.shard
   .records``), and applied by the owning shard at the start of the next
@@ -177,21 +179,18 @@ class ShardWorker:
         blo, bhi = self.b_lo, self.b_hi
 
         # refresh filter: non-owned rows are never routed, so remote
-        # state stays inert and the full-size kernels skip it for free
-        orig_many = be._refresh_many
-        orig_one = be._refresh_one
+        # state stays inert and the full-size kernels skip it for free.
+        # Without a table flag the cycle hands their headers to
+        # _route_one, which drops them
+        orig_route = be._route_one
 
-        def refresh_many(blist):
-            owned = [b for b in blist if blo <= b < bhi]
-            if owned:
-                orig_many(owned)
-
-        def refresh_one(b):
+        def route_one(b):
             if blo <= b < bhi:
-                orig_one(b)
+                orig_route(b)
 
-        be._refresh_many = refresh_many
-        be._refresh_one = refresh_one
+        be._route_one = route_one
+        be._rtflag[:blo] = 0
+        be._rtflag[bhi:] = 0
 
         # delivery recording (see ShardRecorder): raw arrival events
         # for op-carrying traffic; relay regeneration runs live (it
@@ -302,6 +301,7 @@ class ShardWorker:
             if gid not in self._sent_gids[dest]:
                 self._sent_gids[dest].add(gid)
                 pkt = be._pkts[aid]
+                pkt.vclass = int(be._pvcl[aid])
                 opgid = (self._gid_for_op(pkt.op)
                          if pkt.op is not None else 0)
                 opcls = (self._clsid[pkt.op.cls]
@@ -316,11 +316,11 @@ class ShardWorker:
             be._inflight -= 1
             sent_rows.add(row)
         # dateline upgrades of shipped packets -> broadcast
-        ndl = int(be._ck_counts[1])
+        ndl = be._st.ndl
         if ndl:
             seen: Set[int] = set()
             vgids: List[int] = []
-            for word in be._ck_outdl[:ndl].tolist():
+            for word in be._outdl[:ndl].tolist():
                 g = self._gid_of.get(word >> FSHIFT)
                 if g is not None and g not in seen:
                     seen.add(g)
@@ -380,18 +380,19 @@ class ShardWorker:
                     i += 2
                     aid = self._gid2aid.get(gid)
                     if aid is not None:
-                        be._pkts[aid].vclass = 1
-                        hb = be._hdr_of.get(aid, -1)
+                        be._pvcl[aid] = 1
+                        hb = int(be._phdr[aid])
                         if (hb >= 0 and be._hdrf[hb] and be._ne[hb]
                                 and (int(be._front[hb]) >> FSHIFT)
                                 == aid):
                             refresh.append(hb)
                 else:
                     raise AssertionError(f"bad halo record type {typ}")
-        if refresh:
-            # all candidates are owned rows; one batch refresh mirrors
-            # the serial end-of-cycle _refresh_many
-            be._refresh_many(sorted(set(refresh)))
+        # all candidates are owned rows; refreshing them here mirrors
+        # the serial end-of-cycle refresh
+        for row in sorted(set(refresh)):
+            if not be._table_refresh(row):
+                be._route_one(row)
 
     def _make_replica(self, f: Dict[str, object]) -> None:
         gid = f["gid"]
@@ -416,7 +417,7 @@ class ShardWorker:
         meta = f["meta"]
         if meta is not None:
             pkt.meta.update(meta)
-        aid = self.be._intern(pkt)
+        aid = self.be._intern((pkt,))
         self._gid_of[aid] = gid
         self._gid2aid[gid] = aid
 

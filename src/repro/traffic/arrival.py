@@ -124,8 +124,8 @@ class BernoulliInjector(ArrivalModel):
     def _draw_gap(self) -> int:
         """Non-arrival cycles preceding the next arrival."""
         rate = self.rate
-        if rate <= 0.0:
-            return _NEVER
+        if rate < 1.0 / _NEVER:     # a gap past the sentinel (inf at
+            return _NEVER           # subnormal rates): never fires
         if rate >= 1.0:
             return 0
         # floor(ln(1-U)/ln(1-rate)), U ~ Uniform[0,1): geometric with

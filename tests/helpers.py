@@ -32,7 +32,7 @@ def run_cycles(net: Network, cycles: int) -> None:
 
 
 def probed_route_tables(be):
-    """Oracle for ``ArrayBackend._rtab`` / ``_rtab_all``: the row-packing
+    """Oracle for ``ArrayBackend._rtab`` / ``_rtflag``: the row-packing
     loop the engine ran before its tables were built arithmetically --
     ``route_head`` probed once per (router, role, dst) through
     ``Router._probe_route_table``, every row packed in Python.  Mirrors

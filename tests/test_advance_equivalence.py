@@ -1,0 +1,172 @@
+"""The multi-cycle entry equals K single-cycle calls, event for event.
+
+``ArrayBackend._advance(now, horizon)`` runs cycles until Python is
+needed; ``step`` is the same entry at horizon 1.  Whatever the batching,
+one spec + seed must produce the same events (winner, dateline,
+delivery, route-to-Python -- each carrying its cycle), the same state
+and the same ``RunSummary``, on the C tier and on its scalar oracle.
+Also pinned here: the two orderings the batching could break (a packet
+regenerated by a delivery folds ahead of the next cycle's pre-drawn
+arrivals) and the ring / pending-FIFO boundary of deep source queues.
+"""
+
+from __future__ import annotations
+
+import pytest
+from differential import make_config
+
+from repro.noc.network import flit_key
+from repro.sim import array_backend
+from repro.sim.array_backend import (EV_DATELINE, EV_DELIVERY, EV_ROUTE,
+                                     EV_WINNER, FIDMASK, FSHIFT)
+from repro.sim.backend import SimBackend
+from repro.sim.session import SimulationSession, _merge_probes
+
+KINDS = ("quarc", "spidergon", "mesh", "torus")
+TIERS = ("1", "0")      # REPRO_ARRAY_CKERNEL: C kernel, scalar oracle
+
+
+def _named(be, events):
+    """``events`` with every aid (an interning order, which batching
+    changes) replaced by the packet it names."""
+    out = []
+    it = iter(events)
+    for key, word in zip(it, it):
+        kind = key & 3
+        if kind == EV_DELIVERY:
+            word = (flit_key(be._pkts[word >> 16], 0), word & 0xFFFF)
+        elif kind == EV_DATELINE:
+            word = flit_key(be._pkts[word >> FSHIFT], word & FIDMASK)
+        out += (key, word)
+    return out
+
+
+def _drive(config, backend="array", per_cycle=False, trace=False,
+           snap_at=(), hook_at=None):
+    """Run ``config``; returns the summary, the replayed events, the
+    end-of-run state digest and ``(snapshot, total_flits)`` at each
+    cycle of ``snap_at``.  ``per_cycle`` drives the array engine
+    through ``step`` (horizon 1) instead of its windowed ``run_mix``;
+    ``hook_at = (cycle, fn)`` calls ``fn(backend)`` after that cycle."""
+    session = SimulationSession(config.with_backend(backend))
+    be, net = session.backend, session.net
+    events, snaps = [], []
+    if trace:
+        be._st.trace = 1
+        replay = be._replay
+        be._replay = lambda evs: (events.extend(_named(be, evs)),
+                                  replay(evs))
+    probes = session._probe_schedule()
+    _merge_probes(probes, {
+        t: lambda now: snaps.append((net.state_snapshot(),
+                                     net.total_flits()))
+        for t in snap_at})
+    if hook_at is not None:
+        _merge_probes(probes, {hook_at[0]: lambda now: hook_at[1](be)})
+    run_mix = SimBackend.run_mix if per_cycle else type(be).run_mix
+    run_mix(be, session.mix, config.spec.cycles, probes)
+    digest = be.state_digest() if backend == "array" else None
+    summary = session.summary()
+    be.detach()
+    return summary, events, digest, snaps
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("beta", (0.0, 0.1))
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_advance_equals_k_steps(kind, beta, tier, monkeypatch):
+    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
+    kinds_seen = set()
+    for rate in (0.01, 0.2):        # sub-saturation, saturated
+        config = make_config(kind=kind, n=16, msg_len=6, beta=beta,
+                             rate=rate, cycles=700, warmup=150, seed=11)
+        batched = _drive(config, trace=True)
+        stepped = _drive(config, per_cycle=True, trace=True)
+        assert batched[1] == stepped[1], (kind, beta, rate)   # events
+        assert batched[2] == stepped[2], (kind, beta, rate)   # digest
+        assert batched[0] == stepped[0], (kind, beta, rate)   # summary
+        assert batched[0] == _drive(config, "reference")[0]
+        keys = batched[1][::2]
+        assert keys == sorted(keys, key=lambda k: k >> 2)   # cycle order
+        kinds_seen.update(k & 3 for k in keys)
+    assert {EV_WINNER, EV_DELIVERY} <= kinds_seen
+    if kind != "mesh":              # rings and tori have dateline links
+        assert EV_DATELINE in kinds_seen
+    if kind == "quarc" and beta:    # ingress cloning is not tabulated
+        assert EV_ROUTE in kinds_seen
+
+
+def test_batches_really_span_cycles(monkeypatch):
+    """At beta = 0 nothing needs Python inside a window: the run is a
+    handful of kernel entries, not one per cycle."""
+    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", "0")  # counted on any host
+    config = make_config(kind="quarc", n=16, msg_len=6, beta=0.0,
+                         rate=0.2, cycles=700, warmup=150, seed=11)
+    session = SimulationSession(config.with_backend("array"))
+    session.run()
+    st = session.backend._st
+    assert st.cycles > 600 and st.calls < 10
+    assert list(st.stops) == [st.calls, 0, 0, 0]    # all at the horizon
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("kind,extra", [
+    ("spidergon", {}),                      # relays through repl_q
+    ("quarc", {"bcast_mode": "relay"}),     # ... through the source queue
+])
+def test_regenerated_packet_folds_before_next_arrivals(
+        kind, extra, tier, monkeypatch):
+    """A relay segment regenerated by a delivery at cycle t enters its
+    queue at t + 1 *ahead of* that node's pre-drawn arrivals of t + 1,
+    as the reference pushes it -- although the window staged those
+    arrivals first."""
+    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
+    config = make_config(kind=kind, n=16, msg_len=4, beta=0.3, rate=0.12,
+                         cycles=900, warmup=200, seed=5, **extra)
+    merges = []
+    stage = array_backend.ArrayBackend._stage
+
+    def watching(be, now):
+        waiting = be._st.apos < be._st.an
+        late = len(be._staged)
+        stage(be, now)
+        if waiting:
+            # the regenerated packets are the newest aids, and lead
+            n = be._st.an
+            first = be._aaid[:late].tolist()
+            assert be._acyc[:late].tolist() == [now] * late
+            assert min(first) > be._aaid[late:n].max(initial=-1)
+            merges.append(bool((be._acyc[late:n] == now).any()))
+
+    monkeypatch.setattr(array_backend.ArrayBackend, "_stage", watching)
+    at = (300, 600, 899)
+    got = _drive(config, snap_at=at)
+    want = _drive(config, "reference", snap_at=at)
+    assert any(merges)      # a node did inject right after it relayed
+    assert got[0] == want[0]
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_deep_source_queues_live_in_the_pending_fifo(tier, monkeypatch):
+    """Past the ring slice a source queue keeps whole packets in the
+    pending FIFO and generates flit words as the ring drains.  With the
+    slice shrunk to 8 flits a saturated run lives on that boundary."""
+    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
+    monkeypatch.setattr(array_backend, "_RING_CAP", 8)
+    config = make_config(kind="quarc", n=16, msg_len=6, beta=0.1,
+                         rate=0.3, cycles=900, warmup=200, seed=3)
+    depth = []
+
+    def round_trip(be):
+        depth.append((int(be._ppend.max()), int((be._phead >= 0).sum())))
+        be.materialize()
+        be.resync()
+
+    at = (250, 500, 899)
+    got = _drive(config, snap_at=at, hook_at=(400, round_trip))
+    want = _drive(config, "reference", snap_at=at)
+    assert depth[0][0] > 8 * 6 and depth[0][1] > 16     # deep, and many
+    assert got[0] == want[0] and got[0].saturated
+    assert got[3] == want[3]        # snapshots and total_flits()
+    assert got[0] == _drive(config, per_cycle=True)[0]

@@ -282,6 +282,29 @@ class TestArrayBackend:
         self._warns_once_and_still_agrees("no toolchain here",
                                           "scalar oracle")
 
+    def test_drifted_state_layout_is_refused(self, monkeypatch):
+        """The Python and C sides of the state struct must agree byte
+        for byte; a kernel whose ``repro_state_size()`` differs is not
+        called -- one warning, the scalar oracle, same results."""
+        import ctypes
+        import warnings
+
+        from repro.sim import ckernel
+
+        class Drifted(ctypes.Structure):
+            _fields_ = ckernel.State._fields_ + [("extra", ctypes.c_int64)]
+
+        monkeypatch.delenv("REPRO_ARRAY_CKERNEL", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if ckernel.load_cycle_kernel() is None:
+                pytest.skip("compiled cycle kernel unavailable")
+        monkeypatch.setattr(ckernel, "State", Drifted)
+        monkeypatch.setattr(ckernel, "_cached", None)
+        monkeypatch.setattr(ckernel, "_failed", False)
+        self._warns_once_and_still_agrees("drifted apart",
+                                          "scalar oracle")
+
     @pytest.mark.skipif(not hasattr(os, "getuid"),
                         reason="no POSIX ownership to check")
     def test_kernel_cache_others_can_write_is_not_loaded(
@@ -314,18 +337,20 @@ class TestArrayBackend:
 
     @pytest.mark.parametrize("ckernel_env", ["1", "0"])
     def test_idle_step_leaves_no_events(self, ckernel_env, monkeypatch):
-        """The idle short-circuit runs no cycle, so the event lists the
+        """An idle step runs no cycle, so the last-cycle outputs the
         shard worker harvests must read empty after it -- not hold the
-        previous cycle's deliveries and dateline crossings."""
+        previous cycle's moves and dateline crossings."""
         monkeypatch.setenv("REPRO_ARRAY_CKERNEL", ckernel_env)
         net, _ = build_network("torus", 16)
         be = ArrayBackend(net)
         net.adapters[0].send(Packet(0, 5, 1, UNICAST, created=0), 0)
         be.drain()
         assert net.deliveries == 1
-        assert be._ck_counts[2] > 0     # the last busy cycle delivered
+        st = be._st
+        assert st.moved == 1            # the last busy cycle ejected
+        st.ndl = 3                      # as a dateline cycle leaves it
         assert be.step() == 0
-        assert not be._ck_counts[:5].any()
+        assert st.moved == st.ndl == st.nev == 0
 
 
 class TestEnvironmentToggles:
@@ -362,10 +387,12 @@ class TestGeometricInjector:
         assert a._gap == b._gap        # resumable from the same state
 
     def test_tiny_rate_does_not_divide_by_zero(self):
-        """Regression: rates below float epsilon made log(1-rate) == 0."""
-        inj = BernoulliInjector(1e-17, random.Random(0))
-        assert not inj.fires()
-        assert inj.arrivals_in(0, 10_000) == []
+        """Regression: rates below float epsilon made log(1-rate) == 0,
+        and a subnormal rate an infinite gap ``int()`` cannot take."""
+        for rate in (1e-17, 5e-324):
+            inj = BernoulliInjector(rate, random.Random(0))
+            assert not inj.fires()
+            assert inj.arrivals_in(0, 10_000) == []
 
     def test_mix_precompute_matches_generate(self):
         nets = [build_network("quarc", 8)[0] for _ in range(2)]

@@ -162,6 +162,31 @@ class TestZeroPerturbation:
         assert kc["flits_moved"] > 0
         assert report["replay_s"] >= 0.0
 
+    @pytest.mark.parametrize("env", ["1", "0"])
+    def test_array_profile_names_tier_and_batch_stops(self, env,
+                                                      monkeypatch):
+        """Which tier ran, how many cycles its entries executed and why
+        each batch ended -- from the state struct, on either tier."""
+        monkeypatch.setenv("REPRO_ARRAY_CKERNEL", env)
+        session, _ = _probed_run(SPEC, "array", ObsSpec(profile=True))
+        be = session.backend
+        report = session.profiler.report()
+        if be._ck is None:
+            assert report["tier"] == "scalar" and "kernel" not in report
+        else:
+            assert report["tier"] == "ckernel"
+            assert len(report["kernel"]) == 16
+        kc = report["kernel_counters"]
+        assert set(kc["stops"]) == {"horizon", "python_route",
+                                    "delivery", "events_full"}
+        assert sum(kc["stops"].values()) == kc["calls"] < kc["cycles"]
+        assert kc["cycles"] <= SPEC.cycles
+        assert kc["stops"]["events_full"] == 0
+        assert "batches ended by" in session.profiler.render()
+        # finish() put the kernel back, not a timing wrapper
+        assert be._ck is None or not hasattr(be._ck, "__closure__")
+        assert "_advance" not in vars(be) and "_stage" not in vars(be)
+
     def test_heartbeat_does_not_perturb_summary(self, capsys):
         _, off = _probed_run(SPEC, "array", None)
         _, on = _probed_run(SPEC, "array",

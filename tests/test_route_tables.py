@@ -80,13 +80,15 @@ def test_packed_tables_equal_probed_oracle(kind):
     net, _ = build_network(kind, 64)
     be = ArrayBackend(net)
     oracle, oracle_all = probed_route_tables(be)
-    assert be._rtab_all == oracle_all
+    # rtflag: 2 = the row holds for every class, 1 = unicast only
+    assert [f == 2 for f in be._rtflag[:be._B].tolist()] == oracle_all
+    assert be._rtflag[:be._B].all() and not be._rtflag[be._B:].any()
+    table, mv = be._rtab, be._rtmv
+    assert table.flags.c_contiguous and be._st.rstride == table.shape[1]
+    assert mv.format == "l" and mv.itemsize == 8
     for b in range(be._B):
-        row = be._rtab[b]
-        assert isinstance(row, memoryview) and row.c_contiguous
-        assert row.format == "l" and row.itemsize == 8
-        assert type(row[0]) is int
-        assert list(row) == oracle[b], (kind, b)
+        assert type(mv[b, 0]) is int    # what the scalar tier reads
+        assert table[b].tolist() == oracle[b], (kind, b)
 
 
 @pytest.mark.parametrize("kind", KINDS)

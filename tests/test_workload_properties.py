@@ -101,7 +101,8 @@ class TestBlockContract:
     @settings(max_examples=40, **SETTINGS)
     def test_switching_mid_stream_is_seamless(self, rate, seed, split):
         """Drivers may swap between per-cycle and block consumption at
-        any point (the active backend does, at chunk boundaries)."""
+        any point (per-cycle ``generate``, then the array backend's
+        block-precomputing ``run_mix`` on the same mix)."""
         a = BernoulliInjector(rate, random.Random(seed))
         b = BernoulliInjector(rate, random.Random(seed))
         train_a = [t for t in range(self.HORIZON) if a.fires()]
