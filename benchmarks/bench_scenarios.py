@@ -5,10 +5,12 @@ beta).  This benchmark drives the :mod:`repro.workloads` scenario grid
 (every registered spatial pattern x the stochastic arrival models) over
 both architectures and
 
-* emits the comparison table + CSV (``results/bench_scenarios.csv``);
-* verifies the ``array`` backend stays **summary-identical** to
-  ``reference`` on every cell (neither the injector seam nor the
-  compiled kernel may perturb a single scenario);
+* emits the comparison table + CSV (``results/bench_scenarios.csv``),
+  computed on the ``reference`` oracle -- named explicitly, it is not
+  the default engine;
+* verifies the ``array`` engine stays **summary-identical** to that
+  matrix on every cell (neither the injector seam nor the compiled
+  kernel may perturb a single scenario);
 * asserts basic sanity: every cell delivers traffic, and the hotspot
   pattern degrades (or at best matches) uniform latency on both NoCs.
 
@@ -51,7 +53,7 @@ def _base_spec(smoke: bool) -> WorkloadSpec:
                         rate=RATE, cycles=cycles, warmup=warmup, seed=1)
 
 
-def run_matrix(smoke: bool = False, backend: str = "reference",
+def run_matrix(smoke: bool = False, *, backend: str,
                workers: int = 1) -> List[RunSummary]:
     base = _base_spec(smoke)
     return sweep_scenarios(base, patterns=PATTERNS, arrivals=ARRIVALS,
@@ -123,7 +125,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     t0 = time.perf_counter()
-    summaries = run_matrix(smoke=args.smoke, workers=args.workers)
+    summaries = run_matrix(smoke=args.smoke, backend="reference",
+                           workers=args.workers)
     rows = matrix_rows(summaries)
     emit("bench_scenarios", rows,
          title=f"scenario matrix N={N} M={MSG_LEN} beta={BETA:g} "

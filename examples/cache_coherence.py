@@ -19,7 +19,7 @@ this example is nothing but the registered ``cache_coherence``
 application workload run through a ``SimulationSession`` -- the same
 entry point the CLI reaches with::
 
-    repro run --workload cache_coherence:storms=true --backend array
+    repro run --workload cache_coherence:storms=true
 
 The per-class numbers (fill latency vs invalidation latency) come from
 the summary's ``classes`` breakdown.
@@ -50,7 +50,7 @@ def run(kind: str, n: int, seed: int = 2026, cycles: int = CYCLES,
                         rate=1.0, cycles=cycles, warmup=warmup, seed=seed,
                         workload=WORKLOAD)
     # same seed => identical workload per NoC (common random numbers)
-    session = SimulationSession(RunConfig(spec=spec, backend="array"))
+    session = SimulationSession(RunConfig(spec=spec))
     summary = session.run()
     session.backend.detach()
     classes = summary.per_class

@@ -22,8 +22,7 @@ N, M, BETA = 16, 16, 0.05
 
 
 def main(cycles: int = 8_000, warmup: int = 2_000, points: int = 5,
-         pattern: str = "uniform", arrival: str = "bernoulli",
-         backend: str = "array") -> None:
+         pattern: str = "uniform", arrival: str = "bernoulli") -> None:
     rates = [round(r * 0.004, 4) for r in range(1, points + 1)]
     print(f"sweeping N={N} M={M} beta={BETA:g} at rates {rates} "
           f"(pattern={pattern}, arrival={arrival})")
@@ -33,8 +32,7 @@ def main(cycles: int = 8_000, warmup: int = 2_000, points: int = 5,
 
     results = compare_networks(N, M, BETA, rates=rates,
                                cycles=cycles, warmup=warmup, verbose=True,
-                               backend=backend, pattern=pattern,
-                               arrival=arrival)
+                               pattern=pattern, arrival=arrival)
     rows = latency_rows(results, config_label=f"N={N} M={M}")
 
     print()

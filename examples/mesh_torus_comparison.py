@@ -29,8 +29,7 @@ RATE = 0.008
 
 
 def main(cycles: int = 8_000, warmup: int = 2_000,
-         pattern: str = "uniform", arrival: str = "bernoulli",
-         backend: str = "array") -> None:
+         pattern: str = "uniform", arrival: str = "bernoulli") -> None:
     print(f"N={N}, M={M}, beta={BETA:g}, rate={RATE} msg/node/cycle "
           f"(pattern={pattern}, arrival={arrival})\n")
     hdr = (f"{'NoC':<10} {'avg hops':>8} {'unicast lat':>11} "
@@ -42,7 +41,7 @@ def main(cycles: int = 8_000, warmup: int = 2_000,
         spec = WorkloadSpec(kind=kind, n=N, msg_len=M, beta=BETA,
                             rate=RATE, cycles=cycles, warmup=warmup,
                             seed=3, pattern=pattern, arrival=arrival)
-        s = run_point(spec, backend=backend)
+        s = run_point(spec)
         rows.append((kind, s))
         print(f"{kind:<10} {average_hops(kind, N):>8.2f} "
               f"{s.unicast_mean:>10.1f}c {s.bcast_mean:>9.1f}c "

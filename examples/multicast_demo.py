@@ -15,7 +15,7 @@ Run:  python examples/multicast_demo.py
 from repro import MULTICAST, FlitCodec, build_network
 from repro.core.collector import LatencyCollector
 from repro.core.quadrant import QuadrantCalculator
-from repro.sim.backend import make_backend
+from repro.sim.backend import DEFAULT_BACKEND, make_backend
 from repro.topologies.quarc import QuarcTopology
 
 N = 16
@@ -35,12 +35,12 @@ def main() -> None:
         print(f"  node {t:2d}: quadrant {quad:<7s} hop-distance {hops}"
               f"  (route {' -> '.join(map(str, topo.path(SRC, t)))})")
 
-    # run it (drained through the optimized simulation backend -- same
-    # engine the session layer selects with backend="array")
+    # run it (drained through the same engine the session layer runs
+    # by default)
     collector = LatencyCollector()
     net, _ = build_network("quarc", N, collector=collector)
     op = net.adapters[SRC].send_multicast(TARGETS, SIZE, now=0)
-    make_backend("array", net).drain()
+    make_backend(DEFAULT_BACKEND, net).drain()
 
     print(f"\ncompleted in {op.completion_latency} cycles; deliveries:")
     for node in sorted(op.deliveries):

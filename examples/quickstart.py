@@ -16,7 +16,7 @@ Run:  python examples/quickstart.py
 
 from repro import UNICAST, Packet, build_network
 from repro.core.collector import LatencyCollector
-from repro.sim.backend import make_backend
+from repro.sim.backend import DEFAULT_BACKEND, make_backend
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.workload import WorkloadSpec
 
@@ -35,9 +35,9 @@ def main(cycles: int = 4_000, warmup: int = 1_000) -> None:
         net.adapters[src].send(pkt, now=0)
     op = net.adapters[7].send_broadcast(size=6, now=0)
 
-    # drain through a simulation backend (the "array" engine runs the
-    # cycle in a compiled kernel while producing identical results)
-    drained = make_backend("array", net).drain()
+    # drain through the default engine (it runs the cycle in a compiled
+    # kernel; the "reference" oracle produces identical results)
+    drained = make_backend(DEFAULT_BACKEND, net).drain()
     print(f"network drained in {drained} cycles\n")
 
     print("unicast deliveries (latency = hops + M - 1 at zero load):")
@@ -57,8 +57,7 @@ def main(cycles: int = 4_000, warmup: int = 1_000) -> None:
                         rate=0.01, cycles=cycles, warmup=warmup, seed=7,
                         pattern="hotspot:node=0,p=0.25",
                         arrival="bursty:on=0.3,len=6")
-    summary = SimulationSession(
-        RunConfig(spec=spec, backend="array")).run()
+    summary = SimulationSession(RunConfig(spec=spec)).run()
     print(f"scenario run [{spec.label()}]:")
     print(f"  {summary.delivered_msgs} messages delivered, "
           f"mean unicast latency {summary.unicast_mean:.1f} cycles, "

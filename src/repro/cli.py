@@ -25,8 +25,8 @@ Workload scenarios: ``run``, ``sweep`` and ``trace record`` accept
 multi-class specs, e.g.::
 
     repro run --rate 0.01 --pattern hotspot:node=0,p=0.3 \\
-              --arrival bursty:on=0.25,len=8 --backend array
-    repro run --workload cache_coherence:storms=true --backend array
+              --arrival bursty:on=0.25,len=8
+    repro run --workload cache_coherence:storms=true
     repro sweep --workload allreduce:chunk=8 --points 4
     repro scenarios list
     repro trace record --out run.jsonl --rate 0.01 --arrival bursty
@@ -43,8 +43,7 @@ cycles, identically on every backend; rows then gain ``dropped`` /
 ``dead_links`` / ``dead_routers`` columns and the summary carries the
 full accounting in ``extra["faults"]``::
 
-    repro run --rate 0.01 --faults 'links:down=3@cycle=500' \\
-              --backend array
+    repro run --rate 0.01 --faults 'links:down=3@cycle=500'
     repro sweep --faults 'link:src=0,dst=1@cycle=200' --points 4
 
 Replication: ``run``, ``sweep`` and the figure commands accept
@@ -65,8 +64,8 @@ for the phase/kernel wall-time split, ``--metrics-out FILE`` for the
 for a live heartbeat; ``sweep --probe inflight`` adds a saturation
 onset column::
 
-    repro run --rate 0.02 --backend array --probe occupancy:window=64 \\
-              --probe inflight --hist --metrics-out run.metrics.jsonl
+    repro run --rate 0.02 --probe occupancy:window=64 --probe inflight \\
+              --hist --metrics-out run.metrics.jsonl
     repro sweep --probe inflight --progress
 """
 
@@ -88,7 +87,7 @@ from repro.experiments.figures import (bands_from_rows, curves_from_rows,
 from repro.experiments.latency import run_point
 from repro.experiments.sweep import (compare_networks, default_rates,
                                      default_workload_rates)
-from repro.sim.backend import BACKENDS
+from repro.sim.backend import BACKENDS, DEFAULT_BACKEND
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = ["main", "build_parser"]
@@ -128,11 +127,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_engine_args(sp, workers=True, replicates=False,
                         shard=False):
         sp.add_argument("--backend", choices=sorted(BACKENDS),
-                        default="reference",
-                        help="simulation engine, identical results: "
-                             "reference = the per-cycle oracle, array = "
-                             "array-resident engine with compiled cycle "
-                             "kernel (fastest, all loads)")
+                        default=DEFAULT_BACKEND,
+                        help="simulation engine: array = the engine and "
+                             "the default (array-resident state, compiled "
+                             "cycle kernel); reference = the per-cycle "
+                             "oracle, identical results, 8-60x slower")
         if workers:
             sp.add_argument("--workers", type=_positive_int, default=1,
                             help="parallel processes sharding the "
@@ -154,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "each single run across N processes, "
                                  "one contiguous shard of the network "
                                  "each, with shared-memory halo "
-                                 "exchange (requires --backend array; "
+                                 "exchange (array engine only; "
                                  "summaries byte-identical to "
                                  "--shard-workers 1).  Orthogonal to "
                                  "--workers, which parallelises across "
@@ -346,8 +345,6 @@ def _render_point_obs(session, summary, args) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    if _shard_usage_error(args):
-        return 2
     if args.workload:
         # multi-class sweeps scale every class rate together: the rate
         # axis is a multiplier around the scenario's native rates
@@ -425,24 +422,9 @@ def _print_class_table(summary) -> None:
         print(format_table(rows))
 
 
-def _shard_usage_error(args) -> bool:
-    """--shard-workers needs the array engine; fail with usage guidance
-    rather than a deep ValueError (or, worse, a silent fallback)."""
-    if args.shard_workers > 1 and args.backend != "array":
-        print(f"error: --shard-workers requires --backend array (got "
-              f"--backend {args.backend}); spatial sharding splits the "
-              f"flat array state, which other engines do not have.  "
-              f"Use --workers to parallelise across replicate runs "
-              f"instead", file=sys.stderr)
-        return True
-    return False
-
-
 def _cmd_point(args) -> int:
     rate = _resolve_rate(args)
     if rate is None:
-        return 2
-    if _shard_usage_error(args):
         return 2
     from repro.obs import obs_from_args
     obs = obs_from_args(args)
@@ -604,10 +586,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_figure(args, fig: str) -> int:
     runner = {"fig9": run_fig9, "fig10": run_fig10, "fig11": run_fig11}[fig]
-    if args.full:
-        os.environ["REPRO_BENCH_FULL"] = "1"
-    rows = runner(backend=args.backend, workers=args.workers,
-                  replicates=args.replicates)
+    rows = runner(fast=False if args.full else None, backend=args.backend,
+                  workers=args.workers, replicates=args.replicates)
     path = args.csv or os.path.join("results", f"{fig}.csv")
     print(format_table(rows))
     print(f"[csv] {write_csv(rows, path)}")
@@ -616,6 +596,16 @@ def _cmd_figure(args, fig: str) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ValueError as exc:
+        # how spec parsing, the scenario registry and the session's
+        # _AXIS_RULES reject a command line: usage, not a crash
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "info":
         return _cmd_info(args)

@@ -22,9 +22,11 @@ import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import (predict_broadcast_latency,
-                            predict_unicast_latency, saturation_rate)
-from repro.experiments.sweep import compare_networks
+                            predict_unicast_latency)
+from repro.experiments.sweep import (compare_networks, default_rates,
+                                     sweep_scenarios)
 from repro.hw.report import cost_sweep, table1
+from repro.sim.backend import DEFAULT_BACKEND
 from repro.sim.records import RunSummary
 from repro.traffic.workload import WorkloadSpec
 
@@ -46,22 +48,6 @@ def _grid(fast: Optional[bool]) -> Tuple[int, int, int]:
     """(rate points, cycles, warmup) for the current mode."""
     full = is_full_mode() if fast is None else not fast
     return (8, 20_000, 5_000) if full else (5, 8_000, 2_000)
-
-
-def _rates_for(n: int, msg_len: int, beta: float, points: int
-               ) -> List[float]:
-    """Rates from light load to just past the *simulated* knee.
-
-    The cycle simulator saturates below the M/G/1 bound because wormhole
-    blocking with finite lane buffers wastes link capacity; empirically
-    the knee sits around 55-70% of the analytic rate, so the grid tops
-    out at 0.65x -- the last point lands past the knee (the figures'
-    vertical tail) while the earlier points resolve the rising region.
-    """
-    sat = min(saturation_rate("spidergon", n, msg_len, beta),
-              saturation_rate("quarc", n, msg_len, beta))
-    top = 0.65 * sat
-    return [round(top * (i + 1) / points, 6) for i in range(points)]
 
 
 def latency_rows(results: Dict[str, List],
@@ -122,14 +108,14 @@ def bands_from_rows(rows: Sequence[Dict[str, object]],
 # ----------------------------------------------------------------------
 def run_fig9(fast: Optional[bool] = None, seed: int = 1,
              msg_lens: Sequence[int] = (8, 16, 32),
-             backend: str = "reference", workers: int = 1,
+             backend: str = DEFAULT_BACKEND, workers: int = 1,
              replicates: int = 1) -> List[Dict[str, object]]:
     points, cycles, warmup = _grid(fast)
     n, beta = 16, 0.05
     rows: List[Dict[str, object]] = []
     for m in msg_lens:
         res = compare_networks(n, m, beta,
-                               rates=_rates_for(n, m, beta, points),
+                               rates=default_rates(n, m, beta, points),
                                cycles=cycles, warmup=warmup, seed=seed,
                                backend=backend, workers=workers,
                                replicates=replicates)
@@ -142,13 +128,13 @@ def run_fig9(fast: Optional[bool] = None, seed: int = 1,
 # ----------------------------------------------------------------------
 def run_fig10(fast: Optional[bool] = None, seed: int = 1,
               sizes: Sequence[int] = (16, 32, 64),
-              backend: str = "reference", workers: int = 1,
+              backend: str = DEFAULT_BACKEND, workers: int = 1,
               replicates: int = 1) -> List[Dict[str, object]]:
     points, cycles, warmup = _grid(fast)
     m, beta = 16, 0.10
     rows: List[Dict[str, object]] = []
     for n in sizes:
-        rates = _rates_for(n, m, beta, points)
+        rates = default_rates(n, m, beta, points)
         res = compare_networks(n, m, beta, rates=rates,
                                cycles=cycles, warmup=warmup, seed=seed,
                                backend=backend, workers=workers,
@@ -175,7 +161,7 @@ def run_fig10(fast: Optional[bool] = None, seed: int = 1,
 # ----------------------------------------------------------------------
 def run_fig11(fast: Optional[bool] = None, seed: int = 1,
               betas: Sequence[float] = (0.0, 0.05, 0.10),
-              n: int = 64, backend: str = "reference",
+              n: int = 64, backend: str = DEFAULT_BACKEND,
               workers: int = 1,
               replicates: int = 1) -> List[Dict[str, object]]:
     points, cycles, warmup = _grid(fast)
@@ -183,7 +169,7 @@ def run_fig11(fast: Optional[bool] = None, seed: int = 1,
     rows: List[Dict[str, object]] = []
     for beta in betas:
         res = compare_networks(n, m, beta,
-                               rates=_rates_for(n, m, beta, points),
+                               rates=default_rates(n, m, beta, points),
                                cycles=cycles, warmup=warmup, seed=seed,
                                backend=backend, workers=workers,
                                replicates=replicates)
@@ -225,7 +211,7 @@ def run_app_scenarios(fast: Optional[bool] = None, seed: int = 1,
                       n: int = 16, scale: float = 1.0,
                       workloads: Sequence[str] = APP_WORKLOADS,
                       kinds: Sequence[str] = ("quarc", "spidergon"),
-                      backend: str = "reference", workers: int = 1,
+                      backend: str = DEFAULT_BACKEND, workers: int = 1,
                       replicates: int = 1) -> List[Dict[str, object]]:
     """Quarc vs Spidergon on the registered application workloads
     (cache-coherence invalidation storms, ring all-reduce), reported
@@ -236,7 +222,6 @@ def run_app_scenarios(fast: Optional[bool] = None, seed: int = 1,
     the per-class rows separate the invalidation-broadcast latency from
     the cache-line-fill latency on both architectures.
     """
-    from repro.experiments.sweep import sweep_scenarios
     _, cycles, warmup = _grid(fast)
     base = WorkloadSpec(kind=kinds[0], n=n, msg_len=8, beta=0.0,
                         rate=scale, cycles=cycles, warmup=warmup,

@@ -9,6 +9,7 @@ parallel-sweep worker processes) call.
 
 from __future__ import annotations
 
+from repro.sim.backend import DEFAULT_BACKEND
 from repro.sim.records import RunSummary
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.workload import WorkloadSpec
@@ -18,7 +19,7 @@ __all__ = ["run_point"]
 
 def run_point(spec: WorkloadSpec, bcast_mode: str = "clone",
               clone_disabled: bool = False,
-              backend: str = "reference") -> RunSummary:
+              backend: str = DEFAULT_BACKEND) -> RunSummary:
     """Simulate one :class:`WorkloadSpec` point end to end."""
     config = RunConfig(spec=spec, backend=backend, bcast_mode=bcast_mode,
                        clone_disabled=clone_disabled)

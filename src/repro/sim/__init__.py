@@ -5,9 +5,8 @@ paper used for its flit-level simulator).  It provides:
 
 * :mod:`repro.sim.rng` -- deterministic, named random-number streams so
   that every experiment is exactly reproducible from a single seed.
-* :mod:`repro.sim.stats` -- online statistics (Welford mean/variance),
-  histograms, warmup-aware sample collectors and batch-means confidence
-  intervals.
+* :mod:`repro.sim.stats` -- online statistics (Welford mean/variance)
+  and batch-means confidence intervals.
 * :mod:`repro.sim.records` -- light-weight record types for latency
   samples and simulation summaries.
 * :mod:`repro.sim.backend` -- pluggable cycle-execution engines: the
@@ -32,28 +31,23 @@ drives a cycle").
 
 from repro.sim.backend import (
     BACKENDS,
+    DEFAULT_BACKEND,
     ReferenceBackend,
     SimBackend,
     make_backend,
 )
 from repro.sim.records import LatencySample, RunSummary
 from repro.sim.rng import RngStreams
-from repro.sim.stats import (
-    BatchMeans,
-    Histogram,
-    OnlineStats,
-    WarmupFilter,
-)
+from repro.sim.stats import BatchMeans, OnlineStats
 
 __all__ = [
     "BACKENDS",
+    "DEFAULT_BACKEND",
     "ReferenceBackend",
     "SimBackend",
     "make_backend",
     "RngStreams",
     "OnlineStats",
-    "Histogram",
-    "WarmupFilter",
     "BatchMeans",
     "LatencySample",
     "RunSummary",

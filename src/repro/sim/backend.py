@@ -2,23 +2,25 @@
 and *how fast* it executes.
 
 A :class:`SimBackend` drives one :class:`~repro.noc.network.Network`
-through simulated cycles.  Two implementations ship (the second lives
-in its own module and registers itself when numpy is importable):
+through simulated cycles.  Two implementations ship, with two roles:
 
-* :class:`ReferenceBackend` -- the correctness oracle.  It delegates to
-  ``Network.step`` (the original, unmodified per-cycle semantics: poll
-  every router, arbitrate, commit) so its behaviour is the seed
-  simulator's behaviour by construction.
-* :class:`~repro.sim.array_backend.ArrayBackend` -- the array-resident
-  state engine producing *identical* results: it adopts ownership of
-  the network's state into flat numpy arrays (the object graph becomes
-  a lazily-materialised view) and runs both arbitration and commit over
-  those arrays -- in a compiled C cycle kernel where a compiler is
-  available, in the scalar Python loop the kernel was ported from
-  otherwise.  Its own ``run_mix`` drives **windows, not cycles**: it
-  precomputes the traffic process in blocks, injects a window ahead
-  and lets the cycle body run until Python is needed, idle gaps
-  skipped.  See ``array_backend.py`` for the ownership contract.
+* :class:`ReferenceBackend` (``reference``) -- the correctness oracle
+  every equivalence test, golden fixture and fuzz run compares against.
+  It delegates to ``Network.step`` (the original, unmodified per-cycle
+  semantics: poll every router, arbitrate, commit) so its behaviour is
+  the seed simulator's behaviour by construction.
+* :class:`~repro.sim.array_backend.ArrayBackend` (``array``) -- the
+  engine, and :data:`DEFAULT_BACKEND`: what every entry point runs
+  unless told otherwise.  It produces *identical* results 8-60x
+  faster: it adopts ownership of the network's state into flat numpy
+  arrays (the object graph becomes a lazily-materialised view) and runs
+  both arbitration and commit over those arrays -- in a compiled C
+  cycle kernel where a compiler is available, in the scalar Python loop
+  the kernel was ported from otherwise.  Its own ``run_mix`` drives
+  **windows, not cycles**: it precomputes the traffic process in
+  blocks, injects a window ahead and lets the cycle body run until
+  Python is needed, idle gaps skipped.  See ``array_backend.py`` for
+  the ownership contract.
 
 Why running ahead is bit-identical
 ----------------------------------
@@ -38,7 +40,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
     from repro.traffic.mix import TrafficMix
 
-__all__ = ["SimBackend", "ReferenceBackend", "BACKENDS", "make_backend"]
+__all__ = ["SimBackend", "ReferenceBackend", "BACKENDS", "DEFAULT_BACKEND",
+           "make_backend"]
+
+#: The engine every entry point runs when no backend is named -- the one
+#: place the default is spelled (``RunConfig.backend``, the CLI's
+#: ``--backend`` and every experiment driver derive theirs from it).
+DEFAULT_BACKEND = "array"
 
 #: ``probes`` maps a cycle number to a callback invoked *after* that
 #: cycle's step (the experiment drivers use one mid-run backlog probe).
@@ -125,20 +133,14 @@ class ReferenceBackend(SimBackend):
         return self.net.step(now)
 
 
+# Down here because array_backend imports SimBackend from this module.
+# numpy is a hard dependency: without it this import fails, naming numpy.
+from repro.sim.array_backend import ArrayBackend  # noqa: E402
+
 BACKENDS: Dict[str, Type[SimBackend]] = {
     ReferenceBackend.name: ReferenceBackend,
+    ArrayBackend.name: ArrayBackend,
 }
-
-# The batched numpy kernel registers itself when numpy is importable;
-# environments without numpy simply don't offer "array" (every consumer
-# enumerates BACKENDS, so the CLI flag, RunConfig validation and the
-# test matrices all follow automatically).
-try:
-    from repro.sim.array_backend import ArrayBackend
-except ImportError:                                   # pragma: no cover
-    ArrayBackend = None                               # type: ignore
-else:
-    BACKENDS[ArrayBackend.name] = ArrayBackend
 
 
 def make_backend(name: str, net: "Network") -> SimBackend:

@@ -142,7 +142,7 @@ def load_cycle_kernel():
             # boundary that must keep running: any toolchain/loader
             # failure leaves a working (slower) engine, reported once
             _failed = True
-            msg = (f"C cycle kernel unavailable ({exc!r}); --backend array "
+            msg = (f"C cycle kernel unavailable ({exc!r}); the array engine "
                    f"now runs its scalar oracle, 20-30x slower at saturation")
             stderr = getattr(exc, "stderr", None)   # a failed compile
             if stderr:

@@ -19,7 +19,7 @@ kernels) plugs into: a new engine only has to implement the
 >>> from repro.traffic.workload import WorkloadSpec
 >>> spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.0,
 ...                     rate=0.01, cycles=600, warmup=100, seed=3)
->>> summary = SimulationSession(RunConfig(spec=spec, backend="array")).run()
+>>> summary = SimulationSession(RunConfig(spec=spec)).run()
 >>> summary.noc
 'quarc'
 """
@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
 from repro.obs import ObsSpec
-from repro.sim.backend import BACKENDS, SimBackend, make_backend
+from repro.sim.backend import (BACKENDS, DEFAULT_BACKEND, SimBackend,
+                               make_backend)
 from repro.sim.records import RunSummary
 from repro.traffic.workload import WorkloadSpec
 
@@ -48,7 +49,7 @@ class RunConfig:
     """
 
     spec: WorkloadSpec
-    backend: str = "reference"
+    backend: str = DEFAULT_BACKEND
     bcast_mode: str = "clone"           # Quarc ablation: "clone" | "relay"
     clone_disabled: bool = False
     #: observability block (:class:`repro.obs.ObsSpec`).  ``None`` --

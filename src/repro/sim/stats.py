@@ -5,10 +5,6 @@ those numbers correctly requires the usual steady-state machinery:
 
 * :class:`OnlineStats` -- numerically stable streaming mean/variance
   (Welford's algorithm), no sample storage.
-* :class:`Histogram` -- fixed-bin latency histograms for distribution
-  shape checks.
-* :class:`WarmupFilter` -- drops samples generated during the transient
-  phase so only steady-state packets are measured.
 * :class:`BatchMeans` -- batch-means confidence intervals for the mean of
   an autocorrelated output series (latencies of successive packets are
   correlated, so naive i.i.d. CIs would be too tight).
@@ -19,9 +15,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["OnlineStats", "Histogram", "WarmupFilter", "BatchMeans",
-           "quantile", "t_critical_95", "mean_ci95", "describe",
-           "aggregate_values"]
+__all__ = ["OnlineStats", "BatchMeans", "quantile", "t_critical_95",
+           "mean_ci95", "describe", "aggregate_values"]
 
 #: two-sided 95% t critical values for df = 1..30 (df > 30 -> 1.96)
 _T95 = [12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
@@ -131,75 +126,6 @@ class OnlineStats:
             return "OnlineStats(empty)"
         return (f"OnlineStats(n={self.n}, mean={self.mean:.3f}, "
                 f"sd={self.stddev:.3f}, min={self.min:g}, max={self.max:g})")
-
-
-class Histogram:
-    """Fixed-width-bin histogram with overflow/underflow buckets."""
-
-    def __init__(self, lo: float, hi: float, bins: int):
-        if bins <= 0:
-            raise ValueError("bins must be positive")
-        if hi <= lo:
-            raise ValueError("hi must exceed lo")
-        self.lo = lo
-        self.hi = hi
-        self.bins = bins
-        self.width = (hi - lo) / bins
-        self.counts = [0] * bins
-        self.underflow = 0
-        self.overflow = 0
-
-    def add(self, x: float) -> None:
-        if x < self.lo:
-            self.underflow += 1
-        elif x >= self.hi:
-            self.overflow += 1
-        else:
-            self.counts[int((x - self.lo) / self.width)] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts) + self.underflow + self.overflow
-
-    def bin_edges(self) -> List[Tuple[float, float]]:
-        return [(self.lo + i * self.width, self.lo + (i + 1) * self.width)
-                for i in range(self.bins)]
-
-    def cdf_at(self, x: float) -> float:
-        """Empirical CDF evaluated at ``x`` (bin-granular)."""
-        total = self.total
-        if total == 0:
-            return 0.0
-        acc = self.underflow
-        for (lo, hi), c in zip(self.bin_edges(), self.counts):
-            if hi <= x:
-                acc += c
-            else:
-                break
-        return acc / total
-
-
-class WarmupFilter:
-    """Routes samples into a collector only after the warmup period.
-
-    A sample is *kept* when the measured entity was **created** at or after
-    ``warmup_end``; entities created during warmup are discarded even if
-    they complete afterwards, which avoids the classic initialization bias
-    of measuring packets injected into an empty network.
-    """
-
-    def __init__(self, warmup_end: float):
-        self.warmup_end = warmup_end
-        self.kept = OnlineStats()
-        self.dropped = 0
-
-    def add(self, value: float, created_at: float) -> bool:
-        """Add ``value`` if ``created_at`` is past warmup.  Returns kept?"""
-        if created_at < self.warmup_end:
-            self.dropped += 1
-            return False
-        self.kept.add(value)
-        return True
 
 
 class BatchMeans:

@@ -7,7 +7,7 @@ is passed.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import pytest
 
@@ -29,6 +29,25 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture
+def engines_built(monkeypatch) -> List[type]:
+    """The backend class of every ``SimulationSession`` built in-process
+    during the test, in order.  Cross-engine tests assert on it that
+    both sides of their comparison really ran, so a changed default
+    cannot quietly turn them into array-vs-array."""
+    import repro.sim.session as session
+    built: List[type] = []
+    real = session.make_backend
+
+    def recording(name, net):
+        backend = real(name, net)
+        built.append(type(backend))
+        return backend
+
+    monkeypatch.setattr(session, "make_backend", recording)
+    return built
 
 
 @pytest.fixture

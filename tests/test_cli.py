@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.array_backend import ArrayBackend
+from repro.sim.backend import ReferenceBackend
 
 
 class TestParser:
@@ -20,6 +24,28 @@ class TestParser:
         (which defaults the multiplier to 1.0) makes it optional."""
         assert main(["run"]) == 2
         assert "--rate is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--workload", "cache_coherence:window=4",
+          "--faults", "links:down=1@cycle=100"],
+         "closed-loop workloads cannot be combined with fault injection"),
+        (["run", "--rate", "0.01", "--pattern", "nosuch"],
+         "unknown scenario 'nosuch'"),
+        (["run", "--backend", "reference", "--shard-workers", "2",
+          "--rate", "0.01"],
+         "--shard-workers requires the array backend (got 'reference')"),
+    ])
+    def test_rejected_command_lines_are_usage_errors(self, capsys, argv,
+                                                     message):
+        """What spec parsing, the scenario registry and the session's
+        ``_AXIS_RULES`` reject is one ``error:`` line and exit 2 -- the
+        rule's own message, no traceback, no CLI-side copy of it."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and message in lines[0]
 
 
 class TestCommands:
@@ -65,6 +91,28 @@ class TestCommands:
             assert "quarc" in fh.read()
 
 
+class TestFigureCommands:
+    def test_full_flag_leaves_the_environment_alone(self, monkeypatch,
+                                                    tmp_path):
+        """``--full`` asks the runner for the paper-size grid by
+        argument; writing ``REPRO_BENCH_FULL`` would switch every later
+        ``run_fig*`` call in the process to it as well."""
+        calls = []
+
+        def runner(**kwargs):
+            calls.append(kwargs)
+            return [{"noc": "quarc", "rate": 0.01}]
+
+        monkeypatch.setattr("repro.cli.run_fig9", runner)
+        monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
+        before = dict(os.environ)
+        csv_path = str(tmp_path / "fig9.csv")
+        assert main(["fig9", "--full", "--csv", csv_path]) == 0
+        assert main(["fig9", "--csv", csv_path]) == 0
+        assert dict(os.environ) == before
+        assert [c["fast"] for c in calls] == [False, None]
+
+
 class TestScenarioCommands:
     RUN = ["-n", "8", "-M", "4", "--cycles", "1200", "--warmup", "300",
            "--rate", "0.02"]
@@ -100,10 +148,10 @@ class TestScenarioCommands:
         assert "bursty" in out and "on" in out and "len" in out
         assert main(["scenarios", "show"]) == 2
 
-    def test_bad_scenario_spec_fails_loud(self):
-        with pytest.raises(ValueError, match="unknown scenario"):
-            main(["run", "--kind", "quarc"] + self.RUN
-                 + ["--pattern", "whirlpool"])
+    def test_bad_scenario_spec_fails_loud(self, capsys):
+        assert main(["run", "--kind", "quarc"] + self.RUN
+                    + ["--pattern", "whirlpool"]) == 2
+        assert "error: unknown scenario" in capsys.readouterr().err
 
     def test_sweep_accepts_scenarios(self, capsys, tmp_path):
         csv_path = str(tmp_path / "s.csv")
@@ -115,7 +163,8 @@ class TestScenarioCommands:
         with open(csv_path) as fh:
             assert "quarc" in fh.read()
 
-    def test_trace_record_then_replay_matches(self, capsys, tmp_path):
+    def test_trace_record_then_replay_matches(self, capsys, tmp_path,
+                                              engines_built):
         path = str(tmp_path / "run.jsonl")
         rc = main(["trace", "record", "--kind", "quarc"] + self.RUN
                   + ["--arrival", "bursty:on=0.3,len=6", "--out", path,
@@ -124,12 +173,15 @@ class TestScenarioCommands:
         record_out = capsys.readouterr().out
         assert "[trace]" in record_out
 
-        rc = main(["trace", "replay", "--path", path])
+        rc = main(["trace", "replay", "--path", path,
+                   "--backend", "reference"])
         assert rc == 0
         replay_out = capsys.readouterr().out
         # identical summary row: the replay reproduces the recorded run
+        # (recorded on the engine, replayed on the oracle)
         assert record_out.splitlines()[:3] == replay_out.splitlines()[:3]
         assert "replayed" in replay_out
+        assert engines_built == [ArrayBackend, ReferenceBackend]
 
     def test_trace_replay_honours_explicit_flags(self, capsys, tmp_path):
         """Regression: explicit flags must override the recording's
@@ -190,9 +242,11 @@ class TestWorkloadCommands:
         assert "per-class breakdown" in out
         assert "scatter" in out and "gather" in out
 
-    def test_trace_record_workload_then_replay(self, capsys, tmp_path):
+    def test_trace_record_workload_then_replay(self, capsys, tmp_path,
+                                               engines_built):
         """Multi-class record/replay round trip via the CLI: the replay
-        run reports the same summary row from the v2 trace alone."""
+        run (on the oracle) reports the same summary row from the v2
+        trace alone as the recording run (on the engine)."""
         path = str(tmp_path / "mc.jsonl")
         rc = main(["trace", "record", "--kind", "quarc"] + self.RUN
                   + ["--workload", "cache_coherence:storms=true",
@@ -201,8 +255,10 @@ class TestWorkloadCommands:
         record_out = capsys.readouterr().out
         assert "per-class breakdown" in record_out
 
-        rc = main(["trace", "replay", "--path", path, "--seed", "4242"])
+        rc = main(["trace", "replay", "--path", path, "--seed", "4242",
+                   "--backend", "reference"])
         assert rc == 0
+        assert engines_built == [ArrayBackend, ReferenceBackend]
         captured = capsys.readouterr()
         replay_out = captured.out
         assert record_out.splitlines()[:3] == replay_out.splitlines()[:3]

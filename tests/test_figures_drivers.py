@@ -77,7 +77,7 @@ class TestModeSwitch:
         assert points == 5
 
     def test_rates_positive_increasing(self):
-        rates = figures._rates_for(16, 16, 0.05, 5)
+        rates = figures.default_rates(16, 16, 0.05, 5)
         assert len(rates) == 5
         assert all(r > 0 for r in rates)
         assert rates == sorted(rates)

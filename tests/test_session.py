@@ -1,12 +1,21 @@
 """Tests for the unified SimulationSession / RunConfig layer and its
 consumers (run_point, parallel sweeps, the CLI ``--backend`` switch)."""
 
+import inspect
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.experiments.figures import (run_app_scenarios, run_fig9,
+                                       run_fig10, run_fig11)
 from repro.experiments.latency import run_point
 from repro.experiments.sweep import (compare_networks, sweep_rates,
                                      sweep_scenarios)
+from repro.sim.array_backend import ArrayBackend
+from repro.sim.backend import BACKENDS, DEFAULT_BACKEND, ReferenceBackend
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.workload import WorkloadSpec
 
@@ -18,9 +27,38 @@ SPEC = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.1,
 class TestRunConfig:
     def test_defaults_and_with_backend(self):
         cfg = RunConfig(spec=SPEC)
-        assert cfg.backend == "reference"
-        assert cfg.with_backend("array").backend == "array"
-        assert cfg.with_backend("array").spec is SPEC
+        assert cfg.backend == DEFAULT_BACKEND
+        assert cfg.with_backend("reference").backend == "reference"
+        assert cfg.with_backend("reference").spec is SPEC
+
+    def test_default_backend_is_stated_once(self):
+        """``array`` is the engine, ``reference`` the oracle, and the
+        choice is spelled in one place every entry point derives from."""
+        assert DEFAULT_BACKEND == "array"
+        assert sorted(BACKENDS) == ["array", "reference"]
+        parse = build_parser().parse_args
+        for argv in (["run", "--rate", "0.01"], ["sweep"],
+                     ["trace", "record", "--out", "t.jsonl"],
+                     ["trace", "replay", "--path", "t.jsonl"], ["fig9"]):
+            assert parse(argv).backend == DEFAULT_BACKEND, argv
+        for driver in (run_point, sweep_rates, compare_networks,
+                       sweep_scenarios, run_fig9, run_fig10, run_fig11,
+                       run_app_scenarios):
+            default = inspect.signature(driver).parameters["backend"].default
+            assert default == DEFAULT_BACKEND, driver.__name__
+        # ... and nobody spells their own: no backend-name literal as a
+        # parameter / field / argparse default or a call-site override
+        # anywhere in the package source
+        spelled = re.compile(r"""(backend(:\s*str)?|default)\s*=\s*"""
+                             r"""["'](reference|array)["']""")
+        src = pathlib.Path(repro.__file__).parent
+        sources = {path.relative_to(src).as_posix(): path.read_text()
+                   for path in sorted(src.rglob("*.py"))}
+        assert [f"{name}: {m.group(0)}" for name, text in sources.items()
+                for m in spelled.finditer(text)] == []
+        assert [name for name, text in sources.items()
+                if re.search(r"^DEFAULT_BACKEND\s*=", text, re.M)] \
+            == ["sim/backend.py"]
 
     def test_run_config_helper(self):
         cfg = RunConfig(spec=SPEC, backend="array", bcast_mode="relay")
@@ -86,11 +124,12 @@ class TestParallelSweep:
 
 
 class TestBackendAcrossDrivers:
-    def test_compare_networks_backend_equivalence(self):
+    def test_compare_networks_backend_equivalence(self, engines_built):
         kw = dict(rates=[0.01], cycles=1200, warmup=300, seed=9)
-        ref = compare_networks(8, 4, 0.0, **kw)
+        ref = compare_networks(8, 4, 0.0, backend="reference", **kw)
         arr = compare_networks(8, 4, 0.0, backend="array", **kw)
         assert ref == arr
+        assert set(engines_built) == {ReferenceBackend, ArrayBackend}
 
     def test_compare_networks_accepts_scenarios(self):
         res = compare_networks(8, 4, 0.0, rates=[0.02], cycles=1200,
@@ -125,12 +164,13 @@ class TestScenarioGrid:
                                    arrivals=self.ARRIVALS, workers=2)
         assert serial == parallel
 
-    def test_backend_equivalence_across_grid(self):
+    def test_backend_equivalence_across_grid(self, engines_built):
         ref = sweep_scenarios(self.BASE, patterns=self.PATTERNS,
-                              arrivals=self.ARRIVALS)
+                              arrivals=self.ARRIVALS, backend="reference")
         arr = sweep_scenarios(self.BASE, patterns=self.PATTERNS,
                               arrivals=self.ARRIVALS, backend="array")
         assert ref == arr
+        assert set(engines_built) == {ReferenceBackend, ArrayBackend}
 
 
 class TestCliBackend:
@@ -160,11 +200,15 @@ class TestCliBackend:
         with open(csv_path) as fh:
             assert "quarc" in fh.read()
 
-    def test_backend_choice_is_output_invariant(self, capsys):
+    def test_backend_choice_is_output_invariant(self, capsys,
+                                                engines_built):
         argv = ["run", "--kind", "spidergon", "-n", "8", "-M", "4",
                 "--rate", "0.02", "--cycles", "1500", "--warmup", "300"]
-        assert main(argv) == 0
-        ref_out = capsys.readouterr().out
-        assert main(argv + ["--backend", "array"]) == 0
-        arr_out = capsys.readouterr().out
-        assert ref_out == arr_out
+        outs = []
+        for flags in ([], ["--backend", "reference"],
+                      ["--backend", "array"]):
+            assert main(argv + flags) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] == outs[2]
+        assert engines_built == [BACKENDS[DEFAULT_BACKEND],
+                                 ReferenceBackend, ArrayBackend]

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import (BatchMeans, Histogram, OnlineStats,
-                             WarmupFilter, quantile)
+from repro.sim.stats import BatchMeans, OnlineStats, quantile
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -69,47 +68,6 @@ class TestOnlineStats:
         a.merge(b)
         assert a.n == 2
         assert a.mean == 4.0
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram(0, 10, 5)
-        for x in (0, 1.9, 2, 5, 9.99):
-            h.add(x)
-        assert h.counts == [2, 1, 1, 0, 1]
-
-    def test_under_overflow(self):
-        h = Histogram(0, 10, 2)
-        h.add(-1)
-        h.add(10)
-        h.add(999)
-        assert h.underflow == 1
-        assert h.overflow == 2
-        assert h.total == 3
-
-    def test_cdf(self):
-        h = Histogram(0, 10, 10)
-        for x in range(10):
-            h.add(x + 0.5)
-        assert h.cdf_at(5) == pytest.approx(0.5)
-        assert h.cdf_at(10) == pytest.approx(1.0)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            Histogram(0, 10, 0)
-        with pytest.raises(ValueError):
-            Histogram(5, 5, 3)
-
-
-class TestWarmupFilter:
-    def test_drops_samples_created_during_warmup(self):
-        f = WarmupFilter(warmup_end=100)
-        assert f.add(7.0, created_at=99) is False
-        assert f.add(8.0, created_at=100) is True
-        assert f.add(9.0, created_at=500) is True
-        assert f.dropped == 1
-        assert f.kept.n == 2
-        assert f.kept.mean == 8.5
 
 
 class TestBatchMeans:
