@@ -189,6 +189,8 @@ class DORAdapter(Adapter):
     #: unicast delivery is exactly ``collector.on_unicast`` -- lets array
     #: engines account unicast tails straight from their payload columns
     unicast_via_collector = True
+    #: no tail re-injects; see ``QuarcTransceiver.reinjecting_tails``
+    reinjecting_tails = ()
 
     def _enqueue(self, pkt: Packet) -> None:
         self.router.local_q.push_packet(pkt)

@@ -201,20 +201,26 @@ class QuarcRouter(Router):
         return self.ccw_out, self._absorb_here(pkt)
 
     def route_table(self, buf: "FlitBuffer"):
-        # Network-ingress cloning reads the traffic class (and the
-        # multicast bitstring), so only the fixed-output local queues
-        # are tabulable for every traffic class.
-        if buf.role >= LOC_R:
+        # Only the fixed-output local queues route every traffic class
+        # by destination alone: at a network ingress a multicast's clone
+        # decision reads its bitstring (unless nothing clones at all).
+        if buf.role >= LOC_R or self.clone_disabled:
             return self.unicast_route_table(buf)
         return None
 
     def unicast_route_table(self, buf: "FlitBuffer"):
-        # Unicasts never clone: eject-or-forward is a pure function of
-        # the destination for every ingress.
+        """Eject-or-forward is a pure function of the destination for
+        every ingress and class; a collective adds the clone, which for
+        a broadcast is a constant per ingress role -- the fourth column,
+        ``bclone`` (a relay segment routes like a unicast).  Multicast
+        stays with :meth:`route_head`: its bitstring needs up to N/4 + 1
+        bits (257 at N = 1024), which no table column holds."""
         import numpy as np      # the array engine's dependency, not ours
         role = buf.role
         slot = np.full(self.n, _FORWARD_SLOT[role], np.int64)
         if role < LOC_R:
             slot[self.node] = _EJECT_SLOT + role
         never = np.zeros(self.n, bool)
+        if role in (CW_IN, CCW_IN, XL_IN) and not self.clone_disabled:
+            return slot, never, never, slot != _EJECT_SLOT + role  # not here
         return slot, never, never

@@ -71,6 +71,11 @@ class QuarcTransceiver(Adapter):
     #: unicast delivery is exactly ``collector.on_unicast`` -- lets array
     #: engines account unicast tails straight from their payload columns
     unicast_via_collector = True
+    #: traffic kinds whose tail ``receive_tail`` may answer by pushing a
+    #: packet back into the network (``_relay_forward``); every other
+    #: tail only feeds the op tracker and the collector, so an array
+    #: engine need not end its batch of cycles for it
+    reinjecting_tails = (RELAY,)
 
     def _enqueue(self, quadrant: str, pkt: Packet) -> None:
         self.queues[quadrant].push_packet(pkt)

@@ -48,6 +48,8 @@ class SpidergonAdapter(Adapter):
     #: unicast delivery is exactly ``collector.on_unicast`` -- lets array
     #: engines account unicast tails straight from their payload columns
     unicast_via_collector = True
+    #: only relay tails re-inject (``QuarcTransceiver.reinjecting_tails``)
+    reinjecting_tails = (RELAY,)
 
     def _enqueue(self, pkt: Packet, replication: bool = False) -> None:
         q = self.router.repl_q if replication else self.router.local_q

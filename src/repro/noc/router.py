@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.noc.buffers import FlitBuffer
-from repro.noc.packet import Packet
+from repro.noc.packet import UNICAST, Packet
 from repro.noc.ports import Move, OutPort
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,24 +130,30 @@ class Router:
         the packet's VC class).  An array engine then resolves header
         requests by table lookup and never calls :meth:`route_head` on
         the hot path.  The default ``None`` means "not tabulable" and
-        keeps the per-header ``route_head`` path in charge.
+        keeps the per-header ``route_head`` path in charge -- where a
+        Quarc ingress leaves multicast, whose clone decision reads a
+        bitstring no column entry holds (``QuarcRouter``).
         """
         return None
 
     def unicast_route_table(self, buf: FlitBuffer):
-        """Like :meth:`route_table`, but the columns need only hold for
-        unicast packets (engines gate the lookup on the traffic class).
+        """Like :meth:`route_table`, for a buffer whose multicast
+        routing is not tabulable: the columns must hold for every other
+        class (engines gate the lookup on the traffic class).  A router
+        that clones passing broadcasts appends a fourth bool column,
+        ``bclone``: clone to the PE if the packet is a ``BROADCAST``.
         Default: whatever :meth:`route_table` offers."""
         return self.route_table(buf)
 
-    def _probe_route_table(self, buf: FlitBuffer):
+    def _probe_route_table(self, buf: FlitBuffer, traffic: int = UNICAST):
         """The scalar oracle :meth:`route_table` is tested against:
         tabulate :meth:`route_head` by probing every destination with a
-        throwaway unicast packet, as ``(port, clone_to_local,
-        vclass_reset)`` rows.  The ``vclass_reset`` column records
-        whether routing rewound the probe's VC class (the mesh/torus
-        dimension-turn reset)."""
-        pkt = Packet(self.node, 0, 1, 0)
+        throwaway packet of class ``traffic`` (as a multicast, one that
+        targets every node), as ``(port, clone_to_local, vclass_reset)``
+        rows.  The ``vclass_reset`` column records whether routing
+        rewound the probe's VC class (the mesh/torus dimension-turn
+        reset)."""
+        pkt = Packet(self.node, 0, 1, traffic, bitstring=-1)
         rows = []
         for dst in range(self.n):
             pkt.dst = dst

@@ -30,19 +30,22 @@
  *   refresh  dateline crossings upgrade the packet's vclass (and
  *            re-refresh its blocked, already-routed header), then every
  *            newly exposed header is routed from the packed table:
- *            row b, entry (jof << 24) | (port << 4) | (vreset << 1) |
- *            deliver, gated by rtflag[b] (0 none, 1 unicast only,
- *            2 every class).
+ *            row b, entry (jof << 24) | (port << 4) | (bclone << 2) |
+ *            (vreset << 1) | deliver, gated by rtflag[b] (0 none,
+ *            1 every class but multicast, 2 every class); bclone =
+ *            clone to the PE if the packet is a BROADCAST.
  *
  * Stop rule.  What needs Python objects becomes an event; the batch
  * ends at the end of the cycle that emitted
  *   - a ROUTE event: a header the table cannot answer (no row, a
- *     collective on a unicast-only row, anything under `nofast`).  The
+ *     multicast on a row without it, anything under `nofast`).  The
  *     fold emits these too and then stops *before* phase A, `now`
  *     unchanged: Python routes the header and re-enters the same cycle;
- *   - a DELIVERY of a tail that cannot wait: any non-unicast, or every
- *     tail under `alltails`.  Other deliveries ride along and are
- *     replayed after the batch in emission order = (cycle, port);
+ *   - a DELIVERY of a tail that cannot wait: its traffic kind's bit is
+ *     set in `stopkinds` (the kinds whose delivery may push a packet
+ *     back into the network; every kind under on_tail / faults).  Other
+ *     deliveries ride along and are replayed after the batch in
+ *     emission order = (cycle, port);
  * or before a cycle that could overflow the event buffer (a cycle emits
  * at most EV_PER_PORT events a port), or at the horizon.
  *
@@ -60,7 +63,8 @@
 #define TAILBIT ((int64_t)1 << 19)
 #define FIDMASK (TAILBIT - 1)
 #define BIG ((int64_t)1 << 30)
-#define UNICAST 0
+#define MULTICAST 1
+#define BROADCAST 2
 #define EV_PER_PORT 7
 
 enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS };
@@ -70,7 +74,7 @@ typedef struct {
     /* geometry, fixed while attached */
     int64_t B, P, PV, SB, Fm1, rstride;
     /* control, written by Python before each entry */
-    int64_t now, horizon, nofast, alltails, trace;
+    int64_t now, horizon, nofast, stopkinds, trace;
     /* run state */
     int64_t inflight, apos, an, nev, evcap;
     /* outputs of the last entry / last executed cycle */
@@ -139,7 +143,7 @@ static int refresh(repro_state *s, int64_t b, int64_t cyc)
     int64_t aid = s->front[b] >> FSHIFT;
     int64_t ent, p, vc;
     int flag = s->rtflag[b];
-    if (s->nofast || !flag || (flag == 1 && s->ptraf[aid] != UNICAST)) {
+    if (s->nofast || !flag || (flag == 1 && s->ptraf[aid] == MULTICAST)) {
         emit(s, EV_ROUTE, cyc, b);
         return 1;
     }
@@ -154,7 +158,7 @@ static int refresh(repro_state *s, int64_t b, int64_t cyc)
     s->want[b] = p;
     s->jof[b] = ent >> 24;
     s->vcreq[b] = vc;
-    s->dlv[b] = ent & 1;
+    s->dlv[b] = (ent & 1) | ((ent >> 2) & (s->ptraf[aid] == BROADCAST));
     s->hdrf[b] = 1;
     s->pvb[b] = 2 * p + vc;
     s->pvb2[b] = s->pv2of[p];
@@ -314,13 +318,13 @@ int64_t repro_run(repro_state *s)
              * order) */
             if (tail && dlv[b]) {
                 emit(s, EV_DELIVERY, now, (aid << 16) | p);
-                tailstop |= s->alltails || s->ptraf[aid] != UNICAST;
+                tailstop |= (s->stopkinds >> s->ptraf[aid]) & 1;
             }
             dst = down[pv];
             if (dst == SB) {
                 if (tail) {
                     emit(s, EV_DELIVERY, now, (aid << 16) | p);
-                    tailstop |= s->alltails || s->ptraf[aid] != UNICAST;
+                    tailstop |= (s->stopkinds >> s->ptraf[aid]) & 1;
                 }
                 s->ejected++;
                 s->inflight--;

@@ -67,14 +67,15 @@ injects a whole window ahead -- or else due at the cycle about to run,
 so a packet injected at cycle *t* arbitrates at *t*, like a reference
 push.  Events carry their cycle: a tail that reached a PE
 (``EV_DELIVERY``), a header only the router can route (``EV_ROUTE``:
-no table row, a collective on a unicast-only row, anything under a
-fault state).  A cycle that emitted a ROUTE event, or a delivery that
-cannot wait (a non-unicast tail; any tail when ``net.on_tail`` / a
-fault state is set), ends its batch; plain unicast deliveries come back
-batched and replay in emission order = (cycle, ascending port), the
-reference's float-accumulation order.  A packet staged by a delivery
-at cycle *t* (relay regeneration) folds at *t + 1* ahead of the
-pre-drawn arrivals of *t + 1*, as the reference pushes it.
+no table row, a multicast on a row without it, anything under a fault
+state).  A cycle that emitted a ROUTE event, or a delivery that cannot
+wait (a tail whose kind the adapters declare ``reinjecting_tails`` --
+relay segments; any tail when ``net.on_tail`` / a fault state is set),
+ends its batch; every other delivery, broadcast branches included,
+comes back batched and replays in emission order = (cycle, ascending
+port), the reference's float-accumulation order.  A packet staged by a
+delivery at cycle *t* (relay regeneration) folds at *t + 1* ahead of
+the pre-drawn arrivals of *t + 1*, as the reference pushes it.
 
 Equivalence notes (``tests/differential.py`` guards all of them):
 
@@ -102,7 +103,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.noc.network import flit_key
-from repro.noc.packet import UNICAST
+from repro.noc.packet import BROADCAST, MULTICAST, TRAFFIC_NAMES, UNICAST
 from repro.sim.backend import Probes, SimBackend
 from repro.sim.ckernel import State, load_cycle_kernel
 
@@ -130,6 +131,9 @@ EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER = range(4)
 #: Most events one cycle can emit per port: a winner and a dateline
 #: word (trace only), two deliveries, three routes.
 EV_PER_PORT = 7
+#: ``State.stopkinds`` with every kind's bit set; the non-unicast kinds.
+ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
+NON_UNICAST = sorted(set(TRAFFIC_NAMES) - {UNICAST})
 
 #: Packed-field capacities, checked once when a session is built.  A
 #: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``,
@@ -253,11 +257,12 @@ class ArrayBackend(SimBackend):
         # columns over all destinations (slot in router.out_ports,
         # deliver, vclass_reset), computed arithmetically -- no
         # route_head call here; row b of one C-contiguous int64 table
-        # packs them as ``(jof << 24) | (port << 4) | (vclass_reset <<
-        # 1) | deliver`` (rows of untabulable buffers are never read).
-        # ``_rtflag[b]`` is 2 where row b holds for every traffic
-        # class, 1 for unicast only (the Quarc ingress clone decision
-        # reads the traffic class), 0 for no row.  VC selection stays
+        # packs them as ``(jof << 24) | (port << 4) | (bclone << 2) |
+        # (vclass_reset << 1) | deliver`` (rows of untabulable buffers
+        # are never read).  ``_rtflag[b]`` is 2 where row b holds for
+        # every traffic class, 1 for every class but multicast (a Quarc
+        # ingress: ``bclone`` is its clone-if-broadcast bit, a multicast
+        # bitstring fits no column), 0 for no row.  VC selection stays
         # runtime (it reads the packet's dateline class): ``_vcmode``
         # is 0/1 for the fixed any-policy/dateline cases, 2 for
         # class-dependent ports.  The C tier indexes the table by base
@@ -283,9 +288,11 @@ class ArrayBackend(SimBackend):
                 if cols is None:
                     cols = router.unicast_route_table(buf)
                 if cols is not None:
-                    slot, deliver, vreset = cols
-                    cols = (slot, (vreset.astype(np.int64) << 1) | deliver,
-                            univ)
+                    slot, deliver, vreset, *bclone = cols
+                    flags = (vreset.astype(np.int64) << 1) | deliver
+                    if bclone:
+                        flags |= bclone[0].astype(np.int64) << 2
+                    cols = (slot, flags, univ)
                 by_role[buf.role] = cols
             if by_role[buf.role] is None:
                 continue
@@ -339,6 +346,12 @@ class ArrayBackend(SimBackend):
             getattr(ad, "unicast_via_collector", False)
             and getattr(ad, "collector", None) is not None for ad in a)
         self._acoll = [getattr(ad, "collector", None) for ad in a]
+        # the traffic kinds whose tail ends its batch: those an adapter
+        # says can re-inject; every non-unicast one if it does not say
+        self._stopkinds = 0 if self._uni_short else ALL_KINDS
+        for ad in a:
+            for kind in getattr(ad, "reinjecting_tails", NON_UNICAST):
+                self._stopkinds |= 1 << kind
 
         # per-cycle scratch: the round-robin pick; the dateline flit
         # words (``_outdl[:_st.ndl]``, read by the shard worker) and
@@ -534,8 +547,9 @@ class ArrayBackend(SimBackend):
         the reroute/drop policy identically to the reference backend."""
         aid = int(self._front[b]) >> FSHIFT
         flag = self._rtflag[b]
+        traf = self._ptraf[aid]
         if (not flag or self.net.fault_state is not None
-                or (flag == 1 and self._ptraf[aid] != UNICAST)):
+                or (flag == 1 and traf == MULTICAST)):
             return False
         ent = self._rtmv[b, self._pdst[aid]]
         p = (ent >> 4) & 0xFFFFF
@@ -544,8 +558,8 @@ class ArrayBackend(SimBackend):
         vc = int(self._vcmode[p])
         if vc == 2:
             vc = min(int(self._pvcl[aid]), 1)
-        self._set_request(b, aid, p, ent >> 24, vc, ent & 1,
-                          self._pv2of[p])
+        dlv = (ent & 1) | ((ent >> 2) & int(traf == BROADCAST))
+        self._set_request(b, aid, p, ent >> 24, vc, dlv, self._pv2of[p])
         return True
 
     def _route_one(self, b: int) -> None:
@@ -747,7 +761,7 @@ class ArrayBackend(SimBackend):
                 best[p] = (pr, b, vc)
         # phase B: commit winners in ascending flat-port order
         key = now << 2
-        trace, alltails = st.trace, st.alltails
+        trace, stopkinds = st.trace, st.stopkinds
         dl: List[int] = []
         rf: List[int] = []
         nej = tailstop = 0
@@ -784,7 +798,7 @@ class ArrayBackend(SimBackend):
                 events += (key | EV_WINNER, b)
             # deliver-clone, then eject or dateline+push (reference
             # order)
-            stops = tail and (alltails or self._ptraf[aid] != UNICAST)
+            stops = tail and (stopkinds >> int(self._ptraf[aid])) & 1
             if tail and self._dlv[b]:
                 events += (key | EV_DELIVERY, (aid << 16) | p)
                 tailstop |= stops
@@ -870,8 +884,8 @@ class ArrayBackend(SimBackend):
             self._stage(now)
         fs = net.fault_state
         st.nofast = fs is not None
-        st.alltails = not (self._uni_short and fs is None
-                           and net.on_tail is None)
+        st.stopkinds = (self._stopkinds if fs is None and net.on_tail is None
+                        else ALL_KINDS)
         st.horizon = horizon
         st.ndl = 0      # no cycle may run: the shard worker reads this
         while now < horizon:

@@ -56,7 +56,7 @@ class State(ctypes.Structure):
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
             "B P PV SB Fm1 rstride "                # geometry
-            "now horizon nofast alltails trace "    # control
+            "now horizon nofast stopkinds trace "    # control
             "inflight apos an nev evcap "           # run state
             "stop moved ejected ndl "               # outputs
             "calls cycles scanned cands flits").split()]    # counters

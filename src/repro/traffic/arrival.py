@@ -24,12 +24,12 @@ The contract has two capability tiers:
 
 * **Reactive** (``reactive = True``) -- the process depends on network
   state (e.g. a closed-loop source that stalls while its in-flight
-  budget is exhausted, :mod:`repro.workloads.closedloop`).  Reactive
-  models only implement ``fires()``; ``arrivals_in`` raises, because
-  future arrivals are a function of deliveries that have not happened
-  yet.  Backends must drive reactive mixes cycle by cycle so ejection
-  and completion feedback lands before the next injection decision
-  (see :meth:`repro.sim.backend.SimBackend.run_mix`).
+  budget is exhausted, :mod:`repro.workloads.closedloop`).
+  ``arrivals_in`` raises (future arrivals are a function of deliveries
+  that have not happened yet) and backends drive reactive mixes cycle
+  by cycle (:meth:`repro.sim.backend.SimBackend.run_mix`).  ``fires()``
+  is the per-cycle spec; ``TrafficMix.generate`` keeps each source
+  armed, pre-drawn, re-armed on feedback instead of polling it.
 
 Models
 ------

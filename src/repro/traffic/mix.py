@@ -49,6 +49,9 @@ __all__ = ["TrafficClass", "TrafficMix", "CAST_UNICAST", "CAST_BROADCAST"]
 CAST_UNICAST = "unicast"
 CAST_BROADCAST = "broadcast"
 
+#: Cycles of stateless arrivals a reactive mix's calendar draws at once.
+CALENDAR_BLOCK = 2048
+
 #: ``on_inject`` tap signature: ``(node, now, cls, dst, size, bcast)``
 #: where ``cls`` is the traffic-class name (``None`` for the untagged
 #: single-class path) and ``dst`` is ``-1`` for broadcasts.
@@ -148,6 +151,11 @@ class TrafficMix:
         #: True when any injector is a reactive arrival model (needs
         #: delivery feedback, so the mix must run cycle by cycle)
         self.reactive = False
+        #: a reactive mix's coming injections, ``{cycle: [injector
+        #: index, ...]}``: stateless injectors drawn in blocks up to
+        #: ``_cal_end`` (-1: not started), reactive ones while armed
+        self._calendar: Dict[int, List[int]] = {}
+        self._cal_end = -1
 
         streams = RngStreams(seed)
         # identical streams for identical seeds => common random numbers
@@ -326,9 +334,47 @@ class TrafficMix:
                 while pos[node] < len(evs) and evs[pos[node]][0] == now:
                     inject(node, now)
             return
+        if self.reactive:
+            if now >= self._cal_end:
+                self._fill_calendar(now)
+            due = self._calendar.pop(now, None)
+            if due is not None:
+                due.sort()      # node-major, class-minor: the poll order
+                for i in due:
+                    inj = self._injectors[i]
+                    reactive = getattr(inj, "reactive", False)
+                    if reactive:
+                        inj.fire()
+                    self.inject(self._tokens[i], now)
+                    if reactive:
+                        self.arm(i, now + 1)
+            return
         for tok, inj in zip(self._tokens, self._injectors):
             if inj.fires():
                 self.inject(tok, now)
+
+    def _fill_calendar(self, now: int) -> None:
+        """Draw the stateless injectors' next block into the calendar
+        (``arrivals_in``, as :meth:`precompute_arrivals`); the first
+        call also arms every reactive source, from ``now``."""
+        first = self._cal_end < 0
+        stop = self._cal_end = now + CALENDAR_BLOCK
+        if self.stop_generating_at is not None:
+            stop = min(stop, self.stop_generating_at)
+        for i, inj in enumerate(self._injectors):
+            if not getattr(inj, "reactive", False):
+                for t in inj.arrivals_in(now, stop):
+                    self._calendar.setdefault(t, []).append(i)
+            elif first:
+                self.arm(i, now)
+
+    def arm(self, i: int, at: int) -> None:
+        """Put reactive injector ``i`` on the calendar if it is eligible
+        from cycle ``at`` on and not already there: called by whoever
+        may have made it eligible (a credit, a phase quota, a firing)."""
+        due = self._injectors[i].arm(at)
+        if due is not None:
+            self._calendar.setdefault(due, []).append(i)
 
     def inject(self, token, now: int) -> None:
         """Emit one message: the class/destination draws and the adapter

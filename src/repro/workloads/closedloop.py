@@ -60,7 +60,9 @@ Determinism: every backend drives reactive mixes cycle by cycle
 delivery order within a cycle is identical across backends, and the
 engine's reply queue preserves arrival order -- so closed-loop runs are
 byte-identical across reference/array, C kernel on or off,
-exactly like open-loop runs.
+exactly like open-loop runs.  ``TrafficMix.generate`` reads a calendar
+instead of polling the sources; the engine re-arms a source with every
+credit and phase quota (see :class:`ClosedLoopSource`).
 """
 
 from __future__ import annotations
@@ -103,10 +105,17 @@ class ClosedLoopSource(ArrivalModel):
     The engine owns the bookkeeping: it increments nothing here beyond
     what ``fires()`` itself does, and returns window credits by
     decrementing ``outstanding`` when a transaction completes.
+
+    ``fires()`` is the per-cycle specification; the mix runs the same
+    process through :meth:`arm` / :meth:`fire` without polling.  A
+    source only *loses* eligibility (window credit, quota) by firing and
+    its stream is private, so once eligible its k-th draw decides its
+    k-th coming cycle and can be drawn ahead; whoever makes it eligible
+    again (a credit, a new phase quota) re-arms it.
     """
 
     __slots__ = ("rate", "rng", "window", "arrivals", "outstanding",
-                 "quota_left")
+                 "quota_left", "armed")
 
     reactive = True
 
@@ -124,6 +133,8 @@ class ClosedLoopSource(ArrivalModel):
         self.outstanding = 0
         #: issues left this phase; -1 = unphased (unlimited)
         self.quota_left = -1
+        #: the next firing is drawn and on a calendar (see :meth:`arm`)
+        self.armed = False
 
     def fires(self) -> bool:
         """One per-cycle issue check (stalls while the window is full)."""
@@ -134,11 +145,31 @@ class ClosedLoopSource(ArrivalModel):
             return False
         if r < 1.0 and self.rng.random() >= r:
             return False
+        self.fire()
+        return True
+
+    def arm(self, at: int) -> Optional[int]:
+        """The cycle this source next fires if polled from ``at`` on, or
+        ``None`` (not eligible, already armed, rate 0): the failures
+        ``fires()`` would draw are drawn here, one per eligible cycle."""
+        r = self.rate
+        if (self.armed or r <= 0.0 or self.outstanding >= self.window
+                or not self.quota_left):
+            return None
+        if r < 1.0:
+            draw = self.rng.random
+            while draw() >= r:
+                at += 1
+        self.armed = True
+        return at
+
+    def fire(self) -> None:
+        """Issue one transaction: what a successful ``fires()`` books."""
+        self.armed = False
         self.arrivals += 1
         self.outstanding += 1
         if self.quota_left > 0:
             self.quota_left -= 1
-        return True
 
     def arrivals_in(self, start: int, stop: int) -> List[int]:
         raise RuntimeError(
@@ -273,7 +304,7 @@ class ClosedLoopEngine:
         self.mix = mix
         self.warmup = warmup
         self.n = mix.net.n
-        k_count = len(names)
+        k_count = self._k_count = len(names)
         #: class index -> closed-loop descriptor
         self.closed_k: Dict[int, ClosedLoopClass] = {}
         #: class index -> per-node sources (mix-built injectors)
@@ -387,38 +418,42 @@ class ClosedLoopEngine:
         self._phase_left = self._phase_total
         for k, cl in self.closed_k.items():
             if cl.quota > 0:
-                for s in self.sources[k]:
+                for node, s in enumerate(self.sources[k]):
                     s.quota_left = cl.quota
+                    self.mix.arm(node * self._k_count + k, now)
 
     # ------------------------------------------------------------------
     # delivery side (the network's on_tail callback, fired during step)
     # ------------------------------------------------------------------
     def on_tail(self, node: int, pkt: Packet, now: int) -> None:
         meta = pkt.meta
-        k = meta.get(_TAG_REQUEST)
-        if k is not None:
-            # request reached its directory home: schedule the reply
-            cl = self.closed_k[k]
-            self._due.setdefault(now + 1 + cl.service, []).append(
-                (node, pkt.src, k, pkt.created))
-            return
-        tag = meta.get(_TAG_REPLY)
-        if tag is not None:
-            # reply reached the requester: transaction complete
-            k, created = tag
-            self.sources[k][node].outstanding -= 1
-            self._complete(self.mix.classes[k].name, created, now)
-            return
-        k = meta.get(_TAG_STREAM)
-        if k is not None:
-            # a stream message's own delivery is its completion
-            self.sources[k][pkt.src].outstanding -= 1
-            self._complete(self.mix.classes[k].name, pkt.created, now)
-            if self.closed_k[k].quota > 0 and self._phase_left:
-                self._phase_left -= 1
-                if not self._phase_left:
-                    self._phase_done(now)
-            return
+        if meta:    # most tails carry no tag at all (broadcast branches)
+            k = meta.get(_TAG_REQUEST)
+            if k is not None:
+                # request reached its directory home: schedule the reply
+                cl = self.closed_k[k]
+                self._due.setdefault(now + 1 + cl.service, []).append(
+                    (node, pkt.src, k, pkt.created))
+                return
+            tag = meta.get(_TAG_REPLY)
+            if tag is not None:
+                # reply reached the requester: transaction complete
+                k, created = tag
+                self.sources[k][node].outstanding -= 1
+                self.mix.arm(node * self._k_count + k, now + 1)
+                self._complete(self.mix.classes[k].name, created, now)
+                return
+            k = meta.get(_TAG_STREAM)
+            if k is not None:
+                # a stream message's own delivery is its completion
+                self.sources[k][pkt.src].outstanding -= 1
+                self.mix.arm(pkt.src * self._k_count + k, now + 1)
+                self._complete(self.mix.classes[k].name, pkt.created, now)
+                if self.closed_k[k].quota > 0 and self._phase_left:
+                    self._phase_left -= 1
+                    if not self._phase_left:
+                        self._phase_done(now)
+                return
         op = pkt.op
         if op is not None and op is self._barrier_op and op.complete:
             self._barrier_completed(now)

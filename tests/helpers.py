@@ -34,27 +34,33 @@ def run_cycles(net: Network, cycles: int) -> None:
 def probed_route_tables(be):
     """Oracle for ``ArrayBackend._rtab`` / ``_rtflag``: the row-packing
     loop the engine ran before its tables were built arithmetically --
-    ``route_head`` probed once per (router, role, dst) through
-    ``Router._probe_route_table``, every row packed in Python.  Mirrors
-    the routers' tabulability contract: a Quarc network-ingress role is
-    tabulable for unicasts only, every other shipped buffer for all
-    traffic."""
-    from repro.core.quarc_router import LOC_R, QuarcRouter
+    ``route_head`` probed once per (router, role, dst, traffic class)
+    through ``Router._probe_route_table``, every row packed in Python.
+    The unicast probe gives port, ``deliver`` and ``vclass_reset``; a
+    relay probe must repeat it; a broadcast probe may only add the
+    clone, which is bit 2; and a row holds for every class (the second
+    list) iff a multicast probe repeats the unicast one too."""
+    from repro.noc.packet import BROADCAST, MULTICAST, RELAY
 
     rtab = [None] * be._B
     rtab_all = [False] * be._B
     probed = {}
     for b, buf in enumerate(be._bufs):
         key = (id(buf.router), buf.role)
-        rows = probed.get(key)
-        if rows is None:
-            rows = probed[key] = buf.router._probe_route_table(buf)
+        if key not in probed:
+            probe = buf.router._probe_route_table
+            uni, bcast = probe(buf), probe(buf, BROADCAST)
+            assert probe(buf, RELAY) == uni, key
+            assert all((pu, vu) == (pb, vb) and db >= du for
+                       (pu, du, vu), (pb, db, vb) in zip(uni, bcast)), key
+            probed[key] = ([(*u, db and not u[1]) for u, (_, db, _) in
+                            zip(uni, bcast)], probe(buf, MULTICAST) == uni)
+        rows, rtab_all[b] = probed[key]
         jp = be._jpos[b]
         pid = be._pid
         rtab[b] = [
             (jp.get(pid[port], 0) << 24) | (pid[port] << 4)
-            | (2 if vreset else 0) | (1 if deliver else 0)
-            for port, deliver, vreset in rows]
-        rtab_all[b] = not (isinstance(buf.router, QuarcRouter)
-                           and buf.role < LOC_R)
+            | (4 if bclone else 0) | (2 if vreset else 0)
+            | (1 if deliver else 0)
+            for port, deliver, vreset, bclone in rows]
     return rtab, rtab_all

@@ -15,7 +15,9 @@ from __future__ import annotations
 import pytest
 from differential import make_config
 
+from repro.core.quarc_transceiver import QuarcTransceiver
 from repro.noc.network import flit_key
+from repro.obs import ObsSpec
 from repro.sim import array_backend
 from repro.sim.array_backend import (EV_DATELINE, EV_DELIVERY, EV_ROUTE,
                                      EV_WINNER, FIDMASK, FSHIFT)
@@ -42,15 +44,18 @@ def _named(be, events):
 
 
 def _drive(config, backend="array", per_cycle=False, trace=False,
-           snap_at=(), hook_at=None):
+           snap_at=(), hook_at=None, before=None):
     """Run ``config``; returns the summary, the replayed events, the
     end-of-run state digest and ``(snapshot, total_flits)`` at each
     cycle of ``snap_at``.  ``per_cycle`` drives the array engine
     through ``step`` (horizon 1) instead of its windowed ``run_mix``;
-    ``hook_at = (cycle, fn)`` calls ``fn(backend)`` after that cycle."""
+    ``hook_at = (cycle, fn)`` calls ``fn(backend)`` after that cycle,
+    ``before(session)`` runs ahead of the first one."""
     session = SimulationSession(config.with_backend(backend))
     be, net = session.backend, session.net
     events, snaps = [], []
+    if before is not None:
+        before(session)
     if trace:
         be._st.trace = 1
         replay = be._replay
@@ -92,21 +97,89 @@ def test_one_advance_equals_k_steps(kind, beta, tier, monkeypatch):
     assert {EV_WINNER, EV_DELIVERY} <= kinds_seen
     if kind != "mesh":              # rings and tori have dateline links
         assert EV_DATELINE in kinds_seen
-    if kind == "quarc" and beta:    # ingress cloning is not tabulated
-        assert EV_ROUTE in kinds_seen
+    # broadcast headers route by table (the clone is bit 2 of the entry)
+    assert EV_ROUTE not in kinds_seen
+
+
+@pytest.mark.parametrize("tier", TIERS)
+def test_multicast_header_still_routes_in_python(tier, monkeypatch):
+    """What the table leaves to ``route_head``: a multicast at a Quarc
+    ingress.  Its ROUTE events end their batches and the run still
+    equals K single steps and the reference."""
+    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
+    config = make_config(kind="quarc", n=16, msg_len=6, beta=0.1,
+                         rate=0.05, cycles=300, warmup=50, seed=11)
+
+    def multicast(session):
+        session.net.adapters[2].send_multicast([3, 5, 9, 10, 15], 6, 0)
+
+    batched = _drive(config, trace=True, before=multicast)
+    stepped = _drive(config, per_cycle=True, trace=True, before=multicast)
+    assert batched[:3] == stepped[:3]
+    assert batched[0] == _drive(config, "reference", before=multicast)[0]
+    routed = [w for k, w in zip(batched[1][::2], batched[1][1::2])
+              if k & 3 == EV_ROUTE]
+    assert len(routed) >= 5     # every rim ingress the branches cross
 
 
 def test_batches_really_span_cycles(monkeypatch):
-    """At beta = 0 nothing needs Python inside a window: the run is a
+    """Nothing needs Python inside a window, broadcasts included (their
+    headers route by table, their tails ride the batch): the run is a
     handful of kernel entries, not one per cycle."""
     monkeypatch.setenv("REPRO_ARRAY_CKERNEL", "0")  # counted on any host
-    config = make_config(kind="quarc", n=16, msg_len=6, beta=0.0,
-                         rate=0.2, cycles=700, warmup=150, seed=11)
-    session = SimulationSession(config.with_backend("array"))
-    session.run()
-    st = session.backend._st
-    assert st.cycles > 600 and st.calls < 10
-    assert list(st.stops) == [st.calls, 0, 0, 0]    # all at the horizon
+    for beta in (0.0, 0.1):
+        config = make_config(kind="quarc", n=16, msg_len=6, beta=beta,
+                             rate=0.2, cycles=700, warmup=150, seed=11)
+        session = SimulationSession(config.with_backend("array"))
+        session.run()
+        st = session.backend._st
+        assert st.cycles > 600 and st.calls < 10
+        assert list(st.stops) == [st.calls, 0, 0, 0]    # all at the horizon
+
+
+def _stops(**kw):
+    """``--profile``'s kernel counters (with their ``stops``: why the
+    batches ended) and the summary of one profiled run."""
+    session = SimulationSession(make_config(
+        **{"n": 64, "msg_len": 16, "seed": 1, "cycles": 4000,
+           "warmup": 1000, **kw}, obs=ObsSpec(profile=True)))
+    summary = session.run()
+    session.backend.detach()
+    return session.profiler.report()["kernel_counters"], summary
+
+
+#: a Fig. 11 cell of the paper: quarc64 / spidergon64 at beta = 0.1
+FIG11 = dict(beta=0.1, rate=0.0034)
+
+
+@pytest.mark.parametrize("case,delivery,calls", [
+    # the paper's traffic never stops for a header or a tail ...
+    (dict(FIG11), [0], range(20)),
+    # ... the clone ablation changes the table, not that ...
+    (dict(FIG11, clone_disabled=True), [0], range(20)),
+    # ... Spidergon still stops on every relay tail (regeneration is
+    # Python, ROADMAP 2(c)) ...
+    (dict(FIG11, kind="spidergon"), range(1000, 4000), range(1000, 4000)),
+    # ... and the closed loop every cycle for on_tail, never for a header
+    (dict(workload="cache_coherence:window=4", rate=1.0, cycles=2000,
+          warmup=400), range(2001), [2000]),
+], ids=["quarc", "quarc-noclone", "spidergon", "closed_coherence"])
+def test_python_is_entered_for_events_not_headers(case, delivery, calls):
+    kc, _ = _stops(**case)
+    assert kc["stops"]["python_route"] == 0
+    assert kc["stops"]["delivery"] in delivery
+    assert kc["calls"] in calls
+
+
+def test_undeclared_adapter_keeps_the_old_tail_rule(monkeypatch):
+    """An adapter class that does not say which tails re-inject: every
+    non-unicast tail ends its batch, as before -- same results."""
+    want = _stops(**FIG11)[1]
+    monkeypatch.delattr(QuarcTransceiver, "reinjecting_tails")
+    kc, got = _stops(**FIG11)
+    assert kc["stops"]["python_route"] == 0
+    assert kc["stops"]["delivery"] > 1000
+    assert got == want
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -10,10 +10,13 @@ trip, barrier-synchronised phases, the completion-time accounting in
 bytes for all of it.
 """
 
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.api import build_network
 from repro.core.collector import aggregate_class_blocks
 from repro.sim.backend import BACKENDS
 from repro.sim.session import RunConfig, SimulationSession
@@ -87,6 +90,115 @@ class TestClosedLoopSource:
             ClosedLoopSource(0.2, random.Random(1), window=0)
         with pytest.raises(ValueError, match="rate"):
             ClosedLoopSource(1.5, random.Random(1))
+
+
+# ----------------------------------------------------------------------
+# the calendar: generate() pops what fires() would have polled
+# ----------------------------------------------------------------------
+class _Feedback:
+    """The engine's half of the calendar protocol, on a script: quota
+    restarts at the head of a cycle, credits after it; whoever makes a
+    source eligible re-arms it."""
+
+    def __init__(self, mix=None):
+        self.mix = mix
+        self.closed_k = range(8)
+        self.fired = []
+
+    def begin_cycle(self, now):
+        pass
+
+    def issue(self, node, k, now):
+        self.fired.append((now, (node, k)))
+
+    def restart(self, srcs, now):
+        for i, src in enumerate(srcs):
+            if src.quota_left >= 0:
+                src.quota_left = 3
+                if self.mix is not None:
+                    self.mix.arm(i, now)
+
+    def credit(self, srcs, i, now):
+        srcs[i].outstanding -= 1
+        if self.mix is not None:
+            self.mix.arm(i, now + 1)
+
+
+class TestCalendar:
+    CLASSES = [TrafficClass(f"c{k}", rate=rate, msg_len=2,
+                            arrival=f"closedloop:window={window}")
+               for k, (rate, window) in enumerate(
+                   (r, w) for r in (0.0, 0.012, 0.5, 1.0) for w in (1, 4))]
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1),
+           p_credit=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
+           p_restart=st.sampled_from((0.0, 0.02, 0.3)),
+           start=st.integers(0, 5000))
+    def test_calendar_equals_polling(self, seed, p_credit, p_restart,
+                                     start):
+        """64 sources (rate x window x node; odd nodes phased, quota 3)
+        under a random credit-return and phase-restart script, polled
+        through ``fires()`` and driven through the mix's calendar: same
+        (cycle, token) firings, same ``arrivals`` / ``outstanding`` /
+        ``quota_left`` after every cycle."""
+        sides = []
+        net, _ = build_network("quarc", 8)
+        for calendar in (False, True):
+            mix = TrafficMix(net, seed=seed, classes=self.CLASSES)
+            fb = _Feedback(mix if calendar else None)
+            mix.attach_closedloop(fb)
+            for i, src in enumerate(mix._injectors):
+                if (i // 8) % 2:
+                    src.quota_left = 3
+            sides.append((mix, fb))
+        script = random.Random(seed)
+        for now in range(start, start + 400):
+            restart = script.random() < p_restart
+            for mix, fb in sides:
+                if restart:
+                    fb.restart(mix._injectors, now)
+                if fb.mix is not None:
+                    mix.generate(now)
+                else:
+                    for tok, src in zip(mix._tokens, mix._injectors):
+                        if src.fires():
+                            fb.issue(*tok, now)
+            state = [[(s.arrivals, s.outstanding, s.quota_left)
+                      for s in mix._injectors] for mix, _ in sides]
+            assert state[0] == state[1], now
+            busy = [i for i, s in enumerate(state[0]) if s[1]]
+            for i in busy:
+                if script.random() < p_credit:
+                    for mix, fb in sides:
+                        fb.credit(mix._injectors, i, now)
+        assert sides[0][1].fired == sides[1][1].fired
+        assert len(sides[0][1].fired) > 30
+
+    #: sha256 of the ``on_inject`` tap stream (quarc16, seed 9, 2 500
+    #: cycles), recorded from ``--backend reference`` at the last commit
+    #: whose ``generate`` polled ``fires()`` every cycle
+    TAPS = {
+        "cache_coherence:window=4": "9a7106445b6f398c",
+        "cache_coherence:storms=true,window=4": "42c8b3bbde7b37f2",
+        "allreduce:window=4,quota=12,gap=48": "feef250b79fdb033",
+        "allreduce:window=4,quota=12,gap=48,think=0.3": "d8503a54cf040510",
+    }
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("workload", list(TAPS))
+    def test_tap_stream_is_the_polled_one(self, workload, backend):
+        """A reactive mix with open-loop classes beside the closed ones
+        injects exactly what per-cycle polling injected."""
+        session = SimulationSession(RunConfig(
+            spec=closed_spec(workload, cycles=2500), backend=backend))
+        taps = []
+        session.mix.on_inject = lambda *tap: taps.append(tap)
+        session.run()
+        session.backend.detach()
+        assert len(taps) > 400
+        digest = hashlib.sha256(repr(taps).encode()).hexdigest()
+        assert digest[:16] == self.TAPS[workload]
 
 
 # ----------------------------------------------------------------------

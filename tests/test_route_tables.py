@@ -16,7 +16,7 @@ import pytest
 from helpers import probed_route_tables
 
 from repro.core.api import build_network
-from repro.core.quarc_router import LOC_R
+from repro.noc.packet import BROADCAST, MULTICAST, RELAY
 from repro.noc.router import Router
 from repro.sim import array_backend
 from repro.sim.array_backend import ArrayBackend
@@ -30,6 +30,10 @@ SHAPES = ([(k, n, 0) for k in ("quarc", "spidergon") for n in (8, 16, 64)]
           + [(k, n, cols) for k in ("mesh", "torus")
              for n, cols in ((8, 2), (8, 4), (16, 4), (16, 8), (16, 2),
                              (64, 8))])
+#: ``build_network`` arguments by case name: a kind is its own; under
+#: the Quarc clone ablation no ingress role clones a passing broadcast
+BUILD = {k: {"kind": k} for k in KINDS}
+BUILD["quarc-noclone"] = {"kind": "quarc", "clone_disabled": True}
 
 
 def _route_head_owners():
@@ -43,26 +47,39 @@ def _route_head_owners():
     return seen
 
 
-@pytest.mark.parametrize("kind,n,cols", SHAPES)
+@pytest.mark.parametrize("kind,n,cols", SHAPES + [
+    ("quarc-noclone", n, 0) for n in (16, 64)])
 def test_vectorised_columns_equal_probe(kind, n, cols):
-    net, _ = build_network(kind, n, cols=cols)
+    net, _ = build_network(n=n, cols=cols, **BUILD[kind])
+    cloning = set()
     for router in net.routers:
         for buf in router.in_bufs:
+            where = (kind, n, router.node, buf.role)
             probe = router._probe_route_table(buf)
             uni = router.unicast_route_table(buf)
             assert uni is not None
-            slot, deliver, vreset = uni
+            slot, deliver, vreset, *bclone = uni
+            bclone = bclone[0].tolist() if bclone else [False] * n
             assert len(slot) == len(deliver) == len(vreset) == n
             rows = [(router.out_ports[s], d, v) for s, d, v in
                     zip(slot.tolist(), deliver.tolist(), vreset.tolist())]
-            assert rows == probe, (kind, n, router.node, buf.role)
+            assert rows == probe, where
+            # a relay segment routes like a unicast; a broadcast takes
+            # the same port and adds exactly the fourth column's clone
+            assert router._probe_route_table(buf, RELAY) == probe, where
+            assert router._probe_route_table(buf, BROADCAST) == [
+                (p, d or c, v) for (p, d, v), c in zip(rows, bclone)], where
+            if any(bclone):
+                cloning.add(buf.role)
             every = router.route_table(buf)
-            if kind == "quarc" and buf.role < LOC_R:
-                # ingress cloning reads the traffic class: unicast only
-                assert every is None
+            if router._probe_route_table(buf, MULTICAST) != probe:
+                # the multicast bitstring decides the clone: not tabulated
+                assert every is None, where
             else:
                 assert [c.tolist() for c in every] == \
-                    [c.tolist() for c in uni]
+                    [c.tolist() for c in uni[:3]], where
+    # CW_IN, CCW_IN and XL_IN clone a passing broadcast; XR_IN never
+    assert cloning == ({0, 1, 3} if kind == "quarc" else set())
 
 
 def test_vclass_reset_column_is_exercised():
@@ -75,13 +92,17 @@ def test_vclass_reset_column_is_exercised():
         assert any(turns) and not all(turns)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + (
+    "quarc@16", "quarc-noclone", "quarc-noclone@16"))
 def test_packed_tables_equal_probed_oracle(kind):
-    net, _ = build_network(kind, 64)
+    kind, _, n = kind.partition("@")
+    net, _ = build_network(n=int(n or 64), **BUILD[kind])
     be = ArrayBackend(net)
     oracle, oracle_all = probed_route_tables(be)
-    # rtflag: 2 = the row holds for every class, 1 = unicast only
+    # rtflag: 2 = the row holds for every class, 1 = every class but
+    # multicast
     assert [f == 2 for f in be._rtflag[:be._B].tolist()] == oracle_all
+    assert all(oracle_all) == (kind != "quarc")
     assert be._rtflag[:be._B].all() and not be._rtflag[be._B:].any()
     table, mv = be._rtab, be._rtmv
     assert table.flags.c_contiguous and be._st.rstride == table.shape[1]
