@@ -120,11 +120,11 @@ class LatencyCollector:
         self.hist: Optional["HistogramBank"] = None
 
     # -- generation side (called by traffic generators / adapters) -------
-    def note_generated(self, collective: bool) -> None:
+    def note_generated(self, collective: bool, k: int = 1) -> None:
         if collective:
-            self.generated_collective += 1
+            self.generated_collective += k
         else:
-            self.generated_unicast += 1
+            self.generated_unicast += k
 
     # -- delivery side (called by adapters) ------------------------------
     def _class_stats(self, name: str) -> ClassStats:

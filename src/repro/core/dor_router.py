@@ -192,6 +192,11 @@ class DORAdapter(Adapter):
     #: no tail re-injects; see ``QuarcTransceiver.reinjecting_tails``
     reinjecting_tails = ()
 
+    def unicast_queue_table(self):
+        """One queue for every destination (see ``QuarcTransceiver``)."""
+        import numpy as np
+        return [self.router.local_q], np.zeros(self.router.n, np.int64)
+
     def _enqueue(self, pkt: Packet) -> None:
         self.router.local_q.push_packet(pkt)
 

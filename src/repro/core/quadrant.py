@@ -64,6 +64,18 @@ class QuadrantCalculator:
             return XRIGHT
         return LEFT
 
+    #: the slots :meth:`quadrant_column` counts in
+    COLUMN_ORDER = (RIGHT, XLEFT, XRIGHT, LEFT)
+
+    def quadrant_column(self):
+        """:meth:`quadrant` of every destination, as ``COLUMN_ORDER``
+        indices, -1 at the local address: by clockwise offset the
+        comparators cut runs of 1, q, q, q - 1 and q, rotated to ``node``."""
+        import numpy as np      # the array engine's dependency, not ours
+        q = self.q
+        col = np.repeat((-1, 0, 1, 2, 3), (1, q, q, q - 1, q))
+        return np.concatenate((col[-self.node:], col[:-self.node]))
+
     def hop_distance(self, dst: int) -> int:
         """Hops along the base route to ``dst`` (for multicast bitstrings)."""
         k = (dst - self.node) % self.n

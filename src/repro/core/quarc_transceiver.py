@@ -77,6 +77,16 @@ class QuarcTransceiver(Adapter):
     #: engine need not end its batch of cycles for it
     reinjecting_tails = (RELAY,)
 
+    def unicast_queue_table(self):
+        """Where :meth:`send` queues a healthy unicast: ``(queues, slot)``,
+        ``slot`` an integer numpy column over every destination into the
+        buffer list ``queues`` (-1: ``send`` raises), by arithmetic.  It
+        promises ``send`` otherwise only stamps ``created`` and calls
+        ``collector.note_generated``, so an array engine may stage
+        ``Network.send_unicast`` rows instead of packets."""
+        return ([self.queues[q] for q in self.calc.COLUMN_ORDER],
+                self.calc.quadrant_column())
+
     def _enqueue(self, quadrant: str, pkt: Packet) -> None:
         self.queues[quadrant].push_packet(pkt)
 

@@ -51,6 +51,11 @@ class SpidergonAdapter(Adapter):
     #: only relay tails re-inject (``QuarcTransceiver.reinjecting_tails``)
     reinjecting_tails = (RELAY,)
 
+    def unicast_queue_table(self):
+        """One queue for every destination (see ``QuarcTransceiver``)."""
+        import numpy as np      # the array engine's dependency, not ours
+        return [self.router.local_q], np.zeros(self.router.n, np.int64)
+
     def _enqueue(self, pkt: Packet, replication: bool = False) -> None:
         q = self.router.repl_q if replication else self.router.local_q
         q.push_packet(pkt)

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
+from repro.noc.packet import UNICAST, Packet
 from repro.noc.ports import Move
 from repro.noc.router import Router, commit_move
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.buffers import FlitBuffer
-    from repro.noc.packet import Packet
 
 __all__ = ["Network", "Adapter", "flit_key"]
 
@@ -34,6 +34,10 @@ class Adapter:
     * :meth:`receive_tail` -- called when a packet's tail flit reaches
       this node (ejection or broadcast clone), for delivery accounting and
       Spidergon-style broadcast regeneration.
+
+    Optional declarations -- ``unicast_via_collector``, ``reinjecting_tails``,
+    ``unicast_queue_table()``, see ``QuarcTransceiver`` -- let an array
+    engine skip the :class:`Packet`; without them it keeps the object path.
     """
 
     __slots__ = ("node", "net")
@@ -139,8 +143,26 @@ class Network:
         return moved
 
     # ------------------------------------------------------------------
-    # delivery
+    # injection / delivery
     # ------------------------------------------------------------------
+    def send_unicast(self, node: int, dst: int, size: int,
+                     cls: Optional[str], now: int) -> None:
+        """The traffic generators' unicast funnel.  An array engine whose
+        adapters all declare ``unicast_queue_table`` takes the message as
+        a row (``state_owner.rows``) and builds its :class:`Packet` only
+        if something reads one; with no engine, or under a fault state
+        (source-side rerouting and flit accounting read the object), it
+        is ``Packet`` + ``adapter.send`` -- still the public object API."""
+        owner = self.state_owner
+        rows = (owner.rows if owner is not None and self.fault_state is None
+                else None)
+        if rows is None:
+            pkt = Packet(node, dst, size, UNICAST, created=now)
+            pkt.cls = cls
+            self.adapters[node].send(pkt, now)
+        else:
+            rows.append((node, dst, size, cls, now))
+
     def deliver(self, node: int, pkt: "Packet", fidx: int, now: int) -> None:
         """A flit reached the PE at ``node`` (ejection or broadcast clone).
 

@@ -26,8 +26,8 @@ other than the one that runs.  The array report also says which tier
 ran (``tier``: ``ckernel`` with the kernel's source hash, or ``scalar``)
 and carries the cycle body's own work counters, read from the engine's
 state struct: entries (``calls``), cycles executed inside them,
-buffers scanned, eligible candidates, flits moved, and why batches
-ended (``stops``).
+buffers scanned, eligible candidates, flits moved, why batches ended
+(``stops``), and how many staged packets were rows / ever objects.
 
 Profile results never enter ``RunSummary.extra``: wall times differ
 per backend and per host, and ``extra`` must stay byte-identical
@@ -46,13 +46,16 @@ __all__ = ["PhaseProfiler"]
 
 
 def _kernel_counters(backend) -> Dict[str, object]:
-    """The cycle body's cumulative work counters, from the state
-    struct."""
+    """The cycle body's cumulative work counters (state struct) and the
+    packets staged, staged as rows, and ever held as a ``Packet`` object."""
     from repro.sim.array_backend import STOPS
     st = backend._st
+    staged, rows = len(backend._pkts), backend._nrows
     return {"calls": st.calls, "cycles": st.cycles,
             "buffers_scanned": st.scanned, "candidates": st.cands,
             "flits_moved": st.flits,
+            "packets_staged": staged, "packets_rows": rows,
+            "packets_built": staged - rows + backend._nbuilt,
             "stops": dict(zip(STOPS, st.stops))}
 
 
@@ -175,6 +178,8 @@ class PhaseProfiler:
                          f"{kc['buffers_scanned']} buffers scanned, "
                          f"{kc['candidates']} candidates, "
                          f"{kc['flits_moved']} flits moved")
+            lines.append("  packets: {packets_staged} staged, {packets_rows} "
+                         "as rows, {packets_built} built".format(**kc))
             stops = ", ".join(f"{n} {why}"
                               for why, n in kc["stops"].items())
             lines.append(f"  tier {rep['tier']} {rep.get('kernel', '')}: "

@@ -26,7 +26,11 @@ for what a cycle reads (``_pdst``, ``_ptraf``, ``_psize``, ``_pvcl``:
 the dateline class, owned here while attached and synced with
 ``Packet.vclass`` only at the Python-route boundary and in
 ``materialize``; ``_phdr``: the row holding the packet's routed
-header), lists for what only deliveries read.  Each buffer owns a
+header), lists for what only deliveries read (``_pborn``, ``_pcls``).
+A packet may be columns only: ``_pkts[aid]`` is ``None`` for a unicast
+staged as a row until :meth:`ArrayBackend._packet` builds the object
+(with ``_psrc``) for a Python route, a fault, ``on_tail`` or an
+inspection -- a saturated run builds none.  Each buffer owns a
 power-of-two ring slice of one flat flit array; an injected packet
 joins its source queue's **pending-packet FIFO** (``_phead`` /
 ``_ptail``, linked through ``_pnext``; ``_pfid`` = next flit of the
@@ -60,9 +64,12 @@ engine on a host with no compiler (20-30x slower at saturation;
 
 :meth:`ArrayBackend._advance` executes cycles ``[now, horizon)`` in
 batches: a batch runs until Python is needed, :meth:`_replay` applies
-its events, the next batch starts.  Adapters append ``(buffer,
-packet)`` to ``FlitBuffer.sink``; :meth:`_stage` turns that list into
-arrival rows ``(cycle, buffer, aid)``, stamped by ``run_mix`` -- which
+its events, the next batch starts.  One ordered list, ``_staged``,
+takes what is injected: ``(buffer, packet)`` from the adapters (it is
+every ``FlitBuffer.sink``) and ``(node, dst, size, cls, created)`` rows
+from ``Network.send_unicast``, their buffer looked up in the adapters'
+``unicast_queue_table``; :meth:`_stage` turns it into arrival rows
+``(cycle, buffer, aid)`` in push order, stamped by ``run_mix`` -- which
 injects a whole window ahead -- or else due at the cycle about to run,
 so a packet injected at cycle *t* arbitrates at *t*, like a reference
 push.  Events carry their cycle: a tail that reached a PE
@@ -97,13 +104,15 @@ attaching to anything else raises and names the reference backend.
 from __future__ import annotations
 
 import ctypes
+from collections import Counter
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.noc.network import flit_key
-from repro.noc.packet import BROADCAST, MULTICAST, TRAFFIC_NAMES, UNICAST
+from repro.noc.packet import (BROADCAST, MULTICAST, TRAFFIC_NAMES, UNICAST,
+                              Packet)
 from repro.sim.backend import Probes, SimBackend
 from repro.sim.ckernel import State, load_cycle_kernel
 
@@ -329,19 +338,28 @@ class ArrayBackend(SimBackend):
         self._pkts: List = []
         self._pcls: List[Optional[str]] = []
         self._pborn: List[int] = []
-        for name in ("pdst ptraf psize pvcl phdr pnext acyc abuf "
+        for name in ("pdst ptraf psize pvcl phdr pnext psrc acyc abuf "
                      "aaid").split():
             setattr(self, "_" + name, z(1024))
         evcap = max(256, 2 * EV_PER_PORT * P)
         self._ev = z(2 * evcap)
-        #: what the adapters pushed since the last fold: ``(buffer,
-        #: packet)`` in push order; ``_staged_at`` stamps the leading
-        #: entries with their cycle (run_mix injects a window ahead),
-        #: the rest are due at the next cycle to run
+        #: what was injected since the last fold, in push order (packets
+        #: and rows: module docstring); ``_staged_at`` stamps the leading
+        #: entries with their cycle (run_mix injects a window ahead), the
+        #: rest are due at the next cycle to run
         self._staged: List = []
         self._staged_at: List[int] = []
 
         a = net.adapters
+        # ``rows``: where ``Network.send_unicast`` appends; None (object
+        # path) unless every adapter gives ``_qtab[node, dst]``, its buffer
+        tabs = [getattr(ad, "unicast_queue_table", lambda: None)() for ad in a]
+        self.rows = self._staged if all(tabs) else None
+        if self.rows is not None:
+            self._qtab = np.array(
+                [np.array([*(self._bid[q] for q in queues), -1])[slot]
+                 for queues, slot in tabs], np.int32)
+        self._nrows = self._nbuilt = 0      # rows staged / built anyway
         self._uni_short = all(
             getattr(ad, "unicast_via_collector", False)
             and getattr(ad, "collector", None) is not None for ad in a)
@@ -381,7 +399,8 @@ class ArrayBackend(SimBackend):
             new = np.zeros(size, np.int64)
             new[:keep] = getattr(self, name)[:keep]
             setattr(self, name, new)
-            setattr(self._st, name[1:], new.ctypes.data)
+            if name[1:] in State.POINTERS:      # _psrc is Python's alone
+                setattr(self._st, name[1:], new.ctypes.data)
 
     @property
     def _inflight(self) -> int:
@@ -394,23 +413,60 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     # adoption: object graph -> arrays
     # ------------------------------------------------------------------
-    def _intern(self, pkts) -> int:
-        """Append ``pkts`` to the packet columns; returns the first new
-        aid.  Aids are never reused or reset while attached."""
+    def _intern(self, pkts, cols=None) -> int:
+        """Append ``pkts`` (for rows: ``None``s, and ``cols`` = class,
+        created, dst, size, traffic, vclass) to the packet columns; returns
+        the first new aid.  Aids are never reused or reset while attached."""
         a0 = len(self._pkts)
         a1 = a0 + len(pkts)
         if a1 > len(self._pdst):
             self._grow(("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr",
-                        "_pnext"), a1, a0)
+                        "_pnext", "_psrc"), a1, a0)
+        cls, born, dst, size, traf, vcl = cols or zip(
+            *[(p.cls, p.created, p.dst, p.size, p.traffic, p.vclass)
+              for p in pkts])
         self._pkts.extend(pkts)
-        self._pcls.extend([p.cls for p in pkts])
-        self._pborn.extend([p.created for p in pkts])
-        self._pdst[a0:a1] = [p.dst for p in pkts]
-        self._ptraf[a0:a1] = [p.traffic for p in pkts]
-        self._psize[a0:a1] = [p.size for p in pkts]
-        self._pvcl[a0:a1] = [p.vclass for p in pkts]
+        self._pcls.extend(cls)
+        self._pborn.extend(born)
+        self._pdst[a0:a1] = dst
+        self._ptraf[a0:a1] = traf
+        self._psize[a0:a1] = size
+        self._pvcl[a0:a1] = vcl
         self._phdr[a0:a1] = -1
         return a0
+
+    def _intern_rows(self, rows):
+        """Intern ``Network.send_unicast`` rows as ``adapter.send`` would
+        have: pick each one's source buffer (the queue table, -1 where
+        ``send`` raises; returned) and count it generated.  ``_pkts``
+        holds ``None``, ``_psrc`` the source node, for :meth:`_packet`."""
+        node, dst, size, cls, born = zip(*rows)
+        dst = np.array(dst)
+        bad = dst[(dst < 0) | (dst >= len(self._qtab))]
+        if len(bad):
+            raise ValueError(f"destination {bad[0]} out of range for "
+                             f"N={len(self._qtab)}")
+        bufs = self._qtab[node, dst]
+        if (bufs < 0).any():
+            raise ValueError("local address has no quadrant")
+        k = len(rows)
+        a0 = self._intern([None] * k, (cls, born, dst, size, UNICAST, 0))
+        self._psrc[a0:a0 + k] = node
+        self._nrows += k
+        for n, c in Counter(node).items():
+            self._acoll[n].note_generated(False, c)
+        return bufs
+
+    def _packet(self, aid: int) -> Packet:
+        """The packet ``aid``, built on first use if staged as a row."""
+        pkt = self._pkts[aid]
+        if pkt is None:
+            pkt = self._pkts[aid] = Packet(
+                int(self._psrc[aid]), int(self._pdst[aid]),
+                int(self._psize[aid]), created=self._pborn[aid])
+            pkt.cls = self._pcls[aid]
+            self._nbuilt += 1
+        return pkt
 
     def _adopt(self) -> None:
         """(Re)build all dynamic array state from the object graph and
@@ -438,7 +494,7 @@ class ArrayBackend(SimBackend):
         for buf in self._bufs:
             for pkt, _ in buf.q:
                 resident.setdefault(pkt.pid, pkt)
-        a0 = self._intern(list(resident.values()))
+        a0 = self._intern(list(resident.values())) if resident else 0
         aid_of = {pid: a0 + i for i, pid in enumerate(resident)}
         headers: List[int] = []
         rflat = self._rflat
@@ -500,10 +556,25 @@ class ArrayBackend(SimBackend):
         staged, at = self._staged, self._staged_at
         n = len(staged)
         at.extend([now] * (n - len(at)))
-        bufs, pkts = zip(*staged)
-        a0 = self._intern(pkts)
-        bid = self._bid
-        rows = (at, [bid[b] for b in bufs], range(a0, a0 + n))
+        # rows take the first aids, packets the rest: an aid is an
+        # interning order, only the arrival rows keep the push order
+        rows = [e for e in staged if len(e) == 5]
+        k = len(rows)
+        a0 = len(self._pkts)
+        abuf = self._intern_rows(rows) if k else ()
+        if k < n:
+            bufs, pkts = zip(*((e for e in staged if len(e) == 2) if k
+                               else staged))
+            self._intern(pkts)
+            obuf = [self._bid[b] for b in bufs]
+            abuf = np.concatenate((abuf, obuf)) if k else obuf
+        aaid = np.arange(a0, a0 + n)
+        if 0 < k < n:
+            isrow = np.array([len(e) == 5 for e in staged])
+            rank = np.where(isrow, isrow.cumsum() - 1,
+                            k - 1 + (~isrow).cumsum())
+            abuf, aaid = abuf[rank], aaid[rank]
+        rows = (at, abuf, aaid)
         st = self._st
         pos, an = st.apos, st.an
         cols = ("_acyc", "_abuf", "_aaid")
@@ -567,7 +638,7 @@ class ArrayBackend(SimBackend):
         router: the only path that touches objects, and what a ROUTE
         event asks for."""
         aid = int(self._front[b]) >> FSHIFT
-        pkt = self._pkts[aid]
+        pkt = self._packet(aid)
         buf = self._bufs[b]
         pkt.vclass = int(self._pvcl[aid])
         port, deliver = buf.router.route(buf, pkt)
@@ -598,20 +669,25 @@ class ArrayBackend(SimBackend):
     def _deliver(self, node: int, aid: int, now: int) -> None:
         net = self.net
         fs = net.fault_state
-        if fs is not None:
-            pkt = self._pkts[aid]
-            if pkt.pid in fs.doomed:
-                fs.on_tail_dropped(pkt, node, now)
-                return
+        cb = net.on_tail
+        pkt = self._pkts[aid]
+        if pkt is not None:
+            short = self._uni_short and pkt.traffic == UNICAST
+        else:       # a row: a unicast nobody has looked at yet
+            short = self._uni_short
+            if not short or fs is not None or cb is not None:
+                pkt = self._packet(aid)
+        if fs is not None and pkt.pid in fs.doomed:
+            fs.on_tail_dropped(pkt, node, now)
+            return
         net.deliveries += 1
-        if self._uni_short and self._ptraf[aid] == UNICAST:
+        if short:
             self._acoll[node].on_unicast_cols(
                 self._pborn[aid], self._pcls[aid], now)
         else:
-            net.adapters[node].receive_tail(self._pkts[aid], now)
-        cb = net.on_tail
+            net.adapters[node].receive_tail(pkt, now)
         if cb is not None:
-            cb(node, self._pkts[aid], now)
+            cb(node, pkt, now)
 
     # ------------------------------------------------------------------
     # the cycle: scalar oracle (the loop _cycle_kernel.c is a port of)
@@ -921,7 +997,8 @@ class ArrayBackend(SimBackend):
 
     def total_flits(self) -> int:
         st = self._st
-        n = st.inflight + sum(pkt.size for _, pkt in self._staged)
+        n = st.inflight + sum(e[2] if len(e) == 5 else e[1].size
+                              for e in self._staged)
         if st.apos < st.an:
             n += int(self._psize[self._aaid[st.apos:st.an]].sum())
         return n
@@ -986,7 +1063,7 @@ class ArrayBackend(SimBackend):
         if self.net.state_owner is not self:
             return
         self._flush()
-        pkts, rflat = self._pkts, self._rflat
+        packet, rflat = self._packet, self._rflat
         for b, buf in enumerate(self._bufs):
             q = buf.q
             q.clear()
@@ -1001,12 +1078,13 @@ class ArrayBackend(SimBackend):
                     aid = v >> FSHIFT
                     if aid != last:
                         last = aid
-                        pkts[aid].vclass = int(self._pvcl[aid])
-                    q.append((pkts[aid], v & FIDMASK))
+                        pkt = packet(aid)
+                        pkt.vclass = int(self._pvcl[aid])
+                    q.append((pkt, v & FIDMASK))
                 aid = int(self._phead[b])
                 fid = int(self._pfid[b])
                 while aid >= 0:     # the flits still in packet form
-                    pkt = pkts[aid]
+                    pkt = packet(aid)
                     q.extend((pkt, i) for i in range(fid, pkt.size))
                     aid = int(self._pnext[aid])
                     fid = 0
@@ -1070,7 +1148,7 @@ class ArrayBackend(SimBackend):
         bufs = []
         for b in range(self._B):
             v = front[b]
-            key = (flit_key(self._pkts[v >> FSHIFT], v & FIDMASK)
+            key = (flit_key(self._packet(v >> FSHIFT), v & FIDMASK)
                    if qlen[b] else None)
             latch = ((self._ports[want[b]].name, vcreq[b], bool(dlv[b]))
                      if want[b] >= 0 and not hdrf[b] else (None, 0, False))

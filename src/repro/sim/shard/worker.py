@@ -67,11 +67,11 @@ class ShardRecorder:
         self.relay_segments = 0
 
     # -- generation side -------------------------------------------------
-    def note_generated(self, collective: bool) -> None:
+    def note_generated(self, collective: bool, k: int = 1) -> None:
         if collective:
-            self.note_collective += 1
+            self.note_collective += k
         else:
-            self.note_unicast += 1
+            self.note_unicast += k
 
     # -- delivery side ---------------------------------------------------
     def on_unicast(self, pkt, now: int) -> None:
@@ -205,7 +205,7 @@ class ShardWorker:
                 be._acoll[node].on_unicast_cols(
                     be._pborn[aid], be._pcls[aid], now)
                 return
-            pkt = be._pkts[aid]
+            pkt = be._packet(aid)
             op = pkt.op
             if op is not None:
                 rec.events.append(
@@ -300,7 +300,7 @@ class ShardWorker:
                 lst = out[dest] = []
             if gid not in self._sent_gids[dest]:
                 self._sent_gids[dest].add(gid)
-                pkt = be._pkts[aid]
+                pkt = be._packet(aid)
                 pkt.vclass = int(be._pvcl[aid])
                 opgid = (self._gid_for_op(pkt.op)
                          if pkt.op is not None else 0)

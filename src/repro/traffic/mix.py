@@ -1,7 +1,7 @@
 """The paper's traffic mix, generalised to multi-class workloads.
 
-Two construction modes drive one network through the adapters' uniform
-``send`` / ``send_broadcast`` interface:
+Two construction modes drive one network through ``Network.send_unicast``
+and the adapters' uniform ``send_broadcast`` interface:
 
 * **Single-class (the paper's workload)** -- ``TrafficMix(net, rate,
   msg_len, beta)``: every cycle, every node's arrival process decides
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
-from repro.noc.packet import UNICAST, Packet
 from repro.sim.rng import RngStreams
 from repro.traffic.generators import (BernoulliInjector, DestinationPattern,
                                       UniformPattern)
@@ -377,12 +376,13 @@ class TrafficMix:
             self._calendar.setdefault(due, []).append(i)
 
     def inject(self, token, now: int) -> None:
-        """Emit one message: the class/destination draws and the adapter
+        """Emit one message: the class/destination draws and the
         hand-off that :meth:`generate` performs for a firing injector.
         ``token`` is a node id (single-class / replay) or a ``(node,
         class_index)`` pair (multi-class).  Exposed so block-based
         drivers (the fast-forwarding backends) can replay precomputed
-        arrivals with identical RNG consumption."""
+        arrivals with identical RNG consumption.  A unicast leaves through
+        ``Network.send_unicast``, which decides if a ``Packet`` is built."""
         fs = self.net.fault_state
         if fs is not None and fs.dead_nodes:
             node = token[0] if type(token) is tuple else token
@@ -394,20 +394,36 @@ class TrafficMix:
                 if self._replay is not None:
                     self._replay_pos[node] += 1
                 return
-        if self._replay is not None:
-            self._inject_replay(token, now)
-            return
-        if type(token) is tuple:
-            self._inject_class(token[0], token[1], now)
-            return
-        node = token
-        if self.beta and self._class_rng[node].random() < self.beta:
+        if self._replay is not None:    # the next recorded event, verbatim
+            node = token
+            i = self._replay_pos[node]
+            _, dst, size, name, bcast = self._replay[node][i]
+            self._replay_pos[node] = i + 1
+        elif type(token) is tuple:
+            node, k = token
+            eng = self._cl_engine
+            if eng is not None and k in eng.closed_k:
+                # a closed-loop class's issue is a transaction, not a bare
+                # message: the engine owns sizing, tagging and accounting
+                eng.issue(node, k, now)
+                return
+            cls = self.classes[k]
+            name, size = cls.name, cls.msg_len
+            bcast = cls.cast == CAST_BROADCAST
+            dst = -1 if bcast else self._cls_patterns[k].pick(
+                node, self._cls_dst_rng[node][k])
+        else:
+            node, name, size = token, None, self.msg_len
+            bcast = self.beta and self._class_rng[node].random() < self.beta
+            dst = -1 if bcast else self.pattern.pick(
+                node, self._dst_rng[node])
+        if bcast:
             if self.on_inject is not None:
-                self.on_inject(node, now, None, -1, self.msg_len, True)
-            self.net.adapters[node].send_broadcast(self.msg_len, now)
+                self.on_inject(node, now, name, -1, size, True)
+            op = self.net.adapters[node].send_broadcast(size, now)
+            op.cls = name
             self.generated_broadcasts += 1
         else:
-            dst = self.pattern.pick(node, self._dst_rng[node])
             if fs is not None and fs.src_cannot_reach(node, dst):
                 # the dst draw is consumed either way, so the fault-free
                 # prefix of the stream is byte-identical with and
@@ -415,61 +431,8 @@ class TrafficMix:
                 fs.source_drop_unicast()
                 return
             if self.on_inject is not None:
-                self.on_inject(node, now, None, dst, self.msg_len, False)
-            pkt = Packet(node, dst, self.msg_len, UNICAST, created=now)
-            self.net.adapters[node].send(pkt, now)
-            self.generated_unicasts += 1
-
-    def _inject_class(self, node: int, k: int, now: int) -> None:
-        eng = self._cl_engine
-        if eng is not None and k in eng.closed_k:
-            # a closed-loop class's issue is a transaction, not a bare
-            # message: the engine owns sizing, tagging and accounting
-            eng.issue(node, k, now)
-            return
-        cls = self.classes[k]
-        name = cls.name
-        if cls.cast == CAST_BROADCAST:
-            if self.on_inject is not None:
-                self.on_inject(node, now, name, -1, cls.msg_len, True)
-            op = self.net.adapters[node].send_broadcast(cls.msg_len, now)
-            op.cls = name
-            self.generated_broadcasts += 1
-        else:
-            dst = self._cls_patterns[k].pick(node,
-                                             self._cls_dst_rng[node][k])
-            fs = self.net.fault_state
-            if fs is not None and fs.src_cannot_reach(node, dst):
-                fs.source_drop_unicast()
-                return
-            if self.on_inject is not None:
-                self.on_inject(node, now, name, dst, cls.msg_len, False)
-            pkt = Packet(node, dst, cls.msg_len, UNICAST, created=now)
-            pkt.cls = name
-            self.net.adapters[node].send(pkt, now)
-            self.generated_unicasts += 1
-        self.class_generated[name] += 1
-
-    def _inject_replay(self, node: int, now: int) -> None:
-        """Replay the node's next recorded event verbatim (v2 traces)."""
-        i = self._replay_pos[node]
-        _, dst, size, name, bcast = self._replay[node][i]
-        self._replay_pos[node] = i + 1
-        if not bcast:
-            fs = self.net.fault_state
-            if fs is not None and fs.src_cannot_reach(node, dst):
-                fs.source_drop_unicast()
-                return
-        if self.on_inject is not None:
-            self.on_inject(node, now, name, dst, size, bcast)
-        if bcast:
-            op = self.net.adapters[node].send_broadcast(size, now)
-            op.cls = name
-            self.generated_broadcasts += 1
-        else:
-            pkt = Packet(node, dst, size, UNICAST, created=now)
-            pkt.cls = name
-            self.net.adapters[node].send(pkt, now)
+                self.on_inject(node, now, name, dst, size, False)
+            self.net.send_unicast(node, dst, size, name, now)
             self.generated_unicasts += 1
         if name is not None:
             self.class_generated[name] = \

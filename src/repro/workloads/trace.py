@@ -101,10 +101,10 @@ class Trace:
                         raise ValueError(
                             f"broadcast trace event must carry dst=-1 "
                             f"(got {dst})")
-                elif not 0 <= dst < self.n:
+                elif not 0 <= dst < self.n or dst == node:
                     raise ValueError(
-                        f"trace event dst {dst} out of range for "
-                        f"n={self.n}")
+                        f"trace event dst {dst} of node {node} is out of "
+                        f"range for n={self.n} or the node itself")
         # stable sort on (t, node): same-cycle events of one node (a
         # multi-class v2 burst) keep their recorded injection order
         self.events.sort(key=lambda ev: (ev[0], ev[1]))
@@ -228,10 +228,10 @@ class Trace:
                             raise ValueError(
                                 f"{path}:{lineno}: broadcast event must "
                                 f"carry dst=-1 (got {dst})")
-                    elif not 0 <= dst < n:
+                    elif not 0 <= dst < n or dst == node:
                         raise ValueError(
-                            f"{path}:{lineno}: dst {dst} out of range "
-                            f"for n={n}")
+                            f"{path}:{lineno}: dst {dst} of node {node} is "
+                            f"out of range for n={n} or the node itself")
                     events.append((t, node, dst, size, raw_cls, bcast))
                 else:
                     events.append((t, node))

@@ -36,9 +36,9 @@ def _named(be, events):
     for key, word in zip(it, it):
         kind = key & 3
         if kind == EV_DELIVERY:
-            word = (flit_key(be._pkts[word >> 16], 0), word & 0xFFFF)
+            word = (flit_key(be._packet(word >> 16), 0), word & 0xFFFF)
         elif kind == EV_DATELINE:
-            word = flit_key(be._pkts[word >> FSHIFT], word & FIDMASK)
+            word = flit_key(be._packet(word >> FSHIFT), word & FIDMASK)
         out += (key, word)
     return out
 

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -182,6 +183,22 @@ class TestScenarioCommands:
         assert record_out.splitlines()[:3] == replay_out.splitlines()[:3]
         assert "replayed" in replay_out
         assert engines_built == [ArrayBackend, ReferenceBackend]
+
+    def test_trace_replay_refuses_self_addressed_event(self, capsys,
+                                                       tmp_path):
+        path = tmp_path / "run.jsonl"
+        assert main(["trace", "record", "--kind", "spidergon"] + self.RUN
+                    + ["--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        event = json.loads(lines[1])
+        event["dst"] = event["node"]
+        lines[1] = json.dumps(event)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        for kind in ("quarc", "mesh"):
+            assert main(["trace", "replay", "--path", str(path),
+                         "--kind", kind]) == 2
+            assert "run.jsonl:2: dst" in capsys.readouterr().err
 
     def test_trace_replay_honours_explicit_flags(self, capsys, tmp_path):
         """Regression: explicit flags must override the recording's

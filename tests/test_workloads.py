@@ -308,6 +308,22 @@ class TestTraceFormat:
         with pytest.raises(ValueError, match="negative"):
             Trace(n=2, events=[(-3, 1)])
 
+    def test_self_addressed_unicast_is_rejected(self, tmp_path):
+        """Regression: a v2 event with ``dst == node`` passed the range
+        check; Quarc then died mid-run and the grid engines disagreed."""
+        with pytest.raises(ValueError, match="dst 1 of node 1 is out of"):
+            Trace(n=4, events=[(0, 1, 1, 4, None, False)])
+        p = tmp_path / "self.jsonl"
+        p.write_text(
+            '{"format": "repro-trace/v2", "n": 4}\n'
+            '{"t": 0, "node": 2, "dst": 3, "size": 4, "cls": null, '
+            '"bcast": false}\n'
+            '{"t": 1, "node": 1, "dst": 1, "size": 4, "cls": null, '
+            '"bcast": false}\n')
+        with pytest.raises(ValueError,
+                           match=r"self\.jsonl:3: dst 1 of node 1 is"):
+            Trace.load(str(p))
+
     def test_recorder_captures_mix_injections(self):
         net, _ = build_network("quarc", 8)
         mix = TrafficMix(net, 0.05, 4, beta=0.1, seed=3)
