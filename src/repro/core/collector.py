@@ -154,9 +154,17 @@ class LatencyCollector:
             if measured:
                 stats.latency.add(now - created)
 
-    def on_collective_delivery(self, op: "CollectiveOp", now: int) -> None:
-        if op.created >= self.warmup:
+    def on_collective_tail(self, op: "CollectiveOp", node: int,
+                           now: int) -> None:
+        """A tail of ``op`` reached ``node`` -- the arrival rule, once, for
+        adapters, array replay and shard merge: a node's first arrival is
+        a per-receiver sample, the last expected one completes the op."""
+        was_new = node not in op.deliveries
+        done = op.deliver(node, now)
+        if was_new and op.created >= self.warmup:
             self.delivery.add(now - op.created)
+        if done:
+            self.on_collective_complete(op, now)
 
     def on_collective_complete(self, op: "CollectiveOp", now: int) -> None:
         self.completed_collective += 1

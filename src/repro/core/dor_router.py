@@ -186,9 +186,9 @@ class DORAdapter(Adapter):
         self.router = router
         self.collector = collector or LatencyCollector()
 
-    #: unicast delivery is exactly ``collector.on_unicast`` -- lets array
-    #: engines account unicast tails straight from their payload columns
-    unicast_via_collector = True
+    #: unicast / passive collective delivery is exactly the collector's
+    #: ``on_unicast`` / ``on_collective_tail`` (see ``QuarcTransceiver``)
+    unicast_via_collector = collective_via_collector = True
     #: no tail re-injects; see ``QuarcTransceiver.reinjecting_tails``
     reinjecting_tails = ()
 
@@ -242,13 +242,5 @@ class DORAdapter(Adapter):
     def receive_tail(self, pkt: Packet, now: int) -> None:
         if pkt.traffic == UNICAST:
             self.collector.on_unicast(pkt, now)
-            return
-        op = pkt.op
-        if op is None:
-            return
-        was_new = self.node not in op.deliveries
-        done = op.deliver(self.node, now)
-        if was_new:
-            self.collector.on_collective_delivery(op, now)
-        if done:
-            self.collector.on_collective_complete(op, now)
+        elif pkt.op is not None:
+            self.collector.on_collective_tail(pkt.op, self.node, now)

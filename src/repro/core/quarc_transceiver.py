@@ -71,6 +71,10 @@ class QuarcTransceiver(Adapter):
     #: unicast delivery is exactly ``collector.on_unicast`` -- lets array
     #: engines account unicast tails straight from their payload columns
     unicast_via_collector = True
+    #: ... and the tail of a collective kind not listed below exactly
+    #: ``collector.on_collective_tail(pkt.op, node, now)`` (nothing if it
+    #: has no ``op``), so neither need reach ``receive_tail``
+    collective_via_collector = True
     #: traffic kinds whose tail ``receive_tail`` may answer by pushing a
     #: packet back into the network (``_relay_forward``); every other
     #: tail only feeds the op tracker and the collector, so an array
@@ -228,30 +232,16 @@ class QuarcTransceiver(Adapter):
         t = pkt.traffic
         if t == UNICAST:
             self.collector.on_unicast(pkt, now)
-            return
-        if t == RELAY:
+        elif t == RELAY:
             self._relay_forward(pkt, now)
-            return
-        op = pkt.op
-        if op is None:      # collective without tracker: nothing to record
-            return
-        was_new = self.node not in op.deliveries
-        done = op.deliver(self.node, now)
-        if was_new:
-            self.collector.on_collective_delivery(op, now)
-        if done:
-            self.collector.on_collective_complete(op, now)
+        elif pkt.op is not None:    # no tracker: nothing to record
+            self.collector.on_collective_tail(pkt.op, self.node, now)
 
     def _relay_forward(self, pkt: Packet, now: int) -> None:
         """Ablation-mode relay hop: absorb, regenerate, re-inject."""
         op = pkt.op
         if op is not None:
-            was_new = self.node not in op.deliveries
-            done = op.deliver(self.node, now)
-            if was_new:
-                self.collector.on_collective_delivery(op, now)
-            if done:
-                self.collector.on_collective_complete(op, now)
+            self.collector.on_collective_tail(op, self.node, now)
         remaining = pkt.meta.get("remaining", 0)
         if remaining <= 0:
             return

@@ -45,9 +45,9 @@ class SpidergonAdapter(Adapter):
     # ------------------------------------------------------------------
     # injection side
     # ------------------------------------------------------------------
-    #: unicast delivery is exactly ``collector.on_unicast`` -- lets array
-    #: engines account unicast tails straight from their payload columns
-    unicast_via_collector = True
+    #: unicast / passive collective delivery is exactly the collector's
+    #: ``on_unicast`` / ``on_collective_tail`` (see ``QuarcTransceiver``)
+    unicast_via_collector = collective_via_collector = True
     #: only relay tails re-inject (``QuarcTransceiver.reinjecting_tails``)
     reinjecting_tails = (RELAY,)
 
@@ -133,30 +133,16 @@ class SpidergonAdapter(Adapter):
         t = pkt.traffic
         if t == UNICAST:
             self.collector.on_unicast(pkt, now)
-            return
-        if t == RELAY:
+        elif t == RELAY:
             self._relay_forward(pkt, now)
-            return
-        op = pkt.op
-        if op is None:
-            return
-        was_new = self.node not in op.deliveries
-        done = op.deliver(self.node, now)
-        if was_new:
-            self.collector.on_collective_delivery(op, now)
-        if done:
-            self.collector.on_collective_complete(op, now)
+        elif pkt.op is not None:
+            self.collector.on_collective_tail(pkt.op, self.node, now)
 
     def _relay_forward(self, pkt: Packet, now: int) -> None:
         """Absorb, record, rewrite header, re-inject (Sec. 2.2)."""
         op = pkt.op
         if op is not None:
-            was_new = self.node not in op.deliveries
-            done = op.deliver(self.node, now)
-            if was_new:
-                self.collector.on_collective_delivery(op, now)
-            if done:
-                self.collector.on_collective_complete(op, now)
+            self.collector.on_collective_tail(op, self.node, now)
 
         n = self.router.n
         fs = self.net.fault_state if self.net is not None else None

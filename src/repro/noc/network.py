@@ -35,9 +35,10 @@ class Adapter:
       this node (ejection or broadcast clone), for delivery accounting and
       Spidergon-style broadcast regeneration.
 
-    Optional declarations -- ``unicast_via_collector``, ``reinjecting_tails``,
-    ``unicast_queue_table()``, see ``QuarcTransceiver`` -- let an array
-    engine skip the :class:`Packet`; without them it keeps the object path.
+    Optional declarations (``unicast_via_collector``, ``reinjecting_tails``,
+    ``collective_via_collector``, ``unicast_queue_table()``: see
+    ``QuarcTransceiver``) let an array engine skip the :class:`Packet` or,
+    for a tail that is the collector's alone, this call; else the object path.
     """
 
     __slots__ = ("node", "net")

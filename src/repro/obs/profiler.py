@@ -27,7 +27,8 @@ ran (``tier``: ``ckernel`` with the kernel's source hash, or ``scalar``)
 and carries the cycle body's own work counters, read from the engine's
 state struct: entries (``calls``), cycles executed inside them,
 buffers scanned, eligible candidates, flits moved, why batches ended
-(``stops``), and how many staged packets were rows / ever objects.
+(``stops``), how many staged packets were rows / ever objects / staged
+late, and how many tails each delivery path took.
 
 Profile results never enter ``RunSummary.extra``: wall times differ
 per backend and per host, and ``extra`` must stay byte-identical
@@ -46,8 +47,8 @@ __all__ = ["PhaseProfiler"]
 
 
 def _kernel_counters(backend) -> Dict[str, object]:
-    """The cycle body's cumulative work counters (state struct) and the
-    packets staged, staged as rows, and ever held as a ``Packet`` object."""
+    """The cycle body's cumulative work counters (state struct), the packets
+    staged / as rows / ever objects / late, the tails by delivery path."""
     from repro.sim.array_backend import STOPS
     st = backend._st
     staged, rows = len(backend._pkts), backend._nrows
@@ -56,6 +57,11 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "flits_moved": st.flits,
             "packets_staged": staged, "packets_rows": rows,
             "packets_built": staged - rows + backend._nbuilt,
+            "packets_late": backend._nlate,
+            "tails_delivered": backend.net.deliveries,
+            "tails_collector": backend._ncoll,
+            "tails_unicast": backend._nuni,
+            "tails_receive_tail": backend._nrecv,
             "stops": dict(zip(STOPS, st.stops))}
 
 
@@ -178,8 +184,12 @@ class PhaseProfiler:
                          f"{kc['buffers_scanned']} buffers scanned, "
                          f"{kc['candidates']} candidates, "
                          f"{kc['flits_moved']} flits moved")
-            lines.append("  packets: {packets_staged} staged, {packets_rows} "
-                         "as rows, {packets_built} built".format(**kc))
+            lines.append(
+                "  packets: {packets_staged} staged, {packets_rows} as rows, "
+                "{packets_built} built, {packets_late} late\n"
+                "  tails: {tails_delivered} delivered, {tails_collector} by "
+                "the collector, {tails_unicast} as unicast columns, "
+                "{tails_receive_tail} through receive_tail".format(**kc))
             stops = ", ".join(f"{n} {why}"
                               for why, n in kc["stops"].items())
             lines.append(f"  tier {rep['tier']} {rep.get('kernel', '')}: "

@@ -26,7 +26,9 @@ for what a cycle reads (``_pdst``, ``_ptraf``, ``_psize``, ``_pvcl``:
 the dateline class, owned here while attached and synced with
 ``Packet.vclass`` only at the Python-route boundary and in
 ``materialize``; ``_phdr``: the row holding the packet's routed
-header), lists for what only deliveries read (``_pborn``, ``_pcls``).
+header), lists for what only deliveries read (``_pborn``, ``_pcls``,
+``_pop``: the ``CollectiveOp`` if the tail is the collector's alone -- a
+kind that never re-injects, adapters that all declare it -- else ``None``).
 A packet may be columns only: ``_pkts[aid]`` is ``None`` for a unicast
 staged as a row until :meth:`ArrayBackend._packet` builds the object
 (with ``_psrc``) for a Python route, a fault, ``on_tail`` or an
@@ -69,10 +71,12 @@ takes what is injected: ``(buffer, packet)`` from the adapters (it is
 every ``FlitBuffer.sink``) and ``(node, dst, size, cls, created)`` rows
 from ``Network.send_unicast``, their buffer looked up in the adapters'
 ``unicast_queue_table``; :meth:`_stage` turns it into arrival rows
-``(cycle, buffer, aid)`` in push order, stamped by ``run_mix`` -- which
-injects a whole window ahead -- or else due at the cycle about to run,
-so a packet injected at cycle *t* arbitrates at *t*, like a reference
-push.  Events carry their cycle: a tail that reached a PE
+``(cycle, buffer, aid)`` in push order: a window ``run_mix`` injected
+ahead, each entry stamped with its cycle, at once with numpy; entries
+without a stamp are *late* -- due at the cycle about to run, so a packet
+injected at cycle *t* arbitrates at *t*, like a reference push -- and go
+one by one into the consumed prefix, in front of the rows still waiting
+(O(1) a packet).  Events carry their cycle: a tail that reached a PE
 (``EV_DELIVERY``), a header only the router can route (``EV_ROUTE``:
 no table row, a multicast on a row without it, anything under a fault
 state).  A cycle that emitted a ROUTE event, or a delivery that cannot
@@ -80,9 +84,11 @@ wait (a tail whose kind the adapters declare ``reinjecting_tails`` --
 relay segments; any tail when ``net.on_tail`` / a fault state is set),
 ends its batch; every other delivery, broadcast branches included,
 comes back batched and replays in emission order = (cycle, ascending
-port), the reference's float-accumulation order.  A packet staged by a
-delivery at cycle *t* (relay regeneration) folds at *t + 1* ahead of
-the pre-drawn arrivals of *t + 1*, as the reference pushes it.
+port), the reference's float-accumulation order: a ``_pop`` tail as one
+``collector.on_collective_tail`` call, a unicast as ``on_unicast_cols``,
+the rest through ``receive_tail``.  A packet staged by a delivery at
+cycle *t* (relay regeneration) folds at *t + 1* ahead of the pre-drawn
+arrivals of *t + 1*, as the reference pushes it.
 
 Equivalence notes (``tests/differential.py`` guards all of them):
 
@@ -143,6 +149,10 @@ EV_PER_PORT = 7
 #: ``State.stopkinds`` with every kind's bit set; the non-unicast kinds.
 ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
 NON_UNICAST = sorted(set(TRAFFIC_NAMES) - {UNICAST})
+
+#: The aid-indexed int64 columns and the arrival-row columns.
+_PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_psrc")
+_ACOLS = ("_acyc", "_abuf", "_aaid")
 
 #: Packed-field capacities, checked once when a session is built.  A
 #: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``,
@@ -338,6 +348,7 @@ class ArrayBackend(SimBackend):
         self._pkts: List = []
         self._pcls: List[Optional[str]] = []
         self._pborn: List[int] = []
+        self._pop: List = []
         for name in ("pdst ptraf psize pvcl phdr pnext psrc acyc abuf "
                      "aaid").split():
             setattr(self, "_" + name, z(1024))
@@ -359,17 +370,22 @@ class ArrayBackend(SimBackend):
             self._qtab = np.array(
                 [np.array([*(self._bid[q] for q in queues), -1])[slot]
                  for queues, slot in tabs], np.int32)
-        self._nrows = self._nbuilt = 0      # rows staged / built anyway
-        self._uni_short = all(
-            getattr(ad, "unicast_via_collector", False)
-            and getattr(ad, "collector", None) is not None for ad in a)
+        # --profile: rows staged, built anyway, entries late; tails by path
+        self._nrows = self._nbuilt = self._nlate = 0
+        self._ncoll = self._nuni = self._nrecv = 0
         self._acoll = [getattr(ad, "collector", None) for ad in a]
+        self._uni_short, coll_short = (
+            all(getattr(ad, flag, False) and c is not None
+                for ad, c in zip(a, self._acoll))
+            for flag in ("unicast_via_collector", "collective_via_collector"))
         # the traffic kinds whose tail ends its batch: those an adapter
         # says can re-inject; every non-unicast one if it does not say
         self._stopkinds = 0 if self._uni_short else ALL_KINDS
         for ad in a:
             for kind in getattr(ad, "reinjecting_tails", NON_UNICAST):
                 self._stopkinds |= 1 << kind
+        # ... and every other kind's tail is ``on_collective_tail`` alone
+        self._popkinds = ~self._stopkinds if coll_short else 0
 
         # per-cycle scratch: the round-robin pick; the dateline flit
         # words (``_outdl[:_st.ndl]``, read by the shard worker) and
@@ -415,19 +431,21 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     def _intern(self, pkts, cols=None) -> int:
         """Append ``pkts`` (for rows: ``None``s, and ``cols`` = class,
-        created, dst, size, traffic, vclass) to the packet columns; returns
-        the first new aid.  Aids are never reused or reset while attached."""
+        created, op, dst, size, traffic, vclass) to the packet columns;
+        returns the first new aid.  Aids are never reused or reset while
+        attached."""
         a0 = len(self._pkts)
         a1 = a0 + len(pkts)
         if a1 > len(self._pdst):
-            self._grow(("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr",
-                        "_pnext", "_psrc"), a1, a0)
-        cls, born, dst, size, traf, vcl = cols or zip(
-            *[(p.cls, p.created, p.dst, p.size, p.traffic, p.vclass)
-              for p in pkts])
+            self._grow(_PCOLS, a1, a0)
+        cls, born, op, dst, size, traf, vcl = cols or zip(*[
+            (p.cls, p.created,
+             p.op if self._popkinds >> p.traffic & 1 else None,
+             p.dst, p.size, p.traffic, p.vclass) for p in pkts])
         self._pkts.extend(pkts)
         self._pcls.extend(cls)
         self._pborn.extend(born)
+        self._pop.extend(op)
         self._pdst[a0:a1] = dst
         self._ptraf[a0:a1] = traf
         self._psize[a0:a1] = size
@@ -450,7 +468,8 @@ class ArrayBackend(SimBackend):
         if (bufs < 0).any():
             raise ValueError("local address has no quadrant")
         k = len(rows)
-        a0 = self._intern([None] * k, (cls, born, dst, size, UNICAST, 0))
+        nones = [None] * k
+        a0 = self._intern(nones, (cls, born, nones, dst, size, UNICAST, 0))
         self._psrc[a0:a0 + k] = node
         self._nrows += k
         for n, c in Counter(node).items():
@@ -548,13 +567,12 @@ class ArrayBackend(SimBackend):
     # staging: what the adapters pushed -> arrival rows
     # ------------------------------------------------------------------
     def _stage(self, now: int) -> None:
-        """Turn the staged pushes into arrival rows; an entry without a
-        stamp is due at ``now``.  Rows still waiting are all due at
-        ``now`` or later, so on equal cycles the new ones go first: a
-        packet regenerated by a delivery at ``now - 1`` precedes the
-        pre-drawn arrivals of ``now``."""
+        """Turn the staged pushes into arrival rows: a stamped window
+        with numpy, a batch without stamps by :meth:`_stage_late`."""
         staged, at = self._staged, self._staged_at
         n = len(staged)
+        if not at:
+            return self._stage_late(now, n)
         at.extend([now] * (n - len(at)))
         # rows take the first aids, packets the rest: an aid is an
         # interning order, only the arrival rows keep the push order
@@ -577,21 +595,74 @@ class ArrayBackend(SimBackend):
         rows = (at, abuf, aaid)
         st = self._st
         pos, an = st.apos, st.an
-        cols = ("_acyc", "_abuf", "_aaid")
         if pos < an:
             rows = [np.concatenate((new, getattr(self, name)[pos:an]))
-                    for new, name in zip(rows, cols)]
+                    for new, name in zip(rows, _ACOLS)]
             order = rows[0].argsort(kind="stable")
             rows = [r[order] for r in rows]
             n = len(order)
         if n > len(self._acyc):
-            self._grow(cols, n, 0)
-        for name, row in zip(cols, rows):
+            self._grow(_ACOLS, n, 0)
+        for name, row in zip(_ACOLS, rows):
             getattr(self, name)[:n] = row
         st.apos = 0
         st.an = n
         staged.clear()
         at.clear()
+
+    def _stage_late(self, now: int, n: int) -> None:
+        """The ``n`` staged entries are due at ``now``.  Rows still
+        waiting are due at ``now`` or later and ties go to the new ones (a
+        packet regenerated by a delivery at ``now - 1`` precedes the
+        pre-drawn arrivals of ``now``), so they go *in front*, into the
+        consumed prefix ``[apos - n, apos)``: one scalar pass, O(n)."""
+        st = self._st
+        pos, an = st.apos, st.an
+        w = an - pos
+        if not w or pos < n:    # no room in front: waiting -> [n, n + w)
+            if n + w > len(self._acyc):
+                self._grow(_ACOLS, n + w, an)
+            for col in (self._acyc, self._abuf, self._aaid) if w else ():
+                col[n:n + w] = col[pos:an]
+            st.apos, st.an = pos, an = n, n + w
+        aid = len(self._pkts)
+        if aid + n > len(self._pdst):
+            self._grow(_PCOLS, aid + n, aid)
+        i = pos - n
+        for e in self._staged:
+            if len(e) == 2:
+                pkt = e[1]
+                b = self._bid[e[0]]
+                dst, size, cls, born = pkt.dst, pkt.size, pkt.cls, pkt.created
+                traf, vcl = pkt.traffic, pkt.vclass
+                op = pkt.op if self._popkinds >> traf & 1 else None
+            else:
+                node, dst, size, cls, born = e
+                b = self._qtab[node, dst] if 0 <= dst < len(self._qtab) else -1
+                if b < 0:       # raise what ``adapter.send`` would
+                    self._intern_rows([e])
+                pkt = op = None
+                traf, vcl = UNICAST, 0
+                self._psrc[aid] = node
+                self._nrows += 1
+                self._acoll[node].note_generated(False)
+            self._pkts.append(pkt)
+            self._pcls.append(cls)
+            self._pborn.append(born)
+            self._pop.append(op)
+            self._pdst[aid] = dst
+            self._ptraf[aid] = traf
+            self._psize[aid] = size
+            self._pvcl[aid] = vcl
+            self._phdr[aid] = -1
+            self._acyc[i] = now
+            self._abuf[i] = b
+            self._aaid[i] = aid
+            aid += 1
+            i += 1
+        st.apos = pos - n
+        self._nlate += n
+        self._staged.clear()
 
     def _flush(self) -> None:
         """Fold what is staged as of the cycle about to run, without
@@ -682,9 +753,11 @@ class ArrayBackend(SimBackend):
             return
         net.deliveries += 1
         if short:
+            self._nuni += 1
             self._acoll[node].on_unicast_cols(
                 self._pborn[aid], self._pcls[aid], now)
         else:
+            self._nrecv += 1
             net.adapters[node].receive_tail(pkt, now)
         if cb is not None:
             cb(node, pkt, now)
@@ -938,14 +1011,28 @@ class ArrayBackend(SimBackend):
         (collector callbacks, (cycle, ascending port) so float
         accumulation order is the reference's) and, after its cycle's
         deliveries, each header only the router can route."""
-        pnode = self._pnode
+        pnode, net, cb = self._pnode, self.net, self.net.on_tail
+        pop, acoll = self._pop, self._acoll
+        fast = net.fault_state is None      # else: _deliver's doomed check
+        ncoll = 0
         it = iter(events)
         for key, word in zip(it, it):
             kind = key & 3
             if kind == EV_DELIVERY:
-                self._deliver(pnode[word & 0xFFFF], word >> 16, key >> 2)
+                aid = word >> 16
+                node = pnode[word & 0xFFFF]
+                op = pop[aid] if fast else None
+                if op is None:
+                    self._deliver(node, aid, key >> 2)
+                    continue
+                ncoll += 1
+                acoll[node].on_collective_tail(op, node, key >> 2)
+                if cb is not None:
+                    cb(node, self._pkts[aid], key >> 2)
             elif kind == EV_ROUTE:
                 self._route_one(word)
+        self._ncoll += ncoll
+        net.deliveries += ncoll
 
     # ------------------------------------------------------------------
     # SimBackend interface

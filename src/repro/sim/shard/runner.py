@@ -224,13 +224,7 @@ def _merge(session, results: List[dict]) -> None:
         if ev[0] == "u":
             coll.on_unicast_cols(ev[2], ev[3], ev[1])
         else:
-            now, node, op = ev[1], ev[2], ops[ev[3]]
-            was_new = node not in op.deliveries
-            done = op.deliver(node, now)
-            if was_new:
-                coll.on_collective_delivery(op, now)
-            if done:
-                coll.on_collective_complete(op, now)
+            coll.on_collective_tail(ops[ev[3]], ev[2], ev[1])
 
     # integer counters: straight sums, assigned (the master's own
     # counters only covered shard 0)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.noc.packet import RELAY, UNICAST, CollectiveOp, Packet
+from repro.noc.packet import CollectiveOp, Packet
 from repro.sim.array_backend import FSHIFT
 from repro.sim.shard.records import (GID_SHIFT, REC_PKT, REC_PUSH,
                                      REC_VCLASS, decode_pkt, encode_pkt)
@@ -54,13 +54,14 @@ class ShardRecorder:
 
     Swapped into every adapter (and the backend's ``_acoll`` fast path)
     so no worker-local float accumulation happens; the master replays
-    the merged event stream into the real collector.  Collective
-    delivery/completion callbacks are no-ops because the replay
-    recomputes them against the *global* op replicas (worker-local op
-    state is scratch -- cross-shard dedup, e.g. the antipodal duplicate
-    delivery, only resolves globally)."""
+    the merged event stream into the real collector.  A collective tail
+    is recorded raw, ``("c", now, node, op gid)``, every arrival of it:
+    the replay applies the arrival rule against the *global* op replicas
+    (cross-shard dedup, e.g. the antipodal duplicate delivery, only
+    resolves globally; worker-local op state is never touched)."""
 
-    def __init__(self):
+    def __init__(self, gid_for_op):
+        self.gid_for_op = gid_for_op
         self.events: List[tuple] = []
         self.note_unicast = 0
         self.note_collective = 0
@@ -80,11 +81,8 @@ class ShardRecorder:
     def on_unicast_cols(self, created: int, cls, now: int) -> None:
         self.events.append(("u", now, created, cls))
 
-    def on_collective_delivery(self, op, now: int) -> None:
-        pass
-
-    def on_collective_complete(self, op, now: int) -> None:
-        pass
+    def on_collective_tail(self, op, node: int, now: int) -> None:
+        self.events.append(("c", now, node, self.gid_for_op(op)))
 
     def on_relay_segment(self) -> None:
         self.relay_segments += 1
@@ -115,7 +113,7 @@ class ShardWorker:
         self.n_lo, self.n_hi = plan.node_ranges[w]
         self.b_lo, self.b_hi = plan.buf_ranges[w]
         self.cut_out = plan.cut_out[w]
-        self.recorder = ShardRecorder()
+        self.recorder = ShardRecorder(self._gid_for_op)
 
         # gid machinery: per-worker aid/op spaces, origin-stamped ids
         self._gid_of: Dict[int, int] = {}        # local aid -> gid
@@ -162,8 +160,8 @@ class ShardWorker:
         mix._injectors = [mix._injectors[i] for i in keep]
 
     def _swap_collectors(self) -> None:
-        """Point every adapter (and the backend unicast fast path) at
-        the recorder.  The session's real collector stays pristine for
+        """Point every adapter (and the backend's ``_acoll`` fast paths)
+        at the recorder.  The session's real collector stays pristine for
         the master's merge replay."""
         if self.net.on_tail is not None:
             raise AssertionError(
@@ -175,7 +173,6 @@ class ShardWorker:
 
     def _gate_backend(self) -> None:
         be = self.be
-        worker = self
         blo, bhi = self.b_lo, self.b_hi
 
         # refresh filter: non-owned rows are never routed, so remote
@@ -191,31 +188,6 @@ class ShardWorker:
         be._route_one = route_one
         be._rtflag[:blo] = 0
         be._rtflag[bhi:] = 0
-
-        # delivery recording (see ShardRecorder): raw arrival events
-        # for op-carrying traffic; relay regeneration runs live (it
-        # only reads pkt.meta, and its local op mutations are scratch)
-        rec = self.recorder
-
-        def deliver(node, aid, now):
-            net = be.net
-            net.deliveries += 1
-            traf = be._ptraf[aid]
-            if traf == UNICAST and be._uni_short:
-                be._acoll[node].on_unicast_cols(
-                    be._pborn[aid], be._pcls[aid], now)
-                return
-            pkt = be._packet(aid)
-            op = pkt.op
-            if op is not None:
-                rec.events.append(
-                    ("c", now, node, worker._gid_for_op(op)))
-            if traf == RELAY or traf == UNICAST:
-                net.adapters[node].receive_tail(pkt, now)
-            # BROADCAST/MULTICAST: receive_tail's only effects are
-            # op.deliver + collector callbacks, all replayed at merge
-
-        be._deliver = deliver
 
     # ------------------------------------------------------------------
     # gid helpers

@@ -12,9 +12,11 @@ arrivals) and the ring / pending-FIFO boundary of deep source queues.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from differential import make_config
 
+from repro.core.api import build_network
 from repro.core.quarc_transceiver import QuarcTransceiver
 from repro.noc.network import flit_key
 from repro.obs import ObsSpec
@@ -44,16 +46,17 @@ def _named(be, events):
 
 
 def _drive(config, backend="array", per_cycle=False, trace=False,
-           snap_at=(), hook_at=None, before=None):
+           snap_at=(), hook_at=None, before=None, digest_every=0):
     """Run ``config``; returns the summary, the replayed events, the
-    end-of-run state digest and ``(snapshot, total_flits)`` at each
-    cycle of ``snap_at``.  ``per_cycle`` drives the array engine
-    through ``step`` (horizon 1) instead of its windowed ``run_mix``;
-    ``hook_at = (cycle, fn)`` calls ``fn(backend)`` after that cycle,
-    ``before(session)`` runs ahead of the first one."""
+    state digests (every ``digest_every`` cycles, then end of run) and
+    ``(snapshot, total_flits)`` at each cycle of ``snap_at``.
+    ``per_cycle`` drives the array engine through ``step`` (horizon 1)
+    instead of its windowed ``run_mix``; ``hook_at = (cycle, fn)`` calls
+    ``fn(backend)`` after that cycle, ``before(session)`` runs ahead of
+    the first one."""
     session = SimulationSession(config.with_backend(backend))
     be, net = session.backend, session.net
-    events, snaps = [], []
+    events, snaps, digests = [], [], []
     if before is not None:
         before(session)
     if trace:
@@ -68,12 +71,17 @@ def _drive(config, backend="array", per_cycle=False, trace=False,
         for t in snap_at})
     if hook_at is not None:
         _merge_probes(probes, {hook_at[0]: lambda now: hook_at[1](be)})
+    if digest_every:
+        _merge_probes(probes, {
+            t: lambda now: digests.append(be.state_digest())
+            for t in range(digest_every, config.spec.cycles, digest_every)})
     run_mix = SimBackend.run_mix if per_cycle else type(be).run_mix
     run_mix(be, session.mix, config.spec.cycles, probes)
-    digest = be.state_digest() if backend == "array" else None
+    if backend == "array":
+        digests.append(be.state_digest())
     summary = session.summary()
     be.detach()
-    return summary, events, digest, snaps
+    return summary, events, digests, snaps
 
 
 @pytest.mark.parametrize("tier", TIERS)
@@ -171,6 +179,31 @@ def test_python_is_entered_for_events_not_headers(case, delivery, calls):
     assert kc["calls"] in calls
 
 
+@pytest.mark.parametrize("case", [
+    dict(FIG11), dict(FIG11, kind="spidergon"),
+    dict(workload="cache_coherence:window=4", rate=1.0, cycles=2000,
+         warmup=400)], ids=["quarc", "spidergon", "closed_coherence"])
+def test_profile_says_how_tails_were_delivered(case):
+    """``tails:`` splits the deliveries by path, ``packets:`` counts the
+    late ones: only a relay needs ``receive_tail`` (and re-stages)."""
+    session = SimulationSession(make_config(
+        **{"n": 64, "msg_len": 16, "seed": 1, "cycles": 4000,
+           "warmup": 1000, **case}, obs=ObsSpec(profile=True)))
+    session.run()
+    kc = session.profiler.report()["kernel_counters"]
+    by_path = (kc["tails_collector"], kc["tails_unicast"],
+               kc["tails_receive_tail"])
+    assert sum(by_path) == kc["tails_delivered"] == session.net.deliveries
+    relays = case.get("kind") == "spidergon"
+    assert (by_path[2] > 1000 and not by_path[0]) if relays else (
+        by_path[0] > 1000 and not by_path[2])
+    assert (kc["packets_late"] > 0) == (relays or "workload" in case)
+    assert ("built, {} late\n  tails: {} delivered, {} by the collector, {} "
+            "as unicast columns, {} through receive_tail\n".format(
+                kc["packets_late"], kc["tails_delivered"], *by_path)
+            in session.profiler.render())
+
+
 def test_undeclared_adapter_keeps_the_old_tail_rule(monkeypatch):
     """An adapter class that does not say which tails re-inject: every
     non-unicast tail ends its batch, as before -- same results."""
@@ -204,12 +237,13 @@ def test_regenerated_packet_folds_before_next_arrivals(
         late = len(be._staged)
         stage(be, now)
         if waiting:
-            # the regenerated packets are the newest aids, and lead
-            n = be._st.an
-            first = be._aaid[:late].tolist()
-            assert be._acyc[:late].tolist() == [now] * late
-            assert min(first) > be._aaid[late:n].max(initial=-1)
-            merges.append(bool((be._acyc[late:n] == now).any()))
+            # the regenerated packets are the newest aids, and lead --
+            # wherever the layout puts the first waiting row
+            p, n = be._st.apos, be._st.an
+            first = be._aaid[p:p + late].tolist()
+            assert be._acyc[p:p + late].tolist() == [now] * late
+            assert min(first) > be._aaid[p + late:n].max(initial=-1)
+            merges.append(bool((be._acyc[p + late:n] == now).any()))
 
     monkeypatch.setattr(array_backend.ArrayBackend, "_stage", watching)
     at = (300, 600, 899)
@@ -218,6 +252,105 @@ def test_regenerated_packet_folds_before_next_arrivals(
     assert any(merges)      # a node did inject right after it relayed
     assert got[0] == want[0]
     assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("case,layouts,mixed", [
+    # a relay tail lands before the window's first row has folded (the
+    # consumed prefix is empty: the waiting rows shift right once) or
+    # after (its segment fits in front); stepped, it shares a late batch
+    # with the next cycle's unicast rows
+    (dict(kind="spidergon", beta=0.3, rate=0.02),
+     {"fresh", "shift", "prefix"}, True),
+    # stepped, every injection is late: unicast rows and broadcast
+    # packets in one batch (the window stamps them instead)
+    (dict(workload="cache_coherence:storms=true,read_rate=0.05,"
+                   "write_rate=0.01", rate=1.0), {"fresh"}, True),
+    # reactive (horizon 1 either way) with an open-loop class
+    (dict(workload="cache_coherence:window=4,storms=true", rate=1.0),
+     {"fresh"}, False),
+], ids=["relay", "storms", "closed-storms"])
+def test_late_rows_go_in_front(case, layouts, mixed, tier, monkeypatch):
+    """Unstamped entries are due now and lead whatever waits: written
+    into the consumed prefix (or a fresh window, or after one shift),
+    interned in the same pass -- event for event the per-cycle run."""
+    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
+    config = make_config(**{"kind": "quarc", "n": 16, "msg_len": 4,
+                            "cycles": 900, "warmup": 200, "seed": 5, **case})
+    seen = set()
+    late = array_backend.ArrayBackend._stage_late
+
+    def spying(be, now, n):
+        pos, an = be._st.apos, be._st.an
+        seen.add(("fresh" if pos == an else "shift" if pos < n else "prefix",
+                  pos, len({len(e) for e in be._staged})))
+        late(be, now, n)
+
+    monkeypatch.setattr(array_backend.ArrayBackend, "_stage_late", spying)
+    batched = _drive(config, trace=True, digest_every=97)
+    if "shift" in layouts:      # apos == 0 < an: nothing consumed yet
+        assert ("shift", 0, 1) in seen
+    stepped = _drive(config, per_cycle=True, trace=True, digest_every=97)
+    assert {how for how, _, _ in seen} == layouts
+    assert any(kinds == 2 for _, _, kinds in seen) == mixed
+    assert batched[:3] == stepped[:3]   # summary, events, digests
+    assert len(batched[2]) == 900 // 97 + 1
+    assert batched[0] == _drive(config, "reference")[0]
+
+
+def test_bad_late_rows_raise_like_send():
+    """A late row ``adapter.send`` would refuse raises what it raises,
+    waiting rows or not, and leaves them waiting."""
+    net, _ = build_network("quarc", 16)
+    be = array_backend.ArrayBackend(net)
+    for waiting in (0, 3):
+        for i in range(waiting):        # a stamped window, not yet due
+            net.send_unicast(1, 2, 4, None, 50)
+        be._staged_at.extend([50] * waiting)
+        be._advance(net.cycle, net.cycle + 1)
+        assert be._st.an - be._st.apos == waiting
+        for dst, msg in ((3, "local address has no quadrant"),
+                         (16, "destination 16 out of range"),
+                         (-1, "destination -1 out of range")):
+            net.send_unicast(4, 5, 4, None, net.cycle)      # a good one first
+            net.send_unicast(3, dst, 4, None, net.cycle)
+            with pytest.raises(ValueError, match=msg):
+                net.step()
+            be._staged.clear()
+            assert be._st.an - be._st.apos == waiting
+        net.drain()
+        assert net.total_flits() == 0
+
+
+def test_spidergon_relays_restage_in_front(monkeypatch):
+    """ROADMAP 2(c), interim half: on the Spidergon Fig. 11 cell every
+    relay tail re-stages its segment late -- no ``concatenate``, no
+    ``argsort`` (same branch) over what the window still holds."""
+    stage, concatenate = array_backend.ArrayBackend._stage, np.concatenate
+    late, merges = [], []
+
+    def watching(be, now):
+        late.append(not be._staged_at)
+        stage(be, now)
+        late.pop()
+
+    def counting(*args, **kw):
+        merges.extend(late)
+        return concatenate(*args, **kw)
+
+    monkeypatch.setattr(array_backend.ArrayBackend, "_stage", watching)
+    monkeypatch.setattr(np, "concatenate", counting)
+    session = SimulationSession(make_config(
+        kind="spidergon", n=64, msg_len=16, seed=1, cycles=8000,
+        warmup=1500, beta=0.1, rate=0.002))
+    session.run()
+    be = session.backend
+    assert merges and not any(merges)   # stamped windows only
+    assert be._st.stops[2] > 4000       # batches ended by a relay tail
+    # every regenerated segment but a window's last few (stamped with
+    # the next window's first cycle instead)
+    relayed = session.collector.relay_segments
+    assert 5000 < relayed - 20 < be._nlate <= relayed
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -24,9 +24,7 @@ class TestLatencyCollector:
         op_early = CollectiveOp(0, 10, expected=1, kind=BROADCAST)
         op_late = CollectiveOp(0, 200, expected=1, kind=BROADCAST)
         for op, t in ((op_early, 30), (op_late, 230)):
-            op.deliver(1, t)
-            coll.on_collective_delivery(op, t)
-            coll.on_collective_complete(op, t)
+            coll.on_collective_tail(op, 1, t)
         assert coll.completed_collective == 2
         assert coll.collective.overall.n == 1
         assert coll.collective_mean == 30

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 from differential import make_config
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.api import build_network
 from repro.faults import FaultPlan, FaultState
@@ -169,18 +169,31 @@ def test_fault_after_rows_conserves_flits(kind):
 
 
 @settings(derandomize=True, deadline=None, max_examples=12)
-@given(kind=st.sampled_from(TOPOLOGIES), msg_len=st.integers(1, 9),
+@example(kind=("spidergon", {}), msg_len=4, beta=0.4, rate=0.05, seed=3,
+         cycles=400, workload="")   # relay segments re-staged late
+@example(kind=("quarc", {}), msg_len=4, beta=0.0, rate=0.05, seed=3,
+         cycles=400, workload="cache_coherence:window=4")
+@given(kind=st.sampled_from(KINDS), msg_len=st.integers(1, 9),
        beta=st.sampled_from((0.0, 0.1, 0.4)),
        rate=st.floats(0.005, 0.3), seed=st.integers(0, 2**16),
-       cycles=st.integers(50, 400))
-def test_engine_conserves_flits(kind, msg_len, beta, rate, seed, cycles):
-    """Fault-free: every flit ever interned -- row or packet -- has
-    left through an ejection port or is still counted in flight."""
+       cycles=st.integers(50, 400),
+       workload=st.sampled_from(("", "", "cache_coherence:window=4",
+                                 "allreduce:window=2")))
+def test_engine_conserves_flits(kind, msg_len, beta, rate, seed, cycles,
+                                workload):
+    """Fault-free: every flit ever interned -- row or packet, stamped by
+    a window or staged late (relay segments, a closed loop's issues) --
+    has left through an ejection port or is still counted in flight."""
+    load = dict(workload=workload, rate=1.0) if workload else dict(rate=rate)
     session = SimulationSession(make_config(
-        kind=kind, n=16, msg_len=msg_len, beta=beta, rate=rate,
-        cycles=cycles, warmup=0, seed=seed))
+        kind=kind[0], n=16, msg_len=msg_len, beta=beta, cycles=cycles,
+        warmup=0, seed=seed, **load, **kind[1]))
     session.run()
     be = session.backend
+    if workload:
+        assert be._nlate == len(be._pkts) > 0   # horizon 1: all of them
+    elif session.collector.relay_segments > 20:
+        assert be._nlate > 0
     interned = int(be._psize[:len(be._pkts)].sum())
     ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                   if port.is_ejection)
@@ -200,5 +213,5 @@ def test_profile_counts_objects(beta):
     assert kc["packets_built"] == 4 * mix.generated_broadcasts
     assert kc["packets_staged"] == kc["packets_rows"] + kc["packets_built"]
     assert (f"packets: {kc['packets_staged']} staged, {kc['packets_rows']} "
-            f"as rows, {kc['packets_built']} built"
+            f"as rows, {kc['packets_built']} built, 0 late\n"
             in session.profiler.render())
