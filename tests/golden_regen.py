@@ -35,6 +35,8 @@ from repro.traffic.workload import WorkloadSpec                    # noqa: E402
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           "golden")
 
+RELAY_FAULTS = "links:down=2@cycle=800;router:node=5@cycle=1500"
+
 #: name -> (spec, extra RunConfig kwargs).  Small horizons, all four
 #: topologies, both collective modes and a non-default scenario, so a
 #: semantic change anywhere in the stack moves at least one fixture.
@@ -95,6 +97,17 @@ GOLDEN_CONFIGS: List[Tuple[str, WorkloadSpec, Dict]] = [
                   cycles=2500, warmup=500, seed=42,
                   faults="router:node=5@cycle=0;"
                          "routers:down=1@cycle=1000"), {}),
+    # relay chains under faults: a chain that cannot start or continue
+    # drops the rest of its op (at the source and at every relay hop),
+    # on the Spidergon and on the Quarc relay ablation
+    ("spidergon16_relay_faults",
+     WorkloadSpec(kind="spidergon", n=16, msg_len=8, beta=0.1, rate=0.02,
+                  cycles=3000, warmup=600, seed=42,
+                  faults=RELAY_FAULTS), {}),
+    ("quarc8_relay_faults",
+     WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.3, rate=0.03,
+                  cycles=3000, warmup=600, seed=42, faults=RELAY_FAULTS),
+     dict(bcast_mode="relay", clone_disabled=True)),
 ]
 
 
