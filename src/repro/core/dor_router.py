@@ -13,11 +13,10 @@ exactly the contrast the Quarc's true broadcast is designed to win.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Tuple
 
-from repro.core.collector import LatencyCollector
 from repro.noc.network import Adapter
-from repro.noc.packet import (BROADCAST, UNICAST, CollectiveOp, Packet)
+from repro.noc.packet import BROADCAST, CollectiveOp, Packet
 from repro.noc.router import Router
 from repro.topologies.mesh import MeshTopology
 from repro.topologies.torus import TorusTopology
@@ -178,69 +177,21 @@ class TorusRouter(MeshRouter):
 class DORAdapter(Adapter):
     """One-port adapter for mesh/torus; software (serialised) broadcast."""
 
-    __slots__ = ("router", "collector")
-
-    def __init__(self, node: int, router: MeshRouter,
-                 collector: Optional[LatencyCollector] = None):
-        super().__init__(node)
-        self.router = router
-        self.collector = collector or LatencyCollector()
-
-    #: unicast / passive collective delivery is exactly the collector's
-    #: ``on_unicast`` / ``on_collective_tail`` (see ``QuarcTransceiver``)
-    unicast_via_collector = collective_via_collector = True
-    #: no tail re-injects; see ``QuarcTransceiver.reinjecting_tails``
-    reinjecting_tails = ()
-
-    def unicast_queue_table(self):
-        """One queue for every destination (see ``QuarcTransceiver``)."""
-        import numpy as np
-        return [self.router.local_q], np.zeros(self.router.n, np.int64)
-
-    def _enqueue(self, pkt: Packet) -> None:
-        self.router.local_q.push_packet(pkt)
-
-    def send(self, pkt: Packet, now: int) -> None:
-        if pkt.traffic != UNICAST:
-            raise ValueError("send() is for unicasts")
-        pkt.created = now
-        self.collector.note_generated(collective=False)
-        self._enqueue(pkt)
+    __slots__ = ()
 
     def send_broadcast(self, size: int, now: int) -> CollectiveOp:
         """Naive software broadcast: N-1 unicasts through the one port."""
-        n = self.router.n
-        op = CollectiveOp(self.node, now, expected=n - 1, kind=BROADCAST)
-        self.collector.note_generated(collective=True)
-        fs = self.net.fault_state if self.net is not None else None
-        for dst in range(n):
-            if dst == self.node:
-                continue
-            if fs is not None and fs.src_cannot_reach(self.node, dst):
-                fs.source_drop_branch(op)
-                continue
-            pkt = Packet(self.node, dst, size, BROADCAST, created=now, op=op)
-            self._enqueue(pkt)
-        return op
+        return self.send_multicast(range(self.router.n), size, now)
 
     def send_multicast(self, targets: Iterable[int], size: int,
                        now: int) -> CollectiveOp:
-        tgts = sorted(set(targets) - {self.node})
-        if not tgts:
-            raise ValueError("multicast needs at least one remote target")
-        op = CollectiveOp(self.node, now, expected=len(tgts), kind=BROADCAST)
-        self.collector.note_generated(collective=True)
-        fs = self.net.fault_state if self.net is not None else None
+        tgts = self._targets(targets)
+        op = self._open(BROADCAST, now, len(tgts))
+        fs = self.fault_state
         for dst in tgts:
             if fs is not None and fs.src_cannot_reach(self.node, dst):
                 fs.source_drop_branch(op)
                 continue
             pkt = Packet(self.node, dst, size, BROADCAST, created=now, op=op)
-            self._enqueue(pkt)
+            self.router.local_q.push_packet(pkt)
         return op
-
-    def receive_tail(self, pkt: Packet, now: int) -> None:
-        if pkt.traffic == UNICAST:
-            self.collector.on_unicast(pkt, now)
-        elif pkt.op is not None:
-            self.collector.on_collective_tail(pkt.op, self.node, now)

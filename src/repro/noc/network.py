@@ -12,46 +12,166 @@ the two-phase semantics.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
-from repro.noc.packet import UNICAST, Packet
+from repro.noc.packet import RELAY, UNICAST, CollectiveOp, Packet
 from repro.noc.ports import Move
 from repro.noc.router import Router, commit_move
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.collector import LatencyCollector
     from repro.noc.buffers import FlitBuffer
 
 __all__ = ["Network", "Adapter", "flit_key"]
 
 
 class Adapter:
-    """Base network interface (PE-side).
+    """Network interface (PE side) of one node: the contract every
+    topology shares.
 
-    Concrete adapters implement:
+    * :meth:`send` accepts a unicast: stamp ``created``, count it
+      generated, push it into :meth:`_unicast_queue` (``None``: a fault
+      left no way out, drop it at the source).
+    * :meth:`receive_tail` runs when a packet's tail reaches this node
+      (ejection or broadcast clone): a unicast is ``on_unicast``, a
+      collective tail ``on_collective_tail``, a relay segment
+      :meth:`_relay_forward`.
+    * A relay chain (broadcast by unicast) visits a collective's
+      targets one segment at a time, split by rim side
+      (:meth:`_send_chains`); each packet carries the whole chain and
+      its position in it (``meta["chain"]`` / ``meta["pos"]``), so a hop
+      is O(1).  :meth:`_relay_queue` says which queue a segment enters.
 
-    * :meth:`send` -- accept a message from the PE, flit-ize it and place
-      the flits into the appropriate injection queue(s);
-    * :meth:`receive_tail` -- called when a packet's tail flit reaches
-      this node (ejection or broadcast clone), for delivery accounting and
-      Spidergon-style broadcast regeneration.
-
-    Optional declarations (``unicast_via_collector``, ``reinjecting_tails``,
-    ``collective_via_collector``, ``unicast_queue_table()``: see
-    ``QuarcTransceiver``) let an array engine skip the :class:`Packet` or,
-    for a tail that is the collector's alone, this call; else the object path.
+    A subclass keeps its topology: which queue a message enters, and how
+    ``send_broadcast`` / ``send_multicast`` fan out.  An array engine
+    relies on this contract: it stages unicasts by
+    :meth:`unicast_queue_table`, accounts unicast and collective tails
+    straight into the collector, and stops its batch only for the tails
+    of :attr:`reinjecting_tails`.
     """
 
-    __slots__ = ("node", "net")
+    __slots__ = ("node", "net", "router", "collector")
 
-    def __init__(self, node: int):
+    #: traffic kinds whose tail may push a packet back into the network
+    #: (:meth:`_relay_forward`); every other tail only feeds the
+    #: collector
+    reinjecting_tails = (RELAY,)
+
+    def __init__(self, node: int, router: Router,
+                 collector: "LatencyCollector"):
         self.node = node
+        self.router = router
+        self.collector = collector
         self.net: Optional["Network"] = None
 
-    def send(self, pkt: "Packet", now: int) -> None:
+    @property
+    def fault_state(self):
+        """The network's installed fault state, or ``None``."""
+        net = self.net
+        return net.fault_state if net is not None else None
+
+    # -- injection -------------------------------------------------------
+    def _unicast_queue(self, dst: int) -> Optional["FlitBuffer"]:
+        return self.router.local_q
+
+    def unicast_queue_table(self):
+        """Where :meth:`send` queues a healthy unicast: ``(queues,
+        slot)``, ``slot`` an integer numpy column over every destination
+        into the buffer list ``queues`` (-1: ``send`` raises), by
+        arithmetic -- the array engine stages ``Network.send_unicast``
+        rows by it instead of packets."""
+        import numpy as np      # the array engine's dependency, not ours
+        return [self.router.local_q], np.zeros(self.router.n, np.int64)
+
+    def send(self, pkt: Packet, now: int) -> None:
+        """Accept a unicast from the PE and queue it."""
+        if pkt.traffic != UNICAST:
+            raise ValueError("send() is for unicasts; use send_broadcast/"
+                             "send_multicast for collectives")
+        pkt.created = now
+        self.collector.note_generated(collective=False)
+        q = self._unicast_queue(pkt.dst)
+        if q is None:
+            self.fault_state.source_drop_unicast()
+            return
+        q.push_packet(pkt)
+
+    def _targets(self, targets: Iterable[int]) -> List[int]:
+        """A multicast's remote targets, sorted."""
+        tgts = sorted(set(targets) - {self.node})
+        if not tgts:
+            raise ValueError("multicast needs at least one remote target")
+        return tgts
+
+    def _open(self, kind: int, now: int, expected: int) -> CollectiveOp:
+        """A new collective op, counted generated."""
+        op = CollectiveOp(self.node, now, expected=expected, kind=kind)
+        self.collector.note_generated(collective=True)
+        return op
+
+    # -- relay chains (broadcast by unicast) -----------------------------
+    def _relay_queue(self, dst: int,
+                     forward: bool) -> Optional["FlitBuffer"]:
+        """The queue a relay segment to ``dst`` enters: at the source
+        (``forward`` False) or regenerated at a relay hop; ``None`` if a
+        fault leaves it no way out."""
         raise NotImplementedError
 
-    def receive_tail(self, pkt: "Packet", now: int) -> None:
-        raise NotImplementedError
+    def _send_chains(self, targets: Optional[List[int]], kind: int,
+                     size: int, now: int) -> CollectiveOp:
+        """Start a collective as two relay chains, clockwise over the
+        nodes at most N/2 hops that way and counter-clockwise over the
+        rest, each in rim order: every other node (``targets`` None, a
+        broadcast) or a multicast's targets."""
+        n, node = self.router.n, self.node
+        half = n // 2
+        chains = [[(node + k) % n for k in range(1, half + 1)],
+                  [(node - k) % n for k in range(1, n - half)]]
+        if targets is not None:
+            keep = set(targets)
+            chains = [[t for t in c if t in keep] for c in chains]
+        op = self._open(kind, now, sum(map(len, chains)))
+        for chain in chains:
+            if chain:
+                self._relay(op, tuple(chain), 0, size, now, False)
+        return op
+
+    def _relay(self, op: CollectiveOp, chain: tuple, pos: int, size: int,
+               now: int, forward: bool) -> None:
+        dst = chain[pos]
+        q = self._relay_queue(dst, forward)
+        fs = self.fault_state
+        if q is None or (fs is not None
+                         and fs.src_cannot_reach(self.node, dst)):
+            # the chain cannot start or continue: its remaining
+            # receivers are lost
+            fs.source_drop_branch(op)
+            return
+        pkt = Packet(self.node, dst, size, RELAY, created=now, op=op)
+        pkt.meta["chain"] = chain
+        pkt.meta["pos"] = pos
+        if forward:
+            self.collector.on_relay_segment()
+        q.push_packet(pkt)
+
+    def _relay_forward(self, pkt: Packet, now: int) -> None:
+        """Absorb, record, regenerate toward the chain's next target."""
+        op = pkt.op
+        if op is not None:
+            self.collector.on_collective_tail(op, self.node, now)
+        chain, pos = pkt.meta["chain"], pkt.meta["pos"] + 1
+        if pos < len(chain):
+            self._relay(op, chain, pos, pkt.size, now, True)
+
+    # -- delivery --------------------------------------------------------
+    def receive_tail(self, pkt: Packet, now: int) -> None:
+        t = pkt.traffic
+        if t == UNICAST:
+            self.collector.on_unicast(pkt, now)
+        elif t == RELAY:
+            self._relay_forward(pkt, now)
+        elif pkt.op is not None:    # no tracker: nothing to record
+            self.collector.on_collective_tail(pkt.op, self.node, now)
 
 
 def flit_key(pkt: "Packet", fidx: int):
@@ -148,21 +268,20 @@ class Network:
     # ------------------------------------------------------------------
     def send_unicast(self, node: int, dst: int, size: int,
                      cls: Optional[str], now: int) -> None:
-        """The traffic generators' unicast funnel.  An array engine whose
-        adapters all declare ``unicast_queue_table`` takes the message as
-        a row (``state_owner.rows``) and builds its :class:`Packet` only
-        if something reads one; with no engine, or under a fault state
-        (source-side rerouting and flit accounting read the object), it
-        is ``Packet`` + ``adapter.send`` -- still the public object API."""
+        """The traffic generators' unicast funnel.  An array engine takes
+        the message as a row (``state_owner.rows``; its queue from
+        ``Adapter.unicast_queue_table``) and builds its :class:`Packet`
+        only if something reads one; with no engine, or under a fault
+        state (source-side rerouting and flit accounting read the
+        object), it is ``Packet`` + ``adapter.send`` -- still the public
+        object API."""
         owner = self.state_owner
-        rows = (owner.rows if owner is not None and self.fault_state is None
-                else None)
-        if rows is None:
+        if owner is None or self.fault_state is not None:
             pkt = Packet(node, dst, size, UNICAST, created=now)
             pkt.cls = cls
             self.adapters[node].send(pkt, now)
         else:
-            rows.append((node, dst, size, cls, now))
+            owner.rows.append((node, dst, size, cls, now))
 
     def deliver(self, node: int, pkt: "Packet", fidx: int, now: int) -> None:
         """A flit reached the PE at ``node`` (ejection or broadcast clone).

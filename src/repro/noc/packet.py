@@ -70,8 +70,8 @@ class Packet:
         Multicast target bitmap; bit ``h`` set means the node at hop
         distance ``h`` along the branch is a target (Sec. 2.5.3).
     meta:
-        Small per-packet scratch dict for adapter bookkeeping (relay
-        direction / remaining count, branch id, ...).
+        Small per-packet scratch dict: a relay segment's ``chain`` of
+        targets and its ``pos`` in it, closed-loop transaction tags.
     cls:
         Workload traffic-class name (multi-class mixes tag packets so
         the collector can break latency down per class); ``None`` on the

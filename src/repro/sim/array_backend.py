@@ -28,7 +28,7 @@ the dateline class, owned here while attached and synced with
 ``materialize``; ``_phdr``: the row holding the packet's routed
 header), lists for what only deliveries read (``_pborn``, ``_pcls``,
 ``_pop``: the ``CollectiveOp`` if the tail is the collector's alone -- a
-kind that never re-injects, adapters that all declare it -- else ``None``).
+kind not in ``Adapter.reinjecting_tails`` -- else ``None``).
 A packet may be columns only: ``_pkts[aid]`` is ``None`` for a unicast
 staged as a row until :meth:`ArrayBackend._packet` builds the object
 (with ``_psrc``) for a Python route, a fault, ``on_tail`` or an
@@ -80,13 +80,13 @@ one by one into the consumed prefix, in front of the rows still waiting
 (``EV_DELIVERY``), a header only the router can route (``EV_ROUTE``:
 no table row, a multicast on a row without it, anything under a fault
 state).  A cycle that emitted a ROUTE event, or a delivery that cannot
-wait (a tail whose kind the adapters declare ``reinjecting_tails`` --
-relay segments; any tail when ``net.on_tail`` / a fault state is set),
-ends its batch; every other delivery, broadcast branches included,
-comes back batched and replays in emission order = (cycle, ascending
-port), the reference's float-accumulation order: a ``_pop`` tail as one
+wait (a tail of ``Adapter.reinjecting_tails`` -- relay segments; any
+tail when ``net.on_tail`` / a fault state is set), ends its batch;
+every other delivery, broadcast branches included, comes back batched
+and replays in emission order = (cycle, ascending port), the
+reference's float-accumulation order: a ``_pop`` tail as one
 ``collector.on_collective_tail`` call, a unicast as ``on_unicast_cols``,
-the rest through ``receive_tail``.  A packet staged by a delivery at
+the rest through ``Network.deliver``.  A packet staged by a delivery at
 cycle *t* (relay regeneration) folds at *t + 1* ahead of the pre-drawn
 arrivals of *t + 1*, as the reference pushes it.
 
@@ -116,7 +116,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.noc.network import flit_key
+from repro.noc.network import Adapter, flit_key
 from repro.noc.packet import (BROADCAST, MULTICAST, TRAFFIC_NAMES, UNICAST,
                               Packet)
 from repro.sim.backend import Probes, SimBackend
@@ -146,9 +146,8 @@ EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER = range(4)
 #: Most events one cycle can emit per port: a winner and a dateline
 #: word (trace only), two deliveries, three routes.
 EV_PER_PORT = 7
-#: ``State.stopkinds`` with every kind's bit set; the non-unicast kinds.
+#: ``State.stopkinds`` with every kind's bit set.
 ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
-NON_UNICAST = sorted(set(TRAFFIC_NAMES) - {UNICAST})
 
 #: The aid-indexed int64 columns and the arrival-row columns.
 _PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_psrc")
@@ -362,30 +361,21 @@ class ArrayBackend(SimBackend):
         self._staged_at: List[int] = []
 
         a = net.adapters
-        # ``rows``: where ``Network.send_unicast`` appends; None (object
-        # path) unless every adapter gives ``_qtab[node, dst]``, its buffer
-        tabs = [getattr(ad, "unicast_queue_table", lambda: None)() for ad in a]
-        self.rows = self._staged if all(tabs) else None
-        if self.rows is not None:
-            self._qtab = np.array(
-                [np.array([*(self._bid[q] for q in queues), -1])[slot]
-                 for queues, slot in tabs], np.int32)
+        # ``rows``: where ``Network.send_unicast`` appends; ``_qtab[node,
+        # dst]`` is the row's buffer
+        self.rows = self._staged
+        self._qtab = np.array(
+            [np.array([*(self._bid[q] for q in queues), -1])[slot]
+             for queues, slot in (ad.unicast_queue_table() for ad in a)],
+            np.int32)
         # --profile: rows staged, built anyway, entries late; tails by path
         self._nrows = self._nbuilt = self._nlate = 0
         self._ncoll = self._nuni = self._nrecv = 0
-        self._acoll = [getattr(ad, "collector", None) for ad in a]
-        self._uni_short, coll_short = (
-            all(getattr(ad, flag, False) and c is not None
-                for ad, c in zip(a, self._acoll))
-            for flag in ("unicast_via_collector", "collective_via_collector"))
-        # the traffic kinds whose tail ends its batch: those an adapter
-        # says can re-inject; every non-unicast one if it does not say
-        self._stopkinds = 0 if self._uni_short else ALL_KINDS
-        for ad in a:
-            for kind in getattr(ad, "reinjecting_tails", NON_UNICAST):
-                self._stopkinds |= 1 << kind
-        # ... and every other kind's tail is ``on_collective_tail`` alone
-        self._popkinds = ~self._stopkinds if coll_short else 0
+        self._acoll = [ad.collector for ad in a]
+        # the traffic kinds whose tail ends its batch (relay segments);
+        # every other kind's tail is ``on_collective_tail`` alone
+        self._stopkinds = sum(1 << kind for kind in Adapter.reinjecting_tails)
+        self._popkinds = ~self._stopkinds
 
         # per-cycle scratch: the round-robin pick; the dateline flit
         # words (``_outdl[:_st.ndl]``, read by the shard worker) and
@@ -738,27 +728,27 @@ class ArrayBackend(SimBackend):
     # delivery residue
     # ------------------------------------------------------------------
     def _deliver(self, node: int, aid: int, now: int) -> None:
+        """A tail ``_replay`` could not hand the collector directly: a
+        unicast from its columns, anything else through
+        ``Network.deliver`` (the adapter's ``receive_tail``)."""
         net = self.net
+        pkt = self._pkts[aid]       # None: a row, a unicast nobody read
+        if pkt is not None and pkt.traffic != UNICAST:
+            before = net.deliveries     # a doomed tail is not delivered
+            net.deliver(node, pkt, pkt.size - 1, now)
+            self._nrecv += net.deliveries - before
+            return
         fs = net.fault_state
         cb = net.on_tail
-        pkt = self._pkts[aid]
-        if pkt is not None:
-            short = self._uni_short and pkt.traffic == UNICAST
-        else:       # a row: a unicast nobody has looked at yet
-            short = self._uni_short
-            if not short or fs is not None or cb is not None:
-                pkt = self._packet(aid)
+        if pkt is None and (fs is not None or cb is not None):
+            pkt = self._packet(aid)
         if fs is not None and pkt.pid in fs.doomed:
             fs.on_tail_dropped(pkt, node, now)
             return
         net.deliveries += 1
-        if short:
-            self._nuni += 1
-            self._acoll[node].on_unicast_cols(
-                self._pborn[aid], self._pcls[aid], now)
-        else:
-            self._nrecv += 1
-            net.adapters[node].receive_tail(pkt, now)
+        self._nuni += 1
+        self._acoll[node].on_unicast_cols(self._pborn[aid], self._pcls[aid],
+                                          now)
         if cb is not None:
             cb(node, pkt, now)
 

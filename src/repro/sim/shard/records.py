@@ -13,13 +13,12 @@ transport copies it into a preallocated slab.  Records:
 
 ``REC_PKT   [2, gid, src, dst, size, traffic, created, vclass, clsid,
              nbs, bs..., opflag, (opgid, osrc, ocreated, oexpected,
-             okind, oclsid)?, mkind, (dir, remaining | nchain,
-             chain...)?]``
+             okind, oclsid)?, mkind, (pos, nchain, chain...)?]``
     Packet replica, sent once per (packet, receiver) before that
     receiver's first ``REC_PUSH`` of it.  The bitstring is shipped in
     32-bit chunks (a multicast bitmap can exceed 64 bits at large N);
-    ``mkind`` encodes the relay scratch dict (0 none, 1 dir/remaining,
-    2 chain).
+    ``mkind`` encodes the relay scratch dict (0 none, 1 a relay chain and
+    the packet's position in it).
 
 ``REC_VCLASS  [3, gid]``
     Dateline VC-class upgrade: broadcast to every other shard whenever
@@ -72,10 +71,8 @@ def encode_pkt(out: List[int], gid: int, pkt, opgid: int, clsid: int,
     meta = pkt.meta
     if "chain" in meta:
         chain = meta["chain"]
-        out.extend((2, len(chain)))
+        out.extend((1, meta["pos"], len(chain)))
         out.extend(chain)
-    elif "dir" in meta:
-        out.extend((1, meta["dir"], meta["remaining"]))
     elif meta:
         raise AssertionError(
             f"unshippable packet meta keys: {sorted(meta)}")
@@ -112,14 +109,11 @@ def decode_pkt(words, i: int) -> Tuple[int, Dict[str, object]]:
         i += 1
     mkind = int(words[i])
     i += 1
-    if mkind == 1:
-        f["meta"] = {"dir": int(words[i]), "remaining": int(words[i + 1])}
-        i += 2
-    elif mkind == 2:
-        nchain = int(words[i])
-        f["meta"] = {"chain": tuple(int(words[i + 1 + k])
-                                    for k in range(nchain))}
-        i += 1 + nchain
+    if mkind:
+        end = i + 2 + int(words[i + 1])
+        f["meta"] = {"pos": int(words[i]),
+                     "chain": tuple(int(w) for w in words[i + 2:end])}
+        i = end
     else:
         f["meta"] = None
     return i, f

@@ -1,15 +1,10 @@
-"""Spatial destination patterns (and the historical injector import path).
+"""Spatial destination patterns.
 
 Destination choice is a pluggable :class:`DestinationPattern`: the
 paper's uniform workload, adversarial patterns (transpose,
 bit-complement), locality patterns (neighbour, directory) and fixed
-permutations all map ``(source, rng) -> destination``.
-
-.. deprecated::
-    The temporal arrival models formerly defined here live in
-    :mod:`repro.traffic.arrival` (one module for the whole
-    ``ArrivalModel`` protocol).  ``BernoulliInjector`` is re-exported
-    below so existing imports keep working.
+permutations all map ``(source, rng) -> destination``.  The temporal
+arrival models live in :mod:`repro.traffic.arrival`.
 """
 
 from __future__ import annotations
@@ -17,14 +12,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-# Deprecated re-export: the Bernoulli process (and the shared block
-# contract it anchors) moved to repro.traffic.arrival.
-from repro.traffic.arrival import NEVER as _NEVER  # noqa: F401
-from repro.traffic.arrival import ArrivalModel, BernoulliInjector
-
 __all__ = [
-    "ArrivalModel",
-    "BernoulliInjector",
     "DestinationPattern",
     "UniformPattern",
     "HotspotPattern",

@@ -37,8 +37,8 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
 from repro.sim.rng import RngStreams
-from repro.traffic.generators import (BernoulliInjector, DestinationPattern,
-                                      UniformPattern)
+from repro.traffic.arrival import BernoulliInjector
+from repro.traffic.generators import DestinationPattern, UniformPattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
@@ -447,7 +447,7 @@ class TrafficMix:
         ascending; class order within a node in multi-class mode).
         Consumes each process's private stream exactly as ``generate``
         would over the same window (see
-        :meth:`~repro.traffic.generators.BernoulliInjector.arrivals_in`),
+        :meth:`~repro.traffic.arrival.BernoulliInjector.arrivals_in`),
         so interleaving block precomputation with per-cycle
         :meth:`inject` calls reproduces ``generate``'s traffic
         flit-for-flit.  Class/destination streams are *not* touched

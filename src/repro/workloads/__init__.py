@@ -52,8 +52,8 @@ from repro.workloads.appmodels import (allreduce_classes,
 from repro.workloads.closedloop import (ClosedLoopClass, ClosedLoopSource,
                                         ClosedLoopWorkload)
 from repro.workloads.registry import (ARRIVAL, PATTERN, WORKLOAD,
-                                      ArrivalModel, ResolvedArrival,
-                                      ScenarioInfo, check_spec,
+                                      ResolvedArrival, ScenarioInfo,
+                                      check_spec,
                                       check_workload, format_spec,
                                       get_scenario, list_scenarios,
                                       parse_classes, parse_spec,
@@ -67,7 +67,6 @@ __all__ = [
     "ARRIVAL",
     "PATTERN",
     "WORKLOAD",
-    "ArrivalModel",
     "BurstyInjector",
     "ClosedLoopClass",
     "ClosedLoopSource",

@@ -38,9 +38,9 @@ from repro.traffic.generators import (BitComplementPattern,
                                       UniformPattern)
 from repro.workloads.trace import Trace
 
-__all__ = ["ScenarioInfo", "ResolvedArrival", "ArrivalModel", "parse_spec",
-           "format_spec", "list_scenarios", "register_scenario",
-           "get_scenario", "check_spec", "resolve_pattern",
+__all__ = ["ScenarioInfo", "ResolvedArrival", "parse_spec", "format_spec",
+           "list_scenarios", "register_scenario", "get_scenario",
+           "check_spec", "resolve_pattern",
            "resolve_arrival", "resolve_workload", "check_workload",
            "parse_classes", "scenario_table"]
 
@@ -105,11 +105,6 @@ class ResolvedArrival:
     def __repr__(self) -> str:   # pragma: no cover - debugging aid
         return f"<ResolvedArrival {self.spec!r}>"
 
-
-#: Deprecated alias: this factory class was named ``ArrivalModel``
-#: before the protocol of the same name was extracted into
-#: :mod:`repro.traffic.arrival`; the old import path keeps working.
-ArrivalModel = ResolvedArrival
 
 
 _REGISTRY: Dict[str, ScenarioInfo] = {}

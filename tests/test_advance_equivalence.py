@@ -17,7 +17,6 @@ import pytest
 from differential import make_config
 
 from repro.core.api import build_network
-from repro.core.quarc_transceiver import QuarcTransceiver
 from repro.noc.network import flit_key
 from repro.obs import ObsSpec
 from repro.sim import array_backend
@@ -202,17 +201,6 @@ def test_profile_says_how_tails_were_delivered(case):
             "as unicast columns, {} through receive_tail\n".format(
                 kc["packets_late"], kc["tails_delivered"], *by_path)
             in session.profiler.render())
-
-
-def test_undeclared_adapter_keeps_the_old_tail_rule(monkeypatch):
-    """An adapter class that does not say which tails re-inject: every
-    non-unicast tail ends its batch, as before -- same results."""
-    want = _stops(**FIG11)[1]
-    monkeypatch.delattr(QuarcTransceiver, "reinjecting_tails")
-    kc, got = _stops(**FIG11)
-    assert kc["stops"]["python_route"] == 0
-    assert kc["stops"]["delivery"] > 1000
-    assert got == want
 
 
 @pytest.mark.parametrize("tier", TIERS)

@@ -17,7 +17,7 @@ from repro.core.api import NETWORK_KINDS, build_network
 from repro.noc.packet import UNICAST, Packet
 from repro.sim.backend import BACKENDS, ArrayBackend, make_backend
 from repro.sim.session import RunConfig, SimulationSession
-from repro.traffic.generators import BernoulliInjector
+from repro.traffic.arrival import BernoulliInjector
 from repro.traffic.mix import TrafficMix
 from repro.traffic.workload import WorkloadSpec
 

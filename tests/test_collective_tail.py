@@ -2,12 +2,12 @@
 
 ``LatencyCollector.on_collective_tail(op, node, now)`` is the one
 statement of the arrival rule (first arrival at a node = a per-receiver
-sample, last expected receiver = completion); the adapters'
-``receive_tail`` / ``_relay_forward``, the array engine's replay
-(``ArrayBackend._pop``) and the shard merge all go through it.  Pinned
-here: the rule itself, engine == oracle down to every op's delivery map
-and the float accumulators, and the fallback for an adapter class that
-does not declare ``collective_via_collector``.
+sample, last expected receiver = completion); ``Adapter.receive_tail`` /
+``_relay_forward``, the array engine's replay (``ArrayBackend._pop``)
+and the shard merge all go through it.  Pinned here: the rule itself,
+engine == oracle down to every op's delivery map and the float
+accumulators, and that the adapters state send / tail delivery / relay
+regeneration once, on ``Adapter``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import pytest
 from differential import make_config
 
 from repro.core.collector import LatencyCollector
+from repro.core.dor_router import DORAdapter
 from repro.core.quarc_transceiver import QuarcTransceiver
+from repro.core.spidergon_adapter import SpidergonAdapter
 from repro.noc import packet
 from repro.noc.packet import CollectiveOp
 from repro.obs import ObsSpec
@@ -90,16 +92,10 @@ def test_engine_tails_equal_the_oracles(kind, before, tier, monkeypatch,
             == kc["tails_delivered"])
 
 
-def test_undeclared_adapter_keeps_receive_tail(monkeypatch):
-    """An adapter class that does not promise its passive collective
-    tails are the collector's: they reach ``receive_tail``, as before --
-    same results."""
-    config = make_config(kind="quarc", n=16, msg_len=6, beta=0.1,
-                         rate=0.05, cycles=700, warmup=150, seed=11,
-                         obs=ObsSpec(profile=True))
-    *want, kc = _run(config, monkeypatch)
-    monkeypatch.delattr(QuarcTransceiver, "collective_via_collector")
-    *got, old = _run(config, monkeypatch)
-    assert got == want
-    assert old["tails_collector"] == 0
-    assert old["tails_receive_tail"] == kc["tails_collector"] > 0
+@pytest.mark.parametrize("cls", (QuarcTransceiver, SpidergonAdapter,
+                                 DORAdapter))
+def test_adapters_keep_only_their_topology(cls):
+    """Accepting a message, delivering a tail and regenerating a relay
+    hop are ``Adapter``'s; the array engine relies on them being the
+    same everywhere."""
+    assert not {"send", "receive_tail", "_relay_forward"} & set(vars(cls))

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.api import build_network
 from repro.core.collector import LatencyCollector
-from repro.traffic.generators import (BernoulliInjector,
-                                      BitComplementPattern, HotspotPattern,
+from repro.traffic.arrival import BernoulliInjector
+from repro.traffic.generators import (BitComplementPattern, HotspotPattern,
                                       NeighbourPattern, PermutationPattern,
                                       TransposePattern, UniformPattern)
 from repro.traffic.mix import TrafficMix
@@ -29,6 +29,19 @@ class TestBernoulliInjector:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             BernoulliInjector(1.5, random.Random(0))
+
+    def test_one_arrival_model_name(self):
+        """``ArrivalModel`` names the protocol wherever it is exported;
+        ``repro.workloads`` spells its factory ``ResolvedArrival``."""
+        import repro
+        import repro.traffic
+        import repro.workloads
+        from repro.traffic.arrival import ArrivalModel
+        for pkg in (repro, repro.traffic, repro.workloads,
+                    repro.workloads.registry, repro.traffic.generators):
+            assert getattr(pkg, "ArrivalModel", ArrivalModel) is ArrivalModel
+        assert isinstance(BernoulliInjector(0.1, random.Random(0)),
+                          repro.traffic.ArrivalModel)
 
 
 class TestPatterns:

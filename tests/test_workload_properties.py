@@ -24,7 +24,7 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.traffic.generators import BernoulliInjector
+from repro.traffic.arrival import BernoulliInjector
 from repro.workloads import (BurstyInjector, TraceInjector, format_spec,
                              parse_spec)
 from repro.workloads.registry import _coerce

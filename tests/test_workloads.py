@@ -15,7 +15,8 @@ import pytest
 
 from repro.core.api import NETWORK_KINDS, build_network
 from repro.sim.session import RunConfig, SimulationSession
-from repro.traffic.generators import BernoulliInjector, HotspotPattern
+from repro.traffic.arrival import BernoulliInjector
+from repro.traffic.generators import HotspotPattern
 from repro.traffic.mix import TrafficMix
 from repro.traffic.workload import WorkloadSpec
 from repro.workloads import (ARRIVAL, PATTERN, BurstyInjector, Trace,
