@@ -10,12 +10,11 @@ the array backend's contracts:
   (the fast-forward regime);
 * ``array``: >= 5x faster than ``reference`` in the near-saturation
   band on **every** large topology (quarc, spidergon, torus, mesh) --
-  the region the paper's latency/load figures live in.  The ratio
-  assumes the compiled
-  cycle kernel (``repro.sim.ckernel``); on a host without a compiler
-  the engine runs its scalar oracle, measured at 1.1-1.7x over
-  ``reference`` here (quarc64 1.5 s vs 2.4 s, torus64 1.7 s vs 1.9 s),
-  and the floor does not hold.
+  the region the paper's latency/load figures live in.  ``array`` is
+  the compiled cycle kernel (``repro.sim.ckernel``); on a host where it
+  does not load, sessions asking for ``array`` run ``reference``, so
+  the script refuses to time anything there and exits 2 with one line
+  naming the cause.
 * ``large_n`` band (quarc256 / torus256): sharding one saturated run
   across ``shard_workers`` processes (:mod:`repro.sim.shard`) keeps
   the merged summary **byte-identical** to the serial array engine,
@@ -66,6 +65,7 @@ from dataclasses import replace
 from typing import Dict, List, Tuple
 
 from repro.sim.backend import BACKENDS
+from repro.sim.ckernel import load_cycle_kernel
 from repro.sim.records import RunSummary
 from repro.sim.replication import ReplicationPlan
 from repro.sim.session import RunConfig, SimulationSession
@@ -130,9 +130,7 @@ LARGE_N_WORKLOADS: List[Tuple[str, WorkloadSpec]] = [
 ARRAY_LOW_LOAD_FLOOR_FULL = 3.0
 ARRAY_LOW_LOAD_FLOOR_SMOKE = 1.5
 #: The saturation floor holds on **every** "sat" workload -- all four large
-#: topologies, not just the friendliest one.  5x assumes the compiled
-#: cycle kernel engages (the engine runs its scalar oracle, with a
-#: warning, only when the host has no C compiler, which CI does).
+#: topologies, not just the friendliest one.
 ARRAY_SAT_FLOOR_FULL = 5.0
 ARRAY_SAT_FLOOR_SMOKE = 3.0
 #: The sharded-run floor only applies when the host has at least
@@ -367,6 +365,11 @@ def main(argv=None) -> int:
                          "baseline's full-mode floors by the built-in "
                          "smoke leniency ratio")
     args = ap.parse_args(argv)
+    if load_cycle_kernel() is None:
+        print("error: the C cycle kernel did not load; array sessions "
+              "would run the reference backend, so there is nothing to "
+              "time", file=sys.stderr)
+        return 2
 
     repeats = args.repeats if args.repeats else (1 if args.smoke else 3)
     replicates = (args.replicates if args.replicates

@@ -16,15 +16,16 @@ step       cycle execution: ``backend.step`` on ``reference``,
            its Python *replay* residue is ``step - kernel - fold``)
 fold       turning staged injections into arrival rows
            (``ArrayBackend._stage``; the fold proper runs in the cycle)
-kernel     the cycle body: the compiled ``repro_run`` or, on the
-           scalar tier, ``_scalar_run``
+kernel     the cycle body: the compiled ``repro_run``
 ========== ==========================================================
 
 Every wrapper times the method the unprofiled run calls -- there is no
 profiler-side copy of any loop, so the profile cannot measure a cycle
-other than the one that runs.  The array report also says which tier
-ran (``tier``: ``ckernel`` with the kernel's source hash, or ``scalar``)
-and carries the cycle body's own work counters, read from the engine's
+other than the one that runs.  The report names the backend that ran
+(``backend``: ``reference`` where a session asked for ``array`` on a
+host without the C kernel); an ``array`` report adds ``tier``
+(``ckernel``, with the kernel's source hash in ``kernel``) and carries
+the cycle body's own work counters, read from the engine's
 state struct: entries (``calls``), cycles executed inside them,
 buffers scanned, eligible candidates, flits moved, why batches ended
 (``stops``), how many staged packets were rows / ever objects / staged
@@ -94,8 +95,7 @@ class PhaseProfiler:
         if getattr(backend, "name", "") == "array":
             self._wrap_timed(backend, "_advance", "step")
             self._wrap_timed(backend, "_stage", "fold")
-            self._wrap_timed(backend, "_scalar_run" if backend._ck is None
-                             else "_ck", "kernel")
+            self._wrap_timed(backend, "_ck", "kernel")
             self._kc0 = _kernel_counters(backend)
         else:
             self._wrap_timed(backend, "step", "step")
@@ -138,7 +138,7 @@ class PhaseProfiler:
         """The profile as a JSON-ready dict (seconds per category,
         kernel counters, cycle throughput)."""
         out: Dict[str, object] = {
-            "backend": self.session.config.backend,
+            "backend": self.session.backend.name,
             "cycles": self.cycles,
             "run_s": self.run_seconds,
             "cycles_per_s": (self.cycles / self.run_seconds
@@ -152,12 +152,9 @@ class PhaseProfiler:
             out["replay_s"] = max(replay, 0.0)
         if self._kc0:
             from repro.sim.ckernel import source_hash
-            backend = self.session.backend
-            ck = backend._ck is not None
-            out["tier"] = "ckernel" if ck else "scalar"
-            if ck:
-                out["kernel"] = source_hash()
-            kc = _kernel_counters(backend)
+            out["tier"] = "ckernel"
+            out["kernel"] = source_hash()
+            kc = _kernel_counters(self.session.backend)
             base = self._kc0
             out["kernel_counters"] = {
                 k: ({r: n - base[k][r] for r, n in v.items()}
@@ -192,7 +189,7 @@ class PhaseProfiler:
                 "{tails_receive_tail} through receive_tail".format(**kc))
             stops = ", ".join(f"{n} {why}"
                               for why, n in kc["stops"].items())
-            lines.append(f"  tier {rep['tier']} {rep.get('kernel', '')}: "
+            lines.append(f"  tier {rep['tier']} {rep['kernel']}: "
                          f"{kc['cycles']} cycles executed; batches "
                          f"ended by {stops}")
         return "\n".join(lines)

@@ -1,8 +1,10 @@
 /* The array engine's cycle, compiled on demand by repro.sim.ckernel:
  * repro_run() executes cycles [now, horizon) over the array-resident
  * state until Python is needed, and returns the next cycle to execute.
- * ArrayBackend._scalar_run is the same loop in Python over the same
- * arrays -- the oracle this file is kept line-for-line equal to.
+ * This file is the only definition of the cycle; a host that cannot
+ * build it runs the reference backend.  Python also calls two of its
+ * steps alone: repro_fold() (an inspection folds what is due) and
+ * repro_refresh() (a header adopted or received from a halo).
  *
  * State.  One repro_state struct, assembled once per attach
  * (ArrayBackend._build_static) and mirrored field for field by
@@ -66,6 +68,8 @@
 #define MULTICAST 1
 #define BROADCAST 2
 #define EV_PER_PORT 7
+#define FOLD_OVERFLOW (-1)
+#define FOLD_FULL (-2)
 
 enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS };
 enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER };
@@ -136,17 +140,15 @@ static void top_up(repro_state *s, int64_t b)
         s->ptail[b] = -1;
 }
 
-/* Route the header at the front of b from the table; 1 (and a ROUTE
- * event) when only Python can answer. */
-static int refresh(repro_state *s, int64_t b, int64_t cyc)
+/* Route the header at the front of b from the table; 1, and nothing
+ * written, when only Python can answer. */
+int64_t repro_refresh(repro_state *s, int64_t b)
 {
     int64_t aid = s->front[b] >> FSHIFT;
     int64_t ent, p, vc;
     int flag = s->rtflag[b];
-    if (s->nofast || !flag || (flag == 1 && s->ptraf[aid] == MULTICAST)) {
-        emit(s, EV_ROUTE, cyc, b);
+    if (s->nofast || !flag || (flag == 1 && s->ptraf[aid] == MULTICAST))
         return 1;
-    }
     ent = s->rtab[b * s->rstride + s->pdst[aid]];
     p = (ent >> 4) & 0xFFFFF;
     if (ent & 2)
@@ -164,6 +166,56 @@ static int refresh(repro_state *s, int64_t b, int64_t cyc)
     s->pvb2[b] = s->pv2of[p];
     return 0;
 }
+
+/* repro_refresh, or a ROUTE event (returns 1) for Python. */
+static int refresh(repro_state *s, int64_t b, int64_t cyc)
+{
+    if (!repro_refresh(s, b))
+        return 0;
+    emit(s, EV_ROUTE, cyc, b);
+    return 1;
+}
+
+/* fold: arrival rows due at `now` join their buffer's pending FIFO.
+ * Returns the ROUTE events emitted, FOLD_FULL when the event buffer
+ * filled first, or FOLD_OVERFLOW -- a flow-control bug -- with the row
+ * whose buffer has no room left at apos for Python to name. */
+static int64_t fold(repro_state *s, int64_t now)
+{
+    int64_t nroute = 0;
+    while (s->apos < s->an && s->acyc[s->apos] <= now) {
+        int64_t b = s->abuf[s->apos], aid = s->aaid[s->apos];
+        int64_t size = s->psize[aid], ql0 = s->qlen[b];
+        if (s->nev >= s->evcap)
+            return FOLD_FULL;
+        if (ql0 + size > s->qcap[b])
+            return FOLD_OVERFLOW;
+        s->apos++;
+        s->pnext[aid] = -1;
+        if (s->ptail[b] >= 0) {
+            s->pnext[s->ptail[b]] = aid;
+        } else {
+            s->phead[b] = aid;
+            s->pfid[b] = 0;
+        }
+        s->ptail[b] = aid;
+        s->qlen[b] = ql0 + size;
+        s->ppend[b] += size;
+        s->inflight += size;
+        s->ne[b] = 1;
+        if (ql0 + size >= s->qcap[b])
+            s->fullb[b] = 1;
+        top_up(s, b);
+        if (ql0 == 0) {
+            s->front[b] = s->rflat[s->rbase[b] + (s->rhead[b] & s->rmask[b])];
+            if (s->want[b] < 0)
+                nroute += refresh(s, b, now);
+        }
+    }
+    return nroute;
+}
+
+int64_t repro_fold(repro_state *s) { return fold(s, s->now); }
 
 int64_t repro_run(repro_state *s)
 {
@@ -184,46 +236,16 @@ int64_t repro_run(repro_state *s)
     s->moved = 0;
     s->ejected = 0;
     while (now < horizon) {
-        int64_t nroute = 0, nrf = 0, tailstop = 0;
+        int64_t nroute = fold(s, now), nrf = 0, tailstop = 0;
         int64_t moved = 0, nscan = 0, ncand = 0;
 
-        /* fold: arrival rows due now join their buffer's pending FIFO */
-        while (s->apos < s->an && s->acyc[s->apos] <= now) {
-            int64_t aid, size, ql0;
-            if (s->nev >= s->evcap) {
-                stop = STOP_EVENTS;
-                goto out;
-            }
-            b = s->abuf[s->apos];
-            aid = s->aaid[s->apos];
-            s->apos++;
-            size = s->psize[aid];
-            if (qlen[b] + size > qcap[b]) {     /* a flow-control bug: */
-                s->apos--;          /* Python re-folds the row to raise */
-                s->now = now;
-                return -1;
-            }
-            s->pnext[aid] = -1;
-            if (s->ptail[b] >= 0) {
-                s->pnext[s->ptail[b]] = aid;
-            } else {
-                s->phead[b] = aid;
-                s->pfid[b] = 0;
-            }
-            s->ptail[b] = aid;
-            ql0 = qlen[b];
-            qlen[b] = ql0 + size;
-            s->ppend[b] += size;
-            s->inflight += size;
-            ne[b] = 1;
-            if (ql0 + size >= qcap[b])
-                fullb[b] = 1;
-            top_up(s, b);
-            if (ql0 == 0) {
-                front[b] = rflat[rbase[b] + (rhead[b] & rmask[b])];
-                if (want[b] < 0)
-                    nroute += refresh(s, b, now);
-            }
+        if (nroute == FOLD_OVERFLOW) {
+            s->now = now;
+            return -1;
+        }
+        if (nroute == FOLD_FULL) {
+            stop = STOP_EVENTS;
+            break;
         }
         if (nroute) {           /* Python routes, then re-enters `now` */
             stop = STOP_ROUTE;
@@ -378,7 +400,6 @@ int64_t repro_run(repro_state *s)
             break;
         }
     }
-out:
     s->now = now;
     s->stop = stop;
     s->stops[stop]++;

@@ -57,12 +57,10 @@ flat-port order, the reference commit order) -> refresh (dateline
 class upgrades, then every newly exposed header routed from the packed
 route table).  The cycle, the rule for when a run of cycles must stop
 for Python and the layout of the events it hands back are specified
-once, in the header of ``_cycle_kernel.c``; two implementations run it
-over the same arrays: that file (compiled by ``repro.sim.ckernel``; a
-batch is one ``repro_run(&state)`` call) and ``_scalar_run``, the loop
-it is a port of -- the oracle behind ``REPRO_ARRAY_CKERNEL=0`` and the
-engine on a host with no compiler (20-30x slower at saturation;
-``ckernel`` warns).
+and implemented once, in ``_cycle_kernel.c`` (compiled by
+``repro.sim.ckernel``; a batch is one ``repro_run(&state)`` call).  No
+Python code repeats any of it: a host that cannot compile the file runs
+the ``reference`` backend instead (``make_backend``; ``ckernel`` warns).
 
 :meth:`ArrayBackend._advance` executes cycles ``[now, horizon)`` in
 batches: a batch runs until Python is needed, :meth:`_replay` applies
@@ -104,7 +102,8 @@ Equivalence notes (``tests/differential.py`` guards all of them):
   route may doom the packet whose clone was just delivered).
 
 Every port must multiplex exactly two VCs (all shipped routers do);
-attaching to anything else raises and names the reference backend.
+attaching to anything else, or without a loaded kernel, raises and
+names the reference backend.
 """
 
 from __future__ import annotations
@@ -117,8 +116,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.noc.network import Adapter, flit_key
-from repro.noc.packet import (BROADCAST, MULTICAST, TRAFFIC_NAMES, UNICAST,
-                              Packet)
+from repro.noc.packet import TRAFFIC_NAMES, UNICAST, Packet
 from repro.sim.backend import Probes, SimBackend
 from repro.sim.ckernel import State, load_cycle_kernel
 
@@ -141,7 +139,7 @@ _RING_CAP = 4096
 #: Why a batch ended (``State.stop``; the names are the ``--profile``
 #: report's ``stops`` keys) and the event kinds, as in _cycle_kernel.c.
 STOPS = ("horizon", "python_route", "delivery", "events_full")
-STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS = range(4)
+STOP_EVENTS = STOPS.index("events_full")
 EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER = range(4)
 #: Most events one cycle can emit per port: a winner and a dateline
 #: word (trace only), two deliveries, three routes.
@@ -154,10 +152,10 @@ _PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_psrc")
 _ACOLS = ("_acyc", "_abuf", "_aaid")
 
 #: Packed-field capacities, checked once when a session is built.  A
-#: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``,
-#: ``_scalar_cycle``, read back by ``_replay``), so the flat port count
-#: must fit 16 bits -- tighter than the 20 bits a route-table entry
-#: gives the port.  A packet's last flit id must fit below ``TAIL``.
+#: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``, read
+#: back by ``_replay``), so the flat port count must fit 16 bits --
+#: tighter than the 20 bits a route-table entry gives the port.  A
+#: packet's last flit id must fit below ``TAIL``.
 MAX_PORTS = 1 << 16
 MAX_PACKET_FLITS = TAIL
 
@@ -206,6 +204,16 @@ class ArrayBackend(SimBackend):
             raise ValueError(
                 f"network {net.name!r} is already attached to an array "
                 f"engine; detach it first")
+        lib = load_cycle_kernel()
+        if lib is None:
+            raise ValueError(
+                "the array engine runs the compiled cycle kernel, which "
+                "did not load on this host (see the warning).  Run with "
+                "--backend reference")
+        # the kernel entries (ckernel.py); the profiler times ``_ck``
+        self._ck = lib.repro_run
+        self._fold = lib.repro_fold
+        self._refresh = lib.repro_refresh
         self._build_static()
         self._adopt()
 
@@ -283,10 +291,8 @@ class ArrayBackend(SimBackend):
         # bitstring fits no column), 0 for no row.  VC selection stays
         # runtime (it reads the packet's dateline class): ``_vcmode``
         # is 0/1 for the fixed any-policy/dateline cases, 2 for
-        # class-dependent ports.  The C tier indexes the table by base
-        # + stride; the scalar tier through ``_rtmv``, a memoryview, so
-        # a lookup yields a Python int (an ndarray would hand numpy
-        # scalars to every following shift and mask).
+        # class-dependent ports.  The kernel indexes the table by base
+        # + stride.
         pol_any = [p.vc_policy == "any" for p in ports]
         self._vcmode = np.array([0 if a else (1 if d else 2) for a, d in
                                  zip(pol_any, self._isdl_py)], np.int64)
@@ -324,7 +330,6 @@ class ArrayBackend(SimBackend):
             np.bitwise_or(code[slot], flags, out=table[b])
             self._rtflag[b] = 2 if univ else 1
         self._rtab = np.zeros((1, 1), np.int64) if table is None else table
-        self._rtmv = memoryview(self._rtab)
 
         # round-robin priority field: F a power of two >= max feeders
         # keeps ``(j - rr) & (F-1)`` order-isomorphic to the reference
@@ -385,16 +390,13 @@ class ArrayBackend(SimBackend):
                         ("_outrf", 2 * P)):
             setattr(self, name, z(max(n, 1)))
 
-        # the scalars of both tiers, and what repro_run() is handed
+        # the scalars, and what every kernel entry is handed
         st = self._st = State(B=B, P=P, PV=self._PV, SB=self._SB,
                               Fm1=self._Fm1, rstride=self._rtab.shape[1],
                               evcap=evcap)
         for name in State.POINTERS:
             setattr(st, name, getattr(self, "_" + name).ctypes.data)
         self._stp = ctypes.addressof(st)
-        # compiled cycle kernel (ckernel.py); None leaves _scalar_run
-        # in charge
-        self._ck = load_cycle_kernel()
 
     def _grow(self, names: Tuple[str, ...], need: int, keep: int) -> None:
         """Reallocate the int64 columns ``names`` to at least ``need``
@@ -546,9 +548,9 @@ class ArrayBackend(SimBackend):
             elif n:
                 headers.append(b)
         self._st.inflight = inflight
+        self._st.nofast = self.net.fault_state is not None
         for b in headers:
-            if not self._table_refresh(b):
-                self._route_one(b)
+            self._route(b)
         for buf in self._bufs:
             buf.sink = self._staged
         self.net.state_owner = self
@@ -660,39 +662,41 @@ class ArrayBackend(SimBackend):
         see a packet a delivery just regenerated, as an object push
         would show it."""
         if self._staged:
-            now = self.net.cycle
+            st = self._st
+            st.now = now = self.net.cycle
+            st.nofast = self.net.fault_state is not None
             self._stage(now)
-            stop = STOP_EVENTS
-            while stop == STOP_EVENTS:
-                events: List[int] = []
-                stop = self._fold_due(now, events)
-                self._replay(events)
+            while True:     # again while a full event buffer left rows
+                self._replay(self._call(self._fold))
+                if st.apos == st.an or self._acyc[st.apos] > now:
+                    break
+
+    def _call(self, entry) -> List[int]:
+        """Run the kernel entry ``entry`` (``_ck`` or ``_fold``) on the
+        state and take the events it left.  A fold that finds a row's
+        buffer without room -- a flow-control bug -- returns -1 and
+        leaves the row at ``apos``."""
+        st = self._st
+        if entry(self._stp) == -1:
+            b = int(self._abuf[st.apos])
+            raise OverflowError(
+                f"flit pushed into full buffer {self._bufs[b].label!r} "
+                f"(capacity {self._cap_py[b]})")
+        events = self._ev[:2 * st.nev].tolist() if st.nev else ()
+        st.nev = 0
+        return events
 
     # ------------------------------------------------------------------
-    # header refresh
+    # header routing
     # ------------------------------------------------------------------
-    def _table_refresh(self, b: int) -> bool:
-        """Route the header at the front of row ``b`` from the route
-        table; False when only Python can answer.  Tables are built
-        fault-free, so any installed fault state disables the lookup:
-        every header then routes through ``Router.route``, which applies
-        the reroute/drop policy identically to the reference backend."""
-        aid = int(self._front[b]) >> FSHIFT
-        flag = self._rtflag[b]
-        traf = self._ptraf[aid]
-        if (not flag or self.net.fault_state is not None
-                or (flag == 1 and traf == MULTICAST)):
-            return False
-        ent = self._rtmv[b, self._pdst[aid]]
-        p = (ent >> 4) & 0xFFFFF
-        if ent & 2:
-            self._pvcl[aid] = 0
-        vc = int(self._vcmode[p])
-        if vc == 2:
-            vc = min(int(self._pvcl[aid]), 1)
-        dlv = (ent & 1) | ((ent >> 2) & int(traf == BROADCAST))
-        self._set_request(b, aid, p, ent >> 24, vc, dlv, self._pv2of[p])
-        return True
+    def _route(self, b: int) -> None:
+        """Route the header at the front of row ``b``: from the table
+        (``repro_refresh``) where it answers, else :meth:`_route_one`.
+        Tables are built fault-free, so under a fault state (``nofast``)
+        every header routes through ``Router.route``, which applies the
+        reroute/drop policy identically to the reference backend."""
+        if self._refresh(self._stp, b):
+            self._route_one(b)
 
     def _route_one(self, b: int) -> None:
         """Route the header at the front of row ``b`` through its
@@ -708,21 +712,17 @@ class ArrayBackend(SimBackend):
         vc = int(self._vcmode[p])
         if vc == 2:
             vc = min(pkt.vclass, 1)
+        self._phdr[aid] = b
+        self._want[b] = p
         # .get: a fault-stuck head may want a port this lane is not
         # wired to (it then never matches that port's feeder scan, which
         # is exactly the reference backend's never-granted behaviour)
-        self._set_request(b, aid, p, self._jpos[b].get(p, 0), vc,
-                          bool(deliver), self._pv2of[p])
-
-    def _set_request(self, b, aid, p, j, vc, dl, pv2) -> None:
-        self._phdr[aid] = b
-        self._want[b] = p
-        self._jof[b] = j
+        self._jof[b] = self._jpos[b].get(p, 0)
         self._vcreq[b] = vc
-        self._dlv[b] = dl
+        self._dlv[b] = bool(deliver)
         self._hdrf[b] = True
         self._pvb[b] = 2 * p + vc
-        self._pvb2[b] = pv2
+        self._pvb2[b] = self._pv2of[p]
 
     # ------------------------------------------------------------------
     # delivery residue
@@ -751,247 +751,6 @@ class ArrayBackend(SimBackend):
                                           now)
         if cb is not None:
             cb(node, pkt, now)
-
-    # ------------------------------------------------------------------
-    # the cycle: scalar oracle (the loop _cycle_kernel.c is a port of)
-    # ------------------------------------------------------------------
-    def _scalar_run(self) -> List[int]:
-        """``repro_run`` in Python: execute cycles from ``_st.now``
-        until Python is needed or ``_st.horizon``; returns the batch's
-        events and leaves ``now`` / ``stop`` / the counters in ``_st``."""
-        st = self._st
-        now, horizon = st.now, st.horizon
-        events: List[int] = []
-        stop = STOP_HORIZON
-        st.calls += 1
-        st.moved = st.ejected = 0
-        while now < horizon:
-            stop = self._fold_due(now, events)
-            if stop:
-                break
-            if not st.inflight:     # idle: jump to the next arrival
-                now = horizon
-                if st.apos < st.an:
-                    now = min(int(self._acyc[st.apos]), horizon)
-                continue
-            if 2 * st.evcap - len(events) < 2 * EV_PER_PORT * self._P:
-                stop = STOP_EVENTS
-                break
-            stop = self._scalar_cycle(now, events)
-            now += 1
-            if stop:
-                break
-        st.now = now
-        st.stop = stop
-        st.stops[stop] += 1
-        return events
-
-    def _top_up(self, b: int) -> None:
-        """Generate flit words of ``b``'s pending packets while its
-        ring has room."""
-        mask = self._rmask_py[b]
-        base = self._rbase_py[b]
-        room = mask + 1 - int(self._qlen[b]) + int(self._ppend[b])
-        wr = int(self._rhead[b]) + mask + 1 - room
-        aid = int(self._phead[b])
-        fid = int(self._pfid[b])
-        made = 0
-        while aid >= 0 and made < room:
-            last = int(self._psize[aid]) - 1
-            self._rflat[base + ((wr + made) & mask)] = (
-                (aid << FSHIFT) | (TAIL if fid == last else 0) | fid)
-            made += 1
-            if fid == last:
-                aid = int(self._pnext[aid])
-                fid = 0
-            else:
-                fid += 1
-        self._ppend[b] -= made
-        self._phead[b] = aid
-        self._pfid[b] = fid
-        if aid < 0:
-            self._ptail[b] = -1
-
-    def _fold_due(self, now: int, events: List[int]) -> int:
-        """Fold the arrival rows due at ``now`` into their buffers'
-        pending FIFOs; returns ``STOP_ROUTE`` if a newly exposed header
-        needs Python, ``STOP_EVENTS`` if ``events`` filled up first."""
-        st = self._st
-        pos, an = st.apos, st.an
-        acyc = self._acyc
-        qlen = self._qlen
-        ptail = self._ptail
-        stop = added = 0
-        while pos < an and acyc[pos] <= now:
-            if len(events) >= 2 * st.evcap:
-                stop = STOP_EVENTS
-                break
-            b = int(self._abuf[pos])
-            aid = int(self._aaid[pos])
-            pos += 1
-            size = int(self._psize[aid])
-            self._pnext[aid] = -1
-            if ptail[b] >= 0:
-                self._pnext[ptail[b]] = aid
-            else:
-                self._phead[b] = aid
-                self._pfid[b] = 0
-            ptail[b] = aid
-            ql0 = int(qlen[b])
-            if ql0 + size > self._cap_py[b]:
-                raise OverflowError(
-                    f"flit pushed into full buffer "
-                    f"{self._bufs[b].label!r} (capacity {self._cap_py[b]})")
-            qlen[b] = ql0 + size
-            self._ppend[b] += size
-            added += size
-            self._ne[b] = True
-            if ql0 + size >= self._cap_py[b]:
-                self._fullb[b] = True
-            self._top_up(b)
-            if ql0 == 0:
-                self._front[b] = self._rflat[
-                    self._rbase_py[b]
-                    + (int(self._rhead[b]) & self._rmask_py[b])]
-                if self._want[b] < 0 and not self._table_refresh(b):
-                    events += ((now << 2) | EV_ROUTE, b)
-                    stop = STOP_ROUTE
-        st.apos = pos
-        st.inflight += added
-        return stop
-
-    def _scalar_cycle(self, now: int, events: List[int]) -> int:
-        """Phase A, phase B and the in-cycle refresh of one cycle over
-        the arrays; appends its events and returns the stop reason
-        (0 = none)."""
-        st = self._st
-        ne, hdrf, want, owner = self._ne, self._hdrf, self._want, self._owner
-        fullb, down, pvb, pvb2 = (self._fullb, self._down, self._pvb,
-                                  self._pvb2)
-        vcreq, rr, jof, qlen = self._vcreq, self._rr, self._jof, self._qlen
-        front, rflat = self._front, self._rflat
-        rbase, rmask = self._rbase_py, self._rmask_py
-        PV, SB = self._PV, self._SB
-        best: Dict[int, tuple] = {}
-        scan = np.flatnonzero(ne[:SB]).tolist()
-        ncand = 0
-        for b in scan:
-            if hdrf[b]:
-                pv = int(pvb[b])
-                if owner[pv] == -1 and not fullb[down[pv]]:
-                    vc = int(vcreq[b])
-                else:
-                    pv2 = int(pvb2[b])
-                    if (pv2 < PV and owner[pv2] == -1
-                            and not fullb[down[pv2]]):
-                        vc = 1
-                    else:
-                        continue
-            else:
-                p0 = int(want[b])
-                if p0 < 0 or fullb[down[pvb[b]]]:
-                    continue
-                vc = int(vcreq[b])
-            p = int(want[b])
-            pr = (int(jof[b]) - int(rr[p])) & self._Fm1
-            ncand += 1
-            cur = best.get(p)
-            if cur is None or pr < cur[0]:
-                best[p] = (pr, b, vc)
-        # phase B: commit winners in ascending flat-port order
-        key = now << 2
-        trace, stopkinds = st.trace, st.stopkinds
-        dl: List[int] = []
-        rf: List[int] = []
-        nej = tailstop = 0
-        for p in sorted(best):
-            _, b, vc = best[p]
-            f = int(front[b])
-            aid = f >> FSHIFT
-            tail = bool(f & TAIL)
-            pv = 2 * p + vc
-            # pop; a pending packet's next flit takes the freed slot
-            ql = int(qlen[b]) - 1
-            qlen[b] = ql
-            rh = int(self._rhead[b]) + 1
-            self._rhead[b] = rh
-            ne[b] = ql > 0
-            fullb[b] = False
-            if self._phead[b] >= 0:
-                self._top_up(b)
-            if ql > 0:
-                front[b] = rflat[rbase[b] + (rh & rmask[b])]
-            # switching tables
-            if not f & FIDMASK and not tail:
-                owner[pv] = b
-            elif tail and owner[pv] == b:
-                owner[pv] = -1
-            if tail:
-                want[b] = -1
-            hdrf[b] = False
-            vcreq[b] = vc
-            pvb[b] = pv
-            self._fs[p] += 1
-            rr[p] = int(jof[b]) + 1
-            if trace:
-                events += (key | EV_WINNER, b)
-            # deliver-clone, then eject or dateline+push (reference
-            # order)
-            stops = tail and (stopkinds >> int(self._ptraf[aid])) & 1
-            if tail and self._dlv[b]:
-                events += (key | EV_DELIVERY, (aid << 16) | p)
-                tailstop |= stops
-            dst = int(down[pv])
-            if dst == SB:
-                if tail:
-                    events += (key | EV_DELIVERY, (aid << 16) | p)
-                    tailstop |= stops
-                nej += 1
-            else:
-                if self._isdl_py[p]:
-                    dl.append(f)
-                    if trace:
-                        events += (key | EV_DATELINE, f)
-                dql = int(qlen[dst])
-                rflat[rbase[dst]
-                      + ((int(self._rhead[dst]) + dql) & rmask[dst])] = f
-                qlen[dst] = dql + 1
-                if dql + 1 >= self._cap_py[dst]:
-                    fullb[dst] = True
-                if dql == 0:
-                    ne[dst] = True
-                    front[dst] = f
-                    if want[dst] < 0:
-                        rf.append(dst)
-            if tail and ql > 0:
-                rf.append(b)
-        # refresh: dateline upgrades first, then the exposed headers
-        nroute = 0
-        for f in dl:
-            aid = f >> FSHIFT
-            self._pvcl[aid] = 1
-            hb = int(self._phdr[aid])
-            if (hb >= 0 and hdrf[hb] and ne[hb]
-                    and (int(front[hb]) >> FSHIFT) == aid
-                    and not self._table_refresh(hb)):
-                events += (key | EV_ROUTE, hb)
-                nroute += 1
-        for b in rf:
-            if not self._table_refresh(b):
-                events += (key | EV_ROUTE, b)
-                nroute += 1
-        self._outdl[:len(dl)] = dl
-        st.ndl = len(dl)
-        st.moved += len(best)
-        st.flits += len(best)
-        st.ejected += nej
-        st.inflight -= nej
-        st.scanned += len(scan)
-        st.cands += ncand
-        st.cycles += 1
-        if nroute:
-            return STOP_ROUTE
-        return STOP_DELIVERY if tailstop else 0
 
     # ------------------------------------------------------------------
     # event replay: everything a batch of cycles owes the Python objects
@@ -1028,9 +787,9 @@ class ArrayBackend(SimBackend):
     # SimBackend interface
     # ------------------------------------------------------------------
     def _advance(self, now: int, horizon: int) -> int:
-        """Execute cycles ``[now, horizon)``: batches of the cycle body
-        (C kernel or scalar oracle), each followed by the replay of its
-        events.  The one place a cycle is executed from."""
+        """Execute cycles ``[now, horizon)``: batches of the C kernel,
+        each followed by the replay of its events.  The one place a
+        cycle is executed from."""
         net = self.net
         st = self._st
         if self._staged:
@@ -1043,13 +802,7 @@ class ArrayBackend(SimBackend):
         st.ndl = 0      # no cycle may run: the shard worker reads this
         while now < horizon:
             st.now = now
-            if self._ck is not None:
-                if self._ck(self._stp) < 0:     # the fold overflowed
-                    self._fold_due(st.now, [])  # ... and says where
-                events = self._ev[:2 * st.nev].tolist() if st.nev else ()
-                st.nev = 0
-            else:
-                events = self._scalar_run()
+            events = self._call(self._ck)
             now = st.now
             net.flits_moved += st.moved
             if fs is not None:
@@ -1259,8 +1012,8 @@ class ArrayBackend(SimBackend):
         """Apply fault events to array-resident state: land the kill +
         purge on the materialised object graph, mirror every dead port
         into the credit rows (both VC slots point at the always-full
-        anchor column, so neither cycle implementation can ever grant
-        it a move), then re-adopt.  Re-adoption also re-routes every
+        anchor column, so the cycle can never grant it a move), then
+        re-adopt.  Re-adoption also re-routes every
         cached header through the fault-aware dispatcher, matching the
         reference backend's per-cycle re-evaluation."""
         self.materialize()

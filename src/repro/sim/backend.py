@@ -14,9 +14,10 @@ through simulated cycles.  Two implementations ship, with two roles:
   unless told otherwise.  It produces *identical* results 8-60x
   faster: it adopts ownership of the network's state into flat numpy
   arrays (the object graph becomes a lazily-materialised view) and runs
-  both arbitration and commit over those arrays -- in a compiled C
-  cycle kernel where a compiler is available, in the scalar Python loop
-  the kernel was ported from otherwise.  Its own ``run_mix`` drives
+  both arbitration and commit over those arrays in a compiled C cycle
+  kernel.  On a host where the kernel cannot be built or loaded,
+  :func:`make_backend` hands out ``reference`` in its place (the loader
+  warns once).  Its own ``run_mix`` drives
   **windows, not cycles**: it precomputes the traffic process in
   blocks, injects a window ahead and lets the cycle body run until
   Python is needed, idle gaps skipped.  See ``array_backend.py`` for
@@ -135,6 +136,7 @@ class ReferenceBackend(SimBackend):
 
 # Down here because array_backend imports SimBackend from this module.
 # numpy is a hard dependency: without it this import fails, naming numpy.
+from repro.sim import array_backend  # noqa: E402
 from repro.sim.array_backend import ArrayBackend  # noqa: E402
 
 BACKENDS: Dict[str, Type[SimBackend]] = {
@@ -144,11 +146,14 @@ BACKENDS: Dict[str, Type[SimBackend]] = {
 
 
 def make_backend(name: str, net: "Network") -> SimBackend:
-    """Instantiate backend ``name`` ("reference" | "array") for ``net``."""
+    """Instantiate backend ``name`` ("reference" | "array") for ``net``;
+    ``array`` on a host without the C cycle kernel is ``reference``."""
     try:
         cls = BACKENDS[name]
     except KeyError:
         raise ValueError(
             f"unknown simulation backend {name!r}; "
             f"expected one of {sorted(BACKENDS)}") from None
+    if cls is ArrayBackend and array_backend.load_cycle_kernel() is None:
+        cls = ReferenceBackend
     return cls(net)

@@ -1,15 +1,16 @@
 """Lazy gcc+ctypes loader for the C cycle kernel, and its state struct.
 
-``_cycle_kernel.c`` is the array engine's cycle in C behind one entry,
-``repro_run(state *)``: it executes cycles until Python is needed and
-hands back what happened as events that carry their cycle (the file's
-header has the contract).  A cycle is a few us of C and a ctypes call
-costs as much again, hence one pointer and a horizon rather than one
-call per cycle.  :class:`State` mirrors the C ``repro_state`` field for
-field -- both tiers of the engine keep their scalars in it -- and a
-kernel whose ``repro_state_size()`` disagrees with
-``ctypes.sizeof(State)`` is refused: a layout drift degrades to the
-scalar tier with the warning below instead of corrupting memory.
+``_cycle_kernel.c`` is the array engine's cycle in C, and its only
+definition, behind one entry, ``repro_run(state *)``: it executes
+cycles until Python is needed and hands back what happened as events
+that carry their cycle (the file's header has the contract).  A cycle
+is a few us of C and a ctypes call costs as much again, hence one
+pointer and a horizon rather than one call per cycle.  Two of its steps
+are exported alone, ``repro_fold`` and ``repro_refresh``, for the
+Python callers that need them without running a cycle.  :class:`State`
+mirrors the C ``repro_state`` field for field, and a kernel whose
+``repro_state_size()`` disagrees with ``ctypes.sizeof(State)`` is
+refused instead of corrupting memory.
 
 The kernel is compiled on first use with whatever ``cc`` the host has
 (``$CC`` overrides), cached under the system temp directory keyed by a
@@ -17,13 +18,12 @@ hash of the source, and loaded via :mod:`ctypes` -- but only from a
 cache directory and library this user owns and nobody else can write
 (the temp directory is shared: whoever created the path first would
 otherwise run code in this process).  Any failure -- no compiler,
-sandboxed temp dir, bad toolchain, a cache entry that fails that check
--- returns ``None``, which leaves the engine on its scalar oracle
-(``ArrayBackend._scalar_run``, 20-30x slower at saturation), and says so
-once per process in a ``RuntimeWarning`` that carries the exception and
-the compiler's stderr.  ``REPRO_ARRAY_CKERNEL=0`` asks for the oracle
-and is silent (the differential suite uses it to lockstep both
-implementations).
+sandboxed temp dir, bad toolchain, a cache entry that fails that check,
+a drifted layout -- returns ``None``: sessions asking for ``array`` then
+run the ``reference`` backend (``repro.sim.backend.make_backend``), and
+the process says so once in a ``RuntimeWarning`` that carries the
+exception and the compiler's stderr.  ``REPRO_ARRAY_CKERNEL=0``, read at
+the first load, takes the same path, as a host without a compiler.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from typing import Optional
 __all__ = ["State", "load_cycle_kernel", "source_hash"]
 
 _SRC_PATH = os.path.join(os.path.dirname(__file__), "_cycle_kernel.c")
-
 
 
 class State(ctypes.Structure):
@@ -64,7 +63,7 @@ class State(ctypes.Structure):
         + [(name, ctypes.c_void_p) for name in POINTERS])
 
 
-_cached: Optional[ctypes.CFUNCTYPE] = None
+_cached: Optional[ctypes.CDLL] = None
 _failed = False
 
 
@@ -91,7 +90,10 @@ def source_hash() -> str:
         return hashlib.sha256(fh.read()).hexdigest()[:16]
 
 
-def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
+def _compile_and_load() -> ctypes.CDLL:
+    if os.environ.get("REPRO_ARRAY_CKERNEL") == "0":
+        raise RuntimeError("REPRO_ARRAY_CKERNEL=0 stands in for a host "
+                           "without a C compiler")
     tag = source_hash()
     libdir = os.path.join(tempfile.gettempdir(), "repro-ckernel")
     os.makedirs(libdir, mode=0o700, exist_ok=True)
@@ -120,30 +122,28 @@ def _compile_and_load() -> Optional["ctypes._CFuncPtr"]:
         raise RuntimeError(
             f"repro_state is {size} bytes in {lib} but ckernel.State is "
             f"{ctypes.sizeof(State)}: the two layouts have drifted apart")
-    fn = dll.repro_run
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [ctypes.c_void_p]
-    return fn
+    for name, args in (("repro_run", []), ("repro_fold", []),
+                       ("repro_refresh", [ctypes.c_int64])):
+        fn = getattr(dll, name)
+        fn.restype = ctypes.c_int64
+        fn.argtypes = [ctypes.c_void_p, *args]
+    return dll
 
 
-def load_cycle_kernel():
-    """The compiled cycle kernel, or ``None`` if disabled/unavailable.
-
-    The env gate is re-read on every call (tests toggle it per attach);
-    only the compile/load result itself is cached.
-    """
+def load_cycle_kernel() -> Optional[ctypes.CDLL]:
+    """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
+    ``repro_refresh`` typed), or ``None`` if it is unavailable.  The
+    result, either way, is the process's."""
     global _cached, _failed
-    if os.environ.get("REPRO_ARRAY_CKERNEL", "1") == "0":
-        return None
     if _cached is None and not _failed:
         try:
             _cached = _compile_and_load()
         except Exception as exc:
             # boundary that must keep running: any toolchain/loader
-            # failure leaves a working (slower) engine, reported once
+            # failure leaves the reference backend, reported once
             _failed = True
-            msg = (f"C cycle kernel unavailable ({exc!r}); the array engine "
-                   f"now runs its scalar oracle, 20-30x slower at saturation")
+            msg = (f"C cycle kernel unavailable ({exc!r}); sessions run the "
+                   f"reference backend")
             stderr = getattr(exc, "stderr", None)   # a failed compile
             if stderr:
                 msg += "\n" + stderr.decode(errors="replace").strip()

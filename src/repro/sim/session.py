@@ -215,7 +215,7 @@ class SimulationSession:
         for rule, message in _AXIS_RULES:
             if rule(config, self):
                 raise ValueError(message.format(cfg=config))
-        if config.backend == "array":
+        if self.backend.name == "array":
             from repro.sim.array_backend import check_packet_flits
             check_packet_flits(self._packet_sizes())
         self._backlog_mid = 0
@@ -249,7 +249,9 @@ class SimulationSession:
     # ------------------------------------------------------------------
     def run(self) -> RunSummary:
         """Run the configured horizon and return the summary."""
-        if self.config.shard_workers > 1:
+        # shards split the array engine's state; where the kernel did not
+        # load the run is serial on reference, equal by contract
+        if self.config.shard_workers > 1 and self.backend.name == "array":
             from repro.sim.shard.runner import run_sharded
             return run_sharded(self)
         probes = self._probe_schedule()

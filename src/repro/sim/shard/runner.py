@@ -301,9 +301,8 @@ class _MergedProfiler:
                       - cats.get("fold", 0.0))
             self._report["replay_s"] = max(replay, 0.0)
         if kcs:
-            self._report["kernel_counters"] = kcs
-            self._report.update((k, base[k]) for k in ("tier", "kernel")
-                                if k in base)
+            self._report.update(kernel_counters=kcs, tier=base["tier"],
+                                kernel=base["kernel"])
 
     def report(self) -> dict:
         return self._report

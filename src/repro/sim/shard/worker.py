@@ -9,8 +9,7 @@ animates its own contiguous arc of it:
 * route refreshes are filtered to owned buffer rows (non-owned rows
   lose their route-table flag, so their headers surface as ROUTE events
   the ``_route_one`` filter drops), so non-owned rows stay inert --
-  the unmodified cycle (C kernel or scalar oracle) then simply never
-  moves remote flits;
+  the unmodified cycle then simply never moves remote flits;
 * flits granted through a *cut* port land in a remote row, are
   harvested after the step into halo records (``repro.sim.shard
   .records``), and applied by the owning shard at the start of the next
@@ -363,8 +362,7 @@ class ShardWorker:
         # all candidates are owned rows; refreshing them here mirrors
         # the serial end-of-cycle refresh
         for row in sorted(set(refresh)):
-            if not be._table_refresh(row):
-                be._route_one(row)
+            be._route(row)
 
     def _make_replica(self, f: Dict[str, object]) -> None:
         gid = f["gid"]

@@ -4,7 +4,7 @@
 needed; ``step`` is the same entry at horizon 1.  Whatever the batching,
 one spec + seed must produce the same events (winner, dateline,
 delivery, route-to-Python -- each carrying its cycle), the same state
-and the same ``RunSummary``, on the C tier and on its scalar oracle.
+and the same ``RunSummary``.
 Also pinned here: the two orderings the batching could break (a packet
 regenerated by a delivery folds ahead of the next cycle's pre-drawn
 arrivals) and the ring / pending-FIFO boundary of deep source queues.
@@ -26,7 +26,6 @@ from repro.sim.backend import SimBackend
 from repro.sim.session import SimulationSession, _merge_probes
 
 KINDS = ("quarc", "spidergon", "mesh", "torus")
-TIERS = ("1", "0")      # REPRO_ARRAY_CKERNEL: C kernel, scalar oracle
 
 
 def _named(be, events):
@@ -83,11 +82,9 @@ def _drive(config, backend="array", per_cycle=False, trace=False,
     return summary, events, digests, snaps
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("beta", (0.0, 0.1))
 @pytest.mark.parametrize("kind", KINDS)
-def test_one_advance_equals_k_steps(kind, beta, tier, monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
+def test_one_advance_equals_k_steps(kind, beta):
     kinds_seen = set()
     for rate in (0.01, 0.2):        # sub-saturation, saturated
         config = make_config(kind=kind, n=16, msg_len=6, beta=beta,
@@ -108,12 +105,10 @@ def test_one_advance_equals_k_steps(kind, beta, tier, monkeypatch):
     assert EV_ROUTE not in kinds_seen
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_multicast_header_still_routes_in_python(tier, monkeypatch):
+def test_multicast_header_still_routes_in_python():
     """What the table leaves to ``route_head``: a multicast at a Quarc
     ingress.  Its ROUTE events end their batches and the run still
     equals K single steps and the reference."""
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
     config = make_config(kind="quarc", n=16, msg_len=6, beta=0.1,
                          rate=0.05, cycles=300, warmup=50, seed=11)
 
@@ -129,11 +124,10 @@ def test_multicast_header_still_routes_in_python(tier, monkeypatch):
     assert len(routed) >= 5     # every rim ingress the branches cross
 
 
-def test_batches_really_span_cycles(monkeypatch):
+def test_batches_really_span_cycles():
     """Nothing needs Python inside a window, broadcasts included (their
     headers route by table, their tails ride the batch): the run is a
     handful of kernel entries, not one per cycle."""
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", "0")  # counted on any host
     for beta in (0.0, 0.1):
         config = make_config(kind="quarc", n=16, msg_len=6, beta=beta,
                              rate=0.2, cycles=700, warmup=150, seed=11)
@@ -203,18 +197,16 @@ def test_profile_says_how_tails_were_delivered(case):
             in session.profiler.render())
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("kind,extra", [
     ("spidergon", {}),                      # relays through repl_q
     ("quarc", {"bcast_mode": "relay"}),     # ... through the source queue
 ])
 def test_regenerated_packet_folds_before_next_arrivals(
-        kind, extra, tier, monkeypatch):
+        kind, extra, monkeypatch):
     """A relay segment regenerated by a delivery at cycle t enters its
     queue at t + 1 *ahead of* that node's pre-drawn arrivals of t + 1,
     as the reference pushes it -- although the window staged those
     arrivals first."""
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
     config = make_config(kind=kind, n=16, msg_len=4, beta=0.3, rate=0.12,
                          cycles=900, warmup=200, seed=5, **extra)
     merges = []
@@ -242,7 +234,6 @@ def test_regenerated_packet_folds_before_next_arrivals(
     assert got[3] == want[3]
 
 
-@pytest.mark.parametrize("tier", TIERS)
 @pytest.mark.parametrize("case,layouts,mixed", [
     # a relay tail lands before the window's first row has folded (the
     # consumed prefix is empty: the waiting rows shift right once) or
@@ -258,11 +249,10 @@ def test_regenerated_packet_folds_before_next_arrivals(
     (dict(workload="cache_coherence:window=4,storms=true", rate=1.0),
      {"fresh"}, False),
 ], ids=["relay", "storms", "closed-storms"])
-def test_late_rows_go_in_front(case, layouts, mixed, tier, monkeypatch):
+def test_late_rows_go_in_front(case, layouts, mixed, monkeypatch):
     """Unstamped entries are due now and lead whatever waits: written
     into the consumed prefix (or a fresh window, or after one shift),
     interned in the same pass -- event for event the per-cycle run."""
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
     config = make_config(**{"kind": "quarc", "n": 16, "msg_len": 4,
                             "cycles": 900, "warmup": 200, "seed": 5, **case})
     seen = set()
@@ -341,12 +331,10 @@ def test_spidergon_relays_restage_in_front(monkeypatch):
     assert 5000 < relayed - 20 < be._nlate <= relayed
 
 
-@pytest.mark.parametrize("tier", TIERS)
-def test_deep_source_queues_live_in_the_pending_fifo(tier, monkeypatch):
+def test_deep_source_queues_live_in_the_pending_fifo(monkeypatch):
     """Past the ring slice a source queue keeps whole packets in the
     pending FIFO and generates flit words as the ring drains.  With the
     slice shrunk to 8 flits a saturated run lives on that boundary."""
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
     monkeypatch.setattr(array_backend, "_RING_CAP", 8)
     config = make_config(kind="quarc", n=16, msg_len=6, beta=0.1,
                          rate=0.3, cycles=900, warmup=200, seed=3)

@@ -200,24 +200,6 @@ class TestArrayBackend:
         be.drain()
         assert net.deliveries == 1
 
-    def test_compiled_kernel_matches_numpy_paths(self, monkeypatch):
-        """The compiled cycle kernel is an implementation detail: with
-        it on (default where a C compiler exists) and off, the summary
-        is bit-identical.  Skips nothing -- when compilation is
-        unavailable both runs use the scalar oracle and still agree."""
-        spec = WorkloadSpec(kind="quarc", n=16, msg_len=8, beta=0.1,
-                            rate=0.08, cycles=600, warmup=100, seed=21)
-        sums = {}
-        for env in ("0", "1"):
-            monkeypatch.setenv("REPRO_ARRAY_CKERNEL", env)
-            session = SimulationSession(RunConfig(spec=spec,
-                                                  backend="array"))
-            if env == "0":
-                assert session.backend._ck is None
-            sums[env] = session.run()
-            session.backend.detach()
-        assert sums["0"] == sums["1"]
-
     def test_clock_clamps_like_reference(self):
         net, _ = build_network("quarc", 8)
         ArrayBackend(net).step(10)
@@ -240,10 +222,11 @@ class TestArrayBackend:
         assert net.state_owner is None
 
     @staticmethod
-    def _warns_once_and_still_agrees(match, in_message):
-        """Attaching warns exactly once (``match``, ``in_message``),
-        the scalar oracle runs, a second load is silent and the summary
-        equals ``reference``."""
+    def _warns_once_and_runs_reference(match, in_message):
+        """An ``array`` session warns exactly once (``match``,
+        ``in_message``) and runs ``reference``; a second load is silent,
+        a directly built engine refuses by name and the summary equals
+        ``reference``."""
         import warnings
 
         from repro.sim import ckernel
@@ -254,19 +237,21 @@ class TestArrayBackend:
             session = SimulationSession(RunConfig(spec=spec,
                                                   backend="array"))
         assert len(rec) == 1 and in_message in str(rec[0].message)
-        assert session.backend._ck is None
+        assert "sessions run the reference backend" in str(rec[0].message)
+        assert session.backend.name == "reference"
         got = session.run()
-        session.backend.detach()
         with warnings.catch_warnings():
             warnings.simplefilter("error")      # the second load is silent
             assert ckernel.load_cycle_kernel() is None
+            with pytest.raises(ValueError, match="--backend reference"):
+                ArrayBackend(build_network("quarc", 8)[0])
         assert got == _summaries(spec, ["reference"])[0]
 
     def test_failed_kernel_compile_warns_once_and_still_agrees(
             self, monkeypatch):
-        """A broken toolchain leaves the scalar oracle in charge: one
+        """A broken toolchain leaves ``reference`` in charge: one
         RuntimeWarning per process carrying the compiler's stderr, and
-        the run is still byte-identical to the reference."""
+        the summary the oracle's."""
         import subprocess
 
         from repro.sim import ckernel
@@ -275,17 +260,16 @@ class TestArrayBackend:
             raise subprocess.CalledProcessError(
                 1, ["cc"], stderr=b"cc: fatal error: no toolchain here")
 
-        monkeypatch.delenv("REPRO_ARRAY_CKERNEL", raising=False)
         monkeypatch.setattr(ckernel, "_compile_and_load", broken)
         monkeypatch.setattr(ckernel, "_cached", None)
         monkeypatch.setattr(ckernel, "_failed", False)
-        self._warns_once_and_still_agrees("no toolchain here",
-                                          "scalar oracle")
+        self._warns_once_and_runs_reference("no toolchain here",
+                                            "fatal error")
 
     def test_drifted_state_layout_is_refused(self, monkeypatch):
         """The Python and C sides of the state struct must agree byte
         for byte; a kernel whose ``repro_state_size()`` differs is not
-        called -- one warning, the scalar oracle, same results."""
+        called -- one warning, ``reference``, same results."""
         import ctypes
         import warnings
 
@@ -294,7 +278,6 @@ class TestArrayBackend:
         class Drifted(ctypes.Structure):
             _fields_ = ckernel.State._fields_ + [("extra", ctypes.c_int64)]
 
-        monkeypatch.delenv("REPRO_ARRAY_CKERNEL", raising=False)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             if ckernel.load_cycle_kernel() is None:
@@ -302,8 +285,8 @@ class TestArrayBackend:
         monkeypatch.setattr(ckernel, "State", Drifted)
         monkeypatch.setattr(ckernel, "_cached", None)
         monkeypatch.setattr(ckernel, "_failed", False)
-        self._warns_once_and_still_agrees("drifted apart",
-                                          "scalar oracle")
+        self._warns_once_and_runs_reference("drifted apart",
+                                            "repro_state is")
 
     @pytest.mark.skipif(not hasattr(os, "getuid"),
                         reason="no POSIX ownership to check")
@@ -311,14 +294,13 @@ class TestArrayBackend:
             self, monkeypatch, tmp_path):
         """The cache lives under the shared temp dir: a directory (or
         library) someone else could have written must be refused -- one
-        warning naming the path, the scalar oracle, same results."""
+        warning naming the path, ``reference``, same results."""
         import stat
         import tempfile
         import warnings
 
         from repro.sim import ckernel
 
-        monkeypatch.delenv("REPRO_ARRAY_CKERNEL", raising=False)
         monkeypatch.setenv("TMPDIR", str(tmp_path))
         monkeypatch.setattr(tempfile, "tempdir", None)
         monkeypatch.setattr(ckernel, "_cached", None)
@@ -333,14 +315,13 @@ class TestArrayBackend:
 
         libdir.chmod(0o777)
         monkeypatch.setattr(ckernel, "_cached", None)
-        self._warns_once_and_still_agrees("refusing to load", str(libdir))
+        self._warns_once_and_runs_reference("refusing to load",
+                                            str(libdir))
 
-    @pytest.mark.parametrize("ckernel_env", ["1", "0"])
-    def test_idle_step_leaves_no_events(self, ckernel_env, monkeypatch):
+    def test_idle_step_leaves_no_events(self):
         """An idle step runs no cycle, so the last-cycle outputs the
         shard worker harvests must read empty after it -- not hold the
         previous cycle's moves and dateline crossings."""
-        monkeypatch.setenv("REPRO_ARRAY_CKERNEL", ckernel_env)
         net, _ = build_network("torus", 16)
         be = ArrayBackend(net)
         net.adapters[0].send(Packet(0, 5, 1, UNICAST, created=0), 0)
@@ -351,6 +332,23 @@ class TestArrayBackend:
         st.ndl = 3                      # as a dateline cycle leaves it
         assert be.step() == 0
         assert st.moved == st.ndl == st.nev == 0
+
+    def test_fold_overflow_raises_naming_the_buffer(self):
+        """A row its buffer cannot take is a flow-control bug: the
+        kernel's fold stops at it, on the inspection path (``repro_fold``)
+        and the cycle path (``repro_run``) alike, and Python names the
+        buffer and its capacity."""
+        net, _ = build_network("quarc", 8)
+        be = ArrayBackend(net)
+        b = int(be._qtab[0, 4])
+        cap = be._cap_py[b]
+        be.rows.append((0, 4, cap + 1, None, 0))
+        msg = rf"full buffer '{be._bufs[b].label}' \(capacity {cap}\)"
+        with pytest.raises(OverflowError, match=msg):
+            be.materialize()
+        with pytest.raises(OverflowError, match=msg):
+            net.step()          # the row is still the next one due
+        assert be._inflight == 0
 
 
 class TestEnvironmentToggles:

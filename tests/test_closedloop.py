@@ -481,10 +481,3 @@ class TestClosedLoopEquivalence:
                         in resolve_workload(workload, 16).closed]
         for name in closed_names:
             assert summaries[0].extra["classes"][name]["completed"] > 0
-
-    def test_array_kernel_off_matches(self, monkeypatch):
-        spec = closed_spec(cycles=1500, warmup=300)
-        baseline = run_one(spec, backend="reference")
-        for env in ("1", "0"):
-            monkeypatch.setenv("REPRO_ARRAY_CKERNEL", env)
-            assert run_one(spec, backend="array") == baseline

@@ -71,13 +71,11 @@ def _run(config, monkeypatch, before=None):
             (d.n, d.mean, d._m2, d.min, d.max), kc)
 
 
-@pytest.mark.parametrize("tier", ("1", "0"))
 @pytest.mark.parametrize("kind,before", [
     ("quarc", None), ("quarc", _multicast), ("mesh", None), ("torus", None),
 ], ids=["quarc", "quarc-multicast", "mesh", "torus"])
-def test_engine_tails_equal_the_oracles(kind, before, tier, monkeypatch,
+def test_engine_tails_equal_the_oracles(kind, before, monkeypatch,
                                         engines_built):
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
     config = make_config(kind=kind, n=16, msg_len=6, beta=0.1, rate=0.05,
                          cycles=700, warmup=150, seed=11,
                          obs=ObsSpec(profile=True))

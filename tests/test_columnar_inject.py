@@ -5,7 +5,7 @@ cycle)`` rows; ``ArrayBackend._stage`` turns them into packet columns
 and looks the source queue up in the adapters' ``unicast_queue_table``;
 a ``Packet`` is built by ``ArrayBackend._packet`` only for an aid
 something reads as an object.  Pinned here: the row path equals the
-object path (summary, state, inject taps, both tiers), the table equals
+object path (summary, state, inject taps), the table equals
 ``send()``, the lazily built objects equal the reference's, flits are
 conserved, and ``--profile`` counts what was ever an object.
 """
@@ -78,11 +78,9 @@ def _variants(kind, beta, cfg, tmp_path):
     yield make_config(**{**base, "arrival": f"trace:path={path}"})
 
 
-@pytest.mark.parametrize("tier", ("1", "0"))
 @pytest.mark.parametrize("beta", (0.0, 0.1))
 @pytest.mark.parametrize("kind,cfg", KINDS)
-def test_rows_equal_packets(kind, cfg, beta, tier, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_ARRAY_CKERNEL", tier)
+def test_rows_equal_packets(kind, cfg, beta, tmp_path, monkeypatch):
     for config in _variants(kind, beta, cfg, tmp_path):
         session, rows = _drive(config, digest_every=97)
         assert session.backend._nrows == session.mix.generated_unicasts > 0

@@ -123,14 +123,6 @@ class TestConservationAndEquivalence:
             assert runs[backend] == ref, (
                 f"{backend} diverges from reference on faulted {kind}")
 
-    def test_array_compute_paths_agree_under_faults(self, monkeypatch):
-        """C kernel on / off are byte-identical on a faulted run."""
-        sums = {}
-        for env in ("1", "0"):
-            monkeypatch.setenv("REPRO_ARRAY_CKERNEL", env)
-            sums[env] = run_faulted("torus", "array")
-        assert sums["1"] == sums["0"]
-
     def test_determinism(self):
         """Same seed + plan: byte-identical summaries on repeat runs,
         including the random `links:`/`routers:` target picks."""

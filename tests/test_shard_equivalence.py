@@ -73,13 +73,6 @@ class TestShardIdentity:
         _, sharded = run_once(spec, shard_workers=4)
         assert sharded == serial
 
-    def test_numpy_path(self, inproc, monkeypatch):
-        monkeypatch.setenv("REPRO_ARRAY_CKERNEL", "0")
-        spec = spec_for("torus")
-        _, serial = run_once(spec)
-        _, sharded = run_once(spec, shard_workers=2)
-        assert sharded == serial
-
     def test_quarc_relay_mode(self, inproc):
         spec = spec_for("quarc", workload=(
             "classes:uni=uniform,rate=0.01,len=4;"
