@@ -156,8 +156,9 @@ class LatencyCollector:
 
     def on_collective_tail(self, op: "CollectiveOp", node: int,
                            now: int) -> None:
-        """A tail of ``op`` reached ``node`` -- the arrival rule, once, for
-        adapters, array replay and shard merge: a node's first arrival is
+        """A tail of ``op`` reached ``node`` -- the arrival rule, for
+        adapters and the shard merge (the array engine's kernel applies
+        it at the cycle, ``_cycle_kernel.c``): a node's first arrival is
         a per-receiver sample, the last expected one completes the op."""
         was_new = node not in op.deliveries
         done = op.deliver(node, now)
@@ -167,6 +168,7 @@ class LatencyCollector:
             self.on_collective_complete(op, now)
 
     def on_collective_complete(self, op: "CollectiveOp", now: int) -> None:
+        """``op``'s last expected receiver, on every path to it."""
         self.completed_collective += 1
         measured = op.created >= self.warmup
         if measured:
@@ -178,6 +180,8 @@ class LatencyCollector:
             stats.delivered += 1
             if measured:
                 stats.latency.add(now - op.created)
+        if op.on_complete is not None:
+            op.on_complete(now)
 
     def on_relay_segment(self) -> None:
         self.relay_segments += 1

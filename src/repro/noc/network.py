@@ -34,8 +34,8 @@ class Adapter:
       left no way out, drop it at the source).
     * :meth:`receive_tail` runs when a packet's tail reaches this node
       (ejection or broadcast clone): a unicast is ``on_unicast``, a
-      collective tail ``on_collective_tail``, a relay segment
-      :meth:`_relay_forward`.
+      collective tail ``on_collective_tail``, then a relay segment
+      :meth:`_relay_next`.
     * A relay chain (broadcast by unicast) visits a collective's
       targets one segment at a time, split by rim side
       (:meth:`_send_chains`); each packet carries the whole chain and
@@ -45,16 +45,15 @@ class Adapter:
     A subclass keeps its topology: which queue a message enters, and how
     ``send_broadcast`` / ``send_multicast`` fan out.  An array engine
     relies on this contract: it stages unicasts by
-    :meth:`unicast_queue_table`, accounts unicast and collective tails
-    straight into the collector, and stops its batch only for the tails
-    of :attr:`reinjecting_tails`.
+    :meth:`unicast_queue_table`, accounts unicast tails straight into the
+    collector, takes collective receipts in its kernel and stops its
+    batch for :attr:`reinjecting_tails` only, to call :meth:`_relay_next`.
     """
 
     __slots__ = ("node", "net", "router", "collector")
 
     #: traffic kinds whose tail may push a packet back into the network
-    #: (:meth:`_relay_forward`); every other tail only feeds the
-    #: collector
+    #: (:meth:`_relay_next`); every other tail only feeds the collector
     reinjecting_tails = (RELAY,)
 
     def __init__(self, node: int, router: Router,
@@ -154,24 +153,22 @@ class Adapter:
             self.collector.on_relay_segment()
         q.push_packet(pkt)
 
-    def _relay_forward(self, pkt: Packet, now: int) -> None:
-        """Absorb, record, regenerate toward the chain's next target."""
-        op = pkt.op
-        if op is not None:
-            self.collector.on_collective_tail(op, self.node, now)
+    def _relay_next(self, pkt: Packet, now: int) -> None:
+        """Regenerate a delivered relay segment toward the chain's next
+        target (its receipt is the collector's, taken first)."""
         chain, pos = pkt.meta["chain"], pkt.meta["pos"] + 1
         if pos < len(chain):
-            self._relay(op, chain, pos, pkt.size, now, True)
+            self._relay(pkt.op, chain, pos, pkt.size, now, True)
 
     # -- delivery --------------------------------------------------------
     def receive_tail(self, pkt: Packet, now: int) -> None:
-        t = pkt.traffic
-        if t == UNICAST:
+        if pkt.traffic == UNICAST:
             self.collector.on_unicast(pkt, now)
-        elif t == RELAY:
-            self._relay_forward(pkt, now)
-        elif pkt.op is not None:    # no tracker: nothing to record
+            return
+        if pkt.op is not None:      # no tracker: nothing to record
             self.collector.on_collective_tail(pkt.op, self.node, now)
+        if pkt.traffic == RELAY:
+            self._relay_next(pkt, now)
 
 
 def flit_key(pkt: "Packet", fidx: int):
@@ -213,6 +210,9 @@ class Network:
         self.deliveries = 0
         self._moves: List[Move] = []
         self.on_tail: Optional[Callable[[int, "Packet", int], None]] = None
+        #: called as ``on_tagged_tail(node, src, tag, created, now)`` for a
+        #: delivered unicast sent with a ``tag`` (the closed-loop engine's)
+        self.on_tagged_tail: Optional[Callable[..., None]] = None
         #: Fault seam: the installed :class:`repro.faults.FaultState`,
         #: or ``None``.  When set, :meth:`deliver` splits tails into
         #: delivered vs dropped, and routing dispatches through the
@@ -267,21 +267,23 @@ class Network:
     # injection / delivery
     # ------------------------------------------------------------------
     def send_unicast(self, node: int, dst: int, size: int,
-                     cls: Optional[str], now: int) -> None:
+                     cls: Optional[str], now: int, tag=None) -> None:
         """The traffic generators' unicast funnel.  An array engine takes
         the message as a row (``state_owner.rows``; its queue from
         ``Adapter.unicast_queue_table``) and builds its :class:`Packet`
         only if something reads one; with no engine, or under a fault
         state (source-side rerouting and flit accounting read the
         object), it is ``Packet`` + ``adapter.send`` -- still the public
-        object API."""
+        object API.  A ``tag`` comes back through :attr:`on_tagged_tail`
+        when the tail is delivered."""
         owner = self.state_owner
         if owner is None or self.fault_state is not None:
             pkt = Packet(node, dst, size, UNICAST, created=now)
             pkt.cls = cls
+            pkt.tag = tag
             self.adapters[node].send(pkt, now)
         else:
-            owner.rows.append((node, dst, size, cls, now))
+            owner.rows.append((node, dst, size, cls, now, tag))
 
     def deliver(self, node: int, pkt: "Packet", fidx: int, now: int) -> None:
         """A flit reached the PE at ``node`` (ejection or broadcast clone).
@@ -300,6 +302,8 @@ class Network:
                 return
             self.deliveries += 1
             self.adapters[node].receive_tail(pkt, now)
+            if pkt.tag is not None:
+                self.on_tagged_tail(node, pkt.src, pkt.tag, pkt.created, now)
             cb = self.on_tail
             if cb is not None:
                 cb(node, pkt, now)

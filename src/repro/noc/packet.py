@@ -19,7 +19,7 @@ simulator keeps the fields unpacked for speed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 __all__ = ["Packet", "CollectiveOp", "UNICAST", "BROADCAST", "MULTICAST",
            "RELAY", "TRAFFIC_NAMES"]
@@ -71,15 +71,18 @@ class Packet:
         distance ``h`` along the branch is a target (Sec. 2.5.3).
     meta:
         Small per-packet scratch dict: a relay segment's ``chain`` of
-        targets and its ``pos`` in it, closed-loop transaction tags.
+        targets and its ``pos`` in it.
     cls:
         Workload traffic-class name (multi-class mixes tag packets so
         the collector can break latency down per class); ``None`` on the
         untagged single-class path.
+    tag:
+        What ``Network.send_unicast(..., tag=)`` attached, handed to
+        ``Network.on_tagged_tail`` on delivery; ``None`` if untagged.
     """
 
     __slots__ = ("pid", "src", "dst", "size", "traffic", "created",
-                 "vclass", "op", "bitstring", "meta", "cls")
+                 "vclass", "op", "bitstring", "meta", "cls", "tag")
 
     def __init__(self, src: int, dst: int, size: int, traffic: int = UNICAST,
                  created: int = 0, op: Optional["CollectiveOp"] = None,
@@ -97,6 +100,7 @@ class Packet:
         self.bitstring = bitstring
         self.meta: Dict[str, int] = {}
         self.cls: Optional[str] = None
+        self.tag = None
 
     @property
     def is_collective(self) -> bool:
@@ -121,7 +125,7 @@ class CollectiveOp:
     """
 
     __slots__ = ("src", "created", "expected", "deliveries", "completed_at",
-                 "kind", "cls", "dropped")
+                 "kind", "cls", "dropped", "on_complete")
 
     def __init__(self, src: int, created: int, expected: int,
                  kind: int = BROADCAST):
@@ -138,6 +142,9 @@ class CollectiveOp:
         #: at least one branch of this operation was dropped by a fault
         #: (the op can then never complete; counted once per op)
         self.dropped = False
+        #: called as ``on_complete(now)`` by the collector once it has
+        #: accounted the completion (the closed loop's phase barrier)
+        self.on_complete: Optional[Callable[[int], None]] = None
 
     def deliver(self, node: int, now: int) -> bool:
         """Record tail-flit arrival at ``node``.  Returns True on the

@@ -29,7 +29,9 @@ the cycle body's own work counters, read from the engine's
 state struct: entries (``calls``), cycles executed inside them,
 buffers scanned, eligible candidates, flits moved, why batches ended
 (``stops``), how many staged packets were rows / ever objects / staged
-late, and how many tails each delivery path took.
+late, and how many tails each delivery path took: collective receipts
+counted by the kernel, unicasts from their columns, the rest through
+``Adapter.receive_tail``.
 
 Profile results never enter ``RunSummary.extra``: wall times differ
 per backend and per host, and ``extra`` must stay byte-identical
@@ -60,7 +62,7 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "packets_built": staged - rows + backend._nbuilt,
             "packets_late": backend._nlate,
             "tails_delivered": backend.net.deliveries,
-            "tails_collector": backend._ncoll,
+            "tails_kernel": st.receipts,
             "tails_unicast": backend._nuni,
             "tails_receive_tail": backend._nrecv,
             "stops": dict(zip(STOPS, st.stops))}
@@ -184,8 +186,8 @@ class PhaseProfiler:
             lines.append(
                 "  packets: {packets_staged} staged, {packets_rows} as rows, "
                 "{packets_built} built, {packets_late} late\n"
-                "  tails: {tails_delivered} delivered, {tails_collector} by "
-                "the collector, {tails_unicast} as unicast columns, "
+                "  tails: {tails_delivered} delivered, {tails_kernel} counted "
+                "by the kernel, {tails_unicast} as unicast columns, "
                 "{tails_receive_tail} through receive_tail".format(**kc))
             stops = ", ".join(f"{n} {why}"
                               for why, n in kc["stops"].items())

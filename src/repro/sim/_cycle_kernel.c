@@ -11,9 +11,9 @@
  * ckernel.State; repro_state_size() lets the loader refuse a drifted
  * layout.  Pointers are caller-owned numpy buffers: per-buffer and
  * per-port columns at fixed addresses, the per-packet columns, the
- * arrival rows and the event buffer re-pointed by Python whenever it
- * grows them (only ever between two calls).  bestpr must arrive filled
- * with BIG; every slot consumed is re-armed.
+ * arrival rows, the receipt table and the event buffer re-pointed by
+ * Python whenever it grows them (only ever between two calls).  bestpr
+ * must arrive filled with BIG; every slot consumed is re-armed.
  *
  * One cycle.
  *   fold     arrival rows (cycle, buffer, aid) due at `now` join their
@@ -28,7 +28,8 @@
  *            priority tie).
  *   phase B  winners commit in ascending flat-port order: pop (topping
  *            the ring up from the pending FIFO), switching tables,
- *            deliver-clone, then eject or dateline + push.
+ *            deliver-clone, then eject or dateline + push; a tail that
+ *            reaches a PE is a receipt, an event or both (take_tail).
  *   refresh  dateline crossings upgrade the packet's vclass (and
  *            re-refresh its blocked, already-routed header), then every
  *            newly exposed header is routed from the packed table:
@@ -36,6 +37,14 @@
  *            (vreset << 1) | deliver, gated by rtflag[b] (0 none,
  *            1 every class but multicast, 2 every class); bclone =
  *            clone to the PE if the packet is a BROADCAST.
+ *
+ * Receipts.  popx = (generation << 32) | slot names a collective
+ * packet's receipt-table slot (-1: Python takes it).  The tail is then
+ * LatencyCollector.on_collective_tail: a node's first arrival records
+ * the cycle, bumps the count, folds now - created into dn .. dm2 by
+ * OnlineStats.add's operations (no FMA: -ffp-contract=off) if created
+ * >= warmup; the expected-th emits COMPLETE.  A stale generation is a
+ * duplicate tail of an op already complete: no receipt.
  *
  * Stop rule.  What needs Python objects becomes an event; the batch
  * ends at the end of the cycle that emitted
@@ -45,18 +54,19 @@
  *     unchanged: Python routes the header and re-enters the same cycle;
  *   - a DELIVERY of a tail that cannot wait: its traffic kind's bit is
  *     set in `stopkinds` (the kinds whose delivery may push a packet
- *     back into the network; every kind under on_tail / faults).  Other
- *     deliveries ride along and are replayed after the batch in
+ *     back into the network; every kind under on_tail / faults).
+ *     Other events ride along and are replayed after the batch in
  *     emission order = (cycle, port);
  * or before a cycle that could overflow the event buffer (a cycle emits
  * at most EV_PER_PORT events a port), or at the horizon.
  *
- * Events are int64 pairs: ev[2i] = (cycle << 2) | kind, ev[2i + 1] =
+ * Events are int64 pairs: ev[2i] = (cycle << 3) | kind, ev[2i + 1] =
  *   EV_DELIVERY (aid << 16) | port     EV_ROUTE    buffer row
  *   EV_DATELINE flit word              EV_WINNER   buffer row
- * the last two only under `trace` (tests, divergence hunts).  outdl /
- * ndl keep the dateline flit words of the last executed cycle for the
- * shard worker.
+ *   EV_COMPLETE receipt-table slot (before the same tail's DELIVERY)
+ * the DATELINE and WINNER only under `trace` (tests, divergence hunts).
+ * outdl / ndl keep the dateline flit words of the last executed cycle
+ * for the shard worker.
  */
 
 #include <stdint.h>
@@ -67,24 +77,28 @@
 #define BIG ((int64_t)1 << 30)
 #define MULTICAST 1
 #define BROADCAST 2
-#define EV_PER_PORT 7
+#define EV_PER_PORT 8
 #define FOLD_OVERFLOW (-1)
 #define FOLD_FULL (-2)
 
 enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS };
-enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER };
+enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE };
+/* a receipt-table slot: these, then N arrival cycles (-1: none yet) */
+enum { RT_CREATED, RT_EXPECTED, RT_COUNT, RT_GEN, RT_ROW };
 
 typedef struct {
-    /* geometry, fixed while attached */
-    int64_t B, P, PV, SB, Fm1, rstride;
+    /* geometry and the collector's warmup, fixed while attached */
+    int64_t B, P, PV, SB, Fm1, rstride, N, warmup;
     /* control, written by Python before each entry */
     int64_t now, horizon, nofast, stopkinds, trace;
     /* run state */
     int64_t inflight, apos, an, nev, evcap;
     /* outputs of the last entry / last executed cycle */
-    int64_t stop, moved, ejected, ndl;
+    int64_t stop, moved, ejected, ndl, counted;
     /* cumulative work counters (the phase profiler's) */
-    int64_t calls, cycles, scanned, cands, flits, stops[4];
+    int64_t calls, cycles, scanned, cands, flits, receipts, stops[4];
+    int64_t dn, dmin, dmax;     /* the per-receiver delay accumulator */
+    double dmean, dm2;
     /* per buffer */
     int64_t *qlen, *front, *rhead, *want, *vcreq, *jof, *pvb, *pvb2;
     int64_t *phead, *ptail, *pfid, *ppend;
@@ -93,13 +107,16 @@ typedef struct {
     /* per port (owner/down per port*2+vc) */
     int64_t *owner, *rr, *fs;
     const int64_t *down, *rbase, *rmask, *qcap, *vcmode, *pv2of, *rtab;
+    const int64_t *pnode;
     int64_t *rflat;
     /* per-cycle scratch */
     int64_t *bestpr, *bestb, *bestvc, *outdl, *outrf;
     /* per packet (aid), growable */
-    int64_t *pdst, *ptraf, *psize, *pvcl, *phdr, *pnext;
+    int64_t *pdst, *ptraf, *psize, *pvcl, *phdr, *pnext, *popx;
     /* arrival rows [apos, an), growable */
     int64_t *acyc, *abuf, *aaid;
+    /* receipt table, RT_ROW + N int64 a slot, growable */
+    int64_t *rtbl;
     /* event buffer, evcap pairs, growable */
     int64_t *ev;
 } repro_state;
@@ -108,9 +125,42 @@ int64_t repro_state_size(void) { return (int64_t)sizeof(repro_state); }
 
 static void emit(repro_state *s, int64_t kind, int64_t cyc, int64_t word)
 {
-    s->ev[2 * s->nev] = (cyc << 2) | kind;
+    s->ev[2 * s->nev] = (cyc << 3) | kind;
     s->ev[2 * s->nev + 1] = word;
     s->nev++;
+}
+
+/* The tail of packet aid reached the PE of port p's node: the kernel's
+ * receipt (see the header) if popx names a slot, and a DELIVERY event
+ * unless it was and the kind is not in stopkinds.  Returns 1 if the
+ * batch must end after this cycle. */
+static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
+{
+    int64_t x = s->popx[aid] & 0xFFFFFFFF;
+    int stop = (int)((s->stopkinds >> s->ptraf[aid]) & 1);
+    if (s->popx[aid] >= 0) {
+        int64_t *slot = s->rtbl + x * (RT_ROW + s->N);
+        int64_t *at = slot + RT_ROW + s->pnode[p];
+        s->counted++;
+        if (s->popx[aid] >> 32 == slot[RT_GEN] && *at < 0) {
+            int64_t v = now - slot[RT_CREATED];
+            double delta = (double)v - s->dmean;    /* OnlineStats.add */
+            *at = now;
+            if (slot[RT_CREATED] >= s->warmup) {
+                s->dn++;
+                s->dmean += delta / (double)s->dn;
+                s->dm2 += delta * ((double)v - s->dmean);
+                s->dmin = s->dn == 1 || v < s->dmin ? v : s->dmin;
+                s->dmax = s->dn == 1 || v > s->dmax ? v : s->dmax;
+            }
+            if (++slot[RT_COUNT] == slot[RT_EXPECTED])
+                emit(s, EV_COMPLETE, now, x);
+        }
+        if (!stop)
+            return 0;
+    }
+    emit(s, EV_DELIVERY, now, (aid << 16) | p);
+    return stop;
 }
 
 /* Generate flit words of b's pending packets while its ring has room. */
@@ -235,6 +285,7 @@ int64_t repro_run(repro_state *s)
     s->calls++;
     s->moved = 0;
     s->ejected = 0;
+    s->counted = 0;
     while (now < horizon) {
         int64_t nroute = fold(s, now), nrf = 0, tailstop = 0;
         int64_t moved = 0, nscan = 0, ncand = 0;
@@ -338,16 +389,12 @@ int64_t repro_run(repro_state *s)
                 emit(s, EV_WINNER, now, b);
             /* deliver-clone, then eject or dateline+push (reference
              * order) */
-            if (tail && dlv[b]) {
-                emit(s, EV_DELIVERY, now, (aid << 16) | p);
-                tailstop |= (s->stopkinds >> s->ptraf[aid]) & 1;
-            }
+            if (tail && dlv[b])
+                tailstop |= take_tail(s, aid, p, now);
             dst = down[pv];
             if (dst == SB) {
-                if (tail) {
-                    emit(s, EV_DELIVERY, now, (aid << 16) | p);
-                    tailstop |= (s->stopkinds >> s->ptraf[aid]) & 1;
-                }
+                if (tail)
+                    tailstop |= take_tail(s, aid, p, now);
                 s->ejected++;
                 s->inflight--;
             } else {
@@ -403,5 +450,6 @@ int64_t repro_run(repro_state *s)
     s->now = now;
     s->stop = stop;
     s->stops[stop]++;
+    s->receipts += s->counted;
     return now;
 }

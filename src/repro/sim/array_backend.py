@@ -26,13 +26,13 @@ for what a cycle reads (``_pdst``, ``_ptraf``, ``_psize``, ``_pvcl``:
 the dateline class, owned here while attached and synced with
 ``Packet.vclass`` only at the Python-route boundary and in
 ``materialize``; ``_phdr``: the row holding the packet's routed
-header), lists for what only deliveries read (``_pborn``, ``_pcls``,
-``_pop``: the ``CollectiveOp`` if the tail is the collector's alone -- a
-kind not in ``Adapter.reinjecting_tails`` -- else ``None``).
+header; ``_popx``: its collective op's receipt slot, below, or -1),
+lists for what only deliveries read (``_pborn``, ``_pcls``), and
+``_ptag`` for a tagged row's tag.
 A packet may be columns only: ``_pkts[aid]`` is ``None`` for a unicast
 staged as a row until :meth:`ArrayBackend._packet` builds the object
-(with ``_psrc``) for a Python route, a fault, ``on_tail`` or an
-inspection -- a saturated run builds none.  Each buffer owns a
+(with ``_psrc`` and its tag) for a Python route, a fault, ``on_tail`` or
+an inspection -- a saturated run builds none.  Each buffer owns a
 power-of-two ring slice of one flat flit array; an injected packet
 joins its source queue's **pending-packet FIFO** (``_phead`` /
 ``_ptail``, linked through ``_pnext``; ``_pfid`` = next flit of the
@@ -75,18 +75,20 @@ without a stamp are *late* -- due at the cycle about to run, so a packet
 injected at cycle *t* arbitrates at *t*, like a reference push -- and go
 one by one into the consumed prefix, in front of the rows still waiting
 (O(1) a packet).  Events carry their cycle: a tail that reached a PE
-(``EV_DELIVERY``), a header only the router can route (``EV_ROUTE``:
-no table row, a multicast on a row without it, anything under a fault
-state).  A cycle that emitted a ROUTE event, or a delivery that cannot
-wait (a tail of ``Adapter.reinjecting_tails`` -- relay segments; any
-tail when ``net.on_tail`` / a fault state is set), ends its batch;
-every other delivery, broadcast branches included, comes back batched
-and replays in emission order = (cycle, ascending port), the
-reference's float-accumulation order: a ``_pop`` tail as one
-``collector.on_collective_tail`` call, a unicast as ``on_unicast_cols``,
-the rest through ``Network.deliver``.  A packet staged by a delivery at
+(``EV_DELIVERY``), an op's completion (``EV_COMPLETE``), a header only
+the router can route (``EV_ROUTE``: no table row, a multicast on a row
+without it, anything under a fault state).  A cycle that emitted a
+ROUTE event, or a delivery that cannot wait (a tail of
+``Adapter.reinjecting_tails`` -- relay segments; any tail when
+``net.on_tail`` / a fault state is set), ends its batch; every other
+event replays after it in emission order = (cycle, ascending port), the
+reference's float-accumulation order.  A packet staged by a delivery at
 cycle *t* (relay regeneration) folds at *t + 1* ahead of the pre-drawn
 arrivals of *t + 1*, as the reference pushes it.
+
+Receipts (the sim README has the contract): while the kernel counts,
+each open op has a slot of ``_rtbl`` and ``collector.delivery`` is the
+state struct's ``dn`` .. ``dm2``; :meth:`_sync` writes them back.
 
 Equivalence notes (``tests/differential.py`` guards all of them):
 
@@ -116,7 +118,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.noc.network import Adapter, flit_key
-from repro.noc.packet import TRAFFIC_NAMES, UNICAST, Packet
+from repro.noc.packet import RELAY, TRAFFIC_NAMES, UNICAST, Packet
 from repro.sim.backend import Probes, SimBackend
 from repro.sim.ckernel import State, load_cycle_kernel
 
@@ -140,15 +142,19 @@ _RING_CAP = 4096
 #: report's ``stops`` keys) and the event kinds, as in _cycle_kernel.c.
 STOPS = ("horizon", "python_route", "delivery", "events_full")
 STOP_EVENTS = STOPS.index("events_full")
-EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER = range(4)
+EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE = range(5)
 #: Most events one cycle can emit per port: a winner and a dateline
-#: word (trace only), two deliveries, three routes.
-EV_PER_PORT = 7
+#: word (trace only), two deliveries and a completion, three routes.
+EV_PER_PORT = 8
+#: A receipt-table slot: created, expected, receipts, its generation
+#: (``RT_GEN``), then from ``RT_ROW`` one arrival cycle per node.
+RT_GEN, RT_ROW = 3, 4
 #: ``State.stopkinds`` with every kind's bit set.
 ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
 
 #: The aid-indexed int64 columns and the arrival-row columns.
-_PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_psrc")
+_PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_popx",
+          "_psrc")
 _ACOLS = ("_acyc", "_abuf", "_aaid")
 
 #: Packed-field capacities, checked once when a session is built.  A
@@ -258,7 +264,8 @@ class ArrayBackend(SimBackend):
         self._qcap = qcap
 
         # ports
-        self._pnode = [p.router.node for p in ports]
+        self._pnode_py = [p.router.node for p in ports]
+        self._pnode = np.array(self._pnode_py, np.int64)
         self._isdl_py = [p.is_dateline for p in ports]
         self._isdl = np.array(self._isdl_py, bool)
         self._nf_py = [len(p.feeders) for p in ports]
@@ -352,8 +359,8 @@ class ArrayBackend(SimBackend):
         self._pkts: List = []
         self._pcls: List[Optional[str]] = []
         self._pborn: List[int] = []
-        self._pop: List = []
-        for name in ("pdst ptraf psize pvcl phdr pnext psrc acyc abuf "
+        self._ptag: Dict[int, object] = {}
+        for name in ("pdst ptraf psize pvcl phdr pnext popx psrc acyc abuf "
                      "aaid").split():
             setattr(self, "_" + name, z(1024))
         evcap = max(256, 2 * EV_PER_PORT * P)
@@ -375,12 +382,20 @@ class ArrayBackend(SimBackend):
             np.int32)
         # --profile: rows staged, built anyway, entries late; tails by path
         self._nrows = self._nbuilt = self._nlate = 0
-        self._ncoll = self._nuni = self._nrecv = 0
+        self._nuni = self._nrecv = 0
         self._acoll = [ad.collector for ad in a]
-        # the traffic kinds whose tail ends its batch (relay segments);
-        # every other kind's tail is ``on_collective_tail`` alone
+        # the traffic kinds whose tail ends its batch (relay segments)
         self._stopkinds = sum(1 << kind for kind in Adapter.reinjecting_tails)
-        self._popkinds = ~self._stopkinds
+        # receipts (module docstring): the collector they are taken for,
+        # the table, the open ops' slots and the free ones
+        from repro.core.collector import LatencyCollector
+        kc = a[0].collector if a else None
+        self._kcoll = (kc if type(kc) is LatencyCollector
+                       and self._acoll.count(kc) == len(a) else None)
+        self._rtbl = np.zeros((16, RT_ROW + net.n), np.int64)
+        self._slot_of: Dict = {}
+        self._slot_op: List = []
+        self._free: List[int] = []
 
         # per-cycle scratch: the round-robin pick; the dateline flit
         # words (``_outdl[:_st.ndl]``, read by the shard worker) and
@@ -393,10 +408,16 @@ class ArrayBackend(SimBackend):
         # the scalars, and what every kernel entry is handed
         st = self._st = State(B=B, P=P, PV=self._PV, SB=self._SB,
                               Fm1=self._Fm1, rstride=self._rtab.shape[1],
-                              evcap=evcap)
+                              N=net.n, evcap=evcap)
         for name in State.POINTERS:
             setattr(st, name, getattr(self, "_" + name).ctypes.data)
         self._stp = ctypes.addressof(st)
+        if kc is not None:      # the accumulator moves into the kernel
+            d = kc.delivery
+            st.warmup, st.dn, st.dmean, st.dm2 = kc.warmup, d.n, d.mean, d._m2
+            if d.n:
+                st.dmin, st.dmax = d.min, d.max
+        self._dn = st.dn
 
     def _grow(self, names: Tuple[str, ...], need: int, keep: int) -> None:
         """Reallocate the int64 columns ``names`` to at least ``need``
@@ -423,21 +444,20 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     def _intern(self, pkts, cols=None) -> int:
         """Append ``pkts`` (for rows: ``None``s, and ``cols`` = class,
-        created, op, dst, size, traffic, vclass) to the packet columns;
-        returns the first new aid.  Aids are never reused or reset while
-        attached."""
+        created, receipt slot, dst, size, traffic, vclass) to the packet
+        columns; returns the first new aid.  Aids are never reused or
+        reset while attached."""
         a0 = len(self._pkts)
         a1 = a0 + len(pkts)
         if a1 > len(self._pdst):
             self._grow(_PCOLS, a1, a0)
-        cls, born, op, dst, size, traf, vcl = cols or zip(*[
-            (p.cls, p.created,
-             p.op if self._popkinds >> p.traffic & 1 else None,
-             p.dst, p.size, p.traffic, p.vclass) for p in pkts])
+        cls, born, opx, dst, size, traf, vcl = cols or zip(*[
+            (p.cls, p.created, self._slot(p.op), p.dst, p.size, p.traffic,
+             p.vclass) for p in pkts])
         self._pkts.extend(pkts)
         self._pcls.extend(cls)
         self._pborn.extend(born)
-        self._pop.extend(op)
+        self._popx[a0:a1] = opx
         self._pdst[a0:a1] = dst
         self._ptraf[a0:a1] = traf
         self._psize[a0:a1] = size
@@ -450,7 +470,7 @@ class ArrayBackend(SimBackend):
         have: pick each one's source buffer (the queue table, -1 where
         ``send`` raises; returned) and count it generated.  ``_pkts``
         holds ``None``, ``_psrc`` the source node, for :meth:`_packet`."""
-        node, dst, size, cls, born = zip(*rows)
+        node, dst, size, cls, born, tag = zip(*rows)
         dst = np.array(dst)
         bad = dst[(dst < 0) | (dst >= len(self._qtab))]
         if len(bad):
@@ -461,8 +481,11 @@ class ArrayBackend(SimBackend):
             raise ValueError("local address has no quadrant")
         k = len(rows)
         nones = [None] * k
-        a0 = self._intern(nones, (cls, born, nones, dst, size, UNICAST, 0))
+        a0 = self._intern(nones, (cls, born, -1, dst, size, UNICAST, 0))
         self._psrc[a0:a0 + k] = node
+        if tag.count(None) < k:
+            self._ptag.update((a0 + i, t) for i, t in enumerate(tag)
+                              if t is not None)
         self._nrows += k
         for n, c in Counter(node).items():
             self._acoll[n].note_generated(False, c)
@@ -476,8 +499,72 @@ class ArrayBackend(SimBackend):
                 int(self._psrc[aid]), int(self._pdst[aid]),
                 int(self._psize[aid]), created=self._pborn[aid])
             pkt.cls = self._pcls[aid]
+            pkt.tag = self._ptag.pop(aid, None)
             self._nbuilt += 1
         return pkt
+
+    # ------------------------------------------------------------------
+    # receipts (module docstring)
+    # ------------------------------------------------------------------
+    def _slot(self, op) -> int:
+        """``_popx`` of a packet of ``op``: its receipt slot, opened on
+        the op's first packet, and the slot's generation; -1 for no op,
+        a complete one, or while receipts are Python's."""
+        if op is None or self._kcoll is None or op.completed_at is not None:
+            return -1
+        x = self._slot_of.get(op)
+        tbl = self._rtbl
+        if x is None:
+            x = self._free.pop() if self._free else len(self._slot_op)
+            if x == len(self._slot_op):
+                self._slot_op.append(None)
+            if x == len(tbl):
+                self._rtbl = tbl = np.concatenate((tbl, np.zeros_like(tbl)))
+                self._st.rtbl = tbl.ctypes.data
+            tbl[x, :RT_GEN] = op.created, op.expected, len(op.deliveries)
+            tbl[x, RT_ROW:] = -1
+            for node, t in op.deliveries.items():
+                tbl[x, RT_ROW + node] = t
+            self._slot_of[op] = x
+            self._slot_op[x] = op
+        return int(tbl[x, RT_GEN]) << 32 | x
+
+    def _fill(self, x: int, op) -> None:
+        """``op.deliveries`` from slot ``x`` (in node order)."""
+        row = self._rtbl[x, RT_ROW:].tolist()
+        op.deliveries = {v: t for v, t in enumerate(row) if t >= 0}
+
+    def _complete(self, x: int, now: int) -> None:
+        """``EV_COMPLETE``: slot ``x``'s op reached its last expected
+        receiver at ``now``."""
+        op = self._slot_op[x]
+        self._fill(x, op)
+        op.completed_at = now
+        del self._slot_of[op]
+        self._slot_op[x] = None
+        self._rtbl[x, RT_GEN] += 1
+        self._free.append(x)
+        self._kcoll.on_collective_complete(op, now)
+
+    def _sync(self, ops: bool = False) -> None:
+        """Write the kernel's receipts back: the per-receiver accumulator
+        if it moved and, with ``ops``, every open op's ``deliveries``."""
+        st, kc = self._st, self._kcoll
+        if kc is not None and st.dn != self._dn:
+            self._dn = st.dn
+            d = kc.delivery
+            d.n, d.mean, d._m2, d.min, d.max = (st.dn, st.dmean, st.dm2,
+                                                st.dmin, st.dmax)
+        for op, x in self._slot_of.items() if ops else ():
+            self._fill(x, op)
+
+    def _release(self) -> None:
+        """Python takes every receipt from here on (a fault state, or a
+        collector the engine did not adopt)."""
+        self._sync(ops=True)
+        self._kcoll = None
+        self._popx[:] = -1
+        self._slot_of.clear()
 
     def _adopt(self) -> None:
         """(Re)build all dynamic array state from the object graph and
@@ -568,7 +655,7 @@ class ArrayBackend(SimBackend):
         at.extend([now] * (n - len(at)))
         # rows take the first aids, packets the rest: an aid is an
         # interning order, only the arrival rows keep the push order
-        rows = [e for e in staged if len(e) == 5]
+        rows = [e for e in staged if len(e) == 6]
         k = len(rows)
         a0 = len(self._pkts)
         abuf = self._intern_rows(rows) if k else ()
@@ -580,7 +667,7 @@ class ArrayBackend(SimBackend):
             abuf = np.concatenate((abuf, obuf)) if k else obuf
         aaid = np.arange(a0, a0 + n)
         if 0 < k < n:
-            isrow = np.array([len(e) == 5 for e in staged])
+            isrow = np.array([len(e) == 6 for e in staged])
             rank = np.where(isrow, isrow.cumsum() - 1,
                             k - 1 + (~isrow).cumsum())
             abuf, aaid = abuf[rank], aaid[rank]
@@ -627,21 +714,23 @@ class ArrayBackend(SimBackend):
                 b = self._bid[e[0]]
                 dst, size, cls, born = pkt.dst, pkt.size, pkt.cls, pkt.created
                 traf, vcl = pkt.traffic, pkt.vclass
-                op = pkt.op if self._popkinds >> traf & 1 else None
+                opx = self._slot(pkt.op)
             else:
-                node, dst, size, cls, born = e
+                node, dst, size, cls, born, tag = e
                 b = self._qtab[node, dst] if 0 <= dst < len(self._qtab) else -1
                 if b < 0:       # raise what ``adapter.send`` would
                     self._intern_rows([e])
-                pkt = op = None
+                pkt, opx = None, -1
                 traf, vcl = UNICAST, 0
                 self._psrc[aid] = node
+                if tag is not None:
+                    self._ptag[aid] = tag
                 self._nrows += 1
                 self._acoll[node].note_generated(False)
             self._pkts.append(pkt)
             self._pcls.append(cls)
             self._pborn.append(born)
-            self._pop.append(op)
+            self._popx[aid] = opx
             self._pdst[aid] = dst
             self._ptraf[aid] = traf
             self._psize[aid] = size
@@ -728,12 +817,18 @@ class ArrayBackend(SimBackend):
     # delivery residue
     # ------------------------------------------------------------------
     def _deliver(self, node: int, aid: int, now: int) -> None:
-        """A tail ``_replay`` could not hand the collector directly: a
-        unicast from its columns, anything else through
-        ``Network.deliver`` (the adapter's ``receive_tail``)."""
+        """A delivery event: a unicast from its columns (then its tag's
+        hook); what the kernel left of a receipt it took (a relay to
+        regenerate, ``on_tail``); any other through ``Network.deliver``."""
         net = self.net
         pkt = self._pkts[aid]       # None: a row, a unicast nobody read
         if pkt is not None and pkt.traffic != UNICAST:
+            if self._popx[aid] >= 0:
+                if pkt.traffic == RELAY:
+                    net.adapters[node]._relay_next(pkt, now)
+                if net.on_tail is not None:
+                    net.on_tail(node, pkt, now)
+                return
             before = net.deliveries     # a doomed tail is not delivered
             net.deliver(node, pkt, pkt.size - 1, now)
             self._nrecv += net.deliveries - before
@@ -749,6 +844,10 @@ class ArrayBackend(SimBackend):
         self._nuni += 1
         self._acoll[node].on_unicast_cols(self._pborn[aid], self._pcls[aid],
                                           now)
+        tag = self._ptag.pop(aid, None) if pkt is None else pkt.tag
+        if tag is not None:
+            src = int(self._psrc[aid]) if pkt is None else pkt.src
+            net.on_tagged_tail(node, src, tag, self._pborn[aid], now)
         if cb is not None:
             cb(node, pkt, now)
 
@@ -756,32 +855,20 @@ class ArrayBackend(SimBackend):
     # event replay: everything a batch of cycles owes the Python objects
     # ------------------------------------------------------------------
     def _replay(self, events) -> None:
-        """Apply a batch's events in emission order: deliveries
-        (collector callbacks, (cycle, ascending port) so float
-        accumulation order is the reference's) and, after its cycle's
-        deliveries, each header only the router can route."""
-        pnode, net, cb = self._pnode, self.net, self.net.on_tail
-        pop, acoll = self._pop, self._acoll
-        fast = net.fault_state is None      # else: _deliver's doomed check
-        ncoll = 0
+        """Apply a batch's events in emission order = (cycle, ascending
+        port), so float accumulation order is the reference's: tail
+        deliveries, op completions and, after its cycle's deliveries,
+        each header only the router can route."""
+        pnode = self._pnode_py
         it = iter(events)
         for key, word in zip(it, it):
-            kind = key & 3
+            kind = key & 7
             if kind == EV_DELIVERY:
-                aid = word >> 16
-                node = pnode[word & 0xFFFF]
-                op = pop[aid] if fast else None
-                if op is None:
-                    self._deliver(node, aid, key >> 2)
-                    continue
-                ncoll += 1
-                acoll[node].on_collective_tail(op, node, key >> 2)
-                if cb is not None:
-                    cb(node, self._pkts[aid], key >> 2)
+                self._deliver(pnode[word & 0xFFFF], word >> 16, key >> 3)
+            elif kind == EV_COMPLETE:
+                self._complete(word, key >> 3)
             elif kind == EV_ROUTE:
                 self._route_one(word)
-        self._ncoll += ncoll
-        net.deliveries += ncoll
 
     # ------------------------------------------------------------------
     # SimBackend interface
@@ -792,9 +879,13 @@ class ArrayBackend(SimBackend):
         cycle is executed from."""
         net = self.net
         st = self._st
+        fs = net.fault_state
+        kc = self._kcoll
+        if kc is not None and (fs is not None or self._acoll.count(kc)
+                               != len(self._acoll)):
+            self._release()
         if self._staged:
             self._stage(now)
-        fs = net.fault_state
         st.nofast = fs is not None
         st.stopkinds = (self._stopkinds if fs is None and net.on_tail is None
                         else ALL_KINDS)
@@ -805,6 +896,7 @@ class ArrayBackend(SimBackend):
             events = self._call(self._ck)
             now = st.now
             net.flits_moved += st.moved
+            net.deliveries += st.counted
             if fs is not None:
                 fs.ejected_flits += st.ejected
             if events:
@@ -814,6 +906,7 @@ class ArrayBackend(SimBackend):
                 st.evcap = len(self._ev) // 2
             if self._staged and now < horizon:
                 self._stage(now)    # regenerated by a delivery: due next
+        self._sync()
         net.cycle = horizon
         return horizon
 
@@ -827,7 +920,7 @@ class ArrayBackend(SimBackend):
 
     def total_flits(self) -> int:
         st = self._st
-        n = st.inflight + sum(e[2] if len(e) == 5 else e[1].size
+        n = st.inflight + sum(e[2] if len(e) == 6 else e[1].size
                               for e in self._staged)
         if st.apos < st.an:
             n += int(self._psize[self._aaid[st.apos:st.an]].sum())
@@ -854,6 +947,7 @@ class ArrayBackend(SimBackend):
             # feedback reaches the sources before the next generate;
             # step() stays the array/kernel engine, at horizon 1
             SimBackend.run_mix(self, mix, cycles, probes)
+            self._sync(ops=True)
             return
         probes = probes or {}
         inject = mix.inject
@@ -881,6 +975,7 @@ class ArrayBackend(SimBackend):
                 if due[pi] == t - 1:
                     probes[due[pi]](t - 1)
                     pi += 1
+        self._sync(ops=True)
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph
@@ -893,6 +988,7 @@ class ArrayBackend(SimBackend):
         if self.net.state_owner is not self:
             return
         self._flush()
+        self._sync(ops=True)
         packet, rflat = self._packet, self._rflat
         for b, buf in enumerate(self._bufs):
             q = buf.q

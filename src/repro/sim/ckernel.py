@@ -13,8 +13,9 @@ mirrors the C ``repro_state`` field for field, and a kernel whose
 refused instead of corrupting memory.
 
 The kernel is compiled on first use with whatever ``cc`` the host has
-(``$CC`` overrides), cached under the system temp directory keyed by a
-hash of the source, and loaded via :mod:`ctypes` -- but only from a
+(``$CC`` overrides) and :data:`CFLAGS`, cached under the system temp
+directory keyed by a hash of the source and that compile command, and
+loaded via :mod:`ctypes` -- but only from a
 cache directory and library this user owns and nobody else can write
 (the temp directory is shared: whoever created the path first would
 otherwise run code in this process).  Any failure -- no compiler,
@@ -41,6 +42,10 @@ __all__ = ["State", "load_cycle_kernel", "source_hash"]
 
 _SRC_PATH = os.path.join(os.path.dirname(__file__), "_cycle_kernel.c")
 
+#: ``-ffp-contract=off``: the receipt accumulator rounds like Python's
+#: ``OnlineStats`` only if no ``a * b + c`` becomes an FMA (aarch64, clang).
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
 
 class State(ctypes.Structure):
     """``repro_state`` of ``_cycle_kernel.c``, in its field order; a
@@ -49,17 +54,20 @@ class State(ctypes.Structure):
     POINTERS = (
         "qlen front rhead want vcreq jof pvb pvb2 phead ptail pfid ppend "
         "dlv hdrf ne fullb rtflag isdl owner rr fs "
-        "down rbase rmask qcap vcmode pv2of rtab rflat "
+        "down rbase rmask qcap vcmode pv2of rtab pnode rflat "
         "bestpr bestb bestvc outdl outrf "
-        "pdst ptraf psize pvcl phdr pnext acyc abuf aaid ev").split()
+        "pdst ptraf psize pvcl phdr pnext popx acyc abuf aaid rtbl "
+        "ev").split()
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
-            "B P PV SB Fm1 rstride "                # geometry
+            "B P PV SB Fm1 rstride N warmup "       # fixed while attached
             "now horizon nofast stopkinds trace "    # control
             "inflight apos an nev evcap "           # run state
-            "stop moved ejected ndl "               # outputs
-            "calls cycles scanned cands flits").split()]    # counters
+            "stop moved ejected ndl counted "       # outputs
+            "calls cycles scanned cands flits receipts").split()]
         + [("stops", ctypes.c_int64 * 4)]
+        + [(name, ctypes.c_int64) for name in ("dn", "dmin", "dmax")]
+        + [(name, ctypes.c_double) for name in ("dmean", "dm2")]
         + [(name, ctypes.c_void_p) for name in POINTERS])
 
 
@@ -83,11 +91,17 @@ def _check_private(path: str, is_kind) -> None:
             f"(found uid {st.st_uid}, mode {stat.filemode(st.st_mode)})")
 
 
+def _compiler() -> list:
+    return [os.environ.get("CC", "cc"), *CFLAGS]
+
+
 def source_hash() -> str:
     """The 16 hex digits that key the kernel cache (and name the kernel
-    in ``--profile`` reports)."""
+    in ``--profile`` reports): the source and the compile command, so a
+    changed compiler or flag never loads a stale library."""
     with open(_SRC_PATH, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
+        key = "\0".join(_compiler()).encode() + b"\0\0" + fh.read()
+    return hashlib.sha256(key).hexdigest()[:16]
 
 
 def _compile_and_load() -> ctypes.CDLL:
@@ -100,14 +114,13 @@ def _compile_and_load() -> ctypes.CDLL:
     _check_private(libdir, stat.S_ISDIR)
     lib = os.path.join(libdir, f"cycle-{tag}.so")
     if not os.path.exists(lib):
-        cc = os.environ.get("CC", "cc")
         # compile to a unique name, then atomically publish: concurrent
         # test shards may race on the same cache entry
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=libdir)
         os.close(fd)
         try:
             subprocess.run(
-                [cc, "-O2", "-shared", "-fPIC", "-o", tmp, _SRC_PATH],
+                [*_compiler(), "-o", tmp, _SRC_PATH],
                 check=True, capture_output=True, timeout=120)
             os.replace(tmp, lib)
         finally:

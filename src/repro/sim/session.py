@@ -97,7 +97,7 @@ _AXIS_RULES = (
      " replay the open-loop variant of the workload (window=0)"),
     (lambda cfg, s: s._closedloop is not None and cfg.shard_workers > 1,
      "closed-loop workloads cannot run sharded (shard_workers > 1): the"
-     " closed-loop engine needs the network's tail-delivery callback,"
+     " closed-loop engine needs its tagged-tail and barrier callbacks,"
      " which the sharded engine does not transport across shard"
      " boundaries; run with shard_workers=1 (any backend)"),
     (lambda cfg, s: s._closedloop is not None and bool(cfg.spec.faults),
@@ -194,12 +194,10 @@ class SimulationSession:
                     built = built.scaled(spec.rate)
                 self.mix = TrafficMix(self.net, seed=spec.seed,
                                       classes=built.classes)
-                # the engine hooks itself into the mix; the delivery
-                # side is the network's tail-callback seam, which every
-                # backend fires at cycle granularity
+                # the engine hooks itself into the mix and subscribes
+                # to its own tagged tails
                 self._closedloop = ClosedLoopEngine(
                     built, self.mix, warmup=spec.warmup)
-                self.net.on_tail = self._closedloop.on_tail
             else:
                 classes = built
                 if spec.rate != 1.0:

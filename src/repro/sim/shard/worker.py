@@ -161,7 +161,8 @@ class ShardWorker:
     def _swap_collectors(self) -> None:
         """Point every adapter (and the backend's ``_acoll`` fast paths)
         at the recorder.  The session's real collector stays pristine for
-        the master's merge replay."""
+        the master's merge replay; the engine, seeing a collector it did
+        not adopt, leaves every collective tail to ``receive_tail``."""
         if self.net.on_tail is not None:
             raise AssertionError(
                 "sharded runs cannot compose with net.on_tail hooks")

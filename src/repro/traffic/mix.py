@@ -502,8 +502,8 @@ class TrafficMix:
         """Bind a :class:`~repro.workloads.closedloop.ClosedLoopEngine`:
         :meth:`generate` calls its ``begin_cycle`` hook each cycle and
         routes closed-loop class issues through ``engine.issue``.  The
-        caller still owns the delivery side (install ``engine.on_tail``
-        as the network's tail callback)."""
+        delivery side is the engine's own subscription
+        (``net.on_tagged_tail``)."""
         if self._cl_engine is not None and self._cl_engine is not engine:
             raise ValueError("a closed-loop engine is already attached")
         self._cl_engine = engine

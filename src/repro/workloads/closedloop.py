@@ -23,15 +23,15 @@ Three pieces cooperate:
     picklable, like everything else a
     :class:`~repro.traffic.workload.WorkloadSpec` resolves to.
 :class:`ClosedLoopEngine`
-    The runtime: it owns the injection-feedback seam.  Installed as the
-    network's ``on_tail`` callback it observes every tail delivery at
-    cycle granularity -- both backends surface deliveries this way,
-    the array engine's C kernel included -- and (a) schedules directory
-    replies for delivered requests, (b) returns window credits on
-    completions, and (c) advances barrier-synchronised phases.  Its
-    injections run through the mix's adapters and counters, so traffic
-    accounting, the ``on_inject`` tap and the collector see one
-    consistent stream whichever backend drives the run.
+    The runtime: it owns the injection-feedback seam and hears only its
+    own transactions -- tagged unicasts (``Network.send_unicast(...,
+    tag=)``, subscribed through ``net.on_tagged_tail``) and the phase
+    barrier's ``CollectiveOp.on_complete``, which every backend fires at
+    cycle granularity.  It (a) schedules directory replies for delivered
+    requests, (b) returns window credits on completions, and (c)
+    advances barrier-synchronised phases.  Its injections run through
+    the mix's counters, so traffic accounting, the ``on_inject`` tap and
+    the collector see one consistent stream whichever backend drives it.
 
 Transaction modes
 -----------------
@@ -59,10 +59,10 @@ Determinism: every backend drives reactive mixes cycle by cycle
 (generation at ``t`` sees exactly the deliveries of cycles ``< t``),
 delivery order within a cycle is identical across backends, and the
 engine's reply queue preserves arrival order -- so closed-loop runs are
-byte-identical across reference/array, C kernel on or off,
-exactly like open-loop runs.  ``TrafficMix.generate`` reads a calendar
-instead of polling the sources; the engine re-arms a source with every
-credit and phase quota (see :class:`ClosedLoopSource`).
+byte-identical across backends, exactly like open-loop runs.
+``TrafficMix.generate`` reads a calendar instead of polling the sources;
+the engine re-arms a source with every credit and phase quota (see
+:class:`ClosedLoopSource`).
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.noc.packet import UNICAST, Packet
 from repro.sim.stats import OnlineStats
 from repro.traffic.arrival import ArrivalModel
 from repro.traffic.mix import CAST_BROADCAST, CAST_UNICAST, TrafficClass
@@ -84,12 +83,6 @@ __all__ = ["ClosedLoopSource", "ClosedLoopClass", "ClosedLoopWorkload",
 
 MODE_REQREPLY = "reqreply"
 MODE_STREAM = "stream"
-
-#: packet.meta tags the engine uses to recognise its transactions at
-#: the delivery callback (values: the class index, or (index, created))
-_TAG_REQUEST = "clq"
-_TAG_REPLY = "clr"
-_TAG_STREAM = "clm"
 
 
 class ClosedLoopSource(ArrivalModel):
@@ -281,11 +274,12 @@ class ClosedLoopEngine:
     """Runtime feedback seam between deliveries and injections.
 
     Construction wires it into the mix (issue interception + per-cycle
-    hook); the session installs :meth:`on_tail` as the network's tail
-    callback.  All state transitions happen either in ``on_tail``
-    (during ``step``) or in :meth:`begin_cycle` (at the head of
-    ``generate``), so the generate-before-step cycle contract makes the
-    whole loop deterministic across backends.
+    hook) and subscribes :meth:`on_tagged_tail`.  A tag is the class
+    index ``k`` (a request or stream message, as the class's mode says)
+    or ``(k, request created)`` (a reply).  All state transitions happen
+    either in a delivery hook (during ``step``) or in :meth:`begin_cycle`
+    (at the head of ``generate``), so the generate-before-step cycle
+    contract makes the whole loop deterministic across backends.
     """
 
     def __init__(self, wl: ClosedLoopWorkload, mix: "TrafficMix",
@@ -335,7 +329,6 @@ class ClosedLoopEngine:
         self.phases_done = 0
         self.phase_start = 0
         self._barrier_k: Optional[int] = None
-        self._barrier_op = None
         self._barrier_at: Optional[int] = None
         self._resume_at: Optional[int] = None
         if wl.barrier:
@@ -348,6 +341,7 @@ class ClosedLoopEngine:
                     for s in self.sources[k]:
                         s.quota_left = cl.quota
         mix.attach_closedloop(self)
+        mix.net.on_tagged_tail = self.on_tagged_tail
 
     # ------------------------------------------------------------------
     # generation side (runs at the head of mix.generate)
@@ -372,32 +366,23 @@ class ClosedLoopEngine:
         cl = self.closed_k[k]
         cls = mix.classes[k]
         dst = mix._cls_patterns[k].pick(node, mix._cls_dst_rng[node][k])
-        if cl.mode == MODE_REQREPLY:
-            size, tag = cl.req_len, _TAG_REQUEST
-        else:
-            size, tag = cls.msg_len, _TAG_STREAM
-        if mix.on_inject is not None:
-            mix.on_inject(node, now, cls.name, dst, size, False)
-        pkt = Packet(node, dst, size, UNICAST, created=now)
-        pkt.cls = cls.name
-        pkt.meta[tag] = k
-        mix.net.adapters[node].send(pkt, now)
-        mix.generated_unicasts += 1
-        mix.class_generated[cls.name] += 1
+        size = cl.req_len if cl.mode == MODE_REQREPLY else cls.msg_len
+        self._send(node, dst, size, k, k, now)
 
     def _inject_reply(self, home: int, requester: int, k: int,
                       created: int, now: int) -> None:
+        self._send(home, requester, self.mix.classes[k].msg_len, k,
+                   (k, created), now)
+
+    def _send(self, node: int, dst: int, size: int, k: int, tag,
+              now: int) -> None:
         mix = self.mix
-        cls = mix.classes[k]
+        name = mix.classes[k].name
         if mix.on_inject is not None:
-            mix.on_inject(home, now, cls.name, requester, cls.msg_len,
-                          False)
-        pkt = Packet(home, requester, cls.msg_len, UNICAST, created=now)
-        pkt.cls = cls.name
-        pkt.meta[_TAG_REPLY] = (k, created)
-        mix.net.adapters[home].send(pkt, now)
+            mix.on_inject(node, now, name, dst, size, False)
+        mix.net.send_unicast(node, dst, size, name, now, tag)
         mix.generated_unicasts += 1
-        mix.class_generated[cls.name] += 1
+        mix.class_generated[name] += 1
 
     def _inject_barrier(self, now: int) -> None:
         mix = self.mix
@@ -409,9 +394,9 @@ class ClosedLoopEngine:
             mix.on_inject(src, now, cls.name, -1, cls.msg_len, True)
         op = mix.net.adapters[src].send_broadcast(cls.msg_len, now)
         op.cls = cls.name
+        op.on_complete = self._barrier_completed
         mix.generated_broadcasts += 1
         mix.class_generated[cls.name] += 1
-        self._barrier_op = op
 
     def _start_phase(self, now: int) -> None:
         self.phase_start = now
@@ -423,40 +408,31 @@ class ClosedLoopEngine:
                     self.mix.arm(node * self._k_count + k, now)
 
     # ------------------------------------------------------------------
-    # delivery side (the network's on_tail callback, fired during step)
+    # delivery side (the network's tagged-tail hook, fired during step)
     # ------------------------------------------------------------------
-    def on_tail(self, node: int, pkt: Packet, now: int) -> None:
-        meta = pkt.meta
-        if meta:    # most tails carry no tag at all (broadcast branches)
-            k = meta.get(_TAG_REQUEST)
-            if k is not None:
-                # request reached its directory home: schedule the reply
-                cl = self.closed_k[k]
-                self._due.setdefault(now + 1 + cl.service, []).append(
-                    (node, pkt.src, k, pkt.created))
-                return
-            tag = meta.get(_TAG_REPLY)
-            if tag is not None:
-                # reply reached the requester: transaction complete
-                k, created = tag
-                self.sources[k][node].outstanding -= 1
-                self.mix.arm(node * self._k_count + k, now + 1)
-                self._complete(self.mix.classes[k].name, created, now)
-                return
-            k = meta.get(_TAG_STREAM)
-            if k is not None:
-                # a stream message's own delivery is its completion
-                self.sources[k][pkt.src].outstanding -= 1
-                self.mix.arm(pkt.src * self._k_count + k, now + 1)
-                self._complete(self.mix.classes[k].name, pkt.created, now)
-                if self.closed_k[k].quota > 0 and self._phase_left:
-                    self._phase_left -= 1
-                    if not self._phase_left:
-                        self._phase_done(now)
-                return
-        op = pkt.op
-        if op is not None and op is self._barrier_op and op.complete:
-            self._barrier_completed(now)
+    def on_tagged_tail(self, node: int, src: int, tag, created: int,
+                       now: int) -> None:
+        if type(tag) is tuple:
+            # reply reached the requester: transaction complete
+            k, created = tag
+            self.sources[k][node].outstanding -= 1
+            self.mix.arm(node * self._k_count + k, now + 1)
+            self._complete(self.mix.classes[k].name, created, now)
+            return
+        k, cl = tag, self.closed_k[tag]
+        if cl.mode == MODE_REQREPLY:
+            # request reached its directory home: schedule the reply
+            self._due.setdefault(now + 1 + cl.service, []).append(
+                (node, src, k, created))
+            return
+        # a stream message's own delivery is its completion
+        self.sources[k][src].outstanding -= 1
+        self.mix.arm(src * self._k_count + k, now + 1)
+        self._complete(self.mix.classes[k].name, created, now)
+        if cl.quota > 0 and self._phase_left:
+            self._phase_left -= 1
+            if not self._phase_left:
+                self._phase_done(now)
 
     def _phase_done(self, now: int) -> None:
         """Every phased message of this phase has been delivered."""
@@ -471,7 +447,6 @@ class ClosedLoopEngine:
         # barrier broadcast reaching its last receiver
         self._complete(self.wl.barrier, self.phase_start, now)
         self.phases_done += 1
-        self._barrier_op = None
         self._resume_at = now + 1 + self.wl.gap
 
     def _complete(self, name: str, created: int, now: int) -> None:

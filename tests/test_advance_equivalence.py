@@ -20,8 +20,8 @@ from repro.core.api import build_network
 from repro.noc.network import flit_key
 from repro.obs import ObsSpec
 from repro.sim import array_backend
-from repro.sim.array_backend import (EV_DATELINE, EV_DELIVERY, EV_ROUTE,
-                                     EV_WINNER, FIDMASK, FSHIFT)
+from repro.sim.array_backend import (EV_COMPLETE, EV_DATELINE, EV_DELIVERY,
+                                     EV_ROUTE, EV_WINNER, FIDMASK, FSHIFT)
 from repro.sim.backend import SimBackend
 from repro.sim.session import SimulationSession, _merge_probes
 
@@ -29,16 +29,19 @@ KINDS = ("quarc", "spidergon", "mesh", "torus")
 
 
 def _named(be, events):
-    """``events`` with every aid (an interning order, which batching
-    changes) replaced by the packet it names."""
+    """``events`` with every aid and receipt slot (an interning order,
+    which batching changes) replaced by the packet / op it names."""
     out = []
     it = iter(events)
     for key, word in zip(it, it):
-        kind = key & 3
+        kind = key & 7
         if kind == EV_DELIVERY:
             word = (flit_key(be._packet(word >> 16), 0), word & 0xFFFF)
         elif kind == EV_DATELINE:
             word = flit_key(be._packet(word >> FSHIFT), word & FIDMASK)
+        elif kind == EV_COMPLETE:
+            op = be._slot_op[word]
+            word = (op.src, op.created)
         out += (key, word)
     return out
 
@@ -96,9 +99,11 @@ def test_one_advance_equals_k_steps(kind, beta):
         assert batched[0] == stepped[0], (kind, beta, rate)   # summary
         assert batched[0] == _drive(config, "reference")[0]
         keys = batched[1][::2]
-        assert keys == sorted(keys, key=lambda k: k >> 2)   # cycle order
-        kinds_seen.update(k & 3 for k in keys)
+        assert keys == sorted(keys, key=lambda k: k >> 3)   # cycle order
+        kinds_seen.update(k & 7 for k in keys)
     assert {EV_WINNER, EV_DELIVERY} <= kinds_seen
+    # a broadcast's receipts are the kernel's: Python hears completions
+    assert (EV_COMPLETE in kinds_seen) == (beta > 0)
     if kind != "mesh":              # rings and tori have dateline links
         assert EV_DATELINE in kinds_seen
     # broadcast headers route by table (the clone is bit 2 of the entry)
@@ -120,7 +125,7 @@ def test_multicast_header_still_routes_in_python():
     assert batched[:3] == stepped[:3]
     assert batched[0] == _drive(config, "reference", before=multicast)[0]
     routed = [w for k, w in zip(batched[1][::2], batched[1][1::2])
-              if k & 3 == EV_ROUTE]
+              if k & 7 == EV_ROUTE]
     assert len(routed) >= 5     # every rim ingress the branches cross
 
 
@@ -159,11 +164,12 @@ FIG11 = dict(beta=0.1, rate=0.0034)
     # ... the clone ablation changes the table, not that ...
     (dict(FIG11, clone_disabled=True), [0], range(20)),
     # ... Spidergon still stops on every relay tail (regeneration is
-    # Python, ROADMAP 2(c)) ...
+    # Python, ROADMAP 3(a)) ...
     (dict(FIG11, kind="spidergon"), range(1000, 4000), range(1000, 4000)),
-    # ... and the closed loop every cycle for on_tail, never for a header
+    # ... and the closed loop enters once a cycle (horizon 1) but never
+    # for a tail: it hears its tagged ones in the replay
     (dict(workload="cache_coherence:window=4", rate=1.0, cycles=2000,
-          warmup=400), range(2001), [2000]),
+          warmup=400), [0], [2000]),
 ], ids=["quarc", "quarc-noclone", "spidergon", "closed_coherence"])
 def test_python_is_entered_for_events_not_headers(case, delivery, calls):
     kc, _ = _stops(**case)
@@ -178,21 +184,21 @@ def test_python_is_entered_for_events_not_headers(case, delivery, calls):
          warmup=400)], ids=["quarc", "spidergon", "closed_coherence"])
 def test_profile_says_how_tails_were_delivered(case):
     """``tails:`` splits the deliveries by path, ``packets:`` counts the
-    late ones: only a relay needs ``receive_tail`` (and re-stages)."""
+    late ones: every collective receipt is the kernel's, relay segments
+    included (only their regeneration is Python's, and re-stages)."""
     session = SimulationSession(make_config(
         **{"n": 64, "msg_len": 16, "seed": 1, "cycles": 4000,
            "warmup": 1000, **case}, obs=ObsSpec(profile=True)))
     session.run()
     kc = session.profiler.report()["kernel_counters"]
-    by_path = (kc["tails_collector"], kc["tails_unicast"],
+    by_path = (kc["tails_kernel"], kc["tails_unicast"],
                kc["tails_receive_tail"])
     assert sum(by_path) == kc["tails_delivered"] == session.net.deliveries
+    assert by_path[0] > 1000 and not by_path[2]
     relays = case.get("kind") == "spidergon"
-    assert (by_path[2] > 1000 and not by_path[0]) if relays else (
-        by_path[0] > 1000 and not by_path[2])
     assert (kc["packets_late"] > 0) == (relays or "workload" in case)
-    assert ("built, {} late\n  tails: {} delivered, {} by the collector, {} "
-            "as unicast columns, {} through receive_tail\n".format(
+    assert ("built, {} late\n  tails: {} delivered, {} counted by the "
+            "kernel, {} as unicast columns, {} through receive_tail\n".format(
                 kc["packets_late"], kc["tails_delivered"], *by_path)
             in session.profiler.render())
 
@@ -245,9 +251,10 @@ def test_regenerated_packet_folds_before_next_arrivals(
     # packets in one batch (the window stamps them instead)
     (dict(workload="cache_coherence:storms=true,read_rate=0.05,"
                    "write_rate=0.01", rate=1.0), {"fresh"}, True),
-    # reactive (horizon 1 either way) with an open-loop class
+    # reactive (horizon 1 either way) with an open-loop class: the
+    # closed loop's tagged rows and the storms' broadcast packets
     (dict(workload="cache_coherence:window=4,storms=true", rate=1.0),
-     {"fresh"}, False),
+     {"fresh"}, True),
 ], ids=["relay", "storms", "closed-storms"])
 def test_late_rows_go_in_front(case, layouts, mixed, monkeypatch):
     """Unstamped entries are due now and lead whatever waits: written
@@ -301,7 +308,7 @@ def test_bad_late_rows_raise_like_send():
 
 
 def test_spidergon_relays_restage_in_front(monkeypatch):
-    """ROADMAP 2(c), interim half: on the Spidergon Fig. 11 cell every
+    """ROADMAP 3(a), interim half: on the Spidergon Fig. 11 cell every
     relay tail re-stages its segment late -- no ``concatenate``, no
     ``argsort`` (same branch) over what the window still holds."""
     stage, concatenate = array_backend.ArrayBackend._stage, np.concatenate

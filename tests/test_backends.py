@@ -318,6 +318,23 @@ class TestArrayBackend:
         self._warns_once_and_runs_reference("refusing to load",
                                             str(libdir))
 
+    def test_cache_tag_keys_the_compile_command(self, monkeypatch):
+        """The cache tag hashes the compile command with the source, so
+        a changed flag or compiler never loads a stale library; and the
+        flags forbid the FMA contraction that would round the kernel's
+        receipt accumulator differently from Python's."""
+        from repro.sim import ckernel
+
+        assert "-ffp-contract=off" in ckernel.CFLAGS
+        tag = ckernel.source_hash()
+        with monkeypatch.context() as m:
+            m.setattr(ckernel, "CFLAGS", (*ckernel.CFLAGS, "-DNDEBUG"))
+            assert ckernel.source_hash() != tag
+        with monkeypatch.context() as m:
+            m.setenv("CC", "another-cc")
+            assert ckernel.source_hash() != tag
+        assert ckernel.source_hash() == tag
+
     def test_idle_step_leaves_no_events(self):
         """An idle step runs no cycle, so the last-cycle outputs the
         shard worker harvests must read empty after it -- not hold the
@@ -342,7 +359,7 @@ class TestArrayBackend:
         be = ArrayBackend(net)
         b = int(be._qtab[0, 4])
         cap = be._cap_py[b]
-        be.rows.append((0, 4, cap + 1, None, 0))
+        be.rows.append((0, 4, cap + 1, None, 0, None))
         msg = rf"full buffer '{be._bufs[b].label}' \(capacity {cap}\)"
         with pytest.raises(OverflowError, match=msg):
             be.materialize()

@@ -48,10 +48,17 @@ def _probed_run(spec, backend, obs, **cfg):
 # probe-stream equivalence
 # ----------------------------------------------------------------------
 class TestProbeEquivalence:
-    @pytest.mark.parametrize("kind", ["quarc", "spidergon"])
-    def test_streams_identical_across_backends(self, kind):
-        spec = WorkloadSpec(kind=kind, n=8, msg_len=4, beta=0.1,
-                            rate=0.02, cycles=800, warmup=200, seed=7)
+    @pytest.mark.parametrize("kind,load", [
+        ("quarc", dict(beta=0.1, rate=0.02)),
+        ("spidergon", dict(beta=0.1, rate=0.02)),
+        # the kernel counts the broadcast receipts: the probes' window
+        # by window net.deliveries must not lag the reference's
+        ("quarc", dict(beta=0.0, rate=1.0,
+                       workload="cache_coherence:window=4")),
+    ], ids=["quarc", "spidergon", "quarc-closed-coherence"])
+    def test_streams_identical_across_backends(self, kind, load):
+        spec = WorkloadSpec(kind=kind, n=8, msg_len=4, cycles=800,
+                            warmup=200, seed=7, **load)
         obs = ObsSpec(probes=ALL_PROBES, latency_hist=True)
         streams, hists = {}, {}
         for backend in ALL_BACKENDS:
