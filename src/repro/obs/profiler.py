@@ -27,7 +27,8 @@ host without the C kernel); an ``array`` report adds ``tier``
 (``ckernel``, with the kernel's source hash in ``kernel``) and carries
 the cycle body's own work counters, read from the engine's
 state struct: entries (``calls``), cycles executed inside them,
-buffers scanned, eligible candidates, flits moved, why batches ended
+buffers scanned (non-empty rows examined from the ready set), eligible
+candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / ever objects / staged
 late, and how many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns, the rest through
@@ -57,7 +58,8 @@ def _kernel_counters(backend) -> Dict[str, object]:
     staged, rows = len(backend._pkts), backend._nrows
     return {"calls": st.calls, "cycles": st.cycles,
             "buffers_scanned": st.scanned, "candidates": st.cands,
-            "flits_moved": st.flits,
+            "flits_moved": st.flits, "wakes": st.wakes,
+            "rescans": st.rescans,
             "packets_staged": staged, "packets_rows": rows,
             "packets_built": staged - rows + backend._nbuilt,
             "packets_late": backend._nlate,
@@ -182,7 +184,8 @@ class PhaseProfiler:
             lines.append(f"  kernel: {kc['calls']} calls, "
                          f"{kc['buffers_scanned']} buffers scanned, "
                          f"{kc['candidates']} candidates, "
-                         f"{kc['flits_moved']} flits moved")
+                         f"{kc['flits_moved']} flits moved, "
+                         f"{kc['wakes']} wakes, {kc['rescans']} rescans")
             lines.append(
                 "  packets: {packets_staged} staged, {packets_rows} as rows, "
                 "{packets_built} built, {packets_late} late\n"

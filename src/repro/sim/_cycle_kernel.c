@@ -13,7 +13,8 @@
  * per-port columns at fixed addresses, the per-packet columns, the
  * arrival rows, the receipt table and the event buffer re-pointed by
  * Python whenever it grows them (only ever between two calls).  bestpr
- * must arrive filled with BIG; every slot consumed is re-armed.
+ * must arrive filled with BIG and pcand zeroed; every slot consumed is
+ * re-armed.
  *
  * One cycle.
  *   fold     arrival rows (cycle, buffer, aid) due at `now` join their
@@ -24,12 +25,14 @@
  *   idle     nothing in flight: the clock jumps to the next arrival
  *            row or the horizon.
  *   phase A  eligibility + round-robin pick against start-of-cycle
- *            state, ascending buffer, strict '<' (lowest buffer wins a
- *            priority tie).
- *   phase B  winners commit in ascending flat-port order: pop (topping
- *            the ring up from the pending FIFO), switching tables,
- *            deliver-clone, then eject or dateline + push; a tail that
- *            reaches a PE is a receipt, an event or both (take_tail).
+ *            state over the ready set (below), ascending buffer, strict
+ *            '<' (lowest buffer wins a priority tie); a port with a
+ *            candidate sets its bit of pcand.
+ *   phase B  winners commit in ascending flat-port order, the set bits
+ *            of pcand: pop (topping the ring up from the pending FIFO),
+ *            switching tables, deliver-clone, then eject or dateline +
+ *            push; a tail that reaches a PE is a receipt, an event or
+ *            both (take_tail).
  *   refresh  dateline crossings upgrade the packet's vclass (and
  *            re-refresh its blocked, already-routed header), then every
  *            newly exposed header is routed from the packed table:
@@ -37,6 +40,23 @@
  *            (vreset << 1) | deliver, gated by rtflag[b] (0 none,
  *            1 every class but multicast, 2 every class); bclone =
  *            clone to the PE if the packet is a BROADCAST.
+ *
+ * Ready set.  Phase A examines only the rows whose bit of rdy is set and
+ * clears the bit of a row it finds empty or ineligible; a candidate
+ * keeps it (a loser is still eligible next cycle).  A row outside the
+ * set is therefore empty or blocked, and stays so until one of these
+ * wakes it (setting a bit is always safe, missing one is a wrong run):
+ *   - a pop from a full row d wakes the feeders of port upof[d] >> 1
+ *     (fbuf[fptr[p] .. fptr[p + 1]): its downstream has room again;
+ *   - an owner release at port*2+vc wakes the feeders of that port;
+ *   - a push into an empty row, and a fold that fills an empty one,
+ *     wake that row (its front changed);
+ *   - a successful repro_refresh wakes its row: newly exposed headers,
+ *     dateline re-refreshes and every header Python routes by table.
+ * Rescan contract: Python sets `rescan` wherever it writes per-buffer or
+ * per-port columns itself (adoption, a header routed by the router, the
+ * shard worker's halo); the next repro_run rebuilds rdy from ne and
+ * clears the flag.  The set lives across entries otherwise.
  *
  * Receipts.  popx = (generation << 32) | slot names a collective
  * packet's receipt-table slot (-1: Python takes it).  The tail is then
@@ -90,13 +110,15 @@ typedef struct {
     /* geometry and the collector's warmup, fixed while attached */
     int64_t B, P, PV, SB, Fm1, rstride, N, warmup;
     /* control, written by Python before each entry */
-    int64_t now, horizon, nofast, stopkinds, trace;
+    int64_t now, horizon, nofast, stopkinds, trace, rescan;
     /* run state */
     int64_t inflight, apos, an, nev, evcap;
     /* outputs of the last entry / last executed cycle */
     int64_t stop, moved, ejected, ndl, counted;
-    /* cumulative work counters (the phase profiler's) */
-    int64_t calls, cycles, scanned, cands, flits, receipts, stops[4];
+    /* cumulative work counters (the phase profiler's); scanned counts
+     * the non-empty rows phase A examined from the ready set */
+    int64_t calls, cycles, scanned, cands, flits, receipts, wakes, rescans;
+    int64_t stops[4];
     int64_t dn, dmin, dmax;     /* the per-receiver delay accumulator */
     double dmean, dm2;
     /* per buffer */
@@ -109,6 +131,10 @@ typedef struct {
     const int64_t *down, *rbase, *rmask, *qcap, *vcmode, *pv2of, *rtab;
     const int64_t *pnode;
     int64_t *rflat;
+    /* the ready set: a bit per row and per port; each port's feeder
+     * rows; upof[b], the port*2+vc whose down is b (-1: none) */
+    uint64_t *rdy, *pcand;
+    const int64_t *fptr, *fbuf, *upof;
     /* per-cycle scratch */
     int64_t *bestpr, *bestb, *bestvc, *outdl, *outrf;
     /* per packet (aid), growable */
@@ -122,6 +148,26 @@ typedef struct {
 } repro_state;
 
 int64_t repro_state_size(void) { return (int64_t)sizeof(repro_state); }
+
+#define BIT(i) ((uint64_t)1 << ((i) & 63))
+
+/* Row b joins the ready set. */
+static void wake(repro_state *s, int64_t b)
+{
+    s->rdy[b >> 6] |= BIT(b);
+    s->wakes++;
+}
+
+/* Every feeder of port p joins the ready set: a VC of p was released or
+ * a downstream row of p has room again. */
+static void wake_port(repro_state *s, int64_t p)
+{
+    const int64_t *f = s->fbuf + s->fptr[p], *end = s->fbuf + s->fptr[p + 1];
+    uint64_t *rdy = s->rdy;
+    s->wakes += end - f;
+    for (; f < end; f++)
+        rdy[*f >> 6] |= BIT(*f);
+}
 
 static void emit(repro_state *s, int64_t kind, int64_t cyc, int64_t word)
 {
@@ -214,6 +260,7 @@ int64_t repro_refresh(repro_state *s, int64_t b)
     s->hdrf[b] = 1;
     s->pvb[b] = 2 * p + vc;
     s->pvb2[b] = s->pv2of[p];
+    wake(s, b);
     return 0;
 }
 
@@ -258,6 +305,7 @@ static int64_t fold(repro_state *s, int64_t now)
         top_up(s, b);
         if (ql0 == 0) {
             s->front[b] = s->rflat[s->rbase[b] + (s->rhead[b] & s->rmask[b])];
+            wake(s, b);
             if (s->want[b] < 0)
                 nroute += refresh(s, b, now);
         }
@@ -267,18 +315,36 @@ static int64_t fold(repro_state *s, int64_t now)
 
 int64_t repro_fold(repro_state *s) { return fold(s, s->now); }
 
+/* The lowest set bit >= i of the nw-word bitmap set, or -1. */
+static int64_t next_set(const uint64_t *set, int64_t nw, int64_t i)
+{
+    int64_t w = i >> 6;
+    uint64_t bits;
+    if (w >= nw)
+        return -1;
+    bits = set[w] & (~(uint64_t)0 << (i & 63));
+    while (!bits) {
+        if (++w == nw)
+            return -1;
+        bits = set[w];
+    }
+    return (w << 6) | __builtin_ctzll(bits);
+}
+
 int64_t repro_run(repro_state *s)
 {
     const int64_t B = s->B, P = s->P, PV = s->PV, SB = s->SB;
     const int64_t Fm1 = s->Fm1, horizon = s->horizon;
+    const int64_t nw = (B + 63) >> 6, npw = (P + 63) >> 6;
     int64_t *qlen = s->qlen, *front = s->front, *rhead = s->rhead;
     int64_t *want = s->want, *vcreq = s->vcreq, *jof = s->jof;
     int64_t *pvb = s->pvb, *pvb2 = s->pvb2, *owner = s->owner;
     int64_t *rr = s->rr, *rflat = s->rflat;
     int64_t *bestpr = s->bestpr, *bestb = s->bestb, *bestvc = s->bestvc;
     uint8_t *dlv = s->dlv, *hdrf = s->hdrf, *ne = s->ne, *fullb = s->fullb;
+    uint64_t *rdy = s->rdy, *pcand = s->pcand;
     const int64_t *down = s->down, *rbase = s->rbase, *rmask = s->rmask;
-    const int64_t *qcap = s->qcap;
+    const int64_t *qcap = s->qcap, *upof = s->upof;
     int64_t now = s->now, stop = STOP_HORIZON;
     int64_t b, p, i;
 
@@ -286,6 +352,15 @@ int64_t repro_run(repro_state *s)
     s->moved = 0;
     s->ejected = 0;
     s->counted = 0;
+    if (s->rescan) {            /* Python wrote rows: every non-empty one */
+        for (i = 0; i < nw; i++)
+            rdy[i] = 0;
+        for (b = 0; b < B; b++)
+            if (ne[b])
+                rdy[b >> 6] |= BIT(b);
+        s->rescan = 0;
+        s->rescans++;
+    }
     while (now < horizon) {
         int64_t nroute = fold(s, now), nrf = 0, tailstop = 0;
         int64_t moved = 0, nscan = 0, ncand = 0;
@@ -314,46 +389,51 @@ int64_t repro_run(repro_state *s)
         }
         s->ndl = 0;
 
-        /* phase A: eligibility + per-port round-robin pick */
-        for (b = 0; b < B; b++) {
-            int64_t vc, pr;
-            if (!ne[b])
-                continue;
-            nscan++;
-            if (hdrf[b]) {
-                int64_t pv = pvb[b];
-                if (owner[pv] == -1 && !fullb[down[pv]]) {
-                    vc = vcreq[b];
-                } else {
-                    int64_t pv2 = pvb2[b];
-                    if (pv2 < PV && owner[pv2] == -1 && !fullb[down[pv2]])
-                        vc = 1;
-                    else
-                        continue;
+        /* phase A: eligibility + per-port round-robin pick over the
+         * ready set, a word at a time; an empty or blocked row leaves */
+        for (i = 0; i < nw; i++) {
+            uint64_t bits = rdy[i], keep = bits;
+            while (bits) {
+                int64_t vc = -1, pr;
+                b = (i << 6) | __builtin_ctzll(bits);
+                bits &= bits - 1;
+                p = want[b];
+                if (ne[b]) {
+                    nscan++;
+                    if (hdrf[b]) {
+                        int64_t pv = pvb[b], pv2 = pvb2[b];
+                        if (owner[pv] == -1 && !fullb[down[pv]])
+                            vc = vcreq[b];
+                        else if (pv2 < PV && owner[pv2] == -1
+                                 && !fullb[down[pv2]])
+                            vc = 1;
+                    } else if (p >= 0 && !fullb[down[pvb[b]]]) {
+                        vc = vcreq[b];
+                    }
                 }
-                p = want[b];
-            } else {
-                p = want[b];
-                if (p < 0 || fullb[down[pvb[b]]])
+                if (vc < 0) {
+                    keep &= ~BIT(b);
                     continue;
-                vc = vcreq[b];
+                }
+                pr = (jof[b] - rr[p]) & Fm1;
+                ncand++;
+                pcand[p >> 6] |= BIT(p);
+                if (pr < bestpr[p]) {
+                    bestpr[p] = pr;
+                    bestb[p] = b;
+                    bestvc[p] = vc;
+                }
             }
-            pr = (jof[b] - rr[p]) & Fm1;
-            ncand++;
-            if (pr < bestpr[p]) {
-                bestpr[p] = pr;
-                bestb[p] = b;
-                bestvc[p] = vc;
-            }
+            rdy[i] = keep;
         }
 
         /* phase B: commit winners in ascending flat-port order */
-        for (p = 0; p < P; p++) {
+        for (p = next_set(pcand, npw, 0); p >= 0;
+                p = next_set(pcand, npw, p + 1)) {
             int64_t f, aid, pv, ql, rh, dst, vc;
             int tail, headf;
-            if (bestpr[p] >= BIG)
-                continue;
-            bestpr[p] = BIG;            /* re-arm the scratch slot */
+            pcand[p >> 6] &= ~BIT(p);   /* re-arm the scratch slots */
+            bestpr[p] = BIG;
             b = bestb[p];
             vc = bestvc[p];
             f = front[b];
@@ -367,6 +447,8 @@ int64_t repro_run(repro_state *s)
             rh = rhead[b] + 1;
             rhead[b] = rh;
             ne[b] = ql > 0;
+            if (fullb[b] && upof[b] >= 0)
+                wake_port(s, upof[b] >> 1);
             fullb[b] = 0;
             if (s->phead[b] >= 0)
                 top_up(s, b);
@@ -375,8 +457,10 @@ int64_t repro_run(repro_state *s)
             /* switching tables */
             if (headf && !tail)
                 owner[pv] = b;
-            else if (tail && owner[pv] == b)
+            else if (tail && owner[pv] == b) {
                 owner[pv] = -1;
+                wake_port(s, p);
+            }
             if (tail)
                 want[b] = -1;
             hdrf[b] = 0;
@@ -412,6 +496,7 @@ int64_t repro_run(repro_state *s)
                 if (dql == 0) {
                     ne[dst] = 1;
                     front[dst] = f;
+                    wake(s, dst);
                     if (want[dst] < 0)
                         s->outrf[nrf++] = dst;
                 }

@@ -52,7 +52,9 @@ Cycle structure
 One cycle is fold (arrival rows that are due join their buffer's
 pending FIFO; with nothing in flight the clock jumps to the next row)
 -> phase A (eligibility against start-of-cycle state, the reference
-round-robin winner per port) -> phase B (winners commit in ascending
+round-robin winner per port, over the *ready set* of rows that may have
+become unblocked; whoever writes rows outside the kernel sets
+``State.rescan``) -> phase B (winners commit in ascending
 flat-port order, the reference commit order) -> refresh (dateline
 class upgrades, then every newly exposed header routed from the packed
 route table).  The cycle, the rule for when a run of cycles must stop
@@ -283,6 +285,15 @@ class ArrayBackend(SimBackend):
         for pi, port in enumerate(ports):
             for j, fb in enumerate(port.feeders):
                 self._jpos[self._bid[fb]][pi] = j
+        # what a ready-set wake reaches (_cycle_kernel.c): port p's
+        # feeder rows ``_fbuf[_fptr[p]:_fptr[p + 1]]``, and ``_upof[b]``,
+        # the port*2+vc whose down is row b (-1: a source queue)
+        self._fptr = np.array([0, *accumulate(self._nf_py)], np.int64)
+        self._fbuf = np.array([self._bid[fb] for port in ports
+                               for fb in port.feeders], np.int64)
+        self._upof = np.full(B, -1, np.int64)
+        fed = np.flatnonzero(down[:self._PV] < B)
+        self._upof[down[fed]] = fed
 
         # destination-indexed route tables: where the router declares
         # routing a pure function of (buffer, dst), header refresh is a
@@ -397,9 +408,12 @@ class ArrayBackend(SimBackend):
         self._slot_op: List = []
         self._free: List[int] = []
 
-        # per-cycle scratch: the round-robin pick; the dateline flit
+        # the ready set, a bit per row kept across entries; per-cycle
+        # scratch: the round-robin pick and its ports; the dateline flit
         # words (``_outdl[:_st.ndl]``, read by the shard worker) and
         # rows to refresh of the last executed cycle
+        self._rdy = np.zeros((B + 63) // 64, np.uint64)
+        self._pcand = np.zeros((P + 63) // 64, np.uint64)
         self._bestpr = np.full(max(P, 1), 1 << 30, np.int64)
         for name, n in (("_bestb", P), ("_bestvc", P), ("_outdl", P),
                         ("_outrf", 2 * P)):
@@ -636,6 +650,7 @@ class ArrayBackend(SimBackend):
                 headers.append(b)
         self._st.inflight = inflight
         self._st.nofast = self.net.fault_state is not None
+        self._st.rescan = 1
         for b in headers:
             self._route(b)
         for buf in self._bufs:
@@ -812,6 +827,7 @@ class ArrayBackend(SimBackend):
         self._hdrf[b] = True
         self._pvb[b] = 2 * p + vc
         self._pvb2[b] = self._pv2of[p]
+        self._st.rescan = 1
 
     # ------------------------------------------------------------------
     # delivery residue

@@ -5,7 +5,11 @@ definition, behind one entry, ``repro_run(state *)``: it executes
 cycles until Python is needed and hands back what happened as events
 that carry their cycle (the file's header has the contract).  A cycle
 is a few us of C and a ctypes call costs as much again, hence one
-pointer and a horizon rather than one call per cycle.  Two of its steps
+pointer and a horizon rather than one call per cycle.  A cycle examines
+only the *ready set* -- the rows whose blocking may have changed since
+they were last found blocked -- which the kernel keeps across entries;
+Python sets ``State.rescan`` wherever it writes per-buffer or per-port
+columns itself, and the next entry rebuilds the set.  Two of its steps
 are exported alone, ``repro_fold`` and ``repro_refresh``, for the
 Python callers that need them without running a cycle.  :class:`State`
 mirrors the C ``repro_state`` field for field, and a kernel whose
@@ -55,16 +59,18 @@ class State(ctypes.Structure):
         "qlen front rhead want vcreq jof pvb pvb2 phead ptail pfid ppend "
         "dlv hdrf ne fullb rtflag isdl owner rr fs "
         "down rbase rmask qcap vcmode pv2of rtab pnode rflat "
+        "rdy pcand fptr fbuf upof "
         "bestpr bestb bestvc outdl outrf "
         "pdst ptraf psize pvcl phdr pnext popx acyc abuf aaid rtbl "
         "ev").split()
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
             "B P PV SB Fm1 rstride N warmup "       # fixed while attached
-            "now horizon nofast stopkinds trace "    # control
+            "now horizon nofast stopkinds trace rescan "    # control
             "inflight apos an nev evcap "           # run state
             "stop moved ejected ndl counted "       # outputs
-            "calls cycles scanned cands flits receipts").split()]
+            "calls cycles scanned cands flits receipts "    # work counters
+            "wakes rescans").split()]
         + [("stops", ctypes.c_int64 * 4)]
         + [(name, ctypes.c_int64) for name in ("dn", "dmin", "dmax")]
         + [(name, ctypes.c_double) for name in ("dmean", "dm2")]

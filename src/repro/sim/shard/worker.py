@@ -230,6 +230,7 @@ class ShardWorker:
         self._ghost_credits(t)
         self.mix.generate(t)
         be = self.be
+        be._st.rescan = 1       # the halo and ghost credits wrote rows
         be.step(t)
         out = self._harvest()
         self.transport.send(

@@ -57,12 +57,13 @@ def make_config(kind: str = "quarc", n: int = 8, msg_len: int = 4,
                 warmup: int = 200, seed: int = 1,
                 pattern: str = "uniform", arrival: str = "bernoulli",
                 workload: str = "", faults: str = "",
-                **cfg) -> RunConfig:
+                buffer_depth: int = 4, **cfg) -> RunConfig:
     """A :class:`RunConfig` with fuzz-friendly defaults."""
     spec = WorkloadSpec.parse(kind=kind, n=n, msg_len=msg_len, beta=beta,
                               rate=rate, cycles=cycles, warmup=warmup,
                               seed=seed, pattern=pattern, arrival=arrival,
-                              workload=workload, faults=faults)
+                              workload=workload, faults=faults,
+                              buffer_depth=buffer_depth)
     return RunConfig(spec=spec, **cfg)
 
 

@@ -110,6 +110,29 @@ def test_one_advance_equals_k_steps(kind, beta):
     assert EV_ROUTE not in kinds_seen
 
 
+@pytest.mark.parametrize("beta", (0.0, 0.1))
+@pytest.mark.parametrize("rate", (0.01, 0.2))
+@pytest.mark.parametrize("depth", (1, 2, 4))
+@pytest.mark.parametrize("kind", KINDS)
+def test_ready_set_equals_full_scan(kind, depth, rate, beta, monkeypatch):
+    """Phase A walks the ready set its wakes keep; a rescan before every
+    entry of a per-cycle run makes every cycle a full scan.  A missed
+    wake leaves an eligible row unexamined, and the two runs part."""
+    config = make_config(kind=kind, n=16, msg_len=6, beta=beta, rate=rate,
+                         cycles=500, warmup=100, seed=11, buffer_depth=depth)
+    kept = _drive(config, trace=True)
+    call = array_backend.ArrayBackend._call
+
+    def rescanning(be, entry):
+        be._st.rescan = 1
+        return call(be, entry)
+
+    monkeypatch.setattr(array_backend.ArrayBackend, "_call", rescanning)
+    full = _drive(config, per_cycle=True, trace=True)
+    assert kept[:3] == full[:3]     # summary, events, digests
+    assert kept[0] == _drive(config, "reference")[0]
+
+
 def test_multicast_header_still_routes_in_python():
     """What the table leaves to ``route_head``: a multicast at a Quarc
     ingress.  Its ROUTE events end their batches and the run still

@@ -288,6 +288,24 @@ class TestArrayBackend:
         self._warns_once_and_runs_reference("drifted apart",
                                             "repro_state is")
 
+    def test_state_fields_are_the_c_struct_fields(self):
+        """``repro_state_size()`` cannot see two same-size fields swapped
+        or misplaced: the typedef's field names, in order, are
+        ``State``'s."""
+        import re
+
+        from repro.sim import ckernel
+
+        with open(ckernel._SRC_PATH) as fh:
+            body = re.search(r"typedef struct \{(.*?)\} repro_state;",
+                             fh.read(), re.S).group(1)
+        body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+        names = [re.search(r"\w+", part).group()
+                 for decl in body.split(";") if decl.strip()
+                 for part in re.sub(r"^\s*(const\s+)?\w+\s+", "",
+                                    decl).split(",")]
+        assert names == [name for name, _ in ckernel.State._fields_]
+
     @pytest.mark.skipif(not hasattr(os, "getuid"),
                         reason="no POSIX ownership to check")
     def test_kernel_cache_others_can_write_is_not_loaded(

@@ -156,8 +156,23 @@ class TestZeroPerturbation:
         kc = report["kernel_counters"]
         assert kc["calls"] > 0
         assert kc["buffers_scanned"] >= kc["candidates"] > 0
-        assert kc["flits_moved"] > 0
+        assert kc["flits_moved"] > 0 and kc["wakes"] > 0
+        assert 0 < kc["rescans"] <= kc["calls"]
         assert report["replay_s"] >= 0.0
+        assert f"{kc['wakes']} wakes, {kc['rescans']} rescans" in (
+            session.profiler.render())
+
+    def test_saturated_kernel_examines_about_its_candidates(self):
+        """Phase A walks the ready set: at saturation almost every row
+        is blocked, and leaves the set until a wake, so the rows examined
+        stay within twice the candidates (a scan of every occupied row
+        examines ~19x)."""
+        spec = WorkloadSpec(kind="quarc", n=64, msg_len=16, beta=0.0,
+                            rate=0.0138, cycles=3000, warmup=500, seed=1)
+        session, summary = _probed_run(spec, "array", ObsSpec(profile=True))
+        kc = session.profiler.report()["kernel_counters"]
+        assert summary.saturated
+        assert kc["buffers_scanned"] < 2 * kc["candidates"]
 
     def test_array_profile_names_tier_and_batch_stops(self):
         """Which tier ran, how many cycles its entries executed and why
