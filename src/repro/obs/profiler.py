@@ -7,7 +7,7 @@ are unaffected -- and reports a wall-time split:
 
 ========== ==========================================================
 inject     traffic generation/injection (``TrafficMix.generate`` /
-           ``inject`` / ``precompute_arrivals``)
+           ``inject`` / ``fill_calendar``)
 collect    latency-collector delivery callbacks (also counted inside
            the step that triggered them)
 step       cycle execution: ``backend.step`` on ``reference``,
@@ -21,7 +21,10 @@ kernel     the cycle body: the compiled ``repro_run``
 
 Every wrapper times the method the unprofiled run calls -- there is no
 profiler-side copy of any loop, so the profile cannot measure a cycle
-other than the one that runs.  The report names the backend that ran
+other than the one that runs.  Only the outermost call of a category
+is timed (not ``inject`` again under ``generate``), so ``inject`` and
+``step`` are disjoint and never add up to more than ``run_s``.  The
+report names the backend that ran
 (``backend``: ``reference`` where a session asked for ``array`` on a
 host without the C kernel); an ``array`` report adds ``tier``
 (``ckernel``, with the kernel's source hash in ``kernel``) and carries
@@ -42,7 +45,7 @@ across backends.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Set
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.session import SimulationSession
@@ -82,6 +85,7 @@ class PhaseProfiler:
         self._t_run = 0.0
         self._cycle0 = 0
         self._undo: List = []
+        self._busy: Set[str] = set()    # categories being timed now
 
     # ------------------------------------------------------------------
     def attach(self) -> "PhaseProfiler":
@@ -91,7 +95,7 @@ class PhaseProfiler:
 
         self._wrap_timed(session.mix, "generate", "inject")
         self._wrap_timed(session.mix, "inject", "inject")
-        self._wrap_timed(session.mix, "precompute_arrivals", "inject")
+        self._wrap_timed(session.mix, "fill_calendar", "inject")
         self._wrap_timed(session.collector, "on_unicast_cols", "collect")
         self._wrap_timed(session.collector, "on_collective_complete",
                          "collect")
@@ -120,18 +124,23 @@ class PhaseProfiler:
     def _wrap_timed(self, obj, attr: str, category: str) -> None:
         """Shadow ``obj.attr`` with a timing wrapper (an instance
         attribute; :meth:`finish` removes it, or puts back the instance
-        attribute it shadowed)."""
+        attribute it shadowed).  Only the outermost call of a category
+        is timed."""
         fn = getattr(obj, attr)
-        sec = self.seconds
+        sec, busy = self.seconds, self._busy
         sec.setdefault(category, 0.0)
         had = attr in vars(obj)
 
         def timed(*args, **kwargs):
+            if category in busy:
+                return fn(*args, **kwargs)
+            busy.add(category)
             t0 = perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 sec[category] += perf_counter() - t0
+                busy.discard(category)
 
         setattr(obj, attr, timed)
         self._undo.append(lambda: setattr(obj, attr, fn) if had

@@ -942,15 +942,13 @@ class ArrayBackend(SimBackend):
             n += int(self._psize[self._aaid[st.apos:st.an]].sum())
         return n
 
-    #: Cycles of traffic precomputed per block in :meth:`run_mix`.
-    CHUNK = 2048
-
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
-        """The windowed ``run_mix``: block-precompute arrivals, inject a
-        whole window ``[t, w1)`` ahead -- each staged packet stamped
-        with its cycle -- and :meth:`_advance` through it; ``w1`` ends
-        the block or follows the next probe cycle, whichever is first.
+        """The windowed ``run_mix``: read the mix's calendar a block at a
+        time, inject a whole window ``[t, w1)`` ahead -- each staged
+        packet stamped with its cycle -- and :meth:`_advance` through
+        it; ``w1`` ends the block or follows the next probe cycle,
+        whichever is first.
 
         Injecting ahead is exact: every class / destination stream is
         per node and drawn in arrival order either way, the generation
@@ -958,7 +956,7 @@ class ArrayBackend(SimBackend):
         fault events are probes too.  Idle gaps cost nothing: with
         nothing in flight the cycle body jumps to the next arrival.
         """
-        if getattr(mix, "reactive", False):
+        if mix.reactive:
             # closed-loop mixes need per-cycle generation so delivery
             # feedback reaches the sources before the next generate;
             # step() stays the array/kernel engine, at horizon 1
@@ -966,7 +964,7 @@ class ArrayBackend(SimBackend):
             self._sync(ops=True)
             return
         probes = probes or {}
-        inject = mix.inject
+        inject, tokens, cal = mix.inject, mix.tokens, mix.calendar
         staged, at = self._staged, self._staged_at
         t = self.net.cycle
         end = t + cycles
@@ -974,9 +972,10 @@ class ArrayBackend(SimBackend):
         due.append(end)
         pi = 0
         while t < end:
-            c1 = min(t + self.CHUNK, end)
-            by_cycle = mix.precompute_arrivals(t, c1)
-            arrivals = sorted(by_cycle)
+            if t >= mix.cal_end:
+                mix.fill_calendar(t)
+            c1 = min(mix.cal_end, end)
+            arrivals = sorted(cal)
             ai = 0
             while t < c1:
                 w1 = min(c1, due[pi] + 1)
@@ -984,8 +983,8 @@ class ArrayBackend(SimBackend):
                 while ai < len(arrivals) and arrivals[ai] < w1:
                     c = arrivals[ai]
                     ai += 1
-                    for tok in by_cycle[c]:
-                        inject(tok, c)
+                    for i in cal.pop(c):
+                        inject(tokens[i], c)
                     at.extend([c] * (len(staged) - len(at)))
                 t = self._advance(t, w1)
                 if due[pi] == t - 1:

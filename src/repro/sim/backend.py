@@ -18,8 +18,8 @@ through simulated cycles.  Two implementations ship, with two roles:
   kernel.  On a host where the kernel cannot be built or loaded,
   :func:`make_backend` hands out ``reference`` in its place (the loader
   warns once).  Its own ``run_mix`` drives
-  **windows, not cycles**: it precomputes the traffic process in
-  blocks, injects a window ahead and lets the cycle body run until
+  **windows, not cycles**: it reads the mix's arrival calendar a block
+  at a time, injects a window ahead and lets the cycle body run until
   Python is needed, idle gaps skipped.  See ``array_backend.py`` for
   the ownership contract.
 
@@ -27,10 +27,12 @@ Why running ahead is bit-identical
 ----------------------------------
 * Idle cycles are provably no-ops: with zero flits in flight, ``step``
   only advances the clock, so jumping it assigns the same final clock.
-* Block-drawn traffic replays the same RNG draws: each node's arrival
-  stream is drawn in cycle order either way, and the per-node class /
-  destination streams are only consumed at arrivals, in arrival order
-  (:meth:`repro.traffic.mix.TrafficMix.precompute_arrivals`).
+* Both backends read one arrival calendar, filled a block ahead by
+  :meth:`repro.traffic.mix.TrafficMix.fill_calendar`: each arrival
+  stream is drawn in cycle order, and the per-node class / destination
+  streams are only consumed at arrivals, in arrival order, whether the
+  reference loop injects a cycle at a time or the array loop a window
+  ahead.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class SimBackend:
 
     Subclasses implement :meth:`step`; :meth:`run_mix` is the generic
     per-cycle loop and may be overridden for speed (the array backend's
-    drives block-precomputed windows).
+    drives windows read from the mix's calendar).
     """
 
     name = "abstract"

@@ -153,9 +153,9 @@ class ShardWorker:
         def node_of(tok):
             return tok if isinstance(tok, int) else tok[0]
 
-        keep = [i for i, tok in enumerate(mix._tokens)
+        keep = [i for i, tok in enumerate(mix.tokens)
                 if lo <= node_of(tok) < hi]
-        mix._tokens = [mix._tokens[i] for i in keep]
+        mix.tokens = [mix.tokens[i] for i in keep]
         mix._injectors = [mix._injectors[i] for i in keep]
 
     def _swap_collectors(self) -> None:

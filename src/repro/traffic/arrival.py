@@ -1,35 +1,24 @@
 """The arrival-model protocol and its built-in temporal models.
 
 One protocol, one module: every per-node injection process implements
-:class:`ArrivalModel`, the block contract that both simulation
-backends (reference / array) drive.
+:class:`ArrivalModel`, and :class:`~repro.traffic.mix.TrafficMix` reads
+every one of them through one calendar, whichever backend drives it.
 
-The contract has two capability tiers:
-
-* **Stateless** (``reactive = False``, the default) -- the process
-  depends only on its own private RNG stream and internal state, never
-  on network state.  Both methods must agree draw-for-draw:
-
-  - ``fires()`` -- one per-cycle arrival check;
-  - ``arrivals_in(start, stop)`` -- the arrivals of ``stop - start``
-    successive cycles, consumed in bulk, leaving internal state (and
-    the RNG stream) exactly where the equivalent ``fires()`` calls
-    would.
-
-  That equivalence is what lets the ``array`` backend precompute
-  traffic in blocks, fast-forward idle gaps and batch its staging
-  while staying byte-identical to the reference loop: drivers may
-  switch freely between per-cycle and block consumption without
-  changing a single draw.
-
-* **Reactive** (``reactive = True``) -- the process depends on network
-  state (e.g. a closed-loop source that stalls while its in-flight
-  budget is exhausted, :mod:`repro.workloads.closedloop`).
-  ``arrivals_in`` raises (future arrivals are a function of deliveries
-  that have not happened yet) and backends drive reactive mixes cycle
-  by cycle (:meth:`repro.sim.backend.SimBackend.run_mix`).  ``fires()``
-  is the per-cycle spec; ``TrafficMix.generate`` keeps each source
-  armed, pre-drawn, re-armed on feedback instead of polling it.
+* **Stateless** models (``reactive = False``, the default) depend only
+  on their own private RNG stream and internal state, never on network
+  state.  They implement ``arrivals_in(start, stop)``: the arrival
+  cycles of ``stop - start`` successive cycles.  The contract is
+  *segmentation invariance*: splitting a horizon into consecutive calls
+  of any lengths -- one cycle each, random cuts, or one call -- yields
+  the same train and leaves the same state and RNG stream.  That is
+  what lets the mix draw a block ahead and the ``array`` backend
+  fast-forward idle gaps while staying byte-identical to the reference
+  loop.
+* **Reactive** models (``reactive = True``) depend on network state
+  (e.g. a closed-loop source that stalls while its in-flight budget is
+  exhausted, :mod:`repro.workloads.closedloop`).  ``arrivals_in``
+  raises; the mix drives them through ``arm`` / ``fire`` instead, cycle
+  by cycle (:meth:`repro.sim.backend.SimBackend.run_mix`).
 
 Models
 ------
@@ -44,6 +33,9 @@ Models
     Replays a fixed, recorded list of arrival cycles -- the
     deterministic leg of the trace record/replay loop in
     :mod:`repro.workloads.trace`.  Consumes no randomness at all.
+:class:`ReplayInjector`
+    The ``repro-trace/v2`` form of :class:`TraceInjector`: one arrival
+    per recorded message, so a node may inject several in one cycle.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ import random
 from typing import List, Sequence
 
 __all__ = ["ArrivalModel", "BernoulliInjector", "BurstyInjector",
-           "TraceInjector", "NEVER"]
+           "TraceInjector", "ReplayInjector", "NEVER"]
 
 
 #: Gap sentinel for ``rate == 0`` sources: far beyond any horizon, large
@@ -69,33 +61,29 @@ _LOG1P = math.log1p
 
 
 class ArrivalModel:
-    """Base of every per-node injection process (the block contract).
+    """Base of every per-node injection process.
 
     Subclasses set the ``reactive`` capability flag and maintain the
-    ``arrivals`` counter; see the module docstring for the two-tier
-    contract.  Kept slots-compatible (``__slots__ = ()``) so the hot
-    per-cycle injectors stay slotted.
+    ``arrivals`` counter; see the module docstring for the contract.
+    Kept slots-compatible (``__slots__ = ()``) so the injectors stay
+    slotted.
     """
 
     __slots__ = ()
 
-    #: capability flag: ``False`` promises ``arrivals_in`` replays the
-    #: exact ``fires()`` sequence (fast-forward legal); ``True`` means
-    #: arrivals depend on network feedback and the mix must be driven
-    #: cycle by cycle.
+    #: capability flag: ``False`` promises a segmentation-invariant
+    #: ``arrivals_in`` (fast-forward legal); ``True`` means arrivals
+    #: depend on network feedback and the mix drives ``arm`` / ``fire``.
     reactive = False
 
-    def fires(self) -> bool:
-        """One per-cycle arrival check."""
-        raise NotImplementedError
-
     def arrivals_in(self, start: int, stop: int) -> List[int]:
-        """All arrival cycles in ``[start, stop)``, consumed in bulk.
+        """All arrival cycles in ``[start, stop)``, ascending.
 
-        Must leave internal state (and the RNG stream) exactly where
-        ``stop - start`` successive :meth:`fires` calls would.  Reactive
-        models raise instead (their future depends on deliveries that
-        have not happened yet)."""
+        Consecutive calls over any split of a horizon return, together,
+        what one call over the whole horizon returns, and leave the same
+        internal state (and RNG stream).  Reactive models raise instead
+        (their future depends on deliveries that have not happened
+        yet)."""
         raise NotImplementedError
 
 
@@ -105,10 +93,10 @@ class BernoulliInjector(ArrivalModel):
     Implemented as its exact equivalent, a geometric inter-arrival
     countdown: after each arrival the number of non-arrival cycles until
     the next one is drawn as ``G = floor(ln(1-U) / ln(1-rate))`` (``G = 0``
-    with probability ``rate``, i.e. back-to-back arrivals).  Per-cycle
-    :meth:`fires` decrements the countdown; :meth:`arrivals_in` consumes
-    the same gap sequence in bulk, so cycle-by-cycle and block-based
-    drivers produce identical arrival trains from the same stream.
+    with probability ``rate``, i.e. back-to-back arrivals).
+    :meth:`arrivals_in` walks the gap sequence and keeps the countdown
+    to the next arrival across calls, so any segmentation of the horizon
+    yields the same train from the same stream.
     """
 
     __slots__ = ("rate", "rng", "arrivals", "_gap")
@@ -134,23 +122,9 @@ class BernoulliInjector(ArrivalModel):
         # below float epsilon, where log(1.0 - rate) would be 0.0.
         return int(_LOG(1.0 - self.rng.random()) / _LOG1P(-rate))
 
-    def fires(self) -> bool:
-        """One per-cycle arrival check."""
-        gap = self._gap
-        if gap:
-            self._gap = gap - 1
-            return False
-        self.arrivals += 1
-        self._gap = self._draw_gap()
-        return True
-
     def arrivals_in(self, start: int, stop: int) -> List[int]:
-        """All arrival cycles in ``[start, stop)``, consumed in bulk.
-
-        Leaves the countdown exactly where ``stop - start`` successive
-        :meth:`fires` calls would, so drivers may switch freely between
-        per-cycle and block consumption.
-        """
+        """All arrival cycles in ``[start, stop)``; the countdown to the
+        next arrival carries over to the next call."""
         out: List[int] = []
         if stop <= start:
             return out
@@ -190,6 +164,8 @@ class BurstyInjector(ArrivalModel):
     one draw per ON cycle (the arrival coin).  OFF dwells consume
     nothing, so :meth:`arrivals_in` skips them in O(1) and the array
     backend's idle fast-forward keeps its O(arrivals)-ish cost profile.
+    Dwell and coin draws are made cycle by cycle in order, so any
+    segmentation of the horizon consumes the stream identically.
     """
 
     __slots__ = ("rate", "rate_on", "on_frac", "burst_len", "rng",
@@ -243,23 +219,9 @@ class BurstyInjector(ArrivalModel):
         return self.rng.random() < r
 
     # ------------------------------------------------------------------
-    def fires(self) -> bool:
-        """One per-cycle arrival check."""
-        if self._dwell == 0:
-            self._toggle()
-        self._dwell -= 1
-        if self._on and self._coin():
-            self.arrivals += 1
-            return True
-        return False
-
     def arrivals_in(self, start: int, stop: int) -> List[int]:
-        """All arrival cycles in ``[start, stop)``, consumed in bulk.
-
-        Leaves state and RNG exactly where ``stop - start`` successive
-        :meth:`fires` calls would: OFF spans are skipped without draws,
-        ON cycles flip the same per-cycle coin in the same order.
-        """
+        """All arrival cycles in ``[start, stop)``: OFF spans are skipped
+        without draws, ON cycles flip one coin each, in order."""
         out: List[int] = []
         t = start
         while t < stop:
@@ -309,19 +271,9 @@ class TraceInjector(ArrivalModel):
         self._i = 0          # next recorded arrival to replay
         self._pos = 0        # cycles consumed so far
 
-    def fires(self) -> bool:
-        """One per-cycle arrival check."""
-        t = self._pos
-        self._pos = t + 1
-        i = self._i
-        if i < len(self.cycles) and self.cycles[i] == t:
-            self._i = i + 1
-            self.arrivals += 1
-            return True
-        return False
-
     def arrivals_in(self, start: int, stop: int) -> List[int]:
-        """All arrival cycles in ``[start, stop)``, consumed in bulk."""
+        """All arrival cycles in ``[start, stop)``, one per recorded
+        cycle that falls in the span."""
         out: List[int] = []
         if stop <= start:
             return out
@@ -339,3 +291,23 @@ class TraceInjector(ArrivalModel):
         self._i = i
         self._pos = base + span
         return out
+
+
+class ReplayInjector(TraceInjector):
+    """Replays one node's ``repro-trace/v2`` messages.
+
+    A :class:`TraceInjector` with one arrival per recorded *message*: a
+    multi-class node may inject several messages in one cycle, so a
+    cycle appears once per message.  ``cycles`` comes from a loaded
+    :class:`~repro.workloads.trace.Trace` (sorted and validated there);
+    :class:`~repro.traffic.mix.TrafficMix` pairs the k-th arrival with
+    the k-th recorded payload.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, cycles: Sequence[int]):
+        self.cycles = list(cycles)
+        self.arrivals = 0
+        self._i = 0
+        self._pos = 0

@@ -20,21 +20,24 @@ and the adapters' uniform ``send_broadcast`` interface:
   (``node{i}.{name}.arrivals`` / ``.dst``), leaving the single-class
   streams untouched.
 
-Both modes honour the ``fires()``/``arrivals_in()`` block contract, so
-every :class:`~repro.sim.backend.SimBackend` (reference / array)
-produces identical results on either.  A third, derived mode --
-**trace replay** -- engages automatically when the arrival model carries
-a ``repro-trace/v2`` event payload (destination, class, size and
-broadcast flag per event): injection then replays the recorded messages
-verbatim, consuming no randomness, which makes v2 replay seed- and
-pattern-independent.
+Both modes draw their arrivals into one calendar
+(:meth:`TrafficMix.fill_calendar`): stateless models a block at a time
+through ``arrivals_in``, reactive ones through ``arm``.  The reference
+loop's :meth:`TrafficMix.generate` and the array engine's window loop
+read the same calendar, so every :class:`~repro.sim.backend.SimBackend`
+injects the same messages in the same order.  **Trace replay** engages
+automatically when the arrival model carries a ``repro-trace/v2``
+payload (destination, class, size and broadcast flag per event): its
+injectors replay one arrival per recorded message, and :meth:`inject`
+sends that message verbatim, consuming no randomness -- which makes v2
+replay seed- and pattern-independent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Tuple)
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
+                    Optional, Sequence, Tuple)
 
 from repro.sim.rng import RngStreams
 from repro.traffic.arrival import BernoulliInjector
@@ -48,7 +51,7 @@ __all__ = ["TrafficClass", "TrafficMix", "CAST_UNICAST", "CAST_BROADCAST"]
 CAST_UNICAST = "unicast"
 CAST_BROADCAST = "broadcast"
 
-#: Cycles of stateless arrivals a reactive mix's calendar draws at once.
+#: Cycles of arrivals one calendar fill draws ahead.
 CALENDAR_BLOCK = 2048
 
 #: ``on_inject`` tap signature: ``(node, now, cls, dst, size, bcast)``
@@ -143,18 +146,22 @@ class TrafficMix:
         self.class_generated: Dict[str, int] = {}
         #: the declared class list (``None`` in single-class mode)
         self.classes: Optional[Tuple[TrafficClass, ...]] = None
-        #: replay payload: per-node event lists from a v2 trace
-        self._replay: Optional[List[List[tuple]]] = None
+        #: v2 replay payload: per node, the recorded ``(t, dst, size,
+        #: cls, bcast)`` messages, taken one per arrival
+        self._replay: Optional[List[Iterator[tuple]]] = None
         #: attached closed-loop engine (see :meth:`attach_closedloop`)
         self._cl_engine = None
         #: True when any injector is a reactive arrival model (needs
         #: delivery feedback, so the mix must run cycle by cycle)
         self.reactive = False
-        #: a reactive mix's coming injections, ``{cycle: [injector
-        #: index, ...]}``: stateless injectors drawn in blocks up to
-        #: ``_cal_end`` (-1: not started), reactive ones while armed
-        self._calendar: Dict[int, List[int]] = {}
-        self._cal_end = -1
+        #: the coming injections, ``{cycle: [injector index, ...]}``:
+        #: stateless injectors drawn a block at a time up to ``cal_end``
+        #: (-1: nothing drawn yet), reactive ones whenever armed
+        self.calendar: Dict[int, List[int]] = {}
+        self.cal_end = -1
+        #: armed reactive injectors that fire after ``cal_end``: the
+        #: next fill draws on from where their draws stopped
+        self._resume: List[int] = []
 
         streams = RngStreams(seed)
         # identical streams for identical seeds => common random numbers
@@ -195,27 +202,10 @@ class TrafficMix:
         self.beta = beta
         self.pattern = pattern or UniformPattern(net.n)
         _check_pattern_nodes(self.pattern, net.n, "destination")
-        #: temporal model: ``arrival(node, rate, rng) -> injector`` with
-        #: the fires()/arrivals_in() block contract (default Bernoulli)
+        #: temporal model: ``arrival(node, rate, rng) -> injector``, an
+        #: :class:`~repro.traffic.arrival.ArrivalModel` (default
+        #: Bernoulli)
         self.arrival = arrival
-
-        replay = getattr(arrival, "replay", None)
-        if replay is not None:
-            # repro-trace/v2: the model carries full per-event payloads;
-            # injection replays them verbatim (no draws consumed, no
-            # injectors built -- a v2 node may inject several messages
-            # in one cycle, which the fires() contract cannot express)
-            self._replay = [list(evs) for evs in replay]
-            self._replay_pos = [0] * net.n
-            self._injectors: List[object] = []
-            self._tokens: List[object] = []
-            #: largest replayed message (the saturation heuristic's
-            #: size reference, mirroring the declared max of the class
-            #: mode so a replay judges `saturated` like its original)
-            self.replay_max_len = max(
-                (ev[2] for evs in self._replay for ev in evs),
-                default=msg_len)
-            return
 
         make = arrival if arrival is not None else (
             lambda node, r, rng: BernoulliInjector(r, rng))
@@ -225,12 +215,22 @@ class TrafficMix:
         #: injection tokens, parallel to ``_injectors``: what ``inject``
         #: receives when the matching injector fires (plain node ids
         #: here; ``(node, class_index)`` pairs in multi-class mode)
-        self._tokens = list(range(net.n))
+        self.tokens: List[object] = list(range(net.n))
         self._class_rng = [streams.get(f"node{i}.class")
                            for i in range(net.n)]
         self._dst_rng = [streams.get(f"node{i}.dst") for i in range(net.n)]
-        self.reactive = any(getattr(inj, "reactive", False)
-                            for inj in self._injectors)
+        self.reactive = any(inj.reactive for inj in self._injectors)
+
+        replay = getattr(arrival, "replay", None)
+        if replay is not None:
+            # repro-trace/v2: the injectors replay one arrival per
+            # recorded message; inject() sends that message verbatim
+            self._replay = [iter(evs) for evs in replay]
+            #: largest replayed message (the saturation heuristic's
+            #: size reference, mirroring the declared max of the class
+            #: mode so a replay judges `saturated` like its original)
+            self.replay_max_len = max(
+                (ev[2] for evs in replay for ev in evs), default=msg_len)
 
     # ------------------------------------------------------------------
     # construction: multi-class mode
@@ -287,11 +287,10 @@ class TrafficMix:
                     f"{nodes} nodes but the network has {net.n}")
             self._cls_arrivals.append(model)
 
-        # (node-major, class-minor) token order: ``generate`` fires and
-        # ``precompute_arrivals`` buckets in this order, so both drivers
-        # inject a cycle's messages in the identical sequence.
+        # (node-major, class-minor) injector order: a cycle's calendar
+        # entry is injected in this order, whichever backend drives it
         self._injectors = []
-        self._tokens = []
+        self.tokens = []
         self._cls_dst_rng: List[List[object]] = []
         for i in range(net.n):
             self._cls_dst_rng.append(
@@ -301,9 +300,8 @@ class TrafficMix:
                 inj = self._cls_arrivals[k](
                     i, cls.rate, streams.get(f"node{i}.{cls.name}.arrivals"))
                 self._injectors.append(inj)
-                self._tokens.append((i, k))
-        self.reactive = any(getattr(inj, "reactive", False)
-                            for inj in self._injectors)
+                self.tokens.append((i, k))
+        self.reactive = any(inj.reactive for inj in self._injectors)
 
     # ------------------------------------------------------------------
     # generation
@@ -326,79 +324,88 @@ class TrafficMix:
                 "workload spec through SimulationSession (which wires "
                 "a ClosedLoopEngine), or attach one explicitly via "
                 "attach_closedloop()")
-        if self._replay is not None:
-            inject = self.inject
-            pos = self._replay_pos
-            for node, evs in enumerate(self._replay):
-                while pos[node] < len(evs) and evs[pos[node]][0] == now:
-                    inject(node, now)
+        if now >= self.cal_end:
+            self.fill_calendar(now)
+        due = self.calendar.pop(now, None)
+        if due is None:
             return
-        if self.reactive:
-            if now >= self._cal_end:
-                self._fill_calendar(now)
-            due = self._calendar.pop(now, None)
-            if due is not None:
-                due.sort()      # node-major, class-minor: the poll order
-                for i in due:
-                    inj = self._injectors[i]
-                    reactive = getattr(inj, "reactive", False)
-                    if reactive:
-                        inj.fire()
-                    self.inject(self._tokens[i], now)
-                    if reactive:
-                        self.arm(i, now + 1)
-            return
-        for tok, inj in zip(self._tokens, self._injectors):
-            if inj.fires():
-                self.inject(tok, now)
+        due.sort()      # node-major, class-minor: arms append out of order
+        injectors, tokens = self._injectors, self.tokens
+        for i in due:
+            inj = injectors[i]
+            if inj.reactive:
+                inj.fire()
+                self.inject(tokens[i], now)
+                self.arm(i, now + 1)
+            else:
+                self.inject(tokens[i], now)
 
-    def _fill_calendar(self, now: int) -> None:
-        """Draw the stateless injectors' next block into the calendar
-        (``arrivals_in``, as :meth:`precompute_arrivals`); the first
-        call also arms every reactive source, from ``now``."""
-        first = self._cal_end < 0
-        stop = self._cal_end = now + CALENDAR_BLOCK
+    def fill_calendar(self, now: int) -> None:
+        """Draw cycles ``[now, now + CALENDAR_BLOCK)`` into the calendar.
+
+        Every stateless injector draws its block through
+        ``arrivals_in``, in injector order, so each cycle's list comes
+        out node-major, class-minor.  Reactive injectors that the last
+        block left armed draw on from ``now``; the first fill arms every
+        reactive injector.  Only arrival streams are drawn here: class
+        and destination streams are drawn by :meth:`inject`, at the
+        arrival cycle.
+        """
+        first = self.cal_end < 0
+        stop = self.cal_end = now + CALENDAR_BLOCK
+        resume, self._resume = self._resume, []
+        for i in resume:
+            # still eligible: a source loses eligibility only by firing
+            self._injectors[i].armed = False
+            self.arm(i, now)
         if self.stop_generating_at is not None:
             stop = min(stop, self.stop_generating_at)
+        cal = self.calendar
         for i, inj in enumerate(self._injectors):
-            if not getattr(inj, "reactive", False):
+            if not inj.reactive:
                 for t in inj.arrivals_in(now, stop):
-                    self._calendar.setdefault(t, []).append(i)
+                    lst = cal.get(t)
+                    if lst is None:
+                        cal[t] = [i]
+                    else:
+                        lst.append(i)
             elif first:
                 self.arm(i, now)
 
     def arm(self, i: int, at: int) -> None:
         """Put reactive injector ``i`` on the calendar if it is eligible
-        from cycle ``at`` on and not already there: called by whoever
+        from cycle ``at`` on and not already armed: called by whoever
         may have made it eligible (a credit, a phase quota, a firing)."""
-        due = self._injectors[i].arm(at)
-        if due is not None:
-            self._calendar.setdefault(due, []).append(i)
+        due = self._injectors[i].arm(at, self.cal_end)
+        if due is None:
+            return
+        if due < self.cal_end:
+            self.calendar.setdefault(due, []).append(i)
+        else:           # no firing in this block: the next fill draws on
+            self._resume.append(i)
 
     def inject(self, token, now: int) -> None:
         """Emit one message: the class/destination draws and the
         hand-off that :meth:`generate` performs for a firing injector.
         ``token`` is a node id (single-class / replay) or a ``(node,
-        class_index)`` pair (multi-class).  Exposed so block-based
-        drivers (the fast-forwarding backends) can replay precomputed
-        arrivals with identical RNG consumption.  A unicast leaves through
+        class_index)`` pair (multi-class).  Exposed so the array
+        engine's window loop can inject the calendar's arrivals a window
+        ahead with identical RNG consumption.  A unicast leaves through
         ``Network.send_unicast``, which decides if a ``Packet`` is built."""
         fs = self.net.fault_state
         if fs is not None and fs.dead_nodes:
             node = token[0] if type(token) is tuple else token
             if node in fs.dead_nodes:
                 # a dead node's PE generates nothing (suppressed, not
-                # dropped); a replayed event must still be consumed or
-                # generate()'s same-cycle scan would never advance
+                # dropped); its recorded message is taken all the same,
+                # so the k-th arrival keeps the k-th payload
                 fs.suppressed_msgs += 1
                 if self._replay is not None:
-                    self._replay_pos[node] += 1
+                    next(self._replay[node])
                 return
-        if self._replay is not None:    # the next recorded event, verbatim
+        if self._replay is not None:    # the next recorded message
             node = token
-            i = self._replay_pos[node]
-            _, dst, size, name, bcast = self._replay[node][i]
-            self._replay_pos[node] = i + 1
+            _, dst, size, name, bcast = next(self._replay[node])
         elif type(token) is tuple:
             node, k = token
             eng = self._cl_engine
@@ -437,66 +444,6 @@ class TrafficMix:
         if name is not None:
             self.class_generated[name] = \
                 self.class_generated.get(name, 0) + 1
-
-    def precompute_arrivals(self, start: int, stop: int
-                            ) -> Dict[int, List[object]]:
-        """Draw every arrival process for cycles ``[start, stop)``.
-
-        Returns ``{cycle: [token, ...]}`` with tokens in the exact order
-        :meth:`generate` would inject them within that cycle (node
-        ascending; class order within a node in multi-class mode).
-        Consumes each process's private stream exactly as ``generate``
-        would over the same window (see
-        :meth:`~repro.traffic.arrival.BernoulliInjector.arrivals_in`),
-        so interleaving block precomputation with per-cycle
-        :meth:`inject` calls reproduces ``generate``'s traffic
-        flit-for-flit.  Class/destination streams are *not* touched
-        here; they are drawn by :meth:`inject` at the arrival cycle, in
-        the same order as the reference loop.
-        """
-        if self.reactive:
-            raise RuntimeError(
-                "reactive (closed-loop) mixes cannot precompute "
-                "arrivals: every fires() decision depends on deliveries "
-                "up to the previous cycle; run the mix cycle by cycle "
-                "instead of fast-forwarding")
-        by_cycle: Dict[int, List[object]] = {}
-        if self.stop_generating_at is not None:
-            stop = min(stop, self.stop_generating_at)
-        if stop <= start:
-            return by_cycle
-        if self._replay is not None:
-            # replay events are absolute-time and pre-sorted (t, node,
-            # record order); one token per event keeps inject() popping
-            # each node's records in sequence
-            pos = self._replay_pos
-            scan = getattr(self, "_replay_scan", None)
-            if scan is None:
-                scan = self._replay_scan = list(pos)
-            for node, evs in enumerate(self._replay):
-                i = scan[node]
-                while i < len(evs) and evs[i][0] < stop:
-                    t = evs[i][0]
-                    if t >= start:
-                        lst = by_cycle.get(t)
-                        if lst is None:
-                            by_cycle[t] = [node]
-                        else:
-                            lst.append(node)
-                    i += 1
-                scan[node] = i
-            # within a cycle, tokens must come out node-ascending with
-            # record order preserved per node -- the per-node append
-            # above already guarantees it
-            return by_cycle
-        for tok, inj in zip(self._tokens, self._injectors):
-            for t in inj.arrivals_in(start, stop):
-                lst = by_cycle.get(t)
-                if lst is None:
-                    by_cycle[t] = [tok]
-                else:
-                    lst.append(tok)
-        return by_cycle
 
     def attach_closedloop(self, engine) -> None:
         """Bind a :class:`~repro.workloads.closedloop.ClosedLoopEngine`:

@@ -104,7 +104,10 @@ class ClosedLoopSource(ArrivalModel):
     source only *loses* eligibility (window credit, quota) by firing and
     its stream is private, so once eligible its k-th draw decides its
     k-th coming cycle and can be drawn ahead; whoever makes it eligible
-    again (a credit, a new phase quota) re-arms it.
+    again (a credit, a new phase quota) re-arms it.  Draws stop at the
+    calendar's block end, and the next fill resumes them from exactly
+    that cycle, so a low think rate costs one draw per cycle run, never
+    a run of draws past the horizon.
     """
 
     __slots__ = ("rate", "rng", "window", "arrivals", "outstanding",
@@ -141,20 +144,26 @@ class ClosedLoopSource(ArrivalModel):
         self.fire()
         return True
 
-    def arm(self, at: int) -> Optional[int]:
-        """The cycle this source next fires if polled from ``at`` on, or
-        ``None`` (not eligible, already armed, rate 0): the failures
-        ``fires()`` would draw are drawn here, one per eligible cycle."""
+    def arm(self, at: int, stop: int) -> Optional[int]:
+        """Arm this source if it is eligible from cycle ``at`` on and not
+        armed yet: the cycle it fires at if polled from ``at`` on, the
+        coins ``fires()`` would flip drawn here, one per cycle, up to
+        ``stop``.  Returns ``stop`` when none of ``[at, stop)`` fires
+        (the source stays armed; the caller clears ``armed`` to draw on
+        from ``stop``), ``None`` when there is nothing to arm (not
+        eligible, already armed, rate 0)."""
         r = self.rate
         if (self.armed or r <= 0.0 or self.outstanding >= self.window
                 or not self.quota_left):
             return None
-        if r < 1.0:
-            draw = self.rng.random
-            while draw() >= r:
-                at += 1
         self.armed = True
-        return at
+        if r >= 1.0:
+            return at
+        draw = self.rng.random
+        for t in range(at, stop):
+            if draw() < r:
+                return t
+        return stop
 
     def fire(self) -> None:
         """Issue one transaction: what a successful ``fires()`` books."""
@@ -168,8 +177,7 @@ class ClosedLoopSource(ArrivalModel):
         raise RuntimeError(
             "closed-loop sources are reactive: arrivals depend on "
             "deliveries that have not happened yet, so they cannot be "
-            "precomputed in blocks; drive the mix cycle by cycle "
-            "(SimBackend.run_mix does)")
+            "drawn in blocks; the mix arms them instead (arm / fire)")
 
 
 @dataclass(frozen=True)

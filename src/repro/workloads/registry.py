@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.traffic.arrival import (BernoulliInjector, BurstyInjector,
-                                   TraceInjector)
+                                   ReplayInjector, TraceInjector)
 from repro.traffic.generators import (BitComplementPattern,
                                       DestinationPattern, DirectoryPattern,
                                       HotspotPattern, NeighbourPattern,
@@ -94,8 +94,8 @@ class ResolvedArrival:
         self.reactive = reactive
         self._make = make
         #: v2-trace replay payload (per-node event lists); when set,
-        #: :class:`~repro.traffic.mix.TrafficMix` bypasses the injector
-        #: factory and replays the recorded messages verbatim
+        #: :class:`~repro.traffic.mix.TrafficMix` sends the recorded
+        #: messages verbatim at the arrivals the injectors replay
         self.replay = None
 
     def __call__(self, node: int, rate: float,
@@ -540,14 +540,14 @@ def _build_closedloop(window: int = 4) -> ResolvedArrival:
 def _build_trace(path: str) -> ResolvedArrival:
     trace = Trace.load(str(path))
     per_node = trace.per_node()
+    # v2: one arrival per recorded message (a multi-class node may send
+    # several in one cycle), each sent verbatim -- seed-independent
+    make = ReplayInjector if trace.version == 2 else TraceInjector
     model = ResolvedArrival(
         "trace", f"trace:path={path}",
-        lambda node, rate, rng: TraceInjector(per_node[node]),
+        lambda node, rate, rng: make(per_node[node]),
         nodes=trace.n)
     if trace.version == 2:
-        # full per-event payloads: TrafficMix switches to verbatim
-        # replay (seed-independent; supports multi-class bursts where
-        # one node injects several messages in one cycle)
         model.replay = trace.per_node_events()
     return model
 

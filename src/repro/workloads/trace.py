@@ -14,8 +14,9 @@ formats exist:
   replay is **seed- and pattern-independent** and works for multi-class
   workloads (where one node may inject several classes in one cycle).
   :class:`~repro.traffic.mix.TrafficMix` detects a v2 payload on its
-  arrival model and injects the recorded messages verbatim, consuming no
-  randomness.
+  arrival model, replays one arrival per recorded message
+  (:class:`~repro.traffic.arrival.ReplayInjector`) and injects each
+  message verbatim, consuming no randomness.
 
 Format
 ------
@@ -247,9 +248,9 @@ class TraceRecorder:
     >>> recorder.trace().save("run.jsonl")             # doctest: +SKIP
 
     ``TrafficMix.inject`` is the single funnel both backends go through
-    (the reference loop via ``generate``, the fast-forwarding backends
-    directly when replaying precomputed blocks), so the recorded train
-    is backend-independent.  Recordings carry the full injection
+    (the reference loop via ``generate``, the array engine's window
+    loop directly, both reading the mix's calendar), so the recorded
+    train is backend-independent.  Recordings carry the full injection
     decision (``repro-trace/v2``): destination, size, class name and
     broadcast flag per event.
     """

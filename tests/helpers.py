@@ -11,7 +11,8 @@ from __future__ import annotations
 from repro.noc.network import Network
 from repro.noc.packet import UNICAST, Packet
 
-__all__ = ["drain", "send_one", "run_cycles", "probed_route_tables"]
+__all__ = ["drain", "send_one", "run_cycles", "one_cycle_segments",
+           "probed_route_tables"]
 
 
 def drain(net: Network, max_cycles: int = 200_000) -> int:
@@ -29,6 +30,12 @@ def send_one(net: Network, src: int, dst: int, size: int,
 def run_cycles(net: Network, cycles: int) -> None:
     for _ in range(cycles):
         net.step()
+
+
+def one_cycle_segments(inj, stop: int, start: int = 0) -> list:
+    """An arrival model's train over ``[start, stop)`` drawn one cycle
+    per ``arrivals_in`` call -- what a per-cycle poll of it saw."""
+    return [t for c in range(start, stop) for t in inj.arrivals_in(c, c + 1)]
 
 
 def probed_route_tables(be):

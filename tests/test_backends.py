@@ -10,9 +10,11 @@ pins the optimized engine to the seed semantics.
 
 import os
 import random
+from unittest import mock
 
 import pytest
 
+from helpers import one_cycle_segments
 from repro.core.api import NETWORK_KINDS, build_network
 from repro.noc.packet import UNICAST, Packet
 from repro.sim.backend import BACKENDS, ArrayBackend, make_backend
@@ -409,10 +411,11 @@ class TestEnvironmentToggles:
 
 class TestGeometricInjector:
     def test_bulk_matches_per_cycle(self):
-        """arrivals_in() consumes the stream exactly like fires()."""
+        """Blocks of any length consume the stream like one-cycle
+        segments."""
         a = BernoulliInjector(0.07, random.Random(42))
         b = BernoulliInjector(0.07, random.Random(42))
-        per_cycle = [t for t in range(5000) if a.fires()]
+        per_cycle = one_cycle_segments(a, 5000)
         bulk = (b.arrivals_in(0, 1234) + b.arrivals_in(1234, 1235)
                 + b.arrivals_in(1235, 5000))
         assert per_cycle == bulk
@@ -424,20 +427,23 @@ class TestGeometricInjector:
         and a subnormal rate an infinite gap ``int()`` cannot take."""
         for rate in (1e-17, 5e-324):
             inj = BernoulliInjector(rate, random.Random(0))
-            assert not inj.fires()
-            assert inj.arrivals_in(0, 10_000) == []
+            assert inj.arrivals_in(0, 1) == []
+            assert inj.arrivals_in(1, 10_000) == []
 
-    def test_mix_precompute_matches_generate(self):
+    def test_window_loop_matches_one_cycle_calendar(self):
+        """The array engine's window loop reads the calendar a block
+        ahead; the reference loop drawing it one cycle at a time (what
+        per-cycle polling computed) injects the same traffic."""
         nets = [build_network("quarc", 8)[0] for _ in range(2)]
         mixes = [TrafficMix(n, 0.05, 4, beta=0.2, seed=9) for n in nets]
-        for t in range(600):
-            mixes[0].generate(t)
-            nets[0].step(t)
-        by_cycle = mixes[1].precompute_arrivals(0, 600)
-        for t in range(600):
-            for node in by_cycle.get(t, ()):
-                mixes[1].inject(node, t)
-            nets[1].step(t)
+        with mock.patch("repro.traffic.mix.CALENDAR_BLOCK", 1):
+            for t in range(600):
+                mixes[0].generate(t)
+                nets[0].step(t)
+        be = make_backend("array", nets[1])
+        be.run_mix(mixes[1], 600)
+        be.detach()
+        assert mixes[0].generated_total > 100
         assert mixes[0].generated_unicasts == mixes[1].generated_unicasts
         assert mixes[0].generated_broadcasts == mixes[1].generated_broadcasts
         assert nets[0].flits_moved == nets[1].flits_moved

@@ -12,6 +12,7 @@ bytes for all of it.
 
 import hashlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +103,7 @@ class _Feedback:
 
     def __init__(self, mix=None):
         self.mix = mix
-        self.closed_k = range(8)
+        self.closed_k = range(len(TestCalendar.CLASSES))
         self.fired = []
 
     def begin_cycle(self, now):
@@ -128,31 +129,43 @@ class TestCalendar:
     CLASSES = [TrafficClass(f"c{k}", rate=rate, msg_len=2,
                             arrival=f"closedloop:window={window}")
                for k, (rate, window) in enumerate(
-                   (r, w) for r in (0.0, 0.012, 0.5, 1.0) for w in (1, 4))]
+                   (r, w) for r in (0.0, 1e-7, 1e-6, 0.012, 0.5, 1.0)
+                   for w in (1, 4))]
 
     @settings(derandomize=True, deadline=None, max_examples=20)
     @given(seed=st.integers(0, 2**32 - 1),
            p_credit=st.sampled_from((0.0, 0.05, 0.5, 1.0)),
            p_restart=st.sampled_from((0.0, 0.02, 0.3)),
-           start=st.integers(0, 5000))
+           start=st.integers(0, 5000),
+           block=st.sampled_from((1, 7, 64, 2048)))
     def test_calendar_equals_polling(self, seed, p_credit, p_restart,
-                                     start):
-        """64 sources (rate x window x node; odd nodes phased, quota 3)
+                                     start, block):
+        """96 sources (rate x window x node; odd nodes phased, quota 3)
         under a random credit-return and phase-restart script, polled
         through ``fires()`` and driven through the mix's calendar: same
         (cycle, token) firings, same ``arrivals`` / ``outstanding`` /
-        ``quota_left`` after every cycle."""
+        ``quota_left`` after every cycle.  Short calendar blocks make
+        armed sources stop at a block end and draw on at the next fill;
+        at the tiny rates an unbounded ``arm`` would draw millions."""
         sides = []
         net, _ = build_network("quarc", 8)
+        per_node = len(self.CLASSES)
         for calendar in (False, True):
             mix = TrafficMix(net, seed=seed, classes=self.CLASSES)
             fb = _Feedback(mix if calendar else None)
             mix.attach_closedloop(fb)
             for i, src in enumerate(mix._injectors):
-                if (i // 8) % 2:
+                if (i // per_node) % 2:
                     src.quota_left = 3
             sides.append((mix, fb))
         script = random.Random(seed)
+        with mock.patch("repro.traffic.mix.CALENDAR_BLOCK", block):
+            self._drive(sides, script, start, p_credit, p_restart)
+        assert sides[0][1].fired == sides[1][1].fired
+        assert len(sides[0][1].fired) > 30
+
+    @staticmethod
+    def _drive(sides, script, start, p_credit, p_restart):
         for now in range(start, start + 400):
             restart = script.random() < p_restart
             for mix, fb in sides:
@@ -161,7 +174,7 @@ class TestCalendar:
                 if fb.mix is not None:
                     mix.generate(now)
                 else:
-                    for tok, src in zip(mix._tokens, mix._injectors):
+                    for tok, src in zip(mix.tokens, mix._injectors):
                         if src.fires():
                             fb.issue(*tok, now)
             state = [[(s.arrivals, s.outstanding, s.quota_left)
@@ -172,8 +185,6 @@ class TestCalendar:
                 if script.random() < p_credit:
                     for mix, fb in sides:
                         fb.credit(mix._injectors, i, now)
-        assert sides[0][1].fired == sides[1][1].fired
-        assert len(sides[0][1].fired) > 30
 
     #: sha256 of the ``on_inject`` tap stream (quarc16, seed 9, 2 500
     #: cycles), recorded from ``--backend reference`` at the last commit
@@ -416,8 +427,8 @@ class TestAxisValidation:
             net, classes=[TrafficClass("c", rate=0.2, msg_len=2,
                                        arrival="closedloop:window=2")])
         assert mix.reactive
-        with pytest.raises(RuntimeError, match="precompute"):
-            mix.precompute_arrivals(0, 100)
+        with pytest.raises(RuntimeError, match="drawn in blocks"):
+            mix._injectors[0].arrivals_in(0, 100)
         with pytest.raises(RuntimeError, match="engine"):
             mix.generate(0)     # reactive with no engine attached
         backend.detach()

@@ -6,13 +6,14 @@ and the seed-independent ``repro-trace/v2`` record/replay loop.
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 
 from repro.core.api import build_network
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.generators import NeighbourPattern, UniformPattern
-from repro.traffic.mix import TrafficClass, TrafficMix
+from repro.traffic.mix import CALENDAR_BLOCK, TrafficClass, TrafficMix
 from repro.traffic.workload import WorkloadSpec
 from repro.workloads import (WORKLOAD, Trace, TraceRecorder, get_scenario,
                              list_scenarios, parse_classes,
@@ -107,26 +108,26 @@ class TestMulticlassMix:
             TrafficMix(net, 0.01, 4,
                        classes=[TrafficClass("a", 0.01, 2)])
 
-    def test_precompute_matches_generate(self):
-        """Block precomputation and per-cycle generation must consume
-        identical RNG and order the same tokens -- the array backend's
-        fast-forward contract, multi-class edition."""
+    def test_calendar_block_does_not_change_the_stream(self):
+        """Whatever the calendar's block length -- one cycle (what
+        per-cycle polling drew), an odd one or the default -- a
+        multi-class mix injects the same (cycle, token) stream, node-major
+        and class-minor within a cycle."""
         classes = [TrafficClass("u", 0.04, 2),
                    TrafficClass("b", 0.02, 3, cast="broadcast",
                                 arrival="bursty:on=0.3,len=5")]
-        mix_a, _ = self._mix(classes, seed=11)
-        mix_b, _ = self._mix(classes, seed=11)
-        fired = []
-        mix_a.inject = lambda tok, now: fired.append((now, tok))
-        for t in range(600):
-            mix_a.generate(t)
-        by_cycle = {}
-        for s, e in ((0, 123), (123, 124), (124, 600)):
-            for t, toks in mix_b.precompute_arrivals(s, e).items():
-                by_cycle.setdefault(t, []).extend(toks)
-        expected = [(t, tok) for t in sorted(by_cycle)
-                    for tok in by_cycle[t]]
-        assert fired == expected
+        streams = []
+        for block in (1, 123, CALENDAR_BLOCK):
+            mix, _ = self._mix(classes, seed=11)
+            fired = []
+            mix.inject = lambda tok, now, fired=fired: fired.append(
+                (now, tok))
+            with mock.patch("repro.traffic.mix.CALENDAR_BLOCK", block):
+                for t in range(600):
+                    mix.generate(t)
+            streams.append(fired)
+        assert streams[0] == streams[1] == streams[2] == sorted(streams[0])
+        assert {tok[1] for _, tok in streams[0]} == {0, 1}
 
 
 class TestPatternNodeValidation:
@@ -387,6 +388,28 @@ class TestTraceV2:
                 original.extra["classes"][name]["generated"]
             assert classes[name]["latency_mean"] == pytest.approx(
                 original.extra["classes"][name]["latency_mean"])
+
+    def test_several_messages_per_cycle_on_every_backend(self, tmp_path):
+        """A node may send several recorded messages in one cycle (two
+        unicast classes, plus a broadcast on a rotating node): each is
+        its own arrival, injected in recorded order, on every backend."""
+        events = []
+        for t in range(0, 400, 5):
+            for node in range(8):
+                events.append((t, node, (node + 1) % 8, 4, "big", False))
+                events.append((t, node, (node + 3) % 8, 2, "small", False))
+                if node == t % 8:
+                    events.append((t, node, -1, 2, "inv", True))
+        path = Trace(n=8, events=events).save(str(tmp_path / "burst.jsonl"))
+        spec = _spec(workload="", rate=0.0, cycles=600, warmup=100,
+                     arrival=f"trace:path={path}")
+        from repro.sim.backend import BACKENDS
+        outs = [_run(spec, backend=b) for b in sorted(BACKENDS)]
+        assert outs[0] == outs[1]
+        assert outs[0].generated_msgs == len(events)
+        generated = {name: block["generated"]
+                     for name, block in outs[0].extra["classes"].items()}
+        assert generated == {"big": 640, "small": 640, "inv": 80}
 
     def test_replay_saturation_threshold_tracks_event_sizes(self,
                                                             tmp_path):

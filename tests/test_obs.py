@@ -150,6 +150,22 @@ class TestZeroPerturbation:
         assert set(report["categories"]) == {"collect", "inject", "step"}
         assert "replay_s" not in report     # array-only: step - kernel - fold
 
+    @pytest.mark.parametrize("backend,load", [
+        ("reference", {}),
+        ("array", dict(beta=0.0, rate=1.0,
+                       workload="cache_coherence:window=4")),
+    ], ids=["reference", "array-closed-loop"])
+    def test_inject_and_step_never_exceed_the_run(self, backend, load):
+        """``inject`` times only the outermost call -- ``generate``, not
+        the ``inject`` / ``fill_calendar`` calls inside it -- so it and
+        ``step`` are disjoint and add up to at most ``run_s``."""
+        import dataclasses
+        spec = dataclasses.replace(SPEC, **load)
+        session, _ = _probed_run(spec, backend, ObsSpec(profile=True))
+        report = session.profiler.report()
+        cat = report["categories"]
+        assert 0 < cat["inject"] + cat["step"] <= report["run_s"]
+
     def test_array_profile_reports_kernel_counters(self):
         session, _ = _probed_run(SPEC, "array", ObsSpec(profile=True))
         report = session.profiler.report()

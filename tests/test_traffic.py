@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from helpers import one_cycle_segments
 from repro.core.api import build_network
 from repro.core.collector import LatencyCollector
 from repro.traffic.arrival import BernoulliInjector
@@ -16,15 +17,15 @@ from repro.traffic.mix import TrafficMix
 class TestBernoulliInjector:
     def test_rate_statistics(self):
         inj = BernoulliInjector(0.3, random.Random(0))
-        fires = sum(inj.fires() for _ in range(20_000))
+        fires = len(inj.arrivals_in(0, 20_000))
         assert fires == pytest.approx(6000, rel=0.05)
         assert inj.arrivals == fires
 
     def test_zero_and_one(self):
-        assert not any(BernoulliInjector(0.0, random.Random(0)).fires()
-                       for _ in range(100))
-        assert all(BernoulliInjector(1.0, random.Random(0)).fires()
-                   for _ in range(100))
+        for rate, train in ((0.0, []), (1.0, list(range(100)))):
+            inj = BernoulliInjector(rate, random.Random(0))
+            assert one_cycle_segments(inj, 100) == train
+            assert inj.arrivals_in(100, 200) == [t + 100 for t in train]
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,12 @@
 Three families of invariants, each load-bearing for backend equivalence:
 
 * **Block contract** -- for *any* arrival model, *any* parameters and
-  *any* segmentation of the horizon, ``arrivals_in`` consumed in blocks
-  must produce the exact arrival train ``fires()`` produces cycle by
-  cycle, leaving the internal state identical.  This is the contract
-  that lets fast backends precompute traffic and fast-forward idle gaps
-  without moving a single RNG draw.
+  *any* segmentation of the horizon, ``arrivals_in`` consumed in
+  one-cycle segments, in random segments and in one call must produce
+  the same arrival train and leave the same internal state.  This is
+  the contract that lets the mix's calendar draw a block ahead and the
+  array backend fast-forward idle gaps without moving a single RNG
+  draw.
 * **Long-run rate** -- the ``rate`` knob means the same thing on every
   model (bursty changes variance, not mean), keeping cross-model load
   sweeps comparable.
@@ -24,7 +25,8 @@ import random
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.traffic.arrival import BernoulliInjector
+from helpers import one_cycle_segments
+from repro.traffic.arrival import BernoulliInjector, ReplayInjector
 from repro.workloads import (BurstyInjector, TraceInjector, format_spec,
                              parse_spec)
 from repro.workloads.registry import _coerce
@@ -47,34 +49,35 @@ def segmentations(horizon):
         lambda cuts: [0] + sorted(set(cuts)) + [horizon])
 
 
-def bursty_pair(rate, seed, on_frac, burst_len):
-    return (BurstyInjector(rate, random.Random(seed), on_frac=on_frac,
-                           burst_len=burst_len),
-            BurstyInjector(rate, random.Random(seed), on_frac=on_frac,
-                           burst_len=burst_len))
+def bursty(rate, seed, on_frac, burst_len):
+    return BurstyInjector(rate, random.Random(seed), on_frac=on_frac,
+                          burst_len=burst_len)
 
 
 # ----------------------------------------------------------------------
-# block contract: fires() == arrivals_in() under any segmentation
+# block contract: arrivals_in is invariant under segmentation
 # ----------------------------------------------------------------------
 class TestBlockContract:
     HORIZON = 3000
 
-    def _assert_contract(self, a, b, segments, state):
-        per_cycle = [t for t in range(self.HORIZON) if a.fires()]
+    def _assert_contract(self, make, segments, state):
+        """Three copies from ``make()`` consume the horizon in one-cycle
+        segments, in ``segments`` and in one call."""
+        a, b, c = make(), make(), make()
+        per_cycle = one_cycle_segments(a, self.HORIZON)
         bulk = []
         for lo, hi in zip(segments, segments[1:]):
             bulk.extend(b.arrivals_in(lo, hi))
-        assert per_cycle == bulk
-        assert a.arrivals == b.arrivals
-        assert state(a) == state(b)
+        assert per_cycle == bulk == c.arrivals_in(0, self.HORIZON)
+        assert a.arrivals == b.arrivals == c.arrivals == len(bulk)
+        assert state(a) == state(b) == state(c)
 
     @given(rate=rates, seed=seeds, segments=segmentations(3000))
     @settings(max_examples=60, **SETTINGS)
     def test_bernoulli(self, rate, seed, segments):
-        a = BernoulliInjector(rate, random.Random(seed))
-        b = BernoulliInjector(rate, random.Random(seed))
-        self._assert_contract(a, b, segments, lambda i: i._gap)
+        self._assert_contract(
+            lambda: BernoulliInjector(rate, random.Random(seed)),
+            segments, lambda i: i._gap)
 
     @given(rate=rates, seed=seeds,
            on_frac=st.floats(min_value=0.01, max_value=0.99),
@@ -82,33 +85,42 @@ class TestBlockContract:
            segments=segmentations(3000))
     @settings(max_examples=60, **SETTINGS)
     def test_bursty(self, rate, seed, on_frac, burst_len, segments):
-        a, b = bursty_pair(rate, seed, on_frac, burst_len)
-        self._assert_contract(a, b, segments,
-                              lambda i: (i._on, i._dwell))
+        self._assert_contract(
+            lambda: bursty(rate, seed, on_frac, burst_len),
+            segments, lambda i: (i._on, i._dwell))
 
     @given(cycles=st.lists(st.integers(min_value=0, max_value=2999),
                            unique=True).map(sorted),
            segments=segmentations(3000))
     @settings(max_examples=60, **SETTINGS)
     def test_trace(self, cycles, segments):
-        a, b = TraceInjector(cycles), TraceInjector(cycles)
-        self._assert_contract(a, b, segments,
+        self._assert_contract(lambda: TraceInjector(cycles), segments,
                               lambda i: (i._i, i._pos))
-        assert a.arrivals == len(cycles)     # full horizon replays all
+        # full horizon replays all
+        assert TraceInjector(cycles).arrivals_in(0, 3000) == cycles
+
+    @given(cycles=st.lists(st.integers(min_value=0, max_value=2999))
+           .map(sorted),
+           segments=segmentations(3000))
+    @settings(max_examples=60, **SETTINGS)
+    def test_replay_repeats_a_cycle_per_message(self, cycles, segments):
+        """A v2 replay may record several messages of one node in one
+        cycle: each is its own arrival, under any segmentation."""
+        self._assert_contract(lambda: ReplayInjector(cycles), segments,
+                              lambda i: (i._i, i._pos))
+        assert ReplayInjector(cycles).arrivals_in(0, 3000) == cycles
 
     @given(rate=rates, seed=seeds,
            split=st.integers(min_value=1, max_value=2999))
     @settings(max_examples=40, **SETTINGS)
     def test_switching_mid_stream_is_seamless(self, rate, seed, split):
-        """Drivers may swap between per-cycle and block consumption at
-        any point (per-cycle ``generate``, then the array backend's
-        block-precomputing ``run_mix`` on the same mix)."""
+        """A caller may change block length at any point (the calendar
+        drawn a cycle at a time, then a block ahead, on one mix)."""
         a = BernoulliInjector(rate, random.Random(seed))
         b = BernoulliInjector(rate, random.Random(seed))
-        train_a = [t for t in range(self.HORIZON) if a.fires()]
-        head = [t for t in range(split) if b.fires()]
+        head = one_cycle_segments(b, split)
         tail = b.arrivals_in(split, self.HORIZON)
-        assert train_a == head + tail
+        assert a.arrivals_in(0, self.HORIZON) == head + tail
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +143,7 @@ class TestLongRunRate:
                                       burst_len):
         # the contract only holds while the ON-state rate stays below
         # the one-arrival-per-cycle ceiling
-        inj, _ = bursty_pair(rate, seed, on_frac, burst_len)
+        inj = bursty(rate, seed, on_frac, burst_len)
         assume(inj.rate_on < 1.0)
         horizon = max(60_000, int(4000 / rate))
         got = len(inj.arrivals_in(0, horizon)) / horizon

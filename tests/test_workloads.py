@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from helpers import one_cycle_segments
 from repro.core.api import NETWORK_KINDS, build_network
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.arrival import BernoulliInjector
@@ -157,12 +158,13 @@ class TestSpecGrammar:
 # ----------------------------------------------------------------------
 class TestBurstyInjector:
     def test_bulk_matches_per_cycle(self):
-        """arrivals_in() consumes state + RNG exactly like fires()."""
+        """Blocks of any length consume state + RNG like one-cycle
+        segments."""
         a = BurstyInjector(0.05, random.Random(42), on_frac=0.3,
                            burst_len=8)
         b = BurstyInjector(0.05, random.Random(42), on_frac=0.3,
                            burst_len=8)
-        per_cycle = [t for t in range(8000) if a.fires()]
+        per_cycle = one_cycle_segments(a, 8000)
         bulk = (b.arrivals_in(0, 777) + b.arrivals_in(777, 778)
                 + b.arrivals_in(778, 8000))
         assert per_cycle == bulk
@@ -173,7 +175,7 @@ class TestBurstyInjector:
         inj = BurstyInjector(0.04, random.Random(3), on_frac=0.25,
                              burst_len=10)
         n = 200_000
-        fires = sum(inj.fires() for _ in range(n))
+        fires = len(inj.arrivals_in(0, n))
         assert fires / n == pytest.approx(0.04, rel=0.1)
 
     def test_burstier_than_bernoulli(self):
@@ -194,7 +196,7 @@ class TestBurstyInjector:
     def test_zero_rate_never_fires(self):
         inj = BurstyInjector(0.0, random.Random(0))
         assert inj.arrivals_in(0, 5000) == []
-        assert not any(inj.fires() for _ in range(200))
+        assert one_cycle_segments(inj, 200) == []
 
     @pytest.mark.parametrize("on,length", [(0.99, 1), (0.6, 1),
                                            (0.9, 2)])
@@ -205,7 +207,7 @@ class TestBurstyInjector:
         inj = BurstyInjector(0.05, random.Random(11), on_frac=on,
                              burst_len=length)
         n = 200_000
-        fires = sum(inj.fires() for _ in range(n))
+        fires = len(inj.arrivals_in(0, n))
         assert fires / n == pytest.approx(0.05, rel=0.1)
 
     @pytest.mark.parametrize("kw", [dict(rate=1.5), dict(on_frac=0.0),
@@ -227,7 +229,7 @@ class TestTraceInjector:
     def test_bulk_matches_per_cycle(self):
         cycles = [0, 3, 4, 10, 11, 12, 500, 999]
         a, b = TraceInjector(cycles), TraceInjector(cycles)
-        per_cycle = [t for t in range(1000) if a.fires()]
+        per_cycle = one_cycle_segments(a, 1000)
         bulk = b.arrivals_in(0, 7) + b.arrivals_in(7, 1000)
         assert per_cycle == bulk == cycles
         assert a.arrivals == b.arrivals == len(cycles)
