@@ -7,15 +7,17 @@ are unaffected -- and reports a wall-time split:
 
 ========== ==========================================================
 inject     traffic generation/injection (``TrafficMix.generate`` /
-           ``inject`` / ``fill_calendar``)
+           ``inject`` / ``emit`` / ``fill_calendar``, which draws the
+           single-class columns)
 collect    latency-collector delivery callbacks (also counted inside
            the step that triggered them)
 step       cycle execution: ``backend.step`` on ``reference``,
            ``ArrayBackend._advance`` on ``array`` (every cycle runs
            inside it, whether a window of ``run_mix`` or one ``step``;
            its Python *replay* residue is ``step - kernel - fold``)
-fold       turning staged injections into arrival rows
-           (``ArrayBackend._stage``; the fold proper runs in the cycle)
+fold       turning staged injections and a window of unicast columns
+           into arrival rows (``ArrayBackend._stage``; the fold proper
+           runs in the cycle)
 kernel     the cycle body: the compiled ``repro_run``
 ========== ==========================================================
 
@@ -32,8 +34,8 @@ the cycle body's own work counters, read from the engine's
 state struct: entries (``calls``), cycles executed inside them,
 buffers scanned (non-empty rows examined from the ready set), eligible
 candidates, flits moved, ready-set wakes and full rescans, why batches ended
-(``stops``), how many staged packets were rows / ever objects / staged
-late, and how many tails each delivery path took: collective receipts
+(``stops``), how many staged packets were rows / columns / ever objects /
+staged late, and how many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns, the rest through
 ``Adapter.receive_tail``.
 
@@ -55,16 +57,18 @@ __all__ = ["PhaseProfiler"]
 
 def _kernel_counters(backend) -> Dict[str, object]:
     """The cycle body's cumulative work counters (state struct), the packets
-    staged / as rows / ever objects / late, the tails by delivery path."""
+    staged / as rows / as columns / ever objects / late, the tails by
+    delivery path."""
     from repro.sim.array_backend import STOPS
     st = backend._st
-    staged, rows = len(backend._pkts), backend._nrows
+    staged, rows, cols = len(backend._pkts), backend._nrows, backend._ncols
     return {"calls": st.calls, "cycles": st.cycles,
             "buffers_scanned": st.scanned, "candidates": st.cands,
             "flits_moved": st.flits, "wakes": st.wakes,
             "rescans": st.rescans,
             "packets_staged": staged, "packets_rows": rows,
-            "packets_built": staged - rows + backend._nbuilt,
+            "packets_columns": cols,
+            "packets_built": staged - rows - cols + backend._nbuilt,
             "packets_late": backend._nlate,
             "tails_delivered": backend.net.deliveries,
             "tails_kernel": st.receipts,
@@ -95,6 +99,7 @@ class PhaseProfiler:
 
         self._wrap_timed(session.mix, "generate", "inject")
         self._wrap_timed(session.mix, "inject", "inject")
+        self._wrap_timed(session.mix, "emit", "inject")
         self._wrap_timed(session.mix, "fill_calendar", "inject")
         self._wrap_timed(session.collector, "on_unicast_cols", "collect")
         self._wrap_timed(session.collector, "on_collective_complete",
@@ -197,7 +202,8 @@ class PhaseProfiler:
                          f"{kc['wakes']} wakes, {kc['rescans']} rescans")
             lines.append(
                 "  packets: {packets_staged} staged, {packets_rows} as rows, "
-                "{packets_built} built, {packets_late} late\n"
+                "{packets_columns} as columns, {packets_built} built, "
+                "{packets_late} late\n"
                 "  tails: {tails_delivered} delivered, {tails_kernel} counted "
                 "by the kernel, {tails_unicast} as unicast columns, "
                 "{tails_receive_tail} through receive_tail".format(**kc))

@@ -2,9 +2,10 @@
  * repro_run() executes cycles [now, horizon) over the array-resident
  * state until Python is needed, and returns the next cycle to execute.
  * This file is the only definition of the cycle; a host that cannot
- * build it runs the reference backend.  Python also calls two of its
- * steps alone: repro_fold() (an inspection folds what is due) and
- * repro_refresh() (a header adopted or received from a halo).
+ * build it runs the reference backend.  Python also calls three of its
+ * steps alone: repro_fold() (an inspection folds what is due),
+ * repro_refresh() (a header adopted or received from a halo) and
+ * repro_wake() (a header Python routed).
  *
  * State.  One repro_state struct, assembled once per attach
  * (ArrayBackend._build_static) and mirrored field for field by
@@ -52,11 +53,12 @@
  *   - a push into an empty row, and a fold that fills an empty one,
  *     wake that row (its front changed);
  *   - a successful repro_refresh wakes its row: newly exposed headers,
- *     dateline re-refreshes and every header Python routes by table.
+ *     dateline re-refreshes and every header Python routes by table;
+ *     a header the router routed in Python is woken by repro_wake.
  * Rescan contract: Python sets `rescan` wherever it writes per-buffer or
- * per-port columns itself (adoption, a header routed by the router, the
- * shard worker's halo); the next repro_run rebuilds rdy from ne and
- * clears the flag.  The set lives across entries otherwise.
+ * per-port columns itself beyond one routed row (adoption, the shard
+ * worker's halo); the next repro_run rebuilds rdy from ne and clears
+ * the flag.  The set lives across entries otherwise.
  *
  * Receipts.  popx = (generation << 32) | slot names a collective
  * packet's receipt-table slot (-1: Python takes it).  The tail is then
@@ -157,6 +159,8 @@ static void wake(repro_state *s, int64_t b)
     s->rdy[b >> 6] |= BIT(b);
     s->wakes++;
 }
+
+void repro_wake(repro_state *s, int64_t b) { wake(s, b); }
 
 /* Every feeder of port p joins the ready set: a VC of p was released or
  * a downstream row of p has room again. */

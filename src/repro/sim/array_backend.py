@@ -53,26 +53,29 @@ One cycle is fold (arrival rows that are due join their buffer's
 pending FIFO; with nothing in flight the clock jumps to the next row)
 -> phase A (eligibility against start-of-cycle state, the reference
 round-robin winner per port, over the *ready set* of rows that may have
-become unblocked; whoever writes rows outside the kernel sets
-``State.rescan``) -> phase B (winners commit in ascending
-flat-port order, the reference commit order) -> refresh (dateline
-class upgrades, then every newly exposed header routed from the packed
-route table).  The cycle, the rule for when a run of cycles must stop
-for Python and the layout of the events it hands back are specified
-and implemented once, in ``_cycle_kernel.c`` (compiled by
-``repro.sim.ckernel``; a batch is one ``repro_run(&state)`` call).  No
-Python code repeats any of it: a host that cannot compile the file runs
-the ``reference`` backend instead (``make_backend``; ``ckernel`` warns).
+become unblocked; a header Python routes wakes its row, whoever else
+writes rows outside the kernel sets ``State.rescan``) -> phase B
+(winners commit in ascending flat-port order, the reference commit
+order) -> refresh (dateline class upgrades, then every newly exposed
+header routed from the packed route table).  The cycle, the rule for
+when a run of cycles must stop for Python and the layout of the events
+it hands back are specified and implemented once, in
+``_cycle_kernel.c`` (compiled by ``repro.sim.ckernel``; a batch is one
+``repro_run(&state)`` call).  No Python code repeats any of it: a host
+that cannot compile the file runs the ``reference`` backend instead
+(``make_backend``; ``ckernel`` warns).
 
 :meth:`ArrayBackend._advance` executes cycles ``[now, horizon)`` in
 batches: a batch runs until Python is needed, :meth:`_replay` applies
 its events, the next batch starts.  One ordered list, ``_staged``,
 takes what is injected: ``(buffer, packet)`` from the adapters (it is
 every ``FlitBuffer.sink``) and ``(node, dst, size, cls, created)`` rows
-from ``Network.send_unicast``, their buffer looked up in the adapters'
-``unicast_queue_table``; :meth:`_stage` turns it into arrival rows
-``(cycle, buffer, aid)`` in push order: a window ``run_mix`` injected
-ahead, each entry stamped with its cycle, at once with numpy; entries
+from ``Network.send_unicast``; ``_cols`` takes a window of the
+single-class mix's unicasts as ``(cycle, node, dst)`` columns.  A row's
+buffer is looked up in the adapters' ``unicast_queue_table``;
+:meth:`_stage` turns both into arrival rows ``(cycle, buffer, aid)`` in
+push order: a window ``run_mix`` injected ahead, each staged entry
+stamped with its cycle, at once with numpy; entries
 without a stamp are *late* -- due at the cycle about to run, so a packet
 injected at cycle *t* arbitrates at *t*, like a reference push -- and go
 one by one into the consumed prefix, in front of the rows still waiting
@@ -113,7 +116,6 @@ names the reference backend.
 from __future__ import annotations
 
 import ctypes
-from collections import Counter
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -222,6 +224,7 @@ class ArrayBackend(SimBackend):
         self._ck = lib.repro_run
         self._fold = lib.repro_fold
         self._refresh = lib.repro_refresh
+        self._wake = lib.repro_wake
         self._build_static()
         self._adopt()
 
@@ -391,8 +394,12 @@ class ArrayBackend(SimBackend):
             [np.array([*(self._bid[q] for q in queues), -1])[slot]
              for queues, slot in (ad.unicast_queue_table() for ad in a)],
             np.int32)
-        # --profile: rows staged, built anyway, entries late; tails by path
-        self._nrows = self._nbuilt = self._nlate = 0
+        #: a window of unicast columns ``run_mix`` took from the mix,
+        #: ``(cycle, node, dst, size)``, staged after ``_staged``
+        self._cols = None
+        # --profile: rows / columns staged, built anyway, entries late;
+        # tails by path
+        self._nrows = self._ncols = self._nbuilt = self._nlate = 0
         self._nuni = self._nrecv = 0
         self._acoll = [ad.collector for ad in a]
         # the traffic kinds whose tail ends its batch (relay segments)
@@ -479,11 +486,26 @@ class ArrayBackend(SimBackend):
         self._phdr[a0:a1] = -1
         return a0
 
-    def _intern_rows(self, rows):
-        """Intern ``Network.send_unicast`` rows as ``adapter.send`` would
-        have: pick each one's source buffer (the queue table, -1 where
-        ``send`` raises; returned) and count it generated.  ``_pkts``
+    def _intern_unicasts(self, node, dst, size, cls, born) -> int:
+        """Intern unicasts given as columns as ``adapter.send`` would
+        have, counting each generated; returns the first aid.  ``_pkts``
         holds ``None``, ``_psrc`` the source node, for :meth:`_packet`."""
+        k = len(born)
+        a0 = self._intern([None] * k, (cls, born, -1, dst, size, UNICAST, 0))
+        self._psrc[a0:a0 + k] = node
+        acoll = self._acoll
+        if acoll.count(acoll[0]) == len(acoll):     # one collector
+            acoll[0].note_generated(False, k)
+        else:
+            for v, c in enumerate(np.bincount(node).tolist()):
+                if c:
+                    acoll[v].note_generated(False, c)
+        return a0
+
+    def _intern_rows(self, rows):
+        """Intern ``Network.send_unicast`` rows; returns each one's source
+        buffer (the queue table; a destination ``send`` refuses raises
+        what it would)."""
         node, dst, size, cls, born, tag = zip(*rows)
         dst = np.array(dst)
         bad = dst[(dst < 0) | (dst >= len(self._qtab))]
@@ -493,16 +515,11 @@ class ArrayBackend(SimBackend):
         bufs = self._qtab[node, dst]
         if (bufs < 0).any():
             raise ValueError("local address has no quadrant")
-        k = len(rows)
-        nones = [None] * k
-        a0 = self._intern(nones, (cls, born, -1, dst, size, UNICAST, 0))
-        self._psrc[a0:a0 + k] = node
-        if tag.count(None) < k:
+        a0 = self._intern_unicasts(node, dst, size, cls, born)
+        if tag.count(None) < len(tag):
             self._ptag.update((a0 + i, t) for i, t in enumerate(tag)
                               if t is not None)
-        self._nrows += k
-        for n, c in Counter(node).items():
-            self._acoll[n].note_generated(False, c)
+        self._nrows += len(rows)
         return bufs
 
     def _packet(self, aid: int) -> Packet:
@@ -661,13 +678,45 @@ class ArrayBackend(SimBackend):
     # staging: what the adapters pushed -> arrival rows
     # ------------------------------------------------------------------
     def _stage(self, now: int) -> None:
-        """Turn the staged pushes into arrival rows: a stamped window
-        with numpy, a batch without stamps by :meth:`_stage_late`."""
-        staged, at = self._staged, self._staged_at
+        """Turn what was injected into arrival rows: a window's unicast
+        columns and stamped pushes with numpy, a batch without stamps
+        by :meth:`_stage_late`."""
+        staged, at, cols = self._staged, self._staged_at, self._cols
         n = len(staged)
-        if not at:
+        if not at and cols is None:
             return self._stage_late(now, n)
         at.extend([now] * (n - len(at)))
+        parts = [self._intern_staged(at)] if n else []
+        if cols is not None:
+            # after the pushes: a packet staged late at the window's first
+            # cycle goes in front of that cycle's arrivals, and no two
+            # arrivals of one cycle share a buffer
+            parts.append(self._intern_cols(*cols))
+            self._cols = None
+        rows = parts[0]
+        st = self._st
+        pos, an = st.apos, st.an
+        if len(parts) > 1 or pos < an:
+            rows = [np.concatenate(col) for col in zip(
+                *parts, *([getattr(self, name)[pos:an] for name in _ACOLS]
+                          if pos < an else ()))]
+            order = rows[0].argsort(kind="stable")
+            rows = [r[order] for r in rows]
+        n = len(rows[0])
+        if n > len(self._acyc):
+            self._grow(_ACOLS, n, 0)
+        for name, row in zip(_ACOLS, rows):
+            getattr(self, name)[:n] = row
+        st.apos = 0
+        st.an = n
+        staged.clear()
+        at.clear()
+
+    def _intern_staged(self, at):
+        """The staged pushes, stamped ``at``, as ``(cycle, buffer, aid)``
+        columns in push order."""
+        staged = self._staged
+        n = len(staged)
         # rows take the first aids, packets the rest: an aid is an
         # interning order, only the arrival rows keep the push order
         rows = [e for e in staged if len(e) == 6]
@@ -686,23 +735,15 @@ class ArrayBackend(SimBackend):
             rank = np.where(isrow, isrow.cumsum() - 1,
                             k - 1 + (~isrow).cumsum())
             abuf, aaid = abuf[rank], aaid[rank]
-        rows = (at, abuf, aaid)
-        st = self._st
-        pos, an = st.apos, st.an
-        if pos < an:
-            rows = [np.concatenate((new, getattr(self, name)[pos:an]))
-                    for new, name in zip(rows, _ACOLS)]
-            order = rows[0].argsort(kind="stable")
-            rows = [r[order] for r in rows]
-            n = len(order)
-        if n > len(self._acyc):
-            self._grow(_ACOLS, n, 0)
-        for name, row in zip(_ACOLS, rows):
-            getattr(self, name)[:n] = row
-        st.apos = 0
-        st.an = n
-        staged.clear()
-        at.clear()
+        return np.asarray(at), np.asarray(abuf), aaid
+
+    def _intern_cols(self, cyc, node, dst, size):
+        """Intern a window of single-class unicasts; returns their
+        ``(cycle, buffer, aid)`` columns."""
+        k = len(cyc)
+        a0 = self._intern_unicasts(node, dst, size, [None] * k, cyc.tolist())
+        self._ncols += k
+        return cyc, self._qtab[node, dst], np.arange(a0, a0 + k)
 
     def _stage_late(self, now: int, n: int) -> None:
         """The ``n`` staged entries are due at ``now``.  Rows still
@@ -827,7 +868,7 @@ class ArrayBackend(SimBackend):
         self._hdrf[b] = True
         self._pvb[b] = 2 * p + vc
         self._pvb2[b] = self._pv2of[p]
-        self._st.rescan = 1
+        self._wake(self._stp, b)
 
     # ------------------------------------------------------------------
     # delivery residue
@@ -900,7 +941,7 @@ class ArrayBackend(SimBackend):
         if kc is not None and (fs is not None or self._acoll.count(kc)
                                != len(self._acoll)):
             self._release()
-        if self._staged:
+        if self._staged or self._cols is not None:
             self._stage(now)
         st.nofast = fs is not None
         st.stopkinds = (self._stopkinds if fs is None and net.on_tail is None
@@ -944,11 +985,12 @@ class ArrayBackend(SimBackend):
 
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
-        """The windowed ``run_mix``: read the mix's calendar a block at a
-        time, inject a whole window ``[t, w1)`` ahead -- each staged
-        packet stamped with its cycle -- and :meth:`_advance` through
-        it; ``w1`` ends the block or follows the next probe cycle,
-        whichever is first.
+        """The windowed ``run_mix``: read the mix's draw a block at a
+        time, inject a whole window ``[t, w1)`` ahead -- a single-class
+        mix's columns by :meth:`_take`, calendar tokens by
+        ``mix.inject``, each staged entry stamped with its cycle -- and
+        :meth:`_advance` through it; ``w1`` ends the block or follows
+        the next probe cycle, whichever is first.
 
         Injecting ahead is exact: every class / destination stream is
         per node and drawn in arrival order either way, the generation
@@ -975,11 +1017,13 @@ class ArrayBackend(SimBackend):
             if t >= mix.cal_end:
                 mix.fill_calendar(t)
             c1 = min(mix.cal_end, end)
-            arrivals = sorted(cal)
+            arrivals = () if mix.block is not None else sorted(cal)
             ai = 0
             while t < c1:
                 w1 = min(c1, due[pi] + 1)
                 at.extend([t] * (len(staged) - len(at)))
+                if mix.block is not None:
+                    self._take(mix, w1)
                 while ai < len(arrivals) and arrivals[ai] < w1:
                     c = arrivals[ai]
                     ai += 1
@@ -991,6 +1035,27 @@ class ArrayBackend(SimBackend):
                     probes[due[pi]](t - 1)
                     pi += 1
         self._sync(ops=True)
+
+    def _take(self, mix: "TrafficMix", w1: int) -> None:
+        """Inject the mix's column rows before ``w1``: broadcasts through
+        ``mix.emit``, unicasts as one window of columns for
+        :meth:`_stage`.  A fault state (dead sources, unreachable
+        destinations) or an ``on_inject`` tap takes every row through
+        ``mix.emit`` instead."""
+        cyc, node, dst = mix.take(w1)
+        staged, at, emit = self._staged, self._staged_at, mix.emit
+        if self.net.fault_state is not None or mix.on_inject is not None:
+            bc = np.ones(len(cyc), bool)
+        else:
+            bc = dst < 0
+        for c, v, d in zip(cyc[bc].tolist(), node[bc].tolist(),
+                           dst[bc].tolist()):
+            emit(v, d, c)
+            at.extend([c] * (len(staged) - len(at)))
+        uni = ~bc
+        if uni.any():
+            self._cols = (cyc[uni], node[uni], dst[uni], mix.msg_len)
+            mix.generated_unicasts += len(self._cols[0])
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph

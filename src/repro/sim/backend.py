@@ -18,21 +18,20 @@ through simulated cycles.  Two implementations ship, with two roles:
   kernel.  On a host where the kernel cannot be built or loaded,
   :func:`make_backend` hands out ``reference`` in its place (the loader
   warns once).  Its own ``run_mix`` drives
-  **windows, not cycles**: it reads the mix's arrival calendar a block
-  at a time, injects a window ahead and lets the cycle body run until
-  Python is needed, idle gaps skipped.  See ``array_backend.py`` for
+  **windows, not cycles**: it reads the mix's arrival draw a block at
+  a time, injects a window ahead (a single-class mix's unicasts as
+  columns) and lets the cycle body run until Python is needed, idle
+  gaps skipped.  See ``array_backend.py`` for
   the ownership contract.
 
 Why running ahead is bit-identical
 ----------------------------------
 * Idle cycles are provably no-ops: with zero flits in flight, ``step``
   only advances the clock, so jumping it assigns the same final clock.
-* Both backends read one arrival calendar, filled a block ahead by
-  :meth:`repro.traffic.mix.TrafficMix.fill_calendar`: each arrival
-  stream is drawn in cycle order, and the per-node class / destination
-  streams are only consumed at arrivals, in arrival order, whether the
-  reference loop injects a cycle at a time or the array loop a window
-  ahead.
+* Both backends read one arrival draw, made a block ahead by
+  :meth:`repro.traffic.mix.TrafficMix.fill_calendar`: every stream is
+  per node and drawn in arrival order, whether the reference loop
+  injects a cycle at a time or the array loop a window ahead.
 """
 
 from __future__ import annotations

@@ -8,10 +8,12 @@ is a few us of C and a ctypes call costs as much again, hence one
 pointer and a horizon rather than one call per cycle.  A cycle examines
 only the *ready set* -- the rows whose blocking may have changed since
 they were last found blocked -- which the kernel keeps across entries;
-Python sets ``State.rescan`` wherever it writes per-buffer or per-port
-columns itself, and the next entry rebuilds the set.  Two of its steps
-are exported alone, ``repro_fold`` and ``repro_refresh``, for the
-Python callers that need them without running a cycle.  :class:`State`
+Python wakes the one row whose header it routed (``repro_wake``) and
+sets ``State.rescan`` wherever else it writes per-buffer or per-port
+columns itself; the next entry then rebuilds the set.  Three of its
+steps are exported alone, ``repro_fold``, ``repro_refresh`` and
+``repro_wake``, for the Python callers that need them without running
+a cycle.  :class:`State`
 mirrors the C ``repro_state`` field for field, and a kernel whose
 ``repro_state_size()`` disagrees with ``ctypes.sizeof(State)`` is
 refused instead of corrupting memory.
@@ -142,17 +144,18 @@ def _compile_and_load() -> ctypes.CDLL:
             f"repro_state is {size} bytes in {lib} but ckernel.State is "
             f"{ctypes.sizeof(State)}: the two layouts have drifted apart")
     for name, args in (("repro_run", []), ("repro_fold", []),
-                       ("repro_refresh", [ctypes.c_int64])):
+                       ("repro_refresh", [ctypes.c_int64]),
+                       ("repro_wake", [ctypes.c_int64])):
         fn = getattr(dll, name)
-        fn.restype = ctypes.c_int64
+        fn.restype = None if name == "repro_wake" else ctypes.c_int64
         fn.argtypes = [ctypes.c_void_p, *args]
     return dll
 
 
 def load_cycle_kernel() -> Optional[ctypes.CDLL]:
     """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
-    ``repro_refresh`` typed), or ``None`` if it is unavailable.  The
-    result, either way, is the process's."""
+    ``repro_refresh``, ``repro_wake`` typed), or ``None`` if it is
+    unavailable.  The result, either way, is the process's."""
     global _cached, _failed
     if _cached is None and not _failed:
         try:

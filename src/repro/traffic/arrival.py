@@ -2,7 +2,7 @@
 
 One protocol, one module: every per-node injection process implements
 :class:`ArrivalModel`, and :class:`~repro.traffic.mix.TrafficMix` reads
-every one of them through one calendar, whichever backend drives it.
+every one of them through one block draw, whichever backend drives it.
 
 * **Stateless** models (``reactive = False``, the default) depend only
   on their own private RNG stream and internal state, never on network
@@ -96,7 +96,9 @@ class BernoulliInjector(ArrivalModel):
     with probability ``rate``, i.e. back-to-back arrivals).
     :meth:`arrivals_in` walks the gap sequence and keeps the countdown
     to the next arrival across calls, so any segmentation of the horizon
-    yields the same train from the same stream.
+    yields the same train from the same stream.  A single-class mix
+    draws the same gaps from the same stream for all its nodes at once
+    (:mod:`repro.traffic.columns`), after the first one drawn here.
     """
 
     __slots__ = ("rate", "rng", "arrivals", "_gap")

@@ -4,13 +4,15 @@ Two construction modes drive one network through ``Network.send_unicast``
 and the adapters' uniform ``send_broadcast`` interface:
 
 * **Single-class (the paper's workload)** -- ``TrafficMix(net, rate,
-  msg_len, beta)``: every cycle, every node's arrival process decides
-  whether a message is created (independent Bernoulli(rate) per node by
-  default; :mod:`repro.traffic.arrival` adds bursty and trace-replay
-  models); on arrival the message becomes a broadcast with probability
-  ``beta`` and a pattern-chosen unicast otherwise.  Message length is
-  ``msg_len`` flits for both outcomes (the paper's M).  This path keeps
-  the seed RNG draw order exactly, so golden fixtures pin it.
+  msg_len, beta)``: every node's arrival process (independent
+  Bernoulli(rate) by default; :mod:`repro.traffic.arrival` adds bursty
+  and trace-replay models) creates messages; each becomes a broadcast
+  with probability ``beta`` and a pattern-chosen unicast otherwise, of
+  ``msg_len`` flits either way (the paper's M).  Arrivals, β decisions
+  and destinations are drawn a block at a time as numpy columns
+  ``(cycle, node, dst)`` by :class:`~repro.traffic.columns.ColumnDraw`,
+  word for word what the seed's per-message ``random.Random`` calls
+  drew, so golden fixtures pin it.
 * **Multi-class** -- ``TrafficMix(net, classes=[TrafficClass(...), ...])``:
   each :class:`TrafficClass` (name, rate, msg_len, pattern, arrival,
   cast) gets its own per-node arrival process and destination stream, so
@@ -18,29 +20,36 @@ and the adapters' uniform ``send_broadcast`` interface:
   broadcasts + long cache-line unicasts, Sec. 2.2) are first-class.
   Per-class draws come from their own named RNG streams
   (``node{i}.{name}.arrivals`` / ``.dst``), leaving the single-class
-  streams untouched.
+  streams untouched.  A firing injector is a *token* on a calendar
+  (``{cycle: [injector index, ...]}``): stateless models are drawn a
+  block at a time through ``arrivals_in``, reactive ones through
+  ``arm``, and :meth:`TrafficMix.inject` draws the class / destination
+  of each token when it fires.
 
-Both modes draw their arrivals into one calendar
-(:meth:`TrafficMix.fill_calendar`): stateless models a block at a time
-through ``arrivals_in``, reactive ones through ``arm``.  The reference
-loop's :meth:`TrafficMix.generate` and the array engine's window loop
-read the same calendar, so every :class:`~repro.sim.backend.SimBackend`
-injects the same messages in the same order.  **Trace replay** engages
-automatically when the arrival model carries a ``repro-trace/v2``
-payload (destination, class, size and broadcast flag per event): its
-injectors replay one arrival per recorded message, and :meth:`inject`
-sends that message verbatim, consuming no randomness -- which makes v2
-replay seed- and pattern-independent.
+:meth:`TrafficMix.fill_calendar` is the one arrival draw of both modes.
+The reference loop's :meth:`TrafficMix.generate` and the array engine's
+window loop read what it drew, so every
+:class:`~repro.sim.backend.SimBackend` injects the same messages in the
+same order; :meth:`TrafficMix.emit` is the one per-message emitter.
+**Trace replay** engages automatically when the arrival model carries
+a ``repro-trace/v2`` payload (destination, class, size and broadcast
+flag per event): its injectors are tokens with one arrival per recorded
+message, and :meth:`inject` sends that message verbatim, consuming no
+randomness -- which makes v2 replay seed- and pattern-independent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
                     Optional, Sequence, Tuple)
 
+import numpy as np
+
 from repro.sim.rng import RngStreams
 from repro.traffic.arrival import BernoulliInjector
+from repro.traffic.columns import FAR, ColumnDraw
 from repro.traffic.generators import DestinationPattern, UniformPattern
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,8 +60,12 @@ __all__ = ["TrafficClass", "TrafficMix", "CAST_UNICAST", "CAST_BROADCAST"]
 CAST_UNICAST = "unicast"
 CAST_BROADCAST = "broadcast"
 
-#: Cycles of arrivals one calendar fill draws ahead.
+#: Cycles of arrivals one calendar fill draws ahead, at least.
 CALENDAR_BLOCK = 2048
+#: Expected arrivals a block of Bernoulli columns holds at least: at a
+#: low rate a block spans more cycles, so per-block numpy work does not
+#: outweigh the arrivals it draws.
+BLOCK_ARRIVALS = 4096
 
 #: ``on_inject`` tap signature: ``(node, now, cls, dst, size, bcast)``
 #: where ``cls`` is the traffic-class name (``None`` for the untagged
@@ -135,9 +148,9 @@ class TrafficMix:
         self.stop_generating_at = stop_generating_at
         #: optional tap fired as ``on_inject(node, now, cls, dst, size,
         #: bcast)`` for every injected message (the TraceRecorder hook);
-        #: ``inject`` is the single funnel both backends go through, so
-        #: taps see identical event streams whichever engine drives the
-        #: run
+        #: while it is set every message goes through :meth:`emit`, on
+        #: either backend, so taps see identical event streams whichever
+        #: engine drives the run
         self.on_inject: Optional[InjectTap] = None
         self.generated_unicasts = 0
         self.generated_broadcasts = 0
@@ -159,6 +172,13 @@ class TrafficMix:
         #: (-1: nothing drawn yet), reactive ones whenever armed
         self.calendar: Dict[int, List[int]] = {}
         self.cal_end = -1
+        #: single-class mode: the block draw, the current block's
+        #: ``(cycle, node, dst)`` columns, the first row not yet taken
+        #: and its cycle (``cal_end`` when none is left)
+        self._draw: Optional[ColumnDraw] = None
+        self.block: Optional[Tuple[np.ndarray, ...]] = None
+        self.bpos = 0
+        self._bnext = 0
         #: armed reactive injectors that fire after ``cal_end``: the
         #: next fill draws on from where their draws stopped
         self._resume: List[int] = []
@@ -219,10 +239,17 @@ class TrafficMix:
         self._class_rng = [streams.get(f"node{i}.class")
                            for i in range(net.n)]
         self._dst_rng = [streams.get(f"node{i}.dst") for i in range(net.n)]
-        self.reactive = any(inj.reactive for inj in self._injectors)
+        if any(inj.reactive for inj in self._injectors):
+            raise ValueError(
+                "reactive arrival models ('closedloop:...') need a "
+                "closed-loop engine, which only multi-class closed-loop "
+                "workloads wire up; use e.g. "
+                "workload='cache_coherence:window=4'")
 
         replay = getattr(arrival, "replay", None)
-        if replay is not None:
+        if replay is None:
+            self._draw = ColumnDraw(self)
+        else:
             # repro-trace/v2: the injectors replay one arrival per
             # recorded message; inject() sends that message verbatim
             self._replay = [iter(evs) for evs in replay]
@@ -326,6 +353,14 @@ class TrafficMix:
                 "attach_closedloop()")
         if now >= self.cal_end:
             self.fill_calendar(now)
+        if self.block is not None:
+            if now >= self._bnext:
+                cyc, node, dst = self.take(now + 1)
+                for c, v, d in zip(cyc.tolist(), node.tolist(),
+                                   dst.tolist()):
+                    if c == now:
+                        self.emit(v, d, now)
+            return
         due = self.calendar.pop(now, None)
         if due is None:
             return
@@ -341,16 +376,34 @@ class TrafficMix:
                 self.inject(tokens[i], now)
 
     def fill_calendar(self, now: int) -> None:
-        """Draw cycles ``[now, now + CALENDAR_BLOCK)`` into the calendar.
+        """Draw the next block, from ``now`` to the new ``cal_end``.
 
-        Every stateless injector draws its block through
+        Single-class: the ``(cycle, node, dst)`` columns of
+        ``CALENDAR_BLOCK`` cycles, or of as many more as hold
+        ``BLOCK_ARRIVALS`` expected Bernoulli arrivals, replace
+        :attr:`block`.  Multi-class and replay: every stateless injector
+        draws ``CALENDAR_BLOCK`` cycles into the calendar through
         ``arrivals_in``, in injector order, so each cycle's list comes
         out node-major, class-minor.  Reactive injectors that the last
         block left armed draw on from ``now``; the first fill arms every
-        reactive injector.  Only arrival streams are drawn here: class
+        reactive injector.  Only arrival streams are drawn there: class
         and destination streams are drawn by :meth:`inject`, at the
         arrival cycle.
         """
+        draw = self._draw
+        if draw is not None:
+            span = CALENDAR_BLOCK
+            if draw.bernoulli:
+                load = len(self.tokens) * self.rate
+                span = min(max(span, math.ceil(BLOCK_ARRIVALS / load)),
+                           FAR) if load else FAR
+            stop = self.cal_end = now + span
+            if self.stop_generating_at is not None:
+                stop = min(stop, self.stop_generating_at)
+            self.block = cyc, _, _ = draw.block(now, stop)
+            self.bpos = 0
+            self._bnext = int(cyc[0]) if len(cyc) else self.cal_end
+            return
         first = self.cal_end < 0
         stop = self.cal_end = now + CALENDAR_BLOCK
         resume, self._resume = self._resume, []
@@ -384,14 +437,21 @@ class TrafficMix:
         else:           # no firing in this block: the next fill draws on
             self._resume.append(i)
 
+    def take(self, until: int) -> Tuple[np.ndarray, ...]:
+        """The current block's rows before cycle ``until`` not taken yet,
+        as ``(cycle, node, dst)`` columns; taking them is the caller's
+        promise to emit them, one by one through :meth:`emit` or as a
+        window of columns."""
+        cyc, node, dst = self.block
+        lo = self.bpos
+        hi = self.bpos = lo + int(np.searchsorted(cyc[lo:], until))
+        self._bnext = int(cyc[hi]) if hi < len(cyc) else self.cal_end
+        return cyc[lo:hi], node[lo:hi], dst[lo:hi]
+
     def inject(self, token, now: int) -> None:
-        """Emit one message: the class/destination draws and the
-        hand-off that :meth:`generate` performs for a firing injector.
-        ``token`` is a node id (single-class / replay) or a ``(node,
-        class_index)`` pair (multi-class).  Exposed so the array
-        engine's window loop can inject the calendar's arrivals a window
-        ahead with identical RNG consumption.  A unicast leaves through
-        ``Network.send_unicast``, which decides if a ``Packet`` is built."""
+        """A firing calendar token: draw its class / destination (or take
+        its recorded message) and :meth:`emit` it.  ``token`` is a node id
+        (replay) or a ``(node, class_index)`` pair (multi-class)."""
         fs = self.net.fault_state
         if fs is not None and fs.dead_nodes:
             node = token[0] if type(token) is tuple else token
@@ -406,7 +466,9 @@ class TrafficMix:
         if self._replay is not None:    # the next recorded message
             node = token
             _, dst, size, name, bcast = next(self._replay[node])
-        elif type(token) is tuple:
+            if bcast:
+                dst = -1
+        else:
             node, k = token
             eng = self._cl_engine
             if eng is not None and k in eng.closed_k:
@@ -416,15 +478,28 @@ class TrafficMix:
                 return
             cls = self.classes[k]
             name, size = cls.name, cls.msg_len
-            bcast = cls.cast == CAST_BROADCAST
-            dst = -1 if bcast else self._cls_patterns[k].pick(
-                node, self._cls_dst_rng[node][k])
-        else:
-            node, name, size = token, None, self.msg_len
-            bcast = self.beta and self._class_rng[node].random() < self.beta
-            dst = -1 if bcast else self.pattern.pick(
-                node, self._dst_rng[node])
-        if bcast:
+            dst = -1 if cls.cast == CAST_BROADCAST else \
+                self._cls_patterns[k].pick(node, self._cls_dst_rng[node][k])
+        self.emit(node, dst, now, size, name)
+
+    def emit(self, node: int, dst: int, now: int,
+             size: Optional[int] = None, name: Optional[str] = None,
+             tag=None):
+        """Send one message from ``node`` at ``now``: a unicast to ``dst``
+        through ``Network.send_unicast`` (which decides if a ``Packet`` is
+        built; ``tag`` comes back through ``net.on_tagged_tail``), or a
+        broadcast for ``dst == -1``, whose op is returned.  ``size``
+        defaults to the single-class ``msg_len``.  The one per-message
+        path: the reference loop, a fault state, an ``on_inject`` tap and
+        the closed-loop engine take every message through it."""
+        if size is None:
+            size = self.msg_len
+        fs = self.net.fault_state
+        if fs is not None and node in fs.dead_nodes:
+            fs.suppressed_msgs += 1
+            return None
+        op = None
+        if dst < 0:
             if self.on_inject is not None:
                 self.on_inject(node, now, name, -1, size, True)
             op = self.net.adapters[node].send_broadcast(size, now)
@@ -436,14 +511,15 @@ class TrafficMix:
                 # prefix of the stream is byte-identical with and
                 # without the drop
                 fs.source_drop_unicast()
-                return
+                return None
             if self.on_inject is not None:
                 self.on_inject(node, now, name, dst, size, False)
-            self.net.send_unicast(node, dst, size, name, now)
+            self.net.send_unicast(node, dst, size, name, now, tag)
             self.generated_unicasts += 1
         if name is not None:
             self.class_generated[name] = \
                 self.class_generated.get(name, 0) + 1
+        return op
 
     def attach_closedloop(self, engine) -> None:
         """Bind a :class:`~repro.workloads.closedloop.ClosedLoopEngine`:

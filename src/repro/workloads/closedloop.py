@@ -29,8 +29,8 @@ Three pieces cooperate:
     barrier's ``CollectiveOp.on_complete``, which every backend fires at
     cycle granularity.  It (a) schedules directory replies for delivered
     requests, (b) returns window credits on completions, and (c)
-    advances barrier-synchronised phases.  Its injections run through
-    the mix's counters, so traffic accounting, the ``on_inject`` tap and
+    advances barrier-synchronised phases.  Its injections go through
+    ``TrafficMix.emit``, so traffic accounting, the ``on_inject`` tap and
     the collector see one consistent stream whichever backend drives it.
 
 Transaction modes
@@ -375,22 +375,13 @@ class ClosedLoopEngine:
         cls = mix.classes[k]
         dst = mix._cls_patterns[k].pick(node, mix._cls_dst_rng[node][k])
         size = cl.req_len if cl.mode == MODE_REQREPLY else cls.msg_len
-        self._send(node, dst, size, k, k, now)
+        mix.emit(node, dst, now, size, cls.name, k)
 
     def _inject_reply(self, home: int, requester: int, k: int,
                       created: int, now: int) -> None:
-        self._send(home, requester, self.mix.classes[k].msg_len, k,
-                   (k, created), now)
-
-    def _send(self, node: int, dst: int, size: int, k: int, tag,
-              now: int) -> None:
-        mix = self.mix
-        name = mix.classes[k].name
-        if mix.on_inject is not None:
-            mix.on_inject(node, now, name, dst, size, False)
-        mix.net.send_unicast(node, dst, size, name, now, tag)
-        mix.generated_unicasts += 1
-        mix.class_generated[name] += 1
+        cls = self.mix.classes[k]
+        self.mix.emit(home, requester, now, cls.msg_len, cls.name,
+                      (k, created))
 
     def _inject_barrier(self, now: int) -> None:
         mix = self.mix
@@ -398,13 +389,8 @@ class ClosedLoopEngine:
         # rotate the barrier root so no node's injection port becomes
         # the permanent phase bottleneck
         src = self.phases_done % self.n
-        if mix.on_inject is not None:
-            mix.on_inject(src, now, cls.name, -1, cls.msg_len, True)
-        op = mix.net.adapters[src].send_broadcast(cls.msg_len, now)
-        op.cls = cls.name
+        op = mix.emit(src, -1, now, cls.msg_len, cls.name)
         op.on_complete = self._barrier_completed
-        mix.generated_broadcasts += 1
-        mix.class_generated[cls.name] += 1
 
     def _start_phase(self, now: int) -> None:
         self.phase_start = now

@@ -12,7 +12,7 @@ from repro.noc.network import Network
 from repro.noc.packet import UNICAST, Packet
 
 __all__ = ["drain", "send_one", "run_cycles", "one_cycle_segments",
-           "probed_route_tables"]
+           "probed_route_tables", "scalar_gap", "scalar_columns"]
 
 
 def drain(net: Network, max_cycles: int = 200_000) -> int:
@@ -71,3 +71,41 @@ def probed_route_tables(be):
             | (1 if deliver else 0)
             for port, deliver, vreset, bclone in rows]
     return rtab, rtab_all
+
+
+def scalar_gap(rng, rate: float) -> int:
+    """One Bernoulli gap the per-message way: a ``random()`` and a libm
+    ``log`` (no draw at rates 0 and 1)."""
+    import math
+    from repro.traffic.arrival import NEVER
+    if rate < 1.0 / NEVER:
+        return NEVER
+    if rate >= 1.0:
+        return 0
+    return int(math.log(1.0 - rng.random()) / math.log1p(-rate))
+
+
+def scalar_columns(arrival_rngs, class_rngs, dst_rngs, rate: float,
+                   beta: float, cuts):
+    """Oracle for ``repro.traffic.columns.ColumnDraw``: the single-class
+    mix's draw before it was vectorised -- per node a gap countdown
+    (:func:`scalar_gap`, the first gap drawn up front), then per arrival
+    in ``(cycle, node)`` order a ``random() < beta`` broadcast decision
+    and a ``UniformPattern.pick``.  Draws the blocks ``[cuts[i],
+    cuts[i + 1])``; returns ``(cycle, node, dst)`` rows (``dst = -1``: a
+    broadcast) and each node's next arrival cycle."""
+    from repro.traffic.generators import UniformPattern
+    n = len(arrival_rngs)
+    pick = UniformPattern(n).pick
+    nxt = [cuts[0] + scalar_gap(r, rate) for r in arrival_rngs]
+    rows = []
+    for start, stop in zip(cuts, cuts[1:]):
+        block = []
+        for v, rng in enumerate(arrival_rngs):
+            while nxt[v] < stop:
+                block.append((nxt[v], v))
+                nxt[v] += 1 + scalar_gap(rng, rate)
+        for c, v in sorted(block):
+            bcast = beta and class_rngs[v].random() < beta
+            rows.append((c, v, -1 if bcast else pick(v, dst_rngs[v])))
+    return rows, nxt

@@ -118,9 +118,33 @@ def test_ready_set_equals_full_scan(kind, depth, rate, beta, monkeypatch):
     """Phase A walks the ready set its wakes keep; a rescan before every
     entry of a per-cycle run makes every cycle a full scan.  A missed
     wake leaves an eligible row unexamined, and the two runs part."""
+    _ready_set_equals_full_scan(kind, depth, rate, beta, "", monkeypatch)
+
+
+@pytest.mark.parametrize("faults,rate", (("links:down=2@cycle=150", 0.2),
+                                         ("routers:down=1@cycle=0", 0.01)))
+@pytest.mark.parametrize("kind", KINDS)
+def test_ready_set_equals_full_scan_under_faults(kind, faults, rate,
+                                                 monkeypatch):
+    """Under a fault state every header routes in Python; each such route
+    wakes its own row (``repro_wake``) instead of rescanning the set."""
+    _ready_set_equals_full_scan(kind, 2, rate, 0.1, faults, monkeypatch)
+
+
+def _ready_set_equals_full_scan(kind, depth, rate, beta, faults,
+                                monkeypatch):
     config = make_config(kind=kind, n=16, msg_len=6, beta=beta, rate=rate,
-                         cycles=500, warmup=100, seed=11, buffer_depth=depth)
+                         cycles=500, warmup=100, seed=11, buffer_depth=depth,
+                         faults=faults)
+    route, woken = array_backend.ArrayBackend._route_one, []
+
+    def routed(be, b):
+        route(be, b)
+        woken.append(int(be._rdy[b >> 6]) >> (b & 63) & 1)
+
+    monkeypatch.setattr(array_backend.ArrayBackend, "_route_one", routed)
     kept = _drive(config, trace=True)
+    assert all(woken) and (woken or not faults)
     call = array_backend.ArrayBackend._call
 
     def rescanning(be, entry):

@@ -436,7 +436,8 @@ class TestGeometricInjector:
         per-cycle polling computed) injects the same traffic."""
         nets = [build_network("quarc", 8)[0] for _ in range(2)]
         mixes = [TrafficMix(n, 0.05, 4, beta=0.2, seed=9) for n in nets]
-        with mock.patch("repro.traffic.mix.CALENDAR_BLOCK", 1):
+        with mock.patch("repro.traffic.mix.CALENDAR_BLOCK", 1), \
+                mock.patch("repro.traffic.mix.BLOCK_ARRIVALS", 0):
             for t in range(600):
                 mixes[0].generate(t)
                 nets[0].step(t)

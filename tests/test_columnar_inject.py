@@ -1,7 +1,8 @@
 """A unicast is a row until someone looks at it.
 
 ``Network.send_unicast`` hands an array engine ``(node, dst, size, cls,
-cycle)`` rows; ``ArrayBackend._stage`` turns them into packet columns
+cycle)`` rows, and the single-class mix a window of ``(cycle, node,
+dst)`` columns; ``ArrayBackend._stage`` turns both into packet columns
 and looks the source queue up in the adapters' ``unicast_queue_table``;
 a ``Packet`` is built by ``ArrayBackend._packet`` only for an aid
 something reads as an object.  Pinned here: the row path equals the
@@ -31,10 +32,11 @@ TOPOLOGIES = ("quarc", "spidergon", "mesh", "torus")
 COHERENCE = dict(workload="cache_coherence:storms=true", rate=1.0)
 
 
-def _as_packet(self, node, dst, size, cls, now):
+def _as_packet(self, node, dst, size, cls, now, tag=None):
     """``Network.send_unicast`` as it was before rows: always an object."""
     pkt = Packet(node, dst, size, UNICAST, created=now)
     pkt.cls = cls
+    pkt.tag = tag
     self.adapters[node].send(pkt, now)
 
 
@@ -162,7 +164,7 @@ def test_fault_after_rows_conserves_flits(kind):
         return be, fs.extra_block(), session.summary()
 
     be, *arr = run("array")
-    assert be._nrows > 0 and be._nbuilt > 0
+    assert be._ncols > 0 and be._nbuilt > 0
     assert tuple(arr) == run("reference")[1:]
 
 
@@ -198,6 +200,56 @@ def test_engine_conserves_flits(kind, msg_len, beta, rate, seed, cycles,
     assert interned == ejected + session.net.total_flits()
 
 
+@settings(derandomize=True, deadline=None, max_examples=10)
+@example(kind=("quarc", {}), msg_len=16, beta=0.0, rate=0.05, seed=1,
+         cycles=400)        # saturated: deep source queues
+@given(kind=st.sampled_from(KINDS), msg_len=st.integers(1, 9),
+       beta=st.sampled_from((0.0, 0.1, 0.4)),
+       rate=st.floats(0.005, 0.3), seed=st.integers(0, 2**16),
+       cycles=st.integers(50, 400))
+def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
+                                     cycles):
+    """Fault-free, on either engine: every flit generated -- unicast
+    columns, broadcast packets, relay segments -- has left through an
+    ejection port, is in flight or is still staged; and both engines
+    generated the same messages, counted alike by every collector."""
+    from repro.noc.buffers import FlitBuffer
+    seen = []
+    for backend in ("reference", "array"):
+        session = SimulationSession(make_config(
+            kind=kind[0], n=16, msg_len=msg_len, beta=beta, rate=rate,
+            cycles=cycles, warmup=0, seed=seed, backend=backend, **kind[1]))
+        pushed = [0]
+        push = FlitBuffer.push_packet
+
+        def counted(buf, pkt, pushed=pushed, push=push):
+            pushed[0] += pkt.size
+            push(buf, pkt)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(FlitBuffer, "push_packet", counted)
+            session.run()
+        net, be, mix = session.net, session.backend, session.mix
+        if backend == "array":
+            assert be._ncols == mix.generated_unicasts
+            generated = int(be._psize[:len(be._pkts)].sum()) + sum(
+                e[2] if len(e) == 6 else e[1].size for e in be._staged)
+            ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
+                          if port.is_ejection)
+        else:
+            generated = pushed[0]
+            ejected = sum(port.flits_sent for port in net.iter_ports()
+                          if port.is_ejection)
+        assert generated == ejected + net.total_flits()
+        colls = {id(ad.collector): ad.collector for ad in net.adapters}
+        seen.append((generated, mix.generated_unicasts,
+                     mix.generated_broadcasts,
+                     [(c.generated_unicast, c.generated_collective)
+                      for c in colls.values()]))
+        be.detach()
+    assert seen[0] == seen[1]
+
+
 @pytest.mark.parametrize("beta", (0.0, 0.1))
 def test_profile_counts_objects(beta):
     config = make_config(kind="quarc", n=16, msg_len=6, beta=beta,
@@ -207,9 +259,10 @@ def test_profile_counts_objects(beta):
     session.run()
     mix = session.mix
     kc = session.profiler.report()["kernel_counters"]
-    assert kc["packets_rows"] == mix.generated_unicasts > 0
+    assert kc["packets_columns"] == mix.generated_unicasts > 0
     assert kc["packets_built"] == 4 * mix.generated_broadcasts
-    assert kc["packets_staged"] == kc["packets_rows"] + kc["packets_built"]
-    assert (f"packets: {kc['packets_staged']} staged, {kc['packets_rows']} "
-            f"as rows, {kc['packets_built']} built, 0 late\n"
-            in session.profiler.render())
+    assert kc["packets_staged"] == (kc["packets_columns"]
+                                    + kc["packets_built"])
+    assert (f"packets: {kc['packets_staged']} staged, 0 as rows, "
+            f"{kc['packets_columns']} as columns, {kc['packets_built']} "
+            f"built, 0 late\n" in session.profiler.render())

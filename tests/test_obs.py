@@ -154,17 +154,24 @@ class TestZeroPerturbation:
         ("reference", {}),
         ("array", dict(beta=0.0, rate=1.0,
                        workload="cache_coherence:window=4")),
-    ], ids=["reference", "array-closed-loop"])
+        ("array", {}),
+    ], ids=["reference", "array-closed-loop", "array-columns"])
     def test_inject_and_step_never_exceed_the_run(self, backend, load):
         """``inject`` times only the outermost call -- ``generate``, not
-        the ``inject`` / ``fill_calendar`` calls inside it -- so it and
-        ``step`` are disjoint and add up to at most ``run_s``."""
+        the ``inject`` / ``emit`` / ``fill_calendar`` calls inside it --
+        so it and ``step`` are disjoint and add up to at most ``run_s``.
+        On the column path the block draw is ``inject`` and the window
+        of columns is staged under ``fold``, inside ``step``."""
         import dataclasses
         spec = dataclasses.replace(SPEC, **load)
         session, _ = _probed_run(spec, backend, ObsSpec(profile=True))
         report = session.profiler.report()
         cat = report["categories"]
         assert 0 < cat["inject"] + cat["step"] <= report["run_s"]
+        if not load and backend == "array":
+            kc = report["kernel_counters"]
+            assert kc["packets_columns"] == session.mix.generated_unicasts
+            assert 0 < cat["fold"] <= cat["step"]
 
     def test_array_profile_reports_kernel_counters(self):
         session, _ = _probed_run(SPEC, "array", ObsSpec(profile=True))
