@@ -157,6 +157,9 @@ class TorusRouter(MeshRouter):
     __slots__ = ()
 
     wrap = True
+    #: a node offset q * cols + r moves the column by r (mod cols) and
+    #: the row by q, plus a carry only if r > 0 -- when dx decides alone
+    relative_tables = True
 
     def __init__(self, node: int, topo: TorusTopology,
                  buffer_depth: int = 4):

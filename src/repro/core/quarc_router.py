@@ -73,6 +73,8 @@ class QuarcRouter(Router):
                  "loc_r", "loc_l", "loc_xr", "loc_xl",
                  "clone_disabled")
 
+    relative_tables = True
+
     def __init__(self, node: int, n: int, buffer_depth: int = 4,
                  vcs: int = 2, clone_disabled: bool = False):
         super().__init__(node, n)

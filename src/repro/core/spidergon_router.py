@@ -48,6 +48,8 @@ class SpidergonRouter(Router):
     __slots__ = ("cw_out", "ccw_out", "x_out", "eject",
                  "bufs_cw", "bufs_ccw", "bufs_x", "local_q", "repl_q")
 
+    relative_tables = True
+
     def __init__(self, node: int, n: int, buffer_depth: int = 4,
                  vcs: int = 2):
         super().__init__(node, n)

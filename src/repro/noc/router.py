@@ -60,6 +60,12 @@ class Router:
     __slots__ = ("node", "n", "in_bufs", "out_ports", "flits", "net",
                  "fstate")
 
+    #: The topology is vertex-symmetric and every router is built alike:
+    #: the :meth:`route_table` columns of node ``v``'s ``k``-th buffer at
+    #: ``dst`` equal node 0's at ``(dst - v) mod n``.  An array engine
+    #: then keeps one row per buffer position for the whole network.
+    relative_tables = False
+
     def __init__(self, node: int, n: int):
         self.node = node
         self.n = n

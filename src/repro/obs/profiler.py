@@ -37,7 +37,9 @@ candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / columns / ever objects /
 staged late, and how many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns, the rest through
-``Adapter.receive_tail``.
+``Adapter.receive_tail``; and the size of the engine's static state
+(``footprint``: route-table rows x destinations, ring words, queue-table
+entries).
 
 Profile results never enter ``RunSummary.extra``: wall times differ
 per backend and per host, and ``extra`` must stay byte-identical
@@ -75,6 +77,15 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "tails_unicast": backend._nuni,
             "tails_receive_tail": backend._nrecv,
             "stops": dict(zip(STOPS, st.stops))}
+
+
+def _footprint(backend) -> Dict[str, int]:
+    """What the engine's static state holds: route-table rows x
+    destinations, ring words, queue-table entries."""
+    rows, cols = backend._rtab.shape
+    return {"route_rows": rows, "route_cols": cols,
+            "ring_words": backend._rflat.size,
+            "queue_entries": backend._qtab.size}
 
 
 class PhaseProfiler:
@@ -172,6 +183,7 @@ class PhaseProfiler:
             from repro.sim.ckernel import source_hash
             out["tier"] = "ckernel"
             out["kernel"] = source_hash()
+            out["footprint"] = _footprint(self.session.backend)
             kc = _kernel_counters(self.session.backend)
             base = self._kc0
             out["kernel_counters"] = {
@@ -212,4 +224,8 @@ class PhaseProfiler:
             lines.append(f"  tier {rep['tier']} {rep['kernel']}: "
                          f"{kc['cycles']} cycles executed; batches "
                          f"ended by {stops}")
+            lines.append(
+                "  footprint: route table {route_rows} rows x {route_cols}, "
+                "rings {ring_words} words, queue table {queue_entries} "
+                "entries".format(**rep["footprint"]))
         return "\n".join(lines)

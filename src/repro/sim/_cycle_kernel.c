@@ -37,10 +37,14 @@
  *   refresh  dateline crossings upgrade the packet's vclass (and
  *            re-refresh its blocked, already-routed header), then every
  *            newly exposed header is routed from the packed table:
- *            row b, entry (jof << 24) | (port << 4) | (bclone << 2) |
- *            (vreset << 1) | deliver, gated by rtflag[b] (0 none,
- *            1 every class but multicast, 2 every class); bclone =
- *            clone to the PE if the packet is a BROADCAST.
+ *            d = (pdst - rsh[b]) mod N, entry rtab[rrow[b]][d] =
+ *            (jof << 24) | (slot << 4) | (bclone << 2) | (vreset << 1)
+ *            | deliver, port = pbase[b] + slot, gated by rtflag[b]
+ *            (0 none, 1 every class but multicast, 2 every class);
+ *            bclone = clone to the PE if the packet is a BROADCAST.
+ *            A vertex-symmetric network has one row per buffer
+ *            position (rsh[b] = b's node), the mesh one per buffer
+ *            (rsh[b] = 0).
  *
  * Ready set.  Phase A examines only the rows whose bit of rdy is set and
  * clears the bit of a row it finds empty or ineligible; a candidate
@@ -130,8 +134,9 @@ typedef struct {
     const uint8_t *rtflag, *isdl;
     /* per port (owner/down per port*2+vc) */
     int64_t *owner, *rr, *fs;
-    const int64_t *down, *rbase, *rmask, *qcap, *vcmode, *pv2of, *rtab;
-    const int64_t *pnode;
+    const int64_t *down, *rbase, *rmask, *qcap, *vcmode, *pv2of, *pnode;
+    /* route table rows and, per buffer, its row, shift, first port */
+    const int64_t *rtab, *rrow, *rsh, *pbase;
     int64_t *rflat;
     /* the ready set: a bit per row and per port; each port's feeder
      * rows; upof[b], the port*2+vc whose down is b (-1: none) */
@@ -245,12 +250,15 @@ static void top_up(repro_state *s, int64_t b)
 int64_t repro_refresh(repro_state *s, int64_t b)
 {
     int64_t aid = s->front[b] >> FSHIFT;
-    int64_t ent, p, vc;
+    int64_t d, ent, p, vc;
     int flag = s->rtflag[b];
     if (s->nofast || !flag || (flag == 1 && s->ptraf[aid] == MULTICAST))
         return 1;
-    ent = s->rtab[b * s->rstride + s->pdst[aid]];
-    p = (ent >> 4) & 0xFFFFF;
+    d = s->pdst[aid] - s->rsh[b];
+    if (d < 0)
+        d += s->N;
+    ent = s->rtab[s->rrow[b] * s->rstride + d];
+    p = s->pbase[b] + ((ent >> 4) & 0xFFFFF);
     if (ent & 2)
         s->pvcl[aid] = 0;
     vc = s->vcmode[p];

@@ -33,7 +33,8 @@ A packet may be columns only: ``_pkts[aid]`` is ``None`` for a unicast
 staged as a row until :meth:`ArrayBackend._packet` builds the object
 (with ``_psrc`` and its tag) for a Python route, a fault, ``on_tail`` or
 an inspection -- a saturated run builds none.  Each buffer owns a
-power-of-two ring slice of one flat flit array; an injected packet
+power-of-two ring slice of one flat flit array (a source queue's is a
+window of ``_SRC_WINDOW`` words); an injected packet
 joins its source queue's **pending-packet FIFO** (``_phead`` /
 ``_ptail``, linked through ``_pnext``; ``_pfid`` = next flit of the
 head packet) and its flit words are generated as the ring has room
@@ -138,9 +139,11 @@ FSHIFT = 20
 TAIL = 1 << 19
 FIDMASK = TAIL - 1
 
-#: Largest ring slice; a deeper (source) queue keeps the rest of its
-#: flits in packet form in the pending FIFO.
+#: Largest port-fed ring slice (a port-fed buffer's capacity must fit).
 _RING_CAP = 4096
+#: Largest source-queue slice: a window on the queue's pending FIFO,
+#: which keeps the rest of its flits in packet form.
+_SRC_WINDOW = 16
 
 #: Why a batch ended (``State.stop``; the names are the ``--profile``
 #: report's ``stops`` keys) and the event kinds, as in _cycle_kernel.c.
@@ -163,8 +166,8 @@ _ACOLS = ("_acyc", "_abuf", "_aaid")
 
 #: Packed-field capacities, checked once when a session is built.  A
 #: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``, read
-#: back by ``_replay``), so the flat port count must fit 16 bits --
-#: tighter than the 20 bits a route-table entry gives the port.  A
+#: back by ``_replay``), so the flat port count must fit 16 bits (a
+#: route-table entry holds a port's slot in its router, 20 bits).  A
 #: packet's last flit id must fit below ``TAIL``.
 MAX_PORTS = 1 << 16
 MAX_PACKET_FLITS = TAIL
@@ -253,21 +256,6 @@ class ArrayBackend(SimBackend):
         self._pid: Dict["OutPort", int] = {p: i for i, p in
                                            enumerate(ports)}
 
-        # flit rings: one flat array, power-of-two slice per buffer
-        caps = [b.capacity for b in bufs] + [1, 1]
-        sizes = [min(_pow2_at_least(c), _RING_CAP) for c in caps]
-        bases = [0, *accumulate(sizes)]
-        self._rflat = np.zeros(bases.pop(), np.int64)
-        self._rbase = np.array(bases, np.int64)
-        self._rmask = np.array([s - 1 for s in sizes], np.int64)
-        self._cap_py = caps
-        self._rbase_py = bases
-        self._rmask_py = [s - 1 for s in sizes]
-        qcap = np.array(caps, np.int64)
-        qcap[self._SB] = 1 << 60
-        qcap[self._XB] = 0
-        self._qcap = qcap
-
         # ports
         self._pnode_py = [p.router.node for p in ports]
         self._pnode = np.array(self._pnode_py, np.int64)
@@ -280,8 +268,28 @@ class ArrayBackend(SimBackend):
                 d = port.down[vc]
                 down[2 * pi + vc] = self._SB if d is None else self._bid[d]
         self._down = down
-        # a port pushes straight into its downstream ring, so only
-        # source queues (fed by adapters) may be deeper than their slice
+
+        # flit rings: one flat array, a power-of-two slice per buffer.  A
+        # port pushes straight into its downstream ring, so a port-fed
+        # slice holds the buffer's capacity; a source queue (no port's
+        # down) is a window of at most _SRC_WINDOW words on its pending
+        # FIFO, which holds the rest as packets
+        portfed = np.zeros(B2, bool)
+        portfed[down] = True
+        caps = [b.capacity for b in bufs] + [1, 1]
+        sizes = [min(_pow2_at_least(c), _RING_CAP if f else _SRC_WINDOW)
+                 for c, f in zip(caps, portfed.tolist())]
+        bases = [0, *accumulate(sizes)]
+        self._rflat = np.zeros(bases.pop(), np.int64)
+        self._rbase = np.array(bases, np.int64)
+        self._rmask = np.array([s - 1 for s in sizes], np.int64)
+        self._cap_py = caps
+        self._rbase_py = bases
+        self._rmask_py = [s - 1 for s in sizes]
+        qcap = np.array(caps, np.int64)
+        qcap[self._SB] = 1 << 60
+        qcap[self._XB] = 0
+        self._qcap = qcap
         _check_limit("a port-fed buffer's capacity (its ring slice)",
                      int(qcap[down[down < B]].max(initial=0)), _RING_CAP)
         self._jpos: List[Dict[int, int]] = [dict() for _ in range(B)]
@@ -298,59 +306,64 @@ class ArrayBackend(SimBackend):
         fed = np.flatnonzero(down[:self._PV] < B)
         self._upof[down[fed]] = fed
 
-        # destination-indexed route tables: where the router declares
-        # routing a pure function of (buffer, dst), header refresh is a
-        # table lookup inside the cycle.  The routers answer with numpy
-        # columns over all destinations (slot in router.out_ports,
-        # deliver, vclass_reset), computed arithmetically -- no
-        # route_head call here; row b of one C-contiguous int64 table
-        # packs them as ``(jof << 24) | (port << 4) | (bclone << 2) |
-        # (vclass_reset << 1) | deliver`` (rows of untabulable buffers
-        # are never read).  ``_rtflag[b]`` is 2 where row b holds for
-        # every traffic class, 1 for every class but multicast (a Quarc
-        # ingress: ``bclone`` is its clone-if-broadcast bit, a multicast
-        # bitstring fits no column), 0 for no row.  VC selection stays
-        # runtime (it reads the packet's dateline class): ``_vcmode``
-        # is 0/1 for the fixed any-policy/dateline cases, 2 for
-        # class-dependent ports.  The kernel indexes the table by base
-        # + stride.
+        # route tables: where the router declares routing a pure
+        # function of (buffer, dst), header refresh is a table lookup
+        # inside the cycle (_router_rows packs the entries).  A router
+        # with ``relative_tables`` gives one row per buffer position,
+        # probed at node 0 and read at the relative destination: node
+        # v's k-th buffer reads row k at (dst - v) mod N.  Any other
+        # (the mesh) gives one row per buffer.  Buffer b reads row
+        # ``_rrow[b]`` shifted by ``_rsh[b]`` (v, or 0), and an entry's
+        # slot is a port of its router, from ``_pbase[b]`` on.
+        # ``_rtflag[b]`` is 2 where the row holds for every traffic
+        # class, 1 for every class but multicast (a Quarc ingress), 0
+        # for no row.  VC selection stays runtime (it reads the packet's
+        # dateline class): ``_vcmode`` is 0/1 for the fixed
+        # any-policy/dateline cases, 2 for class-dependent ports.
         pol_any = [p.vc_policy == "any" for p in ports]
         self._vcmode = np.array([0 if a else (1 if d else 2) for a, d in
                                  zip(pol_any, self._isdl_py)], np.int64)
         self._pv2of = np.array([2 * pi + 1 if a else self._PV
                                 for pi, a in enumerate(pol_any)], np.int64)
+        routers = net.routers
+        nb = [len(r.in_bufs) for r in routers]
+        bfirst = np.cumsum([0, *nb[:-1]])       # each node's first row
+        self._pbase = np.repeat(
+            np.cumsum([0, *(len(r.out_ports) for r in routers[:-1])]), nb)
         self._rtflag = np.zeros(B2, np.uint8)
-        table = None
-        router = None
-        for b, buf in enumerate(bufs):
-            if buf.router is not router:    # buffers are node-major
-                router = buf.router
-                pids = [self._pid[p] for p in router.out_ports]
-                by_role = {}    # role -> (slot, flags, univ) | None
-            if buf.role not in by_role:
-                cols = router.route_table(buf)
-                univ = cols is not None
-                if cols is None:
-                    cols = router.unicast_route_table(buf)
-                if cols is not None:
-                    slot, deliver, vreset, *bclone = cols
-                    flags = (vreset.astype(np.int64) << 1) | deliver
-                    if bclone:
-                        flags |= bclone[0].astype(np.int64) << 2
-                    cols = (slot, flags, univ)
-                by_role[buf.role] = cols
-            if by_role[buf.role] is None:
-                continue
-            slot, flags, univ = by_role[buf.role]
-            if table is None:
-                table = np.empty((B, len(slot)), np.int64)
-            jp = self._jpos[b]
-            # per out_ports slot: the (jof, port) half of the entry
-            code = np.array([(jp.get(pi, 0) << 24) | (pi << 4)
-                             for pi in pids], np.int64)
-            np.bitwise_or(code[slot], flags, out=table[b])
-            self._rtflag[b] = 2 if univ else 1
-        self._rtab = np.zeros((1, 1), np.int64) if table is None else table
+        if routers[0].relative_tables:
+            rows, flags = self._router_rows(routers[0])
+            last = routers[-1]
+            lrows, lflags = self._router_rows(last)
+            if len(set(nb)) > 1 or lflags != flags or not np.array_equal(
+                    np.roll(lrows, -last.node, axis=1), rows):
+                raise ValueError(
+                    f"{type(last).__name__} declares relative route "
+                    f"tables, but node {last.node}'s are not node 0's "
+                    f"rolled by {last.node}")
+            self._rtab = rows
+            self._rsh = np.repeat([r.node for r in routers], nb)
+            self._rrow = np.arange(B) - np.repeat(bfirst, nb)
+            self._rtflag[:B] = np.tile(flags, len(routers))
+        else:
+            self._rtab = np.empty((B, net.n), np.int64)
+            for r, b0, k in zip(routers, bfirst, nb):
+                self._rtab[b0:b0 + k], self._rtflag[b0:b0 + k] = (
+                    self._router_rows(r))
+            self._rsh = np.zeros(B, np.int64)
+            self._rrow = np.arange(B)
+
+        # ``_qtab``: the first buffer row of each node, and the position
+        # in its router of the queue a unicast to relative destination
+        # (dst - node) mod N enters (-1: ``send`` raises), probed at
+        # node 0 and checked at the last node like the route tables
+        a = net.adapters
+        rel = self._queue_row(a[0])
+        if not np.array_equal(self._queue_row(a[-1]), rel):
+            raise ValueError(
+                f"{type(a[-1]).__name__}'s unicast queue table at node "
+                f"{a[-1].node} is not node 0's rolled by {a[-1].node}")
+        self._qtab = np.array([bfirst, rel], np.int64)
 
         # round-robin priority field: F a power of two >= max feeders
         # keeps ``(j - rr) & (F-1)`` order-isomorphic to the reference
@@ -386,14 +399,9 @@ class ArrayBackend(SimBackend):
         self._staged: List = []
         self._staged_at: List[int] = []
 
-        a = net.adapters
-        # ``rows``: where ``Network.send_unicast`` appends; ``_qtab[node,
-        # dst]`` is the row's buffer
+        # ``rows``: where ``Network.send_unicast`` appends (its buffer:
+        # :meth:`_queue_rows`)
         self.rows = self._staged
-        self._qtab = np.array(
-            [np.array([*(self._bid[q] for q in queues), -1])[slot]
-             for queues, slot in (ad.unicast_queue_table() for ad in a)],
-            np.int32)
         #: a window of unicast columns ``run_mix`` took from the mix,
         #: ``(cycle, node, dst, size)``, staged after ``_staged``
         self._cols = None
@@ -439,6 +447,56 @@ class ArrayBackend(SimBackend):
             if d.n:
                 st.dmin, st.dmax = d.min, d.max
         self._dn = st.dn
+
+    def _router_rows(self, router) -> Tuple[np.ndarray, List[int]]:
+        """The route-table rows of ``router``'s buffers (``in_bufs``
+        order) and their ``_rtflag``.  The router answers with numpy
+        columns over every destination (slot in ``router.out_ports``,
+        deliver, vclass_reset, for a Quarc ingress ``bclone``), computed
+        arithmetically -- no ``route_head`` call; a row packs them as
+        ``(jof << 24) | (slot << 4) | (bclone << 2) | (vclass_reset << 1)
+        | deliver`` (zeros: no row)."""
+        pids = [self._pid[p] for p in router.out_ports]
+        by_role = {}    # role -> (slot, entry without jof, flag) | None
+        rows = np.zeros((len(router.in_bufs), router.n), np.int64)
+        flags = []
+        for k, buf in enumerate(router.in_bufs):
+            if buf.role not in by_role:
+                cols, flag = router.route_table(buf), 2
+                if cols is None:
+                    cols, flag = router.unicast_route_table(buf), 1
+                if cols is not None:
+                    slot, deliver, vreset, *bclone = cols
+                    ent = (slot << 4) | (vreset.astype(np.int64) << 1)
+                    ent |= deliver
+                    if bclone:
+                        ent |= bclone[0].astype(np.int64) << 2
+                    cols = (slot, ent, flag)
+                by_role[buf.role] = cols
+            if by_role[buf.role] is None:
+                flags.append(0)
+                continue
+            slot, ent, flag = by_role[buf.role]
+            jp = self._jpos[self._bid[buf]]
+            jof = np.array([jp.get(pi, 0) << 24 for pi in pids], np.int64)
+            np.bitwise_or(jof[slot], ent, out=rows[k])
+            flags.append(flag)
+        return rows, flags
+
+    @staticmethod
+    def _queue_row(ad) -> np.ndarray:
+        """Adapter ``ad``'s unicast queue table as positions in its
+        router, by relative destination (-1: ``send`` raises)."""
+        queues, slot = ad.unicast_queue_table()
+        pos = [ad.router.in_bufs.index(q) for q in queues]
+        return np.roll(np.array([*pos, -1], np.int64)[slot], -ad.node)
+
+    def _queue_rows(self, node, dst) -> np.ndarray:
+        """The source-queue row of each unicast ``node -> dst`` (numpy
+        columns, ``dst`` in range; -1 where ``send`` raises)."""
+        first, rel = self._qtab
+        k = rel[(dst - node) % len(rel)]
+        return np.where(k < 0, -1, first[node] + k)
 
     def _grow(self, names: Tuple[str, ...], need: int, keep: int) -> None:
         """Reallocate the int64 columns ``names`` to at least ``need``
@@ -508,11 +566,11 @@ class ArrayBackend(SimBackend):
         what it would)."""
         node, dst, size, cls, born, tag = zip(*rows)
         dst = np.array(dst)
-        bad = dst[(dst < 0) | (dst >= len(self._qtab))]
+        n = self.net.n
+        bad = dst[(dst < 0) | (dst >= n)]
         if len(bad):
-            raise ValueError(f"destination {bad[0]} out of range for "
-                             f"N={len(self._qtab)}")
-        bufs = self._qtab[node, dst]
+            raise ValueError(f"destination {bad[0]} out of range for N={n}")
+        bufs = self._queue_rows(np.array(node), dst)
         if (bufs < 0).any():
             raise ValueError("local address has no quadrant")
         a0 = self._intern_unicasts(node, dst, size, cls, born)
@@ -743,7 +801,7 @@ class ArrayBackend(SimBackend):
         k = len(cyc)
         a0 = self._intern_unicasts(node, dst, size, [None] * k, cyc.tolist())
         self._ncols += k
-        return cyc, self._qtab[node, dst], np.arange(a0, a0 + k)
+        return cyc, self._queue_rows(node, dst), np.arange(a0, a0 + k)
 
     def _stage_late(self, now: int, n: int) -> None:
         """The ``n`` staged entries are due at ``now``.  Rows still
@@ -764,6 +822,8 @@ class ArrayBackend(SimBackend):
         if aid + n > len(self._pdst):
             self._grow(_PCOLS, aid + n, aid)
         i = pos - n
+        first, rel = self._qtab
+        nn = len(rel)
         for e in self._staged:
             if len(e) == 2:
                 pkt = e[1]
@@ -773,9 +833,10 @@ class ArrayBackend(SimBackend):
                 opx = self._slot(pkt.op)
             else:
                 node, dst, size, cls, born, tag = e
-                b = self._qtab[node, dst] if 0 <= dst < len(self._qtab) else -1
-                if b < 0:       # raise what ``adapter.send`` would
+                k = rel[(dst - node) % nn] if 0 <= dst < nn else -1
+                if k < 0:       # raise what ``adapter.send`` would
                     self._intern_rows([e])
+                b = first[node] + k
                 pkt, opx = None, -1
                 traf, vcl = UNICAST, 0
                 self._psrc[aid] = node

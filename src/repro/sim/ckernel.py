@@ -60,7 +60,7 @@ class State(ctypes.Structure):
     POINTERS = (
         "qlen front rhead want vcreq jof pvb pvb2 phead ptail pfid ppend "
         "dlv hdrf ne fullb rtflag isdl owner rr fs "
-        "down rbase rmask qcap vcmode pv2of rtab pnode rflat "
+        "down rbase rmask qcap vcmode pv2of pnode rtab rrow rsh pbase rflat "
         "rdy pcand fptr fbuf upof "
         "bestpr bestb bestvc outdl outrf "
         "pdst ptraf psize pvcl phdr pnext popx acyc abuf aaid rtbl "

@@ -302,7 +302,8 @@ class _MergedProfiler:
             self._report["replay_s"] = max(replay, 0.0)
         if kcs:
             self._report.update(kernel_counters=kcs, tier=base["tier"],
-                                kernel=base["kernel"])
+                                kernel=base["kernel"],
+                                footprint=base["footprint"])
 
     def report(self) -> dict:
         return self._report

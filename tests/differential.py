@@ -539,6 +539,11 @@ def targeted_configs() -> List[Tuple[str, RunConfig, Optional[object]]]:
                      cycles=900, warmup=200, seed=41,
                      pattern="neighbour:offset=-1",
                      arrival="bursty:on=0.3,len=8"), None),
+        # packets four times a source queue's ring window: a queued
+        # packet is mostly in the pending FIFO, a cut one at its head
+        ("quarc_deep_source_queues",
+         make_config(kind="quarc", n=16, msg_len=64, beta=0.05, rate=0.02,
+                     cycles=300, warmup=100, seed=43), None),
     ]
     return cases
 

@@ -389,7 +389,7 @@ def test_deep_source_queues_live_in_the_pending_fifo(monkeypatch):
     """Past the ring slice a source queue keeps whole packets in the
     pending FIFO and generates flit words as the ring drains.  With the
     slice shrunk to 8 flits a saturated run lives on that boundary."""
-    monkeypatch.setattr(array_backend, "_RING_CAP", 8)
+    monkeypatch.setattr(array_backend, "_SRC_WINDOW", 8)
     config = make_config(kind="quarc", n=16, msg_len=6, beta=0.1,
                          rate=0.3, cycles=900, warmup=200, seed=3)
     depth = []
@@ -406,3 +406,44 @@ def test_deep_source_queues_live_in_the_pending_fifo(monkeypatch):
     assert got[0] == want[0] and got[0].saturated
     assert got[3] == want[3]        # snapshots and total_flits()
     assert got[0] == _drive(config, per_cycle=True)[0]
+
+
+#: Packets four times a source queue's window (64 flits against 16
+#: words), far past saturation: every backlog spans the pending FIFO.
+DEEP = dict(n=16, msg_len=64, rate=0.05, cycles=700, warmup=150, seed=5)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_deep_source_queues_batch_like_single_steps(kind):
+    depth = []
+    config = make_config(kind=kind, beta=0.1 if kind == "quarc" else 0.0,
+                         **DEEP)
+    batched = _drive(config, trace=True, hook_at=(
+        400, lambda be: depth.append(int(be._ppend.max()))))
+    stepped = _drive(config, per_cycle=True, trace=True)
+    assert depth[0] > 4 * 64        # a backlog of whole packets
+    assert batched[1] == stepped[1]     # events
+    assert batched[2] == stepped[2]     # digest
+    assert batched[0] == stepped[0] and batched[0].saturated
+
+
+def test_deep_source_queue_round_trip_with_a_cut_packet():
+    """``materialize`` then ``resync`` while the head of a pending FIFO is
+    a packet cut by the ring window (its first flits are ring words, the
+    rest still in packet form) re-packs the same queues: the run equals
+    an uninterrupted one, snapshot for snapshot."""
+    config = make_config(kind="quarc", beta=0.1, **DEEP)
+    cut = []
+
+    def round_trip(be):
+        cut.append(int(((be._phead >= 0) & (be._pfid > 0)).sum()))
+        be.materialize()
+        be.resync()
+
+    at = (300, 500, 699)
+    got = _drive(config, snap_at=at, hook_at=(400, round_trip))
+    want = _drive(config, snap_at=at)
+    assert cut[0] > 0
+    assert got[0] == want[0] and got[0].saturated
+    assert got[3] == want[3]        # snapshots and total_flits()
+    assert got[2] == want[2]        # the end-of-run digest

@@ -307,6 +307,9 @@ class TestArrayBackend:
                  for part in re.sub(r"^\s*(const\s+)?\w+\s+", "",
                                     decl).split(",")]
         assert names == [name for name, _ in ckernel.State._fields_]
+        # the route table's per-buffer decode, next to the table
+        k = names.index("rtab")
+        assert names[k:k + 4] == ["rtab", "rrow", "rsh", "pbase"]
 
     @pytest.mark.skipif(not hasattr(os, "getuid"),
                         reason="no POSIX ownership to check")
@@ -377,7 +380,7 @@ class TestArrayBackend:
         buffer and its capacity."""
         net, _ = build_network("quarc", 8)
         be = ArrayBackend(net)
-        b = int(be._qtab[0, 4])
+        b = int(be._queue_rows(0, 4))
         cap = be._cap_py[b]
         be.rows.append((0, 4, cap + 1, None, 0, None))
         msg = rf"full buffer '{be._bufs[b].label}' \(capacity {cap}\)"

@@ -185,6 +185,18 @@ class TestZeroPerturbation:
         assert f"{kc['wakes']} wakes, {kc['rescans']} rescans" in (
             session.profiler.render())
 
+    def test_array_profile_reports_its_footprint(self):
+        """One line sizes the engine's static state.  Quarc N = 8: a row
+        per buffer position (12), each switch lane a 4-word ring, each of
+        the 4 source queues a 16-word window, 2 sentinel words; the
+        queue table is a first row per node plus one relative row."""
+        session, _ = _probed_run(SPEC, "array", ObsSpec(profile=True))
+        assert session.profiler.report()["footprint"] == {
+            "route_rows": 12, "route_cols": 8, "ring_words": 770,
+            "queue_entries": 16}
+        assert ("\n  footprint: route table 12 rows x 8, rings 770 words, "
+                "queue table 16 entries") in session.profiler.render()
+
     def test_saturated_kernel_examines_about_its_candidates(self):
         """Phase A walks the ready set: at saturation almost every row
         is blocked, and leaves the set until a wake, so the rows examined

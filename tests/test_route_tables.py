@@ -12,10 +12,13 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from helpers import probed_route_tables
 
 from repro.core.api import build_network
+from repro.core.dor_router import MeshRouter
+from repro.core.quarc_transceiver import QuarcTransceiver
 from repro.noc.packet import BROADCAST, MULTICAST, RELAY
 from repro.noc.router import Router
 from repro.sim import array_backend
@@ -92,8 +95,28 @@ def test_vclass_reset_column_is_exercised():
         assert any(turns) and not all(turns)
 
 
-@pytest.mark.parametrize("kind", KINDS + (
-    "quarc@16", "quarc-noclone", "quarc-noclone@16"))
+#: ``kind@n`` (n = 64 when omitted): the Quarc with and without clones at
+#: N = 8 .. 384, the Spidergon at 8 / 24 / 64, the torus on 4x4, 8x6, 8x8
+#: and 16x16, the mesh on 4x4 and 8x8.  quarc-noclone@384 probes 4.7 M
+#: route_head calls like quarc@384 for one bit of difference: nightly.
+PACKED = (
+    [f"quarc{c}{at}" for c in ("", "-noclone")
+     for at in ("", "@8", "@16", "@24")]
+    + ["quarc@384", pytest.param("quarc-noclone@384", marks=pytest.mark.slow)]
+    + ["spidergon", "spidergon@8", "spidergon@24"]
+    + ["torus", "torus@16", "torus@48", "torus@256", "mesh", "mesh@16"])
+
+
+def _decoded(be, b):
+    """Row ``b``'s entries over absolute destinations as the kernel
+    reads them (``repro_refresh``), the port field made flat."""
+    n = be.net.n
+    ent = be._rtab[be._rrow[b], (np.arange(n) - be._rsh[b]) % n]
+    slot = (ent >> 4) & 0xFFFFF
+    return (ent ^ (slot << 4)) | ((be._pbase[b] + slot) << 4)
+
+
+@pytest.mark.parametrize("kind", PACKED)
 def test_packed_tables_equal_probed_oracle(kind):
     kind, _, n = kind.partition("@")
     net, _ = build_network(n=int(n or 64), **BUILD[kind])
@@ -105,9 +128,50 @@ def test_packed_tables_equal_probed_oracle(kind):
     assert all(oracle_all) == (kind != "quarc")
     assert be._rtflag[:be._B].all() and not be._rtflag[be._B:].any()
     table = be._rtab
-    assert table.flags.c_contiguous and be._st.rstride == table.shape[1]
+    assert table.flags.c_contiguous
+    assert be._st.rstride == table.shape[1] == net.n
     for b in range(be._B):
-        assert table[b].tolist() == oracle[b], (kind, b)
+        assert _decoded(be, b).tolist() == oracle[b], (kind, b)
+
+
+@pytest.mark.parametrize("kind,n,rows", [
+    ("quarc", 64, 12), ("quarc", 384, 12), ("spidergon", 64, 8),
+    ("torus", 48, 9), ("torus", 256, 9), ("mesh", 64, None)])
+def test_state_is_sized_by_the_router(kind, n, rows):
+    """One route-table row per buffer position where the network is
+    vertex-symmetric (per buffer on the mesh); a source queue's ring
+    slice is a window of at most ``_SRC_WINDOW`` words; the queue table
+    is a first row per node plus one relative row."""
+    net, _ = build_network(kind, n)
+    be = ArrayBackend(net)
+    assert be._rtab.shape == (rows or be._B, n)
+    slices = be._rmask + 1
+    source = be._upof == -1         # rows no port's down names
+    assert slices[:be._B][source].max() <= array_backend._SRC_WINDOW == 16
+    assert be._rflat.size <= (16 * source.sum()
+                              + slices[:be._B][~source].sum() + 2)
+    assert be._qtab.shape == (2, n)
+    if rows and n >= 256:           # no array holds N x N entries
+        assert max(a.size for a in vars(be).values()
+                   if isinstance(a, np.ndarray)) < n * n
+
+
+def test_relative_tables_that_differ_at_another_node_raise(monkeypatch):
+    """The build reads node 0's router and checks the last node's
+    against it: the mesh routes by (dx, dy), not by (dst - node) mod N,
+    so declaring its tables relative fails before anything attaches."""
+    monkeypatch.setattr(MeshRouter, "relative_tables", True)
+    net, _ = build_network("mesh", 16)
+    with pytest.raises(ValueError, match=r"MeshRouter declares relative "
+                       r"route tables, but node 15's are not node 0's"):
+        ArrayBackend(net)
+    assert net.state_owner is None
+    # the queue table is read and checked the same way
+    monkeypatch.setattr(
+        QuarcTransceiver, "unicast_queue_table",
+        lambda ad: ([ad.router.loc_r], np.full(ad.router.n, ad.node % 2)))
+    with pytest.raises(ValueError, match=r"unicast queue table at node 15"):
+        ArrayBackend(build_network("quarc", 16)[0])
 
 
 @pytest.mark.parametrize("kind", KINDS)
