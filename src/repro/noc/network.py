@@ -285,6 +285,19 @@ class Network:
         else:
             owner.rows.append((node, dst, size, cls, now, tag))
 
+    def send_unicasts(self, cyc, node, dst, size: int) -> None:
+        """A window of class-less unicasts of ``size`` flits, as numpy
+        columns ``(cycle, node, dst)``, each sent at its cycle: an array
+        engine takes the window whole, in its place among the rows;
+        with no engine, or under a fault state, it is
+        :meth:`send_unicast` once per row."""
+        owner = self.state_owner
+        if owner is None or self.fault_state is not None:
+            for c, v, d in zip(cyc.tolist(), node.tolist(), dst.tolist()):
+                self.send_unicast(v, d, size, None, c)
+        elif len(cyc):
+            owner.rows.append((cyc, node, dst, size))
+
     def deliver(self, node: int, pkt: "Packet", fidx: int, now: int) -> None:
         """A flit reached the PE at ``node`` (ejection or broadcast clone).
 

@@ -2,10 +2,9 @@
 
 A *probe* samples one telemetry quantity at the end of every window of
 ``window`` cycles (sample cycles ``t0+w-1, t0+2w-1, ...`` plus the
-final cycle of the horizon), riding the existing ``Probes`` callback
-seam of :meth:`repro.sim.backend.SimBackend.run_mix` -- which the
-array engine's windowed loop honours too (a window ends at every probe
-cycle), so sampling costs O(samples), not O(cycles).
+final cycle of the horizon), riding the ``Probes`` callback seam of
+:meth:`repro.sim.backend.SimBackend.run_mix`, whose windows end at
+every probe cycle, so sampling costs O(samples), not O(cycles).
 
 Probe catalogue
 ---------------

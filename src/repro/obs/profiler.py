@@ -6,16 +6,17 @@ session -- never touching the classes, so concurrent unprofiled runs
 are unaffected -- and reports a wall-time split:
 
 ========== ==========================================================
-inject     traffic generation/injection (``TrafficMix.generate`` /
-           ``inject`` / ``emit`` / ``fill_calendar``, which draws the
-           single-class columns)
+inject     traffic generation/injection (``TrafficMix.inject``: the
+           block draw, ``fill_calendar``, and every message it emits; a
+           window of unicast columns is handed over, staged under
+           ``fold``)
 collect    latency-collector delivery callbacks (also counted inside
            the step that triggered them)
 step       cycle execution: ``backend.step`` on ``reference``,
            ``ArrayBackend._advance`` on ``array`` (every cycle runs
            inside it, whether a window of ``run_mix`` or one ``step``;
            its Python *replay* residue is ``step - kernel - fold``)
-fold       turning staged injections and a window of unicast columns
+fold       turning staged injections and windows of unicast columns
            into arrival rows (``ArrayBackend._stage``; the fold proper
            runs in the cycle)
 kernel     the cycle body: the compiled ``repro_run``
@@ -24,7 +25,7 @@ kernel     the cycle body: the compiled ``repro_run``
 Every wrapper times the method the unprofiled run calls -- there is no
 profiler-side copy of any loop, so the profile cannot measure a cycle
 other than the one that runs.  Only the outermost call of a category
-is timed (not ``inject`` again under ``generate``), so ``inject`` and
+is timed, and ``inject`` runs outside ``step``, so ``inject`` and
 ``step`` are disjoint and never add up to more than ``run_s``.  The
 report names the backend that ran
 (``backend``: ``reference`` where a session asked for ``array`` on a
@@ -59,8 +60,8 @@ __all__ = ["PhaseProfiler"]
 
 def _kernel_counters(backend) -> Dict[str, object]:
     """The cycle body's cumulative work counters (state struct), the packets
-    staged / as rows / as columns / ever objects / late, the tails by
-    delivery path."""
+    staged / as rows / as columns / ever objects / late (staged in front
+    of the waiting rows), the tails by delivery path."""
     from repro.sim.array_backend import STOPS
     st = backend._st
     staged, rows, cols = len(backend._pkts), backend._nrows, backend._ncols
@@ -108,10 +109,7 @@ class PhaseProfiler:
         backend = session.backend
         sec = self.seconds
 
-        self._wrap_timed(session.mix, "generate", "inject")
         self._wrap_timed(session.mix, "inject", "inject")
-        self._wrap_timed(session.mix, "emit", "inject")
-        self._wrap_timed(session.mix, "fill_calendar", "inject")
         self._wrap_timed(session.collector, "on_unicast_cols", "collect")
         self._wrap_timed(session.collector, "on_collective_complete",
                          "collect")

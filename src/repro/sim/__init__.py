@@ -23,10 +23,10 @@ paper used for its flit-level simulator).  It provides:
   imported here, for the same layering reason -- import it as
   ``repro.sim.replication``.)
 
-The simulation is cycle-driven, on one clock (``Network.cycle``): the
-backend's ``run_mix`` loop calls ``step`` once per cycle, and probes
-and fault events are callbacks keyed by cycle number (README.md, "Who
-drives a cycle").
+The simulation is cycle-driven, on one clock (``Network.cycle``): one
+``run_mix`` loop executes windows of cycles on either backend, and
+probes and fault events are callbacks keyed by cycle number (README.md,
+"Who drives a cycle").
 """
 
 from repro.sim.backend import (

@@ -69,28 +69,27 @@ that cannot compile the file runs the ``reference`` backend instead
 :meth:`ArrayBackend._advance` executes cycles ``[now, horizon)`` in
 batches: a batch runs until Python is needed, :meth:`_replay` applies
 its events, the next batch starts.  One ordered list, ``_staged``,
-takes what is injected: ``(buffer, packet)`` from the adapters (it is
-every ``FlitBuffer.sink``) and ``(node, dst, size, cls, created)`` rows
-from ``Network.send_unicast``; ``_cols`` takes a window of the
-single-class mix's unicasts as ``(cycle, node, dst)`` columns.  A row's
-buffer is looked up in the adapters' ``unicast_queue_table``;
-:meth:`_stage` turns both into arrival rows ``(cycle, buffer, aid)`` in
-push order: a window ``run_mix`` injected ahead, each staged entry
-stamped with its cycle, at once with numpy; entries
-without a stamp are *late* -- due at the cycle about to run, so a packet
-injected at cycle *t* arbitrates at *t*, like a reference push -- and go
-one by one into the consumed prefix, in front of the rows still waiting
-(O(1) a packet).  Events carry their cycle: a tail that reached a PE
-(``EV_DELIVERY``), an op's completion (``EV_COMPLETE``), a header only
-the router can route (``EV_ROUTE``: no table row, a multicast on a row
-without it, anything under a fault state).  A cycle that emitted a
-ROUTE event, or a delivery that cannot wait (a tail of
+takes what is injected, in push order: ``(buffer, packet)`` from the
+adapters (it is every ``FlitBuffer.sink``), ``(node, dst, size, cls,
+created, tag)`` rows from ``Network.send_unicast`` and ``(cycle, node,
+dst, size)`` windows of columns from ``Network.send_unicasts``.  A
+row's buffer is looked up in the adapters' ``unicast_queue_table``.
+:meth:`_stage` turns them into arrival rows ``(cycle, buffer, aid)``
+by one rule: an entry is due at ``max(created, next cycle to run)``,
+and rows go by due cycle, then *regenerated* entries (created before
+they are due) before fresh ones, then push order -- the order the
+reference's FIFOs get them.  Where that puts every new entry in front
+of the rows still waiting (relay segments, the closed loop), they are
+*late*: written one by one into the consumed prefix, O(1) a packet;
+otherwise one numpy sort.  Events carry their cycle: a tail that
+reached a PE (``EV_DELIVERY``), an op's completion (``EV_COMPLETE``), a
+header only the router can route (``EV_ROUTE``: no table row, a
+multicast on a row without it, anything under a fault state).  A cycle
+that emitted a ROUTE event, or a delivery that cannot wait (a tail of
 ``Adapter.reinjecting_tails`` -- relay segments; any tail when
 ``net.on_tail`` / a fault state is set), ends its batch; every other
 event replays after it in emission order = (cycle, ascending port), the
-reference's float-accumulation order.  A packet staged by a delivery at
-cycle *t* (relay regeneration) folds at *t + 1* ahead of the pre-drawn
-arrivals of *t + 1*, as the reference pushes it.
+reference's float-accumulation order.
 
 Receipts (the sim README has the contract): while the kernel counts,
 each open op has a slot of ``_rtbl`` and ``collector.delivery`` is the
@@ -203,6 +202,7 @@ class ArrayBackend(SimBackend):
     """
 
     name = "array"
+    inject_ahead = True
 
     def __init__(self, net):
         super().__init__(net)
@@ -392,19 +392,13 @@ class ArrayBackend(SimBackend):
             setattr(self, "_" + name, z(1024))
         evcap = max(256, 2 * EV_PER_PORT * P)
         self._ev = z(2 * evcap)
-        #: what was injected since the last fold, in push order (packets
-        #: and rows: module docstring); ``_staged_at`` stamps the leading
-        #: entries with their cycle (run_mix injects a window ahead), the
-        #: rest are due at the next cycle to run
+        #: what was injected since the last fold, in push order (packets,
+        #: rows and windows of columns: module docstring)
         self._staged: List = []
-        self._staged_at: List[int] = []
 
-        # ``rows``: where ``Network.send_unicast`` appends (its buffer:
-        # :meth:`_queue_rows`)
+        # ``rows``: where ``Network.send_unicast`` / ``send_unicasts``
+        # append (its buffer: :meth:`_queue_rows`)
         self.rows = self._staged
-        #: a window of unicast columns ``run_mix`` took from the mix,
-        #: ``(cycle, node, dst, size)``, staged after ``_staged``
-        self._cols = None
         # --profile: rows / columns staged, built anyway, entries late;
         # tails by path
         self._nrows = self._ncols = self._nbuilt = self._nlate = 0
@@ -736,79 +730,84 @@ class ArrayBackend(SimBackend):
     # staging: what the adapters pushed -> arrival rows
     # ------------------------------------------------------------------
     def _stage(self, now: int) -> None:
-        """Turn what was injected into arrival rows: a window's unicast
-        columns and stamped pushes with numpy, a batch without stamps
-        by :meth:`_stage_late`."""
-        staged, at, cols = self._staged, self._staged_at, self._cols
-        n = len(staged)
-        if not at and cols is None:
-            return self._stage_late(now, n)
-        at.extend([now] * (n - len(at)))
-        parts = [self._intern_staged(at)] if n else []
-        if cols is not None:
-            # after the pushes: a packet staged late at the window's first
-            # cycle goes in front of that cycle's arrivals, and no two
-            # arrivals of one cycle share a buffer
-            parts.append(self._intern_cols(*cols))
-            self._cols = None
-        rows = parts[0]
+        """Turn what was injected into arrival rows.  An entry is due at
+        ``max(created, now)``, ``now`` being the next cycle to run.  Rows
+        are ordered by due cycle, then *regenerated* entries (created
+        before they are due: a relay segment made by a delivery at
+        ``now - 1``) before fresh ones, then push order -- the rows
+        still waiting were pushed first.  That is the order the
+        reference's FIFOs get.  Where it puts every new entry in front
+        in push order, :meth:`_stage_late`; else one numpy sort."""
+        if self._in_front(now):
+            return self._stage_late(now, len(self._staged))
+        staged = self._staged
+        kind = np.array([len(e) for e in staged])
+        seq = np.arange(len(staged))        # push order
+        # ``(created, buffer, aid, push order)`` columns: every row at
+        # once, every packet at once, then each window of columns
+        parts = []
+        rows = [e for e in staged if len(e) == 6]
+        if rows:
+            a0 = len(self._pkts)
+            parts.append(([e[4] for e in rows], self._intern_rows(rows),
+                          np.arange(a0, a0 + len(rows)), seq[kind == 6]))
+        if (kind == 2).any():
+            bufs, pkts = zip(*(e for e in staged if len(e) == 2))
+            a0 = self._intern(pkts)
+            parts.append(([p.created for p in pkts],
+                          [self._bid[b] for b in bufs],
+                          np.arange(a0, a0 + len(pkts)), seq[kind == 2]))
+        for i in np.flatnonzero(kind == 4).tolist():
+            cyc, node, dst, size = staged[i]
+            k = len(cyc)
+            a0 = self._intern_unicasts(node, dst, size, [None] * k,
+                                       cyc.tolist())
+            self._ncols += k
+            parts.append((cyc, self._queue_rows(node, dst),
+                          np.arange(a0, a0 + k), np.full(k, i)))
+        born, abuf, aaid, seq = (np.concatenate(col) for col in zip(*parts))
+        due = np.maximum(born, now)
+        key = 3 * due + np.where(born < now, 0, 2)
         st = self._st
         pos, an = st.apos, st.an
-        if len(parts) > 1 or pos < an:
-            rows = [np.concatenate(col) for col in zip(
-                *parts, *([getattr(self, name)[pos:an] for name in _ACOLS]
-                          if pos < an else ()))]
-            order = rows[0].argsort(kind="stable")
-            rows = [r[order] for r in rows]
-        n = len(rows[0])
+        if pos < an:        # waiting: after the regenerated, before fresh
+            wait = [getattr(self, name)[pos:an] for name in _ACOLS]
+            key = np.concatenate((3 * wait[0] + 1, key))
+            seq = np.concatenate((np.full(an - pos, -1), seq))
+            due, abuf, aaid = (np.concatenate((w, c)) for w, c in
+                               zip(wait, (due, abuf, aaid)))
+        order = np.lexsort((seq, key))
+        n = len(order)
         if n > len(self._acyc):
             self._grow(_ACOLS, n, 0)
-        for name, row in zip(_ACOLS, rows):
-            getattr(self, name)[:n] = row
+        for name, col in zip(_ACOLS, (due, abuf, aaid)):
+            getattr(self, name)[:n] = col[order]
         st.apos = 0
         st.an = n
         staged.clear()
-        at.clear()
 
-    def _intern_staged(self, at):
-        """The staged pushes, stamped ``at``, as ``(cycle, buffer, aid)``
-        columns in push order."""
-        staged = self._staged
-        n = len(staged)
-        # rows take the first aids, packets the rest: an aid is an
-        # interning order, only the arrival rows keep the push order
-        rows = [e for e in staged if len(e) == 6]
-        k = len(rows)
-        a0 = len(self._pkts)
-        abuf = self._intern_rows(rows) if k else ()
-        if k < n:
-            bufs, pkts = zip(*((e for e in staged if len(e) == 2) if k
-                               else staged))
-            self._intern(pkts)
-            obuf = [self._bid[b] for b in bufs]
-            abuf = np.concatenate((abuf, obuf)) if k else obuf
-        aaid = np.arange(a0, a0 + n)
-        if 0 < k < n:
-            isrow = np.array([len(e) == 6 for e in staged])
-            rank = np.where(isrow, isrow.cumsum() - 1,
-                            k - 1 + (~isrow).cumsum())
-            abuf, aaid = abuf[rank], aaid[rank]
-        return np.asarray(at), np.asarray(abuf), aaid
-
-    def _intern_cols(self, cyc, node, dst, size):
-        """Intern a window of single-class unicasts; returns their
-        ``(cycle, buffer, aid)`` columns."""
-        k = len(cyc)
-        a0 = self._intern_unicasts(node, dst, size, [None] * k, cyc.tolist())
-        self._ncols += k
-        return cyc, self._queue_rows(node, dst), np.arange(a0, a0 + k)
+    def _in_front(self, now: int) -> bool:
+        """Whether :meth:`_stage`'s order puts the staged entries in
+        front of every waiting row, in push order: no window of columns,
+        each due at ``now``, the regenerated ones first, and fresh ones
+        only while no waiting row is due at ``now``."""
+        fresh = False
+        for e in self._staged:
+            k = len(e)
+            if k == 4:
+                return False
+            born = e[4] if k == 6 else e[1].created
+            if born == now:
+                fresh = True
+            elif born > now or fresh:
+                return False
+        st = self._st
+        return not fresh or st.apos == st.an or self._acyc[st.apos] > now
 
     def _stage_late(self, now: int, n: int) -> None:
-        """The ``n`` staged entries are due at ``now``.  Rows still
-        waiting are due at ``now`` or later and ties go to the new ones (a
-        packet regenerated by a delivery at ``now - 1`` precedes the
-        pre-drawn arrivals of ``now``), so they go *in front*, into the
-        consumed prefix ``[apos - n, apos)``: one scalar pass, O(n)."""
+        """The ``n`` staged entries are due at ``now`` and go *in front*
+        of the rows still waiting (:meth:`_in_front`), into the consumed
+        prefix ``[apos - n, apos)``: one scalar pass, O(n)."""
         st = self._st
         pos, an = st.apos, st.an
         w = an - pos
@@ -1002,7 +1001,7 @@ class ArrayBackend(SimBackend):
         if kc is not None and (fs is not None or self._acoll.count(kc)
                                != len(self._acoll)):
             self._release()
-        if self._staged or self._cols is not None:
+        if self._staged:
             self._stage(now)
         st.nofast = fs is not None
         st.stopkinds = (self._stopkinds if fs is None and net.on_tail is None
@@ -1023,7 +1022,7 @@ class ArrayBackend(SimBackend):
                 self._grow(("_ev",), 0, 0)
                 st.evcap = len(self._ev) // 2
             if self._staged and now < horizon:
-                self._stage(now)    # regenerated by a delivery: due next
+                self._stage(now)    # regenerated by a delivery
         self._sync()
         net.cycle = horizon
         return horizon
@@ -1038,85 +1037,17 @@ class ArrayBackend(SimBackend):
 
     def total_flits(self) -> int:
         st = self._st
-        n = st.inflight + sum(e[2] if len(e) == 6 else e[1].size
-                              for e in self._staged)
+        n = st.inflight + sum(
+            e[2] if len(e) == 6 else e[1].size if len(e) == 2
+            else len(e[0]) * e[3] for e in self._staged)
         if st.apos < st.an:
             n += int(self._psize[self._aaid[st.apos:st.an]].sum())
         return n
 
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
-        """The windowed ``run_mix``: read the mix's draw a block at a
-        time, inject a whole window ``[t, w1)`` ahead -- a single-class
-        mix's columns by :meth:`_take`, calendar tokens by
-        ``mix.inject``, each staged entry stamped with its cycle -- and
-        :meth:`_advance` through it; ``w1`` ends the block or follows
-        the next probe cycle, whichever is first.
-
-        Injecting ahead is exact: every class / destination stream is
-        per node and drawn in arrival order either way, the generation
-        counters are only read at probe cycles and at the end, and
-        fault events are probes too.  Idle gaps cost nothing: with
-        nothing in flight the cycle body jumps to the next arrival.
-        """
-        if mix.reactive:
-            # closed-loop mixes need per-cycle generation so delivery
-            # feedback reaches the sources before the next generate;
-            # step() stays the array/kernel engine, at horizon 1
-            SimBackend.run_mix(self, mix, cycles, probes)
-            self._sync(ops=True)
-            return
-        probes = probes or {}
-        inject, tokens, cal = mix.inject, mix.tokens, mix.calendar
-        staged, at = self._staged, self._staged_at
-        t = self.net.cycle
-        end = t + cycles
-        due = sorted(p for p in probes if t <= p < end)
-        due.append(end)
-        pi = 0
-        while t < end:
-            if t >= mix.cal_end:
-                mix.fill_calendar(t)
-            c1 = min(mix.cal_end, end)
-            arrivals = () if mix.block is not None else sorted(cal)
-            ai = 0
-            while t < c1:
-                w1 = min(c1, due[pi] + 1)
-                at.extend([t] * (len(staged) - len(at)))
-                if mix.block is not None:
-                    self._take(mix, w1)
-                while ai < len(arrivals) and arrivals[ai] < w1:
-                    c = arrivals[ai]
-                    ai += 1
-                    for i in cal.pop(c):
-                        inject(tokens[i], c)
-                    at.extend([c] * (len(staged) - len(at)))
-                t = self._advance(t, w1)
-                if due[pi] == t - 1:
-                    probes[due[pi]](t - 1)
-                    pi += 1
+        super().run_mix(mix, cycles, probes)
         self._sync(ops=True)
-
-    def _take(self, mix: "TrafficMix", w1: int) -> None:
-        """Inject the mix's column rows before ``w1``: broadcasts through
-        ``mix.emit``, unicasts as one window of columns for
-        :meth:`_stage`.  A fault state (dead sources, unreachable
-        destinations) or an ``on_inject`` tap takes every row through
-        ``mix.emit`` instead."""
-        cyc, node, dst = mix.take(w1)
-        staged, at, emit = self._staged, self._staged_at, mix.emit
-        if self.net.fault_state is not None or mix.on_inject is not None:
-            bc = np.ones(len(cyc), bool)
-        else:
-            bc = dst < 0
-        for c, v, d in zip(cyc[bc].tolist(), node[bc].tolist(),
-                           dst[bc].tolist()):
-            emit(v, d, c)
-            at.extend([c] * (len(staged) - len(at)))
-        uni = ~bc
-        if uni.any():
-            self._cols = (cyc[uni], node[uni], dst[uni], mix.msg_len)
-            mix.generated_unicasts += len(self._cols[0])
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph

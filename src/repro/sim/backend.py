@@ -17,21 +17,27 @@ through simulated cycles.  Two implementations ship, with two roles:
   both arbitration and commit over those arrays in a compiled C cycle
   kernel.  On a host where the kernel cannot be built or loaded,
   :func:`make_backend` hands out ``reference`` in its place (the loader
-  warns once).  Its own ``run_mix`` drives
-  **windows, not cycles**: it reads the mix's arrival draw a block at
-  a time, injects a window ahead (a single-class mix's unicasts as
-  columns) and lets the cycle body run until Python is needed, idle
-  gaps skipped.  See ``array_backend.py`` for
-  the ownership contract.
+  warns once).  See ``array_backend.py`` for the ownership contract.
+
+One loop, :meth:`SimBackend.run_mix`, drives both: it walks windows
+``[t, w1)``, each injected by ``TrafficMix.inject`` and then executed by
+``_advance``.  A window is one cycle on ``reference`` and for a reactive
+mix; on ``array`` (``inject_ahead``) it runs to the end of the mix's
+block or just past the next probe cycle, and the engine runs it until
+Python is needed, idle gaps skipped.
 
 Why running ahead is bit-identical
 ----------------------------------
 * Idle cycles are provably no-ops: with zero flits in flight, ``step``
   only advances the clock, so jumping it assigns the same final clock.
-* Both backends read one arrival draw, made a block ahead by
-  :meth:`repro.traffic.mix.TrafficMix.fill_calendar`: every stream is
-  per node and drawn in arrival order, whether the reference loop
-  injects a cycle at a time or the array loop a window ahead.
+* Both backends read one arrival draw through one reader,
+  ``TrafficMix.inject``: every stream is per node and drawn in arrival
+  order, whether a window is one cycle or a block; the generation
+  counters are only read at probe cycles and at the end, and fault
+  events are probes.
+* The engine folds what was injected by one rule (``_stage``): an
+  entry is due at ``max(created, next cycle to run)``, the rows of a
+  cycle in the order the reference's FIFOs get them.
 """
 
 from __future__ import annotations
@@ -58,12 +64,14 @@ Probes = Dict[int, Callable[[int], None]]
 class SimBackend:
     """Drives one network through simulated cycles.
 
-    Subclasses implement :meth:`step`; :meth:`run_mix` is the generic
-    per-cycle loop and may be overridden for speed (the array backend's
-    drives windows read from the mix's calendar).
+    Subclasses implement :meth:`step`; :meth:`run_mix` is the one run
+    loop, and :meth:`_advance` what executes each of its windows.
     """
 
     name = "abstract"
+    #: whether :meth:`run_mix` may inject a window of cycles ahead of
+    #: the one it executes (fixed per engine)
+    inject_ahead = False
 
     def __init__(self, net: "Network"):
         self.net = net
@@ -73,24 +81,34 @@ class SimBackend:
         """Advance one cycle; returns the number of flits moved."""
         raise NotImplementedError
 
+    def _advance(self, now: int, horizon: int) -> None:
+        """Execute the window ``[now, horizon)``: one cycle, here, since
+        a backend that does not inject ahead gets windows of one."""
+        self.step(now)
+
     # -- bulk loops -----------------------------------------------------
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
-        """Drive ``mix`` + network for ``cycles`` cycles from ``net.cycle``."""
-        step = self.step
-        gen = mix.generate
-        t0 = self.net.cycle
-        if not probes:
-            for t in range(t0, t0 + cycles):
-                gen(t)
-                step(t)
-            return
-        for t in range(t0, t0 + cycles):
-            gen(t)
-            step(t)
-            cb = probes.get(t)
-            if cb is not None:
-                cb(t)
+        """Drive ``mix`` + network for ``cycles`` cycles from ``net.cycle``:
+        windows ``[t, w1)``, each injected by ``mix.inject`` and executed
+        by :meth:`_advance`, a probe called after its cycle.  A window is
+        one cycle unless the backend injects ahead and the mix is not
+        reactive; then it ends with the mix's block or just past the
+        next probe cycle."""
+        probes = probes or {}
+        t = self.net.cycle
+        end = t + cycles
+        due = sorted(p for p in probes if t <= p < end)
+        due.append(end)
+        ahead = self.inject_ahead and not mix.reactive
+        pi = 0
+        while t < end:
+            w1 = mix.inject(t, min(due[pi] + 1, end) if ahead else t + 1)
+            self._advance(t, w1)
+            t = w1
+            if due[pi] == t - 1:
+                probes[t - 1](t - 1)
+                pi += 1
 
     def apply_faults(self, fs, events: List[dict]) -> None:
         """Apply due fault events (:mod:`repro.faults`) to the network.

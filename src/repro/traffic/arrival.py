@@ -17,8 +17,9 @@ every one of them through one block draw, whichever backend drives it.
 * **Reactive** models (``reactive = True``) depend on network state
   (e.g. a closed-loop source that stalls while its in-flight budget is
   exhausted, :mod:`repro.workloads.closedloop`).  ``arrivals_in``
-  raises; the mix drives them through ``arm`` / ``fire`` instead, cycle
-  by cycle (:meth:`repro.sim.backend.SimBackend.run_mix`).
+  raises; the mix drives them through ``arm`` / ``fire`` instead, and
+  :meth:`repro.sim.backend.SimBackend.run_mix` injects a reactive mix
+  one cycle at a time on every backend.
 
 Models
 ------

@@ -23,19 +23,20 @@ and the adapters' uniform ``send_broadcast`` interface:
   streams untouched.  A firing injector is a *token* on a calendar
   (``{cycle: [injector index, ...]}``): stateless models are drawn a
   block at a time through ``arrivals_in``, reactive ones through
-  ``arm``, and :meth:`TrafficMix.inject` draws the class / destination
-  of each token when it fires.
+  ``arm``, and each token's class / destination is drawn when it fires.
 
-:meth:`TrafficMix.fill_calendar` is the one arrival draw of both modes.
-The reference loop's :meth:`TrafficMix.generate` and the array engine's
-window loop read what it drew, so every
-:class:`~repro.sim.backend.SimBackend` injects the same messages in the
-same order; :meth:`TrafficMix.emit` is the one per-message emitter.
+:meth:`TrafficMix.fill_calendar` is the one arrival draw of both modes
+and :meth:`TrafficMix.inject` its one reader: it injects a window of
+cycles, one at a time for the reference loop (:meth:`generate`), a
+block ahead for the array engine -- the same messages in the same
+order either way.  :meth:`TrafficMix.emit` is the one per-message
+emitter; a single-class window's unicasts go to
+``Network.send_unicasts`` as columns.
 **Trace replay** engages automatically when the arrival model carries
 a ``repro-trace/v2`` payload (destination, class, size and broadcast
 flag per event): its injectors are tokens with one arrival per recorded
-message, and :meth:`inject` sends that message verbatim, consuming no
-randomness -- which makes v2 replay seed- and pattern-independent.
+message, each sent verbatim when it fires, consuming no randomness --
+which makes v2 replay seed- and pattern-independent.
 """
 
 from __future__ import annotations
@@ -140,12 +141,9 @@ class TrafficMix:
                  msg_len: Optional[int] = None, beta: float = 0.0,
                  seed: int = 0,
                  pattern: Optional[DestinationPattern] = None,
-                 stop_generating_at: Optional[int] = None,
                  arrival: Optional[Callable] = None,
                  classes: Optional[Sequence[TrafficClass]] = None):
         self.net = net
-        #: optional drain horizon: no new messages at or after this cycle
-        self.stop_generating_at = stop_generating_at
         #: optional tap fired as ``on_inject(node, now, cls, dst, size,
         #: bcast)`` for every injected message (the TraceRecorder hook);
         #: while it is set every message goes through :meth:`emit`, on
@@ -172,6 +170,8 @@ class TrafficMix:
         #: (-1: nothing drawn yet), reactive ones whenever armed
         self.calendar: Dict[int, List[int]] = {}
         self.cal_end = -1
+        #: the first cycle no :meth:`inject` covered yet
+        self._covered = -1
         #: single-class mode: the block draw, the current block's
         #: ``(cycle, node, dst)`` columns, the first row not yet taken
         #: and its cycle (``cal_end`` when none is left)
@@ -232,9 +232,10 @@ class TrafficMix:
         self._injectors = [
             make(i, rate, streams.get(f"node{i}.arrivals"))
             for i in range(net.n)]
-        #: injection tokens, parallel to ``_injectors``: what ``inject``
-        #: receives when the matching injector fires (plain node ids
-        #: here; ``(node, class_index)`` pairs in multi-class mode)
+        #: injection tokens, parallel to ``_injectors``: what
+        #: ``_inject_token`` receives when the matching injector fires
+        #: (node ids here; ``(node, class_index)`` pairs in multi-class
+        #: mode)
         self.tokens: List[object] = list(range(net.n))
         self._class_rng = [streams.get(f"node{i}.class")
                            for i in range(net.n)]
@@ -251,7 +252,7 @@ class TrafficMix:
             self._draw = ColumnDraw(self)
         else:
             # repro-trace/v2: the injectors replay one arrival per
-            # recorded message; inject() sends that message verbatim
+            # recorded message; _inject_token() sends it verbatim
             self._replay = [iter(evs) for evs in replay]
             #: largest replayed message (the saturation heuristic's
             #: size reference, mirroring the declared max of the class
@@ -335,9 +336,18 @@ class TrafficMix:
     # ------------------------------------------------------------------
     def generate(self, now: int) -> None:
         """Per-cycle arrival pass; call before ``net.step(now)``."""
-        if (self.stop_generating_at is not None
-                and now >= self.stop_generating_at):
-            return
+        self.inject(now, now + 1)
+
+    def inject(self, now: int, until: int) -> int:
+        """Inject the arrivals of cycles ``[now, until)``, each at its
+        cycle; returns the cycle injected up to, ``until`` or the end of
+        the block.  A reactive mix takes one cycle at a time, after the
+        deliveries of ``now - 1``.  Block rows go as one window of
+        unicast columns (``Network.send_unicasts``) and broadcasts
+        through :meth:`emit` -- every row through :meth:`emit` under a
+        fault state or an ``on_inject`` tap; calendar tokens fire in
+        injector order.  Arrivals of cycles no call covered (a drain ran
+        them without traffic) are dropped."""
         eng = self._cl_engine
         if eng is not None:
             # engine-driven injections (directory replies, phase
@@ -351,29 +361,50 @@ class TrafficMix:
                 "workload spec through SimulationSession (which wires "
                 "a ClosedLoopEngine), or attach one explicitly via "
                 "attach_closedloop()")
+        if now > self._covered:
+            if self.block is not None:
+                self.take(now)
+            else:
+                for c in range(self._covered, min(now, self.cal_end)):
+                    self.calendar.pop(c, None)
         if now >= self.cal_end:
             self.fill_calendar(now)
+        if until > self.cal_end:
+            until = self.cal_end
+        self._covered = until
         if self.block is not None:
-            if now >= self._bnext:
-                cyc, node, dst = self.take(now + 1)
-                for c, v, d in zip(cyc.tolist(), node.tolist(),
-                                   dst.tolist()):
-                    if c == now:
-                        self.emit(v, d, now)
-            return
-        due = self.calendar.pop(now, None)
-        if due is None:
-            return
-        due.sort()      # node-major, class-minor: arms append out of order
-        injectors, tokens = self._injectors, self.tokens
-        for i in due:
-            inj = injectors[i]
-            if inj.reactive:
-                inj.fire()
-                self.inject(tokens[i], now)
-                self.arm(i, now + 1)
-            else:
-                self.inject(tokens[i], now)
+            if self._bnext < until:
+                self._inject_rows(*self.take(until))
+            return until
+        cal = self.calendar
+        for c in range(now, until):
+            due = cal.pop(c, None)
+            if due is None:
+                continue
+            due.sort()  # node-major, class-minor: arms append out of order
+            injectors, tokens = self._injectors, self.tokens
+            for i in due:
+                inj = injectors[i]
+                if inj.reactive:
+                    inj.fire()
+                    self._inject_token(tokens[i], c)
+                    self.arm(i, c + 1)
+                else:
+                    self._inject_token(tokens[i], c)
+        return until
+
+    def _inject_rows(self, cyc, node, dst) -> None:
+        """Send taken block rows (see :meth:`inject`)."""
+        if self.net.fault_state is None and self.on_inject is None:
+            uni = dst >= 0
+            self.net.send_unicasts(cyc[uni], node[uni], dst[uni],
+                                   self.msg_len)
+            self.generated_unicasts += int(uni.sum())
+            bc = ~uni
+            cyc, node, dst = cyc[bc], node[bc], dst[bc]
+        emit = self.emit
+        for c, v, d in zip(cyc.tolist(), node.tolist(), dst.tolist()):
+            emit(v, d, c)
 
     def fill_calendar(self, now: int) -> None:
         """Draw the next block, from ``now`` to the new ``cal_end``.
@@ -397,10 +428,8 @@ class TrafficMix:
                 load = len(self.tokens) * self.rate
                 span = min(max(span, math.ceil(BLOCK_ARRIVALS / load)),
                            FAR) if load else FAR
-            stop = self.cal_end = now + span
-            if self.stop_generating_at is not None:
-                stop = min(stop, self.stop_generating_at)
-            self.block = cyc, _, _ = draw.block(now, stop)
+            self.cal_end = now + span
+            self.block = cyc, _, _ = draw.block(now, self.cal_end)
             self.bpos = 0
             self._bnext = int(cyc[0]) if len(cyc) else self.cal_end
             return
@@ -411,8 +440,6 @@ class TrafficMix:
             # still eligible: a source loses eligibility only by firing
             self._injectors[i].armed = False
             self.arm(i, now)
-        if self.stop_generating_at is not None:
-            stop = min(stop, self.stop_generating_at)
         cal = self.calendar
         for i, inj in enumerate(self._injectors):
             if not inj.reactive:
@@ -439,16 +466,15 @@ class TrafficMix:
 
     def take(self, until: int) -> Tuple[np.ndarray, ...]:
         """The current block's rows before cycle ``until`` not taken yet,
-        as ``(cycle, node, dst)`` columns; taking them is the caller's
-        promise to emit them, one by one through :meth:`emit` or as a
-        window of columns."""
+        as ``(cycle, node, dst)`` columns; what is taken is no longer the
+        mix's to inject."""
         cyc, node, dst = self.block
         lo = self.bpos
         hi = self.bpos = lo + int(np.searchsorted(cyc[lo:], until))
         self._bnext = int(cyc[hi]) if hi < len(cyc) else self.cal_end
         return cyc[lo:hi], node[lo:hi], dst[lo:hi]
 
-    def inject(self, token, now: int) -> None:
+    def _inject_token(self, token, now: int) -> None:
         """A firing calendar token: draw its class / destination (or take
         its recorded message) and :meth:`emit` it.  ``token`` is a node id
         (replay) or a ``(node, class_index)`` pair (multi-class)."""
@@ -490,8 +516,8 @@ class TrafficMix:
         built; ``tag`` comes back through ``net.on_tagged_tail``), or a
         broadcast for ``dst == -1``, whose op is returned.  ``size``
         defaults to the single-class ``msg_len``.  The one per-message
-        path: the reference loop, a fault state, an ``on_inject`` tap and
-        the closed-loop engine take every message through it."""
+        path: calendar tokens, broadcasts, the closed-loop engine and,
+        under a fault state or an ``on_inject`` tap, every message."""
         if size is None:
             size = self.msg_len
         fs = self.net.fault_state
@@ -523,7 +549,7 @@ class TrafficMix:
 
     def attach_closedloop(self, engine) -> None:
         """Bind a :class:`~repro.workloads.closedloop.ClosedLoopEngine`:
-        :meth:`generate` calls its ``begin_cycle`` hook each cycle and
+        :meth:`inject` calls its ``begin_cycle`` hook each cycle and
         routes closed-loop class issues through ``engine.issue``.  The
         delivery side is the engine's own subscription
         (``net.on_tagged_tail``)."""

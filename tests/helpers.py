@@ -11,7 +11,8 @@ from __future__ import annotations
 from repro.noc.network import Network
 from repro.noc.packet import UNICAST, Packet
 
-__all__ = ["drain", "send_one", "run_cycles", "one_cycle_segments",
+__all__ = ["drain", "send_one", "run_cycles", "run_per_cycle",
+           "one_cycle_segments",
            "probed_route_tables", "scalar_gap", "scalar_columns"]
 
 
@@ -30,6 +31,20 @@ def send_one(net: Network, src: int, dst: int, size: int,
 def run_cycles(net: Network, cycles: int) -> None:
     for _ in range(cycles):
         net.step()
+
+
+def run_per_cycle(backend, mix, cycles: int, probes=None) -> None:
+    """The per-cycle oracle of ``SimBackend.run_mix``: ``generate``,
+    ``step`` and the probe, one cycle at a time (on an array engine,
+    ``step`` is a batch of horizon 1)."""
+    probes = probes or {}
+    t0 = backend.net.cycle
+    for t in range(t0, t0 + cycles):
+        mix.generate(t)
+        backend.step(t)
+        cb = probes.get(t)
+        if cb is not None:
+            cb(t)
 
 
 def one_cycle_segments(inj, stop: int, start: int = 0) -> list:

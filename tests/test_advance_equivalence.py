@@ -15,14 +15,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from differential import make_config
+from helpers import run_per_cycle
 
 from repro.core.api import build_network
 from repro.noc.network import flit_key
+from repro.noc.packet import (BROADCAST, RELAY, UNICAST, CollectiveOp,
+                              Packet)
 from repro.obs import ObsSpec
 from repro.sim import array_backend
 from repro.sim.array_backend import (EV_COMPLETE, EV_DATELINE, EV_DELIVERY,
                                      EV_ROUTE, EV_WINNER, FIDMASK, FSHIFT)
-from repro.sim.backend import SimBackend
+from repro.sim.backend import make_backend
 from repro.sim.session import SimulationSession, _merge_probes
 
 KINDS = ("quarc", "spidergon", "mesh", "torus")
@@ -51,8 +54,9 @@ def _drive(config, backend="array", per_cycle=False, trace=False,
     """Run ``config``; returns the summary, the replayed events, the
     state digests (every ``digest_every`` cycles, then end of run) and
     ``(snapshot, total_flits)`` at each cycle of ``snap_at``.
-    ``per_cycle`` drives the array engine through ``step`` (horizon 1)
-    instead of its windowed ``run_mix``; ``hook_at = (cycle, fn)`` calls
+    ``per_cycle`` drives the array engine through ``generate`` +
+    ``step`` (horizon 1, :func:`helpers.run_per_cycle`) instead of the
+    windowed ``run_mix``; ``hook_at = (cycle, fn)`` calls
     ``fn(backend)`` after that cycle, ``before(session)`` runs ahead of
     the first one."""
     session = SimulationSession(config.with_backend(backend))
@@ -76,7 +80,7 @@ def _drive(config, backend="array", per_cycle=False, trace=False,
         _merge_probes(probes, {
             t: lambda now: digests.append(be.state_digest())
             for t in range(digest_every, config.spec.cycles, digest_every)})
-    run_mix = SimBackend.run_mix if per_cycle else type(be).run_mix
+    run_mix = run_per_cycle if per_cycle else type(be).run_mix
     run_mix(be, session.mix, config.spec.cycles, probes)
     if backend == "array":
         digests.append(be.state_digest())
@@ -287,15 +291,46 @@ def test_regenerated_packet_folds_before_next_arrivals(
     assert got[3] == want[3]
 
 
+def test_arrivals_fold_in_reference_fifo_order():
+    """The staging rule at one source queue of an attached engine: a
+    relay segment regenerated by a delivery at t - 1, a window row for
+    t injected before cycle t - 1 ran, and a packet pushed after
+    ``generate(t)`` fold in that order -- regenerated first, then push
+    order -- which is the order the reference pushes them in."""
+    t, v, d = 6, 3, 4       # node 3's quadrant queue toward node 4
+    snaps = []
+    for backend in ("reference", "array"):
+        net, _ = build_network("quarc", 16, bcast_mode="relay")
+        be = make_backend(backend, net)
+        window = lambda: net.send_unicasts(     # noqa: E731
+            np.array([t]), np.array([v]), np.array([d]), 3)
+        for c in range(t):
+            if be.inject_ahead and c == t - 1:
+                window()            # pre-drawn: staged ahead of its cycle
+            be.step(c)
+        op = CollectiveOp(v, t - 1, expected=1, kind=BROADCAST)
+        net.adapters[v]._relay(op, (d,), 0, 2, t - 1, True)
+        if not be.inject_ahead:
+            window()                # generate(t) on the reference
+        net.adapters[v].send(Packet(v, d, 4, UNICAST), t)
+        snap = net.state_snapshot()
+        net.drain()
+        snaps.append((snap, net.state_snapshot()))
+    queue = [q for q in snaps[1][0]["buffers"].values() if q["q"]]
+    assert [k[2:5] for k in queue[0]["q"] if k[5] == 0] == [
+        (2, RELAY, t - 1), (3, UNICAST, t), (4, UNICAST, t)]
+    assert snaps[0] == snaps[1]
+
+
 @pytest.mark.parametrize("case,layouts,mixed", [
     # a relay tail lands before the window's first row has folded (the
     # consumed prefix is empty: the waiting rows shift right once) or
-    # after (its segment fits in front); stepped, it shares a late batch
-    # with the next cycle's unicast rows
+    # after (its segment fits in front); the next cycle's unicasts are
+    # a window of columns, never late, so a late batch is packets only
     (dict(kind="spidergon", beta=0.3, rate=0.02),
-     {"fresh", "shift", "prefix"}, True),
+     {"fresh", "shift", "prefix"}, False),
     # stepped, every injection is late: unicast rows and broadcast
-    # packets in one batch (the window stamps them instead)
+    # packets in one batch (a window merges them instead)
     (dict(workload="cache_coherence:storms=true,read_rate=0.05,"
                    "write_rate=0.01", rate=1.0), {"fresh"}, True),
     # reactive (horizon 1 either way) with an open-loop class: the
@@ -304,7 +339,7 @@ def test_regenerated_packet_folds_before_next_arrivals(
      {"fresh"}, True),
 ], ids=["relay", "storms", "closed-storms"])
 def test_late_rows_go_in_front(case, layouts, mixed, monkeypatch):
-    """Unstamped entries are due now and lead whatever waits: written
+    """Entries due now that lead whatever waits go late: written
     into the consumed prefix (or a fresh window, or after one shift),
     interned in the same pass -- event for event the per-cycle run."""
     config = make_config(**{"kind": "quarc", "n": 16, "msg_len": 4,
@@ -336,9 +371,8 @@ def test_bad_late_rows_raise_like_send():
     net, _ = build_network("quarc", 16)
     be = array_backend.ArrayBackend(net)
     for waiting in (0, 3):
-        for i in range(waiting):        # a stamped window, not yet due
+        for i in range(waiting):        # due at cycle 50, not yet
             net.send_unicast(1, 2, 4, None, 50)
-        be._staged_at.extend([50] * waiting)
         be._advance(net.cycle, net.cycle + 1)
         assert be._st.an - be._st.apos == waiting
         for dst, msg in ((3, "local address has no quadrant"),
@@ -362,7 +396,7 @@ def test_spidergon_relays_restage_in_front(monkeypatch):
     late, merges = [], []
 
     def watching(be, now):
-        late.append(not be._staged_at)
+        late.append(be._in_front(now))
         stage(be, now)
         late.pop()
 
@@ -377,10 +411,10 @@ def test_spidergon_relays_restage_in_front(monkeypatch):
         warmup=1500, beta=0.1, rate=0.002))
     session.run()
     be = session.backend
-    assert merges and not any(merges)   # stamped windows only
+    assert merges and not any(merges)   # windows only
     assert be._st.stops[2] > 4000       # batches ended by a relay tail
-    # every regenerated segment but a window's last few (stamped with
-    # the next window's first cycle instead)
+    # every regenerated segment but a window's last few (staged with
+    # the next window instead)
     relayed = session.collector.relay_segments
     assert 5000 < relayed - 20 < be._nlate <= relayed
 

@@ -181,9 +181,10 @@ def test_fault_after_rows_conserves_flits(kind):
                                  "allreduce:window=2")))
 def test_engine_conserves_flits(kind, msg_len, beta, rate, seed, cycles,
                                 workload):
-    """Fault-free: every flit ever interned -- row or packet, stamped by
-    a window or staged late (relay segments, a closed loop's issues) --
-    has left through an ejection port or is still counted in flight."""
+    """Fault-free: every flit ever interned -- row, packet or column,
+    merged in a window or staged late (relay segments, a closed loop's
+    issues) -- has left through an ejection port or is still counted in
+    flight."""
     load = dict(workload=workload, rate=1.0) if workload else dict(rate=rate)
     session = SimulationSession(make_config(
         kind=kind[0], n=16, msg_len=msg_len, beta=beta, cycles=cycles,
@@ -194,6 +195,7 @@ def test_engine_conserves_flits(kind, msg_len, beta, rate, seed, cycles,
         assert be._nlate == len(be._pkts) > 0   # horizon 1: all of them
     elif session.collector.relay_segments > 20:
         assert be._nlate > 0
+    be._flush()     # relay segments the last cycle regenerated
     interned = int(be._psize[:len(be._pkts)].sum())
     ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                   if port.is_ejection)

@@ -120,7 +120,7 @@ class TestMulticlassMix:
         for block in (1, 123, CALENDAR_BLOCK):
             mix, _ = self._mix(classes, seed=11)
             fired = []
-            mix.inject = lambda tok, now, fired=fired: fired.append(
+            mix._inject_token = lambda tok, now, fired=fired: fired.append(
                 (now, tok))
             with mock.patch("repro.traffic.mix.CALENDAR_BLOCK", block):
                 for t in range(600):

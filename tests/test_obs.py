@@ -157,9 +157,9 @@ class TestZeroPerturbation:
         ("array", {}),
     ], ids=["reference", "array-closed-loop", "array-columns"])
     def test_inject_and_step_never_exceed_the_run(self, backend, load):
-        """``inject`` times only the outermost call -- ``generate``, not
-        the ``inject`` / ``emit`` / ``fill_calendar`` calls inside it --
-        so it and ``step`` are disjoint and add up to at most ``run_s``.
+        """``inject`` times ``TrafficMix.inject``, with the ``emit`` /
+        ``fill_calendar`` calls inside it, and ``step`` the cycles: they
+        are disjoint and add up to at most ``run_s``.
         On the column path the block draw is ``inject`` and the window
         of columns is staged under ``fold``, inside ``step``."""
         import dataclasses

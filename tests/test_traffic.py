@@ -139,19 +139,6 @@ class TestTrafficMix:
         assert a.generated_unicasts == b.generated_unicasts
         assert a.generated_broadcasts == b.generated_broadcasts
 
-    def test_stop_generating_at(self):
-        coll = LatencyCollector()
-        net, _ = build_network("quarc", 16, collector=coll)
-        mix = TrafficMix(net, 0.2, 4, seed=1, stop_generating_at=100)
-        for t in range(300):
-            mix.generate(t)
-            net.step(t)
-        gen_at_100 = mix.generated_total
-        for t in range(300, 400):
-            mix.generate(t)
-            net.step(t)
-        assert mix.generated_total == gen_at_100
-
     def test_collector_counts_match_mix(self):
         mix, coll, net = self._run(rate=0.03, beta=0.1, cycles=1000)
         assert coll.generated_unicast == mix.generated_unicasts
