@@ -213,6 +213,13 @@ class Network:
         #: called as ``on_tagged_tail(node, src, tag, created, now)`` for a
         #: delivered unicast sent with a ``tag`` (the closed-loop engine's)
         self.on_tagged_tail: Optional[Callable[..., None]] = None
+        #: called as ``on_continue(cls)`` for every continuation sent
+        #: (the mix counts it generated)
+        self.on_continue: Optional[Callable[[Optional[str]], None]] = None
+        #: continuations waiting for their cycle on the object path:
+        #: ``{cycle: [(home, dst, size, cls, tag), ...]}`` in delivery
+        #: order (an array engine keeps its own in the kernel)
+        self._due: Dict[int, list] = {}
         #: Fault seam: the installed :class:`repro.faults.FaultState`,
         #: or ``None``.  When set, :meth:`deliver` splits tails into
         #: delivered vs dropped, and routing dispatches through the
@@ -267,7 +274,8 @@ class Network:
     # injection / delivery
     # ------------------------------------------------------------------
     def send_unicast(self, node: int, dst: int, size: int,
-                     cls: Optional[str], now: int, tag=None) -> None:
+                     cls: Optional[str], now: int, tag=None,
+                     cont=None) -> None:
         """The traffic generators' unicast funnel.  An array engine takes
         the message as a row (``state_owner.rows``; its queue from
         ``Adapter.unicast_queue_table``) and builds its :class:`Packet`
@@ -275,15 +283,20 @@ class Network:
         state (source-side rerouting and flit accounting read the
         object), it is ``Packet`` + ``adapter.send`` -- still the public
         object API.  A ``tag`` comes back through :attr:`on_tagged_tail`
-        when the tail is delivered."""
+        when the tail is delivered.  A ``cont = (size, delay, cls,
+        tag)`` is the reply ``dst`` sends back to ``node``, a unicast of
+        that size, class and tag, ``delay`` cycles after the tail
+        arrives: the network's own work from then on (a directory
+        reply)."""
         owner = self.state_owner
         if owner is None or self.fault_state is not None:
             pkt = Packet(node, dst, size, UNICAST, created=now)
             pkt.cls = cls
             pkt.tag = tag
+            pkt.cont = cont
             self.adapters[node].send(pkt, now)
         else:
-            owner.rows.append((node, dst, size, cls, now, tag))
+            owner.rows.append((node, dst, size, cls, now, tag, cont))
 
     def send_unicasts(self, cyc, node, dst, size: int) -> None:
         """A window of class-less unicasts of ``size`` flits, as numpy
@@ -317,21 +330,61 @@ class Network:
             self.adapters[node].receive_tail(pkt, now)
             if pkt.tag is not None:
                 self.on_tagged_tail(node, pkt.src, pkt.tag, pkt.created, now)
+            if pkt.cont is not None:
+                self.continue_after(node, pkt, now)
             cb = self.on_tail
             if cb is not None:
                 cb(node, pkt, now)
 
     # ------------------------------------------------------------------
+    # continuations (directory replies)
+    # ------------------------------------------------------------------
+    def continue_after(self, node: int, pkt: "Packet", now: int) -> None:
+        """``pkt``'s tail reached ``node`` at ``now``: file its reply."""
+        size, delay, cls, tag = pkt.cont
+        self._due.setdefault(now + delay, []).append(
+            (node, pkt.src, size, cls, tag))
+
+    def send_due(self, now: int) -> None:
+        """Send the continuations due at ``now``, at the head of the
+        cycle: before its arrivals, in the order their tails arrived."""
+        due = self._due.pop(now, None)
+        for home, dst, size, cls, tag in due or ():
+            self.send_unicast(home, dst, size, cls, now, tag)
+            if self.on_continue is not None:
+                self.on_continue(cls)
+
+    def due(self, now: int) -> List[tuple]:
+        """What :meth:`send_due` and an array engine's kernel send at the
+        head of cycle ``now``: ``(home, dst, size, cls)`` each."""
+        out = [e[:4] for e in self._due.get(now, ())]
+        owner = self.state_owner
+        return out + owner.due(now) if owner is not None else out
+
+    def pending_flits(self) -> int:
+        """Flits of the continuations not sent yet."""
+        n = sum(e[2] for due in self._due.values() for e in due)
+        owner = self.state_owner
+        return n + owner.pending_flits() if owner is not None else n
+
+    # ------------------------------------------------------------------
     # introspection / invariant checks (used heavily by tests)
     # ------------------------------------------------------------------
-    def total_flits(self) -> int:
+    def fabric_flits(self) -> int:
+        """Flits injected and not yet ejected."""
         owner = self.state_owner
         if owner is not None:
             return owner.total_flits()
         return sum(r.flits for r in self.routers)
 
+    def total_flits(self) -> int:
+        """The network's work in hand: :meth:`fabric_flits` plus the
+        continuations it owes (:meth:`pending_flits`)."""
+        return self.fabric_flits() + self.pending_flits()
+
     def drain(self, max_cycles: int = 1_000_000) -> int:
-        """Run without new traffic until the network empties.
+        """Run without new traffic until the network empties, sending
+        each continuation at its cycle.
 
         Returns cycles taken.  Raises ``RuntimeError`` if flits remain
         after ``max_cycles`` -- which would indicate deadlock or a stuck
@@ -343,6 +396,7 @@ class Network:
                 raise RuntimeError(
                     f"network failed to drain within {max_cycles} cycles; "
                     f"{self.total_flits()} flits stuck (possible deadlock)")
+            self.send_due(self.cycle)
             self.step()
         return self.cycle - start
 

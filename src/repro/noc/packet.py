@@ -79,10 +79,14 @@ class Packet:
     tag:
         What ``Network.send_unicast(..., tag=)`` attached, handed to
         ``Network.on_tagged_tail`` on delivery; ``None`` if untagged.
+    cont:
+        The reply ``(size, delay, cls, tag)`` the destination sends
+        back when the tail arrives (``Network.send_unicast(..., cont=)``);
+        ``None`` if none.
     """
 
     __slots__ = ("pid", "src", "dst", "size", "traffic", "created",
-                 "vclass", "op", "bitstring", "meta", "cls", "tag")
+                 "vclass", "op", "bitstring", "meta", "cls", "tag", "cont")
 
     def __init__(self, src: int, dst: int, size: int, traffic: int = UNICAST,
                  created: int = 0, op: Optional["CollectiveOp"] = None,
@@ -101,6 +105,7 @@ class Packet:
         self.meta: Dict[str, int] = {}
         self.cls: Optional[str] = None
         self.tag = None
+        self.cont = None
 
     @property
     def is_collective(self) -> bool:

@@ -129,7 +129,7 @@ class ObjectSampler:
         return [p.flits_sent for p in self._ports]
 
     def inflight(self) -> int:
-        return self.net.total_flits()
+        return self.net.fabric_flits()
 
     def counters(self) -> Tuple[int, int, int, int]:
         net = self.net

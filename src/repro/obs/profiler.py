@@ -38,7 +38,8 @@ candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / columns / ever objects /
 staged late, and how many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns, the rest through
-``Adapter.receive_tail``; and the size of the engine's static state
+``Adapter.receive_tail``, and the replies (continuations) the kernel
+sent itself; and the size of the engine's static state
 (``footprint``: route-table rows x destinations, ring words, queue-table
 entries).
 
@@ -77,6 +78,7 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "tails_kernel": st.receipts,
             "tails_unicast": backend._nuni,
             "tails_receive_tail": backend._nrecv,
+            "replies_kernel": st.sent,
             "stops": dict(zip(STOPS, st.stops))}
 
 
@@ -216,7 +218,8 @@ class PhaseProfiler:
                 "{packets_late} late\n"
                 "  tails: {tails_delivered} delivered, {tails_kernel} counted "
                 "by the kernel, {tails_unicast} as unicast columns, "
-                "{tails_receive_tail} through receive_tail".format(**kc))
+                "{tails_receive_tail} through receive_tail, "
+                "{replies_kernel} replies sent by the kernel".format(**kc))
             stops = ", ".join(f"{n} {why}"
                               for why, n in kc["stops"].items())
             lines.append(f"  tier {rep['tier']} {rep['kernel']}: "

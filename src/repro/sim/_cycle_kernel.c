@@ -3,7 +3,7 @@
  * state until Python is needed, and returns the next cycle to execute.
  * This file is the only definition of the cycle; a host that cannot
  * build it runs the reference backend.  Python also calls three of its
- * steps alone: repro_fold() (an inspection folds what is due),
+ * steps alone: repro_fold() (an inspection folds the rows due),
  * repro_refresh() (a header adopted or received from a halo) and
  * repro_wake() (a header Python routed).
  *
@@ -18,13 +18,16 @@
  * re-armed.
  *
  * One cycle.
- *   fold     arrival rows (cycle, buffer, aid) due at `now` join their
- *            buffer's pending-packet FIFO (phead/ptail/pnext, pfid =
- *            next flit of the head packet); flit words
- *            (aid << 20) | tail | fid are generated while the ring
- *            slice has room, qlen counts every flit either way.
+ *   fold     arrival rows (cycle, buffer, aid, rank) due at `now` and
+ *            the continuations due at `now` join their buffer's
+ *            pending-packet FIFO (phead/ptail/pnext, pfid = next flit
+ *            of the head packet): first the rows of rank 0 (regenerated
+ *            by the last cycle's deliveries), then the continuations,
+ *            then the other rows; flit words (aid << 20) | tail | fid
+ *            are generated while the ring slice has room, qlen counts
+ *            every flit either way.
  *   idle     nothing in flight: the clock jumps to the next arrival
- *            row or the horizon.
+ *            row, the next continuation or the horizon.
  *   phase A  eligibility + round-robin pick against start-of-cycle
  *            state over the ready set (below), ascending buffer, strict
  *            '<' (lowest buffer wins a priority tie); a port with a
@@ -72,6 +75,16 @@
  * >= warmup; the expected-th emits COMPLETE.  A stale generation is a
  * duplicate tail of an op already complete: no receipt.
  *
+ * Continuations.  pcont[aid] > 0 names the reply a unicast's tail sends
+ * back: (delay << 40) | (reply aid + 1), the reply's columns staged
+ * with it (psrc = its home, pdst = the requester).  The tail files the
+ * reply in the due ring `cring` (a bucket per cycle mod cmask + 1:
+ * head, tail -- linked through pnext -- and its cycle); the fold of
+ * that cycle sends it from psrc's queue (qfirst / qrel, the unicast
+ * queue table) and emits CONT.  ncont / contflits count what waits.
+ * pcont[aid] < 0: the closed loop hears this tail, as it hears the
+ * completion of a slot with RT_HEARD set.
+ *
  * Stop rule.  What needs Python objects becomes an event; the batch
  * ends at the end of the cycle that emitted
  *   - a ROUTE event: a header the table cannot answer (no row, a
@@ -81,6 +94,9 @@
  *   - a DELIVERY of a tail that cannot wait: its traffic kind's bit is
  *     set in `stopkinds` (the kinds whose delivery may push a packet
  *     back into the network; every kind under on_tail / faults).
+ *   - a tail or completion the closed loop hears (`heard` is set, the
+ *     reason is FEEDBACK unless one above applies): Python returns a
+ *     credit, which may fire a source the next cycle.
  *     Other events ride along and are replayed after the batch in
  *     emission order = (cycle, port);
  * or before a cycle that could overflow the event buffer (a cycle emits
@@ -90,9 +106,13 @@
  *   EV_DELIVERY (aid << 16) | port     EV_ROUTE    buffer row
  *   EV_DATELINE flit word              EV_WINNER   buffer row
  *   EV_COMPLETE receipt-table slot (before the same tail's DELIVERY)
+ *   EV_CONT     the aid of a continuation sent (at its fold)
  * the DATELINE and WINNER only under `trace` (tests, divergence hunts).
  * outdl / ndl keep the dateline flit words of the last executed cycle
  * for the shard worker.
+ *
+ * repro_merge() merges rows Python staged behind the waiting ones into
+ * their (cycle, rank) order, in place.
  */
 
 #include <stdint.h>
@@ -106,11 +126,16 @@
 #define EV_PER_PORT 8
 #define FOLD_OVERFLOW (-1)
 #define FOLD_FULL (-2)
+#define CONT_SHIFT 40
+#define CONT_AID (((int64_t)1 << CONT_SHIFT) - 1)
+/* take_tail's verdict: the batch ends for Python / the loop hears it */
+#define TAIL_STOP 1
+#define TAIL_HEARD 2
 
-enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS };
-enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE };
+enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS, STOP_FEEDBACK };
+enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT };
 /* a receipt-table slot: these, then N arrival cycles (-1: none yet) */
-enum { RT_CREATED, RT_EXPECTED, RT_COUNT, RT_GEN, RT_ROW };
+enum { RT_CREATED, RT_EXPECTED, RT_COUNT, RT_HEARD, RT_GEN, RT_ROW };
 
 typedef struct {
     /* geometry and the collector's warmup, fixed while attached */
@@ -118,13 +143,13 @@ typedef struct {
     /* control, written by Python before each entry */
     int64_t now, horizon, nofast, stopkinds, trace, rescan;
     /* run state */
-    int64_t inflight, apos, an, nev, evcap;
+    int64_t inflight, apos, an, nev, evcap, cmask, ncont, contflits;
     /* outputs of the last entry / last executed cycle */
-    int64_t stop, moved, ejected, ndl, counted;
+    int64_t stop, moved, ejected, ndl, counted, heard;
     /* cumulative work counters (the phase profiler's); scanned counts
      * the non-empty rows phase A examined from the ready set */
     int64_t calls, cycles, scanned, cands, flits, receipts, wakes, rescans;
-    int64_t stops[4];
+    int64_t sent, stops[5];
     int64_t dn, dmin, dmax;     /* the per-receiver delay accumulator */
     double dmean, dm2;
     /* per buffer */
@@ -145,9 +170,14 @@ typedef struct {
     /* per-cycle scratch */
     int64_t *bestpr, *bestb, *bestvc, *outdl, *outrf;
     /* per packet (aid), growable */
-    int64_t *pdst, *ptraf, *psize, *pvcl, *phdr, *pnext, *popx;
+    int64_t *pdst, *ptraf, *psize, *pvcl, *phdr, *pnext, *popx, *psrc;
+    int64_t *pcont;
     /* arrival rows [apos, an), growable */
-    int64_t *acyc, *abuf, *aaid;
+    int64_t *acyc, *abuf, *aaid, *arank;
+    /* the continuations' due ring, 3 int64 a bucket, and the unicast
+     * queue table: each node's first row, the queue by relative dst */
+    int64_t *cring;
+    const int64_t *qfirst, *qrel;
     /* receipt table, RT_ROW + N int64 a slot, growable */
     int64_t *rtbl;
     /* event buffer, evcap pairs, growable */
@@ -185,10 +215,29 @@ static void emit(repro_state *s, int64_t kind, int64_t cyc, int64_t word)
     s->nev++;
 }
 
+/* File the reply a continuation names (pcont word c) in the due ring,
+ * `delay` cycles after `now`. */
+static void schedule(repro_state *s, int64_t c, int64_t now)
+{
+    int64_t r = (c & CONT_AID) - 1, due = now + (c >> CONT_SHIFT);
+    int64_t *bk = s->cring + 3 * (due & s->cmask);
+    s->pnext[r] = -1;
+    if (bk[0] < 0) {
+        bk[0] = r;
+        bk[2] = due;
+    } else {
+        s->pnext[bk[1]] = r;
+    }
+    bk[1] = r;
+    s->ncont++;
+    s->contflits += s->psize[r];
+}
+
 /* The tail of packet aid reached the PE of port p's node: the kernel's
- * receipt (see the header) if popx names a slot, and a DELIVERY event
- * unless it was and the kind is not in stopkinds.  Returns 1 if the
- * batch must end after this cycle. */
+ * receipt (see the header) if popx names a slot, a continuation filed
+ * if pcont names one, and a DELIVERY event unless it was a receipt and
+ * the kind is not in stopkinds.  Returns TAIL_STOP if the batch must
+ * end after this cycle, TAIL_HEARD if the closed loop hears it. */
 static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
 {
     int64_t x = s->popx[aid] & 0xFFFFFFFF;
@@ -208,11 +257,18 @@ static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
                 s->dmin = s->dn == 1 || v < s->dmin ? v : s->dmin;
                 s->dmax = s->dn == 1 || v > s->dmax ? v : s->dmax;
             }
-            if (++slot[RT_COUNT] == slot[RT_EXPECTED])
+            if (++slot[RT_COUNT] == slot[RT_EXPECTED]) {
                 emit(s, EV_COMPLETE, now, x);
+                if (slot[RT_HEARD])
+                    stop |= TAIL_HEARD;
+            }
         }
-        if (!stop)
-            return 0;
+        if (!(stop & TAIL_STOP))
+            return stop;
+    } else if (s->pcont[aid] > 0) {
+        schedule(s, s->pcont[aid], now);
+    } else if (s->pcont[aid] < 0) {
+        stop |= TAIL_HEARD;
     }
     emit(s, EV_DELIVERY, now, (aid << 16) | p);
     return stop;
@@ -285,47 +341,79 @@ static int refresh(repro_state *s, int64_t b, int64_t cyc)
     return 1;
 }
 
-/* fold: arrival rows due at `now` join their buffer's pending FIFO.
- * Returns the ROUTE events emitted, FOLD_FULL when the event buffer
- * filled first, or FOLD_OVERFLOW -- a flow-control bug -- with the row
- * whose buffer has no room left at apos for Python to name. */
-static int64_t fold(repro_state *s, int64_t now)
+/* Packet aid joins b's pending FIFO at `now`; returns the ROUTE events
+ * emitted (its header, if it is b's front and Python must route it). */
+static int64_t join(repro_state *s, int64_t b, int64_t aid, int64_t now)
 {
-    int64_t nroute = 0;
-    while (s->apos < s->an && s->acyc[s->apos] <= now) {
-        int64_t b = s->abuf[s->apos], aid = s->aaid[s->apos];
-        int64_t size = s->psize[aid], ql0 = s->qlen[b];
-        if (s->nev >= s->evcap)
-            return FOLD_FULL;
-        if (ql0 + size > s->qcap[b])
-            return FOLD_OVERFLOW;
-        s->apos++;
-        s->pnext[aid] = -1;
-        if (s->ptail[b] >= 0) {
-            s->pnext[s->ptail[b]] = aid;
-        } else {
-            s->phead[b] = aid;
-            s->pfid[b] = 0;
-        }
-        s->ptail[b] = aid;
-        s->qlen[b] = ql0 + size;
-        s->ppend[b] += size;
-        s->inflight += size;
-        s->ne[b] = 1;
-        if (ql0 + size >= s->qcap[b])
-            s->fullb[b] = 1;
-        top_up(s, b);
-        if (ql0 == 0) {
-            s->front[b] = s->rflat[s->rbase[b] + (s->rhead[b] & s->rmask[b])];
-            wake(s, b);
-            if (s->want[b] < 0)
-                nroute += refresh(s, b, now);
-        }
+    int64_t size = s->psize[aid], ql0 = s->qlen[b];
+    s->pnext[aid] = -1;
+    if (s->ptail[b] >= 0) {
+        s->pnext[s->ptail[b]] = aid;
+    } else {
+        s->phead[b] = aid;
+        s->pfid[b] = 0;
     }
-    return nroute;
+    s->ptail[b] = aid;
+    s->qlen[b] = ql0 + size;
+    s->ppend[b] += size;
+    s->inflight += size;
+    s->ne[b] = 1;
+    if (ql0 + size >= s->qcap[b])
+        s->fullb[b] = 1;
+    top_up(s, b);
+    if (ql0 == 0) {
+        s->front[b] = s->rflat[s->rbase[b] + (s->rhead[b] & s->rmask[b])];
+        wake(s, b);
+        if (s->want[b] < 0)
+            return refresh(s, b, now);
+    }
+    return 0;
 }
 
-int64_t repro_fold(repro_state *s) { return fold(s, s->now); }
+/* fold: what is due at `now` joins its buffer (the header has the
+ * order), the continuations only if `cont`.  Returns the ROUTE events
+ * emitted, FOLD_FULL when the event buffer filled first, or
+ * FOLD_OVERFLOW -- a flow-control bug -- with the row whose buffer has
+ * no room left at apos for Python to name. */
+static int64_t fold(repro_state *s, int64_t now, int cont)
+{
+    int64_t nroute = 0;
+    int64_t *bk = cont && s->ncont ? s->cring + 3 * (now & s->cmask) : 0;
+    for (;;) {
+        int64_t b, aid;
+        int row = s->apos < s->an && s->acyc[s->apos] <= now;
+        int due = bk && bk[0] >= 0 && bk[2] <= now;
+        if (row && due && s->arank[s->apos] > 0)
+            row = 0;            /* continuations before fresh rows */
+        if (!row && !due)
+            return nroute;
+        if (s->nev >= s->evcap)
+            return FOLD_FULL;
+        if (row) {
+            b = s->abuf[s->apos];
+            aid = s->aaid[s->apos];
+            if (s->qlen[b] + s->psize[aid] > s->qcap[b])
+                return FOLD_OVERFLOW;
+            s->apos++;
+        } else {        /* from its home's queue toward the requester */
+            int64_t src, d;
+            aid = bk[0];
+            src = s->psrc[aid];
+            d = s->pdst[aid] - src;
+            b = s->qfirst[src] + s->qrel[d < 0 ? d + s->N : d];
+            bk[0] = s->pnext[aid];
+            s->ncont--;
+            s->contflits -= s->psize[aid];
+            s->sent++;
+            emit(s, EV_CONT, now, aid);
+        }
+        nroute += join(s, b, aid, now);
+    }
+}
+
+/* An inspection's fold: the rows pushed so far, not the continuations,
+ * which the reference sends at the head of the cycle. */
+int64_t repro_fold(repro_state *s) { return fold(s, s->now, 0); }
 
 /* The lowest set bit >= i of the nw-word bitmap set, or -1. */
 static int64_t next_set(const uint64_t *set, int64_t nw, int64_t i)
@@ -364,6 +452,7 @@ int64_t repro_run(repro_state *s)
     s->moved = 0;
     s->ejected = 0;
     s->counted = 0;
+    s->heard = 0;
     if (s->rescan) {            /* Python wrote rows: every non-empty one */
         for (i = 0; i < nw; i++)
             rdy[i] = 0;
@@ -374,7 +463,7 @@ int64_t repro_run(repro_state *s)
         s->rescans++;
     }
     while (now < horizon) {
-        int64_t nroute = fold(s, now), nrf = 0, tailstop = 0;
+        int64_t nroute = fold(s, now, 1), nrf = 0, tailstop = 0;
         int64_t moved = 0, nscan = 0, ncand = 0;
 
         if (nroute == FOLD_OVERFLOW) {
@@ -390,9 +479,13 @@ int64_t repro_run(repro_state *s)
             break;
         }
         if (!s->inflight) {     /* idle: jump to the next arrival */
+            int64_t t = now;
             now = horizon;
             if (s->apos < s->an && s->acyc[s->apos] < horizon)
                 now = s->acyc[s->apos];
+            for (i = 1; s->ncont && i <= s->cmask + 1 && t + i < now; i++)
+                if (s->cring[3 * ((t + i) & s->cmask)] >= 0)
+                    now = t + i;
             continue;
         }
         if (s->evcap - s->nev < EV_PER_PORT * P) {
@@ -535,12 +628,13 @@ int64_t repro_run(repro_state *s)
         s->cands += ncand;
         s->cycles++;
         now++;
+        s->heard = (tailstop & TAIL_HEARD) != 0;
         if (nroute) {
             stop = STOP_ROUTE;
             break;
         }
         if (tailstop) {
-            stop = STOP_DELIVERY;
+            stop = tailstop & TAIL_STOP ? STOP_DELIVERY : STOP_FEEDBACK;
             break;
         }
     }
@@ -549,4 +643,26 @@ int64_t repro_run(repro_state *s)
     s->stops[stop]++;
     s->receipts += s->counted;
     return now;
+}
+
+/* The n rows Python wrote at [an, an + n), in (cycle, rank) order,
+ * merge into the waiting rows [apos, an) -- which go first among
+ * equals, pushed first -- in place: the result is [apos - n, an).
+ * Python leaves apos >= n.  O(n + the waiting rows ahead of the last
+ * new one). */
+void repro_merge(repro_state *s, int64_t n)
+{
+    int64_t *cyc = s->acyc, *buf = s->abuf, *aid = s->aaid, *rk = s->arank;
+    int64_t o = s->apos - n, i = s->apos, j = s->an, end = s->an + n;
+    while (j < end) {
+        int64_t k = i < s->an && (cyc[i] < cyc[j]
+                                  || (cyc[i] == cyc[j] && rk[i] <= rk[j]))
+            ? i++ : j++;
+        cyc[o] = cyc[k];
+        buf[o] = buf[k];
+        aid[o] = aid[k];
+        rk[o] = rk[k];
+        o++;
+    }
+    s->apos -= n;
 }

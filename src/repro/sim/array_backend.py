@@ -71,25 +71,30 @@ batches: a batch runs until Python is needed, :meth:`_replay` applies
 its events, the next batch starts.  One ordered list, ``_staged``,
 takes what is injected, in push order: ``(buffer, packet)`` from the
 adapters (it is every ``FlitBuffer.sink``), ``(node, dst, size, cls,
-created, tag)`` rows from ``Network.send_unicast`` and ``(cycle, node,
-dst, size)`` windows of columns from ``Network.send_unicasts``.  A
-row's buffer is looked up in the adapters' ``unicast_queue_table``.
-:meth:`_stage` turns them into arrival rows ``(cycle, buffer, aid)``
-by one rule: an entry is due at ``max(created, next cycle to run)``,
-and rows go by due cycle, then *regenerated* entries (created before
-they are due) before fresh ones, then push order -- the order the
-reference's FIFOs get them.  Where that puts every new entry in front
-of the rows still waiting (relay segments, the closed loop), they are
-*late*: written one by one into the consumed prefix, O(1) a packet;
-otherwise one numpy sort.  Events carry their cycle: a tail that
-reached a PE (``EV_DELIVERY``), an op's completion (``EV_COMPLETE``), a
+created, tag, cont)`` rows from ``Network.send_unicast`` and ``(cycle,
+node, dst, size)`` windows of columns from ``Network.send_unicasts``.
+A row's buffer is looked up in the adapters' ``unicast_queue_table``;
+a ``cont`` (a request's reply) is interned with it and filed by the
+kernel when the request's tail arrives (``_cycle_kernel.c``).
+:meth:`_stage` turns them into arrival rows ``(cycle, buffer, aid,
+rank)`` by one rule: an entry is due at ``max(created, next cycle to
+run)``, and rows go by due cycle, then rank -- *regenerated* entries
+(created before they are due), then (in the kernel's fold) the
+continuations, then by class -- then push order: the order the
+reference's FIFOs get them.  New rows that lead every waiting one go
+into the consumed prefix (*late* when interned one by one, O(1) a
+packet), the others merge in place (``repro_merge``).  Events carry
+their cycle: a tail that reached a PE (``EV_DELIVERY``), an op's
+completion (``EV_COMPLETE``), a continuation sent (``EV_CONT``), a
 header only the router can route (``EV_ROUTE``: no table row, a
 multicast on a row without it, anything under a fault state).  A cycle
 that emitted a ROUTE event, or a delivery that cannot wait (a tail of
 ``Adapter.reinjecting_tails`` -- relay segments; any tail when
-``net.on_tail`` / a fault state is set), ends its batch; every other
-event replays after it in emission order = (cycle, ascending port), the
-reference's float-accumulation order.
+``net.on_tail`` / a fault state is set), ends its batch, and so does
+one with a tail or completion the closed loop hears (``feedback``:
+:meth:`_advance` then returns for the mix); every other event replays
+after it in emission order = (cycle, ascending port), the reference's
+float-accumulation order.
 
 Receipts (the sim README has the contract): while the kernel counts,
 each open op has a slot of ``_rtbl`` and ``collector.delivery`` is the
@@ -146,22 +151,33 @@ _SRC_WINDOW = 16
 
 #: Why a batch ended (``State.stop``; the names are the ``--profile``
 #: report's ``stops`` keys) and the event kinds, as in _cycle_kernel.c.
-STOPS = ("horizon", "python_route", "delivery", "events_full")
+STOPS = ("horizon", "python_route", "delivery", "events_full", "feedback")
 STOP_EVENTS = STOPS.index("events_full")
-EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE = range(5)
+EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT = range(6)
 #: Most events one cycle can emit per port: a winner and a dateline
 #: word (trace only), two deliveries and a completion, three routes.
 EV_PER_PORT = 8
-#: A receipt-table slot: created, expected, receipts, its generation
-#: (``RT_GEN``), then from ``RT_ROW`` one arrival cycle per node.
-RT_GEN, RT_ROW = 3, 4
+#: A receipt-table slot: created, expected, receipts, whether the closed
+#: loop hears its completion, its generation (``RT_GEN``), then from
+#: ``RT_ROW`` one arrival cycle per node.
+RT_GEN, RT_ROW = 4, 5
+#: A continuation word: ``(delay << CONT_SHIFT) | (reply aid + 1)``.
+CONT_SHIFT = 40
+#: An arrival row's rank among the rows due in its cycle: regenerated by
+#: the last cycle's deliveries, (continuations: the kernel's due ring,)
+#: then the mix's classes in order, then anything else.
+RANK_REGEN, RANK_CLASS, RANK_OTHER = 0, 2, (1 << 20) - 1
+#: A staged row's sort key: ``(due << RANK_BITS) | rank``.
+RANK_BITS = 20
+#: Staged entries interned one by one (no numpy pass) up to this many.
+_SCALAR_STAGE = 64
 #: ``State.stopkinds`` with every kind's bit set.
 ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
 
 #: The aid-indexed int64 columns and the arrival-row columns.
 _PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_popx",
-          "_psrc")
-_ACOLS = ("_acyc", "_abuf", "_aaid")
+          "_psrc", "_pcont")
+_ACOLS = ("_acyc", "_abuf", "_aaid", "_arank")
 
 #: Packed-field capacities, checked once when a session is built.  A
 #: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``, read
@@ -228,6 +244,7 @@ class ArrayBackend(SimBackend):
         self._fold = lib.repro_fold
         self._refresh = lib.repro_refresh
         self._wake = lib.repro_wake
+        self._merge = lib.repro_merge
         self._build_static()
         self._adopt()
 
@@ -364,6 +381,8 @@ class ArrayBackend(SimBackend):
                 f"{type(a[-1]).__name__}'s unicast queue table at node "
                 f"{a[-1].node} is not node 0's rolled by {a[-1].node}")
         self._qtab = np.array([bfirst, rel], np.int64)
+        self._qfirst, self._qrel = self._qtab
+        self._qtab_py = self._qtab.tolist()
 
         # round-robin priority field: F a power of two >= max feeders
         # keeps ``(j - rr) & (F-1)`` order-isomorphic to the reference
@@ -387,9 +406,15 @@ class ArrayBackend(SimBackend):
         self._pcls: List[Optional[str]] = []
         self._pborn: List[int] = []
         self._ptag: Dict[int, object] = {}
-        for name in ("pdst ptraf psize pvcl phdr pnext popx psrc acyc abuf "
-                     "aaid").split():
+        for name in ("pdst ptraf psize pvcl phdr pnext popx psrc pcont acyc "
+                     "abuf aaid arank").split():
             setattr(self, "_" + name, z(1024))
+        # continuations waiting for their cycle (the kernel's due ring: a
+        # bucket per cycle mod its size, head / tail aid and the cycle)
+        self._cring = np.full((16, 3), -1, np.int64)
+        #: rank of a staged entry's class (``RANK_CLASS + k``, the
+        #: mix's order), set by :meth:`run_mix`
+        self._rank: Dict[Optional[str], int] = {}
         evcap = max(256, 2 * EV_PER_PORT * P)
         self._ev = z(2 * evcap)
         #: what was injected since the last fold, in push order (packets,
@@ -407,7 +432,8 @@ class ArrayBackend(SimBackend):
         # the traffic kinds whose tail ends its batch (relay segments)
         self._stopkinds = sum(1 << kind for kind in Adapter.reinjecting_tails)
         # receipts (module docstring): the collector they are taken for,
-        # the table, the open ops' slots and the free ones
+        # the table, the open ops' ``_popx`` words (generation << 32 |
+        # slot), each slot's op and the free slots
         from repro.core.collector import LatencyCollector
         kc = a[0].collector if a else None
         self._kcoll = (kc if type(kc) is LatencyCollector
@@ -431,7 +457,8 @@ class ArrayBackend(SimBackend):
         # the scalars, and what every kernel entry is handed
         st = self._st = State(B=B, P=P, PV=self._PV, SB=self._SB,
                               Fm1=self._Fm1, rstride=self._rtab.shape[1],
-                              N=net.n, evcap=evcap)
+                              N=net.n, evcap=evcap,
+                              cmask=len(self._cring) - 1)
         for name in State.POINTERS:
             setattr(st, name, getattr(self, "_" + name).ctypes.data)
         self._stp = ctypes.addressof(st)
@@ -536,6 +563,9 @@ class ArrayBackend(SimBackend):
         self._psize[a0:a1] = size
         self._pvcl[a0:a1] = vcl
         self._phdr[a0:a1] = -1
+        for i, p in enumerate(pkts if cols is None else ()):
+            if p.cont is not None:      # a unicast sent as an object
+                self._reply(a0 + i, p.src, p.dst, p.cont)
         return a0
 
     def _intern_unicasts(self, node, dst, size, cls, born) -> int:
@@ -558,7 +588,7 @@ class ArrayBackend(SimBackend):
         """Intern ``Network.send_unicast`` rows; returns each one's source
         buffer (the queue table; a destination ``send`` refuses raises
         what it would)."""
-        node, dst, size, cls, born, tag = zip(*rows)
+        node, dst, size, cls, born, tag, cont = zip(*rows)
         dst = np.array(dst)
         n = self.net.n
         bad = dst[(dst < 0) | (dst >= n)]
@@ -568,11 +598,61 @@ class ArrayBackend(SimBackend):
         if (bufs < 0).any():
             raise ValueError("local address has no quadrant")
         a0 = self._intern_unicasts(node, dst, size, cls, born)
-        if tag.count(None) < len(tag):
-            self._ptag.update((a0 + i, t) for i, t in enumerate(tag)
-                              if t is not None)
         self._nrows += len(rows)
+        for i in [i for i, t in enumerate(tag) if t is not None]:
+            self._ptag[a0 + i] = tag[i]
+            self._pcont[a0 + i] = -1
+        for i in [i for i, c in enumerate(cont) if c is not None]:
+            self._reply(a0 + i, node[i], int(dst[i]), cont[i])
         return bufs
+
+    def _new(self, pkt, cls, born, opx, dst, size, traf, vcl) -> int:
+        """Append one packet to the columns, O(1); returns its aid."""
+        aid = len(self._pkts)
+        if aid >= len(self._pdst):
+            self._grow(_PCOLS, aid + 1, aid)
+        self._pkts.append(pkt)
+        self._pcls.append(cls)
+        self._pborn.append(born)
+        self._popx[aid] = opx
+        self._pdst[aid] = dst
+        self._ptraf[aid] = traf
+        self._psize[aid] = size
+        self._pvcl[aid] = vcl
+        self._phdr[aid] = -1
+        return aid
+
+    def _reply(self, aid: int, node: int, dst: int, cont) -> None:
+        """Stage the continuation of unicast ``aid`` (``node -> dst``):
+        its reply ``(size, delay, cls, tag)``, sent by ``dst`` back to
+        ``node`` ``delay`` cycles after ``aid``'s tail arrives -- by the
+        kernel's due ring, which this sizes; born when sent."""
+        size, delay, cls, tag = cont
+        r = self._new(None, cls, -1, -1, node, size, UNICAST, 0)
+        self._psrc[r] = dst
+        self._ptag[r] = tag
+        self._pcont[r] = -1             # the requester hears it
+        self._pcont[aid] = delay << CONT_SHIFT | (r + 1)
+        self._nrows += 1
+        st = self._st
+        if delay > st.cmask:        # rebucket what waits: all due within
+            ring = np.full((_pow2_at_least(delay + 1), 3), -1, np.int64)
+            for bk in self._cring[self._cring[:, 0] >= 0]:
+                ring[bk[2] & (len(ring) - 1)] = bk
+            self._cring = ring
+            st.cring = ring.ctypes.data
+            st.cmask = len(ring) - 1
+
+    def due(self, now: int) -> List[tuple]:
+        """The continuations the kernel sends at the head of cycle
+        ``now``: ``(home, dst, size, cls)`` each, in sending order."""
+        out = []
+        head, _, at = self._cring[now & self._st.cmask].tolist()
+        while head >= 0 and at == now:
+            out.append((int(self._psrc[head]), int(self._pdst[head]),
+                        int(self._psize[head]), self._pcls[head]))
+            head = int(self._pnext[head])
+        return out
 
     def _packet(self, aid: int) -> Packet:
         """The packet ``aid``, built on first use if staged as a row."""
@@ -595,22 +675,23 @@ class ArrayBackend(SimBackend):
         a complete one, or while receipts are Python's."""
         if op is None or self._kcoll is None or op.completed_at is not None:
             return -1
-        x = self._slot_of.get(op)
-        tbl = self._rtbl
-        if x is None:
+        word = self._slot_of.get(op)
+        if word is None:
+            tbl = self._rtbl
             x = self._free.pop() if self._free else len(self._slot_op)
             if x == len(self._slot_op):
                 self._slot_op.append(None)
             if x == len(tbl):
                 self._rtbl = tbl = np.concatenate((tbl, np.zeros_like(tbl)))
                 self._st.rtbl = tbl.ctypes.data
-            tbl[x, :RT_GEN] = op.created, op.expected, len(op.deliveries)
+            tbl[x, :RT_GEN] = (op.created, op.expected, len(op.deliveries),
+                               op.on_complete is not None)
             tbl[x, RT_ROW:] = -1
             for node, t in op.deliveries.items():
                 tbl[x, RT_ROW + node] = t
-            self._slot_of[op] = x
+            word = self._slot_of[op] = int(tbl[x, RT_GEN]) << 32 | x
             self._slot_op[x] = op
-        return int(tbl[x, RT_GEN]) << 32 | x
+        return word
 
     def _fill(self, x: int, op) -> None:
         """``op.deliveries`` from slot ``x`` (in node order)."""
@@ -638,8 +719,8 @@ class ArrayBackend(SimBackend):
             d = kc.delivery
             d.n, d.mean, d._m2, d.min, d.max = (st.dn, st.dmean, st.dm2,
                                                 st.dmin, st.dmax)
-        for op, x in self._slot_of.items() if ops else ():
-            self._fill(x, op)
+        for op, word in self._slot_of.items() if ops else ():
+            self._fill(word & 0xFFFFFFFF, op)
 
     def _release(self) -> None:
         """Python takes every receipt from here on (a fault state, or a
@@ -731,30 +812,86 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     def _stage(self, now: int) -> None:
         """Turn what was injected into arrival rows.  An entry is due at
-        ``max(created, now)``, ``now`` being the next cycle to run.  Rows
-        are ordered by due cycle, then *regenerated* entries (created
-        before they are due: a relay segment made by a delivery at
-        ``now - 1``) before fresh ones, then push order -- the rows
-        still waiting were pushed first.  That is the order the
-        reference's FIFOs get.  Where it puts every new entry in front
-        in push order, :meth:`_stage_late`; else one numpy sort."""
-        if self._in_front(now):
-            return self._stage_late(now, len(self._staged))
+        ``max(created, now)``, ``now`` being the next cycle to run, with
+        a rank among that cycle's rows: *regenerated* (created before it
+        is due: a relay segment made by a delivery at ``now - 1``) first,
+        then the kernel's continuations, then by class (the mix's
+        order); equals keep push order, the rows still waiting first.
+        That is the order the reference's FIFOs get.  A few entries are
+        interned one by one, O(1) each, more in one numpy pass; then
+        :meth:`_put` places them."""
+        staged = self._staged
+        if len(staged) <= _SCALAR_STAGE and all(len(e) != 4 for e in staged):
+            key, abuf, aaid = self._intern_each(now)
+            if len(key) > 1:
+                order = sorted(range(len(key)), key=key.__getitem__)
+                key, abuf, aaid = ([col[i] for i in order]
+                                   for col in (key, abuf, aaid))
+        else:
+            key, abuf, aaid = self._intern_all(now)
+        staged.clear()
+        self._put(key, abuf, aaid)
+
+    def _intern_each(self, now: int):
+        """Intern the staged packets and rows one by one (the columns of
+        :meth:`_intern` / :meth:`_intern_rows`, scalar); their sort key,
+        buffer and aid, in push order."""
+        first, rel = self._qtab_py
+        nn = len(rel)
+        ranks = self._rank
+        key, abuf, aaid = [], [], []
+        for e in self._staged:
+            if len(e) == 2:
+                pkt = e[1]
+                b = self._bid[e[0]]
+                born, op = pkt.created, pkt.op
+                aid = self._new(pkt, pkt.cls, born, self._slot(op), pkt.dst,
+                                pkt.size, pkt.traffic, pkt.vclass)
+                cls = pkt.cls if op is None else op.cls
+                if pkt.cont is not None:
+                    self._reply(aid, pkt.src, pkt.dst, pkt.cont)
+            else:
+                node, dst, size, cls, born, tag, cont = e
+                k = rel[(dst - node) % nn] if 0 <= dst < nn else -1
+                if k < 0:       # raise what ``adapter.send`` would
+                    self._intern_rows([e])
+                b = first[node] + k
+                aid = self._new(None, cls, born, -1, dst, size, UNICAST, 0)
+                self._psrc[aid] = node
+                if tag is not None:
+                    self._ptag[aid] = tag
+                    self._pcont[aid] = -1
+                if cont is not None:
+                    self._reply(aid, node, dst, cont)
+                self._nrows += 1
+                self._acoll[node].note_generated(False)
+            key.append(now << RANK_BITS if born < now else
+                       born << RANK_BITS | ranks.get(cls, RANK_OTHER))
+            abuf.append(b)
+            aaid.append(aid)
+        return key, abuf, aaid
+
+    def _intern_all(self, now: int):
+        """:meth:`_intern_each` in numpy passes -- every row at once,
+        every packet at once, then each window of columns -- sorted."""
         staged = self._staged
         kind = np.array([len(e) for e in staged])
         seq = np.arange(len(staged))        # push order
-        # ``(created, buffer, aid, push order)`` columns: every row at
-        # once, every packet at once, then each window of columns
-        parts = []
-        rows = [e for e in staged if len(e) == 6]
+        parts = []      # (created, rank, buffer, aid, push order)
+        ranks = self._rank
+        rows = [e for e in staged if len(e) == 7]
         if rows:
             a0 = len(self._pkts)
-            parts.append(([e[4] for e in rows], self._intern_rows(rows),
-                          np.arange(a0, a0 + len(rows)), seq[kind == 6]))
+            parts.append(([e[4] for e in rows],
+                          [ranks.get(e[3], RANK_OTHER) for e in rows],
+                          self._intern_rows(rows),
+                          np.arange(a0, a0 + len(rows)), seq[kind == 7]))
         if (kind == 2).any():
             bufs, pkts = zip(*(e for e in staged if len(e) == 2))
             a0 = self._intern(pkts)
             parts.append(([p.created for p in pkts],
+                          [ranks.get(p.cls if p.op is None else p.op.cls,
+                                     RANK_OTHER) for p in pkts],
                           [self._bid[b] for b in bufs],
                           np.arange(a0, a0 + len(pkts)), seq[kind == 2]))
         for i in np.flatnonzero(kind == 4).tolist():
@@ -763,103 +900,62 @@ class ArrayBackend(SimBackend):
             a0 = self._intern_unicasts(node, dst, size, [None] * k,
                                        cyc.tolist())
             self._ncols += k
-            parts.append((cyc, self._queue_rows(node, dst),
+            parts.append((cyc, np.full(k, ranks.get(None, RANK_OTHER)),
+                          self._queue_rows(node, dst),
                           np.arange(a0, a0 + k), np.full(k, i)))
-        born, abuf, aaid, seq = (np.concatenate(col) for col in zip(*parts))
-        due = np.maximum(born, now)
-        key = 3 * due + np.where(born < now, 0, 2)
-        st = self._st
-        pos, an = st.apos, st.an
-        if pos < an:        # waiting: after the regenerated, before fresh
-            wait = [getattr(self, name)[pos:an] for name in _ACOLS]
-            key = np.concatenate((3 * wait[0] + 1, key))
-            seq = np.concatenate((np.full(an - pos, -1), seq))
-            due, abuf, aaid = (np.concatenate((w, c)) for w, c in
-                               zip(wait, (due, abuf, aaid)))
-        order = np.lexsort((seq, key))
-        n = len(order)
-        if n > len(self._acyc):
-            self._grow(_ACOLS, n, 0)
-        for name, col in zip(_ACOLS, (due, abuf, aaid)):
-            getattr(self, name)[:n] = col[order]
-        st.apos = 0
-        st.an = n
-        staged.clear()
+        born, rank, abuf, aaid, seq = (np.concatenate(col)
+                                       for col in zip(*parts))
+        old = born < now
+        key = np.where(old, now << RANK_BITS, born << RANK_BITS | rank)
+        if len(parts) > 1 or old.any():
+            order = np.lexsort((seq, key))
+            key, abuf, aaid = key[order], abuf[order], aaid[order]
+        return key, abuf, aaid
 
-    def _in_front(self, now: int) -> bool:
-        """Whether :meth:`_stage`'s order puts the staged entries in
-        front of every waiting row, in push order: no window of columns,
-        each due at ``now``, the regenerated ones first, and fresh ones
-        only while no waiting row is due at ``now``."""
-        fresh = False
-        for e in self._staged:
-            k = len(e)
-            if k == 4:
-                return False
-            born = e[4] if k == 6 else e[1].created
-            if born == now:
-                fresh = True
-            elif born > now or fresh:
-                return False
+    def _put(self, key, abuf, aaid) -> None:
+        """Place new arrival rows, sorted by key, among the waiting ones:
+        in front of them, into the consumed prefix (the waiting rows
+        shift right once if it has no room), where they all lead; else
+        written behind them and merged in place (``repro_merge``).
+        O(new rows + the waiting rows they pass).  Rows interned one by
+        one and placed in front count *late*."""
         st = self._st
-        return not fresh or st.apos == st.an or self._acyc[st.apos] > now
-
-    def _stage_late(self, now: int, n: int) -> None:
-        """The ``n`` staged entries are due at ``now`` and go *in front*
-        of the rows still waiting (:meth:`_in_front`), into the consumed
-        prefix ``[apos - n, apos)``: one scalar pass, O(n)."""
-        st = self._st
-        pos, an = st.apos, st.an
+        pos, an, n = st.apos, st.an, len(key)
         w = an - pos
-        if not w or pos < n:    # no room in front: waiting -> [n, n + w)
-            if n + w > len(self._acyc):
-                self._grow(_ACOLS, n + w, an)
-            for col in (self._acyc, self._abuf, self._aaid) if w else ():
+        front = not w or key[-1] < (int(self._acyc[pos]) << RANK_BITS
+                                    | int(self._arank[pos]))
+        if w and pos < n:       # no room in front: waiting -> [n, n + w)
+            if 2 * n + w > len(self._acyc):
+                self._grow(_ACOLS, 2 * n + w, an)
+            for name in _ACOLS:
+                col = getattr(self, name)
                 col[n:n + w] = col[pos:an]
-            st.apos, st.an = pos, an = n, n + w
-        aid = len(self._pkts)
-        if aid + n > len(self._pdst):
-            self._grow(_PCOLS, aid + n, aid)
-        i = pos - n
-        first, rel = self._qtab
-        nn = len(rel)
-        for e in self._staged:
-            if len(e) == 2:
-                pkt = e[1]
-                b = self._bid[e[0]]
-                dst, size, cls, born = pkt.dst, pkt.size, pkt.cls, pkt.created
-                traf, vcl = pkt.traffic, pkt.vclass
-                opx = self._slot(pkt.op)
-            else:
-                node, dst, size, cls, born, tag = e
-                k = rel[(dst - node) % nn] if 0 <= dst < nn else -1
-                if k < 0:       # raise what ``adapter.send`` would
-                    self._intern_rows([e])
-                b = first[node] + k
-                pkt, opx = None, -1
-                traf, vcl = UNICAST, 0
-                self._psrc[aid] = node
-                if tag is not None:
-                    self._ptag[aid] = tag
-                self._nrows += 1
-                self._acoll[node].note_generated(False)
-            self._pkts.append(pkt)
-            self._pcls.append(cls)
-            self._pborn.append(born)
-            self._popx[aid] = opx
-            self._pdst[aid] = dst
-            self._ptraf[aid] = traf
-            self._psize[aid] = size
-            self._pvcl[aid] = vcl
-            self._phdr[aid] = -1
-            self._acyc[i] = now
-            self._abuf[i] = b
-            self._aaid[i] = aid
-            aid += 1
-            i += 1
-        st.apos = pos - n
-        self._nlate += n
-        self._staged.clear()
+            pos, an = n, n + w
+        at = (pos - n if w else 0) if front else an
+        if at + n > len(self._acyc):
+            self._grow(_ACOLS, at + n, an)
+        if type(key) is list:
+            acyc, arank = self._acyc, self._arank
+            ab, aa = self._abuf, self._aaid
+            for j, k, b, aid in zip(range(at, at + n), key, abuf, aaid):
+                acyc[j] = k >> RANK_BITS
+                arank[j] = k & RANK_OTHER
+                ab[j] = b
+                aa[j] = aid
+        else:
+            self._acyc[at:at + n] = key >> RANK_BITS
+            self._arank[at:at + n] = key & RANK_OTHER
+            self._abuf[at:at + n] = abuf
+            self._aaid[at:at + n] = aaid
+        if front and (w or type(key) is list):
+            self._nlate += n        # one by one, in front of what waits
+        if not w:
+            st.apos, st.an = 0, n
+        elif front:
+            st.apos, st.an = pos - n, an
+        else:
+            st.apos, st.an = pos, an
+            self._merge(self._stp, n)
 
     def _flush(self) -> None:
         """Fold what is staged as of the cycle about to run, without
@@ -986,6 +1082,19 @@ class ArrayBackend(SimBackend):
                 self._complete(word, key >> 3)
             elif kind == EV_ROUTE:
                 self._route_one(word)
+            elif kind == EV_CONT:
+                self._continued(word, key >> 3)
+
+    def _continued(self, aid: int, now: int) -> None:
+        """``EV_CONT``: the kernel sent continuation ``aid`` at ``now``;
+        what ``adapter.send`` and ``Network.send_due`` book for one."""
+        self._pborn[aid] = now
+        if self._pkts[aid] is not None:     # built early (an inspection)
+            self._pkts[aid].created = now
+        self._acoll[int(self._psrc[aid])].note_generated(False)
+        cb = self.net.on_continue
+        if cb is not None:
+            cb(self._pcls[aid])
 
     # ------------------------------------------------------------------
     # SimBackend interface
@@ -993,14 +1102,16 @@ class ArrayBackend(SimBackend):
     def _advance(self, now: int, horizon: int) -> int:
         """Execute cycles ``[now, horizon)``: batches of the C kernel,
         each followed by the replay of its events.  The one place a
-        cycle is executed from."""
+        cycle is executed from.  Returns the cycle it stopped before:
+        ``horizon``, or earlier after a cycle whose tail or completion
+        the closed loop heard (its credits may fire a source next
+        cycle, which the mix has to inject first)."""
         net = self.net
         st = self._st
         fs = net.fault_state
         kc = self._kcoll
-        if kc is not None and (fs is not None or self._acoll.count(kc)
-                               != len(self._acoll)):
-            self._release()
+        if kc is not None and (fs is not None or self._acoll[0] is not kc):
+            self._release()     # (the shard worker swaps them all at once)
         if self._staged:
             self._stage(now)
         st.nofast = fs is not None
@@ -1021,11 +1132,13 @@ class ArrayBackend(SimBackend):
             if st.stop == STOP_EVENTS:
                 self._grow(("_ev",), 0, 0)
                 st.evcap = len(self._ev) // 2
+            if st.heard:
+                break
             if self._staged and now < horizon:
                 self._stage(now)    # regenerated by a delivery
         self._sync()
-        net.cycle = horizon
-        return horizon
+        net.cycle = now
+        return now
 
     def step(self, now: Optional[int] = None) -> int:
         net = self.net
@@ -1036,16 +1149,23 @@ class ArrayBackend(SimBackend):
         return net.flits_moved - before
 
     def total_flits(self) -> int:
+        """Flits in the fabric, staged or waiting to fold included."""
         st = self._st
         n = st.inflight + sum(
-            e[2] if len(e) == 6 else e[1].size if len(e) == 2
+            e[2] if len(e) == 7 else e[1].size if len(e) == 2
             else len(e[0]) * e[3] for e in self._staged)
         if st.apos < st.an:
             n += int(self._psize[self._aaid[st.apos:st.an]].sum())
         return n
 
+    def pending_flits(self) -> int:
+        """Flits of the continuations in the due ring."""
+        return self._st.contflits
+
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
+        self._rank = {c.name: RANK_CLASS + k
+                      for k, c in enumerate(mix.classes or ())}
         super().run_mix(mix, cycles, probes)
         self._sync(ops=True)
 

@@ -21,10 +21,14 @@ through simulated cycles.  Two implementations ship, with two roles:
 
 One loop, :meth:`SimBackend.run_mix`, drives both: it walks windows
 ``[t, w1)``, each injected by ``TrafficMix.inject`` and then executed by
-``_advance``.  A window is one cycle on ``reference`` and for a reactive
-mix; on ``array`` (``inject_ahead``) it runs to the end of the mix's
-block or just past the next probe cycle, and the engine runs it until
-Python is needed, idle gaps skipped.
+``_advance``.  A window is one cycle on ``reference``; on ``array``
+(``inject_ahead``) it runs to the end of the mix's block, just past the
+next probe cycle or to the closed-loop engine's next scheduled cycle,
+and the engine runs it until Python is needed, idle gaps skipped.  A
+reactive (closed-loop) window also ends after a cycle whose tail or
+completion the engine hears: the next window starts at the cycle after
+it.  A reactive mix under an ``on_inject`` tap or a fault state runs
+one-cycle windows on both.
 
 Why running ahead is bit-identical
 ----------------------------------
@@ -38,6 +42,10 @@ Why running ahead is bit-identical
 * The engine folds what was injected by one rule (``_stage``): an
   entry is due at ``max(created, next cycle to run)``, the rows of a
   cycle in the order the reference's FIFOs get them.
+* A closed loop's feedback lands before the cycle it can act in: a
+  credit is heard at the end of its cycle, where the window ends, and
+  a source whose firing was staged ahead draws on after that firing
+  (the credit rule of ``ClosedLoopSource``).
 """
 
 from __future__ import annotations
@@ -81,31 +89,34 @@ class SimBackend:
         """Advance one cycle; returns the number of flits moved."""
         raise NotImplementedError
 
-    def _advance(self, now: int, horizon: int) -> None:
+    def _advance(self, now: int, horizon: int) -> int:
         """Execute the window ``[now, horizon)``: one cycle, here, since
-        a backend that does not inject ahead gets windows of one."""
+        a backend that does not inject ahead gets windows of one;
+        returns the cycle it stopped before."""
         self.step(now)
+        return now + 1
 
     # -- bulk loops -----------------------------------------------------
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
         """Drive ``mix`` + network for ``cycles`` cycles from ``net.cycle``:
         windows ``[t, w1)``, each injected by ``mix.inject`` and executed
-        by :meth:`_advance`, a probe called after its cycle.  A window is
-        one cycle unless the backend injects ahead and the mix is not
-        reactive; then it ends with the mix's block or just past the
-        next probe cycle."""
+        by :meth:`_advance` as far as it gets, a probe called after its
+        cycle.  A window is one cycle unless the backend injects ahead
+        (and, for a reactive mix, no tap or fault state is set); then it
+        ends where the mix's does (block, engine) or just past the next
+        probe cycle."""
         probes = probes or {}
         t = self.net.cycle
         end = t + cycles
         due = sorted(p for p in probes if t <= p < end)
         due.append(end)
-        ahead = self.inject_ahead and not mix.reactive
+        ahead = self.inject_ahead and not (mix.reactive and (
+            mix.on_inject is not None or self.net.fault_state is not None))
         pi = 0
         while t < end:
             w1 = mix.inject(t, min(due[pi] + 1, end) if ahead else t + 1)
-            self._advance(t, w1)
-            t = w1
+            t = self._advance(t, w1)
             if due[pi] == t - 1:
                 probes[t - 1](t - 1)
                 pi += 1

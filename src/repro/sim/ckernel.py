@@ -13,7 +13,8 @@ sets ``State.rescan`` wherever else it writes per-buffer or per-port
 columns itself; the next entry then rebuilds the set.  Three of its
 steps are exported alone, ``repro_fold``, ``repro_refresh`` and
 ``repro_wake``, for the Python callers that need them without running
-a cycle.  :class:`State`
+a cycle, and ``repro_merge`` merges newly staged arrival rows into the
+waiting ones.  :class:`State`
 mirrors the C ``repro_state`` field for field, and a kernel whose
 ``repro_state_size()`` disagrees with ``ctypes.sizeof(State)`` is
 refused instead of corrupting memory.
@@ -63,17 +64,17 @@ class State(ctypes.Structure):
         "down rbase rmask qcap vcmode pv2of pnode rtab rrow rsh pbase rflat "
         "rdy pcand fptr fbuf upof "
         "bestpr bestb bestvc outdl outrf "
-        "pdst ptraf psize pvcl phdr pnext popx acyc abuf aaid rtbl "
-        "ev").split()
+        "pdst ptraf psize pvcl phdr pnext popx psrc pcont "
+        "acyc abuf aaid arank cring qfirst qrel rtbl ev").split()
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
             "B P PV SB Fm1 rstride N warmup "       # fixed while attached
             "now horizon nofast stopkinds trace rescan "    # control
-            "inflight apos an nev evcap "           # run state
-            "stop moved ejected ndl counted "       # outputs
+            "inflight apos an nev evcap cmask ncont contflits "  # run state
+            "stop moved ejected ndl counted heard "     # outputs
             "calls cycles scanned cands flits receipts "    # work counters
-            "wakes rescans").split()]
-        + [("stops", ctypes.c_int64 * 4)]
+            "wakes rescans sent").split()]
+        + [("stops", ctypes.c_int64 * 5)]
         + [(name, ctypes.c_int64) for name in ("dn", "dmin", "dmax")]
         + [(name, ctypes.c_double) for name in ("dmean", "dm2")]
         + [(name, ctypes.c_void_p) for name in POINTERS])
@@ -145,17 +146,20 @@ def _compile_and_load() -> ctypes.CDLL:
             f"{ctypes.sizeof(State)}: the two layouts have drifted apart")
     for name, args in (("repro_run", []), ("repro_fold", []),
                        ("repro_refresh", [ctypes.c_int64]),
-                       ("repro_wake", [ctypes.c_int64])):
+                       ("repro_wake", [ctypes.c_int64]),
+                       ("repro_merge", [ctypes.c_int64])):
         fn = getattr(dll, name)
-        fn.restype = None if name == "repro_wake" else ctypes.c_int64
+        fn.restype = (None if name in ("repro_wake", "repro_merge")
+                      else ctypes.c_int64)
         fn.argtypes = [ctypes.c_void_p, *args]
     return dll
 
 
 def load_cycle_kernel() -> Optional[ctypes.CDLL]:
     """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
-    ``repro_refresh``, ``repro_wake`` typed), or ``None`` if it is
-    unavailable.  The result, either way, is the process's."""
+    ``repro_refresh``, ``repro_wake``, ``repro_merge`` typed), or
+    ``None`` if it is unavailable.  The result, either way, is the
+    process's."""
     global _cached, _failed
     if _cached is None and not _failed:
         try:

@@ -318,7 +318,7 @@ class SimulationSession:
         return sizes
 
     def _probe_backlog(self, now: int) -> None:
-        self._backlog_mid = self.net.total_flits()
+        self._backlog_mid = self.net.fabric_flits()
 
     def drain(self, max_cycles: int = 1_000_000) -> int:
         """Run without new traffic until empty; returns cycles taken."""
@@ -345,7 +345,7 @@ class SimulationSession:
         coll = self.collector
         net = self.net
         mix = self.mix
-        backlog_end = net.total_flits()
+        backlog_end = net.fabric_flits()
         delivered = coll.delivered_unicast + coll.completed_collective
         offered = mix.generated_total
         accepted_ratio = delivered / offered if offered else 1.0

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
                     Optional, Sequence, Tuple)
 
@@ -163,15 +164,15 @@ class TrafficMix:
         #: attached closed-loop engine (see :meth:`attach_closedloop`)
         self._cl_engine = None
         #: True when any injector is a reactive arrival model (needs
-        #: delivery feedback, so the mix must run cycle by cycle)
+        #: delivery feedback: a window ends where a credit may fire one)
         self.reactive = False
         #: the coming injections, ``{cycle: [injector index, ...]}``:
         #: stateless injectors drawn a block at a time up to ``cal_end``
-        #: (-1: nothing drawn yet), reactive ones whenever armed
+        #: (-1: nothing drawn yet), reactive ones whenever armed; its
+        #: cycles, a heap
         self.calendar: Dict[int, List[int]] = {}
+        self._cycles: List[int] = []
         self.cal_end = -1
-        #: the first cycle no :meth:`inject` covered yet
-        self._covered = -1
         #: single-class mode: the block draw, the current block's
         #: ``(cycle, node, dst)`` columns, the first row not yet taken
         #: and its cycle (``cal_end`` when none is left)
@@ -183,6 +184,7 @@ class TrafficMix:
         #: next fill draws on from where their draws stopped
         self._resume: List[int] = []
 
+        net.on_continue = self._continued
         streams = RngStreams(seed)
         # identical streams for identical seeds => common random numbers
         # across the Quarc/Spidergon comparison (see repro.sim.rng)
@@ -340,19 +342,29 @@ class TrafficMix:
 
     def inject(self, now: int, until: int) -> int:
         """Inject the arrivals of cycles ``[now, until)``, each at its
-        cycle; returns the cycle injected up to, ``until`` or the end of
-        the block.  A reactive mix takes one cycle at a time, after the
-        deliveries of ``now - 1``.  Block rows go as one window of
+        cycle; returns the cycle injected up to: ``until``, or earlier at
+        the end of the block or the closed-loop engine's next scheduled
+        cycle.  First the network's continuations due at ``now`` (the
+        ``on_inject`` tap sees them here), then the engine's injections
+        (phase barrier, phase restart).  Block rows go as one window of
         unicast columns (``Network.send_unicasts``) and broadcasts
         through :meth:`emit` -- every row through :meth:`emit` under a
         fault state or an ``on_inject`` tap; calendar tokens fire in
-        injector order.  Arrivals of cycles no call covered (a drain ran
-        them without traffic) are dropped."""
+        cycle order, each cycle's in injector order.  A reactive mix's
+        window may be re-entered from a cycle inside it: a credit armed a
+        source there.  Arrivals of cycles before ``now`` that no call
+        injected (a drain ran them without traffic) are dropped, and a
+        reactive source whose firing was dropped is armed again."""
+        net = self.net
+        if self.on_inject is not None:
+            for home, dst, size, name in net.due(now):
+                self.on_inject(home, now, name, dst, size, False)
+        net.send_due(now)
         eng = self._cl_engine
         if eng is not None:
-            # engine-driven injections (directory replies, phase
-            # barriers, phase restarts) precede this cycle's sources
-            eng.begin_cycle(now)
+            nxt = eng.begin_cycle(now)
+            if nxt is not None and nxt < until:
+                until = nxt
         elif self.reactive:
             raise RuntimeError(
                 "this mix contains reactive (closed-loop) arrival "
@@ -361,32 +373,32 @@ class TrafficMix:
                 "workload spec through SimulationSession (which wires "
                 "a ClosedLoopEngine), or attach one explicitly via "
                 "attach_closedloop()")
-        if now > self._covered:
-            if self.block is not None:
+        cal, cycles, injectors = self.calendar, self._cycles, self._injectors
+        if self.block is not None:
+            if self._bnext < now:
                 self.take(now)
-            else:
-                for c in range(self._covered, min(now, self.cal_end)):
-                    self.calendar.pop(c, None)
+        while cycles and cycles[0] < now:
+            for i in cal.pop(heappop(cycles)):
+                if injectors[i].reactive:
+                    injectors[i].armed = False
+                    self.arm(i, now)
         if now >= self.cal_end:
             self.fill_calendar(now)
         if until > self.cal_end:
             until = self.cal_end
-        self._covered = until
         if self.block is not None:
             if self._bnext < until:
                 self._inject_rows(*self.take(until))
             return until
-        cal = self.calendar
-        for c in range(now, until):
-            due = cal.pop(c, None)
-            if due is None:
-                continue
+        tokens = self.tokens
+        while cycles and cycles[0] < until:
+            c = heappop(cycles)
+            due = cal.pop(c)
             due.sort()  # node-major, class-minor: arms append out of order
-            injectors, tokens = self._injectors, self.tokens
             for i in due:
                 inj = injectors[i]
                 if inj.reactive:
-                    inj.fire()
+                    inj.fire(c)
                     self._inject_token(tokens[i], c)
                     self.arm(i, c + 1)
                 else:
@@ -440,17 +452,21 @@ class TrafficMix:
             # still eligible: a source loses eligibility only by firing
             self._injectors[i].armed = False
             self.arm(i, now)
-        cal = self.calendar
         for i, inj in enumerate(self._injectors):
             if not inj.reactive:
                 for t in inj.arrivals_in(now, stop):
-                    lst = cal.get(t)
-                    if lst is None:
-                        cal[t] = [i]
-                    else:
-                        lst.append(i)
+                    self._book(t, i)
             elif first:
                 self.arm(i, now)
+
+    def _book(self, t: int, i: int) -> None:
+        """Put injector ``i`` on the calendar at cycle ``t``."""
+        lst = self.calendar.get(t)
+        if lst is None:
+            self.calendar[t] = [i]
+            heappush(self._cycles, t)
+        else:
+            lst.append(i)
 
     def arm(self, i: int, at: int) -> None:
         """Put reactive injector ``i`` on the calendar if it is eligible
@@ -460,7 +476,7 @@ class TrafficMix:
         if due is None:
             return
         if due < self.cal_end:
-            self.calendar.setdefault(due, []).append(i)
+            self._book(due, i)
         else:           # no firing in this block: the next fill draws on
             self._resume.append(i)
 
@@ -510,11 +526,12 @@ class TrafficMix:
 
     def emit(self, node: int, dst: int, now: int,
              size: Optional[int] = None, name: Optional[str] = None,
-             tag=None):
+             tag=None, cont=None):
         """Send one message from ``node`` at ``now``: a unicast to ``dst``
         through ``Network.send_unicast`` (which decides if a ``Packet`` is
-        built; ``tag`` comes back through ``net.on_tagged_tail``), or a
-        broadcast for ``dst == -1``, whose op is returned.  ``size``
+        built; ``tag`` comes back through ``net.on_tagged_tail``, ``cont``
+        is the reply the network sends back), or a broadcast for
+        ``dst == -1``, whose op is returned.  ``size``
         defaults to the single-class ``msg_len``.  The one per-message
         path: calendar tokens, broadcasts, the closed-loop engine and,
         under a fault state or an ``on_inject`` tap, every message."""
@@ -540,17 +557,27 @@ class TrafficMix:
                 return None
             if self.on_inject is not None:
                 self.on_inject(node, now, name, dst, size, False)
-            self.net.send_unicast(node, dst, size, name, now, tag)
+            self.net.send_unicast(node, dst, size, name, now, tag, cont)
             self.generated_unicasts += 1
         if name is not None:
             self.class_generated[name] = \
                 self.class_generated.get(name, 0) + 1
         return op
 
+    def _continued(self, name: Optional[str]) -> None:
+        """The network sent a continuation (``net.on_continue``): one
+        more message generated, as if emitted."""
+        self.generated_unicasts += 1
+        if name is not None:
+            self.class_generated[name] = \
+                self.class_generated.get(name, 0) + 1
+
     def attach_closedloop(self, engine) -> None:
         """Bind a :class:`~repro.workloads.closedloop.ClosedLoopEngine`:
-        :meth:`inject` calls its ``begin_cycle`` hook each cycle and
-        routes closed-loop class issues through ``engine.issue``.  The
+        :meth:`inject` calls its ``begin_cycle`` hook at the head of each
+        window (it returns its next scheduled cycle, or ``None``, where
+        the window ends) and routes closed-loop class issues through
+        ``engine.issue``.  The
         delivery side is the engine's own subscription
         (``net.on_tagged_tail``)."""
         if self._cl_engine is not None and self._cl_engine is not engine:

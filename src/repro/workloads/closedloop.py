@@ -27,21 +27,26 @@ Three pieces cooperate:
     own transactions -- tagged unicasts (``Network.send_unicast(...,
     tag=)``, subscribed through ``net.on_tagged_tail``) and the phase
     barrier's ``CollectiveOp.on_complete``, which every backend fires at
-    cycle granularity.  It (a) schedules directory replies for delivered
-    requests, (b) returns window credits on completions, and (c)
-    advances barrier-synchronised phases.  Its injections go through
-    ``TrafficMix.emit``, so traffic accounting, the ``on_inject`` tap and
-    the collector see one consistent stream whichever backend drives it.
+    cycle granularity.  It (a) returns window credits on completions,
+    and (b) advances barrier-synchronised phases.  A request carries its
+    directory reply as a network continuation
+    (``Network.send_unicast(..., cont=)``), so the network, not the
+    engine, sends it.  Its injections go through ``TrafficMix.emit``,
+    so traffic accounting, the ``on_inject`` tap and the collector see
+    one consistent stream whichever backend drives it.
 
 Transaction modes
 -----------------
 ``reqreply``
     The coherence shape: the source sends a short ``req_len``-flit
     request to a directory home (spatial model: the ``directory``
-    pattern's NUMA quadrants).  When the request's tail reaches the
-    home, the engine schedules the ``msg_len``-flit reply ``1 +
-    service`` cycles later, home back to requester.  The reply's tail
-    arrival releases the window slot, and the *completion time* --
+    pattern's NUMA quadrants).  The request carries its reply as a
+    continuation: when its tail reaches the home, the network sends the
+    ``msg_len``-flit reply, tagged ``(class, request created)``, ``1 +
+    service`` cycles later, home back to requester -- the array engine
+    from its kernel, with no Python between request and reply.  The
+    reply's tail arrival releases the window slot, and the *completion
+    time* --
     request injection to reply delivery, the full round trip including
     queueing on both legs -- is recorded per class.
 ``stream``
@@ -55,14 +60,17 @@ Transaction modes
     barrier class's completion time is the phase duration
     (phase start to barrier completion).
 
-Determinism: every backend drives reactive mixes cycle by cycle
-(generation at ``t`` sees exactly the deliveries of cycles ``< t``),
-delivery order within a cycle is identical across backends, and the
-engine's reply queue preserves arrival order -- so closed-loop runs are
-byte-identical across backends, exactly like open-loop runs.
-``TrafficMix.generate`` reads a calendar instead of polling the sources;
-the engine re-arms a source with every credit and phase quota (see
-:class:`ClosedLoopSource`).
+Determinism: generation at ``t`` sees exactly the deliveries of cycles
+``< t`` on every backend.  The reference runs one cycle at a time; the
+array engine injects a window ahead and ends it where Python must act
+-- after a cycle whose tail or completion the engine hears, at its next
+scheduled cycle -- so a credit always lands before the cycle it may
+fire a source in.  Delivery order within a cycle is identical across
+backends and continuations are sent in the order their requests
+arrived, so closed-loop runs are byte-identical across backends,
+exactly like open-loop runs.  ``TrafficMix.inject`` reads a calendar
+instead of polling the sources; the engine re-arms a source with every
+credit and phase quota (see :class:`ClosedLoopSource`).
 """
 
 from __future__ import annotations
@@ -92,12 +100,21 @@ class ClosedLoopSource(ArrivalModel):
     ``window`` transactions are outstanding or the phase quota is spent;
     otherwise it flips one coin at ``rate`` (no draw at rate >= 1).
     The draw count therefore depends on delivery feedback, which is
-    fine: reactive mixes run cycle by cycle on every backend, so the
-    feedback (and hence the stream) is identical everywhere.
+    fine: every backend hands a credit back before the cycle it can
+    fire in, so the feedback (and hence the stream) is identical
+    everywhere.
 
     The engine owns the bookkeeping: it increments nothing here beyond
     what ``fires()`` itself does, and returns window credits by
     decrementing ``outstanding`` when a transaction completes.
+
+    Credit rule: a credit at cycle ``s`` arms the source from
+    ``max(s + 1, after)``, ``after`` the cycle after its last firing.
+    Polled one cycle at a time that is ``s + 1``.  The array engine books
+    ``fire()`` when it stages a firing, possibly cycles ahead of ``s``;
+    the full window that firing left would, in the reference, already
+    have this credit back, so the source draws on after that firing,
+    exactly where the reference draws.
 
     ``fires()`` is the per-cycle specification; the mix runs the same
     process through :meth:`arm` / :meth:`fire` without polling.  A
@@ -111,7 +128,7 @@ class ClosedLoopSource(ArrivalModel):
     """
 
     __slots__ = ("rate", "rng", "window", "arrivals", "outstanding",
-                 "quota_left", "armed")
+                 "quota_left", "armed", "after")
 
     reactive = True
 
@@ -131,6 +148,8 @@ class ClosedLoopSource(ArrivalModel):
         self.quota_left = -1
         #: the next firing is drawn and on a calendar (see :meth:`arm`)
         self.armed = False
+        #: the cycle after the last firing booked (the credit rule)
+        self.after = 0
 
     def fires(self) -> bool:
         """One per-cycle issue check (stalls while the window is full)."""
@@ -151,12 +170,14 @@ class ClosedLoopSource(ArrivalModel):
         ``stop``.  Returns ``stop`` when none of ``[at, stop)`` fires
         (the source stays armed; the caller clears ``armed`` to draw on
         from ``stop``), ``None`` when there is nothing to arm (not
-        eligible, already armed, rate 0)."""
+        eligible, already armed, rate 0).  Never before :attr:`after`
+        (the credit rule)."""
         r = self.rate
         if (self.armed or r <= 0.0 or self.outstanding >= self.window
                 or not self.quota_left):
             return None
         self.armed = True
+        at = max(at, self.after)
         if r >= 1.0:
             return at
         draw = self.rng.random
@@ -165,9 +186,11 @@ class ClosedLoopSource(ArrivalModel):
                 return t
         return stop
 
-    def fire(self) -> None:
-        """Issue one transaction: what a successful ``fires()`` books."""
+    def fire(self, now: int = -1) -> None:
+        """Issue one transaction at cycle ``now``: what a successful
+        ``fires()`` books."""
         self.armed = False
+        self.after = now + 1
         self.arrivals += 1
         self.outstanding += 1
         if self.quota_left > 0:
@@ -281,13 +304,14 @@ class ClosedLoopWorkload:
 class ClosedLoopEngine:
     """Runtime feedback seam between deliveries and injections.
 
-    Construction wires it into the mix (issue interception + per-cycle
+    Construction wires it into the mix (issue interception + window
     hook) and subscribes :meth:`on_tagged_tail`.  A tag is the class
-    index ``k`` (a request or stream message, as the class's mode says)
-    or ``(k, request created)`` (a reply).  All state transitions happen
-    either in a delivery hook (during ``step``) or in :meth:`begin_cycle`
-    (at the head of ``generate``), so the generate-before-step cycle
-    contract makes the whole loop deterministic across backends.
+    index ``k`` (a stream message) or ``(k, request created)`` (a
+    reply); requests are untagged and carry their reply as a
+    continuation.  All state transitions happen either in a delivery
+    hook (during a batch's replay) or in :meth:`begin_cycle` (at the
+    head of ``inject``), so the inject-before-step cycle contract makes
+    the whole loop deterministic across backends.
     """
 
     def __init__(self, wl: ClosedLoopWorkload, mix: "TrafficMix",
@@ -327,9 +351,6 @@ class ClosedLoopEngine:
             self.sources[k] = srcs
             self.completed[cl.name] = 0
             self.comp_stats[cl.name] = OnlineStats()
-        #: pending directory replies: cycle -> [(home, requester, k,
-        #: request-created)], appended in delivery order
-        self._due: Dict[int, List[Tuple[int, int, int, int]]] = {}
         # barrier-synchronised phases
         self._phase_total = sum(cl.quota * self.n for cl in wl.closed
                                 if cl.quota > 0)
@@ -354,18 +375,19 @@ class ClosedLoopEngine:
     # ------------------------------------------------------------------
     # generation side (runs at the head of mix.generate)
     # ------------------------------------------------------------------
-    def begin_cycle(self, now: int) -> None:
-        """Engine-driven injections for this cycle, before the sources."""
-        due = self._due.pop(now, None)
-        if due is not None:
-            for home, requester, k, created in due:
-                self._inject_reply(home, requester, k, created, now)
+    def begin_cycle(self, now: int) -> Optional[int]:
+        """Engine-driven injections for this cycle, before the sources;
+        returns the next cycle one is scheduled at (``None``: none)."""
         if self._barrier_at is not None and now >= self._barrier_at:
             self._barrier_at = None
             self._inject_barrier(now)
         if self._resume_at is not None and now >= self._resume_at:
             self._resume_at = None
             self._start_phase(now)
+        # never both set: the barrier's completion schedules the resume
+        if self._resume_at is not None:
+            return self._resume_at
+        return self._barrier_at
 
     def issue(self, node: int, k: int, now: int) -> None:
         """Inject one closed-loop transaction (the mix delegates here
@@ -374,14 +396,11 @@ class ClosedLoopEngine:
         cl = self.closed_k[k]
         cls = mix.classes[k]
         dst = mix._cls_patterns[k].pick(node, mix._cls_dst_rng[node][k])
-        size = cl.req_len if cl.mode == MODE_REQREPLY else cls.msg_len
-        mix.emit(node, dst, now, size, cls.name, k)
-
-    def _inject_reply(self, home: int, requester: int, k: int,
-                      created: int, now: int) -> None:
-        cls = self.mix.classes[k]
-        self.mix.emit(home, requester, now, cls.msg_len, cls.name,
-                      (k, created))
+        if cl.mode == MODE_REQREPLY:
+            mix.emit(node, dst, now, cl.req_len, cls.name, cont=(
+                cls.msg_len, 1 + cl.service, cls.name, (k, now)))
+        else:
+            mix.emit(node, dst, now, cls.msg_len, cls.name, k)
 
     def _inject_barrier(self, now: int) -> None:
         mix = self.mix
@@ -413,13 +432,8 @@ class ClosedLoopEngine:
             self.mix.arm(node * self._k_count + k, now + 1)
             self._complete(self.mix.classes[k].name, created, now)
             return
-        k, cl = tag, self.closed_k[tag]
-        if cl.mode == MODE_REQREPLY:
-            # request reached its directory home: schedule the reply
-            self._due.setdefault(now + 1 + cl.service, []).append(
-                (node, src, k, created))
-            return
         # a stream message's own delivery is its completion
+        k, cl = tag, self.closed_k[tag]
         self.sources[k][src].outstanding -= 1
         self.mix.arm(src * self._k_count + k, now + 1)
         self._complete(self.mix.classes[k].name, created, now)

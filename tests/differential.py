@@ -211,6 +211,8 @@ def find_divergence(config: RunConfig, backend_a: str, backend_b: str,
                     s.mix.generate(t)
                     if inject is not None:
                         inject(s, t)
+                else:       # as Network.drain: the replies still owed
+                    s.net.send_due(t)
                 s.backend.step(t)
     finally:
         for s in sessions:
@@ -545,7 +547,32 @@ def targeted_configs() -> List[Tuple[str, RunConfig, Optional[object]]]:
          make_config(kind="quarc", n=16, msg_len=64, beta=0.05, rate=0.02,
                      cycles=300, warmup=100, seed=43), None),
     ]
+    cases += [(f"closed_{name}", make_config(**cfg), None)
+              for name, cfg in CLOSED_LOOP_CASES.items()]
     return cases
+
+
+#: Closed loops whose corners the engine's reactive windows must keep:
+#: a reply due the cycle after its request's tail (``service=0``); relay
+#: segments regenerated and replies due in one cycle at one node
+#: (Spidergon storms), in one source queue (Quarc relay broadcasts): the
+#: fold order; the barrier's completion and the phase restart, each
+#: ending a window (``allreduce``).
+CLOSED_LOOP_CASES = {
+    "service0": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                     cycles=900, warmup=200, seed=5,
+                     workload="cache_coherence:window=4,service=0"),
+    "spidergon_storms": dict(
+        kind="spidergon", n=16, msg_len=4, beta=0.0, rate=1.0, cycles=900,
+        warmup=200, seed=5, workload="cache_coherence:storms=true,window=4"),
+    "quarc_relay_storms": dict(
+        kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0, cycles=900,
+        warmup=200, seed=5, bcast_mode="relay",
+        workload="cache_coherence:storms=true,window=4,service=0"),
+    "allreduce": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                      cycles=1500, warmup=200, seed=5,
+                      workload="allreduce:window=4,quota=12,gap=48"),
+}
 
 
 def assert_backends_equivalent(config: RunConfig,

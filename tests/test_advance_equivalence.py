@@ -23,8 +23,9 @@ from repro.noc.packet import (BROADCAST, RELAY, UNICAST, CollectiveOp,
                               Packet)
 from repro.obs import ObsSpec
 from repro.sim import array_backend
-from repro.sim.array_backend import (EV_COMPLETE, EV_DATELINE, EV_DELIVERY,
-                                     EV_ROUTE, EV_WINNER, FIDMASK, FSHIFT)
+from repro.sim.array_backend import (EV_COMPLETE, EV_CONT, EV_DATELINE,
+                                     EV_DELIVERY, EV_ROUTE, EV_WINNER,
+                                     FIDMASK, FSHIFT)
 from repro.sim.backend import make_backend
 from repro.sim.session import SimulationSession, _merge_probes
 
@@ -45,6 +46,9 @@ def _named(be, events):
         elif kind == EV_COMPLETE:
             op = be._slot_op[word]
             word = (op.src, op.created)
+        elif kind == EV_CONT:
+            word = (int(be._psrc[word]), int(be._pdst[word]),
+                    be._ptag[word])
         out += (key, word)
     return out
 
@@ -67,8 +71,13 @@ def _drive(config, backend="array", per_cycle=False, trace=False,
     if trace:
         be._st.trace = 1
         replay = be._replay
-        be._replay = lambda evs: (events.extend(_named(be, evs)),
-                                  replay(evs))
+
+        def named(evs):     # each named just before it replays (a reply
+            for i in range(0, len(evs), 2):     # is born at its CONT)
+                events.extend(_named(be, evs[i:i + 2]))
+                replay(evs[i:i + 2])
+
+        be._replay = named
     probes = session._probe_schedule()
     _merge_probes(probes, {
         t: lambda now: snaps.append((net.state_snapshot(),
@@ -191,7 +200,7 @@ def test_batches_really_span_cycles():
         session.run()
         st = session.backend._st
         assert st.cycles > 600 and st.calls < 10
-        assert list(st.stops) == [st.calls, 0, 0, 0]    # all at the horizon
+        assert list(st.stops) == [st.calls, 0, 0, 0, 0]     # the horizon
 
 
 def _stops(**kw):
@@ -217,16 +226,21 @@ FIG11 = dict(beta=0.1, rate=0.0034)
     # ... Spidergon still stops on every relay tail (regeneration is
     # Python, ROADMAP 3(a)) ...
     (dict(FIG11, kind="spidergon"), range(1000, 4000), range(1000, 4000)),
-    # ... and the closed loop enters once a cycle (horizon 1) but never
-    # for a tail: it hears its tagged ones in the replay
+    # ... and the closed loop enters once per cycle a reply reaches its
+    # requester (a ``feedback`` stop), never for a request: the kernel
+    # sends the reply itself
     (dict(workload="cache_coherence:window=4", rate=1.0, cycles=2000,
-          warmup=400), [0], [2000]),
+          warmup=400), [0], range(300, 700)),
 ], ids=["quarc", "quarc-noclone", "spidergon", "closed_coherence"])
 def test_python_is_entered_for_events_not_headers(case, delivery, calls):
     kc, _ = _stops(**case)
     assert kc["stops"]["python_route"] == 0
     assert kc["stops"]["delivery"] in delivery
     assert kc["calls"] in calls
+    closed = "workload" in case
+    assert kc["stops"]["feedback"] == (
+        kc["calls"] - kc["stops"]["horizon"] if closed else 0)
+    assert (kc["replies_kernel"] > kc["calls"]) == closed
 
 
 @pytest.mark.parametrize("case", [
@@ -234,9 +248,10 @@ def test_python_is_entered_for_events_not_headers(case, delivery, calls):
     dict(workload="cache_coherence:window=4", rate=1.0, cycles=2000,
          warmup=400)], ids=["quarc", "spidergon", "closed_coherence"])
 def test_profile_says_how_tails_were_delivered(case):
-    """``tails:`` splits the deliveries by path, ``packets:`` counts the
-    late ones: every collective receipt is the kernel's, relay segments
-    included (only their regeneration is Python's, and re-stages)."""
+    """``tails:`` splits the deliveries by path and counts the replies the
+    kernel sent, ``packets:`` counts the late ones: every collective
+    receipt is the kernel's, relay segments included (only their
+    regeneration is Python's, and re-stages in front)."""
     session = SimulationSession(make_config(
         **{"n": 64, "msg_len": 16, "seed": 1, "cycles": 4000,
            "warmup": 1000, **case}, obs=ObsSpec(profile=True)))
@@ -247,10 +262,13 @@ def test_profile_says_how_tails_were_delivered(case):
     assert sum(by_path) == kc["tails_delivered"] == session.net.deliveries
     assert by_path[0] > 1000 and not by_path[2]
     relays = case.get("kind") == "spidergon"
-    assert (kc["packets_late"] > 0) == (relays or "workload" in case)
+    assert (kc["packets_late"] > 0) == relays
+    assert (kc["replies_kernel"] > 0) == ("workload" in case)
     assert ("built, {} late\n  tails: {} delivered, {} counted by the "
-            "kernel, {} as unicast columns, {} through receive_tail\n".format(
-                kc["packets_late"], kc["tails_delivered"], *by_path)
+            "kernel, {} as unicast columns, {} through receive_tail, {} "
+            "replies sent by the kernel\n".format(
+                kc["packets_late"], kc["tails_delivered"], *by_path,
+                kc["replies_kernel"])
             in session.profiler.render())
 
 
@@ -322,44 +340,46 @@ def test_arrivals_fold_in_reference_fifo_order():
     assert snaps[0] == snaps[1]
 
 
-@pytest.mark.parametrize("case,layouts,mixed", [
+@pytest.mark.parametrize("case,layouts", [
     # a relay tail lands before the window's first row has folded (the
     # consumed prefix is empty: the waiting rows shift right once) or
     # after (its segment fits in front); the next cycle's unicasts are
-    # a window of columns, never late, so a late batch is packets only
+    # a window of columns, staged fresh
     (dict(kind="spidergon", beta=0.3, rate=0.02),
-     {"fresh", "shift", "prefix"}, False),
-    # stepped, every injection is late: unicast rows and broadcast
-    # packets in one batch (a window merges them instead)
+     {"fresh", "shift", "prefix"}),
+    # an open-loop mix stages a block of rows and packets at once
     (dict(workload="cache_coherence:storms=true,read_rate=0.05,"
-                   "write_rate=0.01", rate=1.0), {"fresh"}, True),
-    # reactive (horizon 1 either way) with an open-loop class: the
-    # closed loop's tagged rows and the storms' broadcast packets
+                   "write_rate=0.01", rate=1.0), {"fresh"}),
+    # reactive: a credit's firing lands among the window's waiting rows
+    # (the storms' broadcast packets) and merges
     (dict(workload="cache_coherence:window=4,storms=true", rate=1.0),
-     {"fresh"}, True),
+     {"fresh", "merge"}),
 ], ids=["relay", "storms", "closed-storms"])
-def test_late_rows_go_in_front(case, layouts, mixed, monkeypatch):
-    """Entries due now that lead whatever waits go late: written
-    into the consumed prefix (or a fresh window, or after one shift),
-    interned in the same pass -- event for event the per-cycle run."""
+def test_late_rows_go_in_front(case, layouts, monkeypatch):
+    """New rows that lead whatever waits go in front of it: written into
+    the consumed prefix (or a fresh window, or after one shift); rows
+    due among the waiting ones are written behind them and merged in
+    place -- event for event the per-cycle run."""
     config = make_config(**{"kind": "quarc", "n": 16, "msg_len": 4,
                             "cycles": 900, "warmup": 200, "seed": 5, **case})
     seen = set()
-    late = array_backend.ArrayBackend._stage_late
+    put = array_backend.ArrayBackend._put
 
-    def spying(be, now, n):
-        pos, an = be._st.apos, be._st.an
-        seen.add(("fresh" if pos == an else "shift" if pos < n else "prefix",
-                  pos, len({len(e) for e in be._staged})))
-        late(be, now, n)
+    def spying(be, key, abuf, aaid):
+        pos, an, n = be._st.apos, be._st.an, len(key)
+        lead = pos == an or key[-1] < (
+            int(be._acyc[pos]) << array_backend.RANK_BITS
+            | int(be._arank[pos]))
+        seen.add(("fresh" if pos == an else "merge" if not lead
+                  else "shift" if pos < n else "prefix", pos))
+        put(be, key, abuf, aaid)
 
-    monkeypatch.setattr(array_backend.ArrayBackend, "_stage_late", spying)
+    monkeypatch.setattr(array_backend.ArrayBackend, "_put", spying)
     batched = _drive(config, trace=True, digest_every=97)
     if "shift" in layouts:      # apos == 0 < an: nothing consumed yet
-        assert ("shift", 0, 1) in seen
+        assert ("shift", 0) in seen
     stepped = _drive(config, per_cycle=True, trace=True, digest_every=97)
-    assert {how for how, _, _ in seen} == layouts
-    assert any(kinds == 2 for _, _, kinds in seen) == mixed
+    assert {how for how, _ in seen} == layouts
     assert batched[:3] == stepped[:3]   # summary, events, digests
     assert len(batched[2]) == 900 // 97 + 1
     assert batched[0] == _drive(config, "reference")[0]
@@ -395,8 +415,8 @@ def test_spidergon_relays_restage_in_front(monkeypatch):
     stage, concatenate = array_backend.ArrayBackend._stage, np.concatenate
     late, merges = [], []
 
-    def watching(be, now):
-        late.append(be._in_front(now))
+    def watching(be, now):      # relay segments: packets alone
+        late.append(all(len(e) == 2 for e in be._staged))
         stage(be, now)
         late.pop()
 

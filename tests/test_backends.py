@@ -75,12 +75,16 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("workload,generated", [
         ("", 1183), ("cache_coherence", 312),
-        ("cache_coherence:storms=true", 297)],
-        ids=["single", "coherence", "storms"])
+        ("cache_coherence:storms=true", 297),
+        ("cache_coherence:window=4", 571)],
+        ids=["single", "coherence", "storms", "closed"])
     def test_run_drain_run(self, workload, generated, engines_built):
         """Arrivals drawn for cycles a drain ran without traffic are
         dropped on both engines (the counts are the reference's since
-        the seed), and the resumed run agrees summary for summary."""
+        the seed), and the resumed run agrees summary for summary.  A
+        closed loop strands nothing: the drain sends every reply the
+        network owes at its cycle, and a source whose firing it dropped
+        is armed again."""
         load = dict(beta=0.0, rate=1.0) if workload else dict(beta=0.1,
                                                               rate=0.05)
         spec = WorkloadSpec.parse(kind="quarc", n=16, msg_len=4, cycles=700,
@@ -93,9 +97,14 @@ class TestBackendEquivalence:
             be, mix = session.backend, session.mix
             be.run_mix(mix, 700)
             assert be.drain() > 0
+            assert session.net.total_flits() == 0   # no reply owed
             be.run_mix(mix, 700)
             assert mix.generated_total == generated
             out.append(session.summary())
+            due = {i for lst in mix.calendar.values() for i in lst}
+            for i, src in enumerate(mix._injectors):
+                if src.reactive and src.outstanding < src.window:
+                    assert src.armed and (i in due or i in mix._resume)
         assert engines_built == [BACKENDS["reference"], ArrayBackend]
         assert out[0] == out[1]
 
@@ -336,6 +345,16 @@ class TestArrayBackend:
         # the route table's per-buffer decode, next to the table
         k = names.index("rtab")
         assert names[k:k + 4] == ["rtab", "rrow", "rsh", "pbase"]
+        # continuations: the packet's reply word, the arrival rows' rank,
+        # the due ring and the queue table a reply is sent from
+        k = names.index("popx")
+        assert names[k:k + 3] == ["popx", "psrc", "pcont"]
+        k = names.index("acyc")
+        assert names[k:k + 7] == ["acyc", "abuf", "aaid", "arank", "cring",
+                                  "qfirst", "qrel"]
+        from repro.sim.array_backend import STOPS
+        assert dict(ckernel.State._fields_)["stops"]._length_ == len(STOPS)
+        assert {"cmask", "ncont", "contflits", "heard", "sent"} <= set(names)
 
     @pytest.mark.skipif(not hasattr(os, "getuid"),
                         reason="no POSIX ownership to check")
@@ -408,7 +427,7 @@ class TestArrayBackend:
         be = ArrayBackend(net)
         b = int(be._queue_rows(0, 4))
         cap = be._cap_py[b]
-        be.rows.append((0, 4, cap + 1, None, 0, None))
+        be.rows.append((0, 4, cap + 1, None, 0, None, None))
         msg = rf"full buffer '{be._bufs[b].label}' \(capacity {cap}\)"
         with pytest.raises(OverflowError, match=msg):
             be.materialize()

@@ -14,7 +14,9 @@ import hashlib
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
+from differential import CLOSED_LOOP_CASES, make_config
 from hypothesis import given, settings, strategies as st
 
 from repro.core.api import build_network
@@ -91,6 +93,37 @@ class TestClosedLoopSource:
             ClosedLoopSource(0.2, random.Random(1), window=0)
         with pytest.raises(ValueError, match="rate"):
             ClosedLoopSource(1.5, random.Random(1))
+
+
+    def test_credit_arms_after_a_firing_staged_ahead(self):
+        """The credit rule: a reply reaching a source at ``s`` whose next
+        firing was staged for ``c > s`` (which filled its window) arms it
+        from ``c + 1`` -- where per-cycle polling, holding that credit
+        before ``c``, draws on."""
+        rate, seed = 0.05, 4
+        probe = random.Random(seed)
+        c = next(t for t in range(10_000) if probe.random() < rate)
+        assert c >= 2
+        s = c // 2
+        polled = ClosedLoopSource(rate, random.Random(seed), window=2)
+        polled.outstanding = 1
+        fired = []
+        for t in range(10_000):
+            if polled.fires():
+                fired.append(t)
+            if t == s:
+                polled.outstanding -= 1     # the credit, during step(s)
+            if len(fired) == 2:
+                break
+        ahead = ClosedLoopSource(rate, random.Random(seed), window=2)
+        ahead.outstanding = 1
+        assert ahead.arm(0, 10_000) == c
+        ahead.fire(c)                       # staged ahead of s
+        assert ahead.arm(c + 1, 10_000) is None     # its window is full
+        ahead.outstanding -= 1              # the credit at s, replayed
+        d = ahead.arm(s + 1, 10_000)
+        assert [c, d] == fired and d > c
+        assert ahead.rng.getstate() == polled.rng.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -492,3 +525,85 @@ class TestClosedLoopEquivalence:
                         in resolve_workload(workload, 16).closed]
         for name in closed_names:
             assert summaries[0].extra["classes"][name]["completed"] > 0
+
+
+# ----------------------------------------------------------------------
+# reactive windows: the array engine runs a closed loop windows ahead
+# ----------------------------------------------------------------------
+class TestReactiveWindows:
+    """The array engine injects a closed loop windows ahead and ends a
+    window only where Python must act; every corner that could move a
+    byte is pinned against the reference (``tests/differential.py``
+    runs the same cases in lockstep)."""
+
+    @staticmethod
+    def _run(name, spy=None):
+        config = make_config(**CLOSED_LOOP_CASES[name])
+        session = SimulationSession(config.with_backend("array"))
+        if spy is not None:
+            spy(session)
+        summary = session.run()
+        session.backend.detach()
+        reference = SimulationSession(config.with_backend("reference"))
+        assert summary == reference.run()
+        return session
+
+    def test_reply_due_the_cycle_after_its_request(self):
+        session = self._run("service0")
+        st = session.backend._st
+        assert st.sent > 100 and st.calls < session.net.cycle // 2
+        assert st.cmask == 15       # delays of one cycle fit any ring
+
+    @pytest.mark.parametrize("name,same_queue", [
+        ("spidergon_storms", False), ("quarc_relay_storms", True)])
+    def test_relays_and_replies_fold_in_one_cycle(self, name, same_queue,
+                                                  monkeypatch):
+        """Relay segments regenerated by a cycle's deliveries fold before
+        the replies due in the next, which fold before its arrivals: the
+        corner must occur at one node (one source queue, under Quarc
+        relay broadcasts) for the run to pin it."""
+        from repro.sim import array_backend
+        stage, hits = array_backend.ArrayBackend._stage, []
+
+        def watching(be, now):
+            stage(be, now)
+            st = be._st
+            relays = {int(be._abuf[i]) for i in range(st.apos, st.an)
+                      if be._acyc[i] == now and be._arank[i] == 0}
+            replies = {int(be._queue_rows(np.array([h]), np.array([d]))[0])
+                       for h, d, _, _ in be.due(now)}
+            node = lambda b: be._bufs[b].router.node    # noqa: E731
+            at = (relays & replies if same_queue else
+                  {node(b) for b in relays} & {node(b) for b in replies})
+            hits.append(bool(at))
+
+        monkeypatch.setattr(array_backend.ArrayBackend, "_stage", watching)
+        self._run(name)
+        assert any(hits)
+
+    def test_barrier_and_phase_restart_end_windows(self):
+        """The barrier's completion is heard (its slot's ``RT_HEARD``):
+        the window ends after its cycle; the phase restart is the
+        engine's next scheduled cycle: a window ends there too."""
+        starts, completed, restarted = [], [], []
+
+        def spy(session):
+            mix, eng = session.mix, session._closedloop
+            inject, done = mix.inject, eng._barrier_completed
+            start = eng._start_phase
+
+            def injecting(now, until):
+                starts.append(now)
+                return inject(now, until)
+
+            mix.inject = injecting
+            eng._barrier_completed = lambda now: (completed.append(now),
+                                                  done(now))
+            eng._start_phase = lambda now: (restarted.append(now),
+                                            start(now))
+
+        session = self._run("allreduce", spy)
+        assert len(completed) >= 2 and restarted
+        assert {t + 1 for t in completed} <= set(starts)
+        assert set(restarted) <= set(starts)
+        assert session.backend._st.calls < len(set(starts)) + 5

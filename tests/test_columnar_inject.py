@@ -13,6 +13,7 @@ conserved, and ``--profile`` counts what was ever an object.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from differential import make_config
 from hypothesis import example, given, settings, strategies as st
@@ -32,11 +33,12 @@ TOPOLOGIES = ("quarc", "spidergon", "mesh", "torus")
 COHERENCE = dict(workload="cache_coherence:storms=true", rate=1.0)
 
 
-def _as_packet(self, node, dst, size, cls, now, tag=None):
+def _as_packet(self, node, dst, size, cls, now, tag=None, cont=None):
     """``Network.send_unicast`` as it was before rows: always an object."""
     pkt = Packet(node, dst, size, UNICAST, created=now)
     pkt.cls = cls
     pkt.tag = tag
+    pkt.cont = cont
     self.adapters[node].send(pkt, now)
 
 
@@ -168,38 +170,77 @@ def test_fault_after_rows_conserves_flits(kind):
     assert tuple(arr) == run("reference")[1:]
 
 
+def _ring_flits(be):
+    """The flits of the replies in the kernel's due ring, walked."""
+    n = 0
+    for head, _, _ in be._cring.tolist():
+        while head >= 0:
+            n += int(be._psize[head])
+            head = int(be._pnext[head])
+    return n
+
+
+def _assert_conserved(be):
+    """Every flit ever interned has left through an ejection port, is in
+    ``total_flits()`` (in flight, waiting to fold, or a reply the due
+    ring owes) or is a reply whose request has not arrived yet; staged
+    entries are not interned yet."""
+    n = len(be._pkts)
+    size = be._psize[:n]
+    unsent = int(size[np.array(be._pborn, np.int64) < 0].sum())
+    owed = _ring_flits(be)
+    assert be.net.pending_flits() == owed
+    staged = sum(e[2] if len(e) == 7 else e[1].size if len(e) == 2
+                 else len(e[0]) * e[3] for e in be._staged)
+    ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
+                  if port.is_ejection)
+    assert (int(size.sum()) + staged
+            == ejected + be.net.total_flits() + unsent - owed)
+
+
 @settings(derandomize=True, deadline=None, max_examples=12)
 @example(kind=("spidergon", {}), msg_len=4, beta=0.4, rate=0.05, seed=3,
          cycles=400, workload="")   # relay segments re-staged late
 @example(kind=("quarc", {}), msg_len=4, beta=0.0, rate=0.05, seed=3,
          cycles=400, workload="cache_coherence:window=4")
+@example(kind=("quarc", {}), msg_len=4, beta=0.0, rate=0.05, seed=3,
+         cycles=400, workload="cache_coherence:window=4,service=0")
+@example(kind=("spidergon", {}), msg_len=4, beta=0.0, rate=0.05, seed=3,
+         cycles=400, workload="allreduce:window=4,quota=12,gap=48")
 @given(kind=st.sampled_from(KINDS), msg_len=st.integers(1, 9),
        beta=st.sampled_from((0.0, 0.1, 0.4)),
        rate=st.floats(0.005, 0.3), seed=st.integers(0, 2**16),
        cycles=st.integers(50, 400),
-       workload=st.sampled_from(("", "", "cache_coherence:window=4",
-                                 "allreduce:window=2")))
+       workload=st.sampled_from((
+           "", "", "cache_coherence:window=4",
+           "cache_coherence:window=4,service=0", "allreduce:window=2",
+           "allreduce:window=4,quota=12,gap=48")))
 def test_engine_conserves_flits(kind, msg_len, beta, rate, seed, cycles,
                                 workload):
     """Fault-free: every flit ever interned -- row, packet or column,
     merged in a window or staged late (relay segments, a closed loop's
-    issues) -- has left through an ejection port or is still counted in
-    flight."""
+    issues and the replies its requests carry) -- has left through an
+    ejection port or is still counted by ``total_flits()``; checked at
+    every window end."""
     load = dict(workload=workload, rate=1.0) if workload else dict(rate=rate)
     session = SimulationSession(make_config(
         kind=kind[0], n=16, msg_len=msg_len, beta=beta, cycles=cycles,
         warmup=0, seed=seed, **load, **kind[1]))
-    session.run()
     be = session.backend
+    advance, ends = be._advance, []
+
+    def checked(now, horizon):
+        ends.append(advance(now, horizon))
+        _assert_conserved(be)
+        return ends[-1]
+
+    be._advance = checked
+    session.run()
     if workload:
-        assert be._nlate == len(be._pkts) > 0   # horizon 1: all of them
+        assert len(ends) < cycles       # windows, not single cycles
     elif session.collector.relay_segments > 20:
         assert be._nlate > 0
-    be._flush()     # relay segments the last cycle regenerated
-    interned = int(be._psize[:len(be._pkts)].sum())
-    ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
-                  if port.is_ejection)
-    assert interned == ejected + session.net.total_flits()
+    _assert_conserved(be)
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)

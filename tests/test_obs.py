@@ -185,6 +185,32 @@ class TestZeroPerturbation:
         assert f"{kc['wakes']} wakes, {kc['rescans']} rescans" in (
             session.profiler.render())
 
+    def test_closed_loop_profile_names_replies_and_feedback(self):
+        """A closed loop's replies are the kernel's: the ``tails:`` line
+        counts them, and its batches end at a ``feedback`` stop -- one
+        per cycle a reply or a stream message reaches its source --
+        never for a route or a passive tail.  Every batch has one
+        reason, and deliveries split by path as ever."""
+        import dataclasses
+        spec = dataclasses.replace(SPEC, n=16, beta=0.0, rate=1.0,
+                                   cycles=1500,
+                                   workload="cache_coherence:window=4")
+        session, _ = _probed_run(spec, "array", ObsSpec(profile=True))
+        kc = session.profiler.report()["kernel_counters"]
+        stops = kc["stops"]
+        assert sum(stops.values()) == kc["calls"] < spec.cycles // 2
+        assert stops["feedback"] == kc["calls"] - stops["horizon"] > 0
+        assert kc["replies_kernel"] > kc["calls"] // 2
+        assert (kc["tails_kernel"] + kc["tails_unicast"]
+                + kc["tails_receive_tail"]) == kc["tails_delivered"]
+        text = session.profiler.render()
+        assert (f", {kc['tails_receive_tail']} through receive_tail, "
+                f"{kc['replies_kernel']} replies sent by the kernel\n"
+                in text)
+        assert (f"batches ended by {stops['horizon']} horizon, "
+                f"0 python_route, 0 delivery, 0 events_full, "
+                f"{stops['feedback']} feedback\n" in text)
+
     def test_array_profile_reports_its_footprint(self):
         """One line sizes the engine's static state.  Quarc N = 8: a row
         per buffer position (12), each switch lane a 4-word ring, each of
@@ -219,7 +245,7 @@ class TestZeroPerturbation:
         assert len(report["kernel"]) == 16
         kc = report["kernel_counters"]
         assert set(kc["stops"]) == {"horizon", "python_route",
-                                    "delivery", "events_full"}
+                                    "delivery", "events_full", "feedback"}
         assert sum(kc["stops"].values()) == kc["calls"] < kc["cycles"]
         assert kc["cycles"] <= SPEC.cycles
         assert kc["stops"]["events_full"] == 0
