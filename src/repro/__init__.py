@@ -25,6 +25,7 @@ Quickstart
 True
 """
 
+from repro import _env  # noqa: F401  (first: before anything loads numpy)
 from repro.core.api import NETWORK_KINDS, build_network
 from repro.core.collector import LatencyCollector
 from repro.core.packet_format import FlitCodec

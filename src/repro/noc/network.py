@@ -213,9 +213,11 @@ class Network:
         #: called as ``on_tagged_tail(node, src, tag, created, now)`` for a
         #: delivered unicast sent with a ``tag`` (the closed-loop engine's)
         self.on_tagged_tail: Optional[Callable[..., None]] = None
-        #: called as ``on_continue(cls)`` for every continuation sent
-        #: (the mix counts it generated)
-        self.on_continue: Optional[Callable[[Optional[str]], None]] = None
+        #: called as ``on_continue(cls, k=1)`` for the ``k`` messages of
+        #: class ``cls`` the network sent on the traffic's behalf --
+        #: continuations, requests an array engine's kernel fired (the
+        #: mix counts them generated)
+        self.on_continue: Optional[Callable[..., None]] = None
         #: continuations waiting for their cycle on the object path:
         #: ``{cycle: [(home, dst, size, cls, tag), ...]}`` in delivery
         #: order (an array engine keeps its own in the kernel)

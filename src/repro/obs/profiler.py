@@ -36,7 +36,8 @@ state struct: entries (``calls``), cycles executed inside them,
 buffers scanned (non-empty rows examined from the ready set), eligible
 candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / columns / ever objects /
-staged late, and how many tails each delivery path took: collective receipts
+staged late, the closed-loop requests the kernel fired itself, and how
+many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns, the rest through
 ``Adapter.receive_tail``, and the replies (continuations) the kernel
 sent itself; and the size of the engine's static state
@@ -79,6 +80,7 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "tails_unicast": backend._nuni,
             "tails_receive_tail": backend._nrecv,
             "replies_kernel": st.sent,
+            "requests_kernel": st.fired,
             "stops": dict(zip(STOPS, st.stops))}
 
 
@@ -215,7 +217,8 @@ class PhaseProfiler:
             lines.append(
                 "  packets: {packets_staged} staged, {packets_rows} as rows, "
                 "{packets_columns} as columns, {packets_built} built, "
-                "{packets_late} late\n"
+                "{packets_late} late, {requests_kernel} fired by the "
+                "kernel\n"
                 "  tails: {tails_delivered} delivered, {tails_kernel} counted "
                 "by the kernel, {tails_unicast} as unicast columns, "
                 "{tails_receive_tail} through receive_tail, "

@@ -18,16 +18,18 @@
  * re-armed.
  *
  * One cycle.
- *   fold     arrival rows (cycle, buffer, aid, rank) due at `now` and
- *            the continuations due at `now` join their buffer's
- *            pending-packet FIFO (phead/ptail/pnext, pfid = next flit
- *            of the head packet): first the rows of rank 0 (regenerated
- *            by the last cycle's deliveries), then the continuations,
- *            then the other rows; flit words (aid << 20) | tail | fid
+ *   fold     arrival rows (cycle, buffer, aid, rank) due at `now`, the
+ *            continuations due at `now` and the requests of the sources
+ *            due to fire at `now` join their buffer's pending-packet FIFO
+ *            (phead/ptail/pnext, pfid = next flit of the head packet)
+ *            by rank: rows of rank 0 (regenerated by the last cycle's
+ *            deliveries), the continuations, then the other rows and
+ *            the fired requests, a request at its class's rank (rows
+ *            first among equals); flit words (aid << 20) | tail | fid
  *            are generated while the ring slice has room, qlen counts
  *            every flit either way.
  *   idle     nothing in flight: the clock jumps to the next arrival
- *            row, the next continuation or the horizon.
+ *            row, continuation or firing, or the horizon.
  *   phase A  eligibility + round-robin pick against start-of-cycle
  *            state over the ready set (below), ascending buffer, strict
  *            '<' (lowest buffer wins a priority tie); a port with a
@@ -82,8 +84,26 @@
  * head, tail -- linked through pnext -- and its cycle); the fold of
  * that cycle sends it from psrc's queue (qfirst / qrel, the unicast
  * queue table) and emits CONT.  ncont / contflits count what waits.
- * pcont[aid] < 0: the closed loop hears this tail, as it hears the
- * completion of a slot with RT_HEARD set.
+ * pcont[aid] == -1: the closed loop hears this tail, as it hears the
+ * completion of a slot with RT_HEARD set; pcont[aid] = -2 - i: the tail
+ * completes a transaction of source i, a credit the kernel applies.
+ *
+ * Sources.  A closed-loop source i (S of them, class-major: i = class
+ * position * N + node) keeps its window credit, phase quota and think
+ * coins here: sout / swin, squota (-1 unphased), srate, and its coins
+ * coins[i * coinstride + scpos[i] .. scend[i]), the uniforms of its
+ * private stream.  Eligible (sout < swin, squota != 0) and armed at
+ * cycle `at`, it reads one coin a cycle up to `blockend` and fires at
+ * the first below srate (at once at rate >= 1): sarm[i] = that cycle,
+ * filed in the heap sheap (keys (cycle << SRC_BITS) | i, so a cycle's
+ * firings come out class-major, node-minor), or S_WAIT when none falls
+ * before blockend (Python arms it again at the next block).  A firing
+ * takes the next of the requests Python interned for it (shead, linked
+ * through pnext; its reply is the request's continuation), joins it at
+ * fold time if the cycle is below `fireto` (a drain fires nothing),
+ * emits FIRE and arms the source from the next cycle.  A credit arms it
+ * from the cycle after the tail.  sphase[i]: the tail is one of the
+ * phase's `phleft` messages; the last ends the batch (FEEDBACK).
  *
  * Stop rule.  What needs Python objects becomes an event; the batch
  * ends at the end of the cycle that emitted
@@ -95,18 +115,22 @@
  *     set in `stopkinds` (the kinds whose delivery may push a packet
  *     back into the network; every kind under on_tail / faults).
  *   - a tail or completion the closed loop hears (`heard` is set, the
- *     reason is FEEDBACK unless one above applies): Python returns a
- *     credit, which may fire a source the next cycle.
+ *     reason is FEEDBACK unless one above applies): a tagged tail, the
+ *     phase's last message (the barrier is due) or a completion with
+ *     RT_HEARD (the barrier: the phase restarts).
  *     Other events ride along and are replayed after the batch in
  *     emission order = (cycle, port);
  * or before a cycle that could overflow the event buffer (a cycle emits
- * at most EV_PER_PORT events a port), or at the horizon.
+ * at most EV_PER_PORT events a port), or at the horizon.  A source due
+ * to fire with no request left stops the fold (REQUESTS, `now`
+ * unchanged): Python interns more and re-enters the same cycle.
  *
  * Events are int64 pairs: ev[2i] = (cycle << 3) | kind, ev[2i + 1] =
  *   EV_DELIVERY (aid << 16) | port     EV_ROUTE    buffer row
  *   EV_DATELINE flit word              EV_WINNER   buffer row
  *   EV_COMPLETE receipt-table slot (before the same tail's DELIVERY)
  *   EV_CONT     the aid of a continuation sent (at its fold)
+ *   EV_FIRE     (request aid << SRC_BITS) | source (at its fold)
  * the DATELINE and WINNER only under `trace` (tests, divergence hunts).
  * outdl / ndl keep the dateline flit words of the last executed cycle
  * for the shard worker.
@@ -128,12 +152,20 @@
 #define FOLD_FULL (-2)
 #define CONT_SHIFT 40
 #define CONT_AID (((int64_t)1 << CONT_SHIFT) - 1)
+#define FOLD_DRY (-3)
+#define SRC_BITS 20
+#define SRC_MASK (((int64_t)1 << SRC_BITS) - 1)
+/* sarm[i] when not on the heap: not armed / armed past blockend */
+#define S_IDLE (-1)
+#define S_WAIT (-2)
 /* take_tail's verdict: the batch ends for Python / the loop hears it */
 #define TAIL_STOP 1
 #define TAIL_HEARD 2
 
-enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS, STOP_FEEDBACK };
-enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT };
+enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS, STOP_FEEDBACK,
+       STOP_REQUESTS };
+enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT,
+       EV_FIRE };
 /* a receipt-table slot: these, then N arrival cycles (-1: none yet) */
 enum { RT_CREATED, RT_EXPECTED, RT_COUNT, RT_HEARD, RT_GEN, RT_ROW };
 
@@ -144,12 +176,16 @@ typedef struct {
     int64_t now, horizon, nofast, stopkinds, trace, rescan;
     /* run state */
     int64_t inflight, apos, an, nev, evcap, cmask, ncont, contflits;
+    /* the sources: their count, the cycle firings stop at, where coin
+     * reads stop, the heap's size, coins a source, messages of the phase
+     * left */
+    int64_t S, fireto, blockend, nheap, coinstride, phleft;
     /* outputs of the last entry / last executed cycle */
     int64_t stop, moved, ejected, ndl, counted, heard;
     /* cumulative work counters (the phase profiler's); scanned counts
      * the non-empty rows phase A examined from the ready set */
     int64_t calls, cycles, scanned, cands, flits, receipts, wakes, rescans;
-    int64_t sent, stops[5];
+    int64_t sent, fired, stops[6];
     int64_t dn, dmin, dmax;     /* the per-receiver delay accumulator */
     double dmean, dm2;
     /* per buffer */
@@ -178,6 +214,10 @@ typedef struct {
      * queue table: each node's first row, the queue by relative dst */
     int64_t *cring;
     const int64_t *qfirst, *qrel;
+    /* per source (see Sources) */
+    int64_t *sout, *swin, *squota, *sarm, *scpos, *scend, *shead, *srank;
+    int64_t *sphase, *sheap;
+    const double *srate, *coins;
     /* receipt table, RT_ROW + N int64 a slot, growable */
     int64_t *rtbl;
     /* event buffer, evcap pairs, growable */
@@ -233,6 +273,80 @@ static void schedule(repro_state *s, int64_t c, int64_t now)
     s->contflits += s->psize[r];
 }
 
+/* Key k joins the sources' min-heap. */
+static void heap_push(repro_state *s, int64_t k)
+{
+    int64_t *h = s->sheap, i = s->nheap++;
+    while (i > 0 && h[(i - 1) / 2] > k) {
+        h[i] = h[(i - 1) / 2];
+        i = (i - 1) / 2;
+    }
+    h[i] = k;
+}
+
+/* The heap's least key leaves it. */
+static void heap_pop(repro_state *s)
+{
+    int64_t *h = s->sheap, n = --s->nheap, k = h[n], i = 0, c;
+    while ((c = 2 * i + 1) < n) {
+        if (c + 1 < n && h[c + 1] < h[c])
+            c++;
+        if (k <= h[c])
+            break;
+        h[i] = h[c];
+        i = c;
+    }
+    h[i] = k;
+}
+
+/* Arm source i from cycle `at` if it is eligible and not armed (see
+ * Sources): its coins from `at` on, one a cycle, up to blockend. */
+static void arm(repro_state *s, int64_t i, int64_t at)
+{
+    double r = s->srate[i];
+    if (s->sarm[i] != S_IDLE || s->sout[i] >= s->swin[i] || !s->squota[i]
+            || !(r > 0.0))
+        return;
+    if (r < 1.0) {
+        const double *u = s->coins + i * s->coinstride + s->scpos[i];
+        int64_t n = s->blockend - at, j = 0;
+        if (n > s->scend[i] - s->scpos[i])
+            n = s->scend[i] - s->scpos[i];
+        while (j < n && !(u[j] < r))
+            j++;
+        if (j < n) {
+            s->scpos[i] += j + 1;
+            at += j;
+        } else {                /* no hit before blockend */
+            s->scpos[i] += n > 0 ? n : 0;
+            at = s->blockend;
+        }
+    }
+    if (at >= s->blockend) {
+        s->sarm[i] = S_WAIT;
+        return;
+    }
+    s->sarm[i] = at;
+    heap_push(s, (at << SRC_BITS) | i);
+}
+
+/* Python's arming: source i from `at`, or with i < 0 every idle source,
+ * after the firings the last window did not reach (a drain ran those
+ * cycles) are dropped. */
+void repro_arm(repro_state *s, int64_t i, int64_t at)
+{
+    if (i >= 0) {
+        arm(s, i, at);
+        return;
+    }
+    while (s->nheap && s->sheap[0] >> SRC_BITS < at) {
+        s->sarm[s->sheap[0] & SRC_MASK] = S_IDLE;
+        heap_pop(s);
+    }
+    for (i = 0; i < s->S; i++)
+        arm(s, i, at);
+}
+
 /* The tail of packet aid reached the PE of port p's node: the kernel's
  * receipt (see the header) if popx names a slot, a continuation filed
  * if pcont names one, and a DELIVERY event unless it was a receipt and
@@ -267,8 +381,14 @@ static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
             return stop;
     } else if (s->pcont[aid] > 0) {
         schedule(s, s->pcont[aid], now);
-    } else if (s->pcont[aid] < 0) {
+    } else if (s->pcont[aid] == -1) {
         stop |= TAIL_HEARD;
+    } else if (s->pcont[aid] < 0) {    /* a credit to its source */
+        int64_t i = -2 - s->pcont[aid];
+        s->sout[i]--;
+        arm(s, i, now + 1);
+        if (s->sphase[i] && s->phleft > 0 && !--s->phleft)
+            stop |= TAIL_HEARD;
     }
     emit(s, EV_DELIVERY, now, (aid << 16) | p);
     return stop;
@@ -370,37 +490,63 @@ static int64_t join(repro_state *s, int64_t b, int64_t aid, int64_t now)
     return 0;
 }
 
+/* The unicast queue of src toward dst (the queue table). */
+static int64_t queue(const repro_state *s, int64_t src, int64_t dst)
+{
+    int64_t d = dst - src;
+    return s->qfirst[src] + s->qrel[d < 0 ? d + s->N : d];
+}
+
 /* fold: what is due at `now` joins its buffer (the header has the
- * order), the continuations only if `cont`.  Returns the ROUTE events
- * emitted, FOLD_FULL when the event buffer filled first, or
- * FOLD_OVERFLOW -- a flow-control bug -- with the row whose buffer has
- * no room left at apos for Python to name. */
-static int64_t fold(repro_state *s, int64_t now, int cont)
+ * order), the continuations and firings only at the `head` of a cycle.
+ * Returns the ROUTE events emitted, FOLD_FULL when the event buffer
+ * filled first, FOLD_DRY when a source due to fire has no request left,
+ * or FOLD_OVERFLOW -- a flow-control bug -- with the row whose buffer
+ * has no room left at apos for Python to name. */
+static int64_t fold(repro_state *s, int64_t now, int head)
 {
     int64_t nroute = 0;
-    int64_t *bk = cont && s->ncont ? s->cring + 3 * (now & s->cmask) : 0;
+    int64_t *bk = head && s->ncont ? s->cring + 3 * (now & s->cmask) : 0;
+    int fire = head && now < s->fireto;
     for (;;) {
-        int64_t b, aid;
-        int row = s->apos < s->an && s->acyc[s->apos] <= now;
-        int due = bk && bk[0] >= 0 && bk[2] <= now;
-        if (row && due && s->arank[s->apos] > 0)
-            row = 0;            /* continuations before fresh rows */
-        if (!row && !due)
+        int64_t b, aid, rank = BIG, src = -1;
+        if (s->apos < s->an && s->acyc[s->apos] <= now)
+            rank = s->arank[s->apos];
+        if (rank && bk && bk[0] >= 0 && bk[2] <= now)
+            rank = -1;          /* continuations before fresh rows */
+        if (fire && s->nheap && s->sheap[0] >> SRC_BITS <= now
+                && s->srank[s->sheap[0] & SRC_MASK] < rank)
+            src = s->sheap[0] & SRC_MASK;
+        if (rank == BIG && src < 0)
             return nroute;
         if (s->nev >= s->evcap)
             return FOLD_FULL;
-        if (row) {
+        if (src >= 0) {         /* the source's next request */
+            aid = s->shead[src];
+            if (aid < 0)
+                return FOLD_DRY;
+            heap_pop(s);
+            s->shead[src] = s->pnext[aid];
+            s->sarm[src] = S_IDLE;
+            s->sout[src]++;
+            if (s->squota[src] > 0)
+                s->squota[src]--;
+            b = queue(s, s->psrc[aid], s->pdst[aid]);
+            s->fired++;
+            emit(s, EV_FIRE, now, (aid << SRC_BITS) | src);
+            nroute += join(s, b, aid, now);
+            arm(s, src, now + 1);
+            continue;
+        }
+        if (rank >= 0) {
             b = s->abuf[s->apos];
             aid = s->aaid[s->apos];
             if (s->qlen[b] + s->psize[aid] > s->qcap[b])
                 return FOLD_OVERFLOW;
             s->apos++;
         } else {        /* from its home's queue toward the requester */
-            int64_t src, d;
             aid = bk[0];
-            src = s->psrc[aid];
-            d = s->pdst[aid] - src;
-            b = s->qfirst[src] + s->qrel[d < 0 ? d + s->N : d];
+            b = queue(s, s->psrc[aid], s->pdst[aid]);
             bk[0] = s->pnext[aid];
             s->ncont--;
             s->contflits -= s->psize[aid];
@@ -411,8 +557,8 @@ static int64_t fold(repro_state *s, int64_t now, int cont)
     }
 }
 
-/* An inspection's fold: the rows pushed so far, not the continuations,
- * which the reference sends at the head of the cycle. */
+/* An inspection's fold: the rows pushed so far, not the continuations
+ * or firings, which the reference sends at the head of the cycle. */
 int64_t repro_fold(repro_state *s) { return fold(s, s->now, 0); }
 
 /* The lowest set bit >= i of the nw-word bitmap set, or -1. */
@@ -470,8 +616,8 @@ int64_t repro_run(repro_state *s)
             s->now = now;
             return -1;
         }
-        if (nroute == FOLD_FULL) {
-            stop = STOP_EVENTS;
+        if (nroute == FOLD_FULL || nroute == FOLD_DRY) {
+            stop = nroute == FOLD_FULL ? STOP_EVENTS : STOP_REQUESTS;
             break;
         }
         if (nroute) {           /* Python routes, then re-enters `now` */
@@ -486,6 +632,11 @@ int64_t repro_run(repro_state *s)
             for (i = 1; s->ncont && i <= s->cmask + 1 && t + i < now; i++)
                 if (s->cring[3 * ((t + i) & s->cmask)] >= 0)
                     now = t + i;
+            if (s->nheap) {
+                int64_t f = s->sheap[0] >> SRC_BITS;
+                if (f > t && f < now && f < s->fireto)
+                    now = f;
+            }
             continue;
         }
         if (s->evcap - s->nev < EV_PER_PORT * P) {

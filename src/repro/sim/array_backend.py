@@ -80,20 +80,26 @@ kernel when the request's tail arrives (``_cycle_kernel.c``).
 rank)`` by one rule: an entry is due at ``max(created, next cycle to
 run)``, and rows go by due cycle, then rank -- *regenerated* entries
 (created before they are due), then (in the kernel's fold) the
-continuations, then by class -- then push order: the order the
-reference's FIFOs get them.  New rows that lead every waiting one go
-into the consumed prefix (*late* when interned one by one, O(1) a
-packet), the others merge in place (``repro_merge``).  Events carry
-their cycle: a tail that reached a PE (``EV_DELIVERY``), an op's
-completion (``EV_COMPLETE``), a continuation sent (``EV_CONT``), a
-header only the router can route (``EV_ROUTE``: no table row, a
-multicast on a row without it, anything under a fault state).  A cycle
-that emitted a ROUTE event, or a delivery that cannot wait (a tail of
+continuations, then the closed-loop engine's barrier, then by class
+(the requests the kernel fires among them) -- then push order: the
+order the reference's FIFOs get them.  New rows that lead every
+waiting one go into the consumed prefix (*late* when interned one by
+one, O(1) a packet), the others merge in place (``repro_merge``).
+A closed loop's sources live in the kernel (:meth:`bind_sources`):
+their requests are interned ahead, a quantum per source, and fired by
+the kernel.  Events carry their cycle: a tail that reached a PE
+(``EV_DELIVERY``), an op's completion (``EV_COMPLETE``), a continuation
+sent (``EV_CONT``), a request fired (``EV_FIRE``), a header only the
+router can route (``EV_ROUTE``: no table row, a multicast on a row
+without it, anything under a fault state).  A cycle that emitted a
+ROUTE event, or a delivery that cannot wait (a tail of
 ``Adapter.reinjecting_tails`` -- relay segments; any tail when
 ``net.on_tail`` / a fault state is set), ends its batch, and so does
-one with a tail or completion the closed loop hears (``feedback``:
-:meth:`_advance` then returns for the mix); every other event replays
-after it in emission order = (cycle, ascending port), the reference's
+one with a tail or completion the closed-loop engine must act on
+(``feedback``: a phase's end, :meth:`_advance` then returns for the
+mix), and a source with no interned request left (``requests``: more
+are interned, the cycle goes on); every other event replays after it
+in emission order = (cycle, ascending port), the reference's
 float-accumulation order.
 
 Receipts (the sim README has the contract): while the kernel counts,
@@ -121,6 +127,7 @@ names the reference backend.
 from __future__ import annotations
 
 import ctypes
+from collections import Counter
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -151,9 +158,11 @@ _SRC_WINDOW = 16
 
 #: Why a batch ended (``State.stop``; the names are the ``--profile``
 #: report's ``stops`` keys) and the event kinds, as in _cycle_kernel.c.
-STOPS = ("horizon", "python_route", "delivery", "events_full", "feedback")
-STOP_EVENTS = STOPS.index("events_full")
-EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT = range(6)
+STOPS = ("horizon", "python_route", "delivery", "events_full", "feedback",
+         "requests")
+STOP_EVENTS, STOP_REQUESTS = STOPS.index("events_full"), len(STOPS) - 1
+(EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT,
+ EV_FIRE) = range(7)
 #: Most events one cycle can emit per port: a winner and a dateline
 #: word (trace only), two deliveries and a completion, three routes.
 EV_PER_PORT = 8
@@ -163,12 +172,24 @@ EV_PER_PORT = 8
 RT_GEN, RT_ROW = 4, 5
 #: A continuation word: ``(delay << CONT_SHIFT) | (reply aid + 1)``.
 CONT_SHIFT = 40
+CONT_AID = (1 << CONT_SHIFT) - 1
+#: A source's heap key / FIRE word: ``(cycle or aid << SRC_BITS) | i``;
+#: ``_sarm`` of a source not on the heap: not armed, armed past the block.
+SRC_BITS = 20
+S_IDLE, S_WAIT = -1, -2
+#: The source-table columns (``_cycle_kernel.c``, Sources).
+_SCOLS = "sout swin squota sarm scpos scend shead srank sphase sheap".split()
 #: An arrival row's rank among the rows due in its cycle: regenerated by
 #: the last cycle's deliveries, (continuations: the kernel's due ring,)
-#: then the mix's classes in order, then anything else.
-RANK_REGEN, RANK_CLASS, RANK_OTHER = 0, 2, (1 << 20) - 1
+#: the closed-loop engine's own injections (the phase barrier), then the
+#: mix's classes in order (the kernel's firings among them), then
+#: anything else.
+RANK_REGEN, RANK_ENGINE, RANK_CLASS, RANK_OTHER = 0, 1, 2, (1 << 20) - 1
 #: A staged row's sort key: ``(due << RANK_BITS) | rank``.
 RANK_BITS = 20
+#: Requests a closed-loop source is interned ahead of its firings in the
+#: last block (all doubled where one runs out: a ``requests`` stop).
+_AHEAD = 16
 #: Staged entries interned one by one (no numpy pass) up to this many.
 _SCALAR_STAGE = 64
 #: ``State.stopkinds`` with every kind's bit set.
@@ -245,6 +266,7 @@ class ArrayBackend(SimBackend):
         self._refresh = lib.repro_refresh
         self._wake = lib.repro_wake
         self._merge = lib.repro_merge
+        self._arm = lib.repro_arm
         self._build_static()
         self._adopt()
 
@@ -412,6 +434,10 @@ class ArrayBackend(SimBackend):
         # continuations waiting for their cycle (the kernel's due ring: a
         # bucket per cycle mod its size, head / tail aid and the cycle)
         self._cring = np.full((16, 3), -1, np.int64)
+        # the closed-loop sources the kernel fires (bind_sources): none
+        for name in _SCOLS:
+            setattr(self, "_" + name, z(1))
+        self._srate = self._coins = np.zeros(1)
         #: rank of a staged entry's class (``RANK_CLASS + k``, the
         #: mix's order), set by :meth:`run_mix`
         self._rank: Dict[Optional[str], int] = {}
@@ -634,8 +660,13 @@ class ArrayBackend(SimBackend):
         self._pcont[r] = -1             # the requester hears it
         self._pcont[aid] = delay << CONT_SHIFT | (r + 1)
         self._nrows += 1
+        self._fit_ring(delay)
+
+    def _fit_ring(self, delay: int) -> None:
+        """Grow the due ring until a continuation ``delay`` cycles out
+        fits (rebucketing what waits: all of it is due within)."""
         st = self._st
-        if delay > st.cmask:        # rebucket what waits: all due within
+        if delay > st.cmask:
             ring = np.full((_pow2_at_least(delay + 1), 3), -1, np.int64)
             for bk in self._cring[self._cring[:, 0] >= 0]:
                 ring[bk[2] & (len(ring) - 1)] = bk
@@ -653,6 +684,190 @@ class ArrayBackend(SimBackend):
                         int(self._psize[head]), self._pcls[head]))
             head = int(self._pnext[head])
         return out
+
+    # ------------------------------------------------------------------
+    # closed-loop sources (the kernel fires them: _cycle_kernel.c)
+    # ------------------------------------------------------------------
+    def bind_sources(self, mix: "TrafficMix") -> "ArrayBackend":
+        """Take over firing ``mix``'s closed-loop sources (its first
+        fill): their credit, quota and coin state move into the kernel's
+        source table -- each source's coin buffer becomes its row of the
+        kernel's coin table; each fill interns their requests ahead
+        (:meth:`fill_sources`).  Returns the engine, the mix's
+        ``kernel``."""
+        eng, n = mix._cl_engine, self.net.n
+        ks = sorted(eng.closed_k)
+        srcs = [eng.sources[k][v] for k in ks for v in range(n)]
+        _check_limit("closed-loop sources", len(srcs), (1 << SRC_BITS) - 1)
+        self._srcs = srcs
+        self._eng = eng
+        self._rank = self._ranks(mix)
+        #: per source: its class, its injector; injector -> source
+        self._sk = [k for k in ks for _ in range(n)]
+        self._sinj = [v * len(mix.classes) + k for k in ks for v in range(n)]
+        self._sof = {i: s for s, i in enumerate(self._sinj)}
+        from repro.traffic import mix as traffic
+        width = max([traffic.CALENDAR_BLOCK, *(len(s.buf) for s in srcs)])
+        self._coins = np.zeros((len(srcs), width))
+        for row, src in zip(self._coins, srcs):
+            left = src.end - src.pos
+            row[:left] = src.buf[src.pos:src.end]
+            src.buf, src.pos, src.end = row, 0, left
+        phased = set(eng.phased)
+        cols = {"sout": [s.outstanding for s in srcs],
+                "swin": [s.window for s in srcs],
+                "squota": [s.quota_left for s in srcs],
+                "sarm": S_IDLE, "scpos": 0,
+                "scend": [s.end for s in srcs], "shead": -1,
+                "srank": [RANK_CLASS + k for k in self._sk],
+                "sphase": [k in phased for k in self._sk], "sheap": 0}
+        st = self._st
+        for name in _SCOLS:
+            col = np.zeros(len(srcs), np.int64)
+            col[:] = cols[name]
+            setattr(self, "_" + name, col)
+            setattr(st, name, col.ctypes.data)
+        self._srate = np.array([s.rate for s in srcs], np.float64)
+        st.srate, st.coins = self._srate.ctypes.data, self._coins.ctypes.data
+        st.S, st.coinstride, st.phleft = len(srcs), width, eng._phase_left
+        st.nheap = 0
+        #: per source: the last request interned, the requests not fired,
+        #: how many it is kept ahead by, its firings by the last fill
+        self._stail = [-1] * len(srcs)
+        self._sleft = [0] * len(srcs)
+        self._sahead = [0] * len(srcs)
+        self._sfired = [0] * len(srcs)
+        self._fit_ring(max((rep[1] for _, rep in map(eng.request, ks)
+                            if rep), default=0))
+        return self
+
+    def fill_sources(self, stop: int) -> None:
+        """A new calendar block, up to ``stop``: every source waiting for
+        it may be armed again, each coin buffer is topped up to a block
+        and each source kept ``_AHEAD`` requests ahead of what it fired
+        in the last one."""
+        st = self._st
+        self._sarm[self._sarm == S_WAIT] = S_IDLE
+        st.blockend = stop
+        for s, src in enumerate(self._srcs):
+            if 0.0 < src.rate < 1.0:
+                src.pos, src.end = int(self._scpos[s]), int(self._scend[s])
+                src.coins(st.coinstride)
+                self._scpos[s], self._scend[s] = src.pos, src.end
+            self._sahead[s] = _AHEAD + src.arrivals - self._sfired[s]
+            self._sfired[s] = src.arrivals
+        self._intern_requests()
+
+    def _intern_requests(self, grow: bool = False) -> None:
+        """Intern each firing source's next requests, up to ``_sahead``
+        (doubled first if a source ran dry: ``grow``): dsts from its
+        private stream, a reply interned with each request
+        (:meth:`_reply`'s columns), chained through ``_pnext`` from
+        ``_shead``."""
+        eng, srcs, n = self._eng, self._srcs, self.net.n
+        if grow:
+            self._sahead = [2 * a for a in self._sahead]
+        todo = [(s, a - left) for s, (a, left) in
+                enumerate(zip(self._sahead, self._sleft))
+                if left < a and srcs[s].rate > 0.0]
+        if not todo:
+            return
+        node, dst, cls, size, reply, delay, src = [], [], [], [], [], [], []
+        for s, c in todo:
+            k, v = self._sk[s], s % n
+            sz, rep = eng.request(k)
+            dst += eng.destinations(v, k, c)
+            node += [v] * c
+            src += [s] * c
+            cls += [eng.mix.classes[k].name] * c
+            size += [sz] * c
+            reply += [rep[0] if rep else 0] * c
+            delay += [rep[1] if rep else 0] * c
+            self._sleft[s] += c
+        node, dst, src = (np.array(c, np.int64) for c in (node, dst, src))
+        if (self._queue_rows(node, dst) < 0).any() or (
+                (dst < 0) | (dst >= n)).any():
+            raise ValueError("a closed-loop request has no queue to its "
+                             "destination")
+        reply, delay = np.array(reply, np.int64), np.array(delay, np.int64)
+        rq = np.flatnonzero(reply)          # the requests with a reply
+        m = len(node)
+        a0 = self._intern([None] * (m + len(rq)), (
+            cls + [cls[i] for i in rq.tolist()], [-1] * (m + len(rq)), -1,
+            np.concatenate((dst, node[rq])),
+            np.concatenate((size, reply[rq])), UNICAST, 0))
+        req = np.arange(a0, a0 + m)
+        rep = np.arange(a0 + m, a0 + m + len(rq))
+        self._psrc[req] = node
+        self._psrc[rep] = dst[rq]
+        self._pcont[req] = -2 - src             # stream: its own credit
+        self._pcont[rep] = -2 - src[rq]
+        self._pcont[req[rq]] = delay[rq] << CONT_SHIFT | (rep + 1)
+        for i in np.flatnonzero(reply == 0).tolist():
+            self._ptag[a0 + i] = self._sk[src[i]]
+        # each source's run of requests, chained behind what it has left
+        nxt = np.append(req[1:], -1)
+        last = np.append(src[1:] != src[:-1], True)
+        nxt[last] = -1
+        self._pnext[req] = nxt
+        first = np.flatnonzero(np.insert(last[:-1], 0, True)).tolist()
+        for j in first:
+            s = int(src[j])
+            if self._shead[s] < 0:
+                self._shead[s] = a0 + j
+            else:
+                self._pnext[self._stail[s]] = a0 + j
+        for j in np.flatnonzero(last).tolist():
+            self._stail[int(src[j])] = a0 + j
+        self._nrows += m + len(rq)
+
+    def open_window(self, now: int, until: int, tap: bool) -> Dict:
+        """The mix's window ``[now, until)``: the kernel may fire sources
+        before ``until``; a firing a drain passed is dropped and its
+        source armed again from ``now``, as is every idle one.  Under a
+        ``tap``, the requests due at ``now`` as ``{injector index:
+        on_inject arguments}``."""
+        st = self._st
+        st.fireto = until
+        self._arm(self._stp, -1, now)
+        if not tap:
+            return {}
+        keys = self._sheap[:st.nheap]
+        due = (keys[keys >> SRC_BITS == now] & ((1 << SRC_BITS) - 1))
+        if (self._shead[due] < 0).any():
+            self._intern_requests(grow=True)
+        out = {}
+        for s in due.tolist():
+            aid = int(self._shead[s])
+            out[self._sinj[s]] = (int(self._psrc[aid]), now, self._pcls[aid],
+                                  int(self._pdst[aid]),
+                                  int(self._psize[aid]), False)
+        return out
+
+    def arm_source(self, i: int, at: int) -> None:
+        """Arm the source of injector ``i`` from ``at``, with the quota
+        its mirror holds (a phase restart set it)."""
+        s = self._sof[i]
+        self._squota[s] = self._srcs[s].quota_left
+        self._arm(self._stp, s, at)
+
+    def open_phase(self, left: int) -> None:
+        """A new phase: ``left`` phased messages end it."""
+        self._st.phleft = left
+
+    def _show_sources(self) -> None:
+        """Between runs, the sources' objects say what the kernel holds:
+        armed or not, coin position, and the mix's calendar shows their
+        firings (:meth:`TrafficMix.show_kernel`)."""
+        booked, waiting = [], []
+        for s, (src, at) in enumerate(zip(self._srcs, self._sarm.tolist())):
+            src.armed = at != S_IDLE
+            src.pos, src.end = int(self._scpos[s]), int(self._scend[s])
+            if at >= 0:
+                booked.append((at, self._sinj[s]))
+            elif at == S_WAIT:
+                waiting.append(self._sinj[s])
+        self._eng.mix.show_kernel(booked, waiting)
 
     def _packet(self, aid: int) -> Packet:
         """The packet ``aid``, built on first use if staged as a row."""
@@ -972,7 +1187,7 @@ class ArrayBackend(SimBackend):
                 if st.apos == st.an or self._acyc[st.apos] > now:
                     break
 
-    def _call(self, entry) -> List[int]:
+    def _call(self, entry) -> np.ndarray:
         """Run the kernel entry ``entry`` (``_ck`` or ``_fold``) on the
         state and take the events it left.  A fold that finds a row's
         buffer without room -- a flow-control bug -- returns -1 and
@@ -983,7 +1198,7 @@ class ArrayBackend(SimBackend):
             raise OverflowError(
                 f"flit pushed into full buffer {self._bufs[b].label!r} "
                 f"(capacity {self._cap_py[b]})")
-        events = self._ev[:2 * st.nev].tolist() if st.nev else ()
+        events = self._ev[:2 * st.nev].copy()
         st.nev = 0
         return events
 
@@ -1068,12 +1283,24 @@ class ArrayBackend(SimBackend):
     # event replay: everything a batch of cycles owes the Python objects
     # ------------------------------------------------------------------
     def _replay(self, events) -> None:
-        """Apply a batch's events in emission order = (cycle, ascending
-        port), so float accumulation order is the reference's: tail
-        deliveries, op completions and, after its cycle's deliveries,
-        each header only the router can route."""
+        """Apply a batch's events (int64 pairs) in emission order =
+        (cycle, ascending port), so float accumulation order is the
+        reference's: tail deliveries, op completions and, after its
+        cycle's deliveries, each header only the router can route.  The
+        packets the kernel sent (``EV_CONT``, ``EV_FIRE``) are booked
+        first, all at once: booking stamps a packet and counts it
+        generated, which no event reads but that packet's own later
+        delivery."""
+        events = np.asarray(events, np.int64)
+        kind = events[0::2] & 7
+        sent = kind >= EV_CONT
+        if sent.any():
+            pairs = events.reshape(-1, 2)
+            self._sent(pairs[sent, 0] >> 3, pairs[sent, 1],
+                       kind[sent] == EV_FIRE)
+            events = pairs[~sent].ravel()
         pnode = self._pnode_py
-        it = iter(events)
+        it = iter(events.tolist())
         for key, word in zip(it, it):
             kind = key & 7
             if kind == EV_DELIVERY:
@@ -1082,19 +1309,43 @@ class ArrayBackend(SimBackend):
                 self._complete(word, key >> 3)
             elif kind == EV_ROUTE:
                 self._route_one(word)
-            elif kind == EV_CONT:
-                self._continued(word, key >> 3)
 
-    def _continued(self, aid: int, now: int) -> None:
-        """``EV_CONT``: the kernel sent continuation ``aid`` at ``now``;
-        what ``adapter.send`` and ``Network.send_due`` book for one."""
-        self._pborn[aid] = now
-        if self._pkts[aid] is not None:     # built early (an inspection)
-            self._pkts[aid].created = now
-        self._acoll[int(self._psrc[aid])].note_generated(False)
+    def _sent(self, cyc: np.ndarray, word: np.ndarray,
+              fire: np.ndarray) -> None:
+        """The kernel sent these packets at these cycles: continuations
+        (``EV_CONT``: the aid) and requests it fired (``EV_FIRE``: aid <<
+        SRC_BITS | source).  What ``adapter.send`` / ``send_due`` and a
+        source's ``fire`` book for them, and a request's reply tag
+        ``(class, created)``."""
+        aid = np.where(fire, word >> SRC_BITS, word)
+        born, pkts = self._pborn, self._pkts
+        for a, t in zip(aid.tolist(), cyc.tolist()):
+            born[a] = t
+            if pkts[a] is not None:     # built early (an inspection)
+                pkts[a].created = t
+        if fire.any():
+            req, src = aid[fire], word[fire] & ((1 << SRC_BITS) - 1)
+            c = self._pcont[req]
+            for r, s, t in zip(((c & CONT_AID) - 1)[c > 0].tolist(),
+                               src[c > 0].tolist(), cyc[fire][c > 0].tolist()):
+                self._ptag[r] = (self._sk[s], t)
+            for s, k in zip(*(col.tolist() for col in
+                              np.unique(src, return_counts=True))):
+                self._srcs[s].fire(count=k)
+                self._sleft[s] -= k
+        homes = self._psrc[aid]
+        acoll = self._acoll
+        if acoll.count(acoll[0]) == len(acoll):     # one collector
+            acoll[0].note_generated(False, len(aid))
+        else:
+            for v, k in enumerate(np.bincount(homes).tolist()):
+                if k:
+                    acoll[v].note_generated(False, k)
         cb = self.net.on_continue
         if cb is not None:
-            cb(self._pcls[aid])
+            cls = self._pcls
+            for name, k in Counter(cls[a] for a in aid.tolist()).items():
+                cb(name, k)
 
     # ------------------------------------------------------------------
     # SimBackend interface
@@ -1104,8 +1355,8 @@ class ArrayBackend(SimBackend):
         each followed by the replay of its events.  The one place a
         cycle is executed from.  Returns the cycle it stopped before:
         ``horizon``, or earlier after a cycle whose tail or completion
-        the closed loop heard (its credits may fire a source next
-        cycle, which the mix has to inject first)."""
+        the closed-loop engine heard (a phase's end: the mix injects
+        the barrier or restarts the phase next)."""
         net = self.net
         st = self._st
         fs = net.fault_state
@@ -1127,11 +1378,13 @@ class ArrayBackend(SimBackend):
             net.deliveries += st.counted
             if fs is not None:
                 fs.ejected_flits += st.ejected
-            if events:
+            if len(events):
                 self._replay(events)
             if st.stop == STOP_EVENTS:
                 self._grow(("_ev",), 0, 0)
                 st.evcap = len(self._ev) // 2
+            elif st.stop == STOP_REQUESTS:
+                self._intern_requests(grow=True)
             if st.heard:
                 break
             if self._staged and now < horizon:
@@ -1162,12 +1415,23 @@ class ArrayBackend(SimBackend):
         """Flits of the continuations in the due ring."""
         return self._st.contflits
 
+    @staticmethod
+    def _ranks(mix: "TrafficMix") -> Dict[Optional[str], int]:
+        """The rank of each class's staged rows (``RANK_*``)."""
+        ranks = {c.name: RANK_CLASS + k
+                 for k, c in enumerate(mix.classes or ())}
+        eng = mix._cl_engine
+        if getattr(eng, "wl", None) is not None and eng.wl.barrier:
+            ranks[eng.wl.barrier] = RANK_ENGINE
+        return ranks
+
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
-        self._rank = {c.name: RANK_CLASS + k
-                      for k, c in enumerate(mix.classes or ())}
+        self._rank = self._ranks(mix)
         super().run_mix(mix, cycles, probes)
         self._sync(ops=True)
+        if mix.kernel is self:
+            self._show_sources()
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph

@@ -25,10 +25,11 @@ One loop, :meth:`SimBackend.run_mix`, drives both: it walks windows
 (``inject_ahead``) it runs to the end of the mix's block, just past the
 next probe cycle or to the closed-loop engine's next scheduled cycle,
 and the engine runs it until Python is needed, idle gaps skipped.  A
-reactive (closed-loop) window also ends after a cycle whose tail or
-completion the engine hears: the next window starts at the cycle after
-it.  A reactive mix under an ``on_inject`` tap or a fault state runs
-one-cycle windows on both.
+closed loop's sources run in the array engine's kernel, so a window
+ends early only after a cycle whose tail or completion the
+closed-loop engine must act on (a phase's end, its barrier): the next
+window starts at the cycle after it.  A reactive mix under an
+``on_inject`` tap or a fault state runs one-cycle windows on both.
 
 Why running ahead is bit-identical
 ----------------------------------
@@ -42,10 +43,12 @@ Why running ahead is bit-identical
 * The engine folds what was injected by one rule (``_stage``): an
   entry is due at ``max(created, next cycle to run)``, the rows of a
   cycle in the order the reference's FIFOs get them.
-* A closed loop's feedback lands before the cycle it can act in: a
-  credit is heard at the end of its cycle, where the window ends, and
-  a source whose firing was staged ahead draws on after that firing
-  (the credit rule of ``ClosedLoopSource``).
+* A closed loop's feedback lands before the cycle it can act in: the
+  kernel applies a credit in the cycle that delivers it and arms the
+  source from the next, reading the same coin buffer the reference's
+  calendar reads, and fires the request at its cycle at its class's
+  fold rank; what Python does at a phase's end happens at the end of
+  that cycle, where the window ends.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ sets ``State.rescan`` wherever else it writes per-buffer or per-port
 columns itself; the next entry then rebuilds the set.  Three of its
 steps are exported alone, ``repro_fold``, ``repro_refresh`` and
 ``repro_wake``, for the Python callers that need them without running
-a cycle, and ``repro_merge`` merges newly staged arrival rows into the
-waiting ones.  :class:`State`
+a cycle, ``repro_merge`` merges newly staged arrival rows into the
+waiting ones and ``repro_arm`` arms closed-loop sources.  :class:`State`
 mirrors the C ``repro_state`` field for field, and a kernel whose
 ``repro_state_size()`` disagrees with ``ctypes.sizeof(State)`` is
 refused instead of corrupting memory.
@@ -65,16 +65,19 @@ class State(ctypes.Structure):
         "rdy pcand fptr fbuf upof "
         "bestpr bestb bestvc outdl outrf "
         "pdst ptraf psize pvcl phdr pnext popx psrc pcont "
-        "acyc abuf aaid arank cring qfirst qrel rtbl ev").split()
+        "acyc abuf aaid arank cring qfirst qrel "
+        "sout swin squota sarm scpos scend shead srank sphase sheap "
+        "srate coins rtbl ev").split()
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
             "B P PV SB Fm1 rstride N warmup "       # fixed while attached
             "now horizon nofast stopkinds trace rescan "    # control
             "inflight apos an nev evcap cmask ncont contflits "  # run state
+            "S fireto blockend nheap coinstride phleft "    # sources
             "stop moved ejected ndl counted heard "     # outputs
             "calls cycles scanned cands flits receipts "    # work counters
-            "wakes rescans sent").split()]
-        + [("stops", ctypes.c_int64 * 5)]
+            "wakes rescans sent fired").split()]
+        + [("stops", ctypes.c_int64 * 6)]
         + [(name, ctypes.c_int64) for name in ("dn", "dmin", "dmax")]
         + [(name, ctypes.c_double) for name in ("dmean", "dm2")]
         + [(name, ctypes.c_void_p) for name in POINTERS])
@@ -147,17 +150,19 @@ def _compile_and_load() -> ctypes.CDLL:
     for name, args in (("repro_run", []), ("repro_fold", []),
                        ("repro_refresh", [ctypes.c_int64]),
                        ("repro_wake", [ctypes.c_int64]),
-                       ("repro_merge", [ctypes.c_int64])):
+                       ("repro_merge", [ctypes.c_int64]),
+                       ("repro_arm", [ctypes.c_int64, ctypes.c_int64])):
         fn = getattr(dll, name)
-        fn.restype = (None if name in ("repro_wake", "repro_merge")
-                      else ctypes.c_int64)
+        fn.restype = (None if name in ("repro_wake", "repro_merge",
+                                       "repro_arm") else ctypes.c_int64)
         fn.argtypes = [ctypes.c_void_p, *args]
     return dll
 
 
 def load_cycle_kernel() -> Optional[ctypes.CDLL]:
     """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
-    ``repro_refresh``, ``repro_wake``, ``repro_merge`` typed), or
+    ``repro_refresh``, ``repro_wake``, ``repro_merge``, ``repro_arm``
+    typed), or
     ``None`` if it is unavailable.  The result, either way, is the
     process's."""
     global _cached, _failed

@@ -24,6 +24,8 @@ and the adapters' uniform ``send_broadcast`` interface:
   (``{cycle: [injector index, ...]}``): stateless models are drawn a
   block at a time through ``arrivals_in``, reactive ones through
   ``arm``, and each token's class / destination is drawn when it fires.
+  On an array engine the reactive ones are its kernel's instead
+  (:attr:`TrafficMix.kernel`).
 
 :meth:`TrafficMix.fill_calendar` is the one arrival draw of both modes
 and :meth:`TrafficMix.inject` its one reader: it injects a window of
@@ -164,7 +166,7 @@ class TrafficMix:
         #: attached closed-loop engine (see :meth:`attach_closedloop`)
         self._cl_engine = None
         #: True when any injector is a reactive arrival model (needs
-        #: delivery feedback: a window ends where a credit may fire one)
+        #: delivery feedback, from the closed-loop engine)
         self.reactive = False
         #: the coming injections, ``{cycle: [injector index, ...]}``:
         #: stateless injectors drawn a block at a time up to ``cal_end``
@@ -183,6 +185,11 @@ class TrafficMix:
         #: armed reactive injectors that fire after ``cal_end``: the
         #: next fill draws on from where their draws stopped
         self._resume: List[int] = []
+        #: the array engine whose kernel fires the closed-loop sources
+        #: (bound at the first fill; ``None``: this mix fires them), and
+        #: whether the calendar shows its firings (:meth:`show_kernel`)
+        self.kernel = None
+        self._shown = False
 
         net.on_continue = self._continued
         streams = RngStreams(seed)
@@ -351,16 +358,29 @@ class TrafficMix:
         through :meth:`emit` -- every row through :meth:`emit` under a
         fault state or an ``on_inject`` tap; calendar tokens fire in
         cycle order, each cycle's in injector order.  A reactive mix's
-        window may be re-entered from a cycle inside it: a credit armed a
-        source there.  Arrivals of cycles before ``now`` that no call
-        injected (a drain ran them without traffic) are dropped, and a
-        reactive source whose firing was dropped is armed again."""
+        window may be re-entered from a cycle inside it (a phase ended
+        there).  Arrivals of cycles before ``now`` that no call injected
+        (a drain ran them without traffic) are dropped, and a reactive
+        source whose firing was dropped is armed again.
+
+        On an array engine the kernel fires the closed-loop sources
+        (``kernel``, bound at the first call): a window hands it the
+        cycles it may fire in, and under a tap (one-cycle windows) the
+        tap hears each request the kernel fires at ``now`` in its
+        injector's place."""
         net = self.net
+        eng = self._cl_engine
+        if (eng is not None and self.cal_end < 0 and self.kernel is None
+                and net.fault_state is None):
+            bind = getattr(net.state_owner, "bind_sources", None)
+            if bind is not None:
+                self.kernel = bind(self)
+        if self._shown:
+            self._unshow()
         if self.on_inject is not None:
             for home, dst, size, name in net.due(now):
                 self.on_inject(home, now, name, dst, size, False)
         net.send_due(now)
-        eng = self._cl_engine
         if eng is not None:
             nxt = eng.begin_cycle(now)
             if nxt is not None and nxt < until:
@@ -390,6 +410,12 @@ class TrafficMix:
             if self._bnext < until:
                 self._inject_rows(*self.take(until))
             return until
+        fired = {}
+        if self.kernel is not None:
+            fired = self.kernel.open_window(now, until,
+                                            self.on_inject is not None)
+            for i in fired:
+                self._book(now, i)
         tokens = self.tokens
         while cycles and cycles[0] < until:
             c = heappop(cycles)
@@ -397,7 +423,9 @@ class TrafficMix:
             due.sort()  # node-major, class-minor: arms append out of order
             for i in due:
                 inj = injectors[i]
-                if inj.reactive:
+                if i in fired:      # the kernel sends it; the tap hears it
+                    self.on_inject(*fired[i])
+                elif inj.reactive:
                     inj.fire(c)
                     self._inject_token(tokens[i], c)
                     self.arm(i, c + 1)
@@ -447,6 +475,8 @@ class TrafficMix:
             return
         first = self.cal_end < 0
         stop = self.cal_end = now + CALENDAR_BLOCK
+        if self.kernel is not None:
+            self.kernel.fill_sources(stop)
         resume, self._resume = self._resume, []
         for i in resume:
             # still eligible: a source loses eligibility only by firing
@@ -456,7 +486,7 @@ class TrafficMix:
             if not inj.reactive:
                 for t in inj.arrivals_in(now, stop):
                     self._book(t, i)
-            elif first:
+            elif first and self.kernel is None:
                 self.arm(i, now)
 
     def _book(self, t: int, i: int) -> None:
@@ -471,7 +501,11 @@ class TrafficMix:
     def arm(self, i: int, at: int) -> None:
         """Put reactive injector ``i`` on the calendar if it is eligible
         from cycle ``at`` on and not already armed: called by whoever
-        may have made it eligible (a credit, a phase quota, a firing)."""
+        may have made it eligible (a credit, a phase quota, a firing).
+        With a ``kernel`` the kernel arms it, from its quota."""
+        if self.kernel is not None:
+            self.kernel.arm_source(i, at)
+            return
         due = self._injectors[i].arm(at, self.cal_end)
         if due is None:
             return
@@ -479,6 +513,34 @@ class TrafficMix:
             self._book(due, i)
         else:           # no firing in this block: the next fill draws on
             self._resume.append(i)
+
+    def credit(self, i: int, now: int) -> None:
+        """A transaction of reactive injector ``i`` completed at ``now``:
+        its window credit, which arms it from the next cycle (a
+        ``kernel`` applied both already)."""
+        self._injectors[i].outstanding -= 1
+        if self.kernel is None:
+            self.arm(i, now + 1)
+
+    def show_kernel(self, booked, waiting) -> None:
+        """Show the ``kernel``'s armed sources between runs, as this mix
+        would hold them: ``(cycle, injector)`` on the calendar, injectors
+        armed past the block on the resume list.  The next :meth:`inject`
+        takes them off again."""
+        for t, i in booked:
+            self._book(t, i)
+        self._resume += waiting
+        self._shown = True
+
+    def _unshow(self) -> None:
+        cal, inj = self.calendar, self._injectors
+        for c in list(cal):
+            cal[c] = [i for i in cal[c] if not inj[i].reactive]
+            if not cal[c]:
+                del cal[c]
+        self._cycles = sorted(cal)
+        self._resume = []
+        self._shown = False
 
     def take(self, until: int) -> Tuple[np.ndarray, ...]:
         """The current block's rows before cycle ``until`` not taken yet,
@@ -564,13 +626,13 @@ class TrafficMix:
                 self.class_generated.get(name, 0) + 1
         return op
 
-    def _continued(self, name: Optional[str]) -> None:
-        """The network sent a continuation (``net.on_continue``): one
-        more message generated, as if emitted."""
-        self.generated_unicasts += 1
+    def _continued(self, name: Optional[str], k: int = 1) -> None:
+        """The network sent ``k`` continuations or fired requests of
+        class ``name`` (``net.on_continue``): generated, as if emitted."""
+        self.generated_unicasts += k
         if name is not None:
             self.class_generated[name] = \
-                self.class_generated.get(name, 0) + 1
+                self.class_generated.get(name, 0) + k
 
     def attach_closedloop(self, engine) -> None:
         """Bind a :class:`~repro.workloads.closedloop.ClosedLoopEngine`:

@@ -27,8 +27,10 @@ Three pieces cooperate:
     own transactions -- tagged unicasts (``Network.send_unicast(...,
     tag=)``, subscribed through ``net.on_tagged_tail``) and the phase
     barrier's ``CollectiveOp.on_complete``, which every backend fires at
-    cycle granularity.  It (a) returns window credits on completions,
-    and (b) advances barrier-synchronised phases.  A request carries its
+    cycle granularity.  It (a) returns window credits on completions
+    (``TrafficMix.credit``; the array engine's kernel has applied them
+    already) and keeps the completion statistics, and (b) advances
+    barrier-synchronised phases.  A request carries its
     directory reply as a network continuation
     (``Network.send_unicast(..., cont=)``), so the network, not the
     engine, sends it.  Its injections go through ``TrafficMix.emit``,
@@ -61,16 +63,24 @@ Transaction modes
     (phase start to barrier completion).
 
 Determinism: generation at ``t`` sees exactly the deliveries of cycles
-``< t`` on every backend.  The reference runs one cycle at a time; the
-array engine injects a window ahead and ends it where Python must act
--- after a cycle whose tail or completion the engine hears, at its next
-scheduled cycle -- so a credit always lands before the cycle it may
-fire a source in.  Delivery order within a cycle is identical across
-backends and continuations are sent in the order their requests
-arrived, so closed-loop runs are byte-identical across backends,
-exactly like open-loop runs.  ``TrafficMix.inject`` reads a calendar
-instead of polling the sources; the engine re-arms a source with every
-credit and phase quota (see :class:`ClosedLoopSource`).
+``< t`` on every backend.  A source's future is fixed by two private
+streams -- its think coins and its destinations -- so only the cycle of
+the credit that arms it comes from the network.  The reference runs
+one cycle at a time: ``TrafficMix.inject`` reads a calendar instead of
+polling the sources, and the engine re-arms a source with every credit
+and phase quota (see :class:`ClosedLoopSource`).  The array engine's
+kernel holds the sources itself (``ArrayBackend.bind_sources``): a
+credit re-arms its source inside the cycle that delivered it, from the
+same coin buffer, and the kernel fires the source's next request --
+interned ahead, with its reply -- at its cycle, among that cycle's rows
+at its class's rank.  So a credit ends no window; Python is entered
+after the batch to book what was fired and completed, and a window ends
+only where the engine itself must act: the phase's last message (the
+barrier is due) and the barrier's completion (the phase restarts).
+Delivery order within a cycle is identical across backends and
+continuations are sent in the order their requests arrived, so
+closed-loop runs are byte-identical across backends, exactly like
+open-loop runs.
 """
 
 from __future__ import annotations
@@ -79,8 +89,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.sim.stats import OnlineStats
+from repro.traffic import mix as _mix
 from repro.traffic.arrival import ArrivalModel
+from repro.traffic.columns import uniforms, words
 from repro.traffic.mix import CAST_BROADCAST, CAST_UNICAST, TrafficClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,39 +110,35 @@ MODE_STREAM = "stream"
 class ClosedLoopSource(ArrivalModel):
     """Reactive per-node source: think coin gated by an in-flight window.
 
-    ``fires()`` returns ``False`` -- without consuming a draw -- while
+    ``fires()`` returns ``False`` -- without reading a coin -- while
     ``window`` transactions are outstanding or the phase quota is spent;
-    otherwise it flips one coin at ``rate`` (no draw at rate >= 1).
-    The draw count therefore depends on delivery feedback, which is
-    fine: every backend hands a credit back before the cycle it can
-    fire in, so the feedback (and hence the stream) is identical
-    everywhere.
+    otherwise it flips one coin at ``rate`` (none at rate >= 1).  The
+    coin count therefore depends on delivery feedback, which is fine:
+    every backend hands a credit back before the cycle it can fire in,
+    so the feedback (and hence the stream) is identical everywhere.
+
+    The coins are the uniforms of the source's private stream, drawn a
+    block at a time (:meth:`coins`, bit-exact with ``rng.random()``):
+    ``fires()`` reads one, :meth:`arm` scans a run of them, and the array
+    engine's kernel scans the same buffer (it then lives in the kernel's
+    coin table).  The buffer holds at most one calendar block of coins,
+    so a low think rate costs one coin per cycle run, never a run of
+    draws past the horizon.
 
     The engine owns the bookkeeping: it increments nothing here beyond
     what ``fires()`` itself does, and returns window credits by
     decrementing ``outstanding`` when a transaction completes.
 
-    Credit rule: a credit at cycle ``s`` arms the source from
-    ``max(s + 1, after)``, ``after`` the cycle after its last firing.
-    Polled one cycle at a time that is ``s + 1``.  The array engine books
-    ``fire()`` when it stages a firing, possibly cycles ahead of ``s``;
-    the full window that firing left would, in the reference, already
-    have this credit back, so the source draws on after that firing,
-    exactly where the reference draws.
-
     ``fires()`` is the per-cycle specification; the mix runs the same
     process through :meth:`arm` / :meth:`fire` without polling.  A
     source only *loses* eligibility (window credit, quota) by firing and
-    its stream is private, so once eligible its k-th draw decides its
-    k-th coming cycle and can be drawn ahead; whoever makes it eligible
-    again (a credit, a new phase quota) re-arms it.  Draws stop at the
-    calendar's block end, and the next fill resumes them from exactly
-    that cycle, so a low think rate costs one draw per cycle run, never
-    a run of draws past the horizon.
+    its stream is private, so once eligible its k-th coin decides its
+    k-th coming cycle and can be read ahead; whoever makes it eligible
+    again (a credit, a new phase quota) re-arms it.
     """
 
     __slots__ = ("rate", "rng", "window", "arrivals", "outstanding",
-                 "quota_left", "armed", "after")
+                 "quota_left", "armed", "buf", "pos", "end")
 
     reactive = True
 
@@ -148,8 +158,23 @@ class ClosedLoopSource(ArrivalModel):
         self.quota_left = -1
         #: the next firing is drawn and on a calendar (see :meth:`arm`)
         self.armed = False
-        #: the cycle after the last firing booked (the credit rule)
-        self.after = 0
+        #: the coin buffer: coins ``buf[pos:end]`` are not read yet
+        self.buf = np.zeros(0)
+        self.pos = self.end = 0
+
+    def coins(self, n: int) -> np.ndarray:
+        """The next ``n`` unread coins (a reader consumes them by
+        advancing ``pos``); when fewer are left the unread ones move to
+        the front and the buffer is filled up to one calendar block (at
+        least ``n``)."""
+        left = self.end - self.pos
+        if left < n:
+            size = max(n, len(self.buf), _mix.CALENDAR_BLOCK)
+            buf = self.buf if len(self.buf) == size else np.zeros(size)
+            buf[:left] = self.buf[self.pos:self.end]
+            buf[left:] = uniforms(words([self.rng], [2 * (size - left)]))
+            self.buf, self.pos, self.end = buf, 0, size
+        return self.buf[self.pos:self.pos + n]
 
     def fires(self) -> bool:
         """One per-cycle issue check (stalls while the window is full)."""
@@ -158,43 +183,43 @@ class ClosedLoopSource(ArrivalModel):
         r = self.rate
         if r <= 0.0:
             return False
-        if r < 1.0 and self.rng.random() >= r:
-            return False
+        if r < 1.0:
+            u = self.coins(1)[0]
+            self.pos += 1
+            if u >= r:
+                return False
         self.fire()
         return True
 
     def arm(self, at: int, stop: int) -> Optional[int]:
         """Arm this source if it is eligible from cycle ``at`` on and not
         armed yet: the cycle it fires at if polled from ``at`` on, the
-        coins ``fires()`` would flip drawn here, one per cycle, up to
-        ``stop``.  Returns ``stop`` when none of ``[at, stop)`` fires
-        (the source stays armed; the caller clears ``armed`` to draw on
-        from ``stop``), ``None`` when there is nothing to arm (not
-        eligible, already armed, rate 0).  Never before :attr:`after`
-        (the credit rule)."""
+        coins ``fires()`` would read taken here, one per cycle, up to
+        ``stop``.  Returns a cycle ``>= stop`` when none of ``[at, stop)``
+        fires (the source stays armed; the caller clears ``armed`` to
+        read on from ``stop``), ``None`` when there is nothing to arm
+        (not eligible, already armed, rate 0)."""
         r = self.rate
         if (self.armed or r <= 0.0 or self.outstanding >= self.window
                 or not self.quota_left):
             return None
         self.armed = True
-        at = max(at, self.after)
-        if r >= 1.0:
+        if r >= 1.0 or at >= stop:
             return at
-        draw = self.rng.random
-        for t in range(at, stop):
-            if draw() < r:
-                return t
-        return stop
+        n = stop - at
+        hit = self.coins(n) < r
+        j = int(hit.argmax()) if hit.any() else n
+        self.pos += min(j + 1, n)
+        return at + j
 
-    def fire(self, now: int = -1) -> None:
-        """Issue one transaction at cycle ``now``: what a successful
-        ``fires()`` books."""
+    def fire(self, now: int = -1, count: int = 1) -> None:
+        """Issue ``count`` transactions (at cycle ``now``): what that many
+        successful ``fires()`` book."""
         self.armed = False
-        self.after = now + 1
-        self.arrivals += 1
-        self.outstanding += 1
+        self.arrivals += count
+        self.outstanding += count
         if self.quota_left > 0:
-            self.quota_left -= 1
+            self.quota_left -= count
 
     def arrivals_in(self, start: int, stop: int) -> List[int]:
         raise RuntimeError(
@@ -389,18 +414,40 @@ class ClosedLoopEngine:
             return self._resume_at
         return self._barrier_at
 
+    def request(self, k: int) -> Tuple[int, Optional[Tuple[int, int]]]:
+        """Class ``k``'s transaction: the size of the message a firing
+        sends and its reply's ``(size, delay)`` (``None``: a stream
+        message, tagged ``k``, is the whole transaction)."""
+        cl = self.closed_k[k]
+        cls = self.mix.classes[k]
+        if cl.mode == MODE_REQREPLY:
+            return cl.req_len, (cls.msg_len, 1 + cl.service)
+        return cls.msg_len, None
+
+    def destinations(self, node: int, k: int, count: int) -> List[int]:
+        """The next ``count`` destinations of ``node``'s class-``k``
+        source, from its private stream: the k-th is its k-th firing's."""
+        pick = self.mix._cls_patterns[k].pick
+        rng = self.mix._cls_dst_rng[node][k]
+        return [pick(node, rng) for _ in range(count)]
+
     def issue(self, node: int, k: int, now: int) -> None:
         """Inject one closed-loop transaction (the mix delegates here
         when a closed class's source fires)."""
-        mix = self.mix
-        cl = self.closed_k[k]
-        cls = mix.classes[k]
-        dst = mix._cls_patterns[k].pick(node, mix._cls_dst_rng[node][k])
-        if cl.mode == MODE_REQREPLY:
-            mix.emit(node, dst, now, cl.req_len, cls.name, cont=(
-                cls.msg_len, 1 + cl.service, cls.name, (k, now)))
+        name = self.mix.classes[k].name
+        size, reply = self.request(k)
+        dst = self.destinations(node, k, 1)[0]
+        if reply is not None:
+            self.mix.emit(node, dst, now, size, name,
+                          cont=(*reply, name, (k, now)))
         else:
-            mix.emit(node, dst, now, cls.msg_len, cls.name, k)
+            self.mix.emit(node, dst, now, size, name, k)
+
+    @property
+    def phased(self) -> List[int]:
+        """The classes whose delivered messages count toward a phase."""
+        return [k for k, cl in self.closed_k.items()
+                if cl.quota > 0 and cl.mode == MODE_STREAM]
 
     def _inject_barrier(self, now: int) -> None:
         mix = self.mix
@@ -414,6 +461,8 @@ class ClosedLoopEngine:
     def _start_phase(self, now: int) -> None:
         self.phase_start = now
         self._phase_left = self._phase_total
+        if self.mix.kernel is not None:
+            self.mix.kernel.open_phase(self._phase_total)
         for k, cl in self.closed_k.items():
             if cl.quota > 0:
                 for node, s in enumerate(self.sources[k]):
@@ -428,14 +477,12 @@ class ClosedLoopEngine:
         if type(tag) is tuple:
             # reply reached the requester: transaction complete
             k, created = tag
-            self.sources[k][node].outstanding -= 1
-            self.mix.arm(node * self._k_count + k, now + 1)
+            self.mix.credit(node * self._k_count + k, now)
             self._complete(self.mix.classes[k].name, created, now)
             return
         # a stream message's own delivery is its completion
         k, cl = tag, self.closed_k[tag]
-        self.sources[k][src].outstanding -= 1
-        self.mix.arm(src * self._k_count + k, now + 1)
+        self.mix.credit(src * self._k_count + k, now)
         self._complete(self.mix.classes[k].name, created, now)
         if cl.quota > 0 and self._phase_left:
             self._phase_left -= 1

@@ -34,11 +34,13 @@ Note the lockstep driver injects traffic cycle-by-cycle through
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
 
 from repro.noc.network import flit_key
 from repro.sim.backend import BACKENDS
@@ -49,7 +51,8 @@ from repro.traffic.workload import WorkloadSpec
 __all__ = ["Divergence", "make_config", "run_summaries", "find_divergence",
            "find_shard_divergence", "random_configs",
            "assert_backends_equivalent", "multicast_burst_inject",
-           "targeted_configs"]
+           "targeted_configs", "CLOSED_LOOP_CASES", "CUSTOM_CLOSED_LOOPS",
+           "custom_workload"]
 
 
 def make_config(kind: str = "quarc", n: int = 8, msg_len: int = 4,
@@ -572,7 +575,68 @@ CLOSED_LOOP_CASES = {
     "allreduce": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
                       cycles=1500, warmup=200, seed=5,
                       workload="allreduce:window=4,quota=12,gap=48"),
+    # a fill request fired by the kernel, an invalidation broadcast and
+    # a reply due, from one node in one cycle in one source queue
+    "dense": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                  cycles=900, warmup=200, seed=5,
+                  workload="cache_coherence:window=4,service=0,"
+                           "read_rate=0.3,write_rate=0.005"),
+    # think rate 1: no coin is drawn; 1e-5: nearly every coin misses and
+    # sources wait for the next block (one block end is crossed)
+    "think1": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                   cycles=900, warmup=200, seed=5,
+                   workload="cache_coherence:window=2,read_rate=1.0"),
+    "think1e-5": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                      cycles=2600, warmup=200, seed=5,
+                      workload="cache_coherence:window=4,read_rate=1e-5"),
 }
+
+
+def _custom_closed_loops():
+    from repro.traffic.mix import TrafficClass
+    from repro.workloads.closedloop import (MODE_REQREPLY, MODE_STREAM,
+                                            ClosedLoopClass,
+                                            ClosedLoopWorkload)
+    fill = TrafficClass("fill", rate=0.3, msg_len=4,
+                        pattern="directory:quadrants=4,local=0.6",
+                        arrival="closedloop:window=4")
+    inv = TrafficClass("inv", rate=0.01, msg_len=2, cast="broadcast")
+    stream = TrafficClass("scatter", rate=0.5, msg_len=4,
+                          pattern="neighbour:offset=1",
+                          arrival="closedloop:window=2")
+    noise = TrafficClass("noise", rate=0.05, msg_len=3)
+    barrier = TrafficClass("barrier", rate=0.0, msg_len=2,
+                           cast="broadcast")
+    return {
+        # the coherence mix with its class order reversed: a broadcast
+        # of class 0 folds ahead of a fired request of class 1
+        "reversed": ClosedLoopWorkload(
+            classes=(inv, fill),
+            closed=(ClosedLoopClass("fill", mode=MODE_REQREPLY,
+                                    service=0),)),
+        # a phased stream beside open-loop unicasts: the windows a phase
+        # ends leave rows waiting, which the next window's merge
+        "phased_noise": ClosedLoopWorkload(
+            classes=(stream, noise, barrier),
+            closed=(ClosedLoopClass("scatter", mode=MODE_STREAM,
+                                    quota=6),),
+            barrier="barrier", gap=16),
+    }
+
+
+#: Closed loops no registered workload builds, run under any workload
+#: spec through :func:`custom_workload`.
+CUSTOM_CLOSED_LOOPS = _custom_closed_loops()
+
+
+@contextlib.contextmanager
+def custom_workload(workload):
+    """Every session built inside runs ``workload`` (a
+    ``ClosedLoopWorkload``) in place of its spec's workload."""
+    from repro.workloads import registry
+    with mock.patch.object(registry, "resolve_workload",
+                           lambda spec, n: workload):
+        yield
 
 
 def assert_backends_equivalent(config: RunConfig,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from differential import make_config
+from differential import CUSTOM_CLOSED_LOOPS, make_config
 from helpers import run_per_cycle
 
 from repro.core.api import build_network
@@ -24,10 +24,11 @@ from repro.noc.packet import (BROADCAST, RELAY, UNICAST, CollectiveOp,
 from repro.obs import ObsSpec
 from repro.sim import array_backend
 from repro.sim.array_backend import (EV_COMPLETE, EV_CONT, EV_DATELINE,
-                                     EV_DELIVERY, EV_ROUTE, EV_WINNER,
-                                     FIDMASK, FSHIFT)
+                                     EV_DELIVERY, EV_FIRE, EV_ROUTE,
+                                     EV_WINNER, FIDMASK, FSHIFT, SRC_BITS)
 from repro.sim.backend import make_backend
 from repro.sim.session import SimulationSession, _merge_probes
+from repro.workloads import registry
 
 KINDS = ("quarc", "spidergon", "mesh", "torus")
 
@@ -49,6 +50,10 @@ def _named(be, events):
         elif kind == EV_CONT:
             word = (int(be._psrc[word]), int(be._pdst[word]),
                     be._ptag[word])
+        elif kind == EV_FIRE:
+            aid = word >> SRC_BITS
+            word = (int(be._psrc[aid]), int(be._pdst[aid]),
+                    word & ((1 << SRC_BITS) - 1))
         out += (key, word)
     return out
 
@@ -200,7 +205,7 @@ def test_batches_really_span_cycles():
         session.run()
         st = session.backend._st
         assert st.cycles > 600 and st.calls < 10
-        assert list(st.stops) == [st.calls, 0, 0, 0, 0]     # the horizon
+        assert list(st.stops) == [st.calls, 0, 0, 0, 0, 0]  # the horizon
 
 
 def _stops(**kw):
@@ -226,21 +231,21 @@ FIG11 = dict(beta=0.1, rate=0.0034)
     # ... Spidergon still stops on every relay tail (regeneration is
     # Python, ROADMAP 3(a)) ...
     (dict(FIG11, kind="spidergon"), range(1000, 4000), range(1000, 4000)),
-    # ... and the closed loop enters once per cycle a reply reaches its
-    # requester (a ``feedback`` stop), never for a request: the kernel
-    # sends the reply itself
+    # ... and the closed loop enters neither for a reply nor for a
+    # credit: the kernel sends the reply, applies the credit and fires
+    # the source's next request itself
     (dict(workload="cache_coherence:window=4", rate=1.0, cycles=2000,
-          warmup=400), [0], range(300, 700)),
+          warmup=400), [0], range(1, 10)),
 ], ids=["quarc", "quarc-noclone", "spidergon", "closed_coherence"])
 def test_python_is_entered_for_events_not_headers(case, delivery, calls):
     kc, _ = _stops(**case)
     assert kc["stops"]["python_route"] == 0
     assert kc["stops"]["delivery"] in delivery
     assert kc["calls"] in calls
+    assert kc["stops"]["feedback"] == 0
     closed = "workload" in case
-    assert kc["stops"]["feedback"] == (
-        kc["calls"] - kc["stops"]["horizon"] if closed else 0)
     assert (kc["replies_kernel"] > kc["calls"]) == closed
+    assert (kc["requests_kernel"] > kc["calls"]) == closed
 
 
 @pytest.mark.parametrize("case", [
@@ -249,7 +254,8 @@ def test_python_is_entered_for_events_not_headers(case, delivery, calls):
          warmup=400)], ids=["quarc", "spidergon", "closed_coherence"])
 def test_profile_says_how_tails_were_delivered(case):
     """``tails:`` splits the deliveries by path and counts the replies the
-    kernel sent, ``packets:`` counts the late ones: every collective
+    kernel sent, ``packets:`` counts the late ones and the requests the
+    kernel fired: every collective
     receipt is the kernel's, relay segments included (only their
     regeneration is Python's, and re-stages in front)."""
     session = SimulationSession(make_config(
@@ -264,11 +270,12 @@ def test_profile_says_how_tails_were_delivered(case):
     relays = case.get("kind") == "spidergon"
     assert (kc["packets_late"] > 0) == relays
     assert (kc["replies_kernel"] > 0) == ("workload" in case)
-    assert ("built, {} late\n  tails: {} delivered, {} counted by the "
-            "kernel, {} as unicast columns, {} through receive_tail, {} "
-            "replies sent by the kernel\n".format(
-                kc["packets_late"], kc["tails_delivered"], *by_path,
-                kc["replies_kernel"])
+    assert (kc["requests_kernel"] > 0) == ("workload" in case)
+    assert ("built, {} late, {} fired by the kernel\n  tails: {} "
+            "delivered, {} counted by the kernel, {} as unicast columns, "
+            "{} through receive_tail, {} replies sent by the kernel\n".format(
+                kc["packets_late"], kc["requests_kernel"],
+                kc["tails_delivered"], *by_path, kc["replies_kernel"])
             in session.profiler.render())
 
 
@@ -350,16 +357,24 @@ def test_arrivals_fold_in_reference_fifo_order():
     # an open-loop mix stages a block of rows and packets at once
     (dict(workload="cache_coherence:storms=true,read_rate=0.05,"
                    "write_rate=0.01", rate=1.0), {"fresh"}),
-    # reactive: a credit's firing lands among the window's waiting rows
-    # (the storms' broadcast packets) and merges
+    # reactive: the kernel fires a credit's request itself, so the
+    # window's rows are staged once ...
     (dict(workload="cache_coherence:window=4,storms=true", rate=1.0),
-     {"fresh", "merge"}),
-], ids=["relay", "storms", "closed-storms"])
+     {"fresh"}),
+    # ... a phase's end re-enters a window with open-loop rows waiting:
+    # the barrier goes in front of them
+    (dict(workload="phased_noise", rate=1.0), {"fresh", "prefix", "shift"}),
+], ids=["relay", "storms", "closed-storms", "closed-phased"])
 def test_late_rows_go_in_front(case, layouts, monkeypatch):
     """New rows that lead whatever waits go in front of it: written into
     the consumed prefix (or a fresh window, or after one shift); rows
     due among the waiting ones are written behind them and merged in
     place -- event for event the per-cycle run."""
+    custom = CUSTOM_CLOSED_LOOPS.get(case.get("workload"))
+    if custom is not None:
+        monkeypatch.setattr(registry, "resolve_workload",
+                            lambda spec, n: custom)
+        case = dict(case, workload="allreduce:window=2")
     config = make_config(**{"kind": "quarc", "n": 16, "msg_len": 4,
                             "cycles": 900, "warmup": 200, "seed": 5, **case})
     seen = set()
@@ -376,7 +391,7 @@ def test_late_rows_go_in_front(case, layouts, monkeypatch):
 
     monkeypatch.setattr(array_backend.ArrayBackend, "_put", spying)
     batched = _drive(config, trace=True, digest_every=97)
-    if "shift" in layouts:      # apos == 0 < an: nothing consumed yet
+    if "shift" in layouts and custom is None:   # nothing consumed yet
         assert ("shift", 0) in seen
     stepped = _drive(config, per_cycle=True, trace=True, digest_every=97)
     assert {how for how, _ in seen} == layouts

@@ -10,6 +10,8 @@ pins the optimized engine to the seed semantics.
 
 import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -355,6 +357,17 @@ class TestArrayBackend:
         from repro.sim.array_backend import STOPS
         assert dict(ckernel.State._fields_)["stops"]._length_ == len(STOPS)
         assert {"cmask", "ncont", "contflits", "heard", "sent"} <= set(names)
+        # the closed-loop sources: scalars, then the per-source columns
+        # after the queue table (``array_backend._SCOLS``), then the
+        # rates and the coin table
+        from repro.sim.array_backend import _SCOLS
+        k = names.index("S")
+        assert names[k:k + 6] == ["S", "fireto", "blockend", "nheap",
+                                  "coinstride", "phleft"]
+        k = names.index("sout")
+        assert names[k - 1] == "qrel"
+        assert names[k:k + len(_SCOLS) + 2] == [*_SCOLS, "srate", "coins"]
+        assert names[names.index("sent") + 1] == "fired"
 
     @pytest.mark.skipif(not hasattr(os, "getuid"),
                         reason="no POSIX ownership to check")
@@ -455,6 +468,26 @@ class TestEnvironmentToggles:
         documented = set(re.findall(r"^\| `(REPRO_[A-Z_]+)", section,
                                     re.MULTILINE))
         assert documented == in_source
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads through Linux's /proc")
+    @pytest.mark.parametrize("given,threads", [(None, "1"), ("3", "3")])
+    def test_import_starts_no_blas_threads(self, given, threads):
+        """``import repro`` defaults OpenBLAS to one thread, so numpy's
+        import starts no idle worker pool; a value the user set stays."""
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_NUM_THREADS"}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, repro; print(os.environ['OPENBLAS_NUM_THREADS'], "
+             "len(os.listdir('/proc/self/task')))"],
+            env=env, capture_output=True, text=True, check=True).stdout
+        value, tasks = out.split()
+        assert value == threads
+        if given is None:
+            assert tasks == "1"
 
 
 class TestGeometricInjector:

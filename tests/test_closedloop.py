@@ -16,7 +16,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from differential import CLOSED_LOOP_CASES, make_config
+from differential import (CLOSED_LOOP_CASES, CUSTOM_CLOSED_LOOPS,
+                          custom_workload, find_divergence, make_config)
 from hypothesis import given, settings, strategies as st
 
 from repro.core.api import build_network
@@ -93,37 +94,6 @@ class TestClosedLoopSource:
             ClosedLoopSource(0.2, random.Random(1), window=0)
         with pytest.raises(ValueError, match="rate"):
             ClosedLoopSource(1.5, random.Random(1))
-
-
-    def test_credit_arms_after_a_firing_staged_ahead(self):
-        """The credit rule: a reply reaching a source at ``s`` whose next
-        firing was staged for ``c > s`` (which filled its window) arms it
-        from ``c + 1`` -- where per-cycle polling, holding that credit
-        before ``c``, draws on."""
-        rate, seed = 0.05, 4
-        probe = random.Random(seed)
-        c = next(t for t in range(10_000) if probe.random() < rate)
-        assert c >= 2
-        s = c // 2
-        polled = ClosedLoopSource(rate, random.Random(seed), window=2)
-        polled.outstanding = 1
-        fired = []
-        for t in range(10_000):
-            if polled.fires():
-                fired.append(t)
-            if t == s:
-                polled.outstanding -= 1     # the credit, during step(s)
-            if len(fired) == 2:
-                break
-        ahead = ClosedLoopSource(rate, random.Random(seed), window=2)
-        ahead.outstanding = 1
-        assert ahead.arm(0, 10_000) == c
-        ahead.fire(c)                       # staged ahead of s
-        assert ahead.arm(c + 1, 10_000) is None     # its window is full
-        ahead.outstanding -= 1              # the credit at s, replayed
-        d = ahead.arm(s + 1, 10_000)
-        assert [c, d] == fired and d > c
-        assert ahead.rng.getstate() == polled.rng.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -607,3 +577,84 @@ class TestReactiveWindows:
         assert {t + 1 for t in completed} <= set(starts)
         assert set(restarted) <= set(starts)
         assert session.backend._st.calls < len(set(starts)) + 5
+
+
+# ----------------------------------------------------------------------
+# the kernel fires the sources: a credit never ends a window
+# ----------------------------------------------------------------------
+class TestKernelSources:
+    """On the array engine the kernel applies each credit, reads the
+    source's coins and fires its next request itself; Python enters at
+    block ends, where the interned requests run out and for phases."""
+
+    @pytest.mark.parametrize("name", list(CLOSED_LOOP_CASES))
+    def test_windows_equal_the_reference(self, name):
+        config = make_config(**CLOSED_LOOP_CASES[name])
+        session = SimulationSession(config.with_backend("array"))
+        summary = session.run()
+        session.backend.detach()
+        assert summary == SimulationSession(
+            config.with_backend("reference")).run()
+        st = session.backend._st
+        phased = "quota" in config.spec.workload
+        assert (st.stops[4] > 0) == phased      # feedback: phases only
+        # relay tails (delivery) still stop; credits never do
+        assert st.calls - st.stops[2] < 30 + 3 * st.stops[4]
+        if name != "think1e-5":
+            assert st.fired > 100
+
+    @pytest.mark.parametrize("name", list(CUSTOM_CLOSED_LOOPS))
+    def test_custom_closed_loops(self, name):
+        config = make_config(kind="quarc", n=16, msg_len=4, beta=0.0,
+                             rate=1.0, cycles=900, warmup=200, seed=5,
+                             workload="cache_coherence:window=4")
+        with custom_workload(CUSTOM_CLOSED_LOOPS[name]):
+            assert find_divergence(config, "reference", "array") is None
+            array = SimulationSession(config.with_backend("array"))
+            summary = array.run()
+            assert summary == SimulationSession(
+                config.with_backend("reference")).run()
+        assert array.backend._st.fired > 100
+
+    @pytest.mark.parametrize("name", ["dense", "reversed"])
+    def test_request_broadcast_and_reply_share_a_queue(self, name,
+                                                       monkeypatch):
+        """The fold-order corner: in one cycle one source queue gets a
+        reply due, a request the kernel fired (its class's rank) and an
+        invalidation broadcast staged by the mix (the other class's)."""
+        from repro.sim import array_backend as ab
+        seen = {"fire": set(), "cont": set(), "inv": set()}
+        replay, put = ab.ArrayBackend._replay, ab.ArrayBackend._put
+
+        def replaying(be, events):
+            it = iter(events)
+            for key, word in zip(it, it):
+                kind, t = key & 7, key >> 3
+                if kind in (ab.EV_FIRE, ab.EV_CONT):
+                    aid = word >> ab.SRC_BITS if kind == ab.EV_FIRE else word
+                    b = be._queue_rows(be._psrc[aid:aid + 1],
+                                       be._pdst[aid:aid + 1])[0]
+                    seen["fire" if kind == ab.EV_FIRE else "cont"].add(
+                        (t, int(b)))
+            replay(be, events)
+
+        def putting(be, key, abuf, aaid):
+            inv = ab.RANK_CLASS + [c.name for c in
+                                   be._eng.mix.classes].index("inv")
+            seen["inv"].update((int(k) >> ab.RANK_BITS, int(b)) for k, b
+                               in zip(key, abuf)
+                               if int(k) & ab.RANK_OTHER == inv)
+            put(be, key, abuf, aaid)
+
+        monkeypatch.setattr(ab.ArrayBackend, "_replay", replaying)
+        monkeypatch.setattr(ab.ArrayBackend, "_put", putting)
+        if name == "dense":
+            config = make_config(**CLOSED_LOOP_CASES[name])
+            SimulationSession(config.with_backend("array")).run()
+        else:
+            config = make_config(kind="quarc", n=16, msg_len=4, beta=0.0,
+                                 rate=1.0, cycles=900, warmup=200, seed=5,
+                                 workload="cache_coherence:window=4")
+            with custom_workload(CUSTOM_CLOSED_LOOPS[name]):
+                SimulationSession(config.with_backend("array")).run()
+        assert seen["fire"] & seen["cont"] & seen["inv"]

@@ -170,21 +170,33 @@ def test_fault_after_rows_conserves_flits(kind):
     assert tuple(arr) == run("reference")[1:]
 
 
-def _ring_flits(be):
-    """The flits of the replies in the kernel's due ring, walked."""
-    n = 0
-    for head, _, _ in be._cring.tolist():
+def _walk(be, heads):
+    """The aids on the lists that start at ``heads``, linked by _pnext."""
+    out = []
+    for head in heads:
         while head >= 0:
-            n += int(be._psize[head])
+            out.append(head)
             head = int(be._pnext[head])
-    return n
+    return out
+
+
+def _ring_flits(be):
+    """The flits of the replies in the kernel's due ring, walked; none is
+    a request the kernel has yet to fire (its sources' lists)."""
+    owed = _walk(be, be._cring[:, 0].tolist())
+    scheduled = set(_walk(be, be._shead[:be._st.S].tolist()))
+    waiting = set(be._aaid[be._st.apos:be._st.an].tolist())
+    assert not scheduled & (set(owed) | waiting)
+    assert all(be._pborn[a] < 0 for a in scheduled)
+    return sum(int(be._psize[a]) for a in owed)
 
 
 def _assert_conserved(be):
     """Every flit ever interned has left through an ejection port, is in
     ``total_flits()`` (in flight, waiting to fold, or a reply the due
-    ring owes) or is a reply whose request has not arrived yet; staged
-    entries are not interned yet."""
+    ring owes) or is a reply whose request has not arrived yet or a
+    request its source has yet to fire (neither of which a drain sends);
+    staged entries are not interned yet."""
     n = len(be._pkts)
     size = be._psize[:n]
     unsent = int(size[np.array(be._pborn, np.int64) < 0].sum())
@@ -308,4 +320,5 @@ def test_profile_counts_objects(beta):
                                     + kc["packets_built"])
     assert (f"packets: {kc['packets_staged']} staged, 0 as rows, "
             f"{kc['packets_columns']} as columns, {kc['packets_built']} "
-            f"built, 0 late\n" in session.profiler.render())
+            f"built, 0 late, 0 fired by the kernel\n"
+            in session.profiler.render())

@@ -186,30 +186,36 @@ class TestZeroPerturbation:
             session.profiler.render())
 
     def test_closed_loop_profile_names_replies_and_feedback(self):
-        """A closed loop's replies are the kernel's: the ``tails:`` line
-        counts them, and its batches end at a ``feedback`` stop -- one
-        per cycle a reply or a stream message reaches its source --
-        never for a route or a passive tail.  Every batch has one
-        reason, and deliveries split by path as ever."""
+        """A closed loop runs in the kernel: the ``tails:`` line counts
+        the replies it sent, the ``packets:`` line the requests it fired,
+        and no batch ends for a credit (``0 feedback``), a route or a
+        passive tail -- only at a window's end or where its sources ran
+        out of interned requests.  Every batch has one reason, and
+        deliveries split by path as ever."""
         import dataclasses
         spec = dataclasses.replace(SPEC, n=16, beta=0.0, rate=1.0,
                                    cycles=1500,
                                    workload="cache_coherence:window=4")
-        session, _ = _probed_run(spec, "array", ObsSpec(profile=True))
+        session, summary = _probed_run(spec, "array", ObsSpec(profile=True))
         kc = session.profiler.report()["kernel_counters"]
         stops = kc["stops"]
-        assert sum(stops.values()) == kc["calls"] < spec.cycles // 2
-        assert stops["feedback"] == kc["calls"] - stops["horizon"] > 0
-        assert kc["replies_kernel"] > kc["calls"] // 2
+        assert sum(stops.values()) == kc["calls"] < 10
+        assert stops["feedback"] == 0
+        fill = summary.extra["classes"]["fill"]
+        assert kc["requests_kernel"] + kc["replies_kernel"] == (
+            fill["generated"])
+        assert kc["replies_kernel"] > 50 * kc["calls"]
         assert (kc["tails_kernel"] + kc["tails_unicast"]
                 + kc["tails_receive_tail"]) == kc["tails_delivered"]
         text = session.profiler.render()
+        assert (f", {kc['packets_late']} late, {kc['requests_kernel']} "
+                f"fired by the kernel\n" in text)
         assert (f", {kc['tails_receive_tail']} through receive_tail, "
                 f"{kc['replies_kernel']} replies sent by the kernel\n"
                 in text)
         assert (f"batches ended by {stops['horizon']} horizon, "
                 f"0 python_route, 0 delivery, 0 events_full, "
-                f"{stops['feedback']} feedback\n" in text)
+                f"0 feedback, {stops['requests']} requests\n" in text)
 
     def test_array_profile_reports_its_footprint(self):
         """One line sizes the engine's static state.  Quarc N = 8: a row
@@ -245,7 +251,8 @@ class TestZeroPerturbation:
         assert len(report["kernel"]) == 16
         kc = report["kernel_counters"]
         assert set(kc["stops"]) == {"horizon", "python_route",
-                                    "delivery", "events_full", "feedback"}
+                                    "delivery", "events_full", "feedback",
+                                    "requests"}
         assert sum(kc["stops"].values()) == kc["calls"] < kc["cycles"]
         assert kc["cycles"] <= SPEC.cycles
         assert kc["stops"]["events_full"] == 0
