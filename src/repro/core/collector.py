@@ -154,6 +154,27 @@ class LatencyCollector:
             if measured:
                 stats.latency.add(now - created)
 
+    def on_unicasts(self, created, cid, names: Sequence[Optional[str]],
+                    now) -> None:
+        """:meth:`on_unicast_cols` for a batch of tails given as int64
+        numpy columns in delivery order (``cid`` indexes the class
+        ``names``), each statistic folded in that order in one pass."""
+        import numpy as np      # the array engine's dependency, not ours
+        self.delivered_unicast += len(now)
+        measured = created >= self.warmup
+        lat = now - created
+        self.unicast.add_many(lat[measured])
+        for c in np.flatnonzero(np.bincount(cid)).tolist():
+            mine = cid == c
+            if self.hist is not None:
+                k = np.bincount(lat[mine & measured])
+                for x in np.flatnonzero(k).tolist():
+                    self.hist.add_unicast(x, names[c], int(k[x]))
+            if names[c] is not None:
+                stats = self._class_stats(names[c])
+                stats.delivered += int(mine.sum())
+                stats.latency.add_many(lat[mine & measured])
+
     def on_collective_tail(self, op: "CollectiveOp", node: int,
                            now: int) -> None:
         """A tail of ``op`` reached ``node`` -- the arrival rule, for
@@ -169,19 +190,25 @@ class LatencyCollector:
 
     def on_collective_complete(self, op: "CollectiveOp", now: int) -> None:
         """``op``'s last expected receiver, on every path to it."""
-        self.completed_collective += 1
-        measured = op.created >= self.warmup
-        if measured:
-            self.collective.add(now - op.created)
-            if self.hist is not None:
-                self.hist.add_collective(now - op.created, op.cls)
-        if op.cls is not None:
-            stats = self._class_stats(op.cls)
-            stats.delivered += 1
-            if measured:
-                stats.latency.add(now - op.created)
+        self.on_collective_cols(op.created, op.cls, now)
         if op.on_complete is not None:
             op.on_complete(now)
+
+    def on_collective_cols(self, created: int, cls: Optional[str],
+                           now: int) -> None:
+        """A collective completed at ``now``, from its creation cycle and
+        class (an array engine's receipt slot needs no op object)."""
+        self.completed_collective += 1
+        measured = created >= self.warmup
+        if measured:
+            self.collective.add(now - created)
+            if self.hist is not None:
+                self.hist.add_collective(now - created, cls)
+        if cls is not None:
+            stats = self._class_stats(cls)
+            stats.delivered += 1
+            if measured:
+                stats.latency.add(now - created)
 
     def on_relay_segment(self) -> None:
         self.relay_segments += 1

@@ -28,7 +28,7 @@ doubled cross link.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.collector import LatencyCollector
 from repro.core.quadrant import QuadrantCalculator
@@ -124,23 +124,30 @@ class QuarcTransceiver(Adapter):
                 return q
         return None
 
+    def _branches(self) -> List[Tuple[str, int]]:
+        """A broadcast's branches in push order (Fig. 6): each quadrant
+        and the branch's last node."""
+        n, v = self.router.n, self.node
+        q = n // 4
+        ends = ((RIGHT, v + q), (LEFT, v - q), (XLEFT, v + q + 1),
+                (XRIGHT, v + 3 * q - 1))
+        return [(k, d % n) for k, d in ends[:4 if q > 1 else 3]]
+
+    def broadcast_table(self):
+        """A true broadcast's queue and branch end per quadrant (see
+        ``Adapter``); ``None`` in relay mode."""
+        if self.bcast_mode == "relay":
+            return None
+        return [(self.queues[quadrant], dst)
+                for quadrant, dst in self._branches()]
+
     def send_broadcast(self, size: int, now: int) -> CollectiveOp:
         """Emit a true broadcast: one tagged packet per quadrant (Fig. 6)."""
-        n = self.router.n
         if self.bcast_mode == "relay":
             return self._send_chains(None, BROADCAST, size, now)
-        op = self._open(BROADCAST, now, n - 1)
+        op = self._open(BROADCAST, now, self.router.n - 1)
         fs = self.fault_state
-        q = n // 4
-        branch_dsts = {
-            RIGHT: (self.node + q) % n,
-            LEFT: (self.node - q) % n,
-            XLEFT: (self.node + q + 1) % n,
-            XRIGHT: (self.node + 3 * q - 1) % n if q > 1 else None,
-        }
-        for quadrant, dst in branch_dsts.items():
-            if dst is None:
-                continue
+        for quadrant, dst in self._branches():
             if fs is not None and self._entry_dead(quadrant):
                 fs.source_drop_branch(op)
                 continue

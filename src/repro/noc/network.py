@@ -45,9 +45,10 @@ class Adapter:
     A subclass keeps its topology: which queue a message enters, and how
     ``send_broadcast`` / ``send_multicast`` fan out.  An array engine
     relies on this contract: it stages unicasts by
-    :meth:`unicast_queue_table`, accounts unicast tails straight into the
-    collector, takes collective receipts in its kernel and stops its
-    batch for :attr:`reinjecting_tails` only, to call :meth:`_relay_next`.
+    :meth:`unicast_queue_table` and broadcasts by :meth:`broadcast_table`,
+    accounts unicast tails straight into the collector, takes collective
+    receipts in its kernel and stops its batch for
+    :attr:`reinjecting_tails` only, to call :meth:`_relay_next`.
     """
 
     __slots__ = ("node", "net", "router", "collector")
@@ -81,6 +82,12 @@ class Adapter:
         rows by it instead of packets."""
         import numpy as np      # the array engine's dependency, not ours
         return [self.router.local_q], np.zeros(self.router.n, np.int64)
+
+    def broadcast_table(self):
+        """``[(queue, dst), ...]``: the packets, in push order, of a
+        fault-free ``send_broadcast`` that is one packet per queue to its
+        branch's last node (the array engine stages by it), or None."""
+        return None
 
     def send(self, pkt: Packet, now: int) -> None:
         """Accept a unicast from the PE and queue it."""
@@ -289,7 +296,7 @@ class Network:
         tag)`` is the reply ``dst`` sends back to ``node``, a unicast of
         that size, class and tag, ``delay`` cycles after the tail
         arrives: the network's own work from then on (a directory
-        reply)."""
+        reply).  Its broadcast twin is :meth:`send_broadcast`."""
         owner = self.state_owner
         if owner is None or self.fault_state is not None:
             pkt = Packet(node, dst, size, UNICAST, created=now)
@@ -299,6 +306,22 @@ class Network:
             self.adapters[node].send(pkt, now)
         else:
             owner.rows.append((node, dst, size, cls, now, tag, cont))
+
+    def send_broadcast(self, node: int, size: int, cls: Optional[str],
+                       now: int, on_complete=None) -> Optional[CollectiveOp]:
+        """:meth:`send_unicast`'s twin: an engine taking broadcasts as rows
+        (``broadcast_rows``) gets one and builds no object unless read;
+        else (a fault state, an ``on_complete(now)`` to call) it is
+        ``adapter.send_broadcast``, whose op of class ``cls`` returns."""
+        owner = self.state_owner
+        if (owner is None or self.fault_state is not None
+                or on_complete is not None or not owner.broadcast_rows):
+            op = self.adapters[node].send_broadcast(size, now)
+            op.cls = cls
+            op.on_complete = on_complete
+            return op
+        owner.rows.append((node, -1, size, cls, now))
+        return None
 
     def send_unicasts(self, cyc, node, dst, size: int) -> None:
         """A window of class-less unicasts of ``size`` flits, as numpy

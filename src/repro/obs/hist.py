@@ -68,14 +68,15 @@ class LatencyHistogram:
         return ((m + 1) << e) - 1
 
     # ------------------------------------------------------------------
-    def add(self, value: int) -> None:
+    def add(self, value: int, k: int = 1) -> None:
+        """``k`` samples of ``value``."""
         value = int(value)
         if value < 0:
             raise ValueError(f"latency samples must be >= 0 (got {value})")
         idx = self.bucket_index(value)
-        self.counts[idx] = self.counts.get(idx, 0) + 1
-        self.n += 1
-        self.total += value
+        self.counts[idx] = self.counts.get(idx, 0) + k
+        self.n += k
+        self.total += value * k
         if self.min is None or value < self.min:
             self.min = value
         if value > self.max:
@@ -136,10 +137,11 @@ class HistogramBank:
             hist = self.classes[name] = LatencyHistogram()
         return hist
 
-    def add_unicast(self, latency: int, cls: Optional[str]) -> None:
-        self.unicast.add(latency)
+    def add_unicast(self, latency: int, cls: Optional[str],
+                    k: int = 1) -> None:
+        self.unicast.add(latency, k)
         if cls is not None:
-            self._class_hist(cls).add(latency)
+            self._class_hist(cls).add(latency, k)
 
     def add_collective(self, latency: int, cls: Optional[str]) -> None:
         self.collective.add(latency)

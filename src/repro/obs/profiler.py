@@ -10,8 +10,9 @@ inject     traffic generation/injection (``TrafficMix.inject``: the
            block draw, ``fill_calendar``, and every message it emits; a
            window of unicast columns is handed over, staged under
            ``fold``)
-collect    latency-collector delivery callbacks (also counted inside
-           the step that triggered them)
+collect    latency-collector delivery callbacks, one tail or a batch's
+           unicast tails (also counted inside the step that triggered
+           them)
 step       cycle execution: ``backend.step`` on ``reference``,
            ``ArrayBackend._advance`` on ``array`` (every cycle runs
            inside it, whether a window of ``run_mix`` or one ``step``;
@@ -38,7 +39,8 @@ candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / columns / ever objects /
 staged late, the closed-loop requests the kernel fired itself, and how
 many tails each delivery path took: collective receipts
-counted by the kernel, unicasts from their columns, the rest through
+counted by the kernel, unicasts from their columns (of which booked a
+batch at a time), the rest through
 ``Adapter.receive_tail``, and the replies (continuations) the kernel
 sent itself; and the size of the engine's static state
 (``footprint``: route-table rows x destinations, ring words, queue-table
@@ -78,6 +80,7 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "tails_delivered": backend.net.deliveries,
             "tails_kernel": st.receipts,
             "tails_unicast": backend._nuni,
+            "tails_booked": backend._nbook,
             "tails_receive_tail": backend._nrecv,
             "replies_kernel": st.sent,
             "requests_kernel": st.fired,
@@ -114,9 +117,9 @@ class PhaseProfiler:
         sec = self.seconds
 
         self._wrap_timed(session.mix, "inject", "inject")
-        self._wrap_timed(session.collector, "on_unicast_cols", "collect")
-        self._wrap_timed(session.collector, "on_collective_complete",
-                         "collect")
+        for name in ("on_unicast_cols", "on_unicasts",
+                     "on_collective_complete", "on_collective_cols"):
+            self._wrap_timed(session.collector, name, "collect")
 
         if getattr(backend, "name", "") == "array":
             self._wrap_timed(backend, "_advance", "step")
@@ -220,7 +223,8 @@ class PhaseProfiler:
                 "{packets_late} late, {requests_kernel} fired by the "
                 "kernel\n"
                 "  tails: {tails_delivered} delivered, {tails_kernel} counted "
-                "by the kernel, {tails_unicast} as unicast columns, "
+                "by the kernel, {tails_unicast} as unicast columns "
+                "({tails_booked} booked per batch), "
                 "{tails_receive_tail} through receive_tail, "
                 "{replies_kernel} replies sent by the kernel".format(**kc))
             stops = ", ".join(f"{n} {why}"

@@ -5,7 +5,8 @@
  * build it runs the reference backend.  Python also calls three of its
  * steps alone: repro_fold() (an inspection folds the rows due),
  * repro_refresh() (a header adopted or received from a halo) and
- * repro_wake() (a header Python routed).
+ * repro_wake() (a header Python routed); repro_welford() is the fold
+ * of the collector's accumulators (welford_add).
  *
  * State.  One repro_state struct, assembled once per attach
  * (ArrayBackend._build_static) and mirrored field for field by
@@ -72,10 +73,9 @@
  * Receipts.  popx = (generation << 32) | slot names a collective
  * packet's receipt-table slot (-1: Python takes it).  The tail is then
  * LatencyCollector.on_collective_tail: a node's first arrival records
- * the cycle, bumps the count, folds now - created into dn .. dm2 by
- * OnlineStats.add's operations (no FMA: -ffp-contract=off) if created
- * >= warmup; the expected-th emits COMPLETE.  A stale generation is a
- * duplicate tail of an op already complete: no receipt.
+ * the cycle, bumps the count, folds now - created into d (welford_add)
+ * if created >= warmup; the expected-th emits COMPLETE.  A stale
+ * generation is a duplicate tail of an op already complete: no receipt.
  *
  * Continuations.  pcont[aid] > 0 names the reply a unicast's tail sends
  * back: (delay << 40) | (reply aid + 1), the reply's columns staged
@@ -169,6 +169,12 @@ enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT,
 /* a receipt-table slot: these, then N arrival cycles (-1: none yet) */
 enum { RT_CREATED, RT_EXPECTED, RT_COUNT, RT_HEARD, RT_GEN, RT_ROW };
 
+/* An OnlineStats: count, min, max, mean, m2 (see welford_add). */
+typedef struct {
+    int64_t n, min, max;
+    double mean, m2;
+} welford;
+
 typedef struct {
     /* geometry and the collector's warmup, fixed while attached */
     int64_t B, P, PV, SB, Fm1, rstride, N, warmup;
@@ -186,8 +192,7 @@ typedef struct {
      * the non-empty rows phase A examined from the ready set */
     int64_t calls, cycles, scanned, cands, flits, receipts, wakes, rescans;
     int64_t sent, fired, stops[6];
-    int64_t dn, dmin, dmax;     /* the per-receiver delay accumulator */
-    double dmean, dm2;
+    welford d;                  /* the per-receiver delay accumulator */
     /* per buffer */
     int64_t *qlen, *front, *rhead, *want, *vcreq, *jof, *pvb, *pvb2;
     int64_t *phead, *ptail, *pfid, *ppend;
@@ -227,6 +232,27 @@ typedef struct {
 int64_t repro_state_size(void) { return (int64_t)sizeof(repro_state); }
 
 #define BIT(i) ((uint64_t)1 << ((i) & 63))
+
+/* OnlineStats.add's operations on sample v, in its order (no FMA:
+ * -ffp-contract=off): the receipts' delay and, by repro_welford, a
+ * batch's unicast latencies and completion times round as in Python. */
+static void welford_add(welford *w, int64_t v)
+{
+    double delta = (double)v - w->mean;
+    w->n++;
+    w->mean += delta / (double)w->n;
+    w->m2 += delta * ((double)v - w->mean);
+    w->min = w->n == 1 || v < w->min ? v : w->min;
+    w->max = w->n == 1 || v > w->max ? v : w->max;
+}
+
+/* welford_add over x[0 .. n), in order. */
+void repro_welford(welford *w, const int64_t *x, int64_t n)
+{
+    int64_t i;
+    for (i = 0; i < n; i++)
+        welford_add(w, x[i]);
+}
 
 /* Row b joins the ready set. */
 static void wake(repro_state *s, int64_t b)
@@ -361,16 +387,9 @@ static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
         int64_t *at = slot + RT_ROW + s->pnode[p];
         s->counted++;
         if (s->popx[aid] >> 32 == slot[RT_GEN] && *at < 0) {
-            int64_t v = now - slot[RT_CREATED];
-            double delta = (double)v - s->dmean;    /* OnlineStats.add */
             *at = now;
-            if (slot[RT_CREATED] >= s->warmup) {
-                s->dn++;
-                s->dmean += delta / (double)s->dn;
-                s->dm2 += delta * ((double)v - s->dmean);
-                s->dmin = s->dn == 1 || v < s->dmin ? v : s->dmin;
-                s->dmax = s->dn == 1 || v > s->dmax ? v : s->dmax;
-            }
+            if (slot[RT_CREATED] >= s->warmup)
+                welford_add(&s->d, now - slot[RT_CREATED]);
             if (++slot[RT_COUNT] == slot[RT_EXPECTED]) {
                 emit(s, EV_COMPLETE, now, x);
                 if (slot[RT_HEARD])

@@ -26,12 +26,12 @@ for what a cycle reads (``_pdst``, ``_ptraf``, ``_psize``, ``_pvcl``:
 the dateline class, owned here while attached and synced with
 ``Packet.vclass`` only at the Python-route boundary and in
 ``materialize``; ``_phdr``: the row holding the packet's routed
-header; ``_popx``: its collective op's receipt slot, below, or -1),
-lists for what only deliveries read (``_pborn``, ``_pcls``), and
+header; ``_popx``: its collective op's receipt slot, below, or -1) and
+for what deliveries read (``_pborn``, ``_pcid``: class, ``_ptxn``), and
 ``_ptag`` for a tagged row's tag.
-A packet may be columns only: ``_pkts[aid]`` is ``None`` for a unicast
+A packet may be columns only: ``_pkts[aid]`` is ``None`` for a message
 staged as a row until :meth:`ArrayBackend._packet` builds the object
-(with ``_psrc`` and its tag) for a Python route, a fault, ``on_tail`` or
+(a broadcast's with its op) for a Python route, a fault, ``on_tail`` or
 an inspection -- a saturated run builds none.  Each buffer owns a
 power-of-two ring slice of one flat flit array (a source queue's is a
 window of ``_SRC_WINDOW`` words); an injected packet
@@ -71,9 +71,11 @@ batches: a batch runs until Python is needed, :meth:`_replay` applies
 its events, the next batch starts.  One ordered list, ``_staged``,
 takes what is injected, in push order: ``(buffer, packet)`` from the
 adapters (it is every ``FlitBuffer.sink``), ``(node, dst, size, cls,
-created, tag, cont)`` rows from ``Network.send_unicast`` and ``(cycle,
+created, tag, cont)`` rows from ``Network.send_unicast``, ``(node, -1,
+size, cls, created)`` from ``Network.send_broadcast`` and ``(cycle,
 node, dst, size)`` windows of columns from ``Network.send_unicasts``.
-A row's buffer is looked up in the adapters' ``unicast_queue_table``;
+A row's buffers are looked up in the adapters' ``unicast_queue_table``
+or ``broadcast_table``;
 a ``cont`` (a request's reply) is interned with it and filed by the
 kernel when the request's tail arrives (``_cycle_kernel.c``).
 :meth:`_stage` turns them into arrival rows ``(cycle, buffer, aid,
@@ -103,8 +105,9 @@ in emission order = (cycle, ascending port), the reference's
 float-accumulation order.
 
 Receipts (the sim README has the contract): while the kernel counts,
-each open op has a slot of ``_rtbl`` and ``collector.delivery`` is the
-state struct's ``dn`` .. ``dm2``; :meth:`_sync` writes them back.
+each open op (or broadcast row) has a slot of ``_rtbl`` and
+``collector.delivery`` is the state struct's ``d``; :meth:`_sync` writes
+them back.  :meth:`_replay` books a batch's unicast tails in bulk.
 
 Equivalence notes (``tests/differential.py`` guards all of them):
 
@@ -127,14 +130,14 @@ names the reference backend.
 from __future__ import annotations
 
 import ctypes
-from collections import Counter
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.noc.network import Adapter, flit_key
-from repro.noc.packet import RELAY, TRAFFIC_NAMES, UNICAST, Packet
+from repro.noc.packet import (BROADCAST, RELAY, TRAFFIC_NAMES, UNICAST,
+                              CollectiveOp, Packet)
 from repro.sim.backend import Probes, SimBackend
 from repro.sim.ckernel import State, load_cycle_kernel
 
@@ -192,12 +195,15 @@ RANK_BITS = 20
 _AHEAD = 16
 #: Staged entries interned one by one (no numpy pass) up to this many.
 _SCALAR_STAGE = 64
+#: A batch's unicast tails are booked in bulk from this many on (a bulk
+#: pass is ~10 us of numpy calls, a tail alone 1-2 us).
+_BOOK_MIN = 16
 #: ``State.stopkinds`` with every kind's bit set.
 ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
 
 #: The aid-indexed int64 columns and the arrival-row columns.
 _PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_popx",
-          "_psrc", "_pcont")
+          "_psrc", "_pcont", "_pborn", "_pcid", "_ptxn")
 _ACOLS = ("_acyc", "_abuf", "_aaid", "_arank")
 
 #: Packed-field capacities, checked once when a session is built.  A
@@ -405,6 +411,15 @@ class ArrayBackend(SimBackend):
         self._qtab = np.array([bfirst, rel], np.int64)
         self._qfirst, self._qrel = self._qtab
         self._qtab_py = self._qtab.tolist()
+        # ``_btab``: a broadcast's branches (``Adapter.broadcast_table``):
+        # queue positions and ends relative to the source, like ``_qtab``
+        tabs = [[(ad.router.in_bufs.index(q), (d - ad.node) % net.n)
+                 for q, d in ad.broadcast_table() or ()]
+                for ad in a[:1] + a[-1:]]
+        if tabs and tabs[0] != tabs[-1]:
+            raise ValueError(f"{type(a[-1]).__name__}'s broadcast table "
+                             f"is not node 0's rolled by {a[-1].node}")
+        self._btab = tuple(zip(*tabs[0])) if tabs and tabs[0] else None
 
         # round-robin priority field: F a power of two >= max feeders
         # keeps ``(j - rr) & (F-1)`` order-isomorphic to the reference
@@ -425,12 +440,12 @@ class ArrayBackend(SimBackend):
         self._rr = z(P)
         self._fs = z(P)
         self._pkts: List = []
-        self._pcls: List[Optional[str]] = []
-        self._pborn: List[int] = []
         self._ptag: Dict[int, object] = {}
-        for name in ("pdst ptraf psize pvcl phdr pnext popx psrc pcont acyc "
-                     "abuf aaid arank").split():
-            setattr(self, "_" + name, z(1024))
+        #: class names by ``_pcid`` and back
+        self._cname: List[Optional[str]] = [None]
+        self._cid: Dict[Optional[str], int] = {None: 0}
+        for name in [*_PCOLS, *_ACOLS]:
+            setattr(self, name, z(1024))
         # continuations waiting for their cycle (the kernel's due ring: a
         # bucket per cycle mod its size, head / tail aid and the cycle)
         self._cring = np.full((16, 3), -1, np.int64)
@@ -451,9 +466,9 @@ class ArrayBackend(SimBackend):
         # append (its buffer: :meth:`_queue_rows`)
         self.rows = self._staged
         # --profile: rows / columns staged, built anyway, entries late;
-        # tails by path
+        # tails by path (unicasts: all, booked per batch)
         self._nrows = self._ncols = self._nbuilt = self._nlate = 0
-        self._nuni = self._nrecv = 0
+        self._nuni = self._nbook = self._nrecv = 0
         self._acoll = [ad.collector for ad in a]
         # the traffic kinds whose tail ends its batch (relay segments)
         self._stopkinds = sum(1 << kind for kind in Adapter.reinjecting_tails)
@@ -490,10 +505,11 @@ class ArrayBackend(SimBackend):
         self._stp = ctypes.addressof(st)
         if kc is not None:      # the accumulator moves into the kernel
             d = kc.delivery
-            st.warmup, st.dn, st.dmean, st.dm2 = kc.warmup, d.n, d.mean, d._m2
+            st.warmup, w = kc.warmup, st.d
+            w.n, w.mean, w.m2 = d.n, d.mean, d._m2
             if d.n:
-                st.dmin, st.dmax = d.min, d.max
-        self._dn = st.dn
+                w.min, w.max = d.min, d.max
+        self._dn = st.d.n
 
     def _router_rows(self, router) -> Tuple[np.ndarray, List[int]]:
         """The route-table rows of ``router``'s buffers (``in_bufs``
@@ -538,6 +554,13 @@ class ArrayBackend(SimBackend):
         pos = [ad.router.in_bufs.index(q) for q in queues]
         return np.roll(np.array([*pos, -1], np.int64)[slot], -ad.node)
 
+    @property
+    def broadcast_rows(self) -> bool:
+        """Whether ``Network.send_broadcast`` may stage a row: there is a
+        broadcast table and the kernel takes the receipts."""
+        return (self._btab is not None and self._kcoll is not None
+                and self._acoll[0] is self._kcoll)
+
     def _queue_rows(self, node, dst) -> np.ndarray:
         """The source-queue row of each unicast ``node -> dst`` (numpy
         columns, ``dst`` in range; -1 where ``send`` raises)."""
@@ -554,7 +577,7 @@ class ArrayBackend(SimBackend):
             new = np.zeros(size, np.int64)
             new[:keep] = getattr(self, name)[:keep]
             setattr(self, name, new)
-            if name[1:] in State.POINTERS:      # _psrc is Python's alone
+            if name[1:] in State.POINTERS:  # not _pborn, _pcid, _ptxn
                 setattr(self._st, name[1:], new.ctypes.data)
 
     @property
@@ -581,8 +604,8 @@ class ArrayBackend(SimBackend):
             (p.cls, p.created, self._slot(p.op), p.dst, p.size, p.traffic,
              p.vclass) for p in pkts])
         self._pkts.extend(pkts)
-        self._pcls.extend(cls)
-        self._pborn.extend(born)
+        self._pcid[a0:a1] = self._cids(cls)
+        self._pborn[a0:a1] = born
         self._popx[a0:a1] = opx
         self._pdst[a0:a1] = dst
         self._ptraf[a0:a1] = traf
@@ -590,9 +613,23 @@ class ArrayBackend(SimBackend):
         self._pvcl[a0:a1] = vcl
         self._phdr[a0:a1] = -1
         for i, p in enumerate(pkts if cols is None else ()):
+            if p.tag is not None:       # Python hears it
+                self._pcont[a0 + i] = -1
             if p.cont is not None:      # a unicast sent as an object
                 self._reply(a0 + i, p.src, p.dst, p.cont)
         return a0
+
+    def _cids(self, names):
+        """The ``_pcid`` of each class name (new names numbered), or the
+        one they share."""
+        cid, seen = self._cid, dict.fromkeys(names)
+        for name in seen:
+            if name not in cid:
+                cid[name] = len(self._cname)
+                self._cname.append(name)
+        if len(seen) == 1:
+            return cid[next(iter(seen))]
+        return list(map(cid.__getitem__, names))
 
     def _intern_unicasts(self, node, dst, size, cls, born) -> int:
         """Intern unicasts given as columns as ``adapter.send`` would
@@ -601,14 +638,42 @@ class ArrayBackend(SimBackend):
         k = len(born)
         a0 = self._intern([None] * k, (cls, born, -1, dst, size, UNICAST, 0))
         self._psrc[a0:a0 + k] = node
+        self._generated(node, False)
+        return a0
+
+    def _generated(self, node, collective: bool) -> None:
+        """Count a message generated at each of ``node``."""
         acoll = self._acoll
         if acoll.count(acoll[0]) == len(acoll):     # one collector
-            acoll[0].note_generated(False, k)
+            acoll[0].note_generated(collective, len(node))
         else:
             for v, c in enumerate(np.bincount(node).tolist()):
                 if c:
-                    acoll[v].note_generated(False, c)
-        return a0
+                    acoll[v].note_generated(collective, c)
+
+    def _intern_bcasts(self, rows) -> np.ndarray:
+        """Intern ``Network.send_broadcast`` rows as the branch packets
+        ``adapter.send_broadcast`` pushes (``_btab``), each counted
+        generated, with one receipt slot; returns each branch's source
+        buffer, in push order."""
+        node, _, size, cls, born = zip(*rows)
+        pos, rel = self._btab
+        nb, m, n = len(pos), len(rows), self.net.n
+        node = np.array(node, np.int64)
+        a0 = self._intern([None] * (m * nb), (
+            [None] * (m * nb), np.repeat(born, nb), -1,
+            ((node[:, None] + rel) % n).ravel(), np.repeat(size, nb),
+            BROADCAST, 0))
+        self._psrc[a0:a0 + m * nb] = np.repeat(node, nb)
+        xs = [self._open_slot(e)
+              for e in zip(range(a0, a0 + m * nb, nb), cls)]
+        tbl = self._rtbl
+        tbl[xs, :RT_GEN] = 0
+        tbl[xs, 0], tbl[xs, 1] = born, n - 1    # created, expected
+        self._popx[a0:a0 + m * nb] = np.repeat(tbl[xs, RT_GEN] << 32 | xs, nb)
+        self._generated(node, True)
+        self._nrows += m * nb
+        return (self._qfirst[node][:, None] + pos).ravel()
 
     def _intern_rows(self, rows):
         """Intern ``Network.send_unicast`` rows; returns each one's source
@@ -638,8 +703,9 @@ class ArrayBackend(SimBackend):
         if aid >= len(self._pdst):
             self._grow(_PCOLS, aid + 1, aid)
         self._pkts.append(pkt)
-        self._pcls.append(cls)
-        self._pborn.append(born)
+        self._pcid[aid] = (self._cid[cls] if cls in self._cid
+                           else self._cids((cls,)))
+        self._pborn[aid] = born
         self._popx[aid] = opx
         self._pdst[aid] = dst
         self._ptraf[aid] = traf
@@ -681,7 +747,8 @@ class ArrayBackend(SimBackend):
         head, _, at = self._cring[now & self._st.cmask].tolist()
         while head >= 0 and at == now:
             out.append((int(self._psrc[head]), int(self._pdst[head]),
-                        int(self._psize[head]), self._pcls[head]))
+                        int(self._psize[head]),
+                        self._cname[self._pcid[head]]))
             head = int(self._pnext[head])
         return out
 
@@ -803,8 +870,6 @@ class ArrayBackend(SimBackend):
         self._pcont[req] = -2 - src             # stream: its own credit
         self._pcont[rep] = -2 - src[rq]
         self._pcont[req[rq]] = delay[rq] << CONT_SHIFT | (rep + 1)
-        for i in np.flatnonzero(reply == 0).tolist():
-            self._ptag[a0 + i] = self._sk[src[i]]
         # each source's run of requests, chained behind what it has left
         nxt = np.append(req[1:], -1)
         last = np.append(src[1:] != src[:-1], True)
@@ -839,7 +904,8 @@ class ArrayBackend(SimBackend):
         out = {}
         for s in due.tolist():
             aid = int(self._shead[s])
-            out[self._sinj[s]] = (int(self._psrc[aid]), now, self._pcls[aid],
+            out[self._sinj[s]] = (int(self._psrc[aid]), now,
+                                  self._cname[self._pcid[aid]],
                                   int(self._pdst[aid]),
                                   int(self._psize[aid]), False)
         return out
@@ -870,16 +936,47 @@ class ArrayBackend(SimBackend):
         self._eng.mix.show_kernel(booked, waiting)
 
     def _packet(self, aid: int) -> Packet:
-        """The packet ``aid``, built on first use if staged as a row."""
+        """The packet ``aid``, built on first use if staged as a row (a
+        broadcast branch with its op and the op's other branches)."""
         pkt = self._pkts[aid]
-        if pkt is None:
+        if pkt is None and self._ptraf[aid] == BROADCAST:
+            self._open_op(int(self._popx[aid]) & 0xFFFFFFFF)
+            pkt = self._pkts[aid]
+        elif pkt is None:
             pkt = self._pkts[aid] = Packet(
                 int(self._psrc[aid]), int(self._pdst[aid]),
-                int(self._psize[aid]), created=self._pborn[aid])
-            pkt.cls = self._pcls[aid]
-            pkt.tag = self._ptag.pop(aid, None)
+                int(self._psize[aid]), created=int(self._pborn[aid]))
+            pkt.cls = self._cname[self._pcid[aid]]
+            pkt.tag = self._tag(aid)
             self._nbuilt += 1
         return pkt
+
+    def _tag(self, aid: int):
+        """The tag of unicast ``aid`` staged as a row: its own or, for a
+        kernel transaction, the class (a stream message) or the class and
+        the cycle the request fired (a reply: ``_ptxn``)."""
+        c = int(self._pcont[aid])
+        if c > -2:
+            return self._ptag.pop(aid, None)
+        k = self._sk[-2 - c]
+        return k if self._eng.request(k)[1] is None else (
+            k, int(self._ptxn[aid]))
+
+    def _open_op(self, x: int) -> None:
+        """Receipt slot ``x``'s broadcast row becomes objects: its op,
+        with the receipts so far, and its branch packets, as
+        ``adapter.send_broadcast`` builds them."""
+        a0, cls = self._slot_op[x]
+        op = self._slot_op[x] = CollectiveOp(
+            int(self._psrc[a0]), int(self._pborn[a0]), self.net.n - 1)
+        op.cls = cls
+        self._slot_of[op] = int(self._rtbl[x, RT_GEN]) << 32 | x
+        self._fill(x, op)
+        for a in range(a0, a0 + len(self._btab[0])):
+            self._pkts[a] = Packet(op.src, int(self._pdst[a]),
+                                   int(self._psize[a]), BROADCAST,
+                                   op.created, op)
+            self._nbuilt += 1
 
     # ------------------------------------------------------------------
     # receipts (module docstring)
@@ -892,21 +989,28 @@ class ArrayBackend(SimBackend):
             return -1
         word = self._slot_of.get(op)
         if word is None:
+            x = self._open_slot(op)
             tbl = self._rtbl
-            x = self._free.pop() if self._free else len(self._slot_op)
-            if x == len(self._slot_op):
-                self._slot_op.append(None)
-            if x == len(tbl):
-                self._rtbl = tbl = np.concatenate((tbl, np.zeros_like(tbl)))
-                self._st.rtbl = tbl.ctypes.data
             tbl[x, :RT_GEN] = (op.created, op.expected, len(op.deliveries),
                                op.on_complete is not None)
-            tbl[x, RT_ROW:] = -1
             for node, t in op.deliveries.items():
                 tbl[x, RT_ROW + node] = t
             word = self._slot_of[op] = int(tbl[x, RT_GEN]) << 32 | x
-            self._slot_op[x] = op
         return word
+
+    def _open_slot(self, entry) -> int:
+        """A free receipt slot, its receipts cleared, for ``entry`` (an op,
+        or a broadcast row's first aid and class: ``_slot_op``)."""
+        tbl = self._rtbl
+        x = self._free.pop() if self._free else len(self._slot_op)
+        if x == len(self._slot_op):
+            self._slot_op.append(None)
+        if x == len(tbl):
+            self._rtbl = tbl = np.concatenate((tbl, np.zeros_like(tbl)))
+            self._st.rtbl = tbl.ctypes.data
+        tbl[x, RT_ROW:] = -1
+        self._slot_op[x] = entry
+        return x
 
     def _fill(self, x: int, op) -> None:
         """``op.deliveries`` from slot ``x`` (in node order)."""
@@ -917,29 +1021,42 @@ class ArrayBackend(SimBackend):
         """``EV_COMPLETE``: slot ``x``'s op reached its last expected
         receiver at ``now``."""
         op = self._slot_op[x]
+        self._slot_op[x] = None
+        self._free.append(x)
+        if type(op) is tuple:       # a broadcast row nobody read
+            self._rtbl[x, RT_GEN] += 1
+            self._kcoll.on_collective_cols(int(self._pborn[op[0]]), op[1],
+                                           now)
+            return
         self._fill(x, op)
         op.completed_at = now
         del self._slot_of[op]
-        self._slot_op[x] = None
         self._rtbl[x, RT_GEN] += 1
-        self._free.append(x)
         self._kcoll.on_collective_complete(op, now)
 
     def _sync(self, ops: bool = False) -> None:
         """Write the kernel's receipts back: the per-receiver accumulator
         if it moved and, with ``ops``, every open op's ``deliveries``."""
         st, kc = self._st, self._kcoll
-        if kc is not None and st.dn != self._dn:
-            self._dn = st.dn
+        w = st.d
+        if kc is not None and w.n != self._dn:
+            self._dn = w.n
             d = kc.delivery
-            d.n, d.mean, d._m2, d.min, d.max = (st.dn, st.dmean, st.dm2,
-                                                st.dmin, st.dmax)
+            d.n, d.mean, d._m2, d.min, d.max = w.n, w.mean, w.m2, w.min, w.max
         for op, word in self._slot_of.items() if ops else ():
             self._fill(word & 0xFFFFFFFF, op)
+
+    def _open_ops(self) -> None:
+        """Every open broadcast row becomes objects (:meth:`_open_op`):
+        Python reads their packets from here on."""
+        for x, e in enumerate(self._slot_op):
+            if type(e) is tuple:
+                self._open_op(x)
 
     def _release(self) -> None:
         """Python takes every receipt from here on (a fault state, or a
         collector the engine did not adopt)."""
+        self._open_ops()
         self._sync(ops=True)
         self._kcoll = None
         self._popx[:] = -1
@@ -1036,7 +1153,8 @@ class ArrayBackend(SimBackend):
         interned one by one, O(1) each, more in one numpy pass; then
         :meth:`_put` places them."""
         staged = self._staged
-        if len(staged) <= _SCALAR_STAGE and all(len(e) != 4 for e in staged):
+        if len(staged) <= _SCALAR_STAGE and all(len(e) in (2, 7)
+                                                for e in staged):
             key, abuf, aaid = self._intern_each(now)
             if len(key) > 1:
                 order = sorted(range(len(key)), key=key.__getitem__)
@@ -1063,6 +1181,8 @@ class ArrayBackend(SimBackend):
                 aid = self._new(pkt, pkt.cls, born, self._slot(op), pkt.dst,
                                 pkt.size, pkt.traffic, pkt.vclass)
                 cls = pkt.cls if op is None else op.cls
+                if pkt.tag is not None:     # Python hears it
+                    self._pcont[aid] = -1
                 if pkt.cont is not None:
                     self._reply(aid, pkt.src, pkt.dst, pkt.cont)
             else:
@@ -1088,7 +1208,8 @@ class ArrayBackend(SimBackend):
 
     def _intern_all(self, now: int):
         """:meth:`_intern_each` in numpy passes -- every row at once,
-        every packet at once, then each window of columns -- sorted."""
+        every broadcast row, every packet, then each window of columns --
+        sorted."""
         staged = self._staged
         kind = np.array([len(e) for e in staged])
         seq = np.arange(len(staged))        # push order
@@ -1101,6 +1222,16 @@ class ArrayBackend(SimBackend):
                           [ranks.get(e[3], RANK_OTHER) for e in rows],
                           self._intern_rows(rows),
                           np.arange(a0, a0 + len(rows)), seq[kind == 7]))
+        bcasts = [e for e in staged if len(e) == 5]
+        if bcasts:
+            a0 = len(self._pkts)
+            bufs = self._intern_bcasts(bcasts)
+            nb = len(bufs) // len(bcasts)
+            parts.append((np.repeat([e[4] for e in bcasts], nb),
+                          np.repeat([ranks.get(e[3], RANK_OTHER)
+                                     for e in bcasts], nb),
+                          bufs, np.arange(a0, a0 + len(bufs)),
+                          np.repeat(seq[kind == 5], nb)))
         if (kind == 2).any():
             bufs, pkts = zip(*(e for e in staged if len(e) == 2))
             a0 = self._intern(pkts)
@@ -1245,11 +1376,15 @@ class ArrayBackend(SimBackend):
     # delivery residue
     # ------------------------------------------------------------------
     def _deliver(self, node: int, aid: int, now: int) -> None:
-        """A delivery event: a unicast from its columns (then its tag's
-        hook); what the kernel left of a receipt it took (a relay to
-        regenerate, ``on_tail``); any other through ``Network.deliver``."""
+        """A delivery event replayed alone: a unicast from its columns
+        (then its tag's hook) where :meth:`_replay` cannot book the batch
+        (:meth:`_book`); what the kernel left of a receipt it took (a
+        relay to regenerate, ``on_tail``); any other collective tail
+        through ``Network.deliver``."""
         net = self.net
-        pkt = self._pkts[aid]       # None: a row, a unicast nobody read
+        pkt = self._pkts[aid]       # None: a row nobody read
+        if pkt is None and self._ptraf[aid] == BROADCAST:
+            pkt = self._packet(aid)     # a broadcast row's branch
         if pkt is not None and pkt.traffic != UNICAST:
             if self._popx[aid] >= 0:
                 if pkt.traffic == RELAY:
@@ -1270,14 +1405,56 @@ class ArrayBackend(SimBackend):
             return
         net.deliveries += 1
         self._nuni += 1
-        self._acoll[node].on_unicast_cols(self._pborn[aid], self._pcls[aid],
+        born = int(self._pborn[aid])
+        self._acoll[node].on_unicast_cols(born, self._cname[self._pcid[aid]],
                                           now)
-        tag = self._ptag.pop(aid, None) if pkt is None else pkt.tag
+        tag = self._tag(aid) if pkt is None else pkt.tag
         if tag is not None:
             src = int(self._psrc[aid]) if pkt is None else pkt.src
-            net.on_tagged_tail(node, src, tag, self._pborn[aid], now)
+            net.on_tagged_tail(node, src, tag, born, now)
         if cb is not None:
             cb(node, pkt, now)
+
+    def _book(self, now: np.ndarray, aid: np.ndarray) -> None:
+        """Book a batch's unicast tails (columns, emission order) in bulk:
+        the collector's statistics, each in one pass in that order, then
+        the kernel's transactions' credits and completions."""
+        self.net.deliveries += len(aid)
+        self._nuni += len(aid)
+        self._nbook += len(aid)
+        self._kcoll.on_unicasts(self._pborn[aid], self._pcid[aid],
+                                self._cname, now)
+        cont = self._pcont[aid]
+        txn = cont <= -2
+        if txn.any():
+            src = -2 - cont[txn]
+            k = np.bincount(src)
+            for s in np.flatnonzero(k).tolist():
+                self._srcs[s].outstanding -= int(k[s])
+            self._eng.on_completions(np.array(self._sk)[src],
+                                     self._ptxn[aid[txn]], now[txn])
+
+    def _bookable(self, pairs: np.ndarray, kind: np.ndarray) -> list:
+        """The events of a batch's unicast tails :meth:`_book` takes: none
+        if they are fewer than ``_BOOK_MIN``, with receipts Python's, a
+        fault state or ``net.on_tail``, a tail whose tag Python hears, or
+        a class a collective of the batch completes in too (one
+        statistic, two orders)."""
+        net = self.net
+        if (self._kcoll is None or net.fault_state is not None
+                or net.on_tail is not None):
+            return []
+        d = (kind == EV_DELIVERY).nonzero()[0]
+        d = d[self._ptraf[pairs[d, 1] >> 16] == UNICAST]
+        aid = pairs[d, 1] >> 16
+        if len(d) < _BOOK_MIN:
+            return []
+        ops = [self._slot_op[x] for x in pairs[kind == EV_COMPLETE, 1]]
+        named = {op[1] if type(op) is tuple else op.cls for op in ops}
+        named.discard(None)
+        mixed = named and not named.isdisjoint(self._cname[c] for c in
+                                               set(self._pcid[aid].tolist()))
+        return [] if mixed or (self._pcont[aid] == -1).any() else d
 
     # ------------------------------------------------------------------
     # event replay: everything a batch of cycles owes the Python objects
@@ -1285,20 +1462,29 @@ class ArrayBackend(SimBackend):
     def _replay(self, events) -> None:
         """Apply a batch's events (int64 pairs) in emission order =
         (cycle, ascending port), so float accumulation order is the
-        reference's: tail deliveries, op completions and, after its
-        cycle's deliveries, each header only the router can route.  The
-        packets the kernel sent (``EV_CONT``, ``EV_FIRE``) are booked
-        first, all at once: booking stamps a packet and counts it
-        generated, which no event reads but that packet's own later
-        delivery."""
+        reference's, in three passes.  The packets the kernel sent
+        (``EV_CONT``, ``EV_FIRE``), all at once: booking stamps a packet
+        and counts it generated, which no event reads but that packet's
+        own later delivery.  The unicast tails, all at once
+        (:meth:`_book`), each statistic in their order: no other event
+        touches one.  Then the rest, one by one: op completions, other
+        tails and, after its cycle's deliveries, each header only the
+        router can route."""
         events = np.asarray(events, np.int64)
         kind = events[0::2] & 7
-        sent = kind >= EV_CONT
-        if sent.any():
-            pairs = events.reshape(-1, 2)
-            self._sent(pairs[sent, 0] >> 3, pairs[sent, 1],
-                       kind[sent] == EV_FIRE)
-            events = pairs[~sent].ravel()
+        alone = kind < EV_CONT
+        pairs = events.reshape(-1, 2)
+        whole = alone.all()
+        if not whole:
+            self._sent(pairs[~alone, 0] >> 3, pairs[~alone, 1],
+                       kind[~alone] == EV_FIRE)
+        if len(kind) >= _BOOK_MIN:
+            d = self._bookable(pairs, kind)
+            if len(d):
+                self._book(pairs[d, 0] >> 3, pairs[d, 1] >> 16)
+                alone[d] = whole = False
+        if not whole:
+            events = pairs[alone].ravel()
         pnode = self._pnode_py
         it = iter(events.tolist())
         for key, word in zip(it, it):
@@ -1318,34 +1504,22 @@ class ArrayBackend(SimBackend):
         source's ``fire`` book for them, and a request's reply tag
         ``(class, created)``."""
         aid = np.where(fire, word >> SRC_BITS, word)
-        born, pkts = self._pborn, self._pkts
-        for a, t in zip(aid.tolist(), cyc.tolist()):
-            born[a] = t
-            if pkts[a] is not None:     # built early (an inspection)
-                pkts[a].created = t
+        self._pborn[aid] = cyc
         if fire.any():
             req, src = aid[fire], word[fire] & ((1 << SRC_BITS) - 1)
             c = self._pcont[req]
-            for r, s, t in zip(((c & CONT_AID) - 1)[c > 0].tolist(),
-                               src[c > 0].tolist(), cyc[fire][c > 0].tolist()):
-                self._ptag[r] = (self._sk[s], t)
+            self._ptxn[req] = cyc[fire]
+            self._ptxn[(c[c > 0] & CONT_AID) - 1] = cyc[fire][c > 0]
             for s, k in zip(*(col.tolist() for col in
                               np.unique(src, return_counts=True))):
                 self._srcs[s].fire(count=k)
                 self._sleft[s] -= k
-        homes = self._psrc[aid]
-        acoll = self._acoll
-        if acoll.count(acoll[0]) == len(acoll):     # one collector
-            acoll[0].note_generated(False, len(aid))
-        else:
-            for v, k in enumerate(np.bincount(homes).tolist()):
-                if k:
-                    acoll[v].note_generated(False, k)
+        self._generated(self._psrc[aid], False)
         cb = self.net.on_continue
         if cb is not None:
-            cls = self._pcls
-            for name, k in Counter(cls[a] for a in aid.tolist()).items():
-                cb(name, k)
+            k = np.bincount(self._pcid[aid])
+            for c in np.flatnonzero(k).tolist():
+                cb(self._cname[c], int(k[c]))
 
     # ------------------------------------------------------------------
     # SimBackend interface
@@ -1361,13 +1535,15 @@ class ArrayBackend(SimBackend):
         st = self._st
         fs = net.fault_state
         kc = self._kcoll
-        if kc is not None and (fs is not None or self._acoll[0] is not kc):
-            self._release()     # (the shard worker swaps them all at once)
         if self._staged:
             self._stage(now)
+        if kc is not None and (fs is not None or self._acoll[0] is not kc):
+            self._release()     # (the shard worker swaps them all at once)
         st.nofast = fs is not None
         st.stopkinds = (self._stopkinds if fs is None and net.on_tail is None
                         else ALL_KINDS)
+        if net.on_tail is not None:
+            self._open_ops()    # it is handed each broadcast tail
         st.horizon = horizon
         st.ndl = 0      # no cycle may run: the shard worker reads this
         while now < horizon:
@@ -1404,8 +1580,10 @@ class ArrayBackend(SimBackend):
     def total_flits(self) -> int:
         """Flits in the fabric, staged or waiting to fold included."""
         st = self._st
+        nb = len(self._btab[0]) if self._btab else 0
         n = st.inflight + sum(
             e[2] if len(e) == 7 else e[1].size if len(e) == 2
+            else e[2] * nb if len(e) == 5
             else len(e[0]) * e[3] for e in self._staged)
         if st.apos < st.an:
             n += int(self._psize[self._aaid[st.apos:st.an]].sum())

@@ -14,7 +14,9 @@ columns itself; the next entry then rebuilds the set.  Three of its
 steps are exported alone, ``repro_fold``, ``repro_refresh`` and
 ``repro_wake``, for the Python callers that need them without running
 a cycle, ``repro_merge`` merges newly staged arrival rows into the
-waiting ones and ``repro_arm`` arms closed-loop sources.  :class:`State`
+waiting ones, ``repro_arm`` arms closed-loop sources and
+``repro_welford`` folds samples into a statistic (:func:`welford`).
+:class:`State`
 mirrors the C ``repro_state`` field for field, and a kernel whose
 ``repro_state_size()`` disagrees with ``ctypes.sizeof(State)`` is
 refused instead of corrupting memory.
@@ -45,13 +47,21 @@ import tempfile
 import warnings
 from typing import Optional
 
-__all__ = ["State", "load_cycle_kernel", "source_hash"]
+__all__ = ["State", "Welford", "load_cycle_kernel", "source_hash",
+           "welford"]
 
 _SRC_PATH = os.path.join(os.path.dirname(__file__), "_cycle_kernel.c")
 
 #: ``-ffp-contract=off``: the receipt accumulator rounds like Python's
 #: ``OnlineStats`` only if no ``a * b + c`` becomes an FMA (aarch64, clang).
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+class Welford(ctypes.Structure):
+    """``welford`` of ``_cycle_kernel.c``: an OnlineStats's fields."""
+
+    _fields_ = ([(name, ctypes.c_int64) for name in ("n", "min", "max")]
+                + [(name, ctypes.c_double) for name in ("mean", "m2")])
 
 
 class State(ctypes.Structure):
@@ -78,9 +88,20 @@ class State(ctypes.Structure):
             "calls cycles scanned cands flits receipts "    # work counters
             "wakes rescans sent fired").split()]
         + [("stops", ctypes.c_int64 * 6)]
-        + [(name, ctypes.c_int64) for name in ("dn", "dmin", "dmax")]
-        + [(name, ctypes.c_double) for name in ("dmean", "dm2")]
+        + [("d", Welford)]
         + [(name, ctypes.c_void_p) for name in POINTERS])
+
+
+def welford(n: int, lo, hi, mean: float, m2: float, xs) -> tuple:
+    """``OnlineStats.add`` of each integer of ``xs`` (a contiguous int64
+    column), in order, onto ``(n, min, max, mean, m2)`` by the kernel's
+    copy (``repro_welford``); returns the new summary."""
+    if xs.dtype.name != "int64" or not xs.flags.c_contiguous:
+        raise TypeError(f"welford folds a contiguous int64 column, not "
+                        f"{xs.dtype.name}")
+    w = Welford(n, int(lo) if n else 0, int(hi) if n else 0, mean, m2)
+    load_cycle_kernel().repro_welford(ctypes.byref(w), xs.ctypes.data, len(xs))
+    return w.n, w.min, w.max, w.mean, w.m2
 
 
 _cached: Optional[ctypes.CDLL] = None
@@ -151,18 +172,20 @@ def _compile_and_load() -> ctypes.CDLL:
                        ("repro_refresh", [ctypes.c_int64]),
                        ("repro_wake", [ctypes.c_int64]),
                        ("repro_merge", [ctypes.c_int64]),
-                       ("repro_arm", [ctypes.c_int64, ctypes.c_int64])):
+                       ("repro_arm", [ctypes.c_int64, ctypes.c_int64]),
+                       ("repro_welford", [ctypes.c_void_p, ctypes.c_int64])):
         fn = getattr(dll, name)
         fn.restype = (None if name in ("repro_wake", "repro_merge",
-                                       "repro_arm") else ctypes.c_int64)
+                                       "repro_arm", "repro_welford")
+                      else ctypes.c_int64)
         fn.argtypes = [ctypes.c_void_p, *args]
     return dll
 
 
 def load_cycle_kernel() -> Optional[ctypes.CDLL]:
     """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
-    ``repro_refresh``, ``repro_wake``, ``repro_merge``, ``repro_arm``
-    typed), or
+    ``repro_refresh``, ``repro_wake``, ``repro_merge``, ``repro_arm``,
+    ``repro_welford`` typed), or
     ``None`` if it is unavailable.  The result, either way, is the
     process's."""
     global _cached, _failed

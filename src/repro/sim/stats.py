@@ -91,6 +91,16 @@ class OnlineStats:
         if x > self.max:
             self.max = x
 
+    def add_many(self, xs, kind=int) -> None:
+        """:meth:`add` of ``kind(x)`` for each integer of ``xs`` (a
+        contiguous int64 numpy column), in order, in one pass of the
+        cycle kernel's copy of it (``repro.sim.ckernel.welford``)."""
+        if len(xs):
+            from repro.sim.ckernel import welford
+            self.n, lo, hi, self.mean, self._m2 = welford(
+                self.n, self.min, self.max, self.mean, self._m2, xs)
+            self.min, self.max = kind(lo), kind(hi)
+
     def merge(self, other: "OnlineStats") -> None:
         """Fold another summary in (parallel-combinable, Chan et al.)."""
         if other.n == 0:
@@ -153,6 +163,21 @@ class BatchMeans:
             self.batch_averages.append(self._acc / self._acc_n)
             self._acc = 0.0
             self._acc_n = 0
+
+    def add_many(self, xs) -> None:
+        """:meth:`add` of each integer of ``xs`` (as in
+        :meth:`OnlineStats.add_many`): integer batch sums are exact."""
+        self.overall.add_many(xs)
+        k, i = self.batch_size, self.batch_size - self._acc_n
+        if len(xs) < i:
+            self._acc += int(xs.sum())
+            self._acc_n += len(xs)
+            return
+        j = len(xs) - (len(xs) - i) % k         # the last batch's end
+        self.batch_averages.append((self._acc + int(xs[:i].sum())) / k)
+        self.batch_averages += (xs[i:j].reshape(-1, k).sum(axis=1)
+                                / k).tolist()
+        self._acc, self._acc_n = float(xs[j:].sum()), len(xs) - j
 
     @property
     def mean(self) -> float:

@@ -1,7 +1,7 @@
 """The paper's traffic mix, generalised to multi-class workloads.
 
 Two construction modes drive one network through ``Network.send_unicast``
-and the adapters' uniform ``send_broadcast`` interface:
+and ``Network.send_broadcast``:
 
 * **Single-class (the paper's workload)** -- ``TrafficMix(net, rate,
   msg_len, beta)``: every node's arrival process (independent
@@ -588,12 +588,14 @@ class TrafficMix:
 
     def emit(self, node: int, dst: int, now: int,
              size: Optional[int] = None, name: Optional[str] = None,
-             tag=None, cont=None):
+             tag=None, cont=None, on_complete=None):
         """Send one message from ``node`` at ``now``: a unicast to ``dst``
         through ``Network.send_unicast`` (which decides if a ``Packet`` is
         built; ``tag`` comes back through ``net.on_tagged_tail``, ``cont``
         is the reply the network sends back), or a broadcast for
-        ``dst == -1``, whose op is returned.  ``size``
+        ``dst == -1`` through ``Network.send_broadcast`` (likewise; its
+        op, if built, is returned, and ``on_complete(now)`` is called
+        when it completes).  ``size``
         defaults to the single-class ``msg_len``.  The one per-message
         path: calendar tokens, broadcasts, the closed-loop engine and,
         under a fault state or an ``on_inject`` tap, every message."""
@@ -607,8 +609,7 @@ class TrafficMix:
         if dst < 0:
             if self.on_inject is not None:
                 self.on_inject(node, now, name, -1, size, True)
-            op = self.net.adapters[node].send_broadcast(size, now)
-            op.cls = name
+            op = self.net.send_broadcast(node, size, name, now, on_complete)
             self.generated_broadcasts += 1
         else:
             if fs is not None and fs.src_cannot_reach(node, dst):

@@ -455,8 +455,8 @@ class ClosedLoopEngine:
         # rotate the barrier root so no node's injection port becomes
         # the permanent phase bottleneck
         src = self.phases_done % self.n
-        op = mix.emit(src, -1, now, cls.msg_len, cls.name)
-        op.on_complete = self._barrier_completed
+        mix.emit(src, -1, now, cls.msg_len, cls.name,
+                 on_complete=self._barrier_completed)
 
     def _start_phase(self, now: int) -> None:
         self.phase_start = now
@@ -488,6 +488,23 @@ class ClosedLoopEngine:
             self._phase_left -= 1
             if not self._phase_left:
                 self._phase_done(now)
+
+    def on_completions(self, k, created, now) -> None:
+        """:meth:`on_tagged_tail` for a batch of the kernel's transactions
+        (class, created, cycle columns in delivery order; credits applied
+        already): each class's completions in one pass, then the phase."""
+        for c in np.flatnonzero(np.bincount(k)).tolist():
+            mine = k == c
+            name = self.mix.classes[c].name
+            self.completed[name] += int(mine.sum())
+            self.comp_stats[name].add_many(
+                (now - created)[mine & (created >= self.warmup)], float)
+        left = self._phase_left
+        at = now[np.isin(k, self.phased)] if left else ()
+        if len(at):
+            self._phase_left = max(left - len(at), 0)
+            if len(at) >= left:
+                self._phase_done(int(at[left - 1]))
 
     def _phase_done(self, now: int) -> None:
         """Every phased message of this phase has been delivered."""

@@ -576,11 +576,18 @@ CLOSED_LOOP_CASES = {
                       cycles=1500, warmup=200, seed=5,
                       workload="allreduce:window=4,quota=12,gap=48"),
     # a fill request fired by the kernel, an invalidation broadcast and
-    # a reply due, from one node in one cycle in one source queue
+    # a reply due, from one node in one cycle in one source queue (node
+    # 6's loc.l at cycle 6) ...
     "dense": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
                   cycles=900, warmup=200, seed=5,
                   workload="cache_coherence:window=4,service=0,"
                            "read_rate=0.3,write_rate=0.005"),
+    # ... with warmup at that cycle: the first batch books tails created
+    # on both sides of it, those three measured
+    "dense_warmup": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                         cycles=900, warmup=6, seed=5,
+                         workload="cache_coherence:window=4,service=0,"
+                                  "read_rate=0.3,write_rate=0.005"),
     # think rate 1: no coin is drawn; 1e-5: nearly every coin misses and
     # sources wait for the next block (one block end is crossed)
     "think1": dict(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,

@@ -336,8 +336,8 @@ class TestArrayBackend:
         from repro.sim import ckernel
 
         with open(ckernel._SRC_PATH) as fh:
-            body = re.search(r"typedef struct \{(.*?)\} repro_state;",
-                             fh.read(), re.S).group(1)
+            body = re.search(r"typedef struct \{([^{}]*)\} repro_state;",
+                             fh.read()).group(1)
         body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
         names = [re.search(r"\w+", part).group()
                  for decl in body.split(";") if decl.strip()

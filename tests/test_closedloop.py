@@ -616,12 +616,13 @@ class TestKernelSources:
                 config.with_backend("reference")).run()
         assert array.backend._st.fired > 100
 
-    @pytest.mark.parametrize("name", ["dense", "reversed"])
+    @pytest.mark.parametrize("name", ["dense", "dense_warmup", "reversed"])
     def test_request_broadcast_and_reply_share_a_queue(self, name,
                                                        monkeypatch):
         """The fold-order corner: in one cycle one source queue gets a
         reply due, a request the kernel fired (its class's rank) and an
-        invalidation broadcast staged by the mix (the other class's)."""
+        invalidation broadcast staged by the mix (the other class's) --
+        in ``dense_warmup`` at the warmup cycle."""
         from repro.sim import array_backend as ab
         seen = {"fire": set(), "cont": set(), "inv": set()}
         replay, put = ab.ArrayBackend._replay, ab.ArrayBackend._put
@@ -648,7 +649,7 @@ class TestKernelSources:
 
         monkeypatch.setattr(ab.ArrayBackend, "_replay", replaying)
         monkeypatch.setattr(ab.ArrayBackend, "_put", putting)
-        if name == "dense":
+        if name.startswith("dense"):
             config = make_config(**CLOSED_LOOP_CASES[name])
             SimulationSession(config.with_backend("array")).run()
         else:
@@ -657,4 +658,7 @@ class TestKernelSources:
                                  workload="cache_coherence:window=4")
             with custom_workload(CUSTOM_CLOSED_LOOPS[name]):
                 SimulationSession(config.with_backend("array")).run()
-        assert seen["fire"] & seen["cont"] & seen["inv"]
+        shared = seen["fire"] & seen["cont"] & seen["inv"]
+        assert shared
+        if name == "dense_warmup":
+            assert config.spec.warmup in {t for t, _ in shared}

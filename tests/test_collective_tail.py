@@ -14,6 +14,8 @@ once, on ``Adapter``.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from differential import make_config
 
@@ -23,8 +25,10 @@ from repro.core.dor_router import DORAdapter
 from repro.core.quarc_transceiver import QuarcTransceiver
 from repro.core.spidergon_adapter import SpidergonAdapter
 from repro.noc import packet
+from repro.noc.network import Network
 from repro.noc.packet import BROADCAST, CollectiveOp, Packet
 from repro.obs import ObsSpec
+from repro.sim.array_backend import ArrayBackend
 from repro.sim.backend import make_backend
 from repro.sim.session import SimulationSession
 from repro.topologies.quarc import RIGHT
@@ -55,24 +59,51 @@ def _multicast(session):
 
 def _run(config, monkeypatch, before=None):
     """Run ``config``; returns the summary, every collective op's
-    delivery map (creation order), the per-receiver accumulator and the
-    profile's kernel counters (``None`` on the oracle)."""
-    ops = []
+    delivery map (creation order; a broadcast the engine took as a row,
+    which has no op, from its receipt slot), the per-receiver
+    accumulator and the profile's kernel counters (``None`` on the
+    oracle)."""
+    ops, rows = [], {}
     init = CollectiveOp.__init__
+    send = Network.send_broadcast
+    complete = ArrayBackend._complete
 
     def recording(self, *args, **kw):
         init(self, *args, **kw)
         ops.append(self)
 
+    def sending(net, *args, **kw):
+        op = send(net, *args, **kw)
+        if op is None:          # a row: the k-th one's first aid is k-th
+            ops.append(None)
+        return op
+
+    def receipts(be, x):
+        seen = SimpleNamespace()
+        be._fill(x, seen)
+        rows[be._slot_op[x][0]] = seen.deliveries
+
+    def completing(be, x, now):
+        if type(be._slot_op[x]) is tuple:
+            receipts(be, x)
+        complete(be, x, now)
+
     with monkeypatch.context() as m:
         m.setattr(packet.CollectiveOp, "__init__", recording)
+        m.setattr(Network, "send_broadcast", sending)
+        m.setattr(ArrayBackend, "_complete", completing)
         session = SimulationSession(config)
         if before is not None:
             before(session)
         summary = session.run()
+    for x, op in enumerate(getattr(session.backend, "_slot_op", ())):
+        if type(op) is tuple:       # open at the end
+            receipts(session.backend, x)
+    maps = iter([rows[a] for a in sorted(rows)])
     d = session.collector.delivery
     kc = session.profiler.report().get("kernel_counters")
-    return (summary, [op.deliveries for op in ops],
+    return (summary, [next(maps) if op is None else op.deliveries
+                      for op in ops],
             (d.n, d.mean, d._m2, d.min, d.max), kc)
 
 

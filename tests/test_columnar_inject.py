@@ -1,14 +1,17 @@
-"""A unicast is a row until someone looks at it.
+"""A message is a row until someone looks at it.
 
 ``Network.send_unicast`` hands an array engine ``(node, dst, size, cls,
-cycle)`` rows, and the single-class mix a window of ``(cycle, node,
-dst)`` columns; ``ArrayBackend._stage`` turns both into packet columns
-and looks the source queue up in the adapters' ``unicast_queue_table``;
-a ``Packet`` is built by ``ArrayBackend._packet`` only for an aid
-something reads as an object.  Pinned here: the row path equals the
-object path (summary, state, inject taps), the table equals
-``send()``, the lazily built objects equal the reference's, flits are
-conserved, and ``--profile`` counts what was ever an object.
+cycle)`` rows, ``Network.send_broadcast`` a Quarc broadcast's row, and
+the single-class mix a window of ``(cycle, node, dst)`` columns;
+``ArrayBackend._stage`` turns them into packet columns and looks the
+source queues up in the adapters' ``unicast_queue_table`` /
+``broadcast_table``; a ``Packet`` (and a broadcast's ``CollectiveOp``)
+is built by ``ArrayBackend._packet`` only for an aid something reads as
+an object.  Pinned here: the row path equals the object path (summary,
+state, inject taps), the table equals ``send()``, the lazily built
+objects equal the reference's, flits are conserved, ``--profile``
+counts what was ever an object, and a batch's unicast tails, rows and
+objects alike, are booked together in emission order.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.api import build_network
 from repro.faults import FaultPlan, FaultState
 from repro.noc.network import Network
-from repro.noc.packet import UNICAST, Packet
+from repro.noc.packet import MULTICAST, UNICAST, Packet
 from repro.obs import ObsSpec
 from repro.sim.array_backend import ArrayBackend
 from repro.sim.session import SimulationSession, _merge_probes
@@ -40,6 +43,13 @@ def _as_packet(self, node, dst, size, cls, now, tag=None, cont=None):
     pkt.tag = tag
     pkt.cont = cont
     self.adapters[node].send(pkt, now)
+
+
+def _as_op(self, node, size, cls, now, on_complete=None):
+    """``Network.send_broadcast`` as it was before rows: always objects."""
+    op = self.adapters[node].send_broadcast(size, now)
+    op.cls, op.on_complete = cls, on_complete
+    return op
 
 
 def _drive(config, digest_every=0, snap_at=(), on_tail=False):
@@ -87,9 +97,14 @@ def _variants(kind, beta, cfg, tmp_path):
 def test_rows_equal_packets(kind, cfg, beta, tmp_path, monkeypatch):
     for config in _variants(kind, beta, cfg, tmp_path):
         session, rows = _drive(config, digest_every=97)
-        assert session.backend._nrows == session.mix.generated_unicasts > 0
+        mix, be = session.mix, session.backend
+        nb = len(be._btab[0]) if be._btab else 0    # a broadcast's rows
+        assert mix.generated_unicasts > 0
+        assert be._nrows == (mix.generated_unicasts
+                             + nb * mix.generated_broadcasts)
         with monkeypatch.context() as m:
             m.setattr(Network, "send_unicast", _as_packet)
+            m.setattr(Network, "send_broadcast", _as_op)
             session, pkts = _drive(config, digest_every=97)
         assert session.backend._nrows == 0
         assert rows == pkts, config.spec
@@ -199,10 +214,11 @@ def _assert_conserved(be):
     staged entries are not interned yet."""
     n = len(be._pkts)
     size = be._psize[:n]
-    unsent = int(size[np.array(be._pborn, np.int64) < 0].sum())
+    unsent = int(size[be._pborn[:n] < 0].sum())
     owed = _ring_flits(be)
     assert be.net.pending_flits() == owed
     staged = sum(e[2] if len(e) == 7 else e[1].size if len(e) == 2
+                 else e[2] * len(be._btab[0]) if len(e) == 5
                  else len(e[0]) * e[3] for e in be._staged)
     ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                   if port.is_ejection)
@@ -315,10 +331,174 @@ def test_profile_counts_objects(beta):
     mix = session.mix
     kc = session.profiler.report()["kernel_counters"]
     assert kc["packets_columns"] == mix.generated_unicasts > 0
-    assert kc["packets_built"] == 4 * mix.generated_broadcasts
+    # a broadcast is a row per branch, none of them built
+    assert kc["packets_rows"] == 4 * mix.generated_broadcasts
     assert kc["packets_staged"] == (kc["packets_columns"]
-                                    + kc["packets_built"])
-    assert (f"packets: {kc['packets_staged']} staged, 0 as rows, "
-            f"{kc['packets_columns']} as columns, {kc['packets_built']} "
-            f"built, 0 late, 0 fired by the kernel\n"
-            in session.profiler.render())
+                                    + kc["packets_rows"])
+    assert (f"packets: {kc['packets_staged']} staged, {kc['packets_rows']} "
+            f"as rows, {kc['packets_columns']} as columns, 0 built, 0 late, "
+            f"0 fired by the kernel\n" in session.profiler.render())
+
+
+def _half_objects(self, cyc, node, dst, size):
+    """``Network.send_unicasts`` with every other message an object
+    (``adapter.send``), the rest rows."""
+    for i, (c, v, d) in enumerate(zip(cyc.tolist(), node.tolist(),
+                                      dst.tolist())):
+        if i % 2:
+            self.adapters[v].send(Packet(v, d, size), c)
+        else:
+            self.send_unicast(v, d, size, None, c)
+
+
+def _booked(monkeypatch, config, backends=("array", "reference")):
+    """Run ``config`` on each backend; returns the sessions, each with
+    its summary and collector statistics, and the array engine's
+    batches that booked tails created both before and after warmup."""
+    straddle, book = [], ArrayBackend._book
+    warmup = config.spec.warmup
+
+    def booking(be, now, aid):
+        born = be._pborn[aid]
+        straddle.append((born < warmup).any() and (born >= warmup).any())
+        book(be, now, aid)
+
+    monkeypatch.setattr(ArrayBackend, "_book", booking)
+    out = []
+    for backend in backends:
+        session = SimulationSession(config.with_backend(backend))
+        summary = session.run()
+        coll, eng = session.collector, session._closedloop
+        stats = [coll.unicast.overall, *(c.latency for c in
+                                         coll.per_class.values())]
+        stats += eng.comp_stats.values() if eng is not None else ()
+        out.append((summary, coll.unicast.batch_averages,
+                    [(x.n, x.mean, x._m2, x.min, x.max, type(x.min))
+                     for x in stats]))
+        if backend == "array":
+            be = session.backend
+    return out, be, straddle
+
+
+def test_row_and_object_tails_book_in_emission_order(monkeypatch):
+    """A batch's unicast tails, rows and objects interleaved, are booked
+    in one pass each, in emission order: every statistic is the
+    reference's, bit for bit.  Mutant killed: booking the row tails in
+    bulk and the object ones apart (one Welford sum in two orders)."""
+    monkeypatch.setattr(Network, "send_unicasts", _half_objects)
+    config = make_config(kind="quarc", n=16, msg_len=6, beta=0.0,
+                         rate=0.06, cycles=600, warmup=0, seed=3)
+    (arr, ref), be, _ = _booked(monkeypatch, config)
+    assert arr == ref
+    objects = len(be._pkts) - be._nrows - be._ncols
+    assert objects > 100 and be._nrows > 100
+    assert be._nbook == be.net.deliveries > be._st.calls
+
+
+def test_a_batch_straddling_warmup_books_only_the_measured(monkeypatch):
+    """Tails created before warmup are delivered, not measured: unicast,
+    per-class and completion statistics (kinds int / float) equal the
+    reference's where one batch holds both.  Mutants killed: measuring
+    by delivery cycle, or every tail of the batch."""
+    config = make_config(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                         cycles=900, warmup=333, seed=5,
+                         workload="cache_coherence:window=4,service=0")
+    (arr, ref), be, straddle = _booked(monkeypatch, config)
+    assert arr == ref and any(straddle)
+    assert be._nbook == be._nuni > 0
+
+
+def _materialized(config, monkeypatch, objects):
+    """Mid-run views of every buffer's flits (packet and op fields), on
+    the array engine with broadcasts as rows, or as objects."""
+    views = []
+    with monkeypatch.context() as m:
+        if objects:
+            m.setattr(Network, "send_broadcast", _as_op)
+        session = SimulationSession(config)
+        net, be = session.net, session.backend
+
+        def look(now):
+            net.buffer_occupancy()      # materialize()
+            ops = {}
+            for buf in net.iter_buffers():
+                views.append([(p.src, p.dst, p.size, p.traffic, p.vclass,
+                               p.created, p.cls, i) for p, i in buf.q])
+                for p, _ in buf.q:
+                    if p.op is not None:    # one op for all its branches
+                        assert ops.setdefault((p.src, p.created),
+                                              p.op) is p.op
+            views.append(sorted((k, op.expected, op.cls, op.kind,
+                                 sorted(op.deliveries.items()),
+                                 op.completed_at)
+                                for k, op in ops.items()))
+
+        probes = session._probe_schedule()
+        _merge_probes(probes, {t: look for t in (90, 91, 230)})
+        be.run_mix(session.mix, config.spec.cycles, probes)
+        return views, session.summary(), be
+
+
+def test_broadcast_rows_read_as_the_objects(monkeypatch):
+    """A broadcast row's branches, read mid-run (``materialize`` builds
+    them by ``_packet``), are what the object path holds: same dst,
+    traffic, vclass, size and created, one op a broadcast with the
+    receipts so far.  Mutants killed: a branch to the wrong end, an op
+    per branch, an op without its receipts or class."""
+    config = make_config(kind="quarc", n=16, msg_len=6, cycles=300,
+                         warmup=50, seed=9, rate=4.0,
+                         workload="cache_coherence:storms=true")
+    rows = _materialized(config, monkeypatch, False)
+    objects = _materialized(config, monkeypatch, True)
+    assert rows[:2] == objects[:2]
+    assert rows[2]._nrows > objects[2]._nrows and rows[2]._nbuilt > 0
+
+
+@pytest.mark.parametrize("kind,cfg", [
+    ("quarc", {"bcast_mode": "relay"}), ("spidergon", {}),
+    ("quarc", {"faults": "links:down=2@cycle=100"})],
+    ids=["relay", "spidergon", "faulted"])
+def test_other_broadcasts_stay_objects(kind, cfg):
+    """Relay chains, Spidergon and any fault state keep the object path:
+    no broadcast is a row.  Mutant killed: a broadcast staged as a row
+    where the adapter's fan-out is not one packet per queue, or where
+    faults may drop a branch at the source."""
+    session = SimulationSession(make_config(
+        kind=kind, n=16, msg_len=4, beta=0.2, rate=0.05, cycles=300,
+        **cfg))
+    session.run()
+    be, mix = session.backend, session.mix
+    assert mix.generated_broadcasts > 10
+    assert not be.broadcast_rows and be._nrows == 0
+
+
+def test_multicasts_stay_objects_beside_broadcast_rows():
+    """A Quarc multicast is objects (its bitstring), interned beside the
+    broadcast rows of the same run."""
+    session = SimulationSession(make_config(
+        kind="quarc", n=16, msg_len=4, beta=0.2, rate=0.05, cycles=300))
+    session.net.adapters[2].send_multicast([3, 5, 9, 10, 15], 6, 0)
+    session.run()
+    be = session.backend
+    assert any(p is not None and p.traffic == MULTICAST for p in be._pkts)
+    assert be._nrows == 4 * session.mix.generated_broadcasts > 0
+
+
+def test_a_class_both_cast_replays_its_tails_alone(tmp_path, monkeypatch):
+    """A replayed trace may give one class name to unicasts and
+    broadcasts: their per-class statistic is fed by tails and
+    completions alike, so a batch holding both replays each tail alone,
+    in emission order.  Mutant killed: booking those tails in bulk
+    anyway (the class's latency sum in another order)."""
+    import random
+    rng = random.Random(7)
+    events = sorted((t, v, -1 if b else (v + rng.randrange(1, 16)) % 16,
+                     rng.choice((2, 5, 9)), "x", b)
+                    for t in range(0, 400, 4) for v in rng.sample(range(16), 2)
+                    for b in (rng.random() < 0.3,))
+    path = Trace(n=16, events=events).save(str(tmp_path / "x.jsonl"))
+    config = make_config(kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0,
+                         cycles=500, warmup=50,
+                         arrival=f"trace:path={path}")
+    (arr, ref), be, _ = _booked(monkeypatch, config)
+    assert arr == ref and be._nbook < be._nuni

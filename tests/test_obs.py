@@ -197,7 +197,8 @@ class TestZeroPerturbation:
                                    cycles=1500,
                                    workload="cache_coherence:window=4")
         session, summary = _probed_run(spec, "array", ObsSpec(profile=True))
-        kc = session.profiler.report()["kernel_counters"]
+        report = session.profiler.report()
+        kc = report["kernel_counters"]
         stops = kc["stops"]
         assert sum(stops.values()) == kc["calls"] < 10
         assert stops["feedback"] == 0
@@ -216,6 +217,11 @@ class TestZeroPerturbation:
         assert (f"batches ended by {stops['horizon']} horizon, "
                 f"0 python_route, 0 delivery, 0 events_full, "
                 f"0 feedback, {stops['requests']} requests\n" in text)
+        # every unicast tail is booked with its batch, timed as collect
+        assert kc["tails_booked"] == kc["tails_unicast"] > 0
+        assert report["categories"]["collect"] > 0
+        assert (f", {kc['tails_unicast']} as unicast columns "
+                f"({kc['tails_booked']} booked per batch), " in text)
 
     def test_array_profile_reports_its_footprint(self):
         """One line sizes the engine's static state.  Quarc N = 8: a row

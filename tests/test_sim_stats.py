@@ -96,6 +96,35 @@ class TestBatchMeans:
         with pytest.raises(ValueError):
             BatchMeans(batch_size=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_add_many_is_add_bit_for_bit(self, seed):
+        """The bulk fold (the cycle kernel's ``repro_welford``, exact
+        integer batch sums) equals sequential ``add``: every field, bit
+        for bit, ``min`` / ``max`` of the samples' type, over random runs
+        of integer samples that cross batch boundaries, empty runs
+        included.  Mutants killed: an FMA or reassociated update (the
+        mean or m2 rounds differently), a float batch sum, a batch
+        boundary off by one, float extremes for int samples."""
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, 9))
+        one, bulk = BatchMeans(size), BatchMeans(size)
+        comp, comp_bulk = OnlineStats(), OnlineStats()
+        for _ in range(12):
+            xs = rng.integers(0, 3000, int(rng.integers(0, 3 * size)))
+            for x in xs.tolist():
+                one.add(x)
+                comp.add(float(x))
+            bulk.add_many(xs)
+            comp_bulk.add_many(xs, float)
+            for a, b in ((one.overall, bulk.overall), (comp, comp_bulk)):
+                got = (b.n, b.mean, b._m2, b.min, b.max)
+                assert got == (a.n, a.mean, a._m2, a.min, a.max)
+                assert [type(v) for v in got] == [type(v) for v in (
+                    a.n, a.mean, a._m2, a.min, a.max)]
+            assert (bulk.batch_averages, bulk._acc, bulk._acc_n) == (
+                one.batch_averages, one._acc, one._acc_n)
+        assert type(bulk.overall.min) is int and type(comp_bulk.min) is float
+
 
 class TestQuantile:
     def test_median_odd(self):
