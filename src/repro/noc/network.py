@@ -291,13 +291,17 @@ class Network:
         only if something reads one; with no engine, or under a fault
         state (source-side rerouting and flit accounting read the
         object), it is ``Packet`` + ``adapter.send`` -- still the public
-        object API.  A ``tag`` comes back through :attr:`on_tagged_tail`
-        when the tail is delivered.  A ``cont = (size, delay, cls,
-        tag)`` is the reply ``dst`` sends back to ``node``, a unicast of
-        that size, class and tag, ``delay`` cycles after the tail
-        arrives: the network's own work from then on (a directory
-        reply).  Its broadcast twin is :meth:`send_broadcast`."""
+        object API.  On the object path only, a ``tag`` comes back through
+        :attr:`on_tagged_tail` when the tail is delivered, and a ``cont =
+        (size, delay, cls, tag)`` is the reply ``dst`` sends back to
+        ``node`` ``delay`` cycles after the tail arrives (a directory
+        reply); an engine's kernel fires its own closed loop.  Its
+        broadcast twin is :meth:`send_broadcast`."""
         owner = self.state_owner
+        if owner is not None and (tag is not None or cont is not None):
+            raise ValueError("no tag or cont on an array-owned network: its "
+                             "kernel fires closed-loop transactions "
+                             "(bind_sources)")
         if owner is None or self.fault_state is not None:
             pkt = Packet(node, dst, size, UNICAST, created=now)
             pkt.cls = cls
@@ -305,13 +309,13 @@ class Network:
             pkt.cont = cont
             self.adapters[node].send(pkt, now)
         else:
-            owner.rows.append((node, dst, size, cls, now, tag, cont))
+            owner.rows.append((node, dst, size, cls, now))
 
     def send_broadcast(self, node: int, size: int, cls: Optional[str],
                        now: int, on_complete=None) -> Optional[CollectiveOp]:
         """:meth:`send_unicast`'s twin: an engine taking broadcasts as rows
-        (``broadcast_rows``) gets one and builds no object unless read;
-        else (a fault state, an ``on_complete(now)`` to call) it is
+        (``broadcast_rows``) gets one (``dst`` ``None``), built only if
+        read; else (a fault state, an ``on_complete(now)`` to call) it is
         ``adapter.send_broadcast``, whose op of class ``cls`` returns."""
         owner = self.state_owner
         if (owner is None or self.fault_state is not None
@@ -320,7 +324,7 @@ class Network:
             op.cls = cls
             op.on_complete = on_complete
             return op
-        owner.rows.append((node, -1, size, cls, now))
+        owner.rows.append((node, None, size, cls, now))
         return None
 
     def send_unicasts(self, cyc, node, dst, size: int) -> None:

@@ -77,15 +77,14 @@
  * if created >= warmup; the expected-th emits COMPLETE.  A stale
  * generation is a duplicate tail of an op already complete: no receipt.
  *
- * Continuations.  pcont[aid] > 0 names the reply a unicast's tail sends
- * back: (delay << 40) | (reply aid + 1), the reply's columns staged
- * with it (psrc = its home, pdst = the requester).  The tail files the
- * reply in the due ring `cring` (a bucket per cycle mod cmask + 1:
- * head, tail -- linked through pnext -- and its cycle); the fold of
- * that cycle sends it from psrc's queue (qfirst / qrel, the unicast
- * queue table) and emits CONT.  ncont / contflits count what waits.
- * pcont[aid] == -1: the closed loop hears this tail, as it hears the
- * completion of a slot with RT_HEARD set; pcont[aid] = -2 - i: the tail
+ * Continuations.  The closed loop's transactions are the kernel's own:
+ * pcont[aid] > 0 names the reply a request's tail sends back,
+ * (delay << 40) | (reply aid + 1), interned with it (psrc = its home,
+ * pdst = the requester).  The tail files the reply in the due ring
+ * `cring` (a bucket per cycle mod cmask + 1: head, tail -- linked
+ * through pnext -- and its cycle); the fold of that cycle sends it from
+ * psrc's queue (qfirst / qrel, the unicast queue table) and emits CONT.
+ * ncont / contflits count what waits.  pcont[aid] = -2 - i: the tail
  * completes a transaction of source i, a credit the kernel applies.
  *
  * Sources.  A closed-loop source i (S of them, class-major: i = class
@@ -115,9 +114,9 @@
  *     set in `stopkinds` (the kinds whose delivery may push a packet
  *     back into the network; every kind under on_tail / faults).
  *   - a tail or completion the closed loop hears (`heard` is set, the
- *     reason is FEEDBACK unless one above applies): a tagged tail, the
- *     phase's last message (the barrier is due) or a completion with
- *     RT_HEARD (the barrier: the phase restarts).
+ *     reason is FEEDBACK unless one above applies): the phase's last
+ *     message (the barrier is due) or a completion with RT_HEARD (the
+ *     barrier: the phase restarts).
  *     Other events ride along and are replayed after the batch in
  *     emission order = (cycle, port);
  * or before a cycle that could overflow the event buffer (a cycle emits
@@ -374,10 +373,11 @@ void repro_arm(repro_state *s, int64_t i, int64_t at)
 }
 
 /* The tail of packet aid reached the PE of port p's node: the kernel's
- * receipt (see the header) if popx names a slot, a continuation filed
- * if pcont names one, and a DELIVERY event unless it was a receipt and
- * the kind is not in stopkinds.  Returns TAIL_STOP if the batch must
- * end after this cycle, TAIL_HEARD if the closed loop hears it. */
+ * receipt (see the header) if popx names a slot, else the reply or
+ * credit of a transaction pcont names, and a DELIVERY event unless it
+ * was a receipt and the kind is not in stopkinds.  Returns TAIL_STOP if
+ * the batch must end after this cycle, TAIL_HEARD if the closed loop
+ * hears it. */
 static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
 {
     int64_t x = s->popx[aid] & 0xFFFFFFFF;
@@ -400,8 +400,6 @@ static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
             return stop;
     } else if (s->pcont[aid] > 0) {
         schedule(s, s->pcont[aid], now);
-    } else if (s->pcont[aid] == -1) {
-        stop |= TAIL_HEARD;
     } else if (s->pcont[aid] < 0) {    /* a credit to its source */
         int64_t i = -2 - s->pcont[aid];
         s->sout[i]--;

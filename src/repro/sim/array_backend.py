@@ -27,8 +27,7 @@ the dateline class, owned here while attached and synced with
 ``Packet.vclass`` only at the Python-route boundary and in
 ``materialize``; ``_phdr``: the row holding the packet's routed
 header; ``_popx``: its collective op's receipt slot, below, or -1) and
-for what deliveries read (``_pborn``, ``_pcid``: class, ``_ptxn``), and
-``_ptag`` for a tagged row's tag.
+for what deliveries read (``_pborn``, ``_pcid``: class, ``_ptxn``).
 A packet may be columns only: ``_pkts[aid]`` is ``None`` for a message
 staged as a row until :meth:`ArrayBackend._packet` builds the object
 (a broadcast's with its op) for a Python route, a fault, ``on_tail`` or
@@ -71,13 +70,10 @@ batches: a batch runs until Python is needed, :meth:`_replay` applies
 its events, the next batch starts.  One ordered list, ``_staged``,
 takes what is injected, in push order: ``(buffer, packet)`` from the
 adapters (it is every ``FlitBuffer.sink``), ``(node, dst, size, cls,
-created, tag, cont)`` rows from ``Network.send_unicast``, ``(node, -1,
-size, cls, created)`` from ``Network.send_broadcast`` and ``(cycle,
-node, dst, size)`` windows of columns from ``Network.send_unicasts``.
-A row's buffers are looked up in the adapters' ``unicast_queue_table``
-or ``broadcast_table``;
-a ``cont`` (a request's reply) is interned with it and filed by the
-kernel when the request's tail arrives (``_cycle_kernel.c``).
+created)`` rows from ``Network.send_unicast`` and, with ``dst = None``,
+``Network.send_broadcast``, and ``(cycle, node, dst, size)`` windows of
+columns from ``Network.send_unicasts``.  A row's buffers are looked up
+in the adapters' ``unicast_queue_table`` or ``broadcast_table``.
 :meth:`_stage` turns them into arrival rows ``(cycle, buffer, aid,
 rank)`` by one rule: an entry is due at ``max(created, next cycle to
 run)``, and rows go by due cycle, then rank -- *regenerated* entries
@@ -87,13 +83,14 @@ continuations, then the closed-loop engine's barrier, then by class
 order the reference's FIFOs get them.  New rows that lead every
 waiting one go into the consumed prefix (*late* when interned one by
 one, O(1) a packet), the others merge in place (``repro_merge``).
-A closed loop's sources live in the kernel (:meth:`bind_sources`):
-their requests are interned ahead, a quantum per source, and fired by
-the kernel.  Events carry their cycle: a tail that reached a PE
-(``EV_DELIVERY``), an op's completion (``EV_COMPLETE``), a continuation
-sent (``EV_CONT``), a request fired (``EV_FIRE``), a header only the
-router can route (``EV_ROUTE``: no table row, a multicast on a row
-without it, anything under a fault state).  A cycle that emitted a
+A closed loop's sources live in the kernel (:meth:`bind_sources`),
+the engine's one closed-loop transaction path: their requests are
+interned ahead with their replies and fired by the kernel.  Events
+carry their cycle: a tail that reached a PE (``EV_DELIVERY``), an op's
+completion (``EV_COMPLETE``), a continuation sent (``EV_CONT``), a
+request fired (``EV_FIRE``), a header only the router can route
+(``EV_ROUTE``: no table row, a multicast on a row without it, anything
+under a fault state).  A cycle that emitted a
 ROUTE event, or a delivery that cannot wait (a tail of
 ``Adapter.reinjecting_tails`` -- relay segments; any tail when
 ``net.on_tail`` / a fault state is set), ends its batch, and so does
@@ -440,7 +437,8 @@ class ArrayBackend(SimBackend):
         self._rr = z(P)
         self._fs = z(P)
         self._pkts: List = []
-        self._ptag: Dict[int, object] = {}
+        #: pid -> aid of each packet :meth:`materialize` put in a buffer
+        self._aids: Dict[int, int] = {}
         #: class names by ``_pcid`` and back
         self._cname: List[Optional[str]] = [None]
         self._cid: Dict[Optional[str], int] = {None: 0}
@@ -612,11 +610,6 @@ class ArrayBackend(SimBackend):
         self._psize[a0:a1] = size
         self._pvcl[a0:a1] = vcl
         self._phdr[a0:a1] = -1
-        for i, p in enumerate(pkts if cols is None else ()):
-            if p.tag is not None:       # Python hears it
-                self._pcont[a0 + i] = -1
-            if p.cont is not None:      # a unicast sent as an object
-                self._reply(a0 + i, p.src, p.dst, p.cont)
         return a0
 
     def _cids(self, names):
@@ -679,7 +672,7 @@ class ArrayBackend(SimBackend):
         """Intern ``Network.send_unicast`` rows; returns each one's source
         buffer (the queue table; a destination ``send`` refuses raises
         what it would)."""
-        node, dst, size, cls, born, tag, cont = zip(*rows)
+        node, dst, size, cls, born = zip(*rows)
         dst = np.array(dst)
         n = self.net.n
         bad = dst[(dst < 0) | (dst >= n)]
@@ -688,57 +681,9 @@ class ArrayBackend(SimBackend):
         bufs = self._queue_rows(np.array(node), dst)
         if (bufs < 0).any():
             raise ValueError("local address has no quadrant")
-        a0 = self._intern_unicasts(node, dst, size, cls, born)
+        self._intern_unicasts(node, dst, size, cls, born)
         self._nrows += len(rows)
-        for i in [i for i, t in enumerate(tag) if t is not None]:
-            self._ptag[a0 + i] = tag[i]
-            self._pcont[a0 + i] = -1
-        for i in [i for i, c in enumerate(cont) if c is not None]:
-            self._reply(a0 + i, node[i], int(dst[i]), cont[i])
         return bufs
-
-    def _new(self, pkt, cls, born, opx, dst, size, traf, vcl) -> int:
-        """Append one packet to the columns, O(1); returns its aid."""
-        aid = len(self._pkts)
-        if aid >= len(self._pdst):
-            self._grow(_PCOLS, aid + 1, aid)
-        self._pkts.append(pkt)
-        self._pcid[aid] = (self._cid[cls] if cls in self._cid
-                           else self._cids((cls,)))
-        self._pborn[aid] = born
-        self._popx[aid] = opx
-        self._pdst[aid] = dst
-        self._ptraf[aid] = traf
-        self._psize[aid] = size
-        self._pvcl[aid] = vcl
-        self._phdr[aid] = -1
-        return aid
-
-    def _reply(self, aid: int, node: int, dst: int, cont) -> None:
-        """Stage the continuation of unicast ``aid`` (``node -> dst``):
-        its reply ``(size, delay, cls, tag)``, sent by ``dst`` back to
-        ``node`` ``delay`` cycles after ``aid``'s tail arrives -- by the
-        kernel's due ring, which this sizes; born when sent."""
-        size, delay, cls, tag = cont
-        r = self._new(None, cls, -1, -1, node, size, UNICAST, 0)
-        self._psrc[r] = dst
-        self._ptag[r] = tag
-        self._pcont[r] = -1             # the requester hears it
-        self._pcont[aid] = delay << CONT_SHIFT | (r + 1)
-        self._nrows += 1
-        self._fit_ring(delay)
-
-    def _fit_ring(self, delay: int) -> None:
-        """Grow the due ring until a continuation ``delay`` cycles out
-        fits (rebucketing what waits: all of it is due within)."""
-        st = self._st
-        if delay > st.cmask:
-            ring = np.full((_pow2_at_least(delay + 1), 3), -1, np.int64)
-            for bk in self._cring[self._cring[:, 0] >= 0]:
-                ring[bk[2] & (len(ring) - 1)] = bk
-            self._cring = ring
-            st.cring = ring.ctypes.data
-            st.cmask = len(ring) - 1
 
     def due(self, now: int) -> List[tuple]:
         """The continuations the kernel sends at the head of cycle
@@ -804,8 +749,12 @@ class ArrayBackend(SimBackend):
         self._sleft = [0] * len(srcs)
         self._sahead = [0] * len(srcs)
         self._sfired = [0] * len(srcs)
-        self._fit_ring(max((rep[1] for _, rep in map(eng.request, ks)
-                            if rep), default=0))
+        delay = max((rep[1] for _, rep in map(eng.request, ks) if rep),
+                    default=0)
+        if delay > st.cmask:    # the due ring (empty) fits every reply
+            ring = self._cring = np.full((_pow2_at_least(delay + 1), 3), -1,
+                                         np.int64)
+            st.cring, st.cmask = ring.ctypes.data, len(ring) - 1
         return self
 
     def fill_sources(self, stop: int) -> None:
@@ -828,8 +777,8 @@ class ArrayBackend(SimBackend):
     def _intern_requests(self, grow: bool = False) -> None:
         """Intern each firing source's next requests, up to ``_sahead``
         (doubled first if a source ran dry: ``grow``): dsts from its
-        private stream, a reply interned with each request
-        (:meth:`_reply`'s columns), chained through ``_pnext`` from
+        private stream, a reply interned with each request (its
+        continuation: ``_pcont``), chained through ``_pnext`` from
         ``_shead``."""
         eng, srcs, n = self._eng, self._srcs, self.net.n
         if grow:
@@ -921,20 +870,6 @@ class ArrayBackend(SimBackend):
         """A new phase: ``left`` phased messages end it."""
         self._st.phleft = left
 
-    def _show_sources(self) -> None:
-        """Between runs, the sources' objects say what the kernel holds:
-        armed or not, coin position, and the mix's calendar shows their
-        firings (:meth:`TrafficMix.show_kernel`)."""
-        booked, waiting = [], []
-        for s, (src, at) in enumerate(zip(self._srcs, self._sarm.tolist())):
-            src.armed = at != S_IDLE
-            src.pos, src.end = int(self._scpos[s]), int(self._scend[s])
-            if at >= 0:
-                booked.append((at, self._sinj[s]))
-            elif at == S_WAIT:
-                waiting.append(self._sinj[s])
-        self._eng.mix.show_kernel(booked, waiting)
-
     def _packet(self, aid: int) -> Packet:
         """The packet ``aid``, built on first use if staged as a row (a
         broadcast branch with its op and the op's other branches)."""
@@ -952,12 +887,12 @@ class ArrayBackend(SimBackend):
         return pkt
 
     def _tag(self, aid: int):
-        """The tag of unicast ``aid`` staged as a row: its own or, for a
-        kernel transaction, the class (a stream message) or the class and
-        the cycle the request fired (a reply: ``_ptxn``)."""
+        """The tag of unicast ``aid`` staged as a row: ``None`` unless it
+        is a kernel transaction, then the class (a stream message) or the
+        class and the cycle the request fired (a reply: ``_ptxn``)."""
         c = int(self._pcont[aid])
         if c > -2:
-            return self._ptag.pop(aid, None)
+            return None
         k = self._sk[-2 - c]
         return k if self._eng.request(k)[1] is None else (
             k, int(self._ptxn[aid]))
@@ -1064,7 +999,11 @@ class ArrayBackend(SimBackend):
 
     def _adopt(self) -> None:
         """(Re)build all dynamic array state from the object graph and
-        take ownership of the network."""
+        take ownership of the network.  A packet the engine already holds
+        (``_aids``, from :meth:`materialize`) keeps its aid, and with it
+        what only the arrays know -- a kernel transaction's credit or
+        reply (``_pcont``, ``_ptxn``, ``_psrc``); its ``vclass`` is read
+        back from the object.  Only new packets are interned."""
         for arr in (self._qlen, self._front, self._rhead, self._vcreq,
                     self._jof, self._pfid, self._ppend):
             arr[:] = 0
@@ -1088,8 +1027,17 @@ class ArrayBackend(SimBackend):
         for buf in self._bufs:
             for pkt, _ in buf.q:
                 resident.setdefault(pkt.pid, pkt)
-        a0 = self._intern(list(resident.values())) if resident else 0
-        aid_of = {pid: a0 + i for i, pid in enumerate(resident)}
+        aid_of, new, pkts = {}, [], self._pkts
+        for pid, pkt in resident.items():
+            aid = self._aids.get(pid, -1)
+            if aid >= 0 and pkts[aid] is pkt:
+                aid_of[pid] = aid
+                self._pvcl[aid] = pkt.vclass
+                self._phdr[aid] = -1
+            else:
+                new.append(pkt)
+        a0 = self._intern(new) if new else 0
+        aid_of.update((p.pid, a0 + i) for i, p in enumerate(new))
         headers: List[int] = []
         rflat = self._rflat
         inflight = 0
@@ -1150,10 +1098,10 @@ class ArrayBackend(SimBackend):
         then the kernel's continuations, then by class (the mix's
         order); equals keep push order, the rows still waiting first.
         That is the order the reference's FIFOs get.  A few entries are
-        interned one by one, O(1) each, more in one numpy pass; then
-        :meth:`_put` places them."""
+        interned one by one, O(1) each, more (or any row) in one numpy
+        pass; then :meth:`_put` places them."""
         staged = self._staged
-        if len(staged) <= _SCALAR_STAGE and all(len(e) in (2, 7)
+        if len(staged) <= _SCALAR_STAGE and all(len(e) == 2
                                                 for e in staged):
             key, abuf, aaid = self._intern_each(now)
             if len(key) > 1:
@@ -1166,63 +1114,51 @@ class ArrayBackend(SimBackend):
         self._put(key, abuf, aaid)
 
     def _intern_each(self, now: int):
-        """Intern the staged packets and rows one by one (the columns of
-        :meth:`_intern` / :meth:`_intern_rows`, scalar); their sort key,
-        buffer and aid, in push order."""
-        first, rel = self._qtab_py
-        nn = len(rel)
-        ranks = self._rank
+        """Intern the staged packets (relay hops, the adapters' object
+        pushes) one by one (the columns of :meth:`_intern`, O(1) each);
+        their sort key, buffer and aid, in push order."""
+        ranks, pkts, cid = self._rank, self._pkts, self._cid
         key, abuf, aaid = [], [], []
-        for e in self._staged:
-            if len(e) == 2:
-                pkt = e[1]
-                b = self._bid[e[0]]
-                born, op = pkt.created, pkt.op
-                aid = self._new(pkt, pkt.cls, born, self._slot(op), pkt.dst,
-                                pkt.size, pkt.traffic, pkt.vclass)
-                cls = pkt.cls if op is None else op.cls
-                if pkt.tag is not None:     # Python hears it
-                    self._pcont[aid] = -1
-                if pkt.cont is not None:
-                    self._reply(aid, pkt.src, pkt.dst, pkt.cont)
-            else:
-                node, dst, size, cls, born, tag, cont = e
-                k = rel[(dst - node) % nn] if 0 <= dst < nn else -1
-                if k < 0:       # raise what ``adapter.send`` would
-                    self._intern_rows([e])
-                b = first[node] + k
-                aid = self._new(None, cls, born, -1, dst, size, UNICAST, 0)
-                self._psrc[aid] = node
-                if tag is not None:
-                    self._ptag[aid] = tag
-                    self._pcont[aid] = -1
-                if cont is not None:
-                    self._reply(aid, node, dst, cont)
-                self._nrows += 1
-                self._acoll[node].note_generated(False)
+        for buf, pkt in self._staged:
+            aid = len(pkts)
+            if aid >= len(self._pdst):
+                self._grow(_PCOLS, aid + 1, aid)
+            pkts.append(pkt)
+            cls, born, op = pkt.cls, pkt.created, pkt.op
+            self._pcid[aid] = cid[cls] if cls in cid else self._cids((cls,))
+            self._pborn[aid] = born
+            self._popx[aid] = self._slot(op)
+            self._pdst[aid] = pkt.dst
+            self._ptraf[aid] = pkt.traffic
+            self._psize[aid] = pkt.size
+            self._pvcl[aid] = pkt.vclass
+            self._phdr[aid] = -1
+            if op is not None:
+                cls = op.cls
             key.append(now << RANK_BITS if born < now else
                        born << RANK_BITS | ranks.get(cls, RANK_OTHER))
-            abuf.append(b)
+            abuf.append(self._bid[buf])
             aaid.append(aid)
         return key, abuf, aaid
 
     def _intern_all(self, now: int):
-        """:meth:`_intern_each` in numpy passes -- every row at once,
-        every broadcast row, every packet, then each window of columns --
-        sorted."""
+        """Intern what is staged in numpy passes -- every unicast row at
+        once, every broadcast row, every packet, then each window of
+        columns; keys, buffers and aids as :meth:`_intern_each`, sorted."""
         staged = self._staged
-        kind = np.array([len(e) for e in staged])
+        # 2: a packet, 4: a window, 5: a unicast row, 1: a broadcast row
+        kind = np.array([1 if e[1] is None else len(e) for e in staged])
         seq = np.arange(len(staged))        # push order
         parts = []      # (created, rank, buffer, aid, push order)
         ranks = self._rank
-        rows = [e for e in staged if len(e) == 7]
+        rows = [e for e in staged if len(e) == 5 and e[1] is not None]
         if rows:
             a0 = len(self._pkts)
             parts.append(([e[4] for e in rows],
                           [ranks.get(e[3], RANK_OTHER) for e in rows],
                           self._intern_rows(rows),
-                          np.arange(a0, a0 + len(rows)), seq[kind == 7]))
-        bcasts = [e for e in staged if len(e) == 5]
+                          np.arange(a0, a0 + len(rows)), seq[kind == 5]))
+        bcasts = [e for e in staged if e[1] is None]
         if bcasts:
             a0 = len(self._pkts)
             bufs = self._intern_bcasts(bcasts)
@@ -1231,7 +1167,7 @@ class ArrayBackend(SimBackend):
                           np.repeat([ranks.get(e[3], RANK_OTHER)
                                      for e in bcasts], nb),
                           bufs, np.arange(a0, a0 + len(bufs)),
-                          np.repeat(seq[kind == 5], nb)))
+                          np.repeat(seq[kind == 1], nb)))
         if (kind == 2).any():
             bufs, pkts = zip(*(e for e in staged if len(e) == 2))
             a0 = self._intern(pkts)
@@ -1437,9 +1373,8 @@ class ArrayBackend(SimBackend):
     def _bookable(self, pairs: np.ndarray, kind: np.ndarray) -> list:
         """The events of a batch's unicast tails :meth:`_book` takes: none
         if they are fewer than ``_BOOK_MIN``, with receipts Python's, a
-        fault state or ``net.on_tail``, a tail whose tag Python hears, or
-        a class a collective of the batch completes in too (one
-        statistic, two orders)."""
+        fault state or ``net.on_tail``, or a class a collective of the
+        batch completes in too (one statistic, two orders)."""
         net = self.net
         if (self._kcoll is None or net.fault_state is not None
                 or net.on_tail is not None):
@@ -1454,7 +1389,7 @@ class ArrayBackend(SimBackend):
         named.discard(None)
         mixed = named and not named.isdisjoint(self._cname[c] for c in
                                                set(self._pcid[aid].tolist()))
-        return [] if mixed or (self._pcont[aid] == -1).any() else d
+        return [] if mixed else d
 
     # ------------------------------------------------------------------
     # event replay: everything a batch of cycles owes the Python objects
@@ -1577,14 +1512,17 @@ class ArrayBackend(SimBackend):
         self._advance(now, now + 1)
         return net.flits_moved - before
 
+    def _staged_flits(self) -> int:
+        """Flits of the entries staged and not interned yet."""
+        nb = len(self._btab[0]) if self._btab else 0
+        return sum(e[1].size if len(e) == 2 else len(e[0]) * e[3]
+                   if len(e) == 4 else e[2] * (nb if e[1] is None else 1)
+                   for e in self._staged)
+
     def total_flits(self) -> int:
         """Flits in the fabric, staged or waiting to fold included."""
         st = self._st
-        nb = len(self._btab[0]) if self._btab else 0
-        n = st.inflight + sum(
-            e[2] if len(e) == 7 else e[1].size if len(e) == 2
-            else e[2] * nb if len(e) == 5
-            else len(e[0]) * e[3] for e in self._staged)
+        n = st.inflight + self._staged_flits()
         if st.apos < st.an:
             n += int(self._psize[self._aaid[st.apos:st.an]].sum())
         return n
@@ -1608,8 +1546,6 @@ class ArrayBackend(SimBackend):
         self._rank = self._ranks(mix)
         super().run_mix(mix, cycles, probes)
         self._sync(ops=True)
-        if mix.kernel is self:
-            self._show_sources()
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph
@@ -1624,6 +1560,7 @@ class ArrayBackend(SimBackend):
         self._flush()
         self._sync(ops=True)
         packet, rflat = self._packet, self._rflat
+        aids = self._aids = {}
         for b, buf in enumerate(self._bufs):
             q = buf.q
             q.clear()
@@ -1640,11 +1577,13 @@ class ArrayBackend(SimBackend):
                         last = aid
                         pkt = packet(aid)
                         pkt.vclass = int(self._pvcl[aid])
+                        aids[pkt.pid] = aid
                     q.append((pkt, v & FIDMASK))
                 aid = int(self._phead[b])
                 fid = int(self._pfid[b])
                 while aid >= 0:     # the flits still in packet form
                     pkt = packet(aid)
+                    aids[pkt.pid] = aid
                     q.extend((pkt, i) for i in range(fid, pkt.size))
                     aid = int(self._pnext[aid])
                     fid = 0

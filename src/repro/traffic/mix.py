@@ -186,10 +186,8 @@ class TrafficMix:
         #: next fill draws on from where their draws stopped
         self._resume: List[int] = []
         #: the array engine whose kernel fires the closed-loop sources
-        #: (bound at the first fill; ``None``: this mix fires them), and
-        #: whether the calendar shows its firings (:meth:`show_kernel`)
+        #: (bound at the first fill; ``None``: this mix fires them)
         self.kernel = None
-        self._shown = False
 
         net.on_continue = self._continued
         streams = RngStreams(seed)
@@ -375,8 +373,6 @@ class TrafficMix:
             bind = getattr(net.state_owner, "bind_sources", None)
             if bind is not None:
                 self.kernel = bind(self)
-        if self._shown:
-            self._unshow()
         if self.on_inject is not None:
             for home, dst, size, name in net.due(now):
                 self.on_inject(home, now, name, dst, size, False)
@@ -521,26 +517,6 @@ class TrafficMix:
         self._injectors[i].outstanding -= 1
         if self.kernel is None:
             self.arm(i, now + 1)
-
-    def show_kernel(self, booked, waiting) -> None:
-        """Show the ``kernel``'s armed sources between runs, as this mix
-        would hold them: ``(cycle, injector)`` on the calendar, injectors
-        armed past the block on the resume list.  The next :meth:`inject`
-        takes them off again."""
-        for t, i in booked:
-            self._book(t, i)
-        self._resume += waiting
-        self._shown = True
-
-    def _unshow(self) -> None:
-        cal, inj = self.calendar, self._injectors
-        for c in list(cal):
-            cal[c] = [i for i in cal[c] if not inj[i].reactive]
-            if not cal[c]:
-                del cal[c]
-        self._cycles = sorted(cal)
-        self._resume = []
-        self._shown = False
 
     def take(self, until: int) -> Tuple[np.ndarray, ...]:
         """The current block's rows before cycle ``until`` not taken yet,

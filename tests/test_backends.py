@@ -19,6 +19,7 @@ import pytest
 from helpers import one_cycle_segments
 from repro.core.api import NETWORK_KINDS, build_network
 from repro.noc.packet import UNICAST, Packet
+from repro.sim.array_backend import S_IDLE
 from repro.sim.backend import BACKENDS, ArrayBackend, make_backend
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.arrival import BernoulliInjector
@@ -104,9 +105,13 @@ class TestBackendEquivalence:
             assert mix.generated_total == generated
             out.append(session.summary())
             due = {i for lst in mix.calendar.values() for i in lst}
+            kern = mix.kernel       # the array engine's sources: its own
             for i, src in enumerate(mix._injectors):
                 if src.reactive and src.outstanding < src.window:
-                    assert src.armed and (i in due or i in mix._resume)
+                    if kern is not None:
+                        assert kern._sarm[kern._sof[i]] != S_IDLE
+                    else:
+                        assert src.armed and (i in due or i in mix._resume)
         assert engines_built == [BACKENDS["reference"], ArrayBackend]
         assert out[0] == out[1]
 
@@ -440,7 +445,7 @@ class TestArrayBackend:
         be = ArrayBackend(net)
         b = int(be._queue_rows(0, 4))
         cap = be._cap_py[b]
-        be.rows.append((0, 4, cap + 1, None, 0, None, None))
+        be.rows.append((0, 4, cap + 1, None, 0))
         msg = rf"full buffer '{be._bufs[b].label}' \(capacity {cap}\)"
         with pytest.raises(OverflowError, match=msg):
             be.materialize()

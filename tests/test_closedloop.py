@@ -616,6 +616,31 @@ class TestKernelSources:
                 config.with_backend("reference")).run()
         assert array.backend._st.fired > 100
 
+    @pytest.mark.parametrize("workload,cut", [
+        ("cache_coherence:window=4", 400),
+        ("allreduce:window=4,quota=12,gap=48", 346)],     # inside a phase
+        ids=["coherence", "phased"])
+    def test_resync_keeps_the_kernels_transactions(self, workload, cut):
+        """``materialize()`` + ``resync()`` mid-run re-adopts each packet
+        in flight under its aid, so a kernel transaction keeps its reply
+        and its credit: summary, completions and outstanding requests
+        are the reference's."""
+        spec = closed_spec(workload, cycles=1500, warmup=200, seed=3)
+        out = []
+        for backend in ("reference", "array"):
+            session = SimulationSession(RunConfig(spec=spec,
+                                                  backend=backend))
+            be, mix = session.backend, session.mix
+            be.run_mix(mix, cut)
+            if backend == "array":
+                be.materialize()
+                be.resync()
+            be.run_mix(mix, 1500 - cut)
+            out.append((session.summary(), mix._cl_engine.completed,
+                        [src.outstanding for src in mix._injectors
+                         if src.reactive]))
+        assert out[0] == out[1]
+
     @pytest.mark.parametrize("name", ["dense", "dense_warmup", "reversed"])
     def test_request_broadcast_and_reply_share_a_queue(self, name,
                                                        monkeypatch):

@@ -145,6 +145,22 @@ def test_bad_rows_raise_like_send():
     assert net.drain() > 0 and be._nbuilt == 0
 
 
+def test_tags_and_continuations_are_refused():
+    """An array engine's kernel fires the closed loop's transactions; a
+    ``tag`` or ``cont`` handed to ``send_unicast`` would be lost, so it
+    raises, for a row and under a fault state alike, and stages
+    nothing."""
+    net, _ = build_network("quarc", 16)
+    ArrayBackend(net)
+    fs = FaultState(FaultPlan.parse("links:down=1@cycle=9"), net, 7)
+    for state in (None, fs):
+        net.fault_state = state
+        for kw in (dict(tag=0), dict(cont=(4, 1, None, 0))):
+            with pytest.raises(ValueError, match="kernel fires closed-loop"):
+                net.send_unicast(3, 4, 4, None, 0, **kw)
+    assert net.total_flits() == 0
+
+
 def test_lazy_packets_are_the_reference_packets():
     """What ``on_tail`` and ``materialize()`` hand out for a row-born
     message is what the reference run holds as an object."""
@@ -217,9 +233,7 @@ def _assert_conserved(be):
     unsent = int(size[be._pborn[:n] < 0].sum())
     owed = _ring_flits(be)
     assert be.net.pending_flits() == owed
-    staged = sum(e[2] if len(e) == 7 else e[1].size if len(e) == 2
-                 else e[2] * len(be._btab[0]) if len(e) == 5
-                 else len(e[0]) * e[3] for e in be._staged)
+    staged = be._staged_flits()
     ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                   if port.is_ejection)
     assert (int(size.sum()) + staged
@@ -303,8 +317,8 @@ def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
         net, be, mix = session.net, session.backend, session.mix
         if backend == "array":
             assert be._ncols == mix.generated_unicasts
-            generated = int(be._psize[:len(be._pkts)].sum()) + sum(
-                e[2] if len(e) == 6 else e[1].size for e in be._staged)
+            generated = (int(be._psize[:len(be._pkts)].sum())
+                         + be._staged_flits())
             ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                           if port.is_ejection)
         else:
