@@ -159,17 +159,32 @@ class LatencyCollector:
         """:meth:`on_unicast_cols` for a batch of tails given as int64
         numpy columns in delivery order (``cid`` indexes the class
         ``names``), each statistic folded in that order in one pass."""
-        import numpy as np      # the array engine's dependency, not ours
         self.delivered_unicast += len(now)
+        self._fold(self.unicast, "add_unicast", created, cid, names, now)
+
+    def on_collectives(self, created, cid, names: Sequence[Optional[str]],
+                       now) -> None:
+        """:meth:`on_collective_cols` for a batch of completions, as
+        :meth:`on_unicasts` takes tails."""
+        self.completed_collective += len(now)
+        self._fold(self.collective, "add_collective", created, cid, names,
+                   now)
+
+    def _fold(self, overall: BatchMeans, hist: str, created, cid, names,
+              now) -> None:
+        """Fold latencies ``now - created`` (columns) into ``overall``,
+        the histograms (``hist``: the bank's method) and each class's
+        statistics, each in column order."""
+        import numpy as np      # the array engine's dependency, not ours
         measured = created >= self.warmup
         lat = now - created
-        self.unicast.add_many(lat[measured])
+        overall.add_many(lat[measured])
         for c in np.flatnonzero(np.bincount(cid)).tolist():
             mine = cid == c
             if self.hist is not None:
                 k = np.bincount(lat[mine & measured])
                 for x in np.flatnonzero(k).tolist():
-                    self.hist.add_unicast(x, names[c], int(k[x]))
+                    getattr(self.hist, hist)(x, names[c], int(k[x]))
             if names[c] is not None:
                 stats = self._class_stats(names[c])
                 stats.delivered += int(mine.sum())

@@ -327,18 +327,32 @@ class Network:
         owner.rows.append((node, None, size, cls, now))
         return None
 
-    def send_unicasts(self, cyc, node, dst, size: int) -> None:
-        """A window of class-less unicasts of ``size`` flits, as numpy
-        columns ``(cycle, node, dst)``, each sent at its cycle: an array
-        engine takes the window whole, in its place among the rows;
+    def send_unicasts(self, cyc, node, dst, size: int,
+                      cls: Optional[str] = None) -> None:
+        """A window of unicasts of ``size`` flits and class ``cls``, as
+        numpy columns ``(cycle, node, dst)``, each sent at its cycle: an
+        array engine takes the window whole, in its place among the rows;
         with no engine, or under a fault state, it is
         :meth:`send_unicast` once per row."""
         owner = self.state_owner
         if owner is None or self.fault_state is not None:
             for c, v, d in zip(cyc.tolist(), node.tolist(), dst.tolist()):
-                self.send_unicast(v, d, size, None, c)
+                self.send_unicast(v, d, size, cls, c)
         elif len(cyc):
-            owner.rows.append((cyc, node, dst, size))
+            owner.rows.append((cyc, node, dst, size, cls))
+
+    def send_broadcasts(self, cyc, node, size: int,
+                        cls: Optional[str]) -> None:
+        """:meth:`send_unicasts`' twin: an engine taking broadcasts as rows
+        takes the window whole (``dst`` ``None``); else it is
+        :meth:`send_broadcast` once per row."""
+        owner = self.state_owner
+        if (owner is None or self.fault_state is not None
+                or not owner.broadcast_rows):
+            for c, v in zip(cyc.tolist(), node.tolist()):
+                self.send_broadcast(v, size, cls, c)
+        elif len(cyc):
+            owner.rows.append((cyc, node, None, size, cls))
 
     def deliver(self, node: int, pkt: "Packet", fidx: int, now: int) -> None:
         """A flit reached the PE at ``node`` (ejection or broadcast clone).

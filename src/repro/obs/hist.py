@@ -143,10 +143,11 @@ class HistogramBank:
         if cls is not None:
             self._class_hist(cls).add(latency, k)
 
-    def add_collective(self, latency: int, cls: Optional[str]) -> None:
-        self.collective.add(latency)
+    def add_collective(self, latency: int, cls: Optional[str],
+                       k: int = 1) -> None:
+        self.collective.add(latency, k)
         if cls is not None:
-            self._class_hist(cls).add(latency)
+            self._class_hist(cls).add(latency, k)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {

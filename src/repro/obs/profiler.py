@@ -72,7 +72,7 @@ def _kernel_counters(backend) -> Dict[str, object]:
     return {"calls": st.calls, "cycles": st.cycles,
             "buffers_scanned": st.scanned, "candidates": st.cands,
             "flits_moved": st.flits, "wakes": st.wakes,
-            "rescans": st.rescans,
+            "rescans": st.rescans, "coins": st.coins,
             "packets_staged": staged, "packets_rows": rows,
             "packets_columns": cols,
             "packets_built": staged - rows - cols + backend._nbuilt,
@@ -117,7 +117,7 @@ class PhaseProfiler:
         sec = self.seconds
 
         self._wrap_timed(session.mix, "inject", "inject")
-        for name in ("on_unicast_cols", "on_unicasts",
+        for name in ("on_unicast_cols", "on_unicasts", "on_collectives",
                      "on_collective_complete", "on_collective_cols"):
             self._wrap_timed(session.collector, name, "collect")
 
@@ -216,7 +216,8 @@ class PhaseProfiler:
                          f"{kc['buffers_scanned']} buffers scanned, "
                          f"{kc['candidates']} candidates, "
                          f"{kc['flits_moved']} flits moved, "
-                         f"{kc['wakes']} wakes, {kc['rescans']} rescans")
+                         f"{kc['wakes']} wakes, {kc['rescans']} rescans, "
+                         f"{kc['coins']} coins drawn")
             lines.append(
                 "  packets: {packets_staged} staged, {packets_rows} as rows, "
                 "{packets_columns} as columns, {packets_built} built, "

@@ -89,20 +89,20 @@
  *
  * Sources.  A closed-loop source i (S of them, class-major: i = class
  * position * N + node) keeps its window credit, phase quota and think
- * coins here: sout / swin, squota (-1 unphased), srate, and its coins
- * coins[i * coinstride + scpos[i] .. scend[i]), the uniforms of its
- * private stream.  Eligible (sout < swin, squota != 0) and armed at
- * cycle `at`, it reads one coin a cycle up to `blockend` and fires at
- * the first below srate (at once at rate >= 1): sarm[i] = that cycle,
- * filed in the heap sheap (keys (cycle << SRC_BITS) | i, so a cycle's
- * firings come out class-major, node-minor), or S_WAIT when none falls
- * before blockend (Python arms it again at the next block).  A firing
- * takes the next of the requests Python interned for it (shead, linked
- * through pnext; its reply is the request's continuation), joins it at
- * fold time if the cycle is below `fireto` (a drain fires nothing),
- * emits FIRE and arms the source from the next cycle.  A credit arms it
- * from the cycle after the tail.  sphase[i]: the tail is one of the
- * phase's `phleft` messages; the last ends the batch (FEEDBACK).
+ * coins here: sout / swin, squota (-1 unphased), srate, and its rng's
+ * twister state smt[i * MT_ROW ..] (getstate(): 624 words, the index),
+ * given back by Python; a coin is random()'s genrand_res53.  Eligible
+ * (sout < swin, squota != 0) and armed at cycle `at`, it draws a coin a
+ * cycle up to `blockend` and fires at the first below srate (at once at
+ * rate >= 1): sarm[i] = that cycle, filed in the heap sheap (keys (cycle
+ * << SRC_BITS) | i: a cycle's firings come out class-major, node-minor),
+ * or S_WAIT when none falls before blockend (Python arms it again at the
+ * next block).  A firing takes the next of the requests Python interned
+ * for it (shead, linked through pnext; its reply is the request's
+ * continuation), joins it at fold time if the cycle is below `fireto` (a
+ * drain fires nothing), emits FIRE and arms the source from the next
+ * cycle; a credit, from the cycle after the tail.  sphase[i]: the tail is
+ * one of the phase's `phleft` messages; the last ends the batch (FEEDBACK).
  *
  * Stop rule.  What needs Python objects becomes an event; the batch
  * ends at the end of the cycle that emitted
@@ -157,6 +157,10 @@
 /* sarm[i] when not on the heap: not armed / armed past blockend */
 #define S_IDLE (-1)
 #define S_WAIT (-2)
+/* a source's twister row: MT_N state words, then the index */
+#define MT_N 624
+#define MT_M 397
+#define MT_ROW (MT_N + 1)
 /* take_tail's verdict: the batch ends for Python / the loop hears it */
 #define TAIL_STOP 1
 #define TAIL_HEARD 2
@@ -182,15 +186,15 @@ typedef struct {
     /* run state */
     int64_t inflight, apos, an, nev, evcap, cmask, ncont, contflits;
     /* the sources: their count, the cycle firings stop at, where coin
-     * reads stop, the heap's size, coins a source, messages of the phase
-     * left */
-    int64_t S, fireto, blockend, nheap, coinstride, phleft;
+     * draws stop, the heap's size, messages of the phase left */
+    int64_t S, fireto, blockend, nheap, phleft;
     /* outputs of the last entry / last executed cycle */
     int64_t stop, moved, ejected, ndl, counted, heard;
     /* cumulative work counters (the phase profiler's); scanned counts
-     * the non-empty rows phase A examined from the ready set */
+     * the non-empty rows phase A examined from the ready set, coins the
+     * think coins the sources drew */
     int64_t calls, cycles, scanned, cands, flits, receipts, wakes, rescans;
-    int64_t sent, fired, stops[6];
+    int64_t sent, fired, coins, stops[6];
     welford d;                  /* the per-receiver delay accumulator */
     /* per buffer */
     int64_t *qlen, *front, *rhead, *want, *vcreq, *jof, *pvb, *pvb2;
@@ -219,9 +223,9 @@ typedef struct {
     int64_t *cring;
     const int64_t *qfirst, *qrel;
     /* per source (see Sources) */
-    int64_t *sout, *swin, *squota, *sarm, *scpos, *scend, *shead, *srank;
-    int64_t *sphase, *sheap;
-    const double *srate, *coins;
+    int64_t *sout, *swin, *squota, *sarm, *shead, *srank, *sphase, *sheap;
+    const double *srate;
+    uint32_t *smt;
     /* receipt table, RT_ROW + N int64 a slot, growable */
     int64_t *rtbl;
     /* event buffer, evcap pairs, growable */
@@ -324,29 +328,50 @@ static void heap_pop(repro_state *s)
     h[i] = k;
 }
 
+/* random.Random's next 32-bit word from twister state mt (genrand_uint32
+ * of CPython's _randommodule.c): the 624 words, then the index. */
+static uint32_t mt_word(uint32_t *mt)
+{
+    static const uint32_t mag[2] = {0, 0x9908b0dfU};
+    uint32_t y;
+    int k;
+    if (mt[MT_N] >= MT_N) {
+        for (k = 0; k < MT_N; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[k + 1 < MT_N ? k + 1 : 0]
+                                         & 0x7fffffffU);
+            mt[k] = mt[k + MT_M < MT_N ? k + MT_M : k + MT_M - MT_N]
+                ^ (y >> 1) ^ mag[y & 1];
+        }
+        mt[MT_N] = 0;
+    }
+    y = mt[mt[MT_N]++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* Source i's next think coin: its rng's random(). */
+static double coin(repro_state *s, int64_t i)
+{
+    uint32_t *mt = s->smt + i * MT_ROW;
+    uint32_t a = mt_word(mt) >> 5;
+    uint32_t b = mt_word(mt) >> 6;
+    s->coins++;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
 /* Arm source i from cycle `at` if it is eligible and not armed (see
- * Sources): its coins from `at` on, one a cycle, up to blockend. */
+ * Sources): a coin a cycle from `at` on, up to blockend. */
 static void arm(repro_state *s, int64_t i, int64_t at)
 {
     double r = s->srate[i];
     if (s->sarm[i] != S_IDLE || s->sout[i] >= s->swin[i] || !s->squota[i]
             || !(r > 0.0))
         return;
-    if (r < 1.0) {
-        const double *u = s->coins + i * s->coinstride + s->scpos[i];
-        int64_t n = s->blockend - at, j = 0;
-        if (n > s->scend[i] - s->scpos[i])
-            n = s->scend[i] - s->scpos[i];
-        while (j < n && !(u[j] < r))
-            j++;
-        if (j < n) {
-            s->scpos[i] += j + 1;
-            at += j;
-        } else {                /* no hit before blockend */
-            s->scpos[i] += n > 0 ? n : 0;
-            at = s->blockend;
-        }
-    }
+    if (r < 1.0)
+        while (at < s->blockend && !(coin(s, i) < r))
+            at++;
     if (at >= s->blockend) {
         s->sarm[i] = S_WAIT;
         return;

@@ -71,8 +71,9 @@ its events, the next batch starts.  One ordered list, ``_staged``,
 takes what is injected, in push order: ``(buffer, packet)`` from the
 adapters (it is every ``FlitBuffer.sink``), ``(node, dst, size, cls,
 created)`` rows from ``Network.send_unicast`` and, with ``dst = None``,
-``Network.send_broadcast``, and ``(cycle, node, dst, size)`` windows of
-columns from ``Network.send_unicasts``.  A row's buffers are looked up
+``Network.send_broadcast``, and ``(cycle, node, dst, size, cls)``
+windows of columns from ``Network.send_unicasts`` and, with ``dst =
+None``, ``send_broadcasts``.  A row's buffers are looked up
 in the adapters' ``unicast_queue_table`` or ``broadcast_table``.
 :meth:`_stage` turns them into arrival rows ``(cycle, buffer, aid,
 rank)`` by one rule: an entry is due at ``max(created, next cycle to
@@ -127,7 +128,7 @@ names the reference backend.
 from __future__ import annotations
 
 import ctypes
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -177,8 +178,11 @@ CONT_AID = (1 << CONT_SHIFT) - 1
 #: ``_sarm`` of a source not on the heap: not armed, armed past the block.
 SRC_BITS = 20
 S_IDLE, S_WAIT = -1, -2
+#: A source's twister row: ``random.Random``'s 624 state words, then its
+#: index (``getstate()[1]``).
+MT_ROW = 625
 #: The source-table columns (``_cycle_kernel.c``, Sources).
-_SCOLS = "sout swin squota sarm scpos scend shead srank sphase sheap".split()
+_SCOLS = "sout swin squota sarm shead srank sphase sheap".split()
 #: An arrival row's rank among the rows due in its cycle: regenerated by
 #: the last cycle's deliveries, (continuations: the kernel's due ring,)
 #: the closed-loop engine's own injections (the phase barrier), then the
@@ -450,7 +454,9 @@ class ArrayBackend(SimBackend):
         # the closed-loop sources the kernel fires (bind_sources): none
         for name in _SCOLS:
             setattr(self, "_" + name, z(1))
-        self._srate = self._coins = np.zeros(1)
+        self._srate = np.zeros(1)
+        self._smt = np.zeros((1, MT_ROW), np.uint32)
+        self._srcs: List = []
         #: rank of a staged entry's class (``RANK_CLASS + k``, the
         #: mix's order), set by :meth:`run_mix`
         self._rank: Dict[Optional[str], int] = {}
@@ -460,8 +466,8 @@ class ArrayBackend(SimBackend):
         #: rows and windows of columns: module docstring)
         self._staged: List = []
 
-        # ``rows``: where ``Network.send_unicast`` / ``send_unicasts``
-        # append (its buffer: :meth:`_queue_rows`)
+        # ``rows``: where ``Network.send_unicast(s)`` /
+        # ``send_broadcast(s)`` append
         self.rows = self._staged
         # --profile: rows / columns staged, built anyway, entries late;
         # tails by path (unicasts: all, booked per batch)
@@ -590,10 +596,10 @@ class ArrayBackend(SimBackend):
     # adoption: object graph -> arrays
     # ------------------------------------------------------------------
     def _intern(self, pkts, cols=None) -> int:
-        """Append ``pkts`` (for rows: ``None``s, and ``cols`` = class,
-        created, receipt slot, dst, size, traffic, vclass) to the packet
-        columns; returns the first new aid.  Aids are never reused or
-        reset while attached."""
+        """Append ``pkts`` (for rows: ``None``s, and ``cols`` = class names
+        or their ids as a numpy column, created, receipt slot, dst, size,
+        traffic, vclass) to the packet columns; returns the first new
+        aid.  Aids are never reused or reset while attached."""
         a0 = len(self._pkts)
         a1 = a0 + len(pkts)
         if a1 > len(self._pdst):
@@ -602,7 +608,8 @@ class ArrayBackend(SimBackend):
             (p.cls, p.created, self._slot(p.op), p.dst, p.size, p.traffic,
              p.vclass) for p in pkts])
         self._pkts.extend(pkts)
-        self._pcid[a0:a1] = self._cids(cls)
+        self._pcid[a0:a1] = (cls if type(cls) is np.ndarray
+                             else self._cids(cls))
         self._pborn[a0:a1] = born
         self._popx[a0:a1] = opx
         self._pdst[a0:a1] = dst
@@ -624,15 +631,23 @@ class ArrayBackend(SimBackend):
             return cid[next(iter(seen))]
         return list(map(cid.__getitem__, names))
 
-    def _intern_unicasts(self, node, dst, size, cls, born) -> int:
-        """Intern unicasts given as columns as ``adapter.send`` would
-        have, counting each generated; returns the first aid.  ``_pkts``
-        holds ``None``, ``_psrc`` the source node, for :meth:`_packet`."""
-        k = len(born)
-        a0 = self._intern([None] * k, (cls, born, -1, dst, size, UNICAST, 0))
+    def _intern_unicasts(self, node, dst, size, cid, born) -> np.ndarray:
+        """Intern unicasts given as columns (``cid``: class ids) as
+        ``adapter.send`` would have, counting each generated; returns each
+        one's source buffer (the queue table; a destination ``send``
+        refuses raises what it would).  ``_pkts`` holds ``None``,
+        ``_psrc`` the source node, for :meth:`_packet`."""
+        n, k = self.net.n, len(born)
+        bad = dst[(dst < 0) | (dst >= n)]
+        if len(bad):
+            raise ValueError(f"destination {bad[0]} out of range for N={n}")
+        bufs = self._queue_rows(node, dst)
+        if (bufs < 0).any():
+            raise ValueError("local address has no quadrant")
+        a0 = self._intern([None] * k, (cid, born, -1, dst, size, UNICAST, 0))
         self._psrc[a0:a0 + k] = node
         self._generated(node, False)
-        return a0
+        return bufs
 
     def _generated(self, node, collective: bool) -> None:
         """Count a message generated at each of ``node``."""
@@ -644,46 +659,27 @@ class ArrayBackend(SimBackend):
                 if c:
                     acoll[v].note_generated(collective, c)
 
-    def _intern_bcasts(self, rows) -> np.ndarray:
-        """Intern ``Network.send_broadcast`` rows as the branch packets
-        ``adapter.send_broadcast`` pushes (``_btab``), each counted
+    def _intern_bcasts(self, node, dst, size, cid, born) -> np.ndarray:
+        """Intern broadcasts given as columns (``dst`` unused) as the branch
+        packets ``adapter.send_broadcast`` pushes (``_btab``), each counted
         generated, with one receipt slot; returns each branch's source
         buffer, in push order."""
-        node, _, size, cls, born = zip(*rows)
         pos, rel = self._btab
-        nb, m, n = len(pos), len(rows), self.net.n
-        node = np.array(node, np.int64)
+        nb, m, n = len(pos), len(node), self.net.n
         a0 = self._intern([None] * (m * nb), (
-            [None] * (m * nb), np.repeat(born, nb), -1,
+            (None,), np.repeat(born, nb), -1,
             ((node[:, None] + rel) % n).ravel(), np.repeat(size, nb),
             BROADCAST, 0))
         self._psrc[a0:a0 + m * nb] = np.repeat(node, nb)
-        xs = [self._open_slot(e)
-              for e in zip(range(a0, a0 + m * nb, nb), cls)]
+        cname = self._cname
+        xs = self._open_slots([(a, cname[c]) for a, c in zip(
+            range(a0, a0 + m * nb, nb), cid.tolist())])
         tbl = self._rtbl
         tbl[xs, :RT_GEN] = 0
         tbl[xs, 0], tbl[xs, 1] = born, n - 1    # created, expected
         self._popx[a0:a0 + m * nb] = np.repeat(tbl[xs, RT_GEN] << 32 | xs, nb)
         self._generated(node, True)
-        self._nrows += m * nb
         return (self._qfirst[node][:, None] + pos).ravel()
-
-    def _intern_rows(self, rows):
-        """Intern ``Network.send_unicast`` rows; returns each one's source
-        buffer (the queue table; a destination ``send`` refuses raises
-        what it would)."""
-        node, dst, size, cls, born = zip(*rows)
-        dst = np.array(dst)
-        n = self.net.n
-        bad = dst[(dst < 0) | (dst >= n)]
-        if len(bad):
-            raise ValueError(f"destination {bad[0]} out of range for N={n}")
-        bufs = self._queue_rows(np.array(node), dst)
-        if (bufs < 0).any():
-            raise ValueError("local address has no quadrant")
-        self._intern_unicasts(node, dst, size, cls, born)
-        self._nrows += len(rows)
-        return bufs
 
     def due(self, now: int) -> List[tuple]:
         """The continuations the kernel sends at the head of cycle
@@ -703,10 +699,10 @@ class ArrayBackend(SimBackend):
     def bind_sources(self, mix: "TrafficMix") -> "ArrayBackend":
         """Take over firing ``mix``'s closed-loop sources (its first
         fill): their credit, quota and coin state move into the kernel's
-        source table -- each source's coin buffer becomes its row of the
-        kernel's coin table; each fill interns their requests ahead
-        (:meth:`fill_sources`).  Returns the engine, the mix's
-        ``kernel``."""
+        source table -- each source's ``rng`` state becomes its twister
+        row (``_smt``, given back by :meth:`materialize`); each fill
+        interns their requests ahead (:meth:`fill_sources`).  Returns the
+        engine, the mix's ``kernel``."""
         eng, n = mix._cl_engine, self.net.n
         ks = sorted(eng.closed_k)
         srcs = [eng.sources[k][v] for k in ks for v in range(n)]
@@ -715,24 +711,24 @@ class ArrayBackend(SimBackend):
         self._eng = eng
         self._rank = self._ranks(mix)
         #: per source: its class, its injector; injector -> source
-        self._sk = [k for k in ks for _ in range(n)]
+        self._sk = np.repeat(ks, n)
         self._sinj = [v * len(mix.classes) + k for k in ks for v in range(n)]
         self._sof = {i: s for s, i in enumerate(self._sinj)}
-        from repro.traffic import mix as traffic
-        width = max([traffic.CALENDAR_BLOCK, *(len(s.buf) for s in srcs)])
-        self._coins = np.zeros((len(srcs), width))
-        for row, src in zip(self._coins, srcs):
-            left = src.end - src.pos
-            row[:left] = src.buf[src.pos:src.end]
-            src.buf, src.pos, src.end = row, 0, left
+        #: per source: its request's size and class id, its reply's size
+        #: and delay (0: a stream message is the whole transaction)
+        self._sreq, self._srep, self._sdelay = (
+            np.repeat(col, n) for col in zip(*[
+                (sz, *(rep or (0, 0))) for sz, rep in map(eng.request, ks)]))
+        self._scid = np.repeat(
+            [self._cids((mix.classes[k].name,)) for k in ks], n)
         phased = set(eng.phased)
         cols = {"sout": [s.outstanding for s in srcs],
                 "swin": [s.window for s in srcs],
                 "squota": [s.quota_left for s in srcs],
-                "sarm": S_IDLE, "scpos": 0,
-                "scend": [s.end for s in srcs], "shead": -1,
-                "srank": [RANK_CLASS + k for k in self._sk],
-                "sphase": [k in phased for k in self._sk], "sheap": 0}
+                "sarm": S_IDLE, "shead": -1,
+                "srank": RANK_CLASS + self._sk,
+                "sphase": [k in phased for k in ks for _ in range(n)],
+                "sheap": 0}
         st = self._st
         for name in _SCOLS:
             col = np.zeros(len(srcs), np.int64)
@@ -740,17 +736,18 @@ class ArrayBackend(SimBackend):
             setattr(self, "_" + name, col)
             setattr(st, name, col.ctypes.data)
         self._srate = np.array([s.rate for s in srcs], np.float64)
-        st.srate, st.coins = self._srate.ctypes.data, self._coins.ctypes.data
-        st.S, st.coinstride, st.phleft = len(srcs), width, eng._phase_left
+        self._smt = np.zeros((len(srcs), MT_ROW), np.uint32)
+        for row, src in zip(self._smt, srcs):
+            row[:] = src.rng.getstate()[1]
+        st.srate, st.smt = self._srate.ctypes.data, self._smt.ctypes.data
+        st.S, st.phleft = len(srcs), eng._phase_left
         st.nheap = 0
         #: per source: the last request interned, the requests not fired,
         #: how many it is kept ahead by, its firings by the last fill
-        self._stail = [-1] * len(srcs)
-        self._sleft = [0] * len(srcs)
-        self._sahead = [0] * len(srcs)
-        self._sfired = [0] * len(srcs)
-        delay = max((rep[1] for _, rep in map(eng.request, ks) if rep),
-                    default=0)
+        self._stail = np.full(len(srcs), -1)
+        self._sleft, self._sahead, self._sfired = (
+            np.zeros(len(srcs), np.int64) for _ in range(3))
+        delay = int(self._sdelay.max())
         if delay > st.cmask:    # the due ring (empty) fits every reply
             ring = self._cring = np.full((_pow2_at_least(delay + 1), 3), -1,
                                          np.int64)
@@ -759,19 +756,14 @@ class ArrayBackend(SimBackend):
 
     def fill_sources(self, stop: int) -> None:
         """A new calendar block, up to ``stop``: every source waiting for
-        it may be armed again, each coin buffer is topped up to a block
-        and each source kept ``_AHEAD`` requests ahead of what it fired
-        in the last one."""
-        st = self._st
+        it may be armed again (the kernel draws its coins up to ``stop``)
+        and each is kept ``_AHEAD`` requests ahead of what it fired in
+        the last one."""
         self._sarm[self._sarm == S_WAIT] = S_IDLE
-        st.blockend = stop
-        for s, src in enumerate(self._srcs):
-            if 0.0 < src.rate < 1.0:
-                src.pos, src.end = int(self._scpos[s]), int(self._scend[s])
-                src.coins(st.coinstride)
-                self._scpos[s], self._scend[s] = src.pos, src.end
-            self._sahead[s] = _AHEAD + src.arrivals - self._sfired[s]
-            self._sfired[s] = src.arrivals
+        self._st.blockend = stop
+        fired = np.array([src.arrivals for src in self._srcs])
+        self._sahead = _AHEAD + fired - self._sfired
+        self._sfired = fired
         self._intern_requests()
 
     def _intern_requests(self, grow: bool = False) -> None:
@@ -780,59 +772,47 @@ class ArrayBackend(SimBackend):
         private stream, a reply interned with each request (its
         continuation: ``_pcont``), chained through ``_pnext`` from
         ``_shead``."""
-        eng, srcs, n = self._eng, self._srcs, self.net.n
+        n = self.net.n
         if grow:
-            self._sahead = [2 * a for a in self._sahead]
-        todo = [(s, a - left) for s, (a, left) in
-                enumerate(zip(self._sahead, self._sleft))
-                if left < a and srcs[s].rate > 0.0]
-        if not todo:
+            self._sahead *= 2
+        todo = np.where(self._srate > 0.0, self._sahead - self._sleft, 0)
+        s = np.flatnonzero(todo > 0)
+        if not len(s):
             return
-        node, dst, cls, size, reply, delay, src = [], [], [], [], [], [], []
-        for s, c in todo:
-            k, v = self._sk[s], s % n
-            sz, rep = eng.request(k)
-            dst += eng.destinations(v, k, c)
-            node += [v] * c
-            src += [s] * c
-            cls += [eng.mix.classes[k].name] * c
-            size += [sz] * c
-            reply += [rep[0] if rep else 0] * c
-            delay += [rep[1] if rep else 0] * c
-            self._sleft[s] += c
-        node, dst, src = (np.array(c, np.int64) for c in (node, dst, src))
+        c = todo[s]
+        self._sleft[s] += c
+        src = np.repeat(s, c)
+        node = src % n
+        m = len(src)
+        dst = np.fromiter(chain.from_iterable(map(
+            self._eng.destinations, (s % n).tolist(), self._sk[s].tolist(),
+            c.tolist())), np.int64, m)
         if (self._queue_rows(node, dst) < 0).any() or (
                 (dst < 0) | (dst >= n)).any():
             raise ValueError("a closed-loop request has no queue to its "
                              "destination")
-        reply, delay = np.array(reply, np.int64), np.array(delay, np.int64)
+        reply, cid = self._srep[src], self._scid[src]
         rq = np.flatnonzero(reply)          # the requests with a reply
-        m = len(node)
         a0 = self._intern([None] * (m + len(rq)), (
-            cls + [cls[i] for i in rq.tolist()], [-1] * (m + len(rq)), -1,
+            np.concatenate((cid, cid[rq])), -1, -1,
             np.concatenate((dst, node[rq])),
-            np.concatenate((size, reply[rq])), UNICAST, 0))
+            np.concatenate((self._sreq[src], reply[rq])), UNICAST, 0))
         req = np.arange(a0, a0 + m)
         rep = np.arange(a0 + m, a0 + m + len(rq))
         self._psrc[req] = node
         self._psrc[rep] = dst[rq]
         self._pcont[req] = -2 - src             # stream: its own credit
         self._pcont[rep] = -2 - src[rq]
-        self._pcont[req[rq]] = delay[rq] << CONT_SHIFT | (rep + 1)
+        self._pcont[req[rq]] = self._sdelay[src[rq]] << CONT_SHIFT | (rep + 1)
         # each source's run of requests, chained behind what it has left
-        nxt = np.append(req[1:], -1)
-        last = np.append(src[1:] != src[:-1], True)
-        nxt[last] = -1
-        self._pnext[req] = nxt
-        first = np.flatnonzero(np.insert(last[:-1], 0, True)).tolist()
-        for j in first:
-            s = int(src[j])
-            if self._shead[s] < 0:
-                self._shead[s] = a0 + j
-            else:
-                self._pnext[self._stail[s]] = a0 + j
-        for j in np.flatnonzero(last).tolist():
-            self._stail[int(src[j])] = a0 + j
+        end = np.cumsum(c)
+        head = a0 + end - c
+        self._pnext[req] = req + 1
+        self._pnext[a0 + end - 1] = -1
+        dry = self._shead[s] < 0
+        self._shead[s[dry]] = head[dry]
+        self._pnext[self._stail[s[~dry]]] = head[~dry]
+        self._stail[s] = a0 + end - 1
         self._nrows += m + len(rq)
 
     def open_window(self, now: int, until: int, tap: bool) -> Dict:
@@ -893,7 +873,7 @@ class ArrayBackend(SimBackend):
         c = int(self._pcont[aid])
         if c > -2:
             return None
-        k = self._sk[-2 - c]
+        k = int(self._sk[-2 - c])
         return k if self._eng.request(k)[1] is None else (
             k, int(self._ptxn[aid]))
 
@@ -924,7 +904,7 @@ class ArrayBackend(SimBackend):
             return -1
         word = self._slot_of.get(op)
         if word is None:
-            x = self._open_slot(op)
+            x, = self._open_slots((op,))
             tbl = self._rtbl
             tbl[x, :RT_GEN] = (op.created, op.expected, len(op.deliveries),
                                op.on_complete is not None)
@@ -933,19 +913,23 @@ class ArrayBackend(SimBackend):
             word = self._slot_of[op] = int(tbl[x, RT_GEN]) << 32 | x
         return word
 
-    def _open_slot(self, entry) -> int:
-        """A free receipt slot, its receipts cleared, for ``entry`` (an op,
-        or a broadcast row's first aid and class: ``_slot_op``)."""
-        tbl = self._rtbl
-        x = self._free.pop() if self._free else len(self._slot_op)
-        if x == len(self._slot_op):
-            self._slot_op.append(None)
-        if x == len(tbl):
-            self._rtbl = tbl = np.concatenate((tbl, np.zeros_like(tbl)))
+    def _open_slots(self, entries) -> List[int]:
+        """Free receipt slots, their receipts cleared, for ``entries`` (ops,
+        or broadcast rows' first aid and class: ``_slot_op``)."""
+        free, ops = self._free, self._slot_op
+        k = min(len(entries), len(free))
+        xs = free[len(free) - k:][::-1] + list(
+            range(len(ops), len(ops) + len(entries) - k))
+        del free[len(free) - k:]
+        ops.extend([None] * (len(entries) - k))
+        for x, e in zip(xs, entries):
+            ops[x] = e
+        while len(ops) > len(self._rtbl):
+            tbl = self._rtbl = np.concatenate((self._rtbl,
+                                               np.zeros_like(self._rtbl)))
             self._st.rtbl = tbl.ctypes.data
-        tbl[x, RT_ROW:] = -1
-        self._slot_op[x] = entry
-        return x
+        self._rtbl[xs, RT_ROW:] = -1
+        return xs
 
     def _fill(self, x: int, op) -> None:
         """``op.deliveries`` from slot ``x`` (in node order)."""
@@ -956,18 +940,29 @@ class ArrayBackend(SimBackend):
         """``EV_COMPLETE``: slot ``x``'s op reached its last expected
         receiver at ``now``."""
         op = self._slot_op[x]
+        if type(op) is tuple:       # a broadcast row nobody read
+            self._completed(np.array([x]), np.array([now]))
+            return
         self._slot_op[x] = None
         self._free.append(x)
-        if type(op) is tuple:       # a broadcast row nobody read
-            self._rtbl[x, RT_GEN] += 1
-            self._kcoll.on_collective_cols(int(self._pborn[op[0]]), op[1],
-                                           now)
-            return
         self._fill(x, op)
         op.completed_at = now
         del self._slot_of[op]
         self._rtbl[x, RT_GEN] += 1
         self._kcoll.on_collective_complete(op, now)
+
+    def _completed(self, x: np.ndarray, now: np.ndarray) -> None:
+        """``EV_COMPLETE`` of broadcast rows nobody read, slots ``x`` at
+        cycles ``now`` (emission order), booked in one pass."""
+        xs, ops = x.tolist(), self._slot_op
+        a0, names = zip(*map(ops.__getitem__, xs))
+        for i in xs:
+            ops[i] = None
+        self._free += xs
+        self._rtbl[x, RT_GEN] += 1
+        self._kcoll.on_collectives(
+            self._pborn[list(a0)], np.zeros(len(xs), np.int64)
+            + self._cids(names), self._cname, now)
 
     def _sync(self, ops: bool = False) -> None:
         """Write the kernel's receipts back: the per-receiver accumulator
@@ -1142,54 +1137,66 @@ class ArrayBackend(SimBackend):
         return key, abuf, aaid
 
     def _intern_all(self, now: int):
-        """Intern what is staged in numpy passes -- every unicast row at
-        once, every broadcast row, every packet, then each window of
-        columns; keys, buffers and aids as :meth:`_intern_each`, sorted."""
-        staged = self._staged
-        # 2: a packet, 4: a window, 5: a unicast row, 1: a broadcast row
-        kind = np.array([1 if e[1] is None else len(e) for e in staged])
-        seq = np.arange(len(staged))        # push order
+        """Intern what is staged in numpy passes -- every unicast, row or
+        window of columns, at once, every broadcast likewise, every
+        packet; keys, buffers and aids as :meth:`_intern_each`, sorted."""
+        staged, ranks, cid = self._staged, self._rank, self._cid
+        nb = len(self._btab[0]) if self._btab else 0
+        # per cast (1: a broadcast), column chunks: node, dst, size, class
+        # id, created, rank, push order
+        rows, chunks, pkts = ([], []), ([], []), []
+        for i, e in enumerate(staged):
+            if len(e) == 2:
+                pkts.append(i)
+            elif type(e[0]) is np.ndarray:      # a window of columns
+                cyc, node, dst, size, cls = e
+                k = len(cyc)
+                self._ncols += k * (nb if dst is None else 1)
+                if cls not in cid:
+                    self._cids((cls,))
+                chunks[dst is None].append((
+                    node, dst if dst is not None else node, np.full(k, size),
+                    np.full(k, cid[cls]), cyc,
+                    np.full(k, ranks.get(cls, RANK_OTHER)), np.full(k, i)))
+            else:
+                rows[e[1] is None].append(i)
+                self._nrows += nb if e[1] is None else 1
+        for bcast, idx in enumerate(rows):
+            if idx:
+                node, dst, size, cls, born = zip(*map(staged.__getitem__, idx))
+                chunks[bcast].append((
+                    node, node if bcast else dst, size,
+                    np.zeros(len(idx), np.int64) + self._cids(cls), born,
+                    [ranks.get(c, RANK_OTHER) for c in cls], idx))
         parts = []      # (created, rank, buffer, aid, push order)
-        ranks = self._rank
-        rows = [e for e in staged if len(e) == 5 and e[1] is not None]
-        if rows:
-            a0 = len(self._pkts)
-            parts.append(([e[4] for e in rows],
-                          [ranks.get(e[3], RANK_OTHER) for e in rows],
-                          self._intern_rows(rows),
-                          np.arange(a0, a0 + len(rows)), seq[kind == 5]))
-        bcasts = [e for e in staged if e[1] is None]
-        if bcasts:
-            a0 = len(self._pkts)
-            bufs = self._intern_bcasts(bcasts)
-            nb = len(bufs) // len(bcasts)
-            parts.append((np.repeat([e[4] for e in bcasts], nb),
-                          np.repeat([ranks.get(e[3], RANK_OTHER)
-                                     for e in bcasts], nb),
-                          bufs, np.arange(a0, a0 + len(bufs)),
-                          np.repeat(seq[kind == 1], nb)))
-        if (kind == 2).any():
-            bufs, pkts = zip(*(e for e in staged if len(e) == 2))
-            a0 = self._intern(pkts)
-            parts.append(([p.created for p in pkts],
+        for bcast, chunk in enumerate(chunks):
+            if chunk:
+                node, dst, size, cl, born, rank, seq = (
+                    np.asarray(col[0] if len(col) == 1 else
+                               np.concatenate(col), np.int64)
+                    for col in zip(*chunk))
+                a0 = len(self._pkts)
+                bufs = (self._intern_bcasts if bcast else
+                        self._intern_unicasts)(node, dst, size, cl, born)
+                if bcast:           # a row per branch
+                    born, rank, seq = (np.repeat(c, len(bufs) // len(node))
+                                       for c in (born, rank, seq))
+                parts.append((born, rank, bufs,
+                              np.arange(a0, a0 + len(bufs)), seq))
+        if pkts:
+            bufs, objs = zip(*map(staged.__getitem__, pkts))
+            a0 = self._intern(objs)
+            parts.append(([p.created for p in objs],
                           [ranks.get(p.cls if p.op is None else p.op.cls,
-                                     RANK_OTHER) for p in pkts],
+                                     RANK_OTHER) for p in objs],
                           [self._bid[b] for b in bufs],
-                          np.arange(a0, a0 + len(pkts)), seq[kind == 2]))
-        for i in np.flatnonzero(kind == 4).tolist():
-            cyc, node, dst, size = staged[i]
-            k = len(cyc)
-            a0 = self._intern_unicasts(node, dst, size, [None] * k,
-                                       cyc.tolist())
-            self._ncols += k
-            parts.append((cyc, np.full(k, ranks.get(None, RANK_OTHER)),
-                          self._queue_rows(node, dst),
-                          np.arange(a0, a0 + k), np.full(k, i)))
-        born, rank, abuf, aaid, seq = (np.concatenate(col)
-                                       for col in zip(*parts))
+                          np.arange(a0, a0 + len(objs)), pkts))
+        born, rank, abuf, aaid, seq = (
+            np.asarray(col[0]) if len(col) == 1 else np.concatenate(col)
+            for col in zip(*parts))
         old = born < now
         key = np.where(old, now << RANK_BITS, born << RANK_BITS | rank)
-        if len(parts) > 1 or old.any():
+        if len(chunks[0]) + len(chunks[1]) + bool(pkts) > 1 or old.any():
             order = np.lexsort((seq, key))
             key, abuf, aaid = key[order], abuf[order], aaid[order]
         return key, abuf, aaid
@@ -1367,29 +1374,31 @@ class ArrayBackend(SimBackend):
             k = np.bincount(src)
             for s in np.flatnonzero(k).tolist():
                 self._srcs[s].outstanding -= int(k[s])
-            self._eng.on_completions(np.array(self._sk)[src],
+            self._eng.on_completions(self._sk[src],
                                      self._ptxn[aid[txn]], now[txn])
 
-    def _bookable(self, pairs: np.ndarray, kind: np.ndarray) -> list:
-        """The events of a batch's unicast tails :meth:`_book` takes: none
-        if they are fewer than ``_BOOK_MIN``, with receipts Python's, a
-        fault state or ``net.on_tail``, or a class a collective of the
-        batch completes in too (one statistic, two orders)."""
+    def _bookable(self, pairs: np.ndarray, kind: np.ndarray) -> tuple:
+        """The events of a batch's unicast tails :meth:`_book` takes and of
+        its broadcast rows' completions :meth:`_completed` takes: neither
+        with receipts Python's, a fault state or ``net.on_tail``, or a
+        class both a tail and a completion of the batch feed (one
+        statistic, two orders); no tails if they are fewer than
+        ``_BOOK_MIN``, no completions if one is an op's."""
         net = self.net
         if (self._kcoll is None or net.fault_state is not None
                 or net.on_tail is not None):
-            return []
+            return [], []
         d = (kind == EV_DELIVERY).nonzero()[0]
         d = d[self._ptraf[pairs[d, 1] >> 16] == UNICAST]
-        aid = pairs[d, 1] >> 16
-        if len(d) < _BOOK_MIN:
-            return []
-        ops = [self._slot_op[x] for x in pairs[kind == EV_COMPLETE, 1]]
+        c = (kind == EV_COMPLETE).nonzero()[0]
+        ops = [self._slot_op[x] for x in pairs[c, 1].tolist()]
         named = {op[1] if type(op) is tuple else op.cls for op in ops}
         named.discard(None)
-        mixed = named and not named.isdisjoint(self._cname[c] for c in
-                                               set(self._pcid[aid].tolist()))
-        return [] if mixed else d
+        if named and not named.isdisjoint(self._cname[k] for k in set(
+                self._pcid[pairs[d, 1] >> 16].tolist())):
+            return [], []
+        rows = all(type(op) is tuple for op in ops)
+        return d if len(d) >= _BOOK_MIN else [], c if rows else []
 
     # ------------------------------------------------------------------
     # event replay: everything a batch of cycles owes the Python objects
@@ -1402,9 +1411,10 @@ class ArrayBackend(SimBackend):
         and counts it generated, which no event reads but that packet's
         own later delivery.  The unicast tails, all at once
         (:meth:`_book`), each statistic in their order: no other event
-        touches one.  Then the rest, one by one: op completions, other
-        tails and, after its cycle's deliveries, each header only the
-        router can route."""
+        touches one; the completions of broadcast rows likewise
+        (:meth:`_completed`).  Then the rest, one by one: op completions,
+        other tails and, after its cycle's deliveries, each header only
+        the router can route."""
         events = np.asarray(events, np.int64)
         kind = events[0::2] & 7
         alone = kind < EV_CONT
@@ -1414,10 +1424,13 @@ class ArrayBackend(SimBackend):
             self._sent(pairs[~alone, 0] >> 3, pairs[~alone, 1],
                        kind[~alone] == EV_FIRE)
         if len(kind) >= _BOOK_MIN:
-            d = self._bookable(pairs, kind)
+            d, c = self._bookable(pairs, kind)
             if len(d):
                 self._book(pairs[d, 0] >> 3, pairs[d, 1] >> 16)
                 alone[d] = whole = False
+            if len(c):
+                self._completed(pairs[c, 1], pairs[c, 0] >> 3)
+                alone[c] = whole = False
         if not whole:
             events = pairs[alone].ravel()
         pnode = self._pnode_py
@@ -1515,9 +1528,10 @@ class ArrayBackend(SimBackend):
     def _staged_flits(self) -> int:
         """Flits of the entries staged and not interned yet."""
         nb = len(self._btab[0]) if self._btab else 0
-        return sum(e[1].size if len(e) == 2 else len(e[0]) * e[3]
-                   if len(e) == 4 else e[2] * (nb if e[1] is None else 1)
-                   for e in self._staged)
+        return sum(e[1].size if len(e) == 2 else
+                   len(e[0]) * e[3] * (nb if e[2] is None else 1)
+                   if type(e[0]) is np.ndarray else
+                   e[2] * (nb if e[1] is None else 1) for e in self._staged)
 
     def total_flits(self) -> int:
         """Flits in the fabric, staged or waiting to fold included."""
@@ -1552,13 +1566,15 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     def materialize(self) -> None:
         """Rebuild the object graph (buffer deques, switching tables,
-        port state, router flit counts, ``Packet.vclass``) from the
-        arrays.  Read-only on array state; the arrays stay
-        authoritative."""
+        port state, router flit counts, ``Packet.vclass``, the
+        closed-loop sources' ``rng`` state) from the arrays.  Read-only
+        on array state; the arrays stay authoritative."""
         if self.net.state_owner is not self:
             return
         self._flush()
         self._sync(ops=True)
+        for src, mt in zip(self._srcs, self._smt.tolist()):
+            src.rng.setstate((src.rng.VERSION, tuple(mt), src.rng.gauss_next))
         packet, rflat = self._packet, self._rflat
         aids = self._aids = {}
         for b, buf in enumerate(self._bufs):

@@ -76,17 +76,17 @@ class State(ctypes.Structure):
         "bestpr bestb bestvc outdl outrf "
         "pdst ptraf psize pvcl phdr pnext popx psrc pcont "
         "acyc abuf aaid arank cring qfirst qrel "
-        "sout swin squota sarm scpos scend shead srank sphase sheap "
-        "srate coins rtbl ev").split()
+        "sout swin squota sarm shead srank sphase sheap "
+        "srate smt rtbl ev").split()
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
             "B P PV SB Fm1 rstride N warmup "       # fixed while attached
             "now horizon nofast stopkinds trace rescan "    # control
             "inflight apos an nev evcap cmask ncont contflits "  # run state
-            "S fireto blockend nheap coinstride phleft "    # sources
+            "S fireto blockend nheap phleft "    # sources
             "stop moved ejected ndl counted heard "     # outputs
             "calls cycles scanned cands flits receipts "    # work counters
-            "wakes rescans sent fired").split()]
+            "wakes rescans sent fired coins").split()]
         + [("stops", ctypes.c_int64 * 6)]
         + [("d", Welford)]
         + [(name, ctypes.c_void_p) for name in POINTERS])

@@ -1,6 +1,7 @@
-"""The single-class mix's arrivals as columns, drawn a block at a time.
+"""A mix's stateless arrivals as columns, drawn a block at a time.
 
-:class:`ColumnDraw` turns cycles ``[now, stop)`` into int64 columns
+:class:`ColumnDraw` turns cycles ``[now, stop)`` of a single-class mix,
+or of one stateless class of a multi-class mix, into int64 columns
 ``(cycle, node, dst)``, by cycle then node, ``dst = -1`` a broadcast.
 They are bit-exact with the per-message ``random.Random`` calls they
 replace because they are computed from the same words:
@@ -20,7 +21,7 @@ shared, so that moves no other draw); β and destination streams never.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +98,10 @@ def below(rngs: Sequence, counts: np.ndarray, m: int) -> np.ndarray:
 
 
 class ColumnDraw:
-    """Block draws of one single-class mix (see the module docstring).
+    """Block draws of one mix's stateless arrivals (see the module
+    docstring): a single-class mix's, or class ``k``'s of a multi-class
+    one (its own rate and destination streams, no β; its destinations
+    drawn by :meth:`destinations` as the mix takes its rows).
 
     Reads the mix's injectors, node ids (``tokens``), rate, β and
     destination pattern at the first block, so a caller may prune the
@@ -107,19 +111,39 @@ class ColumnDraw:
     through its own ``arrivals_in``.
     """
 
-    def __init__(self, mix):
+    def __init__(self, mix, k: Optional[int] = None):
         self.mix = mix
-        self.bernoulli = all(type(inj) is BernoulliInjector
-                             for inj in mix._injectors)
+        self.k = k
+        mine = mix._injectors[k::len(mix.classes)] if k is not None \
+            else mix._injectors
+        self.bernoulli = all(type(inj) is BernoulliInjector for inj in mine)
         self._nodes = None      # node id per local index, at first block
         self._last = None       # per node: its last drawn arrival
         self._pc = self._pj = None      # pending: cycle, local index
         self._end = 0           # where the last block stopped
 
+    def _bind(self) -> None:
+        """The injectors, node ids, rate, β, pattern (``None``: a
+        broadcast class) and destination streams, from the mix."""
+        mix, k = self.mix, self.k
+        if k is None:
+            self._inj, self._nodes = mix._injectors, mix.tokens
+            self.rate, self.beta, self.pattern = mix.rate, mix.beta, \
+                mix.pattern
+            self._dst_rng = mix._dst_rng
+        else:
+            mine = [i for i, tok in enumerate(mix.tokens) if tok[1] == k]
+            self._inj = [mix._injectors[i] for i in mine]
+            self._nodes = [mix.tokens[i][0] for i in mine]
+            self.rate, self.beta = mix.classes[k].rate, 0.0
+            self.pattern = mix._cls_patterns[k]
+            self._dst_rng = [rngs[k] for rngs in mix._cls_dst_rng]
+        self._nodes = np.array(self._nodes, np.int64)
+
     def block(self, now: int, stop: int) -> Columns:
         """The ``(cycle, node, dst)`` columns of ``[now, stop)``."""
         if self._nodes is None:
-            self._nodes = np.array(self.mix.tokens, np.int64)
+            self._bind()
         if self.bernoulli:
             cyc, j = self._bernoulli(now, stop)
         else:
@@ -127,20 +151,22 @@ class ColumnDraw:
         nj = len(self._nodes)
         key = np.sort((cyc - now) * nj + j)     # by cycle, then node
         node = self._nodes[key % nj]
-        return key // nj + now, node, self._destinations(node)
+        return key // nj + now, node, (
+            self.destinations(node) if self.k is None
+            else np.full(len(node), -1, np.int64))
 
     # ------------------------------------------------------------------
     def _scalar(self, now: int, stop: int):
         cyc: List[int] = []
         j: List[int] = []
-        for i, inj in enumerate(self.mix._injectors):
+        for i, inj in enumerate(self._inj):
             ts = inj.arrivals_in(now, stop)
             cyc += ts
             j += [i] * len(ts)
         return np.array(cyc, np.int64), np.array(j, np.int64)
 
     def _bernoulli(self, now: int, stop: int):
-        injectors = self.mix._injectors
+        injectors = self._inj
         if self._last is None:      # each drew its first gap when built
             self._last = now + np.array(
                 [min(inj._gap, FAR) for inj in injectors], np.int64)
@@ -150,7 +176,7 @@ class ColumnDraw:
             self._pc += now - self._end
             self._last += now - self._end
         self._end = stop
-        rate = min(self.mix.rate, 1.0)
+        rate = min(self.rate, 1.0)
         last = self._last
         new_c, new_j = [self._pc], [self._pj]
         while True:
@@ -177,26 +203,27 @@ class ColumnDraw:
         self._pc, self._pj = pc[~due], pj[~due]
         return pc[due], pj[due]
 
-    def _destinations(self, node: np.ndarray) -> np.ndarray:
+    def destinations(self, node: np.ndarray) -> np.ndarray:
         """β decisions, then a destination per unicast, per node in
-        arrival order."""
+        arrival order (a class's rows as it takes them; a single-class
+        block's at once)."""
         mix = self.mix
         n = mix.net.n
         dst = np.full(len(node), -1, np.int64)
-        if not len(node):
+        if not len(node) or self.pattern is None:
             return dst
         order = by_node(node)       # node-major, arrival order in a node
-        if mix.beta:
+        if self.beta:
             counts = np.bincount(node, minlength=n)
             idx = np.flatnonzero(counts)
             u = uniforms(words([mix._class_rng[v] for v in idx.tolist()],
                                (2 * counts[idx]).tolist()))
-            order = order[u >= mix.beta]        # the unicasts
+            order = order[u >= self.beta]       # the unicasts
         src = node[order]
-        if type(mix.pattern) is UniformPattern:
-            d = below(mix._dst_rng, np.bincount(src, minlength=n), n - 1)
+        if type(self.pattern) is UniformPattern:
+            d = below(self._dst_rng, np.bincount(src, minlength=n), n - 1)
             dst[order] = d + (d >= src)
         elif len(src):
-            pick, rngs = mix.pattern.pick, mix._dst_rng
+            pick, rngs = self.pattern.pick, self._dst_rng
             dst[order] = [pick(v, rngs[v]) for v in src.tolist()]
         return dst

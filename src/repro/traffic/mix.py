@@ -20,11 +20,11 @@ and ``Network.send_broadcast``:
   broadcasts + long cache-line unicasts, Sec. 2.2) are first-class.
   Per-class draws come from their own named RNG streams
   (``node{i}.{name}.arrivals`` / ``.dst``), leaving the single-class
-  streams untouched.  A firing injector is a *token* on a calendar
-  (``{cycle: [injector index, ...]}``): stateless models are drawn a
-  block at a time through ``arrivals_in``, reactive ones through
-  ``arm``, and each token's class / destination is drawn when it fires.
-  On an array engine the reactive ones are its kernel's instead
+  streams untouched.  Each stateless class is drawn as columns like the
+  single-class mix (a ``ColumnDraw`` per class, destinations per node in
+  arrival order); a reactive injector is a *token* on a calendar
+  (``{cycle: [injector index, ...]}``), armed through ``arm``.  On an
+  array engine the reactive ones are its kernel's instead
   (:attr:`TrafficMix.kernel`).
 
 :meth:`TrafficMix.fill_calendar` is the one arrival draw of both modes
@@ -32,8 +32,8 @@ and :meth:`TrafficMix.inject` its one reader: it injects a window of
 cycles, one at a time for the reference loop (:meth:`generate`), a
 block ahead for the array engine -- the same messages in the same
 order either way.  :meth:`TrafficMix.emit` is the one per-message
-emitter; a single-class window's unicasts go to
-``Network.send_unicasts`` as columns.
+emitter; a window's columns go to ``Network.send_unicasts`` (and, per
+broadcast class, ``send_broadcasts``).
 **Trace replay** engages automatically when the arrival model carries
 a ``repro-trace/v2`` payload (destination, class, size and broadcast
 flag per event): its injectors are tokens with one arrival per recorded
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List,
                     Optional, Sequence, Tuple)
 
@@ -175,10 +176,11 @@ class TrafficMix:
         self.calendar: Dict[int, List[int]] = {}
         self._cycles: List[int] = []
         self.cal_end = -1
-        #: single-class mode: the block draw, the current block's
-        #: ``(cycle, node, dst)`` columns, the first row not yet taken
-        #: and its cycle (``cal_end`` when none is left)
+        #: the block draw (``(class, draw)`` per stateless class when
+        #: multi-class), the current block's columns (:meth:`take`), the
+        #: first row not yet taken and its cycle (``cal_end``: none left)
         self._draw: Optional[ColumnDraw] = None
+        self._draws: List[Tuple[int, ColumnDraw]] = []
         self.block: Optional[Tuple[np.ndarray, ...]] = None
         self.bpos = 0
         self._bnext = 0
@@ -337,6 +339,8 @@ class TrafficMix:
                 self._injectors.append(inj)
                 self.tokens.append((i, k))
         self.reactive = any(inj.reactive for inj in self._injectors)
+        self._draws = [(k, ColumnDraw(self, k)) for k in range(len(classes))
+                       if not self._injectors[k].reactive]
 
     # ------------------------------------------------------------------
     # generation
@@ -352,10 +356,12 @@ class TrafficMix:
         cycle.  First the network's continuations due at ``now`` (the
         ``on_inject`` tap sees them here), then the engine's injections
         (phase barrier, phase restart).  Block rows go as one window of
-        unicast columns (``Network.send_unicasts``) and broadcasts
-        through :meth:`emit` -- every row through :meth:`emit` under a
-        fault state or an ``on_inject`` tap; calendar tokens fire in
-        cycle order, each cycle's in injector order.  A reactive mix's
+        unicast columns (``Network.send_unicasts``) and single-class
+        broadcasts through :meth:`emit`, multi-class rows as a window per
+        class to an engine; every row through :meth:`emit` under a fault
+        state or an ``on_inject`` tap (and multi-class ones without an
+        engine), merged with the calendar's tokens in cycle order, each
+        cycle's in (node, class) order.  A reactive mix's
         window may be re-entered from a cycle inside it (a phase ended
         there).  Arrivals of cycles before ``now`` that no call injected
         (a drain ran them without traffic) are dropped, and a reactive
@@ -402,9 +408,11 @@ class TrafficMix:
             self.fill_calendar(now)
         if until > self.cal_end:
             until = self.cal_end
-        if self.block is not None:
-            if self._bnext < until:
-                self._inject_rows(*self.take(until))
+        rows = (self.take(until) if self.block is not None
+                and self._bnext < until else None)
+        if self._draw is not None:
+            if rows is not None:
+                self._inject_rows(*rows)
             return until
         fired = {}
         if self.kernel is not None:
@@ -412,22 +420,67 @@ class TrafficMix:
                                             self.on_inject is not None)
             for i in fired:
                 self._book(now, i)
-        tokens = self.tokens
-        while cycles and cycles[0] < until:
-            c = heappop(cycles)
-            due = cal.pop(c)
-            due.sort()  # node-major, class-minor: arms append out of order
-            for i in due:
-                inj = injectors[i]
-                if i in fired:      # the kernel sends it; the tap hears it
+        for c, draw in self._draws if rows is not None else ():
+            mine = rows[3] == c     # destinations as the rows are taken
+            if draw.pattern is not None and mine.any():
+                rows[2][mine] = draw.destinations(rows[1][mine])
+        if (rows is not None and net.state_owner is not None
+                and net.fault_state is None and self.on_inject is None):
+            self._send_columns(*rows)
+            rows = None
+        self._fire_due(until, rows, fired)
+        return until
+
+    def _fire_due(self, until: int, rows, fired: Dict) -> None:
+        """Fire the calendar's tokens before ``until`` and emit the taken
+        rows, cycle by cycle, each cycle's in (node, class) order (see
+        :meth:`inject`); a firing re-arms its source."""
+        cal, cycles, injectors = self.calendar, self._cycles, self._injectors
+        tokens, classes = self.tokens, self.classes
+        cyc, node, dst, k = ((c.tolist() for c in rows) if rows is not None
+                             else ((),) * 4)
+        r = 0
+        while True:
+            c = cycles[0] if cycles and cycles[0] < until else until
+            if r < len(cyc) and cyc[r] < c:
+                c = cyc[r]
+            if c >= until:
+                return
+            due = ([(tokens[i], i) for i in cal.pop(heappop(cycles))]
+                   if cycles and cycles[0] == c else [])
+            while r < len(cyc) and cyc[r] == c:
+                due.append(((node[r], k[r]), ~r))
+                r += 1
+            due.sort(key=itemgetter(0))     # arms append out of order
+            for tok, i in due:
+                if i < 0:
+                    cls = classes[k[~i]]
+                    self.emit(node[~i], dst[~i], c, cls.msg_len, cls.name)
+                elif i in fired:    # the kernel sends it; the tap hears it
                     self.on_inject(*fired[i])
-                elif inj.reactive:
-                    inj.fire(c)
-                    self._inject_token(tokens[i], c)
+                elif injectors[i].reactive:
+                    injectors[i].fire(c)
+                    self._inject_token(tok, c)
                     self.arm(i, c + 1)
                 else:
-                    self._inject_token(tokens[i], c)
-        return until
+                    self._inject_token(tok, c)
+
+    def _send_columns(self, cyc, node, dst, k) -> None:
+        """Stage taken multi-class rows with an engine, a window of
+        columns per class (``Network.send_unicasts`` /
+        ``send_broadcasts``); its class rank orders them per queue."""
+        for c in np.flatnonzero(np.bincount(k)).tolist():
+            cls, mine = self.classes[c], k == c
+            m = int(mine.sum())
+            if cls.cast == CAST_BROADCAST:
+                self.net.send_broadcasts(cyc[mine], node[mine], cls.msg_len,
+                                         cls.name)
+                self.generated_broadcasts += m
+            else:
+                self.net.send_unicasts(cyc[mine], node[mine], dst[mine],
+                                       cls.msg_len, cls.name)
+                self.generated_unicasts += m
+            self.class_generated[cls.name] += m
 
     def _inject_rows(self, cyc, node, dst) -> None:
         """Send taken block rows (see :meth:`inject`)."""
@@ -445,17 +498,16 @@ class TrafficMix:
     def fill_calendar(self, now: int) -> None:
         """Draw the next block, from ``now`` to the new ``cal_end``.
 
-        Single-class: the ``(cycle, node, dst)`` columns of
-        ``CALENDAR_BLOCK`` cycles, or of as many more as hold
-        ``BLOCK_ARRIVALS`` expected Bernoulli arrivals, replace
-        :attr:`block`.  Multi-class and replay: every stateless injector
-        draws ``CALENDAR_BLOCK`` cycles into the calendar through
-        ``arrivals_in``, in injector order, so each cycle's list comes
-        out node-major, class-minor.  Reactive injectors that the last
-        block left armed draw on from ``now``; the first fill arms every
-        reactive injector.  Only arrival streams are drawn there: class
-        and destination streams are drawn by :meth:`inject`, at the
-        arrival cycle.
+        Stateless injectors are drawn as columns: single-class, the
+        ``(cycle, node, dst)`` columns of ``CALENDAR_BLOCK`` cycles, or
+        of as many more as hold ``BLOCK_ARRIVALS`` expected Bernoulli
+        arrivals, replace :attr:`block`; multi-class, each stateless
+        class's columns of ``CALENDAR_BLOCK`` cycles, with a class
+        column, merged by cycle, node and class (destinations drawn as
+        :meth:`inject` takes the rows).  Replay injectors put a
+        token on the calendar per arrival.  Reactive injectors that the
+        last block left armed draw on from ``now``; the first fill arms
+        every reactive injector (the kernel's, on an array engine).
         """
         draw = self._draw
         if draw is not None:
@@ -464,13 +516,17 @@ class TrafficMix:
                 load = len(self.tokens) * self.rate
                 span = min(max(span, math.ceil(BLOCK_ARRIVALS / load)),
                            FAR) if load else FAR
-            self.cal_end = now + span
-            self.block = cyc, _, _ = draw.block(now, self.cal_end)
-            self.bpos = 0
-            self._bnext = int(cyc[0]) if len(cyc) else self.cal_end
+            self._set_block(now + span, draw.block(now, now + span))
             return
         first = self.cal_end < 0
         stop = self.cal_end = now + CALENDAR_BLOCK
+        if self._draws:
+            blocks = [d.block(now, stop) for _, d in self._draws]
+            cyc, node, dst = map(np.concatenate, zip(*blocks))
+            k = np.repeat([k for k, _ in self._draws],
+                          [len(b[0]) for b in blocks])
+            order = np.lexsort((k, node, cyc))
+            self._set_block(stop, tuple(c[order] for c in (cyc, node, dst, k)))
         if self.kernel is not None:
             self.kernel.fill_sources(stop)
         resume, self._resume = self._resume, []
@@ -479,11 +535,19 @@ class TrafficMix:
             self._injectors[i].armed = False
             self.arm(i, now)
         for i, inj in enumerate(self._injectors):
-            if not inj.reactive:
+            if inj.reactive:
+                if first and self.kernel is None:
+                    self.arm(i, now)
+            elif self._replay is not None:
                 for t in inj.arrivals_in(now, stop):
                     self._book(t, i)
-            elif first and self.kernel is None:
-                self.arm(i, now)
+
+    def _set_block(self, stop: int, cols) -> None:
+        """The block up to ``stop`` is ``cols``, none of it taken."""
+        self.cal_end = stop
+        self.block = cols
+        self.bpos = 0
+        self._bnext = int(cols[0][0]) if len(cols[0]) else stop
 
     def _book(self, t: int, i: int) -> None:
         """Put injector ``i`` on the calendar at cycle ``t``."""
@@ -520,18 +584,18 @@ class TrafficMix:
 
     def take(self, until: int) -> Tuple[np.ndarray, ...]:
         """The current block's rows before cycle ``until`` not taken yet,
-        as ``(cycle, node, dst)`` columns; what is taken is no longer the
-        mix's to inject."""
-        cyc, node, dst = self.block
+        as columns (``(cycle, node, dst)``, and the class in multi-class
+        mode); what is taken is no longer the mix's to inject."""
+        cyc = self.block[0]
         lo = self.bpos
         hi = self.bpos = lo + int(np.searchsorted(cyc[lo:], until))
         self._bnext = int(cyc[hi]) if hi < len(cyc) else self.cal_end
-        return cyc[lo:hi], node[lo:hi], dst[lo:hi]
+        return tuple(c[lo:hi] for c in self.block)
 
     def _inject_token(self, token, now: int) -> None:
-        """A firing calendar token: draw its class / destination (or take
-        its recorded message) and :meth:`emit` it.  ``token`` is a node id
-        (replay) or a ``(node, class_index)`` pair (multi-class)."""
+        """A firing calendar token: its recorded message, :meth:`emit`-ted
+        (``token`` a node id: replay), or a closed-loop transaction
+        (``token`` a ``(node, class_index)`` pair)."""
         fs = self.net.fault_state
         if fs is not None and fs.dead_nodes:
             node = token[0] if type(token) is tuple else token
@@ -543,24 +607,14 @@ class TrafficMix:
                 if self._replay is not None:
                     next(self._replay[node])
                 return
-        if self._replay is not None:    # the next recorded message
-            node = token
-            _, dst, size, name, bcast = next(self._replay[node])
-            if bcast:
-                dst = -1
-        else:
-            node, k = token
-            eng = self._cl_engine
-            if eng is not None and k in eng.closed_k:
-                # a closed-loop class's issue is a transaction, not a bare
-                # message: the engine owns sizing, tagging and accounting
-                eng.issue(node, k, now)
-                return
-            cls = self.classes[k]
-            name, size = cls.name, cls.msg_len
-            dst = -1 if cls.cast == CAST_BROADCAST else \
-                self._cls_patterns[k].pick(node, self._cls_dst_rng[node][k])
-        self.emit(node, dst, now, size, name)
+        if self._replay is None:
+            # a closed-loop class's issue is a transaction, not a bare
+            # message: the engine owns sizing, tagging and accounting
+            self._cl_engine.issue(*token, now)
+            return
+        node = token            # the next recorded message
+        _, dst, size, name, bcast = next(self._replay[node])
+        self.emit(node, -1 if bcast else dst, now, size, name)
 
     def emit(self, node: int, dst: int, now: int,
              size: Optional[int] = None, name: Optional[str] = None,

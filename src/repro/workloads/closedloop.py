@@ -70,8 +70,9 @@ one cycle at a time: ``TrafficMix.inject`` reads a calendar instead of
 polling the sources, and the engine re-arms a source with every credit
 and phase quota (see :class:`ClosedLoopSource`).  The array engine's
 kernel holds the sources itself (``ArrayBackend.bind_sources``): a
-credit re-arms its source inside the cycle that delivered it, from the
-same coin buffer, and the kernel fires the source's next request --
+credit re-arms its source inside the cycle that delivered it, the kernel
+draws the same coins from a copy of the source's generator state (and
+gives the state back), and it fires the source's next request --
 interned ahead, with its reply -- at its cycle, among that cycle's rows
 at its class's rank.  So a credit ends no window; Python is entered
 after the batch to book what was fired and completed, and a window ends
@@ -92,9 +93,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.sim.stats import OnlineStats
-from repro.traffic import mix as _mix
 from repro.traffic.arrival import ArrivalModel
-from repro.traffic.columns import uniforms, words
 from repro.traffic.mix import CAST_BROADCAST, CAST_UNICAST, TrafficClass
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,13 +116,11 @@ class ClosedLoopSource(ArrivalModel):
     every backend hands a credit back before the cycle it can fire in,
     so the feedback (and hence the stream) is identical everywhere.
 
-    The coins are the uniforms of the source's private stream, drawn a
-    block at a time (:meth:`coins`, bit-exact with ``rng.random()``):
-    ``fires()`` reads one, :meth:`arm` scans a run of them, and the array
-    engine's kernel scans the same buffer (it then lives in the kernel's
-    coin table).  The buffer holds at most one calendar block of coins,
-    so a low think rate costs one coin per cycle run, never a run of
-    draws past the horizon.
+    A coin is one ``rng.random()`` of the source's private stream:
+    ``fires()`` draws one, :meth:`arm` a run of them up to the calendar's
+    block end, so a low think rate costs one coin per cycle run.  The
+    array engine's kernel draws the same coins from a copy of the
+    stream's state and gives the state back.
 
     The engine owns the bookkeeping: it increments nothing here beyond
     what ``fires()`` itself does, and returns window credits by
@@ -138,7 +135,7 @@ class ClosedLoopSource(ArrivalModel):
     """
 
     __slots__ = ("rate", "rng", "window", "arrivals", "outstanding",
-                 "quota_left", "armed", "buf", "pos", "end")
+                 "quota_left", "armed")
 
     reactive = True
 
@@ -158,23 +155,6 @@ class ClosedLoopSource(ArrivalModel):
         self.quota_left = -1
         #: the next firing is drawn and on a calendar (see :meth:`arm`)
         self.armed = False
-        #: the coin buffer: coins ``buf[pos:end]`` are not read yet
-        self.buf = np.zeros(0)
-        self.pos = self.end = 0
-
-    def coins(self, n: int) -> np.ndarray:
-        """The next ``n`` unread coins (a reader consumes them by
-        advancing ``pos``); when fewer are left the unread ones move to
-        the front and the buffer is filled up to one calendar block (at
-        least ``n``)."""
-        left = self.end - self.pos
-        if left < n:
-            size = max(n, len(self.buf), _mix.CALENDAR_BLOCK)
-            buf = self.buf if len(self.buf) == size else np.zeros(size)
-            buf[:left] = self.buf[self.pos:self.end]
-            buf[left:] = uniforms(words([self.rng], [2 * (size - left)]))
-            self.buf, self.pos, self.end = buf, 0, size
-        return self.buf[self.pos:self.pos + n]
 
     def fires(self) -> bool:
         """One per-cycle issue check (stalls while the window is full)."""
@@ -183,11 +163,8 @@ class ClosedLoopSource(ArrivalModel):
         r = self.rate
         if r <= 0.0:
             return False
-        if r < 1.0:
-            u = self.coins(1)[0]
-            self.pos += 1
-            if u >= r:
-                return False
+        if r < 1.0 and self.rng.random() >= r:
+            return False
         self.fire()
         return True
 
@@ -204,13 +181,11 @@ class ClosedLoopSource(ArrivalModel):
                 or not self.quota_left):
             return None
         self.armed = True
-        if r >= 1.0 or at >= stop:
-            return at
-        n = stop - at
-        hit = self.coins(n) < r
-        j = int(hit.argmax()) if hit.any() else n
-        self.pos += min(j + 1, n)
-        return at + j
+        if r < 1.0:
+            coin = self.rng.random
+            while at < stop and not coin() < r:
+                at += 1
+        return at
 
     def fire(self, now: int = -1, count: int = 1) -> None:
         """Issue ``count`` transactions (at cycle ``now``): what that many

@@ -8,11 +8,13 @@ resolved against ``benchmarks/conftest.py`` and broke collection.
 
 from __future__ import annotations
 
+import random
+
 from repro.noc.network import Network
 from repro.noc.packet import UNICAST, Packet
 
 __all__ = ["drain", "send_one", "run_cycles", "run_per_cycle",
-           "one_cycle_segments",
+           "one_cycle_segments", "CountingRandom",
            "probed_route_tables", "scalar_gap", "scalar_columns"]
 
 
@@ -45,6 +47,20 @@ def run_per_cycle(backend, mix, cycles: int, probes=None) -> None:
         cb = probes.get(t)
         if cb is not None:
             cb(t)
+
+
+class CountingRandom(random.Random):
+    """A copy of generator ``rng`` that counts its ``random()`` calls:
+    a closed-loop source's coin reads."""
+
+    def __init__(self, rng: random.Random):
+        super().__init__()
+        self.setstate(rng.getstate())
+        self.reads = 0
+
+    def random(self) -> float:
+        self.reads += 1
+        return super().random()
 
 
 def one_cycle_segments(inj, stop: int, start: int = 0) -> list:

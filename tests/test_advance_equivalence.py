@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from differential import CUSTOM_CLOSED_LOOPS, make_config
-from helpers import run_per_cycle
+from helpers import CountingRandom, run_per_cycle
 
 from repro.core.api import build_network
 from repro.noc.network import flit_key
@@ -276,6 +276,19 @@ def test_profile_says_how_tails_were_delivered(case):
     # batch, but where a relay tail ends nearly every batch (too few to
     # pay for a bulk pass: _BOOK_MIN)
     assert (kc["tails_booked"] == by_path[1] > 0) != relays
+    if "workload" in case:
+        # the closed loop's classes: the invalidations staged as columns,
+        # the think coins drawn by the kernel, as many as the oracle reads
+        assert kc["packets_columns"] > 0
+        ref = SimulationSession(session.config.with_backend("reference"))
+        for src in ref.mix._injectors:
+            if src.reactive:
+                src.rng = CountingRandom(src.rng)
+        ref.run()
+        assert kc["coins"] == sum(src.rng.reads for src in ref.mix._injectors
+                                  if src.reactive) > 0
+    assert f"{kc['rescans']} rescans, {kc['coins']} coins drawn\n" in (
+        session.profiler.render())
     assert ("built, {} late, {} fired by the kernel\n  tails: {} "
             "delivered, {} counted by the kernel, {} as unicast columns "
             "({} booked per batch), {} through receive_tail, {} replies "

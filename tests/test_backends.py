@@ -364,15 +364,15 @@ class TestArrayBackend:
         assert {"cmask", "ncont", "contflits", "heard", "sent"} <= set(names)
         # the closed-loop sources: scalars, then the per-source columns
         # after the queue table (``array_backend._SCOLS``), then the
-        # rates and the coin table
+        # rates and the twister rows; the coins drawn after the firings
         from repro.sim.array_backend import _SCOLS
         k = names.index("S")
-        assert names[k:k + 6] == ["S", "fireto", "blockend", "nheap",
-                                  "coinstride", "phleft"]
+        assert names[k:k + 5] == ["S", "fireto", "blockend", "nheap",
+                                  "phleft"]
         k = names.index("sout")
         assert names[k - 1] == "qrel"
-        assert names[k:k + len(_SCOLS) + 2] == [*_SCOLS, "srate", "coins"]
-        assert names[names.index("sent") + 1] == "fired"
+        assert names[k:k + len(_SCOLS) + 2] == [*_SCOLS, "srate", "smt"]
+        assert names[names.index("sent") + 1:][:2] == ["fired", "coins"]
 
     @pytest.mark.skipif(not hasattr(os, "getuid"),
                         reason="no POSIX ownership to check")

@@ -10,6 +10,7 @@ trip, barrier-synchronised phases, the completion-time accounting in
 bytes for all of it.
 """
 
+import ctypes
 import hashlib
 import random
 from unittest import mock
@@ -18,10 +19,12 @@ import numpy as np
 import pytest
 from differential import (CLOSED_LOOP_CASES, CUSTOM_CLOSED_LOOPS,
                           custom_workload, find_divergence, make_config)
+from helpers import CountingRandom
 from hypothesis import given, settings, strategies as st
 
 from repro.core.api import build_network
 from repro.core.collector import aggregate_class_blocks
+from repro.sim import ckernel
 from repro.sim.backend import BACKENDS
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.generators import DirectoryPattern
@@ -582,6 +585,24 @@ class TestReactiveWindows:
 # ----------------------------------------------------------------------
 # the kernel fires the sources: a credit never ends a window
 # ----------------------------------------------------------------------
+def _kernel_arm(state, rate, n):
+    """Arm the one source of a bare kernel state at cycle 0, blockend
+    ``n``, from generator state ``state`` at think ``rate``; returns its
+    firing cycle (-2: none before ``n``), the coins it drew and its
+    twister state after, as ``getstate()``."""
+    cols = {name: np.array([v], np.int64) for name, v in (
+        ("sout", 0), ("swin", 1), ("squota", -1), ("sarm", -1),
+        ("sheap", 0))}
+    cols["srate"] = np.array([rate])
+    cols["smt"] = np.array([state[1]], np.uint32)
+    st = ckernel.State(S=1, blockend=n)
+    for name, col in cols.items():
+        setattr(st, name, col.ctypes.data)
+    ckernel.load_cycle_kernel().repro_arm(ctypes.byref(st), 0, 0)
+    return (int(cols["sarm"][0]), st.coins,
+            (state[0], tuple(cols["smt"][0].tolist()), state[2]))
+
+
 class TestKernelSources:
     """On the array engine the kernel applies each credit, reads the
     source's coins and fires its next request itself; Python enters at
@@ -616,6 +637,53 @@ class TestKernelSources:
                 config.with_backend("reference")).run()
         assert array.backend._st.fired > 100
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
+    @pytest.mark.parametrize("index", [0, 1, 623, 624])
+    def test_kernel_coins_are_the_generators(self, seed, index):
+        """A kernel source's coins are ``random()`` of its generator from
+        any index, across twists, and its twister state after them is
+        ``getstate()``'s.  Mutants killed: a wrong twist or tempering
+        constant, an index off by one, the two words of a coin swapped or
+        shifted alike, a coin drawn past the first hit."""
+        base = random.Random(seed).getstate()
+        state = (base[0], base[1][:-1] + (index,), None)
+        py = random.Random()
+        py.setstate(state)
+        us = [py.random() for _ in range(1500)]     # 3000 words
+        assert _kernel_arm(state, 1e-300, 1500) == (-2, 1500, py.getstate())
+        for u in us[::97]:
+            hit = next((i for i, v in enumerate(us) if v < u), None)
+            assert _kernel_arm(state, u, 1500)[:2] == (
+                (-2, 1500) if hit is None else (hit, hit + 1))
+
+    @pytest.mark.parametrize("workload", [
+        "cache_coherence:window=4", "allreduce:window=4,quota=12,gap=48,"
+                                    "think=0.3"], ids=["coherence", "phased"])
+    @pytest.mark.parametrize("drain", [False, True], ids=["run", "drain"])
+    def test_kernel_draws_the_references_coins(self, workload, drain):
+        """After a closed-loop run -- or run, drain, run -- every source's
+        generator is where the reference leaves it (the kernel gives its
+        twister state back) and the kernel drew exactly the coins the
+        reference read."""
+        spec = closed_spec(workload, cycles=1200, warmup=200, seed=3)
+        out = []
+        for backend in ("reference", "array"):
+            session = SimulationSession(RunConfig(spec=spec,
+                                                  backend=backend))
+            be, mix = session.backend, session.mix
+            srcs = [src for src in mix._injectors if src.reactive]
+            for src in srcs:
+                src.rng = CountingRandom(src.rng)
+            be.run_mix(mix, 500)
+            if drain:
+                be.drain()
+            be.run_mix(mix, 700)
+            be.detach()
+            out.append(([src.rng.getstate() for src in srcs],
+                        sum(src.rng.reads for src in srcs)))
+        assert out[0][0] == out[1][0]
+        assert out[0][1] == be._st.coins > 1000 and out[1][1] == 0
+
     @pytest.mark.parametrize("workload,cut", [
         ("cache_coherence:window=4", 400),
         ("allreduce:window=4,quota=12,gap=48", 346)],     # inside a phase
@@ -623,7 +691,8 @@ class TestKernelSources:
     def test_resync_keeps_the_kernels_transactions(self, workload, cut):
         """``materialize()`` + ``resync()`` mid-run re-adopts each packet
         in flight under its aid, so a kernel transaction keeps its reply
-        and its credit: summary, completions and outstanding requests
+        and its credit, and the sources keep the kernel's twister state:
+        summary, completions, outstanding requests and generator states
         are the reference's."""
         spec = closed_spec(workload, cycles=1500, warmup=200, seed=3)
         out = []
@@ -636,9 +705,10 @@ class TestKernelSources:
                 be.materialize()
                 be.resync()
             be.run_mix(mix, 1500 - cut)
+            be.detach()
             out.append((session.summary(), mix._cl_engine.completed,
-                        [src.outstanding for src in mix._injectors
-                         if src.reactive]))
+                        [(src.outstanding, src.rng.getstate())
+                         for src in mix._injectors if src.reactive]))
         assert out[0] == out[1]
 
     @pytest.mark.parametrize("name", ["dense", "dense_warmup", "reversed"])

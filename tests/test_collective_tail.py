@@ -65,8 +65,8 @@ def _run(config, monkeypatch, before=None):
     oracle)."""
     ops, rows = [], {}
     init = CollectiveOp.__init__
-    send = Network.send_broadcast
-    complete = ArrayBackend._complete
+    send, sends = Network.send_broadcast, Network.send_broadcasts
+    completed = ArrayBackend._completed
 
     def recording(self, *args, **kw):
         init(self, *args, **kw)
@@ -78,20 +78,27 @@ def _run(config, monkeypatch, before=None):
             ops.append(None)
         return op
 
+    def sending_all(net, cyc, *args):
+        k = len(ops)
+        sends(net, cyc, *args)
+        if len(ops) == k:       # a window of rows
+            ops.extend([None] * len(cyc))
+
     def receipts(be, x):
         seen = SimpleNamespace()
         be._fill(x, seen)
         rows[be._slot_op[x][0]] = seen.deliveries
 
     def completing(be, x, now):
-        if type(be._slot_op[x]) is tuple:
-            receipts(be, x)
-        complete(be, x, now)
+        for i in x.tolist():
+            receipts(be, i)
+        completed(be, x, now)
 
     with monkeypatch.context() as m:
         m.setattr(packet.CollectiveOp, "__init__", recording)
         m.setattr(Network, "send_broadcast", sending)
-        m.setattr(ArrayBackend, "_complete", completing)
+        m.setattr(Network, "send_broadcasts", sending_all)
+        m.setattr(ArrayBackend, "_completed", completing)
         session = SimulationSession(config)
         if before is not None:
             before(session)

@@ -52,6 +52,13 @@ def _as_op(self, node, size, cls, now, on_complete=None):
     return op
 
 
+def _as_ops(self, cyc, node, size, cls):
+    """``Network.send_broadcasts`` as it was before windows: a
+    ``send_broadcast`` per row."""
+    for c, v in zip(cyc.tolist(), node.tolist()):
+        self.send_broadcast(v, size, cls, c)
+
+
 def _drive(config, digest_every=0, snap_at=(), on_tail=False):
     """Run ``config``; returns the session and what was observed: the
     summary, a state digest every ``digest_every`` cycles, the
@@ -429,6 +436,7 @@ def _materialized(config, monkeypatch, objects):
     with monkeypatch.context() as m:
         if objects:
             m.setattr(Network, "send_broadcast", _as_op)
+            m.setattr(Network, "send_broadcasts", _as_ops)
         session = SimulationSession(config)
         net, be = session.net, session.backend
 
@@ -465,7 +473,7 @@ def test_broadcast_rows_read_as_the_objects(monkeypatch):
     rows = _materialized(config, monkeypatch, False)
     objects = _materialized(config, monkeypatch, True)
     assert rows[:2] == objects[:2]
-    assert rows[2]._nrows > objects[2]._nrows and rows[2]._nbuilt > 0
+    assert rows[2]._ncols > objects[2]._ncols and rows[2]._nbuilt > 0
 
 
 @pytest.mark.parametrize("kind,cfg", [

@@ -111,8 +111,8 @@ class TestMulticlassMix:
     def test_calendar_block_does_not_change_the_stream(self):
         """Whatever the calendar's block length -- one cycle (what
         per-cycle polling drew), an odd one or the default -- a
-        multi-class mix injects the same (cycle, token) stream, node-major
-        and class-minor within a cycle."""
+        multi-class mix emits the same (cycle, node, class, dst) stream,
+        node-major and class-minor within a cycle."""
         classes = [TrafficClass("u", 0.04, 2),
                    TrafficClass("b", 0.02, 3, cast="broadcast",
                                 arrival="bursty:on=0.3,len=5")]
@@ -120,14 +120,33 @@ class TestMulticlassMix:
         for block in (1, 123, CALENDAR_BLOCK):
             mix, _ = self._mix(classes, seed=11)
             fired = []
-            mix._inject_token = lambda tok, now, fired=fired: fired.append(
-                (now, tok))
+            mix.emit = lambda v, d, now, size, name, fired=fired: \
+                fired.append((now, v, "ub".index(name), d))
             with mock.patch("repro.traffic.mix.CALENDAR_BLOCK", block):
                 for t in range(600):
                     mix.generate(t)
             streams.append(fired)
         assert streams[0] == streams[1] == streams[2] == sorted(streams[0])
-        assert {tok[1] for _, tok in streams[0]} == {0, 1}
+        assert {k for _, _, k, _ in streams[0]} == {0, 1}
+
+    def test_a_skipped_span_draws_no_destinations(self):
+        """Arrivals of cycles no call injected (a drain ran them) are
+        dropped before their destinations are drawn: each node's k-th
+        emitted unicast still takes its stream's k-th pick.  Mutant
+        killed: a class's destinations drawn with its block."""
+        mix, _ = self._mix([TrafficClass("u", 0.05, 2),
+                            TrafficClass("b", 0.01, 3, cast="broadcast")])
+        sent = {}
+        mix.emit = lambda v, d, now, size, name: sent.setdefault(
+            v, []).extend([d] if d >= 0 else [])
+        for t in [*range(300), *range(700, 900)]:
+            mix.generate(t)
+        fresh, _ = self._mix([TrafficClass("u", 0.05, 2)])
+        pick = fresh._cls_patterns[0].pick
+        assert sum(map(len, sent.values())) > 100
+        for v, dsts in sent.items():
+            rng = fresh._cls_dst_rng[v][0]
+            assert dsts == [pick(v, rng) for _ in dsts]
 
 
 class TestPatternNodeValidation:
