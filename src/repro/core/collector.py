@@ -143,16 +143,7 @@ class LatencyCollector:
         columns (inject-cycle and class-id), so a delivery does not need
         the :class:`~repro.noc.packet.Packet` object at all."""
         self.delivered_unicast += 1
-        measured = created >= self.warmup
-        if measured:
-            self.unicast.add(now - created)
-            if self.hist is not None:
-                self.hist.add_unicast(now - created, cls)
-        if cls is not None:
-            stats = self._class_stats(cls)
-            stats.delivered += 1
-            if measured:
-                stats.latency.add(now - created)
+        self._fold_one(self.unicast, "add_unicast", created, cls, now)
 
     def on_unicasts(self, created, cid, names: Sequence[Optional[str]],
                     now) -> None:
@@ -214,11 +205,17 @@ class LatencyCollector:
         """A collective completed at ``now``, from its creation cycle and
         class (an array engine's receipt slot needs no op object)."""
         self.completed_collective += 1
+        self._fold_one(self.collective, "add_collective", created, cls, now)
+
+    def _fold_one(self, overall: BatchMeans, hist: str, created: int,
+                  cls: Optional[str], now: int) -> None:
+        """:meth:`_fold` for one latency ``now - created`` of class
+        ``cls``."""
         measured = created >= self.warmup
         if measured:
-            self.collective.add(now - created)
+            overall.add(now - created)
             if self.hist is not None:
-                self.hist.add_collective(now - created, cls)
+                getattr(self.hist, hist)(now - created, cls)
         if cls is not None:
             stats = self._class_stats(cls)
             stats.delivered += 1

@@ -148,13 +148,8 @@ class ShardWorker:
         injectors consume is per-node (``node{i}.*``), so dropping other
         nodes' tokens does not perturb owned nodes' draw sequences."""
         mix = self.mix
-        lo, hi = self.n_lo, self.n_hi
-
-        def node_of(tok):
-            return tok if isinstance(tok, int) else tok[0]
-
-        keep = [i for i, tok in enumerate(mix.tokens)
-                if lo <= node_of(tok) < hi]
+        keep = [i for i, (v, _) in enumerate(mix.tokens)
+                if self.n_lo <= v < self.n_hi]
         mix.tokens = [mix.tokens[i] for i in keep]
         mix._injectors = [mix._injectors[i] for i in keep]
 

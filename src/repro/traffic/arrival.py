@@ -97,8 +97,8 @@ class BernoulliInjector(ArrivalModel):
     with probability ``rate``, i.e. back-to-back arrivals).
     :meth:`arrivals_in` walks the gap sequence and keeps the countdown
     to the next arrival across calls, so any segmentation of the horizon
-    yields the same train from the same stream.  A single-class mix
-    draws the same gaps from the same stream for all its nodes at once
+    yields the same train from the same stream.  A mix draws the same
+    gaps from the same stream for all of a class's nodes at once
     (:mod:`repro.traffic.columns`), after the first one drawn here.
     """
 

@@ -1,8 +1,9 @@
 """A mix's stateless arrivals as columns, drawn a block at a time.
 
-:class:`ColumnDraw` turns cycles ``[now, stop)`` of a single-class mix,
-or of one stateless class of a multi-class mix, into int64 columns
-``(cycle, node, dst)``, by cycle then node, ``dst = -1`` a broadcast.
+:class:`ColumnDraw` turns cycles ``[now, stop)`` of one stateless class
+of a mix (a single-class mix is class 0) into int64 columns ``(cycle,
+node)``, by cycle then node; as the mix takes the rows,
+:meth:`ColumnDraw.destinations` draws their β coins and destinations.
 They are bit-exact with the per-message ``random.Random`` calls they
 replace because they are computed from the same words:
 ``rng.getrandbits(32 * k)`` is the next ``k`` words in draw order and
@@ -21,7 +22,7 @@ shared, so that moves no other draw); β and destination streams never.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,8 +39,13 @@ __all__ = ["ColumnDraw", "words", "uniforms", "gaps", "below", "by_node",
 FAR = 1 << 46
 #: Most gaps one node draws per refill.
 _MAX_K = 4096
+#: Fewer rows than this take their β coins and destinations from the
+#: scalar calls themselves: numpy's set-up (~30 µs a call) outweighs
+#: them, and one-cycle windows (the reference loop) are a row or two.
+#: So does a pattern other than uniform, which picks per row anyway.
+_FEW_ROWS = 64
 
-Columns = Tuple[np.ndarray, np.ndarray, np.ndarray]
+Columns = Tuple[np.ndarray, np.ndarray]
 
 
 def words(rngs: Sequence, counts: Sequence[int]) -> np.ndarray:
@@ -98,62 +104,44 @@ def below(rngs: Sequence, counts: np.ndarray, m: int) -> np.ndarray:
 
 
 class ColumnDraw:
-    """Block draws of one mix's stateless arrivals (see the module
-    docstring): a single-class mix's, or class ``k``'s of a multi-class
-    one (its own rate and destination streams, no β; its destinations
-    drawn by :meth:`destinations` as the mix takes its rows).
+    """Block draws of class ``k`` of a mix (see the module docstring):
+    its rate, β, destination pattern (``None``: all broadcasts) and
+    streams from the mix's per-class tables.
 
-    Reads the mix's injectors, node ids (``tokens``), rate, β and
-    destination pattern at the first block, so a caller may prune the
-    node set before then (the shard worker keeps its own nodes).
-    Bernoulli injectors are drawn here from their streams, after the
-    first gap each drew when it was built; any other stateless model
-    through its own ``arrivals_in``.
+    Reads the mix's injectors and ``tokens`` at the first block, so a
+    caller may prune the node set before then (the shard worker keeps
+    its own nodes).  Bernoulli injectors are drawn here from their
+    streams, after the first gap each drew when it was built; any other
+    stateless model through its own ``arrivals_in``.
     """
 
-    def __init__(self, mix, k: Optional[int] = None):
+    def __init__(self, mix, k: int):
         self.mix = mix
         self.k = k
-        mine = mix._injectors[k::len(mix.classes)] if k is not None \
-            else mix._injectors
-        self.bernoulli = all(type(inj) is BernoulliInjector for inj in mine)
+        self.bernoulli = all(type(inj) is BernoulliInjector for inj in
+                             mix._injectors[k::len(mix._kinds)])
+        _, _, self.rate, self.beta = mix._kinds[k]
+        self.pattern = mix._patterns[k]
         self._nodes = None      # node id per local index, at first block
         self._last = None       # per node: its last drawn arrival
         self._pc = self._pj = None      # pending: cycle, local index
         self._end = 0           # where the last block stopped
 
-    def _bind(self) -> None:
-        """The injectors, node ids, rate, β, pattern (``None``: a
-        broadcast class) and destination streams, from the mix."""
-        mix, k = self.mix, self.k
-        if k is None:
-            self._inj, self._nodes = mix._injectors, mix.tokens
-            self.rate, self.beta, self.pattern = mix.rate, mix.beta, \
-                mix.pattern
-            self._dst_rng = mix._dst_rng
-        else:
+    def block(self, now: int, stop: int) -> Columns:
+        """The ``(cycle, node)`` columns of ``[now, stop)``."""
+        if self._nodes is None:
+            mix, k = self.mix, self.k
             mine = [i for i, tok in enumerate(mix.tokens) if tok[1] == k]
             self._inj = [mix._injectors[i] for i in mine]
-            self._nodes = [mix.tokens[i][0] for i in mine]
-            self.rate, self.beta = mix.classes[k].rate, 0.0
-            self.pattern = mix._cls_patterns[k]
-            self._dst_rng = [rngs[k] for rngs in mix._cls_dst_rng]
-        self._nodes = np.array(self._nodes, np.int64)
-
-    def block(self, now: int, stop: int) -> Columns:
-        """The ``(cycle, node, dst)`` columns of ``[now, stop)``."""
-        if self._nodes is None:
-            self._bind()
+            self._nodes = np.array([mix.tokens[i][0] for i in mine],
+                                   np.int64)
         if self.bernoulli:
             cyc, j = self._bernoulli(now, stop)
         else:
             cyc, j = self._scalar(now, stop)
         nj = len(self._nodes)
         key = np.sort((cyc - now) * nj + j)     # by cycle, then node
-        node = self._nodes[key % nj]
-        return key // nj + now, node, (
-            self.destinations(node) if self.k is None
-            else np.full(len(node), -1, np.int64))
+        return key // nj + now, self._nodes[key % nj]
 
     # ------------------------------------------------------------------
     def _scalar(self, now: int, stop: int):
@@ -204,26 +192,28 @@ class ColumnDraw:
         return pc[due], pj[due]
 
     def destinations(self, node: np.ndarray) -> np.ndarray:
-        """β decisions, then a destination per unicast, per node in
-        arrival order (a class's rows as it takes them; a single-class
-        block's at once)."""
-        mix = self.mix
+        """The destination of each of the class's rows ``node`` (``-1``: a
+        broadcast): β coins, then a destination per unicast, per node in
+        arrival order, as the mix takes the rows."""
+        mix, k = self.mix, self.k
         n = mix.net.n
         dst = np.full(len(node), -1, np.int64)
         if not len(node) or self.pattern is None:
             return dst
+        coins, rngs, beta = mix._coin_rng[k], mix._dst_rng[k], self.beta
+        if len(node) < _FEW_ROWS or type(self.pattern) is not UniformPattern:
+            pick = self.pattern.pick
+            dst[:] = [-1 if beta and coins[v].random() < beta
+                      else pick(v, rngs[v]) for v in node.tolist()]
+            return dst
         order = by_node(node)       # node-major, arrival order in a node
-        if self.beta:
+        if beta:
             counts = np.bincount(node, minlength=n)
             idx = np.flatnonzero(counts)
-            u = uniforms(words([mix._class_rng[v] for v in idx.tolist()],
+            u = uniforms(words([coins[v] for v in idx.tolist()],
                                (2 * counts[idx]).tolist()))
-            order = order[u >= self.beta]       # the unicasts
+            order = order[u >= beta]        # the unicasts
         src = node[order]
-        if type(self.pattern) is UniformPattern:
-            d = below(self._dst_rng, np.bincount(src, minlength=n), n - 1)
-            dst[order] = d + (d >= src)
-        elif len(src):
-            pick, rngs = self.pattern.pick, self._dst_rng
-            dst[order] = [pick(v, rngs[v]) for v in src.tolist()]
+        d = below(rngs, np.bincount(src, minlength=n), n - 1)
+        dst[order] = d + (d >= src)
         return dst

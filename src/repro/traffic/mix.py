@@ -1,44 +1,41 @@
 """The paper's traffic mix, generalised to multi-class workloads.
 
-Two construction modes drive one network through ``Network.send_unicast``
-and ``Network.send_broadcast``:
+A mix is classes, each with its own per-node arrival process, message
+size and destination pattern, driving one network through
+``Network.send_unicast`` and ``Network.send_broadcast``:
 
 * **Single-class (the paper's workload)** -- ``TrafficMix(net, rate,
-  msg_len, beta)``: every node's arrival process (independent
-  Bernoulli(rate) by default; :mod:`repro.traffic.arrival` adds bursty
-  and trace-replay models) creates messages; each becomes a broadcast
-  with probability ``beta`` and a pattern-chosen unicast otherwise, of
-  ``msg_len`` flits either way (the paper's M).  Arrivals, β decisions
-  and destinations are drawn a block at a time as numpy columns
-  ``(cycle, node, dst)`` by :class:`~repro.traffic.columns.ColumnDraw`,
-  word for word what the seed's per-message ``random.Random`` calls
-  drew, so golden fixtures pin it.
+  msg_len, beta)`` is the unnamed class 0 (``classes`` ``None``, streams
+  ``node{i}.arrivals`` / ``.class`` / ``.dst``): every node's arrival
+  process (independent Bernoulli(rate) by default;
+  :mod:`repro.traffic.arrival` adds bursty and trace-replay models)
+  creates messages of ``msg_len`` flits (the paper's M), each a
+  broadcast with probability ``beta`` (its β coin) and a pattern-chosen
+  unicast otherwise.
 * **Multi-class** -- ``TrafficMix(net, classes=[TrafficClass(...), ...])``:
   each :class:`TrafficClass` (name, rate, msg_len, pattern, arrival,
-  cast) gets its own per-node arrival process and destination stream, so
-  mixes like the paper's cache-coherence motivation (short invalidate
-  broadcasts + long cache-line unicasts, Sec. 2.2) are first-class.
-  Per-class draws come from their own named RNG streams
-  (``node{i}.{name}.arrivals`` / ``.dst``), leaving the single-class
-  streams untouched.  Each stateless class is drawn as columns like the
-  single-class mix (a ``ColumnDraw`` per class, destinations per node in
-  arrival order); a reactive injector is a *token* on a calendar
-  (``{cycle: [injector index, ...]}``), armed through ``arm``.  On an
-  array engine the reactive ones are its kernel's instead
-  (:attr:`TrafficMix.kernel`).
+  cast) draws from its own streams (``node{i}.{name}.arrivals`` /
+  ``.dst``), so mixes like the paper's cache-coherence motivation (short
+  invalidate broadcasts + long cache-line unicasts, Sec. 2.2) are
+  first-class and the single-class streams stay untouched.
 
-:meth:`TrafficMix.fill_calendar` is the one arrival draw of both modes
-and :meth:`TrafficMix.inject` its one reader: it injects a window of
+:meth:`TrafficMix.fill_calendar` is the one arrival draw and
+:meth:`TrafficMix.inject` its one reader: it injects a window of
 cycles, one at a time for the reference loop (:meth:`generate`), a
 block ahead for the array engine -- the same messages in the same
-order either way.  :meth:`TrafficMix.emit` is the one per-message
-emitter; a window's columns go to ``Network.send_unicasts`` (and, per
-broadcast class, ``send_broadcasts``).
+order either way.  Each stateless class is drawn as columns ``(cycle,
+node, dst, class)`` by a :class:`~repro.traffic.columns.ColumnDraw`,
+word for word what the seed's per-message ``random.Random`` calls drew
+(golden fixtures pin it), its β coins and destinations drawn as the
+rows are taken; a reactive injector is a *token* on a calendar
+(``{cycle: [injector index, ...]}``), armed through ``arm`` (on an
+array engine its kernel's instead, :attr:`TrafficMix.kernel`).
 **Trace replay** engages automatically when the arrival model carries
 a ``repro-trace/v2`` payload (destination, class, size and broadcast
 flag per event): its injectors are tokens with one arrival per recorded
-message, each sent verbatim when it fires, consuming no randomness --
-which makes v2 replay seed- and pattern-independent.
+message, each sent verbatim through :meth:`TrafficMix.emit`, the one
+per-message emitter, consuming no randomness -- which makes v2 replay
+seed- and pattern-independent.
 """
 
 from __future__ import annotations
@@ -139,7 +136,8 @@ def _check_pattern_nodes(pattern: DestinationPattern, n: int,
 
 
 class TrafficMix:
-    """Drives one network with a single- or multi-class workload."""
+    """Drives one network with a mix of classes (the paper's
+    single-class workload is class 0)."""
 
     def __init__(self, net: "Network", rate: Optional[float] = None,
                  msg_len: Optional[int] = None, beta: float = 0.0,
@@ -176,10 +174,9 @@ class TrafficMix:
         self.calendar: Dict[int, List[int]] = {}
         self._cycles: List[int] = []
         self.cal_end = -1
-        #: the block draw (``(class, draw)`` per stateless class when
-        #: multi-class), the current block's columns (:meth:`take`), the
-        #: first row not yet taken and its cycle (``cal_end``: none left)
-        self._draw: Optional[ColumnDraw] = None
+        #: ``(class, draw)`` per stateless class, the current block's
+        #: columns (:meth:`take`), the first row not yet taken and its
+        #: cycle (``cal_end``: none left)
         self._draws: List[Tuple[int, ColumnDraw]] = []
         self.block: Optional[Tuple[np.ndarray, ...]] = None
         self.bpos = 0
@@ -192,74 +189,45 @@ class TrafficMix:
         self.kernel = None
 
         net.on_continue = self._continued
-        streams = RngStreams(seed)
+        if classes is None:
+            if rate is None or msg_len is None:
+                raise ValueError("single-class TrafficMix needs rate and "
+                                 "msg_len (or pass classes=[...])")
+            kinds = [self._single(net, rate, msg_len, beta, pattern,
+                                  arrival)]
+        elif (rate is not None or msg_len is not None or
+              pattern is not None or arrival is not None or beta):
+            raise ValueError(
+                "classes= is exclusive with the single-class "
+                "rate/msg_len/beta/pattern/arrival arguments")
+        else:
+            kinds = self._multiclass(net, classes)
         # identical streams for identical seeds => common random numbers
         # across the Quarc/Spidergon comparison (see repro.sim.rng)
-        if classes is not None:
-            if rate is not None or msg_len is not None or \
-                    pattern is not None or arrival is not None or beta:
-                raise ValueError(
-                    "classes= is exclusive with the single-class "
-                    "rate/msg_len/beta/pattern/arrival arguments")
-            self._init_multiclass(net, classes, streams)
-            return
-        if rate is None or msg_len is None:
-            raise ValueError("single-class TrafficMix needs rate and "
-                             "msg_len (or pass classes=[...])")
-        self._init_single(net, rate, msg_len, beta, pattern, arrival,
-                          streams)
+        self._build(net, RngStreams(seed), kinds)
 
     # ------------------------------------------------------------------
-    # construction: the paper's single-class workload (seed semantics)
+    # construction
     # ------------------------------------------------------------------
-    def _init_single(self, net: "Network", rate: float, msg_len: int,
-                     beta: float, pattern: Optional[DestinationPattern],
-                     arrival: Optional[Callable],
-                     streams: RngStreams) -> None:
+    def _single(self, net: "Network", rate: float, msg_len: int,
+                beta: float, pattern: Optional[DestinationPattern],
+                arrival: Optional[Callable]) -> tuple:
+        """The paper's workload (seed semantics) as class 0."""
         if msg_len < 1:
             raise ValueError(
                 f"message length must be >= 1 flit (got {msg_len})")
         if not 0.0 <= beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1] (got {beta})")
-        nodes = getattr(arrival, "nodes", None)
-        if nodes is not None and nodes != net.n:
-            raise ValueError(
-                f"arrival model {getattr(arrival, 'spec', arrival)!r} is "
-                f"pinned to {nodes} nodes but the network has {net.n}")
         self.rate = rate
         self.msg_len = msg_len
         self.beta = beta
         self.pattern = pattern or UniformPattern(net.n)
-        _check_pattern_nodes(self.pattern, net.n, "destination")
         #: temporal model: ``arrival(node, rate, rng) -> injector``, an
         #: :class:`~repro.traffic.arrival.ArrivalModel` (default
         #: Bernoulli)
         self.arrival = arrival
-
-        make = arrival if arrival is not None else (
-            lambda node, r, rng: BernoulliInjector(r, rng))
-        self._injectors = [
-            make(i, rate, streams.get(f"node{i}.arrivals"))
-            for i in range(net.n)]
-        #: injection tokens, parallel to ``_injectors``: what
-        #: ``_inject_token`` receives when the matching injector fires
-        #: (node ids here; ``(node, class_index)`` pairs in multi-class
-        #: mode)
-        self.tokens: List[object] = list(range(net.n))
-        self._class_rng = [streams.get(f"node{i}.class")
-                           for i in range(net.n)]
-        self._dst_rng = [streams.get(f"node{i}.dst") for i in range(net.n)]
-        if any(inj.reactive for inj in self._injectors):
-            raise ValueError(
-                "reactive arrival models ('closedloop:...') need a "
-                "closed-loop engine, which only multi-class closed-loop "
-                "workloads wire up; use e.g. "
-                "workload='cache_coherence:window=4'")
-
         replay = getattr(arrival, "replay", None)
-        if replay is None:
-            self._draw = ColumnDraw(self)
-        else:
+        if replay is not None:
             # repro-trace/v2: the injectors replay one arrival per
             # recorded message; _inject_token() sends it verbatim
             self._replay = [iter(evs) for evs in replay]
@@ -268,13 +236,14 @@ class TrafficMix:
             #: mode so a replay judges `saturated` like its original)
             self.replay_max_len = max(
                 (ev[2] for evs in replay for ev in evs), default=msg_len)
+        make = arrival if arrival is not None else (
+            lambda node, r, rng: BernoulliInjector(r, rng))
+        return None, msg_len, rate, beta, self.pattern, make
 
-    # ------------------------------------------------------------------
-    # construction: multi-class mode
-    # ------------------------------------------------------------------
-    def _init_multiclass(self, net: "Network",
-                         classes: Sequence[TrafficClass],
-                         streams: RngStreams) -> None:
+    def _multiclass(self, net: "Network",
+                    classes: Sequence[TrafficClass]) -> List[tuple]:
+        """A class list's per-class ``(name, size, rate, β, pattern,
+        arrival model)``, validated."""
         # Imported lazily: the registry imports repro.traffic.generators,
         # so a module-level import here would be circular in spirit (and
         # would force every mix consumer to pay the registry import).
@@ -291,20 +260,13 @@ class TrafficMix:
             seen.add(cls.name)
         self.classes = classes
         self.class_generated = {cls.name: 0 for cls in classes}
-
-        self._cls_patterns: List[Optional[DestinationPattern]] = []
-        self._cls_arrivals = []
+        kinds = []
         for cls in classes:
+            pat: Optional[DestinationPattern] = None
             if cls.cast == CAST_UNICAST:
-                pat: Optional[DestinationPattern]
-                if isinstance(cls.pattern, DestinationPattern):
-                    pat = cls.pattern
-                else:
-                    pat = resolve_pattern(cls.pattern, net.n)
-                _check_pattern_nodes(pat, net.n, f"class {cls.name!r}")
-                self._cls_patterns.append(pat)
-            else:
-                self._cls_patterns.append(None)
+                pat = (cls.pattern if isinstance(cls.pattern,
+                                                 DestinationPattern)
+                       else resolve_pattern(cls.pattern, net.n))
             model = (cls.arrival if callable(cls.arrival)
                      else resolve_arrival(cls.arrival))
             if getattr(model, "replay", None) is not None:
@@ -316,31 +278,56 @@ class TrafficMix:
                     f"(e.g. repro trace replay), or supply a times-only "
                     f"v1 trace file (still fully supported) for "
                     f"per-class arrival timing")
+            kinds.append((cls.name, cls.msg_len, cls.rate, None, pat, model))
+        return kinds
+
+    def _build(self, net: "Network", streams: RngStreams,
+               kinds: Sequence[tuple]) -> None:
+        """Check each class's pattern and arrival model against the
+        network, then build every ``(node, class)``'s injector and
+        streams, node-major and class-minor: a cycle's arrivals are
+        injected in this order, whichever backend drives it."""
+        for name, _, _, _, pattern, model in kinds:
+            what = "destination" if name is None else f"class {name!r}"
+            if pattern is not None:
+                _check_pattern_nodes(pattern, net.n, what)
             nodes = getattr(model, "nodes", None)
             if nodes is not None and nodes != net.n:
                 raise ValueError(
-                    f"class {cls.name!r}: arrival model "
+                    f"{'' if name is None else what + ': '}arrival model "
                     f"{getattr(model, 'spec', model)!r} is pinned to "
                     f"{nodes} nodes but the network has {net.n}")
-            self._cls_arrivals.append(model)
-
-        # (node-major, class-minor) injector order: a cycle's calendar
-        # entry is injected in this order, whichever backend drives it
+        #: per class: ``(name, size, rate, β)``, its destination pattern
+        #: (``None``: a broadcast class) and, per node, its destination
+        #: and β coin streams (``None``: no coin, the class's cast decides)
+        self._kinds = [kind[:4] for kind in kinds]
+        self._patterns = [kind[4] for kind in kinds]
+        pre = ["" if name is None else f"{name}." for name, *_ in kinds]
+        self._dst_rng = [[streams.get(f"node{i}.{p}dst")
+                          for i in range(net.n)] for p in pre]
+        self._coin_rng = [None if kind[3] is None else
+                          [streams.get(f"node{i}.{p}class")
+                           for i in range(net.n)]
+                          for kind, p in zip(kinds, pre)]
+        #: injection tokens, parallel to ``_injectors``: the ``(node,
+        #: class)`` that ``_inject_token`` receives when one fires
         self._injectors = []
-        self.tokens = []
-        self._cls_dst_rng: List[List[object]] = []
+        self.tokens: List[Tuple[int, int]] = []
         for i in range(net.n):
-            self._cls_dst_rng.append(
-                [streams.get(f"node{i}.{cls.name}.dst")
-                 for cls in classes])
-            for k, cls in enumerate(classes):
-                inj = self._cls_arrivals[k](
-                    i, cls.rate, streams.get(f"node{i}.{cls.name}.arrivals"))
-                self._injectors.append(inj)
+            for k, (_, _, rate, _, _, model) in enumerate(kinds):
+                self._injectors.append(
+                    model(i, rate, streams.get(f"node{i}.{pre[k]}arrivals")))
                 self.tokens.append((i, k))
         self.reactive = any(inj.reactive for inj in self._injectors)
-        self._draws = [(k, ColumnDraw(self, k)) for k in range(len(classes))
-                       if not self._injectors[k].reactive]
+        if self.reactive and self.classes is None:
+            raise ValueError(
+                "reactive arrival models ('closedloop:...') need a "
+                "closed-loop engine, which only multi-class closed-loop "
+                "workloads wire up; use e.g. "
+                "workload='cache_coherence:window=4'")
+        if self._replay is None:
+            self._draws = [(k, ColumnDraw(self, k)) for k in range(len(kinds))
+                           if not self._injectors[k].reactive]
 
     # ------------------------------------------------------------------
     # generation
@@ -355,17 +342,17 @@ class TrafficMix:
         the end of the block or the closed-loop engine's next scheduled
         cycle.  First the network's continuations due at ``now`` (the
         ``on_inject`` tap sees them here), then the engine's injections
-        (phase barrier, phase restart).  Block rows go as one window of
-        unicast columns (``Network.send_unicasts``) and single-class
-        broadcasts through :meth:`emit`, multi-class rows as a window per
-        class to an engine; every row through :meth:`emit` under a fault
-        state or an ``on_inject`` tap (and multi-class ones without an
-        engine), merged with the calendar's tokens in cycle order, each
-        cycle's in (node, class) order.  A reactive mix's
+        (phase barrier, phase restart).  The block's rows of the window
+        are taken (:meth:`take`) and their destinations drawn, then go to
+        an engine as columns (:meth:`_send_columns`), or through
+        :meth:`emit` one by one (no engine, a fault state or an
+        ``on_inject`` tap) merged with the calendar's tokens in cycle
+        order, each cycle's in (node, class) order.  A reactive mix's
         window may be re-entered from a cycle inside it (a phase ended
         there).  Arrivals of cycles before ``now`` that no call injected
-        (a drain ran them without traffic) are dropped, and a reactive
-        source whose firing was dropped is armed again.
+        (a drain ran them without traffic) are dropped undrawn: they
+        spend no β coin or destination; a reactive source whose firing
+        was dropped is armed again.
 
         On an array engine the kernel fires the closed-loop sources
         (``kernel``, bound at the first call): a window hands it the
@@ -396,9 +383,8 @@ class TrafficMix:
                 "a ClosedLoopEngine), or attach one explicitly via "
                 "attach_closedloop()")
         cal, cycles, injectors = self.calendar, self._cycles, self._injectors
-        if self.block is not None:
-            if self._bnext < now:
-                self.take(now)
+        if self.block is not None and self._bnext < now:
+            self.take(now)      # a drain ran them: dropped undrawn
         while cycles and cycles[0] < now:
             for i in cal.pop(heappop(cycles)):
                 if injectors[i].reactive:
@@ -410,10 +396,6 @@ class TrafficMix:
             until = self.cal_end
         rows = (self.take(until) if self.block is not None
                 and self._bnext < until else None)
-        if self._draw is not None:
-            if rows is not None:
-                self._inject_rows(*rows)
-            return until
         fired = {}
         if self.kernel is not None:
             fired = self.kernel.open_window(now, until,
@@ -421,14 +403,15 @@ class TrafficMix:
             for i in fired:
                 self._book(now, i)
         for c, draw in self._draws if rows is not None else ():
-            mine = rows[3] == c     # destinations as the rows are taken
-            if draw.pattern is not None and mine.any():
+            if draw.pattern is not None:    # drawn as the rows are taken
+                mine = rows[3] == c
                 rows[2][mine] = draw.destinations(rows[1][mine])
         if (rows is not None and net.state_owner is not None
                 and net.fault_state is None and self.on_inject is None):
             self._send_columns(*rows)
             rows = None
-        self._fire_due(until, rows, fired)
+        if rows is not None or cycles:
+            self._fire_due(until, rows, fired)
         return until
 
     def _fire_due(self, until: int, rows, fired: Dict) -> None:
@@ -436,7 +419,7 @@ class TrafficMix:
         rows, cycle by cycle, each cycle's in (node, class) order (see
         :meth:`inject`); a firing re-arms its source."""
         cal, cycles, injectors = self.calendar, self._cycles, self._injectors
-        tokens, classes = self.tokens, self.classes
+        tokens, kinds = self.tokens, self._kinds
         cyc, node, dst, k = ((c.tolist() for c in rows) if rows is not None
                              else ((),) * 4)
         r = 0
@@ -454,8 +437,8 @@ class TrafficMix:
             due.sort(key=itemgetter(0))     # arms append out of order
             for tok, i in due:
                 if i < 0:
-                    cls = classes[k[~i]]
-                    self.emit(node[~i], dst[~i], c, cls.msg_len, cls.name)
+                    name, size = kinds[k[~i]][:2]
+                    self.emit(node[~i], dst[~i], c, size, name)
                 elif i in fired:    # the kernel sends it; the tap hears it
                     self.on_inject(*fired[i])
                 elif injectors[i].reactive:
@@ -466,67 +449,59 @@ class TrafficMix:
                     self._inject_token(tok, c)
 
     def _send_columns(self, cyc, node, dst, k) -> None:
-        """Stage taken multi-class rows with an engine, a window of
-        columns per class (``Network.send_unicasts`` /
-        ``send_broadcasts``); its class rank orders them per queue."""
+        """Stage taken rows with an engine: per class a window of unicast
+        columns (``Network.send_unicasts``), then one of its broadcasts,
+        ``dst < 0`` (``send_broadcasts``); its class rank orders them per
+        queue."""
+        net = self.net
         for c in np.flatnonzero(np.bincount(k)).tolist():
-            cls, mine = self.classes[c], k == c
-            m = int(mine.sum())
-            if cls.cast == CAST_BROADCAST:
-                self.net.send_broadcasts(cyc[mine], node[mine], cls.msg_len,
-                                         cls.name)
-                self.generated_broadcasts += m
-            else:
-                self.net.send_unicasts(cyc[mine], node[mine], dst[mine],
-                                       cls.msg_len, cls.name)
-                self.generated_unicasts += m
-            self.class_generated[cls.name] += m
-
-    def _inject_rows(self, cyc, node, dst) -> None:
-        """Send taken block rows (see :meth:`inject`)."""
-        if self.net.fault_state is None and self.on_inject is None:
-            uni = dst >= 0
-            self.net.send_unicasts(cyc[uni], node[uni], dst[uni],
-                                   self.msg_len)
-            self.generated_unicasts += int(uni.sum())
-            bc = ~uni
-            cyc, node, dst = cyc[bc], node[bc], dst[bc]
-        emit = self.emit
-        for c, v, d in zip(cyc.tolist(), node.tolist(), dst.tolist()):
-            emit(v, d, c)
+            name, size = self._kinds[c][:2]
+            mine = k == c
+            uni, bc = mine & (dst >= 0), mine & (dst < 0)
+            net.send_unicasts(cyc[uni], node[uni], dst[uni], size, name)
+            net.send_broadcasts(cyc[bc], node[bc], size, name)
+            m, u = int(mine.sum()), int(uni.sum())
+            self.generated_unicasts += u
+            self.generated_broadcasts += m - u
+            if name is not None:
+                self.class_generated[name] += m
 
     def fill_calendar(self, now: int) -> None:
         """Draw the next block, from ``now`` to the new ``cal_end``.
 
-        Stateless injectors are drawn as columns: single-class, the
-        ``(cycle, node, dst)`` columns of ``CALENDAR_BLOCK`` cycles, or
-        of as many more as hold ``BLOCK_ARRIVALS`` expected Bernoulli
-        arrivals, replace :attr:`block`; multi-class, each stateless
-        class's columns of ``CALENDAR_BLOCK`` cycles, with a class
-        column, merged by cycle, node and class (destinations drawn as
-        :meth:`inject` takes the rows).  Replay injectors put a
+        Each stateless class's ``(cycle, node)`` columns, with a class
+        column and ``dst`` ``-1`` (:meth:`inject` draws destinations as it
+        takes the rows), merged by cycle, node and class, replace
+        :attr:`block`.  It spans ``CALENDAR_BLOCK`` cycles, or, unless
+        the mix is reactive (the kernel's sources are interned per
+        block), as many more as hold ``BLOCK_ARRIVALS`` expected arrivals
+        when every stateless class is Bernoulli.  Replay injectors put a
         token on the calendar per arrival.  Reactive injectors that the
         last block left armed draw on from ``now``; the first fill arms
         every reactive injector (the kernel's, on an array engine).
         """
-        draw = self._draw
-        if draw is not None:
-            span = CALENDAR_BLOCK
-            if draw.bernoulli:
-                load = len(self.tokens) * self.rate
-                span = min(max(span, math.ceil(BLOCK_ARRIVALS / load)),
-                           FAR) if load else FAR
-            self._set_block(now + span, draw.block(now, now + span))
-            return
         first = self.cal_end < 0
-        stop = self.cal_end = now + CALENDAR_BLOCK
+        span = CALENDAR_BLOCK
+        if (self._draws and not self.reactive
+                and all(d.bernoulli for _, d in self._draws)):
+            load = (len(self.tokens) // len(self._kinds)
+                    * sum(kind[2] for kind in self._kinds))
+            span = min(max(span, math.ceil(BLOCK_ARRIVALS / load)),
+                       FAR) if load else FAR
+        stop = self.cal_end = now + span
         if self._draws:
             blocks = [d.block(now, stop) for _, d in self._draws]
-            cyc, node, dst = map(np.concatenate, zip(*blocks))
+            cyc, node = map(np.concatenate, zip(*blocks))
             k = np.repeat([k for k, _ in self._draws],
                           [len(b[0]) for b in blocks])
-            order = np.lexsort((k, node, cyc))
-            self._set_block(stop, tuple(c[order] for c in (cyc, node, dst, k)))
+            # by cycle, node, then class: stable, the classes in order
+            order = np.argsort((cyc - now) * self.net.n + node,
+                               kind="stable")
+            cyc = cyc[order]
+            self.block = (cyc, node[order], np.full(len(cyc), -1, np.int64),
+                          k[order])
+            self.bpos = 0
+            self._bnext = int(cyc[0]) if len(cyc) else stop
         if self.kernel is not None:
             self.kernel.fill_sources(stop)
         resume, self._resume = self._resume, []
@@ -534,20 +509,14 @@ class TrafficMix:
             # still eligible: a source loses eligibility only by firing
             self._injectors[i].armed = False
             self.arm(i, now)
-        for i, inj in enumerate(self._injectors):
-            if inj.reactive:
-                if first and self.kernel is None:
-                    self.arm(i, now)
-            elif self._replay is not None:
+        if self._replay is not None:
+            for i, inj in enumerate(self._injectors):
                 for t in inj.arrivals_in(now, stop):
                     self._book(t, i)
-
-    def _set_block(self, stop: int, cols) -> None:
-        """The block up to ``stop`` is ``cols``, none of it taken."""
-        self.cal_end = stop
-        self.block = cols
-        self.bpos = 0
-        self._bnext = int(cols[0][0]) if len(cols[0]) else stop
+        elif first and self.kernel is None and self.reactive:
+            for i, inj in enumerate(self._injectors):
+                if inj.reactive:
+                    self.arm(i, now)
 
     def _book(self, t: int, i: int) -> None:
         """Put injector ``i`` on the calendar at cycle ``t``."""
@@ -584,8 +553,8 @@ class TrafficMix:
 
     def take(self, until: int) -> Tuple[np.ndarray, ...]:
         """The current block's rows before cycle ``until`` not taken yet,
-        as columns (``(cycle, node, dst)``, and the class in multi-class
-        mode); what is taken is no longer the mix's to inject."""
+        as columns ``(cycle, node, dst, class)``; what is taken is no
+        longer the mix's to inject."""
         cyc = self.block[0]
         lo = self.bpos
         hi = self.bpos = lo + int(np.searchsorted(cyc[lo:], until))
@@ -593,12 +562,12 @@ class TrafficMix:
         return tuple(c[lo:hi] for c in self.block)
 
     def _inject_token(self, token, now: int) -> None:
-        """A firing calendar token: its recorded message, :meth:`emit`-ted
-        (``token`` a node id: replay), or a closed-loop transaction
-        (``token`` a ``(node, class_index)`` pair)."""
+        """A firing calendar token ``(node, class)``: its recorded
+        message, :meth:`emit`-ted (replay), or a closed-loop
+        transaction."""
+        node = token[0]
         fs = self.net.fault_state
         if fs is not None and fs.dead_nodes:
-            node = token[0] if type(token) is tuple else token
             if node in fs.dead_nodes:
                 # a dead node's PE generates nothing (suppressed, not
                 # dropped); its recorded message is taken all the same,
@@ -612,25 +581,22 @@ class TrafficMix:
             # message: the engine owns sizing, tagging and accounting
             self._cl_engine.issue(*token, now)
             return
-        node = token            # the next recorded message
         _, dst, size, name, bcast = next(self._replay[node])
         self.emit(node, -1 if bcast else dst, now, size, name)
 
-    def emit(self, node: int, dst: int, now: int,
-             size: Optional[int] = None, name: Optional[str] = None,
-             tag=None, cont=None, on_complete=None):
-        """Send one message from ``node`` at ``now``: a unicast to ``dst``
-        through ``Network.send_unicast`` (which decides if a ``Packet`` is
-        built; ``tag`` comes back through ``net.on_tagged_tail``, ``cont``
-        is the reply the network sends back), or a broadcast for
-        ``dst == -1`` through ``Network.send_broadcast`` (likewise; its
-        op, if built, is returned, and ``on_complete(now)`` is called
-        when it completes).  ``size``
-        defaults to the single-class ``msg_len``.  The one per-message
-        path: calendar tokens, broadcasts, the closed-loop engine and,
-        under a fault state or an ``on_inject`` tap, every message."""
-        if size is None:
-            size = self.msg_len
+    def emit(self, node: int, dst: int, now: int, size: int,
+             name: Optional[str] = None, tag=None, cont=None,
+             on_complete=None):
+        """Send one ``size``-flit message from ``node`` at ``now``: a
+        unicast to ``dst`` through ``Network.send_unicast`` (which decides
+        if a ``Packet`` is built; ``tag`` comes back through
+        ``net.on_tagged_tail``, ``cont`` is the reply the network sends
+        back), or a broadcast for ``dst == -1`` through
+        ``Network.send_broadcast`` (likewise; its op, if built, is
+        returned, and ``on_complete(now)`` is called when it completes).
+        The one per-message path: calendar tokens, the closed-loop engine
+        and, without an engine or under a fault state or an ``on_inject``
+        tap, every message."""
         fs = self.net.fault_state
         if fs is not None and node in fs.dead_nodes:
             fs.suppressed_msgs += 1

@@ -402,8 +402,8 @@ class ClosedLoopEngine:
     def destinations(self, node: int, k: int, count: int) -> List[int]:
         """The next ``count`` destinations of ``node``'s class-``k``
         source, from its private stream: the k-th is its k-th firing's."""
-        pick = self.mix._cls_patterns[k].pick
-        rng = self.mix._cls_dst_rng[node][k]
+        pick = self.mix._patterns[k].pick
+        rng = self.mix._dst_rng[k][node]
         return [pick(node, rng) for _ in range(count)]
 
     def issue(self, node: int, k: int, now: int) -> None:

@@ -2,7 +2,7 @@
 
 ``Network.send_unicast`` hands an array engine ``(node, dst, size, cls,
 cycle)`` rows, ``Network.send_broadcast`` a Quarc broadcast's row, and
-the single-class mix a window of ``(cycle, node, dst)`` columns;
+a mix windows of ``(cycle, node, dst)`` columns per class;
 ``ArrayBackend._stage`` turns them into packet columns and looks the
 source queues up in the adapters' ``unicast_queue_table`` /
 ``broadcast_table``; a ``Packet`` (and a broadcast's ``CollectiveOp``)
@@ -323,7 +323,10 @@ def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
             session.run()
         net, be, mix = session.net, session.backend, session.mix
         if backend == "array":
-            assert be._ncols == mix.generated_unicasts
+            # a Quarc clone-mode broadcast is a column per branch
+            branches = 4 * mix.generated_broadcasts if be.broadcast_rows \
+                else 0
+            assert be._ncols == mix.generated_unicasts + branches
             generated = (int(be._psize[:len(be._pkts)].sum())
                          + be._staged_flits())
             ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
@@ -351,9 +354,10 @@ def test_profile_counts_objects(beta):
     session.run()
     mix = session.mix
     kc = session.profiler.report()["kernel_counters"]
-    assert kc["packets_columns"] == mix.generated_unicasts > 0
-    # a broadcast is a row per branch, none of them built
-    assert kc["packets_rows"] == 4 * mix.generated_broadcasts
+    # a broadcast is a column per branch, none of them built
+    assert kc["packets_columns"] == (mix.generated_unicasts
+                                     + 4 * mix.generated_broadcasts) > 0
+    assert kc["packets_rows"] == 0
     assert kc["packets_staged"] == (kc["packets_columns"]
                                     + kc["packets_rows"])
     assert (f"packets: {kc['packets_staged']} staged, {kc['packets_rows']} "
@@ -361,7 +365,7 @@ def test_profile_counts_objects(beta):
             f"0 fired by the kernel\n" in session.profiler.render())
 
 
-def _half_objects(self, cyc, node, dst, size):
+def _half_objects(self, cyc, node, dst, size, cls):
     """``Network.send_unicasts`` with every other message an object
     (``adapter.send``), the rest rows."""
     for i, (c, v, d) in enumerate(zip(cyc.tolist(), node.tolist(),
@@ -369,7 +373,7 @@ def _half_objects(self, cyc, node, dst, size):
         if i % 2:
             self.adapters[v].send(Packet(v, d, size), c)
         else:
-            self.send_unicast(v, d, size, None, c)
+            self.send_unicast(v, d, size, cls, c)
 
 
 def _booked(monkeypatch, config, backends=("array", "reference")):
@@ -503,7 +507,9 @@ def test_multicasts_stay_objects_beside_broadcast_rows():
     session.run()
     be = session.backend
     assert any(p is not None and p.traffic == MULTICAST for p in be._pkts)
-    assert be._nrows == 4 * session.mix.generated_broadcasts > 0
+    mix = session.mix
+    branches = be._ncols - mix.generated_unicasts
+    assert branches == 4 * mix.generated_broadcasts > 0
 
 
 def test_a_class_both_cast_replays_its_tails_alone(tmp_path, monkeypatch):

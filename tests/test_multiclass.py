@@ -129,24 +129,37 @@ class TestMulticlassMix:
         assert streams[0] == streams[1] == streams[2] == sorted(streams[0])
         assert {k for _, _, k, _ in streams[0]} == {0, 1}
 
-    def test_a_skipped_span_draws_no_destinations(self):
+    @pytest.mark.parametrize("single", [False, True],
+                             ids=["multiclass", "single"])
+    def test_a_skipped_span_draws_no_destinations(self, single):
         """Arrivals of cycles no call injected (a drain ran them) are
-        dropped before their destinations are drawn: each node's k-th
-        emitted unicast still takes its stream's k-th pick.  Mutant
-        killed: a class's destinations drawn with its block."""
-        mix, _ = self._mix([TrafficClass("u", 0.05, 2),
-                            TrafficClass("b", 0.01, 3, cast="broadcast")])
+        dropped before their β coins and destinations are drawn: each
+        node's k-th emitted message still takes its streams' k-th coin
+        and pick.  Mutant killed: a class's destinations, or a
+        single-class mix's coins and destinations, drawn with its
+        block."""
+        def make():
+            if single:
+                return TrafficMix(build_network("quarc", 16)[0], 0.05, 2,
+                                  beta=0.2, seed=3)
+            return self._mix([TrafficClass("u", 0.05, 2),
+                              TrafficClass("b", 0.01, 3,
+                                           cast="broadcast")])[0]
+        mix, fresh = make(), make()
         sent = {}
         mix.emit = lambda v, d, now, size, name: sent.setdefault(
-            v, []).extend([d] if d >= 0 else [])
+            v, []).append(d)
         for t in [*range(300), *range(700, 900)]:
             mix.generate(t)
-        fresh, _ = self._mix([TrafficClass("u", 0.05, 2)])
-        pick = fresh._cls_patterns[0].pick
+        pick, coins = fresh._patterns[0].pick, fresh._coin_rng[0]
         assert sum(map(len, sent.values())) > 100
+        assert any(-1 in dsts for dsts in sent.values())
         for v, dsts in sent.items():
-            rng = fresh._cls_dst_rng[v][0]
-            assert dsts == [pick(v, rng) for _ in dsts]
+            rng = fresh._dst_rng[0][v]
+            if not single:      # the broadcast class draws nothing
+                dsts = [d for d in dsts if d >= 0]
+            assert dsts == [-1 if coins and coins[v].random() < 0.2
+                            else pick(v, rng) for _ in dsts]
 
 
 class TestPatternNodeValidation:

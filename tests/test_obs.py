@@ -170,7 +170,9 @@ class TestZeroPerturbation:
         assert 0 < cat["inject"] + cat["step"] <= report["run_s"]
         if not load and backend == "array":
             kc = report["kernel_counters"]
-            assert kc["packets_columns"] == session.mix.generated_unicasts
+            mix = session.mix       # a Quarc broadcast: a column per branch
+            assert kc["packets_columns"] == (mix.generated_unicasts
+                                             + 4 * mix.generated_broadcasts)
             assert 0 < cat["fold"] <= cat["step"]
 
     def test_array_profile_reports_kernel_counters(self):

@@ -1,10 +1,10 @@
 """The single-class mix's block draw is the per-message draw, word for word.
 
-``repro.traffic.columns.ColumnDraw`` computes a block's ``(cycle, node,
-dst)`` columns from raw ``getrandbits`` words with numpy.  The oracle is
-the scalar loop it replaced (``helpers.scalar_columns``: one gap, one
-broadcast coin and one ``UniformPattern.pick`` per message, each a
-``random.Random`` call).  Pinned here: equal columns and equal final
+``repro.traffic.columns.ColumnDraw`` computes a block's ``(cycle, node)``
+columns and their ``dst`` from raw ``getrandbits`` words with numpy.  The
+oracle is the scalar loop it replaced (``helpers.scalar_columns``: one
+gap, one broadcast coin and one ``UniformPattern.pick`` per message, each
+a ``random.Random`` call).  Pinned here: equal columns and equal final
 generator states over random seeds, sizes, β, the rates where a gap
 consumes no word (0, subnormal, 1.0) and the ones where it does, any
 block segmentation, and quotients a last-ulp ``log`` difference could
@@ -47,9 +47,12 @@ def test_block_draw_is_the_scalar_draw(seed, n, rate, beta, data):
     cuts = [0, *sorted(set(inner)), horizon]
     mix = TrafficMix(SimpleNamespace(n=n, fault_state=None), rate, 4,
                      beta=beta, seed=seed)
-    draw = mix._draw
-    got = [draw.block(a, b) for a, b in zip(cuts, cuts[1:])]
-    got = list(zip(*(np.concatenate(col).tolist() for col in zip(*got))))
+    draw = mix._draws[0][1]
+    got = []
+    for a, b in zip(cuts, cuts[1:]):
+        cyc, node = draw.block(a, b)
+        got += zip(cyc.tolist(), node.tolist(),
+                   draw.destinations(node).tolist())
 
     arrivals = _streams(seed, n, "arrivals")
     classes, dsts = _streams(seed, n, "class"), _streams(seed, n, "dst")
@@ -57,8 +60,8 @@ def test_block_draw_is_the_scalar_draw(seed, n, rate, beta, data):
     assert got == want
     # destinations and broadcast coins are drawn exactly, never ahead
     for v in range(n):
-        assert mix._class_rng[v].getstate() == classes[v].getstate()
-        assert mix._dst_rng[v].getstate() == dsts[v].getstate()
+        assert mix._coin_rng[0][v].getstate() == classes[v].getstate()
+        assert mix._dst_rng[0][v].getstate() == dsts[v].getstate()
     # arrivals are drawn ahead: the scalar loop drawing on reaches the
     # same pending arrivals (each node's first is the one it drew last)
     # and the same generator state
