@@ -483,13 +483,9 @@ class FaultState:
                 nxt = self._next_node(base_port)
                 if nxt is not None and dist[nxt][dst] < UNREACHABLE:
                     return base_port, deliver
-            here = dist[node][dst]
-            for port in buf.fed:
-                if port.dead or port is base_port or port.is_ejection:
-                    continue
-                nxt = self._next_node(port)
-                if nxt is not None and dist[nxt][dst] < here:
-                    return port, False
+            port = self._detour(buf, base_port, node, dst)
+            if port is not None:
+                return port, False
             return self._drop_route(buf, base_port, deliver, pkt,
                                     count=True)
         # collective branch: the path is encoded in the branch itself,
@@ -500,21 +496,30 @@ class FaultState:
         # wedging the node's injection queue forever.
         if base_port.dead or base_port not in buf.fed:
             if not any(p.is_ejection and not p.dead for p in buf.fed):
-                dst = pkt.dst
-                dist = self.dist
-                if dst not in self.dead_nodes \
-                        and dist[router.node][dst] < UNREACHABLE:
-                    here = dist[router.node][dst]
-                    for port in buf.fed:
-                        if port.dead or port is base_port \
-                                or port.is_ejection:
-                            continue
-                        nxt = self._next_node(port)
-                        if nxt is not None and dist[nxt][dst] < here:
-                            return port, False
+                port = self._detour(buf, base_port, router.node, pkt.dst)
+                if port is not None:
+                    return port, False
             return self._drop_route(buf, base_port, deliver, pkt,
                                     count=True)
         return base_port, deliver
+
+    def _detour(self, buf: "FlitBuffer", base_port: "OutPort", node: int,
+                dst: int) -> Optional["OutPort"]:
+        """The first live non-ejection port fed by ``buf``, other than
+        ``base_port``, whose next node is strictly closer to ``dst`` in
+        the live graph; ``None`` when ``dst`` is dead or unreachable
+        from ``node``, or no fed port gets closer."""
+        dist = self.dist
+        here = dist[node][dst]
+        if dst in self.dead_nodes or here >= UNREACHABLE:
+            return None
+        for port in buf.fed:
+            if port.dead or port is base_port or port.is_ejection:
+                continue
+            nxt = self._next_node(port)
+            if nxt is not None and dist[nxt][dst] < here:
+                return port
+        return None
 
     def _drop_route(self, buf: "FlitBuffer", base_port: "OutPort",
                     deliver: bool, pkt: "Packet",
