@@ -19,7 +19,22 @@ from typing import Tuple
 
 from repro.topologies.quarc import LEFT, RIGHT, XLEFT, XRIGHT
 
-__all__ = ["QuadrantCalculator"]
+__all__ = ["QuadrantCalculator", "base_route_hops"]
+
+
+def base_route_hops(k: int, n: int) -> int:
+    """Hops along the base route to the node ``k`` places clockwise
+    (``0 <= k < n``): the offset the quadrant comparators cut, read as a
+    distance -- rim hops in the right/left quadrants, one spoke hop plus
+    the rim walk back from the antipode in the cross quadrants."""
+    q = n // 4
+    if k <= q:
+        return k
+    if k <= 2 * q:
+        return 1 + (2 * q - k)
+    if k < 3 * q:
+        return 1 + (k - 2 * q)
+    return n - k
 
 
 class QuadrantCalculator:
@@ -78,15 +93,7 @@ class QuadrantCalculator:
 
     def hop_distance(self, dst: int) -> int:
         """Hops along the base route to ``dst`` (for multicast bitstrings)."""
-        k = (dst - self.node) % self.n
-        q = self.q
-        if k <= q:
-            return k
-        if k <= 2 * q:
-            return 1 + (2 * q - k)
-        if k < 3 * q:
-            return 1 + (k - 2 * q)
-        return self.n - k
+        return base_route_hops((dst - self.node) % self.n, self.n)
 
     def classify(self, dst: int) -> Tuple[str, int]:
         """(quadrant, hop distance) in one call."""

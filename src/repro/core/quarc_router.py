@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
+from repro.core.quadrant import base_route_hops
 from repro.noc.packet import BROADCAST, MULTICAST
 from repro.noc.router import Router
 
@@ -138,20 +139,6 @@ class QuarcRouter(Router):
         self.xl_out.connect(list(anti.bufs_xl))
 
     # ------------------------------------------------------------------
-    def _hop_distance(self, src: int) -> int:
-        """Hops from ``src`` to this node along the base route (for the
-        multicast bitstring position, Sec. 2.5.3)."""
-        n = self.n
-        q = n // 4
-        k = (self.node - src) % n
-        if k <= q:
-            return k
-        if k <= 2 * q:
-            return 1 + (2 * q - k)
-        if k < 3 * q:
-            return 1 + (k - 2 * q)
-        return n - k
-
     def _absorb_here(self, pkt: "Packet") -> bool:
         """Should a passing collective flit be cloned to the local PE?"""
         if self.clone_disabled:
@@ -160,7 +147,9 @@ class QuarcRouter(Router):
         if t == BROADCAST:
             return True
         if t == MULTICAST:
-            h = self._hop_distance(pkt.src)
+            # this node's bit: its hops from the source along the base
+            # route (the multicast bitstring position, Sec. 2.5.3)
+            h = base_route_hops((self.node - pkt.src) % self.n, self.n)
             return bool((pkt.bitstring >> h) & 1)
         return False
 
