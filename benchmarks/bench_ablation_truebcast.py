@@ -1,8 +1,8 @@
 """Ablation: how much of the Quarc's broadcast win is absorb-and-forward?
 
 Runs the *same* Quarc topology (doubled spoke, all-port transceiver) with
-the true-broadcast clone disabled, falling back to Spidergon-style
-broadcast-by-unicast relays.  The residual gap between "quarc-relay" and
+``bcast_mode="relay"``: Spidergon-style broadcast-by-unicast relay
+chains, whose segments no switch clones.  The residual gap between "quarc-relay" and
 the real Spidergon then isolates the topology/all-port contribution,
 while the gap between "quarc" and "quarc-relay" isolates the
 absorb-and-forward mechanism -- which DESIGN.md calls out as the paper's
@@ -20,7 +20,7 @@ def _run():
                         rate=0.008, cycles=8_000, warmup=2_000, seed=5)
     variants = [
         ("quarc", dict()),
-        ("quarc-relay", dict(bcast_mode="relay", clone_disabled=True)),
+        ("quarc-relay", dict(bcast_mode="relay")),
     ]
     for label, kwargs in variants:
         s = run_point(spec, **kwargs)

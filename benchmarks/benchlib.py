@@ -2,8 +2,9 @@
 
 Each ``bench_*`` file regenerates one artefact of the paper's evaluation
 (figure or table), prints it, writes a CSV under ``results/`` and asserts
-the paper's qualitative claims hold.  ``REPRO_BENCH_FULL=1`` switches the
-latency figures from the CI-sized grids to the full ones.
+the paper's qualitative claims hold.  The latency figures run their
+CI-sized grids; ``repro fig9 --full`` (likewise ``fig10`` / ``fig11``)
+writes the full ones.
 
 Importable as a plain module (``from benchlib import emit``) so the
 helpers cannot shadow a ``conftest`` from another test root -- the seed

@@ -586,7 +586,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_figure(args, fig: str) -> int:
     runner = {"fig9": run_fig9, "fig10": run_fig10, "fig11": run_fig11}[fig]
-    rows = runner(fast=False if args.full else None, backend=args.backend,
+    rows = runner(fast=not args.full, backend=args.backend,
                   workers=args.workers, replicates=args.replicates)
     path = args.csv or os.path.join("results", f"{fig}.csv")
     print(format_table(rows))

@@ -31,7 +31,6 @@ NETWORK_KINDS = ("quarc", "spidergon", "mesh", "torus")
 def build_network(kind: str, n: int, *, buffer_depth: int = 4,
                   collector: Optional[LatencyCollector] = None,
                   bcast_mode: str = "clone",
-                  clone_disabled: bool = False,
                   cols: int = 0) -> Tuple[Network, Topology]:
     """Build a fully wired network of ``kind`` with ``n`` nodes.
 
@@ -47,11 +46,11 @@ def build_network(kind: str, n: int, *, buffer_depth: int = 4,
     collector:
         Shared :class:`~repro.core.collector.LatencyCollector`; a fresh
         one is created when omitted (reachable via any adapter).
-    bcast_mode / clone_disabled:
-        Quarc ablation hooks: ``bcast_mode="relay"`` plus
-        ``clone_disabled=True`` makes the Quarc topology broadcast by
-        unicast like the Spidergon, isolating the absorb-and-forward
-        contribution.
+    bcast_mode:
+        Quarc ablation hook: ``"relay"`` makes the Quarc topology
+        broadcast by unicast relay chains like the Spidergon, isolating
+        the absorb-and-forward contribution.  Relay segments are never
+        cloned, so the switches need no setting of their own.
     cols:
         Mesh/torus column count (default: square).
 
@@ -66,9 +65,7 @@ def build_network(kind: str, n: int, *, buffer_depth: int = 4,
 
     if kind == "quarc":
         topo: Topology = QuarcTopology(n)
-        routers = [QuarcRouter(i, n, buffer_depth,
-                               clone_disabled=clone_disabled)
-                   for i in range(n)]
+        routers = [QuarcRouter(i, n, buffer_depth) for i in range(n)]
         adapters = [QuarcTransceiver(i, routers[i], coll,
                                      bcast_mode=bcast_mode)
                     for i in range(n)]

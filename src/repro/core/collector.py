@@ -100,10 +100,11 @@ class ClassStats:
 class LatencyCollector:
     """Latency/throughput sink shared by the adapters of one network."""
 
-    def __init__(self, warmup: int = 0, batch_size: int = 100):
+    def __init__(self, warmup: int = 0):
         self.warmup = warmup
-        self.unicast = BatchMeans(batch_size)
-        self.collective = BatchMeans(max(batch_size // 10, 4))
+        # collectives are rarer: smaller batches still give a CI
+        self.unicast = BatchMeans(100)
+        self.collective = BatchMeans(10)
         self.delivery = OnlineStats()       # per-receiver collective latency
         self.generated_unicast = 0
         self.generated_collective = 0

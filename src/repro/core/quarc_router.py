@@ -71,20 +71,12 @@ class QuarcRouter(Router):
     __slots__ = ("cw_out", "ccw_out", "xr_out", "xl_out",
                  "ej_cw", "ej_ccw", "ej_xr", "ej_xl",
                  "bufs_cw", "bufs_ccw", "bufs_xr", "bufs_xl",
-                 "loc_r", "loc_l", "loc_xr", "loc_xl",
-                 "clone_disabled")
+                 "loc_r", "loc_l", "loc_xr", "loc_xl")
 
     relative_tables = True
 
-    def __init__(self, node: int, n: int, buffer_depth: int = 4,
-                 vcs: int = 2, clone_disabled: bool = False):
+    def __init__(self, node: int, n: int, buffer_depth: int = 4):
         super().__init__(node, n)
-        if vcs != 2:
-            raise ValueError("the Quarc switch implements two VC lanes "
-                             f"per ingress (got vcs={vcs})")
-        #: ablation hook: disable absorb-and-forward (bench_ablation_*)
-        self.clone_disabled = clone_disabled
-
         mk = self.new_buffer
         self.bufs_cw = [mk(buffer_depth, f"cw.vc{v}", CW_IN) for v in (0, 1)]
         self.bufs_ccw = [mk(buffer_depth, f"ccw.vc{v}", CCW_IN)
@@ -141,8 +133,6 @@ class QuarcRouter(Router):
     # ------------------------------------------------------------------
     def _absorb_here(self, pkt: "Packet") -> bool:
         """Should a passing collective flit be cloned to the local PE?"""
-        if self.clone_disabled:
-            return False
         t = pkt.traffic
         if t == BROADCAST:
             return True
@@ -194,8 +184,8 @@ class QuarcRouter(Router):
     def route_table(self, buf: "FlitBuffer"):
         # Only the fixed-output local queues route every traffic class
         # by destination alone: at a network ingress a multicast's clone
-        # decision reads its bitstring (unless nothing clones at all).
-        if buf.role >= LOC_R or self.clone_disabled:
+        # decision reads its bitstring.
+        if buf.role >= LOC_R:
             return self.unicast_route_table(buf)
         return None
 
@@ -212,6 +202,6 @@ class QuarcRouter(Router):
         if role < LOC_R:
             slot[self.node] = _EJECT_SLOT + role
         never = np.zeros(self.n, bool)
-        if role in (CW_IN, CCW_IN, XL_IN) and not self.clone_disabled:
+        if role in (CW_IN, CCW_IN, XL_IN):
             return slot, never, never, slot != _EJECT_SLOT + role  # not here
         return slot, never, never

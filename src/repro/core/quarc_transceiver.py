@@ -23,7 +23,8 @@ hop-distance *h* along the branch (Sec. 2.5.3).
 ``bcast_mode="relay"`` is an ablation hook (not in the paper): it makes
 the Quarc *topology* perform Spidergon-style broadcast-by-unicast so the
 benefit of absorb-and-forward can be isolated from the benefit of the
-doubled cross link.
+doubled cross link.  It is the whole ablation: a relay segment is
+routed like a unicast, so no switch ever clones it.
 """
 
 from __future__ import annotations

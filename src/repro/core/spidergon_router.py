@@ -50,14 +50,10 @@ class SpidergonRouter(Router):
 
     relative_tables = True
 
-    def __init__(self, node: int, n: int, buffer_depth: int = 4,
-                 vcs: int = 2):
+    def __init__(self, node: int, n: int, buffer_depth: int = 4):
         super().__init__(node, n)
         if n % 2:
             raise ValueError(f"Spidergon needs an even node count (got {n})")
-        if vcs != 2:
-            raise ValueError("the Spidergon switch models two VC lanes "
-                             f"per ingress (got vcs={vcs})")
 
         mk = self.new_buffer
         self.bufs_cw = [mk(buffer_depth, f"cw.vc{v}", S_CW_IN)

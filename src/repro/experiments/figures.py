@@ -3,8 +3,8 @@
 Each ``run_*`` function regenerates one artefact as a list of dict rows
 (CSV-ready) and returns enough structure for the benchmarks to assert the
 paper's qualitative claims.  ``fast=True`` (the default) runs a reduced
-grid sized for CI; set the environment variable ``REPRO_BENCH_FULL=1`` or
-pass ``fast=False`` for the full grids.
+grid sized for CI; ``fast=False`` (``repro fig9 --full`` etc.) runs the
+full grids.
 
 Paper artefacts:
 
@@ -18,8 +18,7 @@ Paper artefacts:
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis import (predict_broadcast_latency,
                             predict_unicast_latency)
@@ -30,7 +29,7 @@ from repro.sim.backend import DEFAULT_BACKEND
 from repro.sim.records import RunSummary
 from repro.traffic.workload import WorkloadSpec
 
-__all__ = ["is_full_mode", "latency_rows", "app_scenario_rows",
+__all__ = ["latency_rows", "app_scenario_rows",
            "run_fig9", "run_fig10", "run_fig11", "run_app_scenarios",
            "run_table1", "run_fig12", "curves_from_rows",
            "bands_from_rows"]
@@ -40,14 +39,9 @@ __all__ = ["is_full_mode", "latency_rows", "app_scenario_rows",
 _CI_COLUMNS = {"unicast_lat": "unicast_ci95", "bcast_lat": "bcast_ci95"}
 
 
-def is_full_mode() -> bool:
-    return os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
-
-
-def _grid(fast: Optional[bool]) -> Tuple[int, int, int]:
-    """(rate points, cycles, warmup) for the current mode."""
-    full = is_full_mode() if fast is None else not fast
-    return (8, 20_000, 5_000) if full else (5, 8_000, 2_000)
+def _grid(fast: bool) -> Tuple[int, int, int]:
+    """(rate points, cycles, warmup): the CI grid, or the full one."""
+    return (5, 8_000, 2_000) if fast else (8, 20_000, 5_000)
 
 
 def latency_rows(results: Dict[str, List],
@@ -106,7 +100,7 @@ def bands_from_rows(rows: Sequence[Dict[str, object]],
 # ----------------------------------------------------------------------
 # Fig. 9: message-length sweep at N=16, beta=5%
 # ----------------------------------------------------------------------
-def run_fig9(fast: Optional[bool] = None, seed: int = 1,
+def run_fig9(fast: bool = True, seed: int = 1,
              msg_lens: Sequence[int] = (8, 16, 32),
              backend: str = DEFAULT_BACKEND, workers: int = 1,
              replicates: int = 1) -> List[Dict[str, object]]:
@@ -126,7 +120,7 @@ def run_fig9(fast: Optional[bool] = None, seed: int = 1,
 # ----------------------------------------------------------------------
 # Fig. 10: network-size sweep at M=16, beta=10%, with analysis overlay
 # ----------------------------------------------------------------------
-def run_fig10(fast: Optional[bool] = None, seed: int = 1,
+def run_fig10(fast: bool = True, seed: int = 1,
               sizes: Sequence[int] = (16, 32, 64),
               backend: str = DEFAULT_BACKEND, workers: int = 1,
               replicates: int = 1) -> List[Dict[str, object]]:
@@ -159,7 +153,7 @@ def run_fig10(fast: Optional[bool] = None, seed: int = 1,
 # ----------------------------------------------------------------------
 # Fig. 11: broadcast-rate sweep at N=64, M=16
 # ----------------------------------------------------------------------
-def run_fig11(fast: Optional[bool] = None, seed: int = 1,
+def run_fig11(fast: bool = True, seed: int = 1,
               betas: Sequence[float] = (0.0, 0.05, 0.10),
               n: int = 64, backend: str = DEFAULT_BACKEND,
               workers: int = 1,
@@ -207,7 +201,7 @@ def app_scenario_rows(summaries: Sequence[RunSummary]
     return rows
 
 
-def run_app_scenarios(fast: Optional[bool] = None, seed: int = 1,
+def run_app_scenarios(fast: bool = True, seed: int = 1,
                       n: int = 16, scale: float = 1.0,
                       workloads: Sequence[str] = APP_WORKLOADS,
                       kinds: Sequence[str] = ("quarc", "spidergon"),

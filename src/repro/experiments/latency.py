@@ -18,9 +18,7 @@ __all__ = ["run_point"]
 
 
 def run_point(spec: WorkloadSpec, bcast_mode: str = "clone",
-              clone_disabled: bool = False,
               backend: str = DEFAULT_BACKEND) -> RunSummary:
     """Simulate one :class:`WorkloadSpec` point end to end."""
-    config = RunConfig(spec=spec, backend=backend, bcast_mode=bcast_mode,
-                       clone_disabled=clone_disabled)
+    config = RunConfig(spec=spec, backend=backend, bcast_mode=bcast_mode)
     return SimulationSession(config).run()

@@ -53,13 +53,6 @@ class ObsSpec:
     latency_hist: bool = False
     profile: bool = False
     progress: bool = False
-    heartbeat: int = 0          # heartbeat interval; 0 = auto
-
-    def __post_init__(self) -> None:
-        if self.heartbeat < 0:
-            raise ValueError(
-                f"heartbeat interval must be >= 0 "
-                f"(got {self.heartbeat})")
 
     def __bool__(self) -> bool:
         return bool(self.probes or self.latency_hist or self.profile

@@ -5,7 +5,7 @@ fix that, both opt-in and both writing transient ``\\r``-rewritten
 lines to *stderr* (stdout stays clean for tables/CSV):
 
 * :class:`RunHeartbeat` -- a per-run heartbeat riding the same probe
-  seam as the telemetry probes: every ``interval`` cycles it reports
+  seam as the telemetry probes: every ``cycles // 50`` cycles it reports
   simulated cycles, throughput (cycles/s), delivered messages and an
   ETA.  Heartbeat cycles are probe cycles, which the fast-forward
   loops execute identically whether or not anything is listening, so
@@ -42,9 +42,7 @@ class RunHeartbeat:
     status line per firing and :meth:`finish` clears it.
     """
 
-    def __init__(self, interval: Optional[int] = None,
-                 stream: Optional[TextIO] = None):
-        self.interval = interval
+    def __init__(self, stream: Optional[TextIO] = None):
         self.stream = stream if stream is not None else sys.stderr
         self._t0_wall = 0.0
         self._t0 = 0
@@ -53,7 +51,7 @@ class RunHeartbeat:
 
     def schedule(self, t0: int, cycles: int, net, collector
                  ) -> Dict[int, Callable[[int], None]]:
-        interval = self.interval or max(cycles // 50, 1)
+        interval = max(cycles // 50, 1)
         self._t0 = t0
         self._total = cycles
         self._net = net

@@ -135,21 +135,11 @@ class ExecutionEngine:
     """
 
     def __init__(self, workers: int = 1,
-                 chunk_size: Optional[int] = None,
                  progress: Optional[Callable[[int, int], None]] = None):
         if workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(
-                f"chunk_size must be >= 1 (got {chunk_size})")
         self.workers = workers
-        self.chunk_size = chunk_size
         self.progress = progress
-
-    def _chunk_for(self, njobs: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, njobs // (self.workers * 4))
 
     def imap(self, configs: Iterable[RunConfig]
              ) -> Iterator[RunSummary]:
@@ -173,9 +163,10 @@ class ExecutionEngine:
             return
         # exiting the `with` (incl. via GeneratorExit) terminates the
         # pool, discarding undelivered results
+        # ~4 chunks per worker: few IPC round trips, a short tail
+        chunk = max(1, total // (self.workers * 4))
         with multiprocessing.Pool(min(self.workers, total)) as pool:
-            for summary in pool.imap(_execute, jobs,
-                                     chunksize=self._chunk_for(total)):
+            for summary in pool.imap(_execute, jobs, chunksize=chunk):
                 done += 1
                 if self.progress is not None:
                     self.progress(done, total)

@@ -51,7 +51,6 @@ class RunConfig:
     spec: WorkloadSpec
     backend: str = DEFAULT_BACKEND
     bcast_mode: str = "clone"           # Quarc ablation: "clone" | "relay"
-    clone_disabled: bool = False
     #: observability block (:class:`repro.obs.ObsSpec`).  ``None`` --
     #: the default and the zero-overhead path -- installs nothing:
     #: no probe callbacks, no histogram bank, no profiler wrappers.
@@ -176,8 +175,7 @@ class SimulationSession:
         self.collector = LatencyCollector(warmup=spec.warmup)
         self.net, self.topo = build_network(
             spec.kind, spec.n, buffer_depth=spec.buffer_depth,
-            collector=self.collector, bcast_mode=config.bcast_mode,
-            clone_disabled=config.clone_disabled)
+            collector=self.collector, bcast_mode=config.bcast_mode)
         self.backend: SimBackend = make_backend(config.backend, self.net)
         #: the closed-loop engine, when the workload declares closed
         #: semantics (``None`` for every open-loop run)
@@ -296,7 +294,7 @@ class SimulationSession:
             _merge_probes(probes, self.probe_set.schedule(t0, cycles))
         if obs.progress:
             from repro.obs.progress import RunHeartbeat
-            self._heartbeat = RunHeartbeat(obs.heartbeat or None)
+            self._heartbeat = RunHeartbeat()
             _merge_probes(probes, self._heartbeat.schedule(
                 t0, cycles, self.net, self.collector))
         if obs.profile:

@@ -450,7 +450,7 @@ def random_configs(seed: int, count: int,
         rate = 10 ** rng.uniform(-3.2, -0.3)
         beta = rng.choice((0.0, 0.05, 0.3))
         if kind == "quarc" and rng.random() < 0.2:
-            cfg_extra = dict(bcast_mode="relay", clone_disabled=True)
+            cfg_extra = dict(bcast_mode="relay")
         else:
             cfg_extra = {}
         frng = random.Random(f"faults:{seed}:{i}")

@@ -61,7 +61,7 @@ GOLDEN_CONFIGS: List[Tuple[str, WorkloadSpec, Dict]] = [
     ("quarc8_relay_ablation",
      WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.3, rate=0.03,
                   cycles=2000, warmup=400, seed=5),
-     dict(bcast_mode="relay", clone_disabled=True)),
+     dict(bcast_mode="relay")),
     ("spidergon16_saturated",
      WorkloadSpec(kind="spidergon", n=16, msg_len=16, beta=0.0, rate=0.2,
                   cycles=1500, warmup=300, seed=3), {}),
@@ -107,7 +107,7 @@ GOLDEN_CONFIGS: List[Tuple[str, WorkloadSpec, Dict]] = [
     ("quarc8_relay_faults",
      WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.3, rate=0.03,
                   cycles=3000, warmup=600, seed=42, faults=RELAY_FAULTS),
-     dict(bcast_mode="relay", clone_disabled=True)),
+     dict(bcast_mode="relay")),
 ]
 
 

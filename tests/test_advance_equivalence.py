@@ -227,8 +227,6 @@ FIG11 = dict(beta=0.1, rate=0.0034)
 @pytest.mark.parametrize("case,delivery,calls", [
     # the paper's traffic never stops for a header or a tail ...
     (dict(FIG11), [0], range(20)),
-    # ... the clone ablation changes the table, not that ...
-    (dict(FIG11, clone_disabled=True), [0], range(20)),
     # ... Spidergon still stops on every relay tail (regeneration is
     # Python, ROADMAP 3(a)) ...
     (dict(FIG11, kind="spidergon"), range(1000, 4000), range(1000, 4000)),
@@ -237,7 +235,7 @@ FIG11 = dict(beta=0.1, rate=0.0034)
     # the source's next request itself
     (dict(workload="cache_coherence:window=4", rate=1.0, cycles=2000,
           warmup=400), [0], range(1, 10)),
-], ids=["quarc", "quarc-noclone", "spidergon", "closed_coherence"])
+], ids=["quarc", "spidergon", "closed_coherence"])
 def test_python_is_entered_for_events_not_headers(case, delivery, calls):
     kc, _ = _stops(**case)
     assert kc["stops"]["python_route"] == 0

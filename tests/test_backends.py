@@ -60,7 +60,7 @@ class TestBackendEquivalence:
         """The re-injection path (adapter pushes during commit) too."""
         spec = WorkloadSpec(kind="quarc", n=8, msg_len=4, beta=0.3,
                             rate=0.03, cycles=1500, warmup=300, seed=5)
-        sums = _summaries(spec, bcast_mode="relay", clone_disabled=True)
+        sums = _summaries(spec, bcast_mode="relay")
         assert all(s == sums[0] for s in sums[1:]), ALL_BACKENDS
         assert sums[0].bcast_samples > 0
 

@@ -160,7 +160,6 @@ class TestMulticast:
 class TestAblationModes:
     def test_quarc_relay_mode_broadcast_still_correct_but_slow(self):
         fast, _, _ = run_broadcast("quarc", 16, 8)
-        slow, _, _ = run_broadcast("quarc", 16, 8, bcast_mode="relay",
-                                   clone_disabled=True)
+        slow, _, _ = run_broadcast("quarc", 16, 8, bcast_mode="relay")
         assert sorted(slow.deliveries) == sorted(fast.deliveries)
         assert slow.completion_latency > 3 * fast.completion_latency

@@ -96,8 +96,7 @@ class TestFigureCommands:
     def test_full_flag_leaves_the_environment_alone(self, monkeypatch,
                                                     tmp_path):
         """``--full`` asks the runner for the paper-size grid by
-        argument; writing ``REPRO_BENCH_FULL`` would switch every later
-        ``run_fig*`` call in the process to it as well."""
+        argument, and no figure command writes the environment."""
         calls = []
 
         def runner(**kwargs):
@@ -105,13 +104,12 @@ class TestFigureCommands:
             return [{"noc": "quarc", "rate": 0.01}]
 
         monkeypatch.setattr("repro.cli.run_fig9", runner)
-        monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
         before = dict(os.environ)
         csv_path = str(tmp_path / "fig9.csv")
         assert main(["fig9", "--full", "--csv", csv_path]) == 0
         assert main(["fig9", "--csv", csv_path]) == 0
         assert dict(os.environ) == before
-        assert [c["fast"] for c in calls] == [False, None]
+        assert [c["fast"] for c in calls] == [False, True]
 
 
 class TestScenarioCommands:

@@ -38,7 +38,7 @@ class TestLatencyCollector:
         assert coll.generated_collective == 1
 
     def test_cis_none_until_enough_batches(self):
-        coll = LatencyCollector(batch_size=100)
+        coll = LatencyCollector()
         assert coll.unicast_ci() is None
         assert coll.collective_ci() is None
         assert coll.unicast_mean == 0.0

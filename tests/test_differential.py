@@ -233,6 +233,6 @@ class TestKnownRegressions:
         the array mirrors through the push sinks."""
         cfg = make_config(kind="quarc", n=8, msg_len=4, beta=0.3,
                           rate=0.03, cycles=1500, warmup=300, seed=5,
-                          bcast_mode="relay", clone_disabled=True)
+                          bcast_mode="relay")
         summaries = assert_backends_equivalent(cfg, ALL_BACKENDS)
         assert summaries[0].bcast_samples > 0

@@ -63,18 +63,9 @@ class TestAppScenarioDriver:
 
 
 class TestModeSwitch:
-    def test_full_mode_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        assert figures.is_full_mode()
-        points, cycles, warmup = figures._grid(None)
-        assert (points, cycles, warmup) == (8, 20_000, 5_000)
-        monkeypatch.setenv("REPRO_BENCH_FULL", "0")
-        assert not figures.is_full_mode()
-
-    def test_fast_param_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-        points, _, _ = figures._grid(True)
-        assert points == 5
+    def test_fast_picks_the_grid(self):
+        assert figures._grid(True) == (5, 8_000, 2_000)
+        assert figures._grid(False) == (8, 20_000, 5_000)
 
     def test_rates_positive_increasing(self):
         rates = figures.default_rates(16, 16, 0.05, 5)

@@ -295,8 +295,7 @@ class TestZeroPerturbation:
 
     def test_heartbeat_does_not_perturb_summary(self, capsys):
         _, off = _probed_run(SPEC, "array", None)
-        _, on = _probed_run(SPEC, "array",
-                            ObsSpec(progress=True, heartbeat=100))
+        _, on = _probed_run(SPEC, "array", ObsSpec(progress=True))
         assert on == off
         assert "[run]" in capsys.readouterr().err
 

@@ -93,12 +93,10 @@ class TestSeedStreamIndependence:
 
 
 class TestExecutionEngine:
-    def test_rejects_bad_workers_and_chunk(self):
+    def test_rejects_bad_workers(self):
         for bad in (0, -3):
             with pytest.raises(ValueError, match="workers"):
                 ExecutionEngine(workers=bad)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ExecutionEngine(workers=2, chunk_size=0)
 
     def test_single_worker_matches_pool(self):
         configs = ReplicationPlan(SPEC.seed, 4).configs(CONFIG)
@@ -108,7 +106,7 @@ class TestExecutionEngine:
     def test_results_in_submission_order(self):
         rates = [0.01, 0.02, 0.03, 0.04]
         configs = [RunConfig(spec=SPEC.with_rate(r)) for r in rates]
-        out = ExecutionEngine(2, chunk_size=1).run(configs)
+        out = ExecutionEngine(2).run(configs)
         assert [s.offered_rate for s in out] == rates
 
     def test_imap_is_lazy_and_closable(self):

@@ -33,10 +33,6 @@ SHAPES = ([(k, n, 0) for k in ("quarc", "spidergon") for n in (8, 16, 64)]
           + [(k, n, cols) for k in ("mesh", "torus")
              for n, cols in ((8, 2), (8, 4), (16, 4), (16, 8), (16, 2),
                              (64, 8))])
-#: ``build_network`` arguments by case name: a kind is its own; under
-#: the Quarc clone ablation no ingress role clones a passing broadcast
-BUILD = {k: {"kind": k} for k in KINDS}
-BUILD["quarc-noclone"] = {"kind": "quarc", "clone_disabled": True}
 
 
 def _route_head_owners():
@@ -50,10 +46,9 @@ def _route_head_owners():
     return seen
 
 
-@pytest.mark.parametrize("kind,n,cols", SHAPES + [
-    ("quarc-noclone", n, 0) for n in (16, 64)])
+@pytest.mark.parametrize("kind,n,cols", SHAPES)
 def test_vectorised_columns_equal_probe(kind, n, cols):
-    net, _ = build_network(n=n, cols=cols, **BUILD[kind])
+    net, _ = build_network(kind, n, cols=cols)
     cloning = set()
     for router in net.routers:
         for buf in router.in_bufs:
@@ -95,14 +90,11 @@ def test_vclass_reset_column_is_exercised():
         assert any(turns) and not all(turns)
 
 
-#: ``kind@n`` (n = 64 when omitted): the Quarc with and without clones at
-#: N = 8 .. 384, the Spidergon at 8 / 24 / 64, the torus on 4x4, 8x6, 8x8
-#: and 16x16, the mesh on 4x4 and 8x8.  quarc-noclone@384 probes 4.7 M
-#: route_head calls like quarc@384 for one bit of difference: nightly.
+#: ``kind@n`` (n = 64 when omitted): the Quarc at N = 8 .. 384, the
+#: Spidergon at 8 / 24 / 64, the torus on 4x4, 8x6, 8x8 and 16x16, the
+#: mesh on 4x4 and 8x8.
 PACKED = (
-    [f"quarc{c}{at}" for c in ("", "-noclone")
-     for at in ("", "@8", "@16", "@24")]
-    + ["quarc@384", pytest.param("quarc-noclone@384", marks=pytest.mark.slow)]
+    [f"quarc{at}" for at in ("", "@8", "@16", "@24", "@384")]
     + ["spidergon", "spidergon@8", "spidergon@24"]
     + ["torus", "torus@16", "torus@48", "torus@256", "mesh", "mesh@16"])
 
@@ -119,7 +111,7 @@ def _decoded(be, b):
 @pytest.mark.parametrize("kind", PACKED)
 def test_packed_tables_equal_probed_oracle(kind):
     kind, _, n = kind.partition("@")
-    net, _ = build_network(n=int(n or 64), **BUILD[kind])
+    net, _ = build_network(kind, int(n or 64))
     be = ArrayBackend(net)
     oracle, oracle_all = probed_route_tables(be)
     # rtflag: 2 = the row holds for every class, 1 = every class but

@@ -65,10 +65,6 @@ class TestQuarcWiring:
         assert not routers[3].cw_out.is_dateline
         assert routers[0].ccw_out.is_dateline
 
-    def test_vcs_must_be_two(self):
-        with pytest.raises(ValueError):
-            QuarcRouter(0, 16, vcs=3)
-
 
 class TestQuarcRouting:
     def test_no_routing_logic(self):
@@ -112,11 +108,6 @@ class TestQuarcRouting:
         miss = Packet(0, 4, 4, MULTICAST, bitstring=0b1000)
         assert r.route_head(r.bufs_cw[0], hit)[1]
         assert not r.route_head(r.bufs_cw[0], miss)[1]
-
-    def test_clone_disabled_ablation(self):
-        r, _ = quarc_router(node=2, clone_disabled=True)
-        bc = Packet(0, 4, 4, BROADCAST)
-        assert not r.route_head(r.bufs_cw[0], bc)[1]
 
 
 class TestSpidergonWiring:

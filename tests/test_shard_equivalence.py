@@ -77,10 +77,8 @@ class TestShardIdentity:
         spec = spec_for("quarc", workload=(
             "classes:uni=uniform,rate=0.01,len=4;"
             "coll=broadcast,rate=0.004,len=2"))
-        _, serial = run_once(spec, bcast_mode="relay",
-                             clone_disabled=True)
-        _, sharded = run_once(spec, shard_workers=2,
-                              bcast_mode="relay", clone_disabled=True)
+        _, serial = run_once(spec, bcast_mode="relay")
+        _, sharded = run_once(spec, shard_workers=2, bcast_mode="relay")
         assert sharded == serial
 
     def test_multiclass_with_broadcasts(self, inproc):
