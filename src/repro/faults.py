@@ -62,11 +62,12 @@ Accounting contract
 ``injected_flits`` counts every flit entering a network queue
 (including Spidergon relay regeneration); ``ejected_flits`` every flit
 leaving through an ejection port (delivered or dropped);
-``purged_flits`` every flit removed when a router dies (packets with a
-flit -- or a latched wormhole -- in a dead router are purged
-network-wide).  Message drops are counted once per packet (unicast) or
-once per collective operation, with at-source drops split out;
-messages whose source node is dead are *suppressed*, never generated.
+``purged_flits`` every flit removed when a router or a link dies
+(packets with a flit -- or a latched wormhole -- in a dead router, and
+worms latched on a dead port, are purged network-wide).  Message drops
+are counted once per packet (unicast) or once per collective operation,
+with at-source drops split out; messages whose source node is dead are
+*suppressed*, never generated.
 """
 
 from __future__ import annotations
@@ -336,13 +337,17 @@ class FaultState:
 
     def apply(self, net: "Network",
               events: List[Dict[str, object]]) -> None:
-        """Kill the links/routers of ``events`` (object-graph form).
+        """Kill the links/routers of ``events`` (object-graph form), and
+        purge every packet with a flit in a newly dead router or a worm
+        latched on a newly dead port: a cut worm never moves again, and
+        the VCs it holds upstream would wedge every packet behind it.
 
         Array engines call this between a ``materialize`` / ``resync``
         pair so the purge and the routing changes land on the canonical
         object state, then mirror the dead ports into their arrays.
         """
         new_nodes: List[int] = []
+        first_new_port = len(self.dead_ports)
         for ev in events:
             for node in ev["nodes"]:
                 if node in self.dead_nodes:
@@ -360,8 +365,20 @@ class FaultState:
             self.applied.append({"cycle": ev["cycle"],
                                  "kind": ev["kind"],
                                  "targets": list(ev["targets"])})
-        if new_nodes:
-            self._purge(net, new_nodes)
+        doomed: Dict[int, "Packet"] = {}
+        for node in new_nodes:
+            for b in net.routers[node].in_bufs:
+                for pkt, _f in b.q:
+                    doomed[pkt.pid] = pkt
+                if b.cur_pkt is not None:
+                    doomed[b.cur_pkt.pid] = b.cur_pkt
+        cut = {id(p) for p in self.dead_ports[first_new_port:]}
+        if cut:
+            for b in net.iter_buffers():
+                if b.cur_pkt is not None and id(b.cur_out) in cut:
+                    doomed[b.cur_pkt.pid] = b.cur_pkt
+        if doomed:
+            self._purge(net, doomed)
         self._recompute_dist()
 
     def _kill_port(self, port: "OutPort") -> None:
@@ -371,18 +388,11 @@ class FaultState:
         port.dead = True
         self.dead_ports.append(port)
 
-    def _purge(self, net: "Network", new_nodes: List[int]) -> None:
-        """Remove every packet with a flit (or a latched wormhole) in a
-        newly dead router, network-wide, counting the flits purged."""
-        doomed_now: Dict[int, "Packet"] = {}
-        for node in new_nodes:
-            for b in net.routers[node].in_bufs:
-                for pkt, _f in b.q:
-                    doomed_now[pkt.pid] = pkt
-                if b.cur_pkt is not None:
-                    doomed_now[b.cur_pkt.pid] = b.cur_pkt
-        if not doomed_now:
-            return
+    def _purge(self, net: "Network", doomed_now: Dict[int, "Packet"]
+               ) -> None:
+        """Remove the packets of ``doomed_now`` (pid -> packet) from
+        every buffer, network-wide, counting the flits purged; release
+        the VCs they hold and count each as dropped once."""
         for b in net.iter_buffers():
             q = b.q
             if q and any(p.pid in doomed_now for p, _f in q):

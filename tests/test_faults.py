@@ -167,6 +167,22 @@ class TestAccounting:
         assert fb["dropped_msgs"] > 0
         assert conservation_gap(s) == 0
 
+    def test_a_dying_link_cuts_its_worm(self, engines_built):
+        """A worm latched on a link that dies is purged, as one in a dead
+        router is.  Left in place it never moves again, and the VCs it
+        holds back to its source wedge every packet behind it: this run
+        used to end ``saturated`` with 486 flits stranded."""
+        spec = WorkloadSpec(kind="torus", n=16, msg_len=8, beta=0.05,
+                            rate=0.006, cycles=3000, warmup=600, seed=7,
+                            faults="links:down=2@cycle=200")
+        ref, arr = (SimulationSession(RunConfig(spec=spec, backend=b)).run()
+                    for b in ("reference", "array"))
+        assert engines_built == [BACKENDS["reference"], BACKENDS["array"]]
+        assert ref == arr
+        assert not ref.saturated
+        assert ref.extra["faults"]["purged_flits"] > 0
+        assert conservation_gap(ref) == 0
+
     def test_fault_free_run_has_no_faults_block(self):
         spec = WorkloadSpec(kind="quarc", n=16, msg_len=6, beta=0.05,
                             rate=0.02, cycles=400, warmup=100, seed=11)
