@@ -388,15 +388,14 @@ class FaultState:
         port.dead = True
         self.dead_ports.append(port)
 
-    def _purge(self, net: "Network", doomed_now: Dict[int, "Packet"]
-               ) -> None:
-        """Remove the packets of ``doomed_now`` (pid -> packet) from
+    def _purge(self, net: "Network", doomed: Dict[int, "Packet"]) -> None:
+        """Remove the packets of ``doomed`` (pid -> packet) from
         every buffer, network-wide, counting the flits purged; release
         the VCs they hold and count each as dropped once."""
         for b in net.iter_buffers():
             q = b.q
-            if q and any(p.pid in doomed_now for p, _f in q):
-                kept = [(p, f) for p, f in q if p.pid not in doomed_now]
+            if q and any(p.pid in doomed for p, _f in q):
+                kept = [(p, f) for p, f in q if p.pid not in doomed]
                 removed = len(q) - len(kept)
                 q.clear()
                 q.extend(kept)
@@ -404,14 +403,14 @@ class FaultState:
                 r = b.router
                 if r is not None:
                     r.flits -= removed
-            if b.cur_pkt is not None and b.cur_pkt.pid in doomed_now:
+            if b.cur_pkt is not None and b.cur_pkt.pid in doomed:
                 port = b.cur_out
                 if port is not None and port.owner[b.cur_vc] is b:
                     port.owner[b.cur_vc] = None
                 b.clear_switching()
-        for pid in sorted(doomed_now):
-            self._doom(doomed_now[pid])
-            self._count_drop(doomed_now[pid])
+        for pid in sorted(doomed):
+            self._doom(doomed[pid])
+            self._count_drop(doomed[pid])
 
     # ------------------------------------------------------------------
     # live-graph reachability
