@@ -2,11 +2,11 @@
 
 Runs the *same* Quarc topology (doubled spoke, all-port transceiver) with
 ``bcast_mode="relay"``: Spidergon-style broadcast-by-unicast relay
-chains, whose segments no switch clones.  The residual gap between "quarc-relay" and
-the real Spidergon then isolates the topology/all-port contribution,
-while the gap between "quarc" and "quarc-relay" isolates the
-absorb-and-forward mechanism -- which DESIGN.md calls out as the paper's
-key broadcast claim.
+chains, whose segments no switch clones.  The residual gap between
+"quarc-relay" and the real Spidergon then isolates the topology/all-port
+contribution, while the gap between "quarc" and "quarc-relay" isolates
+the absorb-and-forward mechanism -- which DESIGN.md calls out as the
+paper's key broadcast claim.
 """
 
 from benchlib import emit
