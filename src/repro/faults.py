@@ -373,10 +373,9 @@ class FaultState:
                 if b.cur_pkt is not None:
                     doomed[b.cur_pkt.pid] = b.cur_pkt
         cut = {id(p) for p in self.dead_ports[first_new_port:]}
-        if cut:
-            for b in net.iter_buffers():
-                if b.cur_pkt is not None and id(b.cur_out) in cut:
-                    doomed[b.cur_pkt.pid] = b.cur_pkt
+        for b in net.iter_buffers():
+            if b.cur_pkt is not None and id(b.cur_out) in cut:
+                doomed[b.cur_pkt.pid] = b.cur_pkt
         if doomed:
             self._purge(net, doomed)
         self._recompute_dist()

@@ -161,10 +161,10 @@ class ExecutionEngine:
                     self.progress(done, total)
                 yield summary
             return
-        # exiting the `with` (incl. via GeneratorExit) terminates the
-        # pool, discarding undelivered results
         # ~4 chunks per worker: few IPC round trips, a short tail
         chunk = max(1, total // (self.workers * 4))
+        # exiting the `with` (incl. via GeneratorExit) terminates the
+        # pool, discarding undelivered results
         with multiprocessing.Pool(min(self.workers, total)) as pool:
             for summary in pool.imap(_execute, jobs, chunksize=chunk):
                 done += 1
