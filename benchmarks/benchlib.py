@@ -1,11 +1,5 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*`` file regenerates one artefact of the paper's evaluation
-(figure or table), prints it, writes a CSV under ``results/`` and asserts
-the paper's qualitative claims hold.  The latency figures run their
-CI-sized grids; ``repro fig9 --full`` (likewise ``fig10`` / ``fig11``)
-writes the full ones.
-
 Importable as a plain module (``from benchlib import emit``) so the
 helpers cannot shadow a ``conftest`` from another test root -- the seed
 layout broke ``pytest`` collection exactly that way.
@@ -16,25 +10,18 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Sequence
 
-from repro.experiments.ascii_plot import ascii_curves
 from repro.experiments.csvout import format_table, write_csv
-from repro.experiments.figures import curves_from_rows
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
 def emit(name: str, rows: Sequence[Dict[str, object]],
-         plot_metric: str = "", title: str = "") -> None:
-    """Print the table (and optional latency plot) and persist the CSV."""
+         title: str = "") -> None:
+    """Print the table and persist the CSV."""
     path = write_csv(list(rows), os.path.join(RESULTS_DIR, f"{name}.csv"))
     print()
     print(f"=== {title or name} ===")
     print(format_table(list(rows)))
-    if plot_metric:
-        sim_rows = [r for r in rows if "model" not in str(r.get("noc", ""))]
-        print()
-        print(ascii_curves(curves_from_rows(sim_rows, plot_metric),
-                           title=f"{title or name} -- {plot_metric}"))
     print(f"[csv] {os.path.normpath(path)}")
 
 
@@ -73,17 +60,3 @@ def backend_equivalence_failures(run_matrix, label, smoke: bool,
                                 f"backends disagree")
     return failures
 
-
-def finite(rows: List[Dict[str, object]], noc: str, metric: str,
-           config: str = "") -> List[float]:
-    """Collect the finite, measured values of one curve."""
-    out = []
-    for r in rows:
-        if r["noc"] != noc:
-            continue
-        if config and r.get("config") != config:
-            continue
-        v = r.get(metric)
-        if isinstance(v, (int, float)) and v > 0 and not r.get("saturated"):
-            out.append(float(v))
-    return out

@@ -107,10 +107,6 @@ class Packet:
         self.tag = None
         self.cont = None
 
-    @property
-    def is_collective(self) -> bool:
-        return self.traffic in (BROADCAST, MULTICAST)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Packet #{self.pid} {TRAFFIC_NAMES[self.traffic]} "
                 f"{self.src}->{self.dst} M={self.size}>")

@@ -27,6 +27,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["OutPort", "Move"]
 
+#: Virtual channels per link: class 0, and class 1 for packets past the
+#: ring dateline.  The array engine packs exactly this many per port.
+VCS = 2
+
 #: A granted flit movement: (source buffer, out port, out VC, clone-to-local)
 Move = Tuple["FlitBuffer", "OutPort", int, bool]
 
@@ -40,29 +44,26 @@ class OutPort:
         Human-readable label, e.g. ``"cw_out"`` or ``"eject"``.
     router:
         Owning router.
-    vcs:
-        Number of virtual channels multiplexed on the physical link.
     is_dateline:
         True for the rim link that crosses the ring dateline; packets
         traversing it are upgraded to VC class 1 (deadlock avoidance).
     """
 
     __slots__ = ("name", "router", "feeders", "down", "owner", "rr",
-                 "is_dateline", "vcs", "vc_policy", "flits_sent",
+                 "is_dateline", "vc_policy", "flits_sent",
                  "dead")
 
-    def __init__(self, name: str, router: "Router", vcs: int = 2,
+    def __init__(self, name: str, router: "Router",
                  is_dateline: bool = False, vc_policy: str = "dateline"):
         if vc_policy not in ("dateline", "any"):
             raise ValueError(f"unknown vc_policy {vc_policy!r}")
         self.name = name
         self.router = router
         self.feeders: List["FlitBuffer"] = []
-        self.down: List[Optional["FlitBuffer"]] = [None] * vcs
-        self.owner: List[Optional["FlitBuffer"]] = [None] * vcs
+        self.down: List[Optional["FlitBuffer"]] = [None] * VCS
+        self.owner: List[Optional["FlitBuffer"]] = [None] * VCS
         self.rr = 0
         self.is_dateline = is_dateline
-        self.vcs = vcs
         #: "dateline" -- the output VC equals the packet's dateline class
         #: (rim links, where VC1 is reserved for post-dateline traffic);
         #: "any" -- any free VC may be allocated (cross links and ejection
@@ -82,9 +83,9 @@ class OutPort:
 
     def connect(self, down_bufs: List[Optional["FlitBuffer"]]) -> None:
         """Attach the downstream input buffers (one per VC)."""
-        if len(down_bufs) != self.vcs:
+        if len(down_bufs) != VCS:
             raise ValueError(
-                f"port {self.name}: expected {self.vcs} downstream buffers, "
+                f"port {self.name}: expected {VCS} downstream buffers, "
                 f"got {len(down_bufs)}")
         self.down = list(down_bufs)
 
@@ -141,12 +142,9 @@ class OutPort:
             if target is not self:
                 continue
             if self.vc_policy == "dateline":
-                vc = 1 if self.is_dateline else pkt.vclass
-                if vc >= self.vcs:     # defensive clamp
-                    vc = self.vcs - 1
-                candidates = (vc,)
+                candidates = (1 if self.is_dateline else pkt.vclass,)
             else:
-                candidates = range(self.vcs)
+                candidates = range(VCS)
             granted = -1
             for vc in candidates:
                 own = self.owner[vc]

@@ -89,9 +89,9 @@ class Router:
         self.in_bufs.append(buf)
         return buf
 
-    def new_port(self, name: str, vcs: int = 2, is_dateline: bool = False,
+    def new_port(self, name: str, is_dateline: bool = False,
                  vc_policy: str = "dateline") -> OutPort:
-        port = OutPort(name, self, vcs=vcs, is_dateline=is_dateline,
+        port = OutPort(name, self, is_dateline=is_dateline,
                        vc_policy=vc_policy)
         self.out_ports.append(port)
         return port

@@ -42,12 +42,13 @@ class RunHeartbeat:
     status line per firing and :meth:`finish` clears it.
     """
 
-    def __init__(self, stream: Optional[TextIO] = None):
-        self.stream = stream if stream is not None else sys.stderr
+    def __init__(self):
         self._t0_wall = 0.0
         self._t0 = 0
         self._total = 0
-        self._wrote = False
+        #: widest status line written so far; every tick is padded to it
+        #: and :meth:`finish` blanks it, so no shorter line leaves a tail
+        self._width = 0
 
     def schedule(self, t0: int, cycles: int, net, collector
                  ) -> Dict[int, Callable[[int], None]]:
@@ -69,19 +70,19 @@ class RunHeartbeat:
         rate = done / elapsed if elapsed > 0 else 0.0
         coll = self._collector
         delivered = coll.delivered_unicast + coll.completed_collective
-        self.stream.write(
-            f"\r[run] cycle {done}/{self._total} "
-            f"({100 * done // self._total}%)  {rate:,.0f} cycles/s  "
-            f"delivered={delivered}  in-flight={self._net.total_flits()}"
-            f"  eta {_eta(done, self._total, elapsed)}   ")
-        self.stream.flush()
-        self._wrote = True
+        line = (f"[run] cycle {done}/{self._total} "
+                f"({100 * done // self._total}%)  {rate:,.0f} cycles/s  "
+                f"delivered={delivered}  in-flight={self._net.total_flits()}"
+                f"  eta {_eta(done, self._total, elapsed)}")
+        self._width = max(self._width, len(line))
+        sys.stderr.write("\r" + line.ljust(self._width))
+        sys.stderr.flush()
 
     def finish(self) -> None:
-        if self._wrote:
-            self.stream.write("\r" + " " * 78 + "\r")
-            self.stream.flush()
-            self._wrote = False
+        if self._width:
+            sys.stderr.write("\r" + " " * self._width + "\r")
+            sys.stderr.flush()
+            self._width = 0
 
 
 def cell_progress(label: str = "sweep",

@@ -7,8 +7,8 @@ paper used for its flit-level simulator).  It provides:
   that every experiment is exactly reproducible from a single seed.
 * :mod:`repro.sim.stats` -- online statistics (Welford mean/variance)
   and batch-means confidence intervals.
-* :mod:`repro.sim.records` -- light-weight record types for latency
-  samples and simulation summaries.
+* :mod:`repro.sim.records` -- ``RunSummary``, the record of one
+  simulation point.
 * :mod:`repro.sim.backend` -- pluggable cycle-execution engines: the
   reference semantics and the array engine (see README.md in this
   directory).
@@ -36,7 +36,7 @@ from repro.sim.backend import (
     SimBackend,
     make_backend,
 )
-from repro.sim.records import LatencySample, RunSummary
+from repro.sim.records import RunSummary
 from repro.sim.rng import RngStreams
 from repro.sim.stats import BatchMeans, OnlineStats
 
@@ -49,6 +49,5 @@ __all__ = [
     "RngStreams",
     "OnlineStats",
     "BatchMeans",
-    "LatencySample",
     "RunSummary",
 ]

@@ -120,9 +120,8 @@ Equivalence notes (``tests/differential.py`` guards all of them):
 * A cycle's Python routes run after its deliveries (a fault-aware
   route may doom the packet whose clone was just delivered).
 
-Every port must multiplex exactly two VCs (all shipped routers do);
-attaching to anything else, or without a loaded kernel, raises and
-names the reference backend.
+Every port multiplexes ``repro.noc.ports.VCS`` = 2 VCs.  Attaching
+without a loaded kernel raises and names the reference backend.
 """
 
 from __future__ import annotations
@@ -250,13 +249,6 @@ class ArrayBackend(SimBackend):
 
     def __init__(self, net):
         super().__init__(net)
-        for port in net.iter_ports():
-            if port.vcs != 2:
-                raise ValueError(
-                    f"the array engine packs exactly 2 VCs per port; port "
-                    f"{port.name!r} of node {port.router.node} has "
-                    f"vcs={port.vcs}.  Run this network with --backend "
-                    f"reference")
         if net.state_owner is not None:
             raise ValueError(
                 f"network {net.name!r} is already attached to an array "

@@ -5,22 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-__all__ = ["LatencySample", "RunSummary"]
-
-
-@dataclass(frozen=True)
-class LatencySample:
-    """One end-to-end packet (or collective-op) latency observation."""
-
-    src: int
-    dst: int                  # -1 for collectives (all nodes)
-    traffic: str              # "unicast" | "broadcast" | "multicast"
-    created: int              # cycle the message entered the source queue
-    completed: int            # cycle the tail flit reached the (last) sink
-
-    @property
-    def latency(self) -> int:
-        return self.completed - self.created
+__all__ = ["RunSummary"]
 
 
 @dataclass

@@ -49,9 +49,6 @@ class ShardPlan:
     pub_rows: List[int] = field(default_factory=list)
     dl_ports: List[int] = field(default_factory=list)
 
-    def owner_of_row(self, row: int) -> int:
-        return self.row_owner[row]
-
 
 def make_plan(net, topo, backend, shards: int) -> "ShardPlan":
     """Build the shard plan for ``net`` as adopted by ``backend``.

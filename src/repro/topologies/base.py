@@ -24,10 +24,6 @@ class Channel:
     dst: int
     kind: str
 
-    @property
-    def is_rim(self) -> bool:
-        return self.kind in ("cw", "ccw")
-
 
 class Topology:
     """Abstract topology: nodes, channels and deterministic routes.

@@ -256,20 +256,6 @@ class TestArrayBackend:
         net.step(2)
         assert net.cycle == 12
 
-    def test_port_without_two_vcs_is_rejected_by_name(self):
-        """The arrays pack exactly two VCs per port; anything else must
-        refuse to attach (not quietly run some other engine) and say
-        which port and which backends can run it."""
-        net, _ = build_network("spidergon", 8)
-        port = net.iter_ports()[3]
-        port.vcs = 3
-        with pytest.raises(ValueError) as err:
-            ArrayBackend(net)
-        msg = str(err.value)
-        assert repr(port.name) in msg and "vcs=3" in msg
-        assert "--backend reference" in msg
-        assert net.state_owner is None
-
     @staticmethod
     def _warns_once_and_runs_reference(match, in_message):
         """An ``array`` session warns exactly once (``match``,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.collector import LatencyCollector
 from repro.noc.packet import BROADCAST, UNICAST, CollectiveOp, Packet
-from repro.sim.records import LatencySample, RunSummary
+from repro.sim.records import RunSummary
 from repro.traffic.workload import WorkloadSpec
 
 
@@ -83,11 +83,6 @@ class TestWorkloadSpec:
 
 
 class TestRecords:
-    def test_latency_sample(self):
-        s = LatencySample(src=0, dst=5, traffic="unicast",
-                          created=10, completed=35)
-        assert s.latency == 25
-
     def test_run_summary_row_fields(self):
         rs = RunSummary(noc="quarc", n=16, msg_len=16, bcast_frac=0.05,
                         offered_rate=0.01, cycles=1000, warmup=100, seed=1,

@@ -96,6 +96,10 @@ class TestFig12:
         for row in cost_sweep([16, 32, 64]):
             assert row["quarc_slices"] < row["spidergon_slices"], row
 
+    def test_sweep_anchor_is_table1_total(self):
+        """Fig. 12's 32-bit Quarc bar is Table 1's 1,453 slices."""
+        assert cost_sweep([32])[0]["quarc_slices"] == 1453
+
     def test_area_monotone_in_width(self):
         rows = cost_sweep([16, 32, 64])
         q = [r["quarc_slices"] for r in rows]

@@ -503,6 +503,18 @@ class TestProgress:
         assert "[sweep] 1/2" in out
         assert out.endswith("\r")
 
+    def test_heartbeat_leaves_a_blank_line(self, capsys):
+        """Replaying the ``\\r`` rewrites leaves a blank line, however
+        wide a tick was (a saturated quarc64 tick is about 90 columns)."""
+        spec = WorkloadSpec(kind="quarc", n=64, msg_len=16, beta=0.0,
+                            rate=0.0138, cycles=6000, warmup=1500, seed=1)
+        _probed_run(spec, "array", ObsSpec(progress=True))
+        err = capsys.readouterr().err
+        line = ""
+        for seg in err.split("\r"):
+            line = seg + line[len(seg):]
+        assert "[run]" in err and line.strip() == ""
+
     def test_sweep_rates_accepts_obs(self):
         from repro.experiments.sweep import sweep_rates
         obs = ObsSpec(probes=(ProbeSpec("inflight", window=64),))

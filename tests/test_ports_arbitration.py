@@ -13,10 +13,10 @@ class OnePortRouter(Router):
 
     __slots__ = ("port",)
 
-    def __init__(self, node=0, n=2, vcs=2, vc_policy="dateline",
+    def __init__(self, node=0, n=2, vc_policy="dateline",
                  is_dateline=False):
         super().__init__(node, n)
-        self.port = self.new_port("out", vcs=vcs, is_dateline=is_dateline,
+        self.port = self.new_port("out", is_dateline=is_dateline,
                                   vc_policy=vc_policy)
 
     def route_head(self, buf, pkt):
