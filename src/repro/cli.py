@@ -67,14 +67,27 @@ onset column::
     repro run --rate 0.02 --probe occupancy:window=64 --probe inflight \\
               --hist --metrics-out run.metrics.jsonl
     repro sweep --probe inflight --progress
+
+Process exit: ``python -m repro`` and the ``repro`` script both enter
+through :func:`entry`, which runs :func:`main` and then freezes the
+heap (``gc.freeze``) before exiting with its code.  Interpreter
+finalisation runs several full cyclic collections, each a walk over
+every import-time object and the finished network graph (about 13 ms
+per pass at N = 64, 25 ms at N = 384); frozen objects are not walked.
+``atexit`` handlers (the multiprocessing pool's) and the stdio flush
+still run, and nothing in ``repro`` leaves a file or a process to a
+finaliser.  :func:`main` itself never freezes: tests call it in-process
+many times, and a freeze there would pin each run's cyclic garbage for
+the rest of the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
-from typing import List, Optional
+from typing import List, NoReturn, Optional
 
 from repro.analysis import saturation_rate, stage_coefficients
 from repro.analysis.models import average_hops
@@ -90,7 +103,7 @@ from repro.experiments.sweep import (compare_networks, default_rates,
 from repro.sim.backend import BACKENDS, DEFAULT_BACKEND
 from repro.traffic.workload import WorkloadSpec
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "entry", "build_parser"]
 
 
 def _positive_int(text: str) -> int:
@@ -605,6 +618,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
 
+def entry() -> NoReturn:
+    """The process entry: :func:`main`, then exit without the shutdown
+    collections (see "Process exit" above)."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "info":
@@ -629,4 +652,4 @@ def _dispatch(args) -> int:
 
 
 if __name__ == "__main__":      # pragma: no cover
-    sys.exit(main())
+    entry()

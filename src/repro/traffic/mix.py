@@ -299,13 +299,14 @@ class TrafficMix:
                     f"{nodes} nodes but the network has {net.n}")
         #: per class: ``(name, size, rate, β)``, its destination pattern
         #: (``None``: a broadcast class) and, per node, its destination
-        #: and β coin streams (``None``: no coin, the class's cast decides)
+        #: and β coin streams (``None``: no coin, either the class's cast
+        #: decides or β is 0 and no coin is ever drawn)
         self._kinds = [kind[:4] for kind in kinds]
         self._patterns = [kind[4] for kind in kinds]
         pre = ["" if name is None else f"{name}." for name, *_ in kinds]
         self._dst_rng = [[streams.get(f"node{i}.{p}dst")
                           for i in range(net.n)] for p in pre]
-        self._coin_rng = [None if kind[3] is None else
+        self._coin_rng = [None if not kind[3] else
                           [streams.get(f"node{i}.{p}class")
                            for i in range(net.n)]
                           for kind, p in zip(kinds, pre)]

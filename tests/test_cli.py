@@ -1,10 +1,14 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.sim.array_backend import ArrayBackend
 from repro.sim.backend import ReferenceBackend
@@ -344,3 +348,59 @@ class TestReplicationCli:
         with open(csv_path) as fh:
             header = fh.readline()
         assert "unicast_ci95" in header and "replicates" in header
+
+
+class TestProcessEntry:
+    """``python -m repro`` exits through ``cli.entry``, which freezes the
+    heap after :func:`main` so finalisation walks nothing; ``main``
+    itself must not freeze, or every in-process call would pin its
+    run's cyclic garbage for the rest of the process."""
+
+    RUN = ["run", "--kind", "quarc", "-n", "16", "-M", "4", "--rate",
+           "0.01", "--cycles", "1200", "--warmup", "300"]
+
+    @staticmethod
+    def _child(args):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, timeout=120)
+
+    def test_main_in_process_does_not_freeze(self, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(self.RUN) == 0
+        assert main(["run", "--kind", "quarc", "-n", "7",
+                     "--rate", "0.01"]) == 2
+        capsys.readouterr()
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_module_prints_what_main_prints(self, capsys, module):
+        assert main(self.RUN) == 0
+        want = capsys.readouterr().out.encode()
+        res = self._child(["-m", module, *self.RUN])
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == want
+
+    def test_bad_spec_exits_2_with_its_message(self):
+        res = self._child(["-m", "repro", "run", "--kind", "quarc", "-n",
+                           "7", "--rate", "0.01"])
+        assert res.returncode == 2
+        assert res.stdout == b""
+        assert (b"error: Quarc requires a node count divisible by 4"
+                in res.stderr)
+
+    def test_heap_is_frozen_at_exit(self):
+        """An ``atexit`` hook registered before the module runs is the
+        last to run, after the command's own: it sees the heap frozen,
+        so the shutdown collections that follow have nothing to walk."""
+        probe = ("import atexit, gc, runpy, sys\n"
+                 "atexit.register(lambda: print('frozen', "
+                 "gc.get_freeze_count()))\n"
+                 "sys.argv = ['repro', 'info', '-n', '16']\n"
+                 "runpy.run_module('repro', run_name='__main__')\n")
+        res = self._child(["-c", probe])
+        assert res.returncode == 0, res.stderr
+        word, count = res.stdout.decode().splitlines()[-1].split()
+        assert word == "frozen" and int(count) > 0

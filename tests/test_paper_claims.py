@@ -1,7 +1,10 @@
 """The paper's evaluation claims, asserted on the fast figure grids.
 
 One module-scoped run per figure, made as ``repro fig9`` / ``fig10`` /
-``fig11`` make it (about 6 s together), and one per ablation.  Each test
+``fig11`` make it (about 5 s together), and one per ablation.  Fig. 11's
+beta = 0.1 column is the same nine-cell Quarc / Spidergon sweep as
+Fig. 10's N = 64 column (N 64, M 16, beta 0.1, same rates, grid and
+seed), so it is taken from the Fig. 10 run, relabelled, not run twice.  Each test
 quotes the paper sentence or the stated claim it checks.  These are
 shapes, not the paper's absolute OMNeT++ numbers.  Table 1 and Fig. 12
 are asserted in ``test_hw.py``.
@@ -14,8 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import run_fig9, run_fig10, run_fig11
+from repro.experiments.figures import _grid, run_fig9, run_fig10, run_fig11
 from repro.experiments.latency import run_point
+from repro.experiments.sweep import default_rates
 from repro.traffic.workload import WorkloadSpec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,9 +53,28 @@ def fig10():
     return run_fig10()
 
 
+def _fig10_n64(fig10):
+    """Fig. 10's simulated N = 64 rows, relabelled as Fig. 11's beta = 0.1
+    column."""
+    return [dict(r, config="beta=0.1") for r in fig10
+            if r["config"] == "N=64" and r["noc"] in ("quarc", "spidergon")]
+
+
 @pytest.fixture(scope="module")
-def fig11():
-    return run_fig11()
+def fig11(fig10):
+    return run_fig11(betas=(0.0, 0.05)) + _fig10_n64(fig10)
+
+
+def test_fig11_beta01_column_is_fig10_n64(fig10):
+    """The reuse above holds only while both figures sweep the same
+    cells: N 64, M 16, beta 0.1 at exactly Fig. 11's rates (a sweep
+    stops after two saturated points, so each curve is a prefix)."""
+    rows = _fig10_n64(fig10)
+    rates = default_rates(64, 16, 0.1, _grid(True)[0])
+    for noc in ("quarc", "spidergon"):
+        mine = [r for r in rows if r["noc"] == noc]
+        assert mine and [r["rate"] for r in mine] == rates[:len(mine)], noc
+        assert {(r["N"], r["M"], r["beta"]) for r in mine} == {(64, 16, 0.1)}
 
 
 # ----------------------------------------------------------------------

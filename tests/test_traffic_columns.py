@@ -58,9 +58,13 @@ def test_block_draw_is_the_scalar_draw(seed, n, rate, beta, data):
     classes, dsts = _streams(seed, n, "class"), _streams(seed, n, "dst")
     want, nxt = scalar_columns(arrivals, classes, dsts, rate, beta, cuts)
     assert got == want
-    # destinations and broadcast coins are drawn exactly, never ahead
+    # destinations and broadcast coins are drawn exactly, never ahead; at
+    # β = 0 the mix holds no coin streams and the oracle draws no coin
+    coins = mix._coin_rng[0]
+    assert (coins is None) == (not beta)
+    unused = _streams(seed, n, "class")
     for v in range(n):
-        assert mix._coin_rng[0][v].getstate() == classes[v].getstate()
+        assert (coins or unused)[v].getstate() == classes[v].getstate()
         assert mix._dst_rng[0][v].getstate() == dsts[v].getstate()
     # arrivals are drawn ahead: the scalar loop drawing on reaches the
     # same pending arrivals (each node's first is the one it drew last)
