@@ -26,21 +26,26 @@ True
 """
 
 from repro import _env  # noqa: F401  (first: before anything loads numpy)
-from repro.core.api import NETWORK_KINDS, build_network
-from repro.core.collector import LatencyCollector
-from repro.core.packet_format import FlitCodec
-from repro.core.quadrant import QuadrantCalculator
-from repro.noc.network import Network
-from repro.noc.packet import (BROADCAST, MULTICAST, RELAY, UNICAST,
-                              CollectiveOp, Packet)
-from repro.sim.backend import BACKENDS, ReferenceBackend, SimBackend
-from repro.sim.session import RunConfig, SimulationSession
-from repro.topologies import (MeshTopology, QuarcTopology,
-                              SpidergonTopology, TorusTopology)
-from repro.traffic.mix import TrafficMix
-from repro.traffic.workload import WorkloadSpec
+from repro._lazy import lazy_exports
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
+
+# each name is imported from its module on first use (repro._lazy)
+__getattr__ = lazy_exports(__name__, {
+    ".core.api": ("NETWORK_KINDS", "build_network"),
+    ".core.collector": ("LatencyCollector",),
+    ".core.packet_format": ("FlitCodec",),
+    ".core.quadrant": ("QuadrantCalculator",),
+    ".noc.network": ("Network",),
+    ".noc.packet": ("BROADCAST", "MULTICAST", "RELAY", "UNICAST",
+                    "CollectiveOp", "Packet"),
+    ".sim.backend": ("BACKENDS", "ReferenceBackend", "SimBackend"),
+    ".sim.session": ("RunConfig", "SimulationSession"),
+    ".topologies": ("MeshTopology", "QuarcTopology",
+                    "SpidergonTopology", "TorusTopology"),
+    ".traffic.mix": ("TrafficMix",),
+    ".traffic.workload": ("WorkloadSpec",),
+})
 
 __all__ = [
     "build_network",

@@ -79,6 +79,11 @@ still run, and nothing in ``repro`` leaves a file or a process to a
 finaliser.  :func:`main` itself never freezes: tests call it in-process
 many times, and a freeze there would pin each run's cyclic garbage for
 the rest of the process.
+
+Imports: each command imports the drivers it runs itself, so ``run``
+loads no sweep, figure, analytic or area model and no
+``multiprocessing`` (``tests/test_cli.py`` lists what it must not);
+``run_fig9`` and its siblings stay patchable attributes of this module.
 """
 
 from __future__ import annotations
@@ -89,21 +94,21 @@ import os
 import sys
 from typing import List, NoReturn, Optional
 
-from repro.analysis import saturation_rate, stage_coefficients
-from repro.analysis.models import average_hops
+from repro._lazy import lazy_exports
 from repro.core.api import NETWORK_KINDS
-from repro.experiments.ascii_plot import ascii_curves
 from repro.experiments.csvout import format_table, write_csv
-from repro.experiments.figures import (bands_from_rows, curves_from_rows,
-                                       latency_rows, run_fig10, run_fig11,
-                                       run_fig12, run_fig9, run_table1)
-from repro.experiments.latency import run_point
-from repro.experiments.sweep import (compare_networks, default_rates,
-                                     default_workload_rates)
 from repro.sim.backend import BACKENDS, DEFAULT_BACKEND
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = ["main", "entry", "build_parser"]
+
+__getattr__ = lazy_exports(__name__, {"repro.experiments.figures": (
+    "run_fig9", "run_fig10", "run_fig11", "run_fig12", "run_table1")})
+
+
+def _driver(name: str):
+    """A table or figure driver, read as this module's attribute."""
+    return getattr(sys.modules[__name__], name)
 
 
 def _positive_int(text: str) -> int:
@@ -295,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_info(args) -> int:
+    from repro.analysis import saturation_rate, stage_coefficients
+    from repro.analysis.models import average_hops
+
     print(f"{args.kind} N={args.nodes}: "
           f"avg hops {average_hops(args.kind, args.nodes):.3f}")
     if args.kind in ("quarc", "spidergon"):
@@ -358,6 +366,12 @@ def _render_point_obs(session, summary, args) -> None:
 
 
 def _cmd_sweep(args) -> int:
+    from repro.experiments.ascii_plot import ascii_curves
+    from repro.experiments.figures import (bands_from_rows,
+                                           curves_from_rows, latency_rows)
+    from repro.experiments.sweep import (compare_networks, default_rates,
+                                         default_workload_rates)
+
     if args.workload:
         # multi-class sweeps scale every class rate together: the rate
         # axis is a multiplier around the scenario's native rates
@@ -534,6 +548,7 @@ def _cmd_scenarios(args) -> int:
 def _cmd_trace(args) -> int:
     from dataclasses import asdict
 
+    from repro.experiments.latency import run_point
     from repro.sim.session import RunConfig, SimulationSession
     from repro.workloads import Trace, TraceRecorder
 
@@ -598,9 +613,9 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_figure(args, fig: str) -> int:
-    runner = {"fig9": run_fig9, "fig10": run_fig10, "fig11": run_fig11}[fig]
-    rows = runner(fast=not args.full, backend=args.backend,
-                  workers=args.workers, replicates=args.replicates)
+    rows = _driver(f"run_{fig}")(
+        fast=not args.full, backend=args.backend, workers=args.workers,
+        replicates=args.replicates)
     path = args.csv or os.path.join("results", f"{fig}.csv")
     print(format_table(rows))
     print(f"[csv] {write_csv(rows, path)}")
@@ -640,11 +655,8 @@ def _dispatch(args) -> int:
         return _cmd_scenarios(args)
     if cmd == "trace":
         return _cmd_trace(args)
-    if cmd == "table1":
-        print(format_table(run_table1()))
-        return 0
-    if cmd == "fig12":
-        print(format_table(run_fig12()))
+    if cmd in ("table1", "fig12"):
+        print(format_table(_driver(f"run_{cmd}")()))
         return 0
     if cmd in ("fig9", "fig10", "fig11"):
         return _cmd_figure(args, cmd)

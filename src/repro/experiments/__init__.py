@@ -9,14 +9,16 @@
 * :mod:`repro.experiments.csvout` -- CSV emission for every figure/table.
 """
 
-from repro.experiments.ascii_plot import ascii_curves
-from repro.experiments.csvout import rows_to_csv, write_csv
-from repro.experiments.latency import run_point
-from repro.experiments.sweep import (
-    compare_networks,
-    default_rates,
-    sweep_rates,
-)
+from repro._lazy import lazy_exports
+
+# imported on first use: ``sweep`` brings in the replication engine
+# and multiprocessing, which a single run never needs
+__getattr__ = lazy_exports(__name__, {
+    ".ascii_plot": ("ascii_curves",),
+    ".csvout": ("rows_to_csv", "write_csv"),
+    ".latency": ("run_point",),
+    ".sweep": ("compare_networks", "default_rates", "sweep_rates"),
+})
 
 __all__ = [
     "run_point",

@@ -39,13 +39,13 @@ the first load, takes the same path, as a host without a compiler.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import stat
-import subprocess
 import tempfile
 import warnings
 from typing import Optional
+
+from repro.sim.rng import blake2b
 
 __all__ = ["State", "Welford", "load_cycle_kernel", "source_hash",
            "welford"]
@@ -134,7 +134,7 @@ def source_hash() -> str:
     changed compiler or flag never loads a stale library."""
     with open(_SRC_PATH, "rb") as fh:
         key = "\0".join(_compiler()).encode() + b"\0\0" + fh.read()
-    return hashlib.sha256(key).hexdigest()[:16]
+    return blake2b(key, digest_size=8).hexdigest()
 
 
 def _compile_and_load() -> ctypes.CDLL:
@@ -147,6 +147,8 @@ def _compile_and_load() -> ctypes.CDLL:
     _check_private(libdir, stat.S_ISDIR)
     lib = os.path.join(libdir, f"cycle-{tag}.so")
     if not os.path.exists(lib):
+        import subprocess
+
         # compile to a unique name, then atomically publish: concurrent
         # test shards may race on the same cache entry
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=libdir)

@@ -15,9 +15,14 @@ the paper's methodology needs:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Dict
+
+try:
+    # the object ``hashlib.blake2b`` is, without hashlib's OpenSSL load
+    from _blake2 import blake2b
+except ImportError:     # pragma: no cover - a CPython built without it
+    from hashlib import blake2b
 
 __all__ = ["RngStreams", "derive_seed"]
 
@@ -28,8 +33,7 @@ def derive_seed(root_seed: int, name: str) -> int:
     Uses BLAKE2b so unrelated names give statistically independent seeds
     and the mapping is stable across Python versions (unlike ``hash``).
     """
-    digest = hashlib.blake2b(
-        f"{root_seed}:{name}".encode(), digest_size=8).digest()
+    digest = blake2b(f"{root_seed}:{name}".encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 

@@ -45,23 +45,23 @@ Modules
     named workloads.
 """
 
-from repro.traffic.arrival import BurstyInjector, TraceInjector
-from repro.workloads import appmodels as _appmodels  # noqa: F401 (registers)
-from repro.workloads.appmodels import (allreduce_classes,
-                                       cache_coherence_classes)
-from repro.workloads.closedloop import (ClosedLoopClass, ClosedLoopSource,
-                                        ClosedLoopWorkload)
-from repro.workloads.registry import (ARRIVAL, PATTERN, WORKLOAD,
-                                      ResolvedArrival, ScenarioInfo,
-                                      check_spec,
-                                      check_workload, format_spec,
-                                      get_scenario, list_scenarios,
-                                      parse_classes, parse_spec,
-                                      register_scenario, resolve_arrival,
-                                      resolve_pattern, resolve_workload,
-                                      scenario_table)
-from repro.workloads.trace import (TRACE_FORMAT, TRACE_FORMAT_V2, Trace,
-                                   TraceRecorder)
+from repro._lazy import lazy_exports
+
+# imported on first use: a run that names a pattern and an arrival
+# model loads the registry alone
+__getattr__ = lazy_exports(__name__, {
+    "repro.traffic.arrival": ("BurstyInjector", "TraceInjector"),
+    ".appmodels": ("allreduce_classes", "cache_coherence_classes"),
+    ".closedloop": ("ClosedLoopClass", "ClosedLoopSource",
+                    "ClosedLoopWorkload"),
+    ".registry": ("ARRIVAL", "PATTERN", "WORKLOAD", "ResolvedArrival",
+                  "ScenarioInfo", "check_spec", "check_workload",
+                  "format_spec", "get_scenario", "list_scenarios",
+                  "parse_classes", "parse_spec", "register_scenario",
+                  "resolve_arrival", "resolve_pattern", "resolve_workload",
+                  "scenario_table"),
+    ".trace": ("TRACE_FORMAT", "TRACE_FORMAT_V2", "Trace", "TraceRecorder"),
+})
 
 __all__ = [
     "ARRIVAL",

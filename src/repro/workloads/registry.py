@@ -36,7 +36,6 @@ from repro.traffic.generators import (BitComplementPattern,
                                       HotspotPattern, NeighbourPattern,
                                       PermutationPattern, TransposePattern,
                                       UniformPattern)
-from repro.workloads.trace import Trace
 
 __all__ = ["ScenarioInfo", "ResolvedArrival", "parse_spec", "format_spec",
            "list_scenarios", "register_scenario", "get_scenario",
@@ -127,8 +126,15 @@ def register_scenario(info: ScenarioInfo) -> ScenarioInfo:
     return info
 
 
+def _register_app_models() -> None:
+    """Register the application workloads, first needed by a lookup
+    that misses: a run that names no workload never imports them."""
+    import repro.workloads.appmodels  # noqa: F401
+
+
 def list_scenarios(kind: Optional[str] = None) -> List[ScenarioInfo]:
     """All registered scenarios, optionally filtered by kind."""
+    _register_app_models()
     infos = [i for i in _REGISTRY.values()
              if kind is None or i.kind == kind]
     return sorted(infos, key=lambda i: (i.kind, i.name))
@@ -137,7 +143,9 @@ def list_scenarios(kind: Optional[str] = None) -> List[ScenarioInfo]:
 def get_scenario(name: str, kind: Optional[str] = None) -> ScenarioInfo:
     """Look up one scenario by canonical name or alias."""
     key = name.lower()
-    info = _REGISTRY.get(key) or _REGISTRY.get(_ALIASES.get(key, ""))
+    if _ALIASES.get(key, key) not in _REGISTRY:
+        _register_app_models()
+    info = _REGISTRY.get(_ALIASES.get(key, key))
     if info is None:
         known = ", ".join(sorted(_REGISTRY))
         raise ValueError(f"unknown scenario {name!r}; known: {known}")
@@ -538,6 +546,7 @@ def _build_closedloop(window: int = 4) -> ResolvedArrival:
 
 
 def _build_trace(path: str) -> ResolvedArrival:
+    from repro.workloads.trace import Trace
     trace = Trace.load(str(path))
     per_node = trace.per_node()
     # v2: one arrival per recorded message (a multi-class node may send

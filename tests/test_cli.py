@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ import repro
 from repro.cli import build_parser, main
 from repro.sim.array_backend import ArrayBackend
 from repro.sim.backend import ReferenceBackend
+from repro.sim.ckernel import load_cycle_kernel
 
 
 class TestParser:
@@ -51,6 +53,16 @@ class TestParser:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_version_matches_pyproject():
+    """``repro.__version__`` is the release ``pyproject.toml`` declares
+    (a regex: Python 3.9 has no ``tomllib``)."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        repro.__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        match = re.search(r'^version = "([^"]+)"$', fh.read(), re.M)
+    assert match and repro.__version__ == match.group(1)
 
 
 class TestCommands:
@@ -404,3 +416,32 @@ class TestProcessEntry:
         assert res.returncode == 0, res.stderr
         word, count = res.stdout.decode().splitlines()[-1].split()
         assert word == "frozen" and int(count) > 0
+
+    #: what a ``run`` has no use for: process pools, the compiler
+    #: driver, OpenSSL, the networkx test oracle, the replication /
+    #: sharding / sweep / figure drivers and the analytic, area and
+    #: fault models
+    NOT_ON_THE_RUN_PATH = (
+        "multiprocessing", "subprocess", "_hashlib", "networkx",
+        "repro.sim.replication", "repro.sim.shard",
+        "repro.experiments.sweep", "repro.experiments.figures",
+        "repro.hw", "repro.analysis", "repro.faults")
+
+    def test_run_loads_only_the_run_path(self):
+        """``sys.modules`` at the exit of a ``run`` holds none of
+        :attr:`NOT_ON_THE_RUN_PATH`: every command is a fresh process,
+        and each of those modules is start-up cost a run pays for
+        nothing."""
+        unwanted = set(self.NOT_ON_THE_RUN_PATH)
+        if load_cycle_kernel() is None:
+            # no kernel in the cache: every run tries the compiler
+            unwanted.discard("subprocess")
+        probe = ("import atexit, runpy, sys\n"
+                 "atexit.register(lambda: print(*sorted(sys.modules)))\n"
+                 f"sys.argv = ['repro', *{self.RUN!r}]\n"
+                 "runpy.run_module('repro', run_name='__main__')\n")
+        res = self._child(["-c", probe])
+        assert res.returncode == 0, res.stderr
+        loaded = set(res.stdout.decode().splitlines()[-1].split())
+        assert "repro.sim.array_backend" in loaded
+        assert sorted(loaded & unwanted) == []

@@ -9,9 +9,6 @@ oracles they must equal entry for entry.
 
 from __future__ import annotations
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from helpers import probed_route_tables
@@ -226,16 +223,3 @@ def test_real_limits_are_the_packed_field_widths():
     assert array_backend.MAX_PORTS == 1 << 16
     assert array_backend.MAX_PACKET_FLITS == array_backend.TAIL == 1 << 19
     assert array_backend.FIDMASK == array_backend.MAX_PACKET_FLITS - 1
-
-
-def test_array_session_does_not_import_networkx():
-    code = (
-        "import sys\n"
-        "import repro.cli\n"
-        "from repro.sim.session import RunConfig, SimulationSession\n"
-        "from repro.traffic.workload import WorkloadSpec\n"
-        "spec = WorkloadSpec(kind='quarc', n=16, msg_len=4, beta=0.0,\n"
-        "                    rate=0.01, cycles=100, warmup=10, seed=1)\n"
-        "SimulationSession(RunConfig(spec=spec, backend='array'))\n"
-        "assert 'networkx' not in sys.modules, 'networkx imported'\n")
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

@@ -37,6 +37,7 @@ class TestBernoulliInjector:
         import repro
         import repro.traffic
         import repro.workloads
+        import repro.workloads.registry
         from repro.traffic.arrival import ArrivalModel
         for pkg in (repro, repro.traffic, repro.workloads,
                     repro.workloads.registry, repro.traffic.generators):
