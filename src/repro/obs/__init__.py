@@ -29,11 +29,19 @@ branches, no wrappers -- which the overhead benchmark
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.obs.hist import HistogramBank, LatencyHistogram
-from repro.obs.probes import (PROBE_CATALOGUE, ProbeSet, ProbeSpec,
-                              parse_probe, saturation_onset)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.probes import ProbeSpec
+
+# imported on first use: a run with ``obs=None`` reads ``ObsSpec`` only
+__getattr__ = lazy_exports(__name__, {
+    ".hist": ("HistogramBank", "LatencyHistogram"),
+    ".probes": ("PROBE_CATALOGUE", "ProbeSet", "ProbeSpec", "parse_probe",
+                "saturation_onset"),
+})
 
 __all__ = ["ObsSpec", "ProbeSpec", "ProbeSet", "PROBE_CATALOGUE",
            "parse_probe", "saturation_onset", "LatencyHistogram",
@@ -63,8 +71,10 @@ def obs_from_args(args) -> Optional[ObsSpec]:
     """Build the :class:`ObsSpec` selected by parsed CLI flags
     (``--probe/--hist/--profile/--progress``), or ``None`` when no
     observability was requested."""
-    probes = tuple(parse_probe(text)
-                   for text in (getattr(args, "probe", None) or ()))
+    probes = getattr(args, "probe", None) or ()
+    if probes:
+        from repro.obs.probes import parse_probe
+        probes = tuple(map(parse_probe, probes))
     spec = ObsSpec(probes=probes,
                    latency_hist=bool(getattr(args, "hist", False)),
                    profile=bool(getattr(args, "profile", False)),

@@ -70,8 +70,9 @@ def one_cycle_segments(inj, stop: int, start: int = 0) -> list:
 
 
 def probed_route_tables(be):
-    """Oracle for ``ArrayBackend._rtab`` / ``_rtflag``: the row-packing
-    loop the engine ran before its tables were built arithmetically --
+    """Oracle for ``ArrayBackend._rtab`` / ``_rtflag``, read off the
+    object graph: the row-packing loop the engine ran before its tables
+    were built arithmetically --
     ``route_head`` probed once per (router, role, dst, traffic class)
     through ``Router._probe_route_table``, every row packed in Python.
     The unicast probe gives port, ``deliver`` and ``vclass_reset``; a
@@ -80,10 +81,12 @@ def probed_route_tables(be):
     list) iff a multicast probe repeats the unicast one too."""
     from repro.noc.packet import BROADCAST, MULTICAST, RELAY
 
-    rtab = [None] * be._B
-    rtab_all = [False] * be._B
+    bufs = be.net.iter_buffers()
+    pid = {id(p): i for i, p in enumerate(be.net.iter_ports())}
+    rtab = [None] * len(bufs)
+    rtab_all = [False] * len(bufs)
     probed = {}
-    for b, buf in enumerate(be._bufs):
+    for b, buf in enumerate(bufs):
         key = (id(buf.router), buf.role)
         if key not in probed:
             probe = buf.router._probe_route_table
@@ -94,10 +97,10 @@ def probed_route_tables(be):
             probed[key] = ([(*u, db and not u[1]) for u, (_, db, _) in
                             zip(uni, bcast)], probe(buf, MULTICAST) == uni)
         rows, rtab_all[b] = probed[key]
-        jp = be._jpos[b]
-        pid = be._pid
+        # jof: the buffer's place among the port's feeders (0: none)
         rtab[b] = [
-            (jp.get(pid[port], 0) << 24) | (pid[port] << 4)
+            ((port.feeders.index(buf) if buf in port.feeders else 0) << 24)
+            | (pid[id(port)] << 4)
             | (4 if bclone else 0) | (2 if vreset else 0)
             | (1 if deliver else 0)
             for port, deliver, vreset, bclone in rows]

@@ -419,13 +419,15 @@ class TestProcessEntry:
 
     #: what a ``run`` has no use for: process pools, the compiler
     #: driver, OpenSSL, the networkx test oracle, the replication /
-    #: sharding / sweep / figure drivers and the analytic, area and
-    #: fault models
+    #: sharding / sweep / figure drivers, the analytic, area and fault
+    #: models and the probe and histogram modules an ``obs=None`` run
+    #: never reads
     NOT_ON_THE_RUN_PATH = (
         "multiprocessing", "subprocess", "_hashlib", "networkx",
         "repro.sim.replication", "repro.sim.shard",
         "repro.experiments.sweep", "repro.experiments.figures",
-        "repro.hw", "repro.analysis", "repro.faults")
+        "repro.hw", "repro.analysis", "repro.faults",
+        "repro.obs.hist", "repro.obs.probes")
 
     def test_run_loads_only_the_run_path(self):
         """``sys.modules`` at the exit of a ``run`` holds none of
