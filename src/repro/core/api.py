@@ -20,6 +20,7 @@ from repro.core.quarc_transceiver import QuarcTransceiver
 from repro.core.spidergon_adapter import SpidergonAdapter
 from repro.core.spidergon_router import SpidergonRouter
 from repro.noc.network import Network
+from repro.noc.wiring import Wiring
 from repro.topologies import (MeshTopology, QuarcTopology,
                               SpidergonTopology, Topology, TorusTopology)
 
@@ -82,7 +83,7 @@ def build_network(kind: str, n: int, *, buffer_depth: int = 4,
         routers = [TorusRouter(i, topo, buffer_depth) for i in range(n)]
         adapters = [DORAdapter(i, routers[i], coll) for i in range(n)]
 
-    for r in routers:
-        r.connect(routers)
-    net = Network(routers, adapters, name=kind)
+    wiring = Wiring(type(routers[0]), n, topo, buffer_depth)
+    net = Network(routers, adapters, name=kind, wiring=wiring)
+    wiring.connect(net)
     return net, topo

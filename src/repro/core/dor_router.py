@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Tuple
 
+import numpy as np
+
 from repro.noc.network import Adapter
 from repro.noc.packet import BROADCAST, CollectiveOp, Packet
 from repro.noc.router import Router
@@ -30,10 +32,11 @@ __all__ = ["MeshRouter", "TorusRouter", "DORAdapter"]
 # ingress roles
 D_E_IN, D_W_IN, D_N_IN, D_S_IN, D_LOCAL = 0, 1, 2, 3, 4
 
-#: ``out_ports`` slots (creation order in ``MeshRouter.__init__``)
+#: ``out_ports`` slots (``MeshRouter.PORTS`` order)
 _E, _W, _S, _N, _EJECT = 0, 1, 2, 3, 4
 
-LOCAL_QUEUE_DEPTH = 1 << 20
+#: link steps: (rows, columns) moved
+_STEPS = {"e": (0, 1), "w": (0, -1), "s": (1, 0), "n": (-1, 0)}
 
 
 class MeshRouter(Router):
@@ -45,61 +48,39 @@ class MeshRouter(Router):
 
     wrap = False
 
+    LANES = (("bufs_e", "e", D_E_IN), ("bufs_w", "w", D_W_IN),
+             ("bufs_n", "n", D_N_IN), ("bufs_s", "s", D_S_IN))
+    QUEUES = (("local_q", "loc", D_LOCAL),)
+    #: XY legality: X-dimension outputs accept only same-dimension
+    #: through traffic + local; Y outputs also accept X traffic turning.
+    #: (``bufs_w`` holds what arrived from the west, travelling east.)
+    PORTS = (
+        ("e_out", "dateline", ("bufs_w", "local_q"), ("e", "bufs_w")),
+        ("w_out", "dateline", ("bufs_e", "local_q"), ("w", "bufs_e")),
+        ("s_out", "dateline", ("bufs_e", "bufs_w", "bufs_n", "local_q"),
+         ("s", "bufs_n")),
+        ("n_out", "dateline", ("bufs_e", "bufs_w", "bufs_s", "local_q"),
+         ("n", "bufs_s")),
+        ("eject", "any", ("bufs_e", "bufs_w", "bufs_n", "bufs_s"), None),
+    )
+
     def __init__(self, node: int, topo: MeshTopology, buffer_depth: int = 4):
-        super().__init__(node, topo.n)
+        super().__init__(node, topo.n, buffer_depth)
         self.topo = topo
         self.row, self.col = topo.coords(node)
 
-        mk = self.new_buffer
-        self.bufs_e = [mk(buffer_depth, f"e.vc{v}", D_E_IN) for v in (0, 1)]
-        self.bufs_w = [mk(buffer_depth, f"w.vc{v}", D_W_IN) for v in (0, 1)]
-        self.bufs_n = [mk(buffer_depth, f"n.vc{v}", D_N_IN) for v in (0, 1)]
-        self.bufs_s = [mk(buffer_depth, f"s.vc{v}", D_S_IN) for v in (0, 1)]
-        self.local_q = mk(LOCAL_QUEUE_DEPTH, "loc", D_LOCAL)
-
-        dl_e = self.wrap and self.col == topo.cols - 1
-        dl_w = self.wrap and self.col == 0
-        dl_s = self.wrap and self.row == topo.rows - 1
-        dl_n = self.wrap and self.row == 0
-        self.e_out = self.new_port("e_out", is_dateline=dl_e)
-        self.w_out = self.new_port("w_out", is_dateline=dl_w)
-        self.s_out = self.new_port("s_out", is_dateline=dl_s)
-        self.n_out = self.new_port("n_out", is_dateline=dl_n)
-        self.eject = self.new_port("eject", vc_policy="any")
-
-        # XY legality: X-dimension outputs accept only same-dimension
-        # through traffic + local; Y outputs also accept X traffic turning.
-        for b in self.bufs_w:          # arrived from west, travelling east
-            self.e_out.add_feeder(b)
-        for b in self.bufs_e:
-            self.w_out.add_feeder(b)
-        for bufs in (self.bufs_e, self.bufs_w, self.bufs_n):
-            for b in bufs:
-                self.s_out.add_feeder(b)
-        for bufs in (self.bufs_e, self.bufs_w, self.bufs_s):
-            for b in bufs:
-                self.n_out.add_feeder(b)
-        for bufs in (self.bufs_e, self.bufs_w, self.bufs_n, self.bufs_s):
-            for b in bufs:
-                self.eject.add_feeder(b)
-        for port in (self.e_out, self.w_out, self.s_out, self.n_out):
-            port.add_feeder(self.local_q)
-
-    def connect(self, routers) -> None:
-        topo = self.topo
-        r, c = self.row, self.col
-        wrap = self.wrap
-
-        def hook(port, rr, cc, bufs_name):
-            if not wrap and not (0 <= rr < topo.rows and 0 <= cc < topo.cols):
-                return
-            nbr = routers[topo.node_at(rr % topo.rows, cc % topo.cols)]
-            port.connect(list(getattr(nbr, bufs_name)))
-
-        hook(self.e_out, r, c + 1, "bufs_w")
-        hook(self.w_out, r, c - 1, "bufs_e")
-        hook(self.s_out, r + 1, c, "bufs_n")
-        hook(self.n_out, r - 1, c, "bufs_s")
+    @classmethod
+    def neighbours(cls, step: str, n: int, topo):
+        """A step in the grid; off its edge the mesh has no link, the
+        torus wraps (a dateline in that dimension)."""
+        dr, dc = _STEPS[step]
+        r, c = np.divmod(np.arange(n), topo.cols)
+        r, c = r + dr, c + dc
+        wraps = (r < 0) | (r >= topo.rows) | (c < 0) | (c >= topo.cols)
+        to = r % topo.rows * topo.cols + c % topo.cols
+        if cls.wrap:
+            return to, wraps
+        return np.where(wraps, -1, to), np.zeros(n, bool)
 
     # -- routing ---------------------------------------------------------
     def _x_steps(self, dc: int) -> int:
@@ -129,13 +110,12 @@ class MeshRouter(Router):
         destination coordinates ``to``."""
         return to - frm
 
-    def route_table(self, buf: "FlitBuffer"):
+    def route_table(self, role: int):
         """XY routing reads only (ingress role, destination), so every
         buffer is tabulable for every traffic class -- the software
         broadcast is plain serialised unicasts on the wire.
         :meth:`route_head` over all destinations at once, as a function
         of ``(role, dx, dy)``."""
-        import numpy as np      # the array engine's dependency, not ours
         topo = self.topo
         dr, dc = np.divmod(np.arange(self.n), topo.cols)
         dx = self._step_columns(self.col, dc, topo.cols)
@@ -143,7 +123,7 @@ class MeshRouter(Router):
         slot = np.where(dx > 0, _E, np.where(dx < 0, _W,
                                              np.where(dy > 0, _S, _N)))
         slot[self.node] = _EJECT
-        if buf.role in (D_E_IN, D_W_IN, D_LOCAL):
+        if role in (D_E_IN, D_W_IN, D_LOCAL):
             vreset = dx == 0            # the dimension turn
             vreset[self.node] = False
         else:
@@ -161,10 +141,6 @@ class TorusRouter(MeshRouter):
     #: the row by q, plus a carry only if r > 0 -- when dx decides alone
     relative_tables = True
 
-    def __init__(self, node: int, topo: TorusTopology,
-                 buffer_depth: int = 4):
-        super().__init__(node, topo, buffer_depth)  # type: ignore[arg-type]
-
     def _x_steps(self, dc: int) -> int:
         return TorusTopology._ring_steps(self.col, dc, self.topo.cols)
 
@@ -172,7 +148,6 @@ class TorusRouter(MeshRouter):
         return TorusTopology._ring_steps(self.row, dr, self.topo.rows)
 
     def _step_columns(self, frm: int, to, size: int):
-        import numpy as np
         fwd = (to - frm) % size     # ties break positive, as _ring_steps
         return np.where(fwd <= size - fwd, fwd, fwd - size)
 

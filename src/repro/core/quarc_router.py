@@ -36,6 +36,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
+import numpy as np
+
 from repro.core.quadrant import base_route_hops
 from repro.noc.packet import BROADCAST, MULTICAST
 from repro.noc.router import Router
@@ -53,16 +55,13 @@ __all__ = ["QuarcRouter",
 CW_IN, CCW_IN, XR_IN, XL_IN = 0, 1, 2, 3
 LOC_R, LOC_L, LOC_XR, LOC_XL = 4, 5, 6, 7
 
-#: ``out_ports`` slots (creation order in ``QuarcRouter.__init__``: the
+#: ``out_ports`` slots (``QuarcRouter.PORTS`` order: the
 #: four links cw/ccw/xr/xl, then the four ejections in ingress-role
 #: order).  The whole unicast routing function is these two lines: the
 #: link each ingress role forwards on, and ejection ``_EJECT_SLOT +
 #: role`` when the address matches.
 _FORWARD_SLOT = (0, 1, 0, 1, 0, 1, 2, 3)
 _EJECT_SLOT = 4
-
-#: Local queues are PE-side memory, modelled deep; switch lanes are small.
-LOCAL_QUEUE_DEPTH = 1 << 20
 
 
 class QuarcRouter(Router):
@@ -75,60 +74,26 @@ class QuarcRouter(Router):
 
     relative_tables = True
 
-    def __init__(self, node: int, n: int, buffer_depth: int = 4):
-        super().__init__(node, n)
-        mk = self.new_buffer
-        self.bufs_cw = [mk(buffer_depth, f"cw.vc{v}", CW_IN) for v in (0, 1)]
-        self.bufs_ccw = [mk(buffer_depth, f"ccw.vc{v}", CCW_IN)
-                         for v in (0, 1)]
-        self.bufs_xr = [mk(buffer_depth, f"xr.vc{v}", XR_IN) for v in (0, 1)]
-        self.bufs_xl = [mk(buffer_depth, f"xl.vc{v}", XL_IN) for v in (0, 1)]
-        self.loc_r = mk(LOCAL_QUEUE_DEPTH, "loc.r", LOC_R)
-        self.loc_l = mk(LOCAL_QUEUE_DEPTH, "loc.l", LOC_L)
-        self.loc_xr = mk(LOCAL_QUEUE_DEPTH, "loc.xr", LOC_XR)
-        self.loc_xl = mk(LOCAL_QUEUE_DEPTH, "loc.xl", LOC_XL)
-
-        dateline_cw = node == n - 1      # CW link n-1 -> 0
-        dateline_ccw = node == 0         # CCW link 0 -> n-1
-        self.cw_out = self.new_port("cw_out", is_dateline=dateline_cw)
-        self.ccw_out = self.new_port("ccw_out", is_dateline=dateline_ccw)
-        self.xr_out = self.new_port("xr_out", vc_policy="any")
-        self.xl_out = self.new_port("xl_out", vc_policy="any")
-        self.ej_cw = self.new_port("ej_cw", vc_policy="any")
-        self.ej_ccw = self.new_port("ej_ccw", vc_policy="any")
-        self.ej_xr = self.new_port("ej_xr", vc_policy="any")
-        self.ej_xl = self.new_port("ej_xl", vc_policy="any")
-
-        for b in self.bufs_cw:
-            self.cw_out.add_feeder(b)
-            self.ej_cw.add_feeder(b)
-        for b in self.bufs_xr:
-            self.cw_out.add_feeder(b)
-            self.ej_xr.add_feeder(b)
-        self.cw_out.add_feeder(self.loc_r)
-
-        for b in self.bufs_ccw:
-            self.ccw_out.add_feeder(b)
-            self.ej_ccw.add_feeder(b)
-        for b in self.bufs_xl:
-            self.ccw_out.add_feeder(b)
-            self.ej_xl.add_feeder(b)
-        self.ccw_out.add_feeder(self.loc_l)
-
-        self.xr_out.add_feeder(self.loc_xr)
-        self.xl_out.add_feeder(self.loc_xl)
-
-    # ------------------------------------------------------------------
-    def connect(self, routers) -> None:
-        """Wire this switch's link output ports to neighbour IPC lanes."""
-        n = self.n
-        nxt: "QuarcRouter" = routers[(self.node + 1) % n]
-        prv: "QuarcRouter" = routers[(self.node - 1) % n]
-        anti: "QuarcRouter" = routers[(self.node + n // 2) % n]
-        self.cw_out.connect(list(nxt.bufs_cw))
-        self.ccw_out.connect(list(prv.bufs_ccw))
-        self.xr_out.connect(list(anti.bufs_xr))
-        self.xl_out.connect(list(anti.bufs_xl))
+    LANES = (("bufs_cw", "cw", CW_IN), ("bufs_ccw", "ccw", CCW_IN),
+             ("bufs_xr", "xr", XR_IN), ("bufs_xl", "xl", XL_IN))
+    QUEUES = (("loc_r", "loc.r", LOC_R), ("loc_l", "loc.l", LOC_L),
+              ("loc_xr", "loc.xr", LOC_XR), ("loc_xl", "loc.xl", LOC_XL))
+    #: Each rim output takes its through lanes, the cross lanes turning
+    #: onto it and one local queue; each cross output one local queue;
+    #: each ejection port one ingress's lanes.  The rim links cross the
+    #: dateline at n-1 -> 0 (CW) and 0 -> n-1 (CCW).
+    PORTS = (
+        ("cw_out", "dateline", ("bufs_cw", "bufs_xr", "loc_r"),
+         ("cw", "bufs_cw")),
+        ("ccw_out", "dateline", ("bufs_ccw", "bufs_xl", "loc_l"),
+         ("ccw", "bufs_ccw")),
+        ("xr_out", "any", ("loc_xr",), ("cross", "bufs_xr")),
+        ("xl_out", "any", ("loc_xl",), ("cross", "bufs_xl")),
+        ("ej_cw", "any", ("bufs_cw",), None),
+        ("ej_ccw", "any", ("bufs_ccw",), None),
+        ("ej_xr", "any", ("bufs_xr",), None),
+        ("ej_xl", "any", ("bufs_xl",), None),
+    )
 
     # ------------------------------------------------------------------
     def _absorb_here(self, pkt: "Packet") -> bool:
@@ -181,23 +146,21 @@ class QuarcRouter(Router):
             return self.ej_xl, False
         return self.ccw_out, self._absorb_here(pkt)
 
-    def route_table(self, buf: "FlitBuffer"):
+    def route_table(self, role: int):
         # Only the fixed-output local queues route every traffic class
         # by destination alone: at a network ingress a multicast's clone
         # decision reads its bitstring.
-        if buf.role >= LOC_R:
-            return self.unicast_route_table(buf)
+        if role >= LOC_R:
+            return self.unicast_route_table(role)
         return None
 
-    def unicast_route_table(self, buf: "FlitBuffer"):
+    def unicast_route_table(self, role: int):
         """Eject-or-forward is a pure function of the destination for
         every ingress and class; a collective adds the clone, which for
         a broadcast is a constant per ingress role -- the fourth column,
         ``bclone`` (a relay segment routes like a unicast).  Multicast
         stays with :meth:`route_head`: its bitstring needs up to N/4 + 1
         bits (257 at N = 1024), which no table column holds."""
-        import numpy as np      # the array engine's dependency, not ours
-        role = buf.role
         slot = np.full(self.n, _FORWARD_SLOT[role], np.int64)
         if role < LOC_R:
             slot[self.node] = _EJECT_SLOT + role

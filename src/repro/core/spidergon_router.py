@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
+import numpy as np
+
 from repro.noc.router import Router
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -36,10 +38,8 @@ __all__ = ["SpidergonRouter",
 # ingress roles (FlitBuffer.role)
 S_CW_IN, S_CCW_IN, S_X_IN, S_LOCAL, S_REPL = 0, 1, 2, 3, 4
 
-#: ``out_ports`` slots (creation order in ``SpidergonRouter.__init__``)
+#: ``out_ports`` slots (``SpidergonRouter.PORTS`` order)
 _CW, _CCW, _X, _EJECT = 0, 1, 2, 3
-
-LOCAL_QUEUE_DEPTH = 1 << 20
 
 
 class SpidergonRouter(Router):
@@ -50,54 +50,26 @@ class SpidergonRouter(Router):
 
     relative_tables = True
 
+    LANES = (("bufs_cw", "cw", S_CW_IN), ("bufs_ccw", "ccw", S_CCW_IN),
+             ("bufs_x", "x", S_X_IN))
+    QUEUES = (("local_q", "loc", S_LOCAL), ("repl_q", "repl", S_REPL))
+    #: The cross lanes turn onto either rim; replication comes before
+    #: local at the rim outputs, so the switch's own broadcast logic gets
+    #: priority over fresh PE traffic (round-robin still rotates, so
+    #: neither starves); all three ingresses share the one ejection port.
+    PORTS = (
+        ("cw_out", "dateline", ("bufs_cw", "bufs_x", "repl_q", "local_q"),
+         ("cw", "bufs_cw")),
+        ("ccw_out", "dateline",
+         ("bufs_x", "bufs_ccw", "repl_q", "local_q"), ("ccw", "bufs_ccw")),
+        ("x_out", "any", ("local_q",), ("cross", "bufs_x")),
+        ("eject", "any", ("bufs_cw", "bufs_x", "bufs_ccw"), None),
+    )
+
     def __init__(self, node: int, n: int, buffer_depth: int = 4):
-        super().__init__(node, n)
         if n % 2:
             raise ValueError(f"Spidergon needs an even node count (got {n})")
-
-        mk = self.new_buffer
-        self.bufs_cw = [mk(buffer_depth, f"cw.vc{v}", S_CW_IN)
-                        for v in (0, 1)]
-        self.bufs_ccw = [mk(buffer_depth, f"ccw.vc{v}", S_CCW_IN)
-                         for v in (0, 1)]
-        self.bufs_x = [mk(buffer_depth, f"x.vc{v}", S_X_IN) for v in (0, 1)]
-        self.local_q = mk(LOCAL_QUEUE_DEPTH, "loc", S_LOCAL)
-        self.repl_q = mk(LOCAL_QUEUE_DEPTH, "repl", S_REPL)
-
-        self.cw_out = self.new_port("cw_out", is_dateline=(node == n - 1))
-        self.ccw_out = self.new_port("ccw_out", is_dateline=(node == 0))
-        self.x_out = self.new_port("x_out", vc_policy="any")
-        self.eject = self.new_port("eject", vc_policy="any")
-
-        # replication before local: the switch's own broadcast logic gets
-        # priority over fresh PE traffic at the rim outputs (round-robin
-        # still rotates, so neither starves)
-        for b in self.bufs_cw:
-            self.cw_out.add_feeder(b)
-            self.eject.add_feeder(b)
-        for b in self.bufs_x:
-            self.cw_out.add_feeder(b)
-            self.ccw_out.add_feeder(b)
-            self.eject.add_feeder(b)
-        self.cw_out.add_feeder(self.repl_q)
-        self.cw_out.add_feeder(self.local_q)
-        for b in self.bufs_ccw:
-            self.ccw_out.add_feeder(b)
-            self.eject.add_feeder(b)
-        self.ccw_out.add_feeder(self.repl_q)
-        self.ccw_out.add_feeder(self.local_q)
-        self.x_out.add_feeder(self.local_q)
-
-    # ------------------------------------------------------------------
-    def connect(self, routers) -> None:
-        """Wire link outputs to neighbour IPC lanes."""
-        n = self.n
-        nxt: "SpidergonRouter" = routers[(self.node + 1) % n]
-        prv: "SpidergonRouter" = routers[(self.node - 1) % n]
-        anti: "SpidergonRouter" = routers[(self.node + n // 2) % n]
-        self.cw_out.connect(list(nxt.bufs_cw))
-        self.ccw_out.connect(list(prv.bufs_ccw))
-        self.x_out.connect(list(anti.bufs_x))
+        super().__init__(node, n, buffer_depth)
 
     # ------------------------------------------------------------------
     def route_head(self, buf: "FlitBuffer",
@@ -130,15 +102,13 @@ class SpidergonRouter(Router):
         k = (pkt.dst - me) % n
         return (self.cw_out if k <= n - k else self.ccw_out), False
 
-    def route_table(self, buf: "FlitBuffer"):
+    def route_table(self, role: int):
         """Across-first routing reads only (ingress role, destination);
         relay segments route exactly like unicasts, so the table holds
         for every traffic class.  :meth:`route_head` over all
         destinations at once, as a function of ``(role, k)``."""
-        import numpy as np      # the array engine's dependency, not ours
         me = self.node
         n = self.n
-        role = buf.role
         if role == S_CW_IN:
             slot = np.full(n, _CW, np.int64)
         elif role == S_CCW_IN:

@@ -20,10 +20,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.ports import OutPort
     from repro.noc.router import Router
 
-__all__ = ["FlitBuffer", "UNBOUNDED"]
+__all__ = ["FlitBuffer", "EMPTY", "LOCAL_QUEUE_DEPTH"]
 
-#: Capacity sentinel for source queues (PE memory, not switch buffers).
-UNBOUNDED = 1 << 30
+#: Capacity of a local queue: PE-side memory, modelled deep (switch
+#: lanes are small).
+LOCAL_QUEUE_DEPTH = 1 << 20
+
+#: The queue of a buffer no flit was ever pushed into, shared by all of
+#: them: immutable, so a mutation that bypasses :meth:`FlitBuffer.push`
+#: fails instead of filling every buffer at once.
+EMPTY: tuple = ()
 
 
 class FlitBuffer:
@@ -32,7 +38,10 @@ class FlitBuffer:
     Attributes
     ----------
     q:
-        The flit FIFO; entries are ``(packet, flit_index)`` tuples.
+        The flit FIFO; entries are ``(packet, flit_index)`` tuples.  The
+        shared :data:`EMPTY` until the first :meth:`push` (an array
+        engine keeps flits in its own arrays, so on that path most
+        buffers never hold a ``deque``).
     capacity:
         Maximum occupancy.  Upstream senders check this before pushing,
         which models LocalLink ``CH_STATUS_N`` back-pressure with a
@@ -45,17 +54,22 @@ class FlitBuffer:
     router:
         Owning router; pushes/pops maintain ``router.flits`` so the network
         step can skip completely idle routers.
+    row:
+        Index in the network's flat ``(node, creation)`` buffer order
+        (``Network.iter_buffers``), or -1 outside a built network.
     """
 
-    __slots__ = ("q", "capacity", "label", "router", "role",
+    __slots__ = ("q", "capacity", "label", "router", "role", "row",
                  "cur_out", "cur_vc", "cur_deliver", "cur_pkt", "fed",
                  "sink")
 
     def __init__(self, capacity: int, label: str = "",
-                 router: Optional["Router"] = None, role: int = -1):
+                 router: Optional["Router"] = None, role: int = -1,
+                 row: int = -1):
         if capacity < 1:
             raise ValueError(f"buffer capacity must be >= 1 (got {capacity})")
-        self.q: deque = deque()
+        self.q = EMPTY
+        self.row = row
         self.capacity = capacity
         self.label = label
         self.router = router
@@ -115,6 +129,8 @@ class FlitBuffer:
             raise OverflowError(
                 f"flit pushed into full buffer {self.label!r} "
                 f"(capacity {self.capacity})")
+        if q is EMPTY:
+            q = self.q = deque()
         q.append((packet, flit_index))
         r = self.router
         if r is not None:

@@ -21,6 +21,7 @@ from repro.noc.router import Router, commit_move
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.collector import LatencyCollector
     from repro.noc.buffers import FlitBuffer
+    from repro.noc.wiring import Wiring
 
 __all__ = ["Network", "Adapter", "flit_key"]
 
@@ -202,15 +203,20 @@ class Network:
         One adapter per node, index == node id.
     name:
         Topology name for reports ("quarc", "spidergon", ...).
+    wiring:
+        The :class:`~repro.noc.wiring.Wiring` the routers were wired
+        from (``build_network``); the array engine lays its static
+        arrays out from it.
     """
 
     def __init__(self, routers: List[Router], adapters: List[Adapter],
-                 name: str = "noc"):
+                 name: str = "noc", wiring: Optional["Wiring"] = None):
         if len(routers) != len(adapters):
             raise ValueError("routers and adapters must pair up one per node")
         self.routers = routers
         self.adapters = adapters
         self.name = name
+        self.wiring = wiring
         self.n = len(routers)
         self.cycle = 0
         self.flits_moved = 0

@@ -47,18 +47,23 @@ class OutPort:
     is_dateline:
         True for the rim link that crosses the ring dateline; packets
         traversing it are upgraded to VC class 1 (deadlock avoidance).
+    row:
+        Index in the network's flat ``(node, creation)`` port order
+        (``Network.iter_ports``), or -1 outside a built network.
     """
 
-    __slots__ = ("name", "router", "feeders", "down", "owner", "rr",
+    __slots__ = ("name", "router", "row", "feeders", "down", "owner", "rr",
                  "is_dateline", "vc_policy", "flits_sent",
                  "dead")
 
     def __init__(self, name: str, router: "Router",
-                 is_dateline: bool = False, vc_policy: str = "dateline"):
+                 is_dateline: bool = False, vc_policy: str = "dateline",
+                 row: int = -1):
         if vc_policy not in ("dateline", "any"):
             raise ValueError(f"unknown vc_policy {vc_policy!r}")
         self.name = name
         self.router = router
+        self.row = row
         self.feeders: List["FlitBuffer"] = []
         self.down: List[Optional["FlitBuffer"]] = [None] * VCS
         self.owner: List[Optional["FlitBuffer"]] = [None] * VCS

@@ -29,9 +29,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.noc.buffers import FlitBuffer
+import numpy as np
+
+from repro.noc.buffers import LOCAL_QUEUE_DEPTH, FlitBuffer
 from repro.noc.packet import UNICAST, Packet
 from repro.noc.ports import Move, OutPort
+from repro.noc.wiring import Switch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.network import Network
@@ -66,11 +69,21 @@ class Router:
     #: then keeps one row per buffer position for the whole network.
     relative_tables = False
 
-    def __init__(self, node: int, n: int):
+    #: The switch, described once for every node (``repro.noc.wiring``).
+    #: Buffers, in creation order: VC lane pairs, then local queues,
+    #: each ``(attribute, label, role)``.
+    LANES: tuple = ()
+    QUEUES: tuple = ()
+    #: Output ports, in creation order, each ``(name, vc_policy,
+    #: feeders, link)``: ``feeders`` names the buffers (a lane pair: both
+    #: lanes) the port arbitrates among, in round-robin order; ``link`` is
+    #: ``(step, lanes)``, the lane pair the port feeds at the neighbour
+    #: :meth:`neighbours` finds across ``step``, or ``None`` (ejection).
+    PORTS: tuple = ()
+
+    def __init__(self, node: int, n: int, buffer_depth: int = 4):
         self.node = node
         self.n = n
-        self.in_bufs: List[FlitBuffer] = []
-        self.out_ports: List[OutPort] = []
         self.flits = 0
         self.net: Optional["Network"] = None
         #: Fault seam: the :class:`repro.faults.FaultState` installed on
@@ -78,23 +91,49 @@ class Router:
         #: :meth:`route` dispatches through it so every backend sees the
         #: same fault-aware routing decisions.
         self.fstate = None
+        # the switch's buffers, ports and feeders, from the description
+        # (each also an attribute); its links are the network's to wire
+        # (``Wiring.connect``)
+        sw = self.switch()
+        b0 = node * len(sw.labels)
+        bufs: List[FlitBuffer] = [
+            FlitBuffer(buffer_depth if lane else LOCAL_QUEUE_DEPTH,
+                       f"r{node}.{label}", self, role, b0 + k)
+            for k, (label, role, lane) in enumerate(
+                zip(sw.labels, sw.roles, sw.lanes))]
+        p0 = node * len(sw.ports)
+        ports: List[OutPort] = [
+            OutPort(name, self, vc_policy=policy, row=p0 + i)
+            for i, (name, policy, _, _) in enumerate(sw.ports)]
+        for port, (name, _, feeders, _) in zip(ports, sw.ports):
+            port.feeders = [bufs[k] for k in feeders]
+            setattr(self, name, port)
+        for buf, fed in zip(bufs, sw.fed):
+            buf.fed.extend(map(ports.__getitem__, fed))
+        for attr, at in sw.groups.items():
+            setattr(self, attr, bufs[at])
+        self.in_bufs = bufs
+        self.out_ports = ports
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def new_buffer(self, capacity: int, label: str,
-                   role: int = -1) -> FlitBuffer:
-        buf = FlitBuffer(capacity, label=f"r{self.node}.{label}",
-                         router=self, role=role)
-        self.in_bufs.append(buf)
-        return buf
+    @classmethod
+    def switch(cls) -> Switch:
+        """This class's switch description, compiled (once)."""
+        sw = cls.__dict__.get("_switch")
+        if sw is None:
+            sw = Switch(cls.LANES, cls.QUEUES, cls.PORTS)
+            cls._switch = sw
+        return sw
 
-    def new_port(self, name: str, is_dateline: bool = False,
-                 vc_policy: str = "dateline") -> OutPort:
-        port = OutPort(name, self, is_dateline=is_dateline,
-                       vc_policy=vc_policy)
-        self.out_ports.append(port)
-        return port
+    @classmethod
+    def neighbours(cls, step: str, n: int, topo) -> Tuple[np.ndarray,
+                                                          np.ndarray]:
+        """Every node's neighbour across the link ``step`` (-1: none),
+        and whether that link wraps the node index space (on a rim, the
+        dateline), as two columns over the nodes.  The default is a ring
+        with chords: ``cw`` (+1), ``ccw`` (-1) and ``cross`` (the
+        antipode, +N/2)."""
+        to = np.arange(n) + {"cw": 1, "ccw": -1, "cross": n // 2}[step]
+        return to % n, (to < 0) | (to >= n)
 
     # ------------------------------------------------------------------
     # routing -- the only topology-specific logic
@@ -123,12 +162,13 @@ class Router:
             return self.route_head(buf, pkt)
         return fs.route(self, buf, pkt)
 
-    def route_table(self, buf: FlitBuffer):
+    def route_table(self, role: int):
         """Destination-indexed routing columns for array engines, or
         ``None``.
 
-        When this buffer's routing decision is a pure function of the
-        packet's destination (for *every* traffic class), return three
+        When routing from this router's buffers of ingress role ``role``
+        (``FlitBuffer.role``) is a pure function of the packet's
+        destination (for *every* traffic class), return three
         numpy columns indexed by destination node, computed
         arithmetically (no :meth:`route_head` calls): ``slot`` (integer
         index into ``self.out_ports``), ``deliver`` (bool, the
@@ -142,14 +182,14 @@ class Router:
         """
         return None
 
-    def unicast_route_table(self, buf: FlitBuffer):
-        """Like :meth:`route_table`, for a buffer whose multicast
+    def unicast_route_table(self, role: int):
+        """Like :meth:`route_table`, for a role whose multicast
         routing is not tabulable: the columns must hold for every other
         class (engines gate the lookup on the traffic class).  A router
         that clones passing broadcasts appends a fourth bool column,
         ``bclone``: clone to the PE if the packet is a ``BROADCAST``.
         Default: whatever :meth:`route_table` offers."""
-        return self.route_table(buf)
+        return self.route_table(role)
 
     def _probe_route_table(self, buf: FlitBuffer, traffic: int = UNICAST):
         """The scalar oracle :meth:`route_table` is tested against:

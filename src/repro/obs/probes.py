@@ -226,7 +226,7 @@ class ArraySampler:
                "routing": int(routing.sum())}
         fs = self.net.fault_state
         if fs is not None:
-            dead = [be._pid[p] for p in fs.dead_ports if p in be._pid]
+            dead = [p.row for p in fs.dead_ports]
             if dead:
                 mask = latched & np.isin(
                     be._want[:B], np.array(dead, np.int64))

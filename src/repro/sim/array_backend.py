@@ -127,11 +127,13 @@ without a loaded kernel raises and names the reference backend.
 from __future__ import annotations
 
 import ctypes
-from itertools import accumulate, chain
+from collections import deque
+from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.noc.buffers import EMPTY
 from repro.noc.network import Adapter, flit_key
 from repro.noc.packet import (BROADCAST, RELAY, TRAFFIC_NAMES, UNICAST,
                               CollectiveOp, Packet)
@@ -215,8 +217,12 @@ MAX_PORTS = 1 << 16
 MAX_PACKET_FLITS = TAIL
 
 
-def _pow2_at_least(x: int) -> int:
-    return 1 << max(0, (x - 1).bit_length())
+_POW2 = 1 << np.arange(62)
+
+
+def _pow2_at_least(x):
+    """The least power of two >= ``x`` (>= 1), elementwise."""
+    return np.left_shift(1, np.searchsorted(_POW2, x))
 
 
 def _check_limit(field: str, count: int, limit: int) -> None:
@@ -273,15 +279,17 @@ class ArrayBackend(SimBackend):
     # static geometry (immutable while attached)
     # ------------------------------------------------------------------
     def _build_static(self) -> None:
+        """Lay the static arrays out from the network's wiring table
+        (``repro.noc.wiring``): columns in, columns out, no buffer or
+        port object read."""
         net = self.net
-        bufs: List["FlitBuffer"] = net.iter_buffers()
-        ports: List["OutPort"] = net.iter_ports()
-        B = len(bufs)
-        P = len(ports)
+        w = net.wiring
+        B = len(w.cap)
+        P = len(w.isdl)
         _check_limit("output ports (the delivery-event port field)", P,
                      MAX_PORTS)
-        self._bufs = bufs
-        self._ports = ports
+        self._bufs: List["FlitBuffer"] = net.iter_buffers()
+        self._ports: List["OutPort"] = net.iter_ports()
         self._B = B
         self._P = P
         self._SB = B             # ejection sink row (reset every cycle)
@@ -289,22 +297,15 @@ class ArrayBackend(SimBackend):
         B2 = B + 2
         self._B2 = B2
         self._PV = 2 * P
-        self._bid: Dict["FlitBuffer", int] = {b: i for i, b in
-                                              enumerate(bufs)}
-        self._pid: Dict["OutPort", int] = {p: i for i, p in
-                                           enumerate(ports)}
 
         # ports
-        self._pnode_py = [p.router.node for p in ports]
-        self._pnode = np.array(self._pnode_py, np.int64)
-        self._isdl_py = [p.is_dateline for p in ports]
-        self._isdl = np.array(self._isdl_py, bool)
-        self._nf_py = [len(p.feeders) for p in ports]
+        self._pnode = np.repeat(np.arange(net.n), w.nport)
+        self._pnode_py = self._pnode.tolist()
+        self._isdl = w.isdl
+        self._nf_py = np.diff(w.fptr).tolist()
         down = np.full(self._PV + 1, self._XB, np.int64)
-        for pi, port in enumerate(ports):
-            for vc in (0, 1):
-                d = port.down[vc]
-                down[2 * pi + vc] = self._SB if d is None else self._bid[d]
+        down[:self._PV] = w.down.ravel()
+        down[:self._PV][down[:self._PV] < 0] = self._SB
         self._down = down
 
         # flit rings: one flat array, a power-of-two slice per buffer.  A
@@ -314,32 +315,29 @@ class ArrayBackend(SimBackend):
         # FIFO, which holds the rest as packets
         portfed = np.zeros(B2, bool)
         portfed[down] = True
-        caps = [b.capacity for b in bufs] + [1, 1]
-        sizes = [min(_pow2_at_least(c), _RING_CAP if f else _SRC_WINDOW)
-                 for c, f in zip(caps, portfed.tolist())]
-        bases = [0, *accumulate(sizes)]
-        self._rflat = np.zeros(bases.pop(), np.int64)
-        self._rbase = np.array(bases, np.int64)
-        self._rmask = np.array([s - 1 for s in sizes], np.int64)
-        self._cap_py = caps
-        self._rbase_py = bases
-        self._rmask_py = [s - 1 for s in sizes]
-        qcap = np.array(caps, np.int64)
+        caps = np.concatenate((w.cap, [1, 1]))
+        sizes = np.minimum(_pow2_at_least(caps),
+                           np.where(portfed, _RING_CAP, _SRC_WINDOW))
+        bases = np.concatenate(([0], np.cumsum(sizes)))
+        self._rflat = np.zeros(int(bases[-1]), np.int64)
+        self._rbase = bases[:-1]
+        self._rmask = sizes - 1
+        self._cap_py = caps.tolist()
+        self._rbase_py = self._rbase.tolist()
+        self._rmask_py = self._rmask.tolist()
+        qcap = caps
         qcap[self._SB] = 1 << 60
         qcap[self._XB] = 0
         self._qcap = qcap
         _check_limit("a port-fed buffer's capacity (its ring slice)",
                      int(qcap[down[down < B]].max(initial=0)), _RING_CAP)
-        self._jpos: List[Dict[int, int]] = [dict() for _ in range(B)]
-        for pi, port in enumerate(ports):
-            for j, fb in enumerate(port.feeders):
-                self._jpos[self._bid[fb]][pi] = j
         # what a ready-set wake reaches (_cycle_kernel.c): port p's
         # feeder rows ``_fbuf[_fptr[p]:_fptr[p + 1]]``, and ``_upof[b]``,
-        # the port*2+vc whose down is row b (-1: a source queue)
-        self._fptr = np.array([0, *accumulate(self._nf_py)], np.int64)
-        self._fbuf = np.array([self._bid[fb] for port in ports
-                               for fb in port.feeders], np.int64)
+        # the port*2+vc whose down is row b (-1: a source queue); a
+        # row's place among a port's feeders is ``_jmat`` (in its router)
+        self._fptr = w.fptr
+        self._fbuf = w.fbuf
+        self._jmat = w.switch.jpos
         self._upof = np.full(B, -1, np.int64)
         fed = np.flatnonzero(down[:self._PV] < B)
         self._upof[down[fed]] = fed
@@ -358,35 +356,32 @@ class ArrayBackend(SimBackend):
         # for no row.  VC selection stays runtime (it reads the packet's
         # dateline class): ``_vcmode`` is 0/1 for the fixed
         # any-policy/dateline cases, 2 for class-dependent ports.
-        pol_any = [p.vc_policy == "any" for p in ports]
-        self._vcmode = np.array([0 if a else (1 if d else 2) for a, d in
-                                 zip(pol_any, self._isdl_py)], np.int64)
-        self._pv2of = np.array([2 * pi + 1 if a else self._PV
-                                for pi, a in enumerate(pol_any)], np.int64)
+        pol_any = w.anyvc
+        self._vcmode = np.where(pol_any, 0, np.where(w.isdl, 1, 2))
+        self._pv2of = np.where(pol_any, 2 * np.arange(P) + 1, self._PV)
         routers = net.routers
-        nb = [len(r.in_bufs) for r in routers]
-        bfirst = np.cumsum([0, *nb[:-1]])       # each node's first row
-        self._pbase = np.repeat(
-            np.cumsum([0, *(len(r.out_ports) for r in routers[:-1])]), nb)
+        nb = w.nbuf
+        bfirst = np.arange(net.n) * nb          # each node's first row
+        self._pbase = np.repeat(np.arange(net.n) * w.nport, nb)
         self._rtflag = np.zeros(B2, np.uint8)
         if routers[0].relative_tables:
             rows, flags = self._router_rows(routers[0])
             last = routers[-1]
             lrows, lflags = self._router_rows(last)
-            if len(set(nb)) > 1 or lflags != flags or not np.array_equal(
+            if lflags != flags or not np.array_equal(
                     np.roll(lrows, -last.node, axis=1), rows):
                 raise ValueError(
                     f"{type(last).__name__} declares relative route "
                     f"tables, but node {last.node}'s are not node 0's "
                     f"rolled by {last.node}")
             self._rtab = rows
-            self._rsh = np.repeat([r.node for r in routers], nb)
-            self._rrow = np.arange(B) - np.repeat(bfirst, nb)
-            self._rtflag[:B] = np.tile(flags, len(routers))
+            self._rsh = np.repeat(np.arange(net.n), nb)
+            self._rrow = np.tile(np.arange(nb), net.n)
+            self._rtflag[:B] = np.tile(flags, net.n)
         else:
             self._rtab = np.empty((B, net.n), np.int64)
-            for r, b0, k in zip(routers, bfirst, nb):
-                self._rtab[b0:b0 + k], self._rtflag[b0:b0 + k] = (
+            for r, b0 in zip(routers, bfirst.tolist()):
+                self._rtab[b0:b0 + nb], self._rtflag[b0:b0 + nb] = (
                     self._router_rows(r))
             self._rsh = np.zeros(B, np.int64)
             self._rrow = np.arange(B)
@@ -403,7 +398,6 @@ class ArrayBackend(SimBackend):
                 f"{a[-1].node} is not node 0's rolled by {a[-1].node}")
         self._qtab = np.array([bfirst, rel], np.int64)
         self._qfirst, self._qrel = self._qtab
-        self._qtab_py = self._qtab.tolist()
         # ``_btab``: a broadcast's branches (``Adapter.broadcast_table``):
         # queue positions and ends relative to the source, like ``_qtab``
         tabs = [[(ad.router.in_bufs.index(q), (d - ad.node) % net.n)
@@ -417,7 +411,8 @@ class ArrayBackend(SimBackend):
         # round-robin priority field: F a power of two >= max feeders
         # keeps ``(j - rr) & (F-1)`` order-isomorphic to the reference
         # scan from ``rr`` even with ``rr`` stored unwrapped (in [0, nf])
-        self._Fm1 = max(8, _pow2_at_least(max(self._nf_py, default=1))) - 1
+        nf = max(self._nf_py, default=1)
+        self._Fm1 = max(8, int(_pow2_at_least(nf))) - 1
 
         # dynamic state: per buffer, per port(*2+vc); the packet columns
         # (aid-indexed: int64 arrays for what a cycle reads, lists for
@@ -508,22 +503,23 @@ class ArrayBackend(SimBackend):
         self._dn = st.d.n
 
     def _router_rows(self, router) -> Tuple[np.ndarray, List[int]]:
-        """The route-table rows of ``router``'s buffers (``in_bufs``
-        order) and their ``_rtflag``.  The router answers with numpy
-        columns over every destination (slot in ``router.out_ports``,
-        deliver, vclass_reset, for a Quarc ingress ``bclone``), computed
-        arithmetically -- no ``route_head`` call; a row packs them as
-        ``(jof << 24) | (slot << 4) | (bclone << 2) | (vclass_reset << 1)
-        | deliver`` (zeros: no row)."""
-        pids = [self._pid[p] for p in router.out_ports]
+        """The route-table rows of ``router``'s buffers (creation order)
+        and their ``_rtflag``.  The router answers, per ingress role,
+        with numpy columns over every destination (slot in
+        ``router.out_ports``, deliver, vclass_reset, for a Quarc ingress
+        ``bclone``), computed arithmetically -- no ``route_head`` call;
+        a row packs them as ``(jof << 24) | (slot << 4) | (bclone << 2)
+        | (vclass_reset << 1) | deliver`` (zeros: no row), ``jof`` the
+        buffer's place among the slot's feeders (``_jmat``)."""
         by_role = {}    # role -> (slot, entry without jof, flag) | None
-        rows = np.zeros((len(router.in_bufs), router.n), np.int64)
+        roles = self.net.wiring.switch.roles
+        rows = np.zeros((len(roles), router.n), np.int64)
         flags = []
-        for k, buf in enumerate(router.in_bufs):
-            if buf.role not in by_role:
-                cols, flag = router.route_table(buf), 2
+        for k, role in enumerate(roles):
+            if role not in by_role:
+                cols, flag = router.route_table(role), 2
                 if cols is None:
-                    cols, flag = router.unicast_route_table(buf), 1
+                    cols, flag = router.unicast_route_table(role), 1
                 if cols is not None:
                     slot, deliver, vreset, *bclone = cols
                     ent = (slot << 4) | (vreset.astype(np.int64) << 1)
@@ -531,16 +527,23 @@ class ArrayBackend(SimBackend):
                     if bclone:
                         ent |= bclone[0].astype(np.int64) << 2
                     cols = (slot, ent, flag)
-                by_role[buf.role] = cols
-            if by_role[buf.role] is None:
+                by_role[role] = cols
+            if by_role[role] is None:
                 flags.append(0)
                 continue
-            slot, ent, flag = by_role[buf.role]
-            jp = self._jpos[self._bid[buf]]
-            jof = np.array([jp.get(pi, 0) << 24 for pi in pids], np.int64)
-            np.bitwise_or(jof[slot], ent, out=rows[k])
+            slot, ent, flag = by_role[role]
+            np.bitwise_or(self._jmat[k][slot] << 24, ent, out=rows[k])
             flags.append(flag)
         return rows, flags
+
+    def _feeder_pos(self, b: int, p: int) -> int:
+        """Row ``b``'s place among port ``p``'s feeders, 0 where it is
+        none of them (``jof``)."""
+        w = self.net.wiring
+        node, k = divmod(b, w.nbuf)
+        if p // w.nport != node:
+            return 0
+        return int(self._jmat[k, p % w.nport])
 
     @staticmethod
     def _queue_row(ad) -> np.ndarray:
@@ -741,8 +744,8 @@ class ArrayBackend(SimBackend):
             np.zeros(len(srcs), np.int64) for _ in range(3))
         delay = int(self._sdelay.max())
         if delay > st.cmask:    # the due ring (empty) fits every reply
-            ring = self._cring = np.full((_pow2_at_least(delay + 1), 3), -1,
-                                         np.int64)
+            rows = int(_pow2_at_least(delay + 1))
+            ring = self._cring = np.full((rows, 3), -1, np.int64)
             st.cring, st.cmask = ring.ctypes.data, len(ring) - 1
         return self
 
@@ -1001,18 +1004,18 @@ class ArrayBackend(SimBackend):
         for arr in (self._dlv, self._hdrf, self._ne, self._fullb):
             arr[:] = False
         self._fullb[self._XB] = True
-        self._owner[:] = -1
+        ports, bufs = self._ports, self._bufs
+        self._rr[:] = [port.rr for port in ports]
+        self._fs[:] = [port.flits_sent for port in ports]
+        self._owner[:self._PV] = [-1 if own is None else own.row
+                                  for port in ports for own in port.owner]
         self._owner[self._PV] = -2
-        for pi, port in enumerate(self._ports):
-            self._rr[pi] = port.rr
-            self._fs[pi] = port.flits_sent
-            for vc in (0, 1):
-                own = port.owner[vc]
-                self._owner[2 * pi + vc] = (
-                    self._bid[own] if own is not None else -1)
+        # the buffers holding flits or a switching-table entry
+        live = [b for b, buf in enumerate(bufs)
+                if buf.q or buf.cur_out is not None]
         resident = {}
-        for buf in self._bufs:
-            for pkt, _ in buf.q:
+        for b in live:
+            for pkt, _ in bufs[b].q:
                 resident.setdefault(pkt.pid, pkt)
         aid_of, new, pkts = {}, [], self._pkts
         for pid, pkt in resident.items():
@@ -1028,7 +1031,8 @@ class ArrayBackend(SimBackend):
         headers: List[int] = []
         rflat = self._rflat
         inflight = 0
-        for b, buf in enumerate(self._bufs):
+        for b in live:
+            buf = bufs[b]
             n = len(buf.q)
             if n:
                 base = self._rbase_py[b]
@@ -1057,11 +1061,11 @@ class ArrayBackend(SimBackend):
                 self._front[b] = rflat[base]
                 inflight += n
             if buf.cur_out is not None:
-                p = self._pid[buf.cur_out]
+                p = buf.cur_out.row
                 self._want[b] = p
                 self._vcreq[b] = buf.cur_vc
                 self._dlv[b] = buf.cur_deliver
-                self._jof[b] = self._jpos[b][p]
+                self._jof[b] = self._feeder_pos(b, p)
                 self._pvb[b] = 2 * p + buf.cur_vc
             elif n:
                 headers.append(b)
@@ -1070,7 +1074,7 @@ class ArrayBackend(SimBackend):
         self._st.rescan = 1
         for b in headers:
             self._route(b)
-        for buf in self._bufs:
+        for buf in bufs:
             buf.sink = self._staged
         self.net.state_owner = self
 
@@ -1124,7 +1128,7 @@ class ArrayBackend(SimBackend):
                 cls = op.cls
             key.append(now << RANK_BITS if born < now else
                        born << RANK_BITS | ranks.get(cls, RANK_OTHER))
-            abuf.append(self._bid[buf])
+            abuf.append(buf.row)
             aaid.append(aid)
         return key, abuf, aaid
 
@@ -1181,7 +1185,7 @@ class ArrayBackend(SimBackend):
             parts.append(([p.created for p in objs],
                           [ranks.get(p.cls if p.op is None else p.op.cls,
                                      RANK_OTHER) for p in objs],
-                          [self._bid[b] for b in bufs],
+                          [b.row for b in bufs],
                           np.arange(a0, a0 + len(objs)), pkts))
         born, rank, abuf, aaid, seq = (
             np.asarray(col[0]) if len(col) == 1 else np.concatenate(col)
@@ -1290,16 +1294,16 @@ class ArrayBackend(SimBackend):
         pkt.vclass = int(self._pvcl[aid])
         port, deliver = buf.router.route(buf, pkt)
         self._pvcl[aid] = pkt.vclass
-        p = self._pid[port]
+        p = port.row
         vc = int(self._vcmode[p])
         if vc == 2:
             vc = min(pkt.vclass, 1)
         self._phdr[aid] = b
         self._want[b] = p
-        # .get: a fault-stuck head may want a port this lane is not
-        # wired to (it then never matches that port's feeder scan, which
+        # a fault-stuck head may want a port this lane is not wired to
+        # (jof 0: it then never matches that port's feeder scan, which
         # is exactly the reference backend's never-granted behaviour)
-        self._jof[b] = self._jpos[b].get(p, 0)
+        self._jof[b] = self._feeder_pos(b, p)
         self._vcreq[b] = vc
         self._dlv[b] = bool(deliver)
         self._hdrf[b] = True
@@ -1569,11 +1573,14 @@ class ArrayBackend(SimBackend):
             src.rng.setstate((src.rng.VERSION, tuple(mt), src.rng.gauss_next))
         packet, rflat = self._packet, self._rflat
         aids = self._aids = {}
+        qlen, want, hdrf = (a.tolist() for a in (self._qlen, self._want,
+                                                 self._hdrf))
         for b, buf in enumerate(self._bufs):
-            q = buf.q
-            q.clear()
-            n = int(self._qlen[b])
-            if n:
+            n = qlen[b]
+            if not n:
+                buf.q = EMPTY
+            else:       # a queue only where there are flits
+                q = buf.q = deque()
                 base = self._rbase_py[b]
                 maskb = self._rmask_py[b]
                 rh = int(self._rhead[b])
@@ -1595,12 +1602,12 @@ class ArrayBackend(SimBackend):
                     q.extend((pkt, i) for i in range(fid, pkt.size))
                     aid = int(self._pnext[aid])
                     fid = 0
-            w = int(self._want[b])
-            if w >= 0 and not self._hdrf[b]:
+            w = want[b]
+            if w >= 0 and not hdrf[b]:
                 buf.cur_out = self._ports[w]
                 buf.cur_vc = int(self._vcreq[b])
                 buf.cur_deliver = bool(self._dlv[b])
-                buf.cur_pkt = q[0][0] if q else None
+                buf.cur_pkt = buf.q[0][0] if n else None
             else:
                 buf.cur_out = None
                 buf.cur_vc = 0
@@ -1697,10 +1704,8 @@ class ArrayBackend(SimBackend):
         fs.apply(self.net, events)
         down = self._down
         for port in fs.dead_ports:
-            pi = self._pid.get(port)
-            if pi is not None:
-                down[2 * pi] = self._XB
-                down[2 * pi + 1] = self._XB
+            down[2 * port.row] = self._XB
+            down[2 * port.row + 1] = self._XB
         self.resync()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -71,19 +71,11 @@ def make_plan(net, topo, backend, shards: int) -> "ShardPlan":
         for node in range(lo, hi):
             node_owner[node] = w
 
-    # node-major cumulative offsets -> contiguous column ranges
-    boff = [0]
-    poff = [0]
-    for i, r in enumerate(net.routers):
-        if r.node != i:
-            raise AssertionError("routers are not in node order")
-        boff.append(boff[-1] + len(r.in_bufs))
-        poff.append(poff[-1] + len(r.out_ports))
+    # node-major rows (``repro.noc.wiring``) -> contiguous column ranges
+    nb, npt = net.wiring.nbuf, net.wiring.nport
     B = backend._B
-    if boff[-1] != B or poff[-1] != backend._P:
-        raise AssertionError("backend geometry does not match the network")
-    buf_ranges = [(boff[lo], boff[hi]) for lo, hi in node_ranges]
-    port_ranges = [(poff[lo], poff[hi]) for lo, hi in node_ranges]
+    buf_ranges = [(lo * nb, hi * nb) for lo, hi in node_ranges]
+    port_ranges = [(lo * npt, hi * npt) for lo, hi in node_ranges]
     row_owner = [0] * B
     for w, (blo, bhi) in enumerate(buf_ranges):
         for b in range(blo, bhi):
@@ -105,7 +97,7 @@ def make_plan(net, topo, backend, shards: int) -> "ShardPlan":
             feeder_of[row] = pv
             cut_out[w].append((pv, row, row_owner[row]))
     pub_rows = sorted({row for cuts in cut_out for _, row, _ in cuts})
-    isdl = backend._isdl_py
+    isdl = backend._isdl.tolist()
     dl_ports = [sum(1 for p in range(plo, phi) if isdl[p])
                 for plo, phi in port_ranges]
     return ShardPlan(shards=shards, n=n, b2=backend._B2,

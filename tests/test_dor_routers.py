@@ -5,18 +5,12 @@ import pytest
 from helpers import drain, send_one
 from repro.core.api import build_network
 from repro.core.collector import LatencyCollector
-from repro.core.dor_router import MeshRouter, TorusRouter
 from repro.noc.packet import UNICAST, Packet
-from repro.topologies.mesh import MeshTopology
-from repro.topologies.torus import TorusTopology
 
 
 def mesh_router(node=0, n=16):
-    topo = MeshTopology(n)
-    routers = [MeshRouter(i, topo) for i in range(n)]
-    for r in routers:
-        r.connect(routers)
-    return routers[node], routers, topo
+    net, topo = build_network("mesh", n)
+    return net.routers[node], net.routers, topo
 
 
 class TestMeshWiring:
@@ -66,21 +60,18 @@ class TestMeshRouting:
 
 class TestTorusRouting:
     def test_wrap_route_shorter(self):
-        topo = TorusTopology(16)
-        routers = [TorusRouter(i, topo) for i in range(16)]
-        for r in routers:
-            r.connect(routers)
-        r0 = routers[0]
+        r0 = build_network("torus", 16)[0].routers[0]
         # (0,0) -> (0,3): west wrap is 1 hop vs 3 east
         port, _ = r0.route_head(r0.local_q, Packet(0, 3, 4, UNICAST))
         assert port is r0.w_out
 
     def test_wrap_ports_are_datelines(self):
-        topo = TorusTopology(16)
-        r = TorusRouter(3, topo)            # (0,3): east edge
-        assert r.e_out.is_dateline
-        r2 = TorusRouter(5, topo)           # interior
-        assert not r2.e_out.is_dateline
+        routers = build_network("torus", 16)[0].routers
+        assert routers[3].e_out.is_dateline     # (0,3): east edge
+        assert not routers[5].e_out.is_dateline     # interior
+        # the mesh has no wrap links, so no datelines either
+        mesh = build_network("mesh", 16)[0].routers
+        assert not any(p.is_dateline for r in mesh for p in r.out_ports)
 
 
 class TestDORAdapter:

@@ -16,8 +16,9 @@ class OnePortRouter(Router):
     def __init__(self, node=0, n=2, vc_policy="dateline",
                  is_dateline=False):
         super().__init__(node, n)
-        self.port = self.new_port("out", is_dateline=is_dateline,
-                                  vc_policy=vc_policy)
+        self.port = OutPort("out", self, is_dateline=is_dateline,
+                            vc_policy=vc_policy)
+        self.out_ports.append(self.port)
 
     def route_head(self, buf, pkt):
         return self.port, False
@@ -34,7 +35,8 @@ class SinkNet:
 
 
 def feeder(router, label="f", capacity=8):
-    buf = router.new_buffer(capacity, label)
+    buf = FlitBuffer(capacity, f"r{router.node}.{label}", router=router)
+    router.in_bufs.append(buf)
     router.port.add_feeder(buf)
     return buf
 

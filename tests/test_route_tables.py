@@ -51,7 +51,7 @@ def test_vectorised_columns_equal_probe(kind, n, cols):
         for buf in router.in_bufs:
             where = (kind, n, router.node, buf.role)
             probe = router._probe_route_table(buf)
-            uni = router.unicast_route_table(buf)
+            uni = router.unicast_route_table(buf.role)
             assert uni is not None
             slot, deliver, vreset, *bclone = uni
             bclone = bclone[0].tolist() if bclone else [False] * n
@@ -66,7 +66,7 @@ def test_vectorised_columns_equal_probe(kind, n, cols):
                 (p, d or c, v) for (p, d, v), c in zip(rows, bclone)], where
             if any(bclone):
                 cloning.add(buf.role)
-            every = router.route_table(buf)
+            every = router.route_table(buf.role)
             if router._probe_route_table(buf, MULTICAST) != probe:
                 # the multicast bitstring decides the clone: not tabulated
                 assert every is None, where

@@ -8,22 +8,17 @@ claim shows up, and how the round-robin arbitration shares an output.
 import pytest
 
 from repro.core.api import build_network
-from repro.core.quarc_router import QuarcRouter
 from repro.core.spidergon_router import SpidergonRouter
 from repro.noc.packet import BROADCAST, MULTICAST, UNICAST, Packet
 
 
 def quarc_router(n=16, node=0, **kw):
-    routers = [QuarcRouter(i, n, **kw) for i in range(n)]
-    for r in routers:
-        r.connect(routers)
+    routers = build_network("quarc", n, **kw)[0].routers
     return routers[node], routers
 
 
 def spid_router(n=16, node=0, **kw):
-    routers = [SpidergonRouter(i, n, **kw) for i in range(n)]
-    for r in routers:
-        r.connect(routers)
+    routers = build_network("spidergon", n, **kw)[0].routers
     return routers[node], routers
 
 
