@@ -73,8 +73,8 @@ class FlitBuffer:
         self.capacity = capacity
         self.label = label
         self.router = router
-        #: Output ports this buffer feeds (inverse of ``OutPort.feeders``).
-        #: Maintained by ``OutPort.add_feeder``.
+        #: Output ports this buffer feeds (inverse of ``OutPort.feeders``),
+        #: in port order; ``Router.__init__`` fills both.
         self.fed: list = []
         #: small-int port-role tag set by the owning router; lets
         #: ``route_head`` dispatch on the ingress direction without dict

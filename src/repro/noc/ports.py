@@ -94,10 +94,6 @@ class OutPort:
                 f"got {len(down_bufs)}")
         self.down = list(down_bufs)
 
-    def add_feeder(self, buf: "FlitBuffer") -> None:
-        self.feeders.append(buf)
-        buf.fed.append(self)
-
     # ------------------------------------------------------------------
     # per-cycle arbitration (phase A -- reads only, no mutation)
     # ------------------------------------------------------------------

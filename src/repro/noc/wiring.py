@@ -83,13 +83,13 @@ class Wiring:
     "any" VC policy; ``fbuf[fptr[p]:fptr[p + 1]]`` port ``p``'s feeder
     rows in round-robin order."""
 
-    __slots__ = ("switch", "n", "nbuf", "nport", "cap", "down", "isdl",
-                 "anyvc", "fptr", "fbuf")
+    __slots__ = ("switch", "nbuf", "nport", "cap", "down", "isdl", "anyvc",
+                 "fptr", "fbuf")
 
     def __init__(self, cls, n: int, topo, buffer_depth: int):
         sw = self.switch = cls.switch()
         nb, npt = len(sw.labels), len(sw.ports)
-        self.n, self.nbuf, self.nport = n, nb, npt
+        self.nbuf, self.nport = nb, npt
         self.cap = np.tile(np.where(sw.lanes, buffer_depth,
                                     LOCAL_QUEUE_DEPTH), n)
         down = np.full((n, npt, VCS), -1, np.int64)

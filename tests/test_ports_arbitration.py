@@ -37,7 +37,8 @@ class SinkNet:
 def feeder(router, label="f", capacity=8):
     buf = FlitBuffer(capacity, f"r{router.node}.{label}", router=router)
     router.in_bufs.append(buf)
-    router.port.add_feeder(buf)
+    router.port.feeders.append(buf)
+    buf.fed.append(router.port)
     return buf
 
 
