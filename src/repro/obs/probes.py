@@ -176,13 +176,10 @@ class ArraySampler:
         self.backend = backend
         self.net = backend.net
         self.mix = mix
-        # iter_buffers is node-major and contiguous per router, so the
-        # per-router reduction is one reduceat over the lane-occupancy
-        # array at precomputed router offsets
-        offsets = [0]
-        for r in self.net.routers[:-1]:
-            offsets.append(offsets[-1] + len(r.in_bufs))
-        self._roff = np.array(offsets, dtype=np.int64)
+        # buffer rows are node-major, ``nbuf`` a router (the wiring
+        # table), so the per-router reduction is one reduceat over the
+        # lane-occupancy array at each router's first row
+        self._roff = np.arange(self.net.n) * self.net.wiring.nbuf
         self._np = np
 
     def prepare(self) -> None:
