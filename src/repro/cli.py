@@ -351,16 +351,19 @@ def _render_point_obs(session, summary, args) -> None:
                     for r in range(len(occupancy[0][1]))]
             print()
             print(ascii_heatmap(rows, title="router occupancy over time"))
+    footprint = {}
     if session.profiler is not None:
         print()
         print(session.profiler.render())
+        footprint = session.profiler.report().get("footprint", {})
     if args.metrics_out:
         from repro.obs.metrics import write_csv as write_metrics_csv
         from repro.obs.metrics import validate_file, write_jsonl
         if args.metrics_out.endswith(".csv"):
             path = write_metrics_csv(summary, args.metrics_out)
         else:
-            path = write_jsonl(summary, args.metrics_out)
+            path = write_jsonl(summary, args.metrics_out,
+                               footprint.get("objects"))
             validate_file(path)
         print(f"[metrics] {path}")
 

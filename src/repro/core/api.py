@@ -33,7 +33,9 @@ def build_network(kind: str, n: int, *, buffer_depth: int = 4,
                   collector: Optional[LatencyCollector] = None,
                   bcast_mode: str = "clone",
                   cols: int = 0) -> Tuple[Network, Topology]:
-    """Build a fully wired network of ``kind`` with ``n`` nodes.
+    """Build a network of ``kind`` with ``n`` nodes: its wiring table,
+    collector and adapters.  Its routers, fully wired, are built from the
+    table on first read (``Network.routers``): a healthy array run never.
 
     Parameters
     ----------
@@ -66,24 +68,16 @@ def build_network(kind: str, n: int, *, buffer_depth: int = 4,
 
     if kind == "quarc":
         topo: Topology = QuarcTopology(n)
-        routers = [QuarcRouter(i, n, buffer_depth) for i in range(n)]
-        adapters = [QuarcTransceiver(i, routers[i], coll,
-                                     bcast_mode=bcast_mode)
+        cls: type = QuarcRouter
+        adapters = [QuarcTransceiver(i, n, coll, bcast_mode=bcast_mode)
                     for i in range(n)]
     elif kind == "spidergon":
         topo = SpidergonTopology(n)
-        routers = [SpidergonRouter(i, n, buffer_depth) for i in range(n)]
-        adapters = [SpidergonAdapter(i, routers[i], coll) for i in range(n)]
-    elif kind == "mesh":
-        topo = MeshTopology(n, cols)
-        routers = [MeshRouter(i, topo, buffer_depth) for i in range(n)]
-        adapters = [DORAdapter(i, routers[i], coll) for i in range(n)]
-    else:  # torus
-        topo = TorusTopology(n, cols)
-        routers = [TorusRouter(i, topo, buffer_depth) for i in range(n)]
-        adapters = [DORAdapter(i, routers[i], coll) for i in range(n)]
-
-    wiring = Wiring(type(routers[0]), n, topo, buffer_depth)
-    net = Network(routers, adapters, name=kind, wiring=wiring)
-    wiring.connect(net)
-    return net, topo
+        cls = SpidergonRouter
+        adapters = [SpidergonAdapter(i, coll) for i in range(n)]
+    else:  # mesh / torus
+        topo = (MeshTopology if kind == "mesh" else TorusTopology)(n, cols)
+        cls = MeshRouter if kind == "mesh" else TorusRouter
+        adapters = [DORAdapter(i, coll) for i in range(n)]
+    return Network(Wiring(cls, n, topo, buffer_depth), adapters,
+                   name=kind), topo

@@ -70,6 +70,10 @@ class MeshRouter(Router):
         self.row, self.col = topo.coords(node)
 
     @classmethod
+    def at(cls, node: int, topo, buffer_depth: int) -> "MeshRouter":
+        return cls(node, topo, buffer_depth)
+
+    @classmethod
     def neighbours(cls, step: str, n: int, topo):
         """A step in the grid; off its edge the mesh has no link, the
         torus wraps (a dateline in that dimension)."""
@@ -159,7 +163,7 @@ class DORAdapter(Adapter):
 
     def send_broadcast(self, size: int, now: int) -> CollectiveOp:
         """Naive software broadcast: N-1 unicasts through the one port."""
-        return self.send_multicast(range(self.router.n), size, now)
+        return self.send_multicast(range(self.net.n), size, now)
 
     def send_multicast(self, targets: Iterable[int], size: int,
                        now: int) -> CollectiveOp:
@@ -171,5 +175,5 @@ class DORAdapter(Adapter):
                 fs.source_drop_branch(op)
                 continue
             pkt = Packet(self.node, dst, size, BROADCAST, created=now, op=op)
-            self.router.local_q.push_packet(pkt)
+            self._push("local_q", pkt)
         return op

@@ -29,7 +29,7 @@ routed like a unicast, so no switch ever clones it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.collector import LatencyCollector
 from repro.core.quadrant import QuadrantCalculator
@@ -37,31 +37,24 @@ from repro.noc.network import Adapter
 from repro.noc.packet import BROADCAST, MULTICAST, CollectiveOp, Packet
 from repro.topologies.quarc import LEFT, RIGHT, XLEFT, XRIGHT
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.quarc_router import QuarcRouter
-    from repro.noc.buffers import FlitBuffer
-
 __all__ = ["QuarcTransceiver"]
 
 
 class QuarcTransceiver(Adapter):
     """All-port network adapter for one Quarc node."""
 
-    __slots__ = ("calc", "queues", "bcast_mode")
+    __slots__ = ("calc", "bcast_mode")
 
-    def __init__(self, node: int, router: "QuarcRouter",
-                 collector: LatencyCollector, bcast_mode: str = "clone"):
-        super().__init__(node, router, collector)
+    #: each quadrant's queue (a ``QuarcRouter`` attribute)
+    queues = {RIGHT: "loc_r", LEFT: "loc_l", XRIGHT: "loc_xr", XLEFT: "loc_xl"}
+
+    def __init__(self, node: int, n: int, collector: LatencyCollector,
+                 bcast_mode: str = "clone"):
+        super().__init__(node, collector)
         if bcast_mode not in ("clone", "relay"):
             raise ValueError(f"unknown bcast_mode {bcast_mode!r}")
-        self.calc = QuadrantCalculator(node, router.n)
+        self.calc = QuadrantCalculator(node, n)
         self.bcast_mode = bcast_mode
-        self.queues = {
-            RIGHT: router.loc_r,
-            LEFT: router.loc_l,
-            XRIGHT: router.loc_xr,
-            XLEFT: router.loc_xl,
-        }
 
     # ------------------------------------------------------------------
     # injection side
@@ -71,7 +64,7 @@ class QuarcTransceiver(Adapter):
         return ([self.queues[q] for q in self.calc.COLUMN_ORDER],
                 self.calc.quadrant_column())
 
-    def _unicast_queue(self, dst: int) -> Optional["FlitBuffer"]:
+    def _unicast_queue(self, dst: int) -> Optional[str]:
         quadrant = self.calc.quadrant(dst)
         fs = self.fault_state
         if fs is not None:
@@ -80,8 +73,7 @@ class QuarcTransceiver(Adapter):
                 return None
         return self.queues[quadrant]
 
-    def _relay_queue(self, dst: int,
-                     forward: bool) -> Optional["FlitBuffer"]:
+    def _relay_queue(self, dst: int, forward: bool) -> Optional[str]:
         """Ablation relays enter the quadrant queue toward ``dst``, at the
         source and at every hop alike."""
         quadrant = self.calc.quadrant(dst)
@@ -92,7 +84,7 @@ class QuarcTransceiver(Adapter):
     def _entry_port(self, quadrant: str):
         """The link output port a quadrant queue streams into (each
         local queue feeds exactly one non-ejection port)."""
-        for p in self.queues[quadrant].fed:
+        for p in getattr(self.router, self.queues[quadrant]).fed:
             if not p.is_ejection:
                 return p
         return None
@@ -128,7 +120,7 @@ class QuarcTransceiver(Adapter):
     def _branches(self) -> List[Tuple[str, int]]:
         """A broadcast's branches in push order (Fig. 6): each quadrant
         and the branch's last node."""
-        n, v = self.router.n, self.node
+        n, v = self.net.n, self.node
         q = n // 4
         ends = ((RIGHT, v + q), (LEFT, v - q), (XLEFT, v + q + 1),
                 (XRIGHT, v + 3 * q - 1))
@@ -146,14 +138,14 @@ class QuarcTransceiver(Adapter):
         """Emit a true broadcast: one tagged packet per quadrant (Fig. 6)."""
         if self.bcast_mode == "relay":
             return self._send_chains(None, BROADCAST, size, now)
-        op = self._open(BROADCAST, now, self.router.n - 1)
+        op = self._open(BROADCAST, now, self.net.n - 1)
         fs = self.fault_state
         for quadrant, dst in self._branches():
             if fs is not None and self._entry_dead(quadrant):
                 fs.source_drop_branch(op)
                 continue
             pkt = Packet(self.node, dst, size, BROADCAST, created=now, op=op)
-            self.queues[quadrant].push_packet(pkt)
+            self._push(self.queues[quadrant], pkt)
         return op
 
     def send_multicast(self, targets: Iterable[int], size: int,
@@ -180,5 +172,5 @@ class QuarcTransceiver(Adapter):
                 bits |= 1 << self.calc.hop_distance(t)
             pkt = Packet(self.node, far, size, MULTICAST, created=now,
                          op=op, bitstring=bits)
-            self.queues[quadrant].push_packet(pkt)
+            self._push(self.queues[quadrant], pkt)
         return op

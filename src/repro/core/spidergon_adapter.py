@@ -18,13 +18,10 @@ N/4 + M.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.noc.network import Adapter
 from repro.noc.packet import BROADCAST, MULTICAST, CollectiveOp
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.noc.buffers import FlitBuffer
 
 __all__ = ["SpidergonAdapter"]
 
@@ -35,10 +32,10 @@ class SpidergonAdapter(Adapter):
 
     __slots__ = ()
 
-    def _relay_queue(self, dst: int, forward: bool) -> "FlitBuffer":
+    def _relay_queue(self, dst: int, forward: bool) -> str:
         # the source uses its own PE queue, a relay hop the replication
         # queue
-        return self.router.repl_q if forward else self.router.local_q
+        return "repl_q" if forward else "local_q"
 
     def send_broadcast(self, size: int, now: int) -> CollectiveOp:
         """Start the two broadcast-by-unicast relay chains."""

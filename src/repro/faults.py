@@ -210,6 +210,7 @@ class FaultState:
     def __init__(self, plan: FaultPlan, net: "Network", root_seed: int):
         self.plan = plan
         self.net = net
+        net.objects("fault event")      # faults act on the object graph
         self.root_seed = root_seed
         self.dead_nodes: Set[int] = set()
         #: dead output ports in kill order (ejection ports included

@@ -92,7 +92,7 @@ class FlitBuffer:
         #: (one attribute test per push); when an
         #: :class:`~repro.sim.array_backend.ArrayBackend` owns the
         #: simulation state, it installs its staging list here and every
-        #: :meth:`push_packet` appends ``(buffer, packet)`` instead of
+        #: :meth:`push_packet` appends ``(row, packet)`` instead of
         #: touching the object deque -- the flits enter the flat arrays
         #: at the next cycle's fold, never this object graph.
         self.sink: Optional[list] = None
@@ -152,7 +152,7 @@ class FlitBuffer:
                 # this one counter anchors the conservation invariant
                 fs.injected_flits += packet.size
         if self.sink is not None:
-            self.sink.append((self, packet))
+            self.sink.append((self.row, packet))
             return
         for fidx in range(packet.size):
             self.push(packet, fidx)

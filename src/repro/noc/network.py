@@ -1,10 +1,10 @@
 """Network assembly and the per-cycle simulation step.
 
 A :class:`Network` owns N routers and N adapters (network interfaces /
-transceivers).  It is deliberately topology-agnostic: the topology package
-describes the wiring, a router factory builds the switches, and adapters
-implement injection and delivery policy (the transceiver of Sec. 2.4 for
-the Quarc, the one-port adapter for the Spidergon).
+transceivers).  It is deliberately topology-agnostic: a wiring table
+(:mod:`repro.noc.wiring`) describes the switches, built on first read,
+and adapters implement injection and delivery policy (the transceiver of
+Sec. 2.4 for the Quarc, the one-port adapter for the Spidergon).
 
 The step loop is the simulator's hot path; see :mod:`repro.noc.router` for
 the two-phase semantics.
@@ -12,6 +12,7 @@ the two-phase semantics.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from repro.noc.packet import RELAY, UNICAST, CollectiveOp, Packet
@@ -32,7 +33,8 @@ class Adapter:
 
     * :meth:`send` accepts a unicast: stamp ``created``, count it
       generated, push it into :meth:`_unicast_queue` (``None``: a fault
-      left no way out, drop it at the source).
+      left no way out, drop it at the source).  A queue is named by its
+      switch attribute (``Router.LANES`` / ``QUEUES``).
     * :meth:`receive_tail` runs when a packet's tail reaches this node
       (ejection or broadcast clone): a unicast is ``on_unicast``, a
       collective tail ``on_collective_tail``, then a relay segment
@@ -52,37 +54,50 @@ class Adapter:
     :attr:`reinjecting_tails` only, to call :meth:`_relay_next`.
     """
 
-    __slots__ = ("node", "net", "router", "collector")
+    __slots__ = ("node", "net", "collector")
 
     #: traffic kinds whose tail may push a packet back into the network
     #: (:meth:`_relay_next`); every other tail only feeds the collector
     reinjecting_tails = (RELAY,)
 
-    def __init__(self, node: int, router: Router,
-                 collector: "LatencyCollector"):
+    def __init__(self, node: int, collector: "LatencyCollector"):
         self.node = node
-        self.router = router
         self.collector = collector
         self.net: Optional["Network"] = None
 
     @property
+    def router(self) -> Router:
+        """This node's router (the network's, built on first read)."""
+        return self.net.routers[self.node]
+
+    @property
     def fault_state(self):
         """The network's installed fault state, or ``None``."""
-        net = self.net
-        return net.fault_state if net is not None else None
+        return self.net.fault_state
 
     # -- injection -------------------------------------------------------
-    def _unicast_queue(self, dst: int) -> Optional["FlitBuffer"]:
-        return self.router.local_q
+    def _push(self, queue: str, pkt: Packet) -> None:
+        """Push ``pkt`` into this node's queue ``queue``; staged by the
+        queue's row while an array engine owns an unbuilt graph."""
+        net = self.net
+        if net.built is None and net.state_owner is not None:
+            w = net.wiring
+            net.state_owner.rows.append(
+                (self.node * w.nbuf + w.switch.groups[queue], pkt))
+        else:
+            getattr(self.router, queue).push_packet(pkt)
+
+    def _unicast_queue(self, dst: int) -> Optional[str]:
+        return "local_q"
 
     def unicast_queue_table(self):
         """Where :meth:`send` queues a healthy unicast: ``(queues,
         slot)``, ``slot`` an integer numpy column over every destination
-        into the buffer list ``queues`` (-1: ``send`` raises), by
+        into the list ``queues`` of queue names (-1: ``send`` raises), by
         arithmetic -- the array engine stages ``Network.send_unicast``
         rows by it instead of packets."""
         import numpy as np      # the array engine's dependency, not ours
-        return [self.router.local_q], np.zeros(self.router.n, np.int64)
+        return ["local_q"], np.zeros(self.net.n, np.int64)
 
     def broadcast_table(self):
         """``[(queue, dst), ...]``: the packets, in push order, of a
@@ -101,7 +116,7 @@ class Adapter:
         if q is None:
             self.fault_state.source_drop_unicast()
             return
-        q.push_packet(pkt)
+        self._push(q, pkt)
 
     def _targets(self, targets: Iterable[int]) -> List[int]:
         """A multicast's remote targets, sorted."""
@@ -117,8 +132,7 @@ class Adapter:
         return op
 
     # -- relay chains (broadcast by unicast) -----------------------------
-    def _relay_queue(self, dst: int,
-                     forward: bool) -> Optional["FlitBuffer"]:
+    def _relay_queue(self, dst: int, forward: bool) -> Optional[str]:
         """The queue a relay segment to ``dst`` enters: at the source
         (``forward`` False) or regenerated at a relay hop; ``None`` if a
         fault leaves it no way out."""
@@ -130,7 +144,7 @@ class Adapter:
         nodes at most N/2 hops that way and counter-clockwise over the
         rest, each in rim order: every other node (``targets`` None, a
         broadcast) or a multicast's targets."""
-        n, node = self.router.n, self.node
+        n, node = self.net.n, self.node
         half = n // 2
         chains = [[(node + k) % n for k in range(1, half + 1)],
                   [(node - k) % n for k in range(1, n - half)]]
@@ -159,7 +173,7 @@ class Adapter:
         pkt.meta["pos"] = pos
         if forward:
             self.collector.on_relay_segment()
-        q.push_packet(pkt)
+        self._push(q, pkt)
 
     def _relay_next(self, pkt: Packet, now: int) -> None:
         """Regenerate a delivered relay segment toward the chain's next
@@ -197,27 +211,26 @@ class Network:
 
     Parameters
     ----------
-    routers:
-        One router per node, index == node id.
+    wiring:
+        The :class:`~repro.noc.wiring.Wiring` of the switches: the
+        routers are built from it on first read (:attr:`routers`), and
+        the array engine lays its static arrays out from it.
     adapters:
         One adapter per node, index == node id.
     name:
         Topology name for reports ("quarc", "spidergon", ...).
-    wiring:
-        The :class:`~repro.noc.wiring.Wiring` the routers were wired
-        from (``build_network``); the array engine lays its static
-        arrays out from it.
     """
 
-    def __init__(self, routers: List[Router], adapters: List[Adapter],
-                 name: str = "noc", wiring: Optional["Wiring"] = None):
-        if len(routers) != len(adapters):
+    def __init__(self, wiring: "Wiring", adapters: List[Adapter],
+                 name: str = "noc"):
+        if wiring.n != len(adapters):
             raise ValueError("routers and adapters must pair up one per node")
-        self.routers = routers
         self.adapters = adapters
         self.name = name
         self.wiring = wiring
-        self.n = len(routers)
+        self.n = len(adapters)
+        #: ``(cycle, reason)`` of the object graph's build (:meth:`objects`)
+        self.built: Optional[tuple] = None
         self.cycle = 0
         self.flits_moved = 0
         self.deliveries = 0
@@ -250,10 +263,30 @@ class Network:
         #: callers (drain loops, probes, the differential harness) stay
         #: oblivious to where the state actually lives.
         self.state_owner = None
-        for r in routers:
-            r.net = self
         for a in adapters:
             a.net = self
+
+    @cached_property
+    def routers(self) -> List[Router]:
+        """One router per node, built from :attr:`wiring` on first read
+        (while an engine owns the state, it is every buffer's ``sink``)."""
+        if self.built is None:
+            self.built = (self.cycle, "test access")
+        routers = self.wiring.routers()
+        owner = self.state_owner
+        for r in routers:
+            r.net = self
+            if owner is not None:
+                for b in r.in_bufs:
+                    b.sink = owner.rows
+        return routers
+
+    def objects(self, reason: str) -> List[Router]:
+        """:attr:`routers`, recording ``reason`` (:attr:`built`) if this
+        read is the one that builds them."""
+        if self.built is None:
+            self.built = (self.cycle, reason)
+        return self.routers
 
     # ------------------------------------------------------------------
     # hot path

@@ -93,7 +93,7 @@ class Router:
         self.fstate = None
         # the switch's buffers, ports and feeders, from the description
         # (each also an attribute); its links are the network's to wire
-        # (``Wiring.connect``)
+        # (``Wiring.routers``)
         sw = self.switch()
         b0 = node * len(sw.labels)
         bufs: List[FlitBuffer] = [
@@ -114,6 +114,11 @@ class Router:
             setattr(self, attr, bufs[at])
         self.in_bufs = bufs
         self.out_ports = ports
+
+    @classmethod
+    def at(cls, node: int, topo, buffer_depth: int) -> "Router":
+        """Node ``node``'s router in the ``topo`` network."""
+        return cls(node, topo.n, buffer_depth)
 
     @classmethod
     def switch(cls) -> Switch:

@@ -10,10 +10,10 @@ its link: the neighbour across a step and the lane pair there it feeds.
 port in the flat ``(node, creation)`` order of ``Network.iter_buffers`` /
 ``iter_ports``.  Two consumers read the table:
 
-* ``build_network``: each router builds its buffers, ports and feeders
-  from its :class:`Switch` (``Router.__init__``), and
-  :meth:`Wiring.connect` wires every link and flags every dateline from
-  the columns;
+* the network's object graph, built on first need: each router builds
+  its buffers, ports and feeders from its :class:`Switch`
+  (``Router.__init__``), and :meth:`Wiring.routers` wires every link and
+  flags every dateline from the columns;
 * the array engine, whose ``_build_static`` lays its static arrays out
   from the columns without reading a buffer or port object.
 """
@@ -73,7 +73,8 @@ class Switch:
 
 
 class Wiring:
-    """The switch wiring of an ``n``-node network of ``cls`` routers.
+    """The switch wiring of an ``n``-node ``topo`` network of ``cls``
+    routers, lanes ``buffer_depth`` flits deep.
 
     ``nbuf`` / ``nport`` buffers and ports a router; row ``node * nbuf +
     k`` is node ``node``'s ``k``-th buffer, likewise for ports.  Columns:
@@ -83,10 +84,11 @@ class Wiring:
     "any" VC policy; ``fbuf[fptr[p]:fptr[p + 1]]`` port ``p``'s feeder
     rows in round-robin order."""
 
-    __slots__ = ("switch", "nbuf", "nport", "cap", "down", "isdl", "anyvc",
-                 "fptr", "fbuf")
+    __slots__ = ("cls", "n", "topo", "depth", "switch", "nbuf", "nport",
+                 "cap", "down", "isdl", "anyvc", "fptr", "fbuf")
 
     def __init__(self, cls, n: int, topo, buffer_depth: int):
+        self.cls, self.n, self.topo, self.depth = cls, n, topo, buffer_depth
         sw = self.switch = cls.switch()
         nb, npt = len(sw.labels), len(sw.ports)
         self.nbuf, self.nport = nb, npt
@@ -110,12 +112,19 @@ class Wiring:
         self.fbuf = (np.arange(n)[:, None] * nb
                      + np.concatenate(feeders)).ravel()
 
-    def connect(self, net) -> None:
-        """Wire every link port of ``net`` (whose routers this table
-        describes) to its downstream lanes and flag its datelines."""
-        bufs, ports = net.iter_buffers(), net.iter_ports()
+    def router(self, node: int):
+        """Node ``node``'s router, unwired."""
+        return self.cls.at(node, self.topo, self.depth)
+
+    def routers(self) -> list:
+        """Every node's router, each link port wired to its downstream
+        lanes and each dateline flagged, from the columns."""
+        routers = [self.router(v) for v in range(self.n)]
+        bufs = [b for r in routers for b in r.in_bufs]
+        ports = [p for r in routers for p in r.out_ports]
         down = self.down
         for p in np.flatnonzero(down[:, 0] >= 0).tolist():
             ports[p].connect([bufs[d] for d in down[p].tolist()])
         for p in np.flatnonzero(self.isdl).tolist():
             ports[p].is_dateline = True
+        return routers

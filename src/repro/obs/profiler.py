@@ -44,7 +44,8 @@ batch at a time), the rest through
 ``Adapter.receive_tail``, and the replies (continuations) the kernel
 sent itself; and the size of the engine's static state
 (``footprint``: route-table rows x destinations, ring words, queue-table
-entries).
+entries) and the object graph (``objects: none built``, or the cycle
+``Network.built`` records and why).
 
 Profile results never enter ``RunSummary.extra``: wall times differ
 per backend and per host, and ``extra`` must stay byte-identical
@@ -87,13 +88,16 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "stops": dict(zip(STOPS, st.stops))}
 
 
-def _footprint(backend) -> Dict[str, int]:
+def _footprint(backend) -> Dict[str, object]:
     """What the engine's static state holds: route-table rows x
-    destinations, ring words, queue-table entries."""
+    destinations, ring words, queue-table entries; the object graph."""
     rows, cols = backend._rtab.shape
+    built = backend.net.built
     return {"route_rows": rows, "route_cols": cols,
             "ring_words": backend._rflat.size,
-            "queue_entries": backend._qtab.size}
+            "queue_entries": backend._qtab.size,
+            "objects": ("none built" if built is None
+                        else "built at cycle %d by %s" % built)}
 
 
 class PhaseProfiler:
@@ -236,5 +240,5 @@ class PhaseProfiler:
             lines.append(
                 "  footprint: route table {route_rows} rows x {route_cols}, "
                 "rings {ring_words} words, queue table {queue_entries} "
-                "entries".format(**rep["footprint"]))
+                "entries; objects: {objects}".format(**rep["footprint"]))
         return "\n".join(lines)

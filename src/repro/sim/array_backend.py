@@ -11,8 +11,9 @@ instead:
   credit/occupancy status all live here; phase B commits write the
   same arrays in place.
 * The ``Network``/``Router``/``FlitBuffer`` object graph becomes a
-  lazily-materialised **inspection view**.  While the engine is
-  attached (``net.state_owner is engine``), object state is stale;
+  lazily-built **inspection view**, built when first read (the engine
+  reads the wiring table).  While the engine is attached
+  (``net.state_owner is engine``), object state is stale;
   :meth:`ArrayBackend.materialize` rebuilds it on demand, and the
   network's ``state_snapshot`` / ``buffer_occupancy`` entry points do
   so automatically, which is what keeps the differential harness and
@@ -68,8 +69,8 @@ that cannot compile the file runs the ``reference`` backend instead
 :meth:`ArrayBackend._advance` executes cycles ``[now, horizon)`` in
 batches: a batch runs until Python is needed, :meth:`_replay` applies
 its events, the next batch starts.  One ordered list, ``_staged``,
-takes what is injected, in push order: ``(buffer, packet)`` from the
-adapters (it is every ``FlitBuffer.sink``), ``(node, dst, size, cls,
+takes what is injected, in push order: ``(buffer row, packet)`` from
+the adapters (it is every ``FlitBuffer.sink``), ``(node, dst, size, cls,
 created)`` rows from ``Network.send_unicast`` and, with ``dst = None``,
 ``Network.send_broadcast``, and ``(cycle, node, dst, size, cls)``
 windows of columns from ``Network.send_unicasts`` and, with ``dst =
@@ -128,6 +129,7 @@ from __future__ import annotations
 
 import ctypes
 from collections import deque
+from functools import cached_property
 from itertools import chain
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -243,9 +245,9 @@ def check_packet_flits(sizes: Dict[str, int]) -> None:
 class ArrayBackend(SimBackend):
     """Array-resident simulation engine (backend name ``"array"``).
 
-    Attaching adopts the network: object state is packed into the flat
-    arrays once, every buffer's ``sink`` is pointed at the staging
-    list, and ``net.state_owner`` is set so ``Network.step`` /
+    Attaching adopts the network: a built graph's state is packed into
+    the flat arrays once, every buffer's ``sink`` is pointed at the
+    staging list, and ``net.state_owner`` is set so ``Network.step`` /
     ``total_flits`` / snapshot entry points delegate here.  Detaching
     (or any snapshot) materialises the object view back.
     """
@@ -288,8 +290,6 @@ class ArrayBackend(SimBackend):
         P = len(w.isdl)
         _check_limit("output ports (the delivery-event port field)", P,
                      MAX_PORTS)
-        self._bufs: List["FlitBuffer"] = net.iter_buffers()
-        self._ports: List["OutPort"] = net.iter_ports()
         self._B = B
         self._P = P
         self._SB = B             # ejection sink row (reset every cycle)
@@ -348,7 +348,8 @@ class ArrayBackend(SimBackend):
         # with ``relative_tables`` gives one row per buffer position,
         # probed at node 0 and read at the relative destination: node
         # v's k-th buffer reads row k at (dst - v) mod N.  Any other
-        # (the mesh) gives one row per buffer.  Buffer b reads row
+        # (the mesh) gives one row per buffer; the routers asked are
+        # unwired probes (``Wiring.router``).  Buffer b reads row
         # ``_rrow[b]`` shifted by ``_rsh[b]`` (v, or 0), and an entry's
         # slot is a port of its router, from ``_pbase[b]`` on.
         # ``_rtflag[b]`` is 2 where the row holds for every traffic
@@ -359,14 +360,13 @@ class ArrayBackend(SimBackend):
         pol_any = w.anyvc
         self._vcmode = np.where(pol_any, 0, np.where(w.isdl, 1, 2))
         self._pv2of = np.where(pol_any, 2 * np.arange(P) + 1, self._PV)
-        routers = net.routers
         nb = w.nbuf
         bfirst = np.arange(net.n) * nb          # each node's first row
         self._pbase = np.repeat(np.arange(net.n) * w.nport, nb)
         self._rtflag = np.zeros(B2, np.uint8)
-        if routers[0].relative_tables:
-            rows, flags = self._router_rows(routers[0])
-            last = routers[-1]
+        if w.cls.relative_tables:
+            rows, flags = self._router_rows(w.router(0))
+            last = w.router(net.n - 1)
             lrows, lflags = self._router_rows(last)
             if lflags != flags or not np.array_equal(
                     np.roll(lrows, -last.node, axis=1), rows):
@@ -380,9 +380,9 @@ class ArrayBackend(SimBackend):
             self._rtflag[:B] = np.tile(flags, net.n)
         else:
             self._rtab = np.empty((B, net.n), np.int64)
-            for r, b0 in zip(routers, bfirst.tolist()):
+            for v, b0 in enumerate(bfirst.tolist()):
                 self._rtab[b0:b0 + nb], self._rtflag[b0:b0 + nb] = (
-                    self._router_rows(r))
+                    self._router_rows(w.router(v)))
             self._rsh = np.zeros(B, np.int64)
             self._rrow = np.arange(B)
 
@@ -400,7 +400,7 @@ class ArrayBackend(SimBackend):
         self._qfirst, self._qrel = self._qtab
         # ``_btab``: a broadcast's branches (``Adapter.broadcast_table``):
         # queue positions and ends relative to the source, like ``_qtab``
-        tabs = [[(ad.router.in_bufs.index(q), (d - ad.node) % net.n)
+        tabs = [[(w.switch.groups[q], (d - ad.node) % net.n)
                  for q, d in ad.broadcast_table() or ()]
                 for ad in a[:1] + a[-1:]]
         if tabs and tabs[0] != tabs[-1]:
@@ -545,13 +545,21 @@ class ArrayBackend(SimBackend):
             return 0
         return int(self._jmat[k, p % w.nport])
 
-    @staticmethod
-    def _queue_row(ad) -> np.ndarray:
+    def _queue_row(self, ad) -> np.ndarray:
         """Adapter ``ad``'s unicast queue table as positions in its
         router, by relative destination (-1: ``send`` raises)."""
         queues, slot = ad.unicast_queue_table()
-        pos = [ad.router.in_bufs.index(q) for q in queues]
+        pos = [self.net.wiring.switch.groups[q] for q in queues]
         return np.roll(np.array([*pos, -1], np.int64)[slot], -ad.node)
+
+    # the object graph's buffers and ports in row order (read: built)
+    @cached_property
+    def _bufs(self) -> List["FlitBuffer"]:
+        return self.net.iter_buffers()
+
+    @cached_property
+    def _ports(self) -> List["OutPort"]:
+        return self.net.iter_ports()
 
     @property
     def broadcast_rows(self) -> bool:
@@ -993,23 +1001,30 @@ class ArrayBackend(SimBackend):
         (``_aids``, from :meth:`materialize`) keeps its aid, and with it
         what only the arrays know -- a kernel transaction's credit or
         reply (``_pcont``, ``_ptxn``, ``_psrc``); its ``vclass`` is read
-        back from the object.  Only new packets are interned."""
+        back from the object.  Only new packets are interned; an unbuilt
+        graph (a fresh network: the arrays' zero state) is not read."""
         for arr in (self._qlen, self._front, self._rhead, self._vcreq,
-                    self._jof, self._pfid, self._ppend):
+                    self._jof, self._pfid, self._ppend, self._rr, self._fs):
             arr[:] = 0
-        for arr in (self._want, self._phead, self._ptail, self._phdr):
+        for arr in (self._want, self._phead, self._ptail, self._phdr,
+                    self._owner):
             arr[:] = -1
         self._pvb[:] = self._PV
         self._pvb2[:] = self._PV
         for arr in (self._dlv, self._hdrf, self._ne, self._fullb):
             arr[:] = False
         self._fullb[self._XB] = True
+        self._owner[self._PV] = -2
+        self._st.nofast = self.net.fault_state is not None
+        self._st.rescan = 1
+        self.net.state_owner = self
+        if self.net.built is None:
+            return
         ports, bufs = self._ports, self._bufs
         self._rr[:] = [port.rr for port in ports]
         self._fs[:] = [port.flits_sent for port in ports]
         self._owner[:self._PV] = [-1 if own is None else own.row
                                   for port in ports for own in port.owner]
-        self._owner[self._PV] = -2
         # the buffers holding flits or a switching-table entry
         live = [b for b, buf in enumerate(bufs)
                 if buf.q or buf.cur_out is not None]
@@ -1070,13 +1085,10 @@ class ArrayBackend(SimBackend):
             elif n:
                 headers.append(b)
         self._st.inflight = inflight
-        self._st.nofast = self.net.fault_state is not None
-        self._st.rescan = 1
         for b in headers:
             self._route(b)
         for buf in bufs:
             buf.sink = self._staged
-        self.net.state_owner = self
 
     # ------------------------------------------------------------------
     # staging: what the adapters pushed -> arrival rows
@@ -1110,7 +1122,7 @@ class ArrayBackend(SimBackend):
         their sort key, buffer and aid, in push order."""
         ranks, pkts, cid = self._rank, self._pkts, self._cid
         key, abuf, aaid = [], [], []
-        for buf, pkt in self._staged:
+        for row, pkt in self._staged:
             aid = len(pkts)
             if aid >= len(self._pdst):
                 self._grow(_PCOLS, aid + 1, aid)
@@ -1128,7 +1140,7 @@ class ArrayBackend(SimBackend):
                 cls = op.cls
             key.append(now << RANK_BITS if born < now else
                        born << RANK_BITS | ranks.get(cls, RANK_OTHER))
-            abuf.append(buf.row)
+            abuf.append(row)
             aaid.append(aid)
         return key, abuf, aaid
 
@@ -1185,7 +1197,7 @@ class ArrayBackend(SimBackend):
             parts.append(([p.created for p in objs],
                           [ranks.get(p.cls if p.op is None else p.op.cls,
                                      RANK_OTHER) for p in objs],
-                          [b.row for b in bufs],
+                          bufs,
                           np.arange(a0, a0 + len(objs)), pkts))
         born, rank, abuf, aaid, seq = (
             np.asarray(col[0]) if len(col) == 1 else np.concatenate(col)
@@ -1290,6 +1302,7 @@ class ArrayBackend(SimBackend):
         event asks for."""
         aid = int(self._front[b]) >> FSHIFT
         pkt = self._packet(aid)
+        self.net.objects("python_route")
         buf = self._bufs[b]
         pkt.vclass = int(self._pvcl[aid])
         port, deliver = buf.router.route(buf, pkt)
@@ -1567,6 +1580,7 @@ class ArrayBackend(SimBackend):
         on array state; the arrays stay authoritative."""
         if self.net.state_owner is not self:
             return
+        self.net.objects("materialize")
         self._flush()
         self._sync(ops=True)
         for src, mt in zip(self._srcs, self._smt.tolist()):
@@ -1677,6 +1691,7 @@ class ArrayBackend(SimBackend):
         """Materialise the object view and hand state ownership back."""
         if self.net.state_owner is not self:
             return
+        self.net.objects("detach")
         self.materialize()
         for buf in self._bufs:
             buf.sink = None

@@ -13,7 +13,7 @@ through simulated cycles.  Two implementations ship, with two roles:
   engine, and :data:`DEFAULT_BACKEND`: what every entry point runs
   unless told otherwise.  It produces *identical* results 8-60x
   faster: it adopts ownership of the network's state into flat numpy
-  arrays (the object graph becomes a lazily-materialised view) and runs
+  arrays (the object graph becomes a lazily-built view) and runs
   both arbitration and commit over those arrays in a compiled C cycle
   kernel.  On a host where the kernel cannot be built or loaded,
   :func:`make_backend` hands out ``reference`` in its place (the loader

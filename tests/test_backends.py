@@ -451,31 +451,115 @@ class TestQueuesOnDemand:
     ``FlitBuffer``: a buffer holds the shared empty queue until a flit is
     pushed into it, and ``materialize`` builds queues only for rows with
     flits.  Kills the mutant ``self.q = deque()`` in
-    ``FlitBuffer.__init__`` (one queue per buffer, 4 608 at N = 384)."""
+    ``FlitBuffer.__init__`` (one queue per buffer, 4 608 at N = 384).
 
-    @pytest.mark.parametrize("kind,beta", [("quarc", 0.1),
-                                           ("spidergon", 0.0),
-                                           ("mesh", 0.1), ("torus", 0.1)])
-    def test_array_run_holds_no_queue(self, kind, beta):
+    A healthy array session runs and summarises with no router, buffer
+    or port object at all (``Network.built`` stays ``None``), equal to
+    the reference.  Kills the mutants "eager build in ``build_network``"
+    (``net.routers`` read there), "``_adopt`` reads the objects on a
+    fresh attach", "``_build_static`` asks the network's routers" and
+    "``Adapter._push`` always reaches the buffer object" (Spidergon and
+    Quarc relay segments, torus and mesh broadcasts are objects pushed
+    by the adapters)."""
+
+    @pytest.mark.parametrize("kind,beta,mode", [
+        pytest.param("quarc", 0.1, "clone", id="quarc-0.1"),
+        pytest.param("quarc", 0.1, "relay", id="quarc-0.1-relay"),
+        pytest.param("spidergon", 0.0, "clone", id="spidergon-0.0"),
+        pytest.param("spidergon", 0.1, "clone", id="spidergon-0.1"),
+        pytest.param("mesh", 0.1, "clone", id="mesh-0.1"),
+        pytest.param("torus", 0.1, "clone", id="torus-0.1")])
+    def test_array_run_holds_no_queue(self, kind, beta, mode):
         spec = WorkloadSpec(kind=kind, n=16, msg_len=4, beta=beta,
                             rate=0.03, cycles=1500, warmup=300, seed=5)
-        arr = SimulationSession(RunConfig(spec=spec, backend="array"))
-        ref = SimulationSession(RunConfig(spec=spec, backend="reference"))
+        arr = SimulationSession(RunConfig(spec=spec, backend="array",
+                                          bcast_mode=mode))
+        ref = SimulationSession(RunConfig(spec=spec, backend="reference",
+                                          bcast_mode=mode))
         assert arr.run() == ref.run()
-        bufs = arr.net.iter_buffers()
+        assert arr.net.built is None, kind      # no object was built
+        bufs = arr.net.iter_buffers()           # built by this read
+        assert arr.net.built == (1500, "test access")
         assert all(b.q is EMPTY for b in bufs), kind
         assert arr.net.total_flits() > 0        # the drain has work
-        # the object view takes queues where the engine holds flits,
-        # and the reference loop drains it as it drains its own run
+        # the object view takes queues where the engine holds flits, is
+        # the reference's state at the same cycle, and the reference
+        # loop drains it as it drains its own run
         rows = arr.backend._qlen[:len(bufs)].tolist()
         arr.backend.detach()
         assert [b.q is not EMPTY for b in bufs] == [q > 0 for q in rows]
+        assert arr.net.state_snapshot() == ref.net.state_snapshot()
         for net in (arr.net, ref.net):
             net.drain()
         totals = [(s.net.cycle, s.net.flits_moved, s.net.deliveries,
                    s.net.adapters[0].collector.delivered_unicast)
                   for s in (arr, ref)]
         assert totals[0] == totals[1], kind
+
+
+class TestObjectsOnDemand:
+    """The network builds its object graph the first time something
+    reads it, records when and why (``Network.built``), and a graph
+    first built while an engine is attached stages its pushes with the
+    engine."""
+
+    @staticmethod
+    def _send_and_drain(backend, build_first):
+        net, _ = build_network("quarc", 16)
+        be = make_backend(backend, net)
+        for _ in range(3):
+            net.step()
+        if build_first:
+            net.routers             # first built here, while attached
+        net.adapters[3].send(Packet(3, 9, 4, UNICAST), net.cycle)
+        net.drain()
+        coll = net.adapters[0].collector
+        out = (net.cycle, net.flits_moved, net.deliveries,
+               coll.delivered_unicast, coll.unicast.overall.mean)
+        return out, net, be
+
+    @pytest.mark.parametrize("build_first", [False, True])
+    def test_send_after_attach_reaches_the_engine(self, build_first):
+        """``adapters[k].send(Packet)`` after attach: staged by its queue's
+        row while the graph is unbuilt (building nothing), through the
+        buffer's ``sink`` once a read built it.  Kills the mutant "no
+        ``sink`` on a lazy build" (``Network.routers`` installs no
+        staging list: the flits land in a ``deque`` the engine never
+        reads, and nothing is delivered)."""
+        got, net, be = self._send_and_drain("array", build_first)
+        want = self._send_and_drain("reference", build_first)[0]
+        assert got == want and got[3] == 1
+        if build_first:
+            assert net.built == (3, "test access")
+            assert all(b.sink is be._staged for b in net.iter_buffers())
+        else:
+            assert net.built is None
+
+    def test_python_route_builds_the_graph(self):
+        """A Quarc multicast header is routed by its router in Python
+        (no table column holds its bitstring): the graph is built then,
+        for ``python_route``, and the run stays the reference's."""
+        out = []
+        for backend in ("array", "reference"):
+            net, _ = build_network("quarc", 16)
+            make_backend(backend, net)
+            net.step()
+            op = net.adapters[2].send_multicast([5, 7, 11], 4, net.cycle)
+            net.drain()
+            out.append((net.cycle, net.deliveries, op.completed_at,
+                        op.deliveries, net.built))
+        assert out[0][:4] == out[1][:4]
+        assert out[0][4] == (1, "python_route")
+        assert out[1][4] == (0, "test access")  # the reference's step
+
+    def test_faulted_run_builds_it_for_its_fault_state(self):
+        spec = WorkloadSpec(kind="quarc", n=16, msg_len=4, beta=0.0,
+                            rate=0.02, cycles=1200, warmup=200, seed=7,
+                            faults="links:down=2@cycle=200")
+        arr = SimulationSession(RunConfig(spec=spec, backend="array"))
+        ref = SimulationSession(RunConfig(spec=spec, backend="reference"))
+        assert arr.net.built == (0, "fault event")
+        assert arr.run() == ref.run()
 
 
 class TestEnvironmentToggles:

@@ -160,7 +160,7 @@ def test_a_tail_after_completion_is_a_duplicate(engines_built):
         net.on_tail = lambda node, pkt, now: late.append(
             (node, now)) if pkt.op is op1 and op1.complete else None
         op1 = net.adapters[0].send_broadcast(4, 0)
-        net.adapters[0].queues[RIGHT].push_packet(
+        getattr(net.routers[0], net.adapters[0].queues[RIGHT]).push_packet(
             Packet(0, 4, 4, BROADCAST, op=op1))
         while not op1.complete:
             net.step()

@@ -120,7 +120,7 @@ def test_rows_equal_packets(kind, cfg, beta, tmp_path, monkeypatch):
 @pytest.mark.parametrize("n", (16, 64))
 @pytest.mark.parametrize("kind", TOPOLOGIES)
 def test_queue_table_is_send(kind, n):
-    """``unicast_queue_table()`` names the buffer ``send()`` pushes
+    """``unicast_queue_table()`` names the queue ``send()`` pushes
     into, for every (node, dst); -1 exactly where ``send()`` raises."""
     net, _ = build_network(kind, n)
     pushed = []
@@ -135,7 +135,8 @@ def test_queue_table_is_send(kind, n):
             except ValueError:
                 assert slot[dst] == -1, (node, dst)
             else:
-                assert pushed.pop()[0] is queues[slot[dst]], (node, dst)
+                queue = getattr(net.routers[node], queues[slot[dst]])
+                assert pushed.pop()[0] == queue.row, (node, dst)
 
 
 def test_bad_rows_raise_like_send():

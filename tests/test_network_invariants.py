@@ -170,7 +170,7 @@ class TestNetworkApi:
         from repro.noc.network import Network
         net, _ = build_network("quarc", 8)
         with pytest.raises(ValueError):
-            Network(net.routers, net.adapters[:-1])
+            Network(net.wiring, net.adapters[:-1])
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

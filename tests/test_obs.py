@@ -229,13 +229,21 @@ class TestZeroPerturbation:
         """One line sizes the engine's static state.  Quarc N = 8: a row
         per buffer position (12), each switch lane a 4-word ring, each of
         the 4 source queues a 16-word window, 2 sentinel words; the
-        queue table is a first row per node plus one relative row."""
-        session, _ = _probed_run(SPEC, "array", ObsSpec(profile=True))
+        queue table is a first row per node plus one relative row.  It
+        ends with the object graph: a healthy run builds none, a
+        ``detach`` builds it at the cycle it ran at."""
+        session = SimulationSession(RunConfig(spec=SPEC, backend="array",
+                                              obs=ObsSpec(profile=True)))
+        session.run()
         assert session.profiler.report()["footprint"] == {
             "route_rows": 12, "route_cols": 8, "ring_words": 770,
-            "queue_entries": 16}
+            "queue_entries": 16, "objects": "none built"}
         assert ("\n  footprint: route table 12 rows x 8, rings 770 words, "
-                "queue table 16 entries") in session.profiler.render()
+                "queue table 16 entries; objects: none built"
+                ) in session.profiler.render()
+        session.backend.detach()
+        assert session.profiler.report()["footprint"]["objects"] == (
+            f"built at cycle {SPEC.cycles} by detach")
 
     def test_saturated_kernel_examines_about_its_candidates(self):
         """Phase A walks the ready set: at saturation almost every row
@@ -405,6 +413,23 @@ class TestMetricsStream:
         assert header["format"] == "repro-metrics/v1"
         assert header["run"]["noc"] == "quarc"
         assert "backend" not in header["run"]
+
+    def test_profiled_stream_carries_the_objects_line(self, tmp_path,
+                                                      capsys):
+        """``repro run --profile --metrics-out`` writes the profile's
+        object-graph line into the stream header, never the summary; an
+        unprofiled stream has none (its bytes stay backend-free)."""
+        from repro.cli import main
+        path = tmp_path / "run.metrics.jsonl"
+        argv = ["run", "--kind", "quarc", "-n", "8", "-M", "4", "--rate",
+                "0.01", "--cycles", "800", "--warmup", "200", "--probe",
+                "inflight:window=200", "--metrics-out", str(path)]
+        assert main(argv + ["--profile"]) == 0
+        assert "; objects: none built\n" in capsys.readouterr().out
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["objects"] == "none built"
+        assert main(argv) == 0
+        assert "objects" not in json.loads(path.read_text().splitlines()[0])
 
     def test_csv_export(self, tmp_path):
         s = self._summary()

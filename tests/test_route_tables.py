@@ -158,7 +158,7 @@ def test_relative_tables_that_differ_at_another_node_raise(monkeypatch):
     # the queue table is read and checked the same way
     monkeypatch.setattr(
         QuarcTransceiver, "unicast_queue_table",
-        lambda ad: ([ad.router.loc_r], np.full(ad.router.n, ad.node % 2)))
+        lambda ad: (["loc_r"], np.full(ad.net.n, ad.node % 2)))
     with pytest.raises(ValueError, match=r"unicast queue table at node 15"):
         ArrayBackend(build_network("quarc", 16)[0])
 

@@ -92,6 +92,22 @@ def test_wiring_digests_unchanged(kind, n, pinned):
     assert moved == [], f"{kind}{n}: the wiring moved in {moved}"
 
 
+
+@pytest.mark.parametrize("kind", ("quarc", "spidergon", "mesh", "torus"))
+def test_graph_built_after_an_attached_run_is_pinned(kind, pinned):
+    """The object graph is built on first read: read only after an
+    array engine ran the network for a while, it is wired as pinned."""
+    net, _ = build_network(kind, 16)
+    be = ArrayBackend(net)
+    for t in range(200):
+        net.send_unicast(t % 16, (t * 7 + 3) % 16, 4, None, t)
+        net.step()
+    assert net.built is None and net.flits_moved > 0
+    assert object_digest(net) == pinned[f"{kind}16"]["objects"]
+    assert net.built == (200, "test access")
+    be.detach()
+
+
 if __name__ == "__main__":
     table = {f"{kind}{n}": digests(kind, n) for kind, n in SHAPES}
     with open(FIXTURE, "w") as fh:
