@@ -34,8 +34,8 @@ def build_network(kind: str, n: int, *, buffer_depth: int = 4,
                   bcast_mode: str = "clone",
                   cols: int = 0) -> Tuple[Network, Topology]:
     """Build a network of ``kind`` with ``n`` nodes: its wiring table,
-    collector and adapters.  Its routers, fully wired, are built from the
-    table on first read (``Network.routers``): a healthy array run never.
+    collector and adapters.  The routers are built from the table on first
+    read (``Network.routers``), which a healthy array run never makes.
 
     Parameters
     ----------

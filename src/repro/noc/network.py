@@ -2,9 +2,9 @@
 
 A :class:`Network` owns N routers and N adapters (network interfaces /
 transceivers).  It is deliberately topology-agnostic: a wiring table
-(:mod:`repro.noc.wiring`) describes the switches, built on first read,
-and adapters implement injection and delivery policy (the transceiver of
-Sec. 2.4 for the Quarc, the one-port adapter for the Spidergon).
+(:mod:`repro.noc.wiring`) describes the routers, built from it on first
+read, and adapters implement injection and delivery policy (Sec. 2.4's
+transceiver for the Quarc, the one-port adapter for the Spidergon).
 
 The step loop is the simulator's hot path; see :mod:`repro.noc.router` for
 the two-phase semantics.
@@ -269,7 +269,7 @@ class Network:
     @cached_property
     def routers(self) -> List[Router]:
         """One router per node, built from :attr:`wiring` on first read
-        (while an engine owns the state, it is every buffer's ``sink``)."""
+        (an owning engine's staging list becomes every buffer's ``sink``)."""
         if self.built is None:
             self.built = (self.cycle, "test access")
         routers = self.wiring.routers()

@@ -552,7 +552,7 @@ class ArrayBackend(SimBackend):
         pos = [self.net.wiring.switch.groups[q] for q in queues]
         return np.roll(np.array([*pos, -1], np.int64)[slot], -ad.node)
 
-    # the object graph's buffers and ports in row order (read: built)
+    # the object graph's buffers and ports in row order (reading builds it)
     @cached_property
     def _bufs(self) -> List["FlitBuffer"]:
         return self.net.iter_buffers()
