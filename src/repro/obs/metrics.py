@@ -9,7 +9,9 @@ keys -- the canonical byte form):
   seed, scenario specs) -- deliberately *not* the backend name, so the
   streams of both backends are byte-identical (the acceptance
   surface of the probe-equivalence tests).  A profiled run adds
-  ``objects``, the profile's object-graph line (``objects:``).
+  ``objects``, the profile's object-graph line (``objects:``), and
+  ``packet_table``, its packet-table counts (``table S slots, L live
+  after K compactions``).
 * Every further line, one **sample**: ``{"t": cycle, "probe": name,
   "window": covered_cycles, "data": int | [int, ...] | {str: int}}``,
   ordered by sample cycle (ascending, ties in probe declaration
@@ -37,10 +39,11 @@ _RUN_FIELDS = (("noc", "noc"), ("n", "n"), ("msg_len", "msg_len"),
                ("seed", "seed"))
 
 
-def stream_records(summary, objects=None) -> List[Dict[str, object]]:
+def stream_records(summary, profile=None) -> List[Dict[str, object]]:
     """Header + sample records of one probed run (its
     :class:`~repro.sim.records.RunSummary` must carry an
-    ``extra["probes"]`` block), ``objects`` (a profile's) in the header."""
+    ``extra["probes"]`` block), ``profile`` (a profile's ``objects`` and
+    ``packet_table``) in the header."""
     block = summary.extra.get("probes")
     if block is None:
         raise ValueError(
@@ -54,23 +57,22 @@ def stream_records(summary, objects=None) -> List[Dict[str, object]]:
             run[key] = summary.extra[key]
     header: Dict[str, object] = {"format": METRICS_FORMAT, "run": run,
                                  "probes": block["specs"]}
-    if objects is not None:
-        header["objects"] = objects
+    header.update(profile or {})
     return [header] + list(block["samples"])
 
 
-def dumps_stream(summary, objects=None) -> str:
+def dumps_stream(summary, profile=None) -> str:
     """The canonical byte form: one compact, key-sorted JSON object
     per line.  Identical configs produce identical strings on every
     backend."""
     return "\n".join(
         json.dumps(rec, sort_keys=True, separators=(",", ":"))
-        for rec in stream_records(summary, objects)) + "\n"
+        for rec in stream_records(summary, profile)) + "\n"
 
 
-def write_jsonl(summary, path: str, objects=None) -> str:
+def write_jsonl(summary, path: str, profile=None) -> str:
     with open(path, "w") as fh:
-        fh.write(dumps_stream(summary, objects))
+        fh.write(dumps_stream(summary, profile))
     return path
 
 

@@ -37,7 +37,9 @@ state struct: entries (``calls``), cycles executed inside them,
 buffers scanned (non-empty rows examined from the ready set), eligible
 candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / columns / ever objects /
-staged late, the closed-loop requests the kernel fired itself, and how
+staged late, the closed-loop requests the kernel fired itself, the
+packet table (``packet_table``: its slots, the ones a mark finds live at
+the report, the compactions that reused dead ones), and how
 many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns (of which booked a
 batch at a time), the rest through
@@ -69,7 +71,7 @@ def _kernel_counters(backend) -> Dict[str, object]:
     of the waiting rows), the tails by delivery path."""
     from repro.sim.array_backend import STOPS
     st = backend._st
-    staged, rows, cols = len(backend._pkts), backend._nrows, backend._ncols
+    staged, rows, cols = backend._nstaged, backend._nrows, backend._ncols
     return {"calls": st.calls, "cycles": st.cycles,
             "buffers_scanned": st.scanned, "candidates": st.cands,
             "flits_moved": st.flits, "wakes": st.wakes,
@@ -86,6 +88,13 @@ def _kernel_counters(backend) -> Dict[str, object]:
             "replies_kernel": st.sent,
             "requests_kernel": st.fired,
             "stops": dict(zip(STOPS, st.stops))}
+
+
+def _packet_table(backend) -> Dict[str, int]:
+    """The engine's packet table: its slots, how many a mark finds live
+    now, the compactions that ran."""
+    return {"slots": len(backend._pdst), "live": int(backend._live().sum()),
+            "compactions": backend._ncompact}
 
 
 def _footprint(backend) -> Dict[str, object]:
@@ -193,6 +202,7 @@ class PhaseProfiler:
             out["tier"] = "ckernel"
             out["kernel"] = source_hash()
             out["footprint"] = _footprint(self.session.backend)
+            out["packet_table"] = _packet_table(self.session.backend)
             kc = _kernel_counters(self.session.backend)
             base = self._kc0
             out["kernel_counters"] = {
@@ -226,12 +236,14 @@ class PhaseProfiler:
                 "  packets: {packets_staged} staged, {packets_rows} as rows, "
                 "{packets_columns} as columns, {packets_built} built, "
                 "{packets_late} late, {requests_kernel} fired by the "
-                "kernel\n"
+                "kernel, table {slots} slots, {live} live after "
+                "{compactions} compactions\n"
                 "  tails: {tails_delivered} delivered, {tails_kernel} counted "
                 "by the kernel, {tails_unicast} as unicast columns "
                 "({tails_booked} booked per batch), "
                 "{tails_receive_tail} through receive_tail, "
-                "{replies_kernel} replies sent by the kernel".format(**kc))
+                "{replies_kernel} replies sent by the kernel".format(
+                    **kc, **rep["packet_table"]))
             stops = ", ".join(f"{n} {why}"
                               for why, n in kc["stops"].items())
             lines.append(f"  tier {rep['tier']} {rep['kernel']}: "

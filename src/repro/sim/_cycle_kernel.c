@@ -135,7 +135,10 @@
  * for the shard worker.
  *
  * repro_merge() merges rows Python staged behind the waiting ones into
- * their (cycle, rank) order, in place.
+ * their (cycle, rank) order, in place.  repro_mark() and repro_remap()
+ * let Python reuse packet ids: the first marks every aid the state still
+ * reads and counts the flits it walked, the second rewrites each of
+ * those references after Python picked the aids' new places.
  */
 
 #include <stdint.h>
@@ -858,4 +861,101 @@ void repro_merge(repro_state *s, int64_t n)
         o++;
     }
     s->apos -= n;
+}
+
+/* Packet ids follow the packets alive (ArrayBackend._make_room).  An aid
+ * is live while something will still read it: a word in a ring, a packet
+ * in a pending FIFO, an arrival row [apos, an), a reply in the due ring,
+ * a request a source has yet to fire (shead chains), the reply a live
+ * request names in pcont and the last cycle's dateline words (outdl, the
+ * shard worker's).  Python marks its own holders first (every branch of
+ * an open broadcast row, the shard worker's gids). */
+static void mark_chain(const repro_state *s, uint8_t *live, int64_t aid)
+{
+    for (; aid >= 0; aid = s->pnext[aid])
+        live[aid] = 1;
+}
+
+/* Set live[a] for every live aid a < used; returns the flits walked (the
+ * ring words, then each FIFO's packets from the head's next flit on),
+ * which must equal `inflight`. */
+int64_t repro_mark(repro_state *s, uint8_t *live, int64_t used)
+{
+    int64_t b, i, flits = 0;
+    for (b = 0; b < s->B; b++) {
+        int64_t inring = s->qlen[b] - s->ppend[b], fid = s->pfid[b], aid;
+        for (i = 0; i < inring; i++)
+            live[s->rflat[s->rbase[b] + ((s->rhead[b] + i) & s->rmask[b])]
+                 >> FSHIFT] = 1;
+        flits += inring;
+        for (aid = s->phead[b]; aid >= 0; aid = s->pnext[aid], fid = 0) {
+            live[aid] = 1;
+            flits += s->psize[aid] - fid;
+        }
+    }
+    for (i = s->apos; i < s->an; i++)
+        live[s->aaid[i]] = 1;
+    for (i = 0; i <= s->cmask; i++)
+        mark_chain(s, live, s->cring[3 * i]);
+    for (i = 0; i < s->S; i++)
+        mark_chain(s, live, s->shead[i]);
+    for (i = 0; i < s->ndl; i++)
+        live[s->outdl[i] >> FSHIFT] = 1;
+    for (i = 0; i < used; i++)
+        if (live[i] && s->pcont[i] > 0)
+            live[(s->pcont[i] & CONT_AID) - 1] = 1;
+    return flits;
+}
+
+/* A flit word whose aid moves to map[aid]. */
+static int64_t moved_word(const int64_t *map, int64_t w)
+{
+    return (map[w >> FSHIFT] << FSHIFT) | (w & (((int64_t)1 << FSHIFT) - 1));
+}
+
+/* Rewrite every aid the state holds, old a -> map[a] (-1: not live), in
+ * place and before Python slides the per-packet columns down: the ring
+ * words and fronts, the FIFO ends, each live packet's pnext and the
+ * reply its pcont names, the arrival rows, the due ring's buckets, the
+ * sources' next requests and the last cycle's dateline words. */
+void repro_remap(repro_state *s, const int64_t *map, int64_t used)
+{
+    int64_t b, i;
+    for (b = 0; b < s->B; b++) {
+        int64_t inring = s->qlen[b] - s->ppend[b];
+        for (i = 0; i < inring; i++) {
+            int64_t *w = s->rflat + s->rbase[b]
+                + ((s->rhead[b] + i) & s->rmask[b]);
+            *w = moved_word(map, *w);
+        }
+        if (s->qlen[b])
+            s->front[b] = moved_word(map, s->front[b]);
+        if (s->phead[b] >= 0) {
+            s->phead[b] = map[s->phead[b]];
+            s->ptail[b] = map[s->ptail[b]];
+        }
+    }
+    for (i = 0; i < used; i++) {
+        if (map[i] < 0)
+            continue;
+        if (s->pnext[i] >= 0)
+            s->pnext[i] = map[s->pnext[i]];
+        if (s->pcont[i] > 0)
+            s->pcont[i] = (s->pcont[i] & ~CONT_AID)
+                | (map[(s->pcont[i] & CONT_AID) - 1] + 1);
+    }
+    for (i = s->apos; i < s->an; i++)
+        s->aaid[i] = map[s->aaid[i]];
+    for (i = 0; i <= s->cmask; i++) {
+        int64_t *bk = s->cring + 3 * i;
+        if (bk[0] >= 0) {
+            bk[0] = map[bk[0]];
+            bk[1] = map[bk[1]];
+        }
+    }
+    for (i = 0; i < s->S; i++)
+        if (s->shead[i] >= 0)
+            s->shead[i] = map[s->shead[i]];
+    for (i = 0; i < s->ndl; i++)
+        s->outdl[i] = moved_word(map, s->outdl[i]);
 }

@@ -32,9 +32,14 @@ for what deliveries read (``_pborn``, ``_pcid``: class, ``_ptxn``).
 A packet may be columns only: ``_pkts[aid]`` is ``None`` for a message
 staged as a row until :meth:`ArrayBackend._packet` builds the object
 (a broadcast's with its op) for a Python route, a fault, ``on_tail`` or
-an inspection -- a saturated run builds none.  Each buffer owns a
-power-of-two ring slice of one flat flit array (a source queue's is a
-window of ``_SRC_WINDOW`` words); an injected packet
+an inspection -- a saturated run builds none.  The packet table is
+sized by the packets alive, not by the horizon: every entry that interns
+first makes room (:meth:`ArrayBackend._make_room`), and a full table of
+at least ``_COMPACT_MIN`` slots whose live slots (``repro_mark``) are at
+most half slides them down in order, every reference following
+(``repro_remap``); only a table more than half live doubles.  Each
+buffer owns a power-of-two ring slice of one flat flit array (a source
+queue's is a window of ``_SRC_WINDOW`` words); an injected packet
 joins its source queue's **pending-packet FIFO** (``_phead`` /
 ``_ptail``, linked through ``_pnext``; ``_pfid`` = next flit of the
 head packet) and its flit words are generated as the ring has room
@@ -147,7 +152,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.noc.ports import OutPort
     from repro.traffic.mix import TrafficMix
 
-__all__ = ["ArrayBackend"]
+__all__ = ["ArrayBackend", "ConservationError"]
 
 #: Packed-flit layout: ``(aid << FSHIFT) | (TAIL if last flit) | fid``.
 FSHIFT = 20
@@ -202,6 +207,11 @@ _SCALAR_STAGE = 64
 #: A batch's unicast tails are booked in bulk from this many on (a bulk
 #: pass is ~10 us of numpy calls, a tail alone 1-2 us).
 _BOOK_MIN = 16
+#: A full packet table of at least this many slots looks at which are
+#: live before it doubles, and compacts instead where at most half are
+#: (:meth:`ArrayBackend._make_room`).  The table starts at 1024 slots, or
+#: this many if fewer: below it nothing is reused.
+_COMPACT_MIN = 4096
 #: ``State.stopkinds`` with every kind's bit set.
 ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
 
@@ -220,6 +230,11 @@ MAX_PACKET_FLITS = TAIL
 
 
 _POW2 = 1 << np.arange(62)
+
+
+class ConservationError(RuntimeError):
+    """The flits a packet-table mark walked are not the flits in flight:
+    a ring, a pending FIFO or the in-flight count lost or gained one."""
 
 
 def _pow2_at_least(x):
@@ -273,6 +288,8 @@ class ArrayBackend(SimBackend):
         self._refresh = lib.repro_refresh
         self._wake = lib.repro_wake
         self._merge = lib.repro_merge
+        self._mark = lib.repro_mark
+        self._remap = lib.repro_remap
         self._arm = lib.repro_arm
         self._build_static()
         self._adopt()
@@ -433,8 +450,14 @@ class ArrayBackend(SimBackend):
         #: class names by ``_pcid`` and back
         self._cname: List[Optional[str]] = [None]
         self._cid: Dict[Optional[str], int] = {None: 0}
-        for name in [*_PCOLS, *_ACOLS]:
+        for name in _PCOLS:
+            setattr(self, name, z(min(1024, _COMPACT_MIN)))
+        for name in _ACOLS:
             setattr(self, name, z(1024))
+        #: objects holding aids of their own (the shard worker's gids):
+        #: ``held_aids()`` stay live, ``remap_aids(new_of)`` follows each
+        #: compaction (:meth:`_compact`)
+        self.aid_holders: List = []
         # continuations waiting for their cycle (the kernel's due ring: a
         # bucket per cycle mod its size, head / tail aid and the cycle)
         self._cring = np.full((16, 3), -1, np.int64)
@@ -456,8 +479,10 @@ class ArrayBackend(SimBackend):
         # ``rows``: where ``Network.send_unicast(s)`` /
         # ``send_broadcast(s)`` append
         self.rows = self._staged
-        # --profile: rows / columns staged, built anyway, entries late;
-        # tails by path (unicasts: all, booked per batch)
+        # --profile: packets staged (interned), rows / columns staged,
+        # built anyway, entries late, table compactions; tails by path
+        # (unicasts: all, booked per batch)
+        self._nstaged = self._ncompact = 0
         self._nrows = self._ncols = self._nbuilt = self._nlate = 0
         self._nuni = self._nbook = self._nrecv = 0
         self._acoll = [ad.collector for ad in a]
@@ -576,16 +601,82 @@ class ArrayBackend(SimBackend):
         return np.where(k < 0, -1, first[node] + k)
 
     def _grow(self, names: Tuple[str, ...], need: int, keep: int) -> None:
-        """Reallocate the int64 columns ``names`` to at least ``need``
-        entries (doubling), keeping the first ``keep``, and re-point
-        the state struct at them."""
-        size = max(need, 2 * len(getattr(self, names[0])))
+        """Reallocate the int64 columns ``names`` to a power of two of at
+        least ``need`` entries (doubling), keeping the first ``keep``, and
+        re-point the state struct at them."""
+        size = max(int(_pow2_at_least(need)),
+                   2 * len(getattr(self, names[0])))
         for name in names:
             new = np.zeros(size, np.int64)
             new[:keep] = getattr(self, name)[:keep]
             setattr(self, name, new)
             if name[1:] in State.POINTERS:  # not _pborn, _pcid, _ptxn
                 setattr(self._st, name[1:], new.ctypes.data)
+
+    def _make_room(self, k: int) -> None:
+        """Every entry that interns (:meth:`_stage`,
+        :meth:`_intern_requests`, the shard worker's replicas) calls this
+        with its ``k`` new packets before it computes an aid.  If they
+        would not fit the columns and the table holds at least
+        ``_COMPACT_MIN`` slots, it compacts where at most half the slots
+        are live (:meth:`_compact`); else the columns double in
+        :meth:`_intern`, as they fill.  Never called inside
+        :meth:`_intern`: a caller may hold an aid it read before."""
+        used, slots = len(self._pkts), len(self._pdst)
+        if used and slots >= _COMPACT_MIN and used + k > slots:
+            self._compact(used // 2)
+
+    def _compact(self, most: int) -> None:
+        """If at most ``most`` slots are live (:meth:`_live`) and some are
+        not, slide the live ones down in order and make every reference
+        follow: ``repro_remap``, then the columns, ``_pkts``, the
+        broadcast rows' first aids, :meth:`materialize`'s ``_aids``, the
+        sources' last requests and each of ``aid_holders``."""
+        used = len(self._pkts)
+        keep = np.flatnonzero(self._live())
+        n = len(keep)
+        if n > most or n == used:
+            return
+        new_of = np.full(used, -1, np.int64)
+        new_of[keep] = np.arange(n)
+        self._remap(self._stp, new_of.ctypes.data, used)
+        for name in _PCOLS:
+            col = getattr(self, name)
+            col[:n] = col[keep]
+            col[n:used] = 0
+        pkts = self._pkts
+        pkts[:] = [pkts[a] for a in keep.tolist()]
+        ops = self._slot_op
+        for x, e in enumerate(ops):
+            if type(e) is tuple:
+                ops[x] = (int(new_of[e[0]]), e[1])
+        self._aids = {pid: int(new_of[a]) for pid, a in self._aids.items()
+                      if new_of[a] >= 0}
+        if self._srcs:      # a dry source's last request is not read
+            chained = self._shead >= 0
+            self._stail[chained] = new_of[self._stail[chained]]
+        for holder in self.aid_holders:
+            holder.remap_aids(new_of)
+        self._ncompact += 1
+
+    def _live(self) -> np.ndarray:
+        """A flag per used packet slot: whether anything still reads it --
+        ``repro_mark``'s roots, every branch of an open broadcast row
+        (:meth:`_open_op` reads them all) and what ``aid_holders`` hold.
+        Raises :class:`ConservationError` unless the flits the mark walked
+        are the flits in flight."""
+        live = np.zeros(len(self._pkts), np.uint8)
+        rows = [e[0] for e in self._slot_op if type(e) is tuple]
+        if rows:
+            live[np.add.outer(rows, np.arange(len(self._btab[0])))] = 1
+        for holder in self.aid_holders:
+            live[np.fromiter(holder.held_aids(), np.int64)] = 1
+        flits = self._mark(self._stp, live.ctypes.data, len(live))
+        if flits != self._st.inflight:
+            raise ConservationError(
+                f"the packet table's mark walked {flits} flits in rings "
+                f"and pending FIFOs, but {self._st.inflight} are in flight")
+        return live
 
     @property
     def _inflight(self) -> int:
@@ -602,11 +693,14 @@ class ArrayBackend(SimBackend):
         """Append ``pkts`` (for rows: ``None``s, and ``cols`` = class names
         or their ids as a numpy column, created, receipt slot, dst, size,
         traffic, vclass) to the packet columns; returns the first new
-        aid.  Aids are never reused or reset while attached."""
+        aid.  A slot is reused only after its packet died and a compaction
+        slid the live ones down: callers make room first
+        (:meth:`_make_room`), here the columns only grow."""
         a0 = len(self._pkts)
         a1 = a0 + len(pkts)
         if a1 > len(self._pdst):
             self._grow(_PCOLS, a1, a0)
+        self._nstaged += len(pkts)
         cls, born, opx, dst, size, traf, vcl = cols or zip(*[
             (p.cls, p.created, self._slot(p.op), p.dst, p.size, p.traffic,
              p.vclass) for p in pkts])
@@ -796,6 +890,7 @@ class ArrayBackend(SimBackend):
                              "destination")
         reply, cid = self._srep[src], self._scid[src]
         rq = np.flatnonzero(reply)          # the requests with a reply
+        self._make_room(m + len(rq))
         a0 = self._intern([None] * (m + len(rq)), (
             np.concatenate((cid, cid[rq])), -1, -1,
             np.concatenate((dst, node[rq])),
@@ -1104,8 +1199,11 @@ class ArrayBackend(SimBackend):
         interned one by one, O(1) each, more (or any row) in one numpy
         pass; then :meth:`_put` places them."""
         staged = self._staged
-        if len(staged) <= _SCALAR_STAGE and all(len(e) == 2
-                                                for e in staged):
+        each = len(staged) <= _SCALAR_STAGE and all(len(e) == 2
+                                                    for e in staged)
+        self._make_room(len(staged) if each else
+                        sum(k for k, _ in self._staged_sizes()))
+        if each:
             key, abuf, aaid = self._intern_each(now)
             if len(key) > 1:
                 order = sorted(range(len(key)), key=key.__getitem__)
@@ -1122,6 +1220,7 @@ class ArrayBackend(SimBackend):
         their sort key, buffer and aid, in push order."""
         ranks, pkts, cid = self._rank, self._pkts, self._cid
         key, abuf, aaid = [], [], []
+        self._nstaged += len(self._staged)
         for row, pkt in self._staged:
             aid = len(pkts)
             if aid >= len(self._pdst):
@@ -1534,13 +1633,21 @@ class ArrayBackend(SimBackend):
         self._advance(now, now + 1)
         return net.flits_moved - before
 
+    def _staged_sizes(self):
+        """``(packets, flits a packet)`` of each entry staged and not
+        interned yet."""
+        nb = len(self._btab[0]) if self._btab else 0
+        for e in self._staged:
+            if len(e) == 2:
+                yield 1, e[1].size
+            elif type(e[0]) is np.ndarray:
+                yield len(e[0]) * (nb if e[2] is None else 1), e[3]
+            else:
+                yield nb if e[1] is None else 1, e[2]
+
     def _staged_flits(self) -> int:
         """Flits of the entries staged and not interned yet."""
-        nb = len(self._btab[0]) if self._btab else 0
-        return sum(e[1].size if len(e) == 2 else
-                   len(e[0]) * e[3] * (nb if e[2] is None else 1)
-                   if type(e[0]) is np.ndarray else
-                   e[2] * (nb if e[1] is None else 1) for e in self._staged)
+        return sum(k * size for k, size in self._staged_sizes())
 
     def total_flits(self) -> int:
         """Flits in the fabric, staged or waiting to fold included."""

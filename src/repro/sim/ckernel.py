@@ -14,7 +14,8 @@ columns itself; the next entry then rebuilds the set.  Three of its
 steps are exported alone, ``repro_fold``, ``repro_refresh`` and
 ``repro_wake``, for the Python callers that need them without running
 a cycle, ``repro_merge`` merges newly staged arrival rows into the
-waiting ones, ``repro_arm`` arms closed-loop sources and
+waiting ones, ``repro_mark`` / ``repro_remap`` let the engine reuse
+packet ids, ``repro_arm`` arms closed-loop sources and
 ``repro_welford`` folds samples into a statistic (:func:`welford`).
 :class:`State`
 mirrors the C ``repro_state`` field for field, and a kernel whose
@@ -174,11 +175,14 @@ def _compile_and_load() -> ctypes.CDLL:
                        ("repro_refresh", [ctypes.c_int64]),
                        ("repro_wake", [ctypes.c_int64]),
                        ("repro_merge", [ctypes.c_int64]),
+                       ("repro_mark", [ctypes.c_void_p, ctypes.c_int64]),
+                       ("repro_remap", [ctypes.c_void_p, ctypes.c_int64]),
                        ("repro_arm", [ctypes.c_int64, ctypes.c_int64]),
                        ("repro_welford", [ctypes.c_void_p, ctypes.c_int64])):
         fn = getattr(dll, name)
         fn.restype = (None if name in ("repro_wake", "repro_merge",
-                                       "repro_arm", "repro_welford")
+                                       "repro_remap", "repro_arm",
+                                       "repro_welford")
                       else ctypes.c_int64)
         fn.argtypes = [ctypes.c_void_p, *args]
     return dll
@@ -186,8 +190,8 @@ def _compile_and_load() -> ctypes.CDLL:
 
 def load_cycle_kernel() -> Optional[ctypes.CDLL]:
     """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
-    ``repro_refresh``, ``repro_wake``, ``repro_merge``, ``repro_arm``,
-    ``repro_welford`` typed), or
+    ``repro_refresh``, ``repro_wake``, ``repro_merge``, ``repro_mark``,
+    ``repro_remap``, ``repro_arm``, ``repro_welford`` typed), or
     ``None`` if it is unavailable.  The result, either way, is the
     process's."""
     global _cached, _failed

@@ -27,9 +27,10 @@ transport copies it into a preallocated slab.  Records:
     single shared object.  Receivers ignore unknown gids; the apply is
     idempotent.
 
-``gid`` is ``(origin_shard << GID_SHIFT) | origin_local_aid`` --
-globally unique without coordination.  Collective ops get their own
-serial-numbered gid space (same shift).
+``gid`` is ``(origin_shard << GID_SHIFT) | origin_serial`` -- globally
+unique without coordination (a serial, not the local aid: the engine
+reuses aids).  Collective ops get their own serial-numbered gid space
+(same shift).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ REC_PUSH = 1
 REC_PKT = 2
 REC_VCLASS = 3
 
-#: gid layout: origin shard in the top bits, local aid (or op serial)
-#: below.  44 bits of aid space is far beyond any reachable horizon.
+#: gid layout: origin shard in the top bits, the packet (or op) serial
+#: below.  44 bits of serials is far beyond any reachable horizon.
 GID_SHIFT = 44
 
 _M32 = (1 << 32) - 1

@@ -114,9 +114,13 @@ class ShardWorker:
         self.cut_out = plan.cut_out[w]
         self.recorder = ShardRecorder(self._gid_for_op)
 
-        # gid machinery: per-worker aid/op spaces, origin-stamped ids
+        # gid machinery: per-worker packet/op serials, origin-stamped ids;
+        # the engine keeps every gid'd aid live and remaps it when it
+        # compacts its packet table (held_aids / remap_aids)
         self._gid_of: Dict[int, int] = {}        # local aid -> gid
         self._gid2aid: Dict[int, int] = {}       # gid -> local aid
+        self._pkt_serial = 0
+        be.aid_holders.append(self)
         self._sent_gids = [set() for _ in range(plan.shards)]
         self._ops: Dict[int, CollectiveOp] = {}  # op gid -> replica
         self._op_gid: Dict[int, tuple] = {}      # id(op) -> (gid, op)
@@ -190,10 +194,22 @@ class ShardWorker:
     def _gid_for_aid(self, aid: int) -> int:
         g = self._gid_of.get(aid)
         if g is None:
-            g = (self.w << GID_SHIFT) | aid
+            g = (self.w << GID_SHIFT) | self._pkt_serial
+            self._pkt_serial += 1
             self._gid_of[aid] = g
             self._gid2aid[g] = aid
         return g
+
+    def held_aids(self):
+        """The aids a gid names: a halo record may name any of them for
+        as long as the run lasts, so the engine keeps them live."""
+        return self._gid_of.keys()
+
+    def remap_aids(self, new_of) -> None:
+        """The engine compacted its packet table: aid ``a`` is now
+        ``new_of[a]``."""
+        self._gid_of = {int(new_of[a]): g for a, g in self._gid_of.items()}
+        self._gid2aid = {g: a for a, g in self._gid_of.items()}
 
     def _gid_for_op(self, op) -> int:
         hit = self._op_gid.get(id(op))
@@ -384,6 +400,7 @@ class ShardWorker:
         meta = f["meta"]
         if meta is not None:
             pkt.meta.update(meta)
+        self.be._make_room(1)
         aid = self.be._intern((pkt,))
         self._gid_of[aid] = gid
         self._gid2aid[gid] = aid

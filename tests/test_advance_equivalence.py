@@ -287,13 +287,15 @@ def test_profile_says_how_tails_were_delivered(case):
                                   if src.reactive) > 0
     assert f"{kc['rescans']} rescans, {kc['coins']} coins drawn\n" in (
         session.profiler.render())
-    assert ("built, {} late, {} fired by the kernel\n  tails: {} "
+    assert ("built, {} late, {} fired by the kernel, table {slots} slots, "
+            "{live} live after {compactions} compactions\n  tails: {} "
             "delivered, {} counted by the kernel, {} as unicast columns "
             "({} booked per batch), {} through receive_tail, {} replies "
             "sent by the kernel\n".format(
                 kc["packets_late"], kc["requests_kernel"],
                 kc["tails_delivered"], *by_path[:2], kc["tails_booked"],
-                by_path[2], kc["replies_kernel"])
+                by_path[2], kc["replies_kernel"],
+                **session.profiler.report()["packet_table"])
             in session.profiler.render())
 
 

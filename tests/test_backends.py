@@ -8,6 +8,7 @@ cycles.  The reference backend is ``Network.step`` itself, so this
 pins the optimized engine to the seed semantics.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -669,3 +670,186 @@ class TestMonotonicTime:
         cycles = net.drain()
         assert cycles >= 0
         assert net.total_flits() == 0
+
+
+def _array_run(spec, cut=None, handback=None, **cfg):
+    """Run ``spec`` on the array engine; returns the summary, the final
+    ``state_digest`` and ``state_snapshot`` and the engine.  With ``cut``
+    the run stops there for ``handback`` (``"materialize"`` or
+    ``"detach"``) and ``resync`` before the rest."""
+    session = SimulationSession(RunConfig(spec=spec, backend="array", **cfg))
+    be, mix = session.backend, session.mix
+    if cut is None:
+        summary = session.run()
+    else:
+        probes = session._probe_schedule()
+        be.run_mix(mix, cut, probes)
+        getattr(be, handback)()
+        be.resync()
+        be.run_mix(mix, spec.cycles - cut, probes)
+        summary = session.summary()
+    return summary, be.state_digest(), session.net.state_snapshot(), be
+
+
+class TestPacketCompaction:
+    """Packet slots follow the packets alive.  Forced (``_COMPACT_MIN`` 0:
+    the table starts empty), every interning entry compacts whatever is
+    dead -- with a broadcast row open, a relay segment staged, requests
+    chained at their sources, replies in the due ring, a fault state
+    installed, around a hand-back.  Each run is the reference's and the
+    uncompacted engine's, summary, digest and snapshot alike: no aid
+    reaches an output."""
+
+    CASES = {
+        "quarc_beta": dict(kind="quarc", n=16, beta=0.1, rate=0.03),
+        "spidergon_relay": dict(kind="spidergon", n=16, beta=0.1,
+                                rate=0.02),
+        "mesh_bcast": dict(kind="mesh", n=16, beta=0.1, rate=0.02),
+        "torus_bcast": dict(kind="torus", n=16, beta=0.1, rate=0.02),
+        "coherence": dict(kind="quarc", n=16, beta=0.0, rate=1.0,
+                          workload="cache_coherence:window=4"),
+        "link_faults": dict(kind="quarc", n=16, beta=0.0, rate=0.03,
+                            faults="links:down=2@cycle=200"),
+    }
+
+    @staticmethod
+    def _spec(case, **kw):
+        base = dict(msg_len=4, cycles=1500, warmup=300, seed=4)
+        base.update(TestPacketCompaction.CASES[case], **kw)
+        return WorkloadSpec.parse(**base)
+
+    @staticmethod
+    def _forced(monkeypatch, every_entry=True):
+        """``_COMPACT_MIN`` 0; with ``every_entry`` each entry that interns
+        compacts, not only one that finds the table full and half dead."""
+        from repro.sim import array_backend
+        monkeypatch.setattr(array_backend, "_COMPACT_MIN", 0)
+        if every_entry:
+            monkeypatch.setattr(ArrayBackend, "_make_room",
+                                lambda be, k: be._compact(len(be._pkts)))
+
+    def _assert_compacted_equal(self, spec, monkeypatch, **run):
+        """A probe every 25 cycles ends a window there: an interning
+        entry, and an inspection that folds what is staged."""
+        from repro.obs import ObsSpec
+        from repro.obs.probes import parse_probe
+        run["obs"] = ObsSpec(probes=(parse_probe("inflight:window=25"),))
+        ref, = _summaries(spec, ("reference",), obs=run["obs"])
+        plain = _array_run(spec, **run)
+        self._forced(monkeypatch)
+        forced = _array_run(spec, **run)
+        assert plain[3]._ncompact == 0 < 30 < forced[3]._ncompact
+        assert len(forced[3]._pdst) <= len(plain[3]._pdst)
+        assert forced[0] == plain[0] == ref
+        assert forced[1] == plain[1]
+        assert forced[2] == plain[2]
+        return forced[3]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_compacted_run_is_the_uncompacted_one(self, case, monkeypatch):
+        be = self._assert_compacted_equal(self._spec(case), monkeypatch)
+        assert be._nstaged > len(be._pkts)
+
+    @pytest.mark.parametrize("handback", ["materialize", "detach"])
+    def test_resync_after_a_compaction(self, handback, monkeypatch):
+        """A hand-back mid-run keeps each packet's aid through the
+        compactions before and after it (``_aids`` follows them), so a
+        kernel transaction keeps its reply and its credit."""
+        self._assert_compacted_equal(self._spec("coherence"), monkeypatch,
+                                     cut=700, handback=handback)
+
+    @pytest.mark.parametrize("kind", ["quarc", "torus"])
+    def test_shard_workers_keep_their_gids(self, kind, monkeypatch):
+        """A shard worker interns the replicas it receives (its own
+        interning entry) and names packets by gid in its halo records:
+        the engine keeps every gid'd aid live and remaps the worker's
+        maps (``aid_holders``), so the sharded run stays the serial one."""
+        monkeypatch.setenv("REPRO_SHARD_INPROC", "1")
+        spec = WorkloadSpec(kind=kind, n=16, msg_len=4, beta=0.05,
+                            rate=0.02, cycles=600, warmup=150, seed=9)
+        serial, = _summaries(spec, ("array",))
+        self._forced(monkeypatch)
+        ran = []
+        compact = ArrayBackend._compact
+
+        def counted(be, most):
+            n = be._ncompact
+            compact(be, most)
+            ran.append(be._ncompact - n)
+
+        monkeypatch.setattr(ArrayBackend, "_compact", counted)
+        sharded, = _summaries(spec, ("array",), shard_workers=2)
+        assert sharded == serial
+        assert sum(ran) > 20
+
+    @pytest.mark.parametrize("every_entry,least", [(False, 10),
+                                                    (True, 100)],
+                             ids=["full_table", "every_entry"])
+    def test_goldens_with_the_constant_forced(self, every_entry, least,
+                                              monkeypatch):
+        """The 14 pinned summaries, on the array engine compacting from
+        its first full table, or at every interning entry."""
+        from dataclasses import asdict
+
+        from golden_regen import GOLDEN_CONFIGS
+        from test_golden import _assert_matches, _load
+        self._forced(monkeypatch, every_entry)
+        compactions = 0
+        for name, spec, cfg in GOLDEN_CONFIGS:
+            session = SimulationSession(RunConfig(spec=spec, backend="array",
+                                                  **cfg))
+            _assert_matches(asdict(session.run()), _load(name)["summary"],
+                            name)
+            compactions += session.backend._ncompact
+        assert compactions > least
+
+    def test_a_lost_flit_is_named(self, monkeypatch):
+        """The mark counts the flits it walks: one missing from the
+        in-flight count is a ``ConservationError`` at the next
+        compaction, not a quietly wrong table."""
+        from repro.sim.array_backend import ConservationError
+        self._forced(monkeypatch)
+        spec = self._spec("quarc_beta", cycles=400)
+        session = SimulationSession(RunConfig(spec=spec, backend="array"))
+        be = session.backend
+        be.run_mix(session.mix, 200)
+        assert be._inflight > 0
+        be._live()              # conserved so far
+        be._inflight -= 1
+        with pytest.raises(ConservationError, match="in flight"):
+            be.run_mix(session.mix, 200)
+
+    def test_profile_reports_the_table(self, monkeypatch, tmp_path,
+                                       capsys):
+        """``--profile``'s ``packets:`` line ends with the table's slots,
+        the ones live now and the compactions; the metrics header
+        carries the same."""
+        from repro.cli import main
+        self._forced(monkeypatch)
+        path = tmp_path / "run.metrics.jsonl"
+        assert main(["run", "--kind", "quarc", "-n", "16", "-M", "4",
+                     "--rate", "0.03", "--cycles", "1500", "--warmup",
+                     "300", "--profile", "--probe", "inflight:window=100",
+                     "--metrics-out", str(path)]) == 0
+        out = capsys.readouterr().out
+        table = json.loads(path.read_text().splitlines()[0])["packet_table"]
+        assert table["compactions"] > 5
+        assert table["live"] < table["slots"] < 1024
+        packets, = [line for line in out.splitlines()
+                    if line.startswith("  packets: ")]
+        assert packets.endswith(
+            " fired by the kernel, table {slots} slots, {live} live after "
+            "{compactions} compactions".format(**table))
+        assert "; objects: none built\n" in out
+
+    def test_light_load_keeps_the_table_bounded(self):
+        """A long light-load run interns a packet per message but holds a
+        few dozen: the table stops growing where compaction pays."""
+        spec = WorkloadSpec(kind="quarc", n=64, msg_len=16, beta=0.0,
+                            rate=0.004, cycles=100_000, warmup=1000, seed=1)
+        session = SimulationSession(RunConfig(spec=spec, backend="array"))
+        session.run()
+        be = session.backend
+        assert be._nstaged > 25_000
+        assert len(be._pdst) <= 8192
+        assert be._ncompact > 0

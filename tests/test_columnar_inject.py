@@ -235,7 +235,9 @@ def _assert_conserved(be):
     ``total_flits()`` (in flight, waiting to fold, or a reply the due
     ring owes) or is a reply whose request has not arrived yet or a
     request its source has yet to fire (neither of which a drain sends);
-    staged entries are not interned yet."""
+    staged entries are not interned yet.  The sums read every slot ever
+    interned: the run stays below the table size that compacts."""
+    assert be._ncompact == 0
     n = len(be._pkts)
     size = be._psize[:n]
     unsent = int(size[be._pborn[:n] < 0].sum())
@@ -328,6 +330,7 @@ def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
             branches = 4 * mix.generated_broadcasts if be.broadcast_rows \
                 else 0
             assert be._ncols == mix.generated_unicasts + branches
+            assert be._ncompact == 0    # every slot ever interned
             generated = (int(be._psize[:len(be._pkts)].sum())
                          + be._staged_flits())
             ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
@@ -363,7 +366,10 @@ def test_profile_counts_objects(beta):
                                     + kc["packets_rows"])
     assert (f"packets: {kc['packets_staged']} staged, {kc['packets_rows']} "
             f"as rows, {kc['packets_columns']} as columns, 0 built, 0 late, "
-            f"0 fired by the kernel\n" in session.profiler.render())
+            f"0 fired by the kernel, table {{slots}} slots, {{live}} live "
+            f"after 0 compactions\n".format(
+                **session.profiler.report()["packet_table"])
+            in session.profiler.render())
 
 
 def _half_objects(self, cyc, node, dst, size, cls):
@@ -416,7 +422,7 @@ def test_row_and_object_tails_book_in_emission_order(monkeypatch):
                          rate=0.06, cycles=600, warmup=0, seed=3)
     (arr, ref), be, _ = _booked(monkeypatch, config)
     assert arr == ref
-    objects = len(be._pkts) - be._nrows - be._ncols
+    objects = be._nstaged - be._nrows - be._ncols
     assert objects > 100 and be._nrows > 100
     assert be._nbook == be.net.deliveries > be._st.calls
 

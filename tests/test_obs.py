@@ -212,7 +212,9 @@ class TestZeroPerturbation:
                 + kc["tails_receive_tail"]) == kc["tails_delivered"]
         text = session.profiler.render()
         assert (f", {kc['packets_late']} late, {kc['requests_kernel']} "
-                f"fired by the kernel\n" in text)
+                f"fired by the kernel, table {{slots}} slots, {{live}} live "
+                f"after {{compactions}} compactions\n".format(
+                    **report["packet_table"]) in text)
         assert (f", {kc['tails_receive_tail']} through receive_tail, "
                 f"{kc['replies_kernel']} replies sent by the kernel\n"
                 in text)
