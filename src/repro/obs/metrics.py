@@ -10,8 +10,8 @@ keys -- the canonical byte form):
   streams of both backends are byte-identical (the acceptance
   surface of the probe-equivalence tests).  A profiled run adds
   ``objects``, the profile's object-graph line (``objects:``), and
-  ``packet_table``, its packet-table counts (``table S slots, L live
-  after K compactions``).
+  ``packet_table``, its packet-table counts (``table S slots of W
+  bytes, L live after K compactions``).
 * Every further line, one **sample**: ``{"t": cycle, "probe": name,
   "window": covered_cycles, "data": int | [int, ...] | {str: int}}``,
   ordered by sample cycle (ascending, ties in probe declaration

@@ -38,8 +38,9 @@ buffers scanned (non-empty rows examined from the ready set), eligible
 candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / columns / ever objects /
 staged late, the closed-loop requests the kernel fired itself, the
-packet table (``packet_table``: its slots, the ones a mark finds live at
-the report, the compactions that reused dead ones), and how
+packet table (``packet_table``: its slots, the bytes a slot takes, the
+ones a mark finds live at the report, the compactions that reused dead
+ones), and how
 many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns (of which booked a
 batch at a time), the rest through
@@ -91,9 +92,14 @@ def _kernel_counters(backend) -> Dict[str, object]:
 
 
 def _packet_table(backend) -> Dict[str, int]:
-    """The engine's packet table: its slots, how many a mark finds live
-    now, the compactions that ran."""
-    return {"slots": len(backend._pdst), "live": int(backend._live().sum()),
+    """The engine's packet table: its slots, the bytes of one (its
+    columns' widths), how many a mark finds live now, the compactions
+    that ran."""
+    from repro.sim.array_backend import _PCOLS
+    return {"slots": len(backend._pdst),
+            "slot_bytes": sum(getattr(backend, name).itemsize
+                              for name in _PCOLS),
+            "live": int(backend._live().sum()),
             "compactions": backend._ncompact}
 
 
@@ -236,8 +242,8 @@ class PhaseProfiler:
                 "  packets: {packets_staged} staged, {packets_rows} as rows, "
                 "{packets_columns} as columns, {packets_built} built, "
                 "{packets_late} late, {requests_kernel} fired by the "
-                "kernel, table {slots} slots, {live} live after "
-                "{compactions} compactions\n"
+                "kernel, table {slots} slots of {slot_bytes} bytes, "
+                "{live} live after {compactions} compactions\n"
                 "  tails: {tails_delivered} delivered, {tails_kernel} counted "
                 "by the kernel, {tails_unicast} as unicast columns "
                 "({tails_booked} booked per batch), "

@@ -16,7 +16,13 @@
  * arrival rows, the receipt table and the event buffer re-pointed by
  * Python whenever it grows them (only ever between two calls).  bestpr
  * must arrive filled with BIG and pcand zeroed; every slot consumed is
- * re-armed.
+ * re-armed.  The per-packet columns are as narrow as their fields allow
+ * (ArrayBackend's _PCOLS): int32 for aids, nodes, flit counts and
+ * buffer rows (pnext, pdst, psrc, psize, phdr; Python refuses a table
+ * past 2^31 slots), int8 for the traffic kind and the dateline class
+ * (ptraf, pvcl), int64 where a word packs a generation or a delay above
+ * bit 32 (popx, pcont); a flit word, an event and every aid variable
+ * here stay int64.
  *
  * One cycle.
  *   fold     arrival rows (cycle, buffer, aid, rank) due at `now`, the
@@ -216,8 +222,14 @@ typedef struct {
     const int64_t *fptr, *fbuf, *upof;
     /* per-cycle scratch */
     int64_t *bestpr, *bestb, *bestvc, *outdl, *outrf;
-    /* per packet (aid), growable */
-    int64_t *pdst, *ptraf, *psize, *pvcl, *phdr, *pnext, *popx, *psrc;
+    /* per packet (aid), growable, each at its field's width (State) */
+    int32_t *pdst;
+    int8_t *ptraf;
+    int32_t *psize;
+    int8_t *pvcl;
+    int32_t *phdr, *pnext;
+    int64_t *popx;
+    int32_t *psrc;
     int64_t *pcont;
     /* arrival rows [apos, an), growable */
     int64_t *acyc, *abuf, *aaid, *arank;
@@ -298,7 +310,7 @@ static void schedule(repro_state *s, int64_t c, int64_t now)
         bk[0] = r;
         bk[2] = due;
     } else {
-        s->pnext[bk[1]] = r;
+        s->pnext[bk[1]] = (int32_t)r;
     }
     bk[1] = r;
     s->ncont++;
@@ -485,7 +497,7 @@ int64_t repro_refresh(repro_state *s, int64_t b)
     vc = s->vcmode[p];
     if (vc == 2)
         vc = s->pvcl[aid] < 2 ? s->pvcl[aid] : 1;
-    s->phdr[aid] = b;
+    s->phdr[aid] = (int32_t)b;
     s->want[b] = p;
     s->jof[b] = ent >> 24;
     s->vcreq[b] = vc;
@@ -513,7 +525,7 @@ static int64_t join(repro_state *s, int64_t b, int64_t aid, int64_t now)
     int64_t size = s->psize[aid], ql0 = s->qlen[b];
     s->pnext[aid] = -1;
     if (s->ptail[b] >= 0) {
-        s->pnext[s->ptail[b]] = aid;
+        s->pnext[s->ptail[b]] = (int32_t)aid;
     } else {
         s->phead[b] = aid;
         s->pfid[b] = 0;
@@ -939,7 +951,7 @@ void repro_remap(repro_state *s, const int64_t *map, int64_t used)
         if (map[i] < 0)
             continue;
         if (s->pnext[i] >= 0)
-            s->pnext[i] = map[s->pnext[i]];
+            s->pnext[i] = (int32_t)map[s->pnext[i]];
         if (s->pcont[i] > 0)
             s->pcont[i] = (s->pcont[i] & ~CONT_AID)
                 | (map[(s->pcont[i] & CONT_AID) - 1] + 1);

@@ -22,17 +22,18 @@ instead:
 State layout
 ------------
 Flits are packed into one ``int64``: ``(aid << 20) | tail_bit | fid``
-where ``aid`` indexes the packet columns -- growable ``int64`` arrays
-for what a cycle reads (``_pdst``, ``_ptraf``, ``_psize``, ``_pvcl``:
-the dateline class, owned here while attached and synced with
-``Packet.vclass`` only at the Python-route boundary and in
-``materialize``; ``_phdr``: the row holding the packet's routed
-header; ``_popx``: its collective op's receipt slot, below, or -1) and
-for what deliveries read (``_pborn``, ``_pcid``: class, ``_ptxn``).
-A packet may be columns only: ``_pkts[aid]`` is ``None`` for a message
-staged as a row until :meth:`ArrayBackend._packet` builds the object
-(a broadcast's with its op) for a Python route, a fault, ``on_tail`` or
-an inspection -- a saturated run builds none.  The packet table is
+where ``aid`` indexes the packet columns (``_PCOLS``: growable arrays,
+each at the width its field needs, 58 bytes a slot) -- what a cycle
+reads (``_pdst``, ``_ptraf``, ``_psize``, ``_pvcl``: the dateline class,
+owned here while attached and synced with ``Packet.vclass`` only at the
+Python-route boundary and in ``materialize``; ``_phdr``: the row
+holding the packet's routed header; ``_popx``: its collective op's
+receipt slot, below, or -1; ``_pnext``, ``_psrc``, ``_pcont``) and what
+deliveries read (``_pborn``, ``_pcid``: class, ``_ptxn``).  A packet
+may be columns only: ``_pkts`` maps an aid to its ``Packet`` only once
+:meth:`ArrayBackend._packet` built one for a message staged as a row (a
+broadcast's with its op) for a Python route, a fault, ``on_tail`` or an
+inspection -- a saturated run builds none.  The packet table is
 sized by the packets alive, not by the horizon: every entry that interns
 first makes room (:meth:`ArrayBackend._make_room`), and a full table of
 at least ``_COMPACT_MIN`` slots whose live slots (``repro_mark``) are at
@@ -200,7 +201,7 @@ RANK_REGEN, RANK_ENGINE, RANK_CLASS, RANK_OTHER = 0, 1, 2, (1 << 20) - 1
 #: A staged row's sort key: ``(due << RANK_BITS) | rank``.
 RANK_BITS = 20
 #: Requests a closed-loop source is interned ahead of its firings in the
-#: last block (all doubled where one runs out: a ``requests`` stop).
+#: last block (doubled for a source that runs out: a ``requests`` stop).
 _AHEAD = 16
 #: Staged entries interned one by one (no numpy pass) up to this many.
 _SCALAR_STAGE = 64
@@ -215,18 +216,31 @@ _COMPACT_MIN = 4096
 #: ``State.stopkinds`` with every kind's bit set.
 ALL_KINDS = (1 << len(TRAFFIC_NAMES)) - 1
 
-#: The aid-indexed int64 columns and the arrival-row columns.
-_PCOLS = ("_pdst", "_ptraf", "_psize", "_pvcl", "_phdr", "_pnext", "_popx",
-          "_psrc", "_pcont", "_pborn", "_pcid", "_ptxn")
+#: The aid-indexed packet columns, name -> dtype, each as wide as its
+#: field needs: aids (``_pnext``), nodes, flit counts, buffer rows and
+#: class ids in ``int32`` (the limits below), the traffic kind and the
+#: dateline class in ``int8``, ``int64`` where a word packs a generation
+#: or a delay above bit 32 (``_popx``, ``_pcont``) and for cycles
+#: (``_pborn``, ``_ptxn``: ``welford`` folds int64).  The kernel's
+#: ``repro_state`` declares the same widths.
+_PCOLS = {"_pdst": np.int32, "_ptraf": np.int8, "_psize": np.int32,
+          "_pvcl": np.int8, "_phdr": np.int32, "_pnext": np.int32,
+          "_popx": np.int64, "_psrc": np.int32, "_pcont": np.int64,
+          "_pborn": np.int64, "_pcid": np.int32, "_ptxn": np.int64}
+#: The arrival-row columns (int64).
 _ACOLS = ("_acyc", "_abuf", "_aaid", "_arank")
 
 #: Packed-field capacities, checked once when a session is built.  A
 #: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``, read
 #: back by ``_replay``), so the flat port count must fit 16 bits (a
 #: route-table entry holds a port's slot in its router, 20 bits).  A
-#: packet's last flit id must fit below ``TAIL``.
+#: packet's last flit id must fit below ``TAIL``.  An ``int32`` column
+#: holds nodes, buffer rows and class ids up to ``INT32_MAX``, and aids
+#: (``_pnext``) below ``MAX_PACKET_SLOTS``, which :meth:`_grow` checks.
 MAX_PORTS = 1 << 16
 MAX_PACKET_FLITS = TAIL
+INT32_MAX = (1 << 31) - 1
+MAX_PACKET_SLOTS = 1 << 31
 
 
 _POW2 = 1 << np.arange(62)
@@ -307,6 +321,9 @@ class ArrayBackend(SimBackend):
         P = len(w.isdl)
         _check_limit("output ports (the delivery-event port field)", P,
                      MAX_PORTS)
+        _check_limit("nodes (the int32 _pdst / _psrc columns)", net.n,
+                     INT32_MAX)
+        _check_limit("buffer rows (the int32 _phdr column)", B, INT32_MAX)
         self._B = B
         self._P = P
         self._SB = B             # ejection sink row (reset every cycle)
@@ -432,9 +449,8 @@ class ArrayBackend(SimBackend):
         self._Fm1 = max(8, int(_pow2_at_least(nf))) - 1
 
         # dynamic state: per buffer, per port(*2+vc); the packet columns
-        # (aid-indexed: int64 arrays for what a cycle reads, lists for
-        # what only deliveries read), arrival rows and event buffer
-        # start small and grow geometrically
+        # (aid-indexed, ``_PCOLS``), arrival rows and event buffer start
+        # small and grow geometrically
         z = lambda n=B2: np.zeros(n, np.int64)      # noqa: E731
         for name in ("qlen front rhead want vcreq jof pvb pvb2 phead "
                      "ptail pfid ppend").split():
@@ -444,14 +460,17 @@ class ArrayBackend(SimBackend):
         self._owner = z(self._PV + 1)
         self._rr = z(P)
         self._fs = z(P)
-        self._pkts: List = []
+        #: aid -> the ``Packet`` of each aid that has one (a row has none
+        #: until :meth:`_packet` builds it); slots ``[0, _used)`` are taken
+        self._pkts: Dict[int, Packet] = {}
+        self._used = 0
         #: pid -> aid of each packet :meth:`materialize` put in a buffer
         self._aids: Dict[int, int] = {}
         #: class names by ``_pcid`` and back
         self._cname: List[Optional[str]] = [None]
         self._cid: Dict[Optional[str], int] = {None: 0}
-        for name in _PCOLS:
-            setattr(self, name, z(min(1024, _COMPACT_MIN)))
+        for name, dtype in _PCOLS.items():
+            setattr(self, name, np.zeros(min(1024, _COMPACT_MIN), dtype))
         for name in _ACOLS:
             setattr(self, name, z(1024))
         #: objects holding aids of their own (the shard worker's gids):
@@ -600,15 +619,21 @@ class ArrayBackend(SimBackend):
         k = rel[(dst - node) % len(rel)]
         return np.where(k < 0, -1, first[node] + k)
 
-    def _grow(self, names: Tuple[str, ...], need: int, keep: int) -> None:
-        """Reallocate the int64 columns ``names`` to a power of two of at
-        least ``need`` entries (doubling), keeping the first ``keep``, and
-        re-point the state struct at them."""
-        size = max(int(_pow2_at_least(need)),
-                   2 * len(getattr(self, names[0])))
+    def _grow(self, names, need: int, keep: int) -> None:
+        """Reallocate the columns ``names`` (each keeps its dtype) to a
+        power of two of at least ``need`` entries (doubling), keeping the
+        first ``keep``, and re-point the state struct at them.  The packet
+        table (``_PCOLS``) grows to at most ``MAX_PACKET_SLOTS``: its
+        aids are ``int32``."""
+        first = getattr(self, next(iter(names)))
+        size = max(int(_pow2_at_least(need)), 2 * len(first))
+        if names is _PCOLS:
+            _check_limit("packet slots (the int32 aid columns)", size,
+                         MAX_PACKET_SLOTS)
         for name in names:
-            new = np.zeros(size, np.int64)
-            new[:keep] = getattr(self, name)[:keep]
+            old = getattr(self, name)
+            new = np.zeros(size, old.dtype)
+            new[:keep] = old[:keep]
             setattr(self, name, new)
             if name[1:] in State.POINTERS:  # not _pborn, _pcid, _ptxn
                 setattr(self._st, name[1:], new.ctypes.data)
@@ -622,7 +647,7 @@ class ArrayBackend(SimBackend):
         are live (:meth:`_compact`); else the columns double in
         :meth:`_intern`, as they fill.  Never called inside
         :meth:`_intern`: a caller may hold an aid it read before."""
-        used, slots = len(self._pkts), len(self._pdst)
+        used, slots = self._used, len(self._pdst)
         if used and slots >= _COMPACT_MIN and used + k > slots:
             self._compact(used // 2)
 
@@ -632,7 +657,7 @@ class ArrayBackend(SimBackend):
         follow: ``repro_remap``, then the columns, ``_pkts``, the
         broadcast rows' first aids, :meth:`materialize`'s ``_aids``, the
         sources' last requests and each of ``aid_holders``."""
-        used = len(self._pkts)
+        used = self._used
         keep = np.flatnonzero(self._live())
         n = len(keep)
         if n > most or n == used:
@@ -644,8 +669,9 @@ class ArrayBackend(SimBackend):
             col = getattr(self, name)
             col[:n] = col[keep]
             col[n:used] = 0
-        pkts = self._pkts
-        pkts[:] = [pkts[a] for a in keep.tolist()]
+        self._used = n
+        self._pkts = {int(new_of[a]): p for a, p in self._pkts.items()
+                      if new_of[a] >= 0}
         ops = self._slot_op
         for x, e in enumerate(ops):
             if type(e) is tuple:
@@ -665,7 +691,7 @@ class ArrayBackend(SimBackend):
         (:meth:`_open_op` reads them all) and what ``aid_holders`` hold.
         Raises :class:`ConservationError` unless the flits the mark walked
         are the flits in flight."""
-        live = np.zeros(len(self._pkts), np.uint8)
+        live = np.zeros(self._used, np.uint8)
         rows = [e[0] for e in self._slot_op if type(e) is tuple]
         if rows:
             live[np.add.outer(rows, np.arange(len(self._btab[0])))] = 1
@@ -690,21 +716,24 @@ class ArrayBackend(SimBackend):
     # adoption: object graph -> arrays
     # ------------------------------------------------------------------
     def _intern(self, pkts, cols=None) -> int:
-        """Append ``pkts`` (for rows: ``None``s, and ``cols`` = class names
-        or their ids as a numpy column, created, receipt slot, dst, size,
-        traffic, vclass) to the packet columns; returns the first new
-        aid.  A slot is reused only after its packet died and a compaction
-        slid the live ones down: callers make room first
-        (:meth:`_make_room`), here the columns only grow."""
-        a0 = len(self._pkts)
-        a1 = a0 + len(pkts)
+        """Append the packets ``pkts`` or, given ``cols`` (class names or
+        their ids as a numpy column, created, receipt slot, dst, size,
+        traffic, vclass), ``pkts`` rows, which have no object, to the
+        packet columns; returns the first new aid.  A slot is reused only
+        after its packet died and a compaction slid the live ones down:
+        callers make room first (:meth:`_make_room`), here the columns
+        only grow, doubling (:meth:`_grow`)."""
+        a0 = self._used
+        k = len(pkts) if cols is None else pkts
+        a1 = self._used = a0 + k
         if a1 > len(self._pdst):
             self._grow(_PCOLS, a1, a0)
-        self._nstaged += len(pkts)
-        cls, born, opx, dst, size, traf, vcl = cols or zip(*[
-            (p.cls, p.created, self._slot(p.op), p.dst, p.size, p.traffic,
-             p.vclass) for p in pkts])
-        self._pkts.extend(pkts)
+        self._nstaged += k
+        if cols is None:
+            cols = zip(*[(p.cls, p.created, self._slot(p.op), p.dst, p.size,
+                          p.traffic, p.vclass) for p in pkts])
+            self._pkts.update(zip(range(a0, a1), pkts))
+        cls, born, opx, dst, size, traf, vcl = cols
         self._pcid[a0:a1] = (cls if type(cls) is np.ndarray
                              else self._cids(cls))
         self._pborn[a0:a1] = born
@@ -722,6 +751,8 @@ class ArrayBackend(SimBackend):
         cid, seen = self._cid, dict.fromkeys(names)
         for name in seen:
             if name not in cid:
+                _check_limit("traffic classes (the int32 _pcid column)",
+                             len(self._cname) + 1, INT32_MAX)
                 cid[name] = len(self._cname)
                 self._cname.append(name)
         if len(seen) == 1:
@@ -732,8 +763,8 @@ class ArrayBackend(SimBackend):
         """Intern unicasts given as columns (``cid``: class ids) as
         ``adapter.send`` would have, counting each generated; returns each
         one's source buffer (the queue table; a destination ``send``
-        refuses raises what it would).  ``_pkts`` holds ``None``,
-        ``_psrc`` the source node, for :meth:`_packet`."""
+        refuses raises what it would).  They have no ``_pkts`` entry;
+        ``_psrc`` holds the source node, for :meth:`_packet`."""
         n, k = self.net.n, len(born)
         bad = dst[(dst < 0) | (dst >= n)]
         if len(bad):
@@ -741,7 +772,7 @@ class ArrayBackend(SimBackend):
         bufs = self._queue_rows(node, dst)
         if (bufs < 0).any():
             raise ValueError("local address has no quadrant")
-        a0 = self._intern([None] * k, (cid, born, -1, dst, size, UNICAST, 0))
+        a0 = self._intern(k, (cid, born, -1, dst, size, UNICAST, 0))
         self._psrc[a0:a0 + k] = node
         self._generated(node, False)
         return bufs
@@ -763,7 +794,7 @@ class ArrayBackend(SimBackend):
         buffer, in push order."""
         pos, rel = self._btab
         nb, m, n = len(pos), len(node), self.net.n
-        a0 = self._intern([None] * (m * nb), (
+        a0 = self._intern(m * nb, (
             (None,), np.repeat(born, nb), -1,
             ((node[:, None] + rel) % n).ravel(), np.repeat(size, nb),
             BROADCAST, 0))
@@ -865,13 +896,13 @@ class ArrayBackend(SimBackend):
 
     def _intern_requests(self, grow: bool = False) -> None:
         """Intern each firing source's next requests, up to ``_sahead``
-        (doubled first if a source ran dry: ``grow``): dsts from its
-        private stream, a reply interned with each request (its
+        (with ``grow``, doubled first for each source that ran dry): dsts
+        from its private stream, a reply interned with each request (its
         continuation: ``_pcont``), chained through ``_pnext`` from
         ``_shead``."""
         n = self.net.n
         if grow:
-            self._sahead *= 2
+            self._sahead[self._shead < 0] *= 2
         todo = np.where(self._srate > 0.0, self._sahead - self._sleft, 0)
         s = np.flatnonzero(todo > 0)
         if not len(s):
@@ -891,7 +922,7 @@ class ArrayBackend(SimBackend):
         reply, cid = self._srep[src], self._scid[src]
         rq = np.flatnonzero(reply)          # the requests with a reply
         self._make_room(m + len(rq))
-        a0 = self._intern([None] * (m + len(rq)), (
+        a0 = self._intern(m + len(rq), (
             np.concatenate((cid, cid[rq])), -1, -1,
             np.concatenate((dst, node[rq])),
             np.concatenate((self._sreq[src], reply[rq])), UNICAST, 0))
@@ -951,7 +982,7 @@ class ArrayBackend(SimBackend):
     def _packet(self, aid: int) -> Packet:
         """The packet ``aid``, built on first use if staged as a row (a
         broadcast branch with its op and the op's other branches)."""
-        pkt = self._pkts[aid]
+        pkt = self._pkts.get(aid)
         if pkt is None and self._ptraf[aid] == BROADCAST:
             self._open_op(int(self._popx[aid]) & 0xFFFFFFFF)
             pkt = self._pkts[aid]
@@ -1130,7 +1161,7 @@ class ArrayBackend(SimBackend):
         aid_of, new, pkts = {}, [], self._pkts
         for pid, pkt in resident.items():
             aid = self._aids.get(pid, -1)
-            if aid >= 0 and pkts[aid] is pkt:
+            if aid >= 0 and pkts.get(aid) is pkt:
                 aid_of[pid] = aid
                 self._pvcl[aid] = pkt.vclass
                 self._phdr[aid] = -1
@@ -1222,10 +1253,11 @@ class ArrayBackend(SimBackend):
         key, abuf, aaid = [], [], []
         self._nstaged += len(self._staged)
         for row, pkt in self._staged:
-            aid = len(pkts)
+            aid = self._used
             if aid >= len(self._pdst):
                 self._grow(_PCOLS, aid + 1, aid)
-            pkts.append(pkt)
+            self._used = aid + 1
+            pkts[aid] = pkt
             cls, born, op = pkt.cls, pkt.created, pkt.op
             self._pcid[aid] = cid[cls] if cls in cid else self._cids((cls,))
             self._pborn[aid] = born
@@ -1282,7 +1314,7 @@ class ArrayBackend(SimBackend):
                     np.asarray(col[0] if len(col) == 1 else
                                np.concatenate(col), np.int64)
                     for col in zip(*chunk))
-                a0 = len(self._pkts)
+                a0 = self._used
                 bufs = (self._intern_bcasts if bcast else
                         self._intern_unicasts)(node, dst, size, cl, born)
                 if bcast:           # a row per branch
@@ -1433,7 +1465,7 @@ class ArrayBackend(SimBackend):
         relay to regenerate, ``on_tail``); any other collective tail
         through ``Network.deliver``."""
         net = self.net
-        pkt = self._pkts[aid]       # None: a row nobody read
+        pkt = self._pkts.get(aid)   # None: a row nobody read
         if pkt is None and self._ptraf[aid] == BROADCAST:
             pkt = self._packet(aid)     # a broadcast row's branch
         if pkt is not None and pkt.traffic != UNICAST:
@@ -1673,9 +1705,15 @@ class ArrayBackend(SimBackend):
 
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
+        """The one run loop (:meth:`SimBackend.run_mix`), then the
+        receipts written back and flit conservation checked: one
+        packet-table mark (:meth:`_live`, O(rows + used slots)) raises
+        :class:`ConservationError` unless the flits it walks are the
+        flits in flight."""
         self._rank = self._ranks(mix)
         super().run_mix(mix, cycles, probes)
         self._sync(ops=True)
+        self._live()
 
     # ------------------------------------------------------------------
     # inspection view: arrays -> object graph

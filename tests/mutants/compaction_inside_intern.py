@@ -8,18 +8,16 @@ SUBSTITUTIONS = [
      "        if used and slots >= _COMPACT_MIN and used + k > slots:",
      "        if False:"),
     ("src/repro/sim/array_backend.py",
-     """        a0 = len(self._pkts)
-        a1 = a0 + len(pkts)
-        if a1 > len(self._pdst):
-            self._grow(_PCOLS, a1, a0)
+     """        a0 = self._used
+        k = len(pkts) if cols is None else pkts
+        a1 = self._used = a0 + k
 """,
-     """        used, slots = len(self._pkts), len(self._pdst)
-        if used and slots >= _COMPACT_MIN and used + len(pkts) > slots:
+     """        used, slots = self._used, len(self._pdst)
+        k = len(pkts) if cols is None else pkts
+        if used and slots >= _COMPACT_MIN and used + k > slots:
             self._compact(used // 2)
-        a0 = len(self._pkts)
-        a1 = a0 + len(pkts)
-        if a1 > len(self._pdst):
-            self._grow(_PCOLS, a1, a0)
+        a0 = self._used
+        a1 = self._used = a0 + k
 """),
 ]
 KILLED_BY = [f"{T}::test_goldens_with_the_constant_forced[full_table]"]

@@ -287,8 +287,9 @@ def test_profile_says_how_tails_were_delivered(case):
                                   if src.reactive) > 0
     assert f"{kc['rescans']} rescans, {kc['coins']} coins drawn\n" in (
         session.profiler.render())
-    assert ("built, {} late, {} fired by the kernel, table {slots} slots, "
-            "{live} live after {compactions} compactions\n  tails: {} "
+    assert ("built, {} late, {} fired by the kernel, table {slots} slots "
+            "of {slot_bytes} bytes, {live} live after {compactions} "
+            "compactions\n  tails: {} "
             "delivered, {} counted by the kernel, {} as unicast columns "
             "({} booked per batch), {} through receive_tail, {} replies "
             "sent by the kernel\n".format(

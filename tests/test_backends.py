@@ -726,7 +726,7 @@ class TestPacketCompaction:
         monkeypatch.setattr(array_backend, "_COMPACT_MIN", 0)
         if every_entry:
             monkeypatch.setattr(ArrayBackend, "_make_room",
-                                lambda be, k: be._compact(len(be._pkts)))
+                                lambda be, k: be._compact(be._used))
 
     def _assert_compacted_equal(self, spec, monkeypatch, **run):
         """A probe every 25 cycles ends a window there: an interning
@@ -748,7 +748,7 @@ class TestPacketCompaction:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_compacted_run_is_the_uncompacted_one(self, case, monkeypatch):
         be = self._assert_compacted_equal(self._spec(case), monkeypatch)
-        assert be._nstaged > len(be._pkts)
+        assert be._nstaged > be._used
 
     @pytest.mark.parametrize("handback", ["materialize", "detach"])
     def test_resync_after_a_compaction(self, handback, monkeypatch):
@@ -819,11 +819,41 @@ class TestPacketCompaction:
         with pytest.raises(ConservationError, match="in flight"):
             be.run_mix(session.mix, 200)
 
+    def test_every_run_ends_conserved(self):
+        """Flit conservation is checked at the end of every array run, by
+        one mark, not only at a compaction: a flit too many in the
+        in-flight count before the last batch is named."""
+        from repro.sim.array_backend import ConservationError
+        session = SimulationSession(RunConfig(
+            spec=self._spec("quarc_beta", cycles=400), backend="array"))
+        be = session.backend
+        be.run_mix(session.mix, 200)        # conserved: no error
+
+        def knock(t):
+            be._st.inflight += 1
+
+        with pytest.raises(ConservationError, match="in flight"):
+            be.run_mix(session.mix, 200, probes={390: knock})
+        assert be._ncompact == 0
+
+    def test_a_table_past_the_slot_limit_is_refused(self, monkeypatch):
+        """The aid columns are int32: a packet table that would grow past
+        ``MAX_PACKET_SLOTS`` raises, naming the field, instead of
+        wrapping aids."""
+        from repro.sim import array_backend
+        monkeypatch.setattr(array_backend, "MAX_PACKET_SLOTS", 1024)
+        spec = self._spec("quarc_beta", rate=0.05, cycles=2000)
+        session = SimulationSession(RunConfig(spec=spec, backend="array"))
+        with pytest.raises(ValueError, match=r"cannot pack packet slots "
+                           r"\(the int32 aid columns\) = 2048: the field "
+                           r"holds at most 1024"):
+            session.run()
+
     def test_profile_reports_the_table(self, monkeypatch, tmp_path,
                                        capsys):
         """``--profile``'s ``packets:`` line ends with the table's slots,
-        the ones live now and the compactions; the metrics header
-        carries the same."""
+        the bytes of one, the ones live now and the compactions; the
+        metrics header carries the same."""
         from repro.cli import main
         self._forced(monkeypatch)
         path = tmp_path / "run.metrics.jsonl"
@@ -835,11 +865,12 @@ class TestPacketCompaction:
         table = json.loads(path.read_text().splitlines()[0])["packet_table"]
         assert table["compactions"] > 5
         assert table["live"] < table["slots"] < 1024
+        assert table["slot_bytes"] == 58
         packets, = [line for line in out.splitlines()
                     if line.startswith("  packets: ")]
         assert packets.endswith(
-            " fired by the kernel, table {slots} slots, {live} live after "
-            "{compactions} compactions".format(**table))
+            " fired by the kernel, table {slots} slots of 58 bytes, {live} "
+            "live after {compactions} compactions".format(**table))
         assert "; objects: none built\n" in out
 
     def test_light_load_keeps_the_table_bounded(self):

@@ -238,7 +238,7 @@ def _assert_conserved(be):
     staged entries are not interned yet.  The sums read every slot ever
     interned: the run stays below the table size that compacts."""
     assert be._ncompact == 0
-    n = len(be._pkts)
+    n = be._used
     size = be._psize[:n]
     unsent = int(size[be._pborn[:n] < 0].sum())
     owed = _ring_flits(be)
@@ -331,7 +331,7 @@ def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
                 else 0
             assert be._ncols == mix.generated_unicasts + branches
             assert be._ncompact == 0    # every slot ever interned
-            generated = (int(be._psize[:len(be._pkts)].sum())
+            generated = (int(be._psize[:be._used].sum())
                          + be._staged_flits())
             ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                           if port.is_ejection)
@@ -366,7 +366,8 @@ def test_profile_counts_objects(beta):
                                     + kc["packets_rows"])
     assert (f"packets: {kc['packets_staged']} staged, {kc['packets_rows']} "
             f"as rows, {kc['packets_columns']} as columns, 0 built, 0 late, "
-            f"0 fired by the kernel, table {{slots}} slots, {{live}} live "
+            f"0 fired by the kernel, table {{slots}} slots of {{slot_bytes}} "
+            f"bytes, {{live}} live "
             f"after 0 compactions\n".format(
                 **session.profiler.report()["packet_table"])
             in session.profiler.render())
@@ -513,7 +514,7 @@ def test_multicasts_stay_objects_beside_broadcast_rows():
     session.net.adapters[2].send_multicast([3, 5, 9, 10, 15], 6, 0)
     session.run()
     be = session.backend
-    assert any(p is not None and p.traffic == MULTICAST for p in be._pkts)
+    assert any(p.traffic == MULTICAST for p in be._pkts.values())
     mix = session.mix
     branches = be._ncols - mix.generated_unicasts
     assert branches == 4 * mix.generated_broadcasts > 0

@@ -212,7 +212,8 @@ class TestZeroPerturbation:
                 + kc["tails_receive_tail"]) == kc["tails_delivered"]
         text = session.profiler.render()
         assert (f", {kc['packets_late']} late, {kc['requests_kernel']} "
-                f"fired by the kernel, table {{slots}} slots, {{live}} live "
+                f"fired by the kernel, table {{slots}} slots of {{slot_bytes}} "
+                f"bytes, {{live}} live "
                 f"after {{compactions}} compactions\n".format(
                     **report["packet_table"]) in text)
         assert (f", {kc['tails_receive_tail']} through receive_tail, "
