@@ -154,6 +154,8 @@ class FlitBuffer:
         if self.sink is not None:
             self.sink.append((self.row, packet))
             return
+        if r is not None and r.net is not None:
+            r.net.flits_injected += packet.size     # the engine counts its own
         for fidx in range(packet.size):
             self.push(packet, fidx)
 

@@ -234,6 +234,10 @@ class Network:
         self.cycle = 0
         self.flits_moved = 0
         self.deliveries = 0
+        #: flits that entered a queue / left through an ejection port, on
+        #: either backend: ``SimBackend.run_mix`` checks their balance
+        self.flits_injected = 0
+        self.flits_ejected = 0
         self._moves: List[Move] = []
         self.on_tail: Optional[Callable[[int, "Packet", int], None]] = None
         #: called as ``on_tagged_tail(node, src, tag, created, now)`` for a

@@ -271,6 +271,8 @@ def commit_move(move: Move, now: int, net: "Network") -> None:
         fs = getattr(net, "fault_state", None)
         if fs is not None:
             fs.ejected_flits += 1
+        if hasattr(net, "flits_ejected"):
+            net.flits_ejected += 1
         net.deliver(node, pkt, fidx, now)
     else:
         if port.is_dateline:

@@ -100,7 +100,9 @@ def _packet_table(backend) -> Dict[str, int]:
             "slot_bytes": sum(getattr(backend, name).itemsize
                               for name in _PCOLS),
             "live": int(backend._live().sum()),
-            "compactions": backend._ncompact}
+            "compactions": backend._ncompact,
+            "records": backend._rused - backend._nrfree,
+            "refills": backend._nrefill}
 
 
 def _footprint(backend) -> Dict[str, object]:
@@ -243,7 +245,8 @@ class PhaseProfiler:
                 "{packets_columns} as columns, {packets_built} built, "
                 "{packets_late} late, {requests_kernel} fired by the "
                 "kernel, table {slots} slots of {slot_bytes} bytes, "
-                "{live} live after {compactions} compactions\n"
+                "{live} live after {compactions} compactions, "
+                "{records} records waiting after {refills} refills\n"
                 "  tails: {tails_delivered} delivered, {tails_kernel} counted "
                 "by the kernel, {tails_unicast} as unicast columns "
                 "({tails_booked} booked per batch), "

@@ -22,7 +22,8 @@
  * past 2^31 slots), int8 for the traffic kind and the dateline class
  * (ptraf, pvcl), int64 where a word packs a generation or a delay above
  * bit 32 (popx, pcont); a flit word, an event and every aid variable
- * here stay int64.
+ * here stay int64.  An arrival row is an int64 cycle and int32 buffer,
+ * entry and rank.  ckernel.State.bind checks each pointer's element type.
  *
  * One cycle.
  *   fold     arrival rows (cycle, buffer, aid, rank) due at `now`, the
@@ -110,6 +111,24 @@
  * cycle; a credit, from the cycle after the tail.  sphase[i]: the tail is
  * one of the phase's `phleft` messages; the last ends the batch (FEEDBACK).
  *
+ * Backlog.  A source queue's pending FIFO holds packets and records: an
+ * arrival Python staged without interning it, because its queue already
+ * held its stock of flits (ArrayBackend._backlog), is record r, written
+ * -2 - r as an arrival row's entry and in the FIFO's links (phead, ptail,
+ * pnext, and rnext for a record).  A record joins like a packet -- its
+ * flits (rsize) count in qlen, ppend and inflight from its arrival cycle,
+ * rqn[b] counts it -- but has no flit words: top_up stops at it, and a
+ * queue whose FIFO head is a record while its ring has room is dry (rdry,
+ * ndry).  A dry queue flagged by the fold stops the batch before phase A,
+ * `now` unchanged; one flagged by a pop, after that cycle (the ring still
+ * holds the words before the pop: a queue pops once a cycle).  Both stop
+ * with RECORDS: Python interns records (repro_take names them, repro_link
+ * puts their aids in their places, tops the ring up and routes a header
+ * an empty ring now shows) and re-enters.  Records keep their arrival
+ * order among the packets, so nothing that joins behind them waits for
+ * them to be interned.  repro_mark counts their flits; repro_remap
+ * follows a record's link to a packet.
+ *
  * Stop rule.  What needs Python objects becomes an event; the batch
  * ends at the end of the cycle that emitted
  *   - a ROUTE event: a header the table cannot answer (no row, a
@@ -128,7 +147,8 @@
  * or before a cycle that could overflow the event buffer (a cycle emits
  * at most EV_PER_PORT events a port), or at the horizon.  A source due
  * to fire with no request left stops the fold (REQUESTS, `now`
- * unchanged): Python interns more and re-enters the same cycle.
+ * unchanged): Python interns more and re-enters the same cycle; a dry
+ * queue ends it with RECORDS (Backlog).
  *
  * Events are int64 pairs: ev[2i] = (cycle << 3) | kind, ev[2i + 1] =
  *   EV_DELIVERY (aid << 16) | port     EV_ROUTE    buffer row
@@ -145,6 +165,7 @@
  * let Python reuse packet ids: the first marks every aid the state still
  * reads and counts the flits it walked, the second rewrites each of
  * those references after Python picked the aids' new places.
+ * repro_take() and repro_link() intern a queue's records (Backlog).
  */
 
 #include <stdint.h>
@@ -175,7 +196,7 @@
 #define TAIL_HEARD 2
 
 enum { STOP_HORIZON, STOP_ROUTE, STOP_DELIVERY, STOP_EVENTS, STOP_FEEDBACK,
-       STOP_REQUESTS };
+       STOP_REQUESTS, STOP_RECORDS };
 enum { EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT,
        EV_FIRE };
 /* a receipt-table slot: these, then N arrival cycles (-1: none yet) */
@@ -193,7 +214,7 @@ typedef struct {
     /* control, written by Python before each entry */
     int64_t now, horizon, nofast, stopkinds, trace, rescan;
     /* run state */
-    int64_t inflight, apos, an, nev, evcap, cmask, ncont, contflits;
+    int64_t inflight, apos, an, nev, evcap, cmask, ncont, contflits, ndry;
     /* the sources: their count, the cycle firings stop at, where coin
      * draws stop, the heap's size, messages of the phase left */
     int64_t S, fireto, blockend, nheap, phleft;
@@ -203,12 +224,13 @@ typedef struct {
      * the non-empty rows phase A examined from the ready set, coins the
      * think coins the sources drew */
     int64_t calls, cycles, scanned, cands, flits, receipts, wakes, rescans;
-    int64_t sent, fired, coins, stops[6];
+    int64_t sent, fired, coins, stops[7];
     welford d;                  /* the per-receiver delay accumulator */
     /* per buffer */
     int64_t *qlen, *front, *rhead, *want, *vcreq, *jof, *pvb, *pvb2;
     int64_t *phead, *ptail, *pfid, *ppend;
-    uint8_t *dlv, *hdrf, *ne, *fullb;
+    int32_t *rqn;
+    uint8_t *dlv, *hdrf, *ne, *fullb, *rdry;
     const uint8_t *rtflag, *isdl;
     /* per port (owner/down per port*2+vc) */
     int64_t *owner, *rr, *fs;
@@ -231,8 +253,12 @@ typedef struct {
     int64_t *popx;
     int32_t *psrc;
     int64_t *pcont;
-    /* arrival rows [apos, an), growable */
-    int64_t *acyc, *abuf, *aaid, *arank;
+    /* records (see Backlog), growable: flits, the next chain entry */
+    int16_t *rsize;
+    int32_t *rnext;
+    /* arrival rows [apos, an), growable: an int64 cycle, int32 the rest */
+    int64_t *acyc;
+    int32_t *abuf, *aaid, *arank;
     /* the continuations' due ring, 3 int64 a bucket, and the unicast
      * queue table: each node's first row, the queue by relative dst */
     int64_t *cring;
@@ -451,7 +477,29 @@ static int take_tail(repro_state *s, int64_t aid, int64_t p, int64_t now)
     return stop;
 }
 
-/* Generate flit words of b's pending packets while its ring has room. */
+/* A pending-FIFO entry: an aid, or record r as -2 - r (-1: none). */
+#define REC(e) (-2 - (e))
+
+static int64_t entry_size(const repro_state *s, int64_t e)
+{
+    return e >= 0 ? s->psize[e] : s->rsize[REC(e)];
+}
+
+static int64_t entry_next(const repro_state *s, int64_t e)
+{
+    return e >= 0 ? s->pnext[e] : s->rnext[REC(e)];
+}
+
+static void set_next(repro_state *s, int64_t e, int64_t next)
+{
+    if (e >= 0)
+        s->pnext[e] = (int32_t)next;
+    else
+        s->rnext[REC(e)] = (int32_t)next;
+}
+
+/* Generate flit words of b's pending packets while its ring has room; a
+ * record at the FIFO's head with room left flags b dry (see Backlog). */
 static void top_up(repro_state *s, int64_t b)
 {
     int64_t mask = s->rmask[b], base = s->rbase[b];
@@ -474,8 +522,12 @@ static void top_up(repro_state *s, int64_t b)
     }
     s->phead[b] = aid;
     s->pfid[b] = fid;
-    if (aid < 0)
+    if (aid == -1) {
         s->ptail[b] = -1;
+    } else if (aid < -1 && inring <= mask && !s->rdry[b]) {
+        s->rdry[b] = 1;
+        s->ndry++;
+    }
 }
 
 /* Route the header at the front of b from the table; 1, and nothing
@@ -518,19 +570,22 @@ static int refresh(repro_state *s, int64_t b, int64_t cyc)
     return 1;
 }
 
-/* Packet aid joins b's pending FIFO at `now`; returns the ROUTE events
- * emitted (its header, if it is b's front and Python must route it). */
-static int64_t join(repro_state *s, int64_t b, int64_t aid, int64_t now)
+/* Entry e (a packet or a record) joins b's pending FIFO at `now`; returns
+ * the ROUTE events emitted (its header, if it is b's front and Python must
+ * route it). */
+static int64_t join(repro_state *s, int64_t b, int64_t e, int64_t now)
 {
-    int64_t size = s->psize[aid], ql0 = s->qlen[b];
-    s->pnext[aid] = -1;
-    if (s->ptail[b] >= 0) {
-        s->pnext[s->ptail[b]] = (int32_t)aid;
+    int64_t size = entry_size(s, e), ql0 = s->qlen[b];
+    set_next(s, e, -1);
+    if (s->ptail[b] != -1) {
+        set_next(s, s->ptail[b], e);
     } else {
-        s->phead[b] = aid;
+        s->phead[b] = e;
         s->pfid[b] = 0;
     }
-    s->ptail[b] = aid;
+    s->ptail[b] = e;
+    if (e < 0)
+        s->rqn[b]++;
     s->qlen[b] = ql0 + size;
     s->ppend[b] += size;
     s->inflight += size;
@@ -538,7 +593,7 @@ static int64_t join(repro_state *s, int64_t b, int64_t aid, int64_t now)
     if (ql0 + size >= s->qcap[b])
         s->fullb[b] = 1;
     top_up(s, b);
-    if (ql0 == 0) {
+    if (ql0 == 0 && s->qlen[b] > s->ppend[b]) {     /* a record: no word */
         s->front[b] = s->rflat[s->rbase[b] + (s->rhead[b] & s->rmask[b])];
         wake(s, b);
         if (s->want[b] < 0)
@@ -598,7 +653,7 @@ static int64_t fold(repro_state *s, int64_t now, int head)
         if (rank >= 0) {
             b = s->abuf[s->apos];
             aid = s->aaid[s->apos];
-            if (s->qlen[b] + s->psize[aid] > s->qcap[b])
+            if (s->qlen[b] + entry_size(s, aid) > s->qcap[b])
                 return FOLD_OVERFLOW;
             s->apos++;
         } else {        /* from its home's queue toward the requester */
@@ -675,6 +730,10 @@ int64_t repro_run(repro_state *s)
         }
         if (nroute == FOLD_FULL || nroute == FOLD_DRY) {
             stop = nroute == FOLD_FULL ? STOP_EVENTS : STOP_REQUESTS;
+            break;
+        }
+        if (s->ndry) {          /* Python interns, then re-enters `now` */
+            stop = STOP_RECORDS;
             break;
         }
         if (nroute) {           /* Python routes, then re-enters `now` */
@@ -763,7 +822,7 @@ int64_t repro_run(repro_state *s)
             if (fullb[b] && upof[b] >= 0)
                 wake_port(s, upof[b] >> 1);
             fullb[b] = 0;
-            if (s->phead[b] >= 0)
+            if (s->phead[b] != -1)
                 top_up(s, b);
             if (ql > 0)
                 front[b] = rflat[rbase[b] + (rh & rmask[b])];
@@ -845,6 +904,10 @@ int64_t repro_run(repro_state *s)
             stop = tailstop & TAIL_STOP ? STOP_DELIVERY : STOP_FEEDBACK;
             break;
         }
+        if (s->ndry) {
+            stop = STOP_RECORDS;
+            break;
+        }
     }
     s->now = now;
     s->stop = stop;
@@ -860,7 +923,8 @@ int64_t repro_run(repro_state *s)
  * new one). */
 void repro_merge(repro_state *s, int64_t n)
 {
-    int64_t *cyc = s->acyc, *buf = s->abuf, *aid = s->aaid, *rk = s->arank;
+    int64_t *cyc = s->acyc;
+    int32_t *buf = s->abuf, *aid = s->aaid, *rk = s->arank;
     int64_t o = s->apos - n, i = s->apos, j = s->an, end = s->an + n;
     while (j < end) {
         int64_t k = i < s->an && (cyc[i] < cyc[j]
@@ -877,7 +941,8 @@ void repro_merge(repro_state *s, int64_t n)
 
 /* Packet ids follow the packets alive (ArrayBackend._make_room).  An aid
  * is live while something will still read it: a word in a ring, a packet
- * in a pending FIFO, an arrival row [apos, an), a reply in the due ring,
+ * in a pending FIFO (or a record's link to it), an arrival row [apos, an)
+ * that is not a record, a reply in the due ring,
  * a request a source has yet to fire (shead chains), the reply a live
  * request names in pcont and the last cycle's dateline words (outdl, the
  * shard worker's).  Python marks its own holders first (every branch of
@@ -889,8 +954,8 @@ static void mark_chain(const repro_state *s, uint8_t *live, int64_t aid)
 }
 
 /* Set live[a] for every live aid a < used; returns the flits walked (the
- * ring words, then each FIFO's packets from the head's next flit on),
- * which must equal `inflight`. */
+ * ring words, then each FIFO's packets from the head's next flit on and
+ * its records), which must equal `inflight`. */
 int64_t repro_mark(repro_state *s, uint8_t *live, int64_t used)
 {
     int64_t b, i, flits = 0;
@@ -900,13 +965,15 @@ int64_t repro_mark(repro_state *s, uint8_t *live, int64_t used)
             live[s->rflat[s->rbase[b] + ((s->rhead[b] + i) & s->rmask[b])]
                  >> FSHIFT] = 1;
         flits += inring;
-        for (aid = s->phead[b]; aid >= 0; aid = s->pnext[aid], fid = 0) {
-            live[aid] = 1;
-            flits += s->psize[aid] - fid;
+        for (aid = s->phead[b]; aid != -1; aid = entry_next(s, aid), fid = 0) {
+            if (aid >= 0)
+                live[aid] = 1;
+            flits += entry_size(s, aid) - fid;
         }
     }
     for (i = s->apos; i < s->an; i++)
-        live[s->aaid[i]] = 1;
+        if (s->aaid[i] >= 0)
+            live[s->aaid[i]] = 1;
     for (i = 0; i <= s->cmask; i++)
         mark_chain(s, live, s->cring[3 * i]);
     for (i = 0; i < s->S; i++)
@@ -929,12 +996,18 @@ static int64_t moved_word(const int64_t *map, int64_t w)
  * place and before Python slides the per-packet columns down: the ring
  * words and fronts, the FIFO ends, each live packet's pnext and the
  * reply its pcont names, the arrival rows, the due ring's buckets, the
- * sources' next requests and the last cycle's dateline words. */
+ * sources' next requests, the last cycle's dateline words and the
+ * records' links to packets. */
 void repro_remap(repro_state *s, const int64_t *map, int64_t used)
 {
-    int64_t b, i;
+    int64_t b, i, e, nx;
     for (b = 0; b < s->B; b++) {
         int64_t inring = s->qlen[b] - s->ppend[b];
+        for (e = s->phead[b]; e != -1; e = nx) {    /* a record's link */
+            nx = entry_next(s, e);
+            if (e < 0 && nx >= 0)
+                s->rnext[REC(e)] = (int32_t)map[nx];
+        }
         for (i = 0; i < inring; i++) {
             int64_t *w = s->rflat + s->rbase[b]
                 + ((s->rhead[b] + i) & s->rmask[b]);
@@ -942,10 +1015,10 @@ void repro_remap(repro_state *s, const int64_t *map, int64_t used)
         }
         if (s->qlen[b])
             s->front[b] = moved_word(map, s->front[b]);
-        if (s->phead[b] >= 0) {
+        if (s->phead[b] >= 0)
             s->phead[b] = map[s->phead[b]];
+        if (s->ptail[b] >= 0)
             s->ptail[b] = map[s->ptail[b]];
-        }
     }
     for (i = 0; i < used; i++) {
         if (map[i] < 0)
@@ -957,7 +1030,8 @@ void repro_remap(repro_state *s, const int64_t *map, int64_t used)
                 | (map[(s->pcont[i] & CONT_AID) - 1] + 1);
     }
     for (i = s->apos; i < s->an; i++)
-        s->aaid[i] = map[s->aaid[i]];
+        if (s->aaid[i] >= 0)
+            s->aaid[i] = (int32_t)map[s->aaid[i]];
     for (i = 0; i <= s->cmask; i++) {
         int64_t *bk = s->cring + 3 * i;
         if (bk[0] >= 0) {
@@ -970,4 +1044,68 @@ void repro_remap(repro_state *s, const int64_t *map, int64_t used)
             s->shead[i] = map[s->shead[i]];
     for (i = 0; i < s->ndl; i++)
         s->outdl[i] = moved_word(map, s->outdl[i]);
+}
+
+/* The records Python interns next (see Backlog): for each queue b with
+ * want[b] > 0, walking from its ring over the packets of its FIFO, the
+ * records after them while the flits counted are fewer than want[b] (up
+ * to the next packet), into out in queue order; want[b] becomes how many
+ * of b's.  Returns their count.  Reads the state only. */
+int64_t repro_take(repro_state *s, int64_t *want, int32_t *out)
+{
+    int64_t b, n = 0;
+    for (b = 0; b < s->B; b++) {
+        int64_t e = s->phead[b], fid = s->pfid[b], k = 0;
+        int64_t have = s->qlen[b] - s->ppend[b];
+        if (want[b] > 0 && s->rqn[b]) {
+            for (; e >= 0; e = s->pnext[e], fid = 0)
+                have += s->psize[e] - fid;
+            for (; e < -1 && have < want[b]; e = s->rnext[REC(e)]) {
+                out[n + k++] = (int32_t)REC(e);
+                have += s->rsize[REC(e)];
+            }
+        }
+        want[b] = k;
+        n += k;
+    }
+    return n;
+}
+
+/* Python interned the records repro_take named, in its order, as aids a0,
+ * a0 + 1, ...: each takes its record's place in its FIFO, which tops its
+ * ring up; a ring that was empty exposes its header, routed from the
+ * table or as a ROUTE event of cycle `now`.  Returns the ROUTE events. */
+int64_t repro_link(repro_state *s, const int64_t *took, int64_t a0)
+{
+    int64_t b, i, nroute = 0;
+    for (b = 0; b < s->B; b++) {
+        int64_t k = took[b], prev = -1, e = s->phead[b], inring;
+        if (!k)
+            continue;
+        for (; e >= 0; e = s->pnext[e])
+            prev = e;
+        if (prev >= 0) {
+            s->pnext[prev] = (int32_t)a0;
+        } else {
+            s->phead[b] = a0;
+            s->pfid[b] = 0;
+        }
+        for (i = 0; i < k; i++, e = s->rnext[REC(e)]) {
+            if (s->ptail[b] == e)
+                s->ptail[b] = a0 + i;
+            s->pnext[a0 + i] = (int32_t)(i + 1 < k ? a0 + i + 1
+                                         : s->rnext[REC(e)]);
+        }
+        s->rqn[b] -= k;
+        a0 += k;
+        inring = s->qlen[b] - s->ppend[b];
+        top_up(s, b);
+        if (!inring && s->qlen[b] > s->ppend[b]) {
+            s->front[b] = s->rflat[s->rbase[b] + (s->rhead[b] & s->rmask[b])];
+            wake(s, b);
+            if (s->want[b] < 0)
+                nroute += refresh(s, b, s->now);
+        }
+    }
+    return nroute;
 }

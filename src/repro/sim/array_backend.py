@@ -33,8 +33,10 @@ deliveries read (``_pborn``, ``_pcid``: class, ``_ptxn``).  A packet
 may be columns only: ``_pkts`` maps an aid to its ``Packet`` only once
 :meth:`ArrayBackend._packet` built one for a message staged as a row (a
 broadcast's with its op) for a Python route, a fault, ``on_tail`` or an
-inspection -- a saturated run builds none.  The packet table is
-sized by the packets alive, not by the horizon: every entry that interns
+inspection -- a saturated run builds none.  A source queue's backlog
+past its stock waits as records, not packets (the sim README's
+Backlog): the packet table is sized by the packets moving, not by the
+horizon or the backlog.  Every entry that interns
 first makes room (:meth:`ArrayBackend._make_room`), and a full table of
 at least ``_COMPACT_MIN`` slots whose live slots (``repro_mark``) are at
 most half slides them down in order, every reference following
@@ -145,7 +147,7 @@ from repro.noc.buffers import EMPTY
 from repro.noc.network import Adapter, flit_key
 from repro.noc.packet import (BROADCAST, RELAY, TRAFFIC_NAMES, UNICAST,
                               CollectiveOp, Packet)
-from repro.sim.backend import Probes, SimBackend
+from repro.sim.backend import ConservationError, Probes, SimBackend
 from repro.sim.ckernel import State, load_cycle_kernel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -169,8 +171,8 @@ _SRC_WINDOW = 16
 #: Why a batch ended (``State.stop``; the names are the ``--profile``
 #: report's ``stops`` keys) and the event kinds, as in _cycle_kernel.c.
 STOPS = ("horizon", "python_route", "delivery", "events_full", "feedback",
-         "requests")
-STOP_EVENTS, STOP_REQUESTS = STOPS.index("events_full"), len(STOPS) - 1
+         "requests", "records")
+STOP_EVENTS, STOP_REQUESTS = STOPS.index("events_full"), STOPS.index("requests")
 (EV_DELIVERY, EV_ROUTE, EV_DATELINE, EV_WINNER, EV_COMPLETE, EV_CONT,
  EV_FIRE) = range(7)
 #: Most events one cycle can emit per port: a winner and a dateline
@@ -227,8 +229,23 @@ _PCOLS = {"_pdst": np.int32, "_ptraf": np.int8, "_psize": np.int32,
           "_pvcl": np.int8, "_phdr": np.int32, "_pnext": np.int32,
           "_popx": np.int64, "_psrc": np.int32, "_pcont": np.int64,
           "_pborn": np.int64, "_pcid": np.int32, "_ptxn": np.int64}
-#: The arrival-row columns (int64).
-_ACOLS = ("_acyc", "_abuf", "_aaid", "_arank")
+#: The arrival-row columns: the cycle in ``int64``, the buffer row, the
+#: entry (an aid, or record ``r`` as ``-2 - r``) and the rank in ``int32``.
+_ACOLS = {"_acyc": np.int64, "_abuf": np.int32, "_aaid": np.int32,
+          "_arank": np.int32}
+#: A backlog record's columns, 16 bytes (the sim README's Backlog): what
+#: interning it reads, the kernel its flits (``_rsize``) and link
+#: (``_rnext``: the pending-FIFO entry after it, aid or record).  A
+#: unicast created past ``INT32_MAX`` or with a size or class id past
+#: ``INT16_MAX`` is interned instead (:meth:`ArrayBackend._backlog`).
+_RCOLS = {"_rborn": np.int32, "_rdst": np.int32, "_rcid": np.int16,
+          "_rsize": np.int16, "_rnext": np.int32}
+#: A source queue's stock, in flits: an arrival with its stock ahead of it
+#: in its queue is staged as a record.  Each window renews the stock to
+#: ``_STOCK`` plus twice what the queue sent in the last one; a queue whose
+#: packets ran out with records behind them doubles it (up to
+#: ``_STOCK_MAX``) and interns records up to it.
+_STOCK, _STOCK_MAX = 192, 4096
 
 #: Packed-field capacities, checked once when a session is built.  A
 #: delivery event is ``(aid << 16) | port`` (``_cycle_kernel.c``, read
@@ -236,19 +253,17 @@ _ACOLS = ("_acyc", "_abuf", "_aaid", "_arank")
 #: route-table entry holds a port's slot in its router, 20 bits).  A
 #: packet's last flit id must fit below ``TAIL``.  An ``int32`` column
 #: holds nodes, buffer rows and class ids up to ``INT32_MAX``, and aids
-#: (``_pnext``) below ``MAX_PACKET_SLOTS``, which :meth:`_grow` checks.
+#: (``_pnext``) below ``MAX_PACKET_SLOTS`` and records (``_rnext``) below
+#: ``MAX_RECORDS``, which :meth:`_grow` checks.
 MAX_PORTS = 1 << 16
 MAX_PACKET_FLITS = TAIL
 INT32_MAX = (1 << 31) - 1
 MAX_PACKET_SLOTS = 1 << 31
+MAX_RECORDS = 1 << 30
+INT16_MAX = (1 << 15) - 1
 
 
 _POW2 = 1 << np.arange(62)
-
-
-class ConservationError(RuntimeError):
-    """The flits a packet-table mark walked are not the flits in flight:
-    a ring, a pending FIFO or the in-flight count lost or gained one."""
 
 
 def _pow2_at_least(x):
@@ -304,6 +319,8 @@ class ArrayBackend(SimBackend):
         self._merge = lib.repro_merge
         self._mark = lib.repro_mark
         self._remap = lib.repro_remap
+        self._take = lib.repro_take
+        self._link = lib.repro_link
         self._arm = lib.repro_arm
         self._build_static()
         self._adopt()
@@ -455,7 +472,8 @@ class ArrayBackend(SimBackend):
         for name in ("qlen front rhead want vcreq jof pvb pvb2 phead "
                      "ptail pfid ppend").split():
             setattr(self, "_" + name, z())
-        for name in ("_dlv", "_hdrf", "_ne", "_fullb"):
+        self._rqn = np.zeros(B2, np.int32)
+        for name in ("_dlv", "_hdrf", "_ne", "_fullb", "_rdry"):
             setattr(self, name, np.zeros(B2, bool))
         self._owner = z(self._PV + 1)
         self._rr = z(P)
@@ -471,8 +489,25 @@ class ArrayBackend(SimBackend):
         self._cid: Dict[Optional[str], int] = {None: 0}
         for name, dtype in _PCOLS.items():
             setattr(self, name, np.zeros(min(1024, _COMPACT_MIN), dtype))
-        for name in _ACOLS:
-            setattr(self, name, z(1024))
+        for name, dtype in _ACOLS.items():
+            setattr(self, name, np.zeros(1024, dtype))
+        # the backlog (sim README): records [0, _rused), the free ones in
+        # ``_rfree[:_nrfree]``, the refills; the unicast queues a record
+        # may wait in, by row (not a one-word ring: it could run empty
+        # before a refill), each one's stock and the flits it held and was
+        # given since the last window (before the first, as if it had sent
+        # ``_STOCK``: nothing says yet how fast a queue drains)
+        for name, dtype in _RCOLS.items():
+            setattr(self, name, np.zeros(64, dtype))
+        self._rfree = np.zeros(64, np.int32)
+        self._rused = self._nrfree = self._nrefill = 0
+        qrows = (self._qfirst[:, None] + np.flatnonzero(
+            np.bincount(self._qrel[self._qrel >= 0]))).ravel()
+        self._qrows = qrows[self._rmask[qrows] > 0]
+        self._qidx = np.full(B2, -1, np.int32)     # row -> index, or -1
+        self._qidx[self._qrows] = np.arange(len(self._qrows))
+        self._rstock = np.full(len(self._qrows), _STOCK)
+        self._rgiven = self._rstock.copy()
         #: objects holding aids of their own (the shard worker's gids):
         #: ``held_aids()`` stay live, ``remap_aids(new_of)`` follows each
         #: compaction (:meth:`_compact`)
@@ -536,7 +571,7 @@ class ArrayBackend(SimBackend):
                               N=net.n, evcap=evcap,
                               cmask=len(self._cring) - 1)
         for name in State.POINTERS:
-            setattr(st, name, getattr(self, "_" + name).ctypes.data)
+            st.bind(name, getattr(self, "_" + name))
         self._stp = ctypes.addressof(st)
         if kc is not None:      # the accumulator moves into the kernel
             d = kc.delivery
@@ -623,20 +658,24 @@ class ArrayBackend(SimBackend):
         """Reallocate the columns ``names`` (each keeps its dtype) to a
         power of two of at least ``need`` entries (doubling), keeping the
         first ``keep``, and re-point the state struct at them.  The packet
-        table (``_PCOLS``) grows to at most ``MAX_PACKET_SLOTS``: its
-        aids are ``int32``."""
+        table (``_PCOLS``) grows to at most ``MAX_PACKET_SLOTS``, the
+        records (``_RCOLS``) to ``MAX_RECORDS``: their links are
+        ``int32``."""
         first = getattr(self, next(iter(names)))
         size = max(int(_pow2_at_least(need)), 2 * len(first))
         if names is _PCOLS:
             _check_limit("packet slots (the int32 aid columns)", size,
                          MAX_PACKET_SLOTS)
+        elif names is _RCOLS:
+            _check_limit("backlog records (the int32 record links)", size,
+                         MAX_RECORDS)
         for name in names:
             old = getattr(self, name)
             new = np.zeros(size, old.dtype)
             new[:keep] = old[:keep]
             setattr(self, name, new)
             if name[1:] in State.POINTERS:  # not _pborn, _pcid, _ptxn
-                setattr(self._st, name[1:], new.ctypes.data)
+                self._st.bind(name[1:], new)
 
     def _make_room(self, k: int) -> None:
         """Every entry that interns (:meth:`_stage`,
@@ -715,20 +754,22 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     # adoption: object graph -> arrays
     # ------------------------------------------------------------------
-    def _intern(self, pkts, cols=None) -> int:
+    def _intern(self, pkts, cols=None, staged: bool = True) -> int:
         """Append the packets ``pkts`` or, given ``cols`` (class names or
         their ids as a numpy column, created, receipt slot, dst, size,
         traffic, vclass), ``pkts`` rows, which have no object, to the
         packet columns; returns the first new aid.  A slot is reused only
         after its packet died and a compaction slid the live ones down:
         callers make room first (:meth:`_make_room`), here the columns
-        only grow, doubling (:meth:`_grow`)."""
+        only grow, doubling (:meth:`_grow`).  Backlog records were
+        counted staged as records (``staged`` False)."""
         a0 = self._used
         k = len(pkts) if cols is None else pkts
         a1 = self._used = a0 + k
         if a1 > len(self._pdst):
             self._grow(_PCOLS, a1, a0)
-        self._nstaged += k
+        if staged:
+            self._nstaged += k
         if cols is None:
             cols = zip(*[(p.cls, p.created, self._slot(p.op), p.dst, p.size,
                           p.traffic, p.vclass) for p in pkts])
@@ -759,23 +800,170 @@ class ArrayBackend(SimBackend):
             return cid[next(iter(seen))]
         return list(map(cid.__getitem__, names))
 
-    def _intern_unicasts(self, node, dst, size, cid, born) -> np.ndarray:
-        """Intern unicasts given as columns (``cid``: class ids) as
-        ``adapter.send`` would have, counting each generated; returns each
-        one's source buffer (the queue table; a destination ``send``
-        refuses raises what it would).  They have no ``_pkts`` entry;
-        ``_psrc`` holds the source node, for :meth:`_packet`."""
-        n, k = self.net.n, len(born)
+    def _unicast_queues(self, node, dst) -> np.ndarray:
+        """The source buffer of each unicast given as columns (the queue
+        table); a destination ``send`` refuses raises what it would."""
+        n = self.net.n
         bad = dst[(dst < 0) | (dst >= n)]
         if len(bad):
             raise ValueError(f"destination {bad[0]} out of range for N={n}")
         bufs = self._queue_rows(node, dst)
         if (bufs < 0).any():
             raise ValueError("local address has no quadrant")
-        a0 = self._intern(k, (cid, born, -1, dst, size, UNICAST, 0))
-        self._psrc[a0:a0 + k] = node
-        self._generated(node, False)
         return bufs
+
+    def _intern_unicasts(self, node, dst, size, cid, born, rec):
+        """Intern unicasts given as columns (``cid``: class ids) as
+        ``adapter.send`` would have, counting each generated, but those
+        ``rec`` marks (:meth:`_backlog`) become records; returns each
+        one's entry (its aid, or ``-2 - r`` for record ``r``).  They have
+        no ``_pkts`` entry; ``_psrc`` holds the source node, for
+        :meth:`_packet`."""
+        k = len(born)
+        self._generated(node, False)
+        if rec is None:
+            a0 = self._intern(k, (cid, born, -1, dst, size, UNICAST, 0))
+            self._psrc[a0:a0 + k] = node
+            return np.arange(a0, a0 + k)
+        new = ~rec
+        m = k - int(rec.sum())
+        a0 = self._intern(m, (cid[new], born[new], -1, dst[new], size[new],
+                              UNICAST, 0))
+        self._psrc[a0:a0 + m] = node[new]
+        ent = np.empty(k, np.int64)
+        ent[new] = np.arange(a0, a0 + m)
+        ent[rec] = -2 - self._records(born[rec], dst[rec], cid[rec],
+                                      size[rec])
+        return ent
+
+    def _backlog(self, bufs, size, born, cid) -> Optional[np.ndarray]:
+        """Which of these unicasts (source buffers, sizes, created, class
+        ids) wait as records: those with their queue's stock of flits
+        (``_rstock``) ahead of them -- its flits now, then the new ones
+        before them in staging order, which is a queue's arrival order
+        within a window -- and whose fields fit a record's columns;
+        ``None`` if none does.  A record in another place than this
+        foresees costs a refill, never a different run."""
+        qrows, stock = self._qrows, self._rstock
+        qi = self._qidx[bufs]
+        ok = qi >= 0                # a queue a record may wait in
+        given = np.bincount(qi[ok], size[ok], minlength=len(qrows))
+        self._rgiven += given.astype(np.int64)
+        if not (given + self._qlen[qrows] >= stock).any():
+            return None
+        have, want = self._qlen[bufs], stock[qi]
+        rec = have >= want          # a queue holding its stock takes none
+        part = np.flatnonzero(~rec & (given[qi] + have >= want))
+        if len(part):               # ... the others fill theirs in order
+            part = part[np.argsort(bufs[part], kind="stable")]
+            b, sz = bufs[part], size[part]
+            before = np.cumsum(sz) - sz
+            before -= np.maximum.accumulate(np.where(
+                np.r_[True, b[1:] != b[:-1]], before, 0))
+            rec[part] = have[part] + before >= want[part]
+        rec &= (ok & (born <= INT32_MAX) & (size <= INT16_MAX)
+                & (cid <= INT16_MAX))
+        return rec if rec.any() else None
+
+    def _restock(self, now: int) -> None:
+        """A new window of unicasts: each queue's stock becomes
+        ``_STOCK`` plus twice the flits it sent since the last one (what
+        it held then and was given, less what it holds: the rate varies
+        from window to window), and the queues holding records intern up
+        to it (:meth:`_refill`)."""
+        held = self._qlen[self._qrows]
+        self._rstock = _STOCK + 2 * np.maximum(self._rgiven - held, 0)
+        self._rgiven = held
+        if self._rqn.any():
+            want = np.zeros(self._B2, np.int64)
+            want[self._qrows] = self._rstock
+            self._refill(want, now)
+
+    def _records(self, born, dst, cid, size) -> np.ndarray:
+        """Backlog records of these unicasts (the sim README's Backlog),
+        in free slots first; their indices."""
+        k, nf = len(born), self._nrfree
+        reuse = min(k, nf)
+        r = np.empty(k, np.int64)
+        r[:reuse] = self._rfree[nf - reuse:nf]
+        self._nrfree = nf - reuse
+        r0 = self._rused
+        r1 = self._rused = r0 + k - reuse
+        if r1 > len(self._rsize):
+            self._grow(_RCOLS, r1, r0)
+        r[reuse:] = np.arange(r0, r1)
+        self._rborn[r], self._rdst[r], self._rcid[r], self._rsize[r] = (
+            born, dst, cid, size)
+        self._nstaged += k
+        return r
+
+    def _intern_records(self, r: np.ndarray, bufs: np.ndarray) -> int:
+        """Intern records ``r``, each waiting in source buffer ``bufs``,
+        in that order, and free their slots; returns the first aid."""
+        n = len(r)
+        self._make_room(n)
+        a0 = self._intern(n, (self._rcid[r], self._rborn[r], -1,
+                              self._rdst[r], self._rsize[r], UNICAST, 0),
+                          staged=False)
+        self._psrc[a0:a0 + n] = bufs // self.net.wiring.nbuf
+        nf = self._nrfree
+        if nf + n > len(self._rfree):
+            self._rfree = np.concatenate((self._rfree[:nf], np.zeros(
+                max(nf + n, len(self._rfree)), np.int32)))
+        self._rfree[nf:nf + n] = r
+        self._nrfree = nf + n
+        return a0
+
+    def _refill(self, want: np.ndarray, now: int) -> None:
+        """Intern the records ``repro_take`` names for ``want`` (flits a
+        queue row should hold in its ring and packets: int64 over the
+        rows, overwritten with each row's count) and put them in their
+        places in its pending FIFO (``repro_link``, which may expose a
+        header at cycle ``now``: routed here)."""
+        live = self._rused - self._nrfree
+        out = np.empty(max(min(live, int(np.minimum(want, live).sum())), 1),
+                       np.int32)
+        n = self._take(self._stp, want.ctypes.data, out.ctypes.data)
+        if not n:
+            return
+        q = np.flatnonzero(want)
+        a0 = self._intern_records(out[:n], np.repeat(q, want[q]))
+        self._st.now = now
+        events = self._call(lambda stp: self._link(stp, want.ctypes.data, a0))
+        if len(events):
+            self._replay(events)
+
+    def _refill_dry(self, now: int) -> None:
+        """The kernel's ``records`` stop: each queue whose packets ran out
+        with records behind them doubles its stock (up to ``_STOCK_MAX``)
+        and interns records up to it, and its waiting arrival rows that
+        are records become packets (its backlog went faster than its
+        stock foresaw); again while a queue is still dry."""
+        st, dry = self._st, self._rdry
+        while st.ndry:
+            q = np.flatnonzero(dry)
+            dry[q] = False
+            st.ndry = 0
+            self._nrefill += 1
+            qi = self._qidx[q]
+            self._rstock[qi] = np.minimum(2 * self._rstock[qi], _STOCK_MAX)
+            want = np.zeros(len(dry), np.int64)
+            want[q] = self._rstock[qi]
+            self._refill(want, now)
+            ent = self._aaid[st.apos:st.an]
+            bufs = self._abuf[st.apos:st.an]
+            mark = np.zeros(len(dry), bool)
+            mark[q] = True
+            rows = np.flatnonzero((ent < 0) & mark[bufs])
+            if len(rows):
+                ent[rows] = np.arange(len(rows)) + self._intern_records(
+                    -2 - ent[rows].astype(np.int64), bufs[rows])
+
+    def _intern_backlog(self) -> None:
+        """Intern every record in a pending FIFO, for whatever reads the
+        queues as packets (:meth:`materialize`, a fault event)."""
+        while self._rqn.any():
+            self._refill(np.where(self._rqn > 0, 1 << 62, 0), self.net.cycle)
 
     def _generated(self, node, collective: bool) -> None:
         """Count a message generated at each of ``node``."""
@@ -862,12 +1050,13 @@ class ArrayBackend(SimBackend):
             col = np.zeros(len(srcs), np.int64)
             col[:] = cols[name]
             setattr(self, "_" + name, col)
-            setattr(st, name, col.ctypes.data)
+            st.bind(name, col)
         self._srate = np.array([s.rate for s in srcs], np.float64)
         self._smt = np.zeros((len(srcs), MT_ROW), np.uint32)
         for row, src in zip(self._smt, srcs):
             row[:] = src.rng.getstate()[1]
-        st.srate, st.smt = self._srate.ctypes.data, self._smt.ctypes.data
+        st.bind("srate", self._srate)
+        st.bind("smt", self._smt)
         st.S, st.phleft = len(srcs), eng._phase_left
         st.nheap = 0
         #: per source: the last request interned, the requests not fired,
@@ -879,7 +1068,8 @@ class ArrayBackend(SimBackend):
         if delay > st.cmask:    # the due ring (empty) fits every reply
             rows = int(_pow2_at_least(delay + 1))
             ring = self._cring = np.full((rows, 3), -1, np.int64)
-            st.cring, st.cmask = ring.ctypes.data, len(ring) - 1
+            st.bind("cring", ring)
+            st.cmask = len(ring) - 1
         return self
 
     def fill_sources(self, stop: int) -> None:
@@ -1056,7 +1246,7 @@ class ArrayBackend(SimBackend):
         while len(ops) > len(self._rtbl):
             tbl = self._rtbl = np.concatenate((self._rtbl,
                                                np.zeros_like(self._rtbl)))
-            self._st.rtbl = tbl.ctypes.data
+            self._st.bind("rtbl", tbl)
         self._rtbl[xs, RT_ROW:] = -1
         return xs
 
@@ -1130,15 +1320,17 @@ class ArrayBackend(SimBackend):
         back from the object.  Only new packets are interned; an unbuilt
         graph (a fresh network: the arrays' zero state) is not read."""
         for arr in (self._qlen, self._front, self._rhead, self._vcreq,
-                    self._jof, self._pfid, self._ppend, self._rr, self._fs):
+                    self._jof, self._pfid, self._ppend, self._rr, self._fs,
+                    self._rqn):
             arr[:] = 0
         for arr in (self._want, self._phead, self._ptail, self._phdr,
                     self._owner):
             arr[:] = -1
         self._pvb[:] = self._PV
         self._pvb2[:] = self._PV
-        for arr in (self._dlv, self._hdrf, self._ne, self._fullb):
+        for arr in (self._dlv, self._hdrf, self._ne, self._fullb, self._rdry):
             arr[:] = False
+        self._st.ndry = 0
         self._fullb[self._XB] = True
         self._owner[self._PV] = -2
         self._st.nofast = self.net.fault_state is not None
@@ -1228,19 +1420,23 @@ class ArrayBackend(SimBackend):
         order); equals keep push order, the rows still waiting first.
         That is the order the reference's FIFOs get.  A few entries are
         interned one by one, O(1) each, more (or any row) in one numpy
-        pass; then :meth:`_put` places them."""
+        pass, after the queues' stocks are renewed (:meth:`_restock`),
+        each unicast behind its queue's stock as a record; then
+        :meth:`_put` places them."""
         staged = self._staged
         each = len(staged) <= _SCALAR_STAGE and all(len(e) == 2
                                                     for e in staged)
-        self._make_room(len(staged) if each else
-                        sum(k for k, _ in self._staged_sizes()))
+        sizes = list(self._staged_sizes())
+        self.net.flits_injected += sum(k * size for k, size in sizes)
         if each:
+            self._make_room(len(staged))
             key, abuf, aaid = self._intern_each(now)
             if len(key) > 1:
                 order = sorted(range(len(key)), key=key.__getitem__)
                 key, abuf, aaid = ([col[i] for i in order]
                                    for col in (key, abuf, aaid))
         else:
+            self._restock(now)
             key, abuf, aaid = self._intern_all(now)
         staged.clear()
         self._put(key, abuf, aaid)
@@ -1307,21 +1503,27 @@ class ArrayBackend(SimBackend):
                     node, node if bcast else dst, size,
                     np.zeros(len(idx), np.int64) + self._cids(cls), born,
                     [ranks.get(c, RANK_OTHER) for c in cls], idx))
+        uni, bc = (tuple(np.asarray(col[0] if len(col) == 1 else
+                                    np.concatenate(col), np.int64)
+                         for col in zip(*chunk)) if chunk else None
+                   for chunk in chunks)
+        new = len(pkts) + (len(bc[0]) * nb if bc else 0)
+        if uni:     # which unicasts wait as records: the room the rest need
+            node, dst, size, cl, born, rank, seq = uni
+            bufs = self._unicast_queues(node, dst)
+            rec = self._backlog(bufs, size, born, cl)
+            new += len(born) - (0 if rec is None else int(rec.sum()))
+        self._make_room(new)
         parts = []      # (created, rank, buffer, aid, push order)
-        for bcast, chunk in enumerate(chunks):
-            if chunk:
-                node, dst, size, cl, born, rank, seq = (
-                    np.asarray(col[0] if len(col) == 1 else
-                               np.concatenate(col), np.int64)
-                    for col in zip(*chunk))
-                a0 = self._used
-                bufs = (self._intern_bcasts if bcast else
-                        self._intern_unicasts)(node, dst, size, cl, born)
-                if bcast:           # a row per branch
-                    born, rank, seq = (np.repeat(c, len(bufs) // len(node))
-                                       for c in (born, rank, seq))
-                parts.append((born, rank, bufs,
-                              np.arange(a0, a0 + len(bufs)), seq))
+        if uni:
+            parts.append((born, rank, bufs, self._intern_unicasts(
+                node, dst, size, cl, born, rec), seq))
+        if bc:          # a row per branch
+            node, dst, size, cl, born, rank, seq = bc
+            a0 = self._used
+            bufs = self._intern_bcasts(node, dst, size, cl, born)
+            parts.append((*(np.repeat(c, nb) for c in (born, rank)), bufs,
+                          np.arange(a0, a0 + len(bufs)), np.repeat(seq, nb)))
         if pkts:
             bufs, objs = zip(*map(staged.__getitem__, pkts))
             a0 = self._intern(objs)
@@ -1397,6 +1599,8 @@ class ArrayBackend(SimBackend):
             self._stage(now)
             while True:     # again while a full event buffer left rows
                 self._replay(self._call(self._fold))
+                if st.ndry:
+                    self._refill_dry(now)
                 if st.apos == st.an or self._acyc[st.apos] > now:
                     break
 
@@ -1593,6 +1797,7 @@ class ArrayBackend(SimBackend):
         ``(class, created)``."""
         aid = np.where(fire, word >> SRC_BITS, word)
         self._pborn[aid] = cyc
+        self.net.flits_injected += int(self._psize[aid].sum())
         if fire.any():
             req, src = aid[fire], word[fire] & ((1 << SRC_BITS) - 1)
             c = self._pcont[req]
@@ -1640,10 +1845,13 @@ class ArrayBackend(SimBackend):
             now = st.now
             net.flits_moved += st.moved
             net.deliveries += st.counted
+            net.flits_ejected += st.ejected
             if fs is not None:
                 fs.ejected_flits += st.ejected
             if len(events):
                 self._replay(events)
+            if st.ndry:
+                self._refill_dry(now)
             if st.stop == STOP_EVENTS:
                 self._grow(("_ev",), 0, 0)
                 st.evcap = len(self._ev) // 2
@@ -1686,12 +1894,20 @@ class ArrayBackend(SimBackend):
         st = self._st
         n = st.inflight + self._staged_flits()
         if st.apos < st.an:
-            n += int(self._psize[self._aaid[st.apos:st.an]].sum())
+            ent = self._aaid[st.apos:st.an]
+            rec = ent < 0
+            n += (int(self._psize[ent[~rec]].sum())
+                  + int(self._rsize[-2 - ent[rec]].sum()))
         return n
 
     def pending_flits(self) -> int:
         """Flits of the continuations in the due ring."""
         return self._st.contflits
+
+    def _flit_balance(self) -> int:
+        """:meth:`SimBackend._flit_balance`, an entry staged counted
+        injected (:meth:`_stage` counts it when it interns it)."""
+        return super()._flit_balance() + self._staged_flits()
 
     @staticmethod
     def _ranks(mix: "TrafficMix") -> Dict[Optional[str], int]:
@@ -1705,11 +1921,11 @@ class ArrayBackend(SimBackend):
 
     def run_mix(self, mix: "TrafficMix", cycles: int,
                 probes: Optional[Probes] = None) -> None:
-        """The one run loop (:meth:`SimBackend.run_mix`), then the
-        receipts written back and flit conservation checked: one
-        packet-table mark (:meth:`_live`, O(rows + used slots)) raises
-        :class:`ConservationError` unless the flits it walks are the
-        flits in flight."""
+        """The one run loop (:meth:`SimBackend.run_mix`, which checks the
+        run's flit identity), then the receipts written back and the
+        flits in flight checked: one packet-table mark (:meth:`_live`,
+        O(rows + used slots + records)) raises :class:`ConservationError`
+        unless the flits it walks are ``State.inflight``."""
         self._rank = self._ranks(mix)
         super().run_mix(mix, cycles, probes)
         self._sync(ops=True)
@@ -1721,12 +1937,14 @@ class ArrayBackend(SimBackend):
     def materialize(self) -> None:
         """Rebuild the object graph (buffer deques, switching tables,
         port state, router flit counts, ``Packet.vclass``, the
-        closed-loop sources' ``rng`` state) from the arrays.  Read-only
-        on array state; the arrays stay authoritative."""
+        closed-loop sources' ``rng`` state) from the arrays, the queues'
+        backlog records interned first (:meth:`_intern_backlog`).  The
+        arrays stay authoritative."""
         if self.net.state_owner is not self:
             return
         self.net.objects("materialize")
         self._flush()
+        self._intern_backlog()
         self._sync(ops=True)
         for src, mt in zip(self._srcs, self._smt.tolist()):
             src.rng.setstate((src.rng.VERSION, tuple(mt), src.rng.gauss_next))

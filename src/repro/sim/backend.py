@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.traffic.mix import TrafficMix
 
 __all__ = ["SimBackend", "ReferenceBackend", "BACKENDS", "DEFAULT_BACKEND",
-           "make_backend"]
+           "ConservationError", "make_backend"]
 
 #: The engine every entry point runs when no backend is named -- the one
 #: place the default is spelled (``RunConfig.backend``, the CLI's
@@ -70,6 +70,13 @@ DEFAULT_BACKEND = "array"
 #: ``probes`` maps a cycle number to a callback invoked *after* that
 #: cycle's step (the experiment drivers use one mid-run backlog probe).
 Probes = Dict[int, Callable[[int], None]]
+
+
+class ConservationError(RuntimeError):
+    """Flits were lost or gained: a run ends with injected != ejected +
+    purged + in flight, or an array engine's packet-table mark walked
+    other than the flits in flight (a ring, a pending FIFO or the
+    in-flight count is off)."""
 
 
 class SimBackend:
@@ -112,6 +119,7 @@ class SimBackend:
         probes = probes or {}
         t = self.net.cycle
         end = t + cycles
+        balance = self._flit_balance()
         due = sorted(p for p in probes if t <= p < end)
         due.append(end)
         ahead = self.inject_ahead and not (mix.reactive and (
@@ -123,6 +131,21 @@ class SimBackend:
             if due[pi] == t - 1:
                 probes[t - 1](t - 1)
                 pi += 1
+        if self._flit_balance() != balance:
+            net, fs = self.net, self.net.fault_state
+            raise ConservationError(
+                f"flits injected - ejected - purged - in flight went from "
+                f"{balance} to {self._flit_balance()} in the run "
+                f"({net.flits_injected} injected, {net.flits_ejected} "
+                f"ejected, {fs.purged_flits if fs is not None else 0} "
+                f"purged, {net.fabric_flits()} in flight)")
+
+    def _flit_balance(self) -> int:
+        """Injected - ejected - purged - in flight (queued or waiting to
+        fold): a run leaves it as it found it."""
+        net, fs = self.net, self.net.fault_state
+        return (net.flits_injected - net.flits_ejected - net.fabric_flits()
+                - (fs.purged_flits if fs is not None else 0))
 
     def apply_faults(self, fs, events: List[dict]) -> None:
         """Apply due fault events (:mod:`repro.faults`) to the network.

@@ -15,12 +15,14 @@ steps are exported alone, ``repro_fold``, ``repro_refresh`` and
 ``repro_wake``, for the Python callers that need them without running
 a cycle, ``repro_merge`` merges newly staged arrival rows into the
 waiting ones, ``repro_mark`` / ``repro_remap`` let the engine reuse
-packet ids, ``repro_arm`` arms closed-loop sources and
+packet ids, ``repro_take`` / ``repro_link`` intern a source queue's
+backlog records, ``repro_arm`` arms closed-loop sources and
 ``repro_welford`` folds samples into a statistic (:func:`welford`).
 :class:`State`
 mirrors the C ``repro_state`` field for field, and a kernel whose
 ``repro_state_size()`` disagrees with ``ctypes.sizeof(State)`` is
-refused instead of corrupting memory.
+refused instead of corrupting memory, and :meth:`State.bind` refuses an
+array whose element type is not the one the C field reads.
 
 The kernel is compiled on first use with whatever ``cc`` the host has
 (``$CC`` overrides) and :data:`CFLAGS`, cached under the system temp
@@ -65,32 +67,55 @@ class Welford(ctypes.Structure):
                 + [(name, ctypes.c_double) for name in ("mean", "m2")])
 
 
+def _typed(spec: str) -> dict:
+    """``"dtype: name name ..., dtype: ..."`` as ``{name: dtype}``."""
+    return {name: dtype.strip() for part in spec.split(",")
+            for dtype, names in [part.split(":")]
+            for name in names.split()}
+
+
 class State(ctypes.Structure):
     """``repro_state`` of ``_cycle_kernel.c``, in its field order; a
-    pointer field ``x`` holds the address of the engine's ``_x`` array."""
+    pointer field ``x`` holds the address of the engine's ``_x`` array,
+    set through :meth:`bind`, which checks the element type the C side
+    reads (``POINTERS``, name -> numpy dtype name)."""
 
-    POINTERS = (
-        "qlen front rhead want vcreq jof pvb pvb2 phead ptail pfid ppend "
-        "dlv hdrf ne fullb rtflag isdl owner rr fs "
-        "down rbase rmask qcap vcmode pv2of pnode rtab rrow rsh pbase rflat "
-        "rdy pcand fptr fbuf upof "
-        "bestpr bestb bestvc outdl outrf "
-        "pdst ptraf psize pvcl phdr pnext popx psrc pcont "
-        "acyc abuf aaid arank cring qfirst qrel "
-        "sout swin squota sarm shead srank sphase sheap "
-        "srate smt rtbl ev").split()
+    POINTERS = _typed(
+        "int64: qlen front rhead want vcreq jof pvb pvb2 phead ptail pfid "
+        "ppend, int32: rqn, bool: dlv hdrf ne fullb rdry, uint8: rtflag, "
+        "bool: isdl, "
+        "int64: owner rr fs down rbase rmask qcap vcmode pv2of pnode rtab "
+        "rrow rsh pbase rflat, uint64: rdy pcand, "
+        "int64: fptr fbuf upof bestpr bestb bestvc outdl outrf, "
+        "int32: pdst, int8: ptraf, int32: psize, int8: pvcl, "
+        "int32: phdr pnext, int64: popx, int32: psrc, int64: pcont, "
+        "int16: rsize, int32: rnext, int64: acyc, int32: abuf aaid arank, "
+        "int64: cring qfirst qrel sout swin squota sarm shead srank sphase "
+        "sheap, float64: srate, uint32: smt, int64: rtbl ev")
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
             "B P PV SB Fm1 rstride N warmup "       # fixed while attached
             "now horizon nofast stopkinds trace rescan "    # control
-            "inflight apos an nev evcap cmask ncont contflits "  # run state
+            "inflight apos an nev evcap cmask ncont contflits ndry "  # run
             "S fireto blockend nheap phleft "    # sources
             "stop moved ejected ndl counted heard "     # outputs
             "calls cycles scanned cands flits receipts "    # work counters
             "wakes rescans sent fired coins").split()]
-        + [("stops", ctypes.c_int64 * 6)]
+        + [("stops", ctypes.c_int64 * 7)]
         + [("d", Welford)]
         + [(name, ctypes.c_void_p) for name in POINTERS])
+
+    def bind(self, name: str, arr) -> None:
+        """Point field ``name`` at numpy array ``arr``: a ``TypeError``
+        unless it is C-contiguous with the element type C reads there (a
+        wrong width would be read as other numbers, silently)."""
+        want = self.POINTERS[name]
+        if arr.dtype.name != want or not arr.flags.c_contiguous:
+            raise TypeError(
+                f"State.{name} points at contiguous {want}, not "
+                f"{'' if arr.flags.c_contiguous else 'non-contiguous '}"
+                f"{arr.dtype.name}")
+        setattr(self, name, arr.ctypes.data)
 
 
 def welford(n: int, lo, hi, mean: float, m2: float, xs) -> tuple:
@@ -178,6 +203,8 @@ def _compile_and_load() -> ctypes.CDLL:
                        ("repro_mark", [ctypes.c_void_p, ctypes.c_int64]),
                        ("repro_remap", [ctypes.c_void_p, ctypes.c_int64]),
                        ("repro_arm", [ctypes.c_int64, ctypes.c_int64]),
+                       ("repro_take", [ctypes.c_void_p, ctypes.c_void_p]),
+                       ("repro_link", [ctypes.c_void_p, ctypes.c_int64]),
                        ("repro_welford", [ctypes.c_void_p, ctypes.c_int64])):
         fn = getattr(dll, name)
         fn.restype = (None if name in ("repro_wake", "repro_merge",
@@ -191,7 +218,8 @@ def _compile_and_load() -> ctypes.CDLL:
 def load_cycle_kernel() -> Optional[ctypes.CDLL]:
     """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
     ``repro_refresh``, ``repro_wake``, ``repro_merge``, ``repro_mark``,
-    ``repro_remap``, ``repro_arm``, ``repro_welford`` typed), or
+    ``repro_remap``, ``repro_take``, ``repro_link``, ``repro_arm``,
+    ``repro_welford`` typed), or
     ``None`` if it is unavailable.  The result, either way, is the
     process's."""
     global _cached, _failed

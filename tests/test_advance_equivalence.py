@@ -206,7 +206,7 @@ def test_batches_really_span_cycles():
         session.run()
         st = session.backend._st
         assert st.cycles > 600 and st.calls < 10
-        assert list(st.stops) == [st.calls, 0, 0, 0, 0, 0]  # the horizon
+        assert list(st.stops) == [st.calls, 0, 0, 0, 0, 0, 0]  # horizon
 
 
 def _stops(**kw):
@@ -289,7 +289,8 @@ def test_profile_says_how_tails_were_delivered(case):
         session.profiler.render())
     assert ("built, {} late, {} fired by the kernel, table {slots} slots "
             "of {slot_bytes} bytes, {live} live after {compactions} "
-            "compactions\n  tails: {} "
+            "compactions, {records} records waiting after {refills} "
+            "refills\n  tails: {} "
             "delivered, {} counted by the kernel, {} as unicast columns "
             "({} booked per batch), {} through receive_tail, {} replies "
             "sent by the kernel\n".format(

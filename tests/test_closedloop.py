@@ -597,7 +597,7 @@ def _kernel_arm(state, rate, n):
     cols["smt"] = np.array([state[1]], np.uint32)
     st = ckernel.State(S=1, blockend=n)
     for name, col in cols.items():
-        setattr(st, name, col.ctypes.data)
+        st.bind(name, col)
     ckernel.load_cycle_kernel().repro_arm(ctypes.byref(st), 0, 0)
     return (int(cols["sarm"][0]), st.coins,
             (state[0], tuple(cols["smt"][0].tolist()), state[2]))

@@ -230,13 +230,21 @@ def _ring_flits(be):
     return sum(int(be._psize[a]) for a in owed)
 
 
+def _record_flits(be):
+    """The flits of the backlog records not interned yet (every record
+    slot but the free ones)."""
+    return (int(be._rsize[:be._rused].sum())
+            - int(be._rsize[be._rfree[:be._nrfree]].sum()))
+
+
 def _assert_conserved(be):
-    """Every flit ever interned has left through an ejection port, is in
-    ``total_flits()`` (in flight, waiting to fold, or a reply the due
-    ring owes) or is a reply whose request has not arrived yet or a
-    request its source has yet to fire (neither of which a drain sends);
-    staged entries are not interned yet.  The sums read every slot ever
-    interned: the run stays below the table size that compacts."""
+    """Every flit ever interned, or staged as a backlog record, has left
+    through an ejection port, is in ``total_flits()`` (in flight, waiting
+    to fold, or a reply the due ring owes) or is a reply whose request
+    has not arrived yet or a request its source has yet to fire (neither
+    of which a drain sends); staged entries are not interned yet.  The
+    sums read every slot ever interned: the run stays below the table
+    size that compacts."""
     assert be._ncompact == 0
     n = be._used
     size = be._psize[:n]
@@ -246,7 +254,7 @@ def _assert_conserved(be):
     staged = be._staged_flits()
     ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                   if port.is_ejection)
-    assert (int(size.sum()) + staged
+    assert (int(size.sum()) + _record_flits(be) + staged
             == ejected + be.net.total_flits() + unsent - owed)
 
 
@@ -332,7 +340,7 @@ def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
             assert be._ncols == mix.generated_unicasts + branches
             assert be._ncompact == 0    # every slot ever interned
             generated = (int(be._psize[:be._used].sum())
-                         + be._staged_flits())
+                         + _record_flits(be) + be._staged_flits())
             ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                           if port.is_ejection)
         else:
@@ -367,8 +375,8 @@ def test_profile_counts_objects(beta):
     assert (f"packets: {kc['packets_staged']} staged, {kc['packets_rows']} "
             f"as rows, {kc['packets_columns']} as columns, 0 built, 0 late, "
             f"0 fired by the kernel, table {{slots}} slots of {{slot_bytes}} "
-            f"bytes, {{live}} live "
-            f"after 0 compactions\n".format(
+            f"bytes, {{live}} live after 0 compactions, {{records}} "
+            f"records waiting after {{refills}} refills\n".format(
                 **session.profiler.report()["packet_table"])
             in session.profiler.render())
 

@@ -214,14 +214,16 @@ class TestZeroPerturbation:
         assert (f", {kc['packets_late']} late, {kc['requests_kernel']} "
                 f"fired by the kernel, table {{slots}} slots of {{slot_bytes}} "
                 f"bytes, {{live}} live "
-                f"after {{compactions}} compactions\n".format(
+                f"after {{compactions}} compactions, 0 records waiting "
+                f"after 0 refills\n".format(
                     **report["packet_table"]) in text)
         assert (f", {kc['tails_receive_tail']} through receive_tail, "
                 f"{kc['replies_kernel']} replies sent by the kernel\n"
                 in text)
         assert (f"batches ended by {stops['horizon']} horizon, "
                 f"0 python_route, 0 delivery, 0 events_full, "
-                f"0 feedback, {stops['requests']} requests\n" in text)
+                f"0 feedback, {stops['requests']} requests, 0 records\n"
+                in text)
         # every unicast tail is booked with its batch, timed as collect
         assert kc["tails_booked"] == kc["tails_unicast"] > 0
         assert report["categories"]["collect"] > 0
@@ -271,7 +273,7 @@ class TestZeroPerturbation:
         kc = report["kernel_counters"]
         assert set(kc["stops"]) == {"horizon", "python_route",
                                     "delivery", "events_full", "feedback",
-                                    "requests"}
+                                    "requests", "records"}
         assert sum(kc["stops"].values()) == kc["calls"] < kc["cycles"]
         assert kc["cycles"] <= SPEC.cycles
         assert kc["stops"]["events_full"] == 0
