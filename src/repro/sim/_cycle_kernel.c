@@ -1071,11 +1071,11 @@ int64_t repro_take(repro_state *s, int64_t *want, int32_t *out)
     return n;
 }
 
-/* Python interned the records repro_take named, in its order, as aids a0,
- * a0 + 1, ...: each takes its record's place in its FIFO, which tops its
- * ring up; a ring that was empty exposes its header, routed from the
- * table or as a ROUTE event of cycle `now`.  Returns the ROUTE events. */
-int64_t repro_link(repro_state *s, const int64_t *took, int64_t a0)
+/* Python interned the records repro_take named, in its order, as aids
+ * aid[0], aid[1], ...: each takes its record's place in its FIFO, which
+ * tops its ring up; a ring that was empty exposes its header, routed from
+ * the table or as a ROUTE event of cycle `now`.  Returns the ROUTE events. */
+int64_t repro_link(repro_state *s, const int64_t *took, const int64_t *aid)
 {
     int64_t b, i, nroute = 0;
     for (b = 0; b < s->B; b++) {
@@ -1085,19 +1085,19 @@ int64_t repro_link(repro_state *s, const int64_t *took, int64_t a0)
         for (; e >= 0; e = s->pnext[e])
             prev = e;
         if (prev >= 0) {
-            s->pnext[prev] = (int32_t)a0;
+            s->pnext[prev] = (int32_t)aid[0];
         } else {
-            s->phead[b] = a0;
+            s->phead[b] = aid[0];
             s->pfid[b] = 0;
         }
         for (i = 0; i < k; i++, e = s->rnext[REC(e)]) {
             if (s->ptail[b] == e)
-                s->ptail[b] = a0 + i;
-            s->pnext[a0 + i] = (int32_t)(i + 1 < k ? a0 + i + 1
+                s->ptail[b] = aid[i];
+            s->pnext[aid[i]] = (int32_t)(i + 1 < k ? aid[i + 1]
                                          : s->rnext[REC(e)]);
         }
         s->rqn[b] -= k;
-        a0 += k;
+        aid += k;
         inring = s->qlen[b] - s->ppend[b];
         top_up(s, b);
         if (!inring && s->qlen[b] > s->ppend[b]) {

@@ -714,7 +714,7 @@ class ArrayBackend(SimBackend):
         ops = self._slot_op
         for x, e in enumerate(ops):
             if type(e) is tuple:
-                ops[x] = (int(new_of[e[0]]), e[1])
+                ops[x] = (tuple(new_of[list(e[0])].tolist()), e[1])
         self._aids = {pid: int(new_of[a]) for pid, a in self._aids.items()
                       if new_of[a] >= 0}
         if self._srcs:      # a dry source's last request is not read
@@ -733,7 +733,7 @@ class ArrayBackend(SimBackend):
         live = np.zeros(self._used, np.uint8)
         rows = [e[0] for e in self._slot_op if type(e) is tuple]
         if rows:
-            live[np.add.outer(rows, np.arange(len(self._btab[0])))] = 1
+            live[list(chain.from_iterable(rows))] = 1
         for holder in self.aid_holders:
             live[np.fromiter(holder.held_aids(), np.int64)] = 1
         flits = self._mark(self._stp, live.ctypes.data, len(live))
@@ -754,11 +754,11 @@ class ArrayBackend(SimBackend):
     # ------------------------------------------------------------------
     # adoption: object graph -> arrays
     # ------------------------------------------------------------------
-    def _intern(self, pkts, cols=None, staged: bool = True) -> int:
+    def _intern(self, pkts, cols=None, staged: bool = True) -> np.ndarray:
         """Append the packets ``pkts`` or, given ``cols`` (class names or
         their ids as a numpy column, created, receipt slot, dst, size,
         traffic, vclass), ``pkts`` rows, which have no object, to the
-        packet columns; returns the first new aid.  A slot is reused only
+        packet columns; returns their aids, in that order.  A slot is reused only
         after its packet died and a compaction slid the live ones down:
         callers make room first (:meth:`_make_room`), here the columns
         only grow, doubling (:meth:`_grow`).  Backlog records were
@@ -768,23 +768,23 @@ class ArrayBackend(SimBackend):
         a1 = self._used = a0 + k
         if a1 > len(self._pdst):
             self._grow(_PCOLS, a1, a0)
+        aids = np.arange(a0, a1)
         if staged:
             self._nstaged += k
         if cols is None:
             cols = zip(*[(p.cls, p.created, self._slot(p.op), p.dst, p.size,
                           p.traffic, p.vclass) for p in pkts])
-            self._pkts.update(zip(range(a0, a1), pkts))
+            self._pkts.update(zip(aids.tolist(), pkts))
         cls, born, opx, dst, size, traf, vcl = cols
-        self._pcid[a0:a1] = (cls if type(cls) is np.ndarray
-                             else self._cids(cls))
-        self._pborn[a0:a1] = born
-        self._popx[a0:a1] = opx
-        self._pdst[a0:a1] = dst
-        self._ptraf[a0:a1] = traf
-        self._psize[a0:a1] = size
-        self._pvcl[a0:a1] = vcl
-        self._phdr[a0:a1] = -1
-        return a0
+        self._pcid[aids] = cls if type(cls) is np.ndarray else self._cids(cls)
+        self._pborn[aids] = born
+        self._popx[aids] = opx
+        self._pdst[aids] = dst
+        self._ptraf[aids] = traf
+        self._psize[aids] = size
+        self._pvcl[aids] = vcl
+        self._phdr[aids] = -1
+        return aids
 
     def _cids(self, names):
         """The ``_pcid`` of each class name (new names numbered), or the
@@ -819,19 +819,18 @@ class ArrayBackend(SimBackend):
         one's entry (its aid, or ``-2 - r`` for record ``r``).  They have
         no ``_pkts`` entry; ``_psrc`` holds the source node, for
         :meth:`_packet`."""
-        k = len(born)
         self._generated(node, False)
         if rec is None:
-            a0 = self._intern(k, (cid, born, -1, dst, size, UNICAST, 0))
-            self._psrc[a0:a0 + k] = node
-            return np.arange(a0, a0 + k)
+            aids = self._intern(len(born), (cid, born, -1, dst, size,
+                                             UNICAST, 0))
+            self._psrc[aids] = node
+            return aids
         new = ~rec
-        m = k - int(rec.sum())
-        a0 = self._intern(m, (cid[new], born[new], -1, dst[new], size[new],
-                              UNICAST, 0))
-        self._psrc[a0:a0 + m] = node[new]
-        ent = np.empty(k, np.int64)
-        ent[new] = np.arange(a0, a0 + m)
+        aids = self._intern(len(born) - int(rec.sum()), (
+            cid[new], born[new], -1, dst[new], size[new], UNICAST, 0))
+        self._psrc[aids] = node[new]
+        ent = np.empty(len(born), np.int64)
+        ent[new] = aids
         ent[rec] = -2 - self._records(born[rec], dst[rec], cid[rec],
                                       size[rec])
         return ent
@@ -897,22 +896,22 @@ class ArrayBackend(SimBackend):
         self._nstaged += k
         return r
 
-    def _intern_records(self, r: np.ndarray, bufs: np.ndarray) -> int:
+    def _intern_records(self, r: np.ndarray, bufs: np.ndarray) -> np.ndarray:
         """Intern records ``r``, each waiting in source buffer ``bufs``,
-        in that order, and free their slots; returns the first aid."""
+        in that order, and free their slots; returns their aids."""
         n = len(r)
         self._make_room(n)
-        a0 = self._intern(n, (self._rcid[r], self._rborn[r], -1,
-                              self._rdst[r], self._rsize[r], UNICAST, 0),
-                          staged=False)
-        self._psrc[a0:a0 + n] = bufs // self.net.wiring.nbuf
+        aids = self._intern(n, (self._rcid[r], self._rborn[r], -1,
+                                self._rdst[r], self._rsize[r], UNICAST, 0),
+                            staged=False)
+        self._psrc[aids] = bufs // self.net.wiring.nbuf
         nf = self._nrfree
         if nf + n > len(self._rfree):
             self._rfree = np.concatenate((self._rfree[:nf], np.zeros(
                 max(nf + n, len(self._rfree)), np.int32)))
         self._rfree[nf:nf + n] = r
         self._nrfree = nf + n
-        return a0
+        return aids
 
     def _refill(self, want: np.ndarray, now: int) -> None:
         """Intern the records ``repro_take`` names for ``want`` (flits a
@@ -927,9 +926,10 @@ class ArrayBackend(SimBackend):
         if not n:
             return
         q = np.flatnonzero(want)
-        a0 = self._intern_records(out[:n], np.repeat(q, want[q]))
+        aids = self._intern_records(out[:n], np.repeat(q, want[q]))
         self._st.now = now
-        events = self._call(lambda stp: self._link(stp, want.ctypes.data, a0))
+        events = self._call(lambda stp: self._link(stp, want.ctypes.data,
+                                                   aids.ctypes.data))
         if len(events):
             self._replay(events)
 
@@ -956,7 +956,7 @@ class ArrayBackend(SimBackend):
             mark[q] = True
             rows = np.flatnonzero((ent < 0) & mark[bufs])
             if len(rows):
-                ent[rows] = np.arange(len(rows)) + self._intern_records(
+                ent[rows] = self._intern_records(
                     -2 - ent[rows].astype(np.int64), bufs[rows])
 
     def _intern_backlog(self) -> None:
@@ -979,23 +979,23 @@ class ArrayBackend(SimBackend):
         """Intern broadcasts given as columns (``dst`` unused) as the branch
         packets ``adapter.send_broadcast`` pushes (``_btab``), each counted
         generated, with one receipt slot; returns each branch's source
-        buffer, in push order."""
+        buffer and aid, in push order."""
         pos, rel = self._btab
         nb, m, n = len(pos), len(node), self.net.n
-        a0 = self._intern(m * nb, (
+        aids = self._intern(m * nb, (
             (None,), np.repeat(born, nb), -1,
             ((node[:, None] + rel) % n).ravel(), np.repeat(size, nb),
             BROADCAST, 0))
-        self._psrc[a0:a0 + m * nb] = np.repeat(node, nb)
+        self._psrc[aids] = np.repeat(node, nb)
         cname = self._cname
-        xs = self._open_slots([(a, cname[c]) for a, c in zip(
-            range(a0, a0 + m * nb, nb), cid.tolist())])
+        xs = self._open_slots([(tuple(row), cname[c]) for row, c in zip(
+            aids.reshape(m, nb).tolist(), cid.tolist())])
         tbl = self._rtbl
         tbl[xs, :RT_GEN] = 0
         tbl[xs, 0], tbl[xs, 1] = born, n - 1    # created, expected
-        self._popx[a0:a0 + m * nb] = np.repeat(tbl[xs, RT_GEN] << 32 | xs, nb)
+        self._popx[aids] = np.repeat(tbl[xs, RT_GEN] << 32 | xs, nb)
         self._generated(node, True)
-        return (self._qfirst[node][:, None] + pos).ravel()
+        return (self._qfirst[node][:, None] + pos).ravel(), aids
 
     def due(self, now: int) -> List[tuple]:
         """The continuations the kernel sends at the head of cycle
@@ -1112,12 +1112,11 @@ class ArrayBackend(SimBackend):
         reply, cid = self._srep[src], self._scid[src]
         rq = np.flatnonzero(reply)          # the requests with a reply
         self._make_room(m + len(rq))
-        a0 = self._intern(m + len(rq), (
+        aids = self._intern(m + len(rq), (
             np.concatenate((cid, cid[rq])), -1, -1,
             np.concatenate((dst, node[rq])),
             np.concatenate((self._sreq[src], reply[rq])), UNICAST, 0))
-        req = np.arange(a0, a0 + m)
-        rep = np.arange(a0 + m, a0 + m + len(rq))
+        req, rep = aids[:m], aids[m:]
         self._psrc[req] = node
         self._psrc[rep] = dst[rq]
         self._pcont[req] = -2 - src             # stream: its own credit
@@ -1125,13 +1124,13 @@ class ArrayBackend(SimBackend):
         self._pcont[req[rq]] = self._sdelay[src[rq]] << CONT_SHIFT | (rep + 1)
         # each source's run of requests, chained behind what it has left
         end = np.cumsum(c)
-        head = a0 + end - c
-        self._pnext[req] = req + 1
-        self._pnext[a0 + end - 1] = -1
+        head, last = req[end - c], req[end - 1]
+        self._pnext[req[:-1]] = req[1:]
+        self._pnext[last] = -1
         dry = self._shead[s] < 0
         self._shead[s[dry]] = head[dry]
         self._pnext[self._stail[s[~dry]]] = head[~dry]
-        self._stail[s] = a0 + end - 1
+        self._stail[s] = last
         self._nrows += m + len(rq)
 
     def open_window(self, now: int, until: int, tap: bool) -> Dict:
@@ -1200,13 +1199,14 @@ class ArrayBackend(SimBackend):
         """Receipt slot ``x``'s broadcast row becomes objects: its op,
         with the receipts so far, and its branch packets, as
         ``adapter.send_broadcast`` builds them."""
-        a0, cls = self._slot_op[x]
+        aids, cls = self._slot_op[x]
         op = self._slot_op[x] = CollectiveOp(
-            int(self._psrc[a0]), int(self._pborn[a0]), self.net.n - 1)
+            int(self._psrc[aids[0]]), int(self._pborn[aids[0]]),
+            self.net.n - 1)
         op.cls = cls
         self._slot_of[op] = int(self._rtbl[x, RT_GEN]) << 32 | x
         self._fill(x, op)
-        for a in range(a0, a0 + len(self._btab[0])):
+        for a in aids:
             self._pkts[a] = Packet(op.src, int(self._pdst[a]),
                                    int(self._psize[a]), BROADCAST,
                                    op.created, op)
@@ -1234,7 +1234,7 @@ class ArrayBackend(SimBackend):
 
     def _open_slots(self, entries) -> List[int]:
         """Free receipt slots, their receipts cleared, for ``entries`` (ops,
-        or broadcast rows' first aid and class: ``_slot_op``)."""
+        or broadcast rows' branch aids and class: ``_slot_op``)."""
         free, ops = self._free, self._slot_op
         k = min(len(entries), len(free))
         xs = free[len(free) - k:][::-1] + list(
@@ -1274,13 +1274,13 @@ class ArrayBackend(SimBackend):
         """``EV_COMPLETE`` of broadcast rows nobody read, slots ``x`` at
         cycles ``now`` (emission order), booked in one pass."""
         xs, ops = x.tolist(), self._slot_op
-        a0, names = zip(*map(ops.__getitem__, xs))
+        aids, names = zip(*map(ops.__getitem__, xs))
         for i in xs:
             ops[i] = None
         self._free += xs
         self._rtbl[x, RT_GEN] += 1
         self._kcoll.on_collectives(
-            self._pborn[list(a0)], np.zeros(len(xs), np.int64)
+            self._pborn[[a[0] for a in aids]], np.zeros(len(xs), np.int64)
             + self._cids(names), self._cname, now)
 
     def _sync(self, ops: bool = False) -> None:
@@ -1359,8 +1359,9 @@ class ArrayBackend(SimBackend):
                 self._phdr[aid] = -1
             else:
                 new.append(pkt)
-        a0 = self._intern(new) if new else 0
-        aid_of.update((p.pid, a0 + i) for i, p in enumerate(new))
+        if new:
+            aid_of.update(zip([p.pid for p in new],
+                              self._intern(new).tolist()))
         headers: List[int] = []
         rflat = self._rflat
         inflight = 0
@@ -1520,18 +1521,15 @@ class ArrayBackend(SimBackend):
                 node, dst, size, cl, born, rec), seq))
         if bc:          # a row per branch
             node, dst, size, cl, born, rank, seq = bc
-            a0 = self._used
-            bufs = self._intern_bcasts(node, dst, size, cl, born)
-            parts.append((*(np.repeat(c, nb) for c in (born, rank)), bufs,
-                          np.arange(a0, a0 + len(bufs)), np.repeat(seq, nb)))
+            parts.append((*(np.repeat(c, nb) for c in (born, rank)),
+                          *self._intern_bcasts(node, dst, size, cl, born),
+                          np.repeat(seq, nb)))
         if pkts:
             bufs, objs = zip(*map(staged.__getitem__, pkts))
-            a0 = self._intern(objs)
             parts.append(([p.created for p in objs],
                           [ranks.get(p.cls if p.op is None else p.op.cls,
                                      RANK_OTHER) for p in objs],
-                          bufs,
-                          np.arange(a0, a0 + len(objs)), pkts))
+                          bufs, self._intern(objs), pkts))
         born, rank, abuf, aaid, seq = (
             np.asarray(col[0]) if len(col) == 1 else np.concatenate(col)
             for col in zip(*parts))

@@ -204,7 +204,7 @@ def _compile_and_load() -> ctypes.CDLL:
                        ("repro_remap", [ctypes.c_void_p, ctypes.c_int64]),
                        ("repro_arm", [ctypes.c_int64, ctypes.c_int64]),
                        ("repro_take", [ctypes.c_void_p, ctypes.c_void_p]),
-                       ("repro_link", [ctypes.c_void_p, ctypes.c_int64]),
+                       ("repro_link", [ctypes.c_void_p, ctypes.c_void_p]),
                        ("repro_welford", [ctypes.c_void_p, ctypes.c_int64])):
         fn = getattr(dll, name)
         fn.restype = (None if name in ("repro_wake", "repro_merge",

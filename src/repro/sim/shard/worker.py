@@ -401,7 +401,7 @@ class ShardWorker:
         if meta is not None:
             pkt.meta.update(meta)
         self.be._make_room(1)
-        aid = self.be._intern((pkt,))
+        aid, = self.be._intern((pkt,)).tolist()
         self._gid_of[aid] = gid
         self._gid2aid[gid] = aid
 

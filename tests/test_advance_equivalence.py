@@ -46,7 +46,7 @@ def _named(be, events):
             word = flit_key(be._packet(word >> FSHIFT), word & FIDMASK)
         elif kind == EV_COMPLETE:
             op = be._slot_op[word]      # an op, or a broadcast row's
-            word = ((int(be._psrc[op[0]]), int(be._pborn[op[0]]))
+            word = ((int(be._psrc[op[0][0]]), int(be._pborn[op[0][0]]))
                     if type(op) is tuple else (op.src, op.created))
         elif kind == EV_CONT:
             word = (int(be._psrc[word]), int(be._pdst[word]),
