@@ -39,8 +39,8 @@ candidates, flits moved, ready-set wakes and full rescans, why batches ended
 (``stops``), how many staged packets were rows / columns / ever objects /
 staged late, the closed-loop requests the kernel fired itself, the
 packet table (``packet_table``: its slots, the bytes a slot takes, the
-ones a mark finds live at the report, the compactions that reused dead
-ones), and how
+ones a mark finds live at the report, its ``compactions``: the sweeps
+that freed dead ones), and how
 many tails each delivery path took: collective receipts
 counted by the kernel, unicasts from their columns (of which booked a
 batch at a time), the rest through
@@ -93,15 +93,15 @@ def _kernel_counters(backend) -> Dict[str, object]:
 
 def _packet_table(backend) -> Dict[str, int]:
     """The engine's packet table: its slots, the bytes of one (its
-    columns' widths), how many a mark finds live now, the compactions
-    that ran."""
+    columns' widths), how many a mark finds live now, the sweeps that
+    freed slots."""
     from repro.sim.array_backend import _PCOLS
     return {"slots": len(backend._pdst),
             "slot_bytes": sum(getattr(backend, name).itemsize
                               for name in _PCOLS),
             "live": int(backend._live().sum()),
-            "compactions": backend._ncompact,
-            "records": backend._rused - backend._nrfree,
+            "compactions": backend._nsweep,
+            "records": backend._rslots.used - backend._rslots.n,
             "refills": backend._nrefill}
 
 

@@ -986,66 +986,6 @@ int64_t repro_mark(repro_state *s, uint8_t *live, int64_t used)
     return flits;
 }
 
-/* A flit word whose aid moves to map[aid]. */
-static int64_t moved_word(const int64_t *map, int64_t w)
-{
-    return (map[w >> FSHIFT] << FSHIFT) | (w & (((int64_t)1 << FSHIFT) - 1));
-}
-
-/* Rewrite every aid the state holds, old a -> map[a] (-1: not live), in
- * place and before Python slides the per-packet columns down: the ring
- * words and fronts, the FIFO ends, each live packet's pnext and the
- * reply its pcont names, the arrival rows, the due ring's buckets, the
- * sources' next requests, the last cycle's dateline words and the
- * records' links to packets. */
-void repro_remap(repro_state *s, const int64_t *map, int64_t used)
-{
-    int64_t b, i, e, nx;
-    for (b = 0; b < s->B; b++) {
-        int64_t inring = s->qlen[b] - s->ppend[b];
-        for (e = s->phead[b]; e != -1; e = nx) {    /* a record's link */
-            nx = entry_next(s, e);
-            if (e < 0 && nx >= 0)
-                s->rnext[REC(e)] = (int32_t)map[nx];
-        }
-        for (i = 0; i < inring; i++) {
-            int64_t *w = s->rflat + s->rbase[b]
-                + ((s->rhead[b] + i) & s->rmask[b]);
-            *w = moved_word(map, *w);
-        }
-        if (s->qlen[b])
-            s->front[b] = moved_word(map, s->front[b]);
-        if (s->phead[b] >= 0)
-            s->phead[b] = map[s->phead[b]];
-        if (s->ptail[b] >= 0)
-            s->ptail[b] = map[s->ptail[b]];
-    }
-    for (i = 0; i < used; i++) {
-        if (map[i] < 0)
-            continue;
-        if (s->pnext[i] >= 0)
-            s->pnext[i] = (int32_t)map[s->pnext[i]];
-        if (s->pcont[i] > 0)
-            s->pcont[i] = (s->pcont[i] & ~CONT_AID)
-                | (map[(s->pcont[i] & CONT_AID) - 1] + 1);
-    }
-    for (i = s->apos; i < s->an; i++)
-        if (s->aaid[i] >= 0)
-            s->aaid[i] = (int32_t)map[s->aaid[i]];
-    for (i = 0; i <= s->cmask; i++) {
-        int64_t *bk = s->cring + 3 * i;
-        if (bk[0] >= 0) {
-            bk[0] = map[bk[0]];
-            bk[1] = map[bk[1]];
-        }
-    }
-    for (i = 0; i < s->S; i++)
-        if (s->shead[i] >= 0)
-            s->shead[i] = map[s->shead[i]];
-    for (i = 0; i < s->ndl; i++)
-        s->outdl[i] = moved_word(map, s->outdl[i]);
-}
-
 /* The records Python interns next (see Backlog): for each queue b with
  * want[b] > 0, walking from its ring over the packets of its FIFO, the
  * records after them while the flits counted are fewer than want[b] (up

@@ -37,10 +37,11 @@ inspection -- a saturated run builds none.  A source queue's backlog
 past its stock waits as records, not packets (the sim README's
 Backlog): the packet table is sized by the packets moving, not by the
 horizon or the backlog.  Every entry that interns
-first makes room (:meth:`ArrayBackend._make_room`), and a full table of
-at least ``_COMPACT_MIN`` slots whose live slots (``repro_mark``) are at
-most half slides them down in order, every reference following
-(``repro_remap``); only a table more than half live doubles.  Each
+first makes room (:meth:`ArrayBackend._make_room`): a full table of at
+least ``_COMPACT_MIN`` slots whose live slots (``repro_mark``) are at
+most half puts the others on its free list (:class:`FreeList`), where
+interning takes slots first; nothing moves.  Only a table more than
+half live doubles.  Each
 buffer owns a power-of-two ring slice of one flat flit array (a source
 queue's is a window of ``_SRC_WINDOW`` words); an injected packet
 joins its source queue's **pending-packet FIFO** (``_phead`` /
@@ -286,6 +287,41 @@ def check_packet_flits(sizes: Dict[str, int]) -> None:
         _check_limit(f"{field} (flits per packet)", size, MAX_PACKET_FLITS)
 
 
+class FreeList:
+    """The slots of a growable table: ``used`` handed out so far, of which
+    ``free[:n]`` are free again and handed out first -- packet slots a
+    sweep found dead (:meth:`ArrayBackend._sweep`), records interned."""
+
+    def __init__(self):
+        self.free = np.zeros(64, np.int32)
+        self.n = self.used = 0
+
+    def take(self, k: int) -> np.ndarray:
+        """``k`` slots, the free ones first, then ``used`` on."""
+        n, u = self.n, self.used
+        reuse = min(k, n)
+        self.n, self.used = n - reuse, u + k - reuse
+        return np.concatenate((self.free[n - reuse:n],
+                               np.arange(u, self.used)))
+
+    def take1(self) -> int:
+        """One slot, as :meth:`take`."""
+        if self.n:
+            self.n -= 1
+            return int(self.free[self.n])
+        self.used += 1
+        return self.used - 1
+
+    def put(self, slots) -> None:
+        """Free ``slots``."""
+        n, m = self.n, self.n + len(slots)
+        if m > len(self.free):
+            old, self.free = self.free, np.zeros(2 * m, np.int32)
+            self.free[:n] = old[:n]
+        self.free[n:m] = slots
+        self.n = m
+
+
 class ArrayBackend(SimBackend):
     """Array-resident simulation engine (backend name ``"array"``).
 
@@ -318,7 +354,6 @@ class ArrayBackend(SimBackend):
         self._wake = lib.repro_wake
         self._merge = lib.repro_merge
         self._mark = lib.repro_mark
-        self._remap = lib.repro_remap
         self._take = lib.repro_take
         self._link = lib.repro_link
         self._arm = lib.repro_arm
@@ -479,9 +514,9 @@ class ArrayBackend(SimBackend):
         self._rr = z(P)
         self._fs = z(P)
         #: aid -> the ``Packet`` of each aid that has one (a row has none
-        #: until :meth:`_packet` builds it); slots ``[0, _used)`` are taken
+        #: until :meth:`_packet` builds it); the table's slots
         self._pkts: Dict[int, Packet] = {}
-        self._used = 0
+        self._pslots = FreeList()
         #: pid -> aid of each packet :meth:`materialize` put in a buffer
         self._aids: Dict[int, int] = {}
         #: class names by ``_pcid`` and back
@@ -491,16 +526,16 @@ class ArrayBackend(SimBackend):
             setattr(self, name, np.zeros(min(1024, _COMPACT_MIN), dtype))
         for name, dtype in _ACOLS.items():
             setattr(self, name, np.zeros(1024, dtype))
-        # the backlog (sim README): records [0, _rused), the free ones in
-        # ``_rfree[:_nrfree]``, the refills; the unicast queues a record
+        # the backlog (sim README): the records' slots, the refills; the
+        # unicast queues a record
         # may wait in, by row (not a one-word ring: it could run empty
         # before a refill), each one's stock and the flits it held and was
         # given since the last window (before the first, as if it had sent
         # ``_STOCK``: nothing says yet how fast a queue drains)
         for name, dtype in _RCOLS.items():
             setattr(self, name, np.zeros(64, dtype))
-        self._rfree = np.zeros(64, np.int32)
-        self._rused = self._nrfree = self._nrefill = 0
+        self._rslots = FreeList()
+        self._nrefill = 0
         qrows = (self._qfirst[:, None] + np.flatnonzero(
             np.bincount(self._qrel[self._qrel >= 0]))).ravel()
         self._qrows = qrows[self._rmask[qrows] > 0]
@@ -509,8 +544,7 @@ class ArrayBackend(SimBackend):
         self._rstock = np.full(len(self._qrows), _STOCK)
         self._rgiven = self._rstock.copy()
         #: objects holding aids of their own (the shard worker's gids):
-        #: ``held_aids()`` stay live, ``remap_aids(new_of)`` follows each
-        #: compaction (:meth:`_compact`)
+        #: ``held_aids()`` stay live (:meth:`_live`)
         self.aid_holders: List = []
         # continuations waiting for their cycle (the kernel's due ring: a
         # bucket per cycle mod its size, head / tail aid and the cycle)
@@ -534,9 +568,9 @@ class ArrayBackend(SimBackend):
         # ``send_broadcast(s)`` append
         self.rows = self._staged
         # --profile: packets staged (interned), rows / columns staged,
-        # built anyway, entries late, table compactions; tails by path
+        # built anyway, entries late, table sweeps; tails by path
         # (unicasts: all, booked per batch)
-        self._nstaged = self._ncompact = 0
+        self._nstaged = self._nsweep = 0
         self._nrows = self._ncols = self._nbuilt = self._nlate = 0
         self._nuni = self._nbook = self._nrecv = 0
         self._acoll = [ad.collector for ad in a]
@@ -654,10 +688,10 @@ class ArrayBackend(SimBackend):
         k = rel[(dst - node) % len(rel)]
         return np.where(k < 0, -1, first[node] + k)
 
-    def _grow(self, names, need: int, keep: int) -> None:
-        """Reallocate the columns ``names`` (each keeps its dtype) to a
-        power of two of at least ``need`` entries (doubling), keeping the
-        first ``keep``, and re-point the state struct at them.  The packet
+    def _grow(self, names, need: int) -> None:
+        """Reallocate the columns ``names`` (each keeps its dtype and its
+        entries) to a power of two of at least ``need`` entries
+        (doubling), and re-point the state struct at them.  The packet
         table (``_PCOLS``) grows to at most ``MAX_PACKET_SLOTS``, the
         records (``_RCOLS``) to ``MAX_RECORDS``: their links are
         ``int32``."""
@@ -672,7 +706,7 @@ class ArrayBackend(SimBackend):
         for name in names:
             old = getattr(self, name)
             new = np.zeros(size, old.dtype)
-            new[:keep] = old[:keep]
+            new[:len(old)] = old
             setattr(self, name, new)
             if name[1:] in State.POINTERS:  # not _pborn, _pcid, _ptxn
                 self._st.bind(name[1:], new)
@@ -680,49 +714,33 @@ class ArrayBackend(SimBackend):
     def _make_room(self, k: int) -> None:
         """Every entry that interns (:meth:`_stage`,
         :meth:`_intern_requests`, the shard worker's replicas) calls this
-        with its ``k`` new packets before it computes an aid.  If they
-        would not fit the columns and the table holds at least
-        ``_COMPACT_MIN`` slots, it compacts where at most half the slots
-        are live (:meth:`_compact`); else the columns double in
-        :meth:`_intern`, as they fill.  Never called inside
-        :meth:`_intern`: a caller may hold an aid it read before."""
-        used, slots = self._used, len(self._pdst)
-        if used and slots >= _COMPACT_MIN and used + k > slots:
-            self._compact(used // 2)
+        with its ``k`` new packets before it takes an aid.  If they would
+        not fit the free slots and the table holds at least
+        ``_COMPACT_MIN``, it sweeps where at most half the slots taken are
+        live (:meth:`_sweep`); else the columns double in :meth:`_intern`,
+        as they fill.  Never called inside :meth:`_intern`: an aid a
+        caller took before is not live until it is placed."""
+        held, slots = self._pslots.used - self._pslots.n, len(self._pdst)
+        if held and slots >= _COMPACT_MIN and held + k > slots:
+            self._sweep(held // 2)
 
-    def _compact(self, most: int) -> None:
-        """If at most ``most`` slots are live (:meth:`_live`) and some are
-        not, slide the live ones down in order and make every reference
-        follow: ``repro_remap``, then the columns, ``_pkts``, the
-        broadcast rows' first aids, :meth:`materialize`'s ``_aids``, the
-        sources' last requests and each of ``aid_holders``."""
-        used = self._used
-        keep = np.flatnonzero(self._live())
-        n = len(keep)
-        if n > most or n == used:
+    def _sweep(self, most: int) -> None:
+        """If at most ``most`` slots are live (:meth:`_live`) and some
+        taken ones are not, free every slot that is not: zeroed, out of
+        ``_pkts``, onto the free list.  Nothing moves, so no reference
+        changes."""
+        fl = self._pslots
+        live = self._live()
+        n = np.count_nonzero(live)
+        if n > most or n == fl.used - fl.n:
             return
-        new_of = np.full(used, -1, np.int64)
-        new_of[keep] = np.arange(n)
-        self._remap(self._stp, new_of.ctypes.data, used)
+        dead = np.flatnonzero(live == 0)
         for name in _PCOLS:
-            col = getattr(self, name)
-            col[:n] = col[keep]
-            col[n:used] = 0
-        self._used = n
-        self._pkts = {int(new_of[a]): p for a, p in self._pkts.items()
-                      if new_of[a] >= 0}
-        ops = self._slot_op
-        for x, e in enumerate(ops):
-            if type(e) is tuple:
-                ops[x] = (tuple(new_of[list(e[0])].tolist()), e[1])
-        self._aids = {pid: int(new_of[a]) for pid, a in self._aids.items()
-                      if new_of[a] >= 0}
-        if self._srcs:      # a dry source's last request is not read
-            chained = self._shead >= 0
-            self._stail[chained] = new_of[self._stail[chained]]
-        for holder in self.aid_holders:
-            holder.remap_aids(new_of)
-        self._ncompact += 1
+            getattr(self, name)[dead] = 0
+        self._pkts = {a: p for a, p in self._pkts.items() if live[a]}
+        fl.n = 0
+        fl.put(dead)
+        self._nsweep += 1
 
     def _live(self) -> np.ndarray:
         """A flag per used packet slot: whether anything still reads it --
@@ -730,7 +748,7 @@ class ArrayBackend(SimBackend):
         (:meth:`_open_op` reads them all) and what ``aid_holders`` hold.
         Raises :class:`ConservationError` unless the flits the mark walked
         are the flits in flight."""
-        live = np.zeros(self._used, np.uint8)
+        live = np.zeros(self._pslots.used, np.uint8)
         rows = [e[0] for e in self._slot_op if type(e) is tuple]
         if rows:
             live[list(chain.from_iterable(rows))] = 1
@@ -758,17 +776,15 @@ class ArrayBackend(SimBackend):
         """Append the packets ``pkts`` or, given ``cols`` (class names or
         their ids as a numpy column, created, receipt slot, dst, size,
         traffic, vclass), ``pkts`` rows, which have no object, to the
-        packet columns; returns their aids, in that order.  A slot is reused only
-        after its packet died and a compaction slid the live ones down:
-        callers make room first (:meth:`_make_room`), here the columns
-        only grow, doubling (:meth:`_grow`).  Backlog records were
+        packet columns; returns their aids, in that order.  A slot is
+        reused only after its packet died and a sweep freed it: callers
+        make room first (:meth:`_make_room`), here the columns only grow,
+        doubling (:meth:`_grow`).  Backlog records were
         counted staged as records (``staged`` False)."""
-        a0 = self._used
         k = len(pkts) if cols is None else pkts
-        a1 = self._used = a0 + k
-        if a1 > len(self._pdst):
-            self._grow(_PCOLS, a1, a0)
-        aids = np.arange(a0, a1)
+        aids = self._pslots.take(k)
+        if self._pslots.used > len(self._pdst):
+            self._grow(_PCOLS, self._pslots.used)
         if staged:
             self._nstaged += k
         if cols is None:
@@ -881,19 +897,12 @@ class ArrayBackend(SimBackend):
     def _records(self, born, dst, cid, size) -> np.ndarray:
         """Backlog records of these unicasts (the sim README's Backlog),
         in free slots first; their indices."""
-        k, nf = len(born), self._nrfree
-        reuse = min(k, nf)
-        r = np.empty(k, np.int64)
-        r[:reuse] = self._rfree[nf - reuse:nf]
-        self._nrfree = nf - reuse
-        r0 = self._rused
-        r1 = self._rused = r0 + k - reuse
-        if r1 > len(self._rsize):
-            self._grow(_RCOLS, r1, r0)
-        r[reuse:] = np.arange(r0, r1)
+        r = self._rslots.take(len(born))
+        if self._rslots.used > len(self._rsize):
+            self._grow(_RCOLS, self._rslots.used)
         self._rborn[r], self._rdst[r], self._rcid[r], self._rsize[r] = (
             born, dst, cid, size)
-        self._nstaged += k
+        self._nstaged += len(born)
         return r
 
     def _intern_records(self, r: np.ndarray, bufs: np.ndarray) -> np.ndarray:
@@ -905,12 +914,7 @@ class ArrayBackend(SimBackend):
                                 self._rdst[r], self._rsize[r], UNICAST, 0),
                             staged=False)
         self._psrc[aids] = bufs // self.net.wiring.nbuf
-        nf = self._nrfree
-        if nf + n > len(self._rfree):
-            self._rfree = np.concatenate((self._rfree[:nf], np.zeros(
-                max(nf + n, len(self._rfree)), np.int32)))
-        self._rfree[nf:nf + n] = r
-        self._nrfree = nf + n
+        self._rslots.put(r)
         return aids
 
     def _refill(self, want: np.ndarray, now: int) -> None:
@@ -919,7 +923,7 @@ class ArrayBackend(SimBackend):
         rows, overwritten with each row's count) and put them in their
         places in its pending FIFO (``repro_link``, which may expose a
         header at cycle ``now``: routed here)."""
-        live = self._rused - self._nrfree
+        live = self._rslots.used - self._rslots.n
         out = np.empty(max(min(live, int(np.minimum(want, live).sum())), 1),
                        np.int32)
         n = self._take(self._stp, want.ctypes.data, out.ctypes.data)
@@ -1450,10 +1454,9 @@ class ArrayBackend(SimBackend):
         key, abuf, aaid = [], [], []
         self._nstaged += len(self._staged)
         for row, pkt in self._staged:
-            aid = self._used
+            aid = self._pslots.take1()
             if aid >= len(self._pdst):
-                self._grow(_PCOLS, aid + 1, aid)
-            self._used = aid + 1
+                self._grow(_PCOLS, aid + 1)
             pkts[aid] = pkt
             cls, born, op = pkt.cls, pkt.created, pkt.op
             self._pcid[aid] = cid[cls] if cls in cid else self._cids((cls,))
@@ -1554,14 +1557,14 @@ class ArrayBackend(SimBackend):
                                     | int(self._arank[pos]))
         if w and pos < n:       # no room in front: waiting -> [n, n + w)
             if 2 * n + w > len(self._acyc):
-                self._grow(_ACOLS, 2 * n + w, an)
+                self._grow(_ACOLS, 2 * n + w)
             for name in _ACOLS:
                 col = getattr(self, name)
                 col[n:n + w] = col[pos:an]
             pos, an = n, n + w
         at = (pos - n if w else 0) if front else an
         if at + n > len(self._acyc):
-            self._grow(_ACOLS, at + n, an)
+            self._grow(_ACOLS, at + n)
         if type(key) is list:
             acyc, arank = self._acyc, self._arank
             ab, aa = self._abuf, self._aaid
@@ -1851,7 +1854,7 @@ class ArrayBackend(SimBackend):
             if st.ndry:
                 self._refill_dry(now)
             if st.stop == STOP_EVENTS:
-                self._grow(("_ev",), 0, 0)
+                self._grow(("_ev",), 0)
                 st.evcap = len(self._ev) // 2
             elif st.stop == STOP_REQUESTS:
                 self._intern_requests(grow=True)

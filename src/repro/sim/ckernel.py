@@ -14,8 +14,8 @@ columns itself; the next entry then rebuilds the set.  Three of its
 steps are exported alone, ``repro_fold``, ``repro_refresh`` and
 ``repro_wake``, for the Python callers that need them without running
 a cycle, ``repro_merge`` merges newly staged arrival rows into the
-waiting ones, ``repro_mark`` / ``repro_remap`` let the engine reuse
-packet ids, ``repro_take`` / ``repro_link`` intern a source queue's
+waiting ones, ``repro_mark`` lets the engine reuse packet ids,
+``repro_take`` / ``repro_link`` intern a source queue's
 backlog records, ``repro_arm`` arms closed-loop sources and
 ``repro_welford`` folds samples into a statistic (:func:`welford`).
 :class:`State`
@@ -201,15 +201,13 @@ def _compile_and_load() -> ctypes.CDLL:
                        ("repro_wake", [ctypes.c_int64]),
                        ("repro_merge", [ctypes.c_int64]),
                        ("repro_mark", [ctypes.c_void_p, ctypes.c_int64]),
-                       ("repro_remap", [ctypes.c_void_p, ctypes.c_int64]),
                        ("repro_arm", [ctypes.c_int64, ctypes.c_int64]),
                        ("repro_take", [ctypes.c_void_p, ctypes.c_void_p]),
                        ("repro_link", [ctypes.c_void_p, ctypes.c_void_p]),
                        ("repro_welford", [ctypes.c_void_p, ctypes.c_int64])):
         fn = getattr(dll, name)
         fn.restype = (None if name in ("repro_wake", "repro_merge",
-                                       "repro_remap", "repro_arm",
-                                       "repro_welford")
+                                       "repro_arm", "repro_welford")
                       else ctypes.c_int64)
         fn.argtypes = [ctypes.c_void_p, *args]
     return dll
@@ -218,7 +216,7 @@ def _compile_and_load() -> ctypes.CDLL:
 def load_cycle_kernel() -> Optional[ctypes.CDLL]:
     """The compiled cycle kernel library (``repro_run``, ``repro_fold``,
     ``repro_refresh``, ``repro_wake``, ``repro_merge``, ``repro_mark``,
-    ``repro_remap``, ``repro_take``, ``repro_link``, ``repro_arm``,
+    ``repro_take``, ``repro_link``, ``repro_arm``,
     ``repro_welford`` typed), or
     ``None`` if it is unavailable.  The result, either way, is the
     process's."""

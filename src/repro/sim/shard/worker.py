@@ -115,8 +115,7 @@ class ShardWorker:
         self.recorder = ShardRecorder(self._gid_for_op)
 
         # gid machinery: per-worker packet/op serials, origin-stamped ids;
-        # the engine keeps every gid'd aid live and remaps it when it
-        # compacts its packet table (held_aids / remap_aids)
+        # the engine keeps every gid'd aid live (held_aids)
         self._gid_of: Dict[int, int] = {}        # local aid -> gid
         self._gid2aid: Dict[int, int] = {}       # gid -> local aid
         self._pkt_serial = 0
@@ -204,12 +203,6 @@ class ShardWorker:
         """The aids a gid names: a halo record may name any of them for
         as long as the run lasts, so the engine keeps them live."""
         return self._gid_of.keys()
-
-    def remap_aids(self, new_of) -> None:
-        """The engine compacted its packet table: aid ``a`` is now
-        ``new_of[a]``."""
-        self._gid_of = {int(new_of[a]): g for a, g in self._gid_of.items()}
-        self._gid2aid = {g: a for a, g in self._gid_of.items()}
 
     def _gid_for_op(self, op) -> int:
         hit = self._op_gid.get(id(op))

@@ -319,14 +319,15 @@ def test_regenerated_packet_folds_before_next_arrivals(
     def watching(be, now):
         waiting = be._st.apos < be._st.an
         late = len(be._staged)
+        new = [id(e[-1]) for e in be._staged]
         stage(be, now)
         if waiting:
-            # the regenerated packets are the newest aids, and lead --
-            # wherever the layout puts the first waiting row
+            # the regenerated packets lead, in push order -- wherever the
+            # layout puts the first waiting row
             p, n = be._st.apos, be._st.an
             first = be._aaid[p:p + late].tolist()
             assert be._acyc[p:p + late].tolist() == [now] * late
-            assert min(first) > be._aaid[p + late:n].max(initial=-1)
+            assert [id(be._pkts[a]) for a in first] == new
             merges.append(bool((be._acyc[p + late:n] == now).any()))
 
     monkeypatch.setattr(array_backend.ArrayBackend, "_stage", watching)

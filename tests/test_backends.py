@@ -693,11 +693,11 @@ def _array_run(spec, cut=None, handback=None, **cfg):
 
 class TestPacketCompaction:
     """Packet slots follow the packets alive.  Forced (``_COMPACT_MIN`` 0:
-    the table starts empty), every interning entry compacts whatever is
-    dead -- with a broadcast row open, a relay segment staged, requests
+    the table starts empty), every interning entry sweeps whatever is
+    dead onto the free list -- with a broadcast row open, a relay segment staged, requests
     chained at their sources, replies in the due ring, a fault state
     installed, around a hand-back.  Each run is the reference's and the
-    uncompacted engine's, summary, digest and snapshot alike: no aid
+    unswept engine's, summary, digest and snapshot alike: no aid
     reaches an output."""
 
     CASES = {
@@ -721,12 +721,12 @@ class TestPacketCompaction:
     @staticmethod
     def _forced(monkeypatch, every_entry=True):
         """``_COMPACT_MIN`` 0; with ``every_entry`` each entry that interns
-        compacts, not only one that finds the table full and half dead."""
+        sweeps, not only one that finds the table full and half dead."""
         from repro.sim import array_backend
         monkeypatch.setattr(array_backend, "_COMPACT_MIN", 0)
         if every_entry:
             monkeypatch.setattr(ArrayBackend, "_make_room",
-                                lambda be, k: be._compact(be._used))
+                                lambda be, k: be._sweep(be._pslots.used))
 
     def _assert_compacted_equal(self, spec, monkeypatch, **run):
         """A probe every 25 cycles ends a window there: an interning
@@ -738,7 +738,7 @@ class TestPacketCompaction:
         plain = _array_run(spec, **run)
         self._forced(monkeypatch)
         forced = _array_run(spec, **run)
-        assert plain[3]._ncompact == 0 < 30 < forced[3]._ncompact
+        assert plain[3]._nsweep == 0 < 30 < forced[3]._nsweep
         assert len(forced[3]._pdst) <= len(plain[3]._pdst)
         assert forced[0] == plain[0] == ref
         assert forced[1] == plain[1]
@@ -748,13 +748,13 @@ class TestPacketCompaction:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_compacted_run_is_the_uncompacted_one(self, case, monkeypatch):
         be = self._assert_compacted_equal(self._spec(case), monkeypatch)
-        assert be._nstaged > be._used
+        assert be._nstaged > be._pslots.used
 
     @pytest.mark.parametrize("handback", ["materialize", "detach"])
     def test_resync_after_a_compaction(self, handback, monkeypatch):
-        """A hand-back mid-run keeps each packet's aid through the
-        compactions before and after it (``_aids`` follows them), so a
-        kernel transaction keeps its reply and its credit."""
+        """A hand-back mid-run keeps each packet's aid through the sweeps
+        before and after it (no slot moves), so a kernel transaction keeps
+        its reply and its credit."""
         self._assert_compacted_equal(self._spec("coherence"), monkeypatch,
                                      cut=700, handback=handback)
 
@@ -762,22 +762,22 @@ class TestPacketCompaction:
     def test_shard_workers_keep_their_gids(self, kind, monkeypatch):
         """A shard worker interns the replicas it receives (its own
         interning entry) and names packets by gid in its halo records:
-        the engine keeps every gid'd aid live and remaps the worker's
-        maps (``aid_holders``), so the sharded run stays the serial one."""
+        the engine keeps every gid'd aid live (``aid_holders``), so the
+        sharded run stays the serial one."""
         monkeypatch.setenv("REPRO_SHARD_INPROC", "1")
         spec = WorkloadSpec(kind=kind, n=16, msg_len=4, beta=0.05,
                             rate=0.02, cycles=600, warmup=150, seed=9)
         serial, = _summaries(spec, ("array",))
         self._forced(monkeypatch)
         ran = []
-        compact = ArrayBackend._compact
+        sweep = ArrayBackend._sweep
 
         def counted(be, most):
-            n = be._ncompact
-            compact(be, most)
-            ran.append(be._ncompact - n)
+            n = be._nsweep
+            sweep(be, most)
+            ran.append(be._nsweep - n)
 
-        monkeypatch.setattr(ArrayBackend, "_compact", counted)
+        monkeypatch.setattr(ArrayBackend, "_sweep", counted)
         sharded, = _summaries(spec, ("array",), shard_workers=2)
         assert sharded == serial
         assert sum(ran) > 20
@@ -800,7 +800,7 @@ class TestPacketCompaction:
                                                   **cfg))
             _assert_matches(asdict(session.run()), _load(name)["summary"],
                             name)
-            compactions += session.backend._ncompact
+            compactions += session.backend._nsweep
         assert compactions > least
 
     def test_a_lost_flit_is_named(self, monkeypatch):
@@ -836,7 +836,7 @@ class TestPacketCompaction:
 
         with pytest.raises(ConservationError, match="in flight"):
             be.run_mix(session.mix, 200, probes={390: knock})
-        assert be._ncompact == 0
+        assert be._nsweep == 0
 
     def test_a_table_past_the_slot_limit_is_refused(self, monkeypatch):
         """The aid columns are int32: a packet table that would grow past
@@ -886,4 +886,4 @@ class TestPacketCompaction:
         be = session.backend
         assert be._nstaged > 25_000
         assert len(be._pdst) <= 8192
-        assert be._ncompact > 0
+        assert be._nsweep > 0

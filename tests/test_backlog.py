@@ -61,7 +61,7 @@ def test_saturated_runs_identical(kind, beta, stock, engines_built):
     (ref, arr), session = _both(config, engines_built)
     assert arr == ref
     be = session.backend
-    assert be._rused > 0                # records were made
+    assert be._rslots.used > 0          # records were made
     if stock == 8 and beta == 0.0:
         # a queue refilled in the middle of a batch
         assert be._st.stops[RECORDS] > 0 and be._nrefill > 0
@@ -78,7 +78,7 @@ def test_mixes_identical(workload, arrival, stock, engines_built):
                          workload=workload, arrival=arrival, obs=OBS)
     (ref, arr), session = _both(config, engines_built)
     assert arr == ref
-    assert session.backend._rused > 0
+    assert session.backend._rslots.used > 0
 
 
 def test_drain_after_backlog(stock, engines_built):
@@ -89,7 +89,7 @@ def test_drain_after_backlog(stock, engines_built):
     (ref, arr), session = _both(config, engines_built, drain=True)
     assert arr == ref
     be = session.backend
-    assert be._rused > 0 and be._rused == be._nrfree   # all interned
+    assert 0 < be._rslots.used == be._rslots.n      # all interned
     assert not be._rqn.any() and session.net.total_flits() == 0
 
 
@@ -157,7 +157,7 @@ def test_every_run_balances_its_flits(engines_built):
         net = session.net
         assert net.flits_injected == net.flits_ejected + net.fabric_flits()
         assert net.fabric_flits() > 1000
-    assert session.backend._rused > session.backend._nrfree
+    assert session.backend._rslots.used > session.backend._rslots.n
 
 
 class TestStateBind:

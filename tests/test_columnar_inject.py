@@ -233,8 +233,9 @@ def _ring_flits(be):
 def _record_flits(be):
     """The flits of the backlog records not interned yet (every record
     slot but the free ones)."""
-    return (int(be._rsize[:be._rused].sum())
-            - int(be._rsize[be._rfree[:be._nrfree]].sum()))
+    fl = be._rslots
+    return (int(be._rsize[:fl.used].sum())
+            - int(be._rsize[fl.free[:fl.n]].sum()))
 
 
 def _assert_conserved(be):
@@ -245,8 +246,8 @@ def _assert_conserved(be):
     of which a drain sends); staged entries are not interned yet.  The
     sums read every slot ever interned: the run stays below the table
     size that compacts."""
-    assert be._ncompact == 0
-    n = be._used
+    assert be._nsweep == 0
+    n = be._pslots.used
     size = be._psize[:n]
     unsent = int(size[be._pborn[:n] < 0].sum())
     owed = _ring_flits(be)
@@ -338,8 +339,8 @@ def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
             branches = 4 * mix.generated_broadcasts if be.broadcast_rows \
                 else 0
             assert be._ncols == mix.generated_unicasts + branches
-            assert be._ncompact == 0    # every slot ever interned
-            generated = (int(be._psize[:be._used].sum())
+            assert be._nsweep == 0    # every slot ever interned
+            generated = (int(be._psize[:be._pslots.used].sum())
                          + _record_flits(be) + be._staged_flits())
             ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
                           if port.is_ejection)
