@@ -126,8 +126,7 @@
  * puts their aids in their places, tops the ring up and routes a header
  * an empty ring now shows) and re-enters.  Records keep their arrival
  * order among the packets, so nothing that joins behind them waits for
- * them to be interned.  repro_mark counts their flits; repro_remap
- * follows a record's link to a packet.
+ * them to be interned.  repro_mark counts their flits.
  *
  * Stop rule.  What needs Python objects becomes an event; the batch
  * ends at the end of the cycle that emitted
@@ -161,11 +160,9 @@
  * for the shard worker.
  *
  * repro_merge() merges rows Python staged behind the waiting ones into
- * their (cycle, rank) order, in place.  repro_mark() and repro_remap()
- * let Python reuse packet ids: the first marks every aid the state still
- * reads and counts the flits it walked, the second rewrites each of
- * those references after Python picked the aids' new places.
- * repro_take() and repro_link() intern a queue's records (Backlog).
+ * their (cycle, rank) order, in place.  repro_mark() marks every aid the
+ * state still reads, for Python to reuse the others' slots (nothing
+ * moves).  repro_take() and repro_link() intern a queue's records.
  */
 
 #include <stdint.h>
@@ -939,14 +936,13 @@ void repro_merge(repro_state *s, int64_t n)
     s->apos -= n;
 }
 
-/* Packet ids follow the packets alive (ArrayBackend._make_room).  An aid
- * is live while something will still read it: a word in a ring, a packet
- * in a pending FIFO (or a record's link to it), an arrival row [apos, an)
- * that is not a record, a reply in the due ring,
- * a request a source has yet to fire (shead chains), the reply a live
- * request names in pcont and the last cycle's dateline words (outdl, the
- * shard worker's).  Python marks its own holders first (every branch of
- * an open broadcast row, the shard worker's gids). */
+/* Python reuses the slots of dead aids (ArrayBackend._sweep).  An aid is
+ * live while something will still read it: a word in a ring, a packet in
+ * a pending FIFO, an arrival row [apos, an) that is not a record, a reply
+ * in the due ring, a request a source has yet to fire (shead chains), the
+ * reply a live request names in pcont and the last cycle's dateline words
+ * (outdl, the shard worker's).  Python marks its own holders first (every
+ * branch of an open broadcast row, the shard worker's gids). */
 static void mark_chain(const repro_state *s, uint8_t *live, int64_t aid)
 {
     for (; aid >= 0; aid = s->pnext[aid])

@@ -242,9 +242,8 @@ _ACOLS = {"_acyc": np.int64, "_abuf": np.int32, "_aaid": np.int32,
 _RCOLS = {"_rborn": np.int32, "_rdst": np.int32, "_rcid": np.int16,
           "_rsize": np.int16, "_rnext": np.int32}
 #: A source queue's stock, in flits: an arrival with its stock ahead of it
-#: in its queue is staged as a record.  Each window renews the stock to
-#: ``_STOCK`` plus twice what the queue sent in the last one; a queue whose
-#: packets ran out with records behind them doubles it (up to
+#: in its queue is staged as a record (:meth:`ArrayBackend._backlog`); a
+#: queue whose packets ran out with records behind them doubles it (up to
 #: ``_STOCK_MAX``) and interns records up to it.
 _STOCK, _STOCK_MAX = 192, 4096
 
@@ -542,7 +541,7 @@ class ArrayBackend(SimBackend):
         self._qidx = np.full(B2, -1, np.int32)     # row -> index, or -1
         self._qidx[self._qrows] = np.arange(len(self._qrows))
         self._rstock = np.full(len(self._qrows), _STOCK)
-        self._rgiven = self._rstock.copy()
+        self._rgiven = np.zeros(len(self._qrows), np.int64)
         #: objects holding aids of their own (the shard worker's gids):
         #: ``held_aids()`` stay live (:meth:`_live`)
         self.aid_holders: List = []
@@ -851,48 +850,34 @@ class ArrayBackend(SimBackend):
                                       size[rec])
         return ent
 
-    def _backlog(self, bufs, size, born, cid) -> Optional[np.ndarray]:
+    def _backlog(self, bufs, size, born, cid,
+                 now: int) -> Optional[np.ndarray]:
         """Which of these unicasts (source buffers, sizes, created, class
-        ids) wait as records: those with their queue's stock of flits
-        (``_rstock``) ahead of them -- its flits now, then the new ones
-        before them in staging order, which is a queue's arrival order
-        within a window -- and whose fields fit a record's columns;
-        ``None`` if none does.  A record in another place than this
-        foresees costs a refill, never a different run."""
-        qrows, stock = self._qrows, self._rstock
+        ids; staged at ``now``) wait as records: those with their queue's
+        stock of flits (``_rstock``) ahead of them -- its flits now and
+        the new ones before them in staging order (a queue's arrival
+        order), less twice what it sends until they arrive at its rate so
+        far (the flits it was given, ``_rgiven``, less those it holds; a
+        flit a cycle before anything is sent) -- and whose fields fit a
+        record's columns; ``None`` if none does.  A record in another
+        place than this foresees costs a refill, never a different run."""
         qi = self._qidx[bufs]
         ok = qi >= 0                # a queue a record may wait in
-        given = np.bincount(qi[ok], size[ok], minlength=len(qrows))
-        self._rgiven += given.astype(np.int64)
-        if not (given + self._qlen[qrows] >= stock).any():
-            return None
-        have, want = self._qlen[bufs], stock[qi]
-        rec = have >= want          # a queue holding its stock takes none
-        part = np.flatnonzero(~rec & (given[qi] + have >= want))
-        if len(part):               # ... the others fill theirs in order
-            part = part[np.argsort(bufs[part], kind="stable")]
-            b, sz = bufs[part], size[part]
-            before = np.cumsum(sz) - sz
-            before -= np.maximum.accumulate(np.where(
-                np.r_[True, b[1:] != b[:-1]], before, 0))
-            rec[part] = have[part] + before >= want[part]
+        order = np.argsort(bufs, kind="stable")
+        b, q, sz = bufs[order], qi[order], size[order]
+        ahead = np.cumsum(sz) - sz
+        ahead -= np.maximum.accumulate(np.where(
+            np.r_[True, b[1:] != b[:-1]], ahead, 0))
+        held, dt = self._qlen[b], born[order] - now
+        sent = np.maximum(self._rgiven[q] - held, 0)
+        ahead += held - 2 * (sent * dt // now if now else dt)
+        self._rgiven += np.bincount(qi[ok], size[ok], minlength=len(
+            self._qrows)).astype(np.int64)
+        rec = np.zeros(len(b), bool)
+        rec[order] = ahead >= self._rstock[q]
         rec &= (ok & (born <= INT32_MAX) & (size <= INT16_MAX)
                 & (cid <= INT16_MAX))
         return rec if rec.any() else None
-
-    def _restock(self, now: int) -> None:
-        """A new window of unicasts: each queue's stock becomes
-        ``_STOCK`` plus twice the flits it sent since the last one (what
-        it held then and was given, less what it holds: the rate varies
-        from window to window), and the queues holding records intern up
-        to it (:meth:`_refill`)."""
-        held = self._qlen[self._qrows]
-        self._rstock = _STOCK + 2 * np.maximum(self._rgiven - held, 0)
-        self._rgiven = held
-        if self._rqn.any():
-            want = np.zeros(self._B2, np.int64)
-            want[self._qrows] = self._rstock
-            self._refill(want, now)
 
     def _records(self, born, dst, cid, size) -> np.ndarray:
         """Backlog records of these unicasts (the sim README's Backlog),
@@ -1425,14 +1410,13 @@ class ArrayBackend(SimBackend):
         order); equals keep push order, the rows still waiting first.
         That is the order the reference's FIFOs get.  A few entries are
         interned one by one, O(1) each, more (or any row) in one numpy
-        pass, after the queues' stocks are renewed (:meth:`_restock`),
+        pass, after the queues holding records intern up to their stock,
         each unicast behind its queue's stock as a record; then
         :meth:`_put` places them."""
         staged = self._staged
         each = len(staged) <= _SCALAR_STAGE and all(len(e) == 2
                                                     for e in staged)
-        sizes = list(self._staged_sizes())
-        self.net.flits_injected += sum(k * size for k, size in sizes)
+        self.net.flits_injected += self._staged_flits()
         if each:
             self._make_room(len(staged))
             key, abuf, aaid = self._intern_each(now)
@@ -1441,7 +1425,10 @@ class ArrayBackend(SimBackend):
                 key, abuf, aaid = ([col[i] for i in order]
                                    for col in (key, abuf, aaid))
         else:
-            self._restock(now)
+            if self._rqn.any():
+                want = np.zeros(self._B2, np.int64)
+                want[self._qrows] = self._rstock
+                self._refill(want, now)
             key, abuf, aaid = self._intern_all(now)
         staged.clear()
         self._put(key, abuf, aaid)
@@ -1515,7 +1502,7 @@ class ArrayBackend(SimBackend):
         if uni:     # which unicasts wait as records: the room the rest need
             node, dst, size, cl, born, rank, seq = uni
             bufs = self._unicast_queues(node, dst)
-            rec = self._backlog(bufs, size, born, cl)
+            rec = self._backlog(bufs, size, born, cl, now)
             new += len(born) - (0 if rec is None else int(rec.sum()))
         self._make_room(new)
         parts = []      # (created, rank, buffer, aid, push order)

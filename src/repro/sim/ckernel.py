@@ -115,7 +115,7 @@ class State(ctypes.Structure):
                 f"State.{name} points at contiguous {want}, not "
                 f"{'' if arr.flags.c_contiguous else 'non-contiguous '}"
                 f"{arr.dtype.name}")
-        setattr(self, name, arr.ctypes.data)
+        setattr(self, name, arr.__array_interface__["data"][0])
 
 
 def welford(n: int, lo, hi, mean: float, m2: float, xs) -> tuple:

@@ -3,10 +3,10 @@ their source queue in another order than they arrived."""
 
 SUBSTITUTIONS = [(
     "src/repro/sim/array_backend.py",
-    """        a0 = self._intern_records(out[:n], np.repeat(q, want[q]))""",
+    """        aids = self._intern_records(out[:n], np.repeat(q, want[q]))""",
     """        out[:n] = np.concatenate([r[::-1] for r in np.split(
             out[:n], np.cumsum(want[q])[:-1])])
-        a0 = self._intern_records(out[:n], np.repeat(q, want[q]))""",
+        aids = self._intern_records(out[:n], np.repeat(q, want[q]))""",
 )]
 KILLED_BY = [
     "tests/test_backlog.py::test_saturated_runs_identical",

@@ -160,6 +160,26 @@ def test_every_run_balances_its_flits(engines_built):
     assert session.backend._rslots.used > session.backend._rslots.n
 
 
+@pytest.mark.parametrize("kind,beta,rate,warmup,calls", [
+    ("quarc", 0.0, 0.003, 2000, 3),         # light load
+    ("quarc", 0.1, 0.0034, 2000, 4),        # the Fig. 11 cells
+    ("spidergon", 0.1, 0.002, 1500, None),  # (relay tails end batches)
+], ids=["light-quarc", "fig11-quarc", "fig11-spidergon"])
+def test_healthy_runs_make_no_records(kind, beta, rate, warmup, calls):
+    """Below the knee a queue drains its window's arrivals as they come,
+    so none waits as a record and no batch ends for a refill: the
+    backlog rule counts what a queue sends until each arrival, not a
+    whole window's arrivals as if none left before the last came."""
+    session = SimulationSession(make_config(
+        kind=kind, n=64, msg_len=16, beta=beta, rate=rate, cycles=40_000,
+        warmup=warmup, seed=1, backend="array"))
+    session.run()
+    st = session.backend._st
+    assert st.stops[RECORDS] == 0 and session.backend._rslots.used == 0
+    if calls is not None:
+        assert st.calls == calls
+
+
 class TestStateBind:
     """``ckernel.State.bind`` points a kernel field at an array only if C
     reads the array's element type there."""
