@@ -36,18 +36,15 @@ broadcast's with its op) for a Python route, a fault, ``on_tail`` or an
 inspection -- a saturated run builds none.  A source queue's backlog
 past its stock waits as records, not packets (the sim README's
 Backlog): the packet table is sized by the packets moving, not by the
-horizon or the backlog.  Every entry that interns
-first makes room (:meth:`ArrayBackend._make_room`): a full table of at
-least ``_COMPACT_MIN`` slots whose live slots (``repro_mark``) are at
-most half puts the others on its free list (:class:`FreeList`), where
-interning takes slots first; nothing moves.  Only a table more than
-half live doubles.  Each
-buffer owns a power-of-two ring slice of one flat flit array (a source
-queue's is a window of ``_SRC_WINDOW`` words); an injected packet
-joins its source queue's **pending-packet FIFO** (``_phead`` /
-``_ptail``, linked through ``_pnext``; ``_pfid`` = next flit of the
-head packet) and its flit words are generated as the ring has room
-(``_qlen`` counts every flit, ``_ppend`` those still in packet form).
+horizon or the backlog.  A full table at most half live (``repro_mark``)
+frees the others' slots for reuse (:meth:`ArrayBackend._sweep`); nothing
+moves.  Each buffer owns a power-of-two ring slice of one flat flit
+array (a source queue's is a window of ``_SRC_WINDOW`` words); an
+injected packet joins its source queue's **pending-packet FIFO**
+(``_phead`` / ``_ptail``, linked through ``_pnext``; ``_pfid`` = next
+flit of the head packet) and its flit words are generated as the ring
+has room (``_qlen`` counts every flit, ``_ppend`` those still in packet
+form).
 Per buffer, in flat ``(node, creation)`` order plus two sentinel rows:
 occupancy status and the front flit's *request* (``want`` port,
 ``vcreq``, ``dlv``, ``hdrf`` = unrouted header, ``jof``, the
@@ -212,7 +209,7 @@ _SCALAR_STAGE = 64
 #: pass is ~10 us of numpy calls, a tail alone 1-2 us).
 _BOOK_MIN = 16
 #: A full packet table of at least this many slots looks at which are
-#: live before it doubles, and compacts instead where at most half are
+#: live before it doubles, and sweeps instead where at most half are
 #: (:meth:`ArrayBackend._make_room`).  The table starts at 1024 slots, or
 #: this many if fewer: below it nothing is reused.
 _COMPACT_MIN = 4096
@@ -713,12 +710,11 @@ class ArrayBackend(SimBackend):
     def _make_room(self, k: int) -> None:
         """Every entry that interns (:meth:`_stage`,
         :meth:`_intern_requests`, the shard worker's replicas) calls this
-        with its ``k`` new packets before it takes an aid.  If they would
-        not fit the free slots and the table holds at least
-        ``_COMPACT_MIN``, it sweeps where at most half the slots taken are
-        live (:meth:`_sweep`); else the columns double in :meth:`_intern`,
-        as they fill.  Never called inside :meth:`_intern`: an aid a
-        caller took before is not live until it is placed."""
+        with its ``k`` new packets before it takes an aid: where they
+        would not fit, a table of at least ``_COMPACT_MIN`` slots sweeps
+        (:meth:`_sweep`), else the columns double in :meth:`_intern`.
+        Never inside :meth:`_intern`: an aid taken is not live until
+        placed."""
         held, slots = self._pslots.used - self._pslots.n, len(self._pdst)
         if held and slots >= _COMPACT_MIN and held + k > slots:
             self._sweep(held // 2)
@@ -748,9 +744,8 @@ class ArrayBackend(SimBackend):
         Raises :class:`ConservationError` unless the flits the mark walked
         are the flits in flight."""
         live = np.zeros(self._pslots.used, np.uint8)
-        rows = [e[0] for e in self._slot_op if type(e) is tuple]
-        if rows:
-            live[list(chain.from_iterable(rows))] = 1
+        live[[a for e in self._slot_op if type(e) is tuple
+              for a in e[0]]] = 1       # open broadcast rows' branches
         for holder in self.aid_holders:
             live[np.fromiter(holder.held_aids(), np.int64)] = 1
         flits = self._mark(self._stp, live.ctypes.data, len(live))
@@ -835,23 +830,16 @@ class ArrayBackend(SimBackend):
         no ``_pkts`` entry; ``_psrc`` holds the source node, for
         :meth:`_packet`."""
         self._generated(node, False)
-        if rec is None:
-            aids = self._intern(len(born), (cid, born, -1, dst, size,
-                                             UNICAST, 0))
-            self._psrc[aids] = node
-            return aids
         new = ~rec
-        aids = self._intern(len(born) - int(rec.sum()), (
+        ent = np.empty(len(born), np.int64)
+        ent[new] = aids = self._intern(int(new.sum()), (
             cid[new], born[new], -1, dst[new], size[new], UNICAST, 0))
         self._psrc[aids] = node[new]
-        ent = np.empty(len(born), np.int64)
-        ent[new] = aids
         ent[rec] = -2 - self._records(born[rec], dst[rec], cid[rec],
                                       size[rec])
         return ent
 
-    def _backlog(self, bufs, size, born, cid,
-                 now: int) -> Optional[np.ndarray]:
+    def _backlog(self, bufs, size, born, cid, now: int) -> np.ndarray:
         """Which of these unicasts (source buffers, sizes, created, class
         ids; staged at ``now``) wait as records: those with their queue's
         stock of flits (``_rstock``) ahead of them -- its flits now and
@@ -859,8 +847,8 @@ class ArrayBackend(SimBackend):
         order), less twice what it sends until they arrive at its rate so
         far (the flits it was given, ``_rgiven``, less those it holds; a
         flit a cycle before anything is sent) -- and whose fields fit a
-        record's columns; ``None`` if none does.  A record in another
-        place than this foresees costs a refill, never a different run."""
+        record's columns.  A record in another place than this foresees
+        costs a refill, never a different run."""
         qi = self._qidx[bufs]
         ok = qi >= 0                # a queue a record may wait in
         order = np.argsort(bufs, kind="stable")
@@ -875,9 +863,8 @@ class ArrayBackend(SimBackend):
             self._qrows)).astype(np.int64)
         rec = np.zeros(len(b), bool)
         rec[order] = ahead >= self._rstock[q]
-        rec &= (ok & (born <= INT32_MAX) & (size <= INT16_MAX)
-                & (cid <= INT16_MAX))
-        return rec if rec.any() else None
+        return rec & (ok & (born <= INT32_MAX) & (size <= INT16_MAX)
+                      & (cid <= INT16_MAX))
 
     def _records(self, born, dst, cid, size) -> np.ndarray:
         """Backlog records of these unicasts (the sim README's Backlog),
@@ -941,9 +928,7 @@ class ArrayBackend(SimBackend):
             self._refill(want, now)
             ent = self._aaid[st.apos:st.an]
             bufs = self._abuf[st.apos:st.an]
-            mark = np.zeros(len(dry), bool)
-            mark[q] = True
-            rows = np.flatnonzero((ent < 0) & mark[bufs])
+            rows = np.flatnonzero((ent < 0) & np.isin(bufs, q))
             if len(rows):
                 ent[rows] = self._intern_records(
                     -2 - ent[rows].astype(np.int64), bufs[rows])
@@ -1503,7 +1488,7 @@ class ArrayBackend(SimBackend):
             node, dst, size, cl, born, rank, seq = uni
             bufs = self._unicast_queues(node, dst)
             rec = self._backlog(bufs, size, born, cl, now)
-            new += len(born) - (0 if rec is None else int(rec.sum()))
+            new += len(born) - int(rec.sum())
         self._make_room(new)
         parts = []      # (created, rank, buffer, aid, push order)
         if uni:

@@ -5,8 +5,8 @@ it, then reads another packet's columns."""
 T = "tests/test_backends.py::TestPacketCompaction"
 SUBSTITUTIONS = [(
     "src/repro/sim/array_backend.py",
-    """        if rows:
-            live[list(chain.from_iterable(rows))] = 1
+    """        live[[a for e in self._slot_op if type(e) is tuple
+              for a in e[0]]] = 1       # open broadcast rows' branches
 """,
     "",
 )]
