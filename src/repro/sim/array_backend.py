@@ -851,20 +851,25 @@ class ArrayBackend(SimBackend):
         costs a refill, never a different run."""
         qi = self._qidx[bufs]
         ok = qi >= 0                # a queue a record may wait in
-        order = np.argsort(bufs, kind="stable")
-        b, q, sz = bufs[order], qi[order], size[order]
-        ahead = np.cumsum(sz) - sz
-        ahead -= np.maximum.accumulate(np.where(
-            np.r_[True, b[1:] != b[:-1]], ahead, 0))
-        held, dt = self._qlen[b], born[order] - now
-        sent = np.maximum(self._rgiven[q] - held, 0)
-        ahead += held - 2 * (sent * dt // now if now else dt)
-        self._rgiven += np.bincount(qi[ok], size[ok], minlength=len(
-            self._qrows)).astype(np.int64)
-        rec = np.zeros(len(b), bool)
-        rec[order] = ahead >= self._rstock[q]
-        return rec & (ok & (born <= INT32_MAX) & (size <= INT16_MAX)
-                      & (cid <= INT16_MAX))
+        held, stock = self._qlen[self._qrows], self._rstock
+        given = np.bincount(qi[ok], size[ok], minlength=len(held))
+        sent = np.maximum(self._rgiven - held, 0)
+        self._rgiven += given.astype(np.int64)
+        span = int(born.max(initial=now)) - now
+        sure = held - (2 * sent * span // now if now else 2 * span) >= stock
+        rec = ok & sure[qi]         # every arrival is behind its stock
+        part = np.flatnonzero(ok & ~sure[qi] & (held + given >= stock)[qi])
+        if len(part):               # ... or some are: count them in order
+            part = part[np.argsort(qi[part], kind="stable")]
+            q, sz = qi[part], size[part]
+            ahead = np.cumsum(sz) - sz
+            ahead -= np.maximum.accumulate(np.where(
+                np.r_[True, q[1:] != q[:-1]], ahead, 0))
+            dt = born[part] - now
+            ahead += held[q] - 2 * (sent[q] * dt // now if now else dt)
+            rec[part] = ahead >= stock[q]
+        return rec & (born <= INT32_MAX) & (size <= INT16_MAX) & (
+            cid <= INT16_MAX)
 
     def _records(self, born, dst, cid, size) -> np.ndarray:
         """Backlog records of these unicasts (the sim README's Backlog),
@@ -912,9 +917,7 @@ class ArrayBackend(SimBackend):
     def _refill_dry(self, now: int) -> None:
         """The kernel's ``records`` stop: each queue whose packets ran out
         with records behind them doubles its stock (up to ``_STOCK_MAX``)
-        and interns records up to it, and its waiting arrival rows that
-        are records become packets (its backlog went faster than its
-        stock foresaw); again while a queue is still dry."""
+        and interns records up to it; again while a queue is still dry."""
         st, dry = self._st, self._rdry
         while st.ndry:
             q = np.flatnonzero(dry)
@@ -926,12 +929,6 @@ class ArrayBackend(SimBackend):
             want = np.zeros(len(dry), np.int64)
             want[q] = self._rstock[qi]
             self._refill(want, now)
-            ent = self._aaid[st.apos:st.an]
-            bufs = self._abuf[st.apos:st.an]
-            rows = np.flatnonzero((ent < 0) & np.isin(bufs, q))
-            if len(rows):
-                ent[rows] = self._intern_records(
-                    -2 - ent[rows].astype(np.int64), bufs[rows])
 
     def _intern_backlog(self) -> None:
         """Intern every record in a pending FIFO, for whatever reads the

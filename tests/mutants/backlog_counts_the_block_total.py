@@ -4,8 +4,8 @@ knee turns arrivals into records, and the kernel stops to refill them."""
 
 SUBSTITUTIONS = [(
     "src/repro/sim/array_backend.py",
-    """        ahead += held - 2 * (sent * dt // now if now else dt)""",
-    """        ahead += held""",
+    """            ahead += held[q] - 2 * (sent[q] * dt // now if now else dt)""",
+    """            ahead += held[q]""",
 )]
 KILLED_BY = [
     "tests/test_backlog.py::test_healthy_runs_make_no_records",
