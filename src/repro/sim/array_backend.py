@@ -523,11 +523,9 @@ class ArrayBackend(SimBackend):
         for name, dtype in _ACOLS.items():
             setattr(self, name, np.zeros(1024, dtype))
         # the backlog (sim README): the records' slots, the refills; the
-        # unicast queues a record
-        # may wait in, by row (not a one-word ring: it could run empty
-        # before a refill), each one's stock and the flits it held and was
-        # given since the last window (before the first, as if it had sent
-        # ``_STOCK``: nothing says yet how fast a queue drains)
+        # unicast queues a record may wait in, by row (not a one-word
+        # ring: it could run empty before a refill), each one's stock and
+        # the flits it was given over the run
         for name, dtype in _RCOLS.items():
             setattr(self, name, np.zeros(64, dtype))
         self._rslots = FreeList()
@@ -865,11 +863,11 @@ class ArrayBackend(SimBackend):
             ahead = np.cumsum(sz) - sz
             ahead -= np.maximum.accumulate(np.where(
                 np.r_[True, q[1:] != q[:-1]], ahead, 0))
-            dt = born[part] - now
+            dt = np.maximum(born[part] - now, 0)
             ahead += held[q] - 2 * (sent[q] * dt // now if now else dt)
             rec[part] = ahead >= stock[q]
-        return rec & (born <= INT32_MAX) & (size <= INT16_MAX) & (
-            cid <= INT16_MAX)
+        return rec & ((born <= INT32_MAX) & (size <= INT16_MAX)
+                      & (cid <= INT16_MAX))
 
     def _records(self, born, dst, cid, size) -> np.ndarray:
         """Backlog records of these unicasts (the sim README's Backlog),

@@ -167,9 +167,8 @@ def test_every_run_balances_its_flits(engines_built):
 ], ids=["light-quarc", "fig11-quarc", "fig11-spidergon"])
 def test_healthy_runs_make_no_records(kind, beta, rate, warmup, calls):
     """Below the knee a queue drains its window's arrivals as they come,
-    so none waits as a record and no batch ends for a refill: the
-    backlog rule counts what a queue sends until each arrival, not a
-    whole window's arrivals as if none left before the last came."""
+    so none waits as a record and no batch ends for a refill (the rule
+    allows for what a queue sends until each arrival)."""
     session = SimulationSession(make_config(
         kind=kind, n=64, msg_len=16, beta=beta, rate=rate, cycles=40_000,
         warmup=warmup, seed=1, backend="array"))
