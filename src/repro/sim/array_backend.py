@@ -1505,7 +1505,8 @@ class ArrayBackend(SimBackend):
             for col in zip(*parts))
         old = born < now
         key = np.where(old, now << RANK_BITS, born << RANK_BITS | rank)
-        if len(chunks[0]) + len(chunks[1]) + bool(pkts) > 1 or old.any():
+        if (len(chunks[0]) + len(chunks[1]) + bool(pkts) > 1 or old.any()
+                or (key[1:] < key[:-1]).any()):   # objects: (node, class)
             order = np.lexsort((seq, key))
             key, abuf, aaid = key[order], abuf[order], aaid[order]
         return key, abuf, aaid

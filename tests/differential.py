@@ -1,22 +1,30 @@
-"""Reusable differential-testing harness for simulation backends.
+"""The differential harness: one generator, one oracle, and the tools
+that localise a divergence.
 
-The equivalence contract (``RunSummary`` equality between backends) is
-easy to *assert* but painful to *debug*: a single mis-arbitrated flit
-thousands of cycles into a run surfaces only as a slightly different
-latency mean.  This harness closes that gap:
+Every engine must give, for one spec and seed, the ``RunSummary`` the
+reference gives, byte for byte.  This module is where that promise is
+defined:
 
-* :func:`run_summaries` -- run one config through several backends and
-  return the summaries (the assertion side).
+* :func:`random_case` / :func:`random_configs` -- **the generator**: a
+  deterministic stream of cases across topology, size, pattern,
+  arrival, rate, message length, beta, fault plans, closed loops,
+  multi-class mixes and probes, each run under one of the array
+  engine's stress settings (:data:`STRESS`, applied by
+  :func:`stressed`).  :func:`named_cases` adds hand-aimed traffic the
+  stream cannot draw (multicast bursts, custom closed loops).
+* :func:`check_case` -- **the oracle**: the case on the reference and on
+  the array engine under its stress setting, as a session runs it,
+  traced, and traced one cycle at a time; summaries, ``repro-metrics``
+  streams, replayed events, state digests and the flit identity must
+  all agree (``tests/test_differential.py`` runs the corpus through
+  it).
 * :func:`find_divergence` -- drive two backends **in lockstep**, one
   cycle at a time, comparing network state after every cycle; returns
   a :class:`Divergence` naming the first cycle where the full state
   snapshots (:meth:`~repro.noc.network.Network.state_snapshot`: every
   buffer's flit queue and switching table, every port's round-robin
   pointer, VC owner table and flit counter) disagree, with a per-key
-  state diff (the debugging side).
-* :func:`random_configs` -- a deterministic stream of randomized
-  (topology, size, pattern, arrival, rate, msg_len, beta, seed)
-  configurations for fuzzing (``tests/test_differential.py``).
+  state diff.  :func:`check_case` calls it when a summary differs.
 
 Typical debugging session (see also ``src/repro/sim/README.md``)::
 
@@ -26,33 +34,35 @@ Typical debugging session (see also ``src/repro/sim/README.md``)::
     print(div.report())     # first diverging cycle + state diff
 
 Note the lockstep driver injects traffic cycle-by-cycle through
-``TrafficMix.generate`` on both sessions, so backend-specific
-``run_mix`` fast-forwarding is *not* exercised here -- use
-:func:`run_summaries` for the end-to-end contract and
-:func:`find_divergence` to localise a step-kernel bug.
+``TrafficMix.generate`` on both sessions, so the windowed ``run_mix``
+is *not* exercised there -- :func:`check_case` covers it.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import hashlib
 import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence)
 from unittest import mock
 
+import numpy as np
+
 from repro.noc.network import flit_key
-from repro.sim.backend import BACKENDS
 from repro.sim.records import RunSummary
 from repro.sim.session import RunConfig, SimulationSession
 from repro.traffic.workload import WorkloadSpec
 
 __all__ = ["Divergence", "make_config", "run_summaries", "find_divergence",
-           "find_shard_divergence", "random_configs",
-           "assert_backends_equivalent", "multicast_burst_inject",
-           "targeted_configs", "CLOSED_LOOP_CASES", "CUSTOM_CLOSED_LOOPS",
-           "custom_workload"]
+           "find_shard_divergence", "STRESS", "stressed", "Case",
+           "random_case", "random_configs", "multicast_burst_inject",
+           "named_cases", "CLOSED_LOOP_CASES", "CUSTOM_CLOSED_LOOPS",
+           "custom_workload", "drive", "check_case"]
 
 
 def make_config(kind: str = "quarc", n: int = 8, msg_len: int = 4,
@@ -325,7 +335,7 @@ def find_shard_divergence(config: RunConfig, shards: int,
 
 
 # ----------------------------------------------------------------------
-# randomized configuration stream
+# the generator: randomized configurations, each with a stress setting
 # ----------------------------------------------------------------------
 #: Sizes every topology accepts (quarc: n % 4 == 0, spidergon: even,
 #: mesh/torus: rows * cols).  Non-power-of-two sizes are valid but
@@ -337,18 +347,80 @@ _FUZZ_PATTERNS = ("uniform", "hotspot:node=1,p=0.3", "transpose",
 _POW2_ONLY_PATTERNS = ("transpose", "bit-complement")
 _FUZZ_ARRIVALS = ("bernoulli", "bursty:on=0.25,len=6",
                   "bursty:on=0.6,len=2")
-#: fraction of fuzz cases that run a randomized multi-class workload
+#: fraction of cases that run a randomized multi-class workload
 #: (``classes:`` spec) instead of the single-class axes
 _FUZZ_MULTICLASS_P = 0.25
-#: fraction of fuzz cases that carry a randomized fault plan (links /
-#: routers dying mid-run), exercising reroute, purge and drop
-#: accounting on every backend
+#: fraction of cases that carry a randomized fault plan (links /
+#: routers dying mid-run): reroute, purge and drop accounting
 _FUZZ_FAULT_P = 0.25
-#: fraction of fuzz cases transformed into a reactive closed-loop
-#: workload (request/reply windows or phased streams), exercising the
-#: per-cycle reactive path -- and the delivery-feedback determinism it
-#: depends on -- in every backend
+#: fraction of cases transformed into a reactive closed-loop workload
+#: (request/reply windows or phased streams): the per-cycle reactive
+#: path and the delivery feedback it depends on
 _FUZZ_CLOSEDLOOP_P = 0.25
+#: fraction of cases that sample probes and a latency histogram, so the
+#: ``repro-metrics`` stream carries windows (a probe also ends the array
+#: engine's windows at its cycles)
+_FUZZ_OBS_P = 0.5
+_FUZZ_PROBES = ("occupancy", "links", "rates", "inflight", "stalls")
+
+#: The array engine's stress settings.  Each turns one of its sizes down
+#: to where a rare path runs all the time; none changes what a run
+#: computes, so the reference's summary is still the answer:
+#:
+#: * ``compact``: ``_COMPACT_MIN`` 0 and a sweep at every interning
+#:   entry -- dead packet slots are freed while broadcast rows are open,
+#:   relay segments staged, requests chained and replies due;
+#: * ``stock``: ``_STOCK`` 8 -- a saturated queue's backlog waits as
+#:   records and its packets run out every few, a refill mid-batch;
+#: * ``evcap``: ``EV_PER_PORT`` 0 -- the event buffer starts at its
+#:   256-event floor, so batches end ``events_full`` and it grows;
+#: * ``window``: ``_SRC_WINDOW`` 4 -- a source queue's ring is a
+#:   4-flit window, most of a queued packet waits in the pending FIFO;
+#: * ``depth``: ``buffer_depth`` 1 or 2 in the spec (both engines);
+#: * ``rescan``: the per-cycle run rescans every row before each kernel
+#:   entry, so the batched run's ready set is checked against full scans.
+STRESS = ("shipped", "compact", "stock", "evcap", "window", "depth",
+          "rescan")
+
+
+@contextlib.contextmanager
+def stressed(stress: str, per_cycle: bool = False):
+    """Every array session built inside runs under ``stress`` (one of
+    :data:`STRESS`; ``rescan`` only with ``per_cycle``)."""
+    from repro.sim import array_backend as ab
+    engine = ab.ArrayBackend
+    call = engine._call
+
+    def rescanning(be, entry):
+        be._st.rescan = 1
+        return call(be, entry)
+
+    patches = {
+        "compact": [(ab, "_COMPACT_MIN", 0),
+                    (engine, "_make_room",
+                     lambda be, k: be._sweep(be._pslots.used))],
+        "stock": [(ab, "_STOCK", 8)],
+        "evcap": [(ab, "EV_PER_PORT", 0)],
+        "window": [(ab, "_SRC_WINDOW", 4)],
+        "rescan": [(engine, "_call", rescanning)] if per_cycle else [],
+    }.get(stress, [])
+    with contextlib.ExitStack() as stack:
+        for owner, name, value in patches:
+            stack.enter_context(mock.patch.object(owner, name, value))
+        yield
+
+
+class Case(NamedTuple):
+    """One corpus case: the spec and the stress setting it runs under; a
+    hand-aimed case may add traffic no spec says (``inject``, a
+    :func:`multicast_burst_inject` hook) or a closed loop no registered
+    workload builds (``workload``, run through :func:`custom_workload`)."""
+
+    name: str
+    config: RunConfig
+    stress: str = "shipped"
+    inject: Optional[Callable] = None
+    workload: Optional[object] = None
 
 
 def _random_classes_spec(rng: random.Random, n: int) -> str:
@@ -371,136 +443,123 @@ def _random_classes_spec(rng: random.Random, n: int) -> str:
     return "classes:" + ";".join(chunks)
 
 
-def _random_closedloop_spec(crng: random.Random) -> str:
-    """A randomized closed-loop app-model spec (coherence request/reply
-    windows or phased all-reduce iterations)."""
-    if crng.random() < 0.5:
-        storms = "true" if crng.random() < 0.5 else "false"
+def _random_closedloop_spec(rng: random.Random) -> str:
+    """A randomized closed-loop app-model spec: coherence request/reply
+    windows (think rate 1: no coin drawn; 1e-5: nearly every coin
+    misses; 0.3 with few writes: a fired request, an invalidation and a
+    reply share a source queue) or phased all-reduce iterations."""
+    if rng.random() < 0.5:
+        storms = "true" if rng.random() < 0.5 else "false"
         return (f"cache_coherence:storms={storms},"
-                f"window={crng.randrange(2, 7)},"
-                f"service={crng.choice((0, 4, 12))},"
-                f"local={crng.choice((0.0, 0.5, 0.9))}")
-    return (f"allreduce:window={crng.randrange(2, 5)},"
-            f"quota={crng.randrange(4, 9)},"
-            f"gap={crng.choice((10, 25, 40))}")
+                f"window={rng.randrange(2, 7)},"
+                f"service={rng.choice((0, 4, 12))},"
+                f"local={rng.choice((0.0, 0.5, 0.9))}"
+                + rng.choice(("", ",read_rate=1.0", ",read_rate=1e-5",
+                              ",read_rate=0.3,write_rate=0.005")))
+    return (f"allreduce:window={rng.randrange(2, 5)},"
+            f"quota={rng.randrange(4, 9)},"
+            f"gap={rng.choice((10, 25, 40))}")
 
 
-def _closedloop_variant(cfg: RunConfig, crng: random.Random) -> RunConfig:
-    """Transform a drawn fuzz case into a reactive closed-loop one.
-
-    Faults are cleared (closed-loop x faults is a rejected axis
-    combination) and the single-class axes reset to their defaults; the
-    drawn kind / size / horizon / seed / ablation switches survive, so
-    the closed-loop corpus spans the same topology space as the open
-    one."""
-    from dataclasses import replace
-    spec = replace(cfg.spec,
-                   workload=_random_closedloop_spec(crng),
-                   rate=crng.choice((0.5, 1.0, 2.0)),
-                   pattern="uniform", arrival="bernoulli", faults="")
-    return replace(cfg, spec=spec)
-
-
-def _random_fault_plan(frng: random.Random, n: int, cycles: int) -> str:
+def _random_fault_plan(rng: random.Random, n: int, cycles: int) -> str:
     """A randomized 1-2 clause fault plan landing inside the horizon."""
     clauses = []
-    for _ in range(frng.choice((1, 1, 2))):
-        cycle = frng.randrange(0, max(cycles - 100, 1))
+    for _ in range(rng.choice((1, 1, 2))):
+        cycle = rng.randrange(0, max(cycles - 100, 1))
         # only the topology-agnostic kinds: an explicit `link:` clause
         # needs an edge that exists, which depends on the drawn kind
         # (explicit-link plans are covered by the golden fixtures)
-        kind = frng.choice(("links", "links", "router", "routers"))
+        kind = rng.choice(("links", "links", "router", "routers"))
         if kind == "links":
-            clauses.append(f"links:down={frng.randrange(1, 4)}"
+            clauses.append(f"links:down={rng.randrange(1, 4)}"
                            f"@cycle={cycle}")
         elif kind == "routers":
-            clauses.append(f"routers:down={frng.randrange(1, 3)}"
+            clauses.append(f"routers:down={rng.randrange(1, 3)}"
                            f"@cycle={cycle}")
         else:
-            clauses.append(f"router:node={frng.randrange(n)}"
+            clauses.append(f"router:node={rng.randrange(n)}"
                            f"@cycle={cycle}")
     return ";".join(clauses)
 
 
-def random_configs(seed: int, count: int,
-                   cycles: int = 700, warmup: int = 150,
-                   sizes: Sequence[int] = _FUZZ_SIZES,
-                   ) -> Iterator[Tuple[int, RunConfig]]:
-    """Yield ``count`` deterministic pseudo-random configs as
-    ``(case_index, RunConfig)`` pairs.
+def random_case(seed: int, index: int, cycles: int = 700,
+                warmup: int = 150,
+                sizes: Sequence[int] = _FUZZ_SIZES) -> Case:
+    """Case ``index`` of stream ``seed``: a function of its arguments
+    alone, so one case can be pinned without the ones before it.
 
-    The rate axis is sampled log-uniformly from deep-idle to past
-    saturation, because the two regimes exercise entirely different
-    backend code paths (fast-forward vs full-network arbitration).
-    About a quarter of the cases run a randomized **multi-class**
-    workload instead (mixed casts / sizes / arrivals per class), so the
-    per-class accounting and varying message lengths hit every backend.
-    Independently, about a quarter carry a randomized **fault plan**
-    (links / routers dying mid-run); the fault draw uses a per-case rng
-    so the fault-free corpus is byte-identical to the historical one.
-    Finally, about a quarter are transformed into reactive
-    **closed-loop** workloads (coherence request/reply windows or
-    phased all-reduce iterations) -- again via a per-case rng, so every
-    untransformed case matches its historical twin exactly.
-    """
-    rng = random.Random(seed)
-    for i in range(count):
-        kind = rng.choice(_FUZZ_KINDS)
-        n = rng.choice(list(sizes))
-        rate = 10 ** rng.uniform(-3.2, -0.3)
-        beta = rng.choice((0.0, 0.05, 0.3))
-        if kind == "quarc" and rng.random() < 0.2:
-            cfg_extra = dict(bcast_mode="relay")
-        else:
-            cfg_extra = {}
-        frng = random.Random(f"faults:{seed}:{i}")
-        faults = (_random_fault_plan(frng, n, cycles)
-                  if frng.random() < _FUZZ_FAULT_P else "")
-        if rng.random() < _FUZZ_MULTICLASS_P:
-            cfg = make_config(
-                kind=kind, n=n, msg_len=4, beta=0.0,
-                rate=round(rng.choice((0.5, 1.0, 2.0, 8.0)), 5),
-                cycles=cycles, warmup=warmup,
-                seed=rng.randrange(1, 10_000),
-                workload=_random_classes_spec(rng, n),
-                faults=faults, **cfg_extra)
-        else:
-            pattern = rng.choice(_FUZZ_PATTERNS)
-            if n & (n - 1) and pattern in _POW2_ONLY_PATTERNS:
-                pattern = "uniform"
-            cfg = make_config(
-                kind=kind, n=n,
-                msg_len=rng.choice((1, 2, 4, 9, 16)),
-                beta=beta,
-                rate=round(rate, 5),
-                cycles=cycles, warmup=warmup,
-                seed=rng.randrange(1, 10_000),
-                pattern=pattern,
-                arrival=rng.choice(_FUZZ_ARRIVALS),
-                faults=faults, **cfg_extra)
-        # the closed-loop transform draws from a per-case rng so the
-        # untransformed corpus stays byte-identical to the historical
-        # one (same shared-rng consumption in every branch above)
-        crng = random.Random(f"closed:{seed}:{i}")
-        if crng.random() < _FUZZ_CLOSEDLOOP_P:
-            cfg = _closedloop_variant(cfg, crng)
-        yield i, cfg
+    Case ``i`` takes pair ``i`` of the (topology, stress setting) grid,
+    the stress setting varying fastest, so any ``4 * len(STRESS)``
+    consecutive cases run every setting on every topology; the rest is
+    drawn.  The rate is log-uniform from deep idle to past saturation
+    (fast-forward and full-network arbitration are different code).
+    About a quarter of the cases run a randomized multi-class workload,
+    a quarter carry a fault plan, a quarter become a reactive closed
+    loop (which clears the fault plan: a rejected axis pair), and half
+    sample probes."""
+    from dataclasses import replace
+
+    from repro.obs import ObsSpec, ProbeSpec
+    rng = random.Random(f"{seed}:{index}")
+    stress = STRESS[index % len(STRESS)]
+    kind = _FUZZ_KINDS[index // len(STRESS) % len(_FUZZ_KINDS)]
+    n = rng.choice(list(sizes))
+    extra = dict(
+        buffer_depth=rng.choice((1, 2)) if stress == "depth" else 4,
+        faults=(_random_fault_plan(rng, n, cycles)
+                if rng.random() < _FUZZ_FAULT_P else ""),
+        seed=rng.randrange(1, 10_000), cycles=cycles, warmup=warmup)
+    if kind == "quarc" and rng.random() < 0.2:
+        extra["bcast_mode"] = "relay"
+    if rng.random() < _FUZZ_OBS_P:
+        window = rng.choice((64, 150))
+        extra["obs"] = ObsSpec(probes=tuple(
+            ProbeSpec(name, window=window) for name in _FUZZ_PROBES),
+            latency_hist=True)
+    if rng.random() < _FUZZ_MULTICLASS_P:
+        cfg = make_config(kind=kind, n=n, msg_len=4, beta=0.0,
+                          rate=rng.choice((0.5, 1.0, 2.0, 8.0)),
+                          workload=_random_classes_spec(rng, n), **extra)
+    else:
+        pattern = rng.choice(_FUZZ_PATTERNS)
+        if n & (n - 1) and pattern in _POW2_ONLY_PATTERNS:
+            pattern = "uniform"
+        cfg = make_config(kind=kind, n=n,
+                          msg_len=rng.choice((1, 2, 4, 9, 16)),
+                          beta=rng.choice((0.0, 0.05, 0.3)),
+                          rate=round(10 ** rng.uniform(-3.2, -0.3), 5),
+                          pattern=pattern,
+                          arrival=rng.choice(_FUZZ_ARRIVALS), **extra)
+    if rng.random() < _FUZZ_CLOSEDLOOP_P:
+        # the single-class axes back to their defaults; kind, size,
+        # horizon, seed and the ablation switch survive
+        cfg = replace(cfg, spec=replace(
+            cfg.spec, workload=_random_closedloop_spec(rng),
+            rate=rng.choice((0.5, 1.0, 2.0)), pattern="uniform",
+            arrival="bernoulli", faults=""))
+    return Case(f"{seed}-{index}-{kind}-{stress}", cfg, stress)
+
+
+def random_configs(seed: int, count: int, **kw) -> Iterator[Case]:
+    """Cases ``0 .. count - 1`` of stream ``seed`` (:func:`random_case`;
+    ``kw`` its horizon and sizes)."""
+    return (random_case(seed, i, **kw) for i in range(count))
 
 
 # ----------------------------------------------------------------------
-# targeted corpus: traffic shapes the randomized stream under-samples
+# hand-aimed cases: traffic the generator cannot draw or rarely does
 # ----------------------------------------------------------------------
 def multicast_burst_inject(seed: int, every: int = 25, width: int = 3,
                            size: int = 3):
-    """An ``inject`` hook for :func:`find_divergence` that fires dense
-    multicast bursts: every ``every`` cycles, ``width`` nodes each issue
+    """An ``inject(session, t)`` hook that fires dense multicast bursts:
+    every ``every`` cycles (``inject.every``), ``width`` nodes each issue
     ``send_multicast`` to a random target set in the same cycle.
 
-    Deterministic in ``(seed, t)`` only, so both lockstep sessions see
+    Deterministic in ``(seed, t)`` only, so every session sees
     byte-identical traffic.  Multicasts are the one cast the
     declarative mix cannot express (explicit target sets -> the Quarc
     bitstring path; serialised unicast fan-out everywhere else), so the
-    randomized corpus never exercises them without this hook.
+    generator never draws them.
     """
     def inject(session, t: int) -> None:
         if t % every:
@@ -512,46 +571,61 @@ def multicast_burst_inject(seed: int, every: int = 25, width: int = 3,
             k = rng.randrange(2, max(3, n // 2))
             targets = rng.sample([d for d in range(n) if d != src], k)
             session.net.adapters[src].send_multicast(targets, size, t)
+    inject.every = every
     return inject
 
 
-def targeted_configs() -> List[Tuple[str, RunConfig, Optional[object]]]:
-    """Hand-aimed ``(name, config, inject)`` cases for regimes the
-    random stream under-samples: dense multicast bursts (bitstring
-    absorption on the Quarc, serialised fan-out elsewhere) and
-    dateline-heavy torus traffic (every wrap crossing re-routes the
-    packet's VC class mid-flight)."""
-    cases: List[Tuple[str, RunConfig, Optional[object]]] = [
-        ("quarc_multicast_bursts",
-         make_config(kind="quarc", n=16, msg_len=4, beta=0.05, rate=0.02,
-                     cycles=800, warmup=150, seed=31),
-         multicast_burst_inject(31, every=20, width=4, size=4)),
-        ("mesh_multicast_bursts",
-         make_config(kind="mesh", n=16, msg_len=4, beta=0.0, rate=0.02,
-                     cycles=800, warmup=150, seed=33),
-         multicast_burst_inject(33, every=25, width=3, size=3)),
+def named_cases() -> List[Case]:
+    """Hand-aimed cases, each under a chosen stress setting: dense
+    multicast bursts (bitstring absorption on the Quarc, serialised
+    fan-out elsewhere), dateline-heavy tori (every wrap crossing
+    re-routes the packet's VC class mid-flight), deep source queues, the
+    closed loops' corners (:data:`CLOSED_LOOP_CASES`,
+    :data:`CUSTOM_CLOSED_LOOPS`) and configs that once caught an engine
+    bug."""
+    cases = [
+        Case("quarc_multicast_bursts", make_config(
+            kind="quarc", n=16, msg_len=4, beta=0.05, rate=0.02,
+            cycles=800, warmup=150, seed=31), "compact",
+            multicast_burst_inject(31, every=20, width=4, size=4)),
+        Case("mesh_multicast_bursts", make_config(
+            kind="mesh", n=16, msg_len=4, beta=0.0, rate=0.02, cycles=800,
+            warmup=150, seed=33), "shipped",
+            multicast_burst_inject(33, every=25, width=3, size=3)),
         # hotspot at a corner of the 4x4 torus: shortest-direction
         # routing drags half the traffic across the wrap links, so
         # dateline VC upgrades fire constantly under backpressure
-        ("torus_dateline_hotspot",
-         make_config(kind="torus", n=16, msg_len=9, beta=0.0, rate=0.12,
-                     cycles=900, warmup=200, seed=37,
-                     pattern="hotspot:node=0,p=0.5"), None),
+        Case("torus_dateline_hotspot", make_config(
+            kind="torus", n=16, msg_len=9, beta=0.0, rate=0.12, cycles=900,
+            warmup=200, seed=37, pattern="hotspot:node=0,p=0.5"), "stock"),
         # every -1-neighbour message from row/col 0 crosses a dateline;
         # bursty arrivals pile messages up behind the wrap links
-        ("torus_dateline_neighbour",
-         make_config(kind="torus", n=16, msg_len=6, beta=0.0, rate=0.15,
-                     cycles=900, warmup=200, seed=41,
-                     pattern="neighbour:offset=-1",
-                     arrival="bursty:on=0.3,len=8"), None),
+        Case("torus_dateline_neighbour", make_config(
+            kind="torus", n=16, msg_len=6, beta=0.0, rate=0.15, cycles=900,
+            warmup=200, seed=41, pattern="neighbour:offset=-1",
+            arrival="bursty:on=0.3,len=8"), "shipped"),
+        # a blocked post-turn header whose requested VC is re-raised by
+        # trailing flits crossing the X dateline (6x6 torus)
+        Case("torus36_dateline_vclass", make_config(
+            kind="torus", n=36, msg_len=6, beta=0.05, rate=0.15,
+            cycles=900, warmup=200, seed=23), "shipped"),
         # packets four times a source queue's ring window: a queued
         # packet is mostly in the pending FIFO, a cut one at its head
-        ("quarc_deep_source_queues",
-         make_config(kind="quarc", n=16, msg_len=64, beta=0.05, rate=0.02,
-                     cycles=300, warmup=100, seed=43), None),
+        Case("quarc_deep_source_queues", make_config(
+            kind="quarc", n=16, msg_len=64, beta=0.05, rate=0.02,
+            cycles=300, warmup=100, seed=43), "shipped"),
+        # relay broadcasts: adapter pushes during commit
+        Case("quarc_relay_reinjection", make_config(
+            kind="quarc", n=8, msg_len=4, beta=0.3, rate=0.03, cycles=1500,
+            warmup=300, seed=5, bcast_mode="relay"), "compact"),
     ]
-    cases += [(f"closed_{name}", make_config(**cfg), None)
+    cases += [Case(f"closed_{name}", make_config(**cfg), "shipped")
               for name, cfg in CLOSED_LOOP_CASES.items()]
+    cases += [Case(f"custom_{name}", make_config(
+        kind="quarc", n=16, msg_len=4, beta=0.0, rate=1.0, cycles=900,
+        warmup=200, seed=5, workload="cache_coherence:window=4"),
+        "shipped", workload=workload)
+        for name, workload in CUSTOM_CLOSED_LOOPS.items()]
     return cases
 
 
@@ -646,22 +720,220 @@ def custom_workload(workload):
         yield
 
 
-def assert_backends_equivalent(config: RunConfig,
-                               backends: Optional[Sequence[str]] = None,
-                               ) -> List[RunSummary]:
-    """Assert all ``backends`` (default: every registered one) produce
-    identical summaries for ``config``; on mismatch, re-run the failing
-    pair in lockstep and raise with the first diverging cycle's diff."""
-    names = list(backends if backends is not None else sorted(BACKENDS))
-    summaries = run_summaries(config, names)
-    baseline = summaries[0]
-    for name, summary in zip(names[1:], summaries[1:]):
-        if summary != baseline:
-            div = find_divergence(config, names[0], name)
-            detail = div.report() if div is not None else (
-                "summaries differ but lockstep stepping agrees -- "
-                "suspect run_mix fast-forward or drain handling")
-            raise AssertionError(
-                f"backend {name!r} diverges from {names[0]!r} for "
-                f"{config.spec.label()} (seed {config.spec.seed}):\n{detail}")
-    return summaries
+# ----------------------------------------------------------------------
+# the oracle
+# ----------------------------------------------------------------------
+def named_events(be, events) -> np.ndarray:
+    """``events`` (an array engine's replayed words: key, word, ...) as a
+    row each: the key, then the word with every aid and receipt slot --
+    an interning order, which batching changes -- replaced by what it
+    names, read off the packet columns (so naming builds no object): a
+    flit by its packet's (src, dst, size, traffic, born) and its port or
+    index, a completion by its op's (src, created), a reply by (src,
+    dst, tag), a fired request by (src, dst, source)."""
+    from repro.sim.array_backend import (EV_COMPLETE, EV_CONT, EV_DATELINE,
+                                         EV_DELIVERY, FIDMASK, FSHIFT,
+                                         SRC_BITS)
+    keys, words = events[::2], events[1::2]
+    kind = keys & 7
+    out = np.zeros((len(keys), 7), np.int64)
+    out[:, 0], out[:, 1] = keys, words      # no aid in the word
+    flit = np.flatnonzero((kind == EV_DELIVERY) | (kind == EV_DATELINE))
+    if len(flit):
+        w, dl = words[flit], kind[flit] == EV_DELIVERY
+        aid = np.where(dl, w >> 16, w >> FSHIFT)
+        out[flit, 1:] = np.column_stack((
+            be._psrc[aid], be._pdst[aid], be._psize[aid], be._ptraf[aid],
+            be._pborn[aid], np.where(dl, w & 0xFFFF, w & FIDMASK)))
+    for i in np.flatnonzero(kind >= EV_COMPLETE).tolist():
+        word = int(words[i])
+        if kind[i] == EV_COMPLETE:
+            op = be._slot_op[word]      # an op, or a broadcast row's
+            out[i, 1:3] = ((be._psrc[op[0][0]], be._pborn[op[0][0]])
+                           if type(op) is tuple else (op.src, op.created))
+        elif kind[i] == EV_CONT:
+            tag = be._tag(word)
+            out[i, 1:5] = (be._psrc[word], be._pdst[word],
+                           *((-1, -1) if tag is None else
+                             (tag, -1) if type(tag) is int else tag))
+        else:                           # EV_FIRE
+            aid = word >> SRC_BITS
+            out[i, 1:4] = (be._psrc[aid], be._pdst[aid],
+                           word & ((1 << SRC_BITS) - 1))
+    return out
+
+
+class EventLog:
+    """Named replayed events (:func:`named_events`) folded into a digest
+    as they replay, in memory that does not grow with the run (a
+    saturated N = 64 run replays millions): equal logs saw the same
+    events in the same order.  Also notes whether the events came in
+    cycle order and how many of each kind came."""
+
+    def __init__(self):
+        self._hash = hashlib.blake2b()
+        self.n, self.last, self.ordered = 0, -1, True
+        self.kinds = collections.Counter()
+
+    def extend(self, rows: np.ndarray) -> None:
+        if len(rows):
+            cycles = rows[:, 0] >> 3
+            self.ordered &= bool(cycles[0] >= self.last
+                                 and (cycles[1:] >= cycles[:-1]).all())
+            self.last = int(cycles[-1])
+            self.kinds.update((rows[:, 0] & 7).tolist())
+            self._hash.update(rows.tobytes())
+            self.n += len(rows)
+
+    def __eq__(self, other) -> bool:
+        return (self.n, self._hash.digest()) == (other.n,
+                                                 other._hash.digest())
+
+
+class Drive(NamedTuple):
+    """What :func:`drive` saw of one run."""
+
+    summary: RunSummary
+    events: EventLog    # named replayed events (``trace``)
+    digests: list       # state digests (``_digest``), either engine
+    snaps: list         # ``(state_snapshot, total_flits)`` at ``snap_at``
+    balance: int        # injected - ejected - purged - in flight, at end
+    session: SimulationSession
+
+
+def drive(config: RunConfig, backend: str = "array", per_cycle=False,
+          trace=False, snap_at=(), hook_at=None, before=None,
+          digest_every=0, inject=None) -> Drive:
+    """Run ``config`` on ``backend``: the summary, the replayed events
+    (``trace``, an :class:`EventLog`), the state digests (every
+    ``digest_every`` cycles, then at the end) and ``(snapshot,
+    total_flits)`` at each cycle of ``snap_at``.  ``per_cycle`` drives
+    the array engine through ``generate`` + ``step`` (horizon 1,
+    :func:`helpers.run_per_cycle`) instead of the windowed ``run_mix``;
+    ``hook_at = (cycle, fn)`` calls ``fn(backend)`` after that cycle,
+    ``before(session)`` runs ahead of the first one; ``inject``
+    (:func:`multicast_burst_inject`) sends its traffic of cycle ``t``
+    once cycle ``t - 1`` has run, ahead of the arrivals of ``t``."""
+    from helpers import run_per_cycle
+
+    from repro.sim.array_backend import EV_CONT, EV_FIRE
+    from repro.sim.session import _merge_probes
+    session = SimulationSession(config.with_backend(backend))
+    be, net = session.backend, session.net
+    cycles = config.spec.cycles
+    events, snaps, digests = EventLog(), [], []
+    if before is not None:
+        before(session)
+    if trace:
+        be._st.trace = 1
+        replay = be._replay
+
+        def named(evs):
+            # each named before it replays, and after every CONT or FIRE
+            # before it has (the packet either names gets its birth
+            # cycle as it replays)
+            kinds = evs[::2] & 7
+            cut = (np.flatnonzero((kinds == EV_CONT) | (kinds == EV_FIRE))
+                   + 1) * 2
+            for part in np.split(evs, cut):
+                if len(part):
+                    events.extend(named_events(be, part))
+                    replay(part)
+
+        be._replay = named
+    probes = session._probe_schedule()
+    if inject is not None:
+        inject(session, 0)
+        _merge_probes(probes, {
+            t - 1: lambda now: inject(session, now + 1)
+            for t in range(inject.every, cycles, inject.every)})
+    _merge_probes(probes, {
+        t: lambda now: snaps.append((net.state_snapshot(),
+                                     net.total_flits()))
+        for t in snap_at})
+    if hook_at is not None:
+        _merge_probes(probes, {hook_at[0]: lambda now: hook_at[1](be)})
+    if digest_every:
+        _merge_probes(probes, {
+            t: lambda now: digests.append(_digest(net))
+            for t in range(digest_every, cycles, digest_every)})
+    run_mix = run_per_cycle if per_cycle else type(be).run_mix
+    run_mix(be, session.mix, cycles, probes)
+    digests.append(_digest(net))
+    summary = session.summary()
+    balance = be._flit_balance()
+    be.detach()
+    return Drive(summary, events, digests, snaps, balance, session)
+
+
+#: Cycles between the oracle's state checkpoints.
+CHECK_EVERY = 100
+
+
+def check_case(case: Case) -> List[Drive]:
+    """The oracle every equivalence case runs: ``case.config`` on the
+    reference and three times on the array engine under ``case.stress``:
+    as a session runs it (windows), the same with its events traced, and
+    traced one cycle at a time (under ``rescan``: with a full rescan
+    before every kernel entry).
+
+    * Every array run gives the reference's ``RunSummary``, the session
+      run its ``repro-metrics`` stream too; a session run that differs
+      is localised by a lockstep re-run (:func:`find_divergence`)
+      before the test fails.
+    * The traced runs replay the same events (as an :class:`EventLog`;
+      none only where no flit moved) in cycle order: one entry of K
+      cycles is K entries of one (and, under ``rescan``, the ready set
+      the windows keep misses no row a full scan finds).  Their network
+      state (:func:`_digest`) is the reference's every
+      :data:`CHECK_EVERY` cycles and at the end.  Trace events and
+      checkpoints end batches, hence the untraced session run.
+    * Every run keeps the flit identity (injected == ejected + purged +
+      in flight); every header routed in Python wakes its own row; a
+      fault-free run routes no header in Python but a multicast's.
+
+    Returns the four runs: reference, session, traced, per-cycle."""
+    from repro.obs.metrics import dumps_stream
+    from repro.sim.array_backend import EV_ROUTE, ArrayBackend
+    config, stress, inject = case.config, case.stress, case.inject
+    route, woken = ArrayBackend._route_one, []
+
+    def routed(be, b):
+        route(be, b)
+        woken.append(int(be._rdy[b >> 6]) >> (b & 63) & 1)
+
+    label = f"{case.name}: {config.spec.label()} (seed {config.spec.seed})"
+    with contextlib.ExitStack() as stack:
+        if case.workload is not None:
+            stack.enter_context(custom_workload(case.workload))
+        ref = drive(config, "reference", inject=inject,
+                    digest_every=CHECK_EVERY)
+        with stressed(stress):
+            plain = drive(config, inject=inject)
+            if plain.summary != ref.summary:
+                div = find_divergence(config, "reference", "array",
+                                      inject=inject)
+                raise AssertionError(
+                    f"array diverges from reference for {label}:\n" + (
+                        div.report() if div is not None else
+                        "summaries differ but lockstep stepping agrees -- "
+                        "suspect run_mix windows or drain handling"))
+            with mock.patch.object(ArrayBackend, "_route_one", routed):
+                batched = drive(config, trace=True, inject=inject,
+                                digest_every=CHECK_EVERY)
+        with stressed(stress, per_cycle=True):
+            stepped = drive(config, per_cycle=True, trace=True,
+                            inject=inject, digest_every=CHECK_EVERY)
+    if config.obs and config.obs.probes:
+        assert dumps_stream(plain.summary) == dumps_stream(ref.summary), label
+    assert batched.summary == stepped.summary == ref.summary, label
+    assert batched.events == stepped.events, label
+    assert batched.digests == stepped.digests == ref.digests, label
+    assert batched.events.ordered, label
+    assert batched.events.n or not ref.summary.flits_moved, label
+    assert all(woken), label
+    if not config.spec.faults and inject is None:
+        assert EV_ROUTE not in batched.events.kinds, label
+    runs = [ref, plain, batched, stepped]
+    assert [run.balance for run in runs] == [0] * 4, label
+    return runs

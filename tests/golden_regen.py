@@ -15,8 +15,9 @@ any drift -- so regenerating is a *deliberate*, reviewed act, only
 legitimate when the simulated semantics intentionally change (in which
 case the diff of the regenerated fixtures documents exactly what moved).
 
-Backends are interchangeable here by contract (the differential suite
-enforces it); ``reference`` is used because it is the oracle.
+Backends are interchangeable here by contract: ``reference`` writes the
+fixtures because it is the oracle, and ``tests/test_golden.py`` checks
+them on both engines.
 """
 
 from __future__ import annotations
@@ -111,13 +112,13 @@ GOLDEN_CONFIGS: List[Tuple[str, WorkloadSpec, Dict]] = [
 ]
 
 
-def golden_row(name: str) -> Dict:
-    """Run one pinned config on the reference backend; returns the
-    JSON-ready fixture payload."""
+def golden_row(name: str, backend: str = "reference") -> Dict:
+    """Run one pinned config (on the reference backend, which writes the
+    fixtures); returns the JSON-ready fixture payload."""
     for cname, spec, cfg in GOLDEN_CONFIGS:
         if cname == name:
             session = SimulationSession(
-                RunConfig(spec=spec, backend="reference", **cfg))
+                RunConfig(spec=spec, backend=backend, **cfg))
             summary = session.run()
             # spec.to_dict() (not asdict) keeps pre-multi-class fixtures
             # byte-identical: fields still at their compat default (an

@@ -38,8 +38,11 @@ def run_cycles(net: Network, cycles: int) -> None:
 def run_per_cycle(backend, mix, cycles: int, probes=None) -> None:
     """The per-cycle oracle of ``SimBackend.run_mix``: ``generate``,
     ``step`` and the probe, one cycle at a time (on an array engine,
-    ``step`` is a batch of horizon 1)."""
+    ``step`` is a batch of horizon 1, its staged entries ranked by class
+    as ``ArrayBackend.run_mix`` ranks them)."""
     probes = probes or {}
+    if hasattr(backend, "_ranks"):
+        backend._rank = backend._ranks(mix)
     t0 = backend.net.cycle
     for t in range(t0, t0 + cycles):
         mix.generate(t)

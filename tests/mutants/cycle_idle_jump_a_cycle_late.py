@@ -2,6 +2,8 @@
 row: that arrival folds, and leaves, a cycle late."""
 
 H = "tests/test_differential.py::TestHarness"
+G = ("tests/test_golden.py::TestGoldenFixtures::"
+     "test_no_drift_from_seed_semantics[quarc16_uniform]")
 SUBSTITUTIONS = [(
     "src/repro/sim/_cycle_kernel.c",
     """                now = s->acyc[s->apos];
@@ -9,4 +11,4 @@ SUBSTITUTIONS = [(
     """                now = s->acyc[s->apos] + 1;
 """,
 )]
-KILLED_BY = [f"{H}::test_run_summaries_covers_backends"]
+KILLED_BY = [f"{H}::test_run_summaries_covers_backends", G]

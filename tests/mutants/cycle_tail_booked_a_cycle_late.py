@@ -2,6 +2,8 @@
 PE: every latency one cycle long."""
 
 H = "tests/test_differential.py::TestHarness"
+G = ("tests/test_golden.py::TestGoldenFixtures::"
+     "test_no_drift_from_seed_semantics[quarc16_uniform]")
 SUBSTITUTIONS = [(
     "src/repro/sim/_cycle_kernel.c",
     """    emit(s, EV_DELIVERY, now, (aid << 16) | p);
@@ -9,4 +11,4 @@ SUBSTITUTIONS = [(
     """    emit(s, EV_DELIVERY, now + 1, (aid << 16) | p);
 """,
 )]
-KILLED_BY = [f"{H}::test_run_summaries_covers_backends"]
+KILLED_BY = [f"{H}::test_run_summaries_covers_backends", G]

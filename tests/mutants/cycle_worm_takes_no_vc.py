@@ -2,6 +2,8 @@
 interleave with the worm."""
 
 H = "tests/test_differential.py::TestHarness"
+G = ("tests/test_golden.py::TestGoldenFixtures::"
+     "test_no_drift_from_seed_semantics[quarc16_uniform]")
 SUBSTITUTIONS = [(
     "src/repro/sim/_cycle_kernel.c",
     """            if (headf && !tail)
@@ -9,4 +11,4 @@ SUBSTITUTIONS = [(
     """            if (0)
 """,
 )]
-KILLED_BY = [f"{H}::test_run_summaries_covers_backends"]
+KILLED_BY = [f"{H}::test_run_summaries_covers_backends", G]

@@ -2,7 +2,8 @@
 a compaction frees the reply of a request in flight, and its tail files a
 slot some other packet now holds."""
 
-T = "tests/test_backends.py::TestPacketCompaction"
+C = "tests/test_differential.py::test_corpus"
+
 SUBSTITUTIONS = [(
     "src/repro/sim/_cycle_kernel.c",
     """    for (i = 0; i < used; i++)
@@ -11,4 +12,4 @@ SUBSTITUTIONS = [(
 """,
     "",
 )]
-KILLED_BY = [f"{T}::test_compacted_run_is_the_uncompacted_one[coherence]"]
+KILLED_BY = [f"{C}[20260726-1-quarc-compact]"]

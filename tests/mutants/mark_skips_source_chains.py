@@ -1,9 +1,11 @@
 """The packet-table mark skips the requests a closed-loop source has yet
 to fire (``shead`` chains): a compaction frees them and the sources run
 dry at every entry, so ``_intern_requests`` doubles their stock without
-end -- the named test dies of a MemoryError under the runner's cap."""
+end -- the named case dies under the runner's memory cap (a
+MemoryError, or the kernel crashes on a table it could not grow)."""
 
-T = "tests/test_backends.py::TestPacketCompaction"
+C = "tests/test_differential.py::test_corpus"
+
 SUBSTITUTIONS = [(
     "src/repro/sim/_cycle_kernel.c",
     """    for (i = 0; i < s->S; i++)
@@ -11,4 +13,4 @@ SUBSTITUTIONS = [(
 """,
     "",
 )]
-KILLED_BY = [f"{T}::test_compacted_run_is_the_uncompacted_one[coherence]"]
+KILLED_BY = [f"{C}[20260726-1-quarc-compact]"]

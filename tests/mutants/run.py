@@ -11,8 +11,11 @@ A mutant is one file here (any ``*.py`` but this one) that defines
 For each mutant the runner copies the working tree (``.git`` and caches
 left out) to a temporary directory, applies the substitutions and runs
 the named tests there; the mutant is *killed* if they fail, *survived*
-if they pass.  The C kernel of a mutated ``_cycle_kernel.c`` compiles
-into its own cache entry (the cache is keyed by the source's hash).
+if they pass, and *killed (timeout)* if they run past ``TIME_LIMIT``: a
+mutant that makes the engine loop (a ``pnext`` cycle, say) has pytest's
+process group killed, and the report names the test that was running.
+The C kernel of a mutated ``_cycle_kernel.c`` compiles into its own
+cache entry (the cache is keyed by the source's hash).
 
 Usage: ``python tests/mutants/run.py [--show] [NAME ...]`` (all mutants
 without names; ``--show`` prints the end of each pytest report).  Exit
@@ -24,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import resource
 import runpy
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -39,6 +44,9 @@ _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
 #: engine allocate without bound (a source that never finds its interned
 #: requests doubles them) dies of a MemoryError, killed, not the host.
 MEMORY_CAP = 2 << 30
+#: Seconds a mutant's test run may take (the slowest named tests take
+#: about a minute on a mutant's first, compiling run).
+TIME_LIMIT = 600
 
 
 def _cap_memory() -> None:
@@ -65,25 +73,40 @@ def apply(tree: str, substitutions) -> None:
             fh.write(text.replace(old, new))
 
 
-def run_one(name: str, mutant: dict, show: bool = False) -> bool:
-    """Whether the mutant's named tests fail on a mutated copy (``show``:
-    print the end of pytest's report)."""
+def run_one(name: str, mutant: dict, show: bool = False) -> str:
+    """``killed``, ``killed (timeout) in <test id>`` or ``SURVIVED``: how
+    the mutant's named tests did on a mutated copy (``show``: print the
+    end of pytest's report)."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
         tree = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, tree, ignore=_SKIP)
         apply(tree, mutant["SUBSTITUTIONS"])
-        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-             "no:cacheprovider", *mutant["KILLED_BY"]],
-            cwd=tree, env=env, capture_output=True, text=True,
-            preexec_fn=_cap_memory)
-    if proc.returncode in (4, 5):       # no such test id / none collected
-        raise SystemExit(f"{name}: pytest could not run its tests\n"
-                         f"{proc.stdout}{proc.stderr}")
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"),
+                   PYTHONUNBUFFERED="1")
+        log = os.path.join(tmp, "pytest.log")
+        with open(log, "w") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "pytest", "-x", "-v", "-p",
+                 "no:cacheprovider", *mutant["KILLED_BY"]],
+                cwd=tree, env=env, stdout=out, stderr=subprocess.STDOUT,
+                preexec_fn=_cap_memory, start_new_session=True)
+            try:
+                code = proc.wait(TIME_LIMIT)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                code = None
+        with open(log) as fh:
+            report = fh.read()
+    if code in (4, 5):      # no such test id / none collected
+        raise SystemExit(f"{name}: pytest could not run its tests\n{report}")
     if show:
-        print("\n".join((proc.stdout + proc.stderr).splitlines()[-12:]))
-    return proc.returncode != 0
+        print("\n".join(report.splitlines()[-12:]))
+    if code is None:        # pytest -v names a test as it starts it
+        running = re.findall(r"^(\S+::\S+)", report, re.M)
+        return ("killed (timeout) in "
+                + (running[-1] if running else "collection"))
+    return "killed" if code else "SURVIVED"
 
 
 def main(argv=None) -> int:
@@ -98,9 +121,9 @@ def main(argv=None) -> int:
         ap.error(f"unknown mutant(s) {unknown}; known: {sorted(found)}")
     survived = []
     for name in args.names or sorted(found):
-        killed = run_one(name, found[name], args.show)
-        print(f"{name}: {'killed' if killed else 'SURVIVED'}", flush=True)
-        if not killed:
+        status = run_one(name, found[name], args.show)
+        print(f"{name}: {status}", flush=True)
+        if status == "SURVIVED":
             survived.append(name)
     return 1 if survived else 0
 

@@ -2,7 +2,8 @@
 network: a live slot freed.  The row's completion, or the op built from
 it, then reads another packet's columns."""
 
-T = "tests/test_backends.py::TestPacketCompaction"
+C = "tests/test_differential.py::test_corpus"
+
 SUBSTITUTIONS = [(
     "src/repro/sim/array_backend.py",
     """        live[[a for e in self._slot_op if type(e) is tuple
@@ -10,4 +11,4 @@ SUBSTITUTIONS = [(
 """,
     "",
 )]
-KILLED_BY = [f"{T}::test_compacted_run_is_the_uncompacted_one[quarc_beta]"]
+KILLED_BY = [f"{C}[20260726-1-quarc-compact]"]

@@ -1,179 +1,36 @@
-"""The multi-cycle entry equals K single-cycle calls, event for event.
+"""The multi-cycle entry and what batching could break.
 
 ``ArrayBackend._advance(now, horizon)`` runs cycles until Python is
-needed; ``step`` is the same entry at horizon 1.  Whatever the batching,
-one spec + seed must produce the same events (winner, dateline,
-delivery, route-to-Python -- each carrying its cycle), the same state
-and the same ``RunSummary``.
-Also pinned here: the two orderings the batching could break (a packet
-regenerated by a delivery folds ahead of the next cycle's pre-drawn
-arrivals) and the ring / pending-FIFO boundary of deep source queues.
+needed; ``step`` is the same entry at horizon 1.  That one entry of K
+cycles equals K entries of one -- the same events (winner, dateline,
+delivery, route-to-Python, each carrying its cycle), state digests and
+``RunSummary`` -- and that the ready set misses no row a full rescan
+finds, is checked for every differential case
+(``differential.check_case``).  Pinned here: where Python is entered
+and how ``--profile`` says so, the two orderings the batching could
+break (a packet regenerated by a delivery folds ahead of the next
+cycle's pre-drawn arrivals), late rows, and the ring / pending-FIFO
+boundary of deep source queues.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from differential import CUSTOM_CLOSED_LOOPS, make_config
-from helpers import CountingRandom, run_per_cycle
+from differential import CUSTOM_CLOSED_LOOPS, drive, make_config
+from helpers import CountingRandom
 
 from repro.core.api import build_network
-from repro.noc.network import flit_key
 from repro.noc.packet import (BROADCAST, RELAY, UNICAST, CollectiveOp,
                               Packet)
 from repro.obs import ObsSpec
 from repro.sim import array_backend
-from repro.sim.array_backend import (EV_COMPLETE, EV_CONT, EV_DATELINE,
-                                     EV_DELIVERY, EV_FIRE, EV_ROUTE,
-                                     EV_WINNER, FIDMASK, FSHIFT, SRC_BITS)
+from repro.sim.array_backend import EV_ROUTE
 from repro.sim.backend import make_backend
-from repro.sim.session import SimulationSession, _merge_probes
+from repro.sim.session import SimulationSession
 from repro.workloads import registry
 
 KINDS = ("quarc", "spidergon", "mesh", "torus")
-
-
-def _named(be, events):
-    """``events`` with every aid and receipt slot (an interning order,
-    which batching changes) replaced by the packet / op it names."""
-    out = []
-    it = iter(events)
-    for key, word in zip(it, it):
-        kind = key & 7
-        if kind == EV_DELIVERY:
-            word = (flit_key(be._packet(word >> 16), 0), word & 0xFFFF)
-        elif kind == EV_DATELINE:
-            word = flit_key(be._packet(word >> FSHIFT), word & FIDMASK)
-        elif kind == EV_COMPLETE:
-            op = be._slot_op[word]      # an op, or a broadcast row's
-            word = ((int(be._psrc[op[0][0]]), int(be._pborn[op[0][0]]))
-                    if type(op) is tuple else (op.src, op.created))
-        elif kind == EV_CONT:
-            word = (int(be._psrc[word]), int(be._pdst[word]),
-                    be._tag(word))
-        elif kind == EV_FIRE:
-            aid = word >> SRC_BITS
-            word = (int(be._psrc[aid]), int(be._pdst[aid]),
-                    word & ((1 << SRC_BITS) - 1))
-        out += (key, word)
-    return out
-
-
-def _drive(config, backend="array", per_cycle=False, trace=False,
-           snap_at=(), hook_at=None, before=None, digest_every=0):
-    """Run ``config``; returns the summary, the replayed events, the
-    state digests (every ``digest_every`` cycles, then end of run) and
-    ``(snapshot, total_flits)`` at each cycle of ``snap_at``.
-    ``per_cycle`` drives the array engine through ``generate`` +
-    ``step`` (horizon 1, :func:`helpers.run_per_cycle`) instead of the
-    windowed ``run_mix``; ``hook_at = (cycle, fn)`` calls
-    ``fn(backend)`` after that cycle, ``before(session)`` runs ahead of
-    the first one."""
-    session = SimulationSession(config.with_backend(backend))
-    be, net = session.backend, session.net
-    events, snaps, digests = [], [], []
-    if before is not None:
-        before(session)
-    if trace:
-        be._st.trace = 1
-        replay = be._replay
-
-        def named(evs):     # each named just before it replays (a reply
-            for i in range(0, len(evs), 2):     # is born at its CONT)
-                events.extend(_named(be, evs[i:i + 2]))
-                replay(evs[i:i + 2])
-
-        be._replay = named
-    probes = session._probe_schedule()
-    _merge_probes(probes, {
-        t: lambda now: snaps.append((net.state_snapshot(),
-                                     net.total_flits()))
-        for t in snap_at})
-    if hook_at is not None:
-        _merge_probes(probes, {hook_at[0]: lambda now: hook_at[1](be)})
-    if digest_every:
-        _merge_probes(probes, {
-            t: lambda now: digests.append(be.state_digest())
-            for t in range(digest_every, config.spec.cycles, digest_every)})
-    run_mix = run_per_cycle if per_cycle else type(be).run_mix
-    run_mix(be, session.mix, config.spec.cycles, probes)
-    if backend == "array":
-        digests.append(be.state_digest())
-    summary = session.summary()
-    be.detach()
-    return summary, events, digests, snaps
-
-
-@pytest.mark.parametrize("beta", (0.0, 0.1))
-@pytest.mark.parametrize("kind", KINDS)
-def test_one_advance_equals_k_steps(kind, beta):
-    kinds_seen = set()
-    for rate in (0.01, 0.2):        # sub-saturation, saturated
-        config = make_config(kind=kind, n=16, msg_len=6, beta=beta,
-                             rate=rate, cycles=700, warmup=150, seed=11)
-        batched = _drive(config, trace=True)
-        stepped = _drive(config, per_cycle=True, trace=True)
-        assert batched[1] == stepped[1], (kind, beta, rate)   # events
-        assert batched[2] == stepped[2], (kind, beta, rate)   # digest
-        assert batched[0] == stepped[0], (kind, beta, rate)   # summary
-        assert batched[0] == _drive(config, "reference")[0]
-        keys = batched[1][::2]
-        assert keys == sorted(keys, key=lambda k: k >> 3)   # cycle order
-        kinds_seen.update(k & 7 for k in keys)
-    assert {EV_WINNER, EV_DELIVERY} <= kinds_seen
-    # a broadcast's receipts are the kernel's: Python hears completions
-    assert (EV_COMPLETE in kinds_seen) == (beta > 0)
-    if kind != "mesh":              # rings and tori have dateline links
-        assert EV_DATELINE in kinds_seen
-    # broadcast headers route by table (the clone is bit 2 of the entry)
-    assert EV_ROUTE not in kinds_seen
-
-
-@pytest.mark.parametrize("beta", (0.0, 0.1))
-@pytest.mark.parametrize("rate", (0.01, 0.2))
-@pytest.mark.parametrize("depth", (1, 2, 4))
-@pytest.mark.parametrize("kind", KINDS)
-def test_ready_set_equals_full_scan(kind, depth, rate, beta, monkeypatch):
-    """Phase A walks the ready set its wakes keep; a rescan before every
-    entry of a per-cycle run makes every cycle a full scan.  A missed
-    wake leaves an eligible row unexamined, and the two runs part."""
-    _ready_set_equals_full_scan(kind, depth, rate, beta, "", monkeypatch)
-
-
-@pytest.mark.parametrize("faults,rate", (("links:down=2@cycle=150", 0.2),
-                                         ("routers:down=1@cycle=0", 0.01)))
-@pytest.mark.parametrize("kind", KINDS)
-def test_ready_set_equals_full_scan_under_faults(kind, faults, rate,
-                                                 monkeypatch):
-    """Under a fault state every header routes in Python; each such route
-    wakes its own row (``repro_wake``) instead of rescanning the set."""
-    _ready_set_equals_full_scan(kind, 2, rate, 0.1, faults, monkeypatch)
-
-
-def _ready_set_equals_full_scan(kind, depth, rate, beta, faults,
-                                monkeypatch):
-    config = make_config(kind=kind, n=16, msg_len=6, beta=beta, rate=rate,
-                         cycles=500, warmup=100, seed=11, buffer_depth=depth,
-                         faults=faults)
-    route, woken = array_backend.ArrayBackend._route_one, []
-
-    def routed(be, b):
-        route(be, b)
-        woken.append(int(be._rdy[b >> 6]) >> (b & 63) & 1)
-
-    monkeypatch.setattr(array_backend.ArrayBackend, "_route_one", routed)
-    kept = _drive(config, trace=True)
-    assert all(woken) and (woken or not faults)
-    call = array_backend.ArrayBackend._call
-
-    def rescanning(be, entry):
-        be._st.rescan = 1
-        return call(be, entry)
-
-    monkeypatch.setattr(array_backend.ArrayBackend, "_call", rescanning)
-    full = _drive(config, per_cycle=True, trace=True)
-    assert kept[:3] == full[:3]     # summary, events, digests
-    assert kept[0] == _drive(config, "reference")[0]
 
 
 def test_multicast_header_still_routes_in_python():
@@ -186,13 +43,12 @@ def test_multicast_header_still_routes_in_python():
     def multicast(session):
         session.net.adapters[2].send_multicast([3, 5, 9, 10, 15], 6, 0)
 
-    batched = _drive(config, trace=True, before=multicast)
-    stepped = _drive(config, per_cycle=True, trace=True, before=multicast)
+    batched = drive(config, trace=True, before=multicast)
+    stepped = drive(config, per_cycle=True, trace=True, before=multicast)
     assert batched[:3] == stepped[:3]
-    assert batched[0] == _drive(config, "reference", before=multicast)[0]
-    routed = [w for k, w in zip(batched[1][::2], batched[1][1::2])
-              if k & 7 == EV_ROUTE]
-    assert len(routed) >= 5     # every rim ingress the branches cross
+    assert batched[0] == drive(config, "reference", before=multicast)[0]
+    # every rim ingress the branches cross
+    assert batched.events.kinds[EV_ROUTE] >= 5
 
 
 def test_batches_really_span_cycles():
@@ -332,8 +188,8 @@ def test_regenerated_packet_folds_before_next_arrivals(
 
     monkeypatch.setattr(array_backend.ArrayBackend, "_stage", watching)
     at = (300, 600, 899)
-    got = _drive(config, snap_at=at)
-    want = _drive(config, "reference", snap_at=at)
+    got = drive(config, snap_at=at)
+    want = drive(config, "reference", snap_at=at)
     assert any(merges)      # a node did inject right after it relayed
     assert got[0] == want[0]
     assert got[3] == want[3]
@@ -413,14 +269,14 @@ def test_late_rows_go_in_front(case, layouts, monkeypatch):
         put(be, key, abuf, aaid)
 
     monkeypatch.setattr(array_backend.ArrayBackend, "_put", spying)
-    batched = _drive(config, trace=True, digest_every=97)
+    batched = drive(config, trace=True, digest_every=97)
     if "shift" in layouts and custom is None:   # nothing consumed yet
         assert ("shift", 0) in seen
-    stepped = _drive(config, per_cycle=True, trace=True, digest_every=97)
+    stepped = drive(config, per_cycle=True, trace=True, digest_every=97)
     assert {how for how, _ in seen} == layouts
     assert batched[:3] == stepped[:3]   # summary, events, digests
     assert len(batched[2]) == 900 // 97 + 1
-    assert batched[0] == _drive(config, "reference")[0]
+    assert batched[0] == drive(config, "reference")[0]
 
 
 def test_bad_late_rows_raise_like_send():
@@ -492,12 +348,12 @@ def test_deep_source_queues_live_in_the_pending_fifo(monkeypatch):
         be.resync()
 
     at = (250, 500, 899)
-    got = _drive(config, snap_at=at, hook_at=(400, round_trip))
-    want = _drive(config, "reference", snap_at=at)
+    got = drive(config, snap_at=at, hook_at=(400, round_trip))
+    want = drive(config, "reference", snap_at=at)
     assert depth[0][0] > 8 * 6 and depth[0][1] > 16     # deep, and many
     assert got[0] == want[0] and got[0].saturated
     assert got[3] == want[3]        # snapshots and total_flits()
-    assert got[0] == _drive(config, per_cycle=True)[0]
+    assert got[0] == drive(config, per_cycle=True)[0]
 
 
 #: Packets four times a source queue's window (64 flits against 16
@@ -510,9 +366,9 @@ def test_deep_source_queues_batch_like_single_steps(kind):
     depth = []
     config = make_config(kind=kind, beta=0.1 if kind == "quarc" else 0.0,
                          **DEEP)
-    batched = _drive(config, trace=True, hook_at=(
+    batched = drive(config, trace=True, hook_at=(
         400, lambda be: depth.append(int(be._ppend.max()))))
-    stepped = _drive(config, per_cycle=True, trace=True)
+    stepped = drive(config, per_cycle=True, trace=True)
     assert depth[0] > 4 * 64        # a backlog of whole packets
     assert batched[1] == stepped[1]     # events
     assert batched[2] == stepped[2]     # digest
@@ -533,8 +389,8 @@ def test_deep_source_queue_round_trip_with_a_cut_packet():
         be.resync()
 
     at = (300, 500, 699)
-    got = _drive(config, snap_at=at, hook_at=(400, round_trip))
-    want = _drive(config, snap_at=at)
+    got = drive(config, snap_at=at, hook_at=(400, round_trip))
+    want = drive(config, snap_at=at)
     assert cut[0] > 0
     assert got[0] == want[0] and got[0].saturated
     assert got[3] == want[3]        # snapshots and total_flits()

@@ -5,7 +5,12 @@ The central contract: for any seed and :class:`RunConfig`, the
 dataclass equality, floats included) to the ``reference`` backend --
 deliveries, latency means, CIs, flits moved, saturation flags, drain
 cycles.  The reference backend is ``Network.step`` itself, so this
-pins the optimized engine to the seed semantics.
+pins the optimized engine to the seed semantics.  The differential
+corpus (``tests/test_differential.py``) checks it across topologies,
+loads, workloads and the engine's stress settings; pinned here are a
+small run per topology, a saturated one, the relay ablation, the
+drains, a run resumed after a drain, the fast-forward and the engine's
+own machinery.
 """
 
 import json
@@ -694,22 +699,15 @@ def _array_run(spec, cut=None, handback=None, **cfg):
 class TestPacketCompaction:
     """Packet slots follow the packets alive.  Forced (``_COMPACT_MIN`` 0:
     the table starts empty), every interning entry sweeps whatever is
-    dead onto the free list -- with a broadcast row open, a relay segment staged, requests
-    chained at their sources, replies in the due ring, a fault state
-    installed, around a hand-back.  Each run is the reference's and the
-    unswept engine's, summary, digest and snapshot alike: no aid
-    reaches an output."""
+    dead onto the free list; the ``compact`` stress setting runs the
+    differential corpus so (``tests/test_differential.py``).  Pinned
+    here: a hand-back between sweeps, shard workers' gids, the goldens,
+    the conservation checks and the table's bound and report."""
 
     CASES = {
         "quarc_beta": dict(kind="quarc", n=16, beta=0.1, rate=0.03),
-        "spidergon_relay": dict(kind="spidergon", n=16, beta=0.1,
-                                rate=0.02),
-        "mesh_bcast": dict(kind="mesh", n=16, beta=0.1, rate=0.02),
-        "torus_bcast": dict(kind="torus", n=16, beta=0.1, rate=0.02),
         "coherence": dict(kind="quarc", n=16, beta=0.0, rate=1.0,
                           workload="cache_coherence:window=4"),
-        "link_faults": dict(kind="quarc", n=16, beta=0.0, rate=0.03,
-                            faults="links:down=2@cycle=200"),
     }
 
     @staticmethod
@@ -744,11 +742,6 @@ class TestPacketCompaction:
         assert forced[1] == plain[1]
         assert forced[2] == plain[2]
         return forced[3]
-
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_compacted_run_is_the_uncompacted_one(self, case, monkeypatch):
-        be = self._assert_compacted_equal(self._spec(case), monkeypatch)
-        assert be._nstaged > be._pslots.used
 
     @pytest.mark.parametrize("handback", ["materialize", "detach"])
     def test_resync_after_a_compaction(self, handback, monkeypatch):

@@ -1,9 +1,11 @@
 """A saturated source's backlog waits outside the packet table (the sim
 README's Backlog): an arrival with its queue's stock of flits ahead of it
 is staged as a record, folded as one, and interned only when the packets
-ahead of it run out.  Every run here is saturated, so records are made,
-and the array engine must still give the reference's ``RunSummary``,
-probe series and metrics byte for byte."""
+ahead of it run out.  Saturated runs under a tiny stock (the ``stock``
+stress setting) are differential cases (``tests/test_differential.py``);
+pinned here: a drain and a fault event intern the records that wait, a
+lost record breaks the flit identity, healthy runs make none, and the
+kernel's fields are bound at their C types."""
 
 from __future__ import annotations
 
@@ -51,34 +53,6 @@ def stock(request, monkeypatch):
     if request.param:
         monkeypatch.setattr(array_backend, "_STOCK", request.param)
     return array_backend._STOCK
-
-
-@pytest.mark.parametrize("kind", ["quarc", "spidergon", "mesh", "torus"])
-@pytest.mark.parametrize("beta", [0.0, 0.1])
-def test_saturated_runs_identical(kind, beta, stock, engines_built):
-    config = make_config(kind=kind, n=16, msg_len=4, beta=beta, rate=0.3,
-                         cycles=700, warmup=100, seed=5, obs=OBS)
-    (ref, arr), session = _both(config, engines_built)
-    assert arr == ref
-    be = session.backend
-    assert be._rslots.used > 0          # records were made
-    if stock == 8 and beta == 0.0:
-        # a queue refilled in the middle of a batch
-        assert be._st.stops[RECORDS] > 0 and be._nrefill > 0
-
-
-@pytest.mark.parametrize("workload,arrival", [
-    ("classes:a=uniform,len=4,rate=0.3;b=uniform,len=6,rate=0.2",
-     "bernoulli"),
-    ("", "bursty:on=0.3,len=8"),
-], ids=["two-classes", "bursty"])
-def test_mixes_identical(workload, arrival, stock, engines_built):
-    config = make_config(kind="quarc", n=16, msg_len=4, beta=0.0,
-                         rate=0.5, cycles=900, warmup=100, seed=3,
-                         workload=workload, arrival=arrival, obs=OBS)
-    (ref, arr), session = _both(config, engines_built)
-    assert arr == ref
-    assert session.backend._rslots.used > 0
 
 
 def test_drain_after_backlog(stock, engines_built):

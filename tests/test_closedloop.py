@@ -5,9 +5,13 @@ The open-loop golden fixtures pin that ``window=0`` (the default) stays
 byte-identical; this module covers the closed half: reactive sources
 that stall on their in-flight window, the directory request/reply round
 trip, barrier-synchronised phases, the completion-time accounting in
-``summary.extra["classes"]`` -- and the contract that every backend
-(reference / array, C kernel on and off) produces identical
-bytes for all of it.
+``summary.extra["classes"]``, how the array engine's kernel fires
+the sources -- and the contract that both engines produce identical
+bytes for all of it.  The differential corpus
+(``tests/test_differential.py``) runs the closed loops
+(:data:`differential.CLOSED_LOOP_CASES` and
+:data:`differential.CUSTOM_CLOSED_LOOPS`) under the engine's stress
+settings too.
 """
 
 import ctypes
@@ -18,7 +22,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from differential import (CLOSED_LOOP_CASES, CUSTOM_CLOSED_LOOPS,
-                          custom_workload, find_divergence, make_config)
+                          custom_workload, make_config, run_summaries)
 from helpers import CountingRandom
 from hypothesis import given, settings, strategies as st
 
@@ -490,10 +494,9 @@ class TestClosedLoopEquivalence:
                                           ALLREDUCE_CLOSED])
     @pytest.mark.parametrize("kind", ["quarc", "spidergon"])
     def test_backends_byte_identical(self, workload, kind):
-        from differential import assert_backends_equivalent
         spec = closed_spec(workload, kind=kind, cycles=1500, warmup=300)
-        summaries = assert_backends_equivalent(
-            RunConfig(spec=spec), ALL_BACKENDS)
+        summaries = run_summaries(RunConfig(spec=spec), ALL_BACKENDS)
+        assert all(s == summaries[0] for s in summaries[1:])
         closed_names = [cl.name for cl
                         in resolve_workload(workload, 16).closed]
         for name in closed_names:
@@ -506,8 +509,8 @@ class TestClosedLoopEquivalence:
 class TestReactiveWindows:
     """The array engine injects a closed loop windows ahead and ends a
     window only where Python must act; every corner that could move a
-    byte is pinned against the reference (``tests/differential.py``
-    runs the same cases in lockstep)."""
+    byte is pinned against the reference (the differential corpus runs
+    the same cases through its oracle)."""
 
     @staticmethod
     def _run(name, spy=None):
@@ -623,19 +626,6 @@ class TestKernelSources:
         assert st.calls - st.stops[2] < 30 + 3 * st.stops[4]
         if name != "think1e-5":
             assert st.fired > 100
-
-    @pytest.mark.parametrize("name", list(CUSTOM_CLOSED_LOOPS))
-    def test_custom_closed_loops(self, name):
-        config = make_config(kind="quarc", n=16, msg_len=4, beta=0.0,
-                             rate=1.0, cycles=900, warmup=200, seed=5,
-                             workload="cache_coherence:window=4")
-        with custom_workload(CUSTOM_CLOSED_LOOPS[name]):
-            assert find_divergence(config, "reference", "array") is None
-            array = SimulationSession(config.with_backend("array"))
-            summary = array.run()
-            assert summary == SimulationSession(
-                config.with_backend("reference")).run()
-        assert array.backend._st.fired > 100
 
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
     @pytest.mark.parametrize("index", [0, 1, 623, 624])

@@ -7,16 +7,17 @@ a mix windows of ``(cycle, node, dst)`` columns per class;
 source queues up in the adapters' ``unicast_queue_table`` /
 ``broadcast_table``; a ``Packet`` (and a broadcast's ``CollectiveOp``)
 is built by ``ArrayBackend._packet`` only for an aid something reads as
-an object.  Pinned here: the row path equals the object path (summary,
-state, inject taps), the table equals ``send()``, the lazily built
-objects equal the reference's, flits are conserved, ``--profile``
-counts what was ever an object, and a batch's unicast tails, rows and
-objects alike, are booked together in emission order.
+an object.  Both paths run in the differential corpus
+(``tests/test_differential.py``: rows, and objects under a fault
+state).  Pinned here: the table equals ``send()``, the lazily built
+objects equal the reference's, flits are conserved at every window
+end, ``--profile`` counts what was ever an object, and a batch's
+unicast tails, rows and objects alike, are booked together in
+emission order.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from differential import make_config
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.core.api import build_network
 from repro.faults import FaultPlan, FaultState
 from repro.noc.network import Network
-from repro.noc.packet import MULTICAST, UNICAST, Packet
+from repro.noc.packet import MULTICAST, Packet
 from repro.obs import ObsSpec
 from repro.sim.array_backend import ArrayBackend
 from repro.sim.session import SimulationSession, _merge_probes
@@ -34,15 +35,6 @@ KINDS = (("quarc", {}), ("quarc", {"bcast_mode": "relay"}),
          ("spidergon", {}), ("mesh", {}), ("torus", {}))
 TOPOLOGIES = ("quarc", "spidergon", "mesh", "torus")
 COHERENCE = dict(workload="cache_coherence:storms=true", rate=1.0)
-
-
-def _as_packet(self, node, dst, size, cls, now, tag=None, cont=None):
-    """``Network.send_unicast`` as it was before rows: always an object."""
-    pkt = Packet(node, dst, size, UNICAST, created=now)
-    pkt.cls = cls
-    pkt.tag = tag
-    pkt.cont = cont
-    self.adapters[node].send(pkt, now)
 
 
 def _as_op(self, node, size, cls, now, on_complete=None):
@@ -83,38 +75,6 @@ def _drive(config, digest_every=0, snap_at=(), on_tail=False):
     be.run_mix(session.mix, cycles, probes)
     seen["summary"] = session.summary()
     return session, seen
-
-
-def _variants(kind, beta, cfg, tmp_path):
-    """Single class, open-loop multi-class, and a v2 replay of the
-    single-class run."""
-    base = dict(kind=kind, n=16, msg_len=6, beta=beta, rate=0.08,
-                cycles=500, warmup=100, seed=5, **cfg)
-    yield make_config(**base)
-    yield make_config(**{**base, **COHERENCE})
-    _, seen = _drive(make_config(**base))
-    events = [(now, node, dst, size, cls, bcast)
-              for node, now, cls, dst, size, bcast in seen["taps"]]
-    path = Trace(n=16, events=events).save(str(tmp_path / "run.jsonl"))
-    yield make_config(**{**base, "arrival": f"trace:path={path}"})
-
-
-@pytest.mark.parametrize("beta", (0.0, 0.1))
-@pytest.mark.parametrize("kind,cfg", KINDS)
-def test_rows_equal_packets(kind, cfg, beta, tmp_path, monkeypatch):
-    for config in _variants(kind, beta, cfg, tmp_path):
-        session, rows = _drive(config, digest_every=97)
-        mix, be = session.mix, session.backend
-        nb = len(be._btab[0]) if be._btab else 0    # a broadcast's rows
-        assert mix.generated_unicasts > 0
-        assert be._nrows == (mix.generated_unicasts
-                             + nb * mix.generated_broadcasts)
-        with monkeypatch.context() as m:
-            m.setattr(Network, "send_unicast", _as_packet)
-            m.setattr(Network, "send_broadcast", _as_op)
-            session, pkts = _drive(config, digest_every=97)
-        assert session.backend._nrows == 0
-        assert rows == pkts, config.spec
 
 
 @pytest.mark.parametrize("n", (16, 64))
@@ -302,60 +262,6 @@ def test_engine_conserves_flits(kind, msg_len, beta, rate, seed, cycles,
     elif session.collector.relay_segments > 20:
         assert be._nlate > 0
     _assert_conserved(be)
-
-
-@settings(derandomize=True, deadline=None, max_examples=10)
-@example(kind=("quarc", {}), msg_len=16, beta=0.0, rate=0.05, seed=1,
-         cycles=400)        # saturated: deep source queues
-@given(kind=st.sampled_from(KINDS), msg_len=st.integers(1, 9),
-       beta=st.sampled_from((0.0, 0.1, 0.4)),
-       rate=st.floats(0.005, 0.3), seed=st.integers(0, 2**16),
-       cycles=st.integers(50, 400))
-def test_both_engines_conserve_flits(kind, msg_len, beta, rate, seed,
-                                     cycles):
-    """Fault-free, on either engine: every flit generated -- unicast
-    columns, broadcast packets, relay segments -- has left through an
-    ejection port, is in flight or is still staged; and both engines
-    generated the same messages, counted alike by every collector."""
-    from repro.noc.buffers import FlitBuffer
-    seen = []
-    for backend in ("reference", "array"):
-        session = SimulationSession(make_config(
-            kind=kind[0], n=16, msg_len=msg_len, beta=beta, rate=rate,
-            cycles=cycles, warmup=0, seed=seed, backend=backend, **kind[1]))
-        pushed = [0]
-        push = FlitBuffer.push_packet
-
-        def counted(buf, pkt, pushed=pushed, push=push):
-            pushed[0] += pkt.size
-            push(buf, pkt)
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(FlitBuffer, "push_packet", counted)
-            session.run()
-        net, be, mix = session.net, session.backend, session.mix
-        if backend == "array":
-            # a Quarc clone-mode broadcast is a column per branch
-            branches = 4 * mix.generated_broadcasts if be.broadcast_rows \
-                else 0
-            assert be._ncols == mix.generated_unicasts + branches
-            assert be._nsweep == 0    # every slot ever interned
-            generated = (int(be._psize[:be._pslots.used].sum())
-                         + _record_flits(be) + be._staged_flits())
-            ejected = sum(int(be._fs[p]) for p, port in enumerate(be._ports)
-                          if port.is_ejection)
-        else:
-            generated = pushed[0]
-            ejected = sum(port.flits_sent for port in net.iter_ports()
-                          if port.is_ejection)
-        assert generated == ejected + net.total_flits()
-        colls = {id(ad.collector): ad.collector for ad in net.adapters}
-        seen.append((generated, mix.generated_unicasts,
-                     mix.generated_broadcasts,
-                     [(c.generated_unicast, c.generated_collective)
-                      for c in colls.values()]))
-        be.detach()
-    assert seen[0] == seen[1]
 
 
 @pytest.mark.parametrize("beta", (0.0, 0.1))

@@ -1,36 +1,125 @@
-"""Differential fuzz tests: every backend, randomized configurations.
+"""The differential corpus: every case on the reference and the array
+engine, through one oracle.
 
-The hand-picked equivalence matrices (``test_backends.py``,
-``test_workloads.py``) pin known-tricky corners; this module adds bulk
-randomized coverage through ``tests/differential.py``: configurations
-sampled across topology x size x pattern x arrival x rate x seed are run
-through **every registered backend** and must produce identical
-summaries.  On failure the harness re-runs the offending pair in
-lockstep and reports the first diverging cycle with a full router/port
-state diff -- so a fuzz failure arrives pre-localised.
+``tests/differential.py`` defines the generator (:func:`random_case`:
+topology, size, pattern, arrival, rate, message length, beta, fault
+plans, closed loops, multi-class mixes, probes, and one of the array
+engine's stress settings) and the oracle (:func:`check_case`: summary,
+``repro-metrics`` stream, state checkpoints and the flit identity
+against the reference; replayed events windowed and one cycle at a
+time).
+The tier-1 corpus is
 
-The default run keeps CI fast (a modest config count); ``--runslow``
-unlocks the nightly-sized sweep (more configs, longer horizons, bigger
-networks).
+* the first ``4 * len(STRESS)`` cases of :data:`SEED`, which run every
+  stress setting on every topology;
+* :data:`PINNED`: further cases of any stream, each kept because it
+  caught a fault (a failing nightly case is pinned by adding it here);
+* :func:`named_cases`: hand-aimed traffic the generator cannot draw.
+
+``--runslow`` adds the nightly stream (more cases, longer horizons,
+bigger networks).  On failure the oracle re-runs the case in lockstep
+and reports the first diverging cycle with a full router/port state
+diff -- so a corpus failure arrives pre-localised.
 """
 
 import pytest
 
-from differential import (Divergence, assert_backends_equivalent,
-                          find_divergence, make_config, random_configs,
-                          run_summaries, targeted_configs)
+from differential import (STRESS, Divergence, check_case, drive,
+                          find_divergence, make_config, named_cases,
+                          random_case, random_configs, run_summaries,
+                          stressed)
+from repro.sim.array_backend import STOP_EVENTS
 from repro.sim.backend import BACKENDS
+from repro.sim.session import SimulationSession
 
 ALL_BACKENDS = sorted(BACKENDS)
+KINDS = ("quarc", "spidergon", "mesh", "torus")
 
-#: Hand-aimed cases: dense multicast bursts + dateline-heavy torus.
-TARGETED_CASES = targeted_configs()
+#: The tier-1 stream.
+SEED = 20260726
+#: ``(seed, index)`` of cases that caught a fault:
+#: * ``(20260726, 61)``: faulted multi-class Quarc at buffer depth 1 --
+#:   the windowed and the per-cycle run replayed different events, as
+#:   a stage of packet objects alone was left unsorted by (cycle, class)
+PINNED = [(20260726, 61)]
+NAMED = named_cases()
+CORPUS = (list(random_configs(SEED, len(KINDS) * len(STRESS)))
+          + [random_case(seed, index) for seed, index in PINNED] + NAMED)
+NIGHTLY_CASES = list(random_configs(seed=411, count=84, cycles=1500,
+                                    warmup=300, sizes=(8, 16, 16, 36, 64)))
 
-#: Deterministic fuzz corpus: every test run sees the same configs.
-SMOKE_CASES = list(random_configs(seed=20260726, count=12))
-NIGHTLY_CASES = list(random_configs(seed=411, count=60,
-                                    cycles=1500, warmup=300,
-                                    sizes=(8, 16, 16, 36, 64)))
+
+@pytest.mark.parametrize("case", CORPUS, ids=[c.name for c in CORPUS])
+def test_corpus(case):
+    check_case(case)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", NIGHTLY_CASES,
+                         ids=[c.name for c in NIGHTLY_CASES])
+def test_nightly(case):
+    check_case(case)
+
+
+def _signs(stress):
+    """Which stress settings a saturated Quarc run under ``stress`` shows
+    the signs of, by the engine's own counters."""
+    config = make_config(
+        kind="quarc", n=16, msg_len=8, beta=0.0, rate=0.3, cycles=400,
+        warmup=50, seed=2, buffer_depth=1 if stress == "depth" else 4)
+    with stressed(stress, per_cycle=True):
+        be = drive(config, per_cycle=stress == "rescan").session.backend
+    st = be._st
+    return {"compact": be._nsweep > 0,
+            "stock": be._nrefill > 0,
+            "evcap": st.stops[STOP_EVENTS] > 0,
+            "window": int(be._rmask.max()) < 15,    # source queue rings
+            "depth": max(be._cap_py, key=be._cap_py.count) == 1,
+            "rescan": st.rescans >= st.calls > 100}
+
+
+class TestDifferentialFuzz:
+    """What the corpus holds, and that its stress settings take."""
+
+    def test_corpus_spans_the_load_axis(self):
+        """The tier-1 corpus runs every stress setting on every topology
+        and holds a fault plan, a closed loop and a saturated rate; both
+        streams hit the idle-heavy fast-forward regime and the saturated
+        full-network one, and carry real traffic in aggregate, so the
+        cases cannot all pass trivially on empty networks after a
+        regeneration."""
+        specs = [c.config.spec for c in CORPUS]
+        assert {(c.config.spec.kind, c.stress) for c in CORPUS} >= {
+            (kind, stress) for kind in KINDS for stress in STRESS}
+        assert any(s.faults for s in specs)
+        assert any(s.workload.startswith(("cache_coherence", "allreduce"))
+                   for s in specs)
+        # more than a flit per node and cycle offered: past any knee
+        assert any(s.rate * s.msg_len > 1 and not s.workload for s in specs)
+        rates = [c.config.spec.rate for c in CORPUS + NIGHTLY_CASES]
+        assert min(rates) < 0.005
+        assert max(rates) > 0.1
+        for cases in (CORPUS, NIGHTLY_CASES):
+            # expected arrivals = rate x nodes x cycles, summed per corpus
+            expected = sum(c.config.spec.rate * c.config.spec.n
+                           * c.config.spec.cycles for c in cases)
+            assert expected > 50 * len(cases), (
+                "corpus is near-degenerate: too few expected arrivals to "
+                "exercise the step kernels")
+            # the reactive closed-loop slice: the per-cycle feedback path
+            # (window stalls, replies, barrier phases)
+            closed = {c.config.spec.workload.split(":")[0] for c in cases
+                      if "window=" in c.config.spec.workload}
+            assert closed == {"cache_coherence", "allreduce"}
+            assert sum("window=" in c.config.spec.workload
+                       for c in cases) >= len(cases) // 8
+
+    @pytest.mark.parametrize("stress", STRESS[1:])
+    def test_stress_settings_take(self, stress):
+        """Each stress setting reaches the path it is named for, which the
+        shipped engine does not reach on the same run: a setting no case
+        can feel does not pass for coverage."""
+        assert _signs(stress)[stress] and not _signs("shipped")[stress]
 
 
 class TestHarness:
@@ -80,7 +169,8 @@ class TestHarness:
     def test_identical_wedge_is_an_error_not_agreement(self):
         """Two engines stuck in the same state are not equivalent: a
         drain that hits its limit raises instead of reporting None."""
-        _, cfg, _ = TARGETED_CASES[2]       # over-saturated torus hotspot
+        cfg, = [c.config for c in NAMED
+                if c.name == "torus_dateline_hotspot"]  # over-saturated
         with pytest.raises(RuntimeError, match="possible deadlock"):
             find_divergence(cfg, "reference", "array", cycles=100,
                             drain_limit=10)
@@ -92,73 +182,20 @@ class TestHarness:
         assert "95 more differing keys" in report
 
 
-class TestDifferentialFuzz:
-    @pytest.mark.parametrize("case", SMOKE_CASES,
-                             ids=[f"case{i}" for i, _ in SMOKE_CASES])
-    def test_randomized_equivalence(self, case):
-        i, cfg = case
-        assert_backends_equivalent(cfg, ALL_BACKENDS)
-
-    def test_corpus_spans_the_load_axis(self):
-        """The fuzz stream must hit both the idle-heavy fast-forward
-        regime and the saturated full-network regime -- and carry real
-        traffic in aggregate, so the equivalence cases cannot all pass
-        trivially on empty networks after a corpus regeneration."""
-        rates = [cfg.spec.rate for _, cfg in SMOKE_CASES + NIGHTLY_CASES]
-        assert min(rates) < 0.005
-        assert max(rates) > 0.1
-        kinds = {cfg.spec.kind for _, cfg in SMOKE_CASES}
-        assert len(kinds) >= 3
-        # expected arrivals = rate x nodes x cycles, summed per corpus
-        for cases in (SMOKE_CASES, NIGHTLY_CASES):
-            expected = sum(c.spec.rate * c.spec.n * c.spec.cycles
-                           for _, c in cases)
-            assert expected > 50 * len(cases), (
-                "fuzz corpus is near-degenerate: too few expected "
-                "arrivals to exercise the step kernels")
-        # the reactive closed-loop slice must survive corpus
-        # regeneration: it is the only fuzz coverage of the per-cycle
-        # feedback path (window stalls, replies, barrier phases)
-        closed = [c for _, c in SMOKE_CASES + NIGHTLY_CASES
-                  if "window=" in c.spec.workload]
-        assert len(closed) >= (len(SMOKE_CASES) + len(NIGHTLY_CASES)) // 8
-        assert any(c.spec.workload.startswith("cache_coherence")
-                   for c in closed)
-        assert any(c.spec.workload.startswith("allreduce")
-                   for c in closed)
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("case", NIGHTLY_CASES,
-                             ids=[f"case{i}" for i, _ in NIGHTLY_CASES])
-    def test_nightly_randomized_equivalence(self, case):
-        i, cfg = case
-        assert_backends_equivalent(cfg, ALL_BACKENDS)
-
-
 class TestTargetedCorpus:
-    """Traffic shapes the randomized stream under-samples, driven in
-    lockstep (state digest every cycle, full snapshots at checkpoints)."""
-
-    @pytest.mark.parametrize(
-        "case", TARGETED_CASES, ids=[name for name, _, _ in TARGETED_CASES])
-    @pytest.mark.parametrize(
-        "backend", [b for b in ALL_BACKENDS if b != "reference"])
-    def test_targeted_lockstep(self, case, backend):
-        name, cfg, inject = case
-        div = find_divergence(cfg, "reference", backend, inject=inject)
-        assert div is None, f"{name}:\n{div.report()}"
+    """The hand-aimed cases carry the traffic they are named for."""
 
     def test_multicast_bursts_deliver(self):
-        """The burst hook must produce real collective traffic, or the
-        lockstep cases above pass vacuously."""
-        name, cfg, inject = TARGETED_CASES[0]
-        from repro.sim.session import SimulationSession
-        session = SimulationSession(cfg.with_backend("reference"))
+        """The burst hook makes real collective traffic, or the cases
+        that carry it pass vacuously."""
+        case, = [c for c in NAMED if c.name == "quarc_multicast_bursts"]
+        session = SimulationSession(case.config.with_backend("reference"))
         for t in range(200):
             session.mix.generate(t)
-            inject(session, t)
+            case.inject(session, t)
             session.backend.step(t)
         assert session.net.deliveries > 0
+        assert session.collector.collective.overall.n > 0
         session.backend.detach()
 
 
@@ -175,7 +212,7 @@ class TestFallbackRoundTrips:
     def test_mid_run_detach_object_steps_resync(self):
         """Leave the arrays mid-run, advance the object graph directly,
         re-adopt, finish -- against an uninterrupted reference run."""
-        from repro.sim.session import RunConfig, SimulationSession
+        from repro.sim.session import RunConfig
         spec = self._spec()
         interrupted = SimulationSession(RunConfig(spec=spec,
                                                   backend="array"))
@@ -207,32 +244,3 @@ class TestFallbackRoundTrips:
         assert snap_a == snap_b
         assert interrupted.net.deliveries == reference.net.deliveries
         be.detach()
-
-
-class TestKnownRegressions:
-    """Configs that caught real array-backend bugs during development;
-    kept as permanent regression anchors (cheap, high-value)."""
-
-    def test_torus_dateline_vclass_pingpong(self):
-        """6x6 torus: a blocked post-turn header whose requested VC is
-        re-raised by trailing flits crossing the X dateline, then reset
-        by the reference's per-cycle route_head re-scan.  The array
-        backend must refresh its cached request on dateline commits
-        (and must not lose the cache to stale reverse-map entries)."""
-        cfg = make_config(kind="torus", n=36, msg_len=6, beta=0.05,
-                          rate=0.15, cycles=900, warmup=200, seed=23)
-        assert_backends_equivalent(cfg, ALL_BACKENDS)
-
-    def test_saturated_torus16(self):
-        cfg = make_config(kind="torus", n=16, msg_len=8, beta=0.0,
-                          rate=0.4, cycles=1200, warmup=300, seed=5)
-        assert_backends_equivalent(cfg, ALL_BACKENDS)
-
-    def test_quarc_relay_reinjection(self):
-        """Adapter pushes during commit (the relay ablation) must reach
-        the array mirrors through the push sinks."""
-        cfg = make_config(kind="quarc", n=8, msg_len=4, beta=0.3,
-                          rate=0.03, cycles=1500, warmup=300, seed=5,
-                          bcast_mode="relay")
-        summaries = assert_backends_equivalent(cfg, ALL_BACKENDS)
-        assert summaries[0].bcast_samples > 0

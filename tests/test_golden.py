@@ -1,7 +1,8 @@
 """Golden-fixture regression tests: the seed semantics, pinned.
 
 ``tests/golden/*.json`` holds the canonical ``RunSummary`` of a small
-pinned config set, produced by ``tests/golden_regen.py``.  Any change
+pinned config set, produced by ``tests/golden_regen.py`` on the
+reference backend and checked on both engines.  Any change
 to routing, arbitration, flow control, traffic generation, RNG
 consumption or statistics that moves a single delivered flit shows up
 here as a failing comparison against the committed fixture -- before it
@@ -68,10 +69,14 @@ class TestGoldenFixtures:
             "tests/golden_regen.py")
 
     @pytest.mark.parametrize("name", NAMES)
-    def test_no_drift_from_seed_semantics(self, name):
+    def test_no_drift_from_seed_semantics(self, name, engines_built):
+        """The fixture is what the reference wrote and what the array
+        engine gives: a fault both engines share fails here."""
         golden = _load(name)
-        current = golden_row(name)
-        _assert_matches(current, golden)
+        for backend in ("reference", "array"):
+            _assert_matches(golden_row(name, backend), golden, backend)
+        assert [t.__name__ for t in engines_built] == ["ReferenceBackend",
+                                                       "ArrayBackend"]
 
     def test_fixtures_carry_real_traffic(self):
         """Guard against a silently-degenerate pin (e.g. zero deliveries

@@ -2,11 +2,12 @@
 grammar, bursty/trace arrival models, JSONL trace record/replay, and the
 session wiring that makes ``WorkloadSpec.pattern`` / ``.arrival`` real.
 
-The heavyweight guarantee lives in ``TestBackendEquivalenceMatrix``: for
-every registered scenario on every topology, the ``array`` backend's
-idle fast-forward must stay summary-identical to the ``reference``
-backend -- the injector seam is only allowed to change *what* arrives,
-never how a given arrival train executes.
+``TestBackendEquivalenceMatrix`` pins that the injector seam changes
+only *what* arrives, never how a given arrival train executes: every
+registered pattern and arrival model on every topology gives the same
+summary on the ``array`` and the ``reference`` backend, and so does a
+replayed trace.  The differential corpus (``tests/test_differential.py``)
+draws the same axes under the engine's stress settings.
 """
 
 import random
